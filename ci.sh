@@ -51,6 +51,13 @@ if [ "${SWW_BLESS:-0}" = "1" ]; then
 fi
 ./target/release/sww-cli bench-compare BENCH_PR6.json target/BENCH_PR6.json --tolerance 0.10
 
+# benchmark/ is a package outside the workspace, so nothing above compiles
+# it: an API removal in crates/ could break it silently. The smoke run
+# builds it (release, offline) and exits non-zero on a failed oracle or a
+# missing metric.
+echo "==> benchmark/run.sh --smoke (out-of-workspace benchmark still builds and runs)"
+benchmark/run.sh --smoke >/dev/null
+
 echo "==> cargo test -p sww-http2 --test proptest_hpack (HPACK property suite)"
 cargo test -p sww-http2 --test proptest_hpack -q
 
@@ -73,6 +80,9 @@ echo "==> bench-transport --chaos (E18 h2-vs-h3 gate)"
 
 echo "==> cargo test -p sww-core --test proptest_ring (consistent-hash ring property suite)"
 cargo test -p sww-core --test proptest_ring -q
+
+echo "==> cargo test -p sww-core --test proptest_lru (shared LRU vs naive reference model)"
+cargo test -p sww-core --test proptest_lru -q
 
 echo "==> cargo test -p sww-core --test proptest_gossip (SWIM failure-detector property suite)"
 cargo test -p sww-core --test proptest_gossip -q

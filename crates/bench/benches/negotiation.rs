@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use sww_core::{GenAbility, GenerativeServer, SiteContent};
+use sww_core::{GenAbility, GenerativeServer, ServerConfig, SiteContent};
 use sww_html::gencontent;
 
 fn site() -> SiteContent {
@@ -34,10 +34,11 @@ fn bench(c: &mut Criterion) {
         g.bench_function(format!("handshake_and_get_{label}"), |b| {
             b.iter(|| {
                 rt.block_on(async {
-                    let server = GenerativeServer::builder()
-                        .site(site())
-                        .ability(GenAbility::full())
-                        .build();
+                    let server = GenerativeServer::from_config(ServerConfig {
+                        site: site(),
+                        ability: GenAbility::full(),
+                        ..ServerConfig::default()
+                    });
                     let (a, bio) = tokio::io::duplex(1 << 20);
                     tokio::spawn(async move {
                         let _ = server.serve_stream(bio).await;

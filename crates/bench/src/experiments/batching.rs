@@ -25,7 +25,7 @@
 
 use crate::table::Table;
 use std::sync::Barrier;
-use sww_core::{GenAbility, GenerativeServer};
+use sww_core::{GenAbility, GenerativeServer, ServerConfig};
 use sww_http2::Request;
 
 /// One batch-size sample of the sweep.
@@ -78,12 +78,13 @@ impl Default for BatchingConfig {
 /// Run one batch-size sample.
 pub fn sample(cfg: BatchingConfig, batch_max: usize) -> BatchSample {
     let prompts = cfg.threads * cfg.rounds;
-    let server = GenerativeServer::builder()
-        .site(super::concurrency::bench_site(prompts))
-        .workers(cfg.threads)
-        .batch_max(batch_max)
-        .batch_wait(std::time::Duration::from_millis(cfg.batch_wait_ms))
-        .build();
+    let server = GenerativeServer::from_config(ServerConfig {
+        site: super::concurrency::bench_site(prompts),
+        workers: cfg.threads,
+        batch_max,
+        batch_wait: std::time::Duration::from_millis(cfg.batch_wait_ms),
+        ..ServerConfig::default()
+    });
     let (shed_before, cancelled_before, _) = super::concurrency::lifecycle_counters();
     // Held across the sample: groups never close for rendezvous drain,
     // only on full (or the deadline), making composition deterministic.

@@ -18,8 +18,8 @@
 use crate::table::Table;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
-use sww_core::{GenAbility, GenerativeServer, SiteContent};
+use std::time::{Duration, Instant};
+use sww_core::{GenAbility, GenerativeServer, ServerConfig, SiteContent};
 use sww_html::gencontent;
 use sww_http2::Request;
 
@@ -166,22 +166,21 @@ pub(crate) fn lifecycle_counters() -> (u64, u64, u64) {
 /// global-registry counters (faults, pool jobs, lifecycle) are
 /// before/after deltas.
 pub fn sample(cfg: ConcurrencyConfig, workers: usize) -> ConcurrencySample {
-    let mut builder = GenerativeServer::builder()
-        .site(bench_site(cfg.prompts))
-        .workers(workers)
-        .batch_max(cfg.batch_max)
-        .batch_wait(std::time::Duration::from_millis(cfg.batch_wait_ms))
-        .kernel_tiles(cfg.kernel_tiles);
-    if let Some(ms) = cfg.deadline_ms {
-        builder = builder.default_deadline(std::time::Duration::from_millis(ms));
-    }
-    if let Some((failure_threshold, cooldown_ms)) = cfg.breaker {
-        builder = builder.breaker(sww_core::BreakerConfig {
-            failure_threshold,
-            cooldown: std::time::Duration::from_millis(cooldown_ms),
-        });
-    }
-    let server = builder.build();
+    let server = GenerativeServer::from_config(ServerConfig {
+        site: bench_site(cfg.prompts),
+        workers,
+        batch_max: cfg.batch_max,
+        batch_wait: Duration::from_millis(cfg.batch_wait_ms),
+        kernel_tiles: cfg.kernel_tiles,
+        default_deadline: cfg.deadline_ms.map(Duration::from_millis),
+        breaker: cfg
+            .breaker
+            .map(|(failure_threshold, cooldown_ms)| sww_core::BreakerConfig {
+                failure_threshold,
+                cooldown: Duration::from_millis(cooldown_ms),
+            }),
+        ..ServerConfig::default()
+    });
     let rejected = AtomicU64::new(0);
     let latencies_ms = Mutex::new(Vec::with_capacity(cfg.threads * cfg.requests));
     let faults_before = sww_core::faults::injected_total();

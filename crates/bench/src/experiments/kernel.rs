@@ -34,7 +34,7 @@
 use crate::table::Table;
 use std::sync::{Barrier, Mutex};
 use std::time::Instant;
-use sww_core::{GenAbility, GenerativeServer, WorkerPool};
+use sww_core::{GenAbility, GenerativeServer, ServerConfig, WorkerPool};
 use sww_energy::cost::tiled_batch_pass_time;
 use sww_energy::device::{profile, DeviceKind};
 use sww_genai::diffusion::{DiffusionModel, ImageModelKind, StepCancel, Tiling};
@@ -264,13 +264,14 @@ fn drive_rounds(
 /// Run one `kernel_tiles` sample of the serving sweep.
 pub fn serving_sample(cfg: ServingConfig, kernel_tiles: usize) -> ServingSample {
     let total_rounds = cfg.warmup_rounds + cfg.rounds;
-    let server = GenerativeServer::builder()
-        .site(super::concurrency::bench_site(cfg.threads * total_rounds))
-        .workers(cfg.threads)
-        .batch_max(cfg.threads)
-        .batch_wait(std::time::Duration::from_millis(cfg.batch_wait_ms))
-        .kernel_tiles(kernel_tiles)
-        .build();
+    let server = GenerativeServer::from_config(ServerConfig {
+        site: super::concurrency::bench_site(cfg.threads * total_rounds),
+        workers: cfg.threads,
+        batch_max: cfg.threads,
+        batch_wait: std::time::Duration::from_millis(cfg.batch_wait_ms),
+        kernel_tiles,
+        ..ServerConfig::default()
+    });
     // Held across the sample: groups close on full, never on a
     // rendezvous-drain race (same discipline as E16).
     let hint = server.batcher().map(|b| b.announce());

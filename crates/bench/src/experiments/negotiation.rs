@@ -3,7 +3,7 @@
 //! mode and graceful fallback.
 
 use crate::table::Table;
-use sww_core::{GenAbility, GenerativeServer, SiteContent};
+use sww_core::{GenAbility, GenerativeServer, ServerConfig, SiteContent};
 use sww_html::gencontent;
 
 /// One scenario's outcome.
@@ -42,10 +42,11 @@ pub async fn run() -> Vec<Scenario> {
         (GenAbility::none(), GenAbility::full(), "client only"),
         (GenAbility::none(), GenAbility::none(), "neither"),
     ] {
-        let server = GenerativeServer::builder()
-            .site(demo_site())
-            .ability(server_ability)
-            .build();
+        let server = GenerativeServer::from_config(ServerConfig {
+            site: demo_site(),
+            ability: server_ability,
+            ..ServerConfig::default()
+        });
         let (a, b) = tokio::io::duplex(1 << 20);
         let srv = server.clone();
         tokio::spawn(async move {

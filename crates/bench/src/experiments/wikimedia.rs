@@ -5,7 +5,7 @@
 //! workstation), and semantic preservation via CLIP-sim.
 
 use crate::table::{bytes, secs, Table};
-use sww_core::{GenAbility, GenerativeClient, GenerativeServer, SiteContent};
+use sww_core::{GenAbility, GenerativeClient, GenerativeServer, ServerConfig, SiteContent};
 use sww_energy::device::{profile, DeviceKind};
 use sww_genai::metrics::clip;
 use sww_workload::wikimedia::{self, LandscapePage};
@@ -39,10 +39,11 @@ pub async fn run(page: &LandscapePage) -> Fig2Result {
     // Serve the prompt-form page and fetch it with a generating client.
     let mut site = SiteContent::new();
     site.add_page("/wiki/landscape", page.sww_html.clone());
-    let server = GenerativeServer::builder()
-        .site(site)
-        .ability(GenAbility::full())
-        .build();
+    let server = GenerativeServer::from_config(ServerConfig {
+        site,
+        ability: GenAbility::full(),
+        ..ServerConfig::default()
+    });
     let (a, b) = tokio::io::duplex(1 << 22);
     let srv = server.clone();
     tokio::spawn(async move {

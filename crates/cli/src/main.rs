@@ -479,10 +479,11 @@ async fn cmd_stats(args: &Args) {
         // Local: run a demo fetch in-process (server and client share this
         // process's registry), then dump every series it produced.
         None => {
-            let server = GenerativeServer::builder()
-                .site(sww_workload::blog::travel_blog())
-                .ability(GenAbility::full())
-                .build();
+            let server = GenerativeServer::from_config(ServerConfig {
+                site: sww_workload::blog::travel_blog(),
+                ability: GenAbility::full(),
+                ..ServerConfig::default()
+            });
             let (a, b) = tokio::io::duplex(1 << 20);
             tokio::spawn(async move {
                 let _ = server.serve_stream(b).await;

@@ -9,7 +9,7 @@
 //! visit.
 
 use crate::faults::{self, FaultAction, FaultSite};
-use std::collections::HashMap;
+use crate::lru::Lru;
 use sww_genai::diffusion::ImageModelKind;
 use sww_genai::ImageBuffer;
 
@@ -28,23 +28,12 @@ pub struct Recipe {
     pub steps: u32,
 }
 
-#[derive(Debug)]
-struct Entry {
-    image: ImageBuffer,
-    /// Monotone counter value at last use (for LRU eviction).
-    last_used: u64,
-}
-
 /// An LRU cache of generated images, bounded by total pixel budget (a
 /// proxy for memory).
 #[derive(Debug)]
 pub struct GenerationCache {
-    entries: HashMap<Recipe, Entry>,
-    clock: u64,
-    /// Total pixels currently held.
-    pixels: u64,
-    /// Pixel budget.
-    capacity_pixels: u64,
+    /// Cost is pixels.
+    entries: Lru<Recipe, ImageBuffer>,
     /// Hits since creation.
     pub hits: u64,
     /// Misses since creation.
@@ -56,10 +45,7 @@ impl GenerationCache {
     /// a hundred thumbnails).
     pub fn new(capacity_pixels: u64) -> GenerationCache {
         GenerationCache {
-            entries: HashMap::new(),
-            clock: 0,
-            pixels: 0,
-            capacity_pixels: capacity_pixels.max(1),
+            entries: Lru::new(capacity_pixels.max(1)),
             hits: 0,
             misses: 0,
         }
@@ -90,13 +76,11 @@ impl GenerationCache {
             Some(FaultAction::Latency(d)) => std::thread::sleep(d),
             None => {}
         }
-        self.clock += 1;
-        match self.entries.get_mut(recipe) {
-            Some(e) => {
-                e.last_used = self.clock;
+        match self.entries.get(recipe) {
+            Some(image) => {
                 self.hits += 1;
                 sww_obs::counter("sww_cache_events_total", &[("result", "hit")]).inc();
-                Some(e.image.clone())
+                Some(image.clone())
             }
             None => {
                 self.misses += 1;
@@ -111,31 +95,7 @@ impl GenerationCache {
     /// are not cached.
     pub fn put(&mut self, recipe: Recipe, image: ImageBuffer) {
         let cost = image.pixels();
-        if cost > self.capacity_pixels {
-            return;
-        }
-        self.clock += 1;
-        if let Some(old) = self.entries.remove(&recipe) {
-            self.pixels -= old.image.pixels();
-        }
-        self.pixels += cost;
-        self.entries.insert(
-            recipe,
-            Entry {
-                image,
-                last_used: self.clock,
-            },
-        );
-        while self.pixels > self.capacity_pixels {
-            let victim = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-                .expect("pixels>0 implies entries");
-            let removed = self.entries.remove(&victim).expect("victim exists");
-            self.pixels -= removed.image.pixels();
-        }
+        self.entries.insert(recipe, image, cost);
     }
 
     /// Hit rate so far.

@@ -57,6 +57,7 @@
 use crate::cache::Recipe;
 use crate::error::retryable_status;
 use crate::gossip::{Gossip, GossipConfig, Health};
+use crate::lru::Lru;
 use crate::negotiate::{decide, ServeMode};
 use crate::server::{DrainReport, GenerativeServer, SiteContent};
 use parking_lot::{Mutex, RwLock};
@@ -248,91 +249,6 @@ impl HashRing {
     }
 }
 
-/// A finished response held in an edge's fill cache.
-#[derive(Debug, Clone)]
-struct FillEntry {
-    resp: Response,
-    bytes: u64,
-    stamp: u64,
-}
-
-/// Bounded per-node cache of peer-filled responses, LRU by touch order.
-#[derive(Debug)]
-struct FillCache {
-    budget: u64,
-    inner: Mutex<FillInner>,
-}
-
-#[derive(Debug, Default)]
-struct FillInner {
-    map: HashMap<String, FillEntry>,
-    bytes: u64,
-    clock: u64,
-}
-
-impl FillCache {
-    fn new(budget: u64) -> FillCache {
-        FillCache {
-            budget,
-            inner: Mutex::new(FillInner::default()),
-        }
-    }
-
-    fn get(&self, key: &str) -> Option<Response> {
-        let mut inner = self.inner.lock();
-        inner.clock += 1;
-        let clock = inner.clock;
-        let entry = inner.map.get_mut(key)?;
-        entry.stamp = clock;
-        Some(entry.resp.clone())
-    }
-
-    fn put(&self, key: &str, resp: &Response) {
-        let bytes = resp.body.len() as u64;
-        if bytes > self.budget {
-            return;
-        }
-        let mut inner = self.inner.lock();
-        inner.clock += 1;
-        let stamp = inner.clock;
-        if let Some(old) = inner.map.insert(
-            key.to_owned(),
-            FillEntry {
-                resp: resp.clone(),
-                bytes,
-                stamp,
-            },
-        ) {
-            inner.bytes -= old.bytes;
-        }
-        inner.bytes += bytes;
-        while inner.bytes > self.budget {
-            let Some(oldest) = inner
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| k.clone())
-            else {
-                break;
-            };
-            let evicted = inner.map.remove(&oldest).expect("key just observed");
-            inner.bytes -= evicted.bytes;
-        }
-    }
-
-    fn contains(&self, key: &str) -> bool {
-        self.inner.lock().map.contains_key(key)
-    }
-
-    fn len(&self) -> usize {
-        self.inner.lock().map.len()
-    }
-
-    fn stored_bytes(&self) -> u64 {
-        self.inner.lock().bytes
-    }
-}
-
 /// Per-node router counters, mirrored into the `sww_edge_*` metric
 /// family. Kept on the node too so tests and benches can read exact
 /// deltas without the process-global registry.
@@ -344,11 +260,13 @@ struct NodeCounters {
     peer_serves: AtomicU64,
     fills: AtomicU64,
     fill_hits: AtomicU64,
+    fill_evictions: AtomicU64,
     failovers: AtomicU64,
     replica_pushes: AtomicU64,
     replica_hits: AtomicU64,
     replica_hints: AtomicU64,
     replica_handoffs: AtomicU64,
+    replica_evictions: AtomicU64,
 }
 
 /// A read-only snapshot of one node's router counters.
@@ -367,6 +285,9 @@ pub struct NodeStats {
     pub fills: u64,
     /// Requests this entry answered from its fill cache.
     pub fill_hits: u64,
+    /// Fill-cache entries displaced to stay within
+    /// [`EdgeConfig::fill_bytes`].
+    pub fill_evictions: u64,
     /// Times this node was skipped over (dead, erroring, or declared
     /// unusable by gossip) during failover.
     pub failovers: u64,
@@ -380,6 +301,9 @@ pub struct NodeStats {
     pub replica_hints: u64,
     /// Hinted writes delivered *to* this node on rejoin (anti-entropy).
     pub replica_handoffs: u64,
+    /// Replica-store entries displaced to stay within
+    /// [`EdgeConfig::fill_bytes`].
+    pub replica_evictions: u64,
 }
 
 /// One edge: a full [`GenerativeServer`] plus its liveness flag and
@@ -388,10 +312,12 @@ pub struct EdgeNode {
     id: String,
     server: GenerativeServer,
     alive: AtomicBool,
-    fill: FillCache,
+    /// Peer-filled responses, LRU within `fill_bytes` body octets.
+    fill: Mutex<Lru<String, Response>>,
     /// Replicated hot-key responses pushed to this node by acting
     /// owners — served with zero regeneration when the owner dies.
-    replica: FillCache,
+    /// Bounded like `fill`, by its own `fill_bytes`.
+    replica: Mutex<Lru<String, Response>>,
     /// Per-key hit counts at this node *as acting owner*; crossing
     /// [`EdgeConfig::hot_threshold`] triggers replication.
     hot: Mutex<HashMap<String, u64>>,
@@ -404,8 +330,8 @@ impl EdgeNode {
             id,
             server,
             alive: AtomicBool::new(true),
-            fill: FillCache::new(fill_budget),
-            replica: FillCache::new(fill_budget),
+            fill: Mutex::new(Lru::new(fill_budget)),
+            replica: Mutex::new(Lru::new(fill_budget)),
             hot: Mutex::new(HashMap::new()),
             counters: NodeCounters::default(),
         }
@@ -445,33 +371,71 @@ impl EdgeNode {
             peer_serves: self.counters.peer_serves.load(Ordering::Relaxed),
             fills: self.counters.fills.load(Ordering::Relaxed),
             fill_hits: self.counters.fill_hits.load(Ordering::Relaxed),
+            fill_evictions: self.counters.fill_evictions.load(Ordering::Relaxed),
             failovers: self.counters.failovers.load(Ordering::Relaxed),
             replica_pushes: self.counters.replica_pushes.load(Ordering::Relaxed),
             replica_hits: self.counters.replica_hits.load(Ordering::Relaxed),
             replica_hints: self.counters.replica_hints.load(Ordering::Relaxed),
             replica_handoffs: self.counters.replica_handoffs.load(Ordering::Relaxed),
+            replica_evictions: self.counters.replica_evictions.load(Ordering::Relaxed),
         }
     }
 
     /// Entries currently in the fill cache.
     pub fn fill_len(&self) -> usize {
-        self.fill.len()
+        self.fill.lock().len()
     }
 
     /// Octets currently in the fill cache (≤ the configured budget).
     pub fn fill_bytes(&self) -> u64 {
-        self.fill.stored_bytes()
+        self.fill.lock().used()
     }
 
     /// Hot-key entries currently replicated *to* this node.
     pub fn replica_len(&self) -> usize {
-        self.replica.len()
+        self.replica.lock().len()
     }
 
     fn count(&self, which: &AtomicU64, metric: &'static str) {
-        which.fetch_add(1, Ordering::Relaxed);
-        sww_obs::counter(metric, &[("node", &self.id)]).inc();
+        self.count_n(which, metric, 1);
     }
+
+    /// Like every `sww_edge_*` series, a counter first appears with its
+    /// first event: `n == 0` registers nothing.
+    fn count_n(&self, which: &AtomicU64, metric: &'static str, n: u64) {
+        if n > 0 {
+            which.fetch_add(n, Ordering::Relaxed);
+            sww_obs::counter(metric, &[("node", &self.id)]).add(n);
+        }
+    }
+
+    fn put_fill(&self, key: &str, resp: &Response) {
+        let evicted = put_response(&self.fill, key, resp);
+        self.count_n(
+            &self.counters.fill_evictions,
+            "sww_edge_fill_evictions_total",
+            evicted,
+        );
+    }
+
+    fn put_replica(&self, key: &str, resp: &Response) {
+        let evicted = put_response(&self.replica, key, resp);
+        self.count_n(
+            &self.counters.replica_evictions,
+            "sww_edge_replica_evictions_total",
+            evicted,
+        );
+    }
+}
+
+/// Store `resp` at a cost of its body octets; returns the eviction count.
+fn put_response(store: &Mutex<Lru<String, Response>>, key: &str, resp: &Response) -> u64 {
+    let cost = resp.body.len() as u64;
+    store.lock().insert(key.to_owned(), resp.clone(), cost) as u64
+}
+
+fn get_response(store: &Mutex<Lru<String, Response>>, key: &str) -> Option<Response> {
+    store.lock().get(key).cloned()
 }
 
 /// Cluster-tier configuration.
@@ -481,7 +445,8 @@ pub struct EdgeConfig {
     pub nodes: usize,
     /// Vnodes per node on the ring ([`DEFAULT_VNODES`]).
     pub replicas: usize,
-    /// Per-node fill-cache budget in octets.
+    /// Per-node fill-cache budget in octets. The replica store takes
+    /// the same budget again, so a node holds up to 2 × `fill_bytes`.
     pub fill_bytes: u64,
     /// Total copies of each hot key, *including* the acting owner.
     /// `1` (the default) disables hot-key replication entirely.
@@ -732,7 +697,7 @@ impl EdgeRouter {
         self.deliver_hints(&state);
         for node in &state.nodes {
             sww_obs::gauge("sww_edge_replica_entries", &[("node", &node.id)])
-                .set(node.replica.len() as f64);
+                .set(node.replica_len() as f64);
         }
     }
 
@@ -753,7 +718,7 @@ impl EdgeRouter {
                 return true;
             }
             let target = state.by_id(&hint.target).expect("checked just above");
-            target.replica.put(&hint.key, &hint.resp);
+            target.put_replica(&hint.key, &hint.resp);
             target.count(
                 &target.counters.replica_handoffs,
                 "sww_edge_replica_handoffs_total",
@@ -874,11 +839,11 @@ impl EdgeRouter {
         let revalidate = req.headers.get("if-none-match").is_some();
         let fill_key = format!("{}|{}", req.path, mode_tag(mode));
         if !revalidate {
-            if let Some(resp) = entry_node.fill.get(&fill_key) {
+            if let Some(resp) = get_response(&entry_node.fill, &fill_key) {
                 entry_node.count(&entry_node.counters.fill_hits, "sww_edge_fill_hits_total");
                 return resp;
             }
-            if let Some(resp) = entry_node.replica.get(&fill_key) {
+            if let Some(resp) = get_response(&entry_node.replica, &fill_key) {
                 entry_node.count(
                     &entry_node.counters.replica_hits,
                     "sww_edge_replica_hits_total",
@@ -906,7 +871,7 @@ impl EdgeRouter {
                 continue;
             }
             if !revalidate {
-                if let Some(resp) = node.replica.get(&fill_key) {
+                if let Some(resp) = get_response(&node.replica, &fill_key) {
                     // A replica of a hot key survives its owner: serve
                     // the stored owner response — byte-identical, zero
                     // regeneration.
@@ -936,7 +901,7 @@ impl EdgeRouter {
             } else {
                 node.count(&node.counters.peer_serves, "sww_edge_routed_total");
                 if resp.status == 200 && !revalidate {
-                    entry_node.fill.put(&fill_key, &resp);
+                    entry_node.put_fill(&fill_key, &resp);
                     entry_node.count(&entry_node.counters.fills, "sww_edge_peer_fill_total");
                 }
             }
@@ -977,13 +942,13 @@ impl EdgeRouter {
             }
             seats += 1;
             let target = state.by_id(id).expect("successors are members");
-            if target.replica.contains(fill_key) {
+            if target.replica.lock().contains(fill_key) {
                 continue;
             }
             let reachable =
                 target.is_alive() && self.inner.gossip.lock().usable(&owner.id, &target.id);
             if reachable {
-                target.replica.put(fill_key, resp);
+                target.put_replica(fill_key, resp);
                 owner.count(
                     &owner.counters.replica_pushes,
                     "sww_edge_replica_pushes_total",
@@ -1130,7 +1095,6 @@ fn routing_keys(site: &SiteContent) -> HashMap<String, String> {
 mod tests {
     use super::*;
     use crate::server::ServerConfig;
-    use bytes::Bytes;
     use sww_genai::diffusion::ImageModelKind;
 
     fn ring(nodes: &[&str]) -> HashRing {
@@ -1251,26 +1215,6 @@ mod tests {
             steps: 15,
         };
         assert_eq!(recipe_key(&recipe), "Sd3Medium|64x48|15|a basalt arch");
-    }
-
-    #[test]
-    fn fill_cache_evicts_lru_within_budget() {
-        let cache = FillCache::new(10);
-        let resp = |body: &str| Response::ok(Bytes::from(body.to_owned()));
-        cache.put("a", &resp("aaaa"));
-        cache.put("b", &resp("bbbb"));
-        assert!(cache.get("a").is_some(), "touch a so b is the LRU");
-        cache.put("c", &resp("cccc"));
-        assert!(cache.get("b").is_none(), "b was least recently used");
-        assert!(cache.get("a").is_some() && cache.get("c").is_some());
-        assert!(cache.stored_bytes() <= 10);
-    }
-
-    #[test]
-    fn fill_cache_rejects_oversized_bodies() {
-        let cache = FillCache::new(3);
-        cache.put("big", &Response::ok(Bytes::from_static(b"toolarge")));
-        assert_eq!(cache.len(), 0);
     }
 
     #[test]

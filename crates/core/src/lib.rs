@@ -21,6 +21,7 @@ pub mod faults;
 pub mod gossip;
 pub mod hls;
 pub mod lifecycle;
+pub mod lru;
 pub mod mediagen;
 pub mod negotiate;
 pub mod personalize;
@@ -48,9 +49,7 @@ pub use negotiate::{ServeMode, SessionAbilities};
 pub use policy::ServerPolicy;
 pub use render::RenderedPage;
 pub use retry::{BackoffSchedule, RetryPolicy};
-pub use server::{
-    GenerativeServer, GenerativeServerBuilder, ServerConfig, Session, SiteContent, SwwPage,
-};
+pub use server::{GenerativeServer, ServerConfig, Session, SiteContent, SwwPage};
 pub use stats::PageStats;
 pub use transport::TransportKind;
 pub use workpool::WorkerPool;

@@ -10,24 +10,24 @@
 //!
 //! # Concurrency model
 //!
-//! A server built with [`GenerativeServer::builder`] is safe to drive
-//! from many threads and connections at once:
+//! A server built with [`GenerativeServer::from_config`] is safe to
+//! drive from many threads and connections at once:
 //!
 //! * Site content and policy are frozen at build time and read without
 //!   locking.
 //! * Server-side generation flows through a [`GenerationEngine`]: a
 //!   lock-striped cache plus single-flight coalescing, so concurrent
 //!   requests for the same prompt recipe generate **exactly once**.
-//! * With `workers(n)` (n > 0), requests execute on a fixed
+//! * With `workers: n` (n > 0), requests execute on a fixed
 //!   [`WorkerPool`] with a bounded queue;
 //!   when the queue is full the server answers `503` with `Retry-After`
-//!   instead of queueing without bound. With `workers(0)` (the default)
+//!   instead of queueing without bound. With `workers: 0` (the default)
 //!   requests run inline on the calling thread, preserving the original
 //!   single-threaded behaviour exactly.
 //! * Each OS thread that generates keeps its own preloaded
 //!   [`MediaGenerator`] (the §4.1 preload optimisation, per worker), so
 //!   generations for distinct recipes proceed in parallel.
-//! * With `batch_max(n)` (n > 1), cache-missing generations additionally
+//! * With `batch_max: n` (n > 1), cache-missing generations additionally
 //!   flow through a [`BatchScheduler`]: compatible concurrent recipes
 //!   share one multi-latent denoising pass, bit-identical per image to
 //!   the unbatched path (see [`crate::batch`] for the closing policy).
@@ -237,10 +237,9 @@ fn with_generator<R>(f: impl FnOnce(&mut MediaGenerator) -> R) -> R {
 }
 
 /// Complete server configuration — one plain struct, shared verbatim by
-/// the library ([`GenerativeServer::from_config`]), the fluent builder
-/// (a thin wrapper over this), and `sww serve` flag parsing (which
-/// produces a `ServerConfig` directly, so CLI and library can never
-/// drift).
+/// the library ([`GenerativeServer::from_config`]) and `sww serve` flag
+/// parsing (which produces a `ServerConfig` directly, so CLI and library
+/// can never drift).
 ///
 /// ```
 /// use sww_core::{GenerativeServer, ServerConfig};
@@ -325,112 +324,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// Fluent facade over [`ServerConfig`] — every method sets exactly one
-/// field; [`GenerativeServerBuilder::build`] is
-/// [`GenerativeServer::from_config`]. See the field docs on
-/// [`ServerConfig`] for semantics and defaults.
-///
-/// ```
-/// use sww_core::{GenAbility, GenerativeServer, ServerPolicy, SiteContent};
-/// let server = GenerativeServer::builder()
-///     .site(SiteContent::new())
-///     .ability(GenAbility::full())
-///     .policy(ServerPolicy::default())
-///     .workers(4)
-///     .cache_shards(16)
-///     .build();
-/// assert!(server.ability().supported());
-/// ```
-#[derive(Debug, Default)]
-pub struct GenerativeServerBuilder {
-    config: ServerConfig,
-}
-
-impl GenerativeServerBuilder {
-    /// The site to serve ([`ServerConfig::site`]).
-    pub fn site(mut self, site: SiteContent) -> GenerativeServerBuilder {
-        self.config.site = site;
-        self
-    }
-
-    /// The ability to advertise ([`ServerConfig::ability`]).
-    pub fn ability(mut self, ability: GenAbility) -> GenerativeServerBuilder {
-        self.config.ability = ability;
-        self
-    }
-
-    /// The serving policy ([`ServerConfig::policy`]).
-    pub fn policy(mut self, policy: ServerPolicy) -> GenerativeServerBuilder {
-        self.config.policy = policy;
-        self
-    }
-
-    /// Pool worker count ([`ServerConfig::workers`]).
-    pub fn workers(mut self, workers: usize) -> GenerativeServerBuilder {
-        self.config.workers = workers;
-        self
-    }
-
-    /// Pool queue bound ([`ServerConfig::queue_capacity`]).
-    pub fn queue_capacity(mut self, capacity: usize) -> GenerativeServerBuilder {
-        self.config.queue_capacity = capacity;
-        self
-    }
-
-    /// Generation-cache lock stripes ([`ServerConfig::cache_shards`]).
-    pub fn cache_shards(mut self, shards: usize) -> GenerativeServerBuilder {
-        self.config.cache_shards = shards;
-        self
-    }
-
-    /// Generation-cache pixel budget ([`ServerConfig::cache_pixels`]).
-    pub fn cache_pixels(mut self, pixels: u64) -> GenerativeServerBuilder {
-        self.config.cache_pixels = pixels;
-        self
-    }
-
-    /// Batch size bound ([`ServerConfig::batch_max`]).
-    pub fn batch_max(mut self, batch_max: usize) -> GenerativeServerBuilder {
-        self.config.batch_max = batch_max;
-        self
-    }
-
-    /// Open-batch wait bound ([`ServerConfig::batch_wait`]).
-    pub fn batch_wait(mut self, batch_wait: Duration) -> GenerativeServerBuilder {
-        self.config.batch_wait = batch_wait;
-        self
-    }
-
-    /// Data-parallel kernel lanes ([`ServerConfig::kernel_tiles`]).
-    pub fn kernel_tiles(mut self, kernel_tiles: usize) -> GenerativeServerBuilder {
-        self.config.kernel_tiles = kernel_tiles.max(1);
-        self
-    }
-
-    /// Default per-request deadline ([`ServerConfig::default_deadline`]).
-    pub fn default_deadline(mut self, deadline: Duration) -> GenerativeServerBuilder {
-        self.config.default_deadline = Some(deadline);
-        self
-    }
-
-    /// Enable the circuit breaker ([`ServerConfig::breaker`]).
-    pub fn breaker(mut self, config: BreakerConfig) -> GenerativeServerBuilder {
-        self.config.breaker = Some(config);
-        self
-    }
-
-    /// EWMA service-time seed ([`ServerConfig::service_time_prior_s`]).
-    pub fn service_time_prior(mut self, prior_s: f64) -> GenerativeServerBuilder {
-        self.config.service_time_prior_s = Some(prior_s);
-        self
-    }
-
-    /// Build the server: [`GenerativeServer::from_config`].
-    pub fn build(self) -> GenerativeServer {
-        GenerativeServer::from_config(self.config)
-    }
-}
-
 /// The generative server.
 #[derive(Debug, Clone)]
 pub struct GenerativeServer {
@@ -438,13 +331,8 @@ pub struct GenerativeServer {
 }
 
 impl GenerativeServer {
-    /// Start configuring a server.
-    pub fn builder() -> GenerativeServerBuilder {
-        GenerativeServerBuilder::default()
-    }
-
     /// Build a server from a complete [`ServerConfig`] — the single
-    /// construction path (the builder and `sww serve` both land here).
+    /// construction path (`sww serve` lands here too).
     pub fn from_config(config: ServerConfig) -> GenerativeServer {
         let kernel_tiles = config.kernel_tiles.max(1);
         GenerativeServer {
@@ -677,7 +565,7 @@ impl GenerativeServer {
     }
 
     /// Kernel lanes batched denoising passes fan out across (1 = the
-    /// scalar kernel; see [`GenerativeServerBuilder::kernel_tiles`]).
+    /// scalar kernel; see [`ServerConfig::kernel_tiles`]).
     pub fn kernel_tiles(&self) -> usize {
         self.shared.kernel_tiles
     }
@@ -1214,7 +1102,10 @@ mod tests {
     }
 
     fn demo_server() -> GenerativeServer {
-        GenerativeServer::builder().site(demo_site()).build()
+        GenerativeServer::from_config(ServerConfig {
+            site: demo_site(),
+            ..ServerConfig::default()
+        })
     }
 
     #[test]
@@ -1252,20 +1143,28 @@ mod tests {
     }
 
     #[test]
-    fn builder_defaults_and_overrides() {
-        let server = GenerativeServer::builder()
-            .site(demo_site())
-            .ability(GenAbility::full())
-            .policy(ServerPolicy::default())
-            .workers(2)
-            .queue_capacity(8)
-            .cache_shards(4)
-            .cache_pixels(1_000_000)
-            .build();
+    fn config_defaults_and_overrides() {
+        let server = GenerativeServer::from_config(ServerConfig {
+            site: demo_site(),
+            ability: GenAbility::full(),
+            policy: ServerPolicy::default(),
+            workers: 2,
+            queue_capacity: 8,
+            cache_shards: 4,
+            cache_pixels: 1_000_000,
+            kernel_tiles: 0,
+            ..ServerConfig::default()
+        });
         assert_eq!(server.worker_count(), Some(2));
         assert_eq!(server.engine().cache().shard_count(), 4);
-        // Default build: no pool.
-        assert_eq!(demo_server().worker_count(), None);
+        assert_eq!(server.kernel_tiles(), 1, "0 lanes clamps to scalar");
+        // Default build: no pool, no batching, no breaker, scalar kernel.
+        let default = demo_server();
+        assert_eq!(default.worker_count(), None);
+        assert_eq!(default.engine().cache().shard_count(), 8);
+        assert!(default.batcher().is_none() && default.breaker().is_none());
+        assert_eq!(default.kernel_tiles(), 1);
+        assert!(default.ability().supported());
     }
 
     #[test]
@@ -1288,10 +1187,11 @@ mod tests {
     #[test]
     fn pooled_session_answers_identically_to_inline() {
         let inline = demo_server();
-        let pooled = GenerativeServer::builder()
-            .site(demo_site())
-            .workers(2)
-            .build();
+        let pooled = GenerativeServer::from_config(ServerConfig {
+            site: demo_site(),
+            workers: 2,
+            ..ServerConfig::default()
+        });
         for (server, label) in [(&inline, "inline"), (&pooled, "pooled")] {
             let resp = server
                 .accept(GenAbility::none())
@@ -1315,12 +1215,13 @@ mod tests {
     #[test]
     fn batched_server_materializes_identically_to_inline() {
         let inline = demo_server();
-        let batched = GenerativeServer::builder()
-            .site(demo_site())
-            .workers(2)
-            .batch_max(4)
-            .batch_wait(Duration::from_millis(5))
-            .build();
+        let batched = GenerativeServer::from_config(ServerConfig {
+            site: demo_site(),
+            workers: 2,
+            batch_max: 4,
+            batch_wait: Duration::from_millis(5),
+            ..ServerConfig::default()
+        });
         assert!(batched.batcher().is_some());
         let a = inline
             .accept(GenAbility::none())
@@ -1428,11 +1329,12 @@ mod tests {
     }
 
     #[test]
-    fn builder_default_deadline_applies_without_header() {
-        let server = GenerativeServer::builder()
-            .site(demo_site())
-            .default_deadline(Duration::ZERO)
-            .build();
+    fn default_deadline_applies_without_header() {
+        let server = GenerativeServer::from_config(ServerConfig {
+            site: demo_site(),
+            default_deadline: Some(Duration::ZERO),
+            ..ServerConfig::default()
+        });
         let resp = server
             .accept(GenAbility::none())
             .handle(&Request::get("/hike"));
@@ -1444,10 +1346,11 @@ mod tests {
         // Cold-start EWMA prior is 1 s/job; with the single worker held
         // busy, predicted wait for a newcomer is ≥ 1 s — far beyond a
         // 50 ms budget, so admission sheds 503 before queueing.
-        let server = GenerativeServer::builder()
-            .site(demo_site())
-            .workers(1)
-            .build();
+        let server = GenerativeServer::from_config(ServerConfig {
+            site: demo_site(),
+            workers: 1,
+            ..ServerConfig::default()
+        });
         let pool = server.shared.pool.as_ref().unwrap();
         let gate = Arc::new(std::sync::Barrier::new(2));
         let enter = Arc::clone(&gate);
@@ -1473,13 +1376,14 @@ mod tests {
         // Failpoint-driven trip/recover lives in tests/lifecycle.rs
         // (global failpoints would leak into parallel unit tests); here
         // the breaker is tripped directly to prove the server wiring.
-        let server = GenerativeServer::builder()
-            .site(demo_site())
-            .breaker(BreakerConfig {
+        let server = GenerativeServer::from_config(ServerConfig {
+            site: demo_site(),
+            breaker: Some(BreakerConfig {
                 failure_threshold: 2,
                 cooldown: Duration::from_secs(60),
-            })
-            .build();
+            }),
+            ..ServerConfig::default()
+        });
         let breaker = server.breaker().expect("enabled at build time");
         // demo_site generates with the default generator model; read it
         // off the same thread-local path materialize uses.
@@ -1532,10 +1436,11 @@ mod tests {
 
     #[test]
     fn drain_waits_for_inflight_requests() {
-        let server = GenerativeServer::builder()
-            .site(demo_site())
-            .workers(2)
-            .build();
+        let server = GenerativeServer::from_config(ServerConfig {
+            site: demo_site(),
+            workers: 2,
+            ..ServerConfig::default()
+        });
         let session = server.accept(GenAbility::none());
         let started = Arc::new(std::sync::Barrier::new(2));
         let s = Arc::clone(&started);
@@ -1553,30 +1458,6 @@ mod tests {
         let resp = handle.join().unwrap();
         assert_eq!(resp.status, 200, "in-flight response must not be lost");
         assert!(report.inflight_at_start >= 1);
-    }
-
-    #[test]
-    fn from_config_and_builder_agree() {
-        let a = GenerativeServer::from_config(ServerConfig {
-            site: demo_site(),
-            workers: 2,
-            cache_shards: 4,
-            ..ServerConfig::default()
-        });
-        let b = GenerativeServer::builder()
-            .site(demo_site())
-            .workers(2)
-            .cache_shards(4)
-            .build();
-        assert_eq!(a.worker_count(), b.worker_count());
-        assert_eq!(
-            a.engine().cache().shard_count(),
-            b.engine().cache().shard_count()
-        );
-        let ra = a.accept(GenAbility::none()).handle(&Request::get("/hike"));
-        let rb = b.accept(GenAbility::none()).handle(&Request::get("/hike"));
-        assert_eq!(ra.status, 200);
-        assert_eq!(ra.body, rb.body, "one construction path, one behaviour");
     }
 
     #[tokio::test]

@@ -31,7 +31,7 @@ const SERVICE_EWMA_ALPHA: f64 = 0.2;
 /// deadline-aware admission control before the first job completes, so
 /// deployments whose jobs are far from 1 s should override it via
 /// [`WorkerPool::with_service_prior`] (surfaced as
-/// `GenerativeServerBuilder::service_time_prior`). A deliberately
+/// `ServerConfig::service_time_prior_s`). A deliberately
 /// pessimistic prior sheds deadline-bounded work aggressively while the
 /// pool is cold; a tiny prior admits everything until the EWMA learns
 /// better.

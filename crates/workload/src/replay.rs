@@ -28,9 +28,10 @@
 
 use crate::scorecard::{LifecycleSnapshot, Scorecard};
 use crate::session::ability_for;
-use crate::trace::{Trace, TraceEvent, WorkloadConfig};
+use crate::trace::{page_access, Trace, TraceEvent, WorkloadConfig};
 use std::sync::Arc;
 use std::time::Instant;
+use sww_core::lru::Lru;
 use sww_core::{EdgeConfig, EdgeRouter, GenerativeServer, MediaGenerator, ServerConfig};
 use sww_energy::cost;
 use sww_energy::device::{profile, DeviceKind};
@@ -535,8 +536,8 @@ pub fn modelled_slo(cfg: &WorkloadConfig, nodes: usize, cache_capacity: usize) -
         .collect();
     let nodes = nodes.max(1);
     let mut node_free = vec![0.0f64; nodes];
-    let mut caches: Vec<crate::trace::LruTracker> = (0..nodes)
-        .map(|_| crate::trace::LruTracker::new(cache_capacity))
+    let mut caches: Vec<Lru<usize, ()>> = (0..nodes)
+        .map(|_| Lru::new(cache_capacity as u64))
         .collect();
     let mut hits = 0u64;
     let mut sojourn_ms: Vec<f64> = Vec::with_capacity(trace.events().len());
@@ -544,7 +545,7 @@ pub fn modelled_slo(cfg: &WorkloadConfig, nodes: usize, cache_capacity: usize) -
         let t = e.vtime_ms as f64 / 1000.0;
         // Owner approximates the consistent-hash ring: stable per page.
         let owner = e.node % nodes;
-        let service = if caches[owner].touch(e.node) {
+        let service = if page_access(&mut caches[owner], e.node) {
             hits += 1;
             MODELLED_SERVE_S
         } else {
@@ -645,5 +646,14 @@ mod tests {
         assert!(a.requests == 120);
         assert!(a.hit_rate > 0.0);
         assert!(a.p99_ms >= a.mean_ms * 0.5);
+    }
+
+    #[test]
+    fn zero_capacity_cache_stores_nothing() {
+        // `sww bench-workload --cache 0`: no page is ever resident, so
+        // every request pays generation.
+        let slo = modelled_slo(&tiny(), 1, 0);
+        assert_eq!(slo.hit_rate, 0.0);
+        assert!(slo.mean_ms > modelled_slo(&tiny(), 1, 8).mean_ms);
     }
 }

@@ -13,6 +13,7 @@ use crate::arrival::DiurnalModel;
 use crate::graph::{SiteGraph, SmallWorldConfig};
 use crate::popularity::Zipf;
 use crate::session::{random_walk, ProfileMix, WalkConfig};
+use sww_core::lru::Lru;
 use sww_energy::DeviceKind;
 use sww_genai::rng::Rng;
 
@@ -210,11 +211,15 @@ impl Trace {
     /// the event sequence — this is the quantity the monotone
     /// hit-rate-vs-clustering gate compares across β.
     pub fn lru_hit_rate(&self, capacity: usize) -> f64 {
-        if self.events.is_empty() || capacity == 0 {
+        if self.events.is_empty() {
             return 0.0;
         }
-        let mut lru = LruTracker::new(capacity);
-        let hits = self.events.iter().filter(|e| lru.touch(e.node)).count();
+        let mut cache = Lru::new(capacity as u64);
+        let hits = self
+            .events
+            .iter()
+            .filter(|e| page_access(&mut cache, e.node))
+            .count();
         hits as f64 / self.events.len() as f64
     }
 
@@ -251,40 +256,16 @@ impl Trace {
     }
 }
 
-/// A least-recently-used page set of bounded capacity — the cache model
-/// both [`Trace::lru_hit_rate`] and the modelled SLO simulator share.
-#[derive(Debug, Clone)]
-pub struct LruTracker {
-    capacity: usize,
-    /// Most-recent first. Capacities here are small (a fraction of the
-    /// graph), so linear scans beat pointer-chasing structures.
-    order: std::collections::VecDeque<usize>,
-}
-
-impl LruTracker {
-    /// An empty tracker holding at most `capacity` pages.
-    pub fn new(capacity: usize) -> LruTracker {
-        LruTracker {
-            capacity,
-            order: std::collections::VecDeque::with_capacity(capacity),
-        }
+/// One access to a modelled page cache — the system's own [`Lru`] at
+/// cost 1 per page, shared by [`Trace::lru_hit_rate`] and the modelled
+/// SLO simulator. Returns `true` on a hit; either way the page becomes
+/// most-recent, evicting the coldest page when full.
+pub(crate) fn page_access(cache: &mut Lru<usize, ()>, node: usize) -> bool {
+    let hit = cache.get(&node).is_some();
+    if !hit {
+        cache.insert(node, (), 1);
     }
-
-    /// Record an access: returns `true` on a hit (page resident), and in
-    /// either case makes the page most-recent, evicting the coldest page
-    /// when full.
-    pub fn touch(&mut self, node: usize) -> bool {
-        if let Some(pos) = self.order.iter().position(|&n| n == node) {
-            self.order.remove(pos);
-            self.order.push_front(node);
-            return true;
-        }
-        if self.order.len() == self.capacity {
-            self.order.pop_back();
-        }
-        self.order.push_front(node);
-        false
-    }
+    hit
 }
 
 /// The seeded permutation mapping popularity ranks to graph nodes
@@ -383,14 +364,14 @@ mod tests {
     }
 
     #[test]
-    fn lru_tracker_hits_and_evicts() {
-        let mut lru = LruTracker::new(2);
-        assert!(!lru.touch(1));
-        assert!(!lru.touch(2));
-        assert!(lru.touch(1), "resident page hits");
-        assert!(!lru.touch(3), "insert evicts the coldest (2)");
-        assert!(!lru.touch(2), "evicted page misses");
-        assert!(lru.touch(3));
+    fn page_access_hits_and_evicts() {
+        let mut cache = Lru::new(2);
+        assert!(!page_access(&mut cache, 1));
+        assert!(!page_access(&mut cache, 2));
+        assert!(page_access(&mut cache, 1), "resident page hits");
+        assert!(!page_access(&mut cache, 3), "insert evicts the coldest (2)");
+        assert!(!page_access(&mut cache, 2), "evicted page misses");
+        assert!(page_access(&mut cache, 3));
     }
 
     #[test]

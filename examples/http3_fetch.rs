@@ -5,7 +5,7 @@
 //! Run with: `cargo run --example http3_fetch --release`
 
 use sww::core::mediagen::{GeneratedMedia, MediaGenerator};
-use sww::core::{GenAbility, GenerativeServer, SiteContent};
+use sww::core::{GenAbility, GenerativeServer, ServerConfig, SiteContent};
 use sww::energy::device::{profile, DeviceKind};
 use sww::html::gencontent;
 use sww::http2::Request;
@@ -27,10 +27,11 @@ async fn main() -> Result<(), Box<dyn std::error::Error>> {
             gencontent::image_div("rolling vineyard hills in summer", "vines.jpg", 128, 128),
         ),
     );
-    let server = GenerativeServer::builder()
-        .site(site)
-        .ability(GenAbility::full())
-        .build();
+    let server = GenerativeServer::from_config(ServerConfig {
+        site,
+        ability: GenAbility::full(),
+        ..ServerConfig::default()
+    });
 
     let (client_io, server_io) = tokio::io::duplex(1 << 20);
     tokio::spawn(async move {

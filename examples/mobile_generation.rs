@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --example mobile_generation --release`
 
-use sww::core::{GenAbility, GenerativeClient, GenerativeServer, SiteContent};
+use sww::core::{GenAbility, GenerativeClient, GenerativeServer, ServerConfig, SiteContent};
 use sww::energy::device::{profile, DeviceKind};
 use sww::html::gencontent;
 
@@ -21,10 +21,11 @@ async fn main() -> Result<(), Box<dyn std::error::Error>> {
             gencontent::image_div("a rainy street reflecting neon signs", "c.jpg", 256, 256),
         ),
     );
-    let server = GenerativeServer::builder()
-        .site(site)
-        .ability(GenAbility::full())
-        .build();
+    let server = GenerativeServer::from_config(ServerConfig {
+        site,
+        ability: GenAbility::full(),
+        ..ServerConfig::default()
+    });
     let addr = server.spawn_tcp("127.0.0.1:0").await?;
 
     println!("three 256x256 images per page (a social-feed screenful)\n");

@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --example quickstart --release`
 
-use sww::core::{GenAbility, GenerativeClient, GenerativeServer, SiteContent};
+use sww::core::{GenAbility, GenerativeClient, GenerativeServer, ServerConfig, SiteContent};
 use sww::energy::device::{profile, DeviceKind};
 use sww::html::gencontent;
 
@@ -34,10 +34,11 @@ async fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 2. Serve it over TCP with full generative ability.
-    let server = GenerativeServer::builder()
-        .site(site)
-        .ability(GenAbility::full())
-        .build();
+    let server = GenerativeServer::from_config(ServerConfig {
+        site,
+        ability: GenAbility::full(),
+        ..ServerConfig::default()
+    });
     let addr = server.spawn_tcp("127.0.0.1:0").await?;
     println!("server listening on {addr}");
     println!(

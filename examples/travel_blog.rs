@@ -7,17 +7,18 @@
 //! Run with: `cargo run --example travel_blog --release`
 
 use sww::core::personalize::{personalize, UserProfile};
-use sww::core::{GenAbility, GenerativeClient, GenerativeServer};
+use sww::core::{GenAbility, GenerativeClient, GenerativeServer, ServerConfig};
 use sww::energy::device::{profile, DeviceKind};
 use sww::workload::blog;
 
 #[tokio::main]
 async fn main() -> Result<(), Box<dyn std::error::Error>> {
     let site = blog::travel_blog();
-    let server = GenerativeServer::builder()
-        .site(site)
-        .ability(GenAbility::full())
-        .build();
+    let server = GenerativeServer::from_config(ServerConfig {
+        site,
+        ability: GenAbility::full(),
+        ..ServerConfig::default()
+    });
     let addr = server.spawn_tcp("127.0.0.1:0").await?;
 
     // Generative visitor (laptop).

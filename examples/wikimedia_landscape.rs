@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --example wikimedia_landscape --release`
 
-use sww::core::{GenAbility, GenerativeClient, GenerativeServer, SiteContent};
+use sww::core::{GenAbility, GenerativeClient, GenerativeServer, ServerConfig, SiteContent};
 use sww::energy::device::{profile, DeviceKind};
 use sww::genai::metrics::clip;
 use sww::workload::wikimedia;
@@ -17,10 +17,11 @@ async fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut site = SiteContent::new();
     site.add_page("/wiki/landscape", workload.sww_html.clone());
-    let server = GenerativeServer::builder()
-        .site(site)
-        .ability(GenAbility::full())
-        .build();
+    let server = GenerativeServer::from_config(ServerConfig {
+        site,
+        ability: GenAbility::full(),
+        ..ServerConfig::default()
+    });
     let addr = server.spawn_tcp("127.0.0.1:0").await?;
 
     let sock = tokio::net::TcpStream::connect(addr).await?;

@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 use sww::core::cache::Recipe;
 use sww::core::faults::{self, ChaosSpec};
 use sww::core::{
-    BatchConfig, BatchScheduler, GenAbility, GenerativeServer, GenerativeServerBuilder, SiteContent,
+    BatchConfig, BatchScheduler, GenAbility, GenerativeServer, ServerConfig, SiteContent,
 };
 use sww::genai::diffusion::{DiffusionModel, ImageModelKind};
 use sww::html::gencontent;
@@ -75,12 +75,13 @@ fn equivalence_site(pages: usize) -> SiteContent {
 }
 
 fn batching_server(site: SiteContent, workers: usize, batch_max: usize) -> GenerativeServer {
-    GenerativeServerBuilder::default()
-        .site(site)
-        .workers(workers)
-        .batch_max(batch_max)
-        .batch_wait(Duration::from_millis(50))
-        .build()
+    GenerativeServer::from_config(ServerConfig {
+        site,
+        workers,
+        batch_max,
+        batch_wait: Duration::from_millis(50),
+        ..ServerConfig::default()
+    })
 }
 
 /// Fetch a path with retry on transient statuses, returning the final
@@ -166,9 +167,10 @@ fn scheduler_outputs_are_bit_identical_across_interleavings() {
 fn batched_server_pages_match_unbatched_reference() {
     let _guard = serial();
     const PAGES: usize = 8;
-    let reference = GenerativeServerBuilder::default()
-        .site(equivalence_site(PAGES))
-        .build();
+    let reference = GenerativeServer::from_config(ServerConfig {
+        site: equivalence_site(PAGES),
+        ..ServerConfig::default()
+    });
     let batched = batching_server(equivalence_site(PAGES), 4, 4);
 
     // Storm the batching server: all pages at once, twice over.
@@ -208,9 +210,10 @@ fn chaos_faults_leave_batch_mates_byte_identical() {
     let _guard = serial();
     const PAGES: usize = 6;
     // Clean reference bodies first — chaos installation is global.
-    let reference = GenerativeServerBuilder::default()
-        .site(equivalence_site(PAGES))
-        .build();
+    let reference = GenerativeServer::from_config(ServerConfig {
+        site: equivalence_site(PAGES),
+        ..ServerConfig::default()
+    });
     let expected: Vec<bytes::Bytes> = (0..PAGES)
         .map(|p| fetch_converged(&reference, &format!("/page/{p}")))
         .collect();
@@ -251,17 +254,19 @@ fn chaos_faults_leave_batch_mates_byte_identical() {
 fn tiled_kernel_server_pages_match_scalar_and_unbatched() {
     let _guard = serial();
     const PAGES: usize = 8;
-    let reference = GenerativeServerBuilder::default()
-        .site(equivalence_site(PAGES))
-        .build();
+    let reference = GenerativeServer::from_config(ServerConfig {
+        site: equivalence_site(PAGES),
+        ..ServerConfig::default()
+    });
     let scalar = batching_server(equivalence_site(PAGES), 4, 4);
-    let tiled = GenerativeServerBuilder::default()
-        .site(equivalence_site(PAGES))
-        .workers(4)
-        .batch_max(4)
-        .batch_wait(Duration::from_millis(50))
-        .kernel_tiles(4)
-        .build();
+    let tiled = GenerativeServer::from_config(ServerConfig {
+        site: equivalence_site(PAGES),
+        workers: 4,
+        batch_max: 4,
+        batch_wait: Duration::from_millis(50),
+        kernel_tiles: 4,
+        ..ServerConfig::default()
+    });
     assert_eq!(tiled.kernel_tiles(), 4);
 
     // Storm the tiled server so real multi-lane batches form.
@@ -305,11 +310,12 @@ fn lone_request_wait_is_bounded_well_below_deadline() {
     let _guard = serial();
     // Deliberately huge deadline: only the drain rule can explain a
     // fast answer.
-    let server = GenerativeServerBuilder::default()
-        .site(equivalence_site(1))
-        .batch_max(8)
-        .batch_wait(Duration::from_secs(30))
-        .build();
+    let server = GenerativeServer::from_config(ServerConfig {
+        site: equivalence_site(1),
+        batch_max: 8,
+        batch_wait: Duration::from_secs(30),
+        ..ServerConfig::default()
+    });
     let start = Instant::now();
     fetch_converged(&server, "/page/0");
     assert!(

@@ -24,7 +24,9 @@
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use sww::core::faults::{self, ChaosSpec, FaultScope, FaultSite};
-use sww::core::{GenAbility, GenerativeClient, GenerativeServer, RetryPolicy, SiteContent};
+use sww::core::{
+    GenAbility, GenerativeClient, GenerativeServer, RetryPolicy, ServerConfig, SiteContent,
+};
 use sww::energy::device::{profile, DeviceKind};
 use sww::genai::ImageModelKind;
 use sww::html::gencontent;
@@ -146,11 +148,12 @@ async fn seeded_chaos_run_converges_and_counters_reconcile() {
     faults::clear();
     faults::install(&ChaosSpec::parse(CHAOS_SPEC).expect("documented spec parses"));
 
-    let server = GenerativeServer::builder()
-        .site(chaos_site(PAGES))
-        .ability(GenAbility::full())
-        .workers(2)
-        .build();
+    let server = GenerativeServer::from_config(ServerConfig {
+        site: chaos_site(PAGES),
+        ability: GenAbility::full(),
+        workers: 2,
+        ..ServerConfig::default()
+    });
     let (a, b) = tokio::io::duplex(1 << 20);
     let srv = server.clone();
     tokio::spawn(async move {
@@ -249,10 +252,11 @@ async fn deterministic_run(spec: &str) -> Snapshot {
     faults::clear();
     faults::install(&ChaosSpec::parse(spec).expect("spec parses"));
 
-    let server = GenerativeServer::builder()
-        .site(chaos_site(PAGES))
-        .ability(GenAbility::full())
-        .build();
+    let server = GenerativeServer::from_config(ServerConfig {
+        site: chaos_site(PAGES),
+        ability: GenAbility::full(),
+        ..ServerConfig::default()
+    });
     let (a, b) = tokio::io::duplex(1 << 20);
     tokio::spawn(async move {
         let _ = server.serve_stream(b).await;

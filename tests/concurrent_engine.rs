@@ -12,7 +12,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use sww::core::cache::Recipe;
 use sww::core::{
-    FetchOutcome, GenAbility, GenerationEngine, GenerativeServer, SiteContent, SwwError,
+    FetchOutcome, GenAbility, GenerationEngine, GenerativeServer, ServerConfig, SiteContent,
+    SwwError,
 };
 use sww::genai::diffusion::ImageModelKind;
 use sww::genai::ImageBuffer;
@@ -132,7 +133,10 @@ async fn eight_threads_generate_each_unique_prompt_exactly_once() {
 
     // The coalesced counter must be visible through a server's /metrics
     // route exactly as the acceptance criterion states: 800 − 10 = 790.
-    let server = GenerativeServer::builder().site(SiteContent::new()).build();
+    let server = GenerativeServer::from_config(ServerConfig {
+        site: SiteContent::new(),
+        ..ServerConfig::default()
+    });
     let (a, b) = tokio::io::duplex(1 << 20);
     tokio::spawn(async move {
         let _ = server.serve_stream(b).await;
@@ -202,7 +206,11 @@ fn drain_under_concurrent_load_loses_no_responses() {
             ),
         );
     }
-    let server = GenerativeServer::builder().site(site).workers(2).build();
+    let server = GenerativeServer::from_config(ServerConfig {
+        site,
+        workers: 2,
+        ..ServerConfig::default()
+    });
 
     let (mut served, mut shed) = (0u64, 0u64);
     let report = std::thread::scope(|scope| {

@@ -6,7 +6,7 @@
 use std::collections::HashMap;
 use sww::core::cms::{Cms, Template};
 use sww::core::convert::Converter;
-use sww::core::{GenAbility, GenerativeClient, GenerativeServer, SiteContent};
+use sww::core::{GenAbility, GenerativeClient, GenerativeServer, ServerConfig, SiteContent};
 use sww::energy::device::{profile, DeviceKind};
 use sww::genai::diffusion::{DiffusionModel, ImageModelKind};
 use sww::genai::image::codec;
@@ -47,10 +47,11 @@ async fn convert_store_serve_regenerate() {
         converted_stored < (legacy_html.len() + stock_encoded.len()) as u64,
         "SWW form must be smaller than legacy page + media"
     );
-    let server = GenerativeServer::builder()
-        .site(site)
-        .ability(GenAbility::full())
-        .build();
+    let server = GenerativeServer::from_config(ServerConfig {
+        site,
+        ability: GenAbility::full(),
+        ..ServerConfig::default()
+    });
     let (a, b) = tokio::io::duplex(1 << 20);
     tokio::spawn(async move {
         let _ = server.serve_stream(b).await;

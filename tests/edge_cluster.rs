@@ -49,19 +49,19 @@ fn edge_site() -> SiteContent {
 }
 
 fn cluster(nodes: usize) -> EdgeRouter {
-    EdgeRouter::new(
-        EdgeConfig {
-            nodes,
-            ..EdgeConfig::default()
-        },
-        edge_site(),
-        |site| {
-            GenerativeServer::from_config(ServerConfig {
-                site,
-                ..ServerConfig::default()
-            })
-        },
-    )
+    cluster_with(EdgeConfig {
+        nodes,
+        ..EdgeConfig::default()
+    })
+}
+
+fn cluster_with(config: EdgeConfig) -> EdgeRouter {
+    EdgeRouter::new(config, edge_site(), |site| {
+        GenerativeServer::from_config(ServerConfig {
+            site,
+            ..ServerConfig::default()
+        })
+    })
 }
 
 /// One naive GET with bounded retry; a 5xx (dead entry, mid-flight kill)
@@ -193,6 +193,54 @@ fn cluster_generates_each_prompt_exactly_once_and_metrics_reconcile() {
     );
     assert_eq!(series_sum(&text, "sww_edge_ring_nodes"), nodes as f64);
     assert_eq!(series_sum(&text, "sww_edge_node_alive"), nodes as f64);
+}
+
+/// Eviction visibility: with a fill budget of two bodies, a single
+/// entry walking all ten pages must displace fills, and the count the
+/// cache reports reconciles exactly — every fill either is still
+/// resident or was evicted (single-threaded, so a fill only ever
+/// follows a miss and never replaces a resident entry).
+#[test]
+fn fill_evictions_reconcile_with_fills_and_residents() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    sww::obs::reset();
+
+    // Bodies are deterministic: size the budget from a throwaway cluster.
+    let probe = cluster(1);
+    let largest = (0..PROMPTS)
+        .map(|p| {
+            let resp = probe.handle(0, GenAbility::none(), &Request::get(format!("/page/{p}")));
+            assert_eq!(resp.status, 200);
+            resp.body.len() as u64
+        })
+        .max()
+        .expect("ten pages");
+    let router = cluster_with(EdgeConfig {
+        nodes: 2,
+        fill_bytes: 2 * largest,
+        ..EdgeConfig::default()
+    });
+    for _round in 0..2 {
+        for p in 0..PROMPTS {
+            let resp = router.handle(0, GenAbility::none(), &Request::get(format!("/page/{p}")));
+            assert_eq!(resp.status, 200);
+        }
+    }
+    let entry = &router.nodes()[0];
+    let stats = entry.stats();
+    assert!(entry.fill_bytes() <= 2 * largest, "budget holds");
+    assert!(stats.fill_evictions > 0, "ten pages cannot fit two slots");
+    assert_eq!(
+        stats.fill_evictions,
+        stats.fills - entry.fill_len() as u64,
+        "every fill is resident or evicted: {stats:?}"
+    );
+    let scrape = router.handle(0, GenAbility::none(), &Request::get("/metrics"));
+    let text = String::from_utf8(scrape.body.to_vec()).unwrap();
+    assert_eq!(
+        series_sum(&text, "sww_edge_fill_evictions_total"),
+        stats.fill_evictions as f64
+    );
 }
 
 /// Chaos node-kill: kill the owner of the hottest recipes mid-flight.
@@ -338,21 +386,12 @@ fn join_then_leave_rebalances_and_drains_without_losing_work() {
 }
 
 fn replicated_cluster(nodes: usize, replication: usize) -> EdgeRouter {
-    EdgeRouter::new(
-        EdgeConfig {
-            nodes,
-            replication,
-            hot_threshold: 2,
-            ..EdgeConfig::default()
-        },
-        edge_site(),
-        |site| {
-            GenerativeServer::from_config(ServerConfig {
-                site,
-                ..ServerConfig::default()
-            })
-        },
-    )
+    cluster_with(EdgeConfig {
+        nodes,
+        replication,
+        hot_threshold: 2,
+        ..EdgeConfig::default()
+    })
 }
 
 /// The node owning the most of the ten page keys (ties broken toward

@@ -4,7 +4,9 @@
 
 mod common;
 
-use sww::core::{GenAbility, GenerativeClient, GenerativeServer, ServerPolicy, SiteContent};
+use sww::core::{
+    GenAbility, GenerativeClient, GenerativeServer, ServerConfig, ServerPolicy, SiteContent,
+};
 use sww::energy::device::{profile, DeviceKind};
 use sww::html::gencontent;
 
@@ -24,10 +26,11 @@ fn two_item_site() -> SiteContent {
 
 #[tokio::test(flavor = "multi_thread")]
 async fn generative_flow_over_tcp() {
-    let server = GenerativeServer::builder()
-        .site(two_item_site())
-        .ability(GenAbility::full())
-        .build();
+    let server = GenerativeServer::from_config(ServerConfig {
+        site: two_item_site(),
+        ability: GenAbility::full(),
+        ..ServerConfig::default()
+    });
     let addr = common::spawn_h2(&server).await;
     let sock = common::connect(addr).await;
     let mut client =
@@ -53,10 +56,11 @@ async fn generative_flow_over_tcp() {
 
 #[tokio::test(flavor = "multi_thread")]
 async fn naive_client_gets_working_page_with_no_savings() {
-    let server = GenerativeServer::builder()
-        .site(two_item_site())
-        .ability(GenAbility::full())
-        .build();
+    let server = GenerativeServer::from_config(ServerConfig {
+        site: two_item_site(),
+        ability: GenAbility::full(),
+        ..ServerConfig::default()
+    });
     let (a, b) = tokio::io::duplex(1 << 20);
     let srv = server.clone();
     tokio::spawn(async move {
@@ -80,10 +84,11 @@ async fn naive_client_gets_working_page_with_no_savings() {
 
 #[tokio::test(flavor = "multi_thread")]
 async fn generated_media_is_deterministic_across_clients() {
-    let server = GenerativeServer::builder()
-        .site(two_item_site())
-        .ability(GenAbility::full())
-        .build();
+    let server = GenerativeServer::from_config(ServerConfig {
+        site: two_item_site(),
+        ability: GenAbility::full(),
+        ..ServerConfig::default()
+    });
     let addr = common::spawn_h2(&server).await;
     let mut hashes = Vec::new();
     for _ in 0..2 {
@@ -102,10 +107,11 @@ async fn generated_media_is_deterministic_across_clients() {
 
 #[tokio::test(flavor = "multi_thread")]
 async fn device_changes_cost_not_content() {
-    let server = GenerativeServer::builder()
-        .site(two_item_site())
-        .ability(GenAbility::full())
-        .build();
+    let server = GenerativeServer::from_config(ServerConfig {
+        site: two_item_site(),
+        ability: GenAbility::full(),
+        ..ServerConfig::default()
+    });
     let addr = common::spawn_h2(&server).await;
     let mut results = Vec::new();
     for device in [DeviceKind::Laptop, DeviceKind::Workstation] {
@@ -136,11 +142,12 @@ async fn server_policy_renewable_forces_server_generation() {
         expand_prompts_server_side: true,
         renewable_availability: 1.0,
     };
-    let server = GenerativeServer::builder()
-        .site(two_item_site())
-        .ability(GenAbility::full())
-        .policy(policy)
-        .build();
+    let server = GenerativeServer::from_config(ServerConfig {
+        site: two_item_site(),
+        ability: GenAbility::full(),
+        policy,
+        ..ServerConfig::default()
+    });
     let (a, b) = tokio::io::duplex(1 << 20);
     let srv = server.clone();
     tokio::spawn(async move {
@@ -159,10 +166,11 @@ async fn server_policy_renewable_forces_server_generation() {
 #[tokio::test(flavor = "multi_thread")]
 async fn personalization_changes_pixels_only_when_opted_in() {
     use sww::core::personalize::UserProfile;
-    let server = GenerativeServer::builder()
-        .site(two_item_site())
-        .ability(GenAbility::full())
-        .build();
+    let server = GenerativeServer::from_config(ServerConfig {
+        site: two_item_site(),
+        ability: GenAbility::full(),
+        ..ServerConfig::default()
+    });
     let addr = common::spawn_h2(&server).await;
     let mut images = Vec::new();
     for profile_opt in [
@@ -189,10 +197,11 @@ async fn personalization_changes_pixels_only_when_opted_in() {
 
 #[tokio::test(flavor = "multi_thread")]
 async fn conditional_requests_revalidate_with_304() {
-    let server = GenerativeServer::builder()
-        .site(two_item_site())
-        .ability(GenAbility::full())
-        .build();
+    let server = GenerativeServer::from_config(ServerConfig {
+        site: two_item_site(),
+        ability: GenAbility::full(),
+        ..ServerConfig::default()
+    });
     let (a, b) = tokio::io::duplex(1 << 20);
     tokio::spawn(async move {
         let _ = server.serve_stream(b).await;
@@ -223,10 +232,11 @@ async fn conditional_requests_revalidate_with_304() {
 
 #[tokio::test(flavor = "multi_thread")]
 async fn missing_page_surfaces_as_error() {
-    let server = GenerativeServer::builder()
-        .site(two_item_site())
-        .ability(GenAbility::full())
-        .build();
+    let server = GenerativeServer::from_config(ServerConfig {
+        site: two_item_site(),
+        ability: GenAbility::full(),
+        ..ServerConfig::default()
+    });
     let (a, b) = tokio::io::duplex(1 << 20);
     tokio::spawn(async move {
         let _ = server.serve_stream(b).await;
@@ -248,10 +258,11 @@ async fn model_levels_negotiate_down_to_common_generation() {
     // pixels (§7 model negotiation).
     let server_ability = GenAbility::full().with_image_model_level(2); // SD 3
     let client_ability = GenAbility::full().with_image_model_level(4); // future-fast
-    let server = GenerativeServer::builder()
-        .site(two_item_site())
-        .ability(server_ability)
-        .build();
+    let server = GenerativeServer::from_config(ServerConfig {
+        site: two_item_site(),
+        ability: server_ability,
+        ..ServerConfig::default()
+    });
     let (a, b) = tokio::io::duplex(1 << 20);
     tokio::spawn(async move {
         let _ = server.serve_stream(b).await;
@@ -274,10 +285,11 @@ async fn generation_cache_eliminates_repeat_cost() {
     let shared_div = gencontent::image_div("a reused stock banner image", "banner.jpg", 128, 128);
     site.add_page("/a", format!("<html><body>{shared_div}</body></html>"));
     site.add_page("/b", format!("<html><body>{shared_div}</body></html>"));
-    let server = GenerativeServer::builder()
-        .site(site)
-        .ability(GenAbility::full())
-        .build();
+    let server = GenerativeServer::from_config(ServerConfig {
+        site,
+        ability: GenAbility::full(),
+        ..ServerConfig::default()
+    });
     let (a, b) = tokio::io::duplex(1 << 20);
     tokio::spawn(async move {
         let _ = server.serve_stream(b).await;
@@ -311,10 +323,11 @@ async fn many_sequential_pages_on_one_connection() {
             ),
         );
     }
-    let server = GenerativeServer::builder()
-        .site(site)
-        .ability(GenAbility::full())
-        .build();
+    let server = GenerativeServer::from_config(ServerConfig {
+        site,
+        ability: GenAbility::full(),
+        ..ServerConfig::default()
+    });
     let (a, b) = tokio::io::duplex(1 << 20);
     tokio::spawn(async move {
         let _ = server.serve_stream(b).await;

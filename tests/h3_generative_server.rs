@@ -6,7 +6,7 @@
 //! all: [`GenerativeServer::serve_h3_stream`] is the h3 twin of
 //! `serve_stream`, driving the same dispatch core behind the h3 framing.
 
-use sww::core::{GenAbility, GenerativeServer, SiteContent};
+use sww::core::{GenAbility, GenerativeServer, ServerConfig, SiteContent};
 use sww::html::gencontent;
 use sww::http2::Request;
 use sww::http3::H3ClientConnection;
@@ -38,10 +38,11 @@ async fn h3_front_end(
 
 #[tokio::test(flavor = "multi_thread")]
 async fn h3_serves_prompt_form_to_capable_client() {
-    let server = GenerativeServer::builder()
-        .site(site())
-        .ability(GenAbility::full())
-        .build();
+    let server = GenerativeServer::from_config(ServerConfig {
+        site: site(),
+        ability: GenAbility::full(),
+        ..ServerConfig::default()
+    });
     let mut client = h3_front_end(server.clone(), GenAbility::full()).await;
     let resp = client.send_request(&Request::get("/page")).await.unwrap();
     assert_eq!(resp.status, 200);
@@ -52,10 +53,11 @@ async fn h3_serves_prompt_form_to_capable_client() {
 
 #[tokio::test(flavor = "multi_thread")]
 async fn h3_materializes_for_naive_client() {
-    let server = GenerativeServer::builder()
-        .site(site())
-        .ability(GenAbility::full())
-        .build();
+    let server = GenerativeServer::from_config(ServerConfig {
+        site: site(),
+        ability: GenAbility::full(),
+        ..ServerConfig::default()
+    });
     let mut client = h3_front_end(server.clone(), GenAbility::none()).await;
     let resp = client.send_request(&Request::get("/page")).await.unwrap();
     assert_eq!(resp.headers.get("x-sww-mode"), Some("server-generated"));
@@ -74,10 +76,11 @@ async fn h3_materializes_for_naive_client() {
 #[tokio::test(flavor = "multi_thread")]
 async fn same_site_same_bytes_across_h2_and_h3() {
     // Fetch the prompt-form page over both protocol versions and compare.
-    let server = GenerativeServer::builder()
-        .site(site())
-        .ability(GenAbility::full())
-        .build();
+    let server = GenerativeServer::from_config(ServerConfig {
+        site: site(),
+        ability: GenAbility::full(),
+        ..ServerConfig::default()
+    });
 
     let mut h3 = h3_front_end(server.clone(), GenAbility::full()).await;
     let h3_body = h3.send_request(&Request::get("/page")).await.unwrap().body;
@@ -99,10 +102,11 @@ async fn same_site_same_bytes_across_h2_and_h3() {
 async fn zero_rtt_resumption_reaches_the_same_core() {
     // First connection establishes the ticket; the 0-RTT resume skips
     // the SETTINGS wait and still gets an identical prompt-form page.
-    let server = GenerativeServer::builder()
-        .site(site())
-        .ability(GenAbility::full())
-        .build();
+    let server = GenerativeServer::from_config(ServerConfig {
+        site: site(),
+        ability: GenAbility::full(),
+        ..ServerConfig::default()
+    });
     let mut first = h3_front_end(server.clone(), GenAbility::full()).await;
     let cold = first.send_request(&Request::get("/page")).await.unwrap();
     let ticket = first.session_ticket();

@@ -5,7 +5,7 @@
 
 mod common;
 
-use sww::core::{GenAbility, GenerativeServer, SiteContent};
+use sww::core::{GenAbility, GenerativeServer, ServerConfig, SiteContent};
 use sww::html::gencontent;
 use sww::http2::Request;
 use sww::http3::H3ClientConnection;
@@ -20,10 +20,11 @@ async fn h3_listener_serves_over_real_tcp() {
             gencontent::image_div("a red kite over chalk cliffs", "kite.jpg", 64, 64)
         ),
     );
-    let server = GenerativeServer::builder()
-        .site(site)
-        .ability(GenAbility::full())
-        .build();
+    let server = GenerativeServer::from_config(ServerConfig {
+        site,
+        ability: GenAbility::full(),
+        ..ServerConfig::default()
+    });
     let addr = common::spawn_h3(&server).await;
 
     let sock = common::connect(addr).await;

@@ -24,7 +24,7 @@
 use std::sync::Mutex;
 use std::time::Duration;
 use sww::core::faults::{self, ChaosSpec};
-use sww::core::{BreakerConfig, GenAbility, GenerativeServer, SiteContent};
+use sww::core::{BreakerConfig, GenAbility, GenerativeServer, ServerConfig, SiteContent};
 use sww::html::gencontent;
 use sww::http2::Request;
 
@@ -109,11 +109,12 @@ fn tight_deadlines_under_latency_chaos_reconcile_exactly() {
         &ChaosSpec::parse("seed=7,engine.generate=latency:1.0:40").expect("spec parses"),
     );
 
-    let server = GenerativeServer::builder()
-        .site(site(THREADS * REQUESTS))
-        .workers(2)
-        .default_deadline(Duration::from_millis(10))
-        .build();
+    let server = GenerativeServer::from_config(ServerConfig {
+        site: site(THREADS * REQUESTS),
+        workers: 2,
+        default_deadline: Some(Duration::from_millis(10)),
+        ..ServerConfig::default()
+    });
 
     // Distinct page per request: no coalescing, so "zero generations"
     // below proves no single job ran to completion past its deadline.
@@ -187,7 +188,10 @@ fn cancelled_flight_leader_hands_off_to_surviving_waiter() {
         &ChaosSpec::parse("seed=11,engine.generate=latency:1.0:30").expect("spec parses"),
     );
 
-    let server = GenerativeServer::builder().site(site(1)).build();
+    let server = GenerativeServer::from_config(ServerConfig {
+        site: site(1),
+        ..ServerConfig::default()
+    });
     std::thread::scope(|scope| {
         let bounded = {
             let session = server.accept(GenAbility::none());
@@ -236,13 +240,14 @@ fn breaker_trips_and_recovers_end_to_end() {
     faults::clear();
     faults::install(&ChaosSpec::parse("seed=3,engine.generate=error:1.0").expect("spec parses"));
 
-    let server = GenerativeServer::builder()
-        .site(site(5))
-        .breaker(BreakerConfig {
+    let server = GenerativeServer::from_config(ServerConfig {
+        site: site(5),
+        breaker: Some(BreakerConfig {
             failure_threshold: 2,
             cooldown: Duration::from_millis(100),
-        })
-        .build();
+        }),
+        ..ServerConfig::default()
+    });
     let session = server.accept(GenAbility::none());
 
     // Two consecutive injected generation faults surface as 500s and

@@ -3,7 +3,7 @@
 //! client reports, and `GET /metrics` must expose those series in
 //! Prometheus text form (all of them documented in OBSERVABILITY.md).
 
-use sww::core::{GenAbility, GenerativeClient, GenerativeServer, SiteContent};
+use sww::core::{GenAbility, GenerativeClient, GenerativeServer, ServerConfig, SiteContent};
 use sww::energy::device::{profile, DeviceKind};
 use sww::html::gencontent;
 
@@ -31,10 +31,11 @@ async fn metrics_reflect_a_generative_fetch() {
         ),
     );
     site.add_asset("/unique.bin", &b"original-unique-data"[..]);
-    let server = GenerativeServer::builder()
-        .site(site)
-        .ability(GenAbility::full())
-        .build();
+    let server = GenerativeServer::from_config(ServerConfig {
+        site,
+        ability: GenAbility::full(),
+        ..ServerConfig::default()
+    });
 
     let (a, b) = tokio::io::duplex(1 << 20);
     let srv = server.clone();

@@ -3,7 +3,7 @@
 //! negotiated mode. Both framings drive the one dispatch core, so any
 //! divergence here means a transport adapter leaked semantics.
 
-use sww::core::{GenAbility, GenerativeServer, SiteContent};
+use sww::core::{GenAbility, GenerativeServer, ServerConfig, SiteContent};
 use sww::html::gencontent;
 use sww::http2::{Request, Response};
 use sww::http3::H3ClientConnection;
@@ -74,10 +74,11 @@ fn assert_equivalent(h2: &[Response], h3: &[Response], paths: &[&str]) {
 
 #[tokio::test(flavor = "multi_thread")]
 async fn generative_clients_get_identical_bytes() {
-    let server = GenerativeServer::builder()
-        .site(site())
-        .ability(GenAbility::full())
-        .build();
+    let server = GenerativeServer::from_config(ServerConfig {
+        site: site(),
+        ability: GenAbility::full(),
+        ..ServerConfig::default()
+    });
     let paths = ["/multi", "/static.bin"];
     let h2 = over_h2(&server, GenAbility::full(), &paths).await;
     let h3 = over_h3(&server, GenAbility::full(), &paths).await;
@@ -91,10 +92,11 @@ async fn naive_clients_get_identical_materialized_recipes() {
     // per-recipe payload is fetched individually — all of it must be
     // bit-identical across transports (generation is deterministic and
     // transport-blind).
-    let server = GenerativeServer::builder()
-        .site(site())
-        .ability(GenAbility::full())
-        .build();
+    let server = GenerativeServer::from_config(ServerConfig {
+        site: site(),
+        ability: GenAbility::full(),
+        ..ServerConfig::default()
+    });
     let paths = [
         "/multi",
         "/generated/eq0.jpg",
@@ -117,10 +119,11 @@ async fn naive_clients_get_identical_materialized_recipes() {
 
 #[tokio::test(flavor = "multi_thread")]
 async fn errors_flow_through_the_same_choke_point_on_both_transports() {
-    let server = GenerativeServer::builder()
-        .site(site())
-        .ability(GenAbility::full())
-        .build();
+    let server = GenerativeServer::from_config(ServerConfig {
+        site: site(),
+        ability: GenAbility::full(),
+        ..ServerConfig::default()
+    });
     let paths = ["/missing"];
     let h2 = over_h2(&server, GenAbility::full(), &paths).await;
     let h3 = over_h3(&server, GenAbility::full(), &paths).await;

@@ -72,7 +72,7 @@ fn h3_beats_h2_when_generations_are_slow() {
         .build()
         .unwrap();
     let text = rt.block_on(async {
-        let server = sww::core::GenerativeServer::builder().build();
+        let server = sww::core::GenerativeServer::from_config(sww::core::ServerConfig::default());
         let (a, b) = tokio::io::duplex(1 << 20);
         tokio::spawn(async move {
             let _ = server.serve_stream(b).await;

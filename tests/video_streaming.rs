@@ -4,7 +4,7 @@
 
 use sww::core::hls::VideoAsset;
 use sww::core::video::Resolution;
-use sww::core::{GenAbility, GenerativeServer, SiteContent};
+use sww::core::{GenAbility, GenerativeServer, ServerConfig, SiteContent};
 use sww::http2::{ClientConnection, Request};
 
 fn video_site() -> SiteContent {
@@ -37,10 +37,11 @@ async fn connect(
 
 #[tokio::test(flavor = "multi_thread")]
 async fn capable_client_streams_reduced_rendition() {
-    let server = GenerativeServer::builder()
-        .site(video_site())
-        .ability(ability_with_video())
-        .build();
+    let server = GenerativeServer::from_config(ServerConfig {
+        site: video_site(),
+        ability: ability_with_video(),
+        ..ServerConfig::default()
+    });
     let mut client = connect(&server, ability_with_video()).await;
     let playlist = client
         .send_request(&Request::get("/video/trailer/playlist.m3u8"))
@@ -70,10 +71,11 @@ async fn capable_client_streams_reduced_rendition() {
 
 #[tokio::test(flavor = "multi_thread")]
 async fn naive_client_streams_full_rate() {
-    let server = GenerativeServer::builder()
-        .site(video_site())
-        .ability(ability_with_video())
-        .build();
+    let server = GenerativeServer::from_config(ServerConfig {
+        site: video_site(),
+        ability: ability_with_video(),
+        ..ServerConfig::default()
+    });
     let mut client = connect(&server, GenAbility::none()).await;
     let playlist = client
         .send_request(&Request::get("/video/trailer/playlist.m3u8"))
@@ -86,10 +88,11 @@ async fn naive_client_streams_full_rate() {
 
 #[tokio::test(flavor = "multi_thread")]
 async fn withdrawing_video_ability_mid_connection_changes_rendition() {
-    let server = GenerativeServer::builder()
-        .site(video_site())
-        .ability(ability_with_video())
-        .build();
+    let server = GenerativeServer::from_config(ServerConfig {
+        site: video_site(),
+        ability: ability_with_video(),
+        ..ServerConfig::default()
+    });
     let mut client = connect(&server, ability_with_video()).await;
     let first = client
         .send_request(&Request::get("/video/trailer/playlist.m3u8"))
@@ -107,10 +110,11 @@ async fn withdrawing_video_ability_mid_connection_changes_rendition() {
 
 #[tokio::test(flavor = "multi_thread")]
 async fn unknown_video_paths_are_404() {
-    let server = GenerativeServer::builder()
-        .site(video_site())
-        .ability(ability_with_video())
-        .build();
+    let server = GenerativeServer::from_config(ServerConfig {
+        site: video_site(),
+        ability: ability_with_video(),
+        ..ServerConfig::default()
+    });
     let mut client = connect(&server, ability_with_video()).await;
     for path in [
         "/video/nope/playlist.m3u8",
