@@ -30,6 +30,16 @@ cargo test --release --test batch_equivalence -q
 echo "==> cargo test -p sww-genai --test proptest_kernel (tiled kernel bit-identity property suite)"
 cargo test -p sww-genai --test proptest_kernel -q
 
+echo "==> cargo test -p sww-genai --test proptest_noise (tabulated fbm == hashed fbm, bit for bit)"
+cargo test -p sww-genai --test proptest_noise -q
+
+# The only gate that compares pixels *across commits*: every suite above
+# compares two paths of one build, and the benchmark's oracle is computed
+# by the build under test. Run in both profiles, since arithmetic changed.
+echo "==> cargo test -p sww-genai --test golden_pixels (pixels + encoded bytes pinned to recorded digests)"
+cargo test -p sww-genai --test golden_pixels -q
+cargo test --release -p sww-genai --test golden_pixels -q
+
 echo "==> cargo test --release -p sww-genai --test steady_state_alloc (zero-allocation hot path)"
 cargo test --release -p sww-genai --test steady_state_alloc -q
 
@@ -60,6 +70,9 @@ benchmark/run.sh --smoke >/dev/null
 
 echo "==> cargo test -p sww-http2 --test proptest_hpack (HPACK property suite)"
 cargo test -p sww-http2 --test proptest_hpack -q
+
+echo "==> cargo test -p sww-http2 --test stream_table (stream table stays O(in-flight); ids never reused)"
+cargo test -p sww-http2 --test stream_table -q
 
 echo "==> cargo test -p sww-http3 --test proptest_h3_state (h3 wire-state property suite)"
 cargo test -p sww-http3 --test proptest_h3_state -q
@@ -124,7 +137,7 @@ echo "==> bench-workload --chaos (E20 workload gate)"
 
 # Ratchet: the workspace test count must never silently shrink. Raise the
 # floor when a PR adds tests; a drop below it means tests were lost.
-TEST_FLOOR=885
+TEST_FLOOR=895
 echo "==> workspace test-count floor (>= ${TEST_FLOOR})"
 TEST_COUNT=$(cargo test --workspace -- --list 2>/dev/null | grep -c ": test$")
 echo "    ${TEST_COUNT} tests"

@@ -4,7 +4,7 @@
 //! projection. Keeping both ends on the same basis is what makes the
 //! quality metric a real measurement over pixels.
 
-use super::noise::fbm;
+use super::noise::FbmField;
 use crate::prompt::EMBED_DIM;
 use std::sync::OnceLock;
 
@@ -15,14 +15,23 @@ pub const GRID: usize = 32;
 /// prompt- or model-dependent).
 const BASIS_SEED: u64 = 0x5157_4942_4153_4953; // "SISABWIQ"
 
+/// A smooth grid-sized field: 3-octave fbm of `seed` sampled at
+/// `cell / GRID * scale`, its lattice hashed once for the whole grid.
+pub(super) fn smooth_field(seed: u64, scale: f64) -> [f64; GRID * GRID] {
+    let field = FbmField::new(seed, 3, scale, scale);
+    let mut out = [0.0f64; GRID * GRID];
+    for (gy, row) in out.chunks_exact_mut(GRID).enumerate() {
+        let noise = field.row(gy as f64 / GRID as f64 * scale);
+        for (gx, v) in row.iter_mut().enumerate() {
+            *v = noise.at(gx as f64 / GRID as f64 * scale);
+        }
+    }
+    out
+}
+
 fn basis_raw(dim: usize) -> [f64; GRID * GRID] {
     let seed = BASIS_SEED.wrapping_add(dim as u64 * 0x9e37_79b9);
-    let mut p = [0.0f64; GRID * GRID];
-    for (i, v) in p.iter_mut().enumerate() {
-        let x = (i % GRID) as f64 / GRID as f64;
-        let y = (i / GRID) as f64 / GRID as f64;
-        *v = fbm(seed, x * 4.0, y * 4.0, 3);
-    }
+    let mut p = smooth_field(seed, 4.0);
     // Zero-mean, unit-norm.
     let mean = p.iter().sum::<f64>() / p.len() as f64;
     for v in &mut p {

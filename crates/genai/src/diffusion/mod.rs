@@ -24,6 +24,20 @@
 //! run them on any [`TileRunner`] with, again, bit-identical output for
 //! every tile/worker count. Scratch buffers come from [`crate::pool`], so
 //! a warm server denoises without allocating.
+//!
+//! # Noise lattice (PR 13)
+//!
+//! The spatial fields around the step loop — a job's `model_distortion`
+//! target and decode's aesthetic colour field — are fbm over a lattice of
+//! a few hundred points, evaluated at thousands of pixels. Each is a
+//! [`noise::FbmField`]: the lattice is hashed **once per image** into a
+//! 4 KB stack table (`prepare_job` builds one, `decode` builds one), and
+//! decode fixes `v` once per image row ([`noise::FbmRow`]) so the y half
+//! of every octave leaves the x loop. The table stores exactly the values
+//! the hash returns and `FbmField::at` runs the same interpolation body
+//! as `noise::fbm`, so pixels are bit-identical to hashing every corner;
+//! `tests/golden_pixels.rs` pins them to digests recorded before the
+//! change.
 
 pub mod field;
 pub mod models;
@@ -38,7 +52,8 @@ use crate::image::ImageBuffer;
 use crate::pool::{self, PooledF64};
 use crate::prompt::{PromptFeatures, TextureClass, EMBED_DIM};
 use crate::rng::Rng;
-use field::{semantic_target, GRID};
+use field::{semantic_target, smooth_field, GRID};
+use noise::{FbmField, FbmRow};
 use scheduler::Schedule;
 use std::sync::{Arc, Mutex};
 
@@ -345,14 +360,12 @@ impl DiffusionModel {
     /// Model-specific smooth distortion field: what a weaker model "sees"
     /// instead of the prompt.
     fn model_distortion(&self, prompt_seed: u64) -> [f64; GRID * GRID] {
-        let mut out = [0.0f64; GRID * GRID];
         let seed = prompt_seed
             .rotate_left(17)
             .wrapping_add(self.profile.seed_salt);
-        for (i, v) in out.iter_mut().enumerate() {
-            let x = (i % GRID) as f64 / GRID as f64;
-            let y = (i / GRID) as f64 / GRID as f64;
-            *v = noise::fbm(seed, x * 3.0, y * 3.0, 3) * 3.5;
+        let mut out = smooth_field(seed, 3.0);
+        for v in &mut out {
+            *v *= 3.5;
         }
         out
     }
@@ -379,12 +392,14 @@ impl DiffusionModel {
         for g in noise.iter_mut() {
             *g = rng.gaussian();
         }
+        let aesthetic = Aesthetic::new(features);
         for y in 0..height {
             let v = f64::from(y) / f64::from(height.max(1));
             let row = y as usize * width as usize;
+            let aesthetic_row = aesthetic.row(v);
             for x in 0..width {
                 let u = f64::from(x) / f64::from(width.max(1));
-                let base = self.aesthetic_color(features, u, v);
+                let base = aesthetic_row.color(u);
                 let s = sample_grid(latent, u, v) * SEMANTIC_AMPLITUDE;
                 let n = noise[row + x as usize] * residual;
                 let px = [
@@ -396,33 +411,6 @@ impl DiffusionModel {
             }
         }
         img
-    }
-
-    fn aesthetic_color(&self, features: &PromptFeatures, u: f64, v: f64) -> [f64; 3] {
-        let palette = &features.palette;
-        let pick = |t: f64| -> [f64; 3] {
-            let t = t.clamp(0.0, 0.999);
-            let idx = (t * palette.len() as f64) as usize;
-            let c = palette[idx.min(palette.len() - 1)];
-            [f64::from(c[0]), f64::from(c[1]), f64::from(c[2])]
-        };
-        match features.texture {
-            // Horizon bands: palette sweeps top to bottom.
-            TextureClass::Banded => {
-                let band = v + 0.08 * noise::fbm(features.seed, u * 4.0, v * 4.0, 2);
-                pick(band)
-            }
-            // Soft blobs.
-            TextureClass::Organic => {
-                let b = 0.5 + 0.5 * noise::fbm(features.seed, u * 3.0, v * 3.0, 3);
-                pick(b)
-            }
-            // Hard-edged cells.
-            TextureClass::Geometric => {
-                let cell = noise::fbm(features.seed, (u * 5.0).floor(), (v * 5.0).floor(), 1);
-                pick(0.5 + 0.5 * cell)
-            }
-        }
     }
 
     /// Extract the image's embedding in the shared prompt/image feature
@@ -441,6 +429,73 @@ impl DiffusionModel {
             .map(|l| (l - mean) / SEMANTIC_AMPLITUDE)
             .collect();
         field::project(&dev)
+    }
+}
+
+/// The prompt's aesthetic base-colour field over `(u, v) ∈ [0, 1)²`: the
+/// palette swept by an fbm whose shape the texture class picks. Built
+/// once per decode, so the noise lattice is hashed once per image.
+struct Aesthetic<'a> {
+    palette: &'a [[u8; 3]],
+    texture: TextureClass,
+    scale: f64,
+    field: FbmField,
+}
+
+impl<'a> Aesthetic<'a> {
+    fn new(features: &'a PromptFeatures) -> Aesthetic<'a> {
+        let (scale, octaves) = match features.texture {
+            TextureClass::Banded => (4.0, 2),
+            TextureClass::Organic => (3.0, 3),
+            TextureClass::Geometric => (5.0, 1),
+        };
+        Aesthetic {
+            palette: &features.palette,
+            texture: features.texture,
+            scale,
+            field: FbmField::new(features.seed, octaves, scale, scale),
+        }
+    }
+
+    /// Image coordinate to noise coordinate; `Geometric` snaps to the
+    /// lattice, which is what makes its cells hard-edged.
+    fn coord(&self, t: f64) -> f64 {
+        match self.texture {
+            TextureClass::Geometric => (t * self.scale).floor(),
+            TextureClass::Banded | TextureClass::Organic => t * self.scale,
+        }
+    }
+
+    /// Fix `v`: everything that depends only on the image row.
+    fn row(&self, v: f64) -> AestheticRow<'_> {
+        AestheticRow {
+            aesthetic: self,
+            v,
+            noise: self.field.row(self.coord(v)),
+        }
+    }
+}
+
+/// An [`Aesthetic`] with `v` fixed.
+struct AestheticRow<'a> {
+    aesthetic: &'a Aesthetic<'a>,
+    v: f64,
+    noise: FbmRow<'a>,
+}
+
+impl AestheticRow<'_> {
+    fn color(&self, u: f64) -> [f64; 3] {
+        let n = self.noise.at(self.aesthetic.coord(u));
+        let t = match self.aesthetic.texture {
+            // Horizon bands: palette sweeps top to bottom.
+            TextureClass::Banded => self.v + 0.08 * n,
+            // Soft blobs, hard-edged cells.
+            TextureClass::Organic | TextureClass::Geometric => 0.5 + 0.5 * n,
+        };
+        let palette = self.aesthetic.palette;
+        let idx = (t.clamp(0.0, 0.999) * palette.len() as f64) as usize;
+        let c = palette[idx.min(palette.len() - 1)];
+        [f64::from(c[0]), f64::from(c[1]), f64::from(c[2])]
     }
 }
 

@@ -5,7 +5,7 @@
 //! bilinear magnification plus seeded high-frequency detail synthesis
 //! (the one-step-diffusion flavour of the paper's ref \[58\]).
 
-use crate::diffusion::noise::fbm;
+use crate::diffusion::noise::FbmField;
 use crate::fnv1a;
 use crate::image::ImageBuffer;
 
@@ -20,18 +20,17 @@ pub fn upscale(img: &ImageBuffer, factor: u32) -> ImageBuffer {
     let seed = fnv1a(img.data());
     let mut out = ImageBuffer::new(w, h);
     let detail_amp = 6.0 * (1.0 - 1.0 / f64::from(factor));
+    // One lattice cell per source pixel: only a thumbnail's lattice fits
+    // the field's table, anything larger hashes its corners as before.
+    let detail = FbmField::new(seed, 2, f64::from(img.width()), f64::from(img.height()));
     for y in 0..h {
         let v = f64::from(y) / f64::from(h.saturating_sub(1).max(1));
+        let detail_row = detail.row(v * f64::from(img.height()));
         for x in 0..w {
             let u = f64::from(x) / f64::from(w.saturating_sub(1).max(1));
             let base = img.sample(u, v);
             // Synthesized detail: high-frequency texture the source lacks.
-            let d = fbm(
-                seed,
-                u * f64::from(img.width()),
-                v * f64::from(img.height()),
-                2,
-            ) * detail_amp;
+            let d = detail_row.at(u * f64::from(img.width())) * detail_amp;
             out.set(
                 x,
                 y,

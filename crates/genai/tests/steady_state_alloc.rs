@@ -15,7 +15,7 @@ use sww_genai::diffusion::{
     DiffusionModel, ImageModelKind, InlineRunner, StepCancel, ThreadRunner, TileRunner, Tiling,
 };
 use sww_genai::pool;
-use sww_genai::prompt::PromptFeatures;
+use sww_genai::prompt::{PromptFeatures, TextureClass};
 
 fn counter(name: &'static str, labels: &[(&'static str, &'static str)]) -> u64 {
     sww_obs::counter(name, labels).get()
@@ -45,9 +45,29 @@ fn hot_path_allocates_nothing_after_warmup() {
     const STEPS: u32 = 8;
     const MAX_TILES: usize = 3;
     let model = DiffusionModel::new(ImageModelKind::Sd3Medium);
+    // Every texture class: each decodes through its own noise-field shape
+    // (PR 13 tabulates that field on the stack, not in a pool or on the
+    // heap), so each must hold the steady state.
     let features: Vec<PromptFeatures> = (0..BATCH)
-        .map(|i| PromptFeatures::analyze(&format!("steady state prompt {i} over a weir")))
+        .map(|i| {
+            let scene = [
+                "over a weir",
+                "across a mountain lake",
+                "down a city street",
+            ][i % 3];
+            PromptFeatures::analyze(&format!("steady state prompt {i} {scene}"))
+        })
         .collect();
+    for class in [
+        TextureClass::Organic,
+        TextureClass::Banded,
+        TextureClass::Geometric,
+    ] {
+        assert!(
+            features.iter().any(|f| f.texture == class),
+            "no prompt exercises {class:?}"
+        );
+    }
     let run = |runner: &dyn TileRunner, tiles: usize| {
         model
             .try_generate_batch_on(

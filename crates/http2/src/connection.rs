@@ -10,6 +10,7 @@ use crate::hpack::{Decoder, Encoder, HeaderField};
 use crate::settings::{GenAbility, Settings};
 use crate::stream::{FlowWindow, StreamState};
 use bytes::{Bytes, BytesMut};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use tokio::io::{AsyncRead, AsyncReadExt, AsyncWrite, AsyncWriteExt};
 
@@ -192,9 +193,17 @@ pub struct Connection<T> {
     enc: Encoder,
     dec: Decoder,
     conn_send: FlowWindow,
+    /// Live streams only: an entry is dropped as soon as its stream is
+    /// closed and its message handed over, so a connection's memory is
+    /// O(in-flight), not O(requests ever made). "Closed" and "never
+    /// opened" are told apart by the two id high-water marks below.
     streams: HashMap<u32, StreamEntry>,
     assembly: Option<HeaderAssembly>,
     next_stream_id: u32,
+    /// Highest stream id the peer has opened (0 = none yet). Peer ids
+    /// must strictly increase (RFC 9113 §5.1.1), so every peer id at or
+    /// below this is spent whether or not the table still holds it.
+    highest_peer_stream: u32,
     pending: VecDeque<CompleteMessage>,
     remote_settings_seen: bool,
     goaway_received: bool,
@@ -220,6 +229,7 @@ impl<T: AsyncRead + AsyncWrite + Unpin> Connection<T> {
             streams: HashMap::new(),
             assembly: None,
             next_stream_id: if role == Role::Client { 1 } else { 2 },
+            highest_peer_stream: 0,
             pending: VecDeque::new(),
             remote_settings_seen: false,
             goaway_received: false,
@@ -356,7 +366,9 @@ impl<T: AsyncRead + AsyncWrite + Unpin> Connection<T> {
 
     /// Send a complete message (headers, then body split across DATA
     /// frames honouring both flow-control windows and the peer's
-    /// max_frame_size) and end the stream.
+    /// max_frame_size) and end the stream. `stream_id` must come from
+    /// [`open_stream`](Connection::open_stream) or from a received
+    /// message; a stream that has since been reset is a stream error.
     pub async fn send_message(
         &mut self,
         stream_id: u32,
@@ -365,8 +377,8 @@ impl<T: AsyncRead + AsyncWrite + Unpin> Connection<T> {
     ) -> Result<(), H2Error> {
         let entry = self
             .streams
-            .entry(stream_id)
-            .or_insert_with(|| StreamEntry::new(self.remote.initial_window_size));
+            .get_mut(&stream_id)
+            .ok_or_else(|| stream_gone(stream_id))?;
         let end_on_headers = body.is_empty();
         entry.state = entry.state.on_send_headers(end_on_headers)?;
         let raw_len: usize = fields.iter().map(|f| f.name.len() + f.value.len()).sum();
@@ -379,7 +391,19 @@ impl<T: AsyncRead + AsyncWrite + Unpin> Connection<T> {
         if !body.is_empty() {
             self.send_body(stream_id, body).await?;
         }
+        self.forget_if_closed(stream_id);
         Ok(())
+    }
+
+    /// Drop a stream's entry once both directions are closed. Called
+    /// where a direction ends — after the last frame of a sent message,
+    /// after a received message moves to `pending` — so a closed entry
+    /// never holds an undelivered message.
+    fn forget_if_closed(&mut self, stream_id: u32) {
+        let closed = |e: &StreamEntry| e.state.is_closed();
+        if self.streams.get(&stream_id).is_some_and(closed) {
+            self.streams.remove(&stream_id);
+        }
     }
 
     async fn send_header_block(
@@ -433,11 +457,14 @@ impl<T: AsyncRead + AsyncWrite + Unpin> Connection<T> {
             // Wait for window on both the stream and the connection.
             let mut stalled = false;
             let writable = loop {
+                // A RST_STREAM handled while we were blocked below drops
+                // the entry: no window will ever arrive for it.
                 let stream_avail = self
                     .streams
                     .get(&stream_id)
-                    .map(|s| s.send_window.available())
-                    .unwrap_or(0);
+                    .ok_or_else(|| stream_gone(stream_id))?
+                    .send_window
+                    .available();
                 let avail = stream_avail
                     .min(self.conn_send.available())
                     .min(self.remote.max_frame_size as usize)
@@ -487,9 +514,7 @@ impl<T: AsyncRead + AsyncWrite + Unpin> Connection<T> {
 
     /// Send RST_STREAM for one stream.
     pub async fn reset_stream(&mut self, stream_id: u32, code: ErrorCode) -> Result<(), H2Error> {
-        if let Some(e) = self.streams.get_mut(&stream_id) {
-            e.state = e.state.on_reset();
-        }
+        self.streams.remove(&stream_id);
         self.write(&Frame::RstStream(RstStreamFrame::new(stream_id, code)))
             .await
     }
@@ -512,7 +537,7 @@ impl<T: AsyncRead + AsyncWrite + Unpin> Connection<T> {
 
     /// Graceful shutdown: send GOAWAY(NO_ERROR).
     pub async fn close(&mut self) -> Result<(), H2Error> {
-        let last = self.highest_peer_stream();
+        let last = self.highest_peer_stream;
         sww_obs::counter("sww_http2_goaway_total", &[("direction", "sent")]).inc();
         self.write(&Frame::GoAway(GoAwayFrame::new(
             last,
@@ -522,24 +547,10 @@ impl<T: AsyncRead + AsyncWrite + Unpin> Connection<T> {
         .await
     }
 
-    fn highest_peer_stream(&self) -> u32 {
-        self.streams
-            .keys()
-            .copied()
-            .filter(|id| match self.role {
-                Role::Client => id % 2 == 0,
-                Role::Server => id % 2 == 1,
-            })
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Number of live (non-closed) streams.
+    /// Number of live (non-closed) streams — which is every stream the
+    /// connection still holds state for.
     pub fn active_streams(&self) -> usize {
-        self.streams
-            .values()
-            .filter(|s| !s.state.is_closed())
-            .count()
+        self.streams.len()
     }
 
     async fn handle_frame(&mut self, frame: Frame) -> Result<(), H2Error> {
@@ -600,9 +611,9 @@ impl<T: AsyncRead + AsyncWrite + Unpin> Connection<T> {
             }
             Frame::Priority(_) => Ok(()), // deprecated; ignored
             Frame::RstStream(r) => {
-                if let Some(entry) = self.streams.get_mut(&r.stream_id) {
-                    entry.state = entry.state.on_reset();
-                }
+                // A reset stream delivers nothing further; an id already
+                // forgotten (or never seen) is ignored, as before.
+                self.streams.remove(&r.stream_id);
                 Ok(())
             }
             Frame::PushPromise(p) => {
@@ -617,10 +628,24 @@ impl<T: AsyncRead + AsyncWrite + Unpin> Connection<T> {
                 if self.role == Role::Server && h.stream_id % 2 == 0 {
                     return Err(H2Error::protocol("client used even stream id"));
                 }
-                let entry = self
-                    .streams
-                    .entry(h.stream_id)
-                    .or_insert_with(|| StreamEntry::new(self.remote.initial_window_size));
+                let local_id = self.is_local_id(h.stream_id);
+                let entry = match self.streams.entry(h.stream_id) {
+                    Entry::Occupied(e) => e.into_mut(),
+                    Entry::Vacant(slot) => {
+                        // Not a live stream, so it must be a new one of the
+                        // peer's: its parity, above every id it has used.
+                        // Anything else is a closed (forgotten) or
+                        // never-opened stream (RFC 9113 §5.1, §5.1.1).
+                        if local_id || h.stream_id <= self.highest_peer_stream {
+                            return Err(H2Error::protocol(format!(
+                                "HEADERS on closed or never-opened stream {}",
+                                h.stream_id
+                            )));
+                        }
+                        self.highest_peer_stream = h.stream_id;
+                        slot.insert(StreamEntry::new(self.remote.initial_window_size))
+                    }
+                };
                 entry.state = entry.state.on_recv_headers(h.end_stream)?;
                 if h.end_headers {
                     self.finish_header_block(h.stream_id, &h.fragment, h.end_stream)?;
@@ -659,9 +684,13 @@ impl<T: AsyncRead + AsyncWrite + Unpin> Connection<T> {
             Frame::Data(d) => {
                 let len = d.data.len();
                 self.bytes_received += len as u64;
-                let entry = self.streams.get_mut(&d.stream_id).ok_or_else(|| {
-                    H2Error::protocol(format!("DATA on unknown stream {}", d.stream_id))
-                })?;
+                let Some(entry) = self.streams.get_mut(&d.stream_id) else {
+                    return Err(if self.was_opened(d.stream_id) {
+                        stream_gone(d.stream_id)
+                    } else {
+                        H2Error::protocol(format!("DATA on unknown stream {}", d.stream_id))
+                    });
+                };
                 entry.state = entry.state.on_recv_data(d.stream_id, d.end_stream)?;
                 entry.body.extend_from_slice(&d.data);
                 let complete = d.end_stream;
@@ -719,6 +748,31 @@ impl<T: AsyncRead + AsyncWrite + Unpin> Connection<T> {
             fields,
             body,
         });
+        self.forget_if_closed(stream_id);
         Ok(())
     }
+
+    /// Whether `stream_id` was ever opened on this connection, by either
+    /// end — i.e. an id missing from the table is closed, not idle.
+    fn was_opened(&self, stream_id: u32) -> bool {
+        if self.is_local_id(stream_id) {
+            stream_id < self.next_stream_id
+        } else {
+            stream_id <= self.highest_peer_stream
+        }
+    }
+
+    /// Whether `stream_id` has this endpoint's parity (odd for a client).
+    fn is_local_id(&self, stream_id: u32) -> bool {
+        stream_id % 2 == self.next_stream_id % 2
+    }
+}
+
+/// The error for touching a stream that was closed and forgotten.
+fn stream_gone(stream_id: u32) -> H2Error {
+    H2Error::Stream(
+        stream_id,
+        ErrorCode::StreamClosed,
+        "stream is closed".into(),
+    )
 }
