@@ -144,11 +144,11 @@ pub struct ModelledRow {
     pub modelled_qps: f64,
 }
 
-/// The recipe keys the sweep's shared prompt pool hashes under —
+/// The recipe keys a shared pool of `prompts` prompts hashes under —
 /// identical to what the router derives from [`bench_site`]'s pages.
-fn prompt_keys(cfg: &EdgeClusterConfig) -> Vec<String> {
+fn prompt_keys(prompts: usize) -> Vec<String> {
     let generator = MediaGenerator::new(profile(DeviceKind::Workstation));
-    (0..cfg.prompts)
+    (0..prompts)
         .map(|p| {
             recipe_key(&sww_core::cache::Recipe {
                 prompt: format!("bench prompt {p} distant headland"),
@@ -183,7 +183,7 @@ fn cluster_ring(cfg: &EdgeClusterConfig, n: usize) -> HashRing {
 
 /// Compute the deterministic rows for every node count in the sweep.
 pub fn modelled_rows(cfg: &EdgeClusterConfig) -> Vec<ModelledRow> {
-    let keys = prompt_keys(cfg);
+    let keys = prompt_keys(cfg.prompts);
     let gen_s = generation_seconds();
     cfg.node_counts
         .iter()
@@ -207,33 +207,51 @@ pub fn modelled_rows(cfg: &EdgeClusterConfig) -> Vec<ModelledRow> {
         .collect()
 }
 
+/// The node owning the most of the `prompts`-prompt pool — the worst
+/// case for failover volume, with ties broken toward the smaller id.
+pub(crate) fn most_loaded_owner(router: &EdgeRouter, prompts: usize) -> String {
+    router
+        .ring()
+        .ownership(&prompt_keys(prompts))
+        .iter()
+        .max_by_key(|(id, count)| (**count, std::cmp::Reverse(id.as_str())))
+        .map(|(id, _)| id.clone())
+        .expect("cluster has nodes")
+}
+
+/// A cluster of default servers over the `prompts`-prompt bench site.
+pub(crate) fn bench_router(config: EdgeConfig, prompts: usize) -> EdgeRouter {
+    EdgeRouter::new(config, bench_site(prompts), |site| {
+        GenerativeServer::from_config(ServerConfig {
+            site,
+            ..ServerConfig::default()
+        })
+    })
+}
+
 fn edge_router(cfg: &EdgeClusterConfig, nodes: usize) -> EdgeRouter {
-    EdgeRouter::new(
-        EdgeConfig {
-            nodes,
-            replicas: cfg.replicas,
-            ..EdgeConfig::default()
-        },
-        bench_site(cfg.prompts),
-        |site| {
-            GenerativeServer::from_config(ServerConfig {
-                site,
-                ..ServerConfig::default()
-            })
-        },
-    )
+    let config = EdgeConfig {
+        nodes,
+        replicas: cfg.replicas,
+        ..EdgeConfig::default()
+    };
+    bench_router(config, cfg.prompts)
+}
+
+/// Generations across every node's engine.
+pub(crate) fn cluster_generations(router: &EdgeRouter) -> u64 {
+    router
+        .nodes()
+        .iter()
+        .map(|n| n.server().engine().generations())
+        .sum()
 }
 
 /// Drive the cluster with naive clients; returns per-request latencies
 /// in ms and the count of client-level retries.
-fn drive(
-    router: &EdgeRouter,
-    nodes: usize,
-    threads_per_node: usize,
-    requests_per_thread: usize,
-    prompts: usize,
-) -> (Vec<f64>, u64) {
-    let threads = nodes * threads_per_node;
+fn drive(router: &EdgeRouter, nodes: usize, cfg: &EdgeClusterConfig) -> (Vec<f64>, u64) {
+    let threads = nodes * cfg.threads_per_node;
+    let (requests_per_thread, prompts) = (cfg.requests_per_thread, cfg.prompts);
     let retries = Arc::new(AtomicU64::new(0));
     let mut handles = Vec::with_capacity(threads);
     for t in 0..threads {
@@ -282,20 +300,11 @@ pub fn run(cfg: &EdgeClusterConfig) -> Vec<EdgeSample> {
         .map(|(&n, row)| {
             let router = edge_router(cfg, n);
             let start = Instant::now();
-            let (mut latencies, _retries) = drive(
-                &router,
-                n,
-                cfg.threads_per_node,
-                cfg.requests_per_thread,
-                cfg.prompts,
-            );
+            let (mut latencies, _retries) = drive(&router, n, cfg);
             let elapsed = start.elapsed().as_secs_f64();
             latencies.sort_by(|a, b| a.total_cmp(b));
             let nodes = router.nodes();
-            let generations: u64 = nodes
-                .iter()
-                .map(|n| n.server().engine().generations())
-                .sum();
+            let generations = cluster_generations(&router);
             // `coalesced()` already folds shard-cache hits in with
             // in-flight joins: every amortized request, however it won.
             let coalesced: u64 = nodes.iter().map(|n| n.server().engine().coalesced()).sum();
@@ -339,15 +348,7 @@ pub fn chaos_kill(cfg: &EdgeClusterConfig) -> EdgeChaosOutcome {
         .collect();
 
     let router = edge_router(cfg, nodes);
-    // Kill the node that owns the most prompts — the worst case for
-    // failover volume.
-    let keys = prompt_keys(cfg);
-    let ownership = router.ring().ownership(&keys);
-    let victim = ownership
-        .iter()
-        .max_by_key(|(id, count)| (**count, std::cmp::Reverse(id.as_str())))
-        .map(|(id, _)| id.clone())
-        .expect("cluster has nodes");
+    let victim = most_loaded_owner(&router, cfg.prompts);
     {
         let router = router.clone();
         let victim = victim.clone();
@@ -404,11 +405,6 @@ pub fn chaos_kill(cfg: &EdgeClusterConfig) -> EdgeChaosOutcome {
     for handle in handles {
         handle.join().expect("chaos client thread");
     }
-    let generations: u64 = router
-        .nodes()
-        .iter()
-        .map(|n| n.server().engine().generations())
-        .sum();
     let failovers: u64 = router.nodes().iter().map(|n| n.stats().failovers).sum();
     let requests = (threads * cfg.requests_per_thread) as u64;
     EdgeChaosOutcome {
@@ -418,10 +414,22 @@ pub fn chaos_kill(cfg: &EdgeClusterConfig) -> EdgeChaosOutcome {
         lost: lost.load(Ordering::Relaxed),
         failovers,
         retries: retries.load(Ordering::Relaxed),
-        generations,
+        generations: cluster_generations(&router),
         byte_identical: mismatched.load(Ordering::Relaxed) == 0,
         killed: victim,
     }
+}
+
+/// [`chaos_kill`] under a deterministic 10 ms generation latency that
+/// widens the kill window: the self-contained entry point `sww
+/// bench-cluster` and `bench-pr6` use when the caller gave no `--chaos`.
+pub fn chaos_kill_with_latency(cfg: &EdgeClusterConfig) -> EdgeChaosOutcome {
+    let spec = sww_core::ChaosSpec::parse("seed=7,engine.generate=latency:1.0:10")
+        .expect("E19 chaos spec");
+    sww_core::faults::install(&spec);
+    let out = chaos_kill(cfg);
+    sww_core::faults::clear();
+    out
 }
 
 /// Render the sweep as the E19 table.
@@ -562,7 +570,7 @@ mod tests {
         // cluster than the one serving.
         let cfg = small();
         let router = edge_router(&cfg, 4);
-        let keys = prompt_keys(&cfg);
+        let keys = prompt_keys(cfg.prompts);
         let ring = cluster_ring(&cfg, 4);
         for (p, key) in keys.iter().enumerate() {
             assert_eq!(
@@ -605,11 +613,7 @@ mod tests {
         let _serial = super::super::POOL_SERIAL
             .lock()
             .unwrap_or_else(|e| e.into_inner());
-        let spec = sww_core::ChaosSpec::parse("seed=7,engine.generate=latency:1.0:10")
-            .expect("latency spec");
-        sww_core::faults::install(&spec);
-        let outcome = chaos_kill(&small());
-        sww_core::faults::clear();
+        let outcome = chaos_kill_with_latency(&small());
         assert_eq!(outcome.lost, 0, "zero lost responses: {outcome:?}");
         assert_eq!(outcome.completed, outcome.requests);
         assert!(outcome.byte_identical, "failover must not change bytes");

@@ -24,14 +24,10 @@
 //! compared across two runs from the same seed.
 
 use crate::table::Table;
-use sww_core::edge::recipe_key;
-use sww_core::{
-    EdgeConfig, EdgeRouter, GenAbility, GenerativeServer, HashRing, MediaGenerator, ServerConfig,
-};
-use sww_energy::device::{profile, DeviceKind};
+use sww_core::{EdgeConfig, EdgeRouter, GenAbility};
 use sww_http2::Request;
 
-use super::concurrency::bench_site;
+use super::edge::{bench_router, cluster_generations, most_loaded_owner};
 
 /// E21 configuration. The failover scenario runs once per entry in
 /// `replication_levels`; the partition scenario uses the same cluster
@@ -117,53 +113,14 @@ pub struct PartitionOutcome {
 }
 
 fn resilient_router(cfg: &ResilienceConfig, replication: usize) -> EdgeRouter {
-    EdgeRouter::new(
-        EdgeConfig {
-            nodes: cfg.nodes,
-            replicas: cfg.replicas,
-            replication,
-            hot_threshold: cfg.hot_threshold,
-            ..EdgeConfig::default()
-        },
-        bench_site(cfg.prompts),
-        |site| {
-            GenerativeServer::from_config(ServerConfig {
-                site,
-                ..ServerConfig::default()
-            })
-        },
-    )
-}
-
-fn cluster_generations(router: &EdgeRouter) -> u64 {
-    router
-        .nodes()
-        .iter()
-        .map(|n| n.server().engine().generations())
-        .sum()
-}
-
-/// The node owning the most prompts — the worst case for failover
-/// volume, with ties broken toward the smaller id (the E19 convention).
-fn most_loaded_owner(cfg: &ResilienceConfig, router: &EdgeRouter) -> String {
-    let generator = MediaGenerator::new(profile(DeviceKind::Workstation));
-    let keys: Vec<String> = (0..cfg.prompts)
-        .map(|p| {
-            recipe_key(&sww_core::cache::Recipe {
-                prompt: format!("bench prompt {p} distant headland"),
-                model: generator.image_model(),
-                width: 64,
-                height: 64,
-                steps: generator.inference_steps(),
-            })
-        })
-        .collect();
-    let ring: HashRing = router.ring();
-    ring.ownership(&keys)
-        .iter()
-        .max_by_key(|(id, count)| (**count, std::cmp::Reverse(id.as_str())))
-        .map(|(id, _)| id.clone())
-        .expect("cluster has nodes")
+    let config = EdgeConfig {
+        nodes: cfg.nodes,
+        replicas: cfg.replicas,
+        replication,
+        hot_threshold: cfg.hot_threshold,
+        ..EdgeConfig::default()
+    };
+    bench_router(config, cfg.prompts)
 }
 
 /// Run the failover scenario at one replication level. Fully
@@ -192,7 +149,8 @@ pub fn failover(cfg: &ResilienceConfig, replication: usize) -> FailoverOutcome {
     }
     let warm_generations = cluster_generations(&router);
 
-    let victim = most_loaded_owner(cfg, &router);
+    // The E19 convention: the most-loaded owner is the worst case.
+    let victim = most_loaded_owner(&router, cfg.prompts);
     router.kill(&victim);
 
     let mut completed = 0u64;

@@ -340,50 +340,20 @@ pub fn live_table(cfg: &E20Config, samples: &[LiveSample]) -> Table {
     t
 }
 
-/// The SLO gates `bench-workload` (and the report compare) enforce on a
-/// finished sweep. Returns human-readable failure lines; empty means the
-/// run passed.
-pub fn slo_failures(
-    cfg: &E20Config,
-    rows: &[WorkloadRow],
-    determinism: &DeterminismOutcome,
-) -> Vec<String> {
-    let mut bad = Vec::new();
-    let mut sorted: Vec<&WorkloadRow> = rows.iter().collect();
-    sorted.sort_by(|a, b| a.clustering.total_cmp(&b.clustering));
-    for pair in sorted.windows(2) {
-        let (lo, hi) = (pair[0], pair[1]);
-        if hi.slo.hit_rate <= lo.slo.hit_rate {
-            bad.push(format!(
-                "hit rate must rise with clustering ({:.4} -> {:.4} as C {:.4} -> {:.4})",
-                lo.slo.hit_rate, hi.slo.hit_rate, lo.clustering, hi.clustering
-            ));
-        }
-    }
-    for r in rows {
-        if r.slo.p99_ms > cfg.deadline_ms {
-            bad.push(format!(
-                "beta {:.2}: modelled p99 {:.3} ms over the {:.0} ms deadline",
-                r.beta, r.slo.p99_ms, cfg.deadline_ms
-            ));
-        }
-    }
-    if !determinism.trace_match {
-        bad.push("replay nondeterministic: trace digests diverged".into());
-    }
-    if !determinism.response_match {
-        bad.push("replay nondeterministic: response digests diverged".into());
-    }
-    if !determinism.cross_target_identical {
-        bad.push("payload digests differ between single-node and edge replays".into());
-    }
-    bad
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::POOL_SERIAL;
     use super::*;
+    use crate::report::{determinism_record, gate, workload_record};
+    use sww_json::Value;
+
+    /// What `bench-workload` gates: one record per modelled row plus the
+    /// determinism witness.
+    fn records(cfg: &E20Config, rows: &[WorkloadRow], det: &DeterminismOutcome) -> Vec<Value> {
+        let mut out: Vec<Value> = rows.iter().map(|r| workload_record(cfg, r)).collect();
+        out.push(determinism_record(det));
+        out
+    }
 
     /// Full-size graph (the hit-rate separation needs pages ≫ cache),
     /// small request volume — debug-test speed.
@@ -439,7 +409,9 @@ mod tests {
         assert!(det.deterministic(), "{det:?}");
         let mcfg = tiny_modelled();
         let rows = modelled_sweep(&mcfg);
-        assert_eq!(slo_failures(&mcfg, &rows, &det), Vec::<String>::new());
+        // Two monotone steps, three deadlines, three witness bits.
+        let checks = gate(&records(&mcfg, &rows, &det)).expect("the E20 rules must hold");
+        assert_eq!(checks.len(), 8, "{checks:?}");
     }
 
     /// The gate PR 9 waived: with chaos installed, two independent
@@ -463,7 +435,7 @@ mod tests {
     }
 
     #[test]
-    fn slo_failures_flag_every_violation() {
+    fn gate_flags_every_slo_violation() {
         let cfg = tiny_modelled();
         let mut rows = modelled_sweep(&cfg);
         // Invert the hit rates and blow the deadline on one row.
@@ -474,19 +446,18 @@ mod tests {
             response_match: false,
             cross_target_identical: false,
         };
-        let bad = slo_failures(&cfg, &rows, &det);
+        let bad = gate(&records(&cfg, &rows, &det)).expect_err("every violation must fail");
+        for text in [
+            "strictly increase with clustering",
+            "ms over the 2500 ms deadline",
+            "response digests diverged",
+            "cross-topology payloads diverged",
+        ] {
+            assert!(bad.iter().any(|l| l.contains(text)), "{text}: {bad:?}");
+        }
         assert!(
-            bad.iter().any(|l| l.contains("rise with clustering")),
-            "{bad:?}"
-        );
-        assert!(bad.iter().any(|l| l.contains("over the")), "{bad:?}");
-        assert!(
-            bad.iter().any(|l| l.contains("response digests")),
-            "{bad:?}"
-        );
-        assert!(
-            bad.iter().any(|l| l.contains("single-node and edge")),
-            "{bad:?}"
+            !bad.iter().any(|l| l.contains("trace digests")),
+            "the matching trace witness must not be flagged: {bad:?}"
         );
     }
 

@@ -1,5 +1,5 @@
-//! Machine-readable bench reports (`BENCH_*.json`) and the regression
-//! gate that compares a fresh run against a checked-in baseline.
+//! Machine-readable bench reports (`BENCH_*.json`) and the experiment
+//! gates, each stated once over the report's JSON records.
 //!
 //! The PR 6 report captures the E17 tiled-kernel sweeps, the E18
 //! transport shoot-out, the E19 edge-cluster scaling sweep, the E20
@@ -14,17 +14,46 @@
 //!   host-shaped and noisy — recorded for the perf trajectory, never
 //!   gated.
 //!
-//! [`compare`] is the gate `ci.sh bench` runs: every baseline record must
-//! still exist, modelled throughput must be within tolerance, the
-//! headline speedups must clear the PR 6 floor, the steady-state
-//! allocation counters must read zero, the E19 global hit rate must
-//! strictly increase with node count, the chaos node-kill must lose
-//! zero responses with byte-identical payloads, the E20 workload hit
-//! rate must strictly increase with graph clustering while the modelled
-//! p99 stays under its deadline, the E20 replay must be deterministic,
-//! the E21 replicated failover must cost zero regenerations (and the
-//! unreplicated control at least one), and the E21 gossip partition
-//! must heal within its deterministic round bound.
+//! # The rules
+//!
+//! A rule reads nothing but records — the 3-decimal values a report
+//! file carries — so every command that evaluates it gives the same
+//! verdict on the same run. [`gate`] holds the rules one report can be
+//! judged by on its own:
+//!
+//! 1. every record's steady-state allocation counter reads zero;
+//! 2. the E19 `edge_cluster` hit rate **strictly increases** with node
+//!    count — the cluster-wide exactly-once property in one number;
+//! 3. every `edge_chaos` node-kill lost zero responses and kept payloads
+//!    byte-identical to the single-node baseline;
+//! 4. the E20 `smallworld_modelled` hit rate **strictly increases** with
+//!    graph clustering (locality is what the bounded cache converts into
+//!    hits) and every modelled p99 stays under its recorded deadline;
+//! 5. every `workload_determinism` record witnessed bit-identical traces,
+//!    matching response digests, and topology-independent payloads;
+//! 6. every E21 `edge_resilience` record lost zero responses with
+//!    byte-identical payloads, replicated runs (`replication ≥ 2`) cost
+//!    **zero** regenerations while serving from replicas, and the
+//!    unreplicated control re-rendered at least once — the contrast
+//!    that proves replicas carried the failover;
+//! 7. every `gossip_partition` record diverged under the partition,
+//!    healed to a converged view within its deterministic round bound,
+//!    and replayed identically from the same seed.
+//!
+//! [`compare`] adds the rules that need a baseline or the summary: both
+//! reports carry the [`PR6_SCHEMA`] tag, every baseline record still
+//! exists, each record's modelled throughput is within tolerance of the
+//! baseline, and the headline speedups clear [`SPEEDUP_FLOOR`] — then it
+//! runs [`gate`] over the current records.
+//!
+//! Who evaluates what: `sww bench-compare` calls [`compare`] (this is
+//! the gate `ci.sh` runs on `BENCH_PR6.json`); `sww bench-pr6` calls
+//! [`gate`] on the report it just wrote; `sww bench-cluster` calls
+//! [`gate`] over its `edge_cluster` + `edge_chaos` records (plus
+//! `edge_resilience` + `gossip_partition` with `--replication N`);
+//! `sww bench-workload` calls [`gate`] over its `smallworld_modelled` +
+//! `workload_determinism` records. All of them build those records with
+//! the `*_record` functions below.
 
 use crate::experiments::edge::{EdgeChaosOutcome, EdgeClusterConfig, EdgeSample};
 use crate::experiments::kernel::{KernelConfig, KernelSample, ServingConfig, ServingSample};
@@ -53,7 +82,8 @@ fn r3(x: f64) -> f64 {
     (x * 1e3).round() / 1e3
 }
 
-fn kernel_record(cfg: KernelConfig, s: &KernelSample) -> Value {
+/// One E17 kernel row: the denoise pass at one lane count.
+pub fn kernel_record(cfg: KernelConfig, s: &KernelSample) -> Value {
     Value::object([
         ("experiment", Value::from("kernel_denoise")),
         ("kernel_tiles", Value::from(s.tiles)),
@@ -68,7 +98,8 @@ fn kernel_record(cfg: KernelConfig, s: &KernelSample) -> Value {
     ])
 }
 
-fn serving_record(cfg: ServingConfig, s: &ServingSample) -> Value {
+/// One E17 serving row: the batched server at one kernel lane count.
+pub fn serving_record(cfg: ServingConfig, s: &ServingSample) -> Value {
     Value::object([
         ("experiment", Value::from("serve_batched")),
         ("kernel_tiles", Value::from(s.kernel_tiles)),
@@ -89,7 +120,7 @@ fn serving_record(cfg: ServingConfig, s: &ServingSample) -> Value {
 /// h3) so the gate compares exact numbers; the wall-clock percentiles
 /// ride along ungated. The pipes are pooled end to end, so the
 /// steady-state allocation invariant holds here too.
-fn transport_record(cfg: TransportConfig, s: &TransportSample) -> Value {
+pub fn transport_record(cfg: TransportConfig, s: &TransportSample) -> Value {
     Value::object([
         ("experiment", Value::from("page_load_transport")),
         ("transport", Value::from(s.transport.label())),
@@ -108,7 +139,7 @@ fn transport_record(cfg: TransportConfig, s: &TransportSample) -> Value {
 /// ring ownership × the cost model — deterministic, gated; the hit rate
 /// is also deterministic (request volume and prompt pool are both fixed
 /// by the config) and gated for strict monotonicity across node counts.
-fn edge_record(cfg: &EdgeClusterConfig, s: &EdgeSample) -> Value {
+pub fn edge_record(cfg: &EdgeClusterConfig, s: &EdgeSample) -> Value {
     Value::object([
         ("experiment", Value::from("edge_cluster")),
         ("nodes", Value::from(s.nodes)),
@@ -130,7 +161,7 @@ fn edge_record(cfg: &EdgeClusterConfig, s: &EdgeSample) -> Value {
 /// The E19 chaos node-kill outcome. `modelled_qps` is pinned at zero —
 /// the chaos run is gated on its own invariants (`lost == 0`,
 /// `byte_identical`), not on throughput.
-fn chaos_record(o: &EdgeChaosOutcome) -> Value {
+pub fn chaos_record(o: &EdgeChaosOutcome) -> Value {
     Value::object([
         ("experiment", Value::from("edge_chaos")),
         ("nodes", Value::from(o.nodes)),
@@ -150,7 +181,7 @@ fn chaos_record(o: &EdgeChaosOutcome) -> Value {
 /// level. `modelled_qps` is pinned at zero — the scenario is gated on
 /// its own invariants (`lost == 0`, `byte_identical`, `regenerations`
 /// exactly zero with replicas and nonzero without), not on throughput.
-fn resilience_record(o: &FailoverOutcome) -> Value {
+pub fn resilience_record(o: &FailoverOutcome) -> Value {
     Value::object([
         ("experiment", Value::from("edge_resilience")),
         ("nodes", Value::from(o.nodes)),
@@ -171,7 +202,7 @@ fn resilience_record(o: &FailoverOutcome) -> Value {
 /// The E21 gossip partition-heal witness: the partition must be
 /// noticed, the heal must converge within the deterministic bound, and
 /// two runs from the same seed must agree round for round.
-fn partition_record(o: &PartitionOutcome) -> Value {
+pub fn partition_record(o: &PartitionOutcome) -> Value {
     Value::object([
         ("experiment", Value::from("gossip_partition")),
         ("nodes", Value::from(o.nodes)),
@@ -190,7 +221,7 @@ fn partition_record(o: &PartitionOutcome) -> Value {
 /// coefficient. Every column is a pure function of the seed (graph,
 /// popularity, walks, arrivals, and the discrete-event queue all derive
 /// from it), so the hit rate and the modelled p99 are gated exactly.
-fn workload_record(cfg: &E20Config, r: &WorkloadRow) -> Value {
+pub fn workload_record(cfg: &E20Config, r: &WorkloadRow) -> Value {
     Value::object([
         ("experiment", Value::from("smallworld_modelled")),
         ("clustering", Value::from(r3(r.clustering))),
@@ -213,7 +244,7 @@ fn workload_record(cfg: &E20Config, r: &WorkloadRow) -> Value {
 /// (`modelled_qps` is pinned at zero so the throughput check is inert);
 /// the deterministic columns (`generations`, `hit_rate`) are covered by
 /// the determinism record's digest equality.
-fn replay_record(clustering: f64, s: &LiveSample) -> Value {
+pub fn replay_record(clustering: f64, s: &LiveSample) -> Value {
     let card = &s.outcome.scorecard;
     Value::object([
         ("experiment", Value::from("workload_replay")),
@@ -241,7 +272,7 @@ fn replay_record(clustering: f64, s: &LiveSample) -> Value {
 /// The E20 replay-determinism witness: two independent pipeline runs
 /// (trace generation included) plus the single-vs-edge payload digest
 /// comparison, each reduced to a gated boolean.
-fn determinism_record(d: &DeterminismOutcome) -> Value {
+pub fn determinism_record(d: &DeterminismOutcome) -> Value {
     Value::object([
         ("experiment", Value::from("workload_determinism")),
         ("transport", Value::from("single")),
@@ -258,161 +289,101 @@ fn determinism_record(d: &DeterminismOutcome) -> Value {
     ])
 }
 
-/// The E19 inputs to a report: sweep config, per-width samples, and the
-/// chaos node-kill outcome — grouped so `pr6_report` keeps a sane arity
-/// as experiments accumulate.
-pub struct EdgeSection<'a> {
-    /// Sweep configuration (prompt pool, threads, replicas).
-    pub cfg: &'a EdgeClusterConfig,
-    /// One sample per node count, in sweep order.
-    pub sweep: &'a [EdgeSample],
-    /// The node-kill outcome.
-    pub chaos: &'a EdgeChaosOutcome,
-}
-
-/// The E21 inputs to a report: one failover outcome per replication
-/// level plus the gossip partition-heal witness.
-pub struct ResilienceSection<'a> {
-    /// One outcome per replication level, in sweep order.
-    pub failover: &'a [FailoverOutcome],
-    /// The partition-heal outcome.
-    pub partition: &'a PartitionOutcome,
-}
-
-/// The E20 inputs to a report: sweep config, modelled rows, live replay
-/// scorecards (with the clustering coefficient of the live workload's
-/// graph), and the determinism witness.
-pub struct WorkloadSection<'a> {
-    /// Sweep configuration (betas, graph shape, cache, deadline).
-    pub cfg: &'a E20Config,
-    /// One modelled row per `β`, in sweep order.
-    pub modelled: &'a [WorkloadRow],
-    /// Live replay scorecards (single / h3 / edge).
-    pub live: &'a [LiveSample],
-    /// Clustering coefficient of the graph the live replays browsed.
-    pub live_clustering: f64,
-    /// The replay-determinism witness.
-    pub determinism: &'a DeterminismOutcome,
-}
-
-/// Assemble the PR 6 report from both E17 sweeps, the E18 transport
-/// comparison, the E19 edge-cluster sweep + chaos outcome, the E20
-/// small-world workload sweep, and the E21 resilience scenarios.
-#[allow(clippy::too_many_arguments)]
-pub fn pr6_report(
-    kcfg: KernelConfig,
-    kernel: &[KernelSample],
-    scfg: ServingConfig,
-    serving: &[ServingSample],
-    tcfg: TransportConfig,
-    transports: &[TransportSample],
-    edge: EdgeSection<'_>,
-    workload: WorkloadSection<'_>,
-    resilience: ResilienceSection<'_>,
-) -> Value {
-    let records: Vec<Value> = kernel
+/// The records of one experiment, in report order.
+fn of<'a>(records: &'a [Value], experiment: &'a str) -> impl Iterator<Item = &'a Value> {
+    records
         .iter()
-        .map(|s| kernel_record(kcfg, s))
-        .chain(serving.iter().map(|s| serving_record(scfg, s)))
-        .chain(transports.iter().map(|s| transport_record(tcfg, s)))
-        .chain(edge.sweep.iter().map(|s| edge_record(edge.cfg, s)))
-        .chain(std::iter::once(chaos_record(edge.chaos)))
-        .chain(
-            workload
-                .modelled
-                .iter()
-                .map(|r| workload_record(workload.cfg, r)),
-        )
-        .chain(
-            workload
-                .live
-                .iter()
-                .map(|s| replay_record(workload.live_clustering, s)),
-        )
-        .chain(std::iter::once(determinism_record(workload.determinism)))
-        .chain(resilience.failover.iter().map(resilience_record))
-        .chain(std::iter::once(partition_record(resilience.partition)))
-        .collect();
-    let widest = |speedups: Vec<(usize, f64)>| {
-        speedups
-            .into_iter()
-            .max_by_key(|&(tiles, _)| tiles)
-            .map_or(1.0, |(_, s)| s)
+        .filter(move |r| r["experiment"].as_str() == Some(experiment))
+}
+
+fn num(record: &Value, field: &str) -> f64 {
+    record[field].as_f64().unwrap_or(0.0)
+}
+
+fn count(record: &Value, field: &str) -> u64 {
+    record[field].as_u64().unwrap_or(0)
+}
+
+/// A counter a rule pins at zero: a record that lacks it fails the rule.
+fn pinned(record: &Value, field: &str) -> u64 {
+    record[field].as_u64().unwrap_or(u64::MAX)
+}
+
+/// The `workload_determinism` witness bits, each with what it compared.
+const WITNESSES: [(&str, &str); 3] = [
+    ("trace_match", "trace digests"),
+    ("response_match", "response digests"),
+    ("cross_target_identical", "cross-topology payloads"),
+];
+
+/// `field` summed over `records`, as a report value.
+fn total<'a>(records: impl IntoIterator<Item = &'a Value>, field: &str) -> Value {
+    let sum: u64 = records.into_iter().map(|r| count(r, field)).sum();
+    Value::from(sum as usize)
+}
+
+/// Assemble the PR 6 report from its records (built by the `*_record`
+/// functions above, in any mix). The `summary` headlines are read back
+/// out of the records' own fields, so they cannot disagree with them.
+pub fn pr6_report(records: Vec<Value>) -> Value {
+    // The record of `experiment` furthest along `axis`: the widest
+    // kernel, the largest cluster, the most clustered graph.
+    let peak = |experiment: &'static str, axis: &str| {
+        of(&records, experiment).max_by(|a, b| num(a, axis).total_cmp(&num(b, axis)))
     };
-    let kernel_speedup = widest(kernel.iter().map(|s| (s.tiles, s.speedup)).collect());
-    let serving_speedup = widest(
-        serving
-            .iter()
-            .map(|s| (s.kernel_tiles, s.speedup))
-            .collect(),
-    );
+    let speedup = |experiment| {
+        let widest = peak(experiment, "kernel_tiles");
+        Value::from(r3(widest.map_or(1.0, |r| num(r, "speedup"))))
+    };
+    let hit_rate = |experiment, axis| {
+        Value::from(r3(
+            peak(experiment, axis).map_or(0.0, |r| num(r, "hit_rate"))
+        ))
+    };
     // Modelled h3-over-h2 page rate: exactly `recipes_per_page` when both
     // transports are present (h3 overlaps what h2 serializes).
-    let qps_over = |t: sww_core::TransportKind| {
-        transports
-            .iter()
-            .find(|s| s.transport == t)
-            .map(|s| s.modelled_qps)
+    let qps_over = |transport| {
+        of(&records, "page_load_transport")
+            .find(|r| r["transport"].as_str() == Some(transport))
+            .map(|r| num(r, "modelled_qps"))
     };
-    let transport_speedup = match (
-        qps_over(sww_core::TransportKind::H2),
-        qps_over(sww_core::TransportKind::H3),
-    ) {
+    let h3_over_h2 = match (qps_over("h2"), qps_over("h3")) {
         (Some(h2), Some(h3)) if h2 > 0.0 => h3 / h2,
         _ => 1.0,
     };
-    let steady: u64 = kernel.iter().map(|s| s.alloc_bytes).sum::<u64>()
-        + serving.iter().map(|s| s.alloc_bytes).sum::<u64>();
-    // Peak global hit rate: the widest cluster in the sweep.
-    let edge_hit_rate = edge
-        .sweep
-        .iter()
-        .max_by_key(|s| s.nodes)
-        .map_or(0.0, |s| s.hit_rate);
-    // E20 headline: the hit rate of the most clustered workload.
-    let workload_hit_rate = workload
-        .modelled
-        .iter()
-        .max_by(|a, b| a.clustering.total_cmp(&b.clustering))
-        .map_or(0.0, |r| r.slo.hit_rate);
+    let deterministic = of(&records, "workload_determinism")
+        .all(|r| WITNESSES.iter().all(|(f, _)| r[*f].as_bool() == Some(true)));
+    // Regenerations at the highest replication level — zero when
+    // replicas fully absorb the owner kill.
+    let replicated = peak("edge_resilience", "replication");
+    let summary = Value::object([
+        ("kernel_speedup_batch8", speedup("kernel_denoise")),
+        ("serving_speedup_batch8", speedup("serve_batched")),
+        ("transport_h3_speedup", Value::from(r3(h3_over_h2))),
+        ("edge_hit_rate_peak", hit_rate("edge_cluster", "nodes")),
+        ("edge_chaos_lost", total(of(&records, "edge_chaos"), "lost")),
+        (
+            "workload_hit_rate_clustered",
+            hit_rate("smallworld_modelled", "clustering"),
+        ),
+        ("workload_replay_deterministic", Value::from(deterministic)),
+        (
+            "resilience_replicated_regen",
+            total(replicated, "regenerations"),
+        ),
+        (
+            "gossip_heal_rounds",
+            total(of(&records, "gossip_partition"), "rounds_to_heal"),
+        ),
+        (
+            "steady_state_alloc_bytes",
+            total(&records, "alloc_bytes_steady"),
+        ),
+    ]);
     Value::object([
         ("schema", Value::from(PR6_SCHEMA)),
         ("records", Value::Array(records)),
-        (
-            "summary",
-            Value::object([
-                ("kernel_speedup_batch8", Value::from(r3(kernel_speedup))),
-                ("serving_speedup_batch8", Value::from(r3(serving_speedup))),
-                ("transport_h3_speedup", Value::from(r3(transport_speedup))),
-                ("edge_hit_rate_peak", Value::from(r3(edge_hit_rate))),
-                ("edge_chaos_lost", Value::from(edge.chaos.lost as usize)),
-                (
-                    "workload_hit_rate_clustered",
-                    Value::from(r3(workload_hit_rate)),
-                ),
-                (
-                    "workload_replay_deterministic",
-                    Value::from(workload.determinism.deterministic()),
-                ),
-                (
-                    // Regenerations at the highest replication level —
-                    // zero when replicas fully absorb the owner kill.
-                    "resilience_replicated_regen",
-                    Value::from(
-                        resilience
-                            .failover
-                            .iter()
-                            .max_by_key(|o| o.replication)
-                            .map_or(0, |o| o.regenerations as usize),
-                    ),
-                ),
-                (
-                    "gossip_heal_rounds",
-                    Value::from(resilience.partition.rounds_to_heal as usize),
-                ),
-                ("steady_state_alloc_bytes", Value::from(steady as usize)),
-            ]),
-        ),
+        ("summary", summary),
     ])
 }
 
@@ -424,57 +395,227 @@ pub fn render(report: &Value) -> String {
     out
 }
 
-/// A record's identity within a report: `(experiment, kernel_tiles,
-/// transport, nodes, clustering, replication)` — the transport component
-/// is empty for the E17 kernel and serving records (which exist once per
-/// lane count), the nodes component is zero for everything but the E19
-/// edge records (which exist once per cluster size), the clustering
-/// component is empty for everything but the E20 workload records (which
-/// exist once per graph topology), and the replication component is zero
-/// for everything but the E21 resilience records (which exist once per
-/// replication level).
-fn record_key(record: &Value) -> (String, u64, String, u64, String, u64) {
-    (
-        record["experiment"].as_str().unwrap_or("?").to_owned(),
-        record["kernel_tiles"].as_u64().unwrap_or(0),
-        record["transport"].as_str().unwrap_or("").to_owned(),
-        record["nodes"].as_u64().unwrap_or(0),
-        record["clustering"]
-            .as_f64()
-            .map(|c| format!("{c:.3}"))
-            .unwrap_or_default(),
-        record["replication"].as_u64().unwrap_or(0),
-    )
+/// The fields that identify a record within a report, each with how it
+/// reads in a key when the record does not carry it. An experiment that
+/// sweeps a new dimension adds its field here.
+const KEY_FIELDS: [(&str, &str); 6] = [
+    ("experiment", "\"?\""),
+    ("kernel_tiles", "0"),
+    ("transport", "\"\""),
+    ("nodes", "0"),
+    ("clustering", "\"\""),
+    ("replication", "0"),
+];
+
+/// A record's identity within a report: its [`KEY_FIELDS`] values, e.g.
+/// `("edge_cluster", 1, "", 4, "", 0)`. Two records with the same key
+/// are the same measurement in two reports.
+fn record_key(record: &Value) -> String {
+    let parts: Vec<String> = KEY_FIELDS
+        .iter()
+        .map(|&(field, absent)| {
+            let value = &record[field];
+            match (value.as_str(), value.as_u64(), value.as_f64()) {
+                (Some(text), ..) => format!("{text:?}"),
+                (_, Some(n), _) => n.to_string(),
+                (.., Some(x)) => format!("\"{x:.3}\""),
+                _ => absent.to_owned(),
+            }
+        })
+        .collect();
+    format!("({})", parts.join(", "))
 }
 
-/// Gate a fresh report against the checked-in baseline.
+/// What the rules found: the lines that held and the lines that did not.
+#[derive(Default)]
+struct Verdict {
+    ok: Vec<String>,
+    bad: Vec<String>,
+}
+
+impl Verdict {
+    fn check(&mut self, holds: bool, ok: String, bad: String) {
+        if holds {
+            self.ok.push(ok);
+        } else {
+            self.bad.push(bad);
+        }
+    }
+
+    fn finish(self) -> Result<Vec<String>, Vec<String>> {
+        if self.bad.is_empty() {
+            Ok(self.ok)
+        } else {
+            Err(self.bad)
+        }
+    }
+}
+
+/// `hit_rate` must strictly increase along `axis` across one
+/// experiment's records, whatever order they arrive in.
+fn hit_rate_rises(
+    verdict: &mut Verdict,
+    records: &[Value],
+    experiment: &str,
+    axis: &str,
+    at: fn(f64) -> String,
+) {
+    let mut rows: Vec<(f64, f64)> = of(records, experiment)
+        .map(|r| (num(r, axis), num(r, "hit_rate")))
+        .collect();
+    rows.sort_by(|a, b| a.0.total_cmp(&b.0));
+    for pair in rows.windows(2) {
+        let ((x0, h0), (x1, h1)) = (pair[0], pair[1]);
+        let (at0, at1) = (at(x0), at(x1));
+        verdict.check(
+            h1 > h0,
+            format!("{experiment}: hit rate {h0:.3} @ {at0} < {h1:.3} @ {at1}"),
+            format!(
+                "{experiment}: hit rate must strictly increase with {axis} \
+                 ({at0}: {h0:.3} -> {at1}: {h1:.3})"
+            ),
+        );
+    }
+}
+
+/// Judge one report's records by the rules that need nothing else — the
+/// numbered list in the [module docs](self). Records of experiments a
+/// command did not run are simply absent, and their rules do not fire.
 ///
-/// Checks, in order:
-///
-/// 1. both reports carry the [`PR6_SCHEMA`] tag;
-/// 2. every baseline record still exists in `current`;
-/// 3. each record's **modelled** throughput is within `tolerance`
-///    (fractional, e.g. `0.10`) of the baseline — wall-clock columns are
-///    never gated;
-/// 4. the current headline speedups clear [`SPEEDUP_FLOOR`];
-/// 5. every current record's steady-state allocation counter reads zero;
-/// 6. the E19 `edge_cluster` hit rate **strictly increases** with node
-///    count — the cluster-wide exactly-once property in one number;
-/// 7. every `edge_chaos` record lost zero responses and kept payloads
-///    byte-identical to the single-node baseline;
-/// 8. the E20 `smallworld_modelled` hit rate **strictly increases** with
-///    graph clustering (locality is what the bounded cache converts into
-///    hits) and every modelled p99 stays under its recorded deadline;
-/// 9. every `workload_determinism` record witnessed bit-identical traces,
-///    matching response digests, and topology-independent payloads;
-/// 10. every E21 `edge_resilience` record lost zero responses with
-///     byte-identical payloads, replicated runs (`replication ≥ 2`) cost
-///     **zero** regenerations while serving from replicas, and the
-///     unreplicated control re-rendered at least once — the contrast
-///     that proves replicas carried the failover;
-/// 11. every `gossip_partition` record diverged under the partition,
-///     healed to a converged view within its deterministic round bound,
-///     and replayed identically from the same seed.
+/// Returns the per-check log lines on success, the failure messages
+/// otherwise.
+pub fn gate(records: &[Value]) -> Result<Vec<String>, Vec<String>> {
+    let mut verdict = Verdict::default();
+    for record in records {
+        let alloc = pinned(record, "alloc_bytes_steady");
+        if alloc != 0 {
+            verdict.bad.push(format!(
+                "{}: steady state allocated {alloc} fresh pool bytes",
+                record_key(record)
+            ));
+        }
+    }
+    // E19: if the hit rate plateaus, some node generated a recipe it did
+    // not own and the cluster-wide single-flight is broken.
+    hit_rate_rises(&mut verdict, records, "edge_cluster", "nodes", |n| {
+        format!("{n} nodes")
+    });
+    // E19 chaos: a node-kill may cost retries, never responses or bytes.
+    for chaos in of(records, "edge_chaos") {
+        let at = format!("edge_chaos @ {} nodes", count(chaos, "nodes"));
+        let lost = pinned(chaos, "lost");
+        verdict.check(
+            lost == 0,
+            format!("{at}: zero lost responses"),
+            format!("{at}: {lost} lost responses"),
+        );
+        verdict.check(
+            chaos["byte_identical"].as_bool() == Some(true),
+            format!("{at}: payloads byte-identical"),
+            format!("{at}: payloads diverged from the 1-node baseline"),
+        );
+    }
+    // E20: clustered neighbourhoods keep random-walk revisits inside the
+    // bounded LRU; if the curve flattens, the cache stopped converting
+    // locality into hits.
+    hit_rate_rises(
+        &mut verdict,
+        records,
+        "smallworld_modelled",
+        "clustering",
+        |c| format!("C {c:.3}"),
+    );
+    for row in of(records, "smallworld_modelled") {
+        let at = format!("smallworld_modelled @ C {:.3}", num(row, "clustering"));
+        let p99 = row["p99_ms"].as_f64().unwrap_or(f64::MAX);
+        let deadline = num(row, "deadline_ms");
+        verdict.check(
+            p99 <= deadline,
+            format!("{at}: p99 {p99:.3} ms under {deadline:.0} ms"),
+            format!("{at}: modelled p99 {p99:.3} ms over the {deadline:.0} ms deadline"),
+        );
+    }
+    // E20 determinism: every witness bit must hold.
+    for det in of(records, "workload_determinism") {
+        for (field, what) in WITNESSES {
+            verdict.check(
+                det[field].as_bool() == Some(true),
+                format!("workload_determinism: {what} agree"),
+                format!("workload_determinism: {what} diverged"),
+            );
+        }
+    }
+    // E21 failover: an owner kill may never lose a response or change a
+    // byte; with replicas it must also cost zero regenerations, and the
+    // unreplicated control must pay at least one — otherwise the rule
+    // would pass vacuously on a cluster that never replicated at all.
+    for res in of(records, "edge_resilience") {
+        let replication = count(res, "replication");
+        let at = format!("edge_resilience @ replication {replication}");
+        let lost = pinned(res, "lost");
+        let regen = pinned(res, "regenerations");
+        let hits = count(res, "replica_hits");
+        verdict.check(
+            lost == 0,
+            format!("{at}: zero lost responses"),
+            format!("{at}: {lost} lost responses"),
+        );
+        verdict.check(
+            res["byte_identical"].as_bool() == Some(true),
+            format!("{at}: payloads byte-identical"),
+            format!("{at}: payloads diverged from the owner's bytes"),
+        );
+        if replication >= 2 {
+            verdict.check(
+                regen == 0,
+                format!("{at}: zero regenerations"),
+                format!("{at}: owner kill cost {regen} regenerations (replicas must absorb it)"),
+            );
+            verdict.check(
+                hits != 0,
+                format!("{at}: {hits} replica hits"),
+                format!("{at}: no replica hits — the failover never touched a replica"),
+            );
+        } else {
+            verdict.check(
+                regen != 0,
+                format!("{at}: control re-rendered {regen} time(s)"),
+                format!(
+                    "{at}: the unreplicated control did not re-render — the contrast is vacuous"
+                ),
+            );
+        }
+    }
+    // E21 partition: noticed, healed in bound, replayed bit-for-bit.
+    for part in of(records, "gossip_partition") {
+        let at = format!("gossip_partition @ {} nodes", count(part, "nodes"));
+        for (field, what) in [
+            ("diverged", "the partition was never noticed"),
+            ("converged", "the heal never converged"),
+            ("deterministic", "the heal did not replay deterministically"),
+        ] {
+            verdict.check(
+                part[field].as_bool() == Some(true),
+                format!("{at}: {field}"),
+                format!("{at}: {what}"),
+            );
+        }
+        let rounds = pinned(part, "rounds_to_heal");
+        let bound = count(part, "bound");
+        verdict.check(
+            rounds <= bound,
+            format!("{at}: healed in {rounds}/{bound} rounds"),
+            format!("{at}: healed in {rounds} rounds, over the {bound}-round bound"),
+        );
+    }
+    verdict.finish()
+}
+
+/// Gate a fresh report against the checked-in baseline: the schema tag,
+/// baseline-record presence, each record's **modelled** throughput within
+/// `tolerance` (fractional, e.g. `0.10`) of the baseline — wall-clock
+/// columns are never compared — then [`gate`] over the current records,
+/// and the headline speedups against [`SPEEDUP_FLOOR`].
 ///
 /// Returns the per-check log lines on success, the failure messages
 /// otherwise.
@@ -483,277 +624,60 @@ pub fn compare(
     current: &Value,
     tolerance: f64,
 ) -> Result<Vec<String>, Vec<String>> {
-    let mut ok = Vec::new();
-    let mut bad = Vec::new();
+    let mut verdict = Verdict::default();
     for (which, report) in [("baseline", baseline), ("current", current)] {
         if report["schema"].as_str() != Some(PR6_SCHEMA) {
-            bad.push(format!("{which}: missing schema tag {PR6_SCHEMA:?}"));
+            verdict
+                .bad
+                .push(format!("{which}: missing schema tag {PR6_SCHEMA:?}"));
         }
     }
-    if !bad.is_empty() {
-        return Err(bad);
+    if !verdict.bad.is_empty() {
+        return verdict.finish();
     }
-    let empty = Vec::new();
-    let base_records = baseline["records"].as_array().unwrap_or(&empty);
-    let cur_records = current["records"].as_array().unwrap_or(&empty);
-    for base in base_records {
+    let cur_records = current["records"].as_array().unwrap_or(&[]);
+    for base in baseline["records"].as_array().unwrap_or(&[]) {
         let key = record_key(base);
         let Some(cur) = cur_records.iter().find(|r| record_key(r) == key) else {
-            bad.push(format!("{key:?}: record missing from current report"));
+            verdict
+                .bad
+                .push(format!("{key}: record missing from current report"));
             continue;
         };
-        let base_qps = base["modelled_qps"].as_f64().unwrap_or(0.0);
-        let cur_qps = cur["modelled_qps"].as_f64().unwrap_or(0.0);
-        if cur_qps < base_qps * (1.0 - tolerance) {
-            bad.push(format!(
-                "{key:?}: modelled throughput regressed {base_qps:.3} -> {cur_qps:.3} \
+        let (base_qps, cur_qps) = (num(base, "modelled_qps"), num(cur, "modelled_qps"));
+        verdict.check(
+            cur_qps >= base_qps * (1.0 - tolerance),
+            format!("{key}: modelled qps {cur_qps:.3} vs baseline {base_qps:.3}"),
+            format!(
+                "{key}: modelled throughput regressed {base_qps:.3} -> {cur_qps:.3} \
                  (> {:.0}% drop)",
                 tolerance * 100.0
-            ));
-        } else {
-            ok.push(format!(
-                "{key:?}: modelled qps {cur_qps:.3} vs baseline {base_qps:.3}"
-            ));
-        }
-        let alloc = cur["alloc_bytes_steady"].as_u64().unwrap_or(u64::MAX);
-        if alloc != 0 {
-            bad.push(format!(
-                "{key:?}: steady state allocated {alloc} fresh pool bytes"
-            ));
-        }
+            ),
+        );
     }
-    // E19: the global hit rate must strictly increase with node count —
-    // if it plateaus, some node generated a recipe it did not own and the
-    // cluster-wide single-flight is broken.
-    let mut edge_rows: Vec<(u64, f64)> = cur_records
-        .iter()
-        .filter(|r| r["experiment"].as_str() == Some("edge_cluster"))
-        .map(|r| {
-            (
-                r["nodes"].as_u64().unwrap_or(0),
-                r["hit_rate"].as_f64().unwrap_or(0.0),
-            )
-        })
-        .collect();
-    edge_rows.sort_by_key(|&(nodes, _)| nodes);
-    for pair in edge_rows.windows(2) {
-        let ((n0, h0), (n1, h1)) = (pair[0], pair[1]);
-        if h1 <= h0 {
-            bad.push(format!(
-                "edge_cluster: hit rate must strictly increase with nodes \
-                 ({n0} nodes: {h0:.3} -> {n1} nodes: {h1:.3})"
-            ));
-        } else {
-            ok.push(format!(
-                "edge_cluster: hit rate {h0:.3} @ {n0} nodes < {h1:.3} @ {n1} nodes"
-            ));
-        }
-    }
-    // E19 chaos: a node-kill may cost retries, never responses or bytes.
-    for chaos in cur_records
-        .iter()
-        .filter(|r| r["experiment"].as_str() == Some("edge_chaos"))
-    {
-        let nodes = chaos["nodes"].as_u64().unwrap_or(0);
-        let lost = chaos["lost"].as_u64().unwrap_or(u64::MAX);
-        if lost != 0 {
-            bad.push(format!("edge_chaos @ {nodes} nodes: {lost} lost responses"));
-        } else {
-            ok.push(format!("edge_chaos @ {nodes} nodes: zero lost responses"));
-        }
-        if chaos["byte_identical"].as_bool() != Some(true) {
-            bad.push(format!(
-                "edge_chaos @ {nodes} nodes: payloads diverged from the 1-node baseline"
-            ));
-        } else {
-            ok.push(format!(
-                "edge_chaos @ {nodes} nodes: payloads byte-identical"
-            ));
-        }
-    }
-    // E20: the workload hit rate must strictly increase with graph
-    // clustering — clustered neighbourhoods keep random-walk revisits
-    // inside the bounded LRU; if the curve flattens, the cache stopped
-    // converting locality into hits. The modelled p99 must also stay
-    // under the deadline each record carries.
-    let mut workload_rows: Vec<(f64, f64)> = cur_records
-        .iter()
-        .filter(|r| r["experiment"].as_str() == Some("smallworld_modelled"))
-        .map(|r| {
-            (
-                r["clustering"].as_f64().unwrap_or(0.0),
-                r["hit_rate"].as_f64().unwrap_or(0.0),
-            )
-        })
-        .collect();
-    workload_rows.sort_by(|a, b| a.0.total_cmp(&b.0));
-    for pair in workload_rows.windows(2) {
-        let ((c0, h0), (c1, h1)) = (pair[0], pair[1]);
-        if h1 <= h0 {
-            bad.push(format!(
-                "smallworld_modelled: hit rate must strictly increase with clustering \
-                 (C {c0:.3}: {h0:.3} -> C {c1:.3}: {h1:.3})"
-            ));
-        } else {
-            ok.push(format!(
-                "smallworld_modelled: hit rate {h0:.3} @ C {c0:.3} < {h1:.3} @ C {c1:.3}"
-            ));
-        }
-    }
-    for row in cur_records
-        .iter()
-        .filter(|r| r["experiment"].as_str() == Some("smallworld_modelled"))
-    {
-        let clustering = row["clustering"].as_f64().unwrap_or(0.0);
-        let p99 = row["p99_ms"].as_f64().unwrap_or(f64::MAX);
-        let deadline = row["deadline_ms"].as_f64().unwrap_or(0.0);
-        if p99 > deadline {
-            bad.push(format!(
-                "smallworld_modelled @ C {clustering:.3}: modelled p99 {p99:.3} ms \
-                 over the {deadline:.0} ms deadline"
-            ));
-        } else {
-            ok.push(format!(
-                "smallworld_modelled @ C {clustering:.3}: p99 {p99:.3} ms under \
-                 {deadline:.0} ms"
-            ));
-        }
-    }
-    // E20 determinism: every witness bit must hold.
-    for det in cur_records
-        .iter()
-        .filter(|r| r["experiment"].as_str() == Some("workload_determinism"))
-    {
-        for (field, what) in [
-            ("trace_match", "trace digests"),
-            ("response_match", "response digests"),
-            ("cross_target_identical", "cross-topology payloads"),
-        ] {
-            if det[field].as_bool() != Some(true) {
-                bad.push(format!("workload_determinism: {what} diverged"));
-            } else {
-                ok.push(format!("workload_determinism: {what} agree"));
-            }
-        }
-    }
-    // E21 failover: an owner kill may never lose a response or change a
-    // byte; with replicas it must also cost zero regenerations, and the
-    // unreplicated control must pay at least one — otherwise the gate
-    // would pass vacuously on a cluster that never replicated at all.
-    for res in cur_records
-        .iter()
-        .filter(|r| r["experiment"].as_str() == Some("edge_resilience"))
-    {
-        let replication = res["replication"].as_u64().unwrap_or(0);
-        let lost = res["lost"].as_u64().unwrap_or(u64::MAX);
-        let regen = res["regenerations"].as_u64().unwrap_or(u64::MAX);
-        let hits = res["replica_hits"].as_u64().unwrap_or(0);
-        if lost != 0 {
-            bad.push(format!(
-                "edge_resilience @ replication {replication}: {lost} lost responses"
-            ));
-        } else {
-            ok.push(format!(
-                "edge_resilience @ replication {replication}: zero lost responses"
-            ));
-        }
-        if res["byte_identical"].as_bool() != Some(true) {
-            bad.push(format!(
-                "edge_resilience @ replication {replication}: payloads diverged \
-                 from the owner's bytes"
-            ));
-        } else {
-            ok.push(format!(
-                "edge_resilience @ replication {replication}: payloads byte-identical"
-            ));
-        }
-        if replication >= 2 {
-            if regen != 0 {
-                bad.push(format!(
-                    "edge_resilience @ replication {replication}: owner kill cost \
-                     {regen} regenerations (replicas must absorb it)"
-                ));
-            } else {
-                ok.push(format!(
-                    "edge_resilience @ replication {replication}: zero regenerations"
-                ));
-            }
-            if hits == 0 {
-                bad.push(format!(
-                    "edge_resilience @ replication {replication}: no replica hits — \
-                     the failover never touched a replica"
-                ));
-            } else {
-                ok.push(format!(
-                    "edge_resilience @ replication {replication}: {hits} replica hits"
-                ));
-            }
-        } else if regen == 0 {
-            bad.push(format!(
-                "edge_resilience @ replication {replication}: the unreplicated \
-                 control did not re-render — the contrast is vacuous"
-            ));
-        } else {
-            ok.push(format!(
-                "edge_resilience @ replication {replication}: control re-rendered \
-                 {regen} time(s)"
-            ));
-        }
-    }
-    // E21 partition: noticed, healed in bound, replayed bit-for-bit.
-    for part in cur_records
-        .iter()
-        .filter(|r| r["experiment"].as_str() == Some("gossip_partition"))
-    {
-        let nodes = part["nodes"].as_u64().unwrap_or(0);
-        let rounds = part["rounds_to_heal"].as_u64().unwrap_or(u64::MAX);
-        let bound = part["bound"].as_u64().unwrap_or(0);
-        for (field, what) in [
-            ("diverged", "the partition was never noticed"),
-            ("converged", "the heal never converged"),
-            ("deterministic", "the heal did not replay deterministically"),
-        ] {
-            if part[field].as_bool() != Some(true) {
-                bad.push(format!("gossip_partition @ {nodes} nodes: {what}"));
-            } else {
-                ok.push(format!("gossip_partition @ {nodes} nodes: {field}"));
-            }
-        }
-        if rounds > bound {
-            bad.push(format!(
-                "gossip_partition @ {nodes} nodes: healed in {rounds} rounds, \
-                 over the {bound}-round bound"
-            ));
-        } else {
-            ok.push(format!(
-                "gossip_partition @ {nodes} nodes: healed in {rounds}/{bound} rounds"
-            ));
-        }
+    match gate(cur_records) {
+        Ok(lines) => verdict.ok.extend(lines),
+        Err(lines) => verdict.bad.extend(lines),
     }
     for headline in [
         "kernel_speedup_batch8",
         "serving_speedup_batch8",
         "transport_h3_speedup",
     ] {
-        let speedup = current["summary"][headline].as_f64().unwrap_or(0.0);
-        if speedup < SPEEDUP_FLOOR {
-            bad.push(format!(
-                "summary.{headline}: {speedup:.2}x below the {SPEEDUP_FLOOR}x floor"
-            ));
-        } else {
-            ok.push(format!("summary.{headline}: {speedup:.2}x"));
-        }
+        let speedup = num(&current["summary"], headline);
+        verdict.check(
+            speedup >= SPEEDUP_FLOOR,
+            format!("summary.{headline}: {speedup:.2}x"),
+            format!("summary.{headline}: {speedup:.2}x below the {SPEEDUP_FLOOR}x floor"),
+        );
     }
-    if bad.is_empty() {
-        Ok(ok)
-    } else {
-        Err(bad)
-    }
+    verdict.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sww_core::TransportKind;
     use sww_workload::replay::{ModelledSlo, ReplayOutcome};
     use sww_workload::scorecard::Scorecard;
 
@@ -794,47 +718,6 @@ mod tests {
         }
     }
 
-    /// Owned E20 fakes; `section` borrows them into a [`WorkloadSection`].
-    struct WlFakes {
-        cfg: E20Config,
-        rows: Vec<WorkloadRow>,
-        live: Vec<LiveSample>,
-        det: DeterminismOutcome,
-    }
-
-    impl WlFakes {
-        fn ok() -> WlFakes {
-            WlFakes {
-                cfg: E20Config::default(),
-                rows: vec![
-                    fake_row(0.02, 0.614, 0.780, 1300.0),
-                    fake_row(0.20, 0.367, 0.744, 1800.0),
-                    fake_row(1.00, 0.034, 0.730, 1990.0),
-                ],
-                live: vec![
-                    fake_live("single", 1),
-                    fake_live("h3", 1),
-                    fake_live("edge4", 4),
-                ],
-                det: DeterminismOutcome {
-                    trace_match: true,
-                    response_match: true,
-                    cross_target_identical: true,
-                },
-            }
-        }
-
-        fn section(&self) -> WorkloadSection<'_> {
-            WorkloadSection {
-                cfg: &self.cfg,
-                modelled: &self.rows,
-                live: &self.live,
-                live_clustering: 0.614,
-                determinism: &self.det,
-            }
-        }
-    }
-
     fn fake_kernel(tiles: usize, rate: f64, speedup: f64) -> KernelSample {
         KernelSample {
             tiles,
@@ -860,7 +743,7 @@ mod tests {
         }
     }
 
-    fn fake_transport(t: sww_core::TransportKind, qps: f64) -> TransportSample {
+    fn fake_transport(t: TransportKind, qps: f64) -> TransportSample {
         TransportSample {
             transport: t,
             p50_ms: 1000.0 / qps,
@@ -870,13 +753,6 @@ mod tests {
             requests: 12,
             bodies: Default::default(),
         }
-    }
-
-    fn fake_transports() -> Vec<TransportSample> {
-        vec![
-            fake_transport(sww_core::TransportKind::H2, 10.0),
-            fake_transport(sww_core::TransportKind::H3, 40.0),
-        ]
     }
 
     fn fake_edge(nodes: usize, hit_rate: f64, qps: f64) -> EdgeSample {
@@ -897,14 +773,6 @@ mod tests {
             p50_ms: 3.0,
             p99_ms: 9.0,
         }
-    }
-
-    fn fake_edges() -> Vec<EdgeSample> {
-        vec![
-            fake_edge(1, 0.5, 2.0),
-            fake_edge(2, 0.75, 4.0),
-            fake_edge(4, 0.875, 8.0),
-        ]
     }
 
     fn fake_chaos(lost: u64, byte_identical: bool) -> EdgeChaosOutcome {
@@ -937,82 +805,91 @@ mod tests {
         }
     }
 
-    fn fake_partition() -> PartitionOutcome {
-        PartitionOutcome {
-            nodes: 3,
-            diverged: true,
-            rounds_to_heal: 7,
-            bound: 24,
-            converged: true,
-            deterministic: true,
-            digest: 0xfeed,
-        }
-    }
-
-    /// Owned E21 fakes; `section` borrows them into a [`ResilienceSection`].
-    struct ResFakes {
+    /// One passing run of every experiment; a test mutates the part it
+    /// is about, then reads it back as records or as a whole report.
+    struct Fakes {
+        kernel: Vec<KernelSample>,
+        serving: Vec<ServingSample>,
+        transports: Vec<TransportSample>,
+        edge: Vec<EdgeSample>,
+        chaos: EdgeChaosOutcome,
+        wl_cfg: E20Config,
+        rows: Vec<WorkloadRow>,
+        live: Vec<LiveSample>,
+        det: DeterminismOutcome,
         failover: Vec<FailoverOutcome>,
         partition: PartitionOutcome,
     }
 
-    impl ResFakes {
-        fn ok() -> ResFakes {
-            ResFakes {
+    impl Fakes {
+        fn ok() -> Fakes {
+            Fakes {
+                kernel: vec![fake_kernel(1, 4.0, 1.0), fake_kernel(8, 12.4, 3.1)],
+                serving: vec![fake_serving(1, 4.0, 1.0), fake_serving(8, 12.4, 3.1)],
+                transports: vec![
+                    fake_transport(TransportKind::H2, 10.0),
+                    fake_transport(TransportKind::H3, 40.0),
+                ],
+                edge: vec![
+                    fake_edge(1, 0.5, 2.0),
+                    fake_edge(2, 0.75, 4.0),
+                    fake_edge(4, 0.875, 8.0),
+                ],
+                chaos: fake_chaos(0, true),
+                wl_cfg: E20Config::default(),
+                rows: vec![
+                    fake_row(0.02, 0.614, 0.780, 1300.0),
+                    fake_row(0.20, 0.367, 0.744, 1800.0),
+                    fake_row(1.00, 0.034, 0.730, 1990.0),
+                ],
+                live: vec![
+                    fake_live("single", 1),
+                    fake_live("h3", 1),
+                    fake_live("edge4", 4),
+                ],
+                det: DeterminismOutcome {
+                    trace_match: true,
+                    response_match: true,
+                    cross_target_identical: true,
+                },
                 failover: vec![fake_failover(1, 4, 0), fake_failover(2, 0, 12)],
-                partition: fake_partition(),
+                partition: PartitionOutcome {
+                    nodes: 3,
+                    diverged: true,
+                    rounds_to_heal: 7,
+                    bound: 24,
+                    converged: true,
+                    deterministic: true,
+                    digest: 0xfeed,
+                },
             }
         }
 
-        fn section(&self) -> ResilienceSection<'_> {
-            ResilienceSection {
-                failover: &self.failover,
-                partition: &self.partition,
-            }
+        /// The records in `bench-pr6` order.
+        fn records(&self) -> Vec<Value> {
+            let (kcfg, scfg) = (KernelConfig::default(), ServingConfig::default());
+            let (tcfg, ecfg) = (TransportConfig::default(), EdgeClusterConfig::default());
+            let mut out: Vec<Value> = Vec::new();
+            out.extend(self.kernel.iter().map(|s| kernel_record(kcfg, s)));
+            out.extend(self.serving.iter().map(|s| serving_record(scfg, s)));
+            out.extend(self.transports.iter().map(|s| transport_record(tcfg, s)));
+            out.extend(self.edge.iter().map(|s| edge_record(&ecfg, s)));
+            out.push(chaos_record(&self.chaos));
+            out.extend(self.rows.iter().map(|r| workload_record(&self.wl_cfg, r)));
+            out.extend(self.live.iter().map(|s| replay_record(0.614, s)));
+            out.push(determinism_record(&self.det));
+            out.extend(self.failover.iter().map(resilience_record));
+            out.push(partition_record(&self.partition));
+            out
         }
-    }
 
-    fn report_with_wl(edge: &[EdgeSample], chaos: &EdgeChaosOutcome, wl: &WlFakes) -> Value {
-        pr6_report(
-            KernelConfig::default(),
-            &[fake_kernel(1, 4.0, 1.0), fake_kernel(8, 12.4, 3.1)],
-            ServingConfig::default(),
-            &[fake_serving(1, 4.0, 1.0), fake_serving(8, 12.4, 3.1)],
-            TransportConfig::default(),
-            &fake_transports(),
-            EdgeSection {
-                cfg: &EdgeClusterConfig::default(),
-                sweep: edge,
-                chaos,
-            },
-            wl.section(),
-            ResFakes::ok().section(),
-        )
-    }
-
-    fn report_with(edge: &[EdgeSample], chaos: &EdgeChaosOutcome) -> Value {
-        report_with_wl(edge, chaos, &WlFakes::ok())
-    }
-
-    fn report_with_res(res: &ResFakes) -> Value {
-        pr6_report(
-            KernelConfig::default(),
-            &[fake_kernel(1, 4.0, 1.0), fake_kernel(8, 12.4, 3.1)],
-            ServingConfig::default(),
-            &[fake_serving(1, 4.0, 1.0), fake_serving(8, 12.4, 3.1)],
-            TransportConfig::default(),
-            &fake_transports(),
-            EdgeSection {
-                cfg: &EdgeClusterConfig::default(),
-                sweep: &fake_edges(),
-                chaos: &fake_chaos(0, true),
-            },
-            WlFakes::ok().section(),
-            res.section(),
-        )
+        fn report(&self) -> Value {
+            pr6_report(self.records())
+        }
     }
 
     fn report() -> Value {
-        report_with(&fake_edges(), &fake_chaos(0, true))
+        Fakes::ok().report()
     }
 
     #[test]
@@ -1026,18 +903,40 @@ mod tests {
         // + 3 workload modelled + 3 workload replay + 1 determinism
         // + 2 edge_resilience + 1 gossip_partition.
         assert_eq!(back["records"].as_array().unwrap().len(), 20);
+        // Every headline is read back out of the records.
+        let summary = &back["summary"];
+        assert_eq!(summary["workload_hit_rate_clustered"].as_f64(), Some(0.78));
         assert_eq!(
-            back["summary"]["workload_hit_rate_clustered"].as_f64(),
-            Some(0.78)
-        );
-        assert_eq!(
-            back["summary"]["workload_replay_deterministic"].as_bool(),
+            summary["workload_replay_deterministic"].as_bool(),
             Some(true)
         );
-        assert_eq!(back["summary"]["kernel_speedup_batch8"].as_f64(), Some(3.1));
-        assert_eq!(back["summary"]["transport_h3_speedup"].as_f64(), Some(4.0));
-        assert_eq!(back["summary"]["edge_hit_rate_peak"].as_f64(), Some(0.875));
-        assert_eq!(back["summary"]["edge_chaos_lost"].as_u64(), Some(0));
+        assert_eq!(summary["kernel_speedup_batch8"].as_f64(), Some(3.1));
+        assert_eq!(summary["serving_speedup_batch8"].as_f64(), Some(3.1));
+        assert_eq!(summary["transport_h3_speedup"].as_f64(), Some(4.0));
+        assert_eq!(summary["edge_hit_rate_peak"].as_f64(), Some(0.875));
+        assert_eq!(summary["edge_chaos_lost"].as_u64(), Some(0));
+        assert_eq!(summary["resilience_replicated_regen"].as_u64(), Some(0));
+        assert_eq!(summary["gossip_heal_rounds"].as_u64(), Some(7));
+        assert_eq!(summary["steady_state_alloc_bytes"].as_u64(), Some(0));
+    }
+
+    #[test]
+    fn record_keys_name_every_sweep_dimension() {
+        let records = Fakes::ok().records();
+        let keys: Vec<String> = records.iter().map(record_key).collect();
+        assert_eq!(keys[1], r#"("kernel_denoise", 8, "", 0, "", 0)"#);
+        assert_eq!(keys[5], r#"("page_load_transport", 1, "h3", 0, "", 0)"#);
+        assert_eq!(keys[8], r#"("edge_cluster", 1, "", 4, "", 0)"#);
+        assert_eq!(
+            keys[10],
+            r#"("smallworld_modelled", 1, "modelled", 4, "0.614", 0)"#
+        );
+        assert_eq!(keys[18], r#"("edge_resilience", 1, "", 3, "", 2)"#);
+        assert_eq!(record_key(&Value::Null), r#"("?", 0, "", 0, "", 0)"#);
+        let mut unique = keys.clone();
+        unique.sort();
+        unique.dedup();
+        assert_eq!(unique.len(), keys.len(), "keys must be unique: {keys:?}");
     }
 
     #[test]
@@ -1045,28 +944,17 @@ mod tests {
         let r = report();
         let checks = compare(&r, &r, 0.10).expect("self-compare must pass");
         assert!(checks.iter().any(|l| l.contains("kernel_speedup")));
+        // `compare` is its own baseline checks plus `gate`'s lines.
+        let own = gate(r["records"].as_array().unwrap()).expect("gate must pass");
+        assert!(own.iter().all(|l| checks.contains(l)), "{own:?}");
     }
 
     #[test]
     fn modelled_regression_fails_the_gate() {
-        let base = report();
-        let cur = pr6_report(
-            KernelConfig::default(),
-            // 20% modelled regression on the 8-lane row.
-            &[fake_kernel(1, 4.0, 1.0), fake_kernel(8, 9.9, 2.5)],
-            ServingConfig::default(),
-            &[fake_serving(1, 4.0, 1.0), fake_serving(8, 12.4, 3.1)],
-            TransportConfig::default(),
-            &fake_transports(),
-            EdgeSection {
-                cfg: &EdgeClusterConfig::default(),
-                sweep: &fake_edges(),
-                chaos: &fake_chaos(0, true),
-            },
-            WlFakes::ok().section(),
-            ResFakes::ok().section(),
-        );
-        let failures = compare(&base, &cur, 0.10).expect_err("regression must fail");
+        let mut cur = Fakes::ok();
+        // 20% modelled regression on the 8-lane row.
+        cur.kernel[1] = fake_kernel(8, 9.9, 2.5);
+        let failures = compare(&report(), &cur.report(), 0.10).expect_err("regression must fail");
         assert!(
             failures.iter().any(|f| f.contains("regressed")),
             "{failures:?}"
@@ -1075,23 +963,9 @@ mod tests {
 
     #[test]
     fn speedup_below_floor_fails_the_gate() {
-        let base = report();
-        let cur = pr6_report(
-            KernelConfig::default(),
-            &[fake_kernel(1, 4.0, 1.0), fake_kernel(8, 5.0, 1.25)],
-            ServingConfig::default(),
-            &[fake_serving(1, 4.0, 1.0), fake_serving(8, 12.4, 3.1)],
-            TransportConfig::default(),
-            &fake_transports(),
-            EdgeSection {
-                cfg: &EdgeClusterConfig::default(),
-                sweep: &fake_edges(),
-                chaos: &fake_chaos(0, true),
-            },
-            WlFakes::ok().section(),
-            ResFakes::ok().section(),
-        );
-        let failures = compare(&base, &cur, 0.99).expect_err("floor must bind");
+        let mut cur = Fakes::ok();
+        cur.kernel[1] = fake_kernel(8, 5.0, 1.25);
+        let failures = compare(&report(), &cur.report(), 0.99).expect_err("floor must bind");
         assert!(
             failures.iter().any(|f| f.contains("below the 1.5x floor")),
             "{failures:?}"
@@ -1100,52 +974,27 @@ mod tests {
 
     #[test]
     fn steady_state_allocation_fails_the_gate() {
-        let base = report();
-        let mut leaky = fake_kernel(8, 12.4, 3.1);
-        leaky.alloc_bytes = 4096;
-        let cur = pr6_report(
-            KernelConfig::default(),
-            &[fake_kernel(1, 4.0, 1.0), leaky],
-            ServingConfig::default(),
-            &[fake_serving(1, 4.0, 1.0), fake_serving(8, 12.4, 3.1)],
-            TransportConfig::default(),
-            &fake_transports(),
-            EdgeSection {
-                cfg: &EdgeClusterConfig::default(),
-                sweep: &fake_edges(),
-                chaos: &fake_chaos(0, true),
-            },
-            WlFakes::ok().section(),
-            ResFakes::ok().section(),
-        );
-        let failures = compare(&base, &cur, 0.10).expect_err("allocation must fail");
+        let mut cur = Fakes::ok();
+        cur.kernel[1].alloc_bytes = 4096;
+        let failures = gate(&cur.records()).expect_err("allocation must fail");
         assert!(
             failures.iter().any(|f| f.contains("4096 fresh pool bytes")),
             "{failures:?}"
+        );
+        assert_eq!(
+            cur.report()["summary"]["steady_state_alloc_bytes"].as_u64(),
+            Some(4096)
         );
     }
 
     #[test]
     fn transport_rows_are_distinct_records_and_gate_the_h3_speedup() {
-        let base = report();
         // Dropping the h3 row must fail record presence, and with only h2
         // left the headline collapses to 1.0 — below the floor.
-        let cur = pr6_report(
-            KernelConfig::default(),
-            &[fake_kernel(1, 4.0, 1.0), fake_kernel(8, 12.4, 3.1)],
-            ServingConfig::default(),
-            &[fake_serving(1, 4.0, 1.0), fake_serving(8, 12.4, 3.1)],
-            TransportConfig::default(),
-            &[fake_transport(sww_core::TransportKind::H2, 10.0)],
-            EdgeSection {
-                cfg: &EdgeClusterConfig::default(),
-                sweep: &fake_edges(),
-                chaos: &fake_chaos(0, true),
-            },
-            WlFakes::ok().section(),
-            ResFakes::ok().section(),
-        );
-        let failures = compare(&base, &cur, 0.10).expect_err("missing h3 row must fail");
+        let mut cur = Fakes::ok();
+        cur.transports.truncate(1);
+        let failures =
+            compare(&report(), &cur.report(), 0.10).expect_err("missing h3 row must fail");
         assert!(
             failures
                 .iter()
@@ -1162,23 +1011,10 @@ mod tests {
 
     #[test]
     fn missing_record_fails_the_gate() {
-        let base = report();
-        let cur = pr6_report(
-            KernelConfig::default(),
-            &[fake_kernel(1, 4.0, 1.0)],
-            ServingConfig::default(),
-            &[fake_serving(1, 4.0, 1.0), fake_serving(8, 12.4, 3.1)],
-            TransportConfig::default(),
-            &fake_transports(),
-            EdgeSection {
-                cfg: &EdgeClusterConfig::default(),
-                sweep: &fake_edges(),
-                chaos: &fake_chaos(0, true),
-            },
-            WlFakes::ok().section(),
-            ResFakes::ok().section(),
-        );
-        let failures = compare(&base, &cur, 0.10).expect_err("missing record must fail");
+        let mut cur = Fakes::ok();
+        cur.kernel.truncate(1);
+        let failures =
+            compare(&report(), &cur.report(), 0.10).expect_err("missing record must fail");
         assert!(
             failures.iter().any(|f| f.contains("missing")),
             "{failures:?}"
@@ -1187,15 +1023,13 @@ mod tests {
 
     #[test]
     fn edge_records_are_keyed_by_node_count() {
-        let base = report();
         // Dropping the 4-node row must fail presence even though a
         // 2-node edge_cluster record with the same tiles/transport
         // remains — the nodes component disambiguates.
-        let cur = report_with(
-            &[fake_edge(1, 0.5, 2.0), fake_edge(2, 0.75, 4.0)],
-            &fake_chaos(0, true),
-        );
-        let failures = compare(&base, &cur, 0.10).expect_err("missing 4-node row must fail");
+        let mut cur = Fakes::ok();
+        cur.edge.truncate(2);
+        let failures =
+            compare(&report(), &cur.report(), 0.10).expect_err("missing 4-node row must fail");
         assert!(
             failures
                 .iter()
@@ -1206,17 +1040,10 @@ mod tests {
 
     #[test]
     fn flat_edge_hit_rate_fails_the_gate() {
-        let base = report();
         // 4 nodes no better than 2: the exactly-once property broke.
-        let cur = report_with(
-            &[
-                fake_edge(1, 0.5, 2.0),
-                fake_edge(2, 0.75, 4.0),
-                fake_edge(4, 0.75, 8.0),
-            ],
-            &fake_chaos(0, true),
-        );
-        let failures = compare(&base, &cur, 0.99).expect_err("flat hit rate must fail");
+        let mut cur = Fakes::ok();
+        cur.edge[2] = fake_edge(4, 0.75, 8.0);
+        let failures = gate(&cur.records()).expect_err("flat hit rate must fail");
         assert!(
             failures
                 .iter()
@@ -1227,14 +1054,13 @@ mod tests {
 
     #[test]
     fn workload_rows_are_keyed_by_clustering() {
-        let base = report();
         // Dropping the most clustered row must fail presence even though
         // two smallworld_modelled records with the same experiment,
         // tiles, transport, and nodes remain — clustering disambiguates.
-        let mut wl = WlFakes::ok();
-        wl.rows.remove(0);
-        let cur = report_with_wl(&fake_edges(), &fake_chaos(0, true), &wl);
-        let failures = compare(&base, &cur, 0.10).expect_err("missing clustered row must fail");
+        let mut cur = Fakes::ok();
+        cur.rows.remove(0);
+        let failures =
+            compare(&report(), &cur.report(), 0.10).expect_err("missing clustered row must fail");
         assert!(
             failures
                 .iter()
@@ -1245,13 +1071,11 @@ mod tests {
 
     #[test]
     fn flat_workload_hit_rate_fails_the_gate() {
-        let base = report();
         // The clustered graph no better than the mid one: the bounded
         // cache stopped converting locality into hits.
-        let mut wl = WlFakes::ok();
-        wl.rows[0].slo.hit_rate = wl.rows[1].slo.hit_rate;
-        let cur = report_with_wl(&fake_edges(), &fake_chaos(0, true), &wl);
-        let failures = compare(&base, &cur, 0.99).expect_err("flat hit rate must fail");
+        let mut cur = Fakes::ok();
+        cur.rows[0].slo.hit_rate = cur.rows[1].slo.hit_rate;
+        let failures = gate(&cur.records()).expect_err("flat hit rate must fail");
         assert!(
             failures
                 .iter()
@@ -1262,11 +1086,9 @@ mod tests {
 
     #[test]
     fn workload_p99_over_deadline_fails_the_gate() {
-        let base = report();
-        let mut wl = WlFakes::ok();
-        wl.rows[2].slo.p99_ms = wl.cfg.deadline_ms + 0.5;
-        let cur = report_with_wl(&fake_edges(), &fake_chaos(0, true), &wl);
-        let failures = compare(&base, &cur, 0.99).expect_err("p99 over deadline must fail");
+        let mut cur = Fakes::ok();
+        cur.rows[2].slo.p99_ms = cur.wl_cfg.deadline_ms + 0.5;
+        let failures = gate(&cur.records()).expect_err("p99 over deadline must fail");
         assert!(
             failures
                 .iter()
@@ -1277,16 +1099,14 @@ mod tests {
 
     #[test]
     fn replay_nondeterminism_fails_the_gate() {
-        let base = report();
-        let mut wl = WlFakes::ok();
-        wl.det.response_match = false;
-        wl.det.cross_target_identical = false;
-        let cur = report_with_wl(&fake_edges(), &fake_chaos(0, true), &wl);
+        let mut cur = Fakes::ok();
+        cur.det.response_match = false;
+        cur.det.cross_target_identical = false;
         assert_eq!(
-            cur["summary"]["workload_replay_deterministic"].as_bool(),
+            cur.report()["summary"]["workload_replay_deterministic"].as_bool(),
             Some(false)
         );
-        let failures = compare(&base, &cur, 0.99).expect_err("nondeterminism must fail");
+        let failures = gate(&cur.records()).expect_err("nondeterminism must fail");
         assert!(
             failures
                 .iter()
@@ -1303,14 +1123,13 @@ mod tests {
 
     #[test]
     fn resilience_records_are_keyed_by_replication() {
-        let base = report();
         // Dropping the replicated row must fail presence even though an
         // edge_resilience record with the same experiment, tiles,
         // transport, and nodes remains — replication disambiguates.
-        let mut res = ResFakes::ok();
-        res.failover.retain(|o| o.replication < 2);
+        let mut cur = Fakes::ok();
+        cur.failover.retain(|o| o.replication < 2);
         let failures =
-            compare(&base, &report_with_res(&res), 0.10).expect_err("missing level must fail");
+            compare(&report(), &cur.report(), 0.10).expect_err("missing level must fail");
         assert!(
             failures
                 .iter()
@@ -1321,20 +1140,23 @@ mod tests {
 
     #[test]
     fn replicated_regeneration_fails_the_gate() {
-        let base = report();
         // A replicated failover that still re-rendered: replicas failed.
-        let mut res = ResFakes::ok();
-        res.failover[1] = fake_failover(2, 3, 12);
-        let failures = compare(&base, &report_with_res(&res), 0.99).expect_err("regen must fail");
+        let mut cur = Fakes::ok();
+        cur.failover[1] = fake_failover(2, 3, 12);
+        let failures = gate(&cur.records()).expect_err("regen must fail");
         assert!(
             failures
                 .iter()
                 .any(|f| f.contains("3 regenerations") && f.contains("replicas must absorb")),
             "{failures:?}"
         );
+        assert_eq!(
+            cur.report()["summary"]["resilience_replicated_regen"].as_u64(),
+            Some(3)
+        );
         // ... and one that never touched a replica at all.
-        res.failover[1] = fake_failover(2, 0, 0);
-        let failures = compare(&base, &report_with_res(&res), 0.99).expect_err("no hits must fail");
+        cur.failover[1] = fake_failover(2, 0, 0);
+        let failures = gate(&cur.records()).expect_err("no hits must fail");
         assert!(
             failures.iter().any(|f| f.contains("no replica hits")),
             "{failures:?}"
@@ -1343,13 +1165,11 @@ mod tests {
 
     #[test]
     fn vacuous_unreplicated_control_fails_the_gate() {
-        let base = report();
         // The replication-1 control not re-rendering means the scenario
         // never actually exercised the owner's keys.
-        let mut res = ResFakes::ok();
-        res.failover[0] = fake_failover(1, 0, 0);
-        let failures =
-            compare(&base, &report_with_res(&res), 0.99).expect_err("vacuous control must fail");
+        let mut cur = Fakes::ok();
+        cur.failover[0] = fake_failover(1, 0, 0);
+        let failures = gate(&cur.records()).expect_err("vacuous control must fail");
         assert!(
             failures.iter().any(|f| f.contains("contrast is vacuous")),
             "{failures:?}"
@@ -1358,13 +1178,11 @@ mod tests {
 
     #[test]
     fn unhealed_or_slow_partition_fails_the_gate() {
-        let base = report();
-        let mut res = ResFakes::ok();
-        res.partition.converged = false;
-        res.partition.deterministic = false;
-        res.partition.rounds_to_heal = res.partition.bound + 1;
-        let failures =
-            compare(&base, &report_with_res(&res), 0.99).expect_err("bad partition must fail");
+        let mut cur = Fakes::ok();
+        cur.partition.converged = false;
+        cur.partition.deterministic = false;
+        cur.partition.rounds_to_heal = cur.partition.bound + 1;
+        let failures = gate(&cur.records()).expect_err("bad partition must fail");
         assert!(
             failures.iter().any(|f| f.contains("never converged")),
             "{failures:?}"
@@ -1385,9 +1203,10 @@ mod tests {
 
     #[test]
     fn chaos_losses_and_divergent_bytes_fail_the_gate() {
-        let base = report();
-        let cur = report_with(&fake_edges(), &fake_chaos(3, false));
-        let failures = compare(&base, &cur, 0.99).expect_err("chaos losses must fail");
+        let mut cur = Fakes::ok();
+        cur.chaos = fake_chaos(3, false);
+        assert_eq!(cur.report()["summary"]["edge_chaos_lost"].as_u64(), Some(3));
+        let failures = gate(&cur.records()).expect_err("chaos losses must fail");
         assert!(
             failures.iter().any(|f| f.contains("3 lost responses")),
             "{failures:?}"
@@ -1396,5 +1215,83 @@ mod tests {
             failures.iter().any(|f| f.contains("diverged")),
             "{failures:?}"
         );
+    }
+
+    /// The `bench-cluster --nodes 2,1` bug: the monotonicity rules sort
+    /// by their axis, so the order records arrive in cannot matter.
+    #[test]
+    fn gate_is_independent_of_record_order() {
+        let ok = Fakes::ok();
+        let forward = gate(&ok.records()).expect("ascending records pass");
+        let mut reversed = ok.records();
+        reversed.reverse();
+        let mut backward = gate(&reversed).expect("descending records pass");
+        let mut sorted = forward.clone();
+        sorted.sort();
+        backward.sort();
+        assert_eq!(sorted, backward, "same lines, whatever the order");
+        assert!(
+            forward
+                .iter()
+                .any(|l| l == "edge_cluster: hit rate 0.500 @ 1 nodes < 0.750 @ 2 nodes"),
+            "{forward:?}"
+        );
+        assert!(
+            forward
+                .iter()
+                .any(|l| l == "smallworld_modelled: hit rate 0.730 @ C 0.034 < 0.744 @ C 0.367"),
+            "{forward:?}"
+        );
+        // A genuinely flat pair still fails, in either order.
+        let mut flat = Fakes::ok();
+        flat.edge[2] = fake_edge(4, 0.75, 8.0);
+        flat.rows[0].slo.hit_rate = flat.rows[1].slo.hit_rate;
+        let mut records = flat.records();
+        for _ in 0..2 {
+            let failures = gate(&records).expect_err("flat pairs must fail");
+            assert_eq!(
+                failures,
+                [
+                    "edge_cluster: hit rate must strictly increase with nodes \
+                     (2 nodes: 0.750 -> 4 nodes: 0.750)",
+                    "smallworld_modelled: hit rate must strictly increase with clustering \
+                     (C 0.367: 0.744 -> C 0.614: 0.744)",
+                ]
+            );
+            records.reverse();
+        }
+    }
+
+    /// One violating run per rule family: `compare` against a passing
+    /// baseline and `gate` on the records alone say the same thing.
+    #[test]
+    fn compare_and_gate_report_the_same_failures() {
+        let base = report();
+        type Violate = fn(&mut Fakes);
+        let families: [(&str, Violate); 6] = [
+            ("E19", |f| f.edge[2] = fake_edge(4, 0.75, 8.0)),
+            ("E19-chaos", |f| f.chaos = fake_chaos(2, false)),
+            ("E20", |f| {
+                f.rows[0].slo.hit_rate = 0.7;
+                f.rows[2].slo.p99_ms = 2_600.0;
+            }),
+            ("E20-determinism", |f| f.det.trace_match = false),
+            ("E21", |f| {
+                f.failover = vec![fake_failover(1, 0, 0), fake_failover(2, 2, 0)];
+                f.failover[1].lost = 1;
+                f.failover[1].byte_identical = false;
+            }),
+            ("partition", |f| {
+                f.partition.diverged = false;
+                f.partition.rounds_to_heal = 25;
+            }),
+        ];
+        for (family, violate) in families {
+            let mut bad = Fakes::ok();
+            violate(&mut bad);
+            let from_gate = gate(&bad.records()).expect_err(family);
+            let from_compare = compare(&base, &bad.report(), 0.99).expect_err(family);
+            assert_eq!(from_compare, from_gate, "{family}");
+        }
     }
 }

@@ -2,6 +2,7 @@
 //! external dependency).
 
 use std::collections::HashMap;
+use std::str::FromStr;
 
 /// Parsed command line: subcommand, positionals, `--key value` options and
 /// `--flag` switches.
@@ -17,8 +18,8 @@ pub struct Args {
     pub flags: Vec<String>,
 }
 
-/// Option keys that take a value (everything else after `--` is a switch).
-const VALUE_KEYS: [&str; 38] = [
+/// Option keys that take a value.
+const VALUE_KEYS: [&str; 37] = [
     "betas",
     "cache",
     "k",
@@ -39,7 +40,6 @@ const VALUE_KEYS: [&str; 38] = [
     "model",
     "steps",
     "out",
-    "ability",
     "site",
     "workers",
     "shards",
@@ -59,19 +59,37 @@ const VALUE_KEYS: [&str; 38] = [
     "tolerance",
 ];
 
+/// The bare switches. Any other `--key` is a typo, not a switch.
+const SWITCHES: [&str; 2] = ["naive", "render"];
+
+/// `text` as a `T`, or the message `main` prints before exiting 2.
+fn typed<T: FromStr>(key: &str, text: &str) -> Result<T, String> {
+    text.trim().parse().map_err(|_| {
+        format!(
+            "bad --{key} {text:?}: expected {}",
+            std::any::type_name::<T>()
+        )
+    })
+}
+
 impl Args {
     /// Parse from an iterator of arguments (without the program name).
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Args {
+    /// An unknown `--key`, or a value key with no value after it, is an
+    /// error naming the key.
+    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Args, String> {
         let mut out = Args::default();
-        let mut iter = args.into_iter().peekable();
+        let mut iter = args.into_iter();
         while let Some(arg) = iter.next() {
             if let Some(key) = arg.strip_prefix("--") {
                 if VALUE_KEYS.contains(&key) {
-                    if let Some(value) = iter.next() {
-                        out.options.insert(key.to_string(), value);
-                    }
-                } else {
+                    let value = iter
+                        .next()
+                        .ok_or_else(|| format!("--{key} needs a value"))?;
+                    out.options.insert(key.to_string(), value);
+                } else if SWITCHES.contains(&key) {
                     out.flags.push(key.to_string());
+                } else {
+                    return Err(format!("unknown option --{key}"));
                 }
             } else if out.command.is_empty() {
                 out.command = arg;
@@ -79,12 +97,30 @@ impl Args {
                 out.positionals.push(arg);
             }
         }
-        out
+        Ok(out)
     }
 
     /// Option lookup with a default.
     pub fn opt<'a>(&'a self, key: &str, default: &'a str) -> &'a str {
         self.options.get(key).map(String::as_str).unwrap_or(default)
+    }
+
+    /// `--key` as a `T`: `None` when the option was not given, an error
+    /// naming the flag and the offending text when it does not parse.
+    pub fn value<T: FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        self.options
+            .get(key)
+            .map(|text| typed(key, text))
+            .transpose()
+    }
+
+    /// `--key` as a comma-separated list of `T` (`default` when the
+    /// option was not given); one bad element fails the whole list.
+    pub fn list<T: FromStr>(&self, key: &str, default: &str) -> Result<Vec<T>, String> {
+        self.opt(key, default)
+            .split(',')
+            .map(|item| typed(key, item))
+            .collect()
     }
 
     /// Whether a switch was given.
@@ -97,8 +133,12 @@ impl Args {
 mod tests {
     use super::*;
 
-    fn parse(s: &str) -> Args {
+    fn try_parse(s: &str) -> Result<Args, String> {
         Args::parse(s.split_whitespace().map(str::to_string))
+    }
+
+    fn parse(s: &str) -> Args {
+        try_parse(s).expect("well-formed command line")
     }
 
     #[test]
@@ -114,7 +154,7 @@ mod tests {
         assert_eq!(a.opt("addr", ""), "127.0.0.1:8443");
         assert_eq!(a.opt("device", "x"), "laptop");
         assert!(a.has_flag("naive"));
-        assert!(!a.has_flag("verbose"));
+        assert!(!a.has_flag("render"));
     }
 
     #[test]
@@ -125,9 +165,54 @@ mod tests {
     }
 
     #[test]
-    fn missing_value_is_ignored() {
-        let a = parse("serve --addr");
-        assert!(!a.options.contains_key("addr"));
+    fn missing_value_is_an_error() {
+        let err = try_parse("serve --addr").unwrap_err();
+        assert_eq!(err, "--addr needs a value");
+    }
+
+    #[test]
+    fn unknown_key_is_an_error() {
+        // A misspelt value key used to become a switch and its value a
+        // stray positional, so the command ran with the default.
+        let err = try_parse("bench-compare a.json b.json --tolerence 0.5").unwrap_err();
+        assert_eq!(err, "unknown option --tolerence");
+        assert!(try_parse("serve --ability 3").is_err(), "dead key is gone");
+    }
+
+    #[test]
+    fn typed_values_parse_or_name_the_flag() {
+        let a = parse("bench-cluster --threads 4 --tolerance 0.25 --nodes 4,1,2");
+        assert_eq!(a.value::<usize>("threads"), Ok(Some(4)));
+        assert_eq!(a.value::<f64>("tolerance"), Ok(Some(0.25)));
+        assert_eq!(
+            a.value::<usize>("requests"),
+            Ok(None),
+            "absent, not defaulted"
+        );
+        assert_eq!(a.list::<usize>("nodes", "1,2,4"), Ok(vec![4, 1, 2]));
+        assert_eq!(a.list::<usize>("workers", "1, 2"), Ok(vec![1, 2]));
+    }
+
+    #[test]
+    fn malformed_scalar_is_an_error() {
+        let a = parse("bench-cluster --threads abc --tolerance 0,05");
+        assert_eq!(
+            a.value::<usize>("threads").unwrap_err(),
+            "bad --threads \"abc\": expected usize"
+        );
+        assert_eq!(
+            a.value::<f64>("tolerance").unwrap_err(),
+            "bad --tolerance \"0,05\": expected f64"
+        );
+    }
+
+    #[test]
+    fn malformed_list_element_is_an_error() {
+        let a = parse("bench-cluster --nodes 1,x,4");
+        assert_eq!(
+            a.list::<usize>("nodes", "1,2,4").unwrap_err(),
+            "bad --nodes \"x\": expected usize"
+        );
     }
 
     #[test]

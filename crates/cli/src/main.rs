@@ -49,14 +49,17 @@
 //! machine-readable `BENCH_PR6.json` report (schema `sww-bench-pr6/5`,
 //! documented in PERFORMANCE.md); tables go to stderr so `--out -`-less
 //! stdout stays parseable. `bench-compare` gates a fresh report against
-//! a checked-in baseline and exits non-zero on a modelled-throughput
-//! regression, a missing record, a headline speedup under 1.5x, any
-//! steady-state pool allocation, a non-increasing E19 hit rate, a lossy
-//! E19 node-kill, a non-monotone E20 hit-rate-vs-clustering curve, an
-//! E20 modelled p99 over its deadline, an E20 replay-determinism
-//! failure, an E21 replicated failover that lost a response or paid a
-//! regeneration (or an unreplicated control that did not), or an E21
-//! gossip partition that failed to heal within its round bound.
+//! a checked-in baseline. Every gate a `bench-*` command enforces is a
+//! rule over report records, stated once in `sww_bench::report` (the
+//! numbered list in its module docs): `bench-compare` evaluates all of
+//! them plus the baseline checks, and `bench-pr6`, `bench-cluster` and
+//! `bench-workload` evaluate the same rules over the records of the
+//! experiments they ran — one `ok:` line per rule that held, one
+//! `FAIL:` line and exit status 1 per rule that did not.
+//!
+//! A malformed option value (`--threads abc`, `--nodes 1,x`), an unknown
+//! `--option`, or a value option with nothing after it is an error: one
+//! line naming the flag, exit status 2, before any work starts.
 //!
 //! `--deadline-ms MS` gives every request that carries no
 //! `x-sww-deadline-ms` header a deadline budget: expiry answers `504`,
@@ -85,11 +88,9 @@
 //! SWIM failure-detector rounds the cluster ticks in the background
 //! (default 200; membership health feeds the successor walk).
 //! `bench-cluster` is the E19 harness: aggregate throughput and global
-//! hit rate vs node count, plus a chaos node-kill scenario that must
-//! lose zero responses; with `--replication N` it also runs the E21
-//! failover scenario and gates zero regenerations at N against at least
-//! one in the unreplicated control, plus the gossip partition-heal
-//! bound.
+//! hit rate vs node count (in any `--nodes` order), plus a chaos
+//! node-kill scenario; with `--replication N` it also runs the E21
+//! failover scenario at 1 and N copies and the gossip partition heal.
 //!
 //! `bench-workload` is the E20 harness: it generates one seeded
 //! Watts–Strogatz workload per `--betas` entry (Zipf popularity,
@@ -97,12 +98,10 @@
 //! mix), runs the modelled discrete-event simulator over each at
 //! `--requests` scale, and replays a `--live-requests` trace through the
 //! real stack — in-process single node, HTTP/3, and a `--cluster N` edge
-//! ring (or just the one target named by `--transport`). It exits
-//! non-zero when the cache hit rate fails to rise monotonically with
-//! graph clustering, the modelled p99 exceeds `--deadline-ms`, or two
-//! independent replays of the same seed diverge — response digests
-//! included, chaos installed or not: every server draws faults from its
-//! own seeded scope, so the schedule replays per instance.
+//! ring (or just the one target named by `--transport`). Its
+//! determinism rule holds chaos installed or not: every server draws
+//! faults from its own seeded scope, so the schedule replays per
+//! instance.
 //!
 //! `--transport h3` serves over the HTTP/3 framing (QUIC-lite stream
 //! mux) instead of HTTP/2; `--transport both` binds two listeners (the
@@ -155,65 +154,94 @@ fn text_model_from(name: &str) -> TextModelKind {
     }
 }
 
+/// What every command returns: `Err` is the one line `main` prints
+/// before exiting 2 (a malformed flag, a bad spec).
+type Outcome = Result<(), String>;
+
+type Command = fn(&Args) -> Outcome;
+
+/// Every command: the one table both dispatch and `usage()` read.
+const COMMANDS: [(&str, Command); 13] = [
+    ("serve", |args| block_on(cmd_serve(args))),
+    ("fetch", |args| block_on(cmd_fetch(args))),
+    ("generate", cmd_generate),
+    ("expand", cmd_expand),
+    ("convert", cmd_convert),
+    ("stock", cmd_stock),
+    ("stats", |args| block_on(cmd_stats(args))),
+    ("bench-concurrent", cmd_bench_concurrent),
+    ("bench-pr6", cmd_bench_pr6),
+    ("bench-cluster", cmd_bench_cluster),
+    ("bench-transport", cmd_bench_transport),
+    ("bench-workload", cmd_bench_workload),
+    ("bench-compare", cmd_bench_compare),
+];
+
+fn usage_text() -> String {
+    let names: Vec<&str> = COMMANDS.iter().map(|(name, _)| *name).collect();
+    format!(
+        "usage: sww <{}> [options]\nsee crate docs for the full option list",
+        names.join("|")
+    )
+}
+
 fn usage() -> ! {
-    eprintln!(
-        "usage: sww <serve|fetch|generate|expand|convert|stock|stats> [options]\n\
-         see crate docs for the full option list"
-    );
+    eprintln!("{}", usage_text());
     std::process::exit(2)
 }
 
-/// Install the chaos spec from `--chaos`, if given. Exits with status 2
-/// on a malformed spec (before any server or bench work starts).
-fn install_chaos(args: &Args) {
+/// Install the chaos spec from `--chaos`, if given; a malformed spec is
+/// an error (before any server or bench work starts).
+fn install_chaos(args: &Args) -> Outcome {
     let Some(spec) = args.options.get("chaos") else {
-        return;
+        return Ok(());
     };
-    match sww_core::ChaosSpec::parse(spec) {
-        Ok(spec) => {
-            println!(
-                "chaos: seed={} rules={} (deterministic; same seed replays the run)",
-                spec.seed,
-                spec.rules.len()
-            );
-            sww_core::faults::install(&spec);
-        }
-        Err(err) => {
-            eprintln!("bad --chaos spec: {err}");
-            std::process::exit(2);
-        }
-    }
+    let spec =
+        sww_core::ChaosSpec::parse(spec).map_err(|err| format!("bad --chaos spec: {err}"))?;
+    println!(
+        "chaos: seed={} rules={} (deterministic; same seed replays the run)",
+        spec.seed,
+        spec.rules.len()
+    );
+    sww_core::faults::install(&spec);
+    Ok(())
 }
 
-fn main() {
-    let args = Args::parse(std::env::args().skip(1));
-    let rt = tokio::runtime::Builder::new_multi_thread()
+fn block_on<F: std::future::Future>(future: F) -> F::Output {
+    tokio::runtime::Builder::new_multi_thread()
         .worker_threads(2)
         .enable_all()
         .build()
-        .expect("tokio runtime");
-    match args.command.as_str() {
-        "serve" => rt.block_on(cmd_serve(&args)),
-        "fetch" => rt.block_on(cmd_fetch(&args)),
-        "generate" => cmd_generate(&args),
-        "expand" => cmd_expand(&args),
-        "convert" => cmd_convert(&args),
-        "stock" => cmd_stock(&args),
-        "stats" => rt.block_on(cmd_stats(&args)),
-        "bench-concurrent" => cmd_bench_concurrent(&args),
-        "bench-pr6" => cmd_bench_pr6(&args),
-        "bench-cluster" => cmd_bench_cluster(&args),
-        "bench-transport" => cmd_bench_transport(&args),
-        "bench-workload" => cmd_bench_workload(&args),
-        "bench-compare" => cmd_bench_compare(&args),
-        _ => usage(),
+        .expect("tokio runtime")
+        .block_on(future)
+}
+
+fn main() {
+    let run = |args: Args| match COMMANDS.iter().find(|(name, _)| *name == args.command) {
+        Some((_, command)) => command(&args),
+        None => usage(),
+    };
+    if let Err(message) = Args::parse(std::env::args().skip(1)).and_then(run) {
+        eprintln!("{message}");
+        std::process::exit(2);
     }
+}
+
+/// Exit 1 with one `FAIL:` line per broken rule; otherwise hand back
+/// the `ok` lines of a `sww_bench::report` verdict.
+fn passed(verdict: Result<Vec<String>, Vec<String>>) -> Vec<String> {
+    verdict.unwrap_or_else(|failures| {
+        for line in failures {
+            eprintln!("FAIL: {line}");
+        }
+        std::process::exit(1)
+    })
 }
 
 /// Translate `sww serve` / `bench-concurrent` flags into the library's
 /// [`ServerConfig`] — the CLI builds the exact struct the library
 /// consumes, so the two can never drift apart.
-fn server_config_from(args: &Args) -> ServerConfig {
+fn server_config_from(args: &Args) -> Result<ServerConfig, String> {
     let site: SiteContent = match args.opt("site", "blog") {
         "wikimedia" => {
             eprintln!("building the 49-image Wikimedia workload …");
@@ -224,32 +252,35 @@ fn server_config_from(args: &Args) -> ServerConfig {
         }
         _ => sww_workload::blog::travel_blog(),
     };
-    let (batch_max, batch_wait_ms) = batch_options(args);
-    ServerConfig {
+    let (batch_max, batch_wait_ms) = batch_options(args)?;
+    Ok(ServerConfig {
         site,
         ability: if args.has_flag("naive") {
             GenAbility::none()
         } else {
             GenAbility::full()
         },
-        workers: args.opt("workers", "0").parse().unwrap_or(0),
-        cache_shards: args.opt("shards", "8").parse().unwrap_or(8),
-        queue_capacity: args.opt("queue", "64").parse().unwrap_or(64),
+        workers: args.value("workers")?.unwrap_or(0),
+        cache_shards: args.value("shards")?.unwrap_or(8),
+        queue_capacity: args.value("queue")?.unwrap_or(64),
         batch_max,
         batch_wait: std::time::Duration::from_millis(batch_wait_ms),
-        kernel_tiles: kernel_tiles_option(args),
-        default_deadline: deadline_option(args),
-        breaker: breaker_option(args),
+        kernel_tiles: kernel_tiles_option(args)?,
+        default_deadline: args
+            .value("deadline-ms")?
+            .map(std::time::Duration::from_millis),
+        breaker: breaker_option(args)?,
         ..ServerConfig::default()
-    }
+    })
 }
 
-async fn cmd_serve(args: &Args) {
-    install_chaos(args);
-    if let Some(nodes) = args.options.get("cluster").and_then(|s| s.parse().ok()) {
+async fn cmd_serve(args: &Args) -> Outcome {
+    install_chaos(args)?;
+    if let Some(nodes) = args.value("cluster")? {
         return cmd_serve_cluster(args, nodes).await;
     }
-    let config = server_config_from(args);
+    let drain_after: Option<u64> = args.value("drain-after")?;
+    let config = server_config_from(args)?;
     let ability = config.ability;
     let (batch_max, batch_wait_ms) = (config.batch_max, config.batch_wait.as_millis());
     let (kernel_tiles, queue, shards) = (
@@ -291,8 +322,9 @@ async fn cmd_serve(args: &Args) {
             println!("serving h2 on {addr} (ability: {:?})", ability.bits());
         }
         other => {
-            eprintln!("bad --transport {other:?}: expected h2, h3 or both");
-            std::process::exit(2);
+            return Err(format!(
+                "bad --transport {other:?}: expected h2, h3 or both"
+            ))
         }
     }
     match server.worker_count() {
@@ -308,7 +340,7 @@ async fn cmd_serve(args: &Args) {
     println!("stored {} B (prompt form)", server.stored_bytes());
     // Serve until interrupted — or until --drain-after fires a graceful
     // shutdown (stop admitting, finish in-flight, GOAWAY, exit 0).
-    if let Some(secs) = args.options.get("drain-after").and_then(|s| s.parse().ok()) {
+    if let Some(secs) = drain_after {
         tokio::time::sleep(std::time::Duration::from_secs(secs)).await;
         println!("draining …");
         let report = server.drain();
@@ -317,7 +349,7 @@ async fn cmd_serve(args: &Args) {
             report.inflight_at_start,
             report.waited.as_secs_f64()
         );
-        return;
+        return Ok(());
     }
     loop {
         tokio::time::sleep(std::time::Duration::from_secs(3600)).await;
@@ -327,23 +359,18 @@ async fn cmd_serve(args: &Args) {
 /// `sww serve --cluster N`: one listener in front of an N-node edge
 /// cluster. Every per-node knob (`--workers`, `--batch-max`, …) applies
 /// to each node; connections round-robin across entry nodes.
-async fn cmd_serve_cluster(args: &Args, nodes: usize) {
+async fn cmd_serve_cluster(args: &Args, nodes: usize) -> Outcome {
     let nodes = nodes.max(1);
     let replicas: usize = args
-        .opt("replicas", "64")
-        .parse()
+        .value("replicas")?
         .unwrap_or(sww_core::edge::DEFAULT_VNODES)
         .max(1);
-    let replication: usize = args.opt("replication", "1").parse().unwrap_or(1).max(1);
-    let gossip_interval_ms: u64 = args
-        .opt("gossip-interval-ms", "200")
-        .parse()
-        .unwrap_or(200)
-        .max(1);
+    let replication: usize = args.value("replication")?.unwrap_or(1).max(1);
+    let gossip_interval_ms: u64 = args.value("gossip-interval-ms")?.unwrap_or(200).max(1);
     // Freeze the per-node knobs out of the template config: ServerConfig
     // itself is not Clone (it owns the site), so the factory rebuilds it
     // per node from these plain values.
-    let template = server_config_from(args);
+    let template = server_config_from(args)?;
     let site = template.site.clone();
     let ability = template.ability;
     let (workers, queue_capacity, cache_shards) = (
@@ -415,7 +442,7 @@ async fn cmd_serve_cluster(args: &Args, nodes: usize) {
     }
 }
 
-async fn cmd_fetch(args: &Args) {
+async fn cmd_fetch(args: &Args) -> Outcome {
     let (Some(addr), Some(path)) = (args.positionals.first(), args.positionals.get(1)) else {
         usage();
     };
@@ -455,9 +482,10 @@ async fn cmd_fetch(args: &Args) {
         println!("wrote {} PPM files to {dir}", files.len());
     }
     let _ = client.close().await;
+    Ok(())
 }
 
-async fn cmd_stats(args: &Args) {
+async fn cmd_stats(args: &Args) -> Outcome {
     match args.positionals.first() {
         // Remote: scrape a running server's /metrics route over HTTP/2.
         Some(addr) => {
@@ -504,15 +532,16 @@ async fn cmd_stats(args: &Args) {
             print!("{}", sww_obs::render());
         }
     }
+    Ok(())
 }
 
-fn cmd_generate(args: &Args) {
+fn cmd_generate(args: &Args) -> Outcome {
     if args.positionals.is_empty() {
         usage();
     }
     let prompt = args.positionals.join(" ");
     let model = DiffusionModel::new(image_model_from(args.opt("model", "sd3")));
-    let steps: u32 = args.opt("steps", "15").parse().unwrap_or(15);
+    let steps: u32 = args.value("steps")?.unwrap_or(15);
     let img = model.generate(&prompt, 256, 256, steps);
     let encoded = codec::encode(&img, 55);
     println!(
@@ -523,9 +552,10 @@ fn cmd_generate(args: &Args) {
     let out = args.opt("out", "generated.ppm").to_string();
     std::fs::write(&out, img.to_ppm()).expect("write output");
     println!("wrote {out}");
+    Ok(())
 }
 
-fn cmd_expand(args: &Args) {
+fn cmd_expand(args: &Args) -> Outcome {
     let Some(joined) = args.positionals.first() else {
         usage();
     };
@@ -533,9 +563,10 @@ fn cmd_expand(args: &Args) {
     let model = TextModel::new(text_model_from(args.opt("model", "r1-8b")));
     let text = model.expand(&bullets, 150);
     println!("{text}");
+    Ok(())
 }
 
-fn cmd_convert(args: &Args) {
+fn cmd_convert(args: &Args) -> Outcome {
     let Some(file) = args.positionals.first() else {
         usage();
     };
@@ -551,9 +582,10 @@ fn cmd_convert(args: &Args) {
     let out = args.opt("out", "converted.html").to_string();
     std::fs::write(&out, report.html).expect("write output");
     println!("wrote {out}");
+    Ok(())
 }
 
-fn cmd_stock(args: &Args) {
+fn cmd_stock(args: &Args) -> Outcome {
     let items: Vec<_> = match args.positionals.first() {
         Some(cat) => sww_workload::stock::by_category(cat),
         None => sww_workload::stock::CATALOG.iter().collect(),
@@ -564,47 +596,39 @@ fn cmd_stock(args: &Args) {
             p.id, p.licence, p.size.0, p.size.1, p.prompt
         );
     }
+    Ok(())
 }
 
 /// `--batch-max` / `--batch-wait` (shared by `serve` and
 /// `bench-concurrent`).
-fn batch_options(args: &Args) -> (usize, u64) {
-    let batch_max: usize = args.opt("batch-max", "1").parse().unwrap_or(1);
-    let batch_wait_ms: u64 = args.opt("batch-wait", "2").parse().unwrap_or(2);
-    (batch_max, batch_wait_ms)
+fn batch_options(args: &Args) -> Result<(usize, u64), String> {
+    Ok((
+        args.value("batch-max")?.unwrap_or(1),
+        args.value("batch-wait")?.unwrap_or(2),
+    ))
 }
 
 /// `--kernel-tiles` (shared by `serve` and `bench-concurrent`): data-
 /// parallel lanes per batched denoise pass, 1 = scalar kernel.
-fn kernel_tiles_option(args: &Args) -> usize {
-    args.opt("kernel-tiles", "1").parse().unwrap_or(1).max(1)
-}
-
-/// `--deadline-ms` (shared by `serve` and `bench-concurrent`).
-fn deadline_option(args: &Args) -> Option<std::time::Duration> {
-    args.options
-        .get("deadline-ms")
-        .and_then(|s| s.parse().ok())
-        .map(std::time::Duration::from_millis)
+fn kernel_tiles_option(args: &Args) -> Result<usize, String> {
+    Ok(args.value::<usize>("kernel-tiles")?.unwrap_or(1).max(1))
 }
 
 /// `--breaker-threshold` / `--breaker-cooldown-ms` (shared by `serve`
 /// and `bench-concurrent`). The breaker stays off unless a threshold is
 /// given; the cooldown defaults to the library's 30 s.
-fn breaker_option(args: &Args) -> Option<sww_core::BreakerConfig> {
-    let threshold: u32 = args.options.get("breaker-threshold")?.parse().ok()?;
+fn breaker_option(args: &Args) -> Result<Option<sww_core::BreakerConfig>, String> {
+    let Some(threshold) = args.value::<u32>("breaker-threshold")? else {
+        return Ok(None);
+    };
     let mut cfg = sww_core::BreakerConfig {
         failure_threshold: threshold.max(1),
         ..sww_core::BreakerConfig::default()
     };
-    if let Some(ms) = args
-        .options
-        .get("breaker-cooldown-ms")
-        .and_then(|s| s.parse().ok())
-    {
+    if let Some(ms) = args.value("breaker-cooldown-ms")? {
         cfg.cooldown = std::time::Duration::from_millis(ms);
     }
-    Some(cfg)
+    Ok(Some(cfg))
 }
 
 /// Stress the concurrent serving engine in-process: naive sessions drive
@@ -614,120 +638,100 @@ fn breaker_option(args: &Args) -> Option<sww_core::BreakerConfig> {
 /// behind a CLI: the sweep loop lives in one place, so the command and
 /// `bench-report` cannot drift apart — in particular both inherit the
 /// per-sample (delta, never cumulative) counter accounting.
-fn cmd_bench_concurrent(args: &Args) {
+fn cmd_bench_concurrent(args: &Args) -> Outcome {
     use sww_bench::experiments::concurrency;
-    install_chaos(args);
-    let (batch_max, batch_wait_ms) = batch_options(args);
+    install_chaos(args)?;
+    let (batch_max, batch_wait_ms) = batch_options(args)?;
     let cfg = concurrency::ConcurrencyConfig {
-        threads: args.opt("threads", "8").parse().unwrap_or(8),
-        requests: args.opt("requests", "100").parse().unwrap_or(100),
-        prompts: args
-            .opt("prompts", "10")
-            .parse::<usize>()
-            .unwrap_or(10)
-            .max(1),
+        threads: args.value("threads")?.unwrap_or(8),
+        requests: args.value("requests")?.unwrap_or(100),
+        prompts: args.value::<usize>("prompts")?.unwrap_or(10).max(1),
         batch_max,
         batch_wait_ms,
-        deadline_ms: args.options.get("deadline-ms").and_then(|s| s.parse().ok()),
-        breaker: breaker_option(args).map(|c| (c.failure_threshold, c.cooldown.as_millis() as u64)),
-        kernel_tiles: kernel_tiles_option(args),
+        deadline_ms: args.value("deadline-ms")?,
+        breaker: breaker_option(args)?
+            .map(|c| (c.failure_threshold, c.cooldown.as_millis() as u64)),
+        kernel_tiles: kernel_tiles_option(args)?,
     };
-    let worker_counts: Vec<usize> = args
-        .opt("workers", "1,2,4,8")
-        .split(',')
-        .filter_map(|w| w.trim().parse().ok())
-        .collect();
+    let worker_counts: Vec<usize> = args.list("workers", "1,2,4,8")?;
     let samples = concurrency::run(cfg, &worker_counts);
     println!("{}", concurrency::table(cfg, &samples).render());
+    Ok(())
 }
 
-/// Run the E17 tiled-kernel sweeps and emit the `BENCH_PR6.json` report.
+/// Run the E17–E21 sweeps and emit the `BENCH_PR6.json` report.
 ///
 /// Human-readable tables go to **stderr**; the JSON report goes to
-/// stdout, or to `--out FILE` so `ci.sh` can archive and gate it.
-fn cmd_bench_pr6(args: &Args) {
+/// stdout, or to `--out FILE` so `ci.sh` can archive and gate it. The
+/// report is written first; a run that breaks one of its own rules then
+/// exits 1.
+fn cmd_bench_pr6(args: &Args) -> Outcome {
     use sww_bench::experiments::{edge, kernel, resilience, transport, workload};
     use sww_bench::report;
-    let tiles: Vec<usize> = args
-        .opt("tiles", "1,2,4,8")
-        .split(',')
-        .filter_map(|t| t.trim().parse().ok())
-        .collect();
+    let tiles: Vec<usize> = args.list("tiles", "1,2,4,8")?;
     let widest = tiles.iter().copied().max().unwrap_or(1);
+    let mut records = Vec::new();
     let kcfg = kernel::KernelConfig::default();
     let kernel_samples = kernel::kernel_sweep(kcfg, &tiles);
     eprintln!("{}", kernel::kernel_table(kcfg, &kernel_samples).render());
+    records.extend(
+        kernel_samples
+            .iter()
+            .map(|s| report::kernel_record(kcfg, s)),
+    );
     // The serving sweep is the expensive end-to-end pass, so it compares
     // just the scalar kernel against the widest requested lane count.
     let scfg = kernel::ServingConfig::default();
     let serving_tiles: Vec<usize> = if widest > 1 { vec![1, widest] } else { vec![1] };
     let serving_samples = kernel::serving_sweep(scfg, &serving_tiles);
     eprintln!("{}", kernel::serving_table(scfg, &serving_samples).render());
+    records.extend(
+        serving_samples
+            .iter()
+            .map(|s| report::serving_record(scfg, s)),
+    );
     // E18 last: its latency chaos spec is process-global, so it must not
     // overlap the kernel sweeps (run_with_latency installs and clears it).
     let tcfg = transport::TransportConfig::default();
     let trun = transport::run_with_latency(tcfg);
     eprintln!("{}", transport::table(tcfg, &trun).render());
+    records.extend([&trun.h2, &trun.h3].map(|s| report::transport_record(tcfg, s)));
     // E19: the edge-cluster sweep (no chaos — the gated numbers are the
     // deterministic modelled ones), then the chaos node-kill under a
     // deterministic generation latency that widens the kill window.
     let ecfg = edge::EdgeClusterConfig::default();
     let edge_samples = edge::run(&ecfg);
     eprintln!("{}", edge::table(&ecfg, &edge_samples).render());
-    let chaos_spec = sww_core::ChaosSpec::parse("seed=7,engine.generate=latency:1.0:10")
-        .expect("E19 chaos spec");
-    sww_core::faults::install(&chaos_spec);
-    let chaos = edge::chaos_kill(&ecfg);
-    sww_core::faults::clear();
+    records.extend(edge_samples.iter().map(|s| report::edge_record(&ecfg, s)));
+    let chaos = edge::chaos_kill_with_latency(&ecfg);
     eprintln!("{}", edge::chaos_table(&chaos).render());
+    records.push(report::chaos_record(&chaos));
     // E20: the small-world workload sweep — modelled rows at full scale,
     // live replays through single node / h3 / the edge ring, and the
     // replay-determinism witness.
     let wcfg = workload::E20Config::default();
-    let workload_rows = workload::modelled_sweep(&wcfg);
-    eprintln!(
-        "{}",
-        workload::modelled_table(&wcfg, &workload_rows).render()
-    );
-    let workload_live = workload::live_sweep(&wcfg, &workload::live_targets(&wcfg));
-    eprintln!("{}", workload::live_table(&wcfg, &workload_live).render());
-    let determinism = workload::determinism_check(&wcfg, &workload_live);
+    let rows = workload::modelled_sweep(&wcfg);
+    eprintln!("{}", workload::modelled_table(&wcfg, &rows).render());
+    records.extend(rows.iter().map(|r| report::workload_record(&wcfg, r)));
+    let live = workload::live_sweep(&wcfg, &workload::live_targets(&wcfg));
+    eprintln!("{}", workload::live_table(&wcfg, &live).render());
     let live_clustering = wcfg
         .workload(wcfg.live_beta, wcfg.live_requests)
         .site_graph()
         .clustering_coefficient();
+    records.extend(
+        live.iter()
+            .map(|s| report::replay_record(live_clustering, s)),
+    );
+    let determinism = workload::determinism_check(&wcfg, &live);
+    records.push(report::determinism_record(&determinism));
     // E21: the owner-kill failover at every replication level, then the
     // gossip partition-heal witness — fully deterministic, no chaos spec
     // needed (the kill and the partition are the faults).
     let rcfg = resilience::ResilienceConfig::default();
-    let failover = resilience::failover_sweep(&rcfg);
-    eprintln!("{}", resilience::failover_table(&rcfg, &failover).render());
-    let partition = resilience::partition_heal(&rcfg);
-    eprintln!("{}", resilience::partition_table(&partition).render());
-    let text = report::render(&report::pr6_report(
-        kcfg,
-        &kernel_samples,
-        scfg,
-        &serving_samples,
-        tcfg,
-        &[trun.h2, trun.h3],
-        report::EdgeSection {
-            cfg: &ecfg,
-            sweep: &edge_samples,
-            chaos: &chaos,
-        },
-        report::WorkloadSection {
-            cfg: &wcfg,
-            modelled: &workload_rows,
-            live: &workload_live,
-            live_clustering,
-            determinism: &determinism,
-        },
-        report::ResilienceSection {
-            failover: &failover,
-            partition: &partition,
-        },
-    ));
+    records.extend(resilience_records(&rcfg, |table| eprintln!("{table}")));
+    let verdict = report::gate(&records);
+    let text = report::render(&report::pr6_report(records));
     match args.options.get("out") {
         Some(path) => {
             std::fs::write(path, &text).expect("write report");
@@ -735,6 +739,26 @@ fn cmd_bench_pr6(args: &Args) {
         }
         None => print!("{text}"),
     }
+    eprintln!("{} report rules hold", passed(verdict).len());
+    Ok(())
+}
+
+/// Run both E21 scenarios, hand each rendered table to `show`, and
+/// return their records (`bench-pr6` keeps stdout for the report, so
+/// the caller picks the stream).
+fn resilience_records(
+    rcfg: &sww_bench::experiments::resilience::ResilienceConfig,
+    show: fn(String),
+) -> Vec<sww_json::Value> {
+    use sww_bench::experiments::resilience;
+    use sww_bench::report;
+    let failover = resilience::failover_sweep(rcfg);
+    show(resilience::failover_table(rcfg, &failover).render());
+    let partition = resilience::partition_heal(rcfg);
+    show(resilience::partition_table(&partition).render());
+    let mut records: Vec<_> = failover.iter().map(report::resilience_record).collect();
+    records.push(report::partition_record(&partition));
+    records
 }
 
 /// Run the E19 edge-cluster sweep on its own: aggregate throughput and
@@ -742,60 +766,38 @@ fn cmd_bench_pr6(args: &Args) {
 /// With `--chaos` the caller's spec drives the fault layer for the whole
 /// run; otherwise the kill scenario installs its own deterministic
 /// generation latency. With `--replication N` (N ≥ 2) the E21 failover
-/// and partition scenarios run too. Exits non-zero when the node-kill
-/// loses a response, diverges from the 1-node baseline byte-wise, the
-/// global hit rate fails to strictly increase with node count, the
-/// replicated failover pays a regeneration (or the unreplicated control
-/// pays none), or the gossip partition misses its heal bound.
-fn cmd_bench_cluster(args: &Args) {
+/// and partition scenarios run too. Exits non-zero when the records
+/// break a `sww_bench::report::gate` rule.
+fn cmd_bench_cluster(args: &Args) -> Outcome {
     use sww_bench::experiments::{edge, resilience};
+    use sww_bench::report;
     let cfg = edge::EdgeClusterConfig {
-        node_counts: args
-            .opt("nodes", "1,2,4")
-            .split(',')
-            .filter_map(|n| n.trim().parse().ok())
-            .collect(),
-        threads_per_node: args.opt("threads", "2").parse().unwrap_or(2).max(1),
-        requests_per_thread: args.opt("requests", "10").parse().unwrap_or(10).max(1),
-        prompts: args.opt("prompts", "10").parse().unwrap_or(10).max(1),
-        replicas: args.opt("replicas", "64").parse().unwrap_or(64).max(1),
+        node_counts: args.list("nodes", "1,2,4")?,
+        threads_per_node: args.value::<usize>("threads")?.unwrap_or(2).max(1),
+        requests_per_thread: args.value::<usize>("requests")?.unwrap_or(10).max(1),
+        prompts: args.value::<usize>("prompts")?.unwrap_or(10).max(1),
+        replicas: args.value::<usize>("replicas")?.unwrap_or(64).max(1),
     };
-    let caller_chaos = args.options.contains_key("chaos");
-    if caller_chaos {
-        install_chaos(args);
-    }
+    let replication: usize = args.value("replication")?.unwrap_or(1).max(1);
+    install_chaos(args)?;
     let samples = edge::run(&cfg);
     println!("{}", edge::table(&cfg, &samples).render());
     println!("{}", edge::modelled_table(&cfg).render());
-    if !caller_chaos {
-        let spec = sww_core::ChaosSpec::parse("seed=7,engine.generate=latency:1.0:10")
-            .expect("E19 chaos spec");
-        sww_core::faults::install(&spec);
-    }
-    let chaos = edge::chaos_kill(&cfg);
-    sww_core::faults::clear();
+    let chaos = if args.options.contains_key("chaos") {
+        let chaos = edge::chaos_kill(&cfg);
+        sww_core::faults::clear();
+        chaos
+    } else {
+        edge::chaos_kill_with_latency(&cfg)
+    };
     println!("{}", edge::chaos_table(&chaos).render());
-    let mut failed = false;
-    for pair in samples.windows(2) {
-        if pair[1].hit_rate <= pair[0].hit_rate {
-            eprintln!(
-                "FAIL: hit rate must strictly increase with nodes ({} -> {})",
-                pair[0].nodes, pair[1].nodes
-            );
-            failed = true;
-        }
-    }
-    if chaos.lost != 0 {
-        eprintln!("FAIL: node-kill lost {} responses", chaos.lost);
-        failed = true;
-    }
-    if !chaos.byte_identical {
-        eprintln!("FAIL: failover payloads diverged from the 1-node baseline");
-        failed = true;
-    }
+    let mut records: Vec<_> = samples
+        .iter()
+        .map(|s| report::edge_record(&cfg, s))
+        .collect();
+    records.push(report::chaos_record(&chaos));
     // E21, opt-in via --replication N (N ≥ 2): hot-key replication
     // failover at 1 and N copies, plus the gossip partition heal.
-    let replication: usize = args.opt("replication", "1").parse().unwrap_or(1).max(1);
     if replication > 1 {
         let rcfg = resilience::ResilienceConfig {
             prompts: cfg.prompts,
@@ -803,61 +805,13 @@ fn cmd_bench_cluster(args: &Args) {
             replication_levels: vec![1, replication],
             ..resilience::ResilienceConfig::default()
         };
-        let failover = resilience::failover_sweep(&rcfg);
-        println!("{}", resilience::failover_table(&rcfg, &failover).render());
-        for o in &failover {
-            if o.lost != 0 || !o.byte_identical {
-                eprintln!(
-                    "FAIL: replication {} failover lost {} responses (byte-identical: {})",
-                    o.replication, o.lost, o.byte_identical
-                );
-                failed = true;
-            }
-            if o.replication >= 2 && (o.regenerations != 0 || o.replica_hits == 0) {
-                eprintln!(
-                    "FAIL: replication {} failover cost {} regenerations, {} replica hits \
-                     (replicas must absorb the kill)",
-                    o.replication, o.regenerations, o.replica_hits
-                );
-                failed = true;
-            }
-            if o.replication == 1 && o.regenerations == 0 {
-                eprintln!("FAIL: the unreplicated control did not re-render — vacuous contrast");
-                failed = true;
-            }
-        }
-        let partition = resilience::partition_heal(&rcfg);
-        println!("{}", resilience::partition_table(&partition).render());
-        if !partition.diverged
-            || !partition.converged
-            || !partition.deterministic
-            || partition.rounds_to_heal > partition.bound
-        {
-            eprintln!(
-                "FAIL: gossip partition heal (diverged: {}, converged: {}, deterministic: {}, \
-                 {}/{} rounds)",
-                partition.diverged,
-                partition.converged,
-                partition.deterministic,
-                partition.rounds_to_heal,
-                partition.bound
-            );
-            failed = true;
-        }
+        records.extend(resilience_records(&rcfg, |table| println!("{table}")));
     }
-    if failed {
-        std::process::exit(1);
+    for line in passed(report::gate(&records)) {
+        println!("ok: {line}");
     }
-    println!(
-        "node-kill ({}): {} failovers, {} retries, zero lost, payloads byte-identical",
-        chaos.killed, chaos.failovers, chaos.retries
-    );
-    if replication > 1 {
-        println!(
-            "replication {replication}: owner kill served from replicas with zero \
-             regenerations; partition healed deterministically in bound"
-        );
-    }
+    println!("edge gates passed (node-kill took out {})", chaos.killed);
+    Ok(())
 }
 
 /// Run the E18 transport shoot-out on its own: h2 vs h3 page loads with
@@ -865,16 +819,16 @@ fn cmd_bench_cluster(args: &Args) {
 /// spec drives the slowness; otherwise the experiment installs its own
 /// deterministic `engine.generate` latency. Exits non-zero if the h3
 /// payloads are not byte-identical to the h2 ones.
-fn cmd_bench_transport(args: &Args) {
+fn cmd_bench_transport(args: &Args) -> Outcome {
     use sww_bench::experiments::transport;
     let cfg = transport::TransportConfig {
-        pages: args.opt("pages", "5").parse().unwrap_or(5).max(1),
-        recipes: args.opt("recipes", "4").parse().unwrap_or(4).max(1),
-        gen_latency_ms: args.opt("gen-latency-ms", "25").parse().unwrap_or(25),
+        pages: args.value::<usize>("pages")?.unwrap_or(5).max(1),
+        recipes: args.value::<usize>("recipes")?.unwrap_or(4).max(1),
+        gen_latency_ms: args.value("gen-latency-ms")?.unwrap_or(25),
         ..transport::TransportConfig::default()
     };
     let run = if args.options.contains_key("chaos") {
-        install_chaos(args);
+        install_chaos(args)?;
         transport::run(cfg)
     } else {
         println!("chaos: {} (default E18 spec)", transport::latency_spec(cfg));
@@ -891,59 +845,37 @@ fn cmd_bench_transport(args: &Args) {
         std::process::exit(1);
     }
     println!("payloads byte-identical across transports");
+    Ok(())
 }
 
 /// Translate `bench-workload` flags into an E20 sweep config.
-fn e20_config_from(args: &Args) -> sww_bench::experiments::workload::E20Config {
+fn e20_config_from(args: &Args) -> Result<sww_bench::experiments::workload::E20Config, String> {
     use sww_bench::experiments::workload::E20Config;
     let d = E20Config::default();
-    E20Config {
-        betas: args
-            .opt("betas", "0.02,0.2,1.0")
-            .split(',')
-            .filter_map(|b| b.trim().parse().ok())
-            .collect(),
-        graph_nodes: args.opt("pages", "192").parse().unwrap_or(d.graph_nodes),
-        k: args.opt("k", "8").parse().unwrap_or(d.k),
-        cache_capacity: args.opt("cache", "32").parse().unwrap_or(d.cache_capacity),
-        cluster_nodes: args
-            .opt("cluster", "4")
-            .parse()
-            .unwrap_or(d.cluster_nodes)
-            .max(1),
-        deadline_ms: args
-            .opt("deadline-ms", "2500")
-            .parse()
-            .unwrap_or(d.deadline_ms),
-        modelled_requests: args
-            .opt("requests", "1000000")
-            .parse()
-            .unwrap_or(d.modelled_requests),
-        live_requests: args
-            .opt("live-requests", "600")
-            .parse()
-            .unwrap_or(d.live_requests),
-        threads: args.opt("threads", "4").parse().unwrap_or(d.threads).max(1),
-        seed: args.opt("seed", "42").parse().unwrap_or(d.seed),
+    Ok(E20Config {
+        betas: args.list("betas", "0.02,0.2,1.0")?,
+        graph_nodes: args.value("pages")?.unwrap_or(d.graph_nodes),
+        k: args.value("k")?.unwrap_or(d.k),
+        cache_capacity: args.value("cache")?.unwrap_or(d.cache_capacity),
+        cluster_nodes: args.value("cluster")?.unwrap_or(d.cluster_nodes).max(1),
+        deadline_ms: args.value("deadline-ms")?.unwrap_or(d.deadline_ms),
+        modelled_requests: args.value("requests")?.unwrap_or(d.modelled_requests),
+        live_requests: args.value("live-requests")?.unwrap_or(d.live_requests),
+        threads: args.value("threads")?.unwrap_or(d.threads).max(1),
+        seed: args.value("seed")?.unwrap_or(d.seed),
         ..d
-    }
+    })
 }
 
 /// Run the E20 small-world workload harness: the modelled sweep over
 /// every `--betas` entry, the live trace replays, and the
-/// replay-determinism check. Exits non-zero when `slo_failures` reports
-/// any gate violation (non-monotone hit rate vs clustering, modelled
-/// p99 over the deadline, or replay nondeterminism).
-fn cmd_bench_workload(args: &Args) {
+/// replay-determinism check. Exits non-zero when the records break a
+/// `sww_bench::report::gate` rule.
+fn cmd_bench_workload(args: &Args) -> Outcome {
     use sww_bench::experiments::workload;
+    use sww_bench::report;
     use sww_workload::replay::ReplayTarget;
-    let chaos = args.options.contains_key("chaos");
-    if chaos {
-        install_chaos(args);
-    }
-    let cfg = e20_config_from(args);
-    let rows = workload::modelled_sweep(&cfg);
-    println!("{}", workload::modelled_table(&cfg, &rows).render());
+    let cfg = e20_config_from(args)?;
     // --transport narrows the live run to one framing path; --cluster
     // always adds the edge ring unless a single transport was asked for.
     let targets = match args.options.get("transport").map(String::as_str) {
@@ -951,73 +883,86 @@ fn cmd_bench_workload(args: &Args) {
         Some("h3") => vec![ReplayTarget::H3],
         Some("single") => vec![ReplayTarget::Single],
         Some(other) => {
-            eprintln!("bad --transport {other:?}: expected single, h2 or h3");
-            std::process::exit(2);
+            return Err(format!(
+                "bad --transport {other:?}: expected single, h2 or h3"
+            ))
         }
         None => workload::live_targets(&cfg),
     };
+    install_chaos(args)?;
+    let rows = workload::modelled_sweep(&cfg);
+    println!("{}", workload::modelled_table(&cfg, &rows).render());
     let live = workload::live_sweep(&cfg, &targets);
     println!("{}", workload::live_table(&cfg, &live).render());
     let det = workload::determinism_check(&cfg, &live);
-    println!(
-        "replay determinism: trace {}, responses {}, cross-topology {}",
-        if det.trace_match { "match" } else { "DIVERGED" },
-        if det.response_match {
-            "match"
-        } else {
-            "DIVERGED"
-        },
-        if det.cross_target_identical {
-            "identical"
-        } else {
-            "DIVERGED"
-        }
-    );
-    let failures = workload::slo_failures(&cfg, &rows, &det);
-    if !failures.is_empty() {
-        for line in &failures {
-            eprintln!("FAIL: {line}");
-        }
-        std::process::exit(1);
+    let mut records: Vec<_> = rows
+        .iter()
+        .map(|r| report::workload_record(&cfg, r))
+        .collect();
+    records.push(report::determinism_record(&det));
+    for line in passed(report::gate(&records)) {
+        println!("ok: {line}");
     }
     println!(
         "workload SLO gates passed ({} modelled rows, {} live replays)",
         rows.len(),
         live.len()
     );
+    Ok(())
 }
 
 /// Gate a fresh `BENCH_PR6.json` against the checked-in baseline; exits
 /// non-zero when `sww_bench::report::compare` reports failures.
-fn cmd_bench_compare(args: &Args) {
+fn cmd_bench_compare(args: &Args) -> Outcome {
     let (Some(base_path), Some(cur_path)) = (args.positionals.first(), args.positionals.get(1))
     else {
         usage();
     };
-    let tolerance: f64 = args.opt("tolerance", "0.10").parse().unwrap_or(0.10);
+    let tolerance: f64 = args.value("tolerance")?.unwrap_or(0.10);
     let load = |path: &str| -> sww_json::Value {
         let text = std::fs::read_to_string(path).unwrap_or_else(|err| panic!("read {path}: {err}"));
         sww_json::parse(&text).unwrap_or_else(|err| panic!("parse {path}: {err:?}"))
     };
-    match sww_bench::report::compare(&load(base_path), &load(cur_path), tolerance) {
-        Ok(checks) => {
-            for line in checks {
-                println!("ok: {line}");
-            }
-            println!("bench gate passed ({cur_path} vs {base_path})");
-        }
-        Err(failures) => {
-            for line in failures {
-                eprintln!("FAIL: {line}");
-            }
-            std::process::exit(1);
-        }
+    let verdict = sww_bench::report::compare(&load(base_path), &load(cur_path), tolerance);
+    for line in passed(verdict) {
+        println!("ok: {line}");
     }
+    println!("bench gate passed ({cur_path} vs {base_path})");
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn usage_lists_every_dispatched_command() {
+        let expected = [
+            "serve",
+            "fetch",
+            "generate",
+            "expand",
+            "convert",
+            "stock",
+            "stats",
+            "bench-concurrent",
+            "bench-pr6",
+            "bench-cluster",
+            "bench-transport",
+            "bench-workload",
+            "bench-compare",
+        ];
+        let dispatched: Vec<&str> = COMMANDS.iter().map(|(name, _)| *name).collect();
+        assert_eq!(dispatched, expected, "the table is the command set");
+        let listed = usage_text();
+        let listed: Vec<&str> = listed
+            .split(['<', '>'])
+            .nth(1)
+            .expect("usage names the commands between <>")
+            .split('|')
+            .collect();
+        assert_eq!(listed, expected, "usage must name every command");
+    }
 
     #[test]
     fn device_names_map() {
