@@ -40,6 +40,13 @@ echo "==> cargo test -p sww-genai --test golden_pixels (pixels + encoded bytes p
 cargo test -p sww-genai --test golden_pixels -q
 cargo test --release -p sww-genai --test golden_pixels -q
 
+# The same across-commit pin one layer up: what the server serves (naive
+# and prompt-form pages, their headers, every /generated/ asset) for a
+# fixture site under three server configs, recorded before PR 16.
+echo "==> cargo test --test golden_responses (served bytes + headers pinned to recorded digests)"
+cargo test --test golden_responses -q
+cargo test --release --test golden_responses -q
+
 echo "==> cargo test --release -p sww-genai --test steady_state_alloc (zero-allocation hot path)"
 cargo test --release -p sww-genai --test steady_state_alloc -q
 
@@ -156,7 +163,7 @@ echo "==> bench-workload --chaos (E20 workload gate)"
 
 # Ratchet: the workspace test count must never silently shrink. Raise the
 # floor when a PR adds tests; a drop below it means tests were lost.
-TEST_FLOOR=903
+TEST_FLOOR=910
 echo "==> workspace test-count floor (>= ${TEST_FLOOR})"
 TEST_COUNT=$(cargo test --workspace -- --list 2>/dev/null | grep -c ": test$")
 echo "    ${TEST_COUNT} tests"

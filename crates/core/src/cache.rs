@@ -1,12 +1,18 @@
-//! Client-side cache of generated media.
+//! The generation cache: rendered media keyed by its recipe.
 //!
 //! Generation is deterministic in `(prompt, model, size, steps)`, so a
 //! generated image is as cacheable as a fetched one — and because the
 //! cache key is the *recipe*, every page reusing a stock prompt hits the
-//! same entry. This is the client end of the paper's cache-placement
-//! observation (§7: traffic reduction "provides more flexibility in cache
-//! placement"); it also bounds the §6 generation-time cost to the first
-//! visit.
+//! same entry. This is the paper's cache-placement observation (§7:
+//! traffic reduction "provides more flexibility in cache placement"); it
+//! also bounds the §6 generation-time cost to the first visit.
+//!
+//! Each holder caches the form it reads twice: the client renders
+//! pixels, so its [`GenerationCache`] holds [`ImageBuffer`]s (the default
+//! value type); the server only ever serves the encoded asset, so its
+//! engine holds `Bytes` (§5.1: "avoids saving two copies of content").
+//! Either way an entry is charged the pixel count of its **key**, so the
+//! budget and the eviction order do not depend on the value type.
 
 use crate::faults::{self, FaultAction, FaultSite};
 use crate::lru::Lru;
@@ -28,22 +34,41 @@ pub struct Recipe {
     pub steps: u32,
 }
 
-/// An LRU cache of generated images, bounded by total pixel budget (a
+impl Recipe {
+    /// Pixels in the image this recipe renders — what a cache entry for
+    /// it is charged, whatever form the entry holds.
+    pub fn pixels(&self) -> u64 {
+        u64::from(self.width) * u64::from(self.height)
+    }
+}
+
+/// The canonical routing key for a recipe: `model|WxH|steps|prompt`.
+/// Every edge derives the same key for the same recipe, which is what
+/// makes ownership a cluster-wide agreement rather than a per-node
+/// guess.
+pub fn recipe_key(recipe: &Recipe) -> String {
+    format!(
+        "{:?}|{}x{}|{}|{}",
+        recipe.model, recipe.width, recipe.height, recipe.steps, recipe.prompt
+    )
+}
+
+/// An LRU cache of generated media, bounded by total pixel budget (a
 /// proxy for memory).
 #[derive(Debug)]
-pub struct GenerationCache {
-    /// Cost is pixels.
-    entries: Lru<Recipe, ImageBuffer>,
+pub struct GenerationCache<V = ImageBuffer> {
+    /// Cost is the recipe's pixels.
+    entries: Lru<Recipe, V>,
     /// Hits since creation.
     pub hits: u64,
     /// Misses since creation.
     pub misses: u64,
 }
 
-impl GenerationCache {
+impl<V: Clone> GenerationCache<V> {
     /// A cache bounded to `capacity_pixels` total pixels (e.g. 32 MP ≈
     /// a hundred thumbnails).
-    pub fn new(capacity_pixels: u64) -> GenerationCache {
+    pub fn new(capacity_pixels: u64) -> GenerationCache<V> {
         GenerationCache {
             entries: Lru::new(capacity_pixels.max(1)),
             hits: 0,
@@ -66,7 +91,7 @@ impl GenerationCache {
     /// Under chaos ([`crate::faults`]), the `cache.get` failpoint can
     /// turn a lookup into a forced miss (the entry stays cached — the
     /// caller simply regenerates) or delay it.
-    pub fn get(&mut self, recipe: &Recipe) -> Option<ImageBuffer> {
+    pub fn get(&mut self, recipe: &Recipe) -> Option<V> {
         match faults::at(FaultSite::CacheGet) {
             Some(FaultAction::Error) | Some(FaultAction::TruncateKeepPct(_)) => {
                 self.misses += 1;
@@ -77,10 +102,10 @@ impl GenerationCache {
             None => {}
         }
         match self.entries.get(recipe) {
-            Some(image) => {
+            Some(value) => {
                 self.hits += 1;
                 sww_obs::counter("sww_cache_events_total", &[("result", "hit")]).inc();
-                Some(image.clone())
+                Some(value.clone())
             }
             None => {
                 self.misses += 1;
@@ -90,12 +115,12 @@ impl GenerationCache {
         }
     }
 
-    /// Insert a generated image, evicting least-recently-used entries to
-    /// stay within the pixel budget. Images larger than the whole budget
-    /// are not cached.
-    pub fn put(&mut self, recipe: Recipe, image: ImageBuffer) {
-        let cost = image.pixels();
-        self.entries.insert(recipe, image, cost);
+    /// Insert the media rendered from `recipe`, evicting
+    /// least-recently-used entries to stay within the pixel budget.
+    /// Recipes larger than the whole budget are not cached.
+    pub fn put(&mut self, recipe: Recipe, value: V) {
+        let cost = recipe.pixels();
+        self.entries.insert(recipe, value, cost);
     }
 
     /// Hit rate so far.

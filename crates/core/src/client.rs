@@ -22,7 +22,7 @@
 //! [`PageStats::retries`]: crate::stats::PageStats
 //! [`PageStats::fell_back`]: crate::stats::PageStats
 
-use crate::cache::{GenerationCache, Recipe};
+use crate::cache::GenerationCache;
 use crate::error::SwwError;
 use crate::faults::{self, FaultAction, FaultSite};
 use crate::mediagen::{GeneratedMedia, MediaGenerator};
@@ -276,13 +276,8 @@ impl<T: AsyncRead + AsyncWrite + Unpin> GenerativeClient<T> {
                 }
                 // Cache lookup first: generation is deterministic in the
                 // recipe, so a hit costs no generation time or energy.
-                let recipe = (item.content_type == gencontent::ContentType::Img).then(|| Recipe {
-                    prompt: item.prompt().to_owned(),
-                    model: self.generator.image_model(),
-                    width: item.width(),
-                    height: item.height(),
-                    steps: self.generator.inference_steps(),
-                });
+                let recipe = (item.content_type == gencontent::ContentType::Img)
+                    .then(|| self.generator.recipe(&item));
                 let cached = recipe.as_ref().and_then(|r| self.cache.get(r));
                 let (media, cost) = match cached {
                     Some(image) => {

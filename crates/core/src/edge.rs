@@ -54,7 +54,6 @@
 //! label; replication adds `sww_edge_replica_*` and the gossip layer
 //! `sww_gossip_*`.
 
-use crate::cache::Recipe;
 use crate::error::retryable_status;
 use crate::gossip::{Gossip, GossipConfig, Health};
 use crate::lru::Lru;
@@ -64,10 +63,7 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use sww_energy::device::{profile as device_profile, DeviceKind};
 use sww_hash::sha256;
-use sww_html::gencontent::{self, ContentType};
-use sww_html::parse;
 use sww_http2::server::{serve_connection_until, ServeStats};
 use sww_http2::{GenAbility, H2Error, Request, Response};
 use tokio::io::{AsyncRead, AsyncWrite};
@@ -82,16 +78,7 @@ fn ring_point(bytes: &[u8]) -> u64 {
     u64::from_be_bytes(digest[..8].try_into().expect("sha256 is 32 bytes"))
 }
 
-/// The canonical routing key for a recipe: `model|WxH|steps|prompt`.
-/// Every edge derives the same key for the same recipe, which is what
-/// makes ownership a cluster-wide agreement rather than a per-node
-/// guess.
-pub fn recipe_key(recipe: &Recipe) -> String {
-    format!(
-        "{:?}|{}x{}|{}|{}",
-        recipe.model, recipe.width, recipe.height, recipe.steps, recipe.prompt
-    )
-}
+pub use crate::cache::recipe_key;
 
 /// A consistent-hash ring mapping keys to node ids.
 ///
@@ -1049,42 +1036,21 @@ fn node_down_response(id: &str) -> Response {
     resp
 }
 
-/// Derive the path → routing-key map for a site: each page with
-/// generated images keys on its first image recipe (model × prompt ×
-/// params), and every `/generated/<name>` asset a page's materialized
-/// form references keys on the *same* recipe, so the page and its media
-/// land on one owner.
+/// Derive the path → routing-key map for a site from its generated
+/// index: each page with generated images keys on its first image
+/// recipe (model × prompt × params), and every `/generated/...` URL a
+/// page's materialized form references keys on the *same* recipe, so the
+/// page and its media land on one owner. A URL two pages share keys with
+/// the first of them in path order.
 fn routing_keys(site: &SiteContent) -> HashMap<String, String> {
-    let generator = crate::mediagen::MediaGenerator::new(device_profile(DeviceKind::Workstation));
-    let (model, steps) = (generator.image_model(), generator.inference_steps());
+    let index = site.generated_index();
     let mut keys = HashMap::new();
-    for path in site.page_paths() {
-        let page = site.page(path).expect("path came from the site");
-        let items = gencontent::extract(&parse(&page.html));
-        let mut page_key = None;
-        for item in &items {
-            if item.content_type != ContentType::Img {
-                continue;
-            }
-            let recipe = Recipe {
-                prompt: item.prompt().to_owned(),
-                model,
-                width: item.width(),
-                height: item.height(),
-                steps,
-            };
-            let key = recipe_key(&recipe);
-            if page_key.is_none() {
-                page_key = Some(key.clone());
-            }
-            keys.insert(
-                format!("/generated/{}", item.name()),
-                page_key.clone().expect("set just above"),
-            );
+    for (page, urls) in &index.pages {
+        let page_key = recipe_key(&index.assets[&urls[0]]);
+        for url in urls {
+            keys.entry(url.clone()).or_insert_with(|| page_key.clone());
         }
-        if let Some(key) = page_key {
-            keys.insert(path.to_owned(), key);
-        }
+        keys.insert(page.clone(), page_key);
     }
     keys
 }
@@ -1094,8 +1060,10 @@ fn routing_keys(site: &SiteContent) -> HashMap<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::Recipe;
     use crate::server::ServerConfig;
     use sww_genai::diffusion::ImageModelKind;
+    use sww_html::gencontent;
 
     fn ring(nodes: &[&str]) -> HashRing {
         HashRing::with_nodes(DEFAULT_VNODES, nodes.iter().copied())

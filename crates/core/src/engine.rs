@@ -16,6 +16,12 @@
 //!   the same recipe blocks on the leader's flight slot and shares its
 //!   result. Requests for other recipes proceed in parallel.
 //!
+//! The engine is generic over the cached value (default
+//! [`ImageBuffer`]): the server instantiates it with the encoded asset
+//! it serves, so the leader encodes once and every hit or join is an
+//! `Arc` clone. Entries are charged by their key ([`Recipe::pixels`]),
+//! so the value type never changes what fits or what is evicted.
+//!
 //! Observability: `sww_engine_requests_total{outcome}` splits requests
 //! into `hit` / `generated` / `joined`; `sww_cache_coalesced_total`
 //! counts every request amortized onto a generation it did not run
@@ -46,14 +52,14 @@ const WAITER_TICK: Duration = Duration::from_millis(25);
 /// bounded exactly as with a single [`GenerationCache`] of the same
 /// capacity; eviction is LRU *per shard*.
 #[derive(Debug)]
-pub struct ShardedGenerationCache {
-    shards: Box<[Mutex<GenerationCache>]>,
+pub struct ShardedGenerationCache<V = ImageBuffer> {
+    shards: Box<[Mutex<GenerationCache<V>>]>,
 }
 
-impl ShardedGenerationCache {
+impl<V: Clone> ShardedGenerationCache<V> {
     /// A cache of `shards` stripes sharing `capacity_pixels` total.
     /// `shards` is clamped to at least 1.
-    pub fn new(shards: usize, capacity_pixels: u64) -> ShardedGenerationCache {
+    pub fn new(shards: usize, capacity_pixels: u64) -> ShardedGenerationCache<V> {
         let shards = shards.max(1);
         let per_shard = (capacity_pixels / shards as u64).max(1);
         ShardedGenerationCache {
@@ -75,7 +81,7 @@ impl ShardedGenerationCache {
     }
 
     /// Look up a recipe in its shard, updating that shard's recency.
-    pub fn get(&self, recipe: &Recipe) -> Option<ImageBuffer> {
+    pub fn get(&self, recipe: &Recipe) -> Option<V> {
         let idx = self.shard_index(recipe);
         let found = self.shards[idx].lock().get(recipe);
         let shard_label = idx.to_string();
@@ -88,10 +94,10 @@ impl ShardedGenerationCache {
         found
     }
 
-    /// Insert a generated image into its shard (per-shard LRU eviction).
-    pub fn put(&self, recipe: Recipe, image: ImageBuffer) {
+    /// Insert generated media into its shard (per-shard LRU eviction).
+    pub fn put(&self, recipe: Recipe, value: V) {
         let idx = self.shard_index(&recipe);
-        self.shards[idx].lock().put(recipe, image);
+        self.shards[idx].lock().put(recipe, value);
     }
 
     /// Total entries across all shards.
@@ -131,18 +137,18 @@ pub enum FetchOutcome {
 
 /// State of one in-flight generation.
 #[derive(Debug)]
-enum FlightState {
+enum FlightState<V> {
     /// The leader is still generating.
     Pending,
     /// The leader finished; the result is ready to share.
-    Done(ImageBuffer),
+    Done(V),
     /// The leader panicked; waiters must retry from scratch.
     Poisoned,
 }
 
 #[derive(Debug)]
-struct Flight {
-    state: StdMutex<FlightState>,
+struct Flight<V> {
+    state: StdMutex<FlightState<V>>,
     ready: Condvar,
     /// Waiter refcount: requests (other than the leader) currently
     /// blocked on this flight. A flight may only be abandoned when this
@@ -152,8 +158,8 @@ struct Flight {
     waiters: AtomicUsize,
 }
 
-impl Flight {
-    fn new() -> Flight {
+impl<V> Flight<V> {
+    fn new() -> Flight<V> {
         Flight {
             state: StdMutex::new(FlightState::Pending),
             ready: Condvar::new(),
@@ -161,7 +167,7 @@ impl Flight {
         }
     }
 
-    fn resolve(&self, state: FlightState) {
+    fn resolve(&self, state: FlightState<V>) {
         *self.state.lock().unwrap_or_else(|e| e.into_inner()) = state;
         self.ready.notify_all();
     }
@@ -174,14 +180,14 @@ impl Flight {
 
 /// Unregisters a flight and poisons it if the leader unwinds before
 /// publishing a result, so waiters never deadlock on a dead leader.
-struct LeaderGuard<'a> {
-    engine: &'a GenerationEngine,
+struct LeaderGuard<'a, V> {
+    engine: &'a GenerationEngine<V>,
     recipe: &'a Recipe,
-    flight: &'a Arc<Flight>,
+    flight: &'a Arc<Flight<V>>,
     armed: bool,
 }
 
-impl Drop for LeaderGuard<'_> {
+impl<V> Drop for LeaderGuard<'_, V> {
     fn drop(&mut self) {
         if self.armed {
             self.flight.resolve(FlightState::Poisoned);
@@ -196,17 +202,17 @@ impl Drop for LeaderGuard<'_> {
 
 /// The sharded, single-flight generation engine.
 #[derive(Debug)]
-pub struct GenerationEngine {
-    cache: ShardedGenerationCache,
-    inflight: StdMutex<HashMap<Recipe, Arc<Flight>>>,
+pub struct GenerationEngine<V = ImageBuffer> {
+    cache: ShardedGenerationCache<V>,
+    inflight: StdMutex<HashMap<Recipe, Arc<Flight<V>>>>,
     generated: AtomicU64,
     coalesced: AtomicU64,
     hits: AtomicU64,
 }
 
-impl GenerationEngine {
+impl<V: Clone + Send + 'static> GenerationEngine<V> {
     /// An engine over `shards` cache stripes sharing `capacity_pixels`.
-    pub fn new(shards: usize, capacity_pixels: u64) -> GenerationEngine {
+    pub fn new(shards: usize, capacity_pixels: u64) -> GenerationEngine<V> {
         GenerationEngine {
             cache: ShardedGenerationCache::new(shards, capacity_pixels),
             inflight: StdMutex::new(HashMap::new()),
@@ -217,7 +223,7 @@ impl GenerationEngine {
     }
 
     /// The underlying sharded cache.
-    pub fn cache(&self) -> &ShardedGenerationCache {
+    pub fn cache(&self) -> &ShardedGenerationCache<V> {
         &self.cache
     }
 
@@ -257,7 +263,7 @@ impl GenerationEngine {
         sww_obs::counter("sww_engine_requests_total", &[("outcome", label)]).inc();
     }
 
-    /// Fetch the image for `recipe`, running `generate` only if no cached
+    /// Fetch the media for `recipe`, running `generate` only if no cached
     /// copy exists and no other request is already generating it.
     ///
     /// `generate` runs with **no engine lock held**, so generations for
@@ -270,9 +276,9 @@ impl GenerationEngine {
     /// chaos-aware callers use [`try_fetch_image`].
     ///
     /// [`try_fetch_image`]: GenerationEngine::try_fetch_image
-    pub fn fetch_image<F>(&self, recipe: &Recipe, generate: F) -> (ImageBuffer, FetchOutcome)
+    pub fn fetch_image<F>(&self, recipe: &Recipe, generate: F) -> (V, FetchOutcome)
     where
-        F: FnOnce() -> ImageBuffer,
+        F: FnOnce() -> V,
     {
         self.fetch_inner(recipe, &RequestCtx::unbounded(), |_| Ok(generate()), false)
             .expect("infallible generate closure")
@@ -290,9 +296,9 @@ impl GenerationEngine {
         &self,
         recipe: &Recipe,
         generate: F,
-    ) -> Result<(ImageBuffer, FetchOutcome), SwwError>
+    ) -> Result<(V, FetchOutcome), SwwError>
     where
-        F: FnOnce() -> Result<ImageBuffer, SwwError>,
+        F: FnOnce() -> Result<V, SwwError>,
     {
         self.fetch_inner(recipe, &RequestCtx::unbounded(), |_| generate(), true)
     }
@@ -323,9 +329,9 @@ impl GenerationEngine {
         recipe: &Recipe,
         ctx: &RequestCtx,
         generate: F,
-    ) -> Result<(ImageBuffer, FetchOutcome), SwwError>
+    ) -> Result<(V, FetchOutcome), SwwError>
     where
-        F: FnOnce(&StepCancel) -> Result<ImageBuffer, SwwError>,
+        F: FnOnce(&StepCancel) -> Result<V, SwwError>,
     {
         self.fetch_inner(recipe, ctx, generate, true)
     }
@@ -336,21 +342,21 @@ impl GenerationEngine {
         ctx: &RequestCtx,
         generate: F,
         inject: bool,
-    ) -> Result<(ImageBuffer, FetchOutcome), SwwError>
+    ) -> Result<(V, FetchOutcome), SwwError>
     where
-        F: FnOnce(&StepCancel) -> Result<ImageBuffer, SwwError>,
+        F: FnOnce(&StepCancel) -> Result<V, SwwError>,
     {
         ctx.check()?;
         // Fast path: no map lock at all for warm recipes.
-        if let Some(image) = self.cache.get(recipe) {
+        if let Some(value) = self.cache.get(recipe) {
             self.record(FetchOutcome::Hit);
-            return Ok((image, FetchOutcome::Hit));
+            return Ok((value, FetchOutcome::Hit));
         }
         let mut generate = Some(generate);
         loop {
-            enum Role {
-                Leader(Arc<Flight>),
-                Waiter(Arc<Flight>),
+            enum Role<V> {
+                Leader(Arc<Flight<V>>),
+                Waiter(Arc<Flight<V>>),
             }
             let role = {
                 let mut map = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
@@ -363,9 +369,9 @@ impl GenerationEngine {
                     // Re-check under the map lock: a leader publishes to
                     // the cache *before* unregistering, so a miss here
                     // while no flight is registered is authoritative.
-                    if let Some(image) = self.cache.get(recipe) {
+                    if let Some(value) = self.cache.get(recipe) {
                         self.record(FetchOutcome::Hit);
-                        return Ok((image, FetchOutcome::Hit));
+                        return Ok((value, FetchOutcome::Hit));
                     }
                     let flight = Arc::new(Flight::new());
                     map.insert(recipe.clone(), Arc::clone(&flight));
@@ -399,9 +405,9 @@ impl GenerationEngine {
                         let ctx = ctx.clone();
                         StepCancel::from_fn(move || flight.abandoned(&ctx))
                     };
-                    let image = match (generate.take().expect("leader role claimed once"))(&cancel)
+                    let value = match (generate.take().expect("leader role claimed once"))(&cancel)
                     {
-                        Ok(image) => image,
+                        Ok(value) => value,
                         Err(err) => {
                             drop(guard);
                             return Err(err);
@@ -409,8 +415,8 @@ impl GenerationEngine {
                     };
                     // Publish order matters: cache first, then resolve the
                     // flight, then unregister — so no request can miss both.
-                    self.cache.put(recipe.clone(), image.clone());
-                    flight.resolve(FlightState::Done(image.clone()));
+                    self.cache.put(recipe.clone(), value.clone());
+                    flight.resolve(FlightState::Done(value.clone()));
                     self.inflight
                         .lock()
                         .unwrap_or_else(|e| e.into_inner())
@@ -424,7 +430,7 @@ impl GenerationEngine {
                         record_cancelled("engine.handoff");
                         return Err(ctx.deadline_error());
                     }
-                    return Ok((image, FetchOutcome::Generated));
+                    return Ok((value, FetchOutcome::Generated));
                 }
                 Role::Waiter(flight) => {
                     let mut state = flight.state.lock().unwrap_or_else(|e| e.into_inner());
@@ -445,12 +451,12 @@ impl GenerationEngine {
                                     .unwrap_or_else(|e| e.into_inner())
                                     .0;
                             }
-                            FlightState::Done(image) => {
-                                let image = image.clone();
+                            FlightState::Done(value) => {
+                                let value = value.clone();
                                 drop(state);
                                 flight.waiters.fetch_sub(1, Ordering::SeqCst);
                                 self.record(FetchOutcome::Coalesced);
-                                return Ok((image, FetchOutcome::Coalesced));
+                                return Ok((value, FetchOutcome::Coalesced));
                             }
                             FlightState::Poisoned => break,
                         }
@@ -561,7 +567,7 @@ mod tests {
 
     #[test]
     fn ctx_expired_at_entry_is_rejected() {
-        let engine = GenerationEngine::new(2, 1_000_000);
+        let engine: GenerationEngine = GenerationEngine::new(2, 1_000_000);
         let ctx = RequestCtx::with_deadline(Duration::from_millis(0));
         std::thread::sleep(Duration::from_millis(5));
         let out = engine.try_fetch_image_ctx(&recipe("late"), &ctx, |_| {

@@ -3,6 +3,7 @@
 //! diffusion pipeline, text-to-text via the language model — while
 //! accounting modelled device time and energy for every invocation.
 
+use crate::cache::Recipe;
 use crate::error::SwwError;
 use sww_energy::{cost, device::DeviceProfile, Energy};
 use sww_genai::diffusion::ImageModelKind;
@@ -132,6 +133,53 @@ impl MediaGenerator {
         self.try_generate(item).expect("local generation model")
     }
 
+    /// The cache key under which this generator's output for an image
+    /// `item` is stored — the one place a page item becomes a [`Recipe`],
+    /// so the client cache, the server's site index and the edge routing
+    /// map can never disagree on it.
+    pub fn recipe(&self, item: &GeneratedContent) -> Recipe {
+        Recipe {
+            prompt: item.prompt().to_owned(),
+            model: self.image_model,
+            width: item.width(),
+            height: item.height(),
+            steps: self.inference_steps,
+        }
+    }
+
+    /// Generate one image and its encoded form from the recipe fields
+    /// alone — the entry point for a caller that holds a [`Recipe`] but
+    /// no page item (the server answering `GET /generated/<name>`).
+    /// Fails with [`SwwError::UnsupportedModel`] when the configured
+    /// image model has no cost profile on the local device.
+    pub fn try_generate_image(
+        &mut self,
+        prompt: &str,
+        width: u32,
+        height: u32,
+    ) -> Result<(ImageBuffer, Vec<u8>, GenerationCost), SwwError> {
+        let time_s = cost::image_generation_time(
+            self.image_model,
+            &self.device,
+            width,
+            height,
+            self.inference_steps,
+        )
+        .ok_or_else(|| SwwError::UnsupportedModel {
+            what: "image generation",
+            model: format!("{:?}", self.image_model),
+        })?;
+        let image = self
+            .pipeline
+            .generate_image(prompt, width, height, self.inference_steps);
+        let encoded = codec::encode(&image, self.codec_quality);
+        let cost = GenerationCost {
+            time_s,
+            energy: Energy::from_power(self.device.image_power_w, time_s),
+        };
+        Ok((image, encoded, cost))
+    }
+
     /// Generate the media for one generated-content element, failing with
     /// [`SwwError::UnsupportedModel`] when the configured image model has
     /// no cost profile on the local device (e.g. a server-only model in a
@@ -142,26 +190,8 @@ impl MediaGenerator {
     ) -> Result<(GeneratedMedia, GenerationCost), SwwError> {
         match item.content_type {
             ContentType::Img => {
-                let (w, h) = (item.width(), item.height());
-                let time_s = cost::image_generation_time(
-                    self.image_model,
-                    &self.device,
-                    w,
-                    h,
-                    self.inference_steps,
-                )
-                .ok_or_else(|| SwwError::UnsupportedModel {
-                    what: "image generation",
-                    model: format!("{:?}", self.image_model),
-                })?;
-                let image = self
-                    .pipeline
-                    .generate_image(item.prompt(), w, h, self.inference_steps);
-                let encoded = codec::encode(&image, self.codec_quality);
-                let cost = GenerationCost {
-                    time_s,
-                    energy: Energy::from_power(self.device.image_power_w, time_s),
-                };
+                let (image, encoded, cost) =
+                    self.try_generate_image(item.prompt(), item.width(), item.height())?;
                 Ok((
                     GeneratedMedia::Image {
                         name: item.name().to_owned(),

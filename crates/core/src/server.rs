@@ -38,23 +38,23 @@
 
 use crate::batch::{BatchConfig, BatchScheduler, BatchStats};
 use crate::breaker::{BreakerConfig, CircuitBreaker};
-use crate::cache::Recipe;
+use crate::cache::{recipe_key, Recipe};
 use crate::engine::GenerationEngine;
 use crate::error::SwwError;
 use crate::faults::{self, FaultAction, FaultScope, FaultSite};
 use crate::hls::{self, VideoAsset};
 use crate::lifecycle::{record_cancelled, record_shed, RequestCtx};
-use crate::mediagen::{GeneratedMedia, MediaGenerator};
+use crate::mediagen::{GeneratedMedia, MediaGenerator, DEFAULT_CODEC_QUALITY};
 use crate::negotiate::{session, ServeMode, SessionAbilities};
 use crate::policy::ServerPolicy;
 use crate::transport::TransportKind;
 use crate::workpool::WorkerPool;
 use bytes::Bytes;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use sww_energy::cost as gen_cost;
 use sww_energy::device::{profile as device_profile, DeviceKind};
@@ -89,6 +89,25 @@ pub struct SiteContent {
     ///
     /// [`stored_bytes`]: SiteContent::stored_bytes
     stored: u64,
+    /// Derived on first use by [`generated_index`]; clones share it (a
+    /// cluster's nodes and its router derive it once between them) and
+    /// `add_page` starts a fresh one.
+    ///
+    /// [`generated_index`]: SiteContent::generated_index
+    index: Arc<OnceLock<GeneratedIndex>>,
+}
+
+/// Where a site's generated images are served from, and what renders
+/// them: the one map behind a naive page's rewritten `<img src>`, the
+/// `GET /generated/...` route and the edge tier's routing keys. It holds
+/// recipes — prompt-form data bounded by the site — never rendered media.
+#[derive(Debug, Default)]
+pub(crate) struct GeneratedIndex {
+    /// Per page with image items, the URL of each in document order.
+    /// Sorted by page path, the order collisions are resolved in.
+    pub(crate) pages: BTreeMap<String, Vec<String>>,
+    /// `/generated/...` URL → the recipe whose render it serves.
+    pub(crate) assets: HashMap<String, Recipe>,
 }
 
 impl SiteContent {
@@ -105,6 +124,7 @@ impl SiteContent {
         if let Some(old) = self.pages.insert(path.into(), page) {
             self.stored -= old.html.len() as u64;
         }
+        self.index = Arc::default();
     }
 
     /// Add a unique asset (e.g. the photographs from the specific hike),
@@ -140,10 +160,50 @@ impl SiteContent {
         self.pages.get(path)
     }
 
-    /// Iterate over page paths (unordered). The edge tier walks these
-    /// to derive each page's recipe routing key.
-    pub fn page_paths(&self) -> impl Iterator<Item = &str> {
-        self.pages.keys().map(String::as_str)
+    /// The site's [`GeneratedIndex`], derived once on first use — a
+    /// server that only ever meets generative clients never pays for it.
+    ///
+    /// An image is served at `/generated/<name>`. When two items share a
+    /// name but not a recipe, the first page in path order keeps that
+    /// URL and the later item is served under a segment derived from
+    /// its own recipe, so no page's `<img src>` can resolve to another
+    /// page's picture; same name and same recipe share one entry.
+    pub(crate) fn generated_index(&self) -> &GeneratedIndex {
+        self.index.get_or_init(|| {
+            let mut index = GeneratedIndex::default();
+            let mut pages: Vec<(&String, &SwwPage)> = self.pages.iter().collect();
+            pages.sort_unstable_by_key(|(path, _)| *path);
+            for (page_path, page) in pages {
+                let mut urls = Vec::new();
+                for item in gencontent::extract(&parse(&page.html)) {
+                    if item.content_type != ContentType::Img {
+                        continue;
+                    }
+                    let recipe = with_generator(|g| g.recipe(&item));
+                    let mut url = format!("/generated/{}", item.name());
+                    if index.assets.get(&url).is_some_and(|held| *held != recipe) {
+                        let tag = to_hex(&sha256(recipe_key(&recipe).as_bytes()));
+                        url = format!("/generated/{}/{}", &tag[..16], item.name());
+                    }
+                    index.assets.entry(url.clone()).or_insert(recipe);
+                    urls.push(url);
+                }
+                if !urls.is_empty() {
+                    index.pages.insert(page_path.clone(), urls);
+                }
+            }
+            index
+        })
+    }
+
+    /// The recipe served at `path`, if it is a generated-image URL. Only
+    /// a `/generated/` path consults the index, so page and unique-asset
+    /// requests never derive it.
+    fn generated_recipe(&self, path: &str) -> Option<&Recipe> {
+        let index = path
+            .starts_with("/generated/")
+            .then(|| self.generated_index());
+        index.and_then(|index| index.assets.get(path))
     }
 
     /// Number of pages.
@@ -170,10 +230,10 @@ struct ServerShared {
     ability: GenAbility,
     site: SiteContent,
     policy: ServerPolicy,
-    /// Sharded, single-flight generation: the concurrency tentpole.
-    engine: GenerationEngine,
-    /// Media materialized for naive clients, keyed by URL path.
-    generated_assets: RwLock<HashMap<String, Bytes>>,
+    /// Sharded, single-flight generation: the concurrency tentpole. It
+    /// caches the encoded asset — the only form the server reads twice
+    /// (§5.1) — and is the only place rendered media is retained.
+    engine: GenerationEngine<Bytes>,
     accounting: Mutex<Accounting>,
     /// Memoized traditional-size estimate; the site is immutable once
     /// the server is built, so this is computed at most once.
@@ -268,7 +328,10 @@ pub struct ServerConfig {
     /// (default: 8, clamped to at least 1).
     pub cache_shards: usize,
     /// Total pixel budget of the server-side generation cache (default:
-    /// 64 MP), divided evenly across shards.
+    /// 64 MP), divided evenly across shards. The cache holds encoded
+    /// assets but charges each its recipe's `width × height`: the unit
+    /// decides which entries fit, so changing it is a separate,
+    /// benchmark-visible decision (DESIGN.md "Cache tiers").
     pub cache_pixels: u64,
     /// Most compatible generations one denoising pass may carry.
     /// `1` (the default) disables batching entirely; `n > 1` routes
@@ -341,7 +404,6 @@ impl GenerativeServer {
                 site: config.site,
                 policy: config.policy,
                 engine: GenerationEngine::new(config.cache_shards, config.cache_pixels),
-                generated_assets: RwLock::new(HashMap::new()),
                 accounting: Mutex::new(Accounting::default()),
                 traditional_memo: Mutex::new(None),
                 pool: (config.workers > 0).then(|| match config.service_time_prior_s {
@@ -543,7 +605,7 @@ impl GenerativeServer {
     }
 
     /// The concurrent generation engine (cache shards + single flight).
-    pub fn engine(&self) -> &GenerationEngine {
+    pub fn engine(&self) -> &GenerationEngine<Bytes> {
         &self.shared.engine
     }
 
@@ -848,13 +910,18 @@ fn handle_request(
             .insert("content-type", "text/plain; version=0.0.4");
         return Ok(resp);
     }
-    // Generated/unique assets first.
-    let asset = shared
-        .generated_assets
-        .read()
-        .get(&req.path)
-        .cloned()
-        .or_else(|| shared.site.assets.get(&req.path).cloned());
+    // Unique assets first, then generated ones: a `/generated/...` URL
+    // the site index knows is an engine request like any page image, so
+    // it answers in every cache state (regenerating when evicted or
+    // never rendered on this node).
+    let asset = match shared.site.assets.get(&req.path) {
+        Some(bytes) => Some(bytes.clone()),
+        None => shared
+            .site
+            .generated_recipe(&req.path)
+            .map(|recipe| fetch_asset(shared, recipe, ctx))
+            .transpose()?,
+    };
     if let Some(bytes) = asset {
         count_route("asset", transport);
         let mut resp = Response::ok(bytes);
@@ -888,7 +955,7 @@ fn handle_request(
     let html = match mode {
         ServeMode::Generative | ServeMode::UpscaleAssisted => page.html.clone(),
         ServeMode::ServerGenerated | ServeMode::Traditional => {
-            materialize(shared, &page.html, ctx)?
+            materialize(shared, &req.path, &page.html, ctx)?
         }
     };
     // Conditional requests: the page body is content-addressed, so a
@@ -950,124 +1017,131 @@ fn handle_video(
     Ok(resp)
 }
 
-/// Expand every generated-content element server-side, store the media as
-/// a servable asset, and rewrite the page to point at it.
+/// The encoded asset for `recipe`, through the generation engine — the
+/// one path behind both a naive page's images and `GET /generated/...`.
 ///
-/// Image items flow through the generation engine: the recipe is looked
-/// up in the sharded cache, and concurrent requests for the same recipe
-/// coalesce onto one generation instead of each paying the cost. A
-/// generation failure (real or injected through the `engine.generate`
-/// failpoint) surfaces as [`SwwError`] — the request maps to an error
-/// response and the client retries.
+/// The recipe is looked up in the sharded cache (a hit is an `Arc`
+/// clone of the stored octets), and concurrent requests for the same
+/// recipe coalesce onto one generation instead of each paying the cost;
+/// the flight leader encodes exactly once. A generation failure (real or
+/// injected through the `engine.generate` failpoint) surfaces as
+/// [`SwwError`] — the request maps to an error response and the client
+/// retries.
 ///
 /// The request's [`RequestCtx`] rides along: the engine turns it into a
 /// flight-abandonment [`StepCancel`](crate::StepCancel) probe, the batcher composes that
 /// probe with its batch-mates', and the diffusion step loop checks it
-/// every denoise step. When the circuit breaker is enabled, each image
-/// item is admitted against its model's breaker first and the outcome is
+/// every denoise step. When the circuit breaker is enabled, the recipe
+/// is admitted against its model's breaker first and the outcome is
 /// reported back (only [`SwwError::is_generation_failure`] errors count
 /// against the backend — a deadline miss says nothing about its health).
-fn materialize(shared: &ServerShared, html: &str, ctx: &RequestCtx) -> Result<String, SwwError> {
+fn fetch_asset(
+    shared: &ServerShared,
+    recipe: &Recipe,
+    ctx: &RequestCtx,
+) -> Result<Bytes, SwwError> {
+    if let Some(breaker) = &shared.breaker {
+        if let Err(err) = breaker.try_admit(recipe.model) {
+            record_shed("breaker");
+            return Err(err);
+        }
+    }
+    let fetched = shared.engine.try_fetch_image_ctx(recipe, ctx, |cancel| {
+        let span = sww_obs::Span::begin("sww_server_generate", "materialize");
+        match &shared.batcher {
+            // Batched path: the flight leader joins a shared denoising
+            // pass. Bit-identical to the unbatched path; only the
+            // modelled cost is amortized.
+            Some(batcher) => {
+                let device = device_profile(DeviceKind::Workstation);
+                gen_cost::image_generation_time(
+                    recipe.model,
+                    &device,
+                    recipe.width,
+                    recipe.height,
+                    recipe.steps,
+                )
+                .ok_or_else(|| SwwError::UnsupportedModel {
+                    what: "image generation",
+                    model: format!("{:?}", recipe.model),
+                })?;
+                let outcome = batcher.submit_ctx(recipe, ctx, cancel)?;
+                // Per-image share of the (possibly tiled) pass; at
+                // kernel_tiles == 1 this is exactly the pre-tiling
+                // batched per-image time.
+                let time_s = gen_cost::tiled_batch_pass_time(
+                    recipe.model,
+                    &device,
+                    recipe.width,
+                    recipe.height,
+                    recipe.steps,
+                    outcome.batch_size,
+                    shared.kernel_tiles,
+                )
+                .map(|pass| pass / outcome.batch_size.max(1) as f64)
+                .unwrap_or(0.0);
+                span.finish_with_virtual(time_s);
+                shared.accounting.lock().generation_time_s += time_s;
+                Ok(Bytes::from(codec::encode(
+                    &outcome.image,
+                    DEFAULT_CODEC_QUALITY,
+                )))
+            }
+            None => {
+                // Unbatched: the probe gates entry (cheap abort before
+                // the synthesizer warms up); mid-generation expiry is
+                // caught by the final dispatch check.
+                if cancel.is_cancelled() {
+                    record_cancelled("denoise");
+                    return Err(ctx.deadline_error());
+                }
+                let (_, encoded, cost) = with_generator(|g| {
+                    g.try_generate_image(&recipe.prompt, recipe.width, recipe.height)
+                })?;
+                span.finish_with_virtual(cost.time_s);
+                shared.accounting.lock().generation_time_s += cost.time_s;
+                Ok(Bytes::from(encoded))
+            }
+        }
+    });
+    if let Some(breaker) = &shared.breaker {
+        match &fetched {
+            Err(err) if err.is_generation_failure() => breaker.record_failure(recipe.model),
+            _ => breaker.record_success(recipe.model),
+        }
+    }
+    Ok(fetched?.0)
+}
+
+/// Expand every generated-content element of the page at `path`
+/// server-side and rewrite it to its naive form: each image item
+/// becomes an `<img>` pointing at the URL the site index serves its
+/// recipe from, each text item its expanded prose.
+///
+/// Image items are fetched through [`fetch_asset`] even though only the
+/// URL goes into the page: rendering with the page keeps generation
+/// exactly-once per recipe and leaves the asset GET that follows a hit.
+fn materialize(
+    shared: &ServerShared,
+    path: &str,
+    html: &str,
+    ctx: &RequestCtx,
+) -> Result<String, SwwError> {
     let mut doc = parse(html);
+    let index = shared.site.generated_index();
+    let mut urls = index.pages.get(path).into_iter().flatten();
     for item in gencontent::extract(&doc) {
         match item.content_type {
             ContentType::Img => {
-                let (model, steps) = with_generator(|g| (g.image_model(), g.inference_steps()));
-                let recipe = Recipe {
-                    prompt: item.prompt().to_owned(),
-                    model,
-                    width: item.width(),
-                    height: item.height(),
-                    steps,
-                };
-                if let Some(breaker) = &shared.breaker {
-                    if let Err(err) = breaker.try_admit(recipe.model) {
-                        record_shed("breaker");
-                        return Err(err);
-                    }
-                }
-                let fetched = shared.engine.try_fetch_image_ctx(&recipe, ctx, |cancel| {
-                    let span = sww_obs::Span::begin("sww_server_generate", "materialize");
-                    match &shared.batcher {
-                        // Batched path: the flight leader joins a shared
-                        // denoising pass. Bit-identical to the unbatched
-                        // path; only the modelled cost is amortized.
-                        Some(batcher) => {
-                            let device = device_profile(DeviceKind::Workstation);
-                            gen_cost::image_generation_time(
-                                recipe.model,
-                                &device,
-                                recipe.width,
-                                recipe.height,
-                                recipe.steps,
-                            )
-                            .ok_or_else(|| {
-                                SwwError::UnsupportedModel {
-                                    what: "image generation",
-                                    model: format!("{:?}", recipe.model),
-                                }
-                            })?;
-                            let outcome = batcher.submit_ctx(&recipe, ctx, cancel)?;
-                            // Per-image share of the (possibly tiled)
-                            // pass; at kernel_tiles == 1 this is exactly
-                            // the pre-tiling batched per-image time.
-                            let time_s = gen_cost::tiled_batch_pass_time(
-                                recipe.model,
-                                &device,
-                                recipe.width,
-                                recipe.height,
-                                recipe.steps,
-                                outcome.batch_size,
-                                shared.kernel_tiles,
-                            )
-                            .map(|pass| pass / outcome.batch_size.max(1) as f64)
-                            .unwrap_or(0.0);
-                            span.finish_with_virtual(time_s);
-                            shared.accounting.lock().generation_time_s += time_s;
-                            Ok(outcome.image)
-                        }
-                        None => {
-                            // Unbatched: the probe gates entry (cheap
-                            // abort before the synthesizer warms up);
-                            // mid-generation expiry is caught by the
-                            // final dispatch check.
-                            if cancel.is_cancelled() {
-                                record_cancelled("denoise");
-                                return Err(ctx.deadline_error());
-                            }
-                            let (media, cost) = with_generator(|g| g.try_generate(&item))?;
-                            span.finish_with_virtual(cost.time_s);
-                            shared.accounting.lock().generation_time_s += cost.time_s;
-                            match media {
-                                GeneratedMedia::Image { image, .. } => Ok(image),
-                                GeneratedMedia::Text { .. } => {
-                                    unreachable!("an Img item generates an image")
-                                }
-                            }
-                        }
-                    }
-                });
-                if let Some(breaker) = &shared.breaker {
-                    match &fetched {
-                        Err(err) if err.is_generation_failure() => {
-                            breaker.record_failure(recipe.model);
-                        }
-                        _ => breaker.record_success(recipe.model),
-                    }
-                }
-                let (image, _outcome) = fetched?;
-                let encoded = codec::encode(&image, crate::mediagen::DEFAULT_CODEC_QUALITY);
-                let path = format!("/generated/{}", item.name());
-                shared
-                    .generated_assets
-                    .write()
-                    .insert(path.clone(), Bytes::from(encoded));
+                let url = urls.next().expect("the index lists every image item");
+                let recipe = &index.assets[url];
+                fetch_asset(shared, recipe, ctx)?;
                 gencontent::replace_with_image(
                     &mut doc,
                     item.node,
-                    &path,
-                    image.width(),
-                    image.height(),
+                    url,
+                    recipe.width,
+                    recipe.height,
                 );
             }
             ContentType::Txt => {
@@ -1247,6 +1321,155 @@ mod tests {
         // One image item on the page: generated once, then cache hits.
         assert_eq!(server.engine().generations(), 1);
         assert_eq!(server.engine().cache_hits(), 2);
+    }
+
+    #[test]
+    fn page_and_asset_requests_share_one_generation() {
+        let server = demo_server();
+        let session = server.accept(GenAbility::none());
+        for _ in 0..3 {
+            assert_eq!(session.handle(&Request::get("/hike")).status, 200);
+            assert_eq!(
+                session.handle(&Request::get("/generated/trail.jpg")).status,
+                200
+            );
+        }
+        // An asset GET is an engine request like a page image: six
+        // requests for one recipe are one generation and five hits.
+        assert_eq!(server.engine().generations(), 1);
+        assert_eq!(server.engine().cache_hits(), 5);
+    }
+
+    /// The bytes a fresh generator encodes for a prompt: what every
+    /// `/generated/...` URL of that recipe must serve.
+    fn reference_asset(prompt: &str, side: u32) -> Vec<u8> {
+        let mut generator = MediaGenerator::new(device_profile(DeviceKind::Workstation));
+        let (_, encoded, _) = generator.try_generate_image(prompt, side, side).unwrap();
+        encoded
+    }
+
+    #[test]
+    fn asset_url_answers_before_and_after_its_page() {
+        let get = |server: &GenerativeServer, path: &str| {
+            let resp = server
+                .accept(GenAbility::none())
+                .handle(&Request::get(path));
+            assert_eq!(resp.status, 200, "{path}");
+            resp.body
+        };
+        // A node that never materialised the page (a failover owner, a
+        // restarted node) still serves the asset a delivered page names.
+        let asset_first = demo_server();
+        let before = get(&asset_first, "/generated/trail.jpg");
+        get(&asset_first, "/hike");
+        let page_first = demo_server();
+        get(&page_first, "/hike");
+        let after = get(&page_first, "/generated/trail.jpg");
+        assert_eq!(before, after, "byte for byte in either order");
+        assert_eq!(
+            &before[..],
+            reference_asset("a mountain trail at dawn", 128)
+        );
+        assert_eq!(asset_first.engine().generations(), 1);
+        assert_eq!(page_first.engine().generations(), 1);
+        // Unknown generated paths are still absent, not rendered.
+        let missing = asset_first
+            .accept(GenAbility::none())
+            .handle(&Request::get("/generated/nope.jpg"));
+        assert_eq!(missing.status, 404);
+    }
+
+    /// The `src` of the first `<img>` pointing under `/generated/`.
+    fn generated_src(body: &[u8]) -> String {
+        let html = String::from_utf8_lossy(body);
+        let at = html.find("\"/generated/").expect("a generated image") + 1;
+        html[at..at + html[at..].find('"').unwrap()].to_owned()
+    }
+
+    #[test]
+    fn pages_reusing_an_image_name_keep_their_own_picture() {
+        let prompts = [("/a", "a red barn in snow"), ("/b", "a blue boat at sea")];
+        let site = || {
+            let mut site = SiteContent::new();
+            for (path, prompt) in prompts {
+                site.add_page(path, gencontent::image_div(prompt, "pic.jpg", 32, 32));
+            }
+            site
+        };
+        for order in [[0, 1], [1, 0]] {
+            let server = GenerativeServer::from_config(ServerConfig {
+                site: site(),
+                ..ServerConfig::default()
+            });
+            let session = server.accept(GenAbility::none());
+            let srcs =
+                order.map(|i| generated_src(&session.handle(&Request::get(prompts[i].0)).body));
+            assert_ne!(srcs[0], srcs[1], "one URL per recipe");
+            // Both pages are delivered; each `<img src>` must still
+            // resolve to its own page's recipe.
+            for (i, src) in order.into_iter().zip(&srcs) {
+                let asset = session.handle(&Request::get(src.as_str()));
+                assert_eq!(asset.status, 200, "{src}");
+                assert_eq!(&asset.body[..], reference_asset(prompts[i].1, 32), "{src}");
+            }
+        }
+        // The first page in path order keeps the plain URL, the same
+        // name with the same recipe shares it, and nothing collision-free
+        // is renamed.
+        let mut shared = site();
+        shared.add_page("/c", gencontent::image_div(prompts[0].1, "pic.jpg", 32, 32));
+        let index = shared.generated_index();
+        assert_eq!(index.pages["/a"], ["/generated/pic.jpg"]);
+        assert_eq!(index.pages["/c"], ["/generated/pic.jpg"]);
+        assert_ne!(index.pages["/b"], index.pages["/a"]);
+        assert_eq!(index.assets.len(), 2);
+    }
+
+    #[test]
+    fn server_holds_one_bounded_copy_of_rendered_media() {
+        const PAGES: usize = 200;
+        const RESIDENT: usize = 16;
+        let prompt = |p: usize| format!("bounded store prompt {p}");
+        let mut site = SiteContent::new();
+        for p in 0..PAGES {
+            let name = format!("b{p}.jpg");
+            site.add_page(
+                format!("/p/{p}"),
+                gencontent::image_div(&prompt(p), &name, 64, 64),
+            );
+        }
+        let server = GenerativeServer::from_config(ServerConfig {
+            site,
+            cache_pixels: (RESIDENT * 64 * 64) as u64,
+            ..ServerConfig::default()
+        });
+        let session = server.accept(GenAbility::none());
+        let get = |path: String| {
+            let resp = session.handle(&Request::get(path));
+            assert_eq!(resp.status, 200);
+            resp.body
+        };
+        for p in 0..PAGES {
+            get(format!("/p/{p}"));
+            get(format!("/generated/b{p}.jpg"));
+        }
+        // Long after its page was served — and, for all but the last
+        // few, after its render was evicted — every URL still answers
+        // with its recipe's bytes.
+        for p in (0..PAGES).step_by(7) {
+            let body = get(format!("/generated/b{p}.jpg"));
+            assert_eq!(&body[..], reference_asset(&prompt(p), 64), "asset {p}");
+        }
+        let engine = server.engine();
+        assert!(engine.cache().len() <= RESIDENT, "{}", engine.cache().len());
+        // Nothing is retained per page outside the budget: every request
+        // that was not a cache hit had to generate.
+        let requests = (2 * PAGES + PAGES.div_ceil(7)) as u64;
+        assert_eq!(engine.generations(), requests - engine.cache_hits());
+        assert!(
+            engine.generations() > PAGES as u64,
+            "evicted renders regenerate"
+        );
     }
 
     #[test]

@@ -10,9 +10,14 @@
 //!   at the same total cost.
 //! * **Bounded**: `used() <= budget` after every step.
 //! * **Oversized inserts are rejected** and move nothing.
+//! * **The charge comes from the key**: a `GenerationCache` evicts the
+//!   same recipes whether it holds pixels or encoded octets.
 
 use proptest::prelude::*;
+use sww_core::cache::{GenerationCache, Recipe};
 use sww_core::lru::Lru;
+use sww_genai::diffusion::ImageModelKind;
+use sww_genai::ImageBuffer;
 
 /// The reference: strict LRU by touch order, cost-weighted.
 struct Model {
@@ -93,6 +98,50 @@ proptest! {
             prop_assert_eq!(lru.used(), model.used());
             prop_assert_eq!(lru.len(), model.order.len());
             prop_assert!(lru.used() <= budget);
+        }
+    }
+
+    #[test]
+    fn generation_cache_evicts_the_same_recipes_whatever_it_holds(
+        budget_images in 1u64..=6,
+        // (is_get, recipe id, side): sides differ so costs differ, and a
+        // 48² entry can exceed a small budget on its own.
+        ops in proptest::collection::vec((any::<bool>(), 0usize..12, 0usize..3), 1..200),
+    ) {
+        let recipe = |id: usize, side: usize| {
+            let side = [16, 32, 48][side];
+            Recipe {
+                prompt: format!("recipe {id}"),
+                model: ImageModelKind::Sd3Medium,
+                width: side,
+                height: side,
+                steps: 15,
+            }
+        };
+        // The client's form (12 KB of RGB per 64² image) and the
+        // server's (about a tenth of that, encoded) under one budget.
+        let mut pixels: GenerationCache = GenerationCache::new(budget_images * 32 * 32);
+        let mut octets: GenerationCache<Vec<u8>> = GenerationCache::new(budget_images * 32 * 32);
+        for (step, (is_get, id, side)) in ops.into_iter().enumerate() {
+            let r = recipe(id, side);
+            if is_get {
+                prop_assert_eq!(
+                    pixels.get(&r).is_some(),
+                    octets.get(&r).is_some(),
+                    "step {}: get({:?})", step, r
+                );
+            } else {
+                pixels.put(r.clone(), ImageBuffer::new(r.width, r.height));
+                octets.put(r, vec![0; id]);
+            }
+            prop_assert_eq!(pixels.len(), octets.len(), "step {}: residents", step);
+        }
+        // Same victims: every recipe is resident in both or in neither.
+        for id in 0..12 {
+            for side in 0..3 {
+                let r = recipe(id, side);
+                prop_assert_eq!(pixels.get(&r).is_some(), octets.get(&r).is_some(), "{:?}", r);
+            }
         }
     }
 

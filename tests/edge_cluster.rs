@@ -331,6 +331,37 @@ fn node_kill_mid_flight_loses_nothing_and_keeps_bytes_identical() {
     assert_eq!(after.body, asset0.body, "regenerated media is identical");
 }
 
+/// A served asset URL is durable cluster-wide: with its owner dead and
+/// its page never requested anywhere, `GET /generated/<name>` through a
+/// surviving entry still answers with the recipe's bytes — the acting
+/// owner renders it from the site index instead of answering 404 until
+/// some naive client happens to fetch the page on that node.
+#[test]
+fn asset_alone_survives_an_owner_kill() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let asset = Request::get("/generated/edge0.jpg");
+    let baseline = cluster(1).handle(0, GenAbility::none(), &asset);
+    assert_eq!(baseline.status, 200, "an asset needs no page before it");
+
+    let router = cluster(3);
+    let owner = router.owner_of(&asset.path).expect("ring has members");
+    assert!(router.kill(&owner));
+    let ids = router.node_ids();
+    let entry = ids.iter().position(|id| *id != owner).unwrap();
+    let resp = router.handle(entry, GenAbility::none(), &asset);
+    assert_eq!(resp.status, 200);
+    assert_eq!(
+        resp.body, baseline.body,
+        "the baseline bytes, from a failover owner"
+    );
+    let generations: u64 = router
+        .nodes()
+        .iter()
+        .map(|n| n.server().engine().generations())
+        .sum();
+    assert_eq!(generations, 1, "rendered once, by the acting owner");
+}
+
 /// Join/leave rebalancing: adding a node remaps some recipes onto it
 /// without changing a payload byte; removing it drains cleanly (no
 /// in-flight work abandoned) and restores the exact pre-join ownership —
