@@ -30,7 +30,7 @@ cargo test --release --test batch_equivalence -q
 echo "==> cargo test -p sww-genai --test proptest_kernel (tiled kernel bit-identity property suite)"
 cargo test -p sww-genai --test proptest_kernel -q
 
-echo "==> cargo test -p sww-genai --test proptest_noise (tabulated fbm == hashed fbm, bit for bit)"
+echo "==> cargo test -p sww-genai --test proptest_noise (tabulated fbm == hashed fbm, and at_col == at, bit for bit)"
 cargo test -p sww-genai --test proptest_noise -q
 
 # The only gate that compares pixels *across commits*: every suite above
@@ -46,6 +46,19 @@ cargo test --release -p sww-genai --test golden_pixels -q
 echo "==> cargo test --test golden_responses (served bytes + headers pinned to recorded digests)"
 cargo test --test golden_responses -q
 cargo test --release --test golden_responses -q
+
+# A page form is derived once (PR 17): the store's unit tests (derived
+# once, reused byte for byte, nothing stored on failure, one form per
+# page, the engine still asked on every hit), then its counter and its
+# behaviour under the failpoints from outside the crate. The goldens
+# above are what pin the reused bytes to the parent's.
+echo "==> cargo test -p sww-core --lib server::tests (page-form store)"
+cargo test -p sww-core --lib server::tests -q
+echo "==> cargo test --test page_forms --test metrics_e2e (derived + reused == page requests; faults store nothing)"
+cargo test --test page_forms --test metrics_e2e -q
+
+echo "==> cargo test -p sww-core --lib edge::tests::hints (hint queue bounded by the replica-store budget)"
+cargo test -p sww-core --lib edge::tests::hints -q
 
 echo "==> cargo test --release -p sww-genai --test steady_state_alloc (zero-allocation hot path)"
 cargo test --release -p sww-genai --test steady_state_alloc -q
@@ -163,7 +176,7 @@ echo "==> bench-workload --chaos (E20 workload gate)"
 
 # Ratchet: the workspace test count must never silently shrink. Raise the
 # floor when a PR adds tests; a drop below it means tests were lost.
-TEST_FLOOR=910
+TEST_FLOOR=919
 echo "==> workspace test-count floor (>= ${TEST_FLOOR})"
 TEST_COUNT=$(cargo test --workspace -- --list 2>/dev/null | grep -c ": test$")
 echo "    ${TEST_COUNT} tests"

@@ -337,24 +337,36 @@ mod tests {
             .lock()
             .unwrap_or_else(|e| e.into_inner());
         let cfg = small();
-        let run = run_with_latency(cfg);
-        // Every request reconciled against the transport-labelled server
-        // counter.
         let expect = (cfg.pages * cfg.recipes) as u64;
-        assert_eq!(run.h2.requests, expect, "h2 request accounting");
-        assert_eq!(run.h3.requests, expect, "h3 request accounting");
-        // Byte-identical recipes: same core, different framing.
-        assert!(run.byte_identical, "payloads must not depend on transport");
-        // The no-HoL win: h2 serializes the K generations, h3 overlaps
-        // them. Modelled exactly K×; the wall clock only has to show a
-        // strict win — this test shares the host with the whole
-        // workspace suite, so a hard measured ratio would gate noise.
-        assert_eq!(run.modelled_speedup(), cfg.recipes as f64);
+        // The wall-clock half gets up to three runs; everything exact is
+        // asserted on each of them.
+        let mut medians = Vec::new();
+        for _ in 0..3 {
+            let run = run_with_latency(cfg);
+            // Every request reconciled against the transport-labelled
+            // server counter.
+            assert_eq!(run.h2.requests, expect, "h2 request accounting");
+            assert_eq!(run.h3.requests, expect, "h3 request accounting");
+            // Byte-identical recipes: same core, different framing.
+            assert!(run.byte_identical, "payloads must not depend on transport");
+            // The no-HoL win: h2 serializes the K generations, h3
+            // overlaps them. Modelled exactly K×.
+            assert_eq!(run.modelled_speedup(), cfg.recipes as f64);
+            medians.push((run.h3.p50_ms, run.h2.p50_ms));
+            if run.h3.p50_ms < run.h2.p50_ms {
+                break;
+            }
+        }
+        // The wall clock only has to show a strict win, over three page
+        // loads per transport on a host shared with the whole workspace
+        // suite. Medians, because a p99 over three loads is the slowest
+        // load and a single host stall longer than the K × 20 ms h2
+        // spends would decide it; up to three attempts, because a stall
+        // can outlast a run. A transport change that really serialises
+        // h3 loses every attempt.
         assert!(
-            run.h3.p99_ms < run.h2.p99_ms,
-            "h3 p99 {:.1} ms vs h2 p99 {:.1} ms",
-            run.h3.p99_ms,
-            run.h2.p99_ms
+            medians.iter().any(|(h3, h2)| h3 < h2),
+            "h3 never beat h2 on median page load, (h3, h2) ms per attempt: {medians:?}"
         );
     }
 

@@ -252,6 +252,7 @@ struct NodeCounters {
     replica_pushes: AtomicU64,
     replica_hits: AtomicU64,
     replica_hints: AtomicU64,
+    hint_drops: AtomicU64,
     replica_handoffs: AtomicU64,
     replica_evictions: AtomicU64,
 }
@@ -286,6 +287,10 @@ pub struct NodeStats {
     pub replica_hits: u64,
     /// Pushes this node parked as hints because the replica was down.
     pub replica_hints: u64,
+    /// Hints parked *for* this node that were dropped, oldest first,
+    /// because the octets waiting for it outgrew
+    /// [`EdgeConfig::fill_bytes`] while it was away.
+    pub hint_drops: u64,
     /// Hinted writes delivered *to* this node on rejoin (anti-entropy).
     pub replica_handoffs: u64,
     /// Replica-store entries displaced to stay within
@@ -363,6 +368,7 @@ impl EdgeNode {
             replica_pushes: self.counters.replica_pushes.load(Ordering::Relaxed),
             replica_hits: self.counters.replica_hits.load(Ordering::Relaxed),
             replica_hints: self.counters.replica_hints.load(Ordering::Relaxed),
+            hint_drops: self.counters.hint_drops.load(Ordering::Relaxed),
             replica_handoffs: self.counters.replica_handoffs.load(Ordering::Relaxed),
             replica_evictions: self.counters.replica_evictions.load(Ordering::Relaxed),
         }
@@ -478,8 +484,11 @@ struct RouterInner {
     /// The SWIM failure detector. Locked after `state` everywhere (the
     /// router never takes `state` while holding this lock).
     gossip: Mutex<Gossip>,
-    /// Parked replica pushes awaiting their target's rejoin, newest
-    /// write per `(target, key)` pair.
+    /// Parked replica pushes awaiting their target's rejoin, oldest
+    /// first, newest write per `(target, key)` pair. A hint is a replica
+    /// write that has not happened yet, so the body octets parked for
+    /// one target are bounded by that target's replica-store budget
+    /// (`fill_bytes`): more could not be resident after delivery anyway.
     hints: Mutex<Vec<Hint>>,
 }
 
@@ -941,19 +950,42 @@ impl EdgeRouter {
                     "sww_edge_replica_pushes_total",
                 );
             } else {
-                let mut hints = self.inner.hints.lock();
-                hints.retain(|h| !(h.target == *id && h.key == fill_key));
-                hints.push(Hint {
-                    target: id.clone(),
-                    key: fill_key.to_owned(),
-                    resp: resp.clone(),
-                });
+                self.park_hint(target, fill_key, resp);
                 owner.count(
                     &owner.counters.replica_hints,
                     "sww_edge_replica_hints_total",
                 );
             }
         }
+    }
+
+    /// Park a replica push for `target`, replacing any older write of
+    /// the same key, then drop `target`'s oldest hints until the body
+    /// octets parked for it fit its replica-store budget. A response
+    /// larger than the whole budget is dropped at once, as the replica
+    /// store itself would refuse it.
+    fn park_hint(&self, target: &EdgeNode, key: &str, resp: &Response) {
+        let mut hints = self.inner.hints.lock();
+        hints.retain(|h| !(h.target == target.id && h.key == key));
+        hints.push(Hint {
+            target: target.id.clone(),
+            key: key.to_owned(),
+            resp: resp.clone(),
+        });
+        let of_target = hints.iter().filter(|h| h.target == target.id);
+        let mut parked: u64 = of_target.map(|h| h.resp.body.len() as u64).sum();
+        let mut dropped = 0;
+        while parked > self.inner.fill_bytes {
+            let oldest = hints.iter().position(|h| h.target == target.id);
+            let hint = hints.remove(oldest.expect("octets are parked for the target"));
+            parked -= hint.resp.body.len() as u64;
+            dropped += 1;
+        }
+        target.count_n(
+            &target.counters.hint_drops,
+            "sww_edge_hint_drops_total",
+            dropped,
+        );
     }
 
     /// Serve one HTTP/2 connection whose requests enter at `entry` —
@@ -1429,6 +1461,70 @@ mod tests {
         assert_eq!(seat_node.stats().replica_handoffs, 1);
         assert_eq!(seat_node.replica_len(), 1);
         assert_eq!(router.consensus_health(&seat), Some(Health::Alive));
+    }
+
+    #[test]
+    fn hints_for_a_dead_replica_stay_within_its_store_budget() {
+        const PAGES: usize = 8;
+        const FIT: usize = 3;
+        // Two-digit page numbers: every naive page body has one length.
+        let paths: Vec<String> = (10..10 + PAGES).map(|p| format!("/page/{p}")).collect();
+        let mut site = SiteContent::new();
+        for (path, p) in paths.iter().zip(10..) {
+            let name = format!("hint{p}.jpg");
+            site.add_page(
+                path.as_str(),
+                gencontent::image_div(&format!("hint budget prompt {p}"), &name, 16, 16),
+            );
+        }
+        let server_of = |site| {
+            GenerativeServer::from_config(ServerConfig {
+                site,
+                ..ServerConfig::default()
+            })
+        };
+        let body_len = server_of(site.clone())
+            .accept(GenAbility::none())
+            .handle(&Request::get(paths[0].as_str()))
+            .body
+            .len() as u64;
+        // Two nodes, replication 2, hot at the first hit: whichever node
+        // owns a key, its one replica seat is the other node.
+        let router = EdgeRouter::new(
+            EdgeConfig {
+                nodes: 2,
+                replication: 2,
+                hot_threshold: 1,
+                fill_bytes: FIT as u64 * body_len + body_len / 2,
+                ..EdgeConfig::default()
+            },
+            site,
+            server_of,
+        );
+        let ids = router.node_ids();
+        let (survivor, seat) = (router.node(&ids[0]).unwrap(), router.node(&ids[1]).unwrap());
+        router.kill(seat.id());
+        for path in &paths {
+            let resp = router.handle(0, GenAbility::none(), &Request::get(path.as_str()));
+            assert_eq!(resp.status, 200);
+            assert_eq!(resp.body.len() as u64, body_len);
+            assert!(router.pending_hints() <= FIT, "bounded at every step");
+        }
+        // Every push parked; all but the newest that fit were dropped.
+        assert_eq!(survivor.stats().replica_hints, PAGES as u64);
+        assert_eq!(router.pending_hints(), FIT);
+        assert_eq!(seat.stats().hint_drops, (PAGES - FIT) as u64);
+        assert_eq!(survivor.stats().hint_drops, 0, "counted at the target");
+        router.tick_gossip(8);
+        router.revive(seat.id());
+        router.tick_gossip(8);
+        assert_eq!(router.pending_hints(), 0);
+        assert_eq!(seat.stats().replica_handoffs, FIT as u64);
+        let replica = seat.replica.lock();
+        for (i, path) in paths.iter().enumerate() {
+            let key = format!("{path}|{}", mode_tag(ServeMode::ServerGenerated));
+            assert_eq!(replica.contains(&key), i >= PAGES - FIT, "{path}");
+        }
     }
 
     #[test]

@@ -50,7 +50,7 @@ use crate::policy::ServerPolicy;
 use crate::transport::TransportKind;
 use crate::workpool::WorkerPool;
 use bytes::Bytes;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -74,6 +74,44 @@ pub struct SwwPage {
     /// HTML that may contain generated-content divisions and references
     /// to unique assets.
     pub html: String,
+    /// The prompt form's [`etag_bits`], hashed by the first capable
+    /// client's request rather than at `add_page` time (site build is
+    /// set-up time, and a page only naive clients ask for never needs
+    /// it). `html` itself is the body: no second copy of it is kept.
+    etag: OnceLock<u64>,
+}
+
+/// The 64 bits of a page body's sha256 that its content-addressed ETag
+/// prints. A form keeps these rather than the header text: 8 octets
+/// beside every page of every copy of the site, and no allocation.
+fn etag_bits(body: &[u8]) -> u64 {
+    let [a, b, c, d, e, f, g, h, ..] = sha256(body);
+    u64::from_be_bytes([a, b, c, d, e, f, g, h])
+}
+
+/// The `etag` header for [`etag_bits`]: 16 hex digits, quoted.
+fn etag_header(bits: u64) -> String {
+    format!("\"{bits:016x}\"")
+}
+
+/// A page's naive form: the body a client without `GEN_ABILITY` is sent
+/// and that body's [`etag_bits`] — what [`materialize`] and a hash
+/// derive from a page of the frozen site, kept so they are derived once.
+#[derive(Debug, Clone)]
+struct PageForm {
+    body: Bytes,
+    etag: u64,
+}
+
+/// Count one page request answered from a page form: `form` is `naive`
+/// or `prompt`; `derived` says whether this request computed it.
+fn count_page_form(form: &'static str, derived: bool) {
+    let result = if derived { "derived" } else { "reused" };
+    sww_obs::counter(
+        "sww_server_page_forms_total",
+        &[("form", form), ("result", result)],
+    )
+    .inc();
 }
 
 /// A site: pages plus unique (non-generatable) assets and published
@@ -119,7 +157,10 @@ impl SiteContent {
     /// Add a page at `path`, replacing (and un-counting) any previous
     /// page at the same path.
     pub fn add_page(&mut self, path: impl Into<String>, html: impl Into<String>) {
-        let page = SwwPage { html: html.into() };
+        let page = SwwPage {
+            html: html.into(),
+            etag: OnceLock::new(),
+        };
         self.stored += page.html.len() as u64;
         if let Some(old) = self.pages.insert(path.into(), page) {
             self.stored -= old.html.len() as u64;
@@ -235,6 +276,12 @@ struct ServerShared {
     /// (§5.1) — and is the only place rendered media is retained.
     engine: GenerationEngine<Bytes>,
     accounting: Mutex<Accounting>,
+    /// The naive form of each page a naive client has asked for, written
+    /// by the first successful [`materialize`] of its path. The site is
+    /// frozen, so an entry never changes and the map never outgrows
+    /// `site.pages` — bounded by construction, nothing to evict. It
+    /// holds page bodies only; every image stays in `engine`.
+    page_forms: RwLock<HashMap<String, PageForm>>,
     /// Memoized traditional-size estimate; the site is immutable once
     /// the server is built, so this is computed at most once.
     traditional_memo: Mutex<Option<u64>>,
@@ -405,6 +452,7 @@ impl GenerativeServer {
                 policy: config.policy,
                 engine: GenerationEngine::new(config.cache_shards, config.cache_pixels),
                 accounting: Mutex::new(Accounting::default()),
+                page_forms: RwLock::default(),
                 traditional_memo: Mutex::new(None),
                 pool: (config.workers > 0).then(|| match config.service_time_prior_s {
                     Some(prior) => {
@@ -952,23 +1000,34 @@ fn handle_request(
         &[("mode", mode_label(mode))],
     )
     .inc();
-    let html = match mode {
-        ServeMode::Generative | ServeMode::UpscaleAssisted => page.html.clone(),
+    let form = match mode {
+        ServeMode::Generative | ServeMode::UpscaleAssisted => {
+            let mut derived = false;
+            let etag = *page.etag.get_or_init(|| {
+                derived = true;
+                etag_bits(page.html.as_bytes())
+            });
+            count_page_form("prompt", derived);
+            PageForm {
+                body: Bytes::from(page.html.clone()),
+                etag,
+            }
+        }
         ServeMode::ServerGenerated | ServeMode::Traditional => {
-            materialize(shared, &req.path, &page.html, ctx)?
+            naive_form(shared, &req.path, &page.html, ctx)?
         }
     };
     // Conditional requests: the page body is content-addressed, so a
     // client that revalidates with If-None-Match skips the transfer —
     // prompt-form pages are as cacheable as any static resource.
-    let etag = format!("\"{}\"", &to_hex(&sha256(html.as_bytes()))[..16]);
+    let etag = etag_header(form.etag);
     if req.headers.get("if-none-match") == Some(etag.as_str()) {
         let mut resp = Response::status(304);
         resp.headers.insert("etag", etag);
         resp.headers.insert("x-sww-mode", mode_label(mode));
         return Ok(resp);
     }
-    let mut resp = Response::ok(Bytes::from(html));
+    let mut resp = Response::ok(form.body);
     resp.headers.insert("content-type", "text/html");
     resp.headers.insert("etag", etag);
     resp.headers.insert("x-sww-mode", mode_label(mode));
@@ -1113,10 +1172,49 @@ fn fetch_asset(
     Ok(fetched?.0)
 }
 
+/// The naive form of the page at `path`: reused when an earlier request
+/// derived it, otherwise derived by [`materialize`] and — only when that
+/// succeeded — stored. Two requests racing the first derivation both
+/// derive; the first to finish is stored and both answer with it.
+///
+/// A reused form still asks the engine for every image of the page, in
+/// document order, exactly as `materialize` does: breaker admission, the
+/// request's deadline, the failpoints and the cache's recency all see
+/// the page request, an evicted image is regenerated before the page
+/// that names it is sent, and the asset GET that follows stays a hit.
+/// What reuse skips is what cannot change on a frozen site: parse,
+/// extract, text expansion, serialize and the ETag's hash.
+fn naive_form(
+    shared: &ServerShared,
+    path: &str,
+    html: &str,
+    ctx: &RequestCtx,
+) -> Result<PageForm, SwwError> {
+    let stored = shared.page_forms.read().get(path).cloned();
+    if let Some(form) = stored {
+        count_page_form("naive", false);
+        let index = shared.site.generated_index();
+        for url in index.pages.get(path).into_iter().flatten() {
+            fetch_asset(shared, &index.assets[url], ctx)?;
+        }
+        return Ok(form);
+    }
+    let body = materialize(shared, path, html, ctx)?;
+    count_page_form("naive", true);
+    let form = PageForm {
+        etag: etag_bits(body.as_bytes()),
+        body: Bytes::from(body),
+    };
+    let mut forms = shared.page_forms.write();
+    Ok(forms.entry(path.to_owned()).or_insert(form).clone())
+}
+
 /// Expand every generated-content element of the page at `path`
 /// server-side and rewrite it to its naive form: each image item
 /// becomes an `<img>` pointing at the URL the site index serves its
-/// recipe from, each text item its expanded prose.
+/// recipe from, each text item its expanded prose. Runs once per page
+/// (see [`naive_form`]), so a text item's modelled generation time is
+/// charged once, when its page's form is derived.
 ///
 /// Image items are fetched through [`fetch_asset`] even though only the
 /// URL goes into the page: rendering with the page keeps generation
@@ -1338,6 +1436,191 @@ mod tests {
         // requests for one recipe are one generation and five hits.
         assert_eq!(server.engine().generations(), 1);
         assert_eq!(server.engine().cache_hits(), 5);
+    }
+
+    fn stored_forms(server: &GenerativeServer) -> usize {
+        server.shared.page_forms.read().len()
+    }
+
+    #[test]
+    fn naive_form_is_derived_once_and_every_hit_reuses_it() {
+        let server = demo_server();
+        let session = server.accept(GenAbility::none());
+        let first = session.handle(&Request::get("/hike"));
+        assert_eq!(first.status, 200);
+        assert_eq!(first.headers.get("content-type"), Some("text/html"));
+        assert_eq!(first.headers.get("x-sww-mode"), Some("server-generated"));
+        assert_eq!(
+            first.headers.get("etag"),
+            Some(etag_header(etag_bits(&first.body)).as_str()),
+            "the stored ETag is the body's"
+        );
+        // /hike has an image and a text block: both were charged.
+        let charged = server.server_generation_time_s();
+        assert!(charged > 0.0);
+        for hit in 1..=4 {
+            let resp = session.handle(&Request::get("/hike"));
+            assert_eq!(resp.status, first.status);
+            assert_eq!(resp.body, first.body);
+            assert_eq!(resp.headers, first.headers, "same fields, same order");
+            assert_eq!(
+                resp.body.as_ptr(),
+                first.body.as_ptr(),
+                "a hit serves the stored octets, not a re-serialised copy"
+            );
+            // The engine was still asked for the page's image...
+            assert_eq!(server.engine().cache_hits(), hit);
+        }
+        assert_eq!(server.engine().generations(), 1);
+        // ...but nothing was expanded again: the text block's modelled
+        // time is charged on derivation only.
+        assert_eq!(server.server_generation_time_s(), charged);
+        assert_eq!(stored_forms(&server), 1);
+    }
+
+    #[test]
+    fn revalidating_a_reused_form_answers_304_like_a_derived_one() {
+        let etag = {
+            let resp = demo_server()
+                .accept(GenAbility::none())
+                .handle(&Request::get("/hike"));
+            resp.headers
+                .get("etag")
+                .expect("pages carry etags")
+                .to_owned()
+        };
+        let mut req = Request::get("/hike");
+        req.headers.insert("if-none-match", etag.as_str());
+        // Derived by the revalidation itself, then reused by the next.
+        let server = demo_server();
+        let session = server.accept(GenAbility::none());
+        let derived = session.handle(&req);
+        let reused = session.handle(&req);
+        assert_eq!(stored_forms(&server), 1);
+        for resp in [&derived, &reused] {
+            assert_eq!(resp.status, 304);
+            assert!(resp.body.is_empty());
+            let fields: Vec<_> = resp.headers.iter().map(|f| f.name.as_str()).collect();
+            assert_eq!(fields, ["etag", "x-sww-mode"]);
+            assert_eq!(resp.headers.get("etag"), Some(etag.as_str()));
+        }
+        assert_eq!(derived.headers, reused.headers);
+        // A stale validator gets the full reused form.
+        req.headers = Default::default();
+        req.headers.insert("if-none-match", "\"stale\"");
+        assert_eq!(session.handle(&req).status, 200);
+    }
+
+    #[test]
+    fn failed_derivation_stores_nothing_and_the_next_request_derives() {
+        let server = GenerativeServer::from_config(ServerConfig {
+            site: demo_site(),
+            breaker: Some(BreakerConfig {
+                failure_threshold: 1,
+                cooldown: Duration::from_secs(60),
+            }),
+            ..ServerConfig::default()
+        });
+        let session = server.accept(GenAbility::none());
+        let model = with_generator(|g| g.image_model());
+        let breaker = server.breaker().expect("enabled at build time");
+        // Expired deadline, then an open breaker: neither leaves a form.
+        let mut expired = Request::get("/hike");
+        expired.headers.insert("x-sww-deadline-ms", "0");
+        assert_eq!(session.handle(&expired).status, 504);
+        breaker.record_failure(model);
+        assert_eq!(session.handle(&Request::get("/hike")).status, 503);
+        assert_eq!(stored_forms(&server), 0);
+        assert_eq!(server.engine().generations(), 0);
+        // Healthy again: this request derives, and its body is the one
+        // an untroubled server serves.
+        breaker.record_success(model);
+        let resp = session.handle(&Request::get("/hike"));
+        assert_eq!(resp.status, 200);
+        assert_eq!(stored_forms(&server), 1);
+        let reference = demo_server()
+            .accept(GenAbility::none())
+            .handle(&Request::get("/hike"));
+        assert_eq!(resp.body, reference.body);
+        // A stored form does not bypass admission: the page's images are
+        // still asked for, so the breaker and the deadline still answer.
+        breaker.record_failure(model);
+        assert_eq!(session.handle(&Request::get("/hike")).status, 503);
+        breaker.record_success(model);
+        assert_eq!(session.handle(&expired).status, 504);
+        assert_eq!(session.handle(&Request::get("/hike")).body, resp.body);
+    }
+
+    #[test]
+    fn racing_first_requests_store_one_form() {
+        let server = demo_server();
+        let start = std::sync::Barrier::new(2);
+        let bodies: Vec<Bytes> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let session = server.accept(GenAbility::none());
+                        start.wait();
+                        let resp = session.handle(&Request::get("/hike"));
+                        assert_eq!(resp.status, 200);
+                        resp.body
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert_eq!(bodies[0], bodies[1]);
+        assert_eq!(stored_forms(&server), 1);
+        assert_eq!(server.engine().generations(), 1, "single flight held");
+    }
+
+    #[test]
+    fn form_store_is_bounded_by_the_site_and_idle_for_capable_clients() {
+        const PAGES: usize = 6;
+        let site = || {
+            let mut site = SiteContent::new();
+            for p in 0..PAGES {
+                let name = format!("f{p}.jpg");
+                site.add_page(
+                    format!("/p/{p}"),
+                    gencontent::image_div(&format!("form store prompt {p}"), &name, 16, 16),
+                );
+            }
+            site
+        };
+        let server = GenerativeServer::from_config(ServerConfig {
+            site: site(),
+            ..ServerConfig::default()
+        });
+        let naive = server.accept(GenAbility::none());
+        for round in 0..3 {
+            for p in 0..PAGES / 2 {
+                assert_eq!(naive.handle(&Request::get(format!("/p/{p}"))).status, 200);
+                assert_eq!(naive.handle(&Request::get("/p/missing")).status, 404);
+            }
+            // Only pages a naive client asked for, one entry each.
+            assert_eq!(stored_forms(&server), PAGES / 2, "round {round}");
+        }
+        for p in 0..PAGES {
+            naive.handle(&Request::get(format!("/p/{p}")));
+        }
+        assert_eq!(stored_forms(&server), server.shared.site.page_count());
+        // A server that only meets capable clients stores no form (and
+        // hashes each page's ETag once, beside the page).
+        let prompt_only = GenerativeServer::from_config(ServerConfig {
+            site: site(),
+            ..ServerConfig::default()
+        });
+        let capable = prompt_only.accept(GenAbility::full());
+        let first = capable.handle(&Request::get("/p/0"));
+        let again = capable.handle(&Request::get("/p/0"));
+        assert_eq!(first.status, 200);
+        assert_eq!(
+            first.headers.get("etag"),
+            Some(etag_header(etag_bits(&first.body)).as_str())
+        );
+        assert_eq!((&again.headers, &again.body), (&first.headers, &first.body));
+        assert_eq!(stored_forms(&prompt_only), 0);
     }
 
     /// The bytes a fresh generator encodes for a prompt: what every

@@ -32,8 +32,9 @@
 //! a few hundred points, evaluated at thousands of pixels. Each is a
 //! [`noise::FbmField`]: the lattice is hashed **once per image** into a
 //! 4 KB stack table (`prepare_job` builds one, `decode` builds one), and
-//! decode fixes `v` once per image row ([`noise::FbmRow`]) so the y half
-//! of every octave leaves the x loop. The table stores exactly the values
+//! decode fixes `v` once per image row ([`noise::FbmRow`]) and `u` once
+//! per image column ([`noise::FbmCol`]), so both halves of every octave
+//! leave the pixel loop. The table stores exactly the values
 //! the hash returns and `FbmField::at` runs the same interpolation body
 //! as `noise::fbm`, so pixels are bit-identical to hashing every corner;
 //! `tests/golden_pixels.rs` pins them to digests recorded before the
@@ -53,7 +54,7 @@ use crate::pool::{self, PooledF64};
 use crate::prompt::{PromptFeatures, TextureClass, EMBED_DIM};
 use crate::rng::Rng;
 use field::{semantic_target, smooth_field, GRID};
-use noise::{FbmField, FbmRow};
+use noise::{FbmCol, FbmField, FbmRow};
 use scheduler::Schedule;
 use std::sync::{Arc, Mutex};
 
@@ -377,7 +378,11 @@ impl DiffusionModel {
     /// Two passes: the residual-noise plane is drawn first, serially and
     /// row-major (the exact stream the fused pre-PR-6 loop consumed), into
     /// a pooled scratch; the per-pixel combine is then pure arithmetic
-    /// over it. Output is bit-identical to the fused loop.
+    /// over it, so it may visit pixels in any order. It visits them a
+    /// strip of [`DECODE_STRIP`] columns at a time: what depends only on
+    /// `x` is computed once per column into a stack array, what depends
+    /// only on `y` once per row, and a pixel combines the two. Output is
+    /// bit-identical to the fused loop.
     fn decode(
         &self,
         features: &PromptFeatures,
@@ -386,31 +391,41 @@ impl DiffusionModel {
         height: u32,
         rng: &mut Rng,
     ) -> ImageBuffer {
-        let mut img = ImageBuffer::new(width, height);
+        let (w, h) = (width as usize, height as usize);
         let residual = 3.5 * (1.0 - self.profile.quality);
-        let mut noise = pool::decode_pool().acquire(width as usize * height as usize);
+        let mut noise = pool::decode_pool().acquire(w * h);
         for g in noise.iter_mut() {
             *g = rng.gaussian();
         }
         let aesthetic = Aesthetic::new(features);
-        for y in 0..height {
-            let v = f64::from(y) / f64::from(height.max(1));
-            let row = y as usize * width as usize;
-            let aesthetic_row = aesthetic.row(v);
-            for x in 0..width {
+        let mut data = vec![0u8; w * h * 3];
+        let mut strip = [DecodeColumn::default(); DECODE_STRIP];
+        for left in (0..w).step_by(DECODE_STRIP) {
+            let strip = &mut strip[..DECODE_STRIP.min(w - left)];
+            for (x, col) in (left as u32..).zip(strip.iter_mut()) {
                 let u = f64::from(x) / f64::from(width.max(1));
-                let base = aesthetic_row.color(u);
-                let s = sample_grid(latent, u, v) * SEMANTIC_AMPLITUDE;
-                let n = noise[row + x as usize] * residual;
-                let px = [
-                    (base[0] + s + n).clamp(0.0, 255.0) as u8,
-                    (base[1] + s + n).clamp(0.0, 255.0) as u8,
-                    (base[2] + s + n).clamp(0.0, 255.0) as u8,
-                ];
-                img.set(x, y, px);
+                *col = DecodeColumn {
+                    noise: aesthetic.col(u),
+                    grid: GridAxis::at(u),
+                };
+            }
+            for y in 0..h {
+                let v = f64::from(y as u32) / f64::from(height.max(1));
+                let aesthetic_row = aesthetic.row(v);
+                let grid_row = GridAxis::at(v);
+                let at = y * w + left;
+                let pixels = data[at * 3..].chunks_exact_mut(3);
+                for ((col, n), px) in strip.iter().zip(&noise[at..]).zip(pixels) {
+                    let base = aesthetic_row.color(&col.noise);
+                    let s = sample_grid(latent, &col.grid, &grid_row) * SEMANTIC_AMPLITUDE;
+                    let n = n * residual;
+                    px[0] = (base[0] + s + n).clamp(0.0, 255.0) as u8;
+                    px[1] = (base[1] + s + n).clamp(0.0, 255.0) as u8;
+                    px[2] = (base[2] + s + n).clamp(0.0, 255.0) as u8;
+                }
             }
         }
-        img
+        ImageBuffer::from_data(width, height, data)
     }
 
     /// Extract the image's embedding in the shared prompt/image feature
@@ -432,25 +447,37 @@ impl DiffusionModel {
     }
 }
 
+/// Image columns [`DiffusionModel::decode`] combines per pass over the
+/// rows. Their per-column terms sit on the stack (96 B each), so the
+/// scratch is the same 12 KB whatever the image width.
+const DECODE_STRIP: usize = 128;
+
+/// What `decode` needs of a pixel that depends only on its column.
+#[derive(Clone, Copy, Default)]
+struct DecodeColumn {
+    noise: FbmCol,
+    grid: GridAxis,
+}
+
 /// The prompt's aesthetic base-colour field over `(u, v) ∈ [0, 1)²`: the
 /// palette swept by an fbm whose shape the texture class picks. Built
 /// once per decode, so the noise lattice is hashed once per image.
-struct Aesthetic<'a> {
-    palette: &'a [[u8; 3]],
+struct Aesthetic {
+    palette: Vec<[f64; 3]>,
     texture: TextureClass,
     scale: f64,
     field: FbmField,
 }
 
-impl<'a> Aesthetic<'a> {
-    fn new(features: &'a PromptFeatures) -> Aesthetic<'a> {
+impl Aesthetic {
+    fn new(features: &PromptFeatures) -> Aesthetic {
         let (scale, octaves) = match features.texture {
             TextureClass::Banded => (4.0, 2),
             TextureClass::Organic => (3.0, 3),
             TextureClass::Geometric => (5.0, 1),
         };
         Aesthetic {
-            palette: &features.palette,
+            palette: features.palette.iter().map(|c| c.map(f64::from)).collect(),
             texture: features.texture,
             scale,
             field: FbmField::new(features.seed, octaves, scale, scale),
@@ -466,6 +493,11 @@ impl<'a> Aesthetic<'a> {
         }
     }
 
+    /// Fix `u`: the noise field's half that depends only on the column.
+    fn col(&self, u: f64) -> FbmCol {
+        self.field.col(self.coord(u))
+    }
+
     /// Fix `v`: everything that depends only on the image row.
     fn row(&self, v: f64) -> AestheticRow<'_> {
         AestheticRow {
@@ -478,24 +510,25 @@ impl<'a> Aesthetic<'a> {
 
 /// An [`Aesthetic`] with `v` fixed.
 struct AestheticRow<'a> {
-    aesthetic: &'a Aesthetic<'a>,
+    aesthetic: &'a Aesthetic,
     v: f64,
     noise: FbmRow<'a>,
 }
 
 impl AestheticRow<'_> {
-    fn color(&self, u: f64) -> [f64; 3] {
-        let n = self.noise.at(self.aesthetic.coord(u));
+    /// The base colour where this row meets the column `col` was
+    /// computed for ([`Aesthetic::col`]).
+    fn color(&self, col: &FbmCol) -> [f64; 3] {
+        let n = self.noise.at_col(col);
         let t = match self.aesthetic.texture {
             // Horizon bands: palette sweeps top to bottom.
             TextureClass::Banded => self.v + 0.08 * n,
             // Soft blobs, hard-edged cells.
             TextureClass::Organic | TextureClass::Geometric => 0.5 + 0.5 * n,
         };
-        let palette = self.aesthetic.palette;
+        let palette = &self.aesthetic.palette;
         let idx = (t.clamp(0.0, 0.999) * palette.len() as f64) as usize;
-        let c = palette[idx.min(palette.len() - 1)];
-        [f64::from(c[0]), f64::from(c[1]), f64::from(c[2])]
+        palette[idx.min(palette.len() - 1)]
     }
 }
 
@@ -709,22 +742,40 @@ pub fn try_denoise_batch_tiled(
     completed.then_some(out)
 }
 
-/// Bilinear sample of the coarse latent grid at `(u, v) ∈ [0,1]²`.
-/// `grid` must hold `GRID²` cells, row-major.
-fn sample_grid(grid: &[f64], u: f64, v: f64) -> f64 {
+/// One axis of a bilinear sample of the coarse latent grid: the two grid
+/// lines `t ∈ [0, 1]` falls between and its weight on each. The x axis
+/// is fixed down an image column and the y axis along an image row.
+#[derive(Debug, Clone, Copy, Default)]
+struct GridAxis {
+    i0: usize,
+    i1: usize,
+    /// Weight of line `i1`; `near` is `1 - far`, the weight of `i0`.
+    far: f64,
+    near: f64,
+}
+
+impl GridAxis {
+    fn at(t: f64) -> GridAxis {
+        let p = t.clamp(0.0, 1.0) * (GRID - 1) as f64;
+        let i0 = p.floor() as usize;
+        let far = p - i0 as f64;
+        GridAxis {
+            i0,
+            i1: (i0 + 1).min(GRID - 1),
+            far,
+            near: 1.0 - far,
+        }
+    }
+}
+
+/// Bilinear sample of the coarse latent grid where column axis `x` meets
+/// row axis `y`. `grid` must hold `GRID²` cells, row-major.
+fn sample_grid(grid: &[f64], x: &GridAxis, y: &GridAxis) -> f64 {
     debug_assert_eq!(grid.len(), GRID * GRID);
-    let x = u.clamp(0.0, 1.0) * (GRID - 1) as f64;
-    let y = v.clamp(0.0, 1.0) * (GRID - 1) as f64;
-    let x0 = x.floor() as usize;
-    let y0 = y.floor() as usize;
-    let x1 = (x0 + 1).min(GRID - 1);
-    let y1 = (y0 + 1).min(GRID - 1);
-    let fx = x - x0 as f64;
-    let fy = y - y0 as f64;
-    grid[y0 * GRID + x0] * (1.0 - fx) * (1.0 - fy)
-        + grid[y0 * GRID + x1] * fx * (1.0 - fy)
-        + grid[y1 * GRID + x0] * (1.0 - fx) * fy
-        + grid[y1 * GRID + x1] * fx * fy
+    grid[y.i0 * GRID + x.i0] * x.near * y.near
+        + grid[y.i0 * GRID + x.i1] * x.far * y.near
+        + grid[y.i1 * GRID + x.i0] * x.near * y.far
+        + grid[y.i1 * GRID + x.i1] * x.far * y.far
 }
 
 #[cfg(test)]

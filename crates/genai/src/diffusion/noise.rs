@@ -9,6 +9,13 @@
 //! and differ only in where a corner value comes from (a hash, or the
 //! table of those same hashes), so the tabulated result is bit-identical
 //! to the hashed one by construction, not by a parallel re-derivation.
+//!
+//! An evaluation splits into a y half (`RowTerm`, fixed along an image
+//! row) and an x half (`ColTerm`, fixed down an image column). A
+//! caller sweeping an image computes each once per row
+//! ([`FbmField::row`]) and once per column ([`FbmField::col`]) and
+//! combines them per pixel ([`FbmRow::at_col`]); [`FbmRow::at`] is that
+//! same combination with the column terms computed on the spot.
 
 use crate::fnv1a;
 
@@ -50,19 +57,36 @@ impl RowTerm {
     }
 }
 
-/// Value noise at `x` on a prepared row, with `corner(xi, yi)` as the
-/// lattice source.
+/// The x half of one value-noise evaluation: the lattice column left of
+/// `x` and the smoothed fraction past it. Invariant down an image
+/// column, which is what lets [`FbmCol`] compute it once per column.
+#[derive(Debug, Clone, Copy, Default)]
+struct ColTerm {
+    xi: i64,
+    fx: f64,
+}
+
+impl ColTerm {
+    fn at(x: f64) -> ColTerm {
+        let x0 = x.floor();
+        ColTerm {
+            xi: x0 as i64,
+            fx: smoothstep(x - x0),
+        }
+    }
+}
+
+/// Value noise where a prepared row meets a prepared column, with
+/// `corner(xi, yi)` as the lattice source.
 #[inline(always)]
-fn value_noise_on(row: RowTerm, x: f64, corner: impl Fn(i64, i64) -> f64) -> f64 {
-    let x0 = x.floor();
-    let fx = smoothstep(x - x0);
-    let (xi, yi) = (x0 as i64, row.yi);
+fn value_noise_on(row: RowTerm, col: ColTerm, corner: impl Fn(i64, i64) -> f64) -> f64 {
+    let (xi, yi) = (col.xi, row.yi);
     let v00 = corner(xi, yi);
     let v10 = corner(xi + 1, yi);
     let v01 = corner(xi, yi + 1);
     let v11 = corner(xi + 1, yi + 1);
-    let a = v00 + (v10 - v00) * fx;
-    let b = v01 + (v11 - v01) * fx;
+    let a = v00 + (v10 - v00) * col.fx;
+    let b = v01 + (v11 - v01) * col.fx;
     a + (b - a) * row.fy
 }
 
@@ -85,7 +109,9 @@ fn sum_octaves(octaves: u32, layer: impl Fn(u32, f64) -> f64) -> f64 {
 
 /// Smooth value noise at `(x, y)`, in `[-1, 1]`.
 pub fn value_noise(seed: u64, x: f64, y: f64) -> f64 {
-    value_noise_on(RowTerm::at(y), x, |xi, yi| lattice(seed, xi, yi))
+    value_noise_on(RowTerm::at(y), ColTerm::at(x), |xi, yi| {
+        lattice(seed, xi, yi)
+    })
 }
 
 /// Fractional Brownian motion: `octaves` layers of value noise with
@@ -210,10 +236,29 @@ impl FbmField {
         FbmRow { field: self, terms }
     }
 
+    /// Fix `x`: the per-octave column terms, computed once, so a caller
+    /// sweeping an image does not redo them on every row. Combine with a
+    /// row through [`FbmRow::at_col`].
+    pub fn col(&self, x: f64) -> FbmCol {
+        let mut terms = [ColTerm::default(); MAX_OCTAVES];
+        let mut frequency = 1.0;
+        for term in terms.iter_mut().take(self.octaves as usize) {
+            *term = ColTerm::at(x * frequency);
+            frequency *= 2.0;
+        }
+        FbmCol { terms }
+    }
+
     /// `fbm(seed, x, y, octaves)`, bit for bit.
     pub fn at(&self, x: f64, y: f64) -> f64 {
         self.row(y).at(x)
     }
+}
+
+/// An [`FbmField`]'s column terms at one `x`; see [`FbmField::col`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FbmCol {
+    terms: [ColTerm; MAX_OCTAVES],
 }
 
 /// An [`FbmField`] with `y` fixed; see [`FbmField::row`].
@@ -226,8 +271,15 @@ pub struct FbmRow<'a> {
 impl FbmRow<'_> {
     /// `fbm(seed, x, y, octaves)` for this row's `y`, bit for bit.
     pub fn at(&self, x: f64) -> f64 {
-        sum_octaves(self.field.octaves, |o, frequency| {
-            value_noise_on(self.terms[o as usize], x * frequency, |xi, yi| {
+        self.at_col(&self.field.col(x))
+    }
+
+    /// [`at`](FbmRow::at) for the `x` that `col` was computed at by this
+    /// row's field, bit for bit.
+    pub fn at_col(&self, col: &FbmCol) -> f64 {
+        // `col` already holds `x` times each octave's frequency.
+        sum_octaves(self.field.octaves, |o, _| {
+            value_noise_on(self.terms[o as usize], col.terms[o as usize], |xi, yi| {
                 self.field.corner(o, xi, yi)
             })
         })

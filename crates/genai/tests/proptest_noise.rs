@@ -7,6 +7,11 @@
 //! and extents run from degenerate through "fits" to "overflows the
 //! table in its later octaves" and "overflows it entirely".
 //!
+//! Decode hoists both halves of an evaluation out of its pixel loop:
+//! `row(y)` once per image row and `col(x)` once per image column,
+//! combined per pixel by `at_col`. The third property pins that
+//! combination to the same oracle over the same straddling ranges.
+//!
 //! `fbm` and `FbmField` share one interpolation body by design, so a
 //! wrong edit to that body would move both together. [`reference`] is
 //! the oracle for that: the pre-tabulation `fbm`, kept verbatim (its
@@ -120,6 +125,36 @@ proptest! {
                 row.at(fx).to_bits(),
                 reference::fbm(seed, fx, fy, octaves).to_bits()
             );
+        }
+    }
+
+    #[test]
+    fn column_terms_equal_fbm_bit_for_bit(
+        seed in any::<u64>(),
+        octaves in 1u32..=MAX_OCTAVES as u32,
+        extent in (-32i64..=640, -32i64..=640),
+        xs in prop::collection::vec(-800i64..=1600, 1..12),
+        ys in prop::collection::vec(-800i64..=1600, 1..12),
+    ) {
+        // Decode's shape: every column's terms first, then each row
+        // meets each of them. The rectangle's edges ride along, so a
+        // column on a lattice line meets a row on one.
+        let (x_max, y_max) = (sixteenths(extent.0), sixteenths(extent.1));
+        let field = FbmField::new(seed, octaves, x_max, y_max);
+        let xs: Vec<f64> = [0.0, x_max].into_iter().chain(xs.into_iter().map(sixteenths)).collect();
+        let cols: Vec<_> = xs.iter().map(|&x| field.col(x)).collect();
+        for y in [0.0, y_max].into_iter().chain(ys.into_iter().map(sixteenths)) {
+            let row = field.row(y);
+            for (&x, col) in xs.iter().zip(&cols) {
+                let got = row.at_col(col).to_bits();
+                prop_assert_eq!(got, row.at(x).to_bits(), "at_col vs at, ({}, {})", x, y);
+                prop_assert_eq!(
+                    got,
+                    reference::fbm(seed, x, y, octaves).to_bits(),
+                    "seed={} octaves={} rect=[0,{}]x[0,{}] at ({}, {})",
+                    seed, octaves, x_max, y_max, x, y
+                );
+            }
         }
     }
 }

@@ -113,6 +113,14 @@ async fn metrics_reflect_a_generative_fetch() {
         series_value(&text, "sww_negotiate_outcomes_total{mode=\"generative\"}"),
         Some(1.0)
     );
+    // The one page request hashed its prompt form's ETag.
+    assert_eq!(
+        series_value(
+            &text,
+            "sww_server_page_forms_total{form=\"prompt\",result=\"derived\"}"
+        ),
+        Some(1.0)
+    );
     // HTTP/2 accounting ran: frames in both directions, HPACK saved bytes.
     assert!(series_value(&text, "sww_http2_frames_sent_total{kind=\"HEADERS\"}").unwrap() >= 2.0);
     assert!(
@@ -146,4 +154,39 @@ async fn metrics_reflect_a_generative_fetch() {
             "no {prefix}* family in {families:?}"
         );
     }
+
+    // The scraper's connection advertised no ability: its page requests
+    // are answered from the naive form, derived once and then reused, and
+    // every page request is accounted to exactly one form.
+    for _ in 0..2 {
+        let page = conn
+            .send_request(&sww::http2::Request::get("/page"))
+            .await
+            .unwrap();
+        assert_eq!(page.headers.get("x-sww-mode"), Some("server-generated"));
+    }
+    let resp = conn
+        .send_request(&sww::http2::Request::get("/metrics"))
+        .await
+        .unwrap();
+    let text = String::from_utf8(resp.body.to_vec()).unwrap();
+    let forms = |form: &str, result: &str| {
+        let series = format!("sww_server_page_forms_total{{form=\"{form}\",result=\"{result}\"}}");
+        series_value(&text, &series).unwrap_or(0.0)
+    };
+    assert_eq!(forms("naive", "derived"), 1.0);
+    assert_eq!(forms("naive", "reused"), 1.0);
+    assert_eq!(
+        Some(
+            forms("naive", "derived")
+                + forms("naive", "reused")
+                + forms("prompt", "derived")
+                + forms("prompt", "reused")
+        ),
+        series_value(
+            &text,
+            "sww_server_requests_total{route=\"page\",transport=\"h2\"}"
+        ),
+        "derived + reused == page requests"
+    );
 }
