@@ -39,6 +39,23 @@
 //! as `noise::fbm`, so pixels are bit-identical to hashing every corner;
 //! `tests/golden_pixels.rs` pins them to digests recorded before the
 //! change.
+//!
+//! # Noise draws (PR 18)
+//!
+//! What PR 6 left serial was the draws themselves: 20 480 Box–Muller
+//! draws for a 64², 15-step image (1 024 latent + 15 × 1 024 step noise +
+//! 4 096 decode noise), each a libm `ln` and `cos` call — two thirds of
+//! `generate`. The three planes are now filled by
+//! [`Rng::fill_gaussian`](crate::rng::Rng::fill_gaussian), which applies
+//! PR 6's idea one level down: only the xoshiro uniforms are drawn
+//! serially, and `ln`/`cos`/`sqrt` run over them as an element-wise pass
+//! through in-crate kernels (`rng.rs` says what they guarantee). Draw
+//! order, seeds and every expression outside the draw are unchanged, and
+//! a fill is bit-identical to scalar draws, so every same-build identity
+//! above still holds. Across the change 5.9 % of draws moved, by ≤ 3 ULP:
+//! latents are *not* bit-identical to PR 17's, pixels are
+//! (`golden_pixels`, whose 1 030-image sweep row was recorded before the
+//! change).
 
 pub mod field;
 pub mod models;
@@ -326,7 +343,8 @@ impl DiffusionModel {
 
     /// Build one image's denoising state: its private prompt-seeded RNG,
     /// the quality-degraded semantic target, and the noise-initialized
-    /// latent — all in buffers checked out of [`crate::pool::latent_pool`].
+    /// latent (one [`Rng::fill_gaussian`] over the plane) — all in buffers
+    /// checked out of [`crate::pool::latent_pool`].
     /// The RNG draw order (latent init, then denoise, then decode) is the
     /// contract the batch kernel's bit-identity rests on.
     ///
@@ -346,9 +364,7 @@ impl DiffusionModel {
         }
 
         let mut latent = pool::latent_pool().acquire(GRID * GRID);
-        for l in latent.iter_mut() {
-            *l = rng.gaussian();
-        }
+        rng.fill_gaussian(&mut latent);
         let noise = pool::latent_pool().acquire(GRID * GRID);
         LatentJob {
             rng,
@@ -375,9 +391,10 @@ impl DiffusionModel {
     /// texture class, plus the semantic luminance field, plus residual
     /// noise that the schedule did not remove.
     ///
-    /// Two passes: the residual-noise plane is drawn first, serially and
-    /// row-major (the exact stream the fused pre-PR-6 loop consumed), into
-    /// a pooled scratch; the per-pixel combine is then pure arithmetic
+    /// Two passes: the residual-noise plane is drawn first, row-major
+    /// (one [`Rng::fill_gaussian`]: the stream the fused pre-PR-6 loop
+    /// consumed, in its order), into a pooled scratch; the per-pixel
+    /// combine is then pure arithmetic
     /// over it, so it may visit pixels in any order. It visits them a
     /// strip of [`DECODE_STRIP`] columns at a time: what depends only on
     /// `x` is computed once per column into a stack array, what depends
@@ -394,9 +411,7 @@ impl DiffusionModel {
         let (w, h) = (width as usize, height as usize);
         let residual = 3.5 * (1.0 - self.profile.quality);
         let mut noise = pool::decode_pool().acquire(w * h);
-        for g in noise.iter_mut() {
-            *g = rng.gaussian();
-        }
+        rng.fill_gaussian(&mut noise);
         let aesthetic = Aesthetic::new(features);
         let mut data = vec![0u8; w * h * 3];
         let mut strip = [DecodeColumn::default(); DECODE_STRIP];
@@ -569,16 +584,15 @@ impl LatentJob {
     }
 
     /// Advance this job one sigma step. The noise scratch is refreshed
-    /// from the job's RNG first (the serial part), then the update runs as
-    /// a pure element-wise loop in [`LANE`]-wide chunks — separable
+    /// from the job's RNG first (one [`Rng::fill_gaussian`], serial only
+    /// in its uniforms), then the update runs as a pure
+    /// element-wise loop in [`LANE`]-wide chunks — separable
     /// because the latent values never feed back into the RNG. The
     /// per-cell expression is kept literally as
     /// `l += alpha * (t - l) + sigma * g * 0.15` so no floating-point
     /// operation is reassociated relative to the original fused loop.
     fn step(&mut self, alpha: f64, sigma: f64) {
-        for g in self.noise.iter_mut() {
-            *g = self.rng.gaussian();
-        }
+        self.rng.fill_gaussian(&mut self.noise);
         let mut lat = self.latent.chunks_exact_mut(LANE);
         let mut tgt = self.target.chunks_exact(LANE);
         let mut noi = self.noise.chunks_exact(LANE);

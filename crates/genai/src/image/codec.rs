@@ -65,6 +65,14 @@ fn quant_step(zig_pos: usize, quality: u8, chroma: bool) -> f64 {
     }
 }
 
+/// A plane's 64 steps by zigzag position, computed once per plane: the
+/// block loops below divide and multiply by the same values
+/// [`quant_step`] returns, so every byte is what a per-coefficient call
+/// produced.
+fn quant_steps(quality: u8, chroma: bool) -> [f64; N * N] {
+    std::array::from_fn(|zig_pos| quant_step(zig_pos, quality, chroma))
+}
+
 fn put_varint(mut v: u64, out: &mut Vec<u8>) {
     loop {
         let b = (v & 0x7f) as u8;
@@ -141,6 +149,7 @@ impl Plane {
 
 fn encode_plane(plane: &Plane, quality: u8, chroma: bool, out: &mut Vec<u8>) {
     let order = zigzag_order();
+    let steps = quant_steps(quality, chroma);
     let bw = plane.w.div_ceil(N);
     let bh = plane.h.div_ceil(N);
     for by in 0..bh {
@@ -151,8 +160,8 @@ fn encode_plane(plane: &Plane, quality: u8, chroma: bool, out: &mut Vec<u8>) {
             }
             let coeffs = forward(&block);
             let mut run = 0u64;
-            for (zpos, &idx) in order.iter().enumerate() {
-                let q = (coeffs[idx] / quant_step(zpos, quality, chroma)).round() as i64;
+            for (&idx, step) in order.iter().zip(steps) {
+                let q = (coeffs[idx] / step).round() as i64;
                 if q == 0 {
                     run += 1;
                 } else {
@@ -177,6 +186,7 @@ fn decode_plane(
     chroma: bool,
 ) -> Result<Plane, CodecError> {
     let order = zigzag_order();
+    let steps = quant_steps(quality, chroma);
     let mut plane = Plane::new(w, h);
     let bw = w.div_ceil(N);
     let bh = h.div_ceil(N);
@@ -194,7 +204,7 @@ fn decode_plane(
                     return Err(CodecError::Corrupt);
                 }
                 let q = unzz(get_varint(buf, pos)?);
-                coeffs[order[zpos]] = q as f64 * quant_step(zpos, quality, chroma);
+                coeffs[order[zpos]] = q as f64 * steps[zpos];
                 zpos += 1;
             }
             let block = inverse(&coeffs);

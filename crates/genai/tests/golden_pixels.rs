@@ -11,6 +11,14 @@
 //! (PR 13) and the file passed unchanged after it; a kernel optimisation
 //! that moves one byte fails here.
 //!
+//! The last row is a wider witness, recorded at the commit *before* the
+//! Box–Muller draw stopped calling libm (PR 18): one digest over the
+//! pixels and encoded bytes of 1 030 further images. That change moves
+//! one draw in seventeen by a few ULP, so unlike PR 13 it is not
+//! bit-identical below the pixel: a channel is `floor(base + s + n)` and
+//! moves only when that sum lies within ~1e-15 of an integer. The sweep
+//! is what says none of ~15 M such sums did.
+//!
 //! There is deliberately no bless switch. If output is *meant* to change,
 //! the failure message prints the full new table to paste over `GOLDEN`.
 
@@ -18,7 +26,7 @@ use sww_genai::diffusion::{DiffusionModel, ImageModelKind};
 use sww_genai::prompt::{PromptFeatures, TextureClass};
 use sww_genai::upscale::upscale;
 use sww_genai::{codec, ImageBuffer};
-use sww_hash::{sha256, to_hex};
+use sww_hash::{sha256, to_hex, Sha256};
 
 const MODELS: [ImageModelKind; 5] = [
     ImageModelKind::Sd21Base,
@@ -54,6 +62,57 @@ fn digests(img: &ImageBuffer) -> String {
     )
 }
 
+/// Images behind the sweep row: every (scene, model, size) combination
+/// of [`sweep_prompt`] × [`MODELS`] × the two small [`SIZES`] eleven times
+/// over, each under a different prompt seed.
+const SWEEP_IMAGES: usize = 990;
+
+/// Prompt `i` of the sweep: nine scenes, three per texture class, made
+/// distinct (and so differently seeded) by their index.
+fn sweep_prompt(i: usize) -> (String, TextureClass) {
+    const SCENES: [(&str, TextureClass); 9] = [
+        ("a mountain ridge above a lake", TextureClass::Banded),
+        ("a goldfish among drifting clouds", TextureClass::Organic),
+        ("a city street after rain", TextureClass::Geometric),
+        ("the ocean horizon at sunrise", TextureClass::Banded),
+        ("a forest path in morning fog", TextureClass::Organic),
+        (
+            "an architecture diagram of a building",
+            TextureClass::Geometric,
+        ),
+        ("a desert field under a rainbow", TextureClass::Banded),
+        ("a portrait of an old sailor", TextureClass::Organic),
+        (
+            "a geometric pattern of night tiles",
+            TextureClass::Geometric,
+        ),
+    ];
+    let (scene, texture) = SCENES[i % SCENES.len()];
+    (format!("{scene}, study {i}"), texture)
+}
+
+/// One sha256 over pixels then encoded bytes of every sweep image, in
+/// order: [`SWEEP_IMAGES`] at 64² / 96×48 and 15 steps, then a handful at
+/// 224² and at a single step.
+fn sweep_digest() -> (usize, String) {
+    let [small, wide, large] = SIZES;
+    let plan = (0..SWEEP_IMAGES)
+        .map(|i| (i, if i % 2 == 0 { small } else { wide }, 15))
+        .chain((SWEEP_IMAGES..).take(10).map(|i| (i, large, 15)))
+        .chain((SWEEP_IMAGES + 10..).take(30).map(|i| (i, small, 1)));
+    let mut hash = Sha256::new();
+    let mut images = 0;
+    for (i, (w, h), steps) in plan {
+        let (prompt, texture) = sweep_prompt(i);
+        assert_eq!(PromptFeatures::analyze(&prompt).texture, texture);
+        let img = DiffusionModel::new(MODELS[i % MODELS.len()]).generate(&prompt, w, h, steps);
+        hash.update(img.data());
+        hash.update(&codec::encode(&img, CODEC_QUALITY));
+        images += 1;
+    }
+    (images, to_hex(&hash.finalize()))
+}
+
 fn render() -> String {
     let mut out = String::new();
     for kind in MODELS {
@@ -80,6 +139,8 @@ fn render() -> String {
         "upscale 96x48 x2 {}\n",
         digests(&upscale(&src, 2))
     ));
+    let (images, digest) = sweep_digest();
+    out.push_str(&format!("sweep {images} images {digest}\n"));
     out
 }
 
@@ -97,7 +158,8 @@ fn generated_pixels_and_encoded_bytes_match_parent_commit() {
     panic!("generator output drifted from the recorded digests; full table now:\n{rendered}");
 }
 
-/// `<model> <texture> <w>x<h> s<steps> <sha256 pixels> <sha256 encoded>`.
+/// `<model> <texture> <w>x<h> s<steps> <sha256 pixels> <sha256 encoded>`;
+/// the `sweep` row is one sha256 over both, image after image.
 const GOLDEN: &str = "\
 Sd21Base Banded 64x64 s1 9832092ed02081a5c6d0b4475d03a53adadb0da866376f7576944de83f075ef1 dcb092122ebbad5b380c1ab02270dd186c1723fefc7de203a34ce75e6a3980a2
 Sd21Base Banded 64x64 s15 5dee1910a9bfb540d00c551fe3a7dc1ae04e43f79c381d19b27528c09df112c7 a84507d4551b8f5945e52588e59cbc626398cb64bddad28b1b12930ffaefd43f
@@ -190,4 +252,5 @@ FluxFast Geometric 96x48 s15 0528a42c09537a480892c4fa571431ced3b4fe82cf1c2e8ca7b
 FluxFast Geometric 224x224 s1 361dd644d91c49c830ef9d559b5e0d0094b116332c994750c48057cd98ff0270 f4a4bfbf3fc312046780ff7cd6db8606d694f0e9226bd1bd919f2029bbae3dd0
 FluxFast Geometric 224x224 s15 b74ecf93e4573c9067098baa388335d8d435f5890ee9db83625e177247268116 ae2461336b91266bff768a6026cda0e1413891fd5cb7f27d70c12f23bc33cb7a
 upscale 96x48 x2 0d8c171ea25053dc3869b765f3c1df2f7064f91184cb3cc4cc3acc3a487b6e7b c0de726d66fe223da55e42538af02a3b2e992cc0a3f41c15c856cf680a86cc59
+sweep 1030 images f550f9f8721c5dcfa34c52338572d74bad9350a8839b7f172fb939f305550bc5
 ";

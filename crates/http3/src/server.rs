@@ -83,7 +83,9 @@ enum Event {
 ///
 /// The server announces `ability` in its control-stream SETTINGS; each
 /// request stream is decoded and dispatched to `handler` on a dedicated
-/// worker thread, so concurrent requests make progress independently.
+/// worker thread, so concurrent requests make progress independently; a
+/// handler that panics answers its own stream with `500` and disturbs no
+/// other.
 /// When `should_close` turns true the server sends GOAWAY on a fresh
 /// control-typed stream, stops accepting new request streams, finishes
 /// the ones in flight and returns.
@@ -196,7 +198,13 @@ where
                 let sink = Arc::clone(&done);
                 outstanding += 1;
                 std::thread::spawn(move || {
-                    let resp = work(req, ctx);
+                    // A panicking handler still completes its stream: with
+                    // nothing in the queue `outstanding` never returns to
+                    // zero, the peer waits on that stream for ever and a
+                    // drain never finishes.
+                    let resp =
+                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work(req, ctx)))
+                            .unwrap_or_else(|_| Response::status(500));
                     sink.lock()
                         .expect("h3 completion queue")
                         .push_back((stream, resp));
@@ -224,6 +232,7 @@ mod tests {
     use super::*;
     use crate::connection::H3ClientConnection;
     use bytes::Bytes;
+    use std::future::Future;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Duration;
 
@@ -262,6 +271,56 @@ mod tests {
             elapsed < Duration::from_millis(240),
             "page took {elapsed:?}, streams appear serialized"
         );
+    }
+
+    /// `fut`, or `None` once `limit` has passed (the runtime stub has no
+    /// `timeout`): a regression here is a hang, which must fail, not stall CI.
+    async fn within<F: Future>(limit: Duration, fut: F) -> Option<F::Output> {
+        let mut fut = std::pin::pin!(fut);
+        let mut timer = std::pin::pin!(tokio::time::sleep(limit));
+        std::future::poll_fn(|cx| match fut.as_mut().poll(cx) {
+            Poll::Ready(out) => Poll::Ready(Some(out)),
+            Poll::Pending => timer.as_mut().poll(cx).map(|()| None),
+        })
+        .await
+    }
+
+    #[tokio::test]
+    async fn panicking_handler_answers_500_and_the_connection_still_finishes() {
+        const LIMIT: Duration = Duration::from_secs(10);
+        let (a, b) = tokio::io::duplex(1 << 20);
+        let server = tokio::spawn(async move {
+            serve_h3_connection(b, GenAbility::full(), |req: Request, _ctx| {
+                assert_ne!(req.path, "/boom", "handler bug");
+                Response::ok(Bytes::from(format!("ok:{}", req.path)))
+            })
+            .await
+        });
+        let mut client = H3ClientConnection::handshake(a, GenAbility::full())
+            .await
+            .unwrap();
+        let reqs = [
+            Request::get("/one"),
+            Request::get("/boom"),
+            Request::get("/two"),
+        ];
+        let resps = within(LIMIT, client.send_requests(&reqs))
+            .await
+            .expect("the panicked stream was never answered")
+            .unwrap();
+        assert_eq!(&resps[0].body[..], b"ok:/one");
+        assert_eq!(resps[1].status, 500);
+        assert_eq!(&resps[2].body[..], b"ok:/two");
+
+        // The peer hangs up: with every stream accounted for the serve
+        // future returns instead of waiting on the completion queue.
+        drop(client);
+        let stats = within(LIMIT, server)
+            .await
+            .expect("serve future never returned after the peer closed")
+            .unwrap()
+            .unwrap();
+        assert_eq!((stats.requests, stats.responses), (3, 3));
     }
 
     #[tokio::test]

@@ -164,17 +164,18 @@ fn build_landscape_page() -> LandscapePage {
     let mut images = Vec::with_capacity(IMAGE_COUNT);
     let mut sww_body = String::new();
     let mut trad_body = String::new();
+    let mut grain = vec![0.0; (THUMB_SIDE * THUMB_SIDE) as usize];
     for (i, recipe) in page_recipes().into_iter().enumerate() {
         let RecipeSpec::Image { prompt, name, .. } = recipe else {
             unreachable!("landscape page carries only image recipes");
         };
         let mut img = model.generate(&prompt, THUMB_SIDE, THUMB_SIDE, 15);
         // Photographic grain: the originals stand in for real photos.
-        let mut rng = sww_genai::rng::Rng::new(0x9e1e_c0de ^ i as u64);
+        sww_genai::rng::Rng::new(0x9e1e_c0de ^ i as u64).fill_gaussian(&mut grain);
         for y in 0..THUMB_SIDE {
             for x in 0..THUMB_SIDE {
                 let mut p = img.get(x, y);
-                let n = rng.gaussian() * PHOTO_GRAIN_SIGMA;
+                let n = grain[(y * THUMB_SIDE + x) as usize] * PHOTO_GRAIN_SIGMA;
                 for c in &mut p {
                     *c = (f64::from(*c) + n).clamp(0.0, 255.0) as u8;
                 }
