@@ -30,8 +30,25 @@ cargo test --release --test batch_equivalence -q
 echo "==> cargo test -p sww-genai --test proptest_kernel (tiled kernel bit-identity property suite)"
 cargo test -p sww-genai --test proptest_kernel -q
 
-echo "==> cargo test -p sww-genai --test proptest_noise (tabulated fbm == hashed fbm, and at_col == at, bit for bit)"
+echo "==> cargo test -p sww-genai --test proptest_noise (tabulated fbm == swept rows == hashed fbm, bit for bit)"
 cargo test -p sww-genai --test proptest_noise -q
+cargo test --release -p sww-genai --test proptest_noise -q
+
+# One definition, two codegens (PR 20): the element-wise kernels are each
+# compiled for the baseline and for AVX2 (crates/genai/src/lanes.rs) and a
+# unit test beside each runs both and compares bits. Debug and release:
+# two codegens of two instantiations. The first line says which copy this
+# host dispatches to, so a green run says which one the goldens exercised.
+echo "==> wide! kernels: which copy runs here, then baseline == AVX2 bit for bit (lanes, rng, diffusion, field, dct, codec)"
+cargo test -p sww-genai --lib lanes::tests::host_reports -- --nocapture 2>&1 | grep -o "lanes: .*"
+for profile in "" "--release"; do
+    cargo test ${profile} -p sww-genai --lib -q -- lanes:: across_instantiations \
+        smooth_field_is_the_per_cell_evaluation forward_is_the_triple_loop
+done
+
+# A 10-byte body must be an error, not a 34 GB allocation.
+echo "==> cargo test -p sww-genai --lib a_header_promising (hostile SWIM header is Truncated before anything is allocated)"
+cargo test -p sww-genai --lib a_header_promising -q
 
 # One definition of a gaussian draw (PR 18): a fill is the scalar draws
 # bit for bit; the in-crate ln/cos kernels stay within 2 ULP of std; and
@@ -47,8 +64,10 @@ cargo test --release -p sww-genai --lib rng::tests -q
 # The only gate that compares pixels *across commits*: every suite above
 # compares two paths of one build, and the benchmark's oracle is computed
 # by the build under test. Run in both profiles, since arithmetic changed.
-# Its last row is the wide witness (1 030 images in one digest, recorded
-# before the draws left libm); the debug run takes ~10 s because of it.
+# Its last rows are the wide witnesses: 1 030 images in one digest,
+# recorded before the draws left libm, and 675 more over one-pixel axes,
+# strip edges and partial codec blocks (pixels, bytes, decoded pixels),
+# recorded before decode went line by line; the debug run takes ~18 s.
 echo "==> cargo test -p sww-genai --test golden_pixels (pixels + encoded bytes pinned to recorded digests)"
 cargo test -p sww-genai --test golden_pixels -q
 cargo test --release -p sww-genai --test golden_pixels -q
@@ -192,7 +211,7 @@ echo "==> bench-workload --chaos (E20 workload gate)"
 
 # Ratchet: the workspace test count must never silently shrink. Raise the
 # floor when a PR adds tests; a drop below it means tests were lost.
-TEST_FLOOR=925
+TEST_FLOOR=939
 echo "==> workspace test-count floor (>= ${TEST_FLOOR})"
 TEST_COUNT=$(cargo test --workspace -- --list 2>/dev/null | grep -c ": test$")
 echo "    ${TEST_COUNT} tests"

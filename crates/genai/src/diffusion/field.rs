@@ -5,6 +5,7 @@
 //! quality metric a real measurement over pixels.
 
 use super::noise::FbmField;
+use crate::lanes::wide;
 use crate::prompt::EMBED_DIM;
 use std::sync::OnceLock;
 
@@ -20,13 +21,20 @@ const BASIS_SEED: u64 = 0x5157_4942_4153_4953; // "SISABWIQ"
 pub(super) fn smooth_field(seed: u64, scale: f64) -> [f64; GRID * GRID] {
     let field = FbmField::new(seed, 3, scale, scale);
     let mut out = [0.0f64; GRID * GRID];
-    for (gy, row) in out.chunks_exact_mut(GRID).enumerate() {
-        let noise = field.row(gy as f64 / GRID as f64 * scale);
-        for (gx, v) in row.iter_mut().enumerate() {
-            *v = noise.at(gx as f64 / GRID as f64 * scale);
+    sweep_grid(&field, scale, &mut out);
+    out
+}
+
+wide! {
+    /// `out[gy · GRID + gx] = field.at(gx / GRID · scale, gy / GRID · scale)`,
+    /// a grid row at a time: 32 rows cross a dozen lattice lines.
+    fn sweep_grid(field: &FbmField, scale: f64, out: &mut [f64; GRID * GRID]) {
+        let coord = |cell: usize| cell as f64 / GRID as f64 * scale;
+        let mut sweep = field.sweep::<GRID>((0..GRID).map(coord));
+        for (gy, row) in out.chunks_exact_mut(GRID).enumerate() {
+            sweep.row(coord(gy), row);
         }
     }
-    out
 }
 
 fn basis_raw(dim: usize) -> [f64; GRID * GRID] {
@@ -77,22 +85,27 @@ fn all_bases() -> &'static Vec<[f64; GRID * GRID]> {
 /// The ideal semantic field for an embedding: `Σ_d e_d · B_d`, scaled so
 /// its pointwise magnitude is O(1).
 pub fn semantic_target(embedding: &[f32; EMBED_DIM]) -> [f64; GRID * GRID] {
-    let bases = all_bases();
     let mut out = [0.0f64; GRID * GRID];
-    for (d, basis) in bases.iter().enumerate() {
-        let w = f64::from(embedding[d]);
-        if w == 0.0 {
-            continue;
-        }
-        for (o, b) in out.iter_mut().zip(basis.iter()) {
-            *o += w * b;
-        }
-    }
-    // Unit-norm basis entries are O(1/GRID); rescale to O(1) pointwise.
-    for o in &mut out {
-        *o *= GRID as f64;
-    }
+    plant(embedding, all_bases(), &mut out);
     out
+}
+
+wide! {
+    fn plant(embedding: &[f32; EMBED_DIM], bases: &[[f64; GRID * GRID]], out: &mut [f64; GRID * GRID]) {
+        for (basis, &w) in bases.iter().zip(embedding) {
+            let w = f64::from(w);
+            if w == 0.0 {
+                continue;
+            }
+            for (o, b) in out.iter_mut().zip(basis.iter()) {
+                *o += w * b;
+            }
+        }
+        // Unit-norm basis entries are O(1/GRID); rescale to O(1) pointwise.
+        for o in out {
+            *o *= GRID as f64;
+        }
+    }
 }
 
 /// Project a grid-sized field onto the basis, recovering an embedding.
@@ -113,6 +126,46 @@ pub fn project(field: &[f64]) -> [f32; EMBED_DIM] {
 mod tests {
     use super::*;
     use crate::prompt::{cosine, embed_tokens, tokenize};
+
+    /// The sweep against what it replaced — `FbmField::at` cell by cell —
+    /// bit for bit, in both instantiations: the two scales the crate uses
+    /// and some that put cells on, and rows between, other lattice lines.
+    #[test]
+    fn smooth_field_is_the_per_cell_evaluation() {
+        for (seed, scale) in [
+            (1, 3.0),
+            (2, 4.0),
+            (u64::MAX, 1.0),
+            (7, 0.3),
+            (9, 13.0),
+            (11, 32.0),
+        ] {
+            let field = FbmField::new(seed, 3, scale, scale);
+            let (wide, base) = crate::lanes::both(|| smooth_field(seed, scale).map(f64::to_bits));
+            for (cell, (got, base)) in wide.into_iter().zip(base).enumerate() {
+                let (gx, gy) = (cell % GRID, cell / GRID);
+                let want = field.at(
+                    gx as f64 / GRID as f64 * scale,
+                    gy as f64 / GRID as f64 * scale,
+                );
+                assert_eq!(
+                    got,
+                    want.to_bits(),
+                    "seed {seed} scale {scale} cell ({gx}, {gy})"
+                );
+                assert_eq!(base, got, "seed {seed} scale {scale} cell ({gx}, {gy})");
+            }
+        }
+    }
+
+    #[test]
+    fn semantic_target_agrees_across_instantiations() {
+        for prompt in ["mountain lake reflection at golden hour", "x", ""] {
+            let e = embed_tokens(&tokenize(prompt));
+            let (wide, base) = crate::lanes::both(|| semantic_target(&e).map(f64::to_bits));
+            assert_eq!(wide, base, "{prompt:?}");
+        }
+    }
 
     #[test]
     fn bases_are_normalized() {

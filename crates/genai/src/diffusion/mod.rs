@@ -15,7 +15,7 @@
 //! The batched kernel is **step-major** (all latents advance one sigma
 //! step together) and, within a step, each job refreshes a noise scratch
 //! from its private RNG and then runs a pure element-wise update the
-//! autovectorizer can chunk — the serial RNG draw is separated from the
+//! compiler vectorizes — the serial RNG draw is separated from the
 //! arithmetic, but the per-cell floating-point expression and draw order
 //! are exactly the original fused loop's, so outputs stay bit-identical.
 //! Because each [`LatentJob`] owns its RNG, target and latent, the batch
@@ -31,14 +31,11 @@
 //! target and decode's aesthetic colour field — are fbm over a lattice of
 //! a few hundred points, evaluated at thousands of pixels. Each is a
 //! [`noise::FbmField`]: the lattice is hashed **once per image** into a
-//! 4 KB stack table (`prepare_job` builds one, `decode` builds one), and
-//! decode fixes `v` once per image row ([`noise::FbmRow`]) and `u` once
-//! per image column ([`noise::FbmCol`]), so both halves of every octave
-//! leave the pixel loop. The table stores exactly the values
-//! the hash returns and `FbmField::at` runs the same interpolation body
-//! as `noise::fbm`, so pixels are bit-identical to hashing every corner;
-//! `tests/golden_pixels.rs` pins them to digests recorded before the
-//! change.
+//! 4 KB stack table (`prepare_job` builds one, `decode` builds one). The
+//! table stores exactly the values the hash returns and `FbmField::at`
+//! runs the same interpolation body as `noise::fbm`, so pixels are
+//! bit-identical to hashing every corner; `tests/golden_pixels.rs` pins
+//! them to digests recorded before the change.
 //!
 //! # Noise draws (PR 18)
 //!
@@ -56,6 +53,54 @@
 //! latents are *not* bit-identical to PR 17's, pixels are
 //! (`golden_pixels`, whose 1 030-image sweep row was recorded before the
 //! change).
+//!
+//! # Decode by lines, four lanes wide (PR 20)
+//!
+//! After PR 18 the largest piece of a cold image that was not a draw was
+//! `decode`'s per-pixel arithmetic: per pixel it re-read 4–12 lattice
+//! corners, re-interpolated them in x and gathered four latent cells,
+//! although almost none of that changes from one image row to the next.
+//!
+//! **What is hoisted.** `decode_strip` walks a strip of `DECODE_STRIP`
+//! columns down the image a row at a time. A [`noise::FbmSweep`] holds,
+//! per octave, each column's point on the lattice line below the current
+//! row and on the line above it — the x-interpolation — and recomputes
+//! the pair only when a row crosses into another lattice row, every 3–20
+//! image rows; the row itself is one blend per column and octave. The
+//! bilinear sample of the latent grid is split the same way: the four
+//! cells a pixel reads, times its column's x weights, are kept as four
+//! lines and refreshed when the row's grid lines change (every ~2 rows
+//! at 64²); a row multiplies them by its two y weights. `smooth_field`
+//! (`model_distortion` per image, the basis patterns once) takes the same
+//! sweep over its 32 × 32 grid.
+//!
+//! **Why association is the contract.** Hoisting moves *where* a product
+//! is computed, never how an expression associates: a lattice line is
+//! `v0 + (v1 − v0)·fx` as `value_noise_on` wrote it; the sample is
+//! `((g00·near_x)·near_y + (g01·far_x)·near_y + (g10·near_x)·far_y +
+//! (g11·far_x)·far_y) · 60`, summed left to right as the per-pixel
+//! bilinear sample was; a channel is `(base + s) + n`, not
+//! `base + (s + n)`. Floating-point addition does not associate, so any
+//! other grouping is a different image. Unlike PR 18, identity is claimed
+//! at the `f64`: latents, the fields and every intermediate are the
+//! parent's bits, not only the pixels. `tests/golden_pixels.rs` (its
+//! `shapes` row — 675 images over one-pixel axes, strip edges and partial
+//! codec blocks — recorded at the parent) and `tests/proptest_noise.rs`
+//! (a sweep's rows ≡ the verbatim pre-PR-13 `fbm`, rows in any order)
+//! hold it.
+//!
+//! **What `wide!` promises.** The element-wise loops — the gaussian pass
+//! of a fill, `denoise_update`, `decode_strip`, the grid sweep,
+//! `semantic_target`'s accumulation, the codec's encode — are each
+//! defined once and compiled twice by `lanes.rs`'s `wide!`: for the
+//! build's baseline (SSE2 on x86-64, two `f64` lanes, `floor` a libm
+//! call) and with AVX2 enabled (four lanes, `floor` an instruction),
+//! chosen at run time by what the CPU reports. The same IEEE `+ − × ÷
+//! sqrt floor` run in each lane either way, and `fma` is never enabled,
+//! so the two copies return the same bits; a unit test beside each
+//! kernel runs both and compares, in debug and in release. The macro's
+//! dispatch is the crate's only `unsafe`. There is nothing to configure:
+//! no feature, flag or environment variable selects a copy.
 
 pub mod field;
 pub mod models;
@@ -67,22 +112,17 @@ pub use models::{ImageModelKind, ImageModelProfile};
 pub use tile::{InlineRunner, ThreadRunner, TileRunner, TileTask, Tiling};
 
 use crate::image::ImageBuffer;
+use crate::lanes::wide;
 use crate::pool::{self, PooledF64};
 use crate::prompt::{PromptFeatures, TextureClass, EMBED_DIM};
 use crate::rng::Rng;
 use field::{semantic_target, smooth_field, GRID};
-use noise::{FbmCol, FbmField, FbmRow};
+use noise::FbmField;
 use scheduler::Schedule;
 use std::sync::{Arc, Mutex};
 
 /// Amplitude of the semantic luminance field planted into the image.
 pub const SEMANTIC_AMPLITUDE: f64 = 60.0;
-
-/// Element-wise chunk width for the denoise update loop. `GRID²` (1024)
-/// is a multiple of this, so the remainder loop is cold; 8 f64 lanes fill
-/// a pair of AVX2 registers, the widest target the autovectorizer sees
-/// without `-C target-feature` flags.
-const LANE: usize = 8;
 
 /// Result slot a tile task writes back into; `None` until the task ran,
 /// which is how the kernel detects a runner that dropped a tile.
@@ -393,12 +433,10 @@ impl DiffusionModel {
     ///
     /// Two passes: the residual-noise plane is drawn first, row-major
     /// (one [`Rng::fill_gaussian`]: the stream the fused pre-PR-6 loop
-    /// consumed, in its order), into a pooled scratch; the per-pixel
-    /// combine is then pure arithmetic
-    /// over it, so it may visit pixels in any order. It visits them a
-    /// strip of [`DECODE_STRIP`] columns at a time: what depends only on
-    /// `x` is computed once per column into a stack array, what depends
-    /// only on `y` once per row, and a pixel combines the two. Output is
+    /// consumed, in its order), into a pooled scratch; the combine is then
+    /// pure arithmetic over it, so it may visit pixels in any order. It
+    /// visits them a strip of [`DECODE_STRIP`] columns at a time, and
+    /// within a strip a row at a time (`decode_strip`). Output is
     /// bit-identical to the fused loop.
     fn decode(
         &self,
@@ -414,31 +452,9 @@ impl DiffusionModel {
         rng.fill_gaussian(&mut noise);
         let aesthetic = Aesthetic::new(features);
         let mut data = vec![0u8; w * h * 3];
-        let mut strip = [DecodeColumn::default(); DECODE_STRIP];
-        for left in (0..w).step_by(DECODE_STRIP) {
-            let strip = &mut strip[..DECODE_STRIP.min(w - left)];
-            for (x, col) in (left as u32..).zip(strip.iter_mut()) {
-                let u = f64::from(x) / f64::from(width.max(1));
-                *col = DecodeColumn {
-                    noise: aesthetic.col(u),
-                    grid: GridAxis::at(u),
-                };
-            }
-            for y in 0..h {
-                let v = f64::from(y as u32) / f64::from(height.max(1));
-                let aesthetic_row = aesthetic.row(v);
-                let grid_row = GridAxis::at(v);
-                let at = y * w + left;
-                let pixels = data[at * 3..].chunks_exact_mut(3);
-                for ((col, n), px) in strip.iter().zip(&noise[at..]).zip(pixels) {
-                    let base = aesthetic_row.color(&col.noise);
-                    let s = sample_grid(latent, &col.grid, &grid_row) * SEMANTIC_AMPLITUDE;
-                    let n = n * residual;
-                    px[0] = (base[0] + s + n).clamp(0.0, 255.0) as u8;
-                    px[1] = (base[1] + s + n).clamp(0.0, 255.0) as u8;
-                    px[2] = (base[2] + s + n).clamp(0.0, 255.0) as u8;
-                }
-            }
+        for left in (0..width).step_by(DECODE_STRIP) {
+            let size = (width, height);
+            decode_strip(&aesthetic, latent, &noise, residual, left, size, &mut data);
         }
         ImageBuffer::from_data(width, height, data)
     }
@@ -463,15 +479,90 @@ impl DiffusionModel {
 }
 
 /// Image columns [`DiffusionModel::decode`] combines per pass over the
-/// rows. Their per-column terms sit on the stack (96 B each), so the
-/// scratch is the same 12 KB whatever the image width.
+/// rows. Everything a strip keeps per column sits on the stack (~220 B a
+/// column), so the scratch is the same 28 KB whatever the image width.
 const DECODE_STRIP: usize = 128;
 
-/// What `decode` needs of a pixel that depends only on its column.
-#[derive(Clone, Copy, Default)]
-struct DecodeColumn {
-    noise: FbmCol,
-    grid: GridAxis,
+wide! {
+    /// Fill the strip of up to [`DECODE_STRIP`] columns from `left` of a
+    /// `size.0 × size.1` image, row by row. What depends only on a pixel's
+    /// column is computed once, up front. What depends on its row but
+    /// changes slowly is kept and refreshed when it changes: the noise
+    /// field's lattice lines (inside the [`noise::FbmSweep`]) and the two
+    /// latent grid rows the image row lies between, already weighted in
+    /// x. A row is then four short passes over contiguous arrays.
+    fn decode_strip(
+        aesthetic: &Aesthetic,
+        latent: &[f64],
+        noise: &[f64],
+        residual: f64,
+        left: u32,
+        size: (u32, u32),
+        data: &mut [u8],
+    ) {
+        debug_assert_eq!(latent.len(), GRID * GRID);
+        let (width, height) = size;
+        let w = width as usize;
+        let cols = DECODE_STRIP.min(w - left as usize);
+        let u = |x: u32| f64::from(x) / f64::from(width.max(1));
+        let mut sweep = aesthetic
+            .field
+            .sweep::<DECODE_STRIP>((left..).take(cols).map(|x| aesthetic.coord(u(x))));
+        let mut grid_cols = [GridAxis::default(); DECODE_STRIP];
+        for (x, col) in (left..).zip(&mut grid_cols[..cols]) {
+            *col = GridAxis::at(u(x));
+        }
+        let grid_cols = &grid_cols[..cols];
+
+        // The x half of the bilinear sample (see `GridAxis`): latent rows
+        // `i0` and `i1` read at each column's two grid lines and weighted
+        // by its `near` / `far`, for the `(i0, i1)` in `sampled`.
+        let mut sampled = None;
+        let mut upper = [[0.0f64; DECODE_STRIP]; 2];
+        let mut lower = [[0.0f64; DECODE_STRIP]; 2];
+
+        let mut fbm = [0.0f64; DECODE_STRIP];
+        let mut semantic = [0.0f64; DECODE_STRIP];
+        let mut grain = [0.0f64; DECODE_STRIP];
+        let (fbm, semantic, grain) = (&mut fbm[..cols], &mut semantic[..cols], &mut grain[..cols]);
+        for y in 0..height {
+            let v = f64::from(y) / f64::from(height.max(1));
+            sweep.row(aesthetic.coord(v), fbm);
+
+            let grid_row = GridAxis::at(v);
+            if sampled != Some((grid_row.i0, grid_row.i1)) {
+                sampled = Some((grid_row.i0, grid_row.i1));
+                let row0 = &latent[grid_row.i0 * GRID..][..GRID];
+                let row1 = &latent[grid_row.i1 * GRID..][..GRID];
+                for (c, x) in grid_cols.iter().enumerate() {
+                    upper[0][c] = row0[x.i0] * x.near;
+                    upper[1][c] = row0[x.i1] * x.far;
+                    lower[0][c] = row1[x.i0] * x.near;
+                    lower[1][c] = row1[x.i1] * x.far;
+                }
+            }
+            // The y half: four products summed left to right, then scaled.
+            let (near, far) = (grid_row.near, grid_row.far);
+            for (c, s) in semantic.iter_mut().enumerate() {
+                *s = (upper[0][c] * near + upper[1][c] * near + lower[0][c] * far + lower[1][c] * far)
+                    * SEMANTIC_AMPLITUDE;
+            }
+
+            let at = y as usize * w + left as usize;
+            for (g, n) in grain.iter_mut().zip(&noise[at..]) {
+                *g = n * residual;
+            }
+
+            let pixels = data[at * 3..].chunks_exact_mut(3);
+            for (((px, &f), &s), &n) in pixels.zip(&*fbm).zip(&*semantic).zip(&*grain) {
+                let base = aesthetic.color(v, f);
+                // `(base + s) + n`, never `base + (s + n)`.
+                px[0] = (base[0] + s + n).clamp(0.0, 255.0) as u8;
+                px[1] = (base[1] + s + n).clamp(0.0, 255.0) as u8;
+                px[2] = (base[2] + s + n).clamp(0.0, 255.0) as u8;
+            }
+        }
+    }
 }
 
 /// The prompt's aesthetic base-colour field over `(u, v) ∈ [0, 1)²`: the
@@ -501,6 +592,7 @@ impl Aesthetic {
 
     /// Image coordinate to noise coordinate; `Geometric` snaps to the
     /// lattice, which is what makes its cells hard-edged.
+    #[inline(always)]
     fn coord(&self, t: f64) -> f64 {
         match self.texture {
             TextureClass::Geometric => (t * self.scale).floor(),
@@ -508,42 +600,18 @@ impl Aesthetic {
         }
     }
 
-    /// Fix `u`: the noise field's half that depends only on the column.
-    fn col(&self, u: f64) -> FbmCol {
-        self.field.col(self.coord(u))
-    }
-
-    /// Fix `v`: everything that depends only on the image row.
-    fn row(&self, v: f64) -> AestheticRow<'_> {
-        AestheticRow {
-            aesthetic: self,
-            v,
-            noise: self.field.row(self.coord(v)),
-        }
-    }
-}
-
-/// An [`Aesthetic`] with `v` fixed.
-struct AestheticRow<'a> {
-    aesthetic: &'a Aesthetic,
-    v: f64,
-    noise: FbmRow<'a>,
-}
-
-impl AestheticRow<'_> {
-    /// The base colour where this row meets the column `col` was
-    /// computed for ([`Aesthetic::col`]).
-    fn color(&self, col: &FbmCol) -> [f64; 3] {
-        let n = self.noise.at_col(col);
-        let t = match self.aesthetic.texture {
+    /// The base colour where the noise field reads `n`, on the image row
+    /// at `v`.
+    #[inline(always)]
+    fn color(&self, v: f64, n: f64) -> [f64; 3] {
+        let t = match self.texture {
             // Horizon bands: palette sweeps top to bottom.
-            TextureClass::Banded => self.v + 0.08 * n,
+            TextureClass::Banded => v + 0.08 * n,
             // Soft blobs, hard-edged cells.
             TextureClass::Organic | TextureClass::Geometric => 0.5 + 0.5 * n,
         };
-        let palette = &self.aesthetic.palette;
-        let idx = (t.clamp(0.0, 0.999) * palette.len() as f64) as usize;
-        palette[idx.min(palette.len() - 1)]
+        let idx = (t.clamp(0.0, 0.999) * self.palette.len() as f64) as usize;
+        self.palette[idx.min(self.palette.len() - 1)]
     }
 }
 
@@ -585,28 +653,22 @@ impl LatentJob {
 
     /// Advance this job one sigma step. The noise scratch is refreshed
     /// from the job's RNG first (one [`Rng::fill_gaussian`], serial only
-    /// in its uniforms), then the update runs as a pure
-    /// element-wise loop in [`LANE`]-wide chunks — separable
-    /// because the latent values never feed back into the RNG. The
-    /// per-cell expression is kept literally as
-    /// `l += alpha * (t - l) + sigma * g * 0.15` so no floating-point
-    /// operation is reassociated relative to the original fused loop.
+    /// in its uniforms), then the update runs as a pure element-wise loop
+    /// (`denoise_update`) — separable because the latent values never
+    /// feed back into the RNG.
     fn step(&mut self, alpha: f64, sigma: f64) {
         self.rng.fill_gaussian(&mut self.noise);
-        let mut lat = self.latent.chunks_exact_mut(LANE);
-        let mut tgt = self.target.chunks_exact(LANE);
-        let mut noi = self.noise.chunks_exact(LANE);
-        for ((lc, tc), nc) in (&mut lat).zip(&mut tgt).zip(&mut noi) {
-            for i in 0..LANE {
-                lc[i] += alpha * (tc[i] - lc[i]) + sigma * nc[i] * 0.15;
-            }
-        }
-        for ((l, &t), &g) in lat
-            .into_remainder()
-            .iter_mut()
-            .zip(tgt.remainder())
-            .zip(noi.remainder())
-        {
+        denoise_update(&mut self.latent, &self.target, &self.noise, alpha, sigma);
+    }
+}
+
+wide! {
+    /// One sigma step over a latent plane. The per-cell expression is kept
+    /// literally as `l += alpha * (t - l) + sigma * g * 0.15`, so no
+    /// floating-point operation is reassociated relative to the original
+    /// fused loop.
+    fn denoise_update(latent: &mut [f64], target: &[f64], noise: &[f64], alpha: f64, sigma: f64) {
+        for ((l, &t), &g) in latent.iter_mut().zip(target).zip(noise) {
             *l += alpha * (t - *l) + sigma * g * 0.15;
         }
     }
@@ -758,7 +820,11 @@ pub fn try_denoise_batch_tiled(
 
 /// One axis of a bilinear sample of the coarse latent grid: the two grid
 /// lines `t ∈ [0, 1]` falls between and its weight on each. The x axis
-/// is fixed down an image column and the y axis along an image row.
+/// is fixed down an image column and the y axis along an image row; the
+/// sample where they meet is
+/// `g[y.i0][x.i0]·x.near·y.near + g[y.i0][x.i1]·x.far·y.near +
+/// g[y.i1][x.i0]·x.near·y.far + g[y.i1][x.i1]·x.far·y.far`, summed left to
+/// right, which `decode_strip` evaluates with the x products hoisted.
 #[derive(Debug, Clone, Copy, Default)]
 struct GridAxis {
     i0: usize,
@@ -769,6 +835,7 @@ struct GridAxis {
 }
 
 impl GridAxis {
+    #[inline(always)]
     fn at(t: f64) -> GridAxis {
         let p = t.clamp(0.0, 1.0) * (GRID - 1) as f64;
         let i0 = p.floor() as usize;
@@ -780,16 +847,6 @@ impl GridAxis {
             near: 1.0 - far,
         }
     }
-}
-
-/// Bilinear sample of the coarse latent grid where column axis `x` meets
-/// row axis `y`. `grid` must hold `GRID²` cells, row-major.
-fn sample_grid(grid: &[f64], x: &GridAxis, y: &GridAxis) -> f64 {
-    debug_assert_eq!(grid.len(), GRID * GRID);
-    grid[y.i0 * GRID + x.i0] * x.near * y.near
-        + grid[y.i0 * GRID + x.i1] * x.far * y.near
-        + grid[y.i1 * GRID + x.i0] * x.near * y.far
-        + grid[y.i1 * GRID + x.i1] * x.far * y.far
 }
 
 #[cfg(test)]
@@ -858,6 +915,59 @@ mod tests {
         let m = DiffusionModel::new(ImageModelKind::Sd21Base);
         let img = m.generate("x", 16, 16, 0);
         assert_eq!(img.width(), 16);
+    }
+
+    /// One definition, two codegens: the update is the same bits
+    /// whichever instantiation ran, at lengths around a vector and from
+    /// aligned and unaligned starts.
+    #[test]
+    fn denoise_update_agrees_across_instantiations() {
+        let mut rng = Rng::new(0x57e9);
+        for len in [0, 1, 15, 16, 17, 1024] {
+            for offset in [0, 1, 3] {
+                let mut plane = || {
+                    let mut v = vec![0.0; offset + len];
+                    rng.fill_gaussian(&mut v);
+                    v
+                };
+                let (latent, target, noise) = (plane(), plane(), plane());
+                let (wide, base) = crate::lanes::both(|| {
+                    let mut latent = latent.clone();
+                    let (t, n) = (&target[offset..], &noise[offset..]);
+                    denoise_update(&mut latent[offset..], t, n, 0.37, 0.81);
+                    latent.iter().map(|l| l.to_bits()).collect::<Vec<_>>()
+                });
+                assert_eq!(wide, base, "len {len} offset {offset}");
+            }
+        }
+    }
+
+    /// The same for everything `generate` runs — the fields, the draws,
+    /// the steps and `decode_strip` — over one-pixel axes, a ragged last
+    /// strip and every texture class: latents by `to_bits`, then pixels.
+    #[test]
+    fn generation_agrees_across_instantiations() {
+        let prompts = [
+            "a mountain lake at sunset under a wide sky",
+            "a goldfish drifting through a cloud forest",
+            "a city street at night after snow",
+        ];
+        for kind in [ImageModelKind::Sd21Base, ImageModelKind::Sd3Medium] {
+            let m = DiffusionModel::new(kind);
+            for prompt in prompts {
+                let f = PromptFeatures::analyze(prompt);
+                let (wide, base) = crate::lanes::both(|| {
+                    let mut job = m.prepare_job(&f);
+                    denoise_batch(&Schedule::new(3), std::slice::from_mut(&mut job));
+                    job.latent().iter().map(|l| l.to_bits()).collect::<Vec<_>>()
+                });
+                assert_eq!(wide, base, "{kind:?} {prompt:?}");
+                for (w, h) in [(1, 1), (1, 40), (7, 3), (64, 64), (129, 5), (300, 2)] {
+                    let (wide, base) = crate::lanes::both(|| m.generate(prompt, w, h, 2));
+                    assert_eq!(wide, base, "{kind:?} {prompt:?} {w}x{h}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,12 +10,20 @@
 //! table of those same hashes), so the tabulated result is bit-identical
 //! to the hashed one by construction, not by a parallel re-derivation.
 //!
-//! An evaluation splits into a y half (`RowTerm`, fixed along an image
-//! row) and an x half (`ColTerm`, fixed down an image column). A
-//! caller sweeping an image computes each once per row
-//! ([`FbmField::row`]) and once per column ([`FbmField::col`]) and
-//! combines them per pixel ([`FbmRow::at_col`]); [`FbmRow::at`] is that
-//! same combination with the column terms computed on the spot.
+//! An evaluation splits into an x half (`ColTerm`: the lattice column left
+//! of `x` and the smoothed fraction past it) and a y half (`RowTerm`, the
+//! same for `y`), and interpolates in x first: `along_x` is one point of
+//! a lattice line, `between` blends the lines below and above. A caller
+//! sweeping an image does not evaluate it pixel by pixel. [`FbmSweep`]
+//! carries a strip of columns down the image: it computes each column's x
+//! half once, keeps per octave the two x-interpolated lattice lines the
+//! current row lies between — the same two for every image row until the
+//! next lattice line is crossed — and a row is then one `between` per
+//! column and octave over contiguous arrays. Those are `value_noise_on`'s
+//! and `sum_octaves`' own expressions, hoisted and never reassociated, so
+//! a sweep's row equals [`FbmField::at`] bit for bit; `at` stays as the
+//! scalar form of the same path, and [`FbmRow`] as its form for a caller
+//! whose columns change from row to row.
 
 use crate::fnv1a;
 
@@ -29,6 +37,7 @@ fn lattice(seed: u64, xi: i64, yi: i64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
 }
 
+#[inline(always)]
 fn smoothstep(t: f64) -> f64 {
     t * t * (3.0 - 2.0 * t)
 }
@@ -48,6 +57,7 @@ struct RowTerm {
 }
 
 impl RowTerm {
+    #[inline(always)]
     fn at(y: f64) -> RowTerm {
         let y0 = y.floor();
         RowTerm {
@@ -59,7 +69,7 @@ impl RowTerm {
 
 /// The x half of one value-noise evaluation: the lattice column left of
 /// `x` and the smoothed fraction past it. Invariant down an image
-/// column, which is what lets [`FbmCol`] compute it once per column.
+/// column, which is what lets [`FbmSweep`] compute it once per column.
 #[derive(Debug, Clone, Copy, Default)]
 struct ColTerm {
     xi: i64,
@@ -67,6 +77,7 @@ struct ColTerm {
 }
 
 impl ColTerm {
+    #[inline(always)]
     fn at(x: f64) -> ColTerm {
         let x0 = x.floor();
         ColTerm {
@@ -76,18 +87,29 @@ impl ColTerm {
     }
 }
 
+/// One point of lattice line `yi`, interpolated in x at `col`, with
+/// `corner(xi, yi)` as the lattice source.
+#[inline(always)]
+fn along_x(col: ColTerm, yi: i64, corner: impl Fn(i64, i64) -> f64) -> f64 {
+    let v0 = corner(col.xi, yi);
+    let v1 = corner(col.xi + 1, yi);
+    v0 + (v1 - v0) * col.fx
+}
+
+/// Between a point `a` of the lattice line below and the point `b` of the
+/// line above it, at smoothed fraction `fy`.
+#[inline(always)]
+fn between(a: f64, b: f64, fy: f64) -> f64 {
+    a + (b - a) * fy
+}
+
 /// Value noise where a prepared row meets a prepared column, with
 /// `corner(xi, yi)` as the lattice source.
 #[inline(always)]
 fn value_noise_on(row: RowTerm, col: ColTerm, corner: impl Fn(i64, i64) -> f64) -> f64 {
-    let (xi, yi) = (col.xi, row.yi);
-    let v00 = corner(xi, yi);
-    let v10 = corner(xi + 1, yi);
-    let v01 = corner(xi, yi + 1);
-    let v11 = corner(xi + 1, yi + 1);
-    let a = v00 + (v10 - v00) * col.fx;
-    let b = v01 + (v11 - v01) * col.fx;
-    a + (b - a) * row.fy
+    let a = along_x(col, row.yi, &corner);
+    let b = along_x(col, row.yi + 1, &corner);
+    between(a, b, row.fy)
 }
 
 /// Sum `octaves` layers with doubling frequency and halving amplitude,
@@ -236,29 +258,41 @@ impl FbmField {
         FbmRow { field: self, terms }
     }
 
-    /// Fix `x`: the per-octave column terms, computed once, so a caller
-    /// sweeping an image does not redo them on every row. Combine with a
-    /// row through [`FbmRow::at_col`].
-    pub fn col(&self, x: f64) -> FbmCol {
-        let mut terms = [ColTerm::default(); MAX_OCTAVES];
-        let mut frequency = 1.0;
-        for term in terms.iter_mut().take(self.octaves as usize) {
-            *term = ColTerm::at(x * frequency);
-            frequency *= 2.0;
+    /// Carry the columns at `xs` down an image: each column's x half of
+    /// every octave is computed here, once; see [`FbmSweep`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xs` yields more than `N` columns.
+    #[inline(always)]
+    pub fn sweep<const N: usize>(&self, xs: impl IntoIterator<Item = f64>) -> FbmSweep<'_, N> {
+        let mut sweep = FbmSweep {
+            field: self,
+            len: 0,
+            cols: [[ColTerm::default(); N]; MAX_OCTAVES],
+            yi: [None; MAX_OCTAVES],
+            below: [[0.0; N]; MAX_OCTAVES],
+            above: [[0.0; N]; MAX_OCTAVES],
+        };
+        for x in xs {
+            assert!(
+                sweep.len < N,
+                "an FbmSweep<{N}> carries at most {N} columns"
+            );
+            let mut frequency = 1.0;
+            for cols in sweep.cols.iter_mut().take(self.octaves as usize) {
+                cols[sweep.len] = ColTerm::at(x * frequency);
+                frequency *= 2.0;
+            }
+            sweep.len += 1;
         }
-        FbmCol { terms }
+        sweep
     }
 
     /// `fbm(seed, x, y, octaves)`, bit for bit.
     pub fn at(&self, x: f64, y: f64) -> f64 {
         self.row(y).at(x)
     }
-}
-
-/// An [`FbmField`]'s column terms at one `x`; see [`FbmField::col`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FbmCol {
-    terms: [ColTerm; MAX_OCTAVES],
 }
 
 /// An [`FbmField`] with `y` fixed; see [`FbmField::row`].
@@ -271,18 +305,105 @@ pub struct FbmRow<'a> {
 impl FbmRow<'_> {
     /// `fbm(seed, x, y, octaves)` for this row's `y`, bit for bit.
     pub fn at(&self, x: f64) -> f64 {
-        self.at_col(&self.field.col(x))
-    }
-
-    /// [`at`](FbmRow::at) for the `x` that `col` was computed at by this
-    /// row's field, bit for bit.
-    pub fn at_col(&self, col: &FbmCol) -> f64 {
-        // `col` already holds `x` times each octave's frequency.
-        sum_octaves(self.field.octaves, |o, _| {
-            value_noise_on(self.terms[o as usize], col.terms[o as usize], |xi, yi| {
+        sum_octaves(self.field.octaves, |o, frequency| {
+            let col = ColTerm::at(x * frequency);
+            value_noise_on(self.terms[o as usize], col, |xi, yi| {
                 self.field.corner(o, xi, yi)
             })
         })
+    }
+}
+
+/// Up to `N` columns of an [`FbmField`] carried down an image, a row at a
+/// time; built by [`FbmField::sweep`].
+///
+/// Between two lattice lines every image row interpolates the same
+/// corners in x and differs only in its y fraction. A sweep keeps, per
+/// octave, each column's point on the lattice line below the current row
+/// and on the line above it, and recomputes the pair only when a row's
+/// lattice row *differs* from the one it holds — rows may ascend,
+/// descend, repeat or jump. [`row`](FbmSweep::row) is then one
+/// interpolation per column and octave over contiguous arrays, with every
+/// expression that of [`FbmField::at`], in its order: the two agree bit
+/// for bit at every column and `y`, inside the field's rectangle or not.
+/// All of it lives on the stack (`32 · N` bytes an octave, four octaves).
+///
+/// # Example
+///
+/// ```
+/// use sww_genai::diffusion::noise::{fbm, FbmField};
+///
+/// let field = FbmField::new(7, 3, 4.0, 4.0);
+/// let xs = [0.0, 1.25, 3.5, -9.5];
+/// let mut sweep = field.sweep::<4>(xs);
+/// let mut row = [0.0; 4];
+/// for y in [0.5, 0.75, 3.0, 80.0, 0.5] {
+///     sweep.row(y, &mut row);
+///     for (x, v) in xs.iter().zip(row) {
+///         assert_eq!(v.to_bits(), fbm(7, *x, y, 3).to_bits());
+///     }
+/// }
+/// ```
+#[derive(Debug, Clone)]
+pub struct FbmSweep<'a, const N: usize> {
+    field: &'a FbmField,
+    /// Columns carried: the first `len` of every array below.
+    len: usize,
+    /// Per octave, each column's x half.
+    cols: [[ColTerm; N]; MAX_OCTAVES],
+    /// Per octave, the lattice row `below` and `above` were computed for.
+    yi: [Option<i64>; MAX_OCTAVES],
+    /// Per octave, each column's point on lattice line `yi`, `yi + 1`.
+    below: [[f64; N]; MAX_OCTAVES],
+    above: [[f64; N]; MAX_OCTAVES],
+}
+
+impl<const N: usize> FbmSweep<'_, N> {
+    /// `out[i] = fbm(seed, xs[i], y, octaves)`, bit for bit, for the `xs`
+    /// the sweep was built over.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` does not hold exactly one value per column.
+    #[inline(always)]
+    pub fn row(&mut self, y: f64, out: &mut [f64]) {
+        assert_eq!(out.len(), self.len, "one output per swept column");
+        // `sum_octaves`, octave-major: every column's `total` takes the
+        // same additions in the same order as a lone evaluation's.
+        out.fill(0.0);
+        let mut amplitude = 1.0;
+        let mut frequency = 1.0;
+        let mut norm = 0.0;
+        for o in 0..self.field.octaves as usize {
+            let term = RowTerm::at(y * frequency);
+            if self.yi[o] != Some(term.yi) {
+                self.lines(o, term.yi);
+            }
+            let below = &self.below[o][..self.len];
+            let above = &self.above[o][..self.len];
+            for ((total, &a), &b) in out.iter_mut().zip(below).zip(above) {
+                *total += between(a, b, term.fy) * amplitude;
+            }
+            norm += amplitude;
+            amplitude *= 0.5;
+            frequency *= 2.0;
+        }
+        for total in out {
+            *total /= norm;
+        }
+    }
+
+    /// Recompute octave `o`'s two lattice lines for lattice row `yi`.
+    #[inline(always)]
+    fn lines(&mut self, o: usize, yi: i64) {
+        let field = self.field;
+        let corner = |xi, yi| field.corner(o as u32, xi, yi);
+        let lines = self.below[o].iter_mut().zip(&mut self.above[o]);
+        for (&col, (below, above)) in self.cols[o][..self.len].iter().zip(lines) {
+            *below = along_x(col, yi, corner);
+            *above = along_x(col, yi + 1, corner);
+        }
+        self.yi[o] = Some(yi);
     }
 }
 
@@ -363,6 +484,27 @@ mod tests {
                 fbm(5, 2.5, -1.25, 3).to_bits()
             );
         }
+    }
+
+    #[test]
+    fn a_sweep_refreshes_its_lines_on_inequality_not_on_ascent() {
+        // Down, up, the same row twice and a jump, hashed octave included.
+        let field = FbmField::new(5, 2, 16.0, 16.0);
+        let xs = [0.0, 7.3, 7.3, -2.5, 40.0];
+        let mut sweep = field.sweep::<8>(xs);
+        let mut row = [0.0; 5];
+        for y in [9.75, 9.5, 3.25, 3.25, 15.9, -1.25, 9.75] {
+            sweep.row(y, &mut row);
+            for (x, got) in xs.iter().zip(row) {
+                assert_eq!(got.to_bits(), fbm(5, *x, y, 2).to_bits(), "({x}, {y})");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 2 columns")]
+    fn more_columns_than_a_sweep_carries_is_a_bug() {
+        let _ = FbmField::new(1, 1, 1.0, 1.0).sweep::<2>([0.0, 0.5, 1.0]);
     }
 
     #[test]

@@ -20,6 +20,7 @@
 use super::buffer::ImageBuffer;
 use super::color::{rgb_to_ycbcr, ycbcr_to_rgb};
 use super::dct::{forward, inverse, zigzag_order, N};
+use crate::lanes::wide;
 
 /// Format version byte.
 const VERSION: u8 = 2;
@@ -127,10 +128,6 @@ impl Plane {
         }
     }
 
-    fn get_clamped(&self, x: usize, y: usize) -> f64 {
-        self.data[y.min(self.h - 1) * self.w + x.min(self.w - 1)]
-    }
-
     /// Bilinear sample at fractional plane coordinates.
     fn sample(&self, fx: f64, fy: f64) -> f64 {
         let x0 = (fx.floor().max(0.0) as usize).min(self.w - 1);
@@ -147,31 +144,42 @@ impl Plane {
     }
 }
 
-fn encode_plane(plane: &Plane, quality: u8, chroma: bool, out: &mut Vec<u8>) {
-    let order = zigzag_order();
-    let steps = quant_steps(quality, chroma);
-    let bw = plane.w.div_ceil(N);
-    let bh = plane.h.div_ceil(N);
-    for by in 0..bh {
-        for bx in 0..bw {
-            let mut block = [0.0f64; N * N];
-            for (i, v) in block.iter_mut().enumerate() {
-                *v = plane.get_clamped(bx * N + i % N, by * N + i / N) - 128.0;
-            }
-            let coeffs = forward(&block);
-            let mut run = 0u64;
-            for (&idx, step) in order.iter().zip(steps) {
-                let q = (coeffs[idx] / step).round() as i64;
-                if q == 0 {
-                    run += 1;
-                } else {
-                    put_varint(run, out);
-                    put_varint(zz(q), out);
-                    run = 0;
+wide! {
+    /// Code one plane, block by block: gather (edge blocks repeat the last
+    /// row and column), transform, quantise all 64 coefficients, then the
+    /// serial run-length pass over them.
+    fn encode_plane(plane: &Plane, quality: u8, chroma: bool, out: &mut Vec<u8>) {
+        let order = zigzag_order();
+        let steps = quant_steps(quality, chroma);
+        let bw = plane.w.div_ceil(N);
+        let bh = plane.h.div_ceil(N);
+        for by in 0..bh {
+            for bx in 0..bw {
+                let mut block = [0.0f64; N * N];
+                for (r, row) in block.chunks_exact_mut(N).enumerate() {
+                    let line = &plane.data[(by * N + r).min(plane.h - 1) * plane.w..][..plane.w];
+                    for (i, v) in row.iter_mut().enumerate() {
+                        *v = line[(bx * N + i).min(plane.w - 1)] - 128.0;
+                    }
                 }
-            }
-            if run > 0 {
-                put_varint(64, out); // end-of-block sentinel
+                let coeffs = forward(&block);
+                let mut levels = [0i64; N * N];
+                for ((q, &idx), step) in levels.iter_mut().zip(order).zip(steps) {
+                    *q = (coeffs[idx] / step).round() as i64;
+                }
+                let mut run = 0u64;
+                for q in levels {
+                    if q == 0 {
+                        run += 1;
+                    } else {
+                        put_varint(run, out);
+                        put_varint(zz(q), out);
+                        run = 0;
+                    }
+                }
+                if run > 0 {
+                    put_varint(64, out); // end-of-block sentinel
+                }
             }
         }
     }
@@ -284,6 +292,16 @@ pub fn decode(data: &[u8]) -> Result<ImageBuffer, CodecError> {
     }
     let cw = w.div_ceil(2);
     let ch = h.div_ceil(2);
+    // The header is input: believe its size only as far as the bytes
+    // behind it go. Every block is at least one byte (its end-of-block
+    // sentinel, or a run/value pair), so a stream shorter than its block
+    // count cannot decode, and saying so here keeps what is allocated
+    // below to ~1 KB per byte received. Ten bytes claiming 65 535² would
+    // otherwise ask for 34 GB and abort the process.
+    let blocks = |w: usize, h: usize| w.div_ceil(N) * h.div_ceil(N);
+    if data.len() - 10 < blocks(w, h) + 2 * blocks(cw, ch) {
+        return Err(CodecError::Truncated);
+    }
     let mut pos = 10usize;
     let y_plane = decode_plane(data, &mut pos, w, h, quality, false)?;
     let cb_plane = decode_plane(data, &mut pos, cw, ch, quality, true)?;
@@ -432,6 +450,86 @@ mod tests {
         let img = gradient_image(16, 16);
         let enc = encode(&img, 70);
         assert!(decode(&enc[..12]).is_err());
+    }
+
+    /// A 10-byte body used to abort the process: the planes were sized
+    /// from the header before a byte behind it was read.
+    #[test]
+    fn a_header_promising_more_than_the_stream_holds_is_truncated() {
+        let header = |w: u16, h: u16| {
+            let mut stream = b"SWIM\x02".to_vec();
+            stream.extend_from_slice(&w.to_be_bytes());
+            stream.extend_from_slice(&h.to_be_bytes());
+            stream.push(75);
+            stream
+        };
+        assert_eq!(
+            decode(b"SWIM\x02\xff\xff\xff\xff\x4b").unwrap_err(),
+            CodecError::Truncated
+        );
+        for (w, h) in [
+            (1, 1),
+            (8, 8),
+            (9, 1),
+            (640, 480),
+            (1, 65_535),
+            (65_535, 65_535),
+        ] {
+            let mut stream = header(w, h);
+            assert_eq!(
+                decode(&stream).unwrap_err(),
+                CodecError::Truncated,
+                "{w}x{h}, header only"
+            );
+            // One byte short of a byte a block, all of them end-of-block.
+            let blocks = |w: usize, h: usize| w.div_ceil(N) * h.div_ceil(N);
+            let (w, h) = (usize::from(w), usize::from(h));
+            let least = blocks(w, h) + 2 * blocks(w.div_ceil(2), h.div_ceil(2));
+            if least <= 1 << 20 {
+                stream.resize(10 + least - 1, 64);
+                assert_eq!(
+                    decode(&stream).unwrap_err(),
+                    CodecError::Truncated,
+                    "{w}x{h}, short"
+                );
+                // The least stream there is decodes: every block empty.
+                stream.push(64);
+                let flat = decode(&stream).expect("one sentinel a block is a whole stream");
+                assert_eq!((flat.width() as usize, flat.height() as usize), (w, h));
+            }
+        }
+    }
+
+    fn noisy_image(w: u32, h: u32, seed: u64) -> ImageBuffer {
+        let mut img = gradient_image(w, h);
+        let mut rng = Rng::new(seed);
+        for y in 0..h {
+            for x in 0..w {
+                let mut p = img.get(x, y);
+                for c in &mut p {
+                    *c = (i32::from(*c) + (rng.gaussian() * 20.0) as i32).clamp(0, 255) as u8;
+                }
+                img.set(x, y, p);
+            }
+        }
+        img
+    }
+
+    /// One definition, two codegens: `encode_plane` writes the same bytes
+    /// whichever instantiation ran, over whole and partial blocks, odd
+    /// chroma edges and one-pixel axes.
+    #[test]
+    fn encode_agrees_across_instantiations() {
+        for (i, w) in [1, 2, 7, 8, 9, 16, 17, 65, 130].into_iter().enumerate() {
+            for h in [1, 8, 15] {
+                let img = noisy_image(w, h, i as u64);
+                for quality in [20, 75, 95] {
+                    let (wide, base) = crate::lanes::both(|| encode(&img, quality));
+                    assert_eq!(wide, base, "{w}x{h} q{quality}");
+                    assert_eq!(decode(&wide).map(|d| (d.width(), d.height())), Ok((w, h)));
+                }
+            }
+        }
     }
 
     #[test]

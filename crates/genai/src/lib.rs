@@ -27,6 +27,7 @@
 pub mod diffusion;
 pub mod image;
 pub mod invert;
+mod lanes;
 pub mod metrics;
 pub mod pipeline;
 pub mod pool;

@@ -45,15 +45,24 @@
 //! [`Rng::gaussian`] is one draw; [`Rng::fill_gaussian`] fills a slice
 //! with the draws repeated `gaussian()` calls would return, and leaves
 //! the generator in the state they would leave. It exists because the
-//! kernels are straight-line arithmetic: a fill draws the uniforms of 64
-//! draws serially, then runs the kernels over them as one element-wise
-//! pass the autovectorizer chunks — under half the cost per draw of the
-//! libm call chain it replaces, where the scalar `gaussian()` is no
-//! faster than libm. Every per-pixel or per-cell caller uses the fill.
-//! Both go through the same `box_muller`, and must: a second definition
-//! of a draw would let batched and scalar callers drift apart, and
-//! `tests/proptest_rng.rs` holds them together bit for bit.
+//! kernels are straight-line arithmetic: a fill draws the uniforms of up
+//! to 16 draws serially, then runs the kernels over them as one
+//! element-wise pass, `gaussian_pass`, which `lanes.rs`'s `wide!`
+//! compiles for the baseline and for AVX2 — four draws an instruction
+//! where the CPU has it (PR 20). The chunk is short on purpose: the pass
+//! over one chunk and the serial xoshiro chain of the next are
+//! independent, and an out-of-order core overlaps them only if both fit
+//! its window. Every per-pixel or per-cell caller uses the fill: ~7 ns a
+//! draw, against ~30 for the libm call chain it replaced, which the
+//! scalar `gaussian()` does not beat. Both go through the same
+//! `box_muller`, and must: a second definition of a draw would let
+//! batched and scalar callers drift apart, and `tests/proptest_rng.rs`
+//! holds them together bit for bit. `box_muller`, `ln_k` and `cos_k` are
+//! `#[inline(always)]` because a kernel compiled for AVX2 only runs AVX2
+//! code it has inlined (`lanes.rs`); left to the inliner's judgement
+//! they would still return the same bits, at 11 ns a draw.
 
+use crate::lanes::wide;
 use std::f64::consts::PI;
 
 /// xoshiro256** state.
@@ -115,7 +124,7 @@ impl Rng {
 
     /// Fill `out` with standard-normal draws: bit for bit the values
     /// `out.len()` calls of [`gaussian`](Rng::gaussian) return, leaving
-    /// the generator where they leave it. The uniforms of up to 64 draws
+    /// the generator where they leave it. The uniforms of up to 16 draws
     /// are taken serially into two stack arrays, then one pure
     /// element-wise pass turns them into draws.
     pub fn fill_gaussian(&mut self, out: &mut [f64]) {
@@ -125,9 +134,7 @@ impl Rng {
             for (a, b) in u1.iter_mut().zip(&mut u2).take(chunk.len()) {
                 (*a, *b) = self.gaussian_uniforms();
             }
-            for ((g, &a), &b) in chunk.iter_mut().zip(&u1).zip(&u2) {
-                *g = box_muller(a, b);
-            }
+            gaussian_pass(chunk, &u1, &u2);
         }
     }
 
@@ -139,13 +146,25 @@ impl Rng {
     }
 }
 
-/// Draws per element-wise pass of [`Rng::fill_gaussian`]: 1 KB of
-/// uniforms on the stack, and a divisor of every plane the diffusion
-/// kernel fills, so its remainder pass is cold.
-const FILL_CHUNK: usize = 64;
+/// Draws per element-wise pass of [`Rng::fill_gaussian`]: four AVX2
+/// vectors, and a divisor of every plane the diffusion kernel fills, so
+/// its remainder pass is cold. Measured at 8, 16, 32 and 64: 8 pays the
+/// pass's call too often (~9 ns a draw), 16 to 64 read alike (~7.3 ns);
+/// 16 is the smallest of those, so the most of one chunk's serial
+/// uniforms overlap the pass of the last.
+const FILL_CHUNK: usize = 16;
+
+wide! {
+    /// The element-wise half of a fill: `out[i]` from `u1[i]`, `u2[i]`.
+    fn gaussian_pass(out: &mut [f64], u1: &[f64; FILL_CHUNK], u2: &[f64; FILL_CHUNK]) {
+        for ((g, &a), &b) in out.iter_mut().zip(u1).zip(u2) {
+            *g = box_muller(a, b);
+        }
+    }
+}
 
 /// The one definition of a draw, from its two uniforms.
-#[inline]
+#[inline(always)]
 fn box_muller(u1: f64, u2: f64) -> f64 {
     (-2.0 * ln_k(u1)).sqrt() * cos_k(2.0 * PI * u2)
 }
@@ -159,7 +178,7 @@ const fn hex(bits: u64) -> f64 {
 /// Natural logarithm on `[1e-12, 1)`, fdlibm's `log`: split `x = 2^k · m`
 /// with `m ∈ [√2/2, √2)`, then `ln m = f − f²/2 + s·(f²/2 + R(s²))` for
 /// `f = m − 1`, `s = f / (2 + f)`, and add `k · ln 2` in two parts.
-#[inline]
+#[inline(always)]
 fn ln_k(x: f64) -> f64 {
     const LN2_HI: f64 = hex(0x3FE6_2E42_FEE0_0000);
     const LN2_LO: f64 = hex(0x3DEA_39EF_3579_3C76);
@@ -197,7 +216,7 @@ fn ln_k(x: f64) -> f64 {
 /// and `|y| ≤ π/4` (`y = y0 + y1`, two-term Cody–Waite), then fdlibm's
 /// `__kernel_cos` and `__kernel_sin` on `y`, both evaluated; `n` selects
 /// one and its sign without a branch.
-#[inline]
+#[inline(always)]
 fn cos_k(x: f64) -> f64 {
     const INV_PIO2: f64 = hex(0x3FE4_5F30_6DC9_C883);
     const PIO2_1: f64 = hex(0x3FF9_21FB_5440_0000);
@@ -373,6 +392,30 @@ mod tests {
             "d8d6c39a14ea80cef3c9117ee2f12243dec52f48bc5879245a8f2be44917298f",
             "the gaussian stream drifted from its recorded digest"
         );
+    }
+
+    /// One definition, two codegens: a fill is the same bits, and leaves
+    /// the same generator, whichever instantiation of `gaussian_pass`
+    /// ran — at every length around the 16-draw chunk, from an aligned
+    /// and an unaligned start — and both are the scalar draws.
+    #[test]
+    fn fill_agrees_across_instantiations() {
+        for len in [0, 1, 15, 16, 17, 31, 32, 33, 100] {
+            for offset in [0, 1, 3] {
+                let seed = (len * 8 + offset) as u64;
+                let (wide, base) = crate::lanes::both(|| {
+                    let mut r = Rng::new(seed);
+                    let mut buf = vec![0.0; offset + len];
+                    r.fill_gaussian(&mut buf[offset..]);
+                    let bits: Vec<u64> = buf[offset..].iter().map(|g| g.to_bits()).collect();
+                    (bits, r.next_u64())
+                });
+                assert_eq!(wide, base, "len {len} offset {offset}");
+                let mut r = Rng::new(seed);
+                let scalar: Vec<u64> = (0..len).map(|_| r.gaussian().to_bits()).collect();
+                assert_eq!(wide, (scalar, r.next_u64()), "len {len} offset {offset}");
+            }
+        }
     }
 
     #[test]

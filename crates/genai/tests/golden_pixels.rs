@@ -19,6 +19,16 @@
 //! moves only when that sum lies within ~1e-15 of an integer. The sweep
 //! is what says none of ~15 M such sums did.
 //!
+//! The `shapes` row was recorded at the commit *before* decode and the
+//! smooth fields began sweeping an image a lattice line at a time (PR 20).
+//! The rows above render three sizes; a sweep's new edges are elsewhere —
+//! where a strip of columns ends, where consecutive rows do or do not
+//! cross a lattice line, an axis one pixel long, the codec's clamped
+//! partial blocks — so this row renders 675 images over fifteen widths
+//! from 1 to 640 (either side of 8, 64, 128 and 256 among them) and seven
+//! heights from 1 to 47, and hashes the pixels, the encoded bytes and the
+//! pixels decoded back from them.
+//!
 //! There is deliberately no bless switch. If output is *meant* to change,
 //! the failure message prints the full new table to paste over `GOLDEN`.
 
@@ -67,9 +77,9 @@ fn digests(img: &ImageBuffer) -> String {
 /// over, each under a different prompt seed.
 const SWEEP_IMAGES: usize = 990;
 
-/// Prompt `i` of the sweep: nine scenes, three per texture class, made
-/// distinct (and so differently seeded) by their index.
-fn sweep_prompt(i: usize) -> (String, TextureClass) {
+/// Scene `scene` (of nine, three per texture class: the class is
+/// `scene % 3`) made distinct, and so differently seeded, by `i`.
+fn scene_prompt(scene: usize, i: usize) -> (String, TextureClass) {
     const SCENES: [(&str, TextureClass); 9] = [
         ("a mountain ridge above a lake", TextureClass::Banded),
         ("a goldfish among drifting clouds", TextureClass::Organic),
@@ -87,8 +97,13 @@ fn sweep_prompt(i: usize) -> (String, TextureClass) {
             TextureClass::Geometric,
         ),
     ];
-    let (scene, texture) = SCENES[i % SCENES.len()];
+    let (scene, texture) = SCENES[scene % SCENES.len()];
     (format!("{scene}, study {i}"), texture)
+}
+
+/// Prompt `i` of the sweep: the scenes in turn.
+fn sweep_prompt(i: usize) -> (String, TextureClass) {
+    scene_prompt(i, i)
 }
 
 /// One sha256 over pixels then encoded bytes of every sweep image, in
@@ -111,6 +126,50 @@ fn sweep_digest() -> (usize, String) {
         images += 1;
     }
     (images, to_hex(&hash.finalize()))
+}
+
+/// Widths of the shapes row: one and two pixels, either side of a codec
+/// block, of a half and a whole decode strip and of two strips, and two
+/// that are several strips with a ragged last one.
+const SHAPE_WIDTHS: [u32; 15] = [
+    1, 2, 7, 8, 9, 63, 65, 127, 128, 129, 255, 256, 257, 300, 640,
+];
+
+/// Heights of the shapes row: short and odd, so consecutive rows skip
+/// lattice lines at the small end and share them at the large end.
+const SHAPE_HEIGHTS: [u32; 7] = [1, 2, 3, 5, 9, 17, 47];
+
+/// Images behind the shapes row: 45 rounds of every width.
+const SHAPE_IMAGES: usize = 45 * SHAPE_WIDTHS.len();
+
+/// One sha256 over pixels, encoded bytes and decoded pixels of every
+/// shapes image, in order. Image `i` of round `r` has width `i % 15` and
+/// model `r % 5`; its height, step count and texture class are indexed
+/// by `i % 15 + r`, so they drift one place a round against the widths
+/// and every width meets every model × class, every height and both
+/// step counts.
+fn shapes_digest() -> (usize, String) {
+    let mut hash = Sha256::new();
+    for i in 0..SHAPE_IMAGES {
+        let (column, round) = (i % SHAPE_WIDTHS.len(), i / SHAPE_WIDTHS.len());
+        let drift = column + round;
+        let (w, h) = (
+            SHAPE_WIDTHS[column],
+            SHAPE_HEIGHTS[drift % SHAPE_HEIGHTS.len()],
+        );
+        // Past the sweep's prompts, so no seed is rendered twice.
+        let (prompt, texture) = scene_prompt(drift, SWEEP_IMAGES + 40 + i);
+        assert_eq!(PromptFeatures::analyze(&prompt).texture, texture);
+        let model = DiffusionModel::new(MODELS[round % MODELS.len()]);
+        let img = model.generate(&prompt, w, h, STEPS[drift % STEPS.len()]);
+        let encoded = codec::encode(&img, CODEC_QUALITY);
+        let decoded = codec::decode(&encoded).expect("the codec reads what it wrote");
+        assert_eq!((decoded.width(), decoded.height()), (w, h));
+        hash.update(img.data());
+        hash.update(&encoded);
+        hash.update(decoded.data());
+    }
+    (SHAPE_IMAGES, to_hex(&hash.finalize()))
 }
 
 fn render() -> String {
@@ -141,6 +200,8 @@ fn render() -> String {
     ));
     let (images, digest) = sweep_digest();
     out.push_str(&format!("sweep {images} images {digest}\n"));
+    let (images, digest) = shapes_digest();
+    out.push_str(&format!("shapes {images} images {digest}\n"));
     out
 }
 
@@ -159,7 +220,8 @@ fn generated_pixels_and_encoded_bytes_match_parent_commit() {
 }
 
 /// `<model> <texture> <w>x<h> s<steps> <sha256 pixels> <sha256 encoded>`;
-/// the `sweep` row is one sha256 over both, image after image.
+/// the `sweep` row is one sha256 over both, image after image, and the
+/// `shapes` row one over both and the decoded pixels.
 const GOLDEN: &str = "\
 Sd21Base Banded 64x64 s1 9832092ed02081a5c6d0b4475d03a53adadb0da866376f7576944de83f075ef1 dcb092122ebbad5b380c1ab02270dd186c1723fefc7de203a34ce75e6a3980a2
 Sd21Base Banded 64x64 s15 5dee1910a9bfb540d00c551fe3a7dc1ae04e43f79c381d19b27528c09df112c7 a84507d4551b8f5945e52588e59cbc626398cb64bddad28b1b12930ffaefd43f
@@ -253,4 +315,5 @@ FluxFast Geometric 224x224 s1 361dd644d91c49c830ef9d559b5e0d0094b116332c994750c4
 FluxFast Geometric 224x224 s15 b74ecf93e4573c9067098baa388335d8d435f5890ee9db83625e177247268116 ae2461336b91266bff768a6026cda0e1413891fd5cb7f27d70c12f23bc33cb7a
 upscale 96x48 x2 0d8c171ea25053dc3869b765f3c1df2f7064f91184cb3cc4cc3acc3a487b6e7b c0de726d66fe223da55e42538af02a3b2e992cc0a3f41c15c856cf680a86cc59
 sweep 1030 images f550f9f8721c5dcfa34c52338572d74bad9350a8839b7f172fb939f305550bc5
+shapes 675 images 974805dc4953afc2aade2f175c5e5c592f5fc0a2f91e6245263accf96a572cc2
 ";

@@ -7,10 +7,14 @@
 //! and extents run from degenerate through "fits" to "overflows the
 //! table in its later octaves" and "overflows it entirely".
 //!
-//! Decode hoists both halves of an evaluation out of its pixel loop:
-//! `row(y)` once per image row and `col(x)` once per image column,
-//! combined per pixel by `at_col`. The third property pins that
-//! combination to the same oracle over the same straddling ranges.
+//! Decode and the smooth fields do not call `at` per pixel: an
+//! [`FbmSweep`] carries a strip of columns down the image and keeps, per
+//! octave, the two lattice lines the current row lies between (PR 20).
+//! The third property pins its rows to the same oracle over the same
+//! straddling ranges — columns unsorted, repeated, negative and beyond
+//! the table — and drives one sweep through rows that jump, ascend,
+//! descend, repeat and creep along inside a lattice cell, since what a
+//! sweep holds from the last row is exactly what could go stale.
 //!
 //! `fbm` and `FbmField` share one interpolation body by design, so a
 //! wrong edit to that body would move both together. [`reference`] is
@@ -18,7 +22,7 @@
 //! own hash, its own fused loop), which both must still equal.
 
 use proptest::prelude::*;
-use sww_genai::diffusion::noise::{fbm, FbmField, MAX_OCTAVES};
+use sww_genai::diffusion::noise::{fbm, FbmField, FbmSweep, MAX_OCTAVES};
 
 /// `noise.rs` as it stood before the lattice was tabulated.
 mod reference {
@@ -129,27 +133,46 @@ proptest! {
     }
 
     #[test]
-    fn column_terms_equal_fbm_bit_for_bit(
+    fn sweep_rows_equal_fbm_bit_for_bit(
         seed in any::<u64>(),
         octaves in 1u32..=MAX_OCTAVES as u32,
         extent in (-32i64..=640, -32i64..=640),
-        xs in prop::collection::vec(-800i64..=1600, 1..12),
+        xs in prop::collection::vec(-800i64..=1600, 0..29),
         ys in prop::collection::vec(-800i64..=1600, 1..12),
+        scan in (-64i64..=640, 1i64..=12),
     ) {
-        // Decode's shape: every column's terms first, then each row
-        // meets each of them. The rectangle's edges ride along, so a
-        // column on a lattice line meets a row on one.
         let (x_max, y_max) = (sixteenths(extent.0), sixteenths(extent.1));
         let field = FbmField::new(seed, octaves, x_max, y_max);
-        let xs: Vec<f64> = [0.0, x_max].into_iter().chain(xs.into_iter().map(sixteenths)).collect();
-        let cols: Vec<_> = xs.iter().map(|&x| field.col(x)).collect();
-        for y in [0.0, y_max].into_iter().chain(ys.into_iter().map(sixteenths)) {
-            let row = field.row(y);
-            for (&x, col) in xs.iter().zip(&cols) {
-                let got = row.at_col(col).to_bits();
-                prop_assert_eq!(got, row.at(x).to_bits(), "at_col vs at, ({}, {})", x, y);
+        // The rectangle's edges ride along, and the first column twice.
+        let xs: Vec<f64> = [0.0, x_max]
+            .into_iter()
+            .chain(xs.iter().copied().map(sixteenths))
+            .chain(xs.first().copied().map(sixteenths))
+            .collect();
+        let mut sweep: FbmSweep<'_, 32> = field.sweep(xs.iter().copied());
+
+        // One sweep through every order: as drawn (jumps), ascending,
+        // descending, each row twice, then a scanline creeping up in
+        // steps below a lattice cell and back down over the same rows.
+        let drawn: Vec<f64> = [0.0, y_max].into_iter().chain(ys.into_iter().map(sixteenths)).collect();
+        let mut ascending = drawn.clone();
+        ascending.sort_by(f64::total_cmp);
+        let descending = ascending.iter().rev().copied();
+        let twice = drawn.iter().flat_map(|&y| [y, y]);
+        let scanline: Vec<f64> = (0..12).map(|k| sixteenths(scan.0 + k * scan.1)).collect();
+        let rows = drawn.iter().copied()
+            .chain(ascending.iter().copied())
+            .chain(descending)
+            .chain(twice)
+            .chain(scanline.iter().copied())
+            .chain(scanline.iter().rev().copied());
+
+        let mut got = vec![0.0; xs.len()];
+        for y in rows {
+            sweep.row(y, &mut got);
+            for (&x, got) in xs.iter().zip(&got) {
                 prop_assert_eq!(
-                    got,
+                    got.to_bits(),
                     reference::fbm(seed, x, y, octaves).to_bits(),
                     "seed={} octaves={} rect=[0,{}]x[0,{}] at ({}, {})",
                     seed, octaves, x_max, y_max, x, y

@@ -1,7 +1,8 @@
 //! Property tests for the one definition of a gaussian draw (PR 18):
 //! [`Rng::fill_gaussian`] must be `out.len()` calls of [`Rng::gaussian`]
 //! — the same values by `to_bits`, and the same generator state after —
-//! for any seed, any length on either side of the 64-draw chunk, any
+//! for any seed, any length on either side of the fill's chunk (16 draws
+//! since PR 20, 64 before; multiples of both are below), any
 //! raw or uniform draws taken around the fill, and any way of splitting
 //! one fill into two. The diffusion kernel's bit-identity suites compare
 //! two paths that both fill; this is what ties the fill to the scalar
@@ -17,6 +18,9 @@ fn lengths() -> impl Strategy<Value = usize> {
         prop_oneof![
             Just(0usize),
             Just(1),
+            Just(15),
+            Just(16),
+            Just(17),
             Just(63),
             Just(64),
             Just(65),
