@@ -15,7 +15,11 @@
 //! `poll_fn` that watches two event sources at once: the transport
 //! ([`QuicLite::poll_recv_chunk`] is restartable, so a partially read
 //! frame survives between polls) and a completion queue fed by the worker
-//! threads.
+//! threads. The queue holds the loop's `Waker` while it is parked: a
+//! worker pushes its response, takes the waker and fires it, so a
+//! completion is shipped when it happens and not when the executor next
+//! looks. At most `MAX_IN_FLIGHT` handlers run per connection; at the
+//! bound the loop stops reading the transport and the pipe pushes back.
 
 use crate::connection::{
     apply_control_stream, control_frame_payload, control_stream_payload, decode_request,
@@ -25,8 +29,8 @@ use crate::frame::H3Frame;
 use crate::settings::H3Settings;
 use crate::transport::{stream_id, QuicLite, TransportError};
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
-use std::task::Poll;
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::task::{Poll, Waker};
 use sww_http2::{GenAbility, Request, Response};
 use tokio::io::{AsyncRead, AsyncWrite};
 
@@ -64,8 +68,32 @@ pub struct H3ServeStats {
     pub sent_goaway: bool,
 }
 
-/// Completions flowing from worker threads back to the event loop.
-type DoneQueue = Arc<Mutex<VecDeque<(u64, Response)>>>;
+/// Handler threads one connection may have running. A peer opens streams
+/// for free; a thread each is not.
+const MAX_IN_FLIGHT: usize = 64;
+
+/// Completions flowing from worker threads back to the event loop, and
+/// the loop's waker while it is parked on them.
+type Done = (VecDeque<(u64, Response)>, Option<Waker>);
+type DoneQueue = Arc<Mutex<Done>>;
+
+/// Every update leaves the queue valid, so a poisoned lock is still good:
+/// it must not take the connection down or strand `outstanding`.
+fn lock(done: &DoneQueue) -> MutexGuard<'_, Done> {
+    done.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Queue `stream`'s response and wake the loop if it is parked.
+fn complete(done: &DoneQueue, stream: u64, resp: Response) {
+    let waker = {
+        let mut done = lock(done);
+        done.0.push_back((stream, resp));
+        done.1.take()
+    };
+    if let Some(waker) = waker {
+        waker.wake();
+    }
+}
 
 enum Event {
     /// A handler finished; drain the completion queue.
@@ -85,7 +113,7 @@ enum Event {
 /// request stream is decoded and dispatched to `handler` on a dedicated
 /// worker thread, so concurrent requests make progress independently; a
 /// handler that panics answers its own stream with `500` and disturbs no
-/// other.
+/// other, and a stream the OS refuses a thread for is answered `503`.
 /// When `should_close` turns true the server sends GOAWAY on a fresh
 /// control-typed stream, stops accepting new request streams, finishes
 /// the ones in flight and returns.
@@ -110,7 +138,7 @@ where
         .await?;
 
     let handler = Arc::new(handler);
-    let done: DoneQueue = Arc::new(Mutex::new(VecDeque::new()));
+    let done = DoneQueue::default();
     let mut remote = H3Settings::default();
     let mut got_control = false;
     let mut outstanding = 0usize;
@@ -121,7 +149,7 @@ where
         // Ship every finished response before blocking again — completion
         // order, not arrival order.
         loop {
-            let next = done.lock().expect("h3 completion queue").pop_front();
+            let next = lock(&done).0.pop_front();
             let Some((stream, resp)) = next else { break };
             quic.send(stream, &encode_response(&resp), true).await?;
             outstanding -= 1;
@@ -139,32 +167,32 @@ where
             stats.sent_goaway = true;
         }
 
-        if peer_closed || stats.sent_goaway {
-            if outstanding == 0 {
-                return Ok(stats);
-            }
-            // Only handler completions can make progress now.
-            std::future::poll_fn(|_cx| {
-                if done.lock().expect("h3 completion queue").is_empty() {
-                    Poll::Pending
-                } else {
-                    Poll::Ready(())
-                }
-            })
-            .await;
-            continue;
+        // Once the peer has closed or GOAWAY is out, only handler
+        // completions can make progress.
+        let finishing = peer_closed || stats.sent_goaway;
+        if finishing && outstanding == 0 {
+            return Ok(stats);
         }
 
         // Park until a worker completes, the transport yields a whole
-        // stream, or drain is requested. The executor re-polls pending
-        // futures, so the completion queue and drain flag are re-checked
-        // even though neither has a waker to signal.
+        // stream, or drain is requested. The emptiness check and the
+        // waker's registration share one critical section, so a push
+        // after it finds the waker. The drain flag has none: the
+        // executor's backoff re-polls it.
         let event = std::future::poll_fn(|cx| {
-            if !done.lock().expect("h3 completion queue").is_empty() {
-                return Poll::Ready(Ok(Event::Completed));
+            {
+                let mut done = lock(&done);
+                if !done.0.is_empty() {
+                    return Poll::Ready(Ok(Event::Completed));
+                }
+                done.1 = Some(cx.waker().clone());
             }
-            if should_close() {
+            if !finishing && should_close() {
                 return Poll::Ready(Ok(Event::Drain));
+            }
+            // At the thread bound unread streams wait in the pipe.
+            if finishing || outstanding >= MAX_IN_FLIGHT {
+                return Poll::Pending;
             }
             match quic.poll_recv_any_stream(cx) {
                 Poll::Ready(Ok((id, data))) => Poll::Ready(Ok(Event::Stream(id, data))),
@@ -197,7 +225,7 @@ where
                 let work = Arc::clone(&handler);
                 let sink = Arc::clone(&done);
                 outstanding += 1;
-                std::thread::spawn(move || {
+                let spawned = std::thread::Builder::new().spawn(move || {
                     // A panicking handler still completes its stream: with
                     // nothing in the queue `outstanding` never returns to
                     // zero, the peer waits on that stream for ever and a
@@ -205,10 +233,11 @@ where
                     let resp =
                         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work(req, ctx)))
                             .unwrap_or_else(|_| Response::status(500));
-                    sink.lock()
-                        .expect("h3 completion queue")
-                        .push_back((stream, resp));
+                    complete(&sink, stream, resp);
                 });
+                if spawned.is_err() {
+                    complete(&done, stream, Response::status(503));
+                }
             }
         }
     }
@@ -233,7 +262,8 @@ mod tests {
     use crate::connection::H3ClientConnection;
     use bytes::Bytes;
     use std::future::Future;
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Condvar;
     use std::time::Duration;
 
     #[tokio::test]
@@ -321,6 +351,71 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!((stats.requests, stats.responses), (3, 3));
+    }
+
+    #[tokio::test]
+    async fn a_thousand_streams_run_at_most_the_bound_of_handlers() {
+        // The first MAX_IN_FLIGHT handlers hold until all of them have
+        // arrived, so the bound is reached for certain; each then lingers
+        // long enough for an unbounded loop to start many more.
+        let arrived = Arc::new((Mutex::new(0usize), Condvar::new()));
+        let running = Arc::new(AtomicUsize::new(0));
+        let peak = Arc::new(AtomicUsize::new(0));
+        let (a, b) = tokio::io::duplex(1 << 20);
+        let (gate, now, high) = (arrived, Arc::clone(&running), Arc::clone(&peak));
+        tokio::spawn(async move {
+            let _ = serve_h3_connection(b, GenAbility::full(), move |req: Request, _ctx| {
+                high.fetch_max(now.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+                let (count, all_in) = &*gate;
+                let mut count = count.lock().unwrap();
+                *count += 1;
+                all_in.notify_all();
+                drop(all_in.wait_while(count, |n| *n < MAX_IN_FLIGHT).unwrap());
+                std::thread::sleep(Duration::from_millis(2));
+                now.fetch_sub(1, Ordering::SeqCst);
+                Response::ok(Bytes::from(req.path))
+            })
+            .await;
+        });
+        let mut client = H3ClientConnection::handshake(a, GenAbility::full())
+            .await
+            .unwrap();
+        let reqs: Vec<Request> = (0..1000).map(|i| Request::get(format!("/{i}"))).collect();
+        let resps = within(Duration::from_secs(60), client.send_requests(&reqs))
+            .await
+            .expect("streams held back at the bound were never read")
+            .unwrap();
+        assert_eq!(resps.len(), reqs.len());
+        for (req, resp) in reqs.iter().zip(&resps) {
+            assert_eq!(&resp.body[..], req.path.as_bytes());
+        }
+        assert_eq!(peak.load(Ordering::SeqCst), MAX_IN_FLIGHT);
+        assert_eq!(running.load(Ordering::SeqCst), 0);
+    }
+
+    #[tokio::test]
+    async fn a_completion_wakes_its_connection() {
+        let (a, b) = tokio::io::duplex(1 << 20);
+        tokio::spawn(async move {
+            let _ = serve_h3_connection(b, GenAbility::full(), |req: Request, _ctx| {
+                Response::ok(Bytes::from(req.path))
+            })
+            .await;
+        });
+        let mut client = H3ClientConnection::handshake(a, GenAbility::full())
+            .await
+            .unwrap();
+        let (woken_before, _) = tokio::runtime::park_counts();
+        for i in 0..200 {
+            let path = format!("/{i}");
+            let resp = client.send_request(&Request::get(&path)).await.unwrap();
+            assert_eq!(&resp.body[..], path.as_bytes());
+        }
+        // Each request parks the executor until its handler thread is
+        // done; that wait ends by the handler's wake, not by the backoff
+        // (a handler that beats the loop back to its queue needs none).
+        let woken = tokio::runtime::park_counts().0 - woken_before;
+        assert!(woken >= 190, "{woken} of 200 waits were woken");
     }
 
     #[tokio::test]
