@@ -3,10 +3,10 @@
 //!
 //! Each experiment lives in [`experiments`] as a pure function returning
 //! structured rows; the `report` binary prints E1–E16 side by side with
-//! the paper's published values, the `sww` CLI's `bench-*` commands run
-//! E17–E21 and judge them by the rules in [`report`], and the criterion
-//! benches measure the real compute behind the hot paths. See DESIGN.md
-//! for the experiment index (E1–E21) and EXPERIMENTS.md for recorded
+//! the paper's published values, and the `sww` CLI's `bench-*` commands
+//! run E17–E21 and judge them by the rules in [`report`]. Wall clock is
+//! the out-of-workspace `benchmark/` package's job. See DESIGN.md for
+//! the experiment index (E1–E21) and EXPERIMENTS.md for recorded
 //! paper-vs-measured results.
 
 pub mod experiments;

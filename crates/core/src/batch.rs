@@ -6,15 +6,18 @@
 //! flight leaders submit their recipe here, compatible pending jobs
 //! (same model profile, resolution and step schedule — the [`BatchKey`])
 //! rendezvous into one group, and the group's leader runs a single
-//! [`generate_batch`] pass whose per-image output is **bit-identical**
-//! to the unbatched path.
+//! denoising pass (`run_pass`) whose per-image output is
+//! **bit-identical** to the single-image reference. A server without a
+//! scheduler calls the same `run_pass` with a one-element slice, so
+//! there is one road from a recipe to its pixels whatever the
+//! configuration.
 //!
 //! # Closing policy
 //!
 //! A group closes — and its batch executes — at the first of:
 //!
 //! 1. **Full**: the group reached `max_batch` members.
-//! 2. **Drained**: no other request is inside [`submit`] still looking
+//! 2. **Drained**: no other request is inside [`submit_ctx`] still looking
 //!    for a group (a shared rendezvous counter tracks this), so waiting
 //!    longer cannot grow the batch. A lone request therefore closes
 //!    immediately: batching adds *no* latency without concurrency.
@@ -46,8 +49,6 @@
 //! [`submit_ctx`]: BatchScheduler::submit_ctx
 //!
 //! [`GenerationEngine`]: crate::engine::GenerationEngine
-//! [`generate_batch`]: sww_genai::diffusion::DiffusionModel::generate_batch
-//! [`submit`]: BatchScheduler::submit
 
 use crate::cache::Recipe;
 use crate::error::SwwError;
@@ -112,7 +113,7 @@ impl Default for BatchConfig {
     }
 }
 
-/// What one [`BatchScheduler::submit`] call came back with.
+/// What one [`BatchScheduler::submit_ctx`] call came back with.
 #[derive(Debug, Clone)]
 pub struct BatchOutcome {
     /// The generated image (bit-identical to the unbatched path).
@@ -135,7 +136,9 @@ pub struct BatchStats {
     pub mean_batch: f64,
     /// Largest batch executed.
     pub max_batch: usize,
-    /// 99th-percentile job wait for its group to close, in seconds.
+    /// 99th-percentile wait for a group to close, in seconds, over the
+    /// most recent jobs (a fixed window, so a long-lived scheduler's
+    /// tallies do not grow).
     pub p99_wait_s: f64,
 }
 
@@ -196,12 +199,18 @@ impl Group {
     }
 }
 
+/// Job waits [`BatchStats::p99_wait_s`] is read over: the most recent
+/// ones, 8 KB however long the scheduler lives.
+const WAIT_SAMPLES: usize = 1024;
+
 #[derive(Default)]
 struct Tallies {
     jobs: u64,
     batches: u64,
     size_sum: u64,
     max_batch: usize,
+    /// A ring of the last [`WAIT_SAMPLES`] job waits; job `n` is written
+    /// at `n % WAIT_SAMPLES`.
     waits_s: Vec<f64>,
 }
 
@@ -210,11 +219,11 @@ struct Tallies {
 pub struct BatchScheduler {
     config: BatchConfig,
     groups: Mutex<HashMap<BatchKey, Arc<Group>>>,
-    /// Requests inside [`submit`] that have not attached to a group yet
-    /// — the "someone is still on their way" signal leaders poll before
-    /// closing early.
+    /// Requests inside [`submit_ctx`] that have not attached to a group
+    /// yet — the "someone is still on their way" signal leaders poll
+    /// before closing early.
     ///
-    /// [`submit`]: BatchScheduler::submit
+    /// [`submit_ctx`]: BatchScheduler::submit_ctx
     rendezvous: AtomicUsize,
     executor: Box<Executor>,
     tallies: Mutex<Tallies>,
@@ -261,57 +270,54 @@ impl Drop for ArrivalGuard<'_> {
     }
 }
 
+/// One denoising pass: an image per prompt, in order, all under `key`,
+/// split over the plan's tiles — what a closed group's leader runs, and
+/// what a server without a scheduler runs on a one-element slice.
+/// `None` means the probe fired and the pass was abandoned mid-denoise,
+/// which is counted here, where it happened
+/// (`sww_cancelled_total{site="denoise"}`).
+pub(crate) fn run_pass(
+    key: &BatchKey,
+    prompts: &[String],
+    cancel: &StepCancel,
+    tiling: Tiling<'_>,
+) -> Option<Vec<ImageBuffer>> {
+    let span = sww_obs::Span::begin("sww_genai_stage", "embed");
+    let features: Vec<PromptFeatures> =
+        prompts.iter().map(|p| PromptFeatures::analyze(p)).collect();
+    span.finish();
+    let images = DiffusionModel::new(key.model)
+        .try_generate_batch_on(&features, key.width, key.height, key.steps, cancel, tiling);
+    if images.is_none() {
+        record_cancelled("denoise");
+    }
+    images
+}
+
 impl BatchScheduler {
     /// A scheduler running the real diffusion synthesizer: a closed
-    /// group becomes one cancellable
-    /// [`DiffusionModel::try_generate_batch`] call, with the group's
-    /// all-members-gone probe checked every shared denoise step.
-    pub fn new(config: BatchConfig) -> BatchScheduler {
-        BatchScheduler::with_executor(
-            config,
-            Box::new(|key: &BatchKey, prompts: &[String], cancel: &StepCancel| {
-                let features: Vec<PromptFeatures> =
-                    prompts.iter().map(|p| PromptFeatures::analyze(p)).collect();
-                DiffusionModel::new(key.model)
-                    .try_generate_batch(&features, key.width, key.height, key.steps, cancel)
-            }),
-        )
-    }
-
-    /// A scheduler whose closed groups run the **data-parallel** kernel:
-    /// the batch is split into at most `kernel_tiles` tiles and each tile
-    /// — prepare, denoise, decode — runs as one task on `runner`
-    /// ([`DiffusionModel::try_generate_batch_on`]). Per-image output is
-    /// bit-identical to [`BatchScheduler::new`] for every tile count and
-    /// runner (the per-latent-RNG invariant; see PERFORMANCE.md), so
-    /// tiling is purely a wall-clock decision.
-    ///
-    /// With `kernel_tiles <= 1` this *is* [`BatchScheduler::new`] — the
-    /// scalar step-major kernel, no runner involved.
-    pub fn new_tiled(
+    /// group becomes one `run_pass` split into at most `kernel_tiles`
+    /// tiles on `runner`, with the group's all-members-gone probe checked
+    /// every shared denoise step. Per-image output is bit-identical for
+    /// every tile count and runner (the per-latent-RNG invariant; see
+    /// PERFORMANCE.md), so tiling is purely a wall-clock decision; one
+    /// tile on an [`InlineRunner`](sww_genai::diffusion::InlineRunner) is
+    /// the scalar step-major kernel on the leader's thread.
+    pub fn new(
         config: BatchConfig,
-        kernel_tiles: usize,
         runner: Arc<dyn TileRunner>,
+        kernel_tiles: usize,
     ) -> BatchScheduler {
-        if kernel_tiles <= 1 {
-            return BatchScheduler::new(config);
-        }
         BatchScheduler::with_executor(
             config,
-            Box::new(
-                move |key: &BatchKey, prompts: &[String], cancel: &StepCancel| {
-                    let features: Vec<PromptFeatures> =
-                        prompts.iter().map(|p| PromptFeatures::analyze(p)).collect();
-                    DiffusionModel::new(key.model).try_generate_batch_on(
-                        &features,
-                        key.width,
-                        key.height,
-                        key.steps,
-                        cancel,
-                        Tiling::new(runner.as_ref(), kernel_tiles),
-                    )
-                },
-            ),
+            Box::new(move |key, prompts, cancel| {
+                run_pass(
+                    key,
+                    prompts,
+                    cancel,
+                    Tiling::new(runner.as_ref(), kernel_tiles),
+                )
+            }),
         )
     }
 
@@ -338,7 +344,7 @@ impl BatchScheduler {
     /// already hold a compatible job — and tests that need a
     /// deterministic batch composition — use this to keep open groups
     /// from closing for drain before the submitter reaches
-    /// [`submit`](BatchScheduler::submit).
+    /// [`submit_ctx`](BatchScheduler::submit_ctx).
     pub fn announce(&self) -> ArrivalGuard<'_> {
         self.rendezvous.fetch_add(1, Ordering::SeqCst);
         ArrivalGuard { scheduler: self }
@@ -372,18 +378,14 @@ impl BatchScheduler {
     /// The call joins an open group for the recipe's [`BatchKey`] or
     /// opens one and leads it; the group closes per the module-level
     /// policy, the leader runs the executor once, and every member gets
-    /// its own image. Errors only when the group's leader died
-    /// mid-execution (a retryable [`SwwError::Generation`]).
-    pub fn submit(&self, recipe: &Recipe) -> Result<BatchOutcome, SwwError> {
-        self.submit_ctx(recipe, &RequestCtx::unbounded(), &StepCancel::never())
-    }
-
-    /// Lifecycle-aware [`submit`](BatchScheduler::submit): `cancel` is
-    /// this member's own abandonment probe (for an engine flight leader,
-    /// "my flight has no waiters left and my request is finished"), and
-    /// `ctx` supplies the error a detaching member unwinds with.
+    /// its own image.
     ///
-    /// Cancellation composes conservatively:
+    /// `cancel` is this member's own abandonment probe (for an engine
+    /// flight leader, "my flight has no waiters left and my request is
+    /// finished"), and `ctx` supplies the error a detaching member
+    /// unwinds with; a caller with neither passes
+    /// [`RequestCtx::unbounded`] and [`StepCancel::never`]. Cancellation
+    /// composes conservatively:
     ///
     /// * The pass handed to the executor aborts only when **every**
     ///   member's probe fires — one cancelled member never costs its
@@ -392,6 +394,9 @@ impl BatchScheduler {
     ///   outcome detaches with [`SwwError::DeadlineExceeded`]; its slot
     ///   still computes (the marginal cost of a batch slot is one
     ///   latent's worth of arithmetic), but nobody blocks on it.
+    ///
+    /// The only other error is a group whose leader died mid-execution
+    /// (a retryable [`SwwError::Generation`]).
     pub fn submit_ctx(
         &self,
         recipe: &Recipe,
@@ -497,12 +502,9 @@ impl BatchScheduler {
                 self.record(prompts.len(), wait, elapsed);
                 GroupOutcome::Done(images)
             }
-            None => {
-                // Abandoned mid-denoise: everyone already left, so this
-                // never surfaces to a caller — count it where it happened.
-                record_cancelled("denoise");
-                GroupOutcome::Cancelled
-            }
+            // Abandoned mid-denoise: everyone already left, so this
+            // never surfaces to a caller.
+            None => GroupOutcome::Cancelled,
         };
 
         let mut st = group.state.lock().unwrap_or_else(|e| e.into_inner());
@@ -562,12 +564,16 @@ impl BatchScheduler {
     fn record(&self, size: usize, wait: Duration, exec_s: f64) {
         {
             let mut t = self.tallies.lock().unwrap_or_else(|e| e.into_inner());
-            t.jobs += size as u64;
             t.batches += 1;
             t.size_sum += size as u64;
             t.max_batch = t.max_batch.max(size);
             for _ in 0..size {
-                t.waits_s.push(wait.as_secs_f64());
+                let slot = (t.jobs % WAIT_SAMPLES as u64) as usize;
+                match t.waits_s.get_mut(slot) {
+                    Some(oldest) => *oldest = wait.as_secs_f64(),
+                    None => t.waits_s.push(wait.as_secs_f64()),
+                }
+                t.jobs += 1;
             }
         }
         sww_obs::counter("sww_batch_jobs_total", &[]).add(size as u64);
@@ -585,6 +591,7 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Barrier;
+    use sww_genai::diffusion::InlineRunner;
 
     fn recipe(prompt: &str) -> Recipe {
         Recipe {
@@ -596,6 +603,9 @@ mod tests {
         }
     }
 
+    /// The real kernel on the leader's thread, counted. Not `run_pass`:
+    /// an abandoned pass there moves the process-wide
+    /// `sww_cancelled_total`, which `server::tests` reads exactly.
     fn counting_scheduler(config: BatchConfig) -> (Arc<BatchScheduler>, Arc<AtomicUsize>) {
         let passes = Arc::new(AtomicUsize::new(0));
         let p = Arc::clone(&passes);
@@ -605,21 +615,33 @@ mod tests {
                 p.fetch_add(1, Ordering::SeqCst);
                 let features: Vec<PromptFeatures> =
                     prompts.iter().map(|s| PromptFeatures::analyze(s)).collect();
-                DiffusionModel::new(key.model)
-                    .try_generate_batch(&features, key.width, key.height, key.steps, cancel)
+                let tiling = Tiling::new(&InlineRunner, 1);
+                DiffusionModel::new(key.model).try_generate_batch_on(
+                    &features, key.width, key.height, key.steps, cancel, tiling,
+                )
             }),
         ));
         (sched, passes)
     }
 
+    /// The scalar scheduler a server with `kernel_tiles: 1` builds.
+    fn scalar_scheduler(config: BatchConfig) -> BatchScheduler {
+        BatchScheduler::new(config, Arc::new(InlineRunner), 1)
+    }
+
+    /// A member with no deadline and no probe of its own.
+    fn submit(sched: &BatchScheduler, recipe: &Recipe) -> Result<BatchOutcome, SwwError> {
+        sched.submit_ctx(recipe, &RequestCtx::unbounded(), &StepCancel::never())
+    }
+
     #[test]
     fn lone_submit_closes_immediately() {
-        let sched = BatchScheduler::new(BatchConfig {
+        let sched = scalar_scheduler(BatchConfig {
             max_batch: 8,
             max_wait: Duration::from_secs(10),
         });
         let start = Instant::now();
-        let out = sched.submit(&recipe("solo prompt")).unwrap();
+        let out = submit(&sched, &recipe("solo prompt")).unwrap();
         assert!(
             start.elapsed() < Duration::from_secs(2),
             "lone request must not wait out the deadline"
@@ -648,9 +670,7 @@ mod tests {
                     let barrier = Arc::clone(&barrier);
                     scope.spawn(move || {
                         barrier.wait();
-                        sched
-                            .submit(&recipe(&format!("prompt number {i}")))
-                            .unwrap()
+                        submit(&sched, &recipe(&format!("prompt number {i}"))).unwrap()
                     })
                 })
                 .collect::<Vec<_>>()
@@ -687,7 +707,7 @@ mod tests {
             let b1 = Arc::clone(&barrier);
             let a = scope.spawn(move || {
                 b1.wait();
-                s1.submit(&recipe("same prompt")).unwrap()
+                submit(&s1, &recipe("same prompt")).unwrap()
             });
             let s2 = Arc::clone(&sched);
             let b2 = Arc::clone(&barrier);
@@ -695,7 +715,7 @@ mod tests {
                 b2.wait();
                 let mut r = recipe("same prompt");
                 r.steps = 30; // different schedule: must not batch
-                s2.submit(&r).unwrap()
+                submit(&s2, &r).unwrap()
             });
             let (oa, ob) = (a.join().unwrap(), b.join().unwrap());
             assert_eq!(oa.batch_size, 1);
@@ -718,7 +738,7 @@ mod tests {
                     let barrier = Arc::clone(&barrier);
                     scope.spawn(move || {
                         barrier.wait();
-                        sched.submit(&recipe(&format!("overflow {i}"))).unwrap()
+                        submit(&sched, &recipe(&format!("overflow {i}"))).unwrap()
                     })
                 })
                 .collect();
@@ -735,12 +755,12 @@ mod tests {
     fn deadline_bounds_wait_even_with_rendezvous_pressure() {
         // A member that joins and a stream of unrelated-key submitters
         // cannot hold a group open past max_wait.
-        let sched = Arc::new(BatchScheduler::new(BatchConfig {
+        let sched = scalar_scheduler(BatchConfig {
             max_batch: 8,
             max_wait: Duration::from_millis(50),
-        }));
+        });
         let start = Instant::now();
-        let out = sched.submit(&recipe("deadline probe")).unwrap();
+        let out = submit(&sched, &recipe("deadline probe")).unwrap();
         // Drained-rendezvous fires long before the deadline here; the
         // invariant that matters is the hard upper bound.
         assert!(start.elapsed() < Duration::from_secs(2));
@@ -781,7 +801,7 @@ mod tests {
             let b2 = Arc::clone(&barrier);
             let b = scope.spawn(move || {
                 b2.wait();
-                s2.submit(&recipe("surviving member"))
+                submit(&s2, &recipe("surviving member"))
             });
             let (ra, rb) = (a.join().unwrap(), b.join().unwrap());
             // The cancelled member either detached in time (deadline
@@ -836,7 +856,7 @@ mod tests {
             max_wait: Duration::from_millis(250),
         };
         let runner = Arc::new(crate::workpool::WorkerPool::new(3, 16));
-        let sched = Arc::new(BatchScheduler::new_tiled(config, 4, runner));
+        let sched = Arc::new(BatchScheduler::new(config, runner, 4));
         let hint = sched.announce();
         let barrier = Arc::new(Barrier::new(4));
         let outs: Vec<BatchOutcome> = std::thread::scope(|scope| {
@@ -846,7 +866,7 @@ mod tests {
                     let barrier = Arc::clone(&barrier);
                     scope.spawn(move || {
                         barrier.wait();
-                        sched.submit(&recipe(&format!("tiled prompt {i}"))).unwrap()
+                        submit(&sched, &recipe(&format!("tiled prompt {i}"))).unwrap()
                     })
                 })
                 .collect::<Vec<_>>()
@@ -867,10 +887,10 @@ mod tests {
     }
 
     #[test]
-    fn new_tiled_with_one_tile_is_the_scalar_scheduler() {
+    fn one_tile_on_a_pool_is_the_scalar_scheduler() {
         let runner = Arc::new(crate::workpool::WorkerPool::new(1, 4));
-        let sched = BatchScheduler::new_tiled(BatchConfig::default(), 1, runner);
-        let out = sched.submit(&recipe("single tile fallback")).unwrap();
+        let sched = BatchScheduler::new(BatchConfig::default(), runner, 1);
+        let out = submit(&sched, &recipe("single tile fallback")).unwrap();
         let expected = DiffusionModel::new(ImageModelKind::Sd3Medium).generate(
             "single tile fallback",
             32,
@@ -878,6 +898,27 @@ mod tests {
             15,
         );
         assert_eq!(out.image, expected);
+    }
+
+    /// The tallies of a long-lived scheduler stop growing: the wait
+    /// samples are a ring, the counts beside them stay exact.
+    #[test]
+    fn wait_samples_are_bounded_and_the_counts_stay_exact() {
+        let sched = BatchScheduler::with_executor(
+            BatchConfig::default(),
+            Box::new(|key, prompts, _| {
+                Some(vec![ImageBuffer::new(key.width, key.height); prompts.len()])
+            }),
+        );
+        let jobs = 3 * WAIT_SAMPLES as u64 + 7;
+        let r = recipe("one of very many");
+        for _ in 0..jobs {
+            assert_eq!(submit(&sched, &r).unwrap().batch_size, 1);
+        }
+        assert_eq!(sched.tallies.lock().unwrap().waits_s.len(), WAIT_SAMPLES);
+        let stats = sched.stats();
+        assert_eq!((stats.jobs, stats.batches), (jobs, jobs));
+        assert_eq!((stats.mean_batch, stats.max_batch), (1.0, 1));
     }
 
     #[test]
@@ -898,7 +939,7 @@ mod tests {
                     scope.spawn(move || {
                         barrier.wait();
                         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            sched.submit(&recipe(&format!("doomed {i}")))
+                            submit(&sched, &recipe(&format!("doomed {i}")))
                         }));
                         match r {
                             Ok(inner) => inner,

@@ -10,7 +10,7 @@
 //! * [`ShardedGenerationCache`]: N independent [`GenerationCache`] shards,
 //!   each behind its own mutex, selected by recipe hash. Readers of
 //!   different recipes never contend on a global lock.
-//! * Single flight (in [`GenerationEngine::fetch_image`]): the first
+//! * Single flight (in [`GenerationEngine::try_fetch_image_ctx`]): the first
 //!   request to miss for a recipe becomes the *leader* and runs the
 //!   generation with no engine lock held; every concurrent request for
 //!   the same recipe blocks on the leader's flight slot and shares its
@@ -124,7 +124,7 @@ impl<V: Clone> ShardedGenerationCache<V> {
     }
 }
 
-/// What happened to one [`GenerationEngine::fetch_image`] request.
+/// What happened to one [`GenerationEngine::try_fetch_image_ctx`] request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FetchOutcome {
     /// Served from a cache shard; no waiting, no generation.
@@ -272,42 +272,17 @@ impl<V: Clone + Send + 'static> GenerationEngine<V> {
     /// the result. Images larger than a shard's budget are not retained,
     /// in which case a later request will legitimately regenerate.
     ///
-    /// This infallible entry point is **not** subject to fault injection;
-    /// chaos-aware callers use [`try_fetch_image`].
-    ///
-    /// [`try_fetch_image`]: GenerationEngine::try_fetch_image
-    pub fn fetch_image<F>(&self, recipe: &Recipe, generate: F) -> (V, FetchOutcome)
-    where
-        F: FnOnce() -> V,
-    {
-        self.fetch_inner(recipe, &RequestCtx::unbounded(), |_| Ok(generate()), false)
-            .expect("infallible generate closure")
-    }
-
-    /// Fallible [`fetch_image`]: the generate closure may fail, and the
-    /// `engine.generate` failpoint ([`crate::faults`]) is evaluated on
-    /// the leader path. A failing leader **poisons** its flight: waiters
+    /// The `engine.generate` failpoint ([`crate::faults`]) is evaluated
+    /// on the leader path. A failing leader — injected, or a `generate`
+    /// that returns `Err` or panics — **poisons** its flight: waiters
     /// observe the poisoned state and retry from scratch (one of them
     /// becomes the next leader), so a mid-generation fault strands no
     /// request and costs exactly one extra generation on recovery.
     ///
-    /// [`fetch_image`]: GenerationEngine::fetch_image
-    pub fn try_fetch_image<F>(
-        &self,
-        recipe: &Recipe,
-        generate: F,
-    ) -> Result<(V, FetchOutcome), SwwError>
-    where
-        F: FnOnce() -> Result<V, SwwError>,
-    {
-        self.fetch_inner(recipe, &RequestCtx::unbounded(), |_| generate(), true)
-    }
-
-    /// Lifecycle-aware [`try_fetch_image`]: the request's [`RequestCtx`]
-    /// governs how long this call may block, and the generate closure
-    /// receives a [`StepCancel`] probe to poll every denoise step.
-    ///
-    /// Deadline semantics per role:
+    /// The request's [`RequestCtx`] governs how long this call may block
+    /// (a caller with no deadline passes [`RequestCtx::unbounded`]), and
+    /// the generate closure receives a [`StepCancel`] probe to poll every
+    /// denoise step. Deadline semantics per role:
     ///
     /// * **Waiter** — blocks at most until its own deadline; on expiry it
     ///   detaches from the flight (decrementing the waiter refcount) and
@@ -322,26 +297,11 @@ impl<V: Clone + Send + 'static> GenerationEngine<V> {
     ///   denoise loop aborts within one step. The closure returns
     ///   `DeadlineExceeded`, the flight poisons and unregisters, and the
     ///   recipe is generated fresh by whoever asks next.
-    ///
-    /// [`try_fetch_image`]: GenerationEngine::try_fetch_image
     pub fn try_fetch_image_ctx<F>(
         &self,
         recipe: &Recipe,
         ctx: &RequestCtx,
         generate: F,
-    ) -> Result<(V, FetchOutcome), SwwError>
-    where
-        F: FnOnce(&StepCancel) -> Result<V, SwwError>,
-    {
-        self.fetch_inner(recipe, ctx, generate, true)
-    }
-
-    fn fetch_inner<F>(
-        &self,
-        recipe: &Recipe,
-        ctx: &RequestCtx,
-        generate: F,
-        inject: bool,
     ) -> Result<(V, FetchOutcome), SwwError>
     where
         F: FnOnce(&StepCancel) -> Result<V, SwwError>,
@@ -386,19 +346,17 @@ impl<V: Clone + Send + 'static> GenerationEngine<V> {
                         flight: &flight,
                         armed: true,
                     };
-                    if inject {
-                        match faults::at(FaultSite::EngineGenerate) {
-                            Some(FaultAction::Error) | Some(FaultAction::TruncateKeepPct(_)) => {
-                                // Dropping the armed guard poisons the
-                                // flight and unregisters it: waiters retry.
-                                drop(guard);
-                                return Err(SwwError::Generation {
-                                    reason: "injected fault at engine.generate".into(),
-                                });
-                            }
-                            Some(FaultAction::Latency(d)) => std::thread::sleep(d),
-                            None => {}
+                    match faults::at(FaultSite::EngineGenerate) {
+                        Some(FaultAction::Error) | Some(FaultAction::TruncateKeepPct(_)) => {
+                            // Dropping the armed guard poisons the
+                            // flight and unregisters it: waiters retry.
+                            drop(guard);
+                            return Err(SwwError::Generation {
+                                reason: "injected fault at engine.generate".into(),
+                            });
                         }
+                        Some(FaultAction::Latency(d)) => std::thread::sleep(d),
+                        None => {}
                     }
                     let cancel = {
                         let flight = Arc::clone(&flight);
@@ -486,6 +444,24 @@ mod tests {
         }
     }
 
+    /// A request with no deadline whose generation cannot fail. It passes
+    /// the `engine.generate` failpoint like every other fetch, so these
+    /// tests rely on what `faults.rs`'s own tests state: nothing in this
+    /// binary arms the process-wide registry (chaos suites own theirs).
+    fn fetch(
+        engine: &GenerationEngine,
+        recipe: &Recipe,
+        generate: impl FnOnce() -> ImageBuffer,
+    ) -> (ImageBuffer, FetchOutcome) {
+        assert!(
+            !faults::enabled(),
+            "a unit test armed the global failpoints"
+        );
+        engine
+            .try_fetch_image_ctx(recipe, &RequestCtx::unbounded(), |_| Ok(generate()))
+            .expect("no deadline, no failing generator")
+    }
+
     #[test]
     fn generates_once_then_hits() {
         let engine = GenerationEngine::new(4, 1_000_000);
@@ -494,9 +470,9 @@ mod tests {
             calls.fetch_add(1, Ordering::SeqCst);
             ImageBuffer::new(16, 16)
         };
-        let (_, o1) = engine.fetch_image(&recipe("a"), gen);
+        let (_, o1) = fetch(&engine, &recipe("a"), gen);
         assert_eq!(o1, FetchOutcome::Generated);
-        let (_, o2) = engine.fetch_image(&recipe("a"), || unreachable!("cached"));
+        let (_, o2) = fetch(&engine, &recipe("a"), || unreachable!("cached"));
         assert_eq!(o2, FetchOutcome::Hit);
         assert_eq!(calls.load(Ordering::SeqCst), 1);
         assert_eq!(engine.generations(), 1);
@@ -507,7 +483,9 @@ mod tests {
     fn distinct_recipes_land_in_shards() {
         let engine = GenerationEngine::new(8, 1_000_000_000);
         for i in 0..32 {
-            engine.fetch_image(&recipe(&format!("p{i}")), || ImageBuffer::new(16, 16));
+            fetch(&engine, &recipe(&format!("p{i}")), || {
+                ImageBuffer::new(16, 16)
+            });
         }
         assert_eq!(engine.cache().len(), 32);
         assert_eq!(engine.generations(), 32);
@@ -533,7 +511,7 @@ mod tests {
                 let barrier = Arc::clone(&barrier);
                 std::thread::spawn(move || {
                     barrier.wait();
-                    let (img, _) = engine.fetch_image(&recipe("shared"), || {
+                    let (img, _) = fetch(&engine, &recipe("shared"), || {
                         calls.fetch_add(1, Ordering::SeqCst);
                         // Give the other threads time to pile onto the flight.
                         std::thread::sleep(std::time::Duration::from_millis(30));
@@ -556,12 +534,12 @@ mod tests {
         let e = Arc::clone(&engine);
         let panicker = std::thread::spawn(move || {
             let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                e.fetch_image(&recipe("doomed"), || panic!("leader dies"));
+                fetch(&e, &recipe("doomed"), || panic!("leader dies"));
             }));
         });
         panicker.join().unwrap();
         // The key must not be stuck: a later request generates normally.
-        let (_, outcome) = engine.fetch_image(&recipe("doomed"), || ImageBuffer::new(16, 16));
+        let (_, outcome) = fetch(&engine, &recipe("doomed"), || ImageBuffer::new(16, 16));
         assert_eq!(outcome, FetchOutcome::Generated);
     }
 
@@ -618,7 +596,7 @@ mod tests {
         });
         assert!(matches!(out, Err(SwwError::DeadlineExceeded { .. })));
         // The poisoned flight is not stuck: the next request regenerates.
-        let (_, outcome) = engine.fetch_image(&recipe("orphan"), || ImageBuffer::new(16, 16));
+        let (_, outcome) = fetch(&engine, &recipe("orphan"), || ImageBuffer::new(16, 16));
         assert_eq!(outcome, FetchOutcome::Generated);
     }
 
@@ -665,9 +643,9 @@ mod tests {
     fn oversized_images_are_not_retained() {
         // 2 shards x 50 pixels each; a 16x16 image (256 px) never fits.
         let engine = GenerationEngine::new(2, 100);
-        let (_, o1) = engine.fetch_image(&recipe("big"), || ImageBuffer::new(16, 16));
+        let (_, o1) = fetch(&engine, &recipe("big"), || ImageBuffer::new(16, 16));
         assert_eq!(o1, FetchOutcome::Generated);
-        let (_, o2) = engine.fetch_image(&recipe("big"), || ImageBuffer::new(16, 16));
+        let (_, o2) = fetch(&engine, &recipe("big"), || ImageBuffer::new(16, 16));
         assert_eq!(o2, FetchOutcome::Generated, "uncacheable -> regenerate");
     }
 }

@@ -11,7 +11,7 @@
 //!
 //! | Site key          | Where it fires                                   |
 //! |-------------------|--------------------------------------------------|
-//! | `engine.generate` | `GenerationEngine::try_fetch_image` (leader path) and the client's per-item generation |
+//! | `engine.generate` | `GenerationEngine::try_fetch_image_ctx` (leader path) and the client's per-item generation |
 //! | `pool.enqueue`    | `WorkerPool::try_execute` (admission)            |
 //! | `cache.get`       | `GenerationCache::get` (lookup becomes a miss)   |
 //! | `h2.read`         | `GenerativeClient` transport reads               |

@@ -147,39 +147,6 @@ impl MediaGenerator {
         }
     }
 
-    /// Generate one image and its encoded form from the recipe fields
-    /// alone — the entry point for a caller that holds a [`Recipe`] but
-    /// no page item (the server answering `GET /generated/<name>`).
-    /// Fails with [`SwwError::UnsupportedModel`] when the configured
-    /// image model has no cost profile on the local device.
-    pub fn try_generate_image(
-        &mut self,
-        prompt: &str,
-        width: u32,
-        height: u32,
-    ) -> Result<(ImageBuffer, Vec<u8>, GenerationCost), SwwError> {
-        let time_s = cost::image_generation_time(
-            self.image_model,
-            &self.device,
-            width,
-            height,
-            self.inference_steps,
-        )
-        .ok_or_else(|| SwwError::UnsupportedModel {
-            what: "image generation",
-            model: format!("{:?}", self.image_model),
-        })?;
-        let image = self
-            .pipeline
-            .generate_image(prompt, width, height, self.inference_steps);
-        let encoded = codec::encode(&image, self.codec_quality);
-        let cost = GenerationCost {
-            time_s,
-            energy: Energy::from_power(self.device.image_power_w, time_s),
-        };
-        Ok((image, encoded, cost))
-    }
-
     /// Generate the media for one generated-content element, failing with
     /// [`SwwError::UnsupportedModel`] when the configured image model has
     /// no cost profile on the local device (e.g. a server-only model in a
@@ -190,8 +157,29 @@ impl MediaGenerator {
     ) -> Result<(GeneratedMedia, GenerationCost), SwwError> {
         match item.content_type {
             ContentType::Img => {
-                let (image, encoded, cost) =
-                    self.try_generate_image(item.prompt(), item.width(), item.height())?;
+                let (width, height) = (item.width(), item.height());
+                let time_s = cost::image_generation_time(
+                    self.image_model,
+                    &self.device,
+                    width,
+                    height,
+                    self.inference_steps,
+                )
+                .ok_or_else(|| SwwError::UnsupportedModel {
+                    what: "image generation",
+                    model: format!("{:?}", self.image_model),
+                })?;
+                let image = self.pipeline.generate_image(
+                    item.prompt(),
+                    width,
+                    height,
+                    self.inference_steps,
+                );
+                let encoded = codec::encode(&image, self.codec_quality);
+                let cost = GenerationCost {
+                    time_s,
+                    energy: Energy::from_power(self.device.image_power_w, time_s),
+                };
                 Ok((
                     GeneratedMedia::Image {
                         name: item.name().to_owned(),

@@ -24,19 +24,21 @@
 //!   instead of queueing without bound. With `workers: 0` (the default)
 //!   requests run inline on the calling thread, preserving the original
 //!   single-threaded behaviour exactly.
-//! * Each OS thread that generates keeps its own preloaded
-//!   [`MediaGenerator`] (the §4.1 preload optimisation, per worker), so
-//!   generations for distinct recipes proceed in parallel.
-//! * With `batch_max: n` (n > 1), cache-missing generations additionally
-//!   flow through a [`BatchScheduler`]: compatible concurrent recipes
-//!   share one multi-latent denoising pass, bit-identical per image to
-//!   the unbatched path (see [`crate::batch`] for the closing policy).
+//! * Each OS thread that expands text keeps its own preloaded
+//!   [`MediaGenerator`] (the §4.1 preload optimisation, per worker);
+//!   rendering an image holds no shared state, so generations for
+//!   distinct recipes proceed in parallel.
+//! * Every image takes one road — engine, then one denoising pass, then
+//!   one encode (`render_asset`). With `batch_max: n` (n > 1) the flight
+//!   leader first meets compatible concurrent recipes in a
+//!   [`BatchScheduler`] and they share the pass, bit-identical per image
+//!   to a pass of one (see [`crate::batch`] for the closing policy).
 //!
 //! Request handling is fallible internally ([`SwwError`]); the mapping
 //! from error to HTTP status code lives in exactly one place, the
 //! private `error_response` function.
 
-use crate::batch::{BatchConfig, BatchScheduler, BatchStats};
+use crate::batch::{self, BatchConfig, BatchKey, BatchScheduler, BatchStats};
 use crate::breaker::{BreakerConfig, CircuitBreaker};
 use crate::cache::{recipe_key, Recipe};
 use crate::engine::GenerationEngine;
@@ -58,6 +60,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use sww_energy::cost as gen_cost;
 use sww_energy::device::{profile as device_profile, DeviceKind};
+use sww_genai::diffusion::{InlineRunner, StepCancel, TileRunner, Tiling};
 use sww_genai::image::codec;
 use sww_hash::{sha256, to_hex};
 use sww_html::gencontent::ContentType;
@@ -465,12 +468,12 @@ impl GenerativeServer {
                         max_batch: config.batch_max,
                         max_wait: config.batch_wait,
                     };
-                    if kernel_tiles > 1 {
-                        let runner = Arc::new(WorkerPool::new(kernel_tiles - 1, kernel_tiles * 4));
-                        BatchScheduler::new_tiled(batch, kernel_tiles, runner)
+                    let runner: Arc<dyn TileRunner> = if kernel_tiles > 1 {
+                        Arc::new(WorkerPool::new(kernel_tiles - 1, kernel_tiles * 4))
                     } else {
-                        BatchScheduler::new(batch)
-                    }
+                        Arc::new(InlineRunner)
+                    };
+                    BatchScheduler::new(batch, runner, kernel_tiles)
                 }),
                 kernel_tiles,
                 default_deadline: config.default_deadline,
@@ -1082,18 +1085,17 @@ fn handle_video(
 /// The recipe is looked up in the sharded cache (a hit is an `Arc`
 /// clone of the stored octets), and concurrent requests for the same
 /// recipe coalesce onto one generation instead of each paying the cost;
-/// the flight leader encodes exactly once. A generation failure (real or
-/// injected through the `engine.generate` failpoint) surfaces as
-/// [`SwwError`] — the request maps to an error response and the client
-/// retries.
+/// the flight leader runs [`render_asset`] exactly once. A generation
+/// failure (real or injected through the `engine.generate` failpoint)
+/// surfaces as [`SwwError`] — the request maps to an error response and
+/// the client retries.
 ///
 /// The request's [`RequestCtx`] rides along: the engine turns it into a
-/// flight-abandonment [`StepCancel`](crate::StepCancel) probe, the batcher composes that
-/// probe with its batch-mates', and the diffusion step loop checks it
-/// every denoise step. When the circuit breaker is enabled, the recipe
-/// is admitted against its model's breaker first and the outcome is
-/// reported back (only [`SwwError::is_generation_failure`] errors count
-/// against the backend — a deadline miss says nothing about its health).
+/// flight-abandonment [`StepCancel`] probe for the render. When the
+/// circuit breaker is enabled, the recipe is admitted against its
+/// model's breaker first and the outcome is reported back (only
+/// [`SwwError::is_generation_failure`] errors count against the backend
+/// — a deadline miss says nothing about its health).
 fn fetch_asset(
     shared: &ServerShared,
     recipe: &Recipe,
@@ -1106,62 +1108,7 @@ fn fetch_asset(
         }
     }
     let fetched = shared.engine.try_fetch_image_ctx(recipe, ctx, |cancel| {
-        let span = sww_obs::Span::begin("sww_server_generate", "materialize");
-        match &shared.batcher {
-            // Batched path: the flight leader joins a shared denoising
-            // pass. Bit-identical to the unbatched path; only the
-            // modelled cost is amortized.
-            Some(batcher) => {
-                let device = device_profile(DeviceKind::Workstation);
-                gen_cost::image_generation_time(
-                    recipe.model,
-                    &device,
-                    recipe.width,
-                    recipe.height,
-                    recipe.steps,
-                )
-                .ok_or_else(|| SwwError::UnsupportedModel {
-                    what: "image generation",
-                    model: format!("{:?}", recipe.model),
-                })?;
-                let outcome = batcher.submit_ctx(recipe, ctx, cancel)?;
-                // Per-image share of the (possibly tiled) pass; at
-                // kernel_tiles == 1 this is exactly the pre-tiling
-                // batched per-image time.
-                let time_s = gen_cost::tiled_batch_pass_time(
-                    recipe.model,
-                    &device,
-                    recipe.width,
-                    recipe.height,
-                    recipe.steps,
-                    outcome.batch_size,
-                    shared.kernel_tiles,
-                )
-                .map(|pass| pass / outcome.batch_size.max(1) as f64)
-                .unwrap_or(0.0);
-                span.finish_with_virtual(time_s);
-                shared.accounting.lock().generation_time_s += time_s;
-                Ok(Bytes::from(codec::encode(
-                    &outcome.image,
-                    DEFAULT_CODEC_QUALITY,
-                )))
-            }
-            None => {
-                // Unbatched: the probe gates entry (cheap abort before
-                // the synthesizer warms up); mid-generation expiry is
-                // caught by the final dispatch check.
-                if cancel.is_cancelled() {
-                    record_cancelled("denoise");
-                    return Err(ctx.deadline_error());
-                }
-                let (_, encoded, cost) = with_generator(|g| {
-                    g.try_generate_image(&recipe.prompt, recipe.width, recipe.height)
-                })?;
-                span.finish_with_virtual(cost.time_s);
-                shared.accounting.lock().generation_time_s += cost.time_s;
-                Ok(Bytes::from(encoded))
-            }
-        }
+        render_asset(shared, recipe, ctx, cancel)
     });
     if let Some(breaker) = &shared.breaker {
         match &fetched {
@@ -1170,6 +1117,62 @@ fn fetch_asset(
         }
     }
     Ok(fetched?.0)
+}
+
+/// Render `recipe` and encode it: what a flight leader runs, and the one
+/// road from a recipe to its octets in every configuration. `cancel` is
+/// polled before every denoise step, so a render nobody wants any more
+/// stops within one step and unwinds with `ctx`'s deadline error.
+///
+/// With a [`BatchScheduler`] the recipe joins a group and shares its
+/// pass, and `cancel` composes with its batch-mates' probes; without one
+/// this thread runs the same [`batch::run_pass`] on the recipe alone.
+/// Either way the image is bit-identical, and the modelled charge is the
+/// image's share of the (possibly tiled) pass — exactly
+/// `image_generation_time` for a pass of one.
+fn render_asset(
+    shared: &ServerShared,
+    recipe: &Recipe,
+    ctx: &RequestCtx,
+    cancel: &StepCancel,
+) -> Result<Bytes, SwwError> {
+    let device = device_profile(DeviceKind::Workstation);
+    let pass_time = |batch_size| {
+        gen_cost::tiled_batch_pass_time(
+            recipe.model,
+            &device,
+            recipe.width,
+            recipe.height,
+            recipe.steps,
+            batch_size,
+            shared.kernel_tiles,
+        )
+        .ok_or_else(|| SwwError::UnsupportedModel {
+            what: "image generation",
+            model: format!("{:?}", recipe.model),
+        })
+    };
+    // A model this device cannot run is refused before anything is spent.
+    pass_time(1)?;
+    let span = sww_obs::Span::begin("sww_server_generate", "materialize");
+    let (image, batch_size) = match &shared.batcher {
+        Some(batcher) => {
+            let outcome = batcher.submit_ctx(recipe, ctx, cancel)?;
+            (outcome.image, outcome.batch_size)
+        }
+        None => {
+            let prompt = std::slice::from_ref(&recipe.prompt);
+            let tiling = Tiling::new(&InlineRunner, 1);
+            let image = batch::run_pass(&BatchKey::of(recipe), prompt, cancel, tiling)
+                .and_then(|mut images| images.pop())
+                .ok_or_else(|| ctx.deadline_error())?;
+            (image, 1)
+        }
+    };
+    let time_s = pass_time(batch_size)? / batch_size as f64;
+    span.finish_with_virtual(time_s);
+    shared.accounting.lock().generation_time_s += time_s;
+    Ok(Bytes::from(codec::encode(&image, DEFAULT_CODEC_QUALITY)))
 }
 
 /// The naive form of the page at `path`: reused when an earlier request
@@ -1408,6 +1411,50 @@ mod tests {
         assert!(demo_server().batch_stats().is_none(), "disabled by default");
     }
 
+    /// The one generate body, with and without a scheduler in front of
+    /// it: a render nobody wants any more stops at the step where its
+    /// probe fires, unwinds with the request's deadline error, and leaves
+    /// nothing behind — no cache entry, no generation, no charge.
+    #[test]
+    fn an_abandoned_render_stops_mid_denoise_under_every_batch_max() {
+        use std::sync::atomic::AtomicU32;
+        let abandoned = || sww_obs::counter("sww_cancelled_total", &[("site", "denoise")]).get();
+        for batch_max in [1, 4] {
+            let server = GenerativeServer::from_config(ServerConfig {
+                site: demo_site(),
+                batch_max,
+                ..ServerConfig::default()
+            });
+            let shared = &*server.shared;
+            let recipe = shared
+                .site
+                .generated_recipe("/generated/trail.jpg")
+                .expect("the demo page's image is indexed");
+            let ctx = RequestCtx::with_deadline(Duration::from_secs(60));
+            let polls = Arc::new(AtomicU32::new(0));
+            let probe = {
+                let polls = Arc::clone(&polls);
+                StepCancel::from_fn(move || polls.fetch_add(1, Ordering::SeqCst) >= 3)
+            };
+            let before = abandoned();
+            let rendered = shared
+                .engine
+                .try_fetch_image_ctx(recipe, &ctx, |_| render_asset(shared, recipe, &ctx, &probe));
+            assert!(
+                matches!(
+                    rendered,
+                    Err(SwwError::DeadlineExceeded { budget_ms: 60_000 })
+                ),
+                "batch_max {batch_max}: {rendered:?}"
+            );
+            assert_eq!(polls.load(Ordering::SeqCst), 4, "batch_max {batch_max}");
+            assert_eq!(abandoned() - before, 1, "batch_max {batch_max}");
+            assert!(shared.engine.cache().is_empty(), "batch_max {batch_max}");
+            assert_eq!(shared.engine.generations(), 0, "batch_max {batch_max}");
+            assert_eq!(server.server_generation_time_s(), 0.0);
+        }
+    }
+
     #[test]
     fn repeated_naive_requests_generate_images_once() {
         let server = demo_server();
@@ -1626,9 +1673,11 @@ mod tests {
     /// The bytes a fresh generator encodes for a prompt: what every
     /// `/generated/...` URL of that recipe must serve.
     fn reference_asset(prompt: &str, side: u32) -> Vec<u8> {
-        let mut generator = MediaGenerator::new(device_profile(DeviceKind::Workstation));
-        let (_, encoded, _) = generator.try_generate_image(prompt, side, side).unwrap();
-        encoded
+        let model = sww_genai::DiffusionModel::new(sww_genai::ImageModelKind::Sd3Medium);
+        codec::encode(
+            &model.generate(prompt, side, side, 15),
+            DEFAULT_CODEC_QUALITY,
+        )
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //! arithmetic, but the per-cell floating-point expression and draw order
 //! are exactly the original fused loop's, so outputs stay bit-identical.
 //! Because each [`LatentJob`] owns its RNG, target and latent, the batch
-//! is also data-parallel across jobs: [`try_denoise_batch_tiled`] and
-//! [`DiffusionModel::try_generate_batch_on`] split a batch into tiles and
-//! run them on any [`TileRunner`] with, again, bit-identical output for
+//! is also data-parallel across jobs:
+//! [`DiffusionModel::try_generate_batch_on`] splits a batch into tiles and
+//! runs them on any [`TileRunner`] with, again, bit-identical output for
 //! every tile/worker count. Scratch buffers come from [`crate::pool`], so
 //! a warm server denoises without allocating.
 //!
@@ -109,7 +109,7 @@ pub mod scheduler;
 pub mod tile;
 
 pub use models::{ImageModelKind, ImageModelProfile};
-pub use tile::{InlineRunner, ThreadRunner, TileRunner, TileTask, Tiling};
+pub use tile::{InlineRunner, TileRunner, TileTask, Tiling};
 
 use crate::image::ImageBuffer;
 use crate::lanes::wide;
@@ -138,9 +138,8 @@ type TileSlot<T> = Arc<Mutex<Option<T>>>;
 /// the kernel then abandons the batch before the next sigma step —
 /// bounding wasted work to at most one step past the cancellation.
 ///
-/// [`StepCancel::never`] is the identity probe; every pre-existing entry
-/// point delegates through it, so the cancellable paths are bit-identical
-/// to the original ones when the probe stays false.
+/// [`StepCancel::never`] is the identity probe: a caller with no
+/// lifecycle to track passes it, and the loop runs to completion.
 #[derive(Clone)]
 pub struct StepCancel {
     check: Arc<dyn Fn() -> bool + Send + Sync>,
@@ -204,85 +203,27 @@ impl DiffusionModel {
     }
 
     /// Generate an image from a prompt. Deterministic in
-    /// `(prompt, width, height, steps, model)`.
+    /// `(prompt, width, height, steps, model)`. This is the single-image
+    /// reference every batched, tiled or served image is compared with:
+    /// a batch of one through the same body, with a probe that never
+    /// fires.
     pub fn generate(&self, prompt: &str, width: u32, height: u32, steps: u32) -> ImageBuffer {
         let span = sww_obs::Span::begin("sww_genai_stage", "embed");
         let features = PromptFeatures::analyze(prompt);
         span.finish();
-        self.generate_with_features(&features, width, height, steps)
-    }
-
-    /// Generate from pre-analyzed prompt features (the pipeline reuses the
-    /// analysis across metrics and generation).
-    pub fn generate_with_features(
-        &self,
-        features: &PromptFeatures,
-        width: u32,
-        height: u32,
-        steps: u32,
-    ) -> ImageBuffer {
-        self.try_generate_with_features(features, width, height, steps, &StepCancel::never())
+        self.generate_tile(&[features], width, height, steps, &StepCancel::never())
+            .and_then(|mut images| images.pop())
             .expect("StepCancel::never cannot abort a generation")
     }
 
-    /// Cancellable [`generate_with_features`]: the probe is checked once
-    /// per denoise step; `None` means the generation was abandoned
-    /// mid-loop (no image is decoded — decode cost is skipped too).
-    ///
-    /// [`generate_with_features`]: DiffusionModel::generate_with_features
-    pub fn try_generate_with_features(
-        &self,
-        features: &PromptFeatures,
-        width: u32,
-        height: u32,
-        steps: u32,
-        cancel: &StepCancel,
-    ) -> Option<ImageBuffer> {
-        let steps = steps.max(1);
-        let denoise_span = sww_obs::Span::begin("sww_genai_stage", "denoise");
-        let schedule = Schedule::new(steps);
-        let mut job = self.prepare_job(features);
-        let completed = try_denoise_batch(&schedule, std::slice::from_mut(&mut job), cancel);
-        denoise_span.finish();
-        if !completed {
-            return None;
-        }
-
-        let decode_span = sww_obs::Span::begin("sww_genai_stage", "decode");
-        let out = self.decode(features, &job.latent, width, height, &mut job.rng);
-        decode_span.finish();
-        Some(out)
-    }
-
-    /// Generate one image per prompt through a single batched denoising
-    /// pass: all latents advance together, one sigma step at a time, then
-    /// each decodes at the shared `width`×`height`.
-    ///
-    /// Per-image output is **bit-identical** to [`generate_with_features`]:
-    /// every job keeps its own prompt-seeded RNG stream and its own latent
-    /// field, so batching restructures the loop nesting (step-major over
-    /// the batch) without reordering any image's random draws or float
-    /// operations.
-    ///
-    /// [`generate_with_features`]: DiffusionModel::generate_with_features
-    pub fn generate_batch(
-        &self,
-        features: &[PromptFeatures],
-        width: u32,
-        height: u32,
-        steps: u32,
-    ) -> Vec<ImageBuffer> {
-        self.try_generate_batch(features, width, height, steps, &StepCancel::never())
-            .expect("StepCancel::never cannot abort a batch")
-    }
-
-    /// Cancellable [`generate_batch`]: the probe is checked once per
-    /// shared sigma step (not per job). `None` means the whole batch was
-    /// abandoned — batches are only cancelled as a unit, when every
-    /// member's waiters are gone.
-    ///
-    /// [`generate_batch`]: DiffusionModel::generate_batch
-    pub fn try_generate_batch(
+    /// One tile of a pass, start to finish on the calling thread: all
+    /// latents advance together, one sigma step at a time, then each
+    /// decodes at the shared `width`×`height`. Every job keeps its own
+    /// prompt-seeded RNG stream and latent field, so an image's draws and
+    /// float operations are the same whatever it shares a tile with. The
+    /// probe is checked once per shared sigma step (not per job); `None`
+    /// means the tile was abandoned mid-loop and nothing was decoded.
+    fn generate_tile(
         &self,
         features: &[PromptFeatures],
         width: u32,
@@ -290,9 +231,8 @@ impl DiffusionModel {
         steps: u32,
         cancel: &StepCancel,
     ) -> Option<Vec<ImageBuffer>> {
-        let steps = steps.max(1);
-        let denoise_span = sww_obs::Span::begin("sww_genai_stage", "denoise_batch");
-        let schedule = Schedule::new(steps);
+        let denoise_span = sww_obs::Span::begin("sww_genai_stage", "denoise");
+        let schedule = Schedule::new(steps.max(1));
         let mut jobs: Vec<LatentJob> = features.iter().map(|f| self.prepare_job(f)).collect();
         let completed = try_denoise_batch(&schedule, &mut jobs, cancel);
         denoise_span.finish();
@@ -314,18 +254,21 @@ impl DiffusionModel {
         )
     }
 
-    /// Data-parallel [`try_generate_batch`]: split the batch into at most
-    /// [`Tiling::max_tiles`] contiguous tiles of jobs and run each tile —
-    /// prepare, denoise, decode — as one task on the plan's runner.
+    /// Generate one image per prompt through a single denoising pass —
+    /// the entry point serving calls. The batch splits into at most
+    /// [`Tiling::max_tiles`] contiguous tiles of jobs and each tile —
+    /// prepare, denoise, decode — runs as one task on the plan's runner.
     ///
-    /// Per-image output is **bit-identical** to [`try_generate_batch`]
-    /// (and therefore to the single-image path) for every tile and worker
-    /// count: jobs never share state, so tiling only changes *where* a
-    /// job's instruction stream executes, never its contents. With a plan
-    /// of one tile, a single-job batch, or an [`InlineRunner`], this *is*
-    /// the sequential path.
+    /// Per-image output is **bit-identical** to [`generate`] for every
+    /// batch size, tile count and worker count: jobs never share state,
+    /// so batching restructures the loop nesting (step-major over a
+    /// tile) and tiling only changes *where* a job's instruction stream
+    /// executes, never its contents. With a plan of one tile or a
+    /// single-job batch the pass runs on the calling thread and the
+    /// runner is not involved.
     ///
-    /// Cancellation stays batch-as-a-unit, but each tile polls the probe
+    /// Cancellation is batch-as-a-unit — callers fire the probe only
+    /// when nobody wants any image of the batch — but each tile polls it
     /// independently (once per step per tile); if any tile observes the
     /// probe and aborts, the whole call returns `None`.
     ///
@@ -334,7 +277,7 @@ impl DiffusionModel {
     /// Panics if `runner` violates the [`TileRunner`] contract by dropping
     /// a task without running it.
     ///
-    /// [`try_generate_batch`]: DiffusionModel::try_generate_batch
+    /// [`generate`]: DiffusionModel::generate
     pub fn try_generate_batch_on(
         &self,
         features: &[PromptFeatures],
@@ -346,7 +289,7 @@ impl DiffusionModel {
     ) -> Option<Vec<ImageBuffer>> {
         let tiles = tiling.max_tiles.min(features.len()).max(1);
         if tiles <= 1 {
-            return self.try_generate_batch(features, width, height, steps, cancel);
+            return self.generate_tile(features, width, height, steps, cancel);
         }
         let chunk = features.len().div_ceil(tiles);
         let slots: Vec<TileSlot<Option<Vec<ImageBuffer>>>> = features
@@ -362,8 +305,7 @@ impl DiffusionModel {
                 let tile_features = tile_features.to_vec();
                 let cancel = cancel.clone();
                 Box::new(move || {
-                    let result =
-                        model.try_generate_batch(&tile_features, width, height, steps, &cancel);
+                    let result = model.generate_tile(&tile_features, width, height, steps, &cancel);
                     *slot.lock().unwrap_or_else(|e| e.into_inner()) = Some(result);
                 }) as TileTask
             })
@@ -388,8 +330,8 @@ impl DiffusionModel {
     /// The RNG draw order (latent init, then denoise, then decode) is the
     /// contract the batch kernel's bit-identity rests on.
     ///
-    /// Public so kernel-level callers (benches, the tiled property tests)
-    /// can drive [`denoise_batch`] directly.
+    /// Public so kernel-level callers (the property tests) can drive
+    /// [`try_denoise_batch`] directly.
     pub fn prepare_job(&self, features: &PromptFeatures) -> LatentJob {
         let mut rng = Rng::new(features.seed ^ self.profile.seed_salt);
 
@@ -622,7 +564,7 @@ impl Aesthetic {
 ///
 /// Keeping the RNG *inside* the job is what makes batched — and tiled —
 /// denoising bit-identical to the single-image path: no matter how many
-/// jobs share a [`denoise_batch`] pass or which thread a tile lands on,
+/// jobs share a [`try_denoise_batch`] pass or which thread a tile lands on,
 /// each image consumes exactly the random stream it would have consumed
 /// alone.
 ///
@@ -682,34 +624,11 @@ wide! {
 /// resolution, steps) before batching. With a single job this executes
 /// the exact instruction sequence of the pre-batching denoise loop.
 ///
-/// # Example
-///
-/// ```
-/// use sww_genai::diffusion::scheduler::Schedule;
-/// use sww_genai::diffusion::{denoise_batch, DiffusionModel, ImageModelKind};
-/// use sww_genai::PromptFeatures;
-///
-/// let model = DiffusionModel::new(ImageModelKind::Sd3Medium);
-/// let f = PromptFeatures::analyze("a mountain lake");
-/// let mut jobs = vec![model.prepare_job(&f), model.prepare_job(&f)];
-/// denoise_batch(&Schedule::new(4), &mut jobs);
-/// // Same prompt, same schedule: the jobs advanced identically.
-/// assert_eq!(jobs[0].latent(), jobs[1].latent());
-/// ```
-pub fn denoise_batch(schedule: &Schedule, jobs: &mut [LatentJob]) {
-    let done = try_denoise_batch(schedule, jobs, &StepCancel::never());
-    debug_assert!(done, "StepCancel::never cannot abort the kernel");
-}
-
-/// Cancellable denoising kernel: identical to [`denoise_batch`] except
-/// that the probe is evaluated once before each sigma step. Returns
-/// `true` if the schedule ran to completion, `false` if the batch was
-/// abandoned mid-loop (the jobs' latents are then partial and must not
-/// be decoded).
-///
-/// The check is per *step*, not per job or per grid cell, so the
-/// steady-state overhead with [`StepCancel::never`] is one virtual call
-/// per step — and a cancelled flight wastes at most one step of work.
+/// The probe is evaluated once before each sigma step — per *step*, not
+/// per job or per grid cell, so a pass costs one virtual call per step
+/// and a cancelled flight wastes at most one step of work. Returns `true`
+/// if the schedule ran to completion, `false` if the batch was abandoned
+/// mid-loop (the jobs' latents are then partial and must not be decoded).
 ///
 /// # Example
 ///
@@ -720,8 +639,10 @@ pub fn denoise_batch(schedule: &Schedule, jobs: &mut [LatentJob]) {
 ///
 /// let model = DiffusionModel::new(ImageModelKind::Sd3Medium);
 /// let f = PromptFeatures::analyze("a mountain lake");
-/// let mut jobs = vec![model.prepare_job(&f)];
+/// let mut jobs = vec![model.prepare_job(&f), model.prepare_job(&f)];
 /// assert!(try_denoise_batch(&Schedule::new(4), &mut jobs, &StepCancel::never()));
+/// // Same prompt, same schedule: the jobs advanced identically.
+/// assert_eq!(jobs[0].latent(), jobs[1].latent());
 /// // A pre-fired probe aborts before the first step runs.
 /// let mut jobs = vec![model.prepare_job(&f)];
 /// assert!(!try_denoise_batch(&Schedule::new(4), &mut jobs, &StepCancel::from_fn(|| true)));
@@ -738,84 +659,6 @@ pub fn try_denoise_batch(schedule: &Schedule, jobs: &mut [LatentJob], cancel: &S
         }
     }
     true
-}
-
-/// Data-parallel [`try_denoise_batch`]: split `jobs` into at most
-/// [`Tiling::max_tiles`] contiguous tiles and advance each tile through
-/// the full schedule as one task on the plan's runner.
-///
-/// Jobs never share state, so the result is **bit-identical** to the
-/// sequential kernel for every tile count, worker count and runner —
-/// including after a cancellation (each job is either untouched, partial
-/// by whole steps, or complete, exactly as sequential cancellation leaves
-/// it). Returns the jobs in their original order, or `None` if any tile
-/// observed the probe and abandoned (tiles poll independently, once per
-/// step per tile).
-///
-/// # Panics
-///
-/// Panics if `runner` violates the [`TileRunner`] contract by dropping a
-/// task without running it.
-///
-/// # Example
-///
-/// ```
-/// use sww_genai::diffusion::scheduler::Schedule;
-/// use sww_genai::diffusion::{
-///     try_denoise_batch_tiled, DiffusionModel, ImageModelKind, InlineRunner, StepCancel, Tiling,
-/// };
-/// use sww_genai::PromptFeatures;
-///
-/// let model = DiffusionModel::new(ImageModelKind::Sd3Medium);
-/// let jobs: Vec<_> = ["a", "b", "c"]
-///     .iter()
-///     .map(|p| model.prepare_job(&PromptFeatures::analyze(p)))
-///     .collect();
-/// let done = try_denoise_batch_tiled(
-///     &Schedule::new(4), jobs, &StepCancel::never(), Tiling::new(&InlineRunner, 2),
-/// );
-/// assert_eq!(done.expect("never cancelled").len(), 3);
-/// ```
-pub fn try_denoise_batch_tiled(
-    schedule: &Schedule,
-    mut jobs: Vec<LatentJob>,
-    cancel: &StepCancel,
-    tiling: Tiling<'_>,
-) -> Option<Vec<LatentJob>> {
-    let tiles = tiling.max_tiles.min(jobs.len()).max(1);
-    if tiles <= 1 {
-        let done = try_denoise_batch(schedule, &mut jobs, cancel);
-        return done.then_some(jobs);
-    }
-    let chunk = jobs.len().div_ceil(tiles);
-    let mut slots: Vec<TileSlot<(Vec<LatentJob>, bool)>> = Vec::new();
-    let mut tasks: Vec<TileTask> = Vec::new();
-    while !jobs.is_empty() {
-        let rest = jobs.split_off(chunk.min(jobs.len()));
-        let mut tile = std::mem::replace(&mut jobs, rest);
-        let slot = Arc::new(Mutex::new(None));
-        slots.push(Arc::clone(&slot));
-        let schedule = *schedule;
-        let cancel = cancel.clone();
-        tasks.push(Box::new(move || {
-            let done = try_denoise_batch(&schedule, &mut tile, &cancel);
-            *slot.lock().unwrap_or_else(|e| e.into_inner()) = Some((tile, done));
-        }));
-    }
-    tiling.runner.run_all(tasks);
-
-    let mut out = Vec::new();
-    let mut completed = true;
-    for slot in slots {
-        match slot.lock().unwrap_or_else(|e| e.into_inner()).take() {
-            Some((tile, done)) => {
-                completed &= done;
-                out.extend(tile);
-            }
-            None => panic!("TileRunner dropped a tile without running it"),
-        }
-    }
-    completed.then_some(out)
 }
 
 /// One axis of a bilinear sample of the coarse latent grid: the two grid
@@ -958,7 +801,12 @@ mod tests {
                 let f = PromptFeatures::analyze(prompt);
                 let (wide, base) = crate::lanes::both(|| {
                     let mut job = m.prepare_job(&f);
-                    denoise_batch(&Schedule::new(3), std::slice::from_mut(&mut job));
+                    let jobs = std::slice::from_mut(&mut job);
+                    assert!(try_denoise_batch(
+                        &Schedule::new(3),
+                        jobs,
+                        &StepCancel::never()
+                    ));
                     job.latent().iter().map(|l| l.to_bits()).collect::<Vec<_>>()
                 });
                 assert_eq!(wide, base, "{kind:?} {prompt:?}");
@@ -968,6 +816,20 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The serving entry point on the calling thread: one tile, never
+    /// cancelled — the sequential pass the tests below compare against
+    /// [`DiffusionModel::generate`], the single-image reference.
+    fn batch(
+        m: &DiffusionModel,
+        features: &[PromptFeatures],
+        (w, h): (u32, u32),
+        steps: u32,
+    ) -> Vec<ImageBuffer> {
+        let tiling = Tiling::new(&InlineRunner, 1);
+        m.try_generate_batch_on(features, w, h, steps, &StepCancel::never(), tiling)
+            .expect("StepCancel::never cannot abort a batch")
     }
 
     #[test]
@@ -989,9 +851,9 @@ mod tests {
                     .iter()
                     .map(|p| PromptFeatures::analyze(p))
                     .collect();
-                let batched = m.generate_batch(&features, 48, 48, 15);
-                for (f, img) in features.iter().zip(&batched) {
-                    let single = m.generate_with_features(f, 48, 48, 15);
+                let batched = batch(&m, &features, (48, 48), 15);
+                for (prompt, img) in prompts.iter().zip(&batched) {
+                    let single = m.generate(prompt, 48, 48, 15);
                     assert_eq!(
                         *img, single,
                         "batch of {n} diverged from single pass ({model:?})"
@@ -1004,14 +866,13 @@ mod tests {
     #[test]
     fn batch_equivalence_holds_across_steps_and_sizes() {
         let m = DiffusionModel::new(ImageModelKind::Sd35Medium);
-        let features: Vec<PromptFeatures> = ["foggy pier", "red rock mesa", "alpine meadow"]
-            .iter()
-            .map(|p| PromptFeatures::analyze(p))
-            .collect();
+        let prompts = ["foggy pier", "red rock mesa", "alpine meadow"];
+        let features: Vec<PromptFeatures> =
+            prompts.iter().map(|p| PromptFeatures::analyze(p)).collect();
         for (w, h, steps) in [(16, 16, 1), (64, 32, 7), (32, 64, 30)] {
-            let batched = m.generate_batch(&features, w, h, steps);
-            for (f, img) in features.iter().zip(&batched) {
-                assert_eq!(*img, m.generate_with_features(f, w, h, steps));
+            let batched = batch(&m, &features, (w, h), steps);
+            for (prompt, img) in prompts.iter().zip(&batched) {
+                assert_eq!(*img, m.generate(prompt, w, h, steps));
             }
         }
     }
@@ -1019,18 +880,16 @@ mod tests {
     #[test]
     fn empty_batch_is_empty() {
         let m = DiffusionModel::new(ImageModelKind::Sd3Medium);
-        assert!(m.generate_batch(&[], 32, 32, 15).is_empty());
+        assert!(batch(&m, &[], (32, 32), 15).is_empty());
     }
 
     #[test]
     fn never_cancel_path_is_bit_identical() {
         let m = DiffusionModel::new(ImageModelKind::Sd3Medium);
-        let f = PromptFeatures::analyze("a mountain lake at sunset");
-        let plain = m.generate_with_features(&f, 48, 48, 12);
-        let via_try = m
-            .try_generate_with_features(&f, 48, 48, 12, &StepCancel::never())
-            .unwrap();
-        assert_eq!(plain, via_try);
+        let prompt = "a mountain lake at sunset";
+        let plain = m.generate(prompt, 48, 48, 12);
+        let served = batch(&m, &[PromptFeatures::analyze(prompt)], (48, 48), 12);
+        assert_eq!(served, [plain]);
     }
 
     #[test]
@@ -1038,10 +897,10 @@ mod tests {
         let m = DiffusionModel::new(ImageModelKind::Sd3Medium);
         let f = PromptFeatures::analyze("abandoned before start");
         let cancel = StepCancel::from_fn(|| true);
+        let tiling = Tiling::new(&InlineRunner, 1);
         assert!(m
-            .try_generate_with_features(&f, 64, 64, 40, &cancel)
+            .try_generate_batch_on(&[f], 64, 64, 40, &cancel, tiling)
             .is_none());
-        assert!(m.try_generate_batch(&[f], 64, 64, 40, &cancel).is_none());
     }
 
     #[test]
@@ -1077,8 +936,9 @@ mod tests {
             .map(|p| PromptFeatures::analyze(p))
             .collect();
         let steps = 9;
+        let tiling = Tiling::new(&InlineRunner, 1);
         assert!(m
-            .try_generate_batch(&features, 16, 16, steps, &cancel)
+            .try_generate_batch_on(&features, 16, 16, steps, &cancel, tiling)
             .is_some());
         assert_eq!(checks.load(Ordering::SeqCst), steps);
     }
@@ -1089,61 +949,14 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn tiled_kernel_is_bit_identical_for_every_tile_count() {
-        let m = DiffusionModel::new(ImageModelKind::Sd3Medium);
-        let features = batch_features(7);
-        let schedule = Schedule::new(11);
-        let mut reference: Vec<LatentJob> = features.iter().map(|f| m.prepare_job(f)).collect();
-        denoise_batch(&schedule, &mut reference);
-        for tiles in 1..=9 {
-            let jobs: Vec<LatentJob> = features.iter().map(|f| m.prepare_job(f)).collect();
-            let tiled = try_denoise_batch_tiled(
-                &schedule,
-                jobs,
-                &StepCancel::never(),
-                Tiling::new(&InlineRunner, tiles),
-            )
-            .expect("never cancelled");
-            for (r, t) in reference.iter().zip(&tiled) {
-                assert_eq!(r.latent(), t.latent(), "tiles={tiles}");
-            }
-        }
-    }
-
-    #[test]
-    fn tiled_kernel_is_bit_identical_across_threads() {
-        let m = DiffusionModel::new(ImageModelKind::Sd35Medium);
-        let features = batch_features(8);
-        let schedule = Schedule::new(9);
-        let mut reference: Vec<LatentJob> = features.iter().map(|f| m.prepare_job(f)).collect();
-        denoise_batch(&schedule, &mut reference);
-        for tiles in [2, 3, 8] {
-            let jobs: Vec<LatentJob> = features.iter().map(|f| m.prepare_job(f)).collect();
-            let tiled = try_denoise_batch_tiled(
-                &schedule,
-                jobs,
-                &StepCancel::never(),
-                Tiling::new(&ThreadRunner, tiles),
-            )
-            .expect("never cancelled");
-            for (r, t) in reference.iter().zip(&tiled) {
-                assert_eq!(r.latent(), t.latent(), "tiles={tiles}");
-            }
-        }
-    }
-
+    /// Tiling on the calling thread; the same identity across threads is
+    /// `tests/proptest_kernel.rs`.
     #[test]
     fn tiled_generation_matches_sequential_batch() {
         let m = DiffusionModel::new(ImageModelKind::Sd3Medium);
         let features = batch_features(6);
-        let sequential = m.generate_batch(&features, 40, 24, 8);
-        for (runner, tiles) in [
-            (&InlineRunner as &dyn TileRunner, 1),
-            (&InlineRunner, 4),
-            (&ThreadRunner, 3),
-            (&ThreadRunner, 6),
-        ] {
+        let sequential = batch(&m, &features, (40, 24), 8);
+        for tiles in [1, 3, 4, 6, 9] {
             let tiled = m
                 .try_generate_batch_on(
                     &features,
@@ -1151,7 +964,7 @@ mod tests {
                     24,
                     8,
                     &StepCancel::never(),
-                    Tiling::new(runner, tiles),
+                    Tiling::new(&InlineRunner, tiles),
                 )
                 .expect("never cancelled");
             assert_eq!(sequential, tiled, "tiles={tiles}");
@@ -1163,24 +976,10 @@ mod tests {
         let m = DiffusionModel::new(ImageModelKind::Sd3Medium);
         let features = batch_features(4);
         let cancel = StepCancel::from_fn(|| true);
+        let tiling = Tiling::new(&InlineRunner, 4);
         assert!(m
-            .try_generate_batch_on(
-                &features,
-                24,
-                24,
-                10,
-                &cancel,
-                Tiling::new(&ThreadRunner, 4)
-            )
+            .try_generate_batch_on(&features, 24, 24, 10, &cancel, tiling)
             .is_none());
-        let jobs: Vec<LatentJob> = features.iter().map(|f| m.prepare_job(f)).collect();
-        assert!(try_denoise_batch_tiled(
-            &Schedule::new(10),
-            jobs,
-            &cancel,
-            Tiling::new(&ThreadRunner, 2)
-        )
-        .is_none());
     }
 
     #[test]
@@ -1193,7 +992,7 @@ mod tests {
                 24,
                 5,
                 &StepCancel::never(),
-                Tiling::new(&ThreadRunner, 4),
+                Tiling::new(&InlineRunner, 4),
             )
             .expect("empty batch cannot cancel");
         assert!(out.is_empty());

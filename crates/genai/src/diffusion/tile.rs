@@ -1,13 +1,13 @@
-//! Tile execution: how the data-parallel kernel entry points fan work out.
+//! Tile execution: how the data-parallel kernel entry point fans work out.
 //!
 //! The denoise batch is embarrassingly parallel across jobs (each
 //! [`LatentJob`](super::LatentJob) owns its RNG, target and latent — see
-//! the bit-identity notes on [`super::denoise_batch`]), but this crate
+//! the bit-identity notes on [`super::try_denoise_batch`]), but this crate
 //! sits *below* the serving layer and must not own threads. [`TileRunner`]
 //! inverts that dependency: the kernel splits a batch into tiles and hands
 //! the caller boxed tasks; the caller decides where they run. `sww-core`
 //! backs the trait with its `WorkerPool`; tests and single-threaded
-//! callers use [`InlineRunner`]; [`ThreadRunner`] spawns plain threads.
+//! callers use [`InlineRunner`].
 //!
 //! The contract is deliberately tiny: [`TileRunner::run_all`] must run
 //! **every** task to completion — on any thread, in any order, with any
@@ -19,10 +19,10 @@
 pub type TileTask = Box<dyn FnOnce() + Send + 'static>;
 
 /// A tile execution plan: the runner the tasks are handed to plus an
-/// upper bound on how many tiles the batch splits into. Every tiled
-/// kernel entry point takes one. `max_tiles` is clamped to the batch
-/// size (and up to 1) at the call site, so an oversized or zero plan is
-/// harmless; a plan of one tile is exactly the sequential kernel.
+/// upper bound on how many tiles the batch splits into. `max_tiles` is
+/// clamped to the batch size (and up to 1) at the call site, so an
+/// oversized or zero plan is harmless; a plan of one tile is exactly the
+/// sequential kernel.
 #[derive(Clone, Copy)]
 pub struct Tiling<'a> {
     /// Executor the tile tasks run on.
@@ -46,8 +46,8 @@ pub trait TileRunner: Send + Sync {
 }
 
 /// Runs tiles sequentially on the calling thread. The zero-dependency
-/// fallback: tiled entry points driven by an `InlineRunner` execute the
-/// same instruction stream as the sequential kernel, just chunked.
+/// fallback: a tiled pass driven by an `InlineRunner` executes the same
+/// instruction stream as the sequential kernel, just chunked.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct InlineRunner;
 
@@ -59,41 +59,10 @@ impl TileRunner for InlineRunner {
     }
 }
 
-/// Runs every tile on its own freshly spawned thread and joins them all.
-///
-/// No pooling, no queue: this is the simplest truly parallel runner, used
-/// by benches and property tests to exercise cross-thread execution
-/// without depending on the serving layer's worker pool.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ThreadRunner;
-
-impl TileRunner for ThreadRunner {
-    fn run_all(&self, tasks: Vec<TileTask>) {
-        let handles: Vec<_> = tasks.into_iter().map(std::thread::spawn).collect();
-        for handle in handles {
-            if let Err(panic) = handle.join() {
-                std::panic::resume_unwind(panic);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
-
-    fn counting_tasks(n: usize, hits: &Arc<AtomicUsize>) -> Vec<TileTask> {
-        (0..n)
-            .map(|_| {
-                let hits = Arc::clone(hits);
-                Box::new(move || {
-                    hits.fetch_add(1, Ordering::SeqCst);
-                }) as TileTask
-            })
-            .collect()
-    }
 
     #[test]
     fn inline_runner_runs_everything_in_order() {
@@ -109,15 +78,7 @@ mod tests {
     }
 
     #[test]
-    fn thread_runner_runs_everything() {
-        let hits = Arc::new(AtomicUsize::new(0));
-        ThreadRunner.run_all(counting_tasks(8, &hits));
-        assert_eq!(hits.load(Ordering::SeqCst), 8);
-    }
-
-    #[test]
     fn empty_task_list_is_a_no_op() {
         InlineRunner.run_all(Vec::new());
-        ThreadRunner.run_all(Vec::new());
     }
 }

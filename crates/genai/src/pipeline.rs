@@ -8,9 +8,8 @@
 //! reuse the loaded state. The ablation bench compares preloaded reuse
 //! against per-request construction.
 
-use crate::diffusion::{DiffusionModel, ImageModelKind, StepCancel};
+use crate::diffusion::{DiffusionModel, ImageModelKind};
 use crate::image::ImageBuffer;
-use crate::prompt::PromptFeatures;
 use crate::text::{TextModel, TextModelKind};
 
 /// A fully loaded pipeline: one image model and one text model, plus
@@ -59,29 +58,6 @@ impl GenerationPipeline {
     ) -> ImageBuffer {
         self.images_generated += 1;
         self.image_model.generate(prompt, width, height, steps)
-    }
-
-    /// Cancellable [`generate_image`]: the probe is checked every denoise
-    /// step. Returns `None` when the generation was abandoned mid-loop;
-    /// an abandoned generation does **not** count toward
-    /// [`images_generated`] (nothing was produced).
-    ///
-    /// [`generate_image`]: GenerationPipeline::generate_image
-    /// [`images_generated`]: GenerationPipeline::images_generated
-    pub fn try_generate_image(
-        &mut self,
-        prompt: &str,
-        width: u32,
-        height: u32,
-        steps: u32,
-        cancel: &StepCancel,
-    ) -> Option<ImageBuffer> {
-        let features = PromptFeatures::analyze(prompt);
-        let out = self
-            .image_model
-            .try_generate_with_features(&features, width, height, steps, cancel)?;
-        self.images_generated += 1;
-        Some(out)
     }
 
     /// Expand bullets into prose.
@@ -134,20 +110,6 @@ mod tests {
             GenerationPipeline::preload_default().generate_image("hills at dawn", 48, 48, 10);
         assert_eq!(first, again);
         assert_eq!(first, fresh);
-    }
-
-    #[test]
-    fn cancelled_pipeline_generation_produces_nothing() {
-        let mut p = GenerationPipeline::preload_default();
-        let live = p.try_generate_image("a quiet lake", 32, 32, 5, &StepCancel::never());
-        assert_eq!(
-            live,
-            Some(p.image_model().generate("a quiet lake", 32, 32, 5))
-        );
-        let dead = p.try_generate_image("a quiet lake", 32, 32, 5, &StepCancel::from_fn(|| true));
-        assert_eq!(dead, None);
-        // Only the completed generation counted.
-        assert_eq!(p.images_generated(), 1);
     }
 
     #[test]

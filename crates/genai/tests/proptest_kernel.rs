@@ -1,27 +1,43 @@
 //! Property tests for the data-parallel denoise kernel (PR 6): for
 //! *arbitrary* batch sizes, tile counts, worker placements and
-//! cancellation points, the tiled kernel must be bit-identical to the
-//! scalar step-major path — "faster" can never mean "different pixels".
+//! cancellation points, the tiled pass must be bit-identical to the
+//! single-image reference — "faster" can never mean "different pixels".
 
+mod common;
+
+use common::ScopedRunner;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-use sww_genai::diffusion::scheduler::Schedule;
 use sww_genai::diffusion::{
-    denoise_batch, try_denoise_batch_tiled, DiffusionModel, ImageModelKind, InlineRunner,
-    LatentJob, StepCancel, ThreadRunner, TileRunner, Tiling,
+    DiffusionModel, ImageModelKind, InlineRunner, StepCancel, TileRunner, Tiling,
 };
 use sww_genai::prompt::PromptFeatures;
+use sww_genai::ImageBuffer;
 
-fn features(n: usize, salt: u64) -> Vec<PromptFeatures> {
+fn prompts(n: usize, salt: u64) -> Vec<String> {
     (0..n)
-        .map(|i| PromptFeatures::analyze(&format!("prop kernel {salt} prompt {i}")))
+        .map(|i| format!("prop kernel {salt} prompt {i}"))
         .collect()
+}
+
+fn features(prompts: &[String]) -> Vec<PromptFeatures> {
+    prompts.iter().map(|p| PromptFeatures::analyze(p)).collect()
+}
+
+/// Each prompt rendered alone through the single-image reference.
+fn reference(
+    m: &DiffusionModel,
+    prompts: &[String],
+    (w, h): (u32, u32),
+    steps: u32,
+) -> Vec<ImageBuffer> {
+    prompts.iter().map(|p| m.generate(p, w, h, steps)).collect()
 }
 
 fn runner(threaded: bool) -> &'static dyn TileRunner {
     if threaded {
-        &ThreadRunner
+        &ScopedRunner
     } else {
         &InlineRunner
     }
@@ -29,30 +45,6 @@ fn runner(threaded: bool) -> &'static dyn TileRunner {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
-
-    #[test]
-    fn tiled_denoise_is_bit_identical_to_scalar(
-        jobs_n in 1usize..9,
-        tiles in 1usize..9,
-        steps in 1u32..16,
-        threaded in any::<bool>(),
-        salt in any::<u64>(),
-    ) {
-        let m = DiffusionModel::new(ImageModelKind::Sd3Medium);
-        let feats = features(jobs_n, salt);
-        let schedule = Schedule::new(steps);
-        let mut reference: Vec<LatentJob> = feats.iter().map(|f| m.prepare_job(f)).collect();
-        denoise_batch(&schedule, &mut reference);
-        let jobs: Vec<LatentJob> = feats.iter().map(|f| m.prepare_job(f)).collect();
-        let tiled = try_denoise_batch_tiled(
-            &schedule, jobs, &StepCancel::never(), Tiling::new(runner(threaded), tiles),
-        ).expect("never cancelled");
-        prop_assert_eq!(reference.len(), tiled.len());
-        for (r, t) in reference.iter().zip(&tiled) {
-            prop_assert_eq!(r.latent(), t.latent(),
-                "jobs={} tiles={} steps={} threaded={}", jobs_n, tiles, steps, threaded);
-        }
-    }
 
     #[test]
     fn tiled_generation_is_bit_identical_to_scalar(
@@ -64,13 +56,12 @@ proptest! {
         salt in any::<u64>(),
     ) {
         let m = DiffusionModel::new(ImageModelKind::Sd35Medium);
-        let feats = features(jobs_n, salt);
-        let reference = m.generate_batch(&feats, side, side / 2 + 1, steps);
+        let prompts = prompts(jobs_n, salt);
         let tiled = m.try_generate_batch_on(
-            &feats, side, side / 2 + 1, steps,
+            &features(&prompts), side, side / 2 + 1, steps,
             &StepCancel::never(), Tiling::new(runner(threaded), tiles),
         ).expect("never cancelled");
-        prop_assert_eq!(reference, tiled,
+        prop_assert_eq!(reference(&m, &prompts, (side, side / 2 + 1), steps), tiled,
             "jobs={} tiles={} steps={} side={}", jobs_n, tiles, steps, side);
     }
 
@@ -90,10 +81,10 @@ proptest! {
         //   fire_at <  steps           → some tile must observe the probe
         //                                before finishing → None;
         //   fire_at >= steps * tiles   → no tile can exhaust the budget
-        //                                → Some, bit-identical to scalar.
+        //                                → Some, bit-identical to the
+        //                                reference.
         let m = DiffusionModel::new(ImageModelKind::Sd3Medium);
-        let feats = features(jobs_n, salt);
-        let schedule = Schedule::new(steps);
+        let prompts = prompts(jobs_n, salt);
         let tile_count = tiles.min(jobs_n).max(1);
         let early = fire_frac % 2 == 0;
         let fire_at = if early { fire_frac % steps } else { steps * tile_count as u32 };
@@ -102,19 +93,15 @@ proptest! {
         let cancel = StepCancel::from_fn(move || {
             probe_checks.fetch_add(1, Ordering::SeqCst) >= fire_at
         });
-        let jobs: Vec<LatentJob> = feats.iter().map(|f| m.prepare_job(f)).collect();
-        let out =
-            try_denoise_batch_tiled(&schedule, jobs, &cancel, Tiling::new(runner(threaded), tiles));
+        let out = m.try_generate_batch_on(
+            &features(&prompts), 16, 12, steps, &cancel, Tiling::new(runner(threaded), tiles),
+        );
         if early {
             prop_assert!(out.is_none(),
                 "fire_at={} < steps={} must abandon the batch", fire_at, steps);
         } else {
             let tiled = out.expect("budget outlives every tile");
-            let mut reference: Vec<LatentJob> = feats.iter().map(|f| m.prepare_job(f)).collect();
-            denoise_batch(&schedule, &mut reference);
-            for (r, t) in reference.iter().zip(&tiled) {
-                prop_assert_eq!(r.latent(), t.latent());
-            }
+            prop_assert_eq!(reference(&m, &prompts, (16, 12), steps), tiled);
         }
     }
 }

@@ -11,8 +11,11 @@
 //!
 //! [`BufferPool`]: sww_genai::pool::BufferPool
 
+mod common;
+
+use common::ScopedRunner;
 use sww_genai::diffusion::{
-    DiffusionModel, ImageModelKind, InlineRunner, StepCancel, ThreadRunner, TileRunner, Tiling,
+    DiffusionModel, ImageModelKind, InlineRunner, StepCancel, TileRunner, Tiling,
 };
 use sww_genai::pool;
 use sww_genai::prompt::{PromptFeatures, TextureClass};
@@ -85,7 +88,7 @@ fn hot_path_allocates_nothing_after_warmup() {
     // then a deterministic decode-plane prewarm — organic warmup only
     // shelves the *concurrently live* peak, which depends on scheduling.
     run(&InlineRunner, 1);
-    run(&ThreadRunner, MAX_TILES);
+    run(&ScopedRunner, MAX_TILES);
     pool::decode_pool().prewarm(MAX_TILES, (SIDE * SIDE) as usize);
 
     let (latent_before, decode_before) = alloc_bytes();
@@ -94,7 +97,7 @@ fn hot_path_allocates_nothing_after_warmup() {
     for round in 0..20 {
         let tiles = 1 + round % MAX_TILES;
         let runner: &dyn TileRunner = if round % 2 == 0 {
-            &ThreadRunner
+            &ScopedRunner
         } else {
             &InlineRunner
         };

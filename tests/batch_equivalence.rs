@@ -6,7 +6,7 @@
 //!
 //! 1. **Scheduler** — for adversarial interleavings (staggered
 //!    arrivals, overflowing groups, mixed batch keys), every image that
-//!    comes out of [`BatchScheduler::submit`] is byte-identical to the
+//!    comes out of [`BatchScheduler::submit_ctx`] is byte-identical to the
 //!    sequential [`DiffusionModel::generate`] output for its prompt.
 //! 2. **Server** — a pooled, batching server materializes pages
 //!    byte-identical to an inline, unbatched server, under concurrent
@@ -23,7 +23,7 @@
 //! this binary serialize on one mutex (same pattern as the chaos
 //! suite).
 //!
-//! [`BatchScheduler::submit`]: sww::core::BatchScheduler
+//! [`BatchScheduler::submit_ctx`]: sww::core::BatchScheduler
 //! [`DiffusionModel::generate`]: sww::genai::diffusion::DiffusionModel
 
 use std::sync::{Arc, Barrier, Mutex};
@@ -31,9 +31,10 @@ use std::time::{Duration, Instant};
 use sww::core::cache::Recipe;
 use sww::core::faults::{self, ChaosSpec};
 use sww::core::{
-    BatchConfig, BatchScheduler, GenAbility, GenerativeServer, ServerConfig, SiteContent,
+    BatchConfig, BatchScheduler, GenAbility, GenerativeServer, RequestCtx, ServerConfig,
+    SiteContent, StepCancel,
 };
-use sww::genai::diffusion::{DiffusionModel, ImageModelKind};
+use sww::genai::diffusion::{DiffusionModel, ImageModelKind, InlineRunner};
 use sww::html::gencontent;
 use sww::http2::Request;
 
@@ -106,10 +107,11 @@ fn fetch_converged(server: &GenerativeServer, path: &str) -> bytes::Bytes {
 #[test]
 fn scheduler_outputs_are_bit_identical_across_interleavings() {
     let _guard = serial();
-    let sched = Arc::new(BatchScheduler::new(BatchConfig {
+    let config = BatchConfig {
         max_batch: 3,
         max_wait: Duration::from_millis(40),
-    }));
+    };
+    let sched = Arc::new(BatchScheduler::new(config, Arc::new(InlineRunner), 1));
     for round in 0..3 {
         let jobs: Vec<Recipe> = (0..7)
             .map(|i| {
@@ -133,7 +135,9 @@ fn scheduler_outputs_are_bit_identical_across_interleavings() {
                         // Staggered arrivals: some jobs land while a
                         // group is already open, some after it closed.
                         std::thread::sleep(Duration::from_micros((i as u64 % 4) * 300));
-                        (job.clone(), sched.submit(job).unwrap().image)
+                        let (ctx, cancel) = (RequestCtx::unbounded(), StepCancel::never());
+                        let out = sched.submit_ctx(job, &ctx, &cancel).unwrap();
+                        (job.clone(), out.image)
                     })
                 })
                 .collect::<Vec<_>>()

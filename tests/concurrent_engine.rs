@@ -12,8 +12,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use sww::core::cache::Recipe;
 use sww::core::{
-    FetchOutcome, GenAbility, GenerationEngine, GenerativeServer, ServerConfig, SiteContent,
-    SwwError,
+    FetchOutcome, GenAbility, GenerationEngine, GenerativeServer, RequestCtx, ServerConfig,
+    SiteContent, SwwError,
 };
 use sww::genai::diffusion::ImageModelKind;
 use sww::genai::ImageBuffer;
@@ -61,13 +61,27 @@ fn series_value(text: &str, series: &str) -> Option<f64> {
     })
 }
 
+/// A request with no deadline whose generation cannot fail. It passes the
+/// `engine.generate` failpoint like every fetch, so the tests that count
+/// generations disarm the failpoints first: the drain test below arms
+/// them, and a failure there would leave them armed.
+fn fetch(
+    engine: &GenerationEngine,
+    recipe: &Recipe,
+    generate: impl FnOnce() -> ImageBuffer,
+) -> (ImageBuffer, FetchOutcome) {
+    engine
+        .try_fetch_image_ctx(recipe, &RequestCtx::unbounded(), |_| Ok(generate()))
+        .expect("no deadline, no failing generator")
+}
+
 /// Drive `engine` through the full request schedule on one thread,
 /// counting actual generation-closure invocations.
 fn run_sequential(engine: &GenerationEngine, calls: &AtomicUsize) {
     for t in 0..THREADS {
         for i in 0..REQUESTS_PER_THREAD {
             let r = recipe((i + t) % UNIQUE_PROMPTS);
-            let (image, _) = engine.fetch_image(&r, || {
+            let (image, _) = fetch(engine, &r, || {
                 calls.fetch_add(1, Ordering::SeqCst);
                 render(&r)
             });
@@ -81,6 +95,7 @@ fn run_sequential(engine: &GenerationEngine, calls: &AtomicUsize) {
 async fn eight_threads_generate_each_unique_prompt_exactly_once() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     sww::obs::reset();
+    sww::core::faults::clear();
 
     let engine = Arc::new(GenerationEngine::new(8, 64_000_000));
     let calls = Arc::new(AtomicUsize::new(0));
@@ -93,7 +108,7 @@ async fn eight_threads_generate_each_unique_prompt_exactly_once() {
                 for i in 0..REQUESTS_PER_THREAD {
                     let r = recipe((i + t) % UNIQUE_PROMPTS);
                     let expected = render(&r);
-                    let (image, outcome) = engine.fetch_image(&r, || {
+                    let (image, outcome) = fetch(&engine, &r, || {
                         calls.fetch_add(1, Ordering::SeqCst);
                         render(&r)
                     });
@@ -290,6 +305,7 @@ fn drain_under_concurrent_load_loses_no_responses() {
 #[allow(clippy::await_holding_lock)] // the guard serializes the whole test
 async fn poisoned_flight_releases_waiters_with_one_extra_generation() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    sww::core::faults::clear();
     const WORKERS: usize = 6;
     let engine = Arc::new(GenerationEngine::new(4, 64_000_000));
     let calls = Arc::new(AtomicUsize::new(0));
@@ -310,7 +326,7 @@ async fn poisoned_flight_releases_waiters_with_one_extra_generation() {
                 // sleeps long enough for waiters to pile onto its
                 // flight, then fails; every later invocation succeeds.
                 loop {
-                    let result = engine.try_fetch_image(&r, || {
+                    let result = engine.try_fetch_image_ctx(&r, &RequestCtx::unbounded(), |_| {
                         if calls.fetch_add(1, Ordering::SeqCst) == 0 {
                             std::thread::sleep(std::time::Duration::from_millis(30));
                             return Err(SwwError::Generation {
