@@ -149,11 +149,16 @@ cargo test -p sww-http2 --test stream_table -q
 # h3 completion queue is the first source with one. Both profiles: the
 # wake races are timing, and timing is what optimisation changes. The h3
 # package also holds the handler-thread bound, the 500 on a panic and the
-# two wire property suites (proptest_h3, proptest_h3_state).
-echo "==> cargo test --test executor_wake, -p sww-http3 (wake contract; h3 completions wake their connection; <= 64 handler threads)"
+# two wire property suites (proptest_h3, proptest_h3_state). Since PR 23
+# handlers run on the stub's blocking crew (spawn_blocking): its contract
+# is in executor_wake too, a connection's view of it in the h3 package's
+# handler_crew, and the keep-alive beside the crew, where cfg(test)
+# shortens it.
+echo "==> cargo test --test executor_wake, -p sww-http3, -p tokio (wake contract; h3 completions wake their connection; <= 64 handlers in flight; blocking crew: threads reused, no job behind a running one, clean after a panic, gone after the keep-alive)"
 for profile in "" "--release"; do
     cargo test ${profile} --test executor_wake -q
     cargo test ${profile} -p sww-http3 -q
+    cargo test ${profile} -p tokio -q
 done
 
 echo "==> cargo test --release --test transport_equivalence (h2 == h3, byte for byte)"
@@ -217,8 +222,9 @@ echo "==> bench-workload --chaos (E20 workload gate)"
 
 # Ratchet: the workspace test count must never silently shrink. Raise the
 # floor when a PR adds tests; a drop below it means tests were lost.
-# (PR 22: 946 - 7 whose subjects were deleted + 2 new; CHANGES.md names them.)
-TEST_FLOOR=941
+# (PR 22: 946 - 7 whose subjects were deleted + 2 new; PR 23: + 10, the
+# blocking crew's contract and the FIN order; CHANGES.md names them.)
+TEST_FLOOR=951
 echo "==> workspace test-count floor (>= ${TEST_FLOOR})"
 TEST_COUNT=$(cargo test --workspace -- --list 2>/dev/null | grep -c ": test$")
 echo "    ${TEST_COUNT} tests"

@@ -5,8 +5,10 @@
 //! The h2 driver (`sww_http2::serve_connection_until`) answers requests
 //! inline, one at a time — HTTP/2's stream multiplexing shares a
 //! connection, but a slow handler still serializes everything behind it.
-//! Here each decoded request is handed to its own worker thread and the
-//! loop keeps reading; responses are shipped the moment they finish, in
+//! Here each decoded request is handed to `tokio::task::spawn_blocking`
+//! — a parked thread of the process's blocking crew, or a new one when
+//! none is parked, never a place behind a running handler — and the loop
+//! keeps reading; responses are shipped the moment they finish, in
 //! *completion* order, not arrival order. That is the QUIC property the
 //! paper's §3.1 cares about: one slow generation does not stall the other
 //! recipes on the page.
@@ -14,12 +16,14 @@
 //! The loop itself never blocks on a handler. It parks in a single
 //! `poll_fn` that watches two event sources at once: the transport
 //! ([`QuicLite::poll_recv_chunk`] is restartable, so a partially read
-//! frame survives between polls) and a completion queue fed by the worker
-//! threads. The queue holds the loop's `Waker` while it is parked: a
-//! worker pushes its response, takes the waker and fires it, so a
-//! completion is shipped when it happens and not when the executor next
-//! looks. At most `MAX_IN_FLIGHT` handlers run per connection; at the
-//! bound the loop stops reading the transport and the pipe pushes back.
+//! frame survives between polls) and a completion queue fed by the crew.
+//! A handler's thread also encodes the response, so the queue carries
+//! octets and the loop only moves them. The queue holds the loop's
+//! `Waker` while it is parked: a worker pushes its octets, takes the
+//! waker and fires it, so a completion is shipped when it happens and not
+//! when the executor next looks. At most `MAX_IN_FLIGHT` handlers run per
+//! connection; at the bound the loop stops reading the transport and the
+//! pipe pushes back.
 
 use crate::connection::{
     apply_control_stream, control_frame_payload, control_stream_payload, decode_request,
@@ -68,13 +72,13 @@ pub struct H3ServeStats {
     pub sent_goaway: bool,
 }
 
-/// Handler threads one connection may have running. A peer opens streams
-/// for free; a thread each is not.
+/// Handlers one connection may have in flight on the crew's threads. A
+/// peer opens streams for free; a handler that blocks holds a thread.
 const MAX_IN_FLIGHT: usize = 64;
 
-/// Completions flowing from worker threads back to the event loop, and
-/// the loop's waker while it is parked on them.
-type Done = (VecDeque<(u64, Response)>, Option<Waker>);
+/// Encoded responses flowing from the crew's threads back to the event
+/// loop, and the loop's waker while it is parked on them.
+type Done = (VecDeque<(u64, Vec<u8>)>, Option<Waker>);
 type DoneQueue = Arc<Mutex<Done>>;
 
 /// Every update leaves the queue valid, so a poisoned lock is still good:
@@ -83,15 +87,37 @@ fn lock(done: &DoneQueue) -> MutexGuard<'_, Done> {
     done.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Queue `stream`'s response and wake the loop if it is parked.
-fn complete(done: &DoneQueue, stream: u64, resp: Response) {
-    let waker = {
-        let mut done = lock(done);
-        done.0.push_back((stream, resp));
-        done.1.take()
-    };
-    if let Some(waker) = waker {
-        waker.wake();
+/// One stream's way back to the loop. Dropped unanswered — the job was
+/// dropped unrun, the OS having refused it a thread — it answers `503`,
+/// so `outstanding` always returns to zero.
+struct Reply {
+    done: DoneQueue,
+    stream: u64,
+    answered: bool,
+}
+
+impl Reply {
+    /// Encode `resp` here, queue its octets and wake the loop if it is
+    /// parked.
+    fn answer(&mut self, resp: &Response) {
+        self.answered = true;
+        let octets = encode_response(resp);
+        let waker = {
+            let mut done = lock(&self.done);
+            done.0.push_back((self.stream, octets));
+            done.1.take()
+        };
+        if let Some(waker) = waker {
+            waker.wake();
+        }
+    }
+}
+
+impl Drop for Reply {
+    fn drop(&mut self) {
+        if !self.answered {
+            self.answer(&Response::status(503));
+        }
     }
 }
 
@@ -110,9 +136,9 @@ enum Event {
 /// reports drain.
 ///
 /// The server announces `ability` in its control-stream SETTINGS; each
-/// request stream is decoded and dispatched to `handler` on a dedicated
-/// worker thread, so concurrent requests make progress independently; a
-/// handler that panics answers its own stream with `500` and disturbs no
+/// request stream is decoded and dispatched to `handler` on a thread of
+/// the blocking crew, so concurrent requests make progress independently;
+/// a handler that panics answers its own stream with `500` and disturbs no
 /// other, and a stream the OS refuses a thread for is answered `503`.
 /// When `should_close` turns true the server sends GOAWAY on a fresh
 /// control-typed stream, stops accepting new request streams, finishes
@@ -150,8 +176,8 @@ where
         // order, not arrival order.
         loop {
             let next = lock(&done).0.pop_front();
-            let Some((stream, resp)) = next else { break };
-            quic.send(stream, &encode_response(&resp), true).await?;
+            let Some((stream, octets)) = next else { break };
+            quic.send(stream, &octets, true).await?;
             outstanding -= 1;
             stats.responses += 1;
         }
@@ -223,9 +249,13 @@ where
                     server_ability: local.gen_ability,
                 };
                 let work = Arc::clone(&handler);
-                let sink = Arc::clone(&done);
+                let mut reply = Reply {
+                    done: Arc::clone(&done),
+                    stream,
+                    answered: false,
+                };
                 outstanding += 1;
-                let spawned = std::thread::Builder::new().spawn(move || {
+                tokio::task::spawn_blocking(move || {
                     // A panicking handler still completes its stream: with
                     // nothing in the queue `outstanding` never returns to
                     // zero, the peer waits on that stream for ever and a
@@ -233,11 +263,8 @@ where
                     let resp =
                         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work(req, ctx)))
                             .unwrap_or_else(|_| Response::status(500));
-                    complete(&sink, stream, resp);
+                    reply.answer(&resp);
                 });
-                if spawned.is_err() {
-                    complete(&done, stream, Response::status(503));
-                }
             }
         }
     }
@@ -351,6 +378,25 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!((stats.requests, stats.responses), (3, 3));
+    }
+
+    #[test]
+    fn a_reply_dropped_unanswered_answers_503_and_an_answered_one_only_once() {
+        let done = DoneQueue::default();
+        let reply = |stream| Reply {
+            done: Arc::clone(&done),
+            stream,
+            answered: false,
+        };
+        // What `spawn_blocking` does to a job it cannot start a thread for.
+        drop(reply(4));
+        let mut answered = reply(8);
+        answered.answer(&Response::status(204));
+        drop(answered);
+        let queued: Vec<_> = lock(&done).0.drain(..).collect();
+        let want =
+            [(4, 503), (8, 204)].map(|(s, code)| (s, encode_response(&Response::status(code))));
+        assert_eq!(queued, want);
     }
 
     #[tokio::test]

@@ -11,7 +11,7 @@
 //! with flag bit 0 = FIN.
 
 use crate::varint;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::pin::Pin;
 use std::task::{Context, Poll};
 use tokio::io::{AsyncRead, AsyncWrite, AsyncWriteExt, ReadBuf};
@@ -88,8 +88,9 @@ pub struct QuicLite<T> {
     next_bidi: u64,
     /// Next uni stream id to open locally.
     next_uni: u64,
-    /// Buffered whole streams (completed with FIN) awaiting the reader.
-    finished: HashMap<u64, Vec<u8>>,
+    /// Buffered whole streams (completed with FIN) awaiting the reader,
+    /// in the order their FINs arrived.
+    finished: VecDeque<(u64, Vec<u8>)>,
     /// Partially received streams.
     partial: HashMap<u64, Vec<u8>>,
     /// Raw octets read off the pipe but not yet parsed into a chunk.
@@ -113,7 +114,7 @@ impl<T: AsyncRead + AsyncWrite + Unpin> QuicLite<T> {
             io,
             next_bidi: stream_id::CLIENT_BIDI_BASE,
             next_uni: stream_id::CLIENT_UNI_BASE,
-            finished: HashMap::new(),
+            finished: VecDeque::new(),
             partial: HashMap::new(),
             rbuf: Vec::new(),
             rpos: 0,
@@ -127,7 +128,7 @@ impl<T: AsyncRead + AsyncWrite + Unpin> QuicLite<T> {
             io,
             next_bidi: 1, // server-initiated bidi (unused by HTTP/3)
             next_uni: stream_id::SERVER_UNI_BASE,
-            finished: HashMap::new(),
+            finished: VecDeque::new(),
             partial: HashMap::new(),
             rbuf: Vec::new(),
             rpos: 0,
@@ -244,12 +245,12 @@ impl<T: AsyncRead + AsyncWrite + Unpin> QuicLite<T> {
         buf.extend_from_slice(&chunk.data);
         if chunk.fin {
             let whole = self.partial.remove(&chunk.stream_id).unwrap_or_default();
-            self.finished.insert(chunk.stream_id, whole);
+            self.finished.push_back((chunk.stream_id, whole));
         }
     }
 
     /// Poll until *any* stream finishes; `Ready((id, payload))` hands the
-    /// completed stream over. The poll-shaped twin of
+    /// completed stream over, earliest FIN first. The poll-shaped twin of
     /// [`QuicLite::recv_any_stream`], for callers that multiplex reading
     /// with other event sources.
     pub fn poll_recv_any_stream(
@@ -257,9 +258,8 @@ impl<T: AsyncRead + AsyncWrite + Unpin> QuicLite<T> {
         cx: &mut Context<'_>,
     ) -> Poll<Result<(u64, Vec<u8>), TransportError>> {
         loop {
-            if let Some(id) = self.finished.keys().next().copied() {
-                let data = self.finished.remove(&id).expect("key just seen");
-                return Poll::Ready(Ok((id, data)));
+            if let Some(whole) = self.finished.pop_front() {
+                return Poll::Ready(Ok(whole));
             }
             match self.poll_recv_chunk(cx) {
                 Poll::Ready(Ok(chunk)) => self.ingest(chunk),
@@ -273,7 +273,8 @@ impl<T: AsyncRead + AsyncWrite + Unpin> QuicLite<T> {
     /// returns that stream's complete payload.
     pub async fn recv_stream(&mut self, stream: u64) -> Result<Vec<u8>, TransportError> {
         loop {
-            if let Some(done) = self.finished.remove(&stream) {
+            let at = self.finished.iter().position(|(id, _)| *id == stream);
+            if let Some((_, done)) = at.and_then(|at| self.finished.remove(at)) {
                 return Ok(done);
             }
             let chunk = self.recv_chunk().await?;
@@ -327,6 +328,29 @@ mod tests {
         tx.send(8, b"first", true).await.unwrap();
         let (id, data) = rx.recv_any_stream().await.unwrap();
         assert_eq!((id, data.as_slice()), (8, &b"first"[..]));
+    }
+
+    #[tokio::test]
+    async fn finished_streams_are_received_in_fin_order() {
+        let (a, b) = tokio::io::duplex(1 << 16);
+        let mut tx = QuicLite::client(a);
+        let mut rx = QuicLite::server(b);
+        // Stream 0 opens first and finishes second: FINs arrive 8, 0, 4.
+        tx.send(0, b"zero ", false).await.unwrap();
+        tx.send(8, b"eight", true).await.unwrap();
+        tx.send(0, b"done", true).await.unwrap();
+        tx.send(4, b"four", true).await.unwrap();
+        tx.send(12, b"twelve", true).await.unwrap();
+        // Waiting for the last one buffers the three before it.
+        assert_eq!(rx.recv_stream(12).await.unwrap(), b"twelve");
+        let mut order = Vec::new();
+        for _ in 0..3 {
+            order.push(rx.recv_any_stream().await.unwrap());
+        }
+        let want: [(u64, &[u8]); 3] = [(8, b"eight"), (0, b"zero done"), (4, b"four")];
+        for ((id, data), (want_id, want_data)) in order.iter().zip(want) {
+            assert_eq!((*id, data.as_slice()), (want_id, want_data));
+        }
     }
 
     #[tokio::test]

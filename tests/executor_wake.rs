@@ -5,15 +5,23 @@
 //! `Context` is still re-polled within it.
 //! `tokio::runtime::park_counts()` is this thread's `(woken, timed_out)`
 //! waits so far.
+//!
+//! Below those, the contract of `tokio::task::spawn_blocking`
+//! (`vendor/tokio/src/task.rs`): one crew of threads for the process, a
+//! job to the most recently parked one or to a new one, never behind a
+//! running job. (That a parked thread exits after the keep-alive is a unit
+//! test beside the crew, where the keep-alive is short.)
 
-use std::collections::VecDeque;
+use std::cell::RefCell;
+use std::collections::{HashSet, VecDeque};
 use std::future::{poll_fn, Future};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Barrier, Condvar, Mutex, MutexGuard};
 use std::task::{Poll, Waker};
-use std::thread;
+use std::thread::{self, ThreadId};
 use std::time::{Duration, Instant};
 use tokio::io::{AsyncReadExt, AsyncWriteExt};
 use tokio::runtime::{park_counts, Runtime};
+use tokio::task::spawn_blocking;
 
 /// A cross-thread queue that keeps its consumer's waker — the shape of
 /// the h3 completion queue. A producer pushes, then wakes.
@@ -284,4 +292,100 @@ fn a_waker_fired_after_its_block_on_returned_is_harmless() {
     assert_eq!(woken, 0, "a stale wake reached the next block_on");
     assert!(timed_out > 0);
     stale.wake();
+}
+
+/// Which thread the crew picks depends on which are parked: the tests
+/// that assert on it run one at a time. Nothing else in this file uses
+/// the crew.
+fn crew_turn() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    TURN.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+#[test]
+fn sequential_blocking_jobs_run_on_at_most_two_threads() {
+    let _turn = crew_turn();
+    let threads: HashSet<ThreadId> = Runtime::new().unwrap().block_on(async {
+        let mut threads = HashSet::new();
+        for _ in 0..200 {
+            let job = spawn_blocking(|| thread::current().id());
+            threads.insert(job.await.unwrap());
+        }
+        threads
+    });
+    // One thread, and a second when a job found the first still on its
+    // way back to its seat.
+    assert!(threads.len() <= 2, "{} threads", threads.len());
+}
+
+#[test]
+fn a_blocking_job_never_waits_behind_a_running_one() {
+    let _turn = crew_turn();
+    Runtime::new().unwrap().block_on(async {
+        // Leave two threads parked, or about to be.
+        let pair = Arc::new(Barrier::new(2));
+        let warm: Vec<_> = (0..2)
+            .map(|_| {
+                let pair = Arc::clone(&pair);
+                spawn_blocking(move || pair.wait().is_leader())
+            })
+            .collect();
+        for job in warm {
+            job.await.unwrap();
+        }
+        // Eight jobs that each need the other seven running: one queued
+        // behind a running job would never start, and none would finish.
+        let eight = Arc::new(Barrier::new(8));
+        let jobs: Vec<_> = (0..8)
+            .map(|_| {
+                let eight = Arc::clone(&eight);
+                spawn_blocking(move || {
+                    eight.wait();
+                    thread::current().id()
+                })
+            })
+            .collect();
+        let mut threads = HashSet::new();
+        for job in jobs {
+            let ran_on = within(Duration::from_secs(30), job)
+                .await
+                .expect("a job waited behind a running one");
+            threads.insert(ran_on.unwrap());
+        }
+        assert_eq!(threads.len(), 8);
+    });
+}
+
+#[test]
+fn a_panicked_blocking_job_is_a_join_error_and_its_thread_serves_on() {
+    thread_local! {
+        static SCRATCH: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
+    }
+    let _turn = crew_turn();
+    Runtime::new().unwrap().block_on(async {
+        // The thread the panic was on is back on its seat, or about to
+        // be, when the next job is spawned; an attempt where the job was
+        // sooner and started another thread is not evidence either way.
+        for _ in 0..3 {
+            let died_on = Arc::new(Mutex::new(None));
+            let grave = Arc::clone(&died_on);
+            let doomed = spawn_blocking(move || {
+                SCRATCH.with(|scratch| {
+                    let _held = scratch.borrow_mut();
+                    *grave.lock().unwrap() = Some(thread::current().id());
+                    panic!("job bug, with a borrow held");
+                })
+            });
+            assert!(doomed.await.is_err(), "a panicked job reported a value");
+            let next = spawn_blocking(|| {
+                SCRATCH.with(|scratch| scratch.borrow_mut().push(1));
+                thread::current().id()
+            });
+            let ran_on = next.await.expect("the borrow outlived the panic");
+            if Some(ran_on) == *died_on.lock().unwrap() {
+                return;
+            }
+        }
+        panic!("three attempts and no job ran on the thread a job had panicked on");
+    });
 }

@@ -6,10 +6,11 @@
 //! all: [`GenerativeServer::serve_h3_stream`] is the h3 twin of
 //! `serve_stream`, driving the same dispatch core behind the h3 framing.
 
+use std::sync::{Arc, Mutex};
 use sww::core::{GenAbility, GenerativeServer, ServerConfig, SiteContent};
 use sww::html::gencontent;
 use sww::http2::Request;
-use sww::http3::H3ClientConnection;
+use sww::http3::{serve_h3_connection, H3ClientConnection};
 
 fn site() -> SiteContent {
     let mut s = SiteContent::new();
@@ -123,4 +124,64 @@ async fn zero_rtt_resumption_reaches_the_same_core() {
     assert!(resumed.negotiated_ability().can_generate());
     let warm = resumed.send_request(&Request::get("/page")).await.unwrap();
     assert_eq!(cold.body, warm.body, "0-RTT must not change content");
+}
+
+#[tokio::test(flavor = "multi_thread")]
+async fn consecutive_cold_naive_pages_share_a_handler_thread() {
+    // Handlers run on the blocking crew, so the thread that served one
+    // page — and its preloaded generator — serves the next. Which thread
+    // that was is not in a response, so the connection below is the raw
+    // h3 driver in front of `Session::handle` with a note of where it ran.
+    // The crew is the process's and this file's other tests use it too:
+    // a pair that found another test's thread parked last is not evidence
+    // either way, hence the attempts.
+    const ATTEMPTS: usize = 4;
+    let cold_site = || {
+        let mut s = SiteContent::new();
+        for i in 0..2 * ATTEMPTS {
+            let prompt = format!("harbour number {i} in morning fog");
+            let image = gencontent::image_div(&prompt, &format!("fog{i}.jpg"), 64, 64);
+            s.add_page(
+                &format!("/cold{i}"),
+                format!("<html><body>{image}</body></html>"),
+            );
+        }
+        s
+    };
+    let config = |site| ServerConfig {
+        site,
+        ability: GenAbility::full(),
+        ..ServerConfig::default()
+    };
+    let server = GenerativeServer::from_config(config(cold_site()));
+    let reference = GenerativeServer::from_config(config(cold_site())).accept(GenAbility::none());
+
+    let ran_on = Arc::new(Mutex::new(Vec::new()));
+    let note = Arc::clone(&ran_on);
+    let (a, b) = tokio::io::duplex(1 << 20);
+    tokio::spawn(async move {
+        let _ = serve_h3_connection(b, server.ability(), move |req: Request, ctx| {
+            note.lock().unwrap().push(std::thread::current().id());
+            server.accept(ctx.client_ability).handle(&req)
+        })
+        .await;
+    });
+    let mut client = H3ClientConnection::handshake(a, GenAbility::none())
+        .await
+        .expect("h3 handshake");
+
+    for attempt in 0..ATTEMPTS {
+        for i in [2 * attempt, 2 * attempt + 1] {
+            let req = Request::get(format!("/cold{i}"));
+            let resp = client.send_request(&req).await.unwrap();
+            assert_eq!(resp.status, 200);
+            assert_eq!(resp.headers.get("x-sww-mode"), Some("server-generated"));
+            assert_eq!(resp.body, reference.handle(&req).body, "page {i}");
+        }
+        let ran_on = ran_on.lock().unwrap();
+        if ran_on[2 * attempt] == ran_on[2 * attempt + 1] {
+            return;
+        }
+    }
+    panic!("no pair of consecutive pages shared a thread: {ran_on:?}");
 }
