@@ -92,6 +92,19 @@ cargo test --test page_forms --test metrics_e2e -q
 echo "==> cargo test -p sww-core --lib edge::tests::hints (hint queue bounded by the replica-store budget)"
 cargo test -p sww-core --lib edge::tests::hints -q
 
+# A replica is read while its owner lives (PR 24): the seat lookup's unit
+# tests, the seats property (pushes land where lookups ask), the sw trace
+# on four small-cache nodes and E21's kill, by name. Both profiles: the
+# lookup races a kill (chaos_resilience, run in both above), the races
+# are timing, and timing is what optimisation changes.
+echo "==> replica seats: edge::tests, proptest_ring, edge_cluster by name (debug + release)"
+for profile in "" "--release"; do
+    cargo test ${profile} -p sww-core --lib -q -- edge::tests::an_evicted edge::tests::a_dead_or_unusable \
+        edge::tests::a_revalidation_reaches a_cloned_site_shares
+    cargo test ${profile} -p sww-core --test proptest_ring -q pushes_land_on_the_seats
+    cargo test ${profile} --test edge_cluster -q -- sw_trace_regenerates_less replicated_owner_kill
+done
+
 echo "==> cargo test --release -p sww-genai --test steady_state_alloc (zero-allocation hot path)"
 cargo test --release -p sww-genai --test steady_state_alloc -q
 
@@ -223,8 +236,9 @@ echo "==> bench-workload --chaos (E20 workload gate)"
 # Ratchet: the workspace test count must never silently shrink. Raise the
 # floor when a PR adds tests; a drop below it means tests were lost.
 # (PR 22: 946 - 7 whose subjects were deleted + 2 new; PR 23: + 10, the
-# blocking crew's contract and the FIN order; CHANGES.md names them.)
-TEST_FLOOR=951
+# blocking crew's contract and the FIN order; PR 24: + 7, the seat lookup
+# and the shared site; CHANGES.md names them.)
+TEST_FLOOR=958
 echo "==> workspace test-count floor (>= ${TEST_FLOOR})"
 TEST_COUNT=$(cargo test --workspace -- --list 2>/dev/null | grep -c ": test$")
 echo "    ${TEST_COUNT} tests"

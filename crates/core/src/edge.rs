@@ -43,9 +43,10 @@
 //! successors, with *hinted handoff* (the push is parked and delivered
 //! on rejoin) when a replica is down and anti-entropy delivery during
 //! [`EdgeRouter::tick_gossip`]. The walk then serves hot keys from
-//! replicas on owner death with **zero regeneration** — byte-identical
-//! bodies, no second generation — where the pre-replication tier had
-//! to re-render.
+//! replicas with **zero regeneration** — byte-identical bodies, no
+//! second generation — on owner death, where the pre-replication tier
+//! had to re-render, and (since PR 24) while the owner lives: its seats
+//! are asked before it regenerates a key its engine cache evicted.
 //!
 //! Routed and local dispatches land in `/metrics` under the
 //! [`TransportKind::Edge`](crate::TransportKind::Edge) label; the
@@ -307,8 +308,8 @@ pub struct EdgeNode {
     /// Peer-filled responses, LRU within `fill_bytes` body octets.
     fill: Mutex<Lru<String, Response>>,
     /// Replicated hot-key responses pushed to this node by acting
-    /// owners — served with zero regeneration when the owner dies.
-    /// Bounded like `fill`, by its own `fill_bytes`.
+    /// owners — served with zero regeneration when the owner dies or
+    /// has evicted the key. Bounded like `fill`, by its own `fill_bytes`.
     replica: Mutex<Lru<String, Response>>,
     /// Per-key hit counts at this node *as acting owner*; crossing
     /// [`EdgeConfig::hot_threshold`] triggers replication.
@@ -332,9 +333,12 @@ impl EdgeNode {
     /// Count one acting-owner serve of `key`; returns the new total.
     fn note_hit(&self, key: &str) -> u64 {
         let mut hot = self.hot.lock();
-        let count = hot.entry(key.to_owned()).or_insert(0);
-        *count += 1;
-        *count
+        if let Some(count) = hot.get_mut(key) {
+            *count += 1;
+            return *count;
+        }
+        hot.insert(key.to_owned(), 1);
+        1
     }
 
     /// The node's ring id (`n0`, `n1`, …) — also its `node` metric
@@ -402,13 +406,23 @@ impl EdgeNode {
         }
     }
 
-    fn put_fill(&self, key: &str, resp: &Response) {
+    /// Keep a 200 a peer served for `key` at this entry.
+    fn fill_from_peer(&self, key: &str, resp: &Response) {
         let evicted = put_response(&self.fill, key, resp);
         self.count_n(
             &self.counters.fill_evictions,
             "sww_edge_fill_evictions_total",
             evicted,
         );
+        self.count(&self.counters.fills, "sww_edge_peer_fill_total");
+    }
+
+    /// `key`'s response from this node's replica store, counted as a
+    /// replica hit here — the holder.
+    fn get_replica(&self, key: &str) -> Option<Response> {
+        let resp = get_response(&self.replica, key)?;
+        self.count(&self.counters.replica_hits, "sww_edge_replica_hits_total");
+        Some(resp)
     }
 
     fn put_replica(&self, key: &str, resp: &Response) {
@@ -474,7 +488,9 @@ struct RouterInner {
     /// its page's recipe, so a page and its media co-locate on one
     /// owner. Unlisted paths fall back to hashing the path itself.
     keys: HashMap<String, String>,
-    state: RwLock<ClusterState>,
+    /// Requests clone the `Arc`, never the ring; membership changes
+    /// `Arc::make_mut` it.
+    state: RwLock<Arc<ClusterState>>,
     seq: AtomicUsize,
     round_robin: AtomicUsize,
     /// Total copies of each hot key, including the acting owner.
@@ -510,6 +526,22 @@ impl ClusterState {
     fn by_id(&self, id: &str) -> Option<&Arc<EdgeNode>> {
         self.nodes.iter().find(|n| n.id == id)
     }
+
+    /// The replica seats of a key whose acting owner is `owner`: the
+    /// first `replication - 1` members of its successor `chain` other
+    /// than `owner` — where [`EdgeRouter::note_hot`] pushes, and so where
+    /// [`EdgeRouter::handle`] looks.
+    fn seats<'a>(
+        &'a self,
+        chain: &'a [&'a str],
+        owner: &'a EdgeNode,
+        replication: usize,
+    ) -> impl Iterator<Item = &'a Arc<EdgeNode>> {
+        let others = chain.iter().filter(move |id| **id != owner.id);
+        others
+            .take(replication - 1)
+            .map(|id| self.by_id(id).expect("successors are members"))
+    }
 }
 
 /// The cluster front door: consistent-hash routing, peer cache-fill,
@@ -525,6 +557,8 @@ impl EdgeRouter {
     /// each node's server from a clone of `site` — prompt-form content
     /// is replicated at every edge, exactly the §2.2 deployment (the
     /// prompts are tiny; the expanded media is what the ring shards).
+    /// In one process the clones are shallow: the nodes and the router
+    /// read one prompt store.
     pub fn new<F>(config: EdgeConfig, site: SiteContent, factory: F) -> EdgeRouter
     where
         F: Fn(SiteContent) -> GenerativeServer + Send + Sync + 'static,
@@ -536,10 +570,10 @@ impl EdgeRouter {
                 factory: Box::new(factory),
                 fill_bytes: config.fill_bytes,
                 keys,
-                state: RwLock::new(ClusterState {
+                state: RwLock::new(Arc::new(ClusterState {
                     ring: HashRing::new(config.replicas.max(1)),
                     nodes: Vec::new(),
-                }),
+                })),
                 seq: AtomicUsize::new(0),
                 round_robin: AtomicUsize::new(0),
                 replication: config.replication.max(1),
@@ -566,6 +600,7 @@ impl EdgeRouter {
         let node = Arc::new(EdgeNode::new(id.clone(), server, self.inner.fill_bytes));
         {
             let mut state = self.inner.state.write();
+            let state = Arc::make_mut(&mut state);
             state.ring.add(&id);
             state.nodes.push(node);
         }
@@ -583,6 +618,7 @@ impl EdgeRouter {
     pub fn leave(&self, id: &str) -> Option<DrainReport> {
         let node = {
             let mut state = self.inner.state.write();
+            let state = Arc::make_mut(&mut state);
             if !state.ring.remove(id) {
                 return None;
             }
@@ -640,6 +676,12 @@ impl EdgeRouter {
         }
     }
 
+    /// The cluster as of now; a membership change after this returns is
+    /// not seen through it.
+    fn state(&self) -> Arc<ClusterState> {
+        Arc::clone(&self.inner.state.read())
+    }
+
     /// Current node count.
     pub fn node_count(&self) -> usize {
         self.inner.state.read().nodes.len()
@@ -673,7 +715,7 @@ impl EdgeRouter {
     /// rejoined. Tests and benches call this explicitly; `sww serve
     /// --cluster` drives it from a timer at `--gossip-interval-ms`.
     pub fn tick_gossip(&self, rounds: u64) {
-        let state = self.inner.state.read().clone();
+        let state = self.state();
         {
             let mut gossip = self.inner.gossip.lock();
             for _ in 0..rounds {
@@ -765,16 +807,22 @@ impl EdgeRouter {
     /// The routing key `path` hashes under (a recipe key for pages with
     /// generated images and their assets, the path itself otherwise).
     pub fn routing_key(&self, path: &str) -> String {
-        self.inner
-            .keys
-            .get(path)
-            .cloned()
-            .unwrap_or_else(|| path.to_owned())
+        self.key_of(path).to_owned()
+    }
+
+    fn key_of<'a>(&'a self, path: &'a str) -> &'a str {
+        self.inner.keys.get(path).map_or(path, String::as_str)
+    }
+
+    /// Whether `from` may use `node`: itself always, a peer unless
+    /// `from`'s gossip view has it suspect or dead.
+    fn usable(&self, from: &EdgeNode, node: &EdgeNode) -> bool {
+        node.id == from.id || self.inner.gossip.lock().usable(&from.id, &node.id)
     }
 
     /// Which node owns `path` right now.
     pub fn owner_of(&self, path: &str) -> Option<String> {
-        let key = self.routing_key(path);
+        let key = self.key_of(path);
         let state = self.inner.state.read();
         state.ring.owner(key.as_bytes()).map(str::to_owned)
     }
@@ -792,6 +840,15 @@ impl EdgeRouter {
     ///    store, then routes to the acting owner: the first *alive*
     ///    node in the key's ring successor chain. A peer-served 200 is
     ///    filled into the entry's cache (`sww_edge_peer_fill_total`).
+    ///
+    /// 3½. Before the acting owner is dispatched to — it regenerates
+    ///    whatever its engine cache evicted — the key's replica seats
+    ///    (`ClusterState::seats`, where step 5 pushed) are asked, dead
+    ///    and gossip-unusable seats skipped. The first hit is the
+    ///    owner's own earlier response: returned as is, counted at the
+    ///    holder (`sww_edge_replica_hits_total`) and filled into a
+    ///    non-owner entry like a peer-served 200. A miss falls through
+    ///    to the dispatch, whose step 5 re-pushes the evicted replica.
     /// 4. Dead nodes — and nodes the entry's gossip view declares
     ///    unusable, nodes whose dispatch returned a breaker/overload-
     ///    shaped 5xx, and nodes killed while the dispatch was
@@ -804,12 +861,15 @@ impl EdgeRouter {
     ///    [`EdgeConfig::hot_threshold`] (with `replication > 1`) pushes
     ///    the response to the next `replication - 1` ring successors,
     ///    parking a hint instead for any replica that is down.
+    ///
+    /// A conditional revalidation (`if-none-match`) bypasses every
+    /// store and is answered by the acting owner.
     pub fn handle(&self, entry: usize, client_ability: GenAbility, req: &Request) -> Response {
-        let state = self.inner.state.read().clone();
+        let state = self.state();
         if state.nodes.is_empty() {
             return cluster_down_response();
         }
-        let entry_node = Arc::clone(&state.nodes[entry % state.nodes.len()]);
+        let entry_node = &state.nodes[entry % state.nodes.len()];
         entry_node.count(&entry_node.counters.requests, "sww_edge_requests_total");
         if !entry_node.is_alive() {
             entry_node.count(&entry_node.counters.failovers, "sww_edge_failover_total");
@@ -839,39 +899,37 @@ impl EdgeRouter {
                 entry_node.count(&entry_node.counters.fill_hits, "sww_edge_fill_hits_total");
                 return resp;
             }
-            if let Some(resp) = get_response(&entry_node.replica, &fill_key) {
-                entry_node.count(
-                    &entry_node.counters.replica_hits,
-                    "sww_edge_replica_hits_total",
-                );
+            if let Some(resp) = entry_node.get_replica(&fill_key) {
                 return resp;
             }
         }
-        let key = self.routing_key(&req.path);
-        let chain: Vec<String> = {
-            let successors = state.ring.successors(key.as_bytes());
-            successors.iter().map(|s| (*s).to_owned()).collect()
-        };
+        let chain = state.ring.successors(self.key_of(&req.path).as_bytes());
         let mut last = None;
         for id in &chain {
             let node = state.by_id(id).expect("successors are members");
-            if !node.is_alive() {
-                node.count(&node.counters.failovers, "sww_edge_failover_total");
-                continue;
-            }
-            if *id != entry_node.id && !self.inner.gossip.lock().usable(&entry_node.id, id) {
-                // The entry's membership view has this node suspect or
-                // dead: skip it proactively instead of burning a
-                // dispatch that will fail.
+            if !node.is_alive() || !self.usable(entry_node, node) {
+                // Down, or suspect / dead in the entry's membership
+                // view: skip it instead of burning a dispatch that will
+                // fail.
                 node.count(&node.counters.failovers, "sww_edge_failover_total");
                 continue;
             }
             if !revalidate {
-                if let Some(resp) = get_response(&node.replica, &fill_key) {
-                    // A replica of a hot key survives its owner: serve
-                    // the stored owner response — byte-identical, zero
-                    // regeneration.
-                    node.count(&node.counters.replica_hits, "sww_edge_replica_hits_total");
+                // A replica of a hot key survives its owner: serve the
+                // stored owner response — byte-identical, zero
+                // regeneration.
+                if let Some(resp) = node.get_replica(&fill_key) {
+                    return resp;
+                }
+                // Nor need a live owner render again what a seat holds.
+                let held = state
+                    .seats(&chain, node, self.inner.replication)
+                    .filter(|seat| seat.is_alive() && self.usable(entry_node, seat))
+                    .find_map(|seat| seat.get_replica(&fill_key));
+                if let Some(resp) = held {
+                    if node.id != entry_node.id {
+                        entry_node.fill_from_peer(&fill_key, &resp);
+                    }
                     return resp;
                 }
             }
@@ -897,8 +955,7 @@ impl EdgeRouter {
             } else {
                 node.count(&node.counters.peer_serves, "sww_edge_routed_total");
                 if resp.status == 200 && !revalidate {
-                    entry_node.put_fill(&fill_key, &resp);
-                    entry_node.count(&entry_node.counters.fills, "sww_edge_peer_fill_total");
+                    entry_node.fill_from_peer(&fill_key, &resp);
                 }
             }
             return resp;
@@ -908,17 +965,17 @@ impl EdgeRouter {
 
     /// Hot-key accounting at the acting owner: bump `fill_key`'s hit
     /// count on `owner` and, once it crosses the threshold (with
-    /// replication enabled), push the finished response to the next
-    /// `replication - 1` distinct chain members. A replica seat whose
-    /// node is down or gossip-unusable gets a *hint* instead — parked
-    /// until [`tick_gossip`](EdgeRouter::tick_gossip) observes the
-    /// rejoin. Seats already holding the key are skipped, so steady
-    /// traffic repairs evicted replicas without re-pushing every hit.
+    /// replication enabled), push the finished response to the key's
+    /// seats. A seat whose node is down or gossip-unusable gets a *hint*
+    /// instead — parked until [`tick_gossip`](EdgeRouter::tick_gossip)
+    /// observes the rejoin. Seats already holding the key are skipped,
+    /// so steady traffic repairs evicted replicas without re-pushing
+    /// every hit.
     fn note_hot(
         &self,
         state: &ClusterState,
-        owner: &Arc<EdgeNode>,
-        chain: &[String],
+        owner: &EdgeNode,
+        chain: &[&str],
         fill_key: &str,
         resp: &Response,
     ) {
@@ -928,22 +985,11 @@ impl EdgeRouter {
         if owner.note_hit(fill_key) < self.inner.hot_threshold {
             return;
         }
-        let mut seats = 0;
-        for id in chain {
-            if seats == self.inner.replication - 1 {
-                break;
-            }
-            if *id == owner.id {
-                continue;
-            }
-            seats += 1;
-            let target = state.by_id(id).expect("successors are members");
+        for target in state.seats(chain, owner, self.inner.replication) {
             if target.replica.lock().contains(fill_key) {
                 continue;
             }
-            let reachable =
-                target.is_alive() && self.inner.gossip.lock().usable(&owner.id, &target.id);
-            if reachable {
+            if target.is_alive() && self.usable(owner, target) {
                 target.put_replica(fill_key, resp);
                 owner.count(
                     &owner.counters.replica_pushes,
@@ -1525,6 +1571,176 @@ mod tests {
             let key = format!("{path}|{}", mode_tag(ServeMode::ServerGenerated));
             assert_eq!(replica.contains(&key), i >= PAGES - FIT, "{path}");
         }
+    }
+
+    /// Replication over servers whose engine cache holds one 32 × 32
+    /// image, hot at the first serve: what an owner evicts, only its
+    /// seats still hold.
+    fn evicting_router(nodes: usize, fill_bytes: u64) -> EdgeRouter {
+        EdgeRouter::new(
+            EdgeConfig {
+                nodes,
+                replication: 2,
+                hot_threshold: 1,
+                fill_bytes,
+                ..EdgeConfig::default()
+            },
+            demo_site(),
+            |site| {
+                GenerativeServer::from_config(ServerConfig {
+                    site,
+                    cache_shards: 1,
+                    cache_pixels: 32 * 32,
+                    ..ServerConfig::default()
+                })
+            },
+        )
+    }
+
+    /// An owner with two of the demo pages, as (its entry index, its id,
+    /// a page, another page): serving the second evicts the first.
+    fn co_owned(router: &EdgeRouter) -> (usize, String, String, String) {
+        let mut by_owner = std::collections::BTreeMap::<String, Vec<String>>::new();
+        for p in 0..4 {
+            let path = format!("/page/{p}");
+            let owned = by_owner.entry(router.owner_of(&path).unwrap()).or_default();
+            owned.push(path);
+        }
+        let (owner, pages) = by_owner.into_iter().find(|(_, p)| p.len() > 1).unwrap();
+        let entry = router.node_ids().iter().position(|id| *id == owner);
+        (entry.unwrap(), owner, pages[0].clone(), pages[1].clone())
+    }
+
+    /// The one replica seat of `path` at `replication: 2`.
+    fn seat_of(router: &EdgeRouter, path: &str) -> Arc<EdgeNode> {
+        let ring = router.ring();
+        let chain = ring.successors(router.key_of(path).as_bytes());
+        router.node(chain[1]).unwrap()
+    }
+
+    /// Entry index of the node of three that is neither `owner` nor `seat`.
+    fn bystander(router: &EdgeRouter, owner: &str, seat: &EdgeNode) -> usize {
+        let ids = router.node_ids();
+        let other = ids.iter().position(|id| *id != owner && *id != seat.id);
+        other.expect("three nodes")
+    }
+
+    fn generations(router: &EdgeRouter) -> u64 {
+        let nodes = router.nodes();
+        nodes.iter().map(|n| n.server.engine().generations()).sum()
+    }
+
+    fn naive_get(router: &EdgeRouter, entry: usize, path: &str) -> Response {
+        let resp = router.handle(entry, GenAbility::none(), &Request::get(path));
+        assert_eq!(resp.status, 200, "{path} via entry {entry}");
+        resp
+    }
+
+    #[test]
+    fn an_evicted_hot_key_is_served_from_its_seat_while_the_owner_lives() {
+        let router = evicting_router(3, EdgeConfig::default().fill_bytes);
+        let (owner_idx, owner, a, b) = co_owned(&router);
+        let seat = seat_of(&router, &a);
+        let first = naive_get(&router, owner_idx, &a);
+        assert!(seat.replica.lock().contains(&format!("{a}|server-gen")));
+        naive_get(&router, owner_idx, &b);
+        let rendered = generations(&router);
+        assert_eq!(
+            rendered, 2,
+            "one render a page; the second evicted the first"
+        );
+
+        // At the owner itself: the seat answers, nothing is filled.
+        assert_eq!(naive_get(&router, owner_idx, &a), first);
+        assert_eq!(seat.stats().replica_hits, 1, "counted at the holder");
+        // Through the third node: the same octets, kept at that entry.
+        let third_idx = bystander(&router, &owner, &seat);
+        let third = &router.nodes()[third_idx];
+        assert_eq!(naive_get(&router, third_idx, &a), first);
+        assert_eq!(seat.stats().replica_hits, 2);
+        assert_eq!(third.stats().fills, 1, "filled like a peer-served 200");
+        assert_eq!(naive_get(&router, third_idx, &a), first);
+        assert_eq!(third.stats().fill_hits, 1);
+
+        assert_eq!(generations(&router), rendered, "zero new generations");
+        let owner_stats = router.node(&owner).unwrap().stats();
+        assert_eq!(owner_stats.peer_serves, 0, "the owner was never asked");
+        assert_eq!(owner_stats.fills, 0);
+        let fresh = GenerativeServer::from_config(ServerConfig {
+            site: demo_site(),
+            ..ServerConfig::default()
+        });
+        let oracle = fresh.accept(GenAbility::none()).handle(&Request::get(&a));
+        assert_eq!(first.body, oracle.body, "a lone server's bytes");
+    }
+
+    #[test]
+    fn a_dead_or_unusable_seat_is_skipped_and_the_owner_regenerates() {
+        for partitioned in [false, true] {
+            let router = evicting_router(3, EdgeConfig::default().fill_bytes);
+            let (owner_idx, owner, a, b) = co_owned(&router);
+            let seat = seat_of(&router, &a);
+            let first = naive_get(&router, owner_idx, &a);
+            naive_get(&router, owner_idx, &b);
+            if partitioned {
+                // Alive, but cut off: the owner's view loses the seat.
+                let ids = router.node_ids();
+                let (island, mainland) = ids.into_iter().partition(|id| *id == seat.id);
+                router.set_partition(&[island, mainland]);
+                router.tick_gossip(10);
+                assert!(seat.is_alive());
+                assert!(!router.inner.gossip.lock().usable(&owner, &seat.id));
+            } else {
+                router.kill(&seat.id);
+            }
+            let rendered = generations(&router);
+            assert_eq!(naive_get(&router, owner_idx, &a), first);
+            assert_eq!(generations(&router), rendered + 1, "{partitioned}");
+            assert_eq!(seat.stats().replica_hits, 0, "{partitioned}");
+        }
+    }
+
+    #[test]
+    fn a_revalidation_reaches_the_owner_past_a_holding_seat() {
+        let router = evicting_router(3, EdgeConfig::default().fill_bytes);
+        let (owner_idx, owner, a, _) = co_owned(&router);
+        let seat = seat_of(&router, &a);
+        let first = naive_get(&router, owner_idx, &a);
+        let third_idx = bystander(&router, &owner, &seat);
+        let mut req = Request::get(&a);
+        req.headers
+            .insert("if-none-match", first.headers.get("etag").unwrap());
+        let resp = router.handle(third_idx, GenAbility::none(), &req);
+        assert_eq!(resp.status, 304);
+        assert_eq!(router.node(&owner).unwrap().stats().peer_serves, 1);
+        assert_eq!(seat.stats().replica_hits, 0, "no store is consulted");
+        let third = &router.nodes()[third_idx];
+        assert_eq!(third.stats().fills, 0, "and a 304 is not filled");
+    }
+
+    #[test]
+    fn an_evicted_replica_is_pushed_again_by_the_owners_next_serve() {
+        // Two nodes: every key one owns has the other as its seat. The
+        // seat's store holds one page body, the owner's engine one image.
+        let page_len = naive_get(&demo_router(1), 0, "/page/0").body.len() as u64;
+        let router = evicting_router(2, page_len + page_len / 2);
+        let (owner_idx, owner, a, b) = co_owned(&router);
+        let seat = seat_of(&router, &a);
+        let key = |path: &str| format!("{path}|server-gen");
+        naive_get(&router, owner_idx, &a);
+        naive_get(&router, owner_idx, &b);
+        assert_eq!(seat.stats().replica_evictions, 1, "b displaced a");
+        assert!(!seat.replica.lock().contains(&key(&a)));
+
+        // Evicted at both: the owner renders a again and repairs the seat.
+        let rendered = generations(&router);
+        naive_get(&router, owner_idx, &a);
+        assert_eq!(generations(&router), rendered + 1);
+        assert_eq!(seat.stats().replica_hits, 0);
+        assert_eq!(router.node(&owner).unwrap().stats().replica_pushes, 3);
+        assert!(seat.replica.lock().contains(&key(&a)));
+        naive_get(&router, owner_idx, &a);
+        assert_eq!(seat.stats().replica_hits, 1, "and the seat answers again");
     }
 
     #[test]

@@ -119,11 +119,16 @@ fn count_page_form(form: &'static str, derived: bool) {
 
 /// A site: pages plus unique (non-generatable) assets and published
 /// video streams (§3.2).
+///
+/// A clone is shallow: it shares the three maps (and so each page's
+/// derived ETag) with its source until one of them is changed, and the
+/// mutators copy the map they touch first. An edge cluster's nodes and
+/// its router therefore hold one prompt store between them.
 #[derive(Debug, Clone, Default)]
 pub struct SiteContent {
-    pages: HashMap<String, SwwPage>,
-    assets: HashMap<String, Bytes>,
-    videos: HashMap<String, VideoAsset>,
+    pages: Arc<HashMap<String, SwwPage>>,
+    assets: Arc<HashMap<String, Bytes>>,
+    videos: Arc<HashMap<String, VideoAsset>>,
     /// Cached total of prompt-form octets (pages + unique assets),
     /// maintained incrementally by the mutators so [`stored_bytes`]
     /// never re-iterates the maps.
@@ -165,7 +170,7 @@ impl SiteContent {
             etag: OnceLock::new(),
         };
         self.stored += page.html.len() as u64;
-        if let Some(old) = self.pages.insert(path.into(), page) {
+        if let Some(old) = Arc::make_mut(&mut self.pages).insert(path.into(), page) {
             self.stored -= old.html.len() as u64;
         }
         self.index = Arc::default();
@@ -176,7 +181,7 @@ impl SiteContent {
     pub fn add_asset(&mut self, path: impl Into<String>, bytes: impl Into<Bytes>) {
         let bytes = bytes.into();
         self.stored += bytes.len() as u64;
-        if let Some(old) = self.assets.insert(path.into(), bytes) {
+        if let Some(old) = Arc::make_mut(&mut self.assets).insert(path.into(), bytes) {
             self.stored -= old.len() as u64;
         }
     }
@@ -196,7 +201,7 @@ impl SiteContent {
     ///
     /// [`stored_bytes`]: SiteContent::stored_bytes
     pub fn add_video(&mut self, asset: VideoAsset) {
-        self.videos.insert(asset.name.clone(), asset);
+        Arc::make_mut(&mut self.videos).insert(asset.name.clone(), asset);
     }
 
     /// Page lookup.
@@ -1302,6 +1307,23 @@ mod tests {
         assert_eq!(site.stored_bytes(), 80);
         site.add_asset("/b", Bytes::from(vec![1u8; 10]));
         assert_eq!(site.stored_bytes(), 40);
+    }
+
+    #[test]
+    fn a_cloned_site_shares_its_pages_until_one_of_them_changes() {
+        let mut site = demo_site();
+        let copy = site.clone();
+        let html_at = |s: &SiteContent| s.page("/hike").expect("demo page").html.as_ptr();
+        let (shared, stored) = (html_at(&site), site.stored_bytes());
+        assert_eq!(html_at(&copy), shared, "a clone copies no page");
+        // Copy-on-write: the edit lands in the edited site alone.
+        site.add_page("/hike", "<html>rewritten</html>");
+        site.add_page("/new", "<html>new</html>");
+        assert_eq!(site.page("/hike").unwrap().html, "<html>rewritten</html>");
+        assert_eq!(site.page_count(), 2);
+        assert_eq!(copy.page_count(), 1);
+        assert_eq!(html_at(&copy), shared, "the copy kept its page");
+        assert_eq!(copy.stored_bytes(), stored);
     }
 
     #[test]

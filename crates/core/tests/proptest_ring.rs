@@ -12,10 +12,17 @@
 //!   stays within tolerance of uniform.
 //! * **Replay**: a join/leave/join op sequence driven by a fixed seed
 //!   reproduces the identical ring, ownership map for ownership map.
+//! * **Seats**: on a 4-node [`EdgeRouter`], a hot key's replicas land on
+//!   exactly the `replication - 1` chain members after its owner, and a
+//!   request the owner would have to regenerate is answered by those
+//!   nodes, in that order, and by no other.
 
 use proptest::prelude::*;
 use sww_core::edge::{recipe_key, HashRing, DEFAULT_VNODES};
+use sww_core::{EdgeConfig, EdgeRouter, GenerativeServer, ServerConfig, SiteContent};
 use sww_genai::diffusion::ImageModelKind;
+use sww_html::gencontent;
+use sww_http2::{GenAbility, Request};
 
 fn node_ids(n: usize) -> Vec<String> {
     (0..n).map(|i| format!("n{i}")).collect()
@@ -170,5 +177,82 @@ proptest! {
             (members, owned)
         };
         prop_assert_eq!(replay(ops_seed), replay(ops_seed));
+    }
+}
+
+const SEAT_PAGES: usize = 5;
+
+/// Four nodes whose engines cache nothing (every image outweighs the
+/// budget) and whose keys are hot at the first serve: after it, only a
+/// key's seats stand between a request and a regeneration.
+fn seat_router(salt: u64, replication: usize) -> EdgeRouter {
+    let mut site = SiteContent::new();
+    for p in 0..SEAT_PAGES {
+        let prompt = format!("seat walk {salt} page {p}");
+        let item = gencontent::image_div(&prompt, &format!("seat{p}.jpg"), 16, 16);
+        site.add_page(format!("/page/{p}"), item);
+    }
+    let config = EdgeConfig {
+        nodes: 4,
+        replication,
+        hot_threshold: 1,
+        ..EdgeConfig::default()
+    };
+    EdgeRouter::new(config, site, |site| {
+        GenerativeServer::from_config(ServerConfig {
+            site,
+            cache_pixels: 1,
+            ..ServerConfig::default()
+        })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn pushes_land_on_the_seats_lookups_ask(
+        salt in 0u64..=1_000,
+        replication in 2usize..=4,
+    ) {
+        let router = seat_router(salt, replication);
+        let ids = router.node_ids();
+        let ring = router.ring();
+        let generations = || -> u64 {
+            let nodes = router.nodes();
+            nodes.iter().map(|n| n.server().engine().generations()).sum()
+        };
+        for p in 0..SEAT_PAGES {
+            let path = format!("/page/{p}");
+            let key = router.routing_key(&path);
+            let chain = ring.successors(key.as_bytes());
+            let entry = ids.iter().position(|id| id == chain[0]).unwrap();
+            let get = || router.handle(entry, GenAbility::none(), &Request::get(&path));
+            let held = |id: &str| router.node(id).unwrap().replica_len();
+            let hits_at = |id: &str| router.node(id).unwrap().stats().replica_hits;
+            let before: Vec<usize> = chain.iter().map(|id| held(id)).collect();
+
+            let first = get();
+            prop_assert_eq!(first.status, 200);
+            for (pos, id) in chain.iter().enumerate() {
+                let seat = (1..replication).contains(&pos);
+                prop_assert_eq!(held(id) - before[pos], seat as usize, "{} at {}", path, id);
+            }
+            // Each seat answers in chain order as the ones before it die;
+            // with all of them dead the owner renders again.
+            for id in &chain[1..replication] {
+                let (hits, rendered) = (hits_at(id), generations());
+                prop_assert_eq!(&get(), &first);
+                prop_assert_eq!(hits_at(id), hits + 1);
+                prop_assert_eq!(generations(), rendered);
+                router.kill(id);
+            }
+            let rendered = generations();
+            prop_assert_eq!(&get(), &first);
+            prop_assert_eq!(generations(), rendered + 1, "no node past the seats is asked");
+            for id in &chain[1..replication] {
+                router.revive(id);
+            }
+        }
     }
 }

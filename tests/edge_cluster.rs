@@ -21,6 +21,8 @@ use sww::core::{
 use sww::energy::device::{profile, DeviceKind};
 use sww::html::gencontent;
 use sww::http2::{Request, Response};
+use sww::workload::graph::ANCHOR_COUNT;
+use sww::workload::{SmallWorldConfig, Trace, WorkloadConfig};
 
 /// Serializes the whole binary: chaos installs and registry resets are
 /// process-wide, and the reconciliation test needs exclusive counters.
@@ -600,6 +602,87 @@ fn replicated_owner_kill_serves_hot_keys_with_zero_regeneration() {
     assert!(
         control_after > control_warm,
         "without replicas, failover must re-render ({control_warm} -> {control_after})"
+    );
+}
+
+/// PR 24, end to end: the small-world trace (Zipf 1.1 over a
+/// Watts–Strogatz site, every user naive, page then asset) on four nodes
+/// whose engines hold four images each. With `replication 2` a hot key
+/// an owner evicted is read from its seat, so the cluster generates
+/// over a quarter less than at `replication 1` — and every body,
+/// whichever store answered, is the one a lone server with room for
+/// everything sends.
+#[test]
+fn sw_trace_regenerates_less_with_replicas_and_bodies_match_a_lone_server() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let cfg = WorkloadConfig {
+        graph: SmallWorldConfig {
+            nodes: 96,
+            ..SmallWorldConfig::default()
+        },
+        requests: 800,
+        ..WorkloadConfig::default()
+    };
+    let graph = cfg.site_graph();
+    let trace = Trace::generate_on(&cfg, &graph);
+    let site = graph.site_content();
+    let lone = GenerativeServer::from_config(ServerConfig {
+        site: site.clone(),
+        ..ServerConfig::default()
+    });
+    let mut oracle = std::collections::HashMap::new();
+
+    let mut replay = |replication: usize| -> u64 {
+        let config = EdgeConfig {
+            nodes: 4,
+            replication,
+            fill_bytes: 16 << 10,
+            ..EdgeConfig::default()
+        };
+        let router = EdgeRouter::new(config, site.clone(), |site| {
+            GenerativeServer::from_config(ServerConfig {
+                site,
+                cache_shards: 1,
+                cache_pixels: 4 * 64 * 64,
+                ..ServerConfig::default()
+            })
+        });
+        // The generated pages carry one image each; the paper's anchor
+        // pages (49 images) would only make the test slow.
+        for event in trace.events().iter().filter(|e| e.node >= ANCHOR_COUNT) {
+            let page = graph.node_path(event.node);
+            for path in [page, format!("/generated/sw{}.jpg", event.node)] {
+                let req = Request::get(path.as_str());
+                let resp = router.handle(event.user as usize, GenAbility::none(), &req);
+                assert_eq!(resp.status, 200, "{path}");
+                let expected = oracle.entry(path).or_insert_with(|| {
+                    let session = lone.accept(GenAbility::none());
+                    session.handle(&req).body
+                });
+                assert_eq!(
+                    &resp.body, expected,
+                    "{} at replication {replication}",
+                    req.path
+                );
+            }
+        }
+        let nodes = router.nodes();
+        if replication > 1 {
+            let hits: u64 = nodes.iter().map(|n| n.stats().replica_hits).sum();
+            assert!(hits > 0, "seats answered while their owners lived");
+        }
+        nodes
+            .iter()
+            .map(|n| n.server().engine().generations())
+            .sum()
+    };
+    let (unreplicated, replicated) = (replay(1), replay(2));
+    // The replay is single-threaded, so both counts repeat exactly
+    // (501 and 273 when written). An entry that happens to be the holder
+    // saved an eighth (438) before PR 24; asking the seats saves 45 %.
+    assert!(
+        4 * replicated < 3 * unreplicated,
+        "replicas must save generations: {unreplicated} -> {replicated}"
     );
 }
 
