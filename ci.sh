@@ -24,6 +24,18 @@ cargo test --release --test chaos_resilience -q
 echo "==> cargo test --release --test lifecycle (deadline/cancel/overload gate)"
 cargo test --release --test lifecycle -q
 
+# The pool is an admission gate, not threads (PR 25): a request runs on
+# the thread that asked, inside its server's fault scope, and a waiter
+# leaves the queue at its deadline. Both profiles: the gate's waits are
+# timing, and timing is what optimisation changes.
+echo "==> admission gate: workpool unit tests, a queued request leaves at its deadline, hostile deadline headers, pooled == inline faults (debug + release)"
+for profile in "" "--release"; do
+    cargo test ${profile} -p sww-core --lib -q -- workpool::
+    cargo test ${profile} --test lifecycle -q -- a_queued_request_leaves_at_its_deadline \
+        hostile_deadline_headers_reach_the_wait_without_a_panic
+    cargo test ${profile} --test chaos_resilience -q pooled_and_inline_servers_draw_the_same_faults
+done
+
 echo "==> cargo test --release --test batch_equivalence (batched == sequential, bit for bit)"
 cargo test --release --test batch_equivalence -q
 
@@ -233,12 +245,45 @@ echo "==> bench-workload --chaos (E20 workload gate)"
 ./target/release/sww-cli bench-workload --requests 20000 --live-requests 150 \
     --chaos "seed=9,engine.generate=latency:0.5:5" >/dev/null
 
+# One place starts threads (PR 25): the blocking crew in
+# vendor/tokio/src/task.rs. The non-test code of every crate but the load
+# drivers (bench, workload) may not spawn, build or scope a thread. A file
+# is cut where its test module starts — a column-0 #[cfg(test)] followed
+# by a `mod` line — not at the first #[cfg(test)]: a test-only method in
+# the middle of a file (faults.rs, lanes.rs) must not hide what follows.
+# The gate first proves that on a file with such a method.
+thread_spawners() {
+    awk '
+        FNR == 1 { tests = 0; attr = 0 }
+        attr && /^(pub(\([a-z]+\))? )?mod / { tests = 1 }
+        { attr = /^#\[cfg\(test\)\]/ }
+        !tests && $0 !~ /^[ \t]*\/\// && /thread::(spawn|Builder|scope)/ { print "    " FILENAME ":" FNR ": " $0 }' "$@"
+}
+echo "==> thread gate: no thread::spawn / thread::Builder / thread::scope in product code"
+mkdir -p target
+printf '%s\n' '#[cfg(test)]' 'fn probe() {}' 'fn hidden() { std::thread::spawn(|| ()); }' \
+    '#[cfg(test)]' 'mod tests { fn t() { std::thread::spawn(|| ()); } }' >target/thread-gate-probe.rs
+if [ "$(thread_spawners target/thread-gate-probe.rs | wc -l)" -ne 1 ]; then
+    echo "FAIL: the thread gate missed a spawn after a mid-file #[cfg(test)] or read into a test module" >&2
+    exit 1
+fi
+mapfile -d '' PRODUCT_FILES < <(find src crates/*/src -name '*.rs' \
+    -not -path 'crates/bench/*' -not -path 'crates/workload/*' -print0)
+SPAWNERS=$(thread_spawners "${PRODUCT_FILES[@]}")
+if [ -n "${SPAWNERS}" ]; then
+    echo "FAIL: product code starts threads outside the blocking crew:" >&2
+    echo "${SPAWNERS}" >&2
+    exit 1
+fi
+
 # Ratchet: the workspace test count must never silently shrink. Raise the
 # floor when a PR adds tests; a drop below it means tests were lost.
 # (PR 22: 946 - 7 whose subjects were deleted + 2 new; PR 23: + 10, the
 # blocking crew's contract and the FIN order; PR 24: + 7, the seat lookup
-# and the shared site; CHANGES.md names them.)
-TEST_FLOOR=958
+# and the shared site; PR 25: + 4, the queue deadline, hostile headers,
+# pooled == inline faults and each released permit admits a waiter;
+# CHANGES.md names them.)
+TEST_FLOOR=962
 echo "==> workspace test-count floor (>= ${TEST_FLOOR})"
 TEST_COUNT=$(cargo test --workspace -- --list 2>/dev/null | grep -c ": test$")
 echo "    ${TEST_COUNT} tests"

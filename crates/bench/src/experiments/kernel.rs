@@ -7,8 +7,8 @@
 //!
 //! **Raw kernel sweep** — [`kernel_sweep`] drives
 //! [`DiffusionModel::try_generate_batch_on`] directly: one batch of
-//! distinct prompts, repeated over a persistent [`WorkerPool`] runner,
-//! varying only the lane count. Reported throughput comes in two
+//! distinct prompts, repeated on the [`CrewRunner`] a batching server
+//! tiles on, varying only the lane count. Reported throughput comes in two
 //! currencies:
 //!
 //! * **wall** — measured images per wall-clock second on this host.
@@ -34,7 +34,7 @@
 use crate::table::Table;
 use std::sync::{Barrier, Mutex};
 use std::time::Instant;
-use sww_core::{GenAbility, GenerativeServer, ServerConfig, WorkerPool};
+use sww_core::{CrewRunner, GenAbility, GenerativeServer, ServerConfig};
 use sww_energy::cost::tiled_batch_pass_time;
 use sww_energy::device::{profile, DeviceKind};
 use sww_genai::diffusion::{DiffusionModel, ImageModelKind, StepCancel, Tiling};
@@ -97,8 +97,8 @@ fn pool_alloc_bytes() -> u64 {
         .sum()
 }
 
-/// Run one lane-count sample of the raw kernel sweep on `runner`.
-pub fn kernel_sample(cfg: KernelConfig, runner: &WorkerPool, tiles: usize) -> KernelSample {
+/// Run one lane-count sample of the raw kernel sweep.
+pub fn kernel_sample(cfg: KernelConfig, tiles: usize) -> KernelSample {
     let model = DiffusionModel::new(ImageModelKind::Sd3Medium);
     let features: Vec<PromptFeatures> = (0..cfg.batch.max(1))
         .map(|i| PromptFeatures::analyze(&format!("e17 kernel bench prompt {i} harbor light")))
@@ -111,7 +111,7 @@ pub fn kernel_sample(cfg: KernelConfig, runner: &WorkerPool, tiles: usize) -> Ke
                 cfg.side,
                 cfg.steps,
                 &StepCancel::never(),
-                Tiling::new(runner, tiles),
+                Tiling::new(&CrewRunner, tiles),
             )
             .expect("StepCancel::never cannot abort a pass")
     };
@@ -156,15 +156,11 @@ pub fn kernel_sample(cfg: KernelConfig, runner: &WorkerPool, tiles: usize) -> Ke
     }
 }
 
-/// Sweep the raw kernel over lane counts on one persistent pool sized for
-/// the widest sample (lanes − 1 helpers; the caller is the last lane).
+/// Sweep the raw kernel over lane counts (lanes − 1 helpers on the crew;
+/// the caller is the last lane).
 pub fn kernel_sweep(cfg: KernelConfig, tile_counts: &[usize]) -> Vec<KernelSample> {
-    let widest = tile_counts.iter().copied().max().unwrap_or(1);
-    let runner = WorkerPool::new(widest.saturating_sub(1), widest.max(1) * 4);
-    let mut samples: Vec<KernelSample> = tile_counts
-        .iter()
-        .map(|&t| kernel_sample(cfg, &runner, t))
-        .collect();
+    let mut samples: Vec<KernelSample> =
+        tile_counts.iter().map(|&t| kernel_sample(cfg, t)).collect();
     let baseline = samples
         .iter()
         .find(|s| s.tiles <= 1)
@@ -201,12 +197,12 @@ pub struct ServingSample {
 /// Serving sweep configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct ServingConfig {
-    /// Client threads per round; also the pool size and the batch cap, so
-    /// every round is one full batched pass.
+    /// Client threads per round; also the pool's permits and the batch
+    /// cap, so every round is one full batched pass.
     pub threads: usize,
     /// Measured barrier-aligned rounds of `threads` distinct prompts.
     pub rounds: usize,
-    /// Untimed warmup rounds (fills pool shelves, warms the kernel pool).
+    /// Untimed warmup rounds (fills pool shelves, starts crew threads).
     pub warmup_rounds: usize,
     /// Batch-wait deadline in milliseconds (generous: groups close on
     /// full, not on the clock).

@@ -40,7 +40,7 @@
 //! image to the unbatched path, with `--batch-wait` bounding how long an
 //! open batch may wait for company (milliseconds, default 2).
 //! `--kernel-tiles N` (N > 1) additionally tiles each batched pass across
-//! N data-parallel kernel lanes on a dedicated worker pool — still
+//! N data-parallel kernel lanes on the blocking crew — still
 //! bit-identical per image (see DESIGN.md "Kernel & memory model").
 //!
 //! `bench-pr6` runs the E17 tiled-kernel sweeps, the E18 transport

@@ -589,6 +589,7 @@ impl BatchScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workpool::CrewRunner;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Barrier;
     use sww_genai::diffusion::InlineRunner;
@@ -848,15 +849,14 @@ mod tests {
     }
 
     /// The tiled scheduler is a drop-in for the scalar one: same images,
-    /// bit for bit, with the pass fanned out across worker-pool tiles.
+    /// bit for bit, with the pass fanned out across the blocking crew.
     #[test]
     fn tiled_scheduler_is_bit_identical_to_scalar() {
         let config = BatchConfig {
             max_batch: 4,
             max_wait: Duration::from_millis(250),
         };
-        let runner = Arc::new(crate::workpool::WorkerPool::new(3, 16));
-        let sched = Arc::new(BatchScheduler::new(config, runner, 4));
+        let sched = Arc::new(BatchScheduler::new(config, Arc::new(CrewRunner), 4));
         let hint = sched.announce();
         let barrier = Arc::new(Barrier::new(4));
         let outs: Vec<BatchOutcome> = std::thread::scope(|scope| {
@@ -887,9 +887,8 @@ mod tests {
     }
 
     #[test]
-    fn one_tile_on_a_pool_is_the_scalar_scheduler() {
-        let runner = Arc::new(crate::workpool::WorkerPool::new(1, 4));
-        let sched = BatchScheduler::new(BatchConfig::default(), runner, 1);
+    fn one_tile_on_the_crew_is_the_scalar_scheduler() {
+        let sched = BatchScheduler::new(BatchConfig::default(), Arc::new(CrewRunner), 1);
         let out = submit(&sched, &recipe("single tile fallback")).unwrap();
         let expected = DiffusionModel::new(ImageModelKind::Sd3Medium).generate(
             "single tile fallback",

@@ -12,7 +12,7 @@
 //! | Site key          | Where it fires                                   |
 //! |-------------------|--------------------------------------------------|
 //! | `engine.generate` | `GenerationEngine::try_fetch_image_ctx` (leader path) and the client's per-item generation |
-//! | `pool.enqueue`    | `WorkerPool::try_execute` (admission)            |
+//! | `pool.enqueue`    | `WorkerPool::run_ctx` (admission)                |
 //! | `cache.get`       | `GenerationCache::get` (lookup becomes a miss)   |
 //! | `h2.read`         | `GenerativeClient` transport reads               |
 //! | `server.respond`  | `server::dispatch`, wrapping the whole response  |
@@ -44,9 +44,9 @@
 //!   response-digest determinism gate armed under `--chaos`.
 //!
 //! Draws outside any scope (client-side sites, gossip delivery) fall
-//! through to the global stream. Pool-worker threads execute jobs
-//! outside the dispatching thread's scope and also use the global
-//! stream.
+//! through to the global stream. A pooled request runs on the thread
+//! that dispatched it, inside its server's scope, so `workers` does not
+//! change which stream a server draws from.
 //!
 //! # Zero cost when off
 //!

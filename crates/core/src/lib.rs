@@ -52,7 +52,7 @@ pub use retry::{BackoffSchedule, RetryPolicy};
 pub use server::{GenerativeServer, ServerConfig, Session, SiteContent, SwwPage};
 pub use stats::PageStats;
 pub use transport::TransportKind;
-pub use workpool::WorkerPool;
+pub use workpool::{CrewRunner, WorkerPool};
 
 /// Re-export of the wire-level capability type.
 pub use sww_http2::GenAbility;

@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 ///
 /// Cloning is cheap (one `Arc` bump) and every clone observes the same
 /// state, so the same ctx can be polled concurrently by the session
-/// thread, a pool worker, and a flight leader.
+/// thread, a flight leader and the batch it joined.
 #[derive(Debug, Clone)]
 pub struct RequestCtx {
     inner: Arc<CtxInner>,
@@ -58,12 +58,16 @@ impl RequestCtx {
         }
     }
 
-    /// A context whose deadline is `budget` from now.
+    /// A context whose deadline is `budget` from now; a budget past the
+    /// clock's range is no deadline at all.
     #[must_use]
     pub fn with_deadline(budget: Duration) -> RequestCtx {
+        let Some(deadline) = Instant::now().checked_add(budget) else {
+            return RequestCtx::unbounded();
+        };
         RequestCtx {
             inner: Arc::new(CtxInner {
-                deadline: Some(Instant::now() + budget),
+                deadline: Some(deadline),
                 budget: Some(budget),
                 cancelled: AtomicBool::new(false),
             }),
@@ -145,7 +149,8 @@ impl RequestCtx {
 /// `engine.wait` (waiter gave up on a coalesced flight), `engine.handoff`
 /// (expired leader finished for survivors), `denoise` (step loop
 /// abandoned a fully-orphaned flight), `batch.wait` (batch member
-/// detached), `pool.queue` (job expired before a worker picked it up).
+/// detached), `pool.queue` (request left the pool's queue at its
+/// deadline).
 pub fn record_cancelled(site: &str) {
     sww_obs::counter("sww_cancelled_total", &[("site", site)]).inc();
 }

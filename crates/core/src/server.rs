@@ -18,14 +18,13 @@
 //! * Server-side generation flows through a [`GenerationEngine`]: a
 //!   lock-striped cache plus single-flight coalescing, so concurrent
 //!   requests for the same prompt recipe generate **exactly once**.
-//! * With `workers: n` (n > 0), requests execute on a fixed
-//!   [`WorkerPool`] with a bounded queue;
-//!   when the queue is full the server answers `503` with `Retry-After`
-//!   instead of queueing without bound. With `workers: 0` (the default)
-//!   requests run inline on the calling thread, preserving the original
-//!   single-threaded behaviour exactly.
+//! * Every request runs on the thread that delivered it. With
+//!   `workers: n` (n > 0) a [`WorkerPool`] admits it first: at most `n`
+//!   run at once and a bounded queue waits, and when the queue is full
+//!   the server answers `503` with `Retry-After` instead of queueing
+//!   without bound. With `workers: 0` (the default) nothing is gated.
 //! * Each OS thread that expands text keeps its own preloaded
-//!   [`MediaGenerator`] (the §4.1 preload optimisation, per worker);
+//!   [`MediaGenerator`] (the §4.1 preload optimisation, per thread);
 //!   rendering an image holds no shared state, so generations for
 //!   distinct recipes proceed in parallel.
 //! * Every image takes one road — engine, then one denoising pass, then
@@ -45,12 +44,12 @@ use crate::engine::GenerationEngine;
 use crate::error::SwwError;
 use crate::faults::{self, FaultAction, FaultScope, FaultSite};
 use crate::hls::{self, VideoAsset};
-use crate::lifecycle::{record_cancelled, record_shed, RequestCtx};
+use crate::lifecycle::{record_shed, RequestCtx};
 use crate::mediagen::{GeneratedMedia, MediaGenerator, DEFAULT_CODEC_QUALITY};
 use crate::negotiate::{session, ServeMode, SessionAbilities};
 use crate::policy::ServerPolicy;
 use crate::transport::TransportKind;
-use crate::workpool::WorkerPool;
+use crate::workpool::{CrewRunner, WorkerPool};
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use std::cell::RefCell;
@@ -60,7 +59,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use sww_energy::cost as gen_cost;
 use sww_energy::device::{profile as device_profile, DeviceKind};
-use sww_genai::diffusion::{InlineRunner, StepCancel, TileRunner, Tiling};
+use sww_genai::diffusion::{InlineRunner, StepCancel, Tiling};
 use sww_genai::image::codec;
 use sww_hash::{sha256, to_hex};
 use sww_html::gencontent::ContentType;
@@ -338,7 +337,7 @@ impl Drop for InflightGuard<'_> {
 thread_local! {
     /// Per-thread preloaded generator (paper §4.1: the pipeline is "a
     /// large object" reused across invocations). One per OS thread means
-    /// pool workers generate in parallel without sharing a lock.
+    /// concurrent requests generate in parallel without sharing a lock.
     static SERVER_GENERATOR: RefCell<Option<MediaGenerator>> = const { RefCell::new(None) };
 }
 
@@ -373,10 +372,11 @@ pub struct ServerConfig {
     pub ability: GenAbility,
     /// The serving policy (default: [`ServerPolicy::default`]).
     pub policy: ServerPolicy,
-    /// Number of pool workers. `0` (the default) handles requests inline
-    /// on the calling thread with no pool at all.
+    /// Requests the [`WorkerPool`] lets run at once, each on the thread
+    /// that delivered it. `0` (the default) admits everything with no
+    /// pool at all.
     pub workers: usize,
-    /// Bound on jobs waiting for a worker before the server starts
+    /// Bound on requests waiting for a turn before the server starts
     /// answering `503` (default: 64). Ignored when `workers` is 0.
     pub queue_capacity: usize,
     /// Number of lock stripes in the server-side generation cache
@@ -397,15 +397,10 @@ pub struct ServerConfig {
     pub batch_wait: Duration,
     /// Data-parallel kernel lanes for batched denoising passes (default:
     /// 1 — the scalar step-major kernel). With `n > 1` and `batch_max >
-    /// 1`, each closed batch splits into up to `n` tiles that run
-    /// concurrently on a dedicated kernel [`WorkerPool`] (`n - 1` helper
-    /// threads; the batch leader is the n-th lane). Output stays
-    /// bit-identical to the scalar kernel for every lane count — see
-    /// PERFORMANCE.md "Kernel & memory model".
-    ///
-    /// The kernel pool is separate from the request pool on purpose:
-    /// batch *members* block on the group outcome while occupying
-    /// request workers, so tiles queued behind them would never run.
+    /// 1`, each closed batch splits into up to `n` tiles: `n - 1` go to
+    /// the blocking crew ([`CrewRunner`]) and the batch leader is the
+    /// n-th lane. Output stays bit-identical to the scalar kernel for
+    /// every lane count — see PERFORMANCE.md "Kernel & memory model".
     pub kernel_tiles: usize,
     /// Deadline applied to every request that does not carry its own
     /// `x-sww-deadline-ms` header (default: none — requests may block
@@ -415,11 +410,6 @@ pub struct ServerConfig {
     /// generation failures surface individually and nothing is shed
     /// pre-emptively).
     pub breaker: Option<BreakerConfig>,
-    /// Seed for the pool's EWMA job-service-time estimate, in seconds
-    /// (default: `None` → [`crate::workpool::SERVICE_TIME_PRIOR_S`]).
-    /// Drives both `Retry-After` advice and deadline-aware admission
-    /// before real samples arrive. Ignored when `workers` is 0.
-    pub service_time_prior_s: Option<f64>,
 }
 
 impl Default for ServerConfig {
@@ -437,7 +427,6 @@ impl Default for ServerConfig {
             kernel_tiles: 1,
             default_deadline: None,
             breaker: None,
-            service_time_prior_s: None,
         }
     }
 }
@@ -462,23 +451,14 @@ impl GenerativeServer {
                 accounting: Mutex::new(Accounting::default()),
                 page_forms: RwLock::default(),
                 traditional_memo: Mutex::new(None),
-                pool: (config.workers > 0).then(|| match config.service_time_prior_s {
-                    Some(prior) => {
-                        WorkerPool::with_service_prior(config.workers, config.queue_capacity, prior)
-                    }
-                    None => WorkerPool::new(config.workers, config.queue_capacity),
-                }),
+                pool: (config.workers > 0)
+                    .then(|| WorkerPool::new(config.workers, config.queue_capacity)),
                 batcher: (config.batch_max > 1).then(|| {
                     let batch = BatchConfig {
                         max_batch: config.batch_max,
                         max_wait: config.batch_wait,
                     };
-                    let runner: Arc<dyn TileRunner> = if kernel_tiles > 1 {
-                        Arc::new(WorkerPool::new(kernel_tiles - 1, kernel_tiles * 4))
-                    } else {
-                        Arc::new(InlineRunner)
-                    };
-                    BatchScheduler::new(batch, runner, kernel_tiles)
+                    BatchScheduler::new(batch, Arc::new(CrewRunner), kernel_tiles)
                 }),
                 kernel_tiles,
                 default_deadline: config.default_deadline,
@@ -665,7 +645,7 @@ impl GenerativeServer {
         &self.shared.engine
     }
 
-    /// Worker threads backing this server, if a pool was configured.
+    /// Requests this server lets run at once, if a pool was configured.
     pub fn worker_count(&self) -> Option<usize> {
         self.shared.pool.as_ref().map(|p| p.worker_count())
     }
@@ -771,9 +751,9 @@ impl Session {
         self.abilities().mode(&self.shared.policy)
     }
 
-    /// Answer one request on this session. With a worker pool configured
-    /// the request executes on a worker (bounded queue, `503` +
-    /// `Retry-After` under saturation); otherwise it runs inline.
+    /// Answer one request on this session, on this thread. With a worker
+    /// pool configured it waits for its turn first (bounded queue, `503`
+    /// + `Retry-After` under saturation).
     pub fn handle(&self, req: &Request) -> Response {
         dispatch(
             &self.shared,
@@ -826,8 +806,8 @@ fn request_ctx(shared: &ServerShared, req: &Request) -> RequestCtx {
     }
 }
 
-/// Route a request to the pool (if configured) or handle it inline, and
-/// materialize any error into its response.
+/// Handle a request on this thread — after the pool admits it, if one
+/// is configured — and materialize any error into its response.
 ///
 /// Overload protection happens here, before any work is queued:
 /// a draining server sheds everything but `/metrics`, and a request
@@ -842,7 +822,7 @@ fn request_ctx(shared: &ServerShared, req: &Request) -> RequestCtx {
 /// truncate its body (which a client detects through the
 /// content-addressed ETag and treats as an integrity failure).
 fn dispatch(
-    shared: &Arc<ServerShared>,
+    shared: &ServerShared,
     client_ability: GenAbility,
     req: &Request,
     transport: TransportKind,
@@ -864,29 +844,10 @@ fn dispatch(
             return error_response(&SwwError::Saturated { retry_after_s });
         }
     }
+    let handle = || handle_request(shared, client_ability, req, &ctx, transport);
     let result = match &shared.pool {
-        None => handle_request(shared, client_ability, req, &ctx, transport),
-        Some(pool) => {
-            let task_shared = Arc::clone(shared);
-            let task_req = req.clone();
-            let task_ctx = ctx.clone();
-            pool.run(move || {
-                if task_ctx.finished() {
-                    // Expired while queued: a worker finally picked the
-                    // job up, but nobody wants the answer anymore.
-                    record_cancelled("pool.queue");
-                    return Err(task_ctx.deadline_error());
-                }
-                handle_request(
-                    &task_shared,
-                    client_ability,
-                    &task_req,
-                    &task_ctx,
-                    transport,
-                )
-            })
-            .and_then(|inner| inner)
-        }
+        None => handle(),
+        Some(pool) => pool.run_ctx(&ctx, handle).and_then(|inner| inner),
     };
     let result = result.and_then(|resp| {
         ctx.check()?;
@@ -1341,6 +1302,8 @@ mod tests {
 
     #[test]
     fn config_defaults_and_overrides() {
+        // Every one of the 12 fields, none defaulted: adding or removing
+        // a field fails to compile here.
         let server = GenerativeServer::from_config(ServerConfig {
             site: demo_site(),
             ability: GenAbility::full(),
@@ -1349,12 +1312,21 @@ mod tests {
             queue_capacity: 8,
             cache_shards: 4,
             cache_pixels: 1_000_000,
+            batch_max: 2,
+            batch_wait: Duration::from_millis(1),
             kernel_tiles: 0,
-            ..ServerConfig::default()
+            default_deadline: Some(Duration::from_secs(5)),
+            breaker: Some(BreakerConfig {
+                failure_threshold: 3,
+                cooldown: Duration::from_secs(1),
+            }),
         });
         assert_eq!(server.worker_count(), Some(2));
         assert_eq!(server.engine().cache().shard_count(), 4);
         assert_eq!(server.kernel_tiles(), 1, "0 lanes clamps to scalar");
+        assert_eq!(server.batcher().map(|b| b.config().max_batch), Some(2));
+        assert!(server.breaker().is_some());
+        assert_eq!(server.shared.default_deadline, Some(Duration::from_secs(5)));
         // Default build: no pool, no batching, no breaker, scalar kernel.
         let default = demo_server();
         assert_eq!(default.worker_count(), None);
@@ -1920,30 +1892,32 @@ mod tests {
 
     #[test]
     fn tight_deadline_sheds_at_admission_when_pool_is_busy() {
-        // Cold-start EWMA prior is 1 s/job; with the single worker held
-        // busy, predicted wait for a newcomer is ≥ 1 s — far beyond a
-        // 50 ms budget, so admission sheds 503 before queueing.
+        // Cold-start EWMA prior is 1 s/job; with the single permit held,
+        // predicted wait for a newcomer is ≥ 1 s — far beyond a 50 ms
+        // budget, so admission sheds 503 before queueing.
         let server = GenerativeServer::from_config(ServerConfig {
             site: demo_site(),
             workers: 1,
             ..ServerConfig::default()
         });
         let pool = server.shared.pool.as_ref().unwrap();
-        let gate = Arc::new(std::sync::Barrier::new(2));
-        let enter = Arc::clone(&gate);
-        let release = Arc::clone(&gate);
-        let occupied = pool.try_execute(Box::new(move || {
-            enter.wait(); // worker is now provably busy
-            release.wait();
-        }));
-        assert!(occupied.is_ok());
-        gate.wait();
-        let mut req = Request::get("/hike");
-        req.headers.insert("x-sww-deadline-ms", "50");
-        let resp = server.accept(GenAbility::none()).handle(&req);
-        gate.wait();
-        assert_eq!(resp.status, 503, "shed, not queued toward a 504");
-        assert!(resp.headers.get("retry-after").is_some());
+        let gate = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                pool.run(|| {
+                    gate.wait(); // the permit is now provably held
+                    gate.wait();
+                })
+                .unwrap()
+            });
+            gate.wait();
+            let mut req = Request::get("/hike");
+            req.headers.insert("x-sww-deadline-ms", "50");
+            let resp = server.accept(GenAbility::none()).handle(&req);
+            gate.wait();
+            assert_eq!(resp.status, 503, "shed, not queued toward a 504");
+            assert!(resp.headers.get("retry-after").is_some());
+        });
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! sits *below* the serving layer and must not own threads. [`TileRunner`]
 //! inverts that dependency: the kernel splits a batch into tiles and hands
 //! the caller boxed tasks; the caller decides where they run. `sww-core`
-//! backs the trait with its `WorkerPool`; tests and single-threaded
-//! callers use [`InlineRunner`].
+//! backs the trait with its `CrewRunner` (the blocking crew); tests and
+//! single-threaded callers use [`InlineRunner`].
 //!
 //! The contract is deliberately tiny: [`TileRunner::run_all`] must run
 //! **every** task to completion — on any thread, in any order, with any

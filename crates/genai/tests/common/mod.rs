@@ -4,7 +4,7 @@ use sww_genai::diffusion::{TileRunner, TileTask};
 
 /// Runs every tile on its own scoped thread and joins them all: the
 /// simplest truly parallel [`TileRunner`], so these tests exercise
-/// cross-thread execution without the serving layer's worker pool. A
+/// cross-thread execution without the serving layer's crew runner. A
 /// panicking tile propagates when the scope joins.
 pub struct ScopedRunner;
 

@@ -387,3 +387,38 @@ async fn chaos_runs_replay_bit_for_bit() {
         "different seeds should observe different fault patterns"
     );
 }
+
+/// A pooled request runs inside its server's fault scope: the same
+/// seeded spec and the same 40 naive GETs answer the same statuses on a
+/// relabelled server whether it gates requests or not. (Before PR 25 a
+/// pool worker drew `engine.generate` from the global stream.)
+#[test]
+fn pooled_and_inline_servers_draw_the_same_faults() {
+    let _serial = serial();
+    const PAGES: usize = 40;
+    let statuses = |workers: usize| {
+        sww::obs::reset();
+        faults::clear();
+        faults::install(
+            &ChaosSpec::parse("seed=7,engine.generate=error:0.5").expect("spec parses"),
+        );
+        let server = GenerativeServer::from_config(ServerConfig {
+            site: chaos_site(PAGES),
+            workers,
+            ..ServerConfig::default()
+        });
+        server.set_fault_domain("node-a");
+        let session = server.accept(GenAbility::none());
+        let statuses: Vec<u16> = (0..PAGES)
+            .map(|p| session.handle(&Request::get(format!("/page/{p}"))).status)
+            .collect();
+        faults::clear();
+        statuses
+    };
+    let inline = statuses(0);
+    assert!(
+        inline.contains(&200) && inline.contains(&500),
+        "a 50% coin must land both ways in 40 draws: {inline:?}"
+    );
+    assert_eq!(statuses(2), inline, "workers moved the fault schedule");
+}

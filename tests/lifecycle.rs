@@ -284,3 +284,105 @@ fn breaker_trips_and_recovers_end_to_end() {
         "breaker must read closed again:\n{exposition}"
     );
 }
+
+/// `sww_cancelled_total{site="pool.queue"}`: requests that left the
+/// pool's queue at their deadline.
+fn left_the_queue() -> u64 {
+    sww::obs::counter("sww_cancelled_total", &[("site", "pool.queue")]).get()
+}
+
+/// A pooled server's one permit, held: `f` runs while a naive GET of the
+/// cold `/page/{page}` sleeps `hold_ms` in its generation.
+fn with_permit_held<R>(
+    server: &GenerativeServer,
+    page: usize,
+    hold_ms: u64,
+    f: impl FnOnce() -> R,
+) -> R {
+    let spec = format!("seed=1,engine.generate=latency:1.0:{hold_ms}");
+    faults::install(&ChaosSpec::parse(&spec).expect("spec parses"));
+    let out = std::thread::scope(|scope| {
+        let holder = scope.spawn(|| {
+            let session = server.accept(GenAbility::none());
+            session.handle(&Request::get(format!("/page/{page}")))
+        });
+        // The sleep is drawn inside the running job: the permit is held.
+        while faults::injected_total() == 0 {
+            std::thread::yield_now();
+        }
+        let out = f();
+        assert_eq!(holder.join().expect("holder").status, 200);
+        out
+    });
+    faults::clear();
+    out
+}
+
+/// A pooled server whose pool has learnt that a job takes microseconds,
+/// so admission control queues a 30 ms budget instead of shedding it.
+fn trained_pool(pages: usize) -> GenerativeServer {
+    let server = GenerativeServer::from_config(ServerConfig {
+        site: site(pages),
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let session = server.accept(GenAbility::none());
+    for _ in 0..64 {
+        assert_eq!(session.handle(&Request::get("/missing")).status, 404);
+    }
+    server
+}
+
+/// A request queued behind a busy permit leaves at its own deadline —
+/// not when the permit frees 300 ms later — and says where it left.
+#[test]
+fn a_queued_request_leaves_at_its_deadline() {
+    let _serial = serial();
+    sww::obs::reset();
+    faults::clear();
+    let server = trained_pool(1);
+    let before = left_the_queue();
+    let (status, waited) = with_permit_held(&server, 0, 300, || {
+        let mut req = Request::get("/missing");
+        req.headers.insert("x-sww-deadline-ms", "30");
+        let asked = std::time::Instant::now();
+        let status = server.accept(GenAbility::none()).handle(&req).status;
+        (status, asked.elapsed())
+    });
+    assert_eq!(status, 504, "queued, then out of time");
+    assert!(
+        waited < Duration::from_millis(150),
+        "left the queue after {waited:?}, not at its 30 ms deadline"
+    );
+    assert_eq!(left_the_queue() - before, 1);
+}
+
+/// Whatever `x-sww-deadline-ms` says, the request reaches the pool's
+/// wait without a panic: `0` is over on arrival and never runs, a budget
+/// past the clock's range is no deadline, and a value that is not a
+/// `u64` is ignored.
+#[test]
+fn hostile_deadline_headers_reach_the_wait_without_a_panic() {
+    let _serial = serial();
+    sww::obs::reset();
+    faults::clear();
+    let server = trained_pool(5);
+    let get = |deadline: &str| {
+        let mut req = Request::get("/missing");
+        req.headers.insert("x-sww-deadline-ms", deadline);
+        server.accept(GenAbility::none()).handle(&req).status
+    };
+    // Over on arrival: it never runs (a run would answer 404).
+    let before = left_the_queue();
+    assert_eq!(get("0"), 504);
+    assert_eq!(left_the_queue() - before, 1);
+    // The rest wait behind a held permit, then run as if unbounded.
+    for (page, deadline) in ["18446744073709551615", "abc", "-1", ""]
+        .into_iter()
+        .enumerate()
+    {
+        let status = with_permit_held(&server, page, 50, || get(deadline));
+        assert_eq!(status, 404, "x-sww-deadline-ms: {deadline:?}");
+    }
+    assert_eq!(left_the_queue() - before, 1);
+}
