@@ -25,15 +25,30 @@ echo "==> cargo test --release --test lifecycle (deadline/cancel/overload gate)"
 cargo test --release --test lifecycle -q
 
 # The pool is an admission gate, not threads (PR 25): a request runs on
-# the thread that asked, inside its server's fault scope, and a waiter
-# leaves the queue at its deadline. Both profiles: the gate's waits are
-# timing, and timing is what optimisation changes.
-echo "==> admission gate: workpool unit tests, a queued request leaves at its deadline, hostile deadline headers, pooled == inline faults (debug + release)"
+# the thread that asked, and a waiter leaves the queue at its deadline.
+# Both profiles: the gate's waits are timing, and timing is what
+# optimisation changes.
+echo "==> admission gate: workpool unit tests, a queued request leaves at its deadline, hostile deadline headers (debug + release)"
 for profile in "" "--release"; do
     cargo test ${profile} -p sww-core --lib -q -- workpool::
     cargo test ${profile} --test lifecycle -q -- a_queued_request_leaves_at_its_deadline \
         hostile_deadline_headers_reach_the_wait_without_a_panic
-    cargo test ${profile} --test chaos_resilience -q pooled_and_inline_servers_draw_the_same_faults
+done
+
+# A node's faults are its own: a server, client or gossip layer draws
+# from a stream compiled from the spec it was given, and nothing is
+# process-wide. The recorded schedules (two client/server snapshots, the
+# pooled == inline statuses) must replay exactly; an armed server leaves
+# its neighbour unarmed; gossip.send reaches the gossip layer through its
+# cluster's servers; a request without a stream cannot fault; a
+# cache.get fault is a counted miss in the engine.
+echo "==> owned fault streams: recorded schedules, neighbour isolation, gossip.send, unarmed ctx, cache.get (debug + release)"
+for profile in "" "--release"; do
+    cargo test ${profile} --test chaos_resilience -q -- chaos_runs_replay_bit_for_bit \
+        pooled_and_inline_servers_draw_the_same_faults arming_one_server_leaves_its_neighbour_unarmed \
+        gossip_send_faults_drop_probes_and_stop_convergence
+    cargo test ${profile} -p sww-core --lib -q -- lifecycle::tests::only_a_ctx_with_a_stream_can_fault \
+        engine::tests::a_cache_get_fault_is_a_counted_miss
 done
 
 echo "==> cargo test --release --test batch_equivalence (batched == sequential, bit for bit)"
@@ -238,26 +253,34 @@ cargo test --release --test workload_replay -q
 # E20 gate: the small-world workload sweep and live replay from the
 # command line exactly as a user would run it, under chaos; exits
 # non-zero when its records break a report.rs rule. The determinism
-# rule holds even under chaos: each server draws faults from its own
-# seeded scope, so the fault schedule replays per instance (the PR 9
-# waiver is gone).
+# rule holds even under chaos: each server draws faults from a seeded
+# stream of its own, so the fault schedule replays per instance.
 echo "==> bench-workload --chaos (E20 workload gate)"
 ./target/release/sww-cli bench-workload --requests 20000 --live-requests 150 \
     --chaos "seed=9,engine.generate=latency:0.5:5" >/dev/null
 
-# One place starts threads (PR 25): the blocking crew in
-# vendor/tokio/src/task.rs. The non-test code of every crate but the load
-# drivers (bench, workload) may not spawn, build or scope a thread. A file
-# is cut where its test module starts — a column-0 #[cfg(test)] followed
-# by a `mod` line — not at the first #[cfg(test)]: a test-only method in
-# the middle of a file (faults.rs, lanes.rs) must not hide what follows.
-# The gate first proves that on a file with such a method.
-thread_spawners() {
+# The product code of Rust files, one `file:line:text` per line. A file
+# is cut where its test module starts — a column-0 #[cfg(test)] whose
+# next line opens a `mod`, the attribute included — not at the first
+# #[cfg(test)]: a test-only item in the middle of a file (lanes.rs) must
+# not hide what follows. The thread gate and the line count both read
+# this, and the gate first proves it on a file with such an item.
+product_lines() {
     awk '
-        FNR == 1 { tests = 0; attr = 0 }
-        attr && /^(pub(\([a-z]+\))? )?mod / { tests = 1 }
-        { attr = /^#\[cfg\(test\)\]/ }
-        !tests && $0 !~ /^[ \t]*\/\// && /thread::(spawn|Builder|scope)/ { print "    " FILENAME ":" FNR ": " $0 }' "$@"
+        FNR == 1 { tests = 0; held = 0 }
+        tests { next }
+        held && /^(pub(\([a-z]+\))? )?mod / { tests = 1; next }
+        held { print FILENAME ":" FNR - 1 ":" attr; held = 0 }
+        /^#\[cfg\(test\)\]/ { held = 1; attr = $0; next }
+        { print FILENAME ":" FNR ":" $0 }' "$@"
+}
+
+# One place starts threads: the blocking crew in vendor/tokio/src/task.rs.
+# The non-test code of every crate but the load generators (bench, workload)
+# may not spawn, build or scope a thread.
+thread_spawners() {
+    product_lines "$@" | grep -E 'thread::(spawn|Builder|scope)' |
+        grep -vE '^[^:]*:[0-9]+:[[:space:]]*//' | sed 's/^/    /' || true
 }
 echo "==> thread gate: no thread::spawn / thread::Builder / thread::scope in product code"
 mkdir -p target
@@ -282,8 +305,9 @@ fi
 # blocking crew's contract and the FIN order; PR 24: + 7, the seat lookup
 # and the shared site; PR 25: + 4, the queue deadline, hostile headers,
 # pooled == inline faults and each released permit admits a waiter;
+# then + 4 for owned fault streams, − 2 whose subjects were deleted;
 # CHANGES.md names them.)
-TEST_FLOOR=962
+TEST_FLOOR=964
 echo "==> workspace test-count floor (>= ${TEST_FLOOR})"
 TEST_COUNT=$(cargo test --workspace -- --list 2>/dev/null | grep -c ": test$")
 echo "    ${TEST_COUNT} tests"
@@ -293,15 +317,15 @@ if [ "${TEST_COUNT}" -lt "${TEST_FLOOR}" ]; then
 fi
 
 # Informational, never gating: the line count simplicity PRs report
-# (PR 12's method: non-blank, non-comment lines of each crates/*/src file
-# up to its first #[cfg(test)]), so nobody re-derives it by hand.
-echo "==> PR 12 line count per crate (informational)"
+# (non-blank, non-comment product lines of each crates/*/src file, cut as
+# product_lines cuts — an older count cut at the first #[cfg(test)] and
+# read low), so nobody re-derives it by hand.
+echo "==> line count per crate (informational)"
 for crate in crates/*/; do
-    find "${crate}src" -name '*.rs' -print0 | xargs -0 awk -v crate="${crate}" '
-        FNR == 1 { tests = 0 }
-        /#\[cfg\(test\)\]/ { tests = 1 }
-        !tests { line = $0; sub(/^[ \t]+/, "", line); if (line != "" && line !~ /^\/\//) n++ }
-        END { printf "    %6d %s\n", n, crate }' || true
+    mapfile -d '' CRATE_FILES < <(find "${crate}src" -name '*.rs' -print0)
+    product_lines "${CRATE_FILES[@]}" | awk -v crate="${crate}" '
+        { sub(/^[^:]*:[0-9]+:[ \t]*/, ""); if ($0 != "" && $0 !~ /^\/\//) n++ }
+        END { printf "    %6d %s\n", n, crate }'
 done
 
 echo "==> cargo clippy --workspace --all-targets (warnings are errors)"

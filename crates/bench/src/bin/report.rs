@@ -101,7 +101,7 @@ fn main() {
     }
     if wants(&filter, "e15") {
         let cfg = concurrency::ConcurrencyConfig::default();
-        let samples = concurrency::run(cfg, &[0, 1, 2, 4, 8]);
+        let samples = concurrency::run(cfg, &[0, 1, 2, 4, 8], None);
         println!("{}", concurrency::table(cfg, &samples).render());
     }
     if wants(&filter, "e16") {

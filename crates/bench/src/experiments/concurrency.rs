@@ -8,18 +8,18 @@
 //! counters: generation count (must equal the number of unique prompts at
 //! every pool size) and coalesced requests (everyone else).
 //!
-//! When a chaos spec is installed (`sww_core::faults` — e.g. via
-//! `sww bench-concurrent --chaos`), the sweep also reports faults
-//! injected during each sample, and the client loop treats injected
-//! `500`/`502` like saturation `503`s: retry until the request lands.
-//! With chaos off the fault column reads zero and behaviour is
-//! identical to the pre-fault-layer bench.
+//! When the sweep is given a chaos spec (`sww_core::faults` — e.g. via
+//! `sww bench-concurrent --chaos`), each sample's server is armed with
+//! it and the sweep also reports the faults that server injected; the
+//! client loop treats injected `500`/`502` like saturation `503`s: retry
+//! until the request lands. Without one the fault column reads zero and
+//! behaviour is identical to the pre-fault-layer bench.
 
 use crate::table::Table;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-use sww_core::{GenAbility, GenerativeServer, ServerConfig, SiteContent};
+use sww_core::{ChaosSpec, GenAbility, GenerativeServer, ServerConfig, SiteContent};
 use sww_html::gencontent;
 use sww_http2::Request;
 
@@ -35,10 +35,9 @@ pub struct ConcurrencySample {
     /// Requests amortized onto another request's generation.
     pub coalesced: u64,
     /// Transient failures absorbed by client retry: saturation 503s,
-    /// plus injected-fault 500/502s when chaos is installed.
+    /// plus injected-fault 500/502s under a chaos spec.
     pub rejected: u64,
-    /// Faults injected by the chaos layer during this sample (0 when
-    /// chaos is off).
+    /// Faults the sample's server injected (0 without a chaos spec).
     pub faults: u64,
     /// Jobs the worker pool executed during this sample (0 for inline
     /// handling). The pool counter lives in the **global** metrics
@@ -161,11 +160,15 @@ pub(crate) fn lifecycle_counters() -> (u64, u64, u64) {
     (shed, cancelled, misses)
 }
 
-/// Run one worker-count sample. Every reported number is **per-sample**:
-/// engine counters come from the sample's own fresh server, and
-/// global-registry counters (faults, pool jobs, lifecycle) are
-/// before/after deltas.
-pub fn sample(cfg: ConcurrencyConfig, workers: usize) -> ConcurrencySample {
+/// Run one worker-count sample, its server armed with `chaos`. Every
+/// reported number is **per-sample**: engine and fault counters come
+/// from the sample's own fresh server, and global-registry counters
+/// (pool jobs, lifecycle) are before/after deltas.
+pub fn sample(
+    cfg: ConcurrencyConfig,
+    workers: usize,
+    chaos: Option<&ChaosSpec>,
+) -> ConcurrencySample {
     let server = GenerativeServer::from_config(ServerConfig {
         site: bench_site(cfg.prompts),
         workers,
@@ -179,11 +182,11 @@ pub fn sample(cfg: ConcurrencyConfig, workers: usize) -> ConcurrencySample {
                 failure_threshold,
                 cooldown: Duration::from_millis(cooldown_ms),
             }),
+        chaos: chaos.cloned(),
         ..ServerConfig::default()
     });
     let rejected = AtomicU64::new(0);
     let latencies_ms = Mutex::new(Vec::with_capacity(cfg.threads * cfg.requests));
-    let faults_before = sww_core::faults::injected_total();
     let pool_jobs_before = pool_jobs_executed();
     let (shed_before, cancelled_before, misses_before) = lifecycle_counters();
     let start = Instant::now();
@@ -227,7 +230,7 @@ pub fn sample(cfg: ConcurrencyConfig, workers: usize) -> ConcurrencySample {
         generations: server.engine().generations(),
         coalesced: server.engine().coalesced(),
         rejected: rejected.load(Ordering::Relaxed),
-        faults: sww_core::faults::injected_total() - faults_before,
+        faults: server.faults().map_or(0, |f| f.injected_total()),
         pool_jobs: pool_jobs_executed() - pool_jobs_before,
         shed: shed_after - shed_before,
         cancelled: cancelled_after - cancelled_before,
@@ -237,9 +240,17 @@ pub fn sample(cfg: ConcurrencyConfig, workers: usize) -> ConcurrencySample {
     }
 }
 
-/// Sweep throughput over worker counts (0 = inline baseline).
-pub fn run(cfg: ConcurrencyConfig, worker_counts: &[usize]) -> Vec<ConcurrencySample> {
-    worker_counts.iter().map(|&w| sample(cfg, w)).collect()
+/// Sweep throughput over worker counts (0 = inline baseline), every
+/// sample's server armed with `chaos`.
+pub fn run(
+    cfg: ConcurrencyConfig,
+    worker_counts: &[usize],
+    chaos: Option<&ChaosSpec>,
+) -> Vec<ConcurrencySample> {
+    worker_counts
+        .iter()
+        .map(|&w| sample(cfg, w, chaos))
+        .collect()
 }
 
 /// Render as a table.
@@ -299,7 +310,7 @@ mod tests {
             prompts: 5,
             ..ConcurrencyConfig::default()
         };
-        for s in run(cfg, &[0, 2]) {
+        for s in run(cfg, &[0, 2], None) {
             // Exactly one generation per unique prompt, regardless of
             // concurrency; everyone else shares.
             assert_eq!(s.generations, cfg.prompts as u64, "workers={}", s.workers);
@@ -323,7 +334,7 @@ mod tests {
             prompts: 2,
             ..ConcurrencyConfig::default()
         };
-        let samples = run(cfg, &[0, 1]);
+        let samples = run(cfg, &[0, 1], None);
         let t = table(cfg, &samples);
         assert_eq!(t.len(), 2);
         assert!(t.render().contains("inline"));
@@ -347,14 +358,14 @@ mod tests {
         let expected = (cfg.threads * cfg.requests) as u64;
         // Two pooled samples in sequence: each must report exactly its
         // own jobs even though the underlying counter has doubled.
-        let first = sample(cfg, 2);
-        let second = sample(cfg, 2);
+        let first = sample(cfg, 2, None);
+        let second = sample(cfg, 2, None);
         assert_eq!(first.pool_jobs, expected);
         assert_eq!(
             second.pool_jobs, expected,
             "second row must not be cumulative"
         );
         // Inline handling uses no pool at all.
-        assert_eq!(sample(cfg, 0).pool_jobs, 0);
+        assert_eq!(sample(cfg, 0, None).pool_jobs, 0);
     }
 }

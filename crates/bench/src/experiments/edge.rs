@@ -25,7 +25,8 @@ use std::sync::Arc;
 use std::time::Instant;
 use sww_core::edge::{recipe_key, DEFAULT_VNODES};
 use sww_core::{
-    EdgeConfig, EdgeRouter, GenAbility, GenerativeServer, HashRing, MediaGenerator, ServerConfig,
+    ChaosSpec, EdgeConfig, EdgeRouter, GenAbility, GenerativeServer, HashRing, MediaGenerator,
+    ServerConfig,
 };
 use sww_energy::cost;
 use sww_energy::device::{profile, DeviceKind};
@@ -219,23 +220,30 @@ pub(crate) fn most_loaded_owner(router: &EdgeRouter, prompts: usize) -> String {
         .expect("cluster has nodes")
 }
 
-/// A cluster of default servers over the `prompts`-prompt bench site.
-pub(crate) fn bench_router(config: EdgeConfig, prompts: usize) -> EdgeRouter {
-    EdgeRouter::new(config, bench_site(prompts), |site| {
+/// A cluster of default servers, armed with `chaos`, over the
+/// `prompts`-prompt bench site.
+pub(crate) fn bench_router(
+    config: EdgeConfig,
+    prompts: usize,
+    chaos: Option<&ChaosSpec>,
+) -> EdgeRouter {
+    let chaos = chaos.cloned();
+    EdgeRouter::new(config, bench_site(prompts), move |site| {
         GenerativeServer::from_config(ServerConfig {
             site,
+            chaos: chaos.clone(),
             ..ServerConfig::default()
         })
     })
 }
 
-fn edge_router(cfg: &EdgeClusterConfig, nodes: usize) -> EdgeRouter {
+fn edge_router(cfg: &EdgeClusterConfig, nodes: usize, chaos: Option<&ChaosSpec>) -> EdgeRouter {
     let config = EdgeConfig {
         nodes,
         replicas: cfg.replicas,
         ..EdgeConfig::default()
     };
-    bench_router(config, cfg.prompts)
+    bench_router(config, cfg.prompts, chaos)
 }
 
 /// Generations across every node's engine.
@@ -290,15 +298,15 @@ fn drive(router: &EdgeRouter, nodes: usize, cfg: &EdgeClusterConfig) -> (Vec<f64
     (all, retries.load(Ordering::Relaxed))
 }
 
-/// Run the sweep. The caller may install a chaos spec first (`sww
-/// bench-cluster --chaos`); the sweep itself injects nothing.
-pub fn run(cfg: &EdgeClusterConfig) -> Vec<EdgeSample> {
+/// Run the sweep, every node armed with `chaos` (`sww bench-cluster
+/// --chaos`); without one the sweep injects nothing.
+pub fn run(cfg: &EdgeClusterConfig, chaos: Option<&ChaosSpec>) -> Vec<EdgeSample> {
     let modelled = modelled_rows(cfg);
     cfg.node_counts
         .iter()
         .zip(modelled)
         .map(|(&n, row)| {
-            let router = edge_router(cfg, n);
+            let router = edge_router(cfg, n, chaos);
             let start = Instant::now();
             let (mut latencies, _retries) = drive(&router, n, cfg);
             let elapsed = start.elapsed().as_secs_f64();
@@ -331,14 +339,14 @@ pub fn run(cfg: &EdgeClusterConfig) -> Vec<EdgeSample> {
         .collect()
 }
 
-/// The chaos node-kill scenario: run a 3-node cluster under client load,
-/// kill the busiest owner mid-run, and audit the outcome against a
-/// 1-node baseline.
-pub fn chaos_kill(cfg: &EdgeClusterConfig) -> EdgeChaosOutcome {
+/// The chaos node-kill scenario: run a 3-node cluster armed with
+/// `chaos` under client load, kill the busiest owner mid-run, and audit
+/// the outcome against a 1-node baseline armed the same way.
+pub fn chaos_kill(cfg: &EdgeClusterConfig, chaos: &ChaosSpec) -> EdgeChaosOutcome {
     let nodes = 3usize;
     // 1-node baseline bodies: generation is deterministic in the recipe,
     // so these are the ground truth for byte-identity.
-    let baseline = edge_router(cfg, 1);
+    let baseline = edge_router(cfg, 1, Some(chaos));
     let baseline_bodies: Vec<Vec<u8>> = (0..cfg.prompts)
         .map(|p| {
             let resp = baseline.handle(0, GenAbility::none(), &Request::get(format!("/page/{p}")));
@@ -347,14 +355,14 @@ pub fn chaos_kill(cfg: &EdgeClusterConfig) -> EdgeChaosOutcome {
         })
         .collect();
 
-    let router = edge_router(cfg, nodes);
+    let router = edge_router(cfg, nodes, Some(chaos));
     let victim = most_loaded_owner(&router, cfg.prompts);
     {
         let router = router.clone();
         let victim = victim.clone();
         std::thread::spawn(move || {
             // Land the kill mid-run: after the first flights have
-            // started (the latency chaos the caller installs widens the
+            // started (the latency chaos the nodes carry widens the
             // window), not before the run begins.
             std::thread::sleep(std::time::Duration::from_millis(15));
             router.kill(&victim);
@@ -424,12 +432,8 @@ pub fn chaos_kill(cfg: &EdgeClusterConfig) -> EdgeChaosOutcome {
 /// widens the kill window: the self-contained entry point `sww
 /// bench-cluster` and `bench-pr6` use when the caller gave no `--chaos`.
 pub fn chaos_kill_with_latency(cfg: &EdgeClusterConfig) -> EdgeChaosOutcome {
-    let spec = sww_core::ChaosSpec::parse("seed=7,engine.generate=latency:1.0:10")
-        .expect("E19 chaos spec");
-    sww_core::faults::install(&spec);
-    let out = chaos_kill(cfg);
-    sww_core::faults::clear();
-    out
+    let spec = ChaosSpec::parse("seed=7,engine.generate=latency:1.0:10").expect("E19 chaos spec");
+    chaos_kill(cfg, &spec)
 }
 
 /// Render the sweep as the E19 table.
@@ -569,7 +573,7 @@ mod tests {
         // what — otherwise the golden numbers describe a different
         // cluster than the one serving.
         let cfg = small();
-        let router = edge_router(&cfg, 4);
+        let router = edge_router(&cfg, 4, None);
         let keys = prompt_keys(cfg.prompts);
         let ring = cluster_ring(&cfg, 4);
         for (p, key) in keys.iter().enumerate() {
@@ -584,7 +588,7 @@ mod tests {
     #[test]
     fn sweep_generates_each_prompt_exactly_once_per_cluster() {
         let cfg = small();
-        let samples = run(&cfg);
+        let samples = run(&cfg, None);
         for s in &samples {
             assert_eq!(
                 s.generations, cfg.prompts as u64,

@@ -120,7 +120,7 @@ fn resilient_router(cfg: &ResilienceConfig, replication: usize) -> EdgeRouter {
         hot_threshold: cfg.hot_threshold,
         ..EdgeConfig::default()
     };
-    bench_router(config, cfg.prompts)
+    bench_router(config, cfg.prompts, None)
 }
 
 /// Run the failover scenario at one replication level. Fully

@@ -21,7 +21,7 @@
 
 use crate::table::Table;
 use std::time::Instant;
-use sww_core::{GenAbility, GenerativeServer, ServerConfig, SiteContent, TransportKind};
+use sww_core::{ChaosSpec, GenAbility, GenerativeServer, ServerConfig, SiteContent, TransportKind};
 use sww_html::gencontent;
 use sww_http2::Request;
 use sww_http3::H3ClientConnection;
@@ -102,9 +102,8 @@ impl TransportRun {
 }
 
 /// The chaos spec that makes every generation cost `gen_latency_ms`:
-/// `seed=S,engine.generate=latency:1.0:W`. Callers install it (directly
-/// or via `--chaos`) around [`run`]; the experiment itself never touches
-/// the process-global fault registry.
+/// `seed=S,engine.generate=latency:1.0:W` — what [`run_with_latency`]
+/// arms the servers with when the caller brings no `--chaos` spec.
 pub fn latency_spec(cfg: TransportConfig) -> String {
     format!(
         "seed={},engine.generate=latency:1.0:{}",
@@ -259,13 +258,14 @@ fn runtime() -> tokio::runtime::Runtime {
 }
 
 /// Run the full comparison. Each transport gets a fresh server (fresh
-/// generation cache, so every recipe request really generates); the
-/// caller is responsible for installing the latency chaos spec — see
+/// generation cache, so every recipe request really generates) armed
+/// with `chaos`, the spec that slows its generations — see
 /// [`latency_spec`].
-pub fn run(cfg: TransportConfig) -> TransportRun {
+pub fn run(cfg: TransportConfig, chaos: &ChaosSpec) -> TransportRun {
     let fresh = || {
         GenerativeServer::from_config(ServerConfig {
             site: transport_site(cfg),
+            chaos: Some(chaos.clone()),
             ..ServerConfig::default()
         })
     };
@@ -279,15 +279,14 @@ pub fn run(cfg: TransportConfig) -> TransportRun {
     }
 }
 
-/// [`run`] with the latency chaos spec installed for the duration: the
-/// self-contained entry point `sww bench-transport` and `bench-pr6` use
-/// when no `--chaos` spec was supplied by the caller.
+/// [`run`] under [`latency_spec`]: the self-contained entry point `sww
+/// bench-transport` and `bench-pr6` use when no `--chaos` spec was
+/// supplied by the caller.
 pub fn run_with_latency(cfg: TransportConfig) -> TransportRun {
-    let spec = sww_core::ChaosSpec::parse(&latency_spec(cfg)).expect("latency spec");
-    sww_core::faults::install(&spec);
-    let out = run(cfg);
-    sww_core::faults::clear();
-    out
+    run(
+        cfg,
+        &ChaosSpec::parse(&latency_spec(cfg)).expect("latency spec"),
+    )
 }
 
 /// Render as a table.
@@ -332,7 +331,7 @@ mod tests {
 
     #[test]
     fn h3_dodges_the_head_of_line_and_payloads_match() {
-        // Chaos and the server counters are process-global.
+        // The server counters are process-global.
         let _serial = super::super::POOL_SERIAL
             .lock()
             .unwrap_or_else(|e| e.into_inner());

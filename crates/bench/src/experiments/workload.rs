@@ -21,6 +21,7 @@
 //! topologies.
 
 use crate::table::Table;
+use sww_core::ChaosSpec;
 use sww_workload::arrival::DiurnalModel;
 use sww_workload::replay::{
     modelled_slo, ModelledSlo, ReplayConfig, ReplayEngine, ReplayOutcome, ReplayTarget,
@@ -187,8 +188,13 @@ fn target_nodes(target: ReplayTarget) -> usize {
     }
 }
 
-/// Replay the live trace through each target on a fresh stack.
-pub fn live_sweep(cfg: &E20Config, targets: &[ReplayTarget]) -> Vec<LiveSample> {
+/// Replay the live trace through each target on a fresh stack whose
+/// servers are armed with `chaos`.
+pub fn live_sweep(
+    cfg: &E20Config,
+    targets: &[ReplayTarget],
+    chaos: Option<&ChaosSpec>,
+) -> Vec<LiveSample> {
     let engine = ReplayEngine::from_config(&cfg.workload(cfg.live_beta, cfg.live_requests));
     targets
         .iter()
@@ -196,6 +202,7 @@ pub fn live_sweep(cfg: &E20Config, targets: &[ReplayTarget]) -> Vec<LiveSample> 
             let rcfg = ReplayConfig {
                 target,
                 threads: cfg.threads,
+                chaos: chaos.cloned(),
                 ..ReplayConfig::default()
             };
             LiveSample {
@@ -227,21 +234,24 @@ impl DeterminismOutcome {
 }
 
 /// Re-derive the whole pipeline twice — trace generation included — and
-/// replay each copy on a fresh single-node stack; then compare the
-/// single-node payload digest against the edge replay from `live`.
+/// replay each copy on a fresh single-node stack armed with `chaos`;
+/// then compare the single-node payload digest against the edge replay
+/// from `live`.
 ///
-/// The response digests are compared unconditionally, chaos installed
-/// or not: each server draws faults from its own seeded
-/// [`sww_core::FaultScope`] (stream offset restarts at zero per
-/// instance), so two independent runs see identical fault schedules and
-/// must produce identical `(seq, status, body)` digests. PR 9 waived
-/// this under `--chaos` when draws still came from one process-global
-/// stream; the per-node scoping removed the need.
-pub fn determinism_check(cfg: &E20Config, live: &[LiveSample]) -> DeterminismOutcome {
+/// The response digests are compared unconditionally, chaos or not: each
+/// server draws faults from a [`sww_core::FaultStream`] of its own that
+/// starts at offset zero, so two independent runs see identical fault
+/// schedules and must produce identical `(seq, status, body)` digests.
+pub fn determinism_check(
+    cfg: &E20Config,
+    live: &[LiveSample],
+    chaos: Option<&ChaosSpec>,
+) -> DeterminismOutcome {
     let wl = cfg.workload(cfg.live_beta, cfg.live_requests);
     let rcfg = ReplayConfig {
         target: ReplayTarget::Single,
         threads: cfg.threads,
+        chaos: chaos.cloned(),
         ..ReplayConfig::default()
     };
     let a = ReplayEngine::from_config(&wl).run(&rcfg);
@@ -396,7 +406,7 @@ mod tests {
     fn live_sweep_and_determinism_pass_the_gates() {
         let _guard = POOL_SERIAL.lock().unwrap();
         let cfg = tiny_live();
-        let live = live_sweep(&cfg, &live_targets(&cfg));
+        let live = live_sweep(&cfg, &live_targets(&cfg), None);
         assert_eq!(live.len(), 3);
         for s in &live {
             assert_eq!(
@@ -405,7 +415,7 @@ mod tests {
                 s.target
             );
         }
-        let det = determinism_check(&cfg, &live);
+        let det = determinism_check(&cfg, &live, None);
         assert!(det.deterministic(), "{det:?}");
         let mcfg = tiny_modelled();
         let rows = modelled_sweep(&mcfg);
@@ -414,23 +424,19 @@ mod tests {
         assert_eq!(checks.len(), 8, "{checks:?}");
     }
 
-    /// The gate PR 9 waived: with chaos installed, two independent
-    /// replays must *still* agree on response digests, because each
-    /// server now draws from its own scoped fault stream (offset zero
-    /// per instance) instead of racing the process-global one.
+    /// Under chaos, two independent replays must *still* agree on
+    /// response digests: each server draws from a fault stream of its
+    /// own, at offset zero per instance.
     #[test]
     fn determinism_holds_under_chaos_with_scoped_fault_streams() {
         let _guard = POOL_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         let cfg = tiny_live();
-        let spec =
-            sww_core::ChaosSpec::parse("seed=29,engine.generate=error:0.3").expect("error spec");
-        sww_core::faults::install(&spec);
-        let det = determinism_check(&cfg, &[]);
-        sww_core::faults::clear();
+        let spec = ChaosSpec::parse("seed=29,engine.generate=error:0.3").expect("error spec");
+        let det = determinism_check(&cfg, &[], Some(&spec));
         assert!(det.trace_match, "{det:?}");
         assert!(
             det.response_match,
-            "scoped fault streams must replay identically under chaos: {det:?}"
+            "owned fault streams must replay identically under chaos: {det:?}"
         );
     }
 

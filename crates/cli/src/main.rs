@@ -99,8 +99,8 @@
 //! `--requests` scale, and replays a `--live-requests` trace through the
 //! real stack — in-process single node, HTTP/3, and a `--cluster N` edge
 //! ring (or just the one target named by `--transport`). Its
-//! determinism rule holds chaos installed or not: every server draws
-//! faults from its own seeded scope, so the schedule replays per
+//! determinism rule holds with `--chaos` or without: every server draws
+//! faults from a seeded stream of its own, so the schedule replays per
 //! instance.
 //!
 //! `--transport h3` serves over the HTTP/3 framing (QUIC-lite stream
@@ -110,9 +110,11 @@
 //! avoids head-of-line blocking across a page's generation streams (see
 //! DESIGN.md "Transports" and experiment E18).
 //!
-//! `--chaos SPEC` installs the deterministic fault-injection layer
-//! (`sww_core::faults`) for the lifetime of the process. The spec grammar
-//! is `seed=<u64>,<site>=<kind>:<prob>[:<param>],…` — e.g.
+//! `--chaos SPEC` arms the deterministic fault-injection layer
+//! (`sww_core::faults`) on every server the command builds
+//! (`ServerConfig::chaos`), and on the gossip layer of every edge cluster
+//! it builds; nothing else draws from it. The spec grammar is
+//! `seed=<u64>,<site>=<kind>:<prob>[:<param>],…` — e.g.
 //! `seed=42,engine.generate=error:0.1,pool.enqueue=error:0.05` — and is
 //! documented in DESIGN.md ("Failure model").
 
@@ -190,11 +192,11 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
-/// Install the chaos spec from `--chaos`, if given; a malformed spec is
-/// an error (before any server or bench work starts).
-fn install_chaos(args: &Args) -> Outcome {
+/// The chaos spec from `--chaos`, if given; a malformed spec is an
+/// error (before any server or bench work starts).
+fn chaos_option(args: &Args) -> Result<Option<sww_core::ChaosSpec>, String> {
     let Some(spec) = args.options.get("chaos") else {
-        return Ok(());
+        return Ok(None);
     };
     let spec =
         sww_core::ChaosSpec::parse(spec).map_err(|err| format!("bad --chaos spec: {err}"))?;
@@ -203,8 +205,7 @@ fn install_chaos(args: &Args) -> Outcome {
         spec.seed,
         spec.rules.len()
     );
-    sww_core::faults::install(&spec);
-    Ok(())
+    Ok(Some(spec))
 }
 
 fn block_on<F: std::future::Future>(future: F) -> F::Output {
@@ -270,12 +271,12 @@ fn server_config_from(args: &Args) -> Result<ServerConfig, String> {
             .value("deadline-ms")?
             .map(std::time::Duration::from_millis),
         breaker: breaker_option(args)?,
+        chaos: chaos_option(args)?,
         ..ServerConfig::default()
     })
 }
 
 async fn cmd_serve(args: &Args) -> Outcome {
-    install_chaos(args)?;
     if let Some(nodes) = args.value("cluster")? {
         return cmd_serve_cluster(args, nodes).await;
     }
@@ -367,23 +368,9 @@ async fn cmd_serve_cluster(args: &Args, nodes: usize) -> Outcome {
         .max(1);
     let replication: usize = args.value("replication")?.unwrap_or(1).max(1);
     let gossip_interval_ms: u64 = args.value("gossip-interval-ms")?.unwrap_or(200).max(1);
-    // Freeze the per-node knobs out of the template config: ServerConfig
-    // itself is not Clone (it owns the site), so the factory rebuilds it
-    // per node from these plain values.
+    // Every node is built from one template: a clone shares its site.
     let template = server_config_from(args)?;
-    let site = template.site.clone();
-    let ability = template.ability;
-    let (workers, queue_capacity, cache_shards) = (
-        template.workers,
-        template.queue_capacity,
-        template.cache_shards,
-    );
-    let (batch_max, batch_wait, kernel_tiles) = (
-        template.batch_max,
-        template.batch_wait,
-        template.kernel_tiles,
-    );
-    let (default_deadline, breaker) = (template.default_deadline, template.breaker);
+    let (site, ability) = (template.site.clone(), template.ability);
     let router = sww_core::EdgeRouter::new(
         sww_core::EdgeConfig {
             nodes,
@@ -399,16 +386,7 @@ async fn cmd_serve_cluster(args: &Args, nodes: usize) -> Outcome {
         move |site| {
             GenerativeServer::from_config(ServerConfig {
                 site,
-                ability,
-                workers,
-                queue_capacity,
-                cache_shards,
-                batch_max,
-                batch_wait,
-                kernel_tiles,
-                default_deadline,
-                breaker,
-                ..ServerConfig::default()
+                ..template.clone()
             })
         },
     );
@@ -640,7 +618,7 @@ fn breaker_option(args: &Args) -> Result<Option<sww_core::BreakerConfig>, String
 /// per-sample (delta, never cumulative) counter accounting.
 fn cmd_bench_concurrent(args: &Args) -> Outcome {
     use sww_bench::experiments::concurrency;
-    install_chaos(args)?;
+    let chaos = chaos_option(args)?;
     let (batch_max, batch_wait_ms) = batch_options(args)?;
     let cfg = concurrency::ConcurrencyConfig {
         threads: args.value("threads")?.unwrap_or(8),
@@ -654,7 +632,7 @@ fn cmd_bench_concurrent(args: &Args) -> Outcome {
         kernel_tiles: kernel_tiles_option(args)?,
     };
     let worker_counts: Vec<usize> = args.list("workers", "1,2,4,8")?;
-    let samples = concurrency::run(cfg, &worker_counts);
+    let samples = concurrency::run(cfg, &worker_counts, chaos.as_ref());
     println!("{}", concurrency::table(cfg, &samples).render());
     Ok(())
 }
@@ -690,8 +668,7 @@ fn cmd_bench_pr6(args: &Args) -> Outcome {
             .iter()
             .map(|s| report::serving_record(scfg, s)),
     );
-    // E18 last: its latency chaos spec is process-global, so it must not
-    // overlap the kernel sweeps (run_with_latency installs and clears it).
+    // E18 under its own latency chaos spec.
     let tcfg = transport::TransportConfig::default();
     let trun = transport::run_with_latency(tcfg);
     eprintln!("{}", transport::table(tcfg, &trun).render());
@@ -700,7 +677,7 @@ fn cmd_bench_pr6(args: &Args) -> Outcome {
     // deterministic modelled ones), then the chaos node-kill under a
     // deterministic generation latency that widens the kill window.
     let ecfg = edge::EdgeClusterConfig::default();
-    let edge_samples = edge::run(&ecfg);
+    let edge_samples = edge::run(&ecfg, None);
     eprintln!("{}", edge::table(&ecfg, &edge_samples).render());
     records.extend(edge_samples.iter().map(|s| report::edge_record(&ecfg, s)));
     let chaos = edge::chaos_kill_with_latency(&ecfg);
@@ -713,7 +690,7 @@ fn cmd_bench_pr6(args: &Args) -> Outcome {
     let rows = workload::modelled_sweep(&wcfg);
     eprintln!("{}", workload::modelled_table(&wcfg, &rows).render());
     records.extend(rows.iter().map(|r| report::workload_record(&wcfg, r)));
-    let live = workload::live_sweep(&wcfg, &workload::live_targets(&wcfg));
+    let live = workload::live_sweep(&wcfg, &workload::live_targets(&wcfg), None);
     eprintln!("{}", workload::live_table(&wcfg, &live).render());
     let live_clustering = wcfg
         .workload(wcfg.live_beta, wcfg.live_requests)
@@ -723,7 +700,7 @@ fn cmd_bench_pr6(args: &Args) -> Outcome {
         live.iter()
             .map(|s| report::replay_record(live_clustering, s)),
     );
-    let determinism = workload::determinism_check(&wcfg, &live);
+    let determinism = workload::determinism_check(&wcfg, &live, None);
     records.push(report::determinism_record(&determinism));
     // E21: the owner-kill failover at every replication level, then the
     // gossip partition-heal witness — fully deterministic, no chaos spec
@@ -763,8 +740,8 @@ fn resilience_records(
 
 /// Run the E19 edge-cluster sweep on its own: aggregate throughput and
 /// global hit rate vs node count, then the chaos node-kill scenario.
-/// With `--chaos` the caller's spec drives the fault layer for the whole
-/// run; otherwise the kill scenario installs its own deterministic
+/// With `--chaos` the caller's spec arms every node of both; otherwise
+/// only the kill scenario is armed, with its own deterministic
 /// generation latency. With `--replication N` (N ≥ 2) the E21 failover
 /// and partition scenarios run too. Exits non-zero when the records
 /// break a `sww_bench::report::gate` rule.
@@ -779,16 +756,13 @@ fn cmd_bench_cluster(args: &Args) -> Outcome {
         replicas: args.value::<usize>("replicas")?.unwrap_or(64).max(1),
     };
     let replication: usize = args.value("replication")?.unwrap_or(1).max(1);
-    install_chaos(args)?;
-    let samples = edge::run(&cfg);
+    let spec = chaos_option(args)?;
+    let samples = edge::run(&cfg, spec.as_ref());
     println!("{}", edge::table(&cfg, &samples).render());
     println!("{}", edge::modelled_table(&cfg).render());
-    let chaos = if args.options.contains_key("chaos") {
-        let chaos = edge::chaos_kill(&cfg);
-        sww_core::faults::clear();
-        chaos
-    } else {
-        edge::chaos_kill_with_latency(&cfg)
+    let chaos = match &spec {
+        Some(spec) => edge::chaos_kill(&cfg, spec),
+        None => edge::chaos_kill_with_latency(&cfg),
     };
     println!("{}", edge::chaos_table(&chaos).render());
     let mut records: Vec<_> = samples
@@ -816,9 +790,9 @@ fn cmd_bench_cluster(args: &Args) -> Outcome {
 
 /// Run the E18 transport shoot-out on its own: h2 vs h3 page loads with
 /// a slow generation behind every recipe. With `--chaos` the caller's
-/// spec drives the slowness; otherwise the experiment installs its own
-/// deterministic `engine.generate` latency. Exits non-zero if the h3
-/// payloads are not byte-identical to the h2 ones.
+/// spec drives the slowness; otherwise the experiment arms its servers
+/// with its own deterministic `engine.generate` latency. Exits non-zero
+/// if the h3 payloads are not byte-identical to the h2 ones.
 fn cmd_bench_transport(args: &Args) -> Outcome {
     use sww_bench::experiments::transport;
     let cfg = transport::TransportConfig {
@@ -827,12 +801,12 @@ fn cmd_bench_transport(args: &Args) -> Outcome {
         gen_latency_ms: args.value("gen-latency-ms")?.unwrap_or(25),
         ..transport::TransportConfig::default()
     };
-    let run = if args.options.contains_key("chaos") {
-        install_chaos(args)?;
-        transport::run(cfg)
-    } else {
-        println!("chaos: {} (default E18 spec)", transport::latency_spec(cfg));
-        transport::run_with_latency(cfg)
+    let run = match chaos_option(args)? {
+        Some(spec) => transport::run(cfg, &spec),
+        None => {
+            println!("chaos: {} (default E18 spec)", transport::latency_spec(cfg));
+            transport::run_with_latency(cfg)
+        }
     };
     println!("{}", transport::table(cfg, &run).render());
     println!(
@@ -889,12 +863,12 @@ fn cmd_bench_workload(args: &Args) -> Outcome {
         }
         None => workload::live_targets(&cfg),
     };
-    install_chaos(args)?;
+    let chaos = chaos_option(args)?;
     let rows = workload::modelled_sweep(&cfg);
     println!("{}", workload::modelled_table(&cfg, &rows).render());
-    let live = workload::live_sweep(&cfg, &targets);
+    let live = workload::live_sweep(&cfg, &targets, chaos.as_ref());
     println!("{}", workload::live_table(&cfg, &live).render());
-    let det = workload::determinism_check(&cfg, &live);
+    let det = workload::determinism_check(&cfg, &live, chaos.as_ref());
     let mut records: Vec<_> = rows
         .iter()
         .map(|r| report::workload_record(&cfg, r))

@@ -14,7 +14,6 @@
 //! Either way an entry is charged the pixel count of its **key**, so the
 //! budget and the eviction order do not depend on the value type.
 
-use crate::faults::{self, FaultAction, FaultSite};
 use crate::lru::Lru;
 use sww_genai::diffusion::ImageModelKind;
 use sww_genai::ImageBuffer;
@@ -87,32 +86,24 @@ impl<V: Clone> GenerationCache<V> {
     }
 
     /// Look up a recipe, updating recency.
-    ///
-    /// Under chaos ([`crate::faults`]), the `cache.get` failpoint can
-    /// turn a lookup into a forced miss (the entry stays cached — the
-    /// caller simply regenerates) or delay it.
     pub fn get(&mut self, recipe: &Recipe) -> Option<V> {
-        match faults::at(FaultSite::CacheGet) {
-            Some(FaultAction::Error) | Some(FaultAction::TruncateKeepPct(_)) => {
-                self.misses += 1;
-                sww_obs::counter("sww_cache_events_total", &[("result", "miss")]).inc();
-                return None;
-            }
-            Some(FaultAction::Latency(d)) => std::thread::sleep(d),
-            None => {}
-        }
         match self.entries.get(recipe) {
             Some(value) => {
                 self.hits += 1;
                 sww_obs::counter("sww_cache_events_total", &[("result", "hit")]).inc();
                 Some(value.clone())
             }
-            None => {
-                self.misses += 1;
-                sww_obs::counter("sww_cache_events_total", &[("result", "miss")]).inc();
-                None
-            }
+            None => self.miss(),
         }
+    }
+
+    /// Count a miss without reading any entry (its recency stays as it
+    /// was): what the `cache.get` failpoint ([`crate::faults`]) turns a
+    /// lookup into.
+    pub(crate) fn miss(&mut self) -> Option<V> {
+        self.misses += 1;
+        sww_obs::counter("sww_cache_events_total", &[("result", "miss")]).inc();
+        None
     }
 
     /// Insert the media rendered from `recipe`, evicting

@@ -18,13 +18,19 @@
 //! (`sww_client_fallbacks_total`). Both counts surface per page in
 //! [`PageStats::retries`] / [`PageStats::fell_back`].
 //!
+//! A client armed with [`set_chaos`] draws the `h2.read`,
+//! `cache.get` and `engine.generate` failpoints ([`crate::faults`]) from
+//! a stream of its own, seeded by the spec's seed; every injected delay
+//! is awaited, never slept on the thread that polls the connection.
+//!
 //! [`fetch_page`]: GenerativeClient::fetch_page
+//! [`set_chaos`]: GenerativeClient::set_chaos
 //! [`PageStats::retries`]: crate::stats::PageStats
 //! [`PageStats::fell_back`]: crate::stats::PageStats
 
-use crate::cache::GenerationCache;
+use crate::cache::{GenerationCache, Recipe};
 use crate::error::SwwError;
-use crate::faults::{self, FaultAction, FaultSite};
+use crate::faults::{ChaosSpec, FaultAction, FaultSite, FaultStream};
 use crate::mediagen::{GeneratedMedia, MediaGenerator};
 use crate::render::{RenderedPage, RenderedResource};
 use crate::retry::RetryPolicy;
@@ -50,6 +56,7 @@ pub struct GenerativeClient<T> {
     ability: GenAbility,
     retry: RetryPolicy,
     fallback_enabled: bool,
+    faults: Option<FaultStream>,
 }
 
 impl<T: AsyncRead + AsyncWrite + Unpin> GenerativeClient<T> {
@@ -73,6 +80,7 @@ impl<T: AsyncRead + AsyncWrite + Unpin> GenerativeClient<T> {
             ability,
             retry: RetryPolicy::default(),
             fallback_enabled: true,
+            faults: None,
         })
     }
 
@@ -81,6 +89,22 @@ impl<T: AsyncRead + AsyncWrite + Unpin> GenerativeClient<T> {
     /// fail-on-first-error behaviour.
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
         self.retry = policy;
+    }
+
+    /// Arm this client's failpoints with `spec` (default: unarmed). The
+    /// client draws from `spec.seed` itself, counters at zero.
+    pub fn set_chaos(&mut self, spec: &ChaosSpec) {
+        self.faults = Some(FaultStream::new(spec));
+    }
+
+    /// The fault stream this client draws from, if armed: the ground
+    /// truth for what it injected.
+    pub fn faults(&self) -> Option<&FaultStream> {
+        self.faults.as_ref()
+    }
+
+    fn fault(&self, site: FaultSite) -> Option<FaultAction> {
+        self.faults.as_ref()?.draw(site)
     }
 
     /// Enable or disable the traditional-content fallback on terminal
@@ -195,7 +219,7 @@ impl<T: AsyncRead + AsyncWrite + Unpin> GenerativeClient<T> {
     /// [`SwwError::Transport`], latency delays the read, and truncation
     /// corrupts the received body (caught by the ETag integrity check).
     async fn send(&mut self, req: &Request) -> Result<Response, SwwError> {
-        let action = faults::at(FaultSite::H2Read);
+        let action = self.fault(FaultSite::H2Read);
         if let Some(FaultAction::Error) = action {
             return Err(SwwError::Transport(H2Error::protocol(
                 "injected fault at h2.read",
@@ -213,21 +237,34 @@ impl<T: AsyncRead + AsyncWrite + Unpin> GenerativeClient<T> {
     }
 
     /// Generate one item, subject to the `engine.generate` failpoint:
-    /// injected errors surface as retryable [`SwwError::Generation`].
-    fn generate_item(
+    /// injected errors surface as retryable [`SwwError::Generation`], and
+    /// an injected delay is awaited.
+    async fn generate_item(
         &mut self,
         item: &gencontent::GeneratedContent,
     ) -> Result<(GeneratedMedia, crate::mediagen::GenerationCost), SwwError> {
-        match faults::at(FaultSite::EngineGenerate) {
-            Some(FaultAction::Error) | Some(FaultAction::TruncateKeepPct(_)) => {
+        match self.fault(FaultSite::EngineGenerate) {
+            Some(FaultAction::Error | FaultAction::TruncateKeepPct(_)) => {
                 return Err(SwwError::Generation {
                     reason: "injected fault at engine.generate".into(),
                 });
             }
-            Some(FaultAction::Latency(d)) => std::thread::sleep(d),
+            Some(FaultAction::Latency(d)) => tokio::time::sleep(d).await,
             None => {}
         }
         self.generator.try_generate(item)
+    }
+
+    /// Look `recipe` up in the client's cache, subject to the `cache.get`
+    /// failpoint: an injected error is a miss (counted as one), a latency
+    /// delays the lookup.
+    async fn cached(&mut self, recipe: &Recipe) -> Option<sww_genai::ImageBuffer> {
+        match self.fault(FaultSite::CacheGet) {
+            Some(FaultAction::Error | FaultAction::TruncateKeepPct(_)) => return self.cache.miss(),
+            Some(FaultAction::Latency(d)) => tokio::time::sleep(d).await,
+            None => {}
+        }
+        self.cache.get(recipe)
     }
 
     /// One non-retrying fetch attempt (the pre-resilience `fetch_page`).
@@ -278,7 +315,10 @@ impl<T: AsyncRead + AsyncWrite + Unpin> GenerativeClient<T> {
                 // recipe, so a hit costs no generation time or energy.
                 let recipe = (item.content_type == gencontent::ContentType::Img)
                     .then(|| self.generator.recipe(&item));
-                let cached = recipe.as_ref().and_then(|r| self.cache.get(r));
+                let cached = match &recipe {
+                    Some(r) => self.cached(r).await,
+                    None => None,
+                };
                 let (media, cost) = match cached {
                     Some(image) => {
                         stats.items_cached += 1;
@@ -300,7 +340,7 @@ impl<T: AsyncRead + AsyncWrite + Unpin> GenerativeClient<T> {
                         sww_obs::counter("sww_client_items_total", &[("source", "generated")])
                             .inc();
                         let span = sww_obs::Span::begin("sww_client_generate", "page_item");
-                        let (media, cost) = self.generate_item(&item)?;
+                        let (media, cost) = self.generate_item(&item).await?;
                         span.finish_with_virtual(cost.time_s);
                         if let (Some(r), GeneratedMedia::Image { image, .. }) = (recipe, &media) {
                             self.cache.put(r, image.clone());

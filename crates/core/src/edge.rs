@@ -597,6 +597,7 @@ impl EdgeRouter {
         // Each node draws chaos decisions from its own seeded stream so
         // multi-node fault runs are per-node independent and replayable.
         server.set_fault_domain(&id);
+        let chaos = server.faults();
         let node = Arc::new(EdgeNode::new(id.clone(), server, self.inner.fill_bytes));
         {
             let mut state = self.inner.state.write();
@@ -604,7 +605,14 @@ impl EdgeRouter {
             state.ring.add(&id);
             state.nodes.push(node);
         }
-        self.inner.gossip.lock().add_member(&id);
+        let mut gossip = self.inner.gossip.lock();
+        // The gossip layer draws from the spec the cluster's servers
+        // carry: the first node that brings one arms it.
+        if let Some(stream) = chaos.filter(|_| gossip.faults().is_none()) {
+            gossip.set_chaos(stream.spec());
+        }
+        gossip.add_member(&id);
+        drop(gossip);
         self.publish_gauges();
         id
     }

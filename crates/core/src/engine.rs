@@ -31,7 +31,7 @@
 
 use crate::cache::{GenerationCache, Recipe};
 use crate::error::SwwError;
-use crate::faults::{self, FaultAction, FaultSite};
+use crate::faults::{FaultAction, FaultSite};
 use crate::lifecycle::{record_cancelled, RequestCtx};
 use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
@@ -82,8 +82,21 @@ impl<V: Clone> ShardedGenerationCache<V> {
 
     /// Look up a recipe in its shard, updating that shard's recency.
     pub fn get(&self, recipe: &Recipe) -> Option<V> {
+        self.lookup(recipe, false)
+    }
+
+    /// [`get`](ShardedGenerationCache::get), or with `forced_miss` a miss
+    /// its shard counts as one without reading the entry.
+    fn lookup(&self, recipe: &Recipe, forced_miss: bool) -> Option<V> {
         let idx = self.shard_index(recipe);
-        let found = self.shards[idx].lock().get(recipe);
+        let found = {
+            let mut shard = self.shards[idx].lock();
+            if forced_miss {
+                shard.miss()
+            } else {
+                shard.get(recipe)
+            }
+        };
         let shard_label = idx.to_string();
         let result = if found.is_some() { "hit" } else { "miss" };
         sww_obs::counter(
@@ -244,6 +257,22 @@ impl<V: Clone + Send + 'static> GenerationEngine<V> {
         self.hits.load(Ordering::Relaxed)
     }
 
+    /// One cache lookup for `ctx`, subject to the `cache.get` failpoint
+    /// ([`crate::faults`]): an injected error is a miss (counted as one;
+    /// the entry stays cached and the caller regenerates), a latency
+    /// delays the lookup.
+    fn lookup(&self, recipe: &Recipe, ctx: &RequestCtx) -> Option<V> {
+        let forced_miss = match ctx.fault(FaultSite::CacheGet) {
+            Some(FaultAction::Error | FaultAction::TruncateKeepPct(_)) => true,
+            Some(FaultAction::Latency(d)) => {
+                std::thread::sleep(d);
+                false
+            }
+            None => false,
+        };
+        self.cache.lookup(recipe, forced_miss)
+    }
+
     fn record(&self, outcome: FetchOutcome) {
         let label = match outcome {
             FetchOutcome::Hit => {
@@ -272,8 +301,9 @@ impl<V: Clone + Send + 'static> GenerationEngine<V> {
     /// the result. Images larger than a shard's budget are not retained,
     /// in which case a later request will legitimately regenerate.
     ///
-    /// The `engine.generate` failpoint ([`crate::faults`]) is evaluated
-    /// on the leader path. A failing leader — injected, or a `generate`
+    /// The failpoints ([`crate::faults`]) draw from `ctx`'s stream:
+    /// `cache.get` at each of the two lookups, `engine.generate` on the
+    /// leader path. A failing leader — injected, or a `generate`
     /// that returns `Err` or panics — **poisons** its flight: waiters
     /// observe the poisoned state and retry from scratch (one of them
     /// becomes the next leader), so a mid-generation fault strands no
@@ -308,7 +338,7 @@ impl<V: Clone + Send + 'static> GenerationEngine<V> {
     {
         ctx.check()?;
         // Fast path: no map lock at all for warm recipes.
-        if let Some(value) = self.cache.get(recipe) {
+        if let Some(value) = self.lookup(recipe, ctx) {
             self.record(FetchOutcome::Hit);
             return Ok((value, FetchOutcome::Hit));
         }
@@ -329,7 +359,7 @@ impl<V: Clone + Send + 'static> GenerationEngine<V> {
                     // Re-check under the map lock: a leader publishes to
                     // the cache *before* unregistering, so a miss here
                     // while no flight is registered is authoritative.
-                    if let Some(value) = self.cache.get(recipe) {
+                    if let Some(value) = self.lookup(recipe, ctx) {
                         self.record(FetchOutcome::Hit);
                         return Ok((value, FetchOutcome::Hit));
                     }
@@ -346,7 +376,7 @@ impl<V: Clone + Send + 'static> GenerationEngine<V> {
                         flight: &flight,
                         armed: true,
                     };
-                    match faults::at(FaultSite::EngineGenerate) {
+                    match ctx.fault(FaultSite::EngineGenerate) {
                         Some(FaultAction::Error) | Some(FaultAction::TruncateKeepPct(_)) => {
                             // Dropping the armed guard poisons the
                             // flight and unregisters it: waiters retry.
@@ -444,19 +474,13 @@ mod tests {
         }
     }
 
-    /// A request with no deadline whose generation cannot fail. It passes
-    /// the `engine.generate` failpoint like every other fetch, so these
-    /// tests rely on what `faults.rs`'s own tests state: nothing in this
-    /// binary arms the process-wide registry (chaos suites own theirs).
+    /// A request with no deadline whose generation cannot fail: an
+    /// unbounded ctx carries no fault stream.
     fn fetch(
         engine: &GenerationEngine,
         recipe: &Recipe,
         generate: impl FnOnce() -> ImageBuffer,
     ) -> (ImageBuffer, FetchOutcome) {
-        assert!(
-            !faults::enabled(),
-            "a unit test armed the global failpoints"
-        );
         engine
             .try_fetch_image_ctx(recipe, &RequestCtx::unbounded(), |_| Ok(generate()))
             .expect("no deadline, no failing generator")
@@ -637,6 +661,28 @@ mod tests {
         assert_eq!(outcome, FetchOutcome::Coalesced);
         assert_eq!(calls.load(Ordering::SeqCst), 1, "exactly one generation");
         assert_eq!(engine.generations(), 1);
+    }
+
+    /// A `cache.get` fault on the request's stream is a miss its shard
+    /// counts: the cached entry is regenerated, not read, and stays.
+    #[test]
+    fn a_cache_get_fault_is_a_counted_miss() {
+        let engine = GenerationEngine::new(1, 1_000_000);
+        fetch(&engine, &recipe("warm"), || ImageBuffer::new(16, 16));
+        let spec = crate::ChaosSpec::parse("seed=1,cache.get=error:1.0").unwrap();
+        let stream = Arc::new(crate::faults::FaultStream::new(&spec));
+        let ctx = RequestCtx::new(None, Some(Arc::clone(&stream)));
+        let (_, outcome) = engine
+            .try_fetch_image_ctx(&recipe("warm"), &ctx, |_| Ok(ImageBuffer::new(16, 16)))
+            .unwrap();
+        assert_eq!(outcome, FetchOutcome::Generated);
+        // Both lookups drew, and both missed (after the warm-up's two).
+        assert_eq!(stream.injected_total(), 2);
+        assert_eq!(engine.cache().hit_miss(), (0, 4));
+        assert_eq!(
+            fetch(&engine, &recipe("warm"), || unreachable!()).1,
+            FetchOutcome::Hit
+        );
     }
 
     #[test]

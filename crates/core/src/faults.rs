@@ -13,58 +13,51 @@
 //! |-------------------|--------------------------------------------------|
 //! | `engine.generate` | `GenerationEngine::try_fetch_image_ctx` (leader path) and the client's per-item generation |
 //! | `pool.enqueue`    | `WorkerPool::run_ctx` (admission)                |
-//! | `cache.get`       | `GenerationCache::get` (lookup becomes a miss)   |
+//! | `cache.get`       | the engine's two cache lookups and the client's (lookup becomes a miss) |
 //! | `h2.read`         | `GenerativeClient` transport reads               |
 //! | `server.respond`  | `server::dispatch`, wrapping the whole response  |
 //! | `gossip.send`     | `Gossip::tick` message delivery (drops only)     |
 //!
+//! # Owned streams
+//!
+//! Nothing here is process-wide. A [`ChaosSpec`] is handed to whatever
+//! draws from it, and each owner compiles its own [`FaultStream`]:
+//!
+//! * a server built with [`ServerConfig::chaos`] draws from
+//!   `spec.seed ⊕ hash("server")`, re-derived for the node id when it
+//!   joins an edge cluster ([`GenerativeServer::set_fault_domain`]). Its
+//!   dispatch puts the stream on the request's [`RequestCtx`], and every
+//!   server-side site draws from there — on whatever thread runs the
+//!   request, so `workers` does not change the schedule;
+//! * a client armed with [`GenerativeClient::set_chaos`] and the gossip
+//!   layer of an edge router whose servers carry a spec draw from
+//!   `spec.seed` itself.
+//!
+//! A request, client or gossip layer without a stream cannot fault, and
+//! arming one owner arms none of its neighbours.
+//!
 //! # Determinism
 //!
-//! Each site keeps a monotone evaluation counter; the decision for the
-//! *n*-th evaluation at a site is a pure function of `(seed, site, n)`.
-//! Single-threaded runs are therefore bit-for-bit reproducible; under
-//! concurrency the multiset of decisions per site is fixed by the seed
-//! even though which request draws which decision depends on thread
+//! Each site of a stream keeps a monotone evaluation counter; the
+//! decision for the *n*-th evaluation at a site is a pure function of
+//! `(seed, site, n)`. Single-threaded runs are therefore bit-for-bit
+//! reproducible, and a fresh owner replays the stream from offset zero;
+//! under concurrency the multiset of decisions per site is fixed by the
+//! seed even though which request draws which decision depends on thread
 //! interleaving.
 //!
-//! # Scoped streams
+//! Observability: every injected fault increments its stream's tally
+//! ([`FaultStream::injected_counts`], read through the owner's `faults()`
+//! accessor) and `sww_faults_injected_total{site,kind}` in the global
+//! registry, so chaos suites can reconcile the exposition against
+//! ground truth.
 //!
-//! The registry is installed process-wide, but draws can be **scoped**:
-//! a [`FaultScope`] derives an independent decision stream from
-//! `(spec seed ⊕ scope label)` with its own counters, rebuilt fresh
-//! whenever a new spec is installed. Every [`GenerativeServer`] owns a
-//! scope (label `server`, relabelled to the node id when it joins an
-//! edge cluster) and enters it for the duration of each dispatch, so:
-//!
-//! * multi-node chaos runs inject *independent per-node* streams — one
-//!   node's draw volume no longer shifts another node's decisions;
-//! * two runs on fresh stacks replay identically even when an earlier
-//!   run already consumed the global stream (scope counters start at
-//!   zero per instance), which is what lets `bench-workload` keep its
-//!   response-digest determinism gate armed under `--chaos`.
-//!
-//! Draws outside any scope (client-side sites, gossip delivery) fall
-//! through to the global stream. A pooled request runs on the thread
-//! that dispatched it, inside its server's scope, so `workers` does not
-//! change which stream a server draws from.
-//!
-//! # Zero cost when off
-//!
-//! [`at`] is a single relaxed atomic load when no spec is installed —
-//! the hot path pays nothing until chaos is explicitly enabled via
-//! [`install`] (e.g. `sww serve --chaos <spec>`).
-//!
-//! Observability: every injected fault — scoped or global — increments
-//! `sww_faults_injected_total{site,kind}` and one process-wide tally
-//! (readable via [`injected_total`] / [`injected_counts`]) so chaos
-//! suites can reconcile the exposition against ground truth.
-//!
-//! [`GenerativeServer`]: crate::GenerativeServer
+//! [`ServerConfig::chaos`]: crate::ServerConfig::chaos
+//! [`GenerativeServer::set_fault_domain`]: crate::GenerativeServer::set_fault_domain
+//! [`RequestCtx`]: crate::RequestCtx
+//! [`GenerativeClient::set_chaos`]: crate::GenerativeClient::set_chaos
 
-use parking_lot::Mutex;
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// The failpoint sites threaded through the stack.
@@ -158,16 +151,6 @@ pub enum FaultAction {
     Latency(Duration),
     /// Keep only this percentage of the payload (1..=99).
     TruncateKeepPct(u8),
-}
-
-impl FaultAction {
-    fn kind(self) -> FaultKind {
-        match self {
-            FaultAction::Error => FaultKind::Error,
-            FaultAction::Latency(_) => FaultKind::Latency,
-            FaultAction::TruncateKeepPct(_) => FaultKind::Truncate,
-        }
-    }
 }
 
 /// One parsed rule: inject `kind` at `site` with `probability`.
@@ -275,76 +258,105 @@ impl ChaosSpec {
     }
 }
 
-/// The number of distinct (site, kind) cells tracked by the tally.
+/// The number of distinct kinds a stream tallies per site.
 const KINDS: usize = 3;
 
-/// One compiled decision stream: per-site rules, sequence counters, and
-/// a local injection tally. The global stream and every scope hold one.
+/// One seeded decision stream, owned by whatever draws from it: a
+/// server (whose dispatch puts it on each request's
+/// [`RequestCtx`](crate::RequestCtx)), a
+/// [`GenerativeClient`](crate::GenerativeClient) or a
+/// [`Gossip`](crate::Gossip). It keeps the spec it was compiled from, a
+/// draw counter per site and a tally per (site, kind) — the ground truth
+/// for what its owner injected.
 #[derive(Debug)]
-struct ChaosState {
+pub struct FaultStream {
+    spec: ChaosSpec,
     seed: u64,
-    /// Rules grouped per site (probability thresholds evaluated in order).
-    per_site: [Vec<(FaultKind, f64, u64)>; SITES],
     /// Evaluation sequence number per site.
     seq: [AtomicU64; SITES],
-    /// Injection tally per (site, kind) for this stream alone.
+    /// Injection tally per (site, kind).
     injected: [[AtomicU64; KINDS]; SITES],
 }
 
-impl ChaosState {
-    fn new(spec: &ChaosSpec) -> ChaosState {
-        ChaosState::with_seed(spec, spec.seed)
+impl FaultStream {
+    /// The stream drawn from `spec.seed` itself: a client's and a gossip
+    /// layer's.
+    pub(crate) fn new(spec: &ChaosSpec) -> FaultStream {
+        FaultStream::with_seed(spec, spec.seed)
     }
 
-    /// Compile `spec`'s rules but draw from `seed` — how scopes derive
-    /// independent streams from one installed spec.
-    fn with_seed(spec: &ChaosSpec, seed: u64) -> ChaosState {
-        let mut per_site: [Vec<(FaultKind, f64, u64)>; SITES] = Default::default();
-        for rule in &spec.rules {
-            per_site[rule.site.index()].push((rule.kind, rule.probability, rule.param));
-        }
-        ChaosState {
+    /// The stream drawn from `spec.seed ⊕ hash(label)`: a server's (label
+    /// `server`, or its node id in an edge cluster). Two streams with one
+    /// label replay each other; two labels draw independently.
+    pub(crate) fn labelled(spec: &ChaosSpec, label: &str) -> FaultStream {
+        FaultStream::with_seed(spec, spec.seed ^ label_seed(label))
+    }
+
+    fn with_seed(spec: &ChaosSpec, seed: u64) -> FaultStream {
+        FaultStream {
+            spec: spec.clone(),
             seed,
-            per_site,
             seq: Default::default(),
             injected: Default::default(),
         }
     }
 
-    /// Decide the fate of the next evaluation at `site`: a pure function
-    /// of `(seed, site, n)` where `n` is the per-site sequence number.
-    fn decide(&self, site: FaultSite) -> Option<FaultAction> {
+    /// The spec this stream was compiled from.
+    pub(crate) fn spec(&self) -> &ChaosSpec {
+        &self.spec
+    }
+
+    /// Evaluate the failpoint at `site`: `None` means proceed normally,
+    /// `Some(action)` tells the call site what to inject. Decision *n* at
+    /// a site is a pure function of `(seed, site, n)`, and a site no rule
+    /// names draws nothing. Every injection counts in this stream's tally
+    /// and in `sww_faults_injected_total{site,kind}`.
+    pub(crate) fn draw(&self, site: FaultSite) -> Option<FaultAction> {
         let idx = site.index();
-        let rules = &self.per_site[idx];
-        if rules.is_empty() {
-            return None;
-        }
+        let mut rules = self.spec.rules.iter().filter(|r| r.site == site).peekable();
+        rules.peek()?;
         let n = self.seq[idx].fetch_add(1, Ordering::Relaxed);
         let r = unit_from(self.seed, idx as u64, n);
         let mut threshold = 0.0;
-        for &(kind, probability, param) in rules {
-            threshold += probability;
+        for rule in rules {
+            threshold += rule.probability;
             if r < threshold {
-                self.injected[idx][kind_index(kind)].fetch_add(1, Ordering::Relaxed);
-                return Some(match kind {
+                self.injected[idx][kind_index(rule.kind)].fetch_add(1, Ordering::Relaxed);
+                sww_obs::counter(
+                    "sww_faults_injected_total",
+                    &[("site", site.key()), ("kind", rule.kind.label())],
+                )
+                .inc();
+                return Some(match rule.kind {
                     FaultKind::Error => FaultAction::Error,
-                    FaultKind::Latency => FaultAction::Latency(Duration::from_millis(param)),
-                    FaultKind::Truncate => FaultAction::TruncateKeepPct(param.clamp(1, 99) as u8),
+                    FaultKind::Latency => FaultAction::Latency(Duration::from_millis(rule.param)),
+                    FaultKind::Truncate => {
+                        FaultAction::TruncateKeepPct(rule.param.clamp(1, 99) as u8)
+                    }
                 });
             }
         }
         None
     }
 
-    /// This stream's own tally (unit-test surface; the process-wide
-    /// tally the chaos suites reconcile against is [`injected_total`]).
-    #[cfg(test)]
-    fn injected_total(&self) -> u64 {
-        self.injected
-            .iter()
-            .flatten()
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum()
+    /// Faults this stream has injected.
+    pub fn injected_total(&self) -> u64 {
+        self.injected_counts().iter().map(|(_, _, n)| n).sum()
+    }
+
+    /// This stream's tally per `(site key, kind label)`, in site order,
+    /// zero entries omitted.
+    pub fn injected_counts(&self) -> Vec<(&'static str, &'static str, u64)> {
+        let mut out = Vec::new();
+        for site in ALL_SITES {
+            for kind in [FaultKind::Error, FaultKind::Latency, FaultKind::Truncate] {
+                let n = self.injected[site.index()][kind_index(kind)].load(Ordering::Relaxed);
+                if n > 0 {
+                    out.push((site.key(), kind.label(), n));
+                }
+            }
+        }
+        out
     }
 }
 
@@ -371,136 +383,7 @@ fn unit_from(seed: u64, site: u64, n: u64) -> f64 {
     (mixed >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// Fast-path switch: callers pay one relaxed load when chaos is off.
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Bumped on every install/clear so scopes know to rebuild their
-/// derived streams (fresh counters) against the new spec.
-static GENERATION: AtomicU64 = AtomicU64::new(0);
-
-/// The installed spec plus its compiled global stream.
-struct Installed {
-    spec: ChaosSpec,
-    state: Arc<ChaosState>,
-}
-
-fn state_slot() -> &'static Mutex<Option<Installed>> {
-    static SLOT: std::sync::OnceLock<Mutex<Option<Installed>>> = std::sync::OnceLock::new();
-    SLOT.get_or_init(|| Mutex::new(None))
-}
-
-/// Process-wide injection tally per (site, kind), fed by every stream —
-/// global and scoped — so `/metrics` reconciliation sees one truth.
-#[allow(clippy::declare_interior_mutable_const)]
-const ZERO: AtomicU64 = AtomicU64::new(0);
-#[allow(clippy::declare_interior_mutable_const)]
-const ZERO_ROW: [AtomicU64; KINDS] = [ZERO; KINDS];
-static INJECTED: [[AtomicU64; KINDS]; SITES] = [ZERO_ROW; SITES];
-
-fn reset_tallies() {
-    for site in &INJECTED {
-        for cell in site {
-            cell.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Record one injection in the process-wide tally and the exposition.
-fn record(site: FaultSite, kind: FaultKind) {
-    INJECTED[site.index()][kind_index(kind)].fetch_add(1, Ordering::Relaxed);
-    sww_obs::counter(
-        "sww_faults_injected_total",
-        &[("site", site.key()), ("kind", kind.label())],
-    )
-    .inc();
-}
-
-/// Install a chaos spec process-wide, arming every failpoint it names.
-/// Replaces any previously installed spec (tallies restart at zero, and
-/// every [`FaultScope`] rebuilds its derived stream on next use).
-pub fn install(spec: &ChaosSpec) {
-    *state_slot().lock() = Some(Installed {
-        spec: spec.clone(),
-        state: Arc::new(ChaosState::new(spec)),
-    });
-    reset_tallies();
-    GENERATION.fetch_add(1, Ordering::SeqCst);
-    ENABLED.store(true, Ordering::SeqCst);
-}
-
-/// Disarm all failpoints and drop the installed state.
-pub fn clear() {
-    ENABLED.store(false, Ordering::SeqCst);
-    *state_slot().lock() = None;
-    reset_tallies();
-    GENERATION.fetch_add(1, Ordering::SeqCst);
-}
-
-/// Whether a chaos spec is currently installed.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// A derived per-scope decision stream (one per server/edge node).
-///
-/// A scope compiles the installed spec against `seed ⊕ hash(label)`
-/// with its own sequence counters, lazily and once per installed spec:
-/// two fresh instances with the same label replay the same stream, and
-/// two different labels draw independent streams. See the module-level
-/// *Scoped streams* section.
-#[derive(Debug)]
-pub struct FaultScope {
-    inner: Mutex<ScopeInner>,
-}
-
-#[derive(Debug)]
-struct ScopeInner {
-    label_seed: u64,
-    built_generation: u64,
-    state: Option<Arc<ChaosState>>,
-}
-
-impl FaultScope {
-    /// A scope deriving its stream from `label`.
-    pub fn new(label: &str) -> FaultScope {
-        FaultScope {
-            inner: Mutex::new(ScopeInner {
-                label_seed: label_seed(label),
-                built_generation: 0,
-                state: None,
-            }),
-        }
-    }
-
-    /// Re-derive the scope from a new label (the edge router relabels a
-    /// node's server scope to the node id on join). Drops any compiled
-    /// stream so counters restart under the new label.
-    pub fn relabel(&self, label: &str) {
-        let mut inner = self.inner.lock();
-        inner.label_seed = label_seed(label);
-        inner.state = None;
-    }
-
-    fn decide(&self, site: FaultSite) -> Option<FaultAction> {
-        let state = {
-            let mut inner = self.inner.lock();
-            let generation = GENERATION.load(Ordering::SeqCst);
-            if inner.state.is_none() || inner.built_generation != generation {
-                inner.state = state_slot().lock().as_ref().map(|installed| {
-                    Arc::new(ChaosState::with_seed(
-                        &installed.spec,
-                        installed.spec.seed ^ inner.label_seed,
-                    ))
-                });
-                inner.built_generation = generation;
-            }
-            inner.state.clone()
-        }?;
-        state.decide(site)
-    }
-}
-
-/// Stable label hash for scope-seed derivation.
+/// Stable label hash for a labelled stream's seed.
 fn label_seed(label: &str) -> u64 {
     let mut acc = 0x73_63_6f_70_65_u64; // "scope"
     for &b in label.as_bytes() {
@@ -509,91 +392,9 @@ fn label_seed(label: &str) -> u64 {
     acc
 }
 
-thread_local! {
-    /// The stack of scopes the current thread has entered; draws use
-    /// the innermost.
-    static ACTIVE_SCOPES: RefCell<Vec<Arc<FaultScope>>> = const { RefCell::new(Vec::new()) };
-}
-
-/// RAII token from [`enter`]; leaving the scope is dropping it.
-#[must_use = "dropping the guard leaves the scope immediately"]
-pub struct ScopeGuard {
-    _not_send: std::marker::PhantomData<*const ()>,
-}
-
-impl Drop for ScopeGuard {
-    fn drop(&mut self) {
-        ACTIVE_SCOPES.with(|scopes| {
-            scopes.borrow_mut().pop();
-        });
-    }
-}
-
-/// Route this thread's fault draws through `scope` until the returned
-/// guard drops. Scopes nest; the innermost wins.
-pub fn enter(scope: &Arc<FaultScope>) -> ScopeGuard {
-    ACTIVE_SCOPES.with(|scopes| scopes.borrow_mut().push(Arc::clone(scope)));
-    ScopeGuard {
-        _not_send: std::marker::PhantomData,
-    }
-}
-
-/// Evaluate the failpoint at `site`: `None` (the overwhelmingly common
-/// answer, and a single atomic load when chaos is off) means proceed
-/// normally; `Some(action)` tells the call site what to inject. Draws
-/// come from the innermost entered [`FaultScope`] on this thread, or
-/// the global stream outside any scope.
-pub fn at(site: FaultSite) -> Option<FaultAction> {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return None;
-    }
-    let scoped = ACTIVE_SCOPES.with(|scopes| scopes.borrow().last().cloned());
-    let action = match scoped {
-        Some(scope) => scope.decide(site)?,
-        None => {
-            let state = state_slot().lock().as_ref().map(|i| Arc::clone(&i.state))?;
-            state.decide(site)?
-        }
-    };
-    record(site, action.kind());
-    Some(action)
-}
-
-/// Total faults injected since the current spec was installed, summed
-/// across the global stream and every scope.
-pub fn injected_total() -> u64 {
-    INJECTED
-        .iter()
-        .flatten()
-        .map(|c| c.load(Ordering::Relaxed))
-        .sum()
-}
-
-/// Injection tally per `(site key, kind label)`, zero entries omitted.
-/// Like [`injected_total`], covers scoped and global draws alike.
-pub fn injected_counts() -> Vec<(&'static str, &'static str, u64)> {
-    let mut out = Vec::new();
-    for site in ALL_SITES {
-        for kind in [FaultKind::Error, FaultKind::Latency, FaultKind::Truncate] {
-            let n = INJECTED[site.index()][kind_index(kind)].load(Ordering::Relaxed);
-            if n > 0 {
-                out.push((site.key(), kind.label(), n));
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    // These tests exercise `ChaosState` directly rather than the global
-    // install/clear switch: unit tests across the crate run in parallel
-    // threads of one process, and arming the process-wide registry here
-    // would inject faults into unrelated tests. Global behaviour —
-    // including scoped draws through `at` — is covered by
-    // `tests/chaos_resilience.rs`, which owns its binary.
 
     #[test]
     fn parses_full_spec() {
@@ -643,9 +444,9 @@ mod tests {
     #[test]
     fn empty_spec_is_quiet() {
         let spec = ChaosSpec::parse("seed=7").unwrap();
-        let state = ChaosState::new(&spec);
+        let state = FaultStream::new(&spec);
         for _ in 0..100 {
-            assert_eq!(state.decide(FaultSite::EngineGenerate), None);
+            assert_eq!(state.draw(FaultSite::EngineGenerate), None);
         }
         assert_eq!(state.injected_total(), 0);
     }
@@ -654,14 +455,14 @@ mod tests {
     fn identical_seeds_yield_identical_decision_sequences() {
         let spec =
             ChaosSpec::parse("seed=1234,engine.generate=error:0.3,h2.read=latency:0.25:5").unwrap();
-        let a = ChaosState::new(&spec);
-        let b = ChaosState::new(&spec);
+        let a = FaultStream::new(&spec);
+        let b = FaultStream::new(&spec);
         for _ in 0..500 {
             assert_eq!(
-                a.decide(FaultSite::EngineGenerate),
-                b.decide(FaultSite::EngineGenerate)
+                a.draw(FaultSite::EngineGenerate),
+                b.draw(FaultSite::EngineGenerate)
             );
-            assert_eq!(a.decide(FaultSite::H2Read), b.decide(FaultSite::H2Read));
+            assert_eq!(a.draw(FaultSite::H2Read), b.draw(FaultSite::H2Read));
         }
         assert_eq!(a.injected_total(), b.injected_total());
         assert!(a.injected_total() > 0, "a 30% coin must land in 500 draws");
@@ -679,9 +480,9 @@ mod tests {
                     param: 0,
                 }],
             };
-            let state = ChaosState::new(&spec);
+            let state = FaultStream::new(&spec);
             (0..64)
-                .map(|_| state.decide(FaultSite::EngineGenerate).is_some())
+                .map(|_| state.draw(FaultSite::EngineGenerate).is_some())
                 .collect::<Vec<bool>>()
         };
         assert_ne!(mk(1), mk(2), "64 fair coins agreeing is ~2^-64");
@@ -689,13 +490,13 @@ mod tests {
 
     #[test]
     fn scope_seed_derivation_is_stable_and_label_dependent() {
-        // The scoped stream is `with_seed(spec, seed ^ hash(label))`:
-        // same label → identical replay, different label → independent.
+        // A labelled stream draws from `seed ^ hash(label)`: same label →
+        // identical replay, different label → independent.
         let spec = ChaosSpec::parse("seed=11,engine.generate=error:0.5").unwrap();
         let draws = |label: &str| {
-            let state = ChaosState::with_seed(&spec, spec.seed ^ label_seed(label));
+            let state = FaultStream::labelled(&spec, label);
             (0..64)
-                .map(|_| state.decide(FaultSite::EngineGenerate).is_some())
+                .map(|_| state.draw(FaultSite::EngineGenerate).is_some())
                 .collect::<Vec<bool>>()
         };
         assert_eq!(draws("n0"), draws("n0"), "same label must replay");
@@ -703,22 +504,22 @@ mod tests {
         assert_ne!(
             draws("n0"),
             {
-                let state = ChaosState::new(&spec);
+                let state = FaultStream::new(&spec);
                 (0..64)
-                    .map(|_| state.decide(FaultSite::EngineGenerate).is_some())
+                    .map(|_| state.draw(FaultSite::EngineGenerate).is_some())
                     .collect::<Vec<bool>>()
             },
-            "a scope must not mirror the global stream"
+            "a labelled stream must not mirror the bare one"
         );
     }
 
     #[test]
     fn injection_rate_tracks_probability() {
         let spec = ChaosSpec::parse("seed=9,pool.enqueue=error:0.1").unwrap();
-        let state = ChaosState::new(&spec);
+        let state = FaultStream::new(&spec);
         let n = 10_000;
         let injected = (0..n)
-            .filter(|_| state.decide(FaultSite::PoolEnqueue).is_some())
+            .filter(|_| state.draw(FaultSite::PoolEnqueue).is_some())
             .count();
         let rate = injected as f64 / n as f64;
         assert!((rate - 0.1).abs() < 0.02, "rate {rate} far from 0.1");
@@ -729,12 +530,12 @@ mod tests {
     fn sites_draw_independent_streams() {
         let spec =
             ChaosSpec::parse("seed=5,engine.generate=error:0.5,pool.enqueue=error:0.5").unwrap();
-        let state = ChaosState::new(&spec);
+        let state = FaultStream::new(&spec);
         let a: Vec<bool> = (0..64)
-            .map(|_| state.decide(FaultSite::EngineGenerate).is_some())
+            .map(|_| state.draw(FaultSite::EngineGenerate).is_some())
             .collect();
         let b: Vec<bool> = (0..64)
-            .map(|_| state.decide(FaultSite::PoolEnqueue).is_some())
+            .map(|_| state.draw(FaultSite::PoolEnqueue).is_some())
             .collect();
         assert_ne!(a, b, "same stream at two sites");
     }
@@ -743,23 +544,14 @@ mod tests {
     fn actions_carry_their_parameters() {
         let spec = ChaosSpec::parse("seed=3,h2.read=latency:1.0:25,server.respond=truncate:1.0:40")
             .unwrap();
-        let state = ChaosState::new(&spec);
+        let state = FaultStream::new(&spec);
         assert_eq!(
-            state.decide(FaultSite::H2Read),
+            state.draw(FaultSite::H2Read),
             Some(FaultAction::Latency(Duration::from_millis(25)))
         );
         assert_eq!(
-            state.decide(FaultSite::ServerRespond),
+            state.draw(FaultSite::ServerRespond),
             Some(FaultAction::TruncateKeepPct(40))
         );
-    }
-
-    #[test]
-    fn disabled_global_registry_is_quiet() {
-        // The global switch defaults to off; `at` must answer None without
-        // touching any state. (Do not install here — see module note.)
-        if !enabled() {
-            assert_eq!(at(FaultSite::EngineGenerate), None);
-        }
     }
 }

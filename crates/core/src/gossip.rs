@@ -48,15 +48,17 @@
 //!   partition-heal scenario;
 //! * the [`FaultSite::GossipSend`](crate::faults::FaultSite) failpoint
 //!   (`gossip.send=error:<p>` in a `--chaos` spec) drops individual
-//!   messages from the seeded chaos stream.
+//!   messages, drawn from the stream [`set_chaos`] arms (an edge router
+//!   arms it from the spec its servers carry).
 //!
 //! Observability: the `sww_gossip_*` family (OBSERVABILITY.md) counts
 //! rounds, probe outcomes, drops, state transitions and refutations.
 //!
 //! [`set_process_alive`]: Gossip::set_process_alive
 //! [`set_partition`]: Gossip::set_partition
+//! [`set_chaos`]: Gossip::set_chaos
 
-use crate::faults::{self, FaultAction, FaultSite};
+use crate::faults::{ChaosSpec, FaultAction, FaultSite, FaultStream};
 use std::collections::BTreeMap;
 
 /// One member's health, as recorded in some observer's view.
@@ -142,7 +144,7 @@ impl MemberView {
 
 /// The deterministic SWIM cluster: per-member views, incarnations, and
 /// the virtual-clock protocol driver.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Gossip {
     cfg: GossipConfig,
     round: u64,
@@ -156,6 +158,8 @@ pub struct Gossip {
     views: BTreeMap<String, BTreeMap<String, MemberView>>,
     /// When set, messages between different groups are dropped.
     partition: Option<BTreeMap<String, usize>>,
+    /// Draws the `gossip.send` failpoint, when armed.
+    faults: Option<FaultStream>,
 }
 
 impl Gossip {
@@ -174,11 +178,25 @@ impl Gossip {
             incarnation: BTreeMap::new(),
             views: BTreeMap::new(),
             partition: None,
+            faults: None,
         };
         for member in members {
             gossip.add_member(&member.into());
         }
         gossip
+    }
+
+    /// Arm the `gossip.send` failpoint with `spec` (default: unarmed):
+    /// messages are dropped from a stream drawn from `spec.seed` itself,
+    /// counters at zero.
+    pub fn set_chaos(&mut self, spec: &ChaosSpec) {
+        self.faults = Some(FaultStream::new(spec));
+    }
+
+    /// The fault stream this gossip layer draws from, if armed: the
+    /// ground truth for the messages it dropped.
+    pub fn faults(&self) -> Option<&FaultStream> {
+        self.faults.as_ref()
     }
 
     /// The protocol configuration.
@@ -500,7 +518,7 @@ impl Gossip {
 
     /// Whether one message from `from` to `to` is delivered: partitions
     /// drop cross-group traffic, and the `gossip.send` failpoint drops
-    /// individual messages from the seeded chaos stream.
+    /// individual messages from this layer's fault stream.
     fn deliverable(&self, from: &str, to: &str) -> bool {
         if let Some(groups) = &self.partition {
             if groups.get(from) != groups.get(to) {
@@ -508,7 +526,11 @@ impl Gossip {
                 return false;
             }
         }
-        if matches!(faults::at(FaultSite::GossipSend), Some(FaultAction::Error)) {
+        let send = self
+            .faults
+            .as_ref()
+            .and_then(|f| f.draw(FaultSite::GossipSend));
+        if send == Some(FaultAction::Error) {
             sww_obs::counter("sww_gossip_drops_total", &[("cause", "chaos")]).inc();
             return false;
         }

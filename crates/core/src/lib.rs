@@ -41,7 +41,7 @@ pub use client::GenerativeClient;
 pub use edge::{EdgeConfig, EdgeNode, EdgeRouter, HashRing};
 pub use engine::{FetchOutcome, GenerationEngine, ShardedGenerationCache};
 pub use error::{retryable_status, SwwError};
-pub use faults::{ChaosSpec, FaultKind, FaultScope, FaultSite};
+pub use faults::{ChaosSpec, FaultKind, FaultSite, FaultStream};
 pub use gossip::{Gossip, GossipConfig, Health};
 pub use lifecycle::RequestCtx;
 pub use mediagen::MediaGenerator;

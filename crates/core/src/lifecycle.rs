@@ -13,6 +13,11 @@
 //! * **cancel flag** — an explicit "stop now" the owner can flip (client
 //!   disconnect, shutdown), checked at the same sites as the deadline.
 //!
+//! It also carries the [`FaultStream`] of the server that admitted the
+//! request, if that server was built with a chaos spec: every
+//! server-side failpoint below dispatch draws from the request's context,
+//! so a context without a stream cannot fault.
+//!
 //! Cancellation is *cooperative*: nothing is killed. Each layer polls
 //! [`RequestCtx::finished`] at its natural yield points — queue pop,
 //! condvar wake, denoise step — and unwinds with `DeadlineExceeded`. The
@@ -23,11 +28,13 @@
 #![warn(clippy::must_use_candidate)]
 
 use crate::error::SwwError;
+use crate::faults::{FaultAction, FaultSite, FaultStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The per-request lifecycle handle: deadline + cooperative cancel flag.
+/// The per-request lifecycle handle: deadline, cooperative cancel flag
+/// and the admitting server's fault stream.
 ///
 /// Cloning is cheap (one `Arc` bump) and every clone observes the same
 /// state, so the same ctx can be polled concurrently by the session
@@ -42,6 +49,7 @@ struct CtxInner {
     deadline: Option<Instant>,
     budget: Option<Duration>,
     cancelled: AtomicBool,
+    faults: Option<Arc<FaultStream>>,
 }
 
 impl RequestCtx {
@@ -49,29 +57,34 @@ impl RequestCtx {
     /// behaviour. All legacy entry points delegate through this.
     #[must_use]
     pub fn unbounded() -> RequestCtx {
-        RequestCtx {
-            inner: Arc::new(CtxInner {
-                deadline: None,
-                budget: None,
-                cancelled: AtomicBool::new(false),
-            }),
-        }
+        RequestCtx::new(None, None)
     }
 
     /// A context whose deadline is `budget` from now; a budget past the
     /// clock's range is no deadline at all.
     #[must_use]
     pub fn with_deadline(budget: Duration) -> RequestCtx {
-        let Some(deadline) = Instant::now().checked_add(budget) else {
-            return RequestCtx::unbounded();
-        };
+        RequestCtx::new(Some(budget), None)
+    }
+
+    /// A context with an optional deadline `budget` from now, whose
+    /// failpoints draw from `faults` — what a server's dispatch builds.
+    pub(crate) fn new(budget: Option<Duration>, faults: Option<Arc<FaultStream>>) -> RequestCtx {
+        let deadline = budget.and_then(|b| Instant::now().checked_add(b));
         RequestCtx {
             inner: Arc::new(CtxInner {
-                deadline: Some(deadline),
-                budget: Some(budget),
+                deadline,
+                budget: deadline.and(budget),
                 cancelled: AtomicBool::new(false),
+                faults,
             }),
         }
+    }
+
+    /// Evaluate the failpoint at `site` on this request's fault stream;
+    /// `None` without one.
+    pub(crate) fn fault(&self, site: FaultSite) -> Option<FaultAction> {
+        self.inner.faults.as_ref()?.draw(site)
     }
 
     /// Flip the cooperative cancel flag. Idempotent; takes effect at the
@@ -205,6 +218,25 @@ mod tests {
             ctx.check(),
             Err(SwwError::DeadlineExceeded { budget_ms: 20 })
         ));
+    }
+
+    #[test]
+    fn only_a_ctx_with_a_stream_can_fault() {
+        let spec = crate::ChaosSpec::parse("seed=1,engine.generate=error:1.0").unwrap();
+        let armed = RequestCtx::new(None, Some(Arc::new(FaultStream::new(&spec))));
+        for ctx in [
+            RequestCtx::unbounded(),
+            RequestCtx::with_deadline(Duration::ZERO),
+        ] {
+            assert_eq!(ctx.fault(FaultSite::EngineGenerate), None);
+        }
+        assert_eq!(
+            armed.clone().fault(FaultSite::EngineGenerate),
+            Some(FaultAction::Error)
+        );
+        // Clones share the stream; a site no rule names draws nothing.
+        assert_eq!(armed.fault(FaultSite::PoolEnqueue), None);
+        assert_eq!(armed.inner.faults.as_ref().unwrap().injected_total(), 1);
     }
 
     #[test]

@@ -42,7 +42,7 @@ use crate::breaker::{BreakerConfig, CircuitBreaker};
 use crate::cache::{recipe_key, Recipe};
 use crate::engine::GenerationEngine;
 use crate::error::SwwError;
-use crate::faults::{self, FaultAction, FaultScope, FaultSite};
+use crate::faults::{ChaosSpec, FaultAction, FaultSite, FaultStream};
 use crate::hls::{self, VideoAsset};
 use crate::lifecycle::{record_shed, RequestCtx};
 use crate::mediagen::{GeneratedMedia, MediaGenerator, DEFAULT_CODEC_QUALITY};
@@ -303,15 +303,24 @@ struct ServerShared {
     default_deadline: Option<Duration>,
     /// Per-model circuit breaker, when enabled at build time.
     breaker: Option<CircuitBreaker>,
-    /// Per-server fault-injection scope: dispatch enters it so chaos
-    /// draws on this server's behalf come from its own seeded stream
-    /// (relabelled to the node id when it joins an edge cluster).
-    fault_scope: Arc<FaultScope>,
+    /// The fault stream compiled from [`ServerConfig::chaos`], if any:
+    /// dispatch puts it on every request's [`RequestCtx`]. Behind a lock
+    /// only because [`GenerativeServer::set_fault_domain`] swaps it.
+    faults: Option<RwLock<Arc<FaultStream>>>,
     /// Set by [`GenerativeServer::drain`]: stop admitting requests.
     draining: AtomicBool,
     /// Requests currently inside `dispatch` (admission through response).
     /// `drain` waits for this to reach zero.
     inflight: AtomicUsize,
+}
+
+impl ServerShared {
+    /// The stream this server's requests draw from now.
+    fn fault_stream(&self) -> Option<Arc<FaultStream>> {
+        self.faults
+            .as_ref()
+            .map(|stream| Arc::clone(&stream.read()))
+    }
 }
 
 /// RAII in-flight counter: held for the full life of one `dispatch`
@@ -364,7 +373,10 @@ fn with_generator<R>(f: impl FnOnce(&mut MediaGenerator) -> R) -> R {
 /// });
 /// assert!(server.ability().supported());
 /// ```
-#[derive(Debug)]
+///
+/// A clone is cheap: the site is shared ([`SiteContent`]), which is how
+/// an edge cluster's factory builds every node from one template.
+#[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// The site to serve (default: empty).
     pub site: SiteContent,
@@ -410,6 +422,11 @@ pub struct ServerConfig {
     /// generation failures surface individually and nothing is shed
     /// pre-emptively).
     pub breaker: Option<BreakerConfig>,
+    /// The deterministic fault schedule this server's requests draw from
+    /// (default: `None` — nothing is injected). The server compiles its
+    /// own stream from it ([`crate::faults`]); no other server, client or
+    /// gossip layer draws from that stream.
+    pub chaos: Option<ChaosSpec>,
 }
 
 impl Default for ServerConfig {
@@ -427,6 +444,7 @@ impl Default for ServerConfig {
             kernel_tiles: 1,
             default_deadline: None,
             breaker: None,
+            chaos: None,
         }
     }
 }
@@ -463,7 +481,9 @@ impl GenerativeServer {
                 kernel_tiles,
                 default_deadline: config.default_deadline,
                 breaker: config.breaker.map(CircuitBreaker::new),
-                fault_scope: Arc::new(FaultScope::new("server")),
+                faults: config
+                    .chaos
+                    .map(|spec| RwLock::new(Arc::new(FaultStream::labelled(&spec, "server")))),
                 draining: AtomicBool::new(false),
                 inflight: AtomicUsize::new(0),
             }),
@@ -490,12 +510,23 @@ impl GenerativeServer {
         dispatch(&self.shared, client_ability, req, TransportKind::Edge)
     }
 
-    /// Relabel this server's fault-injection scope ([`FaultScope`]).
-    /// The edge router calls this with the node id on join so each node
-    /// in a multi-node chaos run draws an independent, replayable fault
-    /// stream instead of sharing one process-global sequence.
+    /// Re-derive this server's fault stream for `label` from its own
+    /// spec, counters and tallies at zero. The edge router calls this
+    /// with the node id on join, so each node of a multi-node chaos run
+    /// draws an independent, replayable stream. A server built without
+    /// [`ServerConfig::chaos`] has none to re-derive.
     pub fn set_fault_domain(&self, label: &str) {
-        self.shared.fault_scope.relabel(label);
+        if let Some(faults) = &self.shared.faults {
+            let mut stream = faults.write();
+            *stream = Arc::new(FaultStream::labelled(stream.spec(), label));
+        }
+    }
+
+    /// The fault stream this server's requests draw from — `None` unless
+    /// it was built with [`ServerConfig::chaos`]. Its tallies are the
+    /// ground truth for what this server injected.
+    pub fn faults(&self) -> Option<Arc<FaultStream>> {
+        self.shared.fault_stream()
     }
 
     /// Accept a (transport-independent) session for a client advertising
@@ -789,21 +820,19 @@ fn count_session(transport: TransportKind) {
     .inc();
 }
 
-/// The lifecycle context for one request: an explicit
-/// `x-sww-deadline-ms` header wins, then the server's default deadline,
-/// then unbounded (the pre-lifecycle behaviour).
+/// The lifecycle context for one request, drawing faults from the
+/// server's stream: an explicit `x-sww-deadline-ms` header wins, then
+/// the server's default deadline, then unbounded (the pre-lifecycle
+/// behaviour).
 fn request_ctx(shared: &ServerShared, req: &Request) -> RequestCtx {
     let header = req
         .headers
         .get("x-sww-deadline-ms")
         .and_then(|v| v.parse::<u64>().ok());
-    match header
+    let budget = header
         .map(Duration::from_millis)
-        .or(shared.default_deadline)
-    {
-        Some(budget) => RequestCtx::with_deadline(budget),
-        None => RequestCtx::unbounded(),
-    }
+        .or(shared.default_deadline);
+    RequestCtx::new(budget, shared.fault_stream())
 }
 
 /// Handle a request on this thread — after the pool admits it, if one
@@ -817,9 +846,10 @@ fn request_ctx(shared: &ServerShared, req: &Request) -> RequestCtx {
 /// was computed but missed its deadline is converted to `504` at the
 /// end — the client stopped waiting, so a late success is no success.
 ///
-/// The `server.respond` failpoint ([`crate::faults`]) acts on the
-/// finished response: it can replace it with a `500`, delay it, or
-/// truncate its body (which a client detects through the
+/// Every failpoint ([`crate::faults`]) behind this point draws from the
+/// server's stream on the request's [`RequestCtx`]. `server.respond`
+/// acts on the finished response: it can replace it with a `500`, delay
+/// it, or truncate its body (which a client detects through the
 /// content-addressed ETag and treats as an integrity failure).
 fn dispatch(
     shared: &ServerShared,
@@ -828,7 +858,6 @@ fn dispatch(
     transport: TransportKind,
 ) -> Response {
     let _inflight = InflightGuard::enter(shared);
-    let _fault_scope = faults::enter(&shared.fault_scope);
     if shared.draining.load(Ordering::SeqCst) && req.path != "/metrics" {
         record_shed("draining");
         return error_response(&SwwError::Saturated { retry_after_s: 1 });
@@ -854,7 +883,7 @@ fn dispatch(
         Ok(resp)
     });
     let mut resp = result.unwrap_or_else(|err| error_response(&err));
-    match faults::at(FaultSite::ServerRespond) {
+    match ctx.fault(FaultSite::ServerRespond) {
         Some(FaultAction::Error) => {
             return error_response(&SwwError::Internal {
                 reason: "injected fault at server.respond".into(),
@@ -1302,7 +1331,7 @@ mod tests {
 
     #[test]
     fn config_defaults_and_overrides() {
-        // Every one of the 12 fields, none defaulted: adding or removing
+        // Every one of the 13 fields, none defaulted: adding or removing
         // a field fails to compile here.
         let server = GenerativeServer::from_config(ServerConfig {
             site: demo_site(),
@@ -1320,8 +1349,11 @@ mod tests {
                 failure_threshold: 3,
                 cooldown: Duration::from_secs(1),
             }),
+            chaos: Some(ChaosSpec::parse("seed=1,server.respond=error:1.0").unwrap()),
         });
         assert_eq!(server.worker_count(), Some(2));
+        let faults = server.faults().expect("a spec arms the server");
+        assert_eq!(faults.injected_total(), 0);
         assert_eq!(server.engine().cache().shard_count(), 4);
         assert_eq!(server.kernel_tiles(), 1, "0 lanes clamps to scalar");
         assert_eq!(server.batcher().map(|b| b.config().max_batch), Some(2));
@@ -1332,6 +1364,7 @@ mod tests {
         assert_eq!(default.worker_count(), None);
         assert_eq!(default.engine().cache().shard_count(), 8);
         assert!(default.batcher().is_none() && default.breaker().is_none());
+        assert!(default.faults().is_none());
         assert_eq!(default.kernel_tiles(), 1);
         assert!(default.ability().supported());
     }

@@ -6,8 +6,7 @@
 //! [`SwwError::Saturated`] — the server maps that to `503` +
 //! `Retry-After` instead of letting latency grow without bound. An
 //! admitted job runs on the thread that called `run`, which blocks until
-//! the answer exists anyway: no hop, no clone of the request, and the
-//! caller's fault scope ([`crate::faults`]) stays entered around it. A
+//! the answer exists anyway: no hop and no clone of the request. A
 //! waiter leaves the queue at its [`RequestCtx`] deadline.
 //!
 //! Kernel tiles are the one job that needs other threads: [`CrewRunner`]
@@ -22,7 +21,7 @@
 //! fraction sampled at each job start.
 
 use crate::error::SwwError;
-use crate::faults::{self, FaultAction, FaultSite};
+use crate::faults::{FaultAction, FaultSite};
 use crate::lifecycle::{record_cancelled, RequestCtx};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -62,15 +61,12 @@ struct Gate {
     running: usize,
     /// The admitted requests still waiting, oldest first.
     waiting: VecDeque<Arc<Waiter>>,
-    stopping: bool,
 }
 
 /// The request admission gate: at most `workers` jobs run, at most
 /// `queue_capacity` wait, each on the thread that asked.
 pub struct WorkerPool {
     gate: Mutex<Gate>,
-    /// Signalled while stopping, whenever a request leaves the gate.
-    idle: Condvar,
     workers: usize,
     queue_capacity: usize,
     /// EWMA of observed per-job service time, stored as `f64` bits so
@@ -104,9 +100,6 @@ impl Drop for Permit<'_> {
             }
             None => gate.running -= 1,
         }
-        if gate.stopping {
-            pool.idle.notify_all();
-        }
         drop(gate);
         if let Some(next) = next {
             next.thread.unpark();
@@ -137,9 +130,7 @@ impl WorkerPool {
             gate: Mutex::new(Gate {
                 running: 0,
                 waiting: VecDeque::new(),
-                stopping: false,
             }),
-            idle: Condvar::new(),
             workers: workers.max(1),
             queue_capacity,
             service_ewma_bits: AtomicU64::new(SERVICE_TIME_PRIOR_S.to_bits()),
@@ -216,7 +207,7 @@ impl WorkerPool {
     /// Admit `f`, then run it on this thread and return its result.
     ///
     /// Returns [`SwwError::Saturated`] without running anything when the
-    /// queue is full or the gate is stopping; the
+    /// queue is full; the
     /// [`DeadlineExceeded`](SwwError::DeadlineExceeded) of `ctx` (counted
     /// as `sww_cancelled_total{site="pool.queue"}`) when `ctx` finishes
     /// before a permit is free; and [`SwwError::Internal`] if `f` panics.
@@ -237,11 +228,12 @@ impl WorkerPool {
     /// Take a permit: refuse, or queue behind every earlier admission
     /// until one is free, leaving early when `ctx` finishes.
     ///
-    /// The `pool.enqueue` failpoint ([`crate::faults`]) can force a
-    /// rejection (indistinguishable from real saturation, including the
-    /// `Retry-After` estimate) or delay admission.
+    /// The `pool.enqueue` failpoint ([`crate::faults`]), drawn from
+    /// `ctx`'s stream, can force a rejection (indistinguishable from real
+    /// saturation, including the `Retry-After` estimate) or delay
+    /// admission.
     fn admit(&self, ctx: &RequestCtx) -> Result<Permit<'_>, SwwError> {
-        match faults::at(FaultSite::PoolEnqueue) {
+        match ctx.fault(FaultSite::PoolEnqueue) {
             Some(FaultAction::Error) | Some(FaultAction::TruncateKeepPct(_)) => {
                 return Err(reject(self.retry_after_estimate(self.queue_depth())));
             }
@@ -249,9 +241,6 @@ impl WorkerPool {
             None => {}
         }
         let mut gate = self.lock();
-        if gate.stopping {
-            return Err(reject(1));
-        }
         let queued = gate.running >= self.workers;
         if queued && gate.waiting.len() >= self.queue_capacity {
             let backlog = gate.waiting.len() + 1 + gate.running;
@@ -305,9 +294,6 @@ impl WorkerPool {
                 }
                 gate.waiting.retain(|waiter| !Arc::ptr_eq(waiter, me));
                 set_depth_gauge(gate.waiting.len());
-                if gate.stopping {
-                    self.idle.notify_all();
-                }
                 return false;
             }
             // A wake may be spurious: the loop asks again.
@@ -315,18 +301,6 @@ impl WorkerPool {
                 Some(left) => std::thread::park_timeout(left),
                 None => std::thread::park(),
             }
-        }
-    }
-
-    /// Stop admitting: every later [`run`](WorkerPool::run) is rejected
-    /// with [`SwwError::Saturated`], while requests already admitted —
-    /// running or waiting — keep their promise and finish. Returns once
-    /// none is left. Idempotent; must not be called from inside a job.
-    pub fn stop(&self) {
-        let mut gate = self.lock();
-        gate.stopping = true;
-        while gate.running > 0 || !gate.waiting.is_empty() {
-            gate = self.idle.wait(gate).unwrap_or_else(|e| e.into_inner());
         }
     }
 }
@@ -587,42 +561,6 @@ mod tests {
         for q in queued {
             q.join().unwrap().unwrap();
         }
-    }
-
-    /// `stop` turns late arrivals away, keeps the promise made to the
-    /// requests it found waiting, and returns once they have all run.
-    #[test]
-    fn stop_rejects_late_arrivals_and_lets_queued_waiters_run() {
-        let pool = Arc::new(WorkerPool::new(1, 16));
-        let completed = Arc::new(AtomicU64::new(0));
-        let (release, holder) = hold_permit(&pool);
-        let queued: Vec<_> = (0..5)
-            .map(|_| {
-                let (pool, completed) = (Arc::clone(&pool), Arc::clone(&completed));
-                std::thread::spawn(move || pool.run(|| completed.fetch_add(1, Ordering::SeqCst)))
-            })
-            .collect();
-        until_waiting(&pool, 5);
-        let stopper = {
-            let pool = Arc::clone(&pool);
-            std::thread::spawn(move || pool.stop())
-        };
-        while !pool.lock().stopping {
-            std::thread::yield_now();
-        }
-        // Post-stop submissions reject fast instead of queueing.
-        let err = pool.run(|| ()).unwrap_err();
-        assert!(matches!(err, SwwError::Saturated { .. }), "{err:?}");
-        assert!(!stopper.is_finished(), "stop returned with work admitted");
-        drop(release);
-        holder.join().unwrap();
-        stopper.join().unwrap();
-        assert_eq!(completed.load(Ordering::SeqCst), 5, "queued jobs complete");
-        for q in queued {
-            q.join().unwrap().unwrap();
-        }
-        // Idempotent.
-        pool.stop();
     }
 
     #[test]

@@ -32,7 +32,7 @@ use crate::trace::{page_access, Trace, TraceEvent, WorkloadConfig};
 use std::sync::Arc;
 use std::time::Instant;
 use sww_core::lru::Lru;
-use sww_core::{EdgeConfig, EdgeRouter, GenerativeServer, MediaGenerator, ServerConfig};
+use sww_core::{ChaosSpec, EdgeConfig, EdgeRouter, GenerativeServer, MediaGenerator, ServerConfig};
 use sww_energy::cost;
 use sww_energy::device::{profile, DeviceKind};
 use sww_http2::{GenAbility, Request};
@@ -64,7 +64,7 @@ impl ReplayTarget {
 }
 
 /// Replay knobs independent of the workload itself.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReplayConfig {
     /// The target stack.
     pub target: ReplayTarget,
@@ -74,6 +74,9 @@ pub struct ReplayConfig {
     pub deadline_ms: Option<u64>,
     /// Bounded retries on retryable statuses (500/502/503).
     pub max_retries: usize,
+    /// The fault schedule every server the run builds is armed with
+    /// (`ServerConfig::chaos`); `None` injects nothing.
+    pub chaos: Option<ChaosSpec>,
 }
 
 impl Default for ReplayConfig {
@@ -83,6 +86,7 @@ impl Default for ReplayConfig {
             threads: 4,
             deadline_ms: None,
             max_retries: 6,
+            chaos: None,
         }
     }
 }
@@ -255,25 +259,27 @@ impl ReplayEngine {
     ) -> (Vec<EventResult>, u64, u64) {
         let graph = self.trace.config().site_graph();
         let site = graph.site_content();
+        let config = ServerConfig {
+            site,
+            chaos: rcfg.chaos.clone(),
+            ..ServerConfig::default()
+        };
         let stack = Arc::new(if via_ring {
             SyncStack::Ring(EdgeRouter::new(
                 EdgeConfig {
                     nodes,
                     ..EdgeConfig::default()
                 },
-                site,
-                |site| {
+                config.site.clone(),
+                move |site| {
                     GenerativeServer::from_config(ServerConfig {
                         site,
-                        ..ServerConfig::default()
+                        ..config.clone()
                     })
                 },
             ))
         } else {
-            SyncStack::Server(GenerativeServer::from_config(ServerConfig {
-                site,
-                ..ServerConfig::default()
-            }))
+            SyncStack::Server(GenerativeServer::from_config(config))
         });
         let threads = rcfg.threads.max(1);
         let results: Vec<EventResult> = std::thread::scope(|scope| {
@@ -370,6 +376,7 @@ impl ReplayEngine {
         let graph = self.trace.config().site_graph();
         let server = GenerativeServer::from_config(ServerConfig {
             site: graph.site_content(),
+            chaos: rcfg.chaos.clone(),
             ..ServerConfig::default()
         });
         let rt = tokio::runtime::Builder::new_multi_thread()

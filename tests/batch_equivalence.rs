@@ -19,30 +19,19 @@
 //!    waits out the batch deadline, and a member's reported group wait
 //!    never exceeds it.
 //!
-//! The fault and metrics registries are process-global, so the tests in
-//! this binary serialize on one mutex (same pattern as the chaos
-//! suite).
-//!
 //! [`BatchScheduler::submit_ctx`]: sww::core::BatchScheduler
 //! [`DiffusionModel::generate`]: sww::genai::diffusion::DiffusionModel
 
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 use sww::core::cache::Recipe;
-use sww::core::faults::{self, ChaosSpec};
 use sww::core::{
-    BatchConfig, BatchScheduler, GenAbility, GenerativeServer, RequestCtx, ServerConfig,
+    BatchConfig, BatchScheduler, ChaosSpec, GenAbility, GenerativeServer, RequestCtx, ServerConfig,
     SiteContent, StepCancel,
 };
 use sww::genai::diffusion::{DiffusionModel, ImageModelKind, InlineRunner};
 use sww::html::gencontent;
 use sww::http2::Request;
-
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn recipe(prompt: &str, model: ImageModelKind, steps: u32) -> Recipe {
     Recipe {
@@ -76,13 +65,17 @@ fn equivalence_site(pages: usize) -> SiteContent {
 }
 
 fn batching_server(site: SiteContent, workers: usize, batch_max: usize) -> GenerativeServer {
-    GenerativeServer::from_config(ServerConfig {
+    GenerativeServer::from_config(batching_config(site, workers, batch_max))
+}
+
+fn batching_config(site: SiteContent, workers: usize, batch_max: usize) -> ServerConfig {
+    ServerConfig {
         site,
         workers,
         batch_max,
         batch_wait: Duration::from_millis(50),
         ..ServerConfig::default()
-    })
+    }
 }
 
 /// Fetch a path with retry on transient statuses, returning the final
@@ -106,7 +99,6 @@ fn fetch_converged(server: &GenerativeServer, path: &str) -> bytes::Bytes {
 /// must match its sequential reference bit for bit.
 #[test]
 fn scheduler_outputs_are_bit_identical_across_interleavings() {
-    let _guard = serial();
     let config = BatchConfig {
         max_batch: 3,
         max_wait: Duration::from_millis(40),
@@ -169,7 +161,6 @@ fn scheduler_outputs_are_bit_identical_across_interleavings() {
 /// batching server is hit by a concurrent fetch storm.
 #[test]
 fn batched_server_pages_match_unbatched_reference() {
-    let _guard = serial();
     const PAGES: usize = 8;
     let reference = GenerativeServer::from_config(ServerConfig {
         site: equivalence_site(PAGES),
@@ -211,9 +202,8 @@ fn batched_server_pages_match_unbatched_reference() {
 /// every converged body matches the clean unbatched reference exactly.
 #[test]
 fn chaos_faults_leave_batch_mates_byte_identical() {
-    let _guard = serial();
     const PAGES: usize = 6;
-    // Clean reference bodies first — chaos installation is global.
+    // Clean reference bodies from an unarmed server.
     let reference = GenerativeServer::from_config(ServerConfig {
         site: equivalence_site(PAGES),
         ..ServerConfig::default()
@@ -222,9 +212,10 @@ fn chaos_faults_leave_batch_mates_byte_identical() {
         .map(|p| fetch_converged(&reference, &format!("/page/{p}")))
         .collect();
 
-    let spec = ChaosSpec::parse("seed=7,engine.generate=error:0.25").unwrap();
-    faults::install(&spec);
-    let batched = batching_server(equivalence_site(PAGES), 4, 4);
+    let batched = GenerativeServer::from_config(ServerConfig {
+        chaos: Some(ChaosSpec::parse("seed=7,engine.generate=error:0.25").unwrap()),
+        ..batching_config(equivalence_site(PAGES), 4, 4)
+    });
     let bodies: Vec<bytes::Bytes> = std::thread::scope(|scope| {
         (0..PAGES)
             .map(|p| {
@@ -236,8 +227,7 @@ fn chaos_faults_leave_batch_mates_byte_identical() {
             .map(|h| h.join().unwrap())
             .collect()
     });
-    let injected = faults::injected_total();
-    faults::clear();
+    let injected = batched.faults().expect("armed").injected_total();
 
     for (p, (body, want)) in bodies.iter().zip(&expected).enumerate() {
         assert_eq!(body, want, "/page/{p} diverged under chaos + batching");
@@ -256,7 +246,6 @@ fn chaos_faults_leave_batch_mates_byte_identical() {
 /// it computes.
 #[test]
 fn tiled_kernel_server_pages_match_scalar_and_unbatched() {
-    let _guard = serial();
     const PAGES: usize = 8;
     let reference = GenerativeServer::from_config(ServerConfig {
         site: equivalence_site(PAGES),
@@ -311,7 +300,6 @@ fn tiled_kernel_server_pages_match_scalar_and_unbatched() {
 /// bounded by the configured deadline.
 #[test]
 fn lone_request_wait_is_bounded_well_below_deadline() {
-    let _guard = serial();
     // Deliberately huge deadline: only the drain rule can explain a
     // fast answer.
     let server = GenerativeServer::from_config(ServerConfig {

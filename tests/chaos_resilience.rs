@@ -2,7 +2,10 @@
 //! fault-injection layer (`sww::core::faults`) and the client
 //! retry/degradation machinery.
 //!
-//! Three properties, each proven end-to-end over real HTTP/2 framing:
+//! Every fault stream here is owned: a server draws from the spec its
+//! `ServerConfig` carries, a client from the one `set_chaos` armed, an
+//! edge router's gossip from its servers' spec. Three properties, each
+//! proven end-to-end over real HTTP/2 framing:
 //!
 //! 1. **Convergence** — under the documented chaos spec
 //!    (`seed=42,engine.generate=error:0.10,pool.enqueue=error:0.05`)
@@ -10,22 +13,28 @@
 //!    either retried to success or degraded to the traditional fallback.
 //!    No panics, no hangs, no surviving errors.
 //! 2. **Reconciliation** — the `/metrics` exposition agrees exactly with
-//!    ground truth: `sww_faults_injected_total` sums to the registry's
-//!    injected count, `sww_client_retries_total` equals the sum of
+//!    ground truth: `sww_faults_injected_total` sums to what the armed
+//!    streams tallied, `sww_client_retries_total` equals the sum of
 //!    per-page [`PageStats::retries`], and `sww_client_fallbacks_total`
 //!    equals the number of pages that reported `fell_back`.
 //! 3. **Reproducibility** — with a fixed seed and a single-threaded
 //!    driver, two consecutive chaos runs are bit-for-bit identical:
 //!    same injected-fault tallies, same per-request retry counts, same
-//!    byte accounting.
+//!    byte accounting — the schedules recorded before the streams were
+//!    owned.
+//!
+//! Every test holds [`SERIAL`]: the reconciliation reads series of the
+//! global metrics registry (`sww_faults_injected_total`, the client's
+//! retries) that every other test here writes.
 //!
 //! [`PageStats::retries`]: sww::core::PageStats
 
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Duration;
-use sww::core::faults::{self, ChaosSpec, FaultScope, FaultSite};
+use sww::core::faults::{ChaosSpec, ALL_SITES};
 use sww::core::{
-    GenAbility, GenerativeClient, GenerativeServer, RetryPolicy, ServerConfig, SiteContent,
+    EdgeConfig, EdgeRouter, GenAbility, GenerativeClient, GenerativeServer, RetryPolicy,
+    ServerConfig, SiteContent,
 };
 use sww::energy::device::{profile, DeviceKind};
 use sww::genai::ImageModelKind;
@@ -36,8 +45,8 @@ use sww::http2::{ClientConnection, Request};
 /// faults, 5% pool admission rejections, seed 42.
 const CHAOS_SPEC: &str = "seed=42,engine.generate=error:0.10,pool.enqueue=error:0.05";
 
-/// The fault registry and the metrics registry are process-global, so
-/// the tests in this binary must not interleave.
+/// The metrics registry is process-global, and one test reconciles it
+/// exactly: the tests in this binary must not interleave.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn serial() -> std::sync::MutexGuard<'static, ()> {
@@ -145,13 +154,13 @@ async fn seeded_chaos_run_converges_and_counters_reconcile() {
     let _serial = serial();
     const PAGES: usize = 24;
     sww::obs::reset();
-    faults::clear();
-    faults::install(&ChaosSpec::parse(CHAOS_SPEC).expect("documented spec parses"));
+    let spec = ChaosSpec::parse(CHAOS_SPEC).expect("documented spec parses");
 
     let server = GenerativeServer::from_config(ServerConfig {
         site: chaos_site(PAGES),
         ability: GenAbility::full(),
         workers: 2,
+        chaos: Some(spec.clone()),
         ..ServerConfig::default()
     });
     let (a, b) = tokio::io::duplex(1 << 20);
@@ -163,6 +172,7 @@ async fn seeded_chaos_run_converges_and_counters_reconcile() {
         .await
         .expect("handshake");
     client.set_retry_policy(fast_retries(1));
+    client.set_chaos(&spec);
 
     let mut retries_sum: u64 = 0;
     let mut fallbacks: u64 = 0;
@@ -203,7 +213,10 @@ async fn seeded_chaos_run_converges_and_counters_reconcile() {
     fallbacks += u64::from(stats.fell_back);
 
     // The run must actually have exercised the machinery.
-    assert!(faults::injected_total() > 0, "chaos layer never fired");
+    let server_faults = server.faults().expect("the server is armed");
+    let injected =
+        || server_faults.injected_total() + client.faults().expect("armed").injected_total();
+    assert!(injected() > 0, "chaos layer never fired");
     assert!(retries_sum >= 1, "expected at least one retry-then-success");
     assert!(fallbacks >= 1, "expected at least one fallback");
 
@@ -211,13 +224,16 @@ async fn seeded_chaos_run_converges_and_counters_reconcile() {
     let exposition = scrape_metrics(&server).await;
     assert_eq!(
         sum_family(&exposition, "sww_faults_injected_total"),
-        faults::injected_total() as f64,
+        injected() as f64,
         "faults exposition:\n{exposition}"
     );
-    let tallies = faults::injected_counts();
+    let tallies = tally([
+        server_faults.injected_counts(),
+        client.faults().expect("armed").injected_counts(),
+    ]);
     assert_eq!(
         tallies.iter().map(|(_, _, n)| n).sum::<u64>(),
-        faults::injected_total(),
+        injected(),
         "per-site tallies must sum to the total: {tallies:?}"
     );
     assert_eq!(
@@ -230,8 +246,6 @@ async fn seeded_chaos_run_converges_and_counters_reconcile() {
         Some(fallbacks as f64),
         "fallbacks exposition:\n{exposition}"
     );
-
-    faults::clear();
 }
 
 /// What one deterministic chaos run observed, in full.
@@ -242,21 +256,45 @@ struct Snapshot {
     per_request: Vec<(u32, bool, u64)>,
 }
 
+/// Several owners' injection tallies merged per `(site, kind)`, in the
+/// order one stream lists its own.
+fn tally<const N: usize>(
+    owners: [Vec<(&'static str, &'static str, u64)>; N],
+) -> Vec<(&'static str, &'static str, u64)> {
+    let mut merged: Vec<(&'static str, &'static str, u64)> = Vec::new();
+    for (site, kind, n) in owners.into_iter().flatten() {
+        match merged.iter_mut().find(|(s, k, _)| (*s, *k) == (site, kind)) {
+            Some(cell) => cell.2 += n,
+            None => merged.push((site, kind, n)),
+        }
+    }
+    merged.sort_by_key(|(site, kind, _)| {
+        let site = ALL_SITES.iter().position(|s| s.key() == *site);
+        (
+            site,
+            ["error", "latency", "truncate"]
+                .iter()
+                .position(|k| k == kind),
+        )
+    });
+    merged
+}
+
 /// One single-threaded chaos scenario: inline server (no pool, so the
 /// only fault draws are the causally ordered client/server ones), one
-/// client, sequential fetches. Everything observable goes into the
-/// snapshot.
+/// client, both armed with `spec`, sequential fetches. Everything
+/// observable goes into the snapshot.
 async fn deterministic_run(spec: &str) -> Snapshot {
     const PAGES: usize = 12;
-    sww::obs::reset();
-    faults::clear();
-    faults::install(&ChaosSpec::parse(spec).expect("spec parses"));
+    let spec = ChaosSpec::parse(spec).expect("spec parses");
 
     let server = GenerativeServer::from_config(ServerConfig {
         site: chaos_site(PAGES),
         ability: GenAbility::full(),
+        chaos: Some(spec.clone()),
         ..ServerConfig::default()
     });
+    let server_faults = server.faults().expect("the server is armed");
     let (a, b) = tokio::io::duplex(1 << 20);
     tokio::spawn(async move {
         let _ = server.serve_stream(b).await;
@@ -265,6 +303,7 @@ async fn deterministic_run(spec: &str) -> Snapshot {
         .await
         .expect("handshake");
     client.set_retry_policy(fast_retries(9));
+    client.set_chaos(&spec);
 
     let mut per_request = Vec::with_capacity(PAGES);
     for p in 0..PAGES {
@@ -275,100 +314,87 @@ async fn deterministic_run(spec: &str) -> Snapshot {
             Err(_) => per_request.push((u32::MAX, false, 0)),
         }
     }
-    let snapshot = Snapshot {
-        injected: faults::injected_counts(),
-        injected_total: faults::injected_total(),
+    let client_faults = client.faults().expect("the client is armed");
+    Snapshot {
+        injected: tally([
+            server_faults.injected_counts(),
+            client_faults.injected_counts(),
+        ]),
+        injected_total: server_faults.injected_total() + client_faults.injected_total(),
         per_request,
-    };
-    faults::clear();
-    snapshot
+    }
 }
 
-/// Per-node fault scoping (PR 10): draws made inside a [`FaultScope`]
-/// come from a label-derived stream with its own counters, so (a) two
-/// fresh scopes with the same label replay identically even after other
-/// streams were consumed, (b) different labels draw independently, and
-/// (c) every scoped injection still lands in the process-wide tally.
+/// The statuses of naive GETs of `/page/0` … `/page/{pages - 1}` on
+/// `server`, in order.
+fn statuses_of(server: &GenerativeServer, pages: usize) -> Vec<u16> {
+    let session = server.accept(GenAbility::none());
+    (0..pages)
+        .map(|p| session.handle(&Request::get(format!("/page/{p}"))).status)
+        .collect()
+}
+
+/// A server's stream is its own and replays from offset zero: two fresh
+/// servers with one spec and one fault domain answer the same statuses,
+/// a second domain draws differently, and `set_fault_domain` re-derives
+/// the stream for its label at offset zero — even after draws.
 #[test]
 fn scoped_streams_are_independent_and_replayable() {
     let _serial = serial();
-    const SPEC: &str = "seed=11,engine.generate=error:0.5";
-    sww::obs::reset();
-    faults::clear();
-    faults::install(&ChaosSpec::parse(SPEC).expect("spec parses"));
-
-    let draws = |label: &str| {
-        let scope = Arc::new(FaultScope::new(label));
-        let _guard = faults::enter(&scope);
-        (0..64)
-            .map(|_| faults::at(FaultSite::EngineGenerate).is_some())
-            .collect::<Vec<bool>>()
+    const PAGES: usize = 40;
+    let spec = ChaosSpec::parse("seed=11,engine.generate=error:0.5").expect("spec parses");
+    let server = || {
+        GenerativeServer::from_config(ServerConfig {
+            site: chaos_site(PAGES),
+            chaos: Some(spec.clone()),
+            ..ServerConfig::default()
+        })
     };
-
-    // Consume part of the *global* stream first: scope replay must not
-    // depend on the global offset (this is exactly what broke the PR 9
-    // determinism gate under --chaos).
-    let global: Vec<bool> = (0..64)
-        .map(|_| faults::at(FaultSite::EngineGenerate).is_some())
-        .collect();
-    let n0_first = draws("n0");
-    let more_global: Vec<bool> = (0..64)
-        .map(|_| faults::at(FaultSite::EngineGenerate).is_some())
-        .collect();
-    let n0_second = draws("n0");
-    let n1 = draws("n1");
-    assert_eq!(
-        n0_first, n0_second,
-        "fresh same-label scopes must replay identically"
-    );
-    assert_ne!(n1, n0_first, "labels must draw independently");
+    let in_domain = |label: &str| {
+        let server = server();
+        server.set_fault_domain(label);
+        statuses_of(&server, PAGES)
+    };
+    let n0 = in_domain("n0");
+    assert!(n0.contains(&500), "a 50% coin must land in {PAGES} draws");
+    assert_eq!(in_domain("n0"), n0, "one domain must replay");
+    assert_ne!(in_domain("n1"), n0, "domains must draw independently");
     assert_ne!(
-        n0_first, global,
-        "a scope must not mirror the global stream"
-    );
-    assert_ne!(global, more_global, "the global stream kept advancing");
-
-    // Relabelling re-derives the stream — the edge router relabels each
-    // node's "server" scope to its node id on join.
-    let relabelled = Arc::new(FaultScope::new("server"));
-    let probe_hit = {
-        let _guard = faults::enter(&relabelled);
-        faults::at(FaultSite::EngineGenerate).is_some()
-    };
-    relabelled.relabel("n0");
-    let via_relabel: Vec<bool> = {
-        let _guard = faults::enter(&relabelled);
-        (0..64)
-            .map(|_| faults::at(FaultSite::EngineGenerate).is_some())
-            .collect()
-    };
-    assert_eq!(
-        via_relabel, n0_first,
-        "relabel must reset to the label's stream from offset zero"
+        statuses_of(&server(), PAGES),
+        n0,
+        "a node's stream must not mirror a lone server's"
     );
 
-    // Every draw above — global or scoped — reconciles into the one
-    // process-wide tally.
-    let hits = |v: &[bool]| v.iter().filter(|hit| **hit).count() as u64;
-    let expected = hits(&global)
-        + hits(&more_global)
-        + hits(&n0_first)
-        + hits(&n0_second)
-        + hits(&n1)
-        + hits(&via_relabel)
-        + u64::from(probe_hit);
-    assert_eq!(
-        faults::injected_total(),
-        expected,
-        "scoped and global injections must share the tally"
-    );
-    assert!(expected > 0, "a 50% coin must land across these draws");
-    faults::clear();
+    // Relabelling after a draw restarts the label's stream at offset
+    // zero, tally included — the edge router relabels each node's server
+    // to its node id on join.
+    let relabelled = server();
+    let _ = relabelled
+        .accept(GenAbility::none())
+        .handle(&Request::get("/unsupported"));
+    relabelled.set_fault_domain("n0");
+    let faults = || relabelled.faults().expect("armed").injected_total();
+    assert_eq!(faults(), 0, "a relabelled stream tallies afresh");
+    let again = statuses_of(&relabelled, PAGES);
+    assert_eq!(again, n0, "relabel must restart the label's stream");
+    let failed = again.iter().filter(|status| **status == 500).count() as u64;
+    assert_eq!(faults(), failed, "each 500 is one injection of its own");
+}
+
+/// Per-request `(retries, fell_back, wire_bytes)` of a
+/// [`deterministic_run`] whose pages needed `retries`.
+fn recorded(retries: [u32; 12]) -> Vec<(u32, bool, u64)> {
+    retries
+        .iter()
+        .enumerate()
+        .map(|(p, &r)| (r, false, if p < 10 { 195 } else { 197 }))
+        .collect()
 }
 
 /// Bit-for-bit reproducibility: two consecutive runs of the same seeded
 /// spec observe identical fault tallies and identical per-request
-/// accounting, down to the byte counts.
+/// accounting, down to the byte counts — and both specs replay the
+/// schedules recorded when the client drew from a process-wide stream.
 #[tokio::test(flavor = "multi_thread")]
 #[allow(clippy::await_holding_lock)] // the guard serializes the whole test
 async fn chaos_runs_replay_bit_for_bit() {
@@ -378,6 +404,15 @@ async fn chaos_runs_replay_bit_for_bit() {
     let second = deterministic_run(SPEC).await;
     assert!(first.injected_total > 0, "chaos layer never fired");
     assert_eq!(first, second, "seeded chaos run must replay bit-for-bit");
+    assert_eq!(
+        first,
+        Snapshot {
+            injected: vec![("engine.generate", "error", 6)],
+            injected_total: 6,
+            per_request: recorded([0, 1, 0, 0, 0, 0, 2, 0, 0, 1, 0, 2]),
+        },
+        "seed 7 moved off its recorded schedule"
+    );
 
     // A different seed over the same rules must diverge somewhere —
     // otherwise the "seeded" in seeded-PRNG is doing nothing.
@@ -386,39 +421,103 @@ async fn chaos_runs_replay_bit_for_bit() {
         first, reseeded,
         "different seeds should observe different fault patterns"
     );
+    assert_eq!(
+        reseeded,
+        Snapshot {
+            injected: vec![("engine.generate", "error", 2), ("h2.read", "error", 2)],
+            injected_total: 4,
+            per_request: recorded([0, 1, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+        },
+        "seed 8 moved off its recorded schedule"
+    );
 }
 
-/// A pooled request runs inside its server's fault scope: the same
-/// seeded spec and the same 40 naive GETs answer the same statuses on a
-/// relabelled server whether it gates requests or not. (Before PR 25 a
-/// pool worker drew `engine.generate` from the global stream.)
+/// A pooled request draws from its server's stream on the thread that
+/// asked: the same seeded spec and the same 40 naive GETs answer the
+/// same statuses on a relabelled server whether it gates requests or
+/// not — the schedule recorded when a server's draws went through a
+/// thread-local scope.
 #[test]
 fn pooled_and_inline_servers_draw_the_same_faults() {
     let _serial = serial();
     const PAGES: usize = 40;
     let statuses = |workers: usize| {
-        sww::obs::reset();
-        faults::clear();
-        faults::install(
-            &ChaosSpec::parse("seed=7,engine.generate=error:0.5").expect("spec parses"),
-        );
         let server = GenerativeServer::from_config(ServerConfig {
             site: chaos_site(PAGES),
             workers,
+            chaos: Some(ChaosSpec::parse("seed=7,engine.generate=error:0.5").expect("spec")),
             ..ServerConfig::default()
         });
         server.set_fault_domain("node-a");
-        let session = server.accept(GenAbility::none());
-        let statuses: Vec<u16> = (0..PAGES)
-            .map(|p| session.handle(&Request::get(format!("/page/{p}"))).status)
-            .collect();
-        faults::clear();
-        statuses
+        statuses_of(&server, PAGES)
     };
     let inline = statuses(0);
-    assert!(
-        inline.contains(&200) && inline.contains(&500),
-        "a 50% coin must land both ways in 40 draws: {inline:?}"
-    );
+    let recorded: Vec<u16> = "x..xxx.xx..xxx..x.x..xx.x.xxx.xx.xx.x..x"
+        .bytes()
+        .map(|b| if b == b'x' { 500 } else { 200 })
+        .collect();
+    assert_eq!(inline, recorded, "the schedule moved off its recording");
     assert_eq!(statuses(2), inline, "workers moved the fault schedule");
+}
+
+/// Arming one server arms none of its neighbours: two servers run side
+/// by side in one process, one built with `engine.generate=error:1.0`.
+/// It fails every page and tallies each fault; the unarmed one answers
+/// every page and has nothing to tally.
+#[test]
+fn arming_one_server_leaves_its_neighbour_unarmed() {
+    let _serial = serial();
+    const PAGES: usize = 8;
+    let armed = GenerativeServer::from_config(ServerConfig {
+        site: chaos_site(PAGES),
+        chaos: Some(ChaosSpec::parse("seed=3,engine.generate=error:1.0").expect("spec parses")),
+        ..ServerConfig::default()
+    });
+    let neighbour = GenerativeServer::from_config(ServerConfig {
+        site: chaos_site(PAGES),
+        ..ServerConfig::default()
+    });
+    let (failed, served) = std::thread::scope(|scope| {
+        let failed = scope.spawn(|| statuses_of(&armed, PAGES));
+        let served = scope.spawn(|| statuses_of(&neighbour, PAGES));
+        (failed.join().unwrap(), served.join().unwrap())
+    });
+    assert_eq!(failed, vec![500; PAGES]);
+    assert_eq!(served, vec![200; PAGES], "the neighbour drew a fault");
+    assert_eq!(
+        armed.faults().expect("armed").injected_total(),
+        PAGES as u64
+    );
+    assert_eq!(neighbour.faults().map_or(0, |f| f.injected_total()), 0);
+}
+
+/// `gossip.send` reaches the gossip layer through the cluster's servers:
+/// a 3-node edge cluster whose servers carry `gossip.send=error:1.0`
+/// drops its probes (`sww_gossip_drops_total{cause="chaos"}`) and does
+/// not converge; the same cluster unarmed converges and drops nothing.
+#[test]
+fn gossip_send_faults_drop_probes_and_stop_convergence() {
+    let _serial = serial();
+    let drops = || sww::obs::counter("sww_gossip_drops_total", &[("cause", "chaos")]).get();
+    let run = |chaos: Option<ChaosSpec>| {
+        let config = EdgeConfig {
+            nodes: 3,
+            ..EdgeConfig::default()
+        };
+        let router = EdgeRouter::new(config, chaos_site(1), move |site| {
+            GenerativeServer::from_config(ServerConfig {
+                site,
+                chaos: chaos.clone(),
+                ..ServerConfig::default()
+            })
+        });
+        let before = drops();
+        router.tick_gossip(8);
+        (router.gossip_converged(), drops() - before)
+    };
+    let spec = ChaosSpec::parse("seed=5,gossip.send=error:1.0").expect("spec parses");
+    let (converged, dropped) = run(Some(spec));
+    assert!(!converged, "no probe lands, so no view can agree");
+    assert!(dropped > 0, "every probe is a chaos drop");
+    assert_eq!(run(None), (true, 0), "unarmed, the cluster converges");
 }

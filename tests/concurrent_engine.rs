@@ -12,8 +12,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use sww::core::cache::Recipe;
 use sww::core::{
-    FetchOutcome, GenAbility, GenerationEngine, GenerativeServer, RequestCtx, ServerConfig,
-    SiteContent, SwwError,
+    ChaosSpec, FetchOutcome, GenAbility, GenerationEngine, GenerativeServer, RequestCtx,
+    ServerConfig, SiteContent, SwwError,
 };
 use sww::genai::diffusion::ImageModelKind;
 use sww::genai::ImageBuffer;
@@ -61,10 +61,8 @@ fn series_value(text: &str, series: &str) -> Option<f64> {
     })
 }
 
-/// A request with no deadline whose generation cannot fail. It passes the
-/// `engine.generate` failpoint like every fetch, so the tests that count
-/// generations disarm the failpoints first: the drain test below arms
-/// them, and a failure there would leave them armed.
+/// A request with no deadline whose generation cannot fail: an unbounded
+/// ctx carries no fault stream.
 fn fetch(
     engine: &GenerationEngine,
     recipe: &Recipe,
@@ -95,7 +93,6 @@ fn run_sequential(engine: &GenerationEngine, calls: &AtomicUsize) {
 async fn eight_threads_generate_each_unique_prompt_exactly_once() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     sww::obs::reset();
-    sww::core::faults::clear();
 
     let engine = Arc::new(GenerationEngine::new(8, 64_000_000));
     let calls = Arc::new(AtomicUsize::new(0));
@@ -200,11 +197,6 @@ fn drain_under_concurrent_load_loses_no_responses() {
     const THREADS: usize = 4;
     const REQUESTS: usize = 4;
     sww::obs::reset();
-    sww::core::faults::clear();
-    sww::core::faults::install(
-        &sww::core::faults::ChaosSpec::parse("seed=5,engine.generate=latency:1.0:50")
-            .expect("spec parses"),
-    );
 
     let mut site = SiteContent::new();
     for p in 0..THREADS * REQUESTS {
@@ -224,6 +216,7 @@ fn drain_under_concurrent_load_loses_no_responses() {
     let server = GenerativeServer::from_config(ServerConfig {
         site,
         workers: 2,
+        chaos: Some(ChaosSpec::parse("seed=5,engine.generate=latency:1.0:50").expect("spec")),
         ..ServerConfig::default()
     });
 
@@ -294,8 +287,6 @@ fn drain_under_concurrent_load_loses_no_responses() {
         Some((shed + 1) as f64),
         "shed exposition:\n{exposition}"
     );
-
-    sww::core::faults::clear();
 }
 
 /// A leader that fails mid-generation must not strand its waiters: the
@@ -305,7 +296,6 @@ fn drain_under_concurrent_load_loses_no_responses() {
 #[allow(clippy::await_holding_lock)] // the guard serializes the whole test
 async fn poisoned_flight_releases_waiters_with_one_extra_generation() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    sww::core::faults::clear();
     const WORKERS: usize = 6;
     let engine = Arc::new(GenerationEngine::new(4, 64_000_000));
     let calls = Arc::new(AtomicUsize::new(0));

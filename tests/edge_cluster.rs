@@ -6,17 +6,17 @@
 //! work. These are the PR 8 acceptance scenarios (DESIGN.md "Edge
 //! tier"), driven through the public surface only.
 //!
-//! The metrics registry and the chaos fault layer are process-global, so
-//! every test in this binary holds [`SERIAL`] — the suite trades
-//! parallelism for exact counter arithmetic.
+//! The metrics registry is process-global, so every test in this binary
+//! holds [`SERIAL`] — the suite trades parallelism for exact counter
+//! arithmetic.
 
 mod common;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use sww::core::{
-    EdgeConfig, EdgeRouter, GenAbility, GenerativeClient, GenerativeServer, ServerConfig,
-    SiteContent,
+    ChaosSpec, EdgeConfig, EdgeRouter, GenAbility, GenerativeClient, GenerativeServer,
+    ServerConfig, SiteContent,
 };
 use sww::energy::device::{profile, DeviceKind};
 use sww::html::gencontent;
@@ -24,8 +24,8 @@ use sww::http2::{Request, Response};
 use sww::workload::graph::ANCHOR_COUNT;
 use sww::workload::{SmallWorldConfig, Trace, WorkloadConfig};
 
-/// Serializes the whole binary: chaos installs and registry resets are
-/// process-wide, and the reconciliation test needs exclusive counters.
+/// Serializes the whole binary: registry resets are process-wide, and
+/// the reconciliation test needs exclusive counters.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 const PROMPTS: usize = 10;
@@ -58,12 +58,27 @@ fn cluster(nodes: usize) -> EdgeRouter {
 }
 
 fn cluster_with(config: EdgeConfig) -> EdgeRouter {
-    EdgeRouter::new(config, edge_site(), |site| {
+    armed_cluster(config, None)
+}
+
+/// A cluster of `config.nodes` default servers, each armed with `chaos`.
+fn armed_cluster(config: EdgeConfig, chaos: Option<ChaosSpec>) -> EdgeRouter {
+    EdgeRouter::new(config, edge_site(), move |site| {
         GenerativeServer::from_config(ServerConfig {
             site,
+            chaos: chaos.clone(),
             ..ServerConfig::default()
         })
     })
+}
+
+/// `cluster(nodes)` with every server armed with `spec`.
+fn chaos_cluster(nodes: usize, spec: &ChaosSpec) -> EdgeRouter {
+    let config = EdgeConfig {
+        nodes,
+        ..EdgeConfig::default()
+    };
+    armed_cluster(config, Some(spec.clone()))
 }
 
 /// One naive GET with bounded retry; a 5xx (dead entry, mid-flight kill)
@@ -254,11 +269,10 @@ fn node_kill_mid_flight_loses_nothing_and_keeps_bytes_identical() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // Deterministic generation latency widens the mid-flight window so
     // the kill lands while requests are in the air.
-    let spec = sww::core::ChaosSpec::parse("seed=11,engine.generate=latency:1.0:10").unwrap();
-    sww::core::faults::install(&spec);
+    let spec = ChaosSpec::parse("seed=11,engine.generate=latency:1.0:10").unwrap();
 
     // Ground truth: a 1-node cluster's page and asset bytes.
-    let baseline = cluster(1);
+    let baseline = chaos_cluster(1, &spec);
     let mut pages = Vec::new();
     for p in 0..PROMPTS {
         let resp = baseline.handle(0, GenAbility::none(), &Request::get(format!("/page/{p}")));
@@ -268,7 +282,7 @@ fn node_kill_mid_flight_loses_nothing_and_keeps_bytes_identical() {
     let asset0 = baseline.handle(0, GenAbility::none(), &Request::get("/generated/edge0.jpg"));
     assert_eq!(asset0.status, 200);
 
-    let router = cluster(3);
+    let router = chaos_cluster(3, &spec);
     // Kill the node owning the most prompts — the worst case.
     let keys: Vec<String> = (0..PROMPTS).map(|p| format!("/page/{p}")).collect();
     let victim = {
@@ -316,7 +330,6 @@ fn node_kill_mid_flight_loses_nothing_and_keeps_bytes_identical() {
     for h in handles {
         h.join().expect("chaos client thread");
     }
-    sww::core::faults::clear();
 
     assert_eq!(lost.load(Ordering::Relaxed), 0, "zero lost responses");
     assert_eq!(

@@ -23,13 +23,14 @@
 
 use std::sync::Mutex;
 use std::time::Duration;
-use sww::core::faults::{self, ChaosSpec};
-use sww::core::{BreakerConfig, GenAbility, GenerativeServer, ServerConfig, SiteContent};
+use sww::core::{
+    BreakerConfig, ChaosSpec, GenAbility, GenerativeServer, ServerConfig, SiteContent,
+};
 use sww::html::gencontent;
 use sww::http2::Request;
 
-/// The fault registry and the metrics registry are process-global, so
-/// the tests in this binary must not interleave.
+/// The metrics registry is process-global and every test here reconciles
+/// against it, so the tests in this binary must not interleave.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn serial() -> std::sync::MutexGuard<'static, ()> {
@@ -103,16 +104,12 @@ fn tight_deadlines_under_latency_chaos_reconcile_exactly() {
     const THREADS: usize = 4;
     const REQUESTS: usize = 3;
     sww::obs::reset();
-    faults::clear();
     // Every generation sleeps 40 ms; every request has a 10 ms budget.
-    faults::install(
-        &ChaosSpec::parse("seed=7,engine.generate=latency:1.0:40").expect("spec parses"),
-    );
-
     let server = GenerativeServer::from_config(ServerConfig {
         site: site(THREADS * REQUESTS),
         workers: 2,
         default_deadline: Some(Duration::from_millis(10)),
+        chaos: Some(ChaosSpec::parse("seed=7,engine.generate=latency:1.0:40").expect("spec")),
         ..ServerConfig::default()
     });
 
@@ -170,8 +167,6 @@ fn tight_deadlines_under_latency_chaos_reconcile_exactly() {
         misses as f64,
         "cancel exposition:\n{exposition}"
     );
-
-    faults::clear();
 }
 
 /// A cancelled request sharing a flight with a patient one must not
@@ -181,15 +176,11 @@ fn tight_deadlines_under_latency_chaos_reconcile_exactly() {
 fn cancelled_flight_leader_hands_off_to_surviving_waiter() {
     let _serial = serial();
     sww::obs::reset();
-    faults::clear();
     // 30 ms of injected latency holds the flight open long enough for
     // the second request to join it.
-    faults::install(
-        &ChaosSpec::parse("seed=11,engine.generate=latency:1.0:30").expect("spec parses"),
-    );
-
     let server = GenerativeServer::from_config(ServerConfig {
         site: site(1),
+        chaos: Some(ChaosSpec::parse("seed=11,engine.generate=latency:1.0:30").expect("spec")),
         ..ServerConfig::default()
     });
     std::thread::scope(|scope| {
@@ -227,8 +218,6 @@ fn cancelled_flight_leader_hands_off_to_surviving_waiter() {
         1.0,
         "cancel exposition:\n{exposition}"
     );
-
-    faults::clear();
 }
 
 /// Consecutive generation faults trip the breaker (instant sheds, no
@@ -237,36 +226,37 @@ fn cancelled_flight_leader_hands_off_to_surviving_waiter() {
 fn breaker_trips_and_recovers_end_to_end() {
     let _serial = serial();
     sww::obs::reset();
-    faults::clear();
-    faults::install(&ChaosSpec::parse("seed=3,engine.generate=error:1.0").expect("spec parses"));
-
+    // Seed 6 is the first whose server stream reads `error, error, -, -`
+    // at `engine.generate`: the backend fails twice, then heals.
     let server = GenerativeServer::from_config(ServerConfig {
         site: site(5),
         breaker: Some(BreakerConfig {
             failure_threshold: 2,
             cooldown: Duration::from_millis(100),
         }),
+        chaos: Some(ChaosSpec::parse("seed=6,engine.generate=error:0.5").expect("spec parses")),
         ..ServerConfig::default()
     });
     let session = server.accept(GenAbility::none());
+    let injected = || server.faults().expect("armed").injected_total();
 
     // Two consecutive injected generation faults surface as 500s and
     // trip the breaker.
     assert_eq!(session.handle(&Request::get("/page/0")).status, 500);
     assert_eq!(session.handle(&Request::get("/page/1")).status, 500);
-    assert_eq!(faults::injected_total(), 2);
+    assert_eq!(injected(), 2);
 
     // Open breaker: the next request sheds before the engine is ever
-    // consulted — no new fault draw, advisory Retry-After attached.
+    // consulted — no fault draw, no generation, advisory Retry-After
+    // attached. (A draw would inject or generate.)
     let shed = session.handle(&Request::get("/page/2"));
     assert_eq!(shed.status, 503);
     assert!(shed.headers.get("retry-after").is_some());
-    assert_eq!(faults::injected_total(), 2, "no backend call while open");
+    assert_eq!(injected(), 2, "no backend call while open");
     assert_eq!(server.engine().generations(), 0);
 
     // Backend heals; after the cooldown the half-open probe succeeds,
     // the breaker re-closes, and traffic flows again.
-    faults::clear();
     std::thread::sleep(Duration::from_millis(120));
     assert_eq!(session.handle(&Request::get("/page/3")).status, 200);
     assert_eq!(session.handle(&Request::get("/page/4")).status, 200);
@@ -292,38 +282,34 @@ fn left_the_queue() -> u64 {
 }
 
 /// A pooled server's one permit, held: `f` runs while a naive GET of the
-/// cold `/page/{page}` sleeps `hold_ms` in its generation.
-fn with_permit_held<R>(
-    server: &GenerativeServer,
-    page: usize,
-    hold_ms: u64,
-    f: impl FnOnce() -> R,
-) -> R {
-    let spec = format!("seed=1,engine.generate=latency:1.0:{hold_ms}");
-    faults::install(&ChaosSpec::parse(&spec).expect("spec parses"));
-    let out = std::thread::scope(|scope| {
+/// cold `/page/{page}` sleeps in its generation (see [`trained_pool`]).
+fn with_permit_held<R>(server: &GenerativeServer, page: usize, f: impl FnOnce() -> R) -> R {
+    let injected = || server.faults().expect("armed").injected_total();
+    let before = injected();
+    std::thread::scope(|scope| {
         let holder = scope.spawn(|| {
             let session = server.accept(GenAbility::none());
             session.handle(&Request::get(format!("/page/{page}")))
         });
         // The sleep is drawn inside the running job: the permit is held.
-        while faults::injected_total() == 0 {
+        while injected() == before {
             std::thread::yield_now();
         }
         let out = f();
         assert_eq!(holder.join().expect("holder").status, 200);
         out
-    });
-    faults::clear();
-    out
+    })
 }
 
 /// A pooled server whose pool has learnt that a job takes microseconds,
 /// so admission control queues a 30 ms budget instead of shedding it.
-fn trained_pool(pages: usize) -> GenerativeServer {
+/// Each of its generations sleeps `hold_ms`; a `404` generates nothing.
+fn trained_pool(pages: usize, hold_ms: u64) -> GenerativeServer {
+    let spec = format!("seed=1,engine.generate=latency:1.0:{hold_ms}");
     let server = GenerativeServer::from_config(ServerConfig {
         site: site(pages),
         workers: 1,
+        chaos: Some(ChaosSpec::parse(&spec).expect("spec parses")),
         ..ServerConfig::default()
     });
     let session = server.accept(GenAbility::none());
@@ -339,10 +325,9 @@ fn trained_pool(pages: usize) -> GenerativeServer {
 fn a_queued_request_leaves_at_its_deadline() {
     let _serial = serial();
     sww::obs::reset();
-    faults::clear();
-    let server = trained_pool(1);
+    let server = trained_pool(1, 300);
     let before = left_the_queue();
-    let (status, waited) = with_permit_held(&server, 0, 300, || {
+    let (status, waited) = with_permit_held(&server, 0, || {
         let mut req = Request::get("/missing");
         req.headers.insert("x-sww-deadline-ms", "30");
         let asked = std::time::Instant::now();
@@ -365,8 +350,7 @@ fn a_queued_request_leaves_at_its_deadline() {
 fn hostile_deadline_headers_reach_the_wait_without_a_panic() {
     let _serial = serial();
     sww::obs::reset();
-    faults::clear();
-    let server = trained_pool(5);
+    let server = trained_pool(5, 50);
     let get = |deadline: &str| {
         let mut req = Request::get("/missing");
         req.headers.insert("x-sww-deadline-ms", deadline);
@@ -381,7 +365,7 @@ fn hostile_deadline_headers_reach_the_wait_without_a_panic() {
         .into_iter()
         .enumerate()
     {
-        let status = with_permit_held(&server, page, 50, || get(deadline));
+        let status = with_permit_held(&server, page, || get(deadline));
         assert_eq!(status, 404, "x-sww-deadline-ms: {deadline:?}");
     }
     assert_eq!(left_the_queue() - before, 1);

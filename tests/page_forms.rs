@@ -6,27 +6,27 @@
 //! every later one; a capable client's prompt form is the stored page
 //! itself and only its ETag is derived. The unit tests in
 //! `crates/core/src/server.rs` look at the store directly. Here the
-//! witness is `sww_server_page_forms_total{form, result}`, and the two
-//! failure shapes that need the process-global fault registry: an
-//! injected `engine.generate` fault during derivation, and a
-//! `server.respond` truncation of a response built from a stored form.
+//! witness is `sww_server_page_forms_total{form, result}`, and two
+//! failure shapes drawn from a server's own fault stream: an injected
+//! `engine.generate` fault during derivation, and a `server.respond`
+//! truncation of a response built from a stored form.
 
 use std::sync::Mutex;
-use sww::core::faults::{self, ChaosSpec};
-use sww::core::{GenAbility, GenerativeServer, ServerConfig, SiteContent};
+use sww::core::{ChaosSpec, GenAbility, GenerativeServer, ServerConfig, SiteContent};
 use sww::html::gencontent;
 use sww::http2::Request;
 
-/// The fault registry and the metrics registry are process-global, so
-/// the tests in this binary must not interleave.
+/// The metrics registry is process-global and both tests here reset and
+/// read it, so they must not interleave.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn serial() -> std::sync::MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// `/a` carries an image and a text block, `/b` an image.
-fn server() -> GenerativeServer {
+/// `/a` carries an image and a text block, `/b` an image; the server
+/// draws its faults from `chaos`.
+fn server(chaos: Option<ChaosSpec>) -> GenerativeServer {
     let mut site = SiteContent::new();
     site.add_page(
         "/a",
@@ -42,6 +42,7 @@ fn server() -> GenerativeServer {
     );
     GenerativeServer::from_config(ServerConfig {
         site,
+        chaos,
         ..ServerConfig::default()
     })
 }
@@ -58,8 +59,7 @@ fn forms(form: &'static str, result: &'static str) -> u64 {
 fn form_counter_reconciles_with_page_requests() {
     let _serial = serial();
     sww::obs::reset();
-    faults::clear();
-    let server = server();
+    let server = server(None);
     let naive = server.accept(GenAbility::none());
     let capable = server.accept(GenAbility::full());
     let mut pages = 0;
@@ -112,16 +112,18 @@ fn form_counter_reconciles_with_page_requests() {
 fn faults_neither_store_a_failed_form_nor_damage_a_stored_one() {
     let _serial = serial();
     sww::obs::reset();
-    faults::clear();
-    let server = server();
+    // Seed 99 is the first whose server stream reads `error, error, -`
+    // at `engine.generate` and `?, ?, -, truncate, -` at
+    // `server.respond`: two failed derivations, a whole one, a cut hit
+    // and a whole hit, one draw of each site per request.
+    let spec = "seed=99,engine.generate=error:0.5,server.respond=truncate:0.5:50";
+    let server = server(Some(ChaosSpec::parse(spec).expect("spec parses")));
     let naive = server.accept(GenAbility::none());
 
     // A derivation whose generation fails answers 500 and keeps nothing:
-    // the request after the fault clears derives.
-    faults::install(&ChaosSpec::parse("seed=5,engine.generate=error:1.0").expect("spec parses"));
+    // the request after the faults derives.
     assert_eq!(naive.handle(&Request::get("/a")).status, 500);
     assert_eq!(naive.handle(&Request::get("/a")).status, 500);
-    faults::clear();
     assert_eq!(forms("naive", "derived") + forms("naive", "reused"), 0);
     let whole = naive.handle(&Request::get("/a"));
     assert_eq!(whole.status, 200);
@@ -129,9 +131,7 @@ fn faults_neither_store_a_failed_form_nor_damage_a_stored_one() {
 
     // Truncation acts on the response, not on the stored octets it
     // shares: the next untroubled hit is whole again.
-    faults::install(&ChaosSpec::parse("seed=5,server.respond=truncate:1.0:50").expect("parses"));
     let cut = naive.handle(&Request::get("/a"));
-    faults::clear();
     assert_eq!(cut.status, 200);
     assert_eq!(cut.body.len(), whole.body.len() / 2);
     assert_eq!(cut.body[..], whole.body[..cut.body.len()]);

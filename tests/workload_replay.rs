@@ -10,19 +10,19 @@
 //!    `sww_workload_*` series reconcile exactly with ground truth
 //!    (events generated, sessions started, requests replayed) on both
 //!    runs.
-//! 2. **Chaos waiver** — under the fault-injection layer the *trace*
-//!    and the workload metrics stay deterministic and every request
-//!    still completes; only the response digest is waived (fault draws
-//!    come from one process-global stream, so scheduling leaks in).
+//! 2. **Chaos** — with the replay's server armed with a latency spec,
+//!    the trace, the workload metrics and the response digest stay
+//!    deterministic and every request still completes: the server draws
+//!    from a fault stream of its own, and a delay changes no body.
 //! 3. **Seed sensitivity** — different seeds produce different traces.
 
 use std::sync::Mutex;
-use sww::core::faults::{self, ChaosSpec};
+use sww::core::ChaosSpec;
 use sww::workload::graph::SmallWorldConfig;
 use sww::workload::replay::{ReplayConfig, ReplayEngine, ReplayOutcome, ReplayTarget};
 use sww::workload::trace::{Trace, WorkloadConfig};
 
-/// The fault registry and the metrics registry are process-global, so
+/// The metrics registry is process-global and each run resets it, so
 /// the tests in this binary must not interleave.
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -62,8 +62,12 @@ fn workload_series(text: &str) -> String {
 }
 
 /// One full server run from a clean registry: generate the trace,
-/// replay it against an in-process server, scrape the exposition.
-fn run_once(cfg: &WorkloadConfig) -> (String, u64, ReplayOutcome, String) {
+/// replay it against an in-process server armed with `chaos`, scrape
+/// the exposition.
+fn run_once(
+    cfg: &WorkloadConfig,
+    chaos: Option<&ChaosSpec>,
+) -> (String, u64, ReplayOutcome, String) {
     sww::obs::reset();
     let engine = ReplayEngine::from_config(cfg);
     let trace_bytes = format!("{:?}", engine.trace().events());
@@ -71,6 +75,7 @@ fn run_once(cfg: &WorkloadConfig) -> (String, u64, ReplayOutcome, String) {
     let outcome = engine.run(&ReplayConfig {
         target: ReplayTarget::Single,
         threads: 2,
+        chaos: chaos.cloned(),
         ..ReplayConfig::default()
     });
     (trace_bytes, sessions, outcome, sww::obs::render())
@@ -117,10 +122,9 @@ fn reconcile(cfg: &WorkloadConfig, sessions: u64, outcome: &ReplayOutcome, metri
 #[test]
 fn same_seed_replays_are_byte_identical_and_reconcile_with_metrics() {
     let _guard = serial();
-    faults::clear();
     let cfg = small_cfg(7);
-    let (trace_a, sessions_a, a, metrics_a) = run_once(&cfg);
-    let (trace_b, sessions_b, b, metrics_b) = run_once(&cfg);
+    let (trace_a, sessions_a, a, metrics_a) = run_once(&cfg, None);
+    let (trace_b, sessions_b, b, metrics_b) = run_once(&cfg, None);
     assert_eq!(
         trace_a, trace_b,
         "same seed must give a byte-identical trace"
@@ -146,17 +150,18 @@ fn same_seed_replays_are_byte_identical_and_reconcile_with_metrics() {
 fn chaos_replays_keep_trace_and_metrics_deterministic() {
     let _guard = serial();
     let spec = ChaosSpec::parse("seed=9,engine.generate=latency:0.5:5").unwrap();
-    faults::install(&spec);
     let cfg = small_cfg(21);
-    let (trace_a, sessions_a, a, metrics_a) = run_once(&cfg);
-    // Re-arm the identical fault stream for the second run.
-    faults::install(&spec);
-    let (trace_b, sessions_b, b, metrics_b) = run_once(&cfg);
-    faults::clear();
+    // Each run builds a fresh server, and so a fresh stream.
+    let (trace_a, sessions_a, a, metrics_a) = run_once(&cfg, Some(&spec));
+    let (trace_b, sessions_b, b, metrics_b) = run_once(&cfg, Some(&spec));
     assert_eq!(trace_a, trace_b, "chaos must not touch trace generation");
     assert_eq!(a.trace_digest, b.trace_digest);
-    // Response digests are deliberately NOT compared: fault draws come
-    // from one process-global stream shared across replay threads.
+    // Which of two replay threads draws which delay is scheduling, but
+    // a delay changes no status and no body.
+    assert_eq!(
+        a.response_digest, b.response_digest,
+        "a latency spec must not move a response"
+    );
     assert_eq!(a.scorecard.requests, cfg.requests as u64);
     assert_eq!(b.scorecard.requests, cfg.requests as u64);
     assert_eq!(
@@ -176,7 +181,6 @@ fn chaos_replays_keep_trace_and_metrics_deterministic() {
 #[test]
 fn different_seeds_produce_different_traces() {
     let _guard = serial();
-    faults::clear();
     let a = Trace::generate(&small_cfg(1));
     let b = Trace::generate(&small_cfg(2));
     assert_ne!(a.digest(), b.digest(), "seeds 1 and 2 collided");
