@@ -51,6 +51,17 @@ for profile in "" "--release"; do
         engine::tests::a_cache_get_fault_is_a_counted_miss
 done
 
+# A node's metrics are its own: every series sww-core records lands in the
+# registry of the server, router or client that counted it. The nodes'
+# and the router's registries of a seeded cluster run sum to the golden
+# recorded when they all shared one process registry; traffic on one
+# server moves none of its neighbour's series; a scrape of one cluster
+# node shows none of the other's.
+echo "==> owned registries: the shared-registry golden, neighbour isolation, per-node scrapes (debug + release)"
+for profile in "" "--release"; do
+    cargo test ${profile} --test per_node_metrics --test metrics_e2e -q
+done
+
 echo "==> cargo test --release --test batch_equivalence (batched == sequential, bit for bit)"
 cargo test --release --test batch_equivalence -q
 
@@ -299,6 +310,31 @@ if [ -n "${SPAWNERS}" ]; then
     exit 1
 fi
 
+# sww-core records into its owners' registries only: its product code may
+# not reach the process registry (sww_obs::counter / gauge / histogram /
+# render, by path or by import, or Registry::global). Checked first on a
+# probe with a mid-file test-only item, an import and a comment.
+core_registry_calls() {
+    product_lines "$@" |
+        grep -E 'sww_obs::(\{[^}]*)?\b(counter|gauge|histogram|render)\b|Registry::global' |
+        grep -vE '^[^:]*:[0-9]+:[[:space:]]*//' | sed 's/^/    /' || true
+}
+echo "==> registry gate: no process-registry call in sww-core product code"
+printf '%s\n' '#[cfg(test)]' 'fn probe() {}' 'use sww_obs::{gauge, Registry};' \
+    '// sww_obs::render() in a comment' 'fn hidden() { sww_obs::counter("x", &[]).inc(); }' \
+    '#[cfg(test)]' 'mod tests { fn t() { sww_obs::render(); } }' >target/registry-gate-probe.rs
+if [ "$(core_registry_calls target/registry-gate-probe.rs | wc -l)" -ne 2 ]; then
+    echo "FAIL: the registry gate missed a call or an import, or read a comment or a test module" >&2
+    exit 1
+fi
+mapfile -d '' CORE_FILES < <(find crates/core/src -name '*.rs' -print0)
+REGISTRY_CALLS=$(core_registry_calls "${CORE_FILES[@]}")
+if [ -n "${REGISTRY_CALLS}" ]; then
+    echo "FAIL: sww-core product code records into the process registry:" >&2
+    echo "${REGISTRY_CALLS}" >&2
+    exit 1
+fi
+
 # Ratchet: the workspace test count must never silently shrink. Raise the
 # floor when a PR adds tests; a drop below it means tests were lost.
 # (PR 22: 946 - 7 whose subjects were deleted + 2 new; PR 23: + 10, the
@@ -306,8 +342,9 @@ fi
 # and the shared site; PR 25: + 4, the queue deadline, hostile headers,
 # pooled == inline faults and each released permit admits a waiter;
 # then + 4 for owned fault streams, − 2 whose subjects were deleted;
-# CHANGES.md names them.)
-TEST_FLOOR=964
+# then + 6 for owned registries and the h3 reassembly cap, − 2 whose
+# subjects were deleted; CHANGES.md names them.)
+TEST_FLOOR=968
 echo "==> workspace test-count floor (>= ${TEST_FLOOR})"
 TEST_COUNT=$(cargo test --workspace -- --list 2>/dev/null | grep -c ": test$")
 echo "    ${TEST_COUNT} tests"

@@ -116,11 +116,14 @@ fn main() {
         println!("{}", ablations::table(&pre, &huff, &up).render());
     }
 
-    // Metrics appendix: everything the run above recorded, in Prometheus
-    // text form. Goes to stderr so stdout (the report proper) stays
-    // byte-identical whether or not anyone reads the appendix.
+    // Metrics appendix: the process registry — what the run above
+    // recorded below sww-core (generation stages, buffer pools, HTTP/2
+    // framing, workload tallies); every server and client the
+    // experiments built kept its series in a registry of its own. In
+    // Prometheus text form, on stderr, so stdout (the report proper)
+    // stays byte-identical whether or not anyone reads the appendix.
     let metrics = sww_obs::render();
     if !metrics.is_empty() {
-        eprintln!("\n=== metrics appendix (see OBSERVABILITY.md) ===\n{metrics}");
+        eprintln!("\n=== metrics appendix: process registry (see OBSERVABILITY.md) ===\n{metrics}");
     }
 }

@@ -205,7 +205,7 @@ mod tests {
         // overhead): keep the thread-pool-heavy experiments in this
         // binary from running concurrently, and retry a bounded number of
         // times so one noisy scheduling slice cannot flip the verdict.
-        let _serial = super::super::POOL_SERIAL
+        let _serial = super::super::ALLOC_SERIAL
             .lock()
             .unwrap_or_else(|e| e.into_inner());
         let mut r = preload(4);

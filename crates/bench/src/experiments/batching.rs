@@ -85,7 +85,6 @@ pub fn sample(cfg: BatchingConfig, batch_max: usize) -> BatchSample {
         batch_wait: std::time::Duration::from_millis(cfg.batch_wait_ms),
         ..ServerConfig::default()
     });
-    let (shed_before, cancelled_before, _) = super::concurrency::lifecycle_counters();
     // Held across the sample: groups never close for rendezvous drain,
     // only on full (or the deadline), making composition deterministic.
     let hint = server.batcher().map(|b| b.announce());
@@ -108,7 +107,7 @@ pub fn sample(cfg: BatchingConfig, batch_max: usize) -> BatchSample {
     let images = server.engine().generations();
     let modelled_time_s = server.server_generation_time_s();
     let stats = server.batch_stats();
-    let (shed_after, cancelled_after, _) = super::concurrency::lifecycle_counters();
+    let (shed, cancelled, _) = super::concurrency::lifecycle_counters(server.metrics());
     BatchSample {
         batch_max,
         images,
@@ -117,8 +116,8 @@ pub fn sample(cfg: BatchingConfig, batch_max: usize) -> BatchSample {
         speedup: 1.0, // filled in by `run` against the baseline row
         mean_batch: stats.as_ref().map_or(0.0, |s| s.mean_batch),
         p99_wait_ms: stats.as_ref().map_or(0.0, |s| s.p99_wait_s * 1e3),
-        shed: shed_after - shed_before,
-        cancelled: cancelled_after - cancelled_before,
+        shed,
+        cancelled,
     }
 }
 
@@ -186,7 +185,7 @@ mod tests {
     /// configured deadline.
     #[test]
     fn batch_eight_at_least_doubles_modelled_throughput() {
-        let _serial = super::super::POOL_SERIAL
+        let _serial = super::super::ALLOC_SERIAL
             .lock()
             .unwrap_or_else(|e| e.into_inner());
         let cfg = BatchingConfig {
@@ -218,7 +217,7 @@ mod tests {
 
     #[test]
     fn table_marks_the_unbatched_baseline() {
-        let _serial = super::super::POOL_SERIAL
+        let _serial = super::super::ALLOC_SERIAL
             .lock()
             .unwrap_or_else(|e| e.into_inner());
         let cfg = BatchingConfig {

@@ -22,6 +22,7 @@ use std::time::{Duration, Instant};
 use sww_core::{ChaosSpec, GenAbility, GenerativeServer, ServerConfig, SiteContent};
 use sww_html::gencontent;
 use sww_http2::Request;
+use sww_obs::Registry;
 
 /// One worker-count sample of the sweep.
 #[derive(Debug, Clone)]
@@ -133,18 +134,13 @@ pub(crate) fn bench_site(prompts: usize) -> SiteContent {
     site
 }
 
-/// The pool's executed-jobs counter from the global metrics registry.
-fn pool_jobs_executed() -> u64 {
-    sww_obs::counter("sww_pool_jobs_total", &[("result", "executed")]).get()
-}
-
-/// Lifecycle counters from the global registry: `(shed, cancelled,
+/// Lifecycle counters from a server's registry: `(shed, cancelled,
 /// deadline_misses)`. Labelled series are summed over their documented
 /// label values. Shared with the E16 sweep.
-pub(crate) fn lifecycle_counters() -> (u64, u64, u64) {
+pub(crate) fn lifecycle_counters(metrics: &Registry) -> (u64, u64, u64) {
     let shed = ["deadline", "breaker", "draining"]
         .iter()
-        .map(|r| sww_obs::counter("sww_shed_total", &[("reason", r)]).get())
+        .map(|r| metrics.counter("sww_shed_total", &[("reason", r)]).get())
         .sum();
     let cancelled = [
         "engine.wait",
@@ -154,16 +150,15 @@ pub(crate) fn lifecycle_counters() -> (u64, u64, u64) {
         "pool.queue",
     ]
     .iter()
-    .map(|s| sww_obs::counter("sww_cancelled_total", &[("site", s)]).get())
+    .map(|s| metrics.counter("sww_cancelled_total", &[("site", s)]).get())
     .sum();
-    let misses = sww_obs::counter("sww_deadline_exceeded_total", &[]).get();
+    let misses = metrics.counter("sww_deadline_exceeded_total", &[]).get();
     (shed, cancelled, misses)
 }
 
 /// Run one worker-count sample, its server armed with `chaos`. Every
-/// reported number is **per-sample**: engine and fault counters come
-/// from the sample's own fresh server, and global-registry counters
-/// (pool jobs, lifecycle) are before/after deltas.
+/// reported number is **per-sample**: engine, fault, pool and lifecycle
+/// counters all come from the sample's own fresh server.
 pub fn sample(
     cfg: ConcurrencyConfig,
     workers: usize,
@@ -187,8 +182,6 @@ pub fn sample(
     });
     let rejected = AtomicU64::new(0);
     let latencies_ms = Mutex::new(Vec::with_capacity(cfg.threads * cfg.requests));
-    let pool_jobs_before = pool_jobs_executed();
-    let (shed_before, cancelled_before, misses_before) = lifecycle_counters();
     let start = Instant::now();
     std::thread::scope(|scope| {
         for t in 0..cfg.threads {
@@ -221,7 +214,8 @@ pub fn sample(
         }
     });
     let elapsed = start.elapsed().as_secs_f64();
-    let (shed_after, cancelled_after, misses_after) = lifecycle_counters();
+    let metrics = server.metrics();
+    let (shed, cancelled, deadline_misses) = lifecycle_counters(metrics);
     let mut latencies_ms = latencies_ms.into_inner().unwrap_or_else(|e| e.into_inner());
     latencies_ms.sort_by(|a, b| a.total_cmp(b));
     ConcurrencySample {
@@ -231,10 +225,12 @@ pub fn sample(
         coalesced: server.engine().coalesced(),
         rejected: rejected.load(Ordering::Relaxed),
         faults: server.faults().map_or(0, |f| f.injected_total()),
-        pool_jobs: pool_jobs_executed() - pool_jobs_before,
-        shed: shed_after - shed_before,
-        cancelled: cancelled_after - cancelled_before,
-        deadline_misses: misses_after - misses_before,
+        pool_jobs: metrics
+            .counter("sww_pool_jobs_total", &[("result", "executed")])
+            .get(),
+        shed,
+        cancelled,
+        deadline_misses,
         p50_ms: percentile_ms(&latencies_ms, 50.0),
         p99_ms: percentile_ms(&latencies_ms, 99.0),
     }
@@ -301,7 +297,7 @@ mod tests {
 
     #[test]
     fn single_flight_holds_at_every_pool_size() {
-        let _serial = super::super::POOL_SERIAL
+        let _serial = super::super::ALLOC_SERIAL
             .lock()
             .unwrap_or_else(|e| e.into_inner());
         let cfg = ConcurrencyConfig {
@@ -325,7 +321,7 @@ mod tests {
 
     #[test]
     fn table_renders_all_samples() {
-        let _serial = super::super::POOL_SERIAL
+        let _serial = super::super::ALLOC_SERIAL
             .lock()
             .unwrap_or_else(|e| e.into_inner());
         let cfg = ConcurrencyConfig {
@@ -340,13 +336,12 @@ mod tests {
         assert!(t.render().contains("inline"));
     }
 
-    /// Regression: sweep rows must be per-sample, not cumulative. The
-    /// pool counter lives in the global metrics registry and only grows
-    /// across a process, so without the before/after delta every later
-    /// row would also carry all earlier rows' jobs.
+    /// Regression: sweep rows must be per-sample, not cumulative — each
+    /// reads the pool counter of its own fresh server, so no later row
+    /// carries an earlier row's jobs.
     #[test]
     fn pool_jobs_are_per_sample_not_cumulative() {
-        let _serial = super::super::POOL_SERIAL
+        let _serial = super::super::ALLOC_SERIAL
             .lock()
             .unwrap_or_else(|e| e.into_inner());
         let cfg = ConcurrencyConfig {
@@ -357,7 +352,7 @@ mod tests {
         };
         let expected = (cfg.threads * cfg.requests) as u64;
         // Two pooled samples in sequence: each must report exactly its
-        // own jobs even though the underlying counter has doubled.
+        // own jobs.
         let first = sample(cfg, 2, None);
         let second = sample(cfg, 2, None);
         assert_eq!(first.pool_jobs, expected);

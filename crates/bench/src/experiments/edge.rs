@@ -614,7 +614,7 @@ mod tests {
 
     #[test]
     fn chaos_kill_loses_nothing_and_keeps_bytes_identical() {
-        let _serial = super::super::POOL_SERIAL
+        let _serial = super::super::ALLOC_SERIAL
             .lock()
             .unwrap_or_else(|e| e.into_inner());
         let outcome = chaos_kill_with_latency(&small());

@@ -399,7 +399,7 @@ mod tests {
     /// after warmup.
     #[test]
     fn eight_lanes_model_1_5x_and_stay_allocation_free() {
-        let _serial = super::super::POOL_SERIAL
+        let _serial = super::super::ALLOC_SERIAL
             .lock()
             .unwrap_or_else(|e| e.into_inner());
         let cfg = KernelConfig {
@@ -431,7 +431,7 @@ mod tests {
     /// speedup from the lanes, zero steady-state allocations.
     #[test]
     fn tiled_serving_models_speedup_with_full_batches() {
-        let _serial = super::super::POOL_SERIAL
+        let _serial = super::super::ALLOC_SERIAL
             .lock()
             .unwrap_or_else(|e| e.into_inner());
         let cfg = ServingConfig {
@@ -460,7 +460,7 @@ mod tests {
 
     #[test]
     fn tables_render_both_sweeps() {
-        let _serial = super::super::POOL_SERIAL
+        let _serial = super::super::ALLOC_SERIAL
             .lock()
             .unwrap_or_else(|e| e.into_inner());
         let kcfg = KernelConfig {

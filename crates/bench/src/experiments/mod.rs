@@ -19,8 +19,12 @@ pub mod video_cdn;
 pub mod wikimedia;
 pub mod workload;
 
-/// Serializes tests that read global-registry counter deltas around a
-/// pooled server (the worker-pool and batch counters are process-wide,
-/// so concurrent pooled tests would pollute each other's deltas).
+/// Serializes this binary's heavy generators. The genai buffer pools and
+/// their `sww_alloc_bytes_total` counter are process-wide: the E17
+/// kernel tests assert a zero-allocation window over them, which a
+/// concurrent sweep drawing on the same shelves would break, and the
+/// preload ablation compares wall clocks. Every server a sweep builds
+/// counts into a registry of its own, so no test holds this for a
+/// serving-stack series.
 #[cfg(test)]
-pub(crate) static POOL_SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+pub(crate) static ALLOC_SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());

@@ -69,12 +69,15 @@ pub struct TransportSample {
     /// Modelled pages per second from the injected latency alone —
     /// deterministic, the number the regression gate compares.
     pub modelled_qps: f64,
-    /// `sww_server_requests_total{route="page",transport=...}` delta over
-    /// the sample — reconciles the measurement against the server's own
-    /// accounting (must equal `pages × recipes`).
+    /// `sww_server_requests_total{route="page",transport=...}` in the
+    /// sample's server registry — reconciles the measurement against the
+    /// server's own accounting (must equal `pages × recipes`).
     pub requests: u64,
     /// Response bodies keyed by path, for cross-transport byte-identity.
     pub bodies: std::collections::BTreeMap<String, Vec<u8>>,
+    /// The fresh server the sample ran against; its `/metrics` is the
+    /// sample's exposition.
+    pub server: GenerativeServer,
 }
 
 /// The full h2-vs-h3 run.
@@ -148,23 +151,20 @@ fn page_path(page: usize, recipe: usize) -> String {
     format!("/e18/p{page}/r{recipe}")
 }
 
-fn requests_served(transport: TransportKind) -> u64 {
-    sww_obs::counter(
-        "sww_server_requests_total",
-        &[("route", "page"), ("transport", transport.label())],
-    )
-    .get()
-}
-
 fn sample_from(
     cfg: TransportConfig,
+    server: &GenerativeServer,
     transport: TransportKind,
     mut page_ms: Vec<f64>,
     elapsed_s: f64,
-    requests: u64,
     bodies: std::collections::BTreeMap<String, Vec<u8>>,
 ) -> TransportSample {
     page_ms.sort_by(|a, b| a.total_cmp(b));
+    let labels = [("route", "page"), ("transport", transport.label())];
+    let requests = server
+        .metrics()
+        .counter("sww_server_requests_total", &labels)
+        .get();
     TransportSample {
         transport,
         p50_ms: percentile_ms(&page_ms, 50.0),
@@ -173,6 +173,7 @@ fn sample_from(
         modelled_qps: 1000.0 / modelled_page_ms(cfg, transport),
         requests,
         bodies,
+        server: server.clone(),
     }
 }
 
@@ -183,7 +184,6 @@ fn h2_sample(cfg: TransportConfig, server: &GenerativeServer) -> TransportSample
     let rt = runtime();
     let mut bodies = std::collections::BTreeMap::new();
     let mut page_ms = Vec::with_capacity(cfg.pages);
-    let before = requests_served(TransportKind::H2);
     let start = Instant::now();
     rt.block_on(async {
         for p in 0..cfg.pages {
@@ -210,8 +210,7 @@ fn h2_sample(cfg: TransportConfig, server: &GenerativeServer) -> TransportSample
         }
     });
     let elapsed = start.elapsed().as_secs_f64();
-    let requests = requests_served(TransportKind::H2) - before;
-    sample_from(cfg, TransportKind::H2, page_ms, elapsed, requests, bodies)
+    sample_from(cfg, server, TransportKind::H2, page_ms, elapsed, bodies)
 }
 
 /// Fetch every page over HTTP/3: one connection per page, all `K` recipe
@@ -221,7 +220,6 @@ fn h3_sample(cfg: TransportConfig, server: &GenerativeServer) -> TransportSample
     let rt = runtime();
     let mut bodies = std::collections::BTreeMap::new();
     let mut page_ms = Vec::with_capacity(cfg.pages);
-    let before = requests_served(TransportKind::H3);
     let start = Instant::now();
     rt.block_on(async {
         for p in 0..cfg.pages {
@@ -245,8 +243,7 @@ fn h3_sample(cfg: TransportConfig, server: &GenerativeServer) -> TransportSample
         }
     });
     let elapsed = start.elapsed().as_secs_f64();
-    let requests = requests_served(TransportKind::H3) - before;
-    sample_from(cfg, TransportKind::H3, page_ms, elapsed, requests, bodies)
+    sample_from(cfg, server, TransportKind::H3, page_ms, elapsed, bodies)
 }
 
 fn runtime() -> tokio::runtime::Runtime {
@@ -331,8 +328,7 @@ mod tests {
 
     #[test]
     fn h3_dodges_the_head_of_line_and_payloads_match() {
-        // The server counters are process-global.
-        let _serial = super::super::POOL_SERIAL
+        let _serial = super::super::ALLOC_SERIAL
             .lock()
             .unwrap_or_else(|e| e.into_inner());
         let cfg = small();
@@ -371,7 +367,7 @@ mod tests {
 
     #[test]
     fn table_lists_both_transports() {
-        let _serial = super::super::POOL_SERIAL
+        let _serial = super::super::ALLOC_SERIAL
             .lock()
             .unwrap_or_else(|e| e.into_inner());
         let cfg = TransportConfig {

@@ -352,7 +352,7 @@ pub fn live_table(cfg: &E20Config, samples: &[LiveSample]) -> Table {
 
 #[cfg(test)]
 mod tests {
-    use super::super::POOL_SERIAL;
+    use super::super::ALLOC_SERIAL;
     use super::*;
     use crate::report::{determinism_record, gate, workload_record};
     use sww_json::Value;
@@ -404,7 +404,7 @@ mod tests {
 
     #[test]
     fn live_sweep_and_determinism_pass_the_gates() {
-        let _guard = POOL_SERIAL.lock().unwrap();
+        let _guard = ALLOC_SERIAL.lock().unwrap();
         let cfg = tiny_live();
         let live = live_sweep(&cfg, &live_targets(&cfg), None);
         assert_eq!(live.len(), 3);
@@ -429,7 +429,7 @@ mod tests {
     /// own, at offset zero per instance.
     #[test]
     fn determinism_holds_under_chaos_with_scoped_fault_streams() {
-        let _guard = POOL_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = ALLOC_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         let cfg = tiny_live();
         let spec = ChaosSpec::parse("seed=29,engine.generate=error:0.3").expect("error spec");
         let det = determinism_check(&cfg, &[], Some(&spec));

@@ -752,6 +752,7 @@ mod tests {
             modelled_qps: qps,
             requests: 12,
             bodies: Default::default(),
+            server: sww_core::GenerativeServer::from_config(Default::default()),
         }
     }
 

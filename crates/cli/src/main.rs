@@ -73,7 +73,8 @@
 //!
 //! `sww stats` scrapes the Prometheus-text `/metrics` endpoint of a
 //! running server when given an address; with no address it runs a small
-//! in-process demo fetch and dumps this process's own metrics registry.
+//! in-process demo fetch and dumps the demo server's registry, the demo
+//! client's and the process registry.
 //! Every series it prints is documented in OBSERVABILITY.md.
 //!
 //! `--cluster N` turns `sww serve` into an N-node generative edge
@@ -482,8 +483,8 @@ async fn cmd_stats(args: &Args) -> Outcome {
             print!("{}", String::from_utf8_lossy(&resp.body));
             let _ = conn.close().await;
         }
-        // Local: run a demo fetch in-process (server and client share this
-        // process's registry), then dump every series it produced.
+        // Local: run a demo fetch in-process, then dump every series it
+        // produced: the server's, the client's and the process registry.
         None => {
             let server = GenerativeServer::from_config(ServerConfig {
                 site: sww_workload::blog::travel_blog(),
@@ -491,8 +492,9 @@ async fn cmd_stats(args: &Args) -> Outcome {
                 ..ServerConfig::default()
             });
             let (a, b) = tokio::io::duplex(1 << 20);
+            let serving = server.clone();
             tokio::spawn(async move {
-                let _ = server.serve_stream(b).await;
+                let _ = serving.serve_stream(b).await;
             });
             let device = profile(device_from(args.opt("device", "laptop")));
             let mut client = GenerativeClient::connect(a, GenAbility::full(), device)
@@ -507,7 +509,7 @@ async fn cmd_stats(args: &Args) -> Outcome {
                 "demo fetch: {} generated, {} fetched, {} B wire\n",
                 stats.items_generated, stats.items_fetched, stats.wire_bytes
             );
-            print!("{}", sww_obs::render());
+            print!("{}", sww_obs::expose(&[server.metrics(), client.metrics()]));
         }
     }
     Ok(())

@@ -59,7 +59,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use sww_genai::diffusion::{DiffusionModel, ImageModelKind, StepCancel, TileRunner, Tiling};
 use sww_genai::prompt::PromptFeatures;
-use sww_genai::ImageBuffer;
+use sww_genai::{ImageBuffer, STAGE_WALL_SECONDS};
+use sww_obs::{Registry, Span, DURATION_BUCKETS};
 
 /// Buckets for the achieved-batch-size histogram.
 const BATCH_SIZE_BUCKETS: &[f64] = &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0];
@@ -227,6 +228,9 @@ pub struct BatchScheduler {
     rendezvous: AtomicUsize,
     executor: Box<Executor>,
     tallies: Mutex<Tallies>,
+    /// The `sww_batch_*` series and member detaches are counted here:
+    /// the server's registry, or one of the scheduler's own.
+    metrics: Arc<Registry>,
 }
 
 impl std::fmt::Debug for BatchScheduler {
@@ -274,22 +278,23 @@ impl Drop for ArrivalGuard<'_> {
 /// split over the plan's tiles — what a closed group's leader runs, and
 /// what a server without a scheduler runs on a one-element slice.
 /// `None` means the probe fired and the pass was abandoned mid-denoise,
-/// which is counted here, where it happened
+/// which is counted here, where it happened, in `metrics`
 /// (`sww_cancelled_total{site="denoise"}`).
 pub(crate) fn run_pass(
+    metrics: &Registry,
     key: &BatchKey,
     prompts: &[String],
     cancel: &StepCancel,
     tiling: Tiling<'_>,
 ) -> Option<Vec<ImageBuffer>> {
-    let span = sww_obs::Span::begin("sww_genai_stage", "embed");
+    let span = Span::begin("embed");
     let features: Vec<PromptFeatures> =
         prompts.iter().map(|p| PromptFeatures::analyze(p)).collect();
-    span.finish();
+    span.finish(metrics, STAGE_WALL_SECONDS);
     let images = DiffusionModel::new(key.model)
         .try_generate_batch_on(&features, key.width, key.height, key.steps, cancel, tiling);
     if images.is_none() {
-        record_cancelled("denoise");
+        record_cancelled(metrics, "denoise");
     }
     images
 }
@@ -302,26 +307,39 @@ impl BatchScheduler {
     /// every tile count and runner (the per-latent-RNG invariant; see
     /// PERFORMANCE.md), so tiling is purely a wall-clock decision; one
     /// tile on an [`InlineRunner`](sww_genai::diffusion::InlineRunner) is
-    /// the scalar step-major kernel on the leader's thread.
+    /// the scalar step-major kernel on the leader's thread. It records
+    /// into a registry of its own.
     pub fn new(
         config: BatchConfig,
         runner: Arc<dyn TileRunner>,
         kernel_tiles: usize,
     ) -> BatchScheduler {
-        BatchScheduler::with_executor(
-            config,
-            Box::new(move |key, prompts, cancel| {
-                run_pass(
-                    key,
-                    prompts,
-                    cancel,
-                    Tiling::new(runner.as_ref(), kernel_tiles),
-                )
-            }),
-        )
+        BatchScheduler::recording(config, runner, kernel_tiles, Arc::default())
     }
 
-    /// A scheduler with an injected executor (tests, instrumentation).
+    /// [`new`](BatchScheduler::new), recording into `metrics` — its
+    /// server's registry.
+    pub(crate) fn recording(
+        config: BatchConfig,
+        runner: Arc<dyn TileRunner>,
+        kernel_tiles: usize,
+        metrics: Arc<Registry>,
+    ) -> BatchScheduler {
+        let pass_metrics = Arc::clone(&metrics);
+        let executor = Box::new(
+            move |key: &BatchKey, prompts: &[String], cancel: &StepCancel| {
+                let tiling = Tiling::new(runner.as_ref(), kernel_tiles);
+                run_pass(&pass_metrics, key, prompts, cancel, tiling)
+            },
+        );
+        BatchScheduler {
+            metrics,
+            ..BatchScheduler::with_executor(config, executor)
+        }
+    }
+
+    /// A scheduler with an injected executor (tests, instrumentation),
+    /// recording into a registry of its own.
     pub fn with_executor(config: BatchConfig, executor: Box<Executor>) -> BatchScheduler {
         BatchScheduler {
             config: BatchConfig {
@@ -332,6 +350,7 @@ impl BatchScheduler {
             rendezvous: AtomicUsize::new(0),
             executor,
             tallies: Mutex::new(Tallies::default()),
+            metrics: Arc::default(),
         }
     }
 
@@ -548,7 +567,7 @@ impl BatchScheduler {
                 }
                 None => {
                     if cancel.is_cancelled() {
-                        record_cancelled("batch.wait");
+                        record_cancelled(&self.metrics, "batch.wait");
                         return Err(ctx.deadline_error());
                     }
                     let (guard, _) = group
@@ -576,12 +595,19 @@ impl BatchScheduler {
                 t.jobs += 1;
             }
         }
-        sww_obs::counter("sww_batch_jobs_total", &[]).add(size as u64);
-        sww_obs::counter("sww_batch_batches_total", &[]).inc();
-        sww_obs::histogram("sww_batch_size_jobs", &[], BATCH_SIZE_BUCKETS).observe(size as f64);
-        sww_obs::histogram("sww_batch_wait_seconds", &[], sww_obs::DURATION_BUCKETS)
+        let metrics = &self.metrics;
+        metrics
+            .counter("sww_batch_jobs_total", &[])
+            .add(size as u64);
+        metrics.counter("sww_batch_batches_total", &[]).inc();
+        metrics
+            .histogram("sww_batch_size_jobs", &[], BATCH_SIZE_BUCKETS)
+            .observe(size as f64);
+        metrics
+            .histogram("sww_batch_wait_seconds", &[], DURATION_BUCKETS)
             .observe(wait.as_secs_f64());
-        sww_obs::histogram("sww_batch_image_seconds", &[], sww_obs::DURATION_BUCKETS)
+        metrics
+            .histogram("sww_batch_image_seconds", &[], DURATION_BUCKETS)
             .observe(exec_s / size as f64);
     }
 }
@@ -604,9 +630,7 @@ mod tests {
         }
     }
 
-    /// The real kernel on the leader's thread, counted. Not `run_pass`:
-    /// an abandoned pass there moves the process-wide
-    /// `sww_cancelled_total`, which `server::tests` reads exactly.
+    /// The real kernel on the leader's thread, counted.
     fn counting_scheduler(config: BatchConfig) -> (Arc<BatchScheduler>, Arc<AtomicUsize>) {
         let passes = Arc::new(AtomicUsize::new(0));
         let p = Arc::clone(&passes);
@@ -614,12 +638,8 @@ mod tests {
             config,
             Box::new(move |key, prompts, cancel| {
                 p.fetch_add(1, Ordering::SeqCst);
-                let features: Vec<PromptFeatures> =
-                    prompts.iter().map(|s| PromptFeatures::analyze(s)).collect();
                 let tiling = Tiling::new(&InlineRunner, 1);
-                DiffusionModel::new(key.model).try_generate_batch_on(
-                    &features, key.width, key.height, key.steps, cancel, tiling,
-                )
+                run_pass(&Registry::new(), key, prompts, cancel, tiling)
             }),
         ));
         (sched, passes)

@@ -23,16 +23,17 @@
 //! breaker; failure re-opens it for another cooldown.
 //!
 //! State is exported as `sww_breaker_state{model}` (0 = closed,
-//! 1 = open, 2 = half-open); sheds count into
+//! 1 = open, 2 = half-open) in the server's registry; sheds count into
 //! `sww_shed_total{reason="breaker"}` at the admission site in
 //! `server.rs`.
 #![warn(clippy::must_use_candidate)]
 
 use crate::error::SwwError;
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use sww_genai::ImageModelKind;
+use sww_obs::Registry;
 
 /// Breaker tuning.
 #[derive(Debug, Clone, Copy)]
@@ -87,15 +88,24 @@ enum ModelState {
 pub struct CircuitBreaker {
     config: BreakerConfig,
     models: Mutex<HashMap<ImageModelKind, ModelState>>,
+    metrics: Arc<Registry>,
 }
 
 impl CircuitBreaker {
-    /// A breaker set with the given tuning. Every model starts `Closed`.
+    /// A breaker set with the given tuning, exporting its state into a
+    /// registry of its own. Every model starts `Closed`.
     #[must_use]
     pub fn new(config: BreakerConfig) -> CircuitBreaker {
+        CircuitBreaker::recording(config, Arc::default())
+    }
+
+    /// [`new`](CircuitBreaker::new), exporting into `metrics` — its
+    /// server's registry.
+    pub(crate) fn recording(config: BreakerConfig, metrics: Arc<Registry>) -> CircuitBreaker {
         CircuitBreaker {
             config,
             models: Mutex::new(HashMap::new()),
+            metrics,
         }
     }
 
@@ -166,7 +176,7 @@ impl CircuitBreaker {
                 }
             }
         };
-        Self::export(model, state);
+        self.export(model, state);
         decision
     }
 
@@ -180,7 +190,7 @@ impl CircuitBreaker {
         *state = ModelState::Closed {
             consecutive_failures: 0,
         };
-        Self::export(model, state);
+        self.export(model, state);
     }
 
     /// Report a failed generation: trips `Closed → Open` at the
@@ -208,13 +218,13 @@ impl CircuitBreaker {
             }
             ModelState::Open { .. } => {}
         }
-        Self::export(model, state);
+        self.export(model, state);
     }
 
     /// Publish `sww_breaker_state{model}` for one model's stored state.
     /// (An elapsed cooldown reads as still-open here; the gauge flips to
     /// half-open when the first probe is actually admitted.)
-    fn export(model: ImageModelKind, state: &ModelState) {
+    fn export(&self, model: ImageModelKind, state: &ModelState) {
         let value = match state {
             ModelState::Closed { .. } => BreakerState::Closed,
             ModelState::Open { .. } => BreakerState::Open,
@@ -222,7 +232,9 @@ impl CircuitBreaker {
         }
         .gauge_value();
         let label = format!("{model:?}");
-        sww_obs::gauge("sww_breaker_state", &[("model", &label)]).set(value);
+        self.metrics
+            .gauge("sww_breaker_state", &[("model", &label)])
+            .set(value);
     }
 }
 

@@ -17,6 +17,7 @@
 use crate::lru::Lru;
 use sww_genai::diffusion::ImageModelKind;
 use sww_genai::ImageBuffer;
+use sww_obs::Registry;
 
 /// Cache key: the full generation recipe.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -50,6 +51,15 @@ pub fn recipe_key(recipe: &Recipe) -> String {
         "{:?}|{}x{}|{}|{}",
         recipe.model, recipe.width, recipe.height, recipe.steps, recipe.prompt
     )
+}
+
+/// Count one lookup of a generation cache in its owner's registry
+/// (`sww_cache_events_total{result}`).
+pub(crate) fn count_lookup(metrics: &Registry, hit: bool) {
+    let result = if hit { "hit" } else { "miss" };
+    metrics
+        .counter("sww_cache_events_total", &[("result", result)])
+        .inc();
 }
 
 /// An LRU cache of generated media, bounded by total pixel budget (a
@@ -90,7 +100,6 @@ impl<V: Clone> GenerationCache<V> {
         match self.entries.get(recipe) {
             Some(value) => {
                 self.hits += 1;
-                sww_obs::counter("sww_cache_events_total", &[("result", "hit")]).inc();
                 Some(value.clone())
             }
             None => self.miss(),
@@ -102,7 +111,6 @@ impl<V: Clone> GenerationCache<V> {
     /// lookup into.
     pub(crate) fn miss(&mut self) -> Option<V> {
         self.misses += 1;
-        sww_obs::counter("sww_cache_events_total", &[("result", "miss")]).inc();
         None
     }
 

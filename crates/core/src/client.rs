@@ -18,6 +18,10 @@
 //! (`sww_client_fallbacks_total`). Both counts surface per page in
 //! [`PageStats::retries`] / [`PageStats::fell_back`].
 //!
+//! Every series the client records — `sww_client_*`, its cache lookups,
+//! its generation spans, its injected faults — lands in its own registry
+//! ([`GenerativeClient::metrics`]).
+//!
 //! A client armed with [`set_chaos`] draws the `h2.read`,
 //! `cache.get` and `engine.generate` failpoints ([`crate::faults`]) from
 //! a stream of its own, seeded by the spec's seed; every injected delay
@@ -28,23 +32,29 @@
 //! [`PageStats::retries`]: crate::stats::PageStats
 //! [`PageStats::fell_back`]: crate::stats::PageStats
 
-use crate::cache::{GenerationCache, Recipe};
+use crate::cache::{count_lookup, GenerationCache, Recipe};
 use crate::error::SwwError;
 use crate::faults::{ChaosSpec, FaultAction, FaultSite, FaultStream};
 use crate::mediagen::{GeneratedMedia, MediaGenerator};
 use crate::render::{RenderedPage, RenderedResource};
 use crate::retry::RetryPolicy;
 use crate::stats::PageStats;
+use std::sync::Arc;
 use sww_energy::device::DeviceProfile;
 use sww_genai::image::codec;
 use sww_hash::{sha256, to_hex};
 use sww_html::{gencontent, parse, query, serialize};
 use sww_http2::{ClientConnection, GenAbility, H2Error, Request, Response};
+use sww_obs::{Registry, Span};
 use tokio::io::{AsyncRead, AsyncWrite};
 
 /// Default generation-cache budget: 64 megapixels (≈ a few hundred
 /// thumbnails or a handful of large images).
 pub const DEFAULT_CACHE_PIXELS: u64 = 64_000_000;
+
+/// The histograms a client-side generation span records into.
+const GENERATE_WALL: &str = "sww_client_generate_wall_seconds";
+const GENERATE_VIRTUAL: &str = "sww_client_generate_virtual_seconds";
 
 /// The generative client.
 pub struct GenerativeClient<T> {
@@ -57,6 +67,7 @@ pub struct GenerativeClient<T> {
     retry: RetryPolicy,
     fallback_enabled: bool,
     faults: Option<FaultStream>,
+    metrics: Arc<Registry>,
 }
 
 impl<T: AsyncRead + AsyncWrite + Unpin> GenerativeClient<T> {
@@ -81,6 +92,7 @@ impl<T: AsyncRead + AsyncWrite + Unpin> GenerativeClient<T> {
             retry: RetryPolicy::default(),
             fallback_enabled: true,
             faults: None,
+            metrics: Arc::default(),
         })
     }
 
@@ -94,13 +106,22 @@ impl<T: AsyncRead + AsyncWrite + Unpin> GenerativeClient<T> {
     /// Arm this client's failpoints with `spec` (default: unarmed). The
     /// client draws from `spec.seed` itself, counters at zero.
     pub fn set_chaos(&mut self, spec: &ChaosSpec) {
-        self.faults = Some(FaultStream::new(spec));
+        self.faults = Some(FaultStream::new(spec, Arc::clone(&self.metrics)));
     }
 
     /// The fault stream this client draws from, if armed: the ground
     /// truth for what it injected.
     pub fn faults(&self) -> Option<&FaultStream> {
         self.faults.as_ref()
+    }
+
+    /// The registry this client records into.
+    pub fn metrics(&self) -> &Registry {
+        &self.metrics
+    }
+
+    fn count(&self, name: &'static str, labels: &[(&'static str, &str)]) {
+        self.metrics.counter(name, labels).inc();
     }
 
     fn fault(&self, site: FaultSite) -> Option<FaultAction> {
@@ -161,7 +182,7 @@ impl<T: AsyncRead + AsyncWrite + Unpin> GenerativeClient<T> {
                     let can_fall_back = self.fallback_enabled && err.is_generation_failure();
                     if err.is_retryable() {
                         if let Some(delay) = schedule.next_delay_with_hint(err.retry_after()) {
-                            sww_obs::counter("sww_client_retries_total", &[]).inc();
+                            self.count("sww_client_retries_total", &[]);
                             tokio::time::sleep(delay).await;
                             continue;
                         }
@@ -186,7 +207,7 @@ impl<T: AsyncRead + AsyncWrite + Unpin> GenerativeClient<T> {
         path: &str,
         prior_retries: u32,
     ) -> Result<(RenderedPage, PageStats), SwwError> {
-        sww_obs::counter("sww_client_fallbacks_total", &[]).inc();
+        self.count("sww_client_fallbacks_total", &[]);
         self.conn.update_ability(GenAbility::none()).await?;
         let mut schedule = self.retry.schedule();
         let result = loop {
@@ -195,7 +216,7 @@ impl<T: AsyncRead + AsyncWrite + Unpin> GenerativeClient<T> {
                 Err(err) if err.is_retryable() => {
                     match schedule.next_delay_with_hint(err.retry_after()) {
                         Some(delay) => {
-                            sww_obs::counter("sww_client_retries_total", &[]).inc();
+                            self.count("sww_client_retries_total", &[]);
                             tokio::time::sleep(delay).await;
                         }
                         None => break Err(err),
@@ -259,12 +280,16 @@ impl<T: AsyncRead + AsyncWrite + Unpin> GenerativeClient<T> {
     /// failpoint: an injected error is a miss (counted as one), a latency
     /// delays the lookup.
     async fn cached(&mut self, recipe: &Recipe) -> Option<sww_genai::ImageBuffer> {
-        match self.fault(FaultSite::CacheGet) {
-            Some(FaultAction::Error | FaultAction::TruncateKeepPct(_)) => return self.cache.miss(),
-            Some(FaultAction::Latency(d)) => tokio::time::sleep(d).await,
-            None => {}
-        }
-        self.cache.get(recipe)
+        let found = match self.fault(FaultSite::CacheGet) {
+            Some(FaultAction::Error | FaultAction::TruncateKeepPct(_)) => self.cache.miss(),
+            Some(FaultAction::Latency(d)) => {
+                tokio::time::sleep(d).await;
+                self.cache.get(recipe)
+            }
+            None => self.cache.get(recipe),
+        };
+        count_lookup(&self.metrics, found.is_some());
+        found
     }
 
     /// One non-retrying fetch attempt (the pre-resilience `fetch_page`).
@@ -322,7 +347,7 @@ impl<T: AsyncRead + AsyncWrite + Unpin> GenerativeClient<T> {
                 let (media, cost) = match cached {
                     Some(image) => {
                         stats.items_cached += 1;
-                        sww_obs::counter("sww_client_items_total", &[("source", "cache")]).inc();
+                        self.count("sww_client_items_total", &[("source", "cache")]);
                         let encoded = codec::encode(&image, crate::mediagen::DEFAULT_CODEC_QUALITY);
                         (
                             GeneratedMedia::Image {
@@ -337,11 +362,15 @@ impl<T: AsyncRead + AsyncWrite + Unpin> GenerativeClient<T> {
                         )
                     }
                     None => {
-                        sww_obs::counter("sww_client_items_total", &[("source", "generated")])
-                            .inc();
-                        let span = sww_obs::Span::begin("sww_client_generate", "page_item");
+                        self.count("sww_client_items_total", &[("source", "generated")]);
+                        let span = Span::begin("page_item");
                         let (media, cost) = self.generate_item(&item).await?;
-                        span.finish_with_virtual(cost.time_s);
+                        span.finish_with_virtual(
+                            &self.metrics,
+                            GENERATE_WALL,
+                            GENERATE_VIRTUAL,
+                            cost.time_s,
+                        );
                         if let (Some(r), GeneratedMedia::Image { image, .. }) = (recipe, &media) {
                             self.cache.put(r, image.clone());
                         }
@@ -406,7 +435,7 @@ impl<T: AsyncRead + AsyncWrite + Unpin> GenerativeClient<T> {
             stats.wire_bytes += n;
             stats.traditional_bytes += n;
             stats.items_fetched += 1;
-            sww_obs::counter("sww_client_items_total", &[("source", "fetched")]).inc();
+            self.count("sww_client_items_total", &[("source", "fetched")]);
             let decoded = codec::decode(&resp.body).ok();
             page.resources.push(RenderedResource {
                 path: src,
@@ -417,7 +446,7 @@ impl<T: AsyncRead + AsyncWrite + Unpin> GenerativeClient<T> {
         }
 
         page.html = serialize(&doc);
-        sww_obs::counter("sww_client_pages_total", &[]).inc();
+        self.count("sww_client_pages_total", &[]);
         Ok((page, stats))
     }
 

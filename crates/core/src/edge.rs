@@ -48,12 +48,16 @@
 //! had to re-render, and (since PR 24) while the owner lives: its seats
 //! are asked before it regenerates a key its engine cache evicted.
 //!
-//! Routed and local dispatches land in `/metrics` under the
-//! [`TransportKind::Edge`](crate::TransportKind::Edge) label; the
-//! router's own counters are the
-//! `sww_edge_*` family (OBSERVABILITY.md), every one carrying a `node`
-//! label; replication adds `sww_edge_replica_*` and the gossip layer
-//! `sww_gossip_*`.
+//! Each node's series live in its server's registry: routed and local
+//! dispatches under the
+//! [`TransportKind::Edge`](crate::TransportKind::Edge) label, and the
+//! node's own edge counters, the `sww_edge_*` family (OBSERVABILITY.md),
+//! every one carrying a `node` label; replication adds
+//! `sww_edge_replica_*`. The router's registry
+//! ([`EdgeRouter::metrics`]) holds the ring and liveness gauges and the
+//! gossip layer's `sww_gossip_*`. A `/metrics` request entering at a
+//! node serves the node's registry, then the router's, then the process
+//! registry.
 
 use crate::error::retryable_status;
 use crate::gossip::{Gossip, GossipConfig, Health};
@@ -62,11 +66,12 @@ use crate::negotiate::{decide, ServeMode};
 use crate::server::{DrainReport, GenerativeServer, SiteContent};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use sww_hash::sha256;
 use sww_http2::server::{serve_connection_until, ServeStats};
 use sww_http2::{GenAbility, H2Error, Request, Response};
+use sww_obs::Registry;
 use tokio::io::{AsyncRead, AsyncWrite};
 
 /// Virtual nodes per physical node — enough that a 10k-key workload
@@ -237,28 +242,8 @@ impl HashRing {
     }
 }
 
-/// Per-node router counters, mirrored into the `sww_edge_*` metric
-/// family. Kept on the node too so tests and benches can read exact
-/// deltas without the process-global registry.
-#[derive(Debug, Default)]
-struct NodeCounters {
-    requests: AtomicU64,
-    prompt_local: AtomicU64,
-    local_media: AtomicU64,
-    peer_serves: AtomicU64,
-    fills: AtomicU64,
-    fill_hits: AtomicU64,
-    fill_evictions: AtomicU64,
-    failovers: AtomicU64,
-    replica_pushes: AtomicU64,
-    replica_hits: AtomicU64,
-    replica_hints: AtomicU64,
-    hint_drops: AtomicU64,
-    replica_handoffs: AtomicU64,
-    replica_evictions: AtomicU64,
-}
-
-/// A read-only snapshot of one node's router counters.
+/// A read-only snapshot of one node's router counters: its `sww_edge_*`
+/// series, read from the node's registry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NodeStats {
     /// Requests that entered the cluster at this node.
@@ -314,7 +299,6 @@ pub struct EdgeNode {
     /// Per-key hit counts at this node *as acting owner*; crossing
     /// [`EdgeConfig::hot_threshold`] triggers replication.
     hot: Mutex<HashMap<String, u64>>,
-    counters: NodeCounters,
 }
 
 impl EdgeNode {
@@ -326,7 +310,6 @@ impl EdgeNode {
             fill: Mutex::new(Lru::new(fill_budget)),
             replica: Mutex::new(Lru::new(fill_budget)),
             hot: Mutex::new(HashMap::new()),
-            counters: NodeCounters::default(),
         }
     }
 
@@ -360,21 +343,22 @@ impl EdgeNode {
 
     /// Snapshot of this node's router counters.
     pub fn stats(&self) -> NodeStats {
+        let get = |name| self.server.metrics().count(name, &[("node", &self.id)]);
         NodeStats {
-            requests: self.counters.requests.load(Ordering::Relaxed),
-            prompt_local: self.counters.prompt_local.load(Ordering::Relaxed),
-            local_media: self.counters.local_media.load(Ordering::Relaxed),
-            peer_serves: self.counters.peer_serves.load(Ordering::Relaxed),
-            fills: self.counters.fills.load(Ordering::Relaxed),
-            fill_hits: self.counters.fill_hits.load(Ordering::Relaxed),
-            fill_evictions: self.counters.fill_evictions.load(Ordering::Relaxed),
-            failovers: self.counters.failovers.load(Ordering::Relaxed),
-            replica_pushes: self.counters.replica_pushes.load(Ordering::Relaxed),
-            replica_hits: self.counters.replica_hits.load(Ordering::Relaxed),
-            replica_hints: self.counters.replica_hints.load(Ordering::Relaxed),
-            hint_drops: self.counters.hint_drops.load(Ordering::Relaxed),
-            replica_handoffs: self.counters.replica_handoffs.load(Ordering::Relaxed),
-            replica_evictions: self.counters.replica_evictions.load(Ordering::Relaxed),
+            requests: get("sww_edge_requests_total"),
+            prompt_local: get("sww_edge_prompt_local_total"),
+            local_media: get("sww_edge_local_total"),
+            peer_serves: get("sww_edge_routed_total"),
+            fills: get("sww_edge_peer_fill_total"),
+            fill_hits: get("sww_edge_fill_hits_total"),
+            fill_evictions: get("sww_edge_fill_evictions_total"),
+            failovers: get("sww_edge_failover_total"),
+            replica_pushes: get("sww_edge_replica_pushes_total"),
+            replica_hits: get("sww_edge_replica_hits_total"),
+            replica_hints: get("sww_edge_replica_hints_total"),
+            hint_drops: get("sww_edge_hint_drops_total"),
+            replica_handoffs: get("sww_edge_replica_handoffs_total"),
+            replica_evictions: get("sww_edge_replica_evictions_total"),
         }
     }
 
@@ -393,45 +377,37 @@ impl EdgeNode {
         self.replica.lock().len()
     }
 
-    fn count(&self, which: &AtomicU64, metric: &'static str) {
-        self.count_n(which, metric, 1);
+    fn count(&self, metric: &'static str) {
+        self.count_n(metric, 1);
     }
 
     /// Like every `sww_edge_*` series, a counter first appears with its
     /// first event: `n == 0` registers nothing.
-    fn count_n(&self, which: &AtomicU64, metric: &'static str, n: u64) {
+    fn count_n(&self, metric: &'static str, n: u64) {
         if n > 0 {
-            which.fetch_add(n, Ordering::Relaxed);
-            sww_obs::counter(metric, &[("node", &self.id)]).add(n);
+            let metrics = self.server.metrics();
+            metrics.counter(metric, &[("node", &self.id)]).add(n);
         }
     }
 
     /// Keep a 200 a peer served for `key` at this entry.
     fn fill_from_peer(&self, key: &str, resp: &Response) {
         let evicted = put_response(&self.fill, key, resp);
-        self.count_n(
-            &self.counters.fill_evictions,
-            "sww_edge_fill_evictions_total",
-            evicted,
-        );
-        self.count(&self.counters.fills, "sww_edge_peer_fill_total");
+        self.count_n("sww_edge_fill_evictions_total", evicted);
+        self.count("sww_edge_peer_fill_total");
     }
 
     /// `key`'s response from this node's replica store, counted as a
     /// replica hit here — the holder.
     fn get_replica(&self, key: &str) -> Option<Response> {
         let resp = get_response(&self.replica, key)?;
-        self.count(&self.counters.replica_hits, "sww_edge_replica_hits_total");
+        self.count("sww_edge_replica_hits_total");
         Some(resp)
     }
 
     fn put_replica(&self, key: &str, resp: &Response) {
         let evicted = put_response(&self.replica, key, resp);
-        self.count_n(
-            &self.counters.replica_evictions,
-            "sww_edge_replica_evictions_total",
-            evicted,
-        );
+        self.count_n("sww_edge_replica_evictions_total", evicted);
     }
 }
 
@@ -506,6 +482,8 @@ struct RouterInner {
     /// one target are bounded by that target's replica-store budget
     /// (`fill_bytes`): more could not be resident after delivery anyway.
     hints: Mutex<Vec<Hint>>,
+    /// The ring, liveness and gossip series (shared with `gossip`).
+    metrics: Arc<Registry>,
 }
 
 /// One parked replica push: delivered by [`EdgeRouter::tick_gossip`]
@@ -564,6 +542,8 @@ impl EdgeRouter {
         F: Fn(SiteContent) -> GenerativeServer + Send + Sync + 'static,
     {
         let keys = routing_keys(&site);
+        let metrics = Arc::new(Registry::new());
+        let gossip = Gossip::recording(config.gossip, Vec::<String>::new(), Arc::clone(&metrics));
         let router = EdgeRouter {
             inner: Arc::new(RouterInner {
                 site,
@@ -578,8 +558,9 @@ impl EdgeRouter {
                 round_robin: AtomicUsize::new(0),
                 replication: config.replication.max(1),
                 hot_threshold: config.hot_threshold.max(1),
-                gossip: Mutex::new(Gossip::new(config.gossip, Vec::<String>::new())),
+                gossip: Mutex::new(gossip),
                 hints: Mutex::new(Vec::new()),
+                metrics,
             }),
         };
         for _ in 0..config.nodes {
@@ -668,20 +649,26 @@ impl EdgeRouter {
         // (it learns the death over subsequent `tick_gossip` rounds; a
         // revival re-announces with a bumped incarnation).
         self.inner.gossip.lock().set_process_alive(id, alive);
-        sww_obs::gauge("sww_edge_node_alive", &[("node", id)]).set(if alive { 1.0 } else { 0.0 });
+        let alive = if alive { 1.0 } else { 0.0 };
+        node_gauge(&self.inner.metrics, "sww_edge_node_alive", id, alive);
         true
     }
 
     fn publish_gauges(&self) {
         let state = self.inner.state.read();
-        sww_obs::gauge("sww_edge_ring_nodes", &[]).set(state.ring.len() as f64);
+        let ring = self.inner.metrics.gauge("sww_edge_ring_nodes", &[]);
+        ring.set(state.ring.len() as f64);
         for node in &state.nodes {
-            sww_obs::gauge("sww_edge_node_alive", &[("node", &node.id)]).set(if node.is_alive() {
-                1.0
-            } else {
-                0.0
-            });
+            let alive = if node.is_alive() { 1.0 } else { 0.0 };
+            node_gauge(&self.inner.metrics, "sww_edge_node_alive", &node.id, alive);
         }
+    }
+
+    /// The registry of the router's own series: ring size, node
+    /// liveness, gossip. Each node's series are in its server's
+    /// ([`GenerativeServer::metrics`]).
+    pub fn metrics(&self) -> &Registry {
+        &self.inner.metrics
     }
 
     /// The cluster as of now; a membership change after this returns is
@@ -736,14 +723,15 @@ impl EdgeRouter {
                         Health::Suspect => 1.0,
                         Health::Dead => 2.0,
                     };
-                    sww_obs::gauge("sww_gossip_member_health", &[("node", &node.id)]).set(value);
+                    let metrics = &self.inner.metrics;
+                    node_gauge(metrics, "sww_gossip_member_health", &node.id, value);
                 }
             }
         }
         self.deliver_hints(&state);
         for node in &state.nodes {
-            sww_obs::gauge("sww_edge_replica_entries", &[("node", &node.id)])
-                .set(node.replica_len() as f64);
+            let (metrics, entries) = (node.server.metrics(), node.replica_len() as f64);
+            node_gauge(metrics, "sww_edge_replica_entries", &node.id, entries);
         }
     }
 
@@ -765,10 +753,7 @@ impl EdgeRouter {
             }
             let target = state.by_id(&hint.target).expect("checked just above");
             target.put_replica(&hint.key, &hint.resp);
-            target.count(
-                &target.counters.replica_handoffs,
-                "sww_edge_replica_handoffs_total",
-            );
+            target.count("sww_edge_replica_handoffs_total");
             false
         });
     }
@@ -840,7 +825,8 @@ impl EdgeRouter {
     ///
     /// The decision tree, in order:
     ///
-    /// 1. `/metrics` answers at the entry (the registry is shared).
+    /// 1. `/metrics` answers at the entry: its node's registry, then the
+    ///    router's, then the process registry.
     /// 2. A client that negotiates a generative mode gets the **recipe
     ///    itself**, served from the entry's replicated prompt store —
     ///    no routing hop at all.
@@ -873,18 +859,18 @@ impl EdgeRouter {
     /// A conditional revalidation (`if-none-match`) bypasses every
     /// store and is answered by the acting owner.
     pub fn handle(&self, entry: usize, client_ability: GenAbility, req: &Request) -> Response {
-        let state = self.state();
+        let (state, router) = (self.state(), &self.inner.metrics);
         if state.nodes.is_empty() {
             return cluster_down_response();
         }
         let entry_node = &state.nodes[entry % state.nodes.len()];
-        entry_node.count(&entry_node.counters.requests, "sww_edge_requests_total");
+        entry_node.count("sww_edge_requests_total");
         if !entry_node.is_alive() {
-            entry_node.count(&entry_node.counters.failovers, "sww_edge_failover_total");
+            entry_node.count("sww_edge_failover_total");
             return node_down_response(&entry_node.id);
         }
         if req.path == "/metrics" {
-            return entry_node.server.dispatch_edge(client_ability, req);
+            return entry_node.server.dispatch_edge(client_ability, req, router);
         }
         let mode = decide(
             entry_node.server.ability(),
@@ -892,11 +878,8 @@ impl EdgeRouter {
             entry_node.server.policy(),
         );
         if matches!(mode, ServeMode::Generative | ServeMode::UpscaleAssisted) {
-            entry_node.count(
-                &entry_node.counters.prompt_local,
-                "sww_edge_prompt_local_total",
-            );
-            return entry_node.server.dispatch_edge(client_ability, req);
+            entry_node.count("sww_edge_prompt_local_total");
+            return entry_node.server.dispatch_edge(client_ability, req, router);
         }
         // Naive client: finished media. Conditional revalidations skip
         // the fill cache (it stores full 200s, not 304 bookkeeping).
@@ -904,7 +887,7 @@ impl EdgeRouter {
         let fill_key = format!("{}|{}", req.path, mode_tag(mode));
         if !revalidate {
             if let Some(resp) = get_response(&entry_node.fill, &fill_key) {
-                entry_node.count(&entry_node.counters.fill_hits, "sww_edge_fill_hits_total");
+                entry_node.count("sww_edge_fill_hits_total");
                 return resp;
             }
             if let Some(resp) = entry_node.get_replica(&fill_key) {
@@ -919,7 +902,7 @@ impl EdgeRouter {
                 // Down, or suspect / dead in the entry's membership
                 // view: skip it instead of burning a dispatch that will
                 // fail.
-                node.count(&node.counters.failovers, "sww_edge_failover_total");
+                node.count("sww_edge_failover_total");
                 continue;
             }
             if !revalidate {
@@ -941,17 +924,17 @@ impl EdgeRouter {
                     return resp;
                 }
             }
-            let resp = node.server.dispatch_edge(client_ability, req);
+            let resp = node.server.dispatch_edge(client_ability, req, router);
             if !node.is_alive() {
                 // Killed while the dispatch was in flight: the response
                 // is deemed lost on the wire. Retry on the successor —
                 // this is the zero-lost-responses half of the chaos
                 // node-kill scenario.
-                node.count(&node.counters.failovers, "sww_edge_failover_total");
+                node.count("sww_edge_failover_total");
                 continue;
             }
             if node_unhealthy(resp.status) {
-                node.count(&node.counters.failovers, "sww_edge_failover_total");
+                node.count("sww_edge_failover_total");
                 last = Some(resp);
                 continue;
             }
@@ -959,9 +942,9 @@ impl EdgeRouter {
                 self.note_hot(&state, node, &chain, &fill_key, &resp);
             }
             if node.id == entry_node.id {
-                entry_node.count(&entry_node.counters.local_media, "sww_edge_local_total");
+                entry_node.count("sww_edge_local_total");
             } else {
-                node.count(&node.counters.peer_serves, "sww_edge_routed_total");
+                node.count("sww_edge_routed_total");
                 if resp.status == 200 && !revalidate {
                     entry_node.fill_from_peer(&fill_key, &resp);
                 }
@@ -999,16 +982,10 @@ impl EdgeRouter {
             }
             if target.is_alive() && self.usable(owner, target) {
                 target.put_replica(fill_key, resp);
-                owner.count(
-                    &owner.counters.replica_pushes,
-                    "sww_edge_replica_pushes_total",
-                );
+                owner.count("sww_edge_replica_pushes_total");
             } else {
                 self.park_hint(target, fill_key, resp);
-                owner.count(
-                    &owner.counters.replica_hints,
-                    "sww_edge_replica_hints_total",
-                );
+                owner.count("sww_edge_replica_hints_total");
             }
         }
     }
@@ -1035,11 +1012,7 @@ impl EdgeRouter {
             parked -= hint.resp.body.len() as u64;
             dropped += 1;
         }
-        target.count_n(
-            &target.counters.hint_drops,
-            "sww_edge_hint_drops_total",
-            dropped,
-        );
+        target.count_n("sww_edge_hint_drops_total", dropped);
     }
 
     /// Serve one HTTP/2 connection whose requests enter at `entry` —
@@ -1083,6 +1056,11 @@ impl EdgeRouter {
         });
         Ok(local)
     }
+}
+
+/// Set the `node`-labelled gauge `name` of `metrics` to `value`.
+fn node_gauge(metrics: &Registry, name: &'static str, node: &str, value: f64) {
+    metrics.gauge(name, &[("node", node)]).set(value);
 }
 
 /// Statuses after which the router stops trusting a node for this

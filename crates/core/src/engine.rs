@@ -22,14 +22,17 @@
 //! `Arc` clone. Entries are charged by their key ([`Recipe::pixels`]),
 //! so the value type never changes what fits or what is evicted.
 //!
-//! Observability: `sww_engine_requests_total{outcome}` splits requests
-//! into `hit` / `generated` / `joined`; `sww_cache_coalesced_total`
-//! counts every request amortized onto a generation it did not run
-//! itself (cache hit or in-flight join — i.e. total requests minus
-//! actual generations); `sww_cache_shard_events_total{shard,result}`
-//! exposes the per-shard hit/miss split.
+//! Observability, in the registry the engine was built to record into
+//! (its server's; a registry of its own when built standalone):
+//! `sww_engine_requests_total{outcome}` splits requests into `hit` /
+//! `generated` / `joined`; `sww_cache_coalesced_total` counts every
+//! request amortized onto a generation it did not run itself (cache hit
+//! or in-flight join — i.e. total requests minus actual generations);
+//! `sww_cache_events_total{result}` and
+//! `sww_cache_shard_events_total{shard,result}` count every lookup, the
+//! latter split per shard.
 
-use crate::cache::{GenerationCache, Recipe};
+use crate::cache::{count_lookup, GenerationCache, Recipe};
 use crate::error::SwwError;
 use crate::faults::{FaultAction, FaultSite};
 use crate::lifecycle::{record_cancelled, RequestCtx};
@@ -41,6 +44,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::time::Duration;
 use sww_genai::{ImageBuffer, StepCancel};
+use sww_obs::Registry;
 
 /// How often a waiter re-polls its [`RequestCtx`] while blocked on a
 /// flight. Bounds cancellation latency for waiters without a deadline.
@@ -54,11 +58,15 @@ const WAITER_TICK: Duration = Duration::from_millis(25);
 #[derive(Debug)]
 pub struct ShardedGenerationCache<V = ImageBuffer> {
     shards: Box<[Mutex<GenerationCache<V>>]>,
+    /// Where lookups are counted: the owning server's registry, or one
+    /// of the cache's own.
+    metrics: Arc<Registry>,
 }
 
 impl<V: Clone> ShardedGenerationCache<V> {
-    /// A cache of `shards` stripes sharing `capacity_pixels` total.
-    /// `shards` is clamped to at least 1.
+    /// A cache of `shards` stripes sharing `capacity_pixels` total,
+    /// counting its lookups into a registry of its own. `shards` is
+    /// clamped to at least 1.
     pub fn new(shards: usize, capacity_pixels: u64) -> ShardedGenerationCache<V> {
         let shards = shards.max(1);
         let per_shard = (capacity_pixels / shards as u64).max(1);
@@ -66,6 +74,7 @@ impl<V: Clone> ShardedGenerationCache<V> {
             shards: (0..shards)
                 .map(|_| Mutex::new(GenerationCache::new(per_shard)))
                 .collect(),
+            metrics: Arc::default(),
         }
     }
 
@@ -97,13 +106,15 @@ impl<V: Clone> ShardedGenerationCache<V> {
                 shard.get(recipe)
             }
         };
+        count_lookup(&self.metrics, found.is_some());
         let shard_label = idx.to_string();
         let result = if found.is_some() { "hit" } else { "miss" };
-        sww_obs::counter(
-            "sww_cache_shard_events_total",
-            &[("shard", &shard_label), ("result", result)],
-        )
-        .inc();
+        self.metrics
+            .counter(
+                "sww_cache_shard_events_total",
+                &[("shard", &shard_label), ("result", result)],
+            )
+            .inc();
         found
     }
 
@@ -224,10 +235,23 @@ pub struct GenerationEngine<V = ImageBuffer> {
 }
 
 impl<V: Clone + Send + 'static> GenerationEngine<V> {
-    /// An engine over `shards` cache stripes sharing `capacity_pixels`.
+    /// An engine over `shards` cache stripes sharing `capacity_pixels`,
+    /// recording into a registry of its own.
     pub fn new(shards: usize, capacity_pixels: u64) -> GenerationEngine<V> {
+        GenerationEngine::recording(shards, capacity_pixels, Arc::default())
+    }
+
+    /// [`new`](GenerationEngine::new), recording into `metrics` — its
+    /// server's registry.
+    pub(crate) fn recording(
+        shards: usize,
+        capacity_pixels: u64,
+        metrics: Arc<Registry>,
+    ) -> GenerationEngine<V> {
+        let mut cache = ShardedGenerationCache::new(shards, capacity_pixels);
+        cache.metrics = metrics;
         GenerationEngine {
-            cache: ShardedGenerationCache::new(shards, capacity_pixels),
+            cache,
             inflight: StdMutex::new(HashMap::new()),
             generated: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
@@ -238,6 +262,11 @@ impl<V: Clone + Send + 'static> GenerationEngine<V> {
     /// The underlying sharded cache.
     pub fn cache(&self) -> &ShardedGenerationCache<V> {
         &self.cache
+    }
+
+    /// The registry this engine records into (shared with its cache).
+    pub fn metrics(&self) -> &Registry {
+        &self.cache.metrics
     }
 
     /// Generations actually executed (each unique recipe exactly once
@@ -285,11 +314,14 @@ impl<V: Clone + Send + 'static> GenerationEngine<V> {
             }
             FetchOutcome::Coalesced => "joined",
         };
+        let metrics = self.metrics();
         if outcome != FetchOutcome::Generated {
             self.coalesced.fetch_add(1, Ordering::Relaxed);
-            sww_obs::counter("sww_cache_coalesced_total", &[]).inc();
+            metrics.counter("sww_cache_coalesced_total", &[]).inc();
         }
-        sww_obs::counter("sww_engine_requests_total", &[("outcome", label)]).inc();
+        metrics
+            .counter("sww_engine_requests_total", &[("outcome", label)])
+            .inc();
     }
 
     /// Fetch the media for `recipe`, running `generate` only if no cached
@@ -415,7 +447,7 @@ impl<V: Clone + Send + 'static> GenerationEngine<V> {
                         // Hand-off: the generation completed (and was
                         // published for the surviving waiters) on a thread
                         // whose own request no longer wants it.
-                        record_cancelled("engine.handoff");
+                        record_cancelled(self.metrics(), "engine.handoff");
                         return Err(ctx.deadline_error());
                     }
                     return Ok((value, FetchOutcome::Generated));
@@ -428,7 +460,7 @@ impl<V: Clone + Send + 'static> GenerationEngine<V> {
                                 if ctx.finished() {
                                     drop(state);
                                     flight.waiters.fetch_sub(1, Ordering::SeqCst);
-                                    record_cancelled("engine.wait");
+                                    record_cancelled(self.metrics(), "engine.wait");
                                     return Err(ctx.deadline_error());
                                 }
                                 let tick =
@@ -670,7 +702,7 @@ mod tests {
         let engine = GenerationEngine::new(1, 1_000_000);
         fetch(&engine, &recipe("warm"), || ImageBuffer::new(16, 16));
         let spec = crate::ChaosSpec::parse("seed=1,cache.get=error:1.0").unwrap();
-        let stream = Arc::new(crate::faults::FaultStream::new(&spec));
+        let stream = Arc::new(crate::faults::FaultStream::new(&spec, Arc::default()));
         let ctx = RequestCtx::new(None, Some(Arc::clone(&stream)));
         let (_, outcome) = engine
             .try_fetch_image_ctx(&recipe("warm"), &ctx, |_| Ok(ImageBuffer::new(16, 16)))

@@ -48,9 +48,9 @@
 //!
 //! Observability: every injected fault increments its stream's tally
 //! ([`FaultStream::injected_counts`], read through the owner's `faults()`
-//! accessor) and `sww_faults_injected_total{site,kind}` in the global
-//! registry, so chaos suites can reconcile the exposition against
-//! ground truth.
+//! accessor) and `sww_faults_injected_total{site,kind}` in the owner's
+//! registry, so chaos suites can reconcile each owner's exposition
+//! against ground truth.
 //!
 //! [`ServerConfig::chaos`]: crate::ServerConfig::chaos
 //! [`GenerativeServer::set_fault_domain`]: crate::GenerativeServer::set_fault_domain
@@ -58,7 +58,9 @@
 //! [`GenerativeClient::set_chaos`]: crate::GenerativeClient::set_chaos
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
+use sww_obs::Registry;
 
 /// The failpoint sites threaded through the stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -267,11 +269,12 @@ const KINDS: usize = 3;
 /// [`GenerativeClient`](crate::GenerativeClient) or a
 /// [`Gossip`](crate::Gossip). It keeps the spec it was compiled from, a
 /// draw counter per site and a tally per (site, kind) — the ground truth
-/// for what its owner injected.
+/// for what its owner injected — and counts into its owner's registry.
 #[derive(Debug)]
 pub struct FaultStream {
     spec: ChaosSpec,
     seed: u64,
+    metrics: Arc<Registry>,
     /// Evaluation sequence number per site.
     seq: [AtomicU64; SITES],
     /// Injection tally per (site, kind).
@@ -280,22 +283,23 @@ pub struct FaultStream {
 
 impl FaultStream {
     /// The stream drawn from `spec.seed` itself: a client's and a gossip
-    /// layer's.
-    pub(crate) fn new(spec: &ChaosSpec) -> FaultStream {
-        FaultStream::with_seed(spec, spec.seed)
+    /// layer's, counting into `metrics`.
+    pub(crate) fn new(spec: &ChaosSpec, metrics: Arc<Registry>) -> FaultStream {
+        FaultStream::with_seed(spec, spec.seed, metrics)
     }
 
     /// The stream drawn from `spec.seed ⊕ hash(label)`: a server's (label
     /// `server`, or its node id in an edge cluster). Two streams with one
     /// label replay each other; two labels draw independently.
-    pub(crate) fn labelled(spec: &ChaosSpec, label: &str) -> FaultStream {
-        FaultStream::with_seed(spec, spec.seed ^ label_seed(label))
+    pub(crate) fn labelled(spec: &ChaosSpec, label: &str, metrics: Arc<Registry>) -> FaultStream {
+        FaultStream::with_seed(spec, spec.seed ^ label_seed(label), metrics)
     }
 
-    fn with_seed(spec: &ChaosSpec, seed: u64) -> FaultStream {
+    fn with_seed(spec: &ChaosSpec, seed: u64, metrics: Arc<Registry>) -> FaultStream {
         FaultStream {
             spec: spec.clone(),
             seed,
+            metrics,
             seq: Default::default(),
             injected: Default::default(),
         }
@@ -322,11 +326,12 @@ impl FaultStream {
             threshold += rule.probability;
             if r < threshold {
                 self.injected[idx][kind_index(rule.kind)].fetch_add(1, Ordering::Relaxed);
-                sww_obs::counter(
-                    "sww_faults_injected_total",
-                    &[("site", site.key()), ("kind", rule.kind.label())],
-                )
-                .inc();
+                self.metrics
+                    .counter(
+                        "sww_faults_injected_total",
+                        &[("site", site.key()), ("kind", rule.kind.label())],
+                    )
+                    .inc();
                 return Some(match rule.kind {
                     FaultKind::Error => FaultAction::Error,
                     FaultKind::Latency => FaultAction::Latency(Duration::from_millis(rule.param)),
@@ -444,7 +449,7 @@ mod tests {
     #[test]
     fn empty_spec_is_quiet() {
         let spec = ChaosSpec::parse("seed=7").unwrap();
-        let state = FaultStream::new(&spec);
+        let state = FaultStream::new(&spec, Arc::default());
         for _ in 0..100 {
             assert_eq!(state.draw(FaultSite::EngineGenerate), None);
         }
@@ -455,8 +460,8 @@ mod tests {
     fn identical_seeds_yield_identical_decision_sequences() {
         let spec =
             ChaosSpec::parse("seed=1234,engine.generate=error:0.3,h2.read=latency:0.25:5").unwrap();
-        let a = FaultStream::new(&spec);
-        let b = FaultStream::new(&spec);
+        let a = FaultStream::new(&spec, Arc::default());
+        let b = FaultStream::new(&spec, Arc::default());
         for _ in 0..500 {
             assert_eq!(
                 a.draw(FaultSite::EngineGenerate),
@@ -480,7 +485,7 @@ mod tests {
                     param: 0,
                 }],
             };
-            let state = FaultStream::new(&spec);
+            let state = FaultStream::new(&spec, Arc::default());
             (0..64)
                 .map(|_| state.draw(FaultSite::EngineGenerate).is_some())
                 .collect::<Vec<bool>>()
@@ -494,7 +499,7 @@ mod tests {
         // identical replay, different label → independent.
         let spec = ChaosSpec::parse("seed=11,engine.generate=error:0.5").unwrap();
         let draws = |label: &str| {
-            let state = FaultStream::labelled(&spec, label);
+            let state = FaultStream::labelled(&spec, label, Arc::default());
             (0..64)
                 .map(|_| state.draw(FaultSite::EngineGenerate).is_some())
                 .collect::<Vec<bool>>()
@@ -504,7 +509,7 @@ mod tests {
         assert_ne!(
             draws("n0"),
             {
-                let state = FaultStream::new(&spec);
+                let state = FaultStream::new(&spec, Arc::default());
                 (0..64)
                     .map(|_| state.draw(FaultSite::EngineGenerate).is_some())
                     .collect::<Vec<bool>>()
@@ -516,7 +521,7 @@ mod tests {
     #[test]
     fn injection_rate_tracks_probability() {
         let spec = ChaosSpec::parse("seed=9,pool.enqueue=error:0.1").unwrap();
-        let state = FaultStream::new(&spec);
+        let state = FaultStream::new(&spec, Arc::default());
         let n = 10_000;
         let injected = (0..n)
             .filter(|_| state.draw(FaultSite::PoolEnqueue).is_some())
@@ -530,7 +535,7 @@ mod tests {
     fn sites_draw_independent_streams() {
         let spec =
             ChaosSpec::parse("seed=5,engine.generate=error:0.5,pool.enqueue=error:0.5").unwrap();
-        let state = FaultStream::new(&spec);
+        let state = FaultStream::new(&spec, Arc::default());
         let a: Vec<bool> = (0..64)
             .map(|_| state.draw(FaultSite::EngineGenerate).is_some())
             .collect();
@@ -544,7 +549,7 @@ mod tests {
     fn actions_carry_their_parameters() {
         let spec = ChaosSpec::parse("seed=3,h2.read=latency:1.0:25,server.respond=truncate:1.0:40")
             .unwrap();
-        let state = FaultStream::new(&spec);
+        let state = FaultStream::new(&spec, Arc::default());
         assert_eq!(
             state.draw(FaultSite::H2Read),
             Some(FaultAction::Latency(Duration::from_millis(25)))

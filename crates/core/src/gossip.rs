@@ -52,7 +52,9 @@
 //!   arms it from the spec its servers carry).
 //!
 //! Observability: the `sww_gossip_*` family (OBSERVABILITY.md) counts
-//! rounds, probe outcomes, drops, state transitions and refutations.
+//! rounds, probe outcomes, drops, state transitions and refutations, in
+//! the registry of the edge router that runs the layer (one of its own
+//! when built standalone).
 //!
 //! [`set_process_alive`]: Gossip::set_process_alive
 //! [`set_partition`]: Gossip::set_partition
@@ -60,6 +62,8 @@
 
 use crate::faults::{ChaosSpec, FaultAction, FaultSite, FaultStream};
 use std::collections::BTreeMap;
+use std::sync::Arc;
+use sww_obs::Registry;
 
 /// One member's health, as recorded in some observer's view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -160,12 +164,23 @@ pub struct Gossip {
     partition: Option<BTreeMap<String, usize>>,
     /// Draws the `gossip.send` failpoint, when armed.
     faults: Option<FaultStream>,
+    metrics: Arc<Registry>,
 }
 
 impl Gossip {
     /// A cluster where every member starts alive at incarnation 0 and
-    /// every view agrees.
+    /// every view agrees, recording into a registry of its own.
     pub fn new<I, S>(cfg: GossipConfig, members: I) -> Gossip
+    where
+        I: IntoIterator<Item = S>,
+        S: Into<String>,
+    {
+        Gossip::recording(cfg, members, Arc::default())
+    }
+
+    /// [`new`](Gossip::new), recording into `metrics` — its edge
+    /// router's registry.
+    pub(crate) fn recording<I, S>(cfg: GossipConfig, members: I, metrics: Arc<Registry>) -> Gossip
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
@@ -179,6 +194,7 @@ impl Gossip {
             views: BTreeMap::new(),
             partition: None,
             faults: None,
+            metrics,
         };
         for member in members {
             gossip.add_member(&member.into());
@@ -190,7 +206,7 @@ impl Gossip {
     /// messages are dropped from a stream drawn from `spec.seed` itself,
     /// counters at zero.
     pub fn set_chaos(&mut self, spec: &ChaosSpec) {
-        self.faults = Some(FaultStream::new(spec));
+        self.faults = Some(FaultStream::new(spec, Arc::clone(&self.metrics)));
     }
 
     /// The fault stream this gossip layer draws from, if armed: the
@@ -289,7 +305,7 @@ impl Gossip {
                 .get_mut(id)
                 .expect("member has a view")
                 .insert(id.to_owned(), announced);
-            sww_obs::counter("sww_gossip_refutations_total", &[("node", id)]).inc();
+            self.count("sww_gossip_refutations_total", &[("node", id)]);
         }
         true
     }
@@ -408,7 +424,7 @@ impl Gossip {
     /// then suspicion timers advance and refutations fire.
     pub fn tick(&mut self) {
         self.round += 1;
-        sww_obs::counter("sww_gossip_rounds_total", &[]).inc();
+        self.count("sww_gossip_rounds_total", &[]);
         let order = self.members.clone();
         for (i, observer) in order.iter().enumerate() {
             if !self.process_alive(observer) {
@@ -424,11 +440,8 @@ impl Gossip {
             };
             let target = pick(0);
             let mut acked = self.probe(observer, &target);
-            sww_obs::counter(
-                "sww_gossip_pings_total",
-                &[("result", if acked { "ack" } else { "timeout" })],
-            )
-            .inc();
+            let result = if acked { "ack" } else { "timeout" };
+            self.count("sww_gossip_pings_total", &[("result", result)]);
             if !acked {
                 let mut salt = 1u64;
                 let mut probes = 0usize;
@@ -447,11 +460,8 @@ impl Gossip {
                         && self.deliverable(observer, &proxy)
                         && self.deliverable(&proxy, observer)
                         && self.probe(&proxy, &target);
-                    sww_obs::counter(
-                        "sww_gossip_ping_reqs_total",
-                        &[("result", if relayed { "ack" } else { "timeout" })],
-                    )
-                    .inc();
+                    let result = if relayed { "ack" } else { "timeout" };
+                    self.count("sww_gossip_ping_reqs_total", &[("result", result)]);
                     if relayed {
                         acked = true;
                         break;
@@ -478,7 +488,9 @@ impl Gossip {
                 {
                     mv.health = Health::Dead;
                     mv.since = self.round;
-                    sww_obs::counter("sww_gossip_deaths_total", &[("node", member)]).inc();
+                    self.metrics
+                        .counter("sww_gossip_deaths_total", &[("node", member)])
+                        .inc();
                 }
             }
         }
@@ -504,7 +516,7 @@ impl Gossip {
                     .get_mut(observer)
                     .expect("observer has a view")
                     .insert(observer.clone(), refuted);
-                sww_obs::counter("sww_gossip_refutations_total", &[("node", observer)]).inc();
+                self.count("sww_gossip_refutations_total", &[("node", observer)]);
             }
         }
     }
@@ -522,7 +534,7 @@ impl Gossip {
     fn deliverable(&self, from: &str, to: &str) -> bool {
         if let Some(groups) = &self.partition {
             if groups.get(from) != groups.get(to) {
-                sww_obs::counter("sww_gossip_drops_total", &[("cause", "partition")]).inc();
+                self.count("sww_gossip_drops_total", &[("cause", "partition")]);
                 return false;
             }
         }
@@ -531,10 +543,14 @@ impl Gossip {
             .as_ref()
             .and_then(|f| f.draw(FaultSite::GossipSend));
         if send == Some(FaultAction::Error) {
-            sww_obs::counter("sww_gossip_drops_total", &[("cause", "chaos")]).inc();
+            self.count("sww_gossip_drops_total", &[("cause", "chaos")]);
             return false;
         }
         true
+    }
+
+    fn count(&self, name: &'static str, labels: &[(&'static str, &str)]) {
+        self.metrics.counter(name, labels).inc();
     }
 
     /// A probe acked: the observer learns the target is alive at the
@@ -574,7 +590,9 @@ impl Gossip {
         };
         if current.superseded_by(candidate) {
             if current.health == Health::Alive && candidate.health == Health::Suspect {
-                sww_obs::counter("sww_gossip_suspicions_total", &[("node", member)]).inc();
+                self.metrics
+                    .counter("sww_gossip_suspicions_total", &[("node", member)])
+                    .inc();
             }
             *current = MemberView {
                 since: self.round,

@@ -32,6 +32,7 @@ use crate::faults::{FaultAction, FaultSite, FaultStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use sww_obs::Registry;
 
 /// The per-request lifecycle handle: deadline, cooperative cancel flag
 /// and the admitting server's fault stream.
@@ -157,23 +158,29 @@ impl RequestCtx {
     }
 }
 
-/// Record a cancellation taking effect at `site` — the one counter all
-/// detach points share (`sww_cancelled_total{site}`). Sites:
+/// Record a cancellation taking effect at `site` in `metrics`, its
+/// owner's registry — the one counter all detach points share
+/// (`sww_cancelled_total{site}`). Sites:
 /// `engine.wait` (waiter gave up on a coalesced flight), `engine.handoff`
 /// (expired leader finished for survivors), `denoise` (step loop
 /// abandoned a fully-orphaned flight), `batch.wait` (batch member
 /// detached), `pool.queue` (request left the pool's queue at its
 /// deadline).
-pub fn record_cancelled(site: &str) {
-    sww_obs::counter("sww_cancelled_total", &[("site", site)]).inc();
+pub fn record_cancelled(metrics: &Registry, site: &str) {
+    metrics
+        .counter("sww_cancelled_total", &[("site", site)])
+        .inc();
 }
 
-/// Record a request shed at admission (`sww_shed_total{reason}`).
+/// Record a request shed at admission in `metrics`, its server's
+/// registry (`sww_shed_total{reason}`).
 /// Reasons: `deadline` (predicted queue wait exceeds the remaining
 /// budget), `breaker` (the model's circuit breaker is open), `draining`
 /// (the server is shutting down gracefully).
-pub fn record_shed(reason: &str) {
-    sww_obs::counter("sww_shed_total", &[("reason", reason)]).inc();
+pub fn record_shed(metrics: &Registry, reason: &str) {
+    metrics
+        .counter("sww_shed_total", &[("reason", reason)])
+        .inc();
 }
 
 #[cfg(test)]
@@ -223,7 +230,10 @@ mod tests {
     #[test]
     fn only_a_ctx_with_a_stream_can_fault() {
         let spec = crate::ChaosSpec::parse("seed=1,engine.generate=error:1.0").unwrap();
-        let armed = RequestCtx::new(None, Some(Arc::new(FaultStream::new(&spec))));
+        let armed = RequestCtx::new(
+            None,
+            Some(Arc::new(FaultStream::new(&spec, Arc::default()))),
+        );
         for ctx in [
             RequestCtx::unbounded(),
             RequestCtx::with_deadline(Duration::ZERO),

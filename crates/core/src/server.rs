@@ -36,6 +36,11 @@
 //! Request handling is fallible internally ([`SwwError`]); the mapping
 //! from error to HTTP status code lives in exactly one place, the
 //! private `error_response` function.
+//!
+//! Every series the server records lands in its own registry
+//! ([`GenerativeServer::metrics`]), which its engine, pool, batcher,
+//! breaker and fault stream share; `/metrics` serves it followed by the
+//! process registry.
 
 use crate::batch::{self, BatchConfig, BatchKey, BatchScheduler, BatchStats};
 use crate::breaker::{BreakerConfig, CircuitBreaker};
@@ -68,6 +73,7 @@ use sww_http2::server::{serve_connection_until, ServeStats};
 use sww_http2::{GenAbility, H2Error, Request, Response};
 use sww_http3::server::{serve_h3_connection_until, H3ServeContext, H3ServeStats};
 use sww_http3::H3Error;
+use sww_obs::{Registry, Span};
 use tokio::io::{AsyncRead, AsyncWrite};
 
 /// One page of site content, stored in SWW (prompt) form.
@@ -105,15 +111,20 @@ struct PageForm {
     etag: u64,
 }
 
+/// The histograms a server-side generation span records into.
+const GENERATE_WALL: &str = "sww_server_generate_wall_seconds";
+const GENERATE_VIRTUAL: &str = "sww_server_generate_virtual_seconds";
+
 /// Count one page request answered from a page form: `form` is `naive`
 /// or `prompt`; `derived` says whether this request computed it.
-fn count_page_form(form: &'static str, derived: bool) {
+fn count_page_form(metrics: &Registry, form: &'static str, derived: bool) {
     let result = if derived { "derived" } else { "reused" };
-    sww_obs::counter(
-        "sww_server_page_forms_total",
-        &[("form", form), ("result", result)],
-    )
-    .inc();
+    metrics
+        .counter(
+            "sww_server_page_forms_total",
+            &[("form", form), ("result", result)],
+        )
+        .inc();
 }
 
 /// A site: pages plus unique (non-generatable) assets and published
@@ -312,6 +323,9 @@ struct ServerShared {
     /// Requests currently inside `dispatch` (admission through response).
     /// `drain` waits for this to reach zero.
     inflight: AtomicUsize,
+    /// Every series this server records, shared with the engine, pool,
+    /// batcher, breaker and fault stream above.
+    metrics: Arc<Registry>,
 }
 
 impl ServerShared {
@@ -460,32 +474,41 @@ impl GenerativeServer {
     /// construction path (`sww serve` lands here too).
     pub fn from_config(config: ServerConfig) -> GenerativeServer {
         let kernel_tiles = config.kernel_tiles.max(1);
+        let metrics = Arc::new(Registry::new());
+        let share = || Arc::clone(&metrics);
         GenerativeServer {
             shared: Arc::new(ServerShared {
                 ability: config.ability,
                 site: config.site,
                 policy: config.policy,
-                engine: GenerationEngine::new(config.cache_shards, config.cache_pixels),
+                engine: GenerationEngine::recording(
+                    config.cache_shards,
+                    config.cache_pixels,
+                    share(),
+                ),
                 accounting: Mutex::new(Accounting::default()),
                 page_forms: RwLock::default(),
                 traditional_memo: Mutex::new(None),
                 pool: (config.workers > 0)
-                    .then(|| WorkerPool::new(config.workers, config.queue_capacity)),
+                    .then(|| WorkerPool::recording(config.workers, config.queue_capacity, share())),
                 batcher: (config.batch_max > 1).then(|| {
                     let batch = BatchConfig {
                         max_batch: config.batch_max,
                         max_wait: config.batch_wait,
                     };
-                    BatchScheduler::new(batch, Arc::new(CrewRunner), kernel_tiles)
+                    BatchScheduler::recording(batch, Arc::new(CrewRunner), kernel_tiles, share())
                 }),
                 kernel_tiles,
                 default_deadline: config.default_deadline,
-                breaker: config.breaker.map(CircuitBreaker::new),
-                faults: config
-                    .chaos
-                    .map(|spec| RwLock::new(Arc::new(FaultStream::labelled(&spec, "server")))),
+                breaker: config
+                    .breaker
+                    .map(|b| CircuitBreaker::recording(b, share())),
+                faults: config.chaos.map(|spec| {
+                    RwLock::new(Arc::new(FaultStream::labelled(&spec, "server", share())))
+                }),
                 draining: AtomicBool::new(false),
                 inflight: AtomicUsize::new(0),
+                metrics,
             }),
         }
     }
@@ -506,8 +529,14 @@ impl GenerativeServer {
     /// under the [`TransportKind::Edge`] label — the entry point the
     /// cluster tier ([`crate::edge::EdgeRouter`]) uses for both
     /// local serves and peer cache-fill fetches.
-    pub(crate) fn dispatch_edge(&self, client_ability: GenAbility, req: &Request) -> Response {
-        dispatch(&self.shared, client_ability, req, TransportKind::Edge)
+    pub(crate) fn dispatch_edge(
+        &self,
+        ability: GenAbility,
+        req: &Request,
+        router: &Registry,
+    ) -> Response {
+        let router = Some(router);
+        dispatch(&self.shared, ability, req, TransportKind::Edge, router)
     }
 
     /// Re-derive this server's fault stream for `label` from its own
@@ -518,7 +547,8 @@ impl GenerativeServer {
     pub fn set_fault_domain(&self, label: &str) {
         if let Some(faults) = &self.shared.faults {
             let mut stream = faults.write();
-            *stream = Arc::new(FaultStream::labelled(stream.spec(), label));
+            let metrics = Arc::clone(&self.shared.metrics);
+            *stream = Arc::new(FaultStream::labelled(stream.spec(), label, metrics));
         }
     }
 
@@ -529,11 +559,17 @@ impl GenerativeServer {
         self.shared.fault_stream()
     }
 
+    /// The registry every series of this server lands in — its part of
+    /// a `/metrics` scrape, without the process registry.
+    pub fn metrics(&self) -> &Registry {
+        &self.shared.metrics
+    }
+
     /// Accept a (transport-independent) session for a client advertising
     /// `client_ability`. The [`Session`] carries the negotiated ability,
     /// so per-request calls no longer re-state the client's capability.
     pub fn accept(&self, client_ability: GenAbility) -> Session {
-        count_session(TransportKind::Inproc);
+        count_session(&self.shared.metrics, TransportKind::Inproc);
         Session {
             shared: Arc::clone(&self.shared),
             client_ability,
@@ -548,14 +584,14 @@ impl GenerativeServer {
     where
         T: AsyncRead + AsyncWrite + Unpin,
     {
-        count_session(TransportKind::H2);
+        count_session(&self.shared.metrics, TransportKind::H2);
         let shared = Arc::clone(&self.shared);
         let drain_watch = Arc::clone(&self.shared);
         let ability = self.shared.ability;
         serve_connection_until(
             io,
             ability,
-            move |req, ctx| dispatch(&shared, ctx.client_ability, &req, TransportKind::H2),
+            move |req, ctx| dispatch(&shared, ctx.client_ability, &req, TransportKind::H2, None),
             move || drain_watch.draining.load(Ordering::SeqCst),
         )
         .await
@@ -573,7 +609,7 @@ impl GenerativeServer {
     where
         T: AsyncRead + AsyncWrite + Unpin,
     {
-        count_session(TransportKind::H3);
+        count_session(&self.shared.metrics, TransportKind::H3);
         let shared = Arc::clone(&self.shared);
         let drain_watch = Arc::clone(&self.shared);
         let ability = self.shared.ability;
@@ -581,7 +617,7 @@ impl GenerativeServer {
             io,
             ability,
             move |req: Request, ctx: H3ServeContext| {
-                dispatch(&shared, ctx.client_ability, &req, TransportKind::H3)
+                dispatch(&shared, ctx.client_ability, &req, TransportKind::H3, None)
             },
             move || drain_watch.draining.load(Ordering::SeqCst),
         )
@@ -724,16 +760,21 @@ impl GenerativeServer {
         let started = Instant::now();
         self.shared.draining.store(true, Ordering::SeqCst);
         let inflight_at_start = self.shared.inflight.load(Ordering::SeqCst);
-        sww_obs::gauge("sww_drain_state", &[]).set(1.0);
-        sww_obs::gauge("sww_drain_inflight_at_start", &[]).set(inflight_at_start as f64);
+        let metrics = &self.shared.metrics;
+        metrics.gauge("sww_drain_state", &[]).set(1.0);
+        metrics
+            .gauge("sww_drain_inflight_at_start", &[])
+            .set(inflight_at_start as f64);
         // In-flight requests finish on their own threads; short-poll
         // rather than wiring a condvar through every dispatch exit.
         while self.shared.inflight.load(Ordering::SeqCst) > 0 {
             std::thread::sleep(Duration::from_millis(1));
         }
         let waited = started.elapsed();
-        sww_obs::gauge("sww_drain_state", &[]).set(2.0);
-        sww_obs::gauge("sww_drain_duration_seconds", &[]).set(waited.as_secs_f64());
+        metrics.gauge("sww_drain_state", &[]).set(2.0);
+        metrics
+            .gauge("sww_drain_duration_seconds", &[])
+            .set(waited.as_secs_f64());
         DrainReport {
             inflight_at_start,
             waited,
@@ -791,6 +832,7 @@ impl Session {
             self.client_ability,
             req,
             TransportKind::Inproc,
+            None,
         )
     }
 }
@@ -804,20 +846,22 @@ fn mode_label(mode: ServeMode) -> &'static str {
     }
 }
 
-fn count_route(route: &'static str, transport: TransportKind) {
-    sww_obs::counter(
-        "sww_server_requests_total",
-        &[("route", route), ("transport", transport.label())],
-    )
-    .inc();
+fn count_route(metrics: &Registry, route: &'static str, transport: TransportKind) {
+    metrics
+        .counter(
+            "sww_server_requests_total",
+            &[("route", route), ("transport", transport.label())],
+        )
+        .inc();
 }
 
-fn count_session(transport: TransportKind) {
-    sww_obs::counter(
-        "sww_server_sessions_total",
-        &[("transport", transport.label())],
-    )
-    .inc();
+fn count_session(metrics: &Registry, transport: TransportKind) {
+    metrics
+        .counter(
+            "sww_server_sessions_total",
+            &[("transport", transport.label())],
+        )
+        .inc();
 }
 
 /// The lifecycle context for one request, drawing faults from the
@@ -851,29 +895,34 @@ fn request_ctx(shared: &ServerShared, req: &Request) -> RequestCtx {
 /// acts on the finished response: it can replace it with a `500`, delay
 /// it, or truncate its body (which a client detects through the
 /// content-addressed ETag and treats as an integrity failure).
+///
+/// `router` is the edge router's registry when the request entered a
+/// cluster at this node: `/metrics` then serves it after the server's.
 fn dispatch(
     shared: &ServerShared,
     client_ability: GenAbility,
     req: &Request,
     transport: TransportKind,
+    router: Option<&Registry>,
 ) -> Response {
     let _inflight = InflightGuard::enter(shared);
+    let metrics = &shared.metrics;
     if shared.draining.load(Ordering::SeqCst) && req.path != "/metrics" {
-        record_shed("draining");
-        return error_response(&SwwError::Saturated { retry_after_s: 1 });
+        record_shed(metrics, "draining");
+        return error_response(metrics, &SwwError::Saturated { retry_after_s: 1 });
     }
     let ctx = request_ctx(shared, req);
     if let (Some(pool), Some(remaining)) = (&shared.pool, ctx.remaining()) {
         let predicted = pool.predicted_wait();
         if predicted > remaining {
-            record_shed("deadline");
+            record_shed(metrics, "deadline");
             let retry_after_s = u32::try_from(predicted.as_secs())
                 .unwrap_or(u32::MAX)
                 .max(1);
-            return error_response(&SwwError::Saturated { retry_after_s });
+            return error_response(metrics, &SwwError::Saturated { retry_after_s });
         }
     }
-    let handle = || handle_request(shared, client_ability, req, &ctx, transport);
+    let handle = || handle_request(shared, client_ability, req, &ctx, transport, router);
     let result = match &shared.pool {
         None => handle(),
         Some(pool) => pool.run_ctx(&ctx, handle).and_then(|inner| inner),
@@ -882,12 +931,11 @@ fn dispatch(
         ctx.check()?;
         Ok(resp)
     });
-    let mut resp = result.unwrap_or_else(|err| error_response(&err));
+    let mut resp = result.unwrap_or_else(|err| error_response(metrics, &err));
     match ctx.fault(FaultSite::ServerRespond) {
         Some(FaultAction::Error) => {
-            return error_response(&SwwError::Internal {
-                reason: "injected fault at server.respond".into(),
-            });
+            let reason = "injected fault at server.respond".into();
+            return error_response(metrics, &SwwError::Internal { reason });
         }
         Some(FaultAction::Latency(d)) => std::thread::sleep(d),
         Some(FaultAction::TruncateKeepPct(pct)) => {
@@ -900,8 +948,9 @@ fn dispatch(
 }
 
 /// Map a [`SwwError`] to its HTTP response — the **single** place in the
-/// stack where error conditions become status codes.
-fn error_response(err: &SwwError) -> Response {
+/// stack where error conditions become status codes — counted in
+/// `metrics`, the server's registry.
+fn error_response(metrics: &Registry, err: &SwwError) -> Response {
     let status = match err {
         SwwError::NotFound { .. } => 404,
         SwwError::MethodNotAllowed { .. } => 405,
@@ -914,11 +963,13 @@ fn error_response(err: &SwwError) -> Response {
         SwwError::DeadlineExceeded { .. } => 504,
     };
     let status_label = status.to_string();
-    sww_obs::counter("sww_server_errors_total", &[("status", &status_label)]).inc();
+    metrics
+        .counter("sww_server_errors_total", &[("status", &status_label)])
+        .inc();
     if status == 504 {
         // Counted here — the single error→status choke point — so every
         // deadline miss is tallied exactly once however deep it surfaced.
-        sww_obs::counter("sww_deadline_exceeded_total", &[]).inc();
+        metrics.counter("sww_deadline_exceeded_total", &[]).inc();
     }
     let mut resp = Response::status(status);
     if let SwwError::Saturated { retry_after_s } = err {
@@ -935,23 +986,30 @@ fn handle_request(
     req: &Request,
     ctx: &RequestCtx,
     transport: TransportKind,
+    router: Option<&Registry>,
 ) -> Result<Response, SwwError> {
+    let metrics = &shared.metrics;
     // The one negotiation entry point, re-evaluated per request with the
     // client's *latest* advertisement — h2 reads it off the connection's
     // live SETTINGS, h3 off the most recent control-stream update, so
     // mid-connection withdraw/restore lands here identically.
     let abilities = session(shared.ability, client_ability);
     if req.method != "GET" {
-        count_route("bad_method", transport);
+        count_route(metrics, "bad_method", transport);
         return Err(SwwError::MethodNotAllowed {
             method: req.method.clone(),
         });
     }
-    // Observability endpoint: the whole metrics registry in Prometheus
-    // text format. Purely read-only with respect to site state.
+    // Observability endpoint: this server's registry (then its edge
+    // router's, at a cluster entry) and the process registry, in
+    // Prometheus text format. Purely read-only with respect to site state.
     if req.path == "/metrics" {
-        count_route("metrics", transport);
-        let mut resp = Response::ok(Bytes::from(sww_obs::render()));
+        count_route(metrics, "metrics", transport);
+        let text = match router {
+            Some(router) => sww_obs::expose(&[metrics, router]),
+            None => sww_obs::expose(&[metrics]),
+        };
+        let mut resp = Response::ok(Bytes::from(text));
         resp.headers
             .insert("content-type", "text/plain; version=0.0.4");
         return Ok(resp);
@@ -969,23 +1027,23 @@ fn handle_request(
             .transpose()?,
     };
     if let Some(bytes) = asset {
-        count_route("asset", transport);
+        count_route(metrics, "asset", transport);
         let mut resp = Response::ok(bytes);
         resp.headers.insert("content-type", "image/swim");
         return Ok(resp);
     }
     // Video routes (§3.2): /video/<name>/playlist.m3u8 and segments.
     if let Some(rest) = req.path.strip_prefix("/video/") {
-        count_route("video", transport);
+        count_route(metrics, "video", transport);
         return handle_video(shared, abilities, rest);
     }
     let Some(page) = shared.site.page(&req.path) else {
-        count_route("not_found", transport);
+        count_route(metrics, "not_found", transport);
         return Err(SwwError::NotFound {
             path: req.path.clone(),
         });
     };
-    count_route("page", transport);
+    count_route(metrics, "page", transport);
     let mode = abilities.mode(&shared.policy);
     *shared
         .accounting
@@ -993,11 +1051,12 @@ fn handle_request(
         .served_modes
         .entry(mode_label(mode))
         .or_default() += 1;
-    sww_obs::counter(
-        "sww_negotiate_outcomes_total",
-        &[("mode", mode_label(mode))],
-    )
-    .inc();
+    metrics
+        .counter(
+            "sww_negotiate_outcomes_total",
+            &[("mode", mode_label(mode))],
+        )
+        .inc();
     let form = match mode {
         ServeMode::Generative | ServeMode::UpscaleAssisted => {
             let mut derived = false;
@@ -1005,7 +1064,7 @@ fn handle_request(
                 derived = true;
                 etag_bits(page.html.as_bytes())
             });
-            count_page_form("prompt", derived);
+            count_page_form(metrics, "prompt", derived);
             PageForm {
                 body: Bytes::from(page.html.clone()),
                 etag,
@@ -1098,7 +1157,7 @@ fn fetch_asset(
 ) -> Result<Bytes, SwwError> {
     if let Some(breaker) = &shared.breaker {
         if let Err(err) = breaker.try_admit(recipe.model) {
-            record_shed("breaker");
+            record_shed(&shared.metrics, "breaker");
             return Err(err);
         }
     }
@@ -1149,7 +1208,7 @@ fn render_asset(
     };
     // A model this device cannot run is refused before anything is spent.
     pass_time(1)?;
-    let span = sww_obs::Span::begin("sww_server_generate", "materialize");
+    let span = Span::begin("materialize");
     let (image, batch_size) = match &shared.batcher {
         Some(batcher) => {
             let outcome = batcher.submit_ctx(recipe, ctx, cancel)?;
@@ -1158,14 +1217,15 @@ fn render_asset(
         None => {
             let prompt = std::slice::from_ref(&recipe.prompt);
             let tiling = Tiling::new(&InlineRunner, 1);
-            let image = batch::run_pass(&BatchKey::of(recipe), prompt, cancel, tiling)
+            let key = BatchKey::of(recipe);
+            let image = batch::run_pass(&shared.metrics, &key, prompt, cancel, tiling)
                 .and_then(|mut images| images.pop())
                 .ok_or_else(|| ctx.deadline_error())?;
             (image, 1)
         }
     };
     let time_s = pass_time(batch_size)? / batch_size as f64;
-    span.finish_with_virtual(time_s);
+    span.finish_with_virtual(&shared.metrics, GENERATE_WALL, GENERATE_VIRTUAL, time_s);
     shared.accounting.lock().generation_time_s += time_s;
     Ok(Bytes::from(codec::encode(&image, DEFAULT_CODEC_QUALITY)))
 }
@@ -1190,7 +1250,7 @@ fn naive_form(
 ) -> Result<PageForm, SwwError> {
     let stored = shared.page_forms.read().get(path).cloned();
     if let Some(form) = stored {
-        count_page_form("naive", false);
+        count_page_form(&shared.metrics, "naive", false);
         let index = shared.site.generated_index();
         for url in index.pages.get(path).into_iter().flatten() {
             fetch_asset(shared, &index.assets[url], ctx)?;
@@ -1198,7 +1258,7 @@ fn naive_form(
         return Ok(form);
     }
     let body = materialize(shared, path, html, ctx)?;
-    count_page_form("naive", true);
+    count_page_form(&shared.metrics, "naive", true);
     let form = PageForm {
         etag: etag_bits(body.as_bytes()),
         body: Bytes::from(body),
@@ -1241,9 +1301,10 @@ fn materialize(
                 );
             }
             ContentType::Txt => {
-                let span = sww_obs::Span::begin("sww_server_generate", "materialize");
+                let span = Span::begin("materialize");
                 let (media, cost) = with_generator(|g| g.try_generate(&item))?;
-                span.finish_with_virtual(cost.time_s);
+                let metrics = &shared.metrics;
+                span.finish_with_virtual(metrics, GENERATE_WALL, GENERATE_VIRTUAL, cost.time_s);
                 shared.accounting.lock().generation_time_s += cost.time_s;
                 let GeneratedMedia::Text { text } = media else {
                     unreachable!("a Txt item generates text")
@@ -1445,13 +1506,16 @@ mod tests {
     #[test]
     fn an_abandoned_render_stops_mid_denoise_under_every_batch_max() {
         use std::sync::atomic::AtomicU32;
-        let abandoned = || sww_obs::counter("sww_cancelled_total", &[("site", "denoise")]).get();
         for batch_max in [1, 4] {
             let server = GenerativeServer::from_config(ServerConfig {
                 site: demo_site(),
                 batch_max,
                 ..ServerConfig::default()
             });
+            let abandoned = || {
+                let site = [("site", "denoise")];
+                server.metrics().counter("sww_cancelled_total", &site).get()
+            };
             let shared = &*server.shared;
             let recipe = shared
                 .site
@@ -1883,11 +1947,11 @@ mod tests {
             (SwwError::DeadlineExceeded { budget_ms: 250 }, 504),
         ];
         for (err, status) in cases {
-            let resp = error_response(&err);
+            let resp = error_response(&Registry::new(), &err);
             assert_eq!(resp.status, status, "{err}");
             assert!(resp.headers.get("x-sww-error").is_some());
         }
-        let resp = error_response(&SwwError::Saturated { retry_after_s: 3 });
+        let resp = error_response(&Registry::new(), &SwwError::Saturated { retry_after_s: 3 });
         assert_eq!(resp.headers.get("retry-after"), Some("3"));
     }
 

@@ -14,11 +14,13 @@
 //! (`tokio::task::spawn_blocking`), the only place the product starts a
 //! thread.
 //!
-//! Observability: `sww_pool_queue_depth` (gauge) tracks waiting
-//! requests, `sww_pool_jobs_total{result=executed|rejected|panicked}`
-//! counts admissions, refusals and panics, and
-//! `sww_pool_worker_utilization` (histogram) records the busy-permit
-//! fraction sampled at each job start.
+//! Observability, in the registry the pool was built to record into (its
+//! server's; a registry of its own when built standalone):
+//! `sww_pool_queue_depth` (gauge) tracks waiting requests,
+//! `sww_pool_jobs_total{result=executed|rejected|panicked}` counts
+//! admissions, refusals and panics, and `sww_pool_worker_utilization`
+//! (histogram) records the busy-permit fraction sampled at each job
+//! start.
 
 use crate::error::SwwError;
 use crate::faults::{FaultAction, FaultSite};
@@ -30,6 +32,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 use sww_genai::diffusion::{TileRunner, TileTask};
+use sww_obs::Registry;
 
 /// EWMA smoothing factor for the per-job service-time estimate: each
 /// completed job contributes 20% of the new estimate.
@@ -72,6 +75,7 @@ pub struct WorkerPool {
     /// EWMA of observed per-job service time, stored as `f64` bits so
     /// it is updated without the gate's lock.
     service_ewma_bits: AtomicU64,
+    metrics: Arc<Registry>,
 }
 
 impl std::fmt::Debug for WorkerPool {
@@ -96,7 +100,7 @@ impl Drop for Permit<'_> {
         match &next {
             Some(next) => {
                 next.granted.store(true, Ordering::Release);
-                set_depth_gauge(gate.waiting.len());
+                pool.set_depth_gauge(gate.waiting.len());
             }
             None => gate.running -= 1,
         }
@@ -113,19 +117,21 @@ fn retry_after_s(drain_s: f64) -> u32 {
     (drain_s.ceil() as u64).clamp(1, 30) as u32
 }
 
-fn set_depth_gauge(depth: usize) {
-    sww_obs::gauge("sww_pool_queue_depth", &[]).set(depth as f64);
-}
-
-fn reject(retry_after_s: u32) -> SwwError {
-    sww_obs::counter("sww_pool_jobs_total", &[("result", "rejected")]).inc();
-    SwwError::Saturated { retry_after_s }
-}
-
 impl WorkerPool {
-    /// A gate admitting `workers` concurrent jobs (clamped to at least
-    /// 1) with at most `queue_capacity` more waiting.
+    /// A gate admitting `workers` concurrent jobs (at least one) with at
+    /// most `queue_capacity` more waiting, recording into a registry of
+    /// its own.
     pub fn new(workers: usize, queue_capacity: usize) -> WorkerPool {
+        WorkerPool::recording(workers, queue_capacity, Arc::default())
+    }
+
+    /// [`new`](WorkerPool::new), recording into `metrics` — its server's
+    /// registry.
+    pub(crate) fn recording(
+        workers: usize,
+        queue_capacity: usize,
+        metrics: Arc<Registry>,
+    ) -> WorkerPool {
         WorkerPool {
             gate: Mutex::new(Gate {
                 running: 0,
@@ -134,7 +140,25 @@ impl WorkerPool {
             workers: workers.max(1),
             queue_capacity,
             service_ewma_bits: AtomicU64::new(SERVICE_TIME_PRIOR_S.to_bits()),
+            metrics,
         }
+    }
+
+    fn set_depth_gauge(&self, depth: usize) {
+        self.metrics
+            .gauge("sww_pool_queue_depth", &[])
+            .set(depth as f64);
+    }
+
+    fn count_job(&self, result: &str) {
+        self.metrics
+            .counter("sww_pool_jobs_total", &[("result", result)])
+            .inc();
+    }
+
+    fn reject(&self, retry_after_s: u32) -> SwwError {
+        self.count_job("rejected");
+        SwwError::Saturated { retry_after_s }
     }
 
     /// Every update leaves the gate consistent, so a poisoned lock is
@@ -218,7 +242,7 @@ impl WorkerPool {
         self.record_service_time(started.elapsed().as_secs_f64());
         drop(permit);
         out.map_err(|_| {
-            sww_obs::counter("sww_pool_jobs_total", &[("result", "panicked")]).inc();
+            self.count_job("panicked");
             SwwError::Internal {
                 reason: "request handler panicked".into(),
             }
@@ -235,7 +259,7 @@ impl WorkerPool {
     fn admit(&self, ctx: &RequestCtx) -> Result<Permit<'_>, SwwError> {
         match ctx.fault(FaultSite::PoolEnqueue) {
             Some(FaultAction::Error) | Some(FaultAction::TruncateKeepPct(_)) => {
-                return Err(reject(self.retry_after_estimate(self.queue_depth())));
+                return Err(self.reject(self.retry_after_estimate(self.queue_depth())));
             }
             Some(FaultAction::Latency(d)) => std::thread::sleep(d),
             None => {}
@@ -244,9 +268,9 @@ impl WorkerPool {
         let queued = gate.running >= self.workers;
         if queued && gate.waiting.len() >= self.queue_capacity {
             let backlog = gate.waiting.len() + 1 + gate.running;
-            return Err(reject(retry_after_s(self.drain_s(backlog))));
+            return Err(self.reject(retry_after_s(self.drain_s(backlog))));
         }
-        sww_obs::counter("sww_pool_jobs_total", &[("result", "executed")]).inc();
+        self.count_job("executed");
         // Permits busy once this request holds one: a hand-over leaves
         // every permit busy.
         let busy = (gate.running + 1).min(self.workers);
@@ -256,7 +280,7 @@ impl WorkerPool {
                 granted: AtomicBool::new(false),
             });
             gate.waiting.push_back(Arc::clone(&me));
-            set_depth_gauge(gate.waiting.len());
+            self.set_depth_gauge(gate.waiting.len());
             drop(gate);
             self.wait_turn(&me, ctx).then(|| Permit(self))
         } else {
@@ -266,14 +290,15 @@ impl WorkerPool {
         };
         match permit {
             Some(permit) if !ctx.finished() => {
-                sww_obs::histogram("sww_pool_worker_utilization", &[], UTILIZATION_BUCKETS)
+                self.metrics
+                    .histogram("sww_pool_worker_utilization", &[], UTILIZATION_BUCKETS)
                     .observe(busy as f64 / self.workers as f64);
                 Ok(permit)
             }
             permit => {
                 // A permit taken by a finished request goes straight on.
                 drop(permit);
-                record_cancelled("pool.queue");
+                record_cancelled(&self.metrics, "pool.queue");
                 Err(ctx.deadline_error())
             }
         }
@@ -293,7 +318,7 @@ impl WorkerPool {
                     return true;
                 }
                 gate.waiting.retain(|waiter| !Arc::ptr_eq(waiter, me));
-                set_depth_gauge(gate.waiting.len());
+                self.set_depth_gauge(gate.waiting.len());
                 return false;
             }
             // A wake may be spurious: the loop asks again.

@@ -208,9 +208,9 @@ impl DiffusionModel {
     /// a batch of one through the same body, with a probe that never
     /// fires.
     pub fn generate(&self, prompt: &str, width: u32, height: u32, steps: u32) -> ImageBuffer {
-        let span = sww_obs::Span::begin("sww_genai_stage", "embed");
+        let span = sww_obs::Span::begin("embed");
         let features = PromptFeatures::analyze(prompt);
-        span.finish();
+        span.finish(sww_obs::Registry::global(), crate::STAGE_WALL_SECONDS);
         self.generate_tile(&[features], width, height, steps, &StepCancel::never())
             .and_then(|mut images| images.pop())
             .expect("StepCancel::never cannot abort a generation")
@@ -231,11 +231,11 @@ impl DiffusionModel {
         steps: u32,
         cancel: &StepCancel,
     ) -> Option<Vec<ImageBuffer>> {
-        let denoise_span = sww_obs::Span::begin("sww_genai_stage", "denoise");
+        let denoise_span = sww_obs::Span::begin("denoise");
         let schedule = Schedule::new(steps.max(1));
         let mut jobs: Vec<LatentJob> = features.iter().map(|f| self.prepare_job(f)).collect();
         let completed = try_denoise_batch(&schedule, &mut jobs, cancel);
-        denoise_span.finish();
+        denoise_span.finish(sww_obs::Registry::global(), crate::STAGE_WALL_SECONDS);
         if !completed {
             return None;
         }
@@ -245,9 +245,9 @@ impl DiffusionModel {
                 .iter()
                 .zip(jobs.iter_mut())
                 .map(|(f, job)| {
-                    let decode_span = sww_obs::Span::begin("sww_genai_stage", "decode");
+                    let decode_span = sww_obs::Span::begin("decode");
                     let out = self.decode(f, &job.latent, width, height, &mut job.rng);
-                    decode_span.finish();
+                    decode_span.finish(sww_obs::Registry::global(), crate::STAGE_WALL_SECONDS);
                     out
                 })
                 .collect(),

@@ -230,9 +230,9 @@ fn decode_plane(
 
 /// Encode an image at the given quality (1..=100).
 pub fn encode(img: &ImageBuffer, quality: u8) -> Vec<u8> {
-    let span = sww_obs::Span::begin("sww_genai_stage", "codec_encode");
+    let span = sww_obs::Span::begin("codec_encode");
     let out = encode_inner(img, quality);
-    span.finish();
+    span.finish(sww_obs::Registry::global(), crate::STAGE_WALL_SECONDS);
     out
 }
 

@@ -42,6 +42,10 @@ pub use pipeline::GenerationPipeline;
 pub use prompt::PromptFeatures;
 pub use text::{TextModel, TextModelKind};
 
+/// The histogram every generation stage span records its wall time into,
+/// labelled `stage` (`embed`, `denoise`, `decode`, `codec_encode`).
+pub const STAGE_WALL_SECONDS: &str = "sww_genai_stage_wall_seconds";
+
 /// FNV-1a hash used to derive deterministic seeds from prompts.
 pub fn fnv1a(data: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;

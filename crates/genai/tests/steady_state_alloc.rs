@@ -6,8 +6,8 @@
 //! allocator hook: `sww_alloc_bytes_total{pool}` counts exactly the
 //! fresh heap the pools hand out, so "flat across the measured window"
 //! is equivalent to "no large allocations occurred". One test in its own
-//! integration binary: the metrics registry is process-global, and a
-//! sibling test generating concurrently would pollute the deltas.
+//! integration binary: the pools and their counters are process-wide,
+//! and a sibling test generating concurrently would pollute the deltas.
 //!
 //! [`BufferPool`]: sww_genai::pool::BufferPool
 

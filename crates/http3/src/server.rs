@@ -380,6 +380,45 @@ mod tests {
         assert_eq!((stats.requests, stats.responses), (3, 3));
     }
 
+    /// A peer that never finishes its streams is cut off once the octets
+    /// held for them pass the reassembly cap, instead of growing the
+    /// server without bound while it waits for FINs.
+    #[tokio::test]
+    async fn unfinished_streams_past_the_reassembly_cap_end_the_connection() {
+        let (a, b) = tokio::io::duplex(1 << 16);
+        let server = tokio::spawn(async move {
+            serve_h3_connection(b, GenAbility::full(), |_req: Request, _ctx| {
+                Response::status(204)
+            })
+            .await
+        });
+        // Held open throughout: the server must not be waiting for EOF.
+        let mut peer = QuicLite::client(a);
+        let piece = vec![0u8; 1 << 16];
+        let mut sent = 0;
+        'send: while sent <= crate::transport::MAX_CHUNK as usize {
+            let stream = peer.open_bidi();
+            for _ in 0..4 {
+                if peer.send(stream, &piece, false).await.is_err() {
+                    break 'send;
+                }
+                sent += piece.len();
+            }
+        }
+        let served = within(Duration::from_secs(30), server)
+            .await
+            .expect("the server kept buffering unfinished streams")
+            .unwrap();
+        assert!(
+            matches!(
+                served,
+                Err(H3Error::Transport(TransportError::Malformed(_)))
+            ),
+            "{served:?}"
+        );
+        drop(peer);
+    }
+
     #[test]
     fn a_reply_dropped_unanswered_answers_503_and_an_answered_one_only_once() {
         let done = DoneQueue::default();

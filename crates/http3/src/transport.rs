@@ -93,6 +93,9 @@ pub struct QuicLite<T> {
     finished: VecDeque<(u64, Vec<u8>)>,
     /// Partially received streams.
     partial: HashMap<u64, Vec<u8>>,
+    /// Octets held in `partial`, bounded by [`MAX_CHUNK`]: a peer that
+    /// never finishes its streams is cut off, not buffered for.
+    partial_octets: usize,
     /// Raw octets read off the pipe but not yet parsed into a chunk.
     /// Chunk parsing is restartable from this buffer, which makes
     /// [`QuicLite::poll_recv_chunk`] cancel-safe: a future dropped
@@ -104,8 +107,11 @@ pub struct QuicLite<T> {
     eof: bool,
 }
 
-/// Maximum accepted chunk payload, bounding buffer growth.
-const MAX_CHUNK: u64 = 1 << 22;
+/// Maximum accepted chunk payload, and the most octets held across all
+/// unfinished streams: together they bound buffer growth. Every sender
+/// here writes each message as one FIN chunk, so only a peer that
+/// withholds FINs comes near the second bound.
+pub(crate) const MAX_CHUNK: u64 = 1 << 22;
 
 impl<T: AsyncRead + AsyncWrite + Unpin> QuicLite<T> {
     /// Client-side endpoint.
@@ -116,6 +122,7 @@ impl<T: AsyncRead + AsyncWrite + Unpin> QuicLite<T> {
             next_uni: stream_id::CLIENT_UNI_BASE,
             finished: VecDeque::new(),
             partial: HashMap::new(),
+            partial_octets: 0,
             rbuf: Vec::new(),
             rpos: 0,
             eof: false,
@@ -130,6 +137,7 @@ impl<T: AsyncRead + AsyncWrite + Unpin> QuicLite<T> {
             next_uni: stream_id::SERVER_UNI_BASE,
             finished: VecDeque::new(),
             partial: HashMap::new(),
+            partial_octets: 0,
             rbuf: Vec::new(),
             rpos: 0,
             eof: false,
@@ -239,14 +247,29 @@ impl<T: AsyncRead + AsyncWrite + Unpin> QuicLite<T> {
         std::future::poll_fn(|cx| self.poll_recv_chunk(cx)).await
     }
 
-    /// Route one received chunk into the per-stream reassembly maps.
-    fn ingest(&mut self, chunk: StreamChunk) {
-        let buf = self.partial.entry(chunk.stream_id).or_default();
-        buf.extend_from_slice(&chunk.data);
-        if chunk.fin {
-            let whole = self.partial.remove(&chunk.stream_id).unwrap_or_default();
-            self.finished.push_back((chunk.stream_id, whole));
+    /// Route one received chunk into the per-stream reassembly maps,
+    /// failing the connection once the unfinished streams hold more than
+    /// [`MAX_CHUNK`] octets.
+    fn ingest(&mut self, chunk: StreamChunk) -> Result<(), TransportError> {
+        if !chunk.fin {
+            self.partial_octets += chunk.data.len();
+            if self.partial_octets > MAX_CHUNK as usize {
+                return Err(TransportError::Malformed("unfinished streams over the cap"));
+            }
+            let held = self.partial.entry(chunk.stream_id).or_default();
+            held.extend_from_slice(&chunk.data);
+            return Ok(());
         }
+        let whole = match self.partial.remove(&chunk.stream_id) {
+            Some(mut held) => {
+                self.partial_octets -= held.len();
+                held.extend_from_slice(&chunk.data);
+                held
+            }
+            None => chunk.data,
+        };
+        self.finished.push_back((chunk.stream_id, whole));
+        Ok(())
     }
 
     /// Poll until *any* stream finishes; `Ready((id, payload))` hands the
@@ -261,10 +284,13 @@ impl<T: AsyncRead + AsyncWrite + Unpin> QuicLite<T> {
             if let Some(whole) = self.finished.pop_front() {
                 return Poll::Ready(Ok(whole));
             }
-            match self.poll_recv_chunk(cx) {
+            let ingested = match self.poll_recv_chunk(cx) {
                 Poll::Ready(Ok(chunk)) => self.ingest(chunk),
-                Poll::Ready(Err(e)) => return Poll::Ready(Err(e)),
+                Poll::Ready(Err(e)) => Err(e),
                 Poll::Pending => return Poll::Pending,
+            };
+            if let Err(e) = ingested {
+                return Poll::Ready(Err(e));
             }
         }
     }
@@ -278,7 +304,7 @@ impl<T: AsyncRead + AsyncWrite + Unpin> QuicLite<T> {
                 return Ok(done);
             }
             let chunk = self.recv_chunk().await?;
-            self.ingest(chunk);
+            self.ingest(chunk)?;
         }
     }
 

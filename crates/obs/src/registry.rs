@@ -1,5 +1,6 @@
-//! The series registry: `(name, labels) → metric`, with a process-global
-//! instance behind [`Registry::global`].
+//! The series registry: `(name, labels) → metric`. Each owner — a
+//! server, an edge router, a client — holds one; [`Registry::global`] is
+//! the process registry for what is recorded below them.
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
@@ -21,7 +22,7 @@ pub(crate) enum Series {
 }
 
 impl Series {
-    fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             Series::Counter(_) => "counter",
             Series::Gauge(_) => "gauge",
@@ -31,7 +32,7 @@ impl Series {
 }
 
 /// A set of metric series. Resolution takes the registry lock; the handles
-/// returned update lock-free atomics and may be cached by callers.
+/// returned update lock-free atomics.
 #[derive(Debug, Default)]
 pub struct Registry {
     pub(crate) series: Mutex<BTreeMap<SeriesKey, Series>>,
@@ -45,12 +46,14 @@ fn key(name: &'static str, labels: &[(&'static str, &str)]) -> SeriesKey {
 }
 
 impl Registry {
-    /// A fresh, empty registry (tests; production code uses [`Registry::global`]).
+    /// A fresh, empty registry.
     pub fn new() -> Registry {
         Registry::default()
     }
 
-    /// The process-global registry that all of `sww` records into.
+    /// The process registry: what the crates below `sww-core` record
+    /// (genai stage spans and buffer pools, HTTP/2 framing, workload
+    /// tallies). Every exposition ends with it.
     pub fn global() -> &'static Registry {
         static GLOBAL: OnceLock<Registry> = OnceLock::new();
         GLOBAL.get_or_init(Registry::new)
@@ -68,6 +71,16 @@ impl Registry {
         match entry {
             Series::Counter(c) => c.clone(),
             other => panic!("series {name} already registered as a {}", other.kind()),
+        }
+    }
+
+    /// A counter's count, without registering it: 0 before its first
+    /// event (and for a series of another type).
+    pub fn count(&self, name: &'static str, labels: &[(&'static str, &str)]) -> u64 {
+        let map = self.series.lock().unwrap_or_else(|e| e.into_inner());
+        match map.get(&key(name, labels)) {
+            Some(Series::Counter(c)) => c.get(),
+            _ => 0,
         }
     }
 
@@ -106,14 +119,6 @@ impl Registry {
             other => panic!("series {name} already registered as a {}", other.kind()),
         }
     }
-
-    /// Drop every registered series.
-    pub fn reset(&self) {
-        self.series
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clear();
-    }
 }
 
 #[cfg(test)]
@@ -128,6 +133,10 @@ mod tests {
         assert_eq!(r.counter("x_total", &[("k", "a")]).get(), 3);
         // Different label value is a distinct series.
         assert_eq!(r.counter("x_total", &[("k", "b")]).get(), 0);
+        // Reading a count registers nothing.
+        assert_eq!(r.count("x_total", &[("k", "a")]), 3);
+        assert_eq!(r.count("x_total", &[("k", "c")]), 0);
+        assert!(!r.render().contains("k=\"c\""));
     }
 
     #[test]

@@ -93,27 +93,34 @@ fn write_series(out: &mut String, key: &SeriesKey, series: &Series) {
     }
 }
 
-impl Registry {
-    /// Serialise every series in the Prometheus text format. Series are
-    /// ordered by `(name, labels)`, each name preceded by a `# TYPE` line,
-    /// so output is deterministic for a given registry state.
-    pub fn render(&self) -> String {
-        let map = self.series.lock().unwrap_or_else(|e| e.into_inner());
-        let mut out = String::new();
-        let mut last_name: Option<&'static str> = None;
-        for (key, series) in map.iter() {
-            if last_name != Some(key.name) {
-                let kind = match series {
-                    Series::Counter(_) => "counter",
-                    Series::Gauge(_) => "gauge",
-                    Series::Histogram(_) => "histogram",
-                };
-                let _ = writeln!(out, "# TYPE {} {}", key.name, kind);
-                last_name = Some(key.name);
-            }
-            write_series(&mut out, key, series);
+/// Serialise every series of `registries` as one Prometheus exposition.
+/// A family's series stay together under one `# TYPE` line, families in
+/// name order and, within a family, registries in the order given, each
+/// in label order — deterministic for given registry states.
+pub(crate) fn render_all(registries: &[&Registry]) -> String {
+    let maps: Vec<_> = registries
+        .iter()
+        .map(|r| r.series.lock().unwrap_or_else(|e| e.into_inner()))
+        .collect();
+    let mut rows: Vec<(&SeriesKey, &Series)> = maps.iter().flat_map(|m| m.iter()).collect();
+    // Stable: equal names keep registry order, and label order within it.
+    rows.sort_by_key(|(key, _)| key.name);
+    let mut out = String::new();
+    let mut last_name: Option<&'static str> = None;
+    for (key, series) in rows {
+        if last_name != Some(key.name) {
+            let _ = writeln!(out, "# TYPE {} {}", key.name, series.kind());
+            last_name = Some(key.name);
         }
-        out
+        write_series(&mut out, key, series);
+    }
+    out
+}
+
+impl Registry {
+    /// Serialise this registry alone in the Prometheus text format.
+    pub fn render(&self) -> String {
+        render_all(&[self])
     }
 }
 
@@ -136,6 +143,19 @@ mod tests {
         assert!(text.contains("lat_seconds_bucket{le=\"1\"} 2"));
         assert!(text.contains("lat_seconds_bucket{le=\"+Inf\"} 3"));
         assert!(text.contains("lat_seconds_count 3"));
+    }
+
+    #[test]
+    fn a_family_in_two_registries_renders_once_in_registry_order() {
+        let (node, process) = (Registry::new(), Registry::new());
+        node.counter("b_total", &[("k", "z")]).inc();
+        process.counter("b_total", &[("k", "a")]).add(2);
+        process.counter("a_total", &[]).inc();
+        assert_eq!(
+            render_all(&[&node, &process]),
+            "# TYPE a_total counter\na_total 1\n\
+             # TYPE b_total counter\nb_total{k=\"z\"} 1\nb_total{k=\"a\"} 2\n"
+        );
     }
 
     #[test]

@@ -11,72 +11,53 @@ use crate::Registry;
 /// also has a *modelled* duration — e.g. the generation seconds predicted
 /// by `sww-energy::cost`, which do not elapse for real in the simulation —
 /// the caller passes it to [`Span::finish_with_virtual`] and the two
-/// readings land in sibling histograms:
+/// readings land in sibling histograms, both labelled `stage`:
 ///
-/// * `<name>_wall_seconds{stage="..."}` — host time actually spent, and
-/// * `<name>_virtual_seconds{stage="..."}` — modelled time.
+/// * `<family>_wall_seconds` — host time actually spent, and
+/// * `<family>_virtual_seconds` — modelled time.
 ///
-/// Keeping both lets an exposition distinguish "the simulation says this
-/// costs 3.1 s of GPU time" from "computing that answer took 40 µs here".
+/// The caller names both series in full and the registry they land in
+/// (its owner's; the process registry below `sww-core`). Keeping both
+/// lets an exposition distinguish "the simulation says this costs 3.1 s
+/// of GPU time" from "computing that answer took 40 µs here".
 #[derive(Debug)]
 pub struct Span {
-    name: &'static str,
     stage: &'static str,
     wall_start: Instant,
 }
 
 impl Span {
-    /// Start timing `stage` under the metric family `name`.
-    pub fn begin(name: &'static str, stage: &'static str) -> Span {
+    /// Start timing `stage`.
+    pub fn begin(stage: &'static str) -> Span {
         Span {
-            name,
             stage,
             wall_start: Instant::now(),
         }
     }
 
-    /// Elapsed wall-clock seconds so far.
-    pub fn wall_elapsed(&self) -> f64 {
-        self.wall_start.elapsed().as_secs_f64()
+    /// Finish the span, recording wall time into the histogram `wall`.
+    pub fn finish(self, registry: &Registry, wall: &'static str) {
+        let seconds = self.wall_start.elapsed().as_secs_f64();
+        registry
+            .histogram(wall, &[("stage", self.stage)], DURATION_BUCKETS)
+            .observe(seconds);
     }
 
-    /// Finish the span, recording wall time only.
-    pub fn finish(self) {
-        self.record(None);
+    /// Finish the span, recording wall time into `wall` and the modelled
+    /// duration into `virtual_time`.
+    pub fn finish_with_virtual(
+        self,
+        registry: &Registry,
+        wall: &'static str,
+        virtual_time: &'static str,
+        virtual_seconds: f64,
+    ) {
+        let stage = self.stage;
+        self.finish(registry, wall);
+        registry
+            .histogram(virtual_time, &[("stage", stage)], DURATION_BUCKETS)
+            .observe(virtual_seconds);
     }
-
-    /// Finish the span, recording wall time and the modelled duration.
-    pub fn finish_with_virtual(self, virtual_seconds: f64) {
-        self.record(Some(virtual_seconds));
-    }
-
-    fn record(self, virtual_seconds: Option<f64>) {
-        let wall = self.wall_start.elapsed().as_secs_f64();
-        let reg = Registry::global();
-        // Leak-free: names are 'static, histogram families are bounded by
-        // the set of instrumented stages.
-        let wall_name = concat_name(self.name, "_wall_seconds");
-        reg.histogram(wall_name, &[("stage", self.stage)], DURATION_BUCKETS)
-            .observe(wall);
-        if let Some(v) = virtual_seconds {
-            let virt_name = concat_name(self.name, "_virtual_seconds");
-            reg.histogram(virt_name, &[("stage", self.stage)], DURATION_BUCKETS)
-                .observe(v);
-        }
-    }
-}
-
-/// Intern `base + suffix` to a `'static` string. The set of metric names
-/// is small and fixed, so the leaked allocations are bounded: each unique
-/// combination is leaked exactly once.
-fn concat_name(base: &'static str, suffix: &'static str) -> &'static str {
-    use std::collections::BTreeMap;
-    use std::sync::Mutex;
-    static INTERNED: Mutex<BTreeMap<(&'static str, &'static str), &'static str>> =
-        Mutex::new(BTreeMap::new());
-    let mut map = INTERNED.lock().unwrap_or_else(|e| e.into_inner());
-    map.entry((base, suffix))
-        .or_insert_with(|| Box::leak(format!("{base}{suffix}").into_boxed_str()))
 }
 
 #[cfg(test)]
@@ -85,17 +66,16 @@ mod tests {
 
     #[test]
     fn span_records_both_clocks() {
-        let span = Span::begin("t_span", "unit");
-        span.finish_with_virtual(2.0);
-        let text = crate::render();
+        let registry = Registry::new();
+        let span = Span::begin("unit");
+        span.finish_with_virtual(
+            &registry,
+            "t_span_wall_seconds",
+            "t_span_virtual_seconds",
+            2.0,
+        );
+        let text = registry.render();
         assert!(text.contains("t_span_wall_seconds_count{stage=\"unit\"} 1"));
         assert!(text.contains("t_span_virtual_seconds_sum{stage=\"unit\"} 2"));
-    }
-
-    #[test]
-    fn interning_is_stable() {
-        let a = concat_name("x", "_wall_seconds");
-        let b = concat_name("x", "_wall_seconds");
-        assert!(std::ptr::eq(a, b));
     }
 }

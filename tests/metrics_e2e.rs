@@ -1,11 +1,17 @@
 //! Observability contract test: a full generative fetch must leave the
-//! process-wide metrics registry consistent with the `PageStats` the
-//! client reports, and `GET /metrics` must expose those series in
-//! Prometheus text form (all of them documented in OBSERVABILITY.md).
+//! client's registry consistent with the `PageStats` it reports and the
+//! server's consistent with what it served, and `GET /metrics` must
+//! expose the server's series in Prometheus text form (all of them
+//! documented in OBSERVABILITY.md). Every node's exposition is its own:
+//! a scrape of one cluster node shows none of its neighbour's series.
 
-use sww::core::{GenAbility, GenerativeClient, GenerativeServer, ServerConfig, SiteContent};
+use sww::core::{
+    EdgeConfig, EdgeRouter, GenAbility, GenerativeClient, GenerativeServer, ServerConfig,
+    SiteContent,
+};
 use sww::energy::device::{profile, DeviceKind};
 use sww::html::gencontent;
+use sww::http2::{ClientConnection, Request};
 
 /// Value of an exact series line (`name{labels} value`) in the exposition.
 fn series_value(text: &str, series: &str) -> Option<f64> {
@@ -17,10 +23,6 @@ fn series_value(text: &str, series: &str) -> Option<f64> {
 
 #[tokio::test(flavor = "multi_thread")]
 async fn metrics_reflect_a_generative_fetch() {
-    // The registry is process-global; this test owns the whole binary so a
-    // reset gives it a clean slate.
-    sww::obs::reset();
-
     let mut site = SiteContent::new();
     site.add_page(
         "/page",
@@ -67,25 +69,27 @@ async fn metrics_reflect_a_generative_fetch() {
     );
     let text = String::from_utf8(resp.body.to_vec()).unwrap();
 
-    // Counters consistent with the client's own accounting.
+    // The client's counters, in its own registry, are consistent with
+    // its own accounting.
+    let own = client.metrics().render();
     let generated = stats.items_generated - stats.items_cached;
     assert_eq!(
-        series_value(&text, "sww_client_items_total{source=\"generated\"}"),
+        series_value(&own, "sww_client_items_total{source=\"generated\"}"),
         Some(generated as f64),
-        "generated-item counter vs PageStats\n{text}"
+        "generated-item counter vs PageStats\n{own}"
     );
     assert_eq!(
-        series_value(&text, "sww_client_items_total{source=\"fetched\"}"),
+        series_value(&own, "sww_client_items_total{source=\"fetched\"}"),
         Some(stats.items_fetched as f64)
     );
-    assert_eq!(series_value(&text, "sww_client_pages_total"), Some(1.0));
+    assert_eq!(series_value(&own, "sww_client_pages_total"), Some(1.0));
     assert_eq!(
-        series_value(&text, "sww_cache_events_total{result=\"miss\"}"),
+        series_value(&own, "sww_cache_events_total{result=\"miss\"}"),
         Some(client.cache().misses as f64)
     );
     // The modelled generation time flows into the virtual-seconds histogram.
     let virtual_sum = series_value(
-        &text,
+        &own,
         "sww_client_generate_virtual_seconds_sum{stage=\"page_item\"}",
     )
     .unwrap();
@@ -130,12 +134,23 @@ async fn metrics_reflect_a_generative_fetch() {
     let encoded = series_value(&text, "sww_http2_hpack_bytes_total{form=\"encoded\"}").unwrap();
     assert!(encoded < raw, "HPACK must compress: {encoded} vs {raw}");
 
-    // The contract: at least 12 distinct series covering every subsystem.
-    let families: std::collections::BTreeSet<&str> = text
-        .lines()
-        .filter_map(|l| l.strip_prefix("# TYPE "))
-        .filter_map(|l| l.split_whitespace().next())
-        .collect();
+    // The contract: at least 12 distinct series covering every subsystem,
+    // between the server's scrape and the client's registry — and none
+    // of the client's in the server's scrape.
+    let families_of = |text: &str| -> std::collections::BTreeSet<String> {
+        let types = text.lines().filter_map(|l| l.strip_prefix("# TYPE "));
+        types
+            .filter_map(|l| l.split_whitespace().next())
+            .map(str::to_owned)
+            .collect()
+    };
+    let served = families_of(&text);
+    assert!(
+        !served.iter().any(|f| f.starts_with("sww_client_")),
+        "a client series in the server's scrape: {served:?}"
+    );
+    let families: std::collections::BTreeSet<String> =
+        served.into_iter().chain(families_of(&own)).collect();
     assert!(
         families.len() >= 12,
         "expected ≥12 metric families, got {}: {families:?}",
@@ -189,4 +204,67 @@ async fn metrics_reflect_a_generative_fetch() {
         ),
         "derived + reused == page requests"
     );
+}
+
+/// Two nodes of one cluster, each scraped through its own entry: each
+/// exposition shows its node's edge counters and the router's ring, and
+/// none of the other node's series.
+#[tokio::test(flavor = "multi_thread")]
+async fn each_cluster_node_scrapes_only_its_own_edge_series() {
+    let mut site = SiteContent::new();
+    site.add_page("/plain", "<html><body>plain</body></html>");
+    let router = EdgeRouter::new(
+        EdgeConfig {
+            nodes: 2,
+            ..EdgeConfig::default()
+        },
+        site,
+        |site| {
+            GenerativeServer::from_config(ServerConfig {
+                site,
+                ..ServerConfig::default()
+            })
+        },
+    );
+    // Three pages enter at n0, one at n1; each is served at its entry.
+    for entry in [0, 0, 0, 1] {
+        let resp = router.handle(entry, GenAbility::full(), &Request::get("/plain"));
+        assert_eq!(resp.status, 200);
+    }
+    for (entry, own, other, pages) in [(0, "n0", "n1", 3.0), (1, "n1", "n0", 1.0)] {
+        let (a, b) = tokio::io::duplex(1 << 20);
+        let node = router.clone();
+        tokio::spawn(async move {
+            let _ = node.serve_stream(entry, b).await;
+        });
+        let mut conn = ClientConnection::handshake(a, GenAbility::none())
+            .await
+            .unwrap();
+        let resp = conn.send_request(&Request::get("/metrics")).await.unwrap();
+        assert_eq!(resp.status, 200);
+        let text = String::from_utf8(resp.body.to_vec()).unwrap();
+        let requests = |node: &str| {
+            series_value(
+                &text,
+                &format!("sww_edge_requests_total{{node=\"{node}\"}}"),
+            )
+        };
+        // Its pages and the scrape itself entered here.
+        assert_eq!(requests(own), Some(pages + 1.0), "{own}:\n{text}");
+        assert_eq!(requests(other), None, "{own} shows {other}:\n{text}");
+        assert_eq!(
+            series_value(
+                &text,
+                "sww_server_requests_total{route=\"page\",transport=\"edge\"}"
+            ),
+            Some(pages),
+            "{own}:\n{text}"
+        );
+        // The router's series follow the node's at every entry.
+        assert_eq!(series_value(&text, "sww_edge_ring_nodes"), Some(2.0));
+        for node in ["n0", "n1"] {
+            let alive = format!("sww_edge_node_alive{{node=\"{node}\"}}");
+            assert_eq!(series_value(&text, &alive), Some(1.0), "{own}:\n{text}");
+        }
+    }
 }

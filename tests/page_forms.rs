@@ -9,20 +9,12 @@
 //! witness is `sww_server_page_forms_total{form, result}`, and two
 //! failure shapes drawn from a server's own fault stream: an injected
 //! `engine.generate` fault during derivation, and a `server.respond`
-//! truncation of a response built from a stored form.
+//! truncation of a response built from a stored form. Each server counts
+//! into a registry of its own, so the tests run in parallel.
 
-use std::sync::Mutex;
 use sww::core::{ChaosSpec, GenAbility, GenerativeServer, ServerConfig, SiteContent};
 use sww::html::gencontent;
 use sww::http2::Request;
-
-/// The metrics registry is process-global and both tests here reset and
-/// read it, so they must not interleave.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// `/a` carries an image and a text block, `/b` an image; the server
 /// draws its faults from `chaos`.
@@ -47,18 +39,16 @@ fn server(chaos: Option<ChaosSpec>) -> GenerativeServer {
     })
 }
 
-fn forms(form: &'static str, result: &'static str) -> u64 {
-    sww::obs::counter(
-        "sww_server_page_forms_total",
-        &[("form", form), ("result", result)],
-    )
-    .get()
+fn forms(server: &GenerativeServer, form: &'static str, result: &'static str) -> u64 {
+    let labels = [("form", form), ("result", result)];
+    server
+        .metrics()
+        .counter("sww_server_page_forms_total", &labels)
+        .get()
 }
 
 #[test]
 fn form_counter_reconciles_with_page_requests() {
-    let _serial = serial();
-    sww::obs::reset();
     let server = server(None);
     let naive = server.accept(GenAbility::none());
     let capable = server.accept(GenAbility::full());
@@ -84,20 +74,33 @@ fn form_counter_reconciles_with_page_requests() {
     // Neither an asset nor a missing page is answered from a form.
     get(&naive, "/generated/a.jpg", 200);
     get(&naive, "/missing", 404);
-    assert_eq!(forms("naive", "derived"), 2, "once per page asked for");
-    assert_eq!(forms("naive", "reused"), 3);
-    assert_eq!(forms("prompt", "derived"), 1, "the ETag, hashed once");
-    assert_eq!(forms("prompt", "reused"), 2);
-    let routed = sww::obs::counter(
-        "sww_server_requests_total",
-        &[("route", "page"), ("transport", "inproc")],
-    )
-    .get();
+    assert_eq!(
+        forms(&server, "naive", "derived"),
+        2,
+        "once per page asked for"
+    );
+    assert_eq!(forms(&server, "naive", "reused"), 3);
+    assert_eq!(
+        forms(&server, "prompt", "derived"),
+        1,
+        "the ETag, hashed once"
+    );
+    assert_eq!(forms(&server, "prompt", "reused"), 2);
+    let routed = server
+        .metrics()
+        .counter(
+            "sww_server_requests_total",
+            &[("route", "page"), ("transport", "inproc")],
+        )
+        .get();
     assert_eq!(routed, pages);
     assert_eq!(
         ["naive", "prompt"]
             .iter()
-            .flat_map(|form| [forms(form, "derived"), forms(form, "reused")])
+            .flat_map(|form| [
+                forms(&server, form, "derived"),
+                forms(&server, form, "reused")
+            ])
             .sum::<u64>(),
         routed,
         "derived + reused == page requests"
@@ -110,8 +113,6 @@ fn form_counter_reconciles_with_page_requests() {
 
 #[test]
 fn faults_neither_store_a_failed_form_nor_damage_a_stored_one() {
-    let _serial = serial();
-    sww::obs::reset();
     // Seed 99 is the first whose server stream reads `error, error, -`
     // at `engine.generate` and `?, ?, -, truncate, -` at
     // `server.respond`: two failed derivations, a whole one, a cut hit
@@ -124,10 +125,13 @@ fn faults_neither_store_a_failed_form_nor_damage_a_stored_one() {
     // the request after the faults derives.
     assert_eq!(naive.handle(&Request::get("/a")).status, 500);
     assert_eq!(naive.handle(&Request::get("/a")).status, 500);
-    assert_eq!(forms("naive", "derived") + forms("naive", "reused"), 0);
+    assert_eq!(
+        forms(&server, "naive", "derived") + forms(&server, "naive", "reused"),
+        0
+    );
     let whole = naive.handle(&Request::get("/a"));
     assert_eq!(whole.status, 200);
-    assert_eq!(forms("naive", "derived"), 1);
+    assert_eq!(forms(&server, "naive", "derived"), 1);
 
     // Truncation acts on the response, not on the stored octets it
     // shares: the next untroubled hit is whole again.
@@ -138,6 +142,6 @@ fn faults_neither_store_a_failed_form_nor_damage_a_stored_one() {
     assert_eq!(cut.headers.get("etag"), whole.headers.get("etag"));
     let again = naive.handle(&Request::get("/a"));
     assert_eq!(again.body, whole.body);
-    assert_eq!(forms("naive", "reused"), 2);
-    assert_eq!(forms("naive", "derived"), 1);
+    assert_eq!(forms(&server, "naive", "reused"), 2);
+    assert_eq!(forms(&server, "naive", "derived"), 1);
 }

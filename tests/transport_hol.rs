@@ -1,15 +1,11 @@
-//! E18 end to end in its own binary: the chaos latency layer is
-//! process-global, so the head-of-line experiment cannot share a test
-//! binary with anything that watches fault or server counters.
-//!
-//! The scenario from the PR acceptance criteria: a multi-recipe page
+//! E18 end to end. The scenario from the PR acceptance criteria: a multi-recipe page
 //! where every recipe needs a slow server-side generation. Over h2 the
 //! slow generations serialize — each recipe head-of-line-blocks the next
 //! — so the page costs ≈ K·W. Over h3 each recipe rides its own stream,
 //! the server generates concurrently and ships responses in completion
 //! order, so the same page costs ≈ W. Payloads stay bit-identical, and
-//! every request is reconciled against the `/metrics` exposition via the
-//! new `transport` label.
+//! every request is reconciled against each server's `/metrics`
+//! exposition via the `transport` label.
 
 use sww_bench::experiments::transport::{run_with_latency, TransportConfig};
 
@@ -23,10 +19,6 @@ fn series_value(text: &str, series: &str) -> Option<f64> {
 
 #[test]
 fn h3_beats_h2_when_generations_are_slow() {
-    // This binary owns the whole process: reset the registry so the
-    // /metrics reconciliation below can assert exact counts.
-    sww::obs::reset();
-
     let cfg = TransportConfig {
         pages: 4,
         recipes: 4,
@@ -34,7 +26,7 @@ fn h3_beats_h2_when_generations_are_slow() {
         seed: 7,
     };
     // run_with_latency drives its own runtimes internally, so this test
-    // stays synchronous and spins one up only for the /metrics scrape.
+    // stays synchronous and spins one up only for the /metrics scrapes.
     let run = run_with_latency(cfg);
 
     // The no-HoL win: modelled exactly K×, measured must clear the
@@ -65,52 +57,66 @@ fn h3_beats_h2_when_generations_are_slow() {
     assert_eq!(run.h2.requests as f64, expect);
     assert_eq!(run.h3.requests as f64, expect);
 
-    // …and against the Prometheus exposition, like any scraper would.
+    // …and against each server's Prometheus exposition, like any
+    // scraper would.
     let rt = tokio::runtime::Builder::new_multi_thread()
         .worker_threads(2)
         .enable_all()
         .build()
         .unwrap();
-    let text = rt.block_on(async {
-        let server = sww::core::GenerativeServer::from_config(sww::core::ServerConfig::default());
-        let (a, b) = tokio::io::duplex(1 << 20);
-        tokio::spawn(async move {
-            let _ = server.serve_stream(b).await;
-        });
-        let mut conn = sww::http2::ClientConnection::handshake(a, sww::core::GenAbility::none())
-            .await
-            .unwrap();
-        let resp = conn
-            .send_request(&sww::http2::Request::get("/metrics"))
-            .await
-            .unwrap();
-        assert_eq!(resp.status, 200);
-        String::from_utf8(resp.body.to_vec()).unwrap()
-    });
+    let scrape = |server: &sww::core::GenerativeServer| {
+        rt.block_on(async {
+            let server = server.clone();
+            let (a, b) = tokio::io::duplex(1 << 20);
+            tokio::spawn(async move {
+                let _ = server.serve_stream(b).await;
+            });
+            let mut conn =
+                sww::http2::ClientConnection::handshake(a, sww::core::GenAbility::none())
+                    .await
+                    .unwrap();
+            let resp = conn
+                .send_request(&sww::http2::Request::get("/metrics"))
+                .await
+                .unwrap();
+            assert_eq!(resp.status, 200);
+            String::from_utf8(resp.body.to_vec()).unwrap()
+        })
+    };
+    let (h2, h3) = (scrape(&run.h2.server), scrape(&run.h3.server));
     assert_eq!(
         series_value(
-            &text,
+            &h2,
             "sww_server_requests_total{route=\"page\",transport=\"h2\"}"
         ),
         Some(expect),
-        "h2 page requests vs exposition\n{text}"
+        "h2 page requests vs exposition\n{h2}"
     );
     assert_eq!(
         series_value(
-            &text,
+            &h3,
             "sww_server_requests_total{route=\"page\",transport=\"h3\"}"
         ),
         Some(expect),
-        "h3 page requests vs exposition\n{text}"
+        "h3 page requests vs exposition\n{h3}"
     );
-    // One h2 session per page, plus this scrape connection; one h3
-    // session per page.
+    // One h2 session per page, plus the scrape connection; one h3
+    // session per page, and the h3 server's scrape went over h2.
     assert_eq!(
-        series_value(&text, "sww_server_sessions_total{transport=\"h2\"}"),
+        series_value(&h2, "sww_server_sessions_total{transport=\"h2\"}"),
         Some(cfg.pages as f64 + 1.0)
     );
     assert_eq!(
-        series_value(&text, "sww_server_sessions_total{transport=\"h3\"}"),
+        series_value(&h3, "sww_server_sessions_total{transport=\"h3\"}"),
         Some(cfg.pages as f64)
     );
+    assert_eq!(
+        series_value(&h3, "sww_server_sessions_total{transport=\"h2\"}"),
+        Some(1.0)
+    );
+    // Each server saw only its own transport's traffic.
+    for (text, other) in [(&h2, "h3"), (&h3, "h2")] {
+        let page = format!("sww_server_requests_total{{route=\"page\",transport=\"{other}\"}}");
+        assert_eq!(series_value(text, &page), None, "{text}");
+    }
 }

@@ -16,14 +16,18 @@
 //!    from a fault stream of its own, and a delay changes no body.
 //! 3. **Seed sensitivity** — different seeds produce different traces.
 
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 use sww::core::ChaosSpec;
 use sww::workload::graph::SmallWorldConfig;
 use sww::workload::replay::{ReplayConfig, ReplayEngine, ReplayOutcome, ReplayTarget};
 use sww::workload::trace::{Trace, WorkloadConfig};
 
-/// The metrics registry is process-global and each run resets it, so
-/// the tests in this binary must not interleave.
+/// The `sww_workload_*` series are recorded below `sww-core`, in the
+/// process registry, and every trace generated here moves them: each
+/// run reads what it moved as before/after deltas, so the tests in this
+/// binary must not interleave. (The replay's servers record into
+/// registries of their own.)
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn serial() -> std::sync::MutexGuard<'static, ()> {
@@ -61,14 +65,26 @@ fn workload_series(text: &str) -> String {
         .join("\n")
 }
 
-/// One full server run from a clean registry: generate the trace,
-/// replay it against an in-process server armed with `chaos`, scrape
-/// the exposition.
+/// Every `sww_workload_*` sample of the process registry, by series.
+fn workload_samples() -> BTreeMap<String, f64> {
+    let text = sww::obs::render();
+    let samples = text.lines().filter(|l| l.starts_with("sww_workload"));
+    samples
+        .filter_map(|line| {
+            let (series, value) = line.rsplit_once(' ')?;
+            Some((series.to_owned(), value.parse().ok()?))
+        })
+        .collect()
+}
+
+/// One full server run: generate the trace, replay it against an
+/// in-process server armed with `chaos`, and read what the run moved in
+/// the process registry's workload series, as `series delta` lines.
 fn run_once(
     cfg: &WorkloadConfig,
     chaos: Option<&ChaosSpec>,
 ) -> (String, u64, ReplayOutcome, String) {
-    sww::obs::reset();
+    let before = workload_samples();
     let engine = ReplayEngine::from_config(cfg);
     let trace_bytes = format!("{:?}", engine.trace().events());
     let sessions = engine.trace().sessions();
@@ -78,11 +94,17 @@ fn run_once(
         chaos: chaos.cloned(),
         ..ReplayConfig::default()
     });
-    (trace_bytes, sessions, outcome, sww::obs::render())
+    let moved: Vec<String> = workload_samples()
+        .into_iter()
+        .map(|(series, after)| (after - before.get(&series).unwrap_or(&0.0), series))
+        .filter(|(delta, _)| *delta != 0.0)
+        .map(|(delta, series)| format!("{series} {delta}"))
+        .collect();
+    (trace_bytes, sessions, outcome, moved.join("\n"))
 }
 
-/// The exposition's workload series must agree exactly with what the
-/// run is known to have done.
+/// The run's workload deltas must agree exactly with what the run is
+/// known to have done.
 fn reconcile(cfg: &WorkloadConfig, sessions: u64, outcome: &ReplayOutcome, metrics: &str) {
     assert_eq!(
         series_value(metrics, "sww_workload_traces_total"),
