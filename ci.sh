@@ -62,6 +62,16 @@ for profile in "" "--release"; do
     cargo test ${profile} --test per_node_metrics --test metrics_e2e -q
 done
 
+# A count is kept once: the engine, server, fault stream, batcher and edge
+# accessors read their owner's registry. The accessor values of a seeded
+# cluster and a seeded chaos server, recorded when each kept a tally of
+# its own, must still come back; and reading a series must not create it.
+echo "==> one tally: recorded accessor values, a snapshot registers nothing (debug + release)"
+for profile in "" "--release"; do
+    cargo test ${profile} --test per_node_metrics -q -- accessors_read_what_they_read_before_the_tallies_went
+    cargo test ${profile} -p sww-workload --lib -q -- scorecard::tests::a_snapshot_registers_nothing
+done
+
 echo "==> cargo test --release --test batch_equivalence (batched == sequential, bit for bit)"
 cargo test --release --test batch_equivalence -q
 
@@ -343,8 +353,9 @@ fi
 # pooled == inline faults and each released permit admits a waiter;
 # then + 4 for owned fault streams, − 2 whose subjects were deleted;
 # then + 6 for owned registries and the h3 reassembly cap, − 2 whose
-# subjects were deleted; CHANGES.md names them.)
-TEST_FLOOR=968
+# subjects were deleted; then + 2 for one tally: the recorded accessors
+# and a snapshot that registers nothing; CHANGES.md names them.)
+TEST_FLOOR=970
 echo "==> workspace test-count floor (>= ${TEST_FLOOR})"
 TEST_COUNT=$(cargo test --workspace -- --list 2>/dev/null | grep -c ": test$")
 echo "    ${TEST_COUNT} tests"

@@ -41,18 +41,18 @@ pub struct ConcurrencySample {
     /// Faults the sample's server injected (0 without a chaos spec).
     pub faults: u64,
     /// Jobs the worker pool executed during this sample (0 for inline
-    /// handling). The pool counter lives in the **global** metrics
-    /// registry, so this is a before/after delta — reading the raw
-    /// counter would make later sweep rows cumulative.
+    /// handling): the sample's own server's
+    /// `sww_pool_jobs_total{result="executed"}`, so no row carries an
+    /// earlier row's jobs.
     pub pool_jobs: u64,
-    /// Requests shed at admission during this sample (global
-    /// `sww_shed_total` delta, summed over reasons).
+    /// Requests the sample's server shed at admission
+    /// (`sww_shed_total`, summed over reasons).
     pub shed: u64,
-    /// Cancellations that took effect during this sample (global
-    /// `sww_cancelled_total` delta, summed over sites).
+    /// Cancellations that took effect on the sample's server
+    /// (`sww_cancelled_total`, summed over sites).
     pub cancelled: u64,
-    /// Deadline misses answered `504` during this sample (global
-    /// `sww_deadline_exceeded_total` delta).
+    /// Deadline misses the sample's server answered `504`
+    /// (`sww_deadline_exceeded_total`).
     pub deadline_misses: u64,
     /// Median request latency in milliseconds (successful attempt only —
     /// a retried request's clock restarts with its fresh budget).
@@ -140,7 +140,7 @@ pub(crate) fn bench_site(prompts: usize) -> SiteContent {
 pub(crate) fn lifecycle_counters(metrics: &Registry) -> (u64, u64, u64) {
     let shed = ["deadline", "breaker", "draining"]
         .iter()
-        .map(|r| metrics.counter("sww_shed_total", &[("reason", r)]).get())
+        .map(|r| metrics.count("sww_shed_total", &[("reason", r)]))
         .sum();
     let cancelled = [
         "engine.wait",
@@ -150,9 +150,9 @@ pub(crate) fn lifecycle_counters(metrics: &Registry) -> (u64, u64, u64) {
         "pool.queue",
     ]
     .iter()
-    .map(|s| metrics.counter("sww_cancelled_total", &[("site", s)]).get())
+    .map(|s| metrics.count("sww_cancelled_total", &[("site", s)]))
     .sum();
-    let misses = metrics.counter("sww_deadline_exceeded_total", &[]).get();
+    let misses = metrics.count("sww_deadline_exceeded_total", &[]);
     (shed, cancelled, misses)
 }
 
@@ -225,9 +225,7 @@ pub fn sample(
         coalesced: server.engine().coalesced(),
         rejected: rejected.load(Ordering::Relaxed),
         faults: server.faults().map_or(0, |f| f.injected_total()),
-        pool_jobs: metrics
-            .counter("sww_pool_jobs_total", &[("result", "executed")])
-            .get(),
+        pool_jobs: metrics.count("sww_pool_jobs_total", &[("result", "executed")]),
         shed,
         cancelled,
         deadline_misses,

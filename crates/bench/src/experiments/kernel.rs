@@ -93,7 +93,7 @@ impl Default for KernelConfig {
 fn pool_alloc_bytes() -> u64 {
     ["latent", "decode_noise"]
         .iter()
-        .map(|p| sww_obs::counter("sww_alloc_bytes_total", &[("pool", p)]).get())
+        .map(|p| sww_obs::Registry::global().count("sww_alloc_bytes_total", &[("pool", p)]))
         .sum()
 }
 

@@ -161,10 +161,7 @@ fn sample_from(
 ) -> TransportSample {
     page_ms.sort_by(|a, b| a.total_cmp(b));
     let labels = [("route", "page"), ("transport", transport.label())];
-    let requests = server
-        .metrics()
-        .counter("sww_server_requests_total", &labels)
-        .get();
+    let requests = server.metrics().count("sww_server_requests_total", &labels);
     TransportSample {
         transport,
         p50_ms: percentile_ms(&page_ms, 50.0),

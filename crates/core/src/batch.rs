@@ -44,7 +44,7 @@
 //! never because one member gave up. A member whose own probe fires
 //! while waiting detaches with [`SwwError::DeadlineExceeded`]
 //! (`sww_cancelled_total{site="batch.wait"}`); an abandoned pass counts
-//! under `site="denoise"` and is excluded from the batching tallies.
+//! under `site="denoise"` and is excluded from the `sww_batch_*` series.
 //!
 //! [`submit_ctx`]: BatchScheduler::submit_ctx
 //!
@@ -204,15 +204,15 @@ impl Group {
 /// ones, 8 KB however long the scheduler lives.
 const WAIT_SAMPLES: usize = 1024;
 
+/// What no series holds: the largest batch and the recent waits (job and
+/// batch counts are the registry's `sww_batch_*_total`).
 #[derive(Default)]
 struct Tallies {
-    jobs: u64,
-    batches: u64,
-    size_sum: u64,
     max_batch: usize,
-    /// A ring of the last [`WAIT_SAMPLES`] job waits; job `n` is written
-    /// at `n % WAIT_SAMPLES`.
+    /// A ring of the last [`WAIT_SAMPLES`] job waits.
     waits_s: Vec<f64>,
+    /// Where the ring's next wait is written.
+    next_wait: usize,
 }
 
 /// Groups compatible in-flight generation jobs into shared denoising
@@ -369,7 +369,8 @@ impl BatchScheduler {
         ArrivalGuard { scheduler: self }
     }
 
-    /// Lifetime tallies of this scheduler instance.
+    /// Lifetime tallies of this scheduler instance: `jobs` and `batches`
+    /// read `sww_batch_jobs_total` and `sww_batch_batches_total`.
     pub fn stats(&self) -> BatchStats {
         let t = self.tallies.lock().unwrap_or_else(|e| e.into_inner());
         let mut waits = t.waits_s.clone();
@@ -379,13 +380,15 @@ impl BatchScheduler {
         } else {
             waits[((waits.len() as f64 * 0.99).ceil() as usize).min(waits.len()) - 1]
         };
+        let jobs = self.metrics.count("sww_batch_jobs_total", &[]);
+        let batches = self.metrics.count("sww_batch_batches_total", &[]);
         BatchStats {
-            jobs: t.jobs,
-            batches: t.batches,
-            mean_batch: if t.batches == 0 {
+            jobs,
+            batches,
+            mean_batch: if batches == 0 {
                 0.0
             } else {
-                t.size_sum as f64 / t.batches as f64
+                jobs as f64 / batches as f64
             },
             max_batch: t.max_batch,
             p99_wait_s: p99,
@@ -583,16 +586,14 @@ impl BatchScheduler {
     fn record(&self, size: usize, wait: Duration, exec_s: f64) {
         {
             let mut t = self.tallies.lock().unwrap_or_else(|e| e.into_inner());
-            t.batches += 1;
-            t.size_sum += size as u64;
             t.max_batch = t.max_batch.max(size);
             for _ in 0..size {
-                let slot = (t.jobs % WAIT_SAMPLES as u64) as usize;
+                let slot = t.next_wait;
                 match t.waits_s.get_mut(slot) {
                     Some(oldest) => *oldest = wait.as_secs_f64(),
                     None => t.waits_s.push(wait.as_secs_f64()),
                 }
-                t.jobs += 1;
+                t.next_wait = (slot + 1) % WAIT_SAMPLES;
             }
         }
         let metrics = &self.metrics;

@@ -68,10 +68,6 @@ pub(crate) fn count_lookup(metrics: &Registry, hit: bool) {
 pub struct GenerationCache<V = ImageBuffer> {
     /// Cost is the recipe's pixels.
     entries: Lru<Recipe, V>,
-    /// Hits since creation.
-    pub hits: u64,
-    /// Misses since creation.
-    pub misses: u64,
 }
 
 impl<V: Clone> GenerationCache<V> {
@@ -80,8 +76,6 @@ impl<V: Clone> GenerationCache<V> {
     pub fn new(capacity_pixels: u64) -> GenerationCache<V> {
         GenerationCache {
             entries: Lru::new(capacity_pixels.max(1)),
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -95,23 +89,10 @@ impl<V: Clone> GenerationCache<V> {
         self.entries.is_empty()
     }
 
-    /// Look up a recipe, updating recency.
+    /// Look up a recipe, updating recency. Its owner counts the lookup
+    /// (`sww_cache_events_total{result}`).
     pub fn get(&mut self, recipe: &Recipe) -> Option<V> {
-        match self.entries.get(recipe) {
-            Some(value) => {
-                self.hits += 1;
-                Some(value.clone())
-            }
-            None => self.miss(),
-        }
-    }
-
-    /// Count a miss without reading any entry (its recency stays as it
-    /// was): what the `cache.get` failpoint ([`crate::faults`]) turns a
-    /// lookup into.
-    pub(crate) fn miss(&mut self) -> Option<V> {
-        self.misses += 1;
-        None
+        self.entries.get(recipe).cloned()
     }
 
     /// Insert the media rendered from `recipe`, evicting
@@ -120,15 +101,6 @@ impl<V: Clone> GenerationCache<V> {
     pub fn put(&mut self, recipe: Recipe, value: V) {
         let cost = recipe.pixels();
         self.entries.insert(recipe, value, cost);
-    }
-
-    /// Hit rate so far.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            return 0.0;
-        }
-        self.hits as f64 / total as f64
     }
 }
 
@@ -156,9 +128,6 @@ mod tests {
         assert!(c.get(&recipe("a", 64)).is_none());
         c.put(recipe("a", 64), image(64));
         assert!(c.get(&recipe("a", 64)).is_some());
-        assert_eq!(c.hits, 1);
-        assert_eq!(c.misses, 1);
-        assert!((c.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]

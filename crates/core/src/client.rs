@@ -65,7 +65,6 @@ pub struct GenerativeClient<T> {
     /// The ability advertised at connect time — what fallback restores.
     ability: GenAbility,
     retry: RetryPolicy,
-    fallback_enabled: bool,
     faults: Option<FaultStream>,
     metrics: Arc<Registry>,
 }
@@ -90,7 +89,6 @@ impl<T: AsyncRead + AsyncWrite + Unpin> GenerativeClient<T> {
             profile: None,
             ability,
             retry: RetryPolicy::default(),
-            fallback_enabled: true,
             faults: None,
             metrics: Arc::default(),
         })
@@ -104,7 +102,8 @@ impl<T: AsyncRead + AsyncWrite + Unpin> GenerativeClient<T> {
     }
 
     /// Arm this client's failpoints with `spec` (default: unarmed). The
-    /// client draws from `spec.seed` itself, counters at zero.
+    /// client draws from `spec.seed` itself, draw counters at zero; what
+    /// it injects counts on in [`metrics`](GenerativeClient::metrics).
     pub fn set_chaos(&mut self, spec: &ChaosSpec) {
         self.faults = Some(FaultStream::new(spec, Arc::clone(&self.metrics)));
     }
@@ -128,12 +127,6 @@ impl<T: AsyncRead + AsyncWrite + Unpin> GenerativeClient<T> {
         self.faults.as_ref()?.draw(site)
     }
 
-    /// Enable or disable the traditional-content fallback on terminal
-    /// generation failure (default: enabled).
-    pub fn set_fallback(&mut self, enabled: bool) {
-        self.fallback_enabled = enabled;
-    }
-
     /// Opt in to personalized generation (§2.3): image prompts are
     /// adjusted with the user's interests *after* delivery, on-device —
     /// the profile never leaves the client. Pass `None` to opt out.
@@ -141,7 +134,9 @@ impl<T: AsyncRead + AsyncWrite + Unpin> GenerativeClient<T> {
         self.profile = profile;
     }
 
-    /// Cache observability (hits/misses across fetches).
+    /// The client's generation cache. Its lookups are counted in
+    /// [`metrics`](GenerativeClient::metrics) as
+    /// `sww_cache_events_total{result}`.
     pub fn cache(&self) -> &GenerationCache {
         &self.cache
     }
@@ -179,7 +174,6 @@ impl<T: AsyncRead + AsyncWrite + Unpin> GenerativeClient<T> {
                     return Ok((page, stats));
                 }
                 Err(err) => {
-                    let can_fall_back = self.fallback_enabled && err.is_generation_failure();
                     if err.is_retryable() {
                         if let Some(delay) = schedule.next_delay_with_hint(err.retry_after()) {
                             self.count("sww_client_retries_total", &[]);
@@ -188,7 +182,7 @@ impl<T: AsyncRead + AsyncWrite + Unpin> GenerativeClient<T> {
                         }
                     }
                     // Retries exhausted (or the error was terminal).
-                    if can_fall_back {
+                    if err.is_generation_failure() {
                         return self.fallback_fetch(path, schedule.retries()).await;
                     }
                     return Err(err);
@@ -281,7 +275,7 @@ impl<T: AsyncRead + AsyncWrite + Unpin> GenerativeClient<T> {
     /// delays the lookup.
     async fn cached(&mut self, recipe: &Recipe) -> Option<sww_genai::ImageBuffer> {
         let found = match self.fault(FaultSite::CacheGet) {
-            Some(FaultAction::Error | FaultAction::TruncateKeepPct(_)) => self.cache.miss(),
+            Some(FaultAction::Error | FaultAction::TruncateKeepPct(_)) => None,
             Some(FaultAction::Latency(d)) => {
                 tokio::time::sleep(d).await;
                 self.cache.get(recipe)

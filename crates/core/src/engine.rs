@@ -40,7 +40,7 @@ use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::time::Duration;
 use sww_genai::{ImageBuffer, StepCancel};
@@ -95,16 +95,13 @@ impl<V: Clone> ShardedGenerationCache<V> {
     }
 
     /// [`get`](ShardedGenerationCache::get), or with `forced_miss` a miss
-    /// its shard counts as one without reading the entry.
+    /// counted against its shard without reading the entry.
     fn lookup(&self, recipe: &Recipe, forced_miss: bool) -> Option<V> {
         let idx = self.shard_index(recipe);
-        let found = {
-            let mut shard = self.shards[idx].lock();
-            if forced_miss {
-                shard.miss()
-            } else {
-                shard.get(recipe)
-            }
+        let found = if forced_miss {
+            None
+        } else {
+            self.shards[idx].lock().get(recipe)
         };
         count_lookup(&self.metrics, found.is_some());
         let shard_label = idx.to_string();
@@ -137,14 +134,6 @@ impl<V: Clone> ShardedGenerationCache<V> {
     /// Entry count per shard (for tests and load-balance inspection).
     pub fn shard_lens(&self) -> Vec<usize> {
         self.shards.iter().map(|s| s.lock().len()).collect()
-    }
-
-    /// Aggregate (hits, misses) across all shards.
-    pub fn hit_miss(&self) -> (u64, u64) {
-        self.shards.iter().fold((0, 0), |(h, m), s| {
-            let s = s.lock();
-            (h + s.hits, m + s.misses)
-        })
     }
 }
 
@@ -229,9 +218,6 @@ impl<V> Drop for LeaderGuard<'_, V> {
 pub struct GenerationEngine<V = ImageBuffer> {
     cache: ShardedGenerationCache<V>,
     inflight: StdMutex<HashMap<Recipe, Arc<Flight<V>>>>,
-    generated: AtomicU64,
-    coalesced: AtomicU64,
-    hits: AtomicU64,
 }
 
 impl<V: Clone + Send + 'static> GenerationEngine<V> {
@@ -253,9 +239,6 @@ impl<V: Clone + Send + 'static> GenerationEngine<V> {
         GenerationEngine {
             cache,
             inflight: StdMutex::new(HashMap::new()),
-            generated: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
         }
     }
 
@@ -270,20 +253,24 @@ impl<V: Clone + Send + 'static> GenerationEngine<V> {
     }
 
     /// Generations actually executed (each unique recipe exactly once
-    /// while its entry stays cached).
+    /// while its entry stays cached):
+    /// `sww_engine_requests_total{outcome="generated"}`.
     pub fn generations(&self) -> u64 {
-        self.generated.load(Ordering::Relaxed)
+        self.metrics()
+            .count("sww_engine_requests_total", &[("outcome", "generated")])
     }
 
     /// Requests amortized onto a generation they did not run themselves
-    /// (shard-cache hits plus in-flight joins).
+    /// (shard-cache hits plus in-flight joins): `sww_cache_coalesced_total`.
     pub fn coalesced(&self) -> u64 {
-        self.coalesced.load(Ordering::Relaxed)
+        self.metrics().count("sww_cache_coalesced_total", &[])
     }
 
-    /// Requests served straight from a cache shard.
+    /// Requests served straight from a cache shard:
+    /// `sww_engine_requests_total{outcome="hit"}`.
     pub fn cache_hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.metrics()
+            .count("sww_engine_requests_total", &[("outcome", "hit")])
     }
 
     /// One cache lookup for `ctx`, subject to the `cache.get` failpoint
@@ -304,19 +291,12 @@ impl<V: Clone + Send + 'static> GenerationEngine<V> {
 
     fn record(&self, outcome: FetchOutcome) {
         let label = match outcome {
-            FetchOutcome::Hit => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                "hit"
-            }
-            FetchOutcome::Generated => {
-                self.generated.fetch_add(1, Ordering::Relaxed);
-                "generated"
-            }
+            FetchOutcome::Hit => "hit",
+            FetchOutcome::Generated => "generated",
             FetchOutcome::Coalesced => "joined",
         };
         let metrics = self.metrics();
         if outcome != FetchOutcome::Generated {
-            self.coalesced.fetch_add(1, Ordering::Relaxed);
             metrics.counter("sww_cache_coalesced_total", &[]).inc();
         }
         metrics
@@ -710,7 +690,12 @@ mod tests {
         assert_eq!(outcome, FetchOutcome::Generated);
         // Both lookups drew, and both missed (after the warm-up's two).
         assert_eq!(stream.injected_total(), 2);
-        assert_eq!(engine.cache().hit_miss(), (0, 4));
+        let lookups = |result| {
+            engine
+                .metrics()
+                .count("sww_cache_events_total", &[("result", result)])
+        };
+        assert_eq!((lookups("hit"), lookups("miss")), (0, 4));
         assert_eq!(
             fetch(&engine, &recipe("warm"), || unreachable!()).1,
             FetchOutcome::Hit

@@ -46,11 +46,11 @@
 //! seed even though which request draws which decision depends on thread
 //! interleaving.
 //!
-//! Observability: every injected fault increments its stream's tally
-//! ([`FaultStream::injected_counts`], read through the owner's `faults()`
-//! accessor) and `sww_faults_injected_total{site,kind}` in the owner's
-//! registry, so chaos suites can reconcile each owner's exposition
-//! against ground truth.
+//! Observability: every injected fault increments
+//! `sww_faults_injected_total{site,kind}` in the owner's registry, and
+//! [`FaultStream::injected_counts`] (read through the owner's `faults()`
+//! accessor) reads that series back. An owner has one stream, so its
+//! registry's count is what it injected.
 //!
 //! [`ServerConfig::chaos`]: crate::ServerConfig::chaos
 //! [`GenerativeServer::set_fault_domain`]: crate::GenerativeServer::set_fault_domain
@@ -260,16 +260,15 @@ impl ChaosSpec {
     }
 }
 
-/// The number of distinct kinds a stream tallies per site.
-const KINDS: usize = 3;
-
 /// One seeded decision stream, owned by whatever draws from it: a
 /// server (whose dispatch puts it on each request's
 /// [`RequestCtx`](crate::RequestCtx)), a
 /// [`GenerativeClient`](crate::GenerativeClient) or a
-/// [`Gossip`](crate::Gossip). It keeps the spec it was compiled from, a
-/// draw counter per site and a tally per (site, kind) — the ground truth
-/// for what its owner injected — and counts into its owner's registry.
+/// [`Gossip`](crate::Gossip). It keeps the spec it was compiled from and
+/// a draw counter per site, and counts each injection into its owner's
+/// registry — the one stream that does, so that registry's
+/// `sww_faults_injected_total` is the ground truth for what its owner
+/// injected.
 #[derive(Debug)]
 pub struct FaultStream {
     spec: ChaosSpec,
@@ -277,8 +276,6 @@ pub struct FaultStream {
     metrics: Arc<Registry>,
     /// Evaluation sequence number per site.
     seq: [AtomicU64; SITES],
-    /// Injection tally per (site, kind).
-    injected: [[AtomicU64; KINDS]; SITES],
 }
 
 impl FaultStream {
@@ -301,7 +298,6 @@ impl FaultStream {
             seed,
             metrics,
             seq: Default::default(),
-            injected: Default::default(),
         }
     }
 
@@ -313,8 +309,8 @@ impl FaultStream {
     /// Evaluate the failpoint at `site`: `None` means proceed normally,
     /// `Some(action)` tells the call site what to inject. Decision *n* at
     /// a site is a pure function of `(seed, site, n)`, and a site no rule
-    /// names draws nothing. Every injection counts in this stream's tally
-    /// and in `sww_faults_injected_total{site,kind}`.
+    /// names draws nothing. Every injection counts in
+    /// `sww_faults_injected_total{site,kind}`.
     pub(crate) fn draw(&self, site: FaultSite) -> Option<FaultAction> {
         let idx = site.index();
         let mut rules = self.spec.rules.iter().filter(|r| r.site == site).peekable();
@@ -325,7 +321,6 @@ impl FaultStream {
         for rule in rules {
             threshold += rule.probability;
             if r < threshold {
-                self.injected[idx][kind_index(rule.kind)].fetch_add(1, Ordering::Relaxed);
                 self.metrics
                     .counter(
                         "sww_faults_injected_total",
@@ -344,32 +339,25 @@ impl FaultStream {
         None
     }
 
-    /// Faults this stream has injected.
+    /// Faults this stream's owner has injected.
     pub fn injected_total(&self) -> u64 {
         self.injected_counts().iter().map(|(_, _, n)| n).sum()
     }
 
-    /// This stream's tally per `(site key, kind label)`, in site order,
-    /// zero entries omitted.
+    /// `sww_faults_injected_total{site,kind}` in the owner's registry, per
+    /// `(site key, kind label)`, in site order, zero entries omitted.
     pub fn injected_counts(&self) -> Vec<(&'static str, &'static str, u64)> {
         let mut out = Vec::new();
         for site in ALL_SITES {
             for kind in [FaultKind::Error, FaultKind::Latency, FaultKind::Truncate] {
-                let n = self.injected[site.index()][kind_index(kind)].load(Ordering::Relaxed);
+                let labels = [("site", site.key()), ("kind", kind.label())];
+                let n = self.metrics.count("sww_faults_injected_total", &labels);
                 if n > 0 {
                     out.push((site.key(), kind.label(), n));
                 }
             }
         }
         out
-    }
-}
-
-fn kind_index(kind: FaultKind) -> usize {
-    match kind {
-        FaultKind::Error => 0,
-        FaultKind::Latency => 1,
-        FaultKind::Truncate => 2,
     }
 }
 

@@ -204,7 +204,7 @@ impl Gossip {
 
     /// Arm the `gossip.send` failpoint with `spec` (default: unarmed):
     /// messages are dropped from a stream drawn from `spec.seed` itself,
-    /// counters at zero.
+    /// draw counters at zero. Its drops count on in the registry.
     pub fn set_chaos(&mut self, spec: &ChaosSpec) {
         self.faults = Some(FaultStream::new(spec, Arc::clone(&self.metrics)));
     }

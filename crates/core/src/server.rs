@@ -56,7 +56,7 @@ use crate::policy::ServerPolicy;
 use crate::transport::TransportKind;
 use crate::workpool::{CrewRunner, WorkerPool};
 use bytes::Bytes;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -271,16 +271,6 @@ impl SiteContent {
     }
 }
 
-/// Mutable serving statistics, behind one small lock (never held across
-/// generation).
-#[derive(Debug, Default)]
-struct Accounting {
-    /// How many times each mode was served.
-    served_modes: HashMap<&'static str, u64>,
-    /// Modelled server-side generation seconds accumulated.
-    generation_time_s: f64,
-}
-
 /// Everything a server's connections share. Site and policy are frozen
 /// at build time; everything mutable sits behind its own fine-grained
 /// lock so request handling never serialises on a global mutex.
@@ -293,7 +283,6 @@ struct ServerShared {
     /// caches the encoded asset — the only form the server reads twice
     /// (§5.1) — and is the only place rendered media is retained.
     engine: GenerationEngine<Bytes>,
-    accounting: Mutex<Accounting>,
     /// The naive form of each page a naive client has asked for, written
     /// by the first successful [`materialize`] of its path. The site is
     /// frozen, so an entry never changes and the map never outgrows
@@ -302,7 +291,7 @@ struct ServerShared {
     page_forms: RwLock<HashMap<String, PageForm>>,
     /// Memoized traditional-size estimate; the site is immutable once
     /// the server is built, so this is computed at most once.
-    traditional_memo: Mutex<Option<u64>>,
+    traditional_memo: OnceLock<u64>,
     /// Present when the server was built with `workers(n > 0)`.
     pool: Option<WorkerPool>,
     /// Present when the server was built with `batch_max(n > 1)`:
@@ -486,9 +475,8 @@ impl GenerativeServer {
                     config.cache_pixels,
                     share(),
                 ),
-                accounting: Mutex::new(Accounting::default()),
                 page_forms: RwLock::default(),
-                traditional_memo: Mutex::new(None),
+                traditional_memo: OnceLock::new(),
                 pool: (config.workers > 0)
                     .then(|| WorkerPool::recording(config.workers, config.queue_capacity, share())),
                 batcher: (config.batch_max > 1).then(|| {
@@ -540,10 +528,12 @@ impl GenerativeServer {
     }
 
     /// Re-derive this server's fault stream for `label` from its own
-    /// spec, counters and tallies at zero. The edge router calls this
-    /// with the node id on join, so each node of a multi-node chaos run
-    /// draws an independent, replayable stream. A server built without
-    /// [`ServerConfig::chaos`] has none to re-derive.
+    /// spec, draw counters at zero; what it injected before stays counted
+    /// in its registry. The edge router calls this with the node id on
+    /// join, before the node serves anything, so each node of a
+    /// multi-node chaos run draws an independent, replayable stream. A
+    /// server built without [`ServerConfig::chaos`] has none to
+    /// re-derive.
     pub fn set_fault_domain(&self, label: &str) {
         if let Some(faults) = &self.shared.faults {
             let mut stream = faults.write();
@@ -553,8 +543,8 @@ impl GenerativeServer {
     }
 
     /// The fault stream this server's requests draw from — `None` unless
-    /// it was built with [`ServerConfig::chaos`]. Its tallies are the
-    /// ground truth for what this server injected.
+    /// it was built with [`ServerConfig::chaos`]. Its injection counts
+    /// read this server's `sww_faults_injected_total`.
     pub fn faults(&self) -> Option<Arc<FaultStream>> {
         self.shared.fault_stream()
     }
@@ -679,32 +669,43 @@ impl GenerativeServer {
     /// and unique assets. Memoized — the site is immutable once built, so
     /// the full generation sweep runs at most once.
     pub fn traditional_bytes(&self) -> u64 {
-        let mut memo = self.shared.traditional_memo.lock();
-        if let Some(total) = *memo {
-            return total;
-        }
-        let mut total = self.shared.site.stored_bytes();
-        for page in self.shared.site.pages.values() {
-            let doc = parse(&page.html);
-            for item in gencontent::extract(&doc) {
-                let (media, _) = with_generator(|g| g.generate(&item));
-                total += media.media_bytes() as u64;
-                // Prompt-form metadata would not be stored traditionally.
-                total = total.saturating_sub(item.metadata_size() as u64);
+        *self.shared.traditional_memo.get_or_init(|| {
+            let mut total = self.shared.site.stored_bytes();
+            for page in self.shared.site.pages.values() {
+                let doc = parse(&page.html);
+                for item in gencontent::extract(&doc) {
+                    let (media, _) = with_generator(|g| g.generate(&item));
+                    total += media.media_bytes() as u64;
+                    // Prompt-form metadata would not be stored traditionally.
+                    total = total.saturating_sub(item.metadata_size() as u64);
+                }
             }
-        }
-        *memo = Some(total);
-        total
+            total
+        })
     }
 
-    /// How many requests were served in each mode (for tests/benches).
+    /// How many page requests were served in each mode, modes never
+    /// served omitted: `sww_negotiate_outcomes_total{mode}`.
     pub fn served_modes(&self) -> HashMap<&'static str, u64> {
-        self.shared.accounting.lock().served_modes.clone()
+        use ServeMode::*;
+        [Generative, UpscaleAssisted, ServerGenerated, Traditional]
+            .map(mode_label)
+            .into_iter()
+            .map(|mode| {
+                let served = self
+                    .metrics()
+                    .count("sww_negotiate_outcomes_total", &[("mode", mode)]);
+                (mode, served)
+            })
+            .filter(|&(_, served)| served > 0)
+            .collect()
     }
 
-    /// Accumulated modelled server-side generation time.
+    /// Accumulated modelled server-side generation time: the sum of
+    /// `sww_server_generate_virtual_seconds{stage="materialize"}`.
     pub fn server_generation_time_s(&self) -> f64 {
-        self.shared.accounting.lock().generation_time_s
+        self.metrics()
+            .sum(GENERATE_VIRTUAL, &[("stage", "materialize")])
     }
 
     /// The concurrent generation engine (cache shards + single flight).
@@ -1045,12 +1046,6 @@ fn handle_request(
     };
     count_route(metrics, "page", transport);
     let mode = abilities.mode(&shared.policy);
-    *shared
-        .accounting
-        .lock()
-        .served_modes
-        .entry(mode_label(mode))
-        .or_default() += 1;
     metrics
         .counter(
             "sww_negotiate_outcomes_total",
@@ -1226,7 +1221,6 @@ fn render_asset(
     };
     let time_s = pass_time(batch_size)? / batch_size as f64;
     span.finish_with_virtual(&shared.metrics, GENERATE_WALL, GENERATE_VIRTUAL, time_s);
-    shared.accounting.lock().generation_time_s += time_s;
     Ok(Bytes::from(codec::encode(&image, DEFAULT_CODEC_QUALITY)))
 }
 
@@ -1305,7 +1299,6 @@ fn materialize(
                 let (media, cost) = with_generator(|g| g.try_generate(&item))?;
                 let metrics = &shared.metrics;
                 span.finish_with_virtual(metrics, GENERATE_WALL, GENERATE_VIRTUAL, cost.time_s);
-                shared.accounting.lock().generation_time_s += cost.time_s;
                 let GeneratedMedia::Text { text } = media else {
                     unreachable!("a Txt item generates text")
                 };
@@ -1514,7 +1507,7 @@ mod tests {
             });
             let abandoned = || {
                 let site = [("site", "denoise")];
-                server.metrics().counter("sww_cancelled_total", &site).get()
+                server.metrics().count("sww_cancelled_total", &site)
             };
             let shared = &*server.shared;
             let recipe = shared

@@ -55,11 +55,6 @@ impl HeaderMap {
     pub fn iter(&self) -> impl Iterator<Item = &HeaderField> {
         self.fields.iter()
     }
-
-    /// The underlying field list (for HPACK encoding).
-    pub fn as_fields(&self) -> &[HeaderField] {
-        &self.fields
-    }
 }
 
 impl FromIterator<HeaderField> for HeaderMap {

@@ -84,6 +84,16 @@ impl Registry {
         }
     }
 
+    /// A histogram's sum of observations, without registering it: 0
+    /// before its first observation (and for a series of another type).
+    pub fn sum(&self, name: &'static str, labels: &[(&'static str, &str)]) -> f64 {
+        let map = self.series.lock().unwrap_or_else(|e| e.into_inner());
+        match map.get(&key(name, labels)) {
+            Some(Series::Histogram(h)) => h.sum(),
+            _ => 0.0,
+        }
+    }
+
     /// Resolve a gauge, registering it on first use.
     ///
     /// # Panics
@@ -133,9 +143,13 @@ mod tests {
         assert_eq!(r.counter("x_total", &[("k", "a")]).get(), 3);
         // Different label value is a distinct series.
         assert_eq!(r.counter("x_total", &[("k", "b")]).get(), 0);
-        // Reading a count registers nothing.
+        // Reading a count or a histogram's sum registers nothing.
         assert_eq!(r.count("x_total", &[("k", "a")]), 3);
         assert_eq!(r.count("x_total", &[("k", "c")]), 0);
+        r.histogram("t_seconds", &[("k", "a")], &[1.0]).observe(0.5);
+        r.histogram("t_seconds", &[("k", "a")], &[1.0]).observe(2.0);
+        assert_eq!(r.sum("t_seconds", &[("k", "a")]), 2.5);
+        assert_eq!(r.sum("t_seconds", &[("k", "c")]), 0.0);
         assert!(!r.render().contains("k=\"c\""));
     }
 

@@ -86,11 +86,6 @@ impl RecipeSpec {
             RecipeSpec::Text { bullets, words } => gencontent::text_div(bullets, *words),
         }
     }
-
-    /// Whether this is an image recipe.
-    pub fn is_image(&self) -> bool {
-        matches!(self, RecipeSpec::Image { .. })
-    }
 }
 
 /// A page of the site graph: path, title, and the recipes it carries.

@@ -34,10 +34,10 @@ pub struct LifecycleSnapshot {
 
 impl LifecycleSnapshot {
     /// Read the counters of `owners` — the registries of the servers
-    /// (and clients) a run drove — summed.
+    /// (and clients) a run drove — summed, registering none of them.
     pub fn take(owners: &[&Registry]) -> LifecycleSnapshot {
         let total = |name: &'static str, labels: &[(&'static str, &str)]| -> u64 {
-            owners.iter().map(|r| r.counter(name, labels).get()).sum()
+            owners.iter().map(|r| r.count(name, labels)).sum()
         };
         let shed = |reason| total("sww_shed_total", &[("reason", reason)]);
         let cancelled = [
@@ -166,38 +166,10 @@ impl Scorecard {
 
     /// Fraction of requests that ended 200.
     pub fn ok_rate(&self) -> f64 {
-        self.rate(self.ok)
-    }
-
-    /// Fraction shed with 503.
-    pub fn shed_rate(&self) -> f64 {
-        self.rate(self.shed)
-    }
-
-    /// Fraction that exceeded their deadline (504).
-    pub fn deadline_rate(&self) -> f64 {
-        self.rate(self.deadline)
-    }
-
-    /// Fraction with other errors.
-    pub fn error_rate(&self) -> f64 {
-        self.rate(self.errors)
-    }
-
-    fn rate(&self, n: u64) -> f64 {
         if self.requests == 0 {
             0.0
         } else {
-            n as f64 / self.requests as f64
-        }
-    }
-
-    /// Single-flight efficiency: coalesced waiters per generation.
-    pub fn coalesce_ratio(&self) -> f64 {
-        if self.generations == 0 {
-            0.0
-        } else {
-            self.coalesced as f64 / self.generations as f64
+            self.ok as f64 / self.requests as f64
         }
     }
 }
@@ -261,5 +233,17 @@ mod tests {
         let snap = LifecycleSnapshot::take(&[&a, &b]);
         assert_eq!((snap.shed_deadline, snap.cancelled), (4, 2));
         assert_eq!(snap.deadline_exceeded, 0, "only the owners given count");
+    }
+
+    /// A snapshot reads its owners' series without registering one: a
+    /// server's scrape after a replay shows only what it counted.
+    #[test]
+    fn a_snapshot_registers_nothing() {
+        let registry = Registry::new();
+        assert_eq!(
+            LifecycleSnapshot::take(&[&registry]),
+            LifecycleSnapshot::default()
+        );
+        assert_eq!(registry.render(), "");
     }
 }

@@ -191,20 +191,10 @@ impl Trace {
             .len()
     }
 
-    /// The infinite-cache structural hit rate: the fraction of requests
-    /// for a page already requested earlier in the trace. Saturates once
-    /// the walk has covered the graph — see [`Trace::lru_hit_rate`] for
-    /// the locality-sensitive quantity.
-    pub fn structural_hit_rate(&self) -> f64 {
-        if self.events.is_empty() {
-            return 0.0;
-        }
-        1.0 - self.unique_nodes() as f64 / self.events.len() as f64
-    }
-
     /// The bounded-cache hit rate: fraction of requests served by an LRU
-    /// of `capacity` pages fed the trace in order. Unlike the structural
-    /// rate this is sensitive to *locality*: on a clustered (low-β)
+    /// of `capacity` pages fed the trace in order. Unlike an infinite
+    /// cache's rate, which saturates once the walk has covered the graph,
+    /// this is sensitive to *locality*: on a clustered (low-β)
     /// graph, concurrent sessions walk overlapping neighbourhoods and
     /// revisit pages while they are still resident; rewiring toward
     /// β = 1 disperses the walks and the rate falls. A pure function of

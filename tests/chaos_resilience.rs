@@ -365,19 +365,26 @@ fn scoped_streams_are_independent_and_replayable() {
     );
 
     // Relabelling after a draw restarts the label's stream at offset
-    // zero, tally included — the edge router relabels each node's server
-    // to its node id on join.
+    // zero; what the server injected before stays counted in its
+    // registry — the edge router relabels each node's server to its node
+    // id on join, before it serves anything.
     let relabelled = server();
+    let faults = || relabelled.faults().expect("armed").injected_total();
     let _ = relabelled
         .accept(GenAbility::none())
         .handle(&Request::get("/unsupported"));
+    let drawn = faults();
+    assert_eq!(drawn, 1, "the request before the relabel drew a fault");
     relabelled.set_fault_domain("n0");
-    let faults = || relabelled.faults().expect("armed").injected_total();
-    assert_eq!(faults(), 0, "a relabelled stream tallies afresh");
+    assert_eq!(faults(), drawn, "a relabel keeps the server's count");
     let again = statuses_of(&relabelled, PAGES);
     assert_eq!(again, n0, "relabel must restart the label's stream");
     let failed = again.iter().filter(|status| **status == 500).count() as u64;
-    assert_eq!(faults(), failed, "each 500 is one injection of its own");
+    assert_eq!(
+        faults() - drawn,
+        failed,
+        "each 500 is one injection of its own"
+    );
 }
 
 /// Per-request `(retries, fell_back, wire_bytes)` of a

@@ -303,7 +303,10 @@ async fn generation_cache_eliminates_repeat_cost() {
     assert!(stats_a.generation_time_s > 0.0);
     assert_eq!(stats_b.items_cached, 1);
     assert_eq!(stats_b.generation_time_s, 0.0, "cache hit is free");
-    assert_eq!(client.cache().hits, 1);
+    let hits = client
+        .metrics()
+        .count("sww_cache_events_total", &[("result", "hit")]);
+    assert_eq!(hits, 1);
     // Identical pixels either way.
     assert_eq!(
         page_a.resources[0].image.data(),

@@ -83,9 +83,14 @@ async fn metrics_reflect_a_generative_fetch() {
         Some(stats.items_fetched as f64)
     );
     assert_eq!(series_value(&own, "sww_client_pages_total"), Some(1.0));
+    // The page's one image item, looked up in a cold cache: one miss.
     assert_eq!(
         series_value(&own, "sww_cache_events_total{result=\"miss\"}"),
-        Some(client.cache().misses as f64)
+        Some(1.0)
+    );
+    assert_eq!(
+        series_value(&own, "sww_cache_events_total{result=\"hit\"}"),
+        None
     );
     // The modelled generation time flows into the virtual-seconds histogram.
     let virtual_sum = series_value(

@@ -13,7 +13,9 @@
 //!   one moves none of the other's series.
 
 use std::collections::BTreeMap;
-use sww::core::{EdgeConfig, EdgeRouter, GenAbility, GenerativeServer, ServerConfig, SiteContent};
+use sww::core::{
+    ChaosSpec, EdgeConfig, EdgeRouter, GenAbility, GenerativeServer, ServerConfig, SiteContent,
+};
 use sww::html::gencontent;
 use sww::http2::Request;
 
@@ -169,6 +171,123 @@ fn node_and_router_registries_sum_to_the_shared_registry_golden() {
         .map(|series| (series, golden.get(series), sums.get(series)))
         .collect();
     assert!(differ.is_empty(), "(series, golden, summed): {differ:#?}");
+}
+
+/// What a server's accessors read, one line each, prefixed by `who`.
+fn accessors(who: &str, server: &GenerativeServer) -> String {
+    let engine = server.engine();
+    let modes: BTreeMap<_, _> = server.served_modes().into_iter().collect();
+    let faults = server.faults().map(|f| f.injected_counts());
+    let batch = server
+        .batch_stats()
+        .map(|b| (b.jobs, b.batches, b.mean_batch));
+    format!(
+        "{who} engine {} {} {}\n{who} modes {modes:?}\n{who} generation_time_bits {:#x}\n\
+         {who} faults {faults:?}\n{who} batch {batch:?}\n",
+        engine.generations(),
+        engine.coalesced(),
+        engine.cache_hits(),
+        server.server_generation_time_s().to_bits(),
+    )
+}
+
+/// The golden workload's accessors, recorded when each of them read a
+/// tally of its own beside the registry: engine counts, served modes,
+/// modelled generation time (to the bit), faults, batching and the edge
+/// counters of every node.
+const CLUSTER_ACCESSORS: &str = r#"n0 engine 5 13 13
+n0 modes {"generative": 19, "server-generated": 12}
+n0 generation_time_bits 0x3f8a11ae4c40b7a2
+n0 faults None
+n0 batch None
+n0 stats NodeStats { requests: 46, prompt_local: 21, local_media: 5, peer_serves: 12, fills: 5, fill_hits: 5, fill_evictions: 0, failovers: 0, replica_pushes: 4, replica_hits: 10, replica_hints: 0, hint_drops: 0, replica_handoffs: 0, replica_evictions: 0 }
+n1 engine 0 0 0
+n1 modes {"generative": 13}
+n1 generation_time_bits 0x0
+n1 faults None
+n1 batch None
+n1 stats NodeStats { requests: 55, prompt_local: 14, local_media: 0, peer_serves: 0, fills: 10, fill_hits: 24, fill_evictions: 0, failovers: 0, replica_pushes: 0, replica_hits: 4, replica_hints: 0, hint_drops: 0, replica_handoffs: 0, replica_evictions: 0 }
+n2 engine 3 0 0
+n2 modes {"generative": 11, "server-generated": 4}
+n2 generation_time_bits 0x3f7f486ac1e742c3
+n2 faults None
+n2 batch None
+n2 stats NodeStats { requests: 44, prompt_local: 14, local_media: 2, peer_serves: 6, fills: 9, fill_hits: 12, fill_evictions: 0, failovers: 0, replica_pushes: 1, replica_hits: 8, replica_hints: 0, hint_drops: 0, replica_handoffs: 0, replica_evictions: 0 }
+n3 engine 4 12 12
+n3 modes {"generative": 15, "server-generated": 11}
+n3 generation_time_bits 0x3f84daf1d69a2c82
+n3 faults None
+n3 batch None
+n3 stats NodeStats { requests: 56, prompt_local: 15, local_media: 5, peer_serves: 19, fills: 5, fill_hits: 6, fill_evictions: 0, failovers: 22, replica_pushes: 3, replica_hits: 1, replica_hints: 0, hint_drops: 0, replica_handoffs: 0, replica_evictions: 0 }
+"#;
+
+/// A seeded single-server run with batching, a pool and a chaos spec:
+/// naive and capable GETs over image and text pages and their assets, on
+/// one thread, recorded like [`CLUSTER_ACCESSORS`].
+const CHAOS_SERVER_ACCESSORS: &str = r#"server engine 9 69 69
+server modes {"generative": 30, "server-generated": 61}
+server generation_time_bits 0x40382dc707acd656
+server faults Some([("engine.generate", "error", 5), ("pool.enqueue", "error", 7), ("cache.get", "error", 17), ("server.respond", "truncate", 12)])
+server batch Some((9, 9, 1.0))
+"#;
+
+#[test]
+fn accessors_read_what_they_read_before_the_tallies_went() {
+    let router = workload();
+    let mut cluster = String::new();
+    for node in router.nodes() {
+        cluster += &accessors(node.id(), node.server());
+        cluster += &format!("{} stats {:?}\n", node.id(), node.stats());
+    }
+    assert_eq!(cluster, CLUSTER_ACCESSORS, "cluster accessors:\n{cluster}");
+
+    let mut site = site();
+    site.add_page(
+        "/story",
+        format!(
+            "<html><body>{}{}</body></html>",
+            gencontent::text_div(&["tide pool crabs dusk".into()], 60),
+            gencontent::image_div("a crab under a rock", "crab.jpg", 16, 16),
+        ),
+    );
+    let server = GenerativeServer::from_config(ServerConfig {
+        site,
+        workers: 2,
+        batch_max: 4,
+        chaos: Some(
+            ChaosSpec::parse(
+                "seed=21,engine.generate=error:0.2,cache.get=error:0.15,\
+                 pool.enqueue=error:0.1,server.respond=truncate:0.1:50",
+            )
+            .expect("spec parses"),
+        ),
+        ..ServerConfig::default()
+    });
+    let (naive, capable) = (
+        server.accept(GenAbility::none()),
+        server.accept(GenAbility::full()),
+    );
+    let mut rng = 0x000c_4a05_u64;
+    for _ in 0..120 {
+        let r = splitmix(&mut rng);
+        let path = match (r >> 8) % 11 {
+            p @ 0..=7 => format!("/page/{p}"),
+            8 => "/story".to_owned(),
+            9 => "/generated/crab.jpg".to_owned(),
+            _ => format!("/generated/node{}.jpg", (r >> 16) % PAGES as u64),
+        };
+        let session = if r.is_multiple_of(3) {
+            &capable
+        } else {
+            &naive
+        };
+        session.handle(&Request::get(path));
+    }
+    let single = accessors("server", &server);
+    assert_eq!(
+        single, CHAOS_SERVER_ACCESSORS,
+        "server accessors:\n{single}"
+    );
 }
 
 #[test]
