@@ -206,16 +206,18 @@ echo "==> cargo test -p sww-http2 --test stream_table (stream table stays O(in-f
 cargo test -p sww-http2 --test stream_table -q
 
 # The executor can be woken (PR 21): a waker ends block_on's wait and
-# restarts its backoff, a source without one is still re-polled, and the
-# h3 completion queue is the first source with one. Both profiles: the
+# restarts its backoff, a source without one is still re-polled, and a
+# join handle is the source with one. Both profiles: the
 # wake races are timing, and timing is what optimisation changes. The h3
 # package also holds the handler-thread bound, the 500 on a panic and the
 # two wire property suites (proptest_h3, proptest_h3_state). Since PR 23
 # handlers run on the stub's blocking crew (spawn_blocking): its contract
 # is in executor_wake too, a connection's view of it in the h3 package's
 # handler_crew, and the keep-alive beside the crew, where cfg(test)
-# shortens it.
-echo "==> cargo test --test executor_wake, -p sww-http3, -p tokio (wake contract; h3 completions wake their connection; <= 64 handlers in flight; blocking crew: threads reused, no job behind a running one, clean after a panic, gone after the keep-alive)"
+# shortens it. A finished job wakes its JoinHandle from its seat, and a
+# round that a wake started or a join ended is polled again at once: an
+# h3 response reaches its client with no timed wait.
+echo "==> cargo test --test executor_wake, -p sww-http3, -p tokio (wake contract; a woken or joining round is polled again; h3 completions wake their connection and reach its client in one round; <= 64 handlers in flight; blocking crew: sequential jobs on one thread, no job behind a running one, clean after a panic, gone after the keep-alive)"
 for profile in "" "--release"; do
     cargo test ${profile} --test executor_wake -q
     cargo test ${profile} -p sww-http3 -q
@@ -354,8 +356,10 @@ fi
 # then + 4 for owned fault streams, − 2 whose subjects were deleted;
 # then + 6 for owned registries and the h3 reassembly cap, − 2 whose
 # subjects were deleted; then + 2 for one tally: the recorded accessors
-# and a snapshot that registers nothing; CHANGES.md names them.)
-TEST_FLOOR=970
+# and a snapshot that registers nothing; then + 4 for the join waker, the
+# woken and joining re-polls and the one-round h3 completion, − 1 whose
+# subject was deleted (the h3 reply's drop guard); CHANGES.md names them.)
+TEST_FLOOR=973
 echo "==> workspace test-count floor (>= ${TEST_FLOOR})"
 TEST_COUNT=$(cargo test --workspace -- --list 2>/dev/null | grep -c ": test$")
 echo "    ${TEST_COUNT} tests"

@@ -2077,22 +2077,24 @@ mod tests {
 
     #[test]
     fn drain_waits_for_inflight_requests() {
+        // The request holds for 100 ms on its way out, so this thread
+        // sees it in flight even when the host runs it late.
         let server = GenerativeServer::from_config(ServerConfig {
             site: demo_site(),
             workers: 2,
+            chaos: Some(ChaosSpec::parse("seed=1,server.respond=latency:1.0:100").unwrap()),
             ..ServerConfig::default()
         });
         let session = server.accept(GenAbility::none());
-        let started = Arc::new(std::sync::Barrier::new(2));
-        let s = Arc::clone(&started);
         let handle = std::thread::spawn(move || {
-            s.wait();
             // Admitted before drain flips: must get a real response.
             session.handle(&Request::get("/hike"))
         });
-        started.wait();
-        // Give the request a moment to pass admission before draining.
         while server.shared.inflight.load(Ordering::SeqCst) == 0 {
+            assert!(
+                !handle.is_finished(),
+                "the request was never seen in flight"
+            );
             std::hint::spin_loop();
         }
         let report = server.drain();

@@ -16,14 +16,14 @@
 //! The loop itself never blocks on a handler. It parks in a single
 //! `poll_fn` that watches two event sources at once: the transport
 //! ([`QuicLite::poll_recv_chunk`] is restartable, so a partially read
-//! frame survives between polls) and a completion queue fed by the crew.
-//! A handler's thread also encodes the response, so the queue carries
-//! octets and the loop only moves them. The queue holds the loop's
-//! `Waker` while it is parked: a worker pushes its octets, takes the
-//! waker and fires it, so a completion is shipped when it happens and not
-//! when the executor next looks. At most `MAX_IN_FLIGHT` handlers run per
-//! connection; at the bound the loop stops reading the transport and the
-//! pipe pushes back.
+//! frame survives between polls) and the join handles of its handlers.
+//! A handler's thread also encodes the response, so a handle yields
+//! octets and the loop only moves them. A handle keeps the loop's `Waker`
+//! and the crew fires it once the thread is back on its seat, so a
+//! completion is shipped when it happens, not when the executor next
+//! looks, and the next stream's handler finds that thread parked. At most
+//! `MAX_IN_FLIGHT` handlers run per connection; at the bound the loop
+//! stops reading the transport and the pipe pushes back.
 
 use crate::connection::{
     apply_control_stream, control_frame_payload, control_stream_payload, decode_request,
@@ -32,11 +32,13 @@ use crate::connection::{
 use crate::frame::H3Frame;
 use crate::settings::H3Settings;
 use crate::transport::{stream_id, QuicLite, TransportError};
-use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::task::{Poll, Waker};
+use std::future::Future;
+use std::pin::Pin;
+use std::sync::Arc;
+use std::task::Poll;
 use sww_http2::{GenAbility, Request, Response};
 use tokio::io::{AsyncRead, AsyncWrite};
+use tokio::task::JoinHandle;
 
 /// Per-request negotiation context handed to the h3 handler, mirroring
 /// `sww_http2::ServeContext`. Abilities are re-read from connection state
@@ -76,54 +78,9 @@ pub struct H3ServeStats {
 /// peer opens streams for free; a handler that blocks holds a thread.
 const MAX_IN_FLIGHT: usize = 64;
 
-/// Encoded responses flowing from the crew's threads back to the event
-/// loop, and the loop's waker while it is parked on them.
-type Done = (VecDeque<(u64, Vec<u8>)>, Option<Waker>);
-type DoneQueue = Arc<Mutex<Done>>;
-
-/// Every update leaves the queue valid, so a poisoned lock is still good:
-/// it must not take the connection down or strand `outstanding`.
-fn lock(done: &DoneQueue) -> MutexGuard<'_, Done> {
-    done.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// One stream's way back to the loop. Dropped unanswered — the job was
-/// dropped unrun, the OS having refused it a thread — it answers `503`,
-/// so `outstanding` always returns to zero.
-struct Reply {
-    done: DoneQueue,
-    stream: u64,
-    answered: bool,
-}
-
-impl Reply {
-    /// Encode `resp` here, queue its octets and wake the loop if it is
-    /// parked.
-    fn answer(&mut self, resp: &Response) {
-        self.answered = true;
-        let octets = encode_response(resp);
-        let waker = {
-            let mut done = lock(&self.done);
-            done.0.push_back((self.stream, octets));
-            done.1.take()
-        };
-        if let Some(waker) = waker {
-            waker.wake();
-        }
-    }
-}
-
-impl Drop for Reply {
-    fn drop(&mut self) {
-        if !self.answered {
-            self.answer(&Response::status(503));
-        }
-    }
-}
-
 enum Event {
-    /// A handler finished; drain the completion queue.
-    Completed,
+    /// A handler finished: its stream and encoded response.
+    Completed(u64, Vec<u8>),
     /// A whole incoming stream arrived.
     Stream(u64, Vec<u8>),
     /// The peer closed the pipe.
@@ -164,24 +121,13 @@ where
         .await?;
 
     let handler = Arc::new(handler);
-    let done = DoneQueue::default();
     let mut remote = H3Settings::default();
     let mut got_control = false;
-    let mut outstanding = 0usize;
+    let mut in_flight: Vec<(u64, JoinHandle<Vec<u8>>)> = Vec::new();
     let mut peer_closed = false;
     let mut stats = H3ServeStats::default();
 
     loop {
-        // Ship every finished response before blocking again — completion
-        // order, not arrival order.
-        loop {
-            let next = lock(&done).0.pop_front();
-            let Some((stream, octets)) = next else { break };
-            quic.send(stream, &octets, true).await?;
-            outstanding -= 1;
-            stats.responses += 1;
-        }
-
         if should_close() && !stats.sent_goaway {
             // GOAWAY rides a fresh control-typed stream (the shim closes
             // each stream with FIN, so the original control stream is
@@ -196,28 +142,31 @@ where
         // Once the peer has closed or GOAWAY is out, only handler
         // completions can make progress.
         let finishing = peer_closed || stats.sent_goaway;
-        if finishing && outstanding == 0 {
+        if finishing && in_flight.is_empty() {
             return Ok(stats);
         }
 
-        // Park until a worker completes, the transport yields a whole
-        // stream, or drain is requested. The emptiness check and the
-        // waker's registration share one critical section, so a push
-        // after it finds the waker. The drain flag has none: the
-        // executor's backoff re-polls it.
+        // Park until a handler completes, the transport yields a whole
+        // stream, or drain is requested. A finished handler comes first:
+        // responses ship in completion order, not arrival order. The drain
+        // flag has no waker: the executor's backoff re-polls it.
         let event = std::future::poll_fn(|cx| {
-            {
-                let mut done = lock(&done);
-                if !done.0.is_empty() {
-                    return Poll::Ready(Ok(Event::Completed));
+            for i in 0..in_flight.len() {
+                if let Poll::Ready(joined) = Pin::new(&mut in_flight[i].1).poll(cx) {
+                    let (stream, _) = in_flight.swap_remove(i);
+                    // A handler that panicked answers its own stream; one
+                    // the OS refused a thread never ran.
+                    let octets = joined.unwrap_or_else(|e| {
+                        encode_response(&Response::status(if e.is_panic() { 500 } else { 503 }))
+                    });
+                    return Poll::Ready(Ok(Event::Completed(stream, octets)));
                 }
-                done.1 = Some(cx.waker().clone());
             }
             if !finishing && should_close() {
                 return Poll::Ready(Ok(Event::Drain));
             }
             // At the thread bound unread streams wait in the pipe.
-            if finishing || outstanding >= MAX_IN_FLIGHT {
+            if finishing || in_flight.len() >= MAX_IN_FLIGHT {
                 return Poll::Pending;
             }
             match quic.poll_recv_any_stream(cx) {
@@ -230,7 +179,11 @@ where
         .await?;
 
         match event {
-            Event::Completed | Event::Drain => {}
+            Event::Completed(stream, octets) => {
+                quic.send(stream, &octets, true).await?;
+                stats.responses += 1;
+            }
+            Event::Drain => {}
             Event::Closed => peer_closed = true,
             Event::Stream(stream, data) if stream_id::is_uni(stream) => {
                 if apply_control_stream(&data, &mut remote)? == ControlSignal::Settings {
@@ -249,22 +202,8 @@ where
                     server_ability: local.gen_ability,
                 };
                 let work = Arc::clone(&handler);
-                let mut reply = Reply {
-                    done: Arc::clone(&done),
-                    stream,
-                    answered: false,
-                };
-                outstanding += 1;
-                tokio::task::spawn_blocking(move || {
-                    // A panicking handler still completes its stream: with
-                    // nothing in the queue `outstanding` never returns to
-                    // zero, the peer waits on that stream for ever and a
-                    // drain never finishes.
-                    let resp =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work(req, ctx)))
-                            .unwrap_or_else(|_| Response::status(500));
-                    reply.answer(&resp);
-                });
+                let job = tokio::task::spawn_blocking(move || encode_response(&work(req, ctx)));
+                in_flight.push((stream, job));
             }
         }
     }
@@ -290,7 +229,7 @@ mod tests {
     use bytes::Bytes;
     use std::future::Future;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::sync::Condvar;
+    use std::sync::{Condvar, Mutex};
     use std::time::Duration;
 
     #[tokio::test]
@@ -370,7 +309,7 @@ mod tests {
         assert_eq!(&resps[2].body[..], b"ok:/two");
 
         // The peer hangs up: with every stream accounted for the serve
-        // future returns instead of waiting on the completion queue.
+        // future returns instead of waiting on a handler.
         drop(client);
         let stats = within(LIMIT, server)
             .await
@@ -419,25 +358,6 @@ mod tests {
         drop(peer);
     }
 
-    #[test]
-    fn a_reply_dropped_unanswered_answers_503_and_an_answered_one_only_once() {
-        let done = DoneQueue::default();
-        let reply = |stream| Reply {
-            done: Arc::clone(&done),
-            stream,
-            answered: false,
-        };
-        // What `spawn_blocking` does to a job it cannot start a thread for.
-        drop(reply(4));
-        let mut answered = reply(8);
-        answered.answer(&Response::status(204));
-        drop(answered);
-        let queued: Vec<_> = lock(&done).0.drain(..).collect();
-        let want =
-            [(4, 503), (8, 204)].map(|(s, code)| (s, encode_response(&Response::status(code))));
-        assert_eq!(queued, want);
-    }
-
     #[tokio::test]
     async fn a_thousand_streams_run_at_most_the_bound_of_handlers() {
         // The first MAX_IN_FLIGHT handlers hold until all of them have
@@ -483,6 +403,10 @@ mod tests {
         let (a, b) = tokio::io::duplex(1 << 20);
         tokio::spawn(async move {
             let _ = serve_h3_connection(b, GenAbility::full(), |req: Request, _ctx| {
+                // Long enough that the loop is parked on the handle when
+                // the handler ends; a handler that beats the loop back to
+                // its handle needs no wake.
+                std::thread::sleep(Duration::from_micros(500));
                 Response::ok(Bytes::from(req.path))
             })
             .await;
@@ -497,10 +421,49 @@ mod tests {
             assert_eq!(&resp.body[..], path.as_bytes());
         }
         // Each request parks the executor until its handler thread is
-        // done; that wait ends by the handler's wake, not by the backoff
-        // (a handler that beats the loop back to its queue needs none).
+        // done; that wait ends by the handler's wake, not by the backoff.
         let woken = tokio::runtime::park_counts().0 - woken_before;
         assert!(woken >= 190, "{woken} of 200 waits were woken");
+    }
+
+    #[tokio::test]
+    async fn a_completion_reaches_its_client_in_one_round() {
+        let (a, b) = tokio::io::duplex(1 << 20);
+        tokio::spawn(async move {
+            let _ = serve_h3_connection(b, GenAbility::full(), |req: Request, _ctx| {
+                Response::ok(Bytes::from(req.path))
+            })
+            .await;
+        });
+        let mut client = H3ClientConnection::handshake(a, GenAbility::full())
+            .await
+            .unwrap();
+        // The client is polled before the connection in every round, so
+        // the round that ships a response finds its client already
+        // polled. Reading it takes one more round, and a timed-out wait
+        // between the client's last two polls means the executor slept
+        // before that round.
+        let mut late = 0;
+        for i in 0..200 {
+            let path = format!("/{i}");
+            let req = Request::get(&path);
+            let mut fetch = std::pin::pin!(client.send_request(&req));
+            let mut last_poll = tokio::runtime::park_counts();
+            let resp = std::future::poll_fn(|cx| {
+                let now = tokio::runtime::park_counts();
+                let slept = now.1 > last_poll.1;
+                last_poll = now;
+                fetch.as_mut().poll(cx).map(|resp| (resp, slept))
+            })
+            .await;
+            let (resp, slept) = resp;
+            assert_eq!(&resp.unwrap().body[..], path.as_bytes());
+            late += u32::from(slept);
+        }
+        // A handler that beats the loop back to its handle wakes nothing
+        // and ships in the round that spawned it; a descheduled host
+        // allows a few more.
+        assert!(late <= 20, "{late} of 200 responses waited out a backoff");
     }
 
     #[tokio::test]

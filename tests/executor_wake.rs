@@ -1,16 +1,18 @@
 //! The stub executor's wake contract (`vendor/tokio/src/runtime.rs`),
 //! tested here because tier-1 (`cargo test -q`) runs this package's tests
 //! and not the stub's: a source that fires its `Waker` ends `block_on`'s
-//! wait at once and restarts the backoff; a source that ignores its
-//! `Context` is still re-polled within it.
-//! `tokio::runtime::park_counts()` is this thread's `(woken, timed_out)`
-//! waits so far.
+//! wait at once and restarts the backoff; a round that a wake started, or
+//! in which a join handle resolved, is followed by another before any
+//! wait; a source that ignores its `Context` is still re-polled within the
+//! backoff. `tokio::runtime::park_counts()` is this thread's `(woken,
+//! timed_out)` waits so far.
 //!
 //! Below those, the contract of `tokio::task::spawn_blocking`
 //! (`vendor/tokio/src/task.rs`): one crew of threads for the process, a
 //! job to the most recently parked one or to a new one, never behind a
-//! running job. (That a parked thread exits after the keep-alive is a unit
-//! test beside the crew, where the keep-alive is short.)
+//! running job, and a handle woken once the job's thread is back on its
+//! seat. (That a parked thread exits after the keep-alive is a unit test
+//! beside the crew, where the keep-alive is short.)
 
 use std::cell::RefCell;
 use std::collections::{HashSet, VecDeque};
@@ -23,8 +25,8 @@ use tokio::io::{AsyncReadExt, AsyncWriteExt};
 use tokio::runtime::{park_counts, Runtime};
 use tokio::task::spawn_blocking;
 
-/// A cross-thread queue that keeps its consumer's waker — the shape of
-/// the h3 completion queue. A producer pushes, then wakes.
+/// A cross-thread queue that keeps its consumer's waker — the shape of a
+/// join handle, with many results. A producer pushes, then wakes.
 struct Mailbox<T> {
     inner: Mutex<(VecDeque<T>, Option<Waker>)>,
     /// Signalled when the consumer registers its waker.
@@ -185,6 +187,99 @@ fn no_wake_is_lost_between_four_producers_and_one_consumer() {
     );
 }
 
+/// `fut`'s output, and whether the executor waited out a backoff between
+/// its last two polls: what readied it arrived a backoff late.
+async fn slept_before_ready<F: Future>(fut: F) -> (F::Output, bool) {
+    let mut fut = std::pin::pin!(fut);
+    let mut last_poll = park_counts();
+    poll_fn(|cx| {
+        let now = park_counts();
+        let slept = now.1 > last_poll.1;
+        last_poll = now;
+        fut.as_mut().poll(cx).map(|out| (out, slept))
+    })
+    .await
+}
+
+#[test]
+fn a_woken_round_is_polled_again() {
+    // A task woken from another thread writes to a pipe, which has no
+    // waker, and the main future reads it. The main future was polled
+    // before the task in the woken round, so the octet needs one more.
+    const OCTETS: u32 = 100;
+    let mail = Mailbox::new();
+    let producer = thread::spawn({
+        let mail = Arc::clone(&mail);
+        move || {
+            for _ in 0..OCTETS {
+                mail.wait_for_consumer();
+                mail.push(());
+            }
+        }
+    });
+    let late = Runtime::new().unwrap().block_on(async {
+        let (mut near, mut far) = tokio::io::duplex(64);
+        tokio::spawn(async move {
+            loop {
+                mail.recv().await;
+                far.write_all(&[1]).await.unwrap();
+            }
+        });
+        let mut late = 0;
+        for _ in 0..OCTETS {
+            let (read, slept) = slept_before_ready(near.read_exact(&mut [0u8; 1])).await;
+            read.unwrap();
+            late += u32::from(slept);
+        }
+        late
+    });
+    producer.join().unwrap();
+    assert_eq!(late, 0, "octets that waited out a backoff after their wake");
+}
+
+#[test]
+fn a_round_that_joins_a_blocking_job_is_polled_again() {
+    // The job ends before its handle is first polled, so nothing wakes
+    // the executor: the join itself is the progress.
+    let _turn = crew_turn();
+    let late = Runtime::new().unwrap().block_on(async {
+        let (mut near, mut far) = tokio::io::duplex(64);
+        tokio::spawn(async move {
+            loop {
+                let job = spawn_blocking(|| 1u8);
+                thread::sleep(Duration::from_millis(2));
+                let octet = job.await.unwrap();
+                if far.write_all(&[octet]).await.is_err() {
+                    break;
+                }
+            }
+        });
+        let mut late = 0;
+        for _ in 0..20 {
+            let (read, slept) = slept_before_ready(near.read_exact(&mut [0u8; 1])).await;
+            read.unwrap();
+            late += u32::from(slept);
+        }
+        late
+    });
+    assert_eq!(late, 0, "octets that waited out a backoff after their join");
+}
+
+#[test]
+fn a_finished_blocking_job_wakes_its_handle() {
+    let _turn = crew_turn();
+    let before = park_counts();
+    Runtime::new().unwrap().block_on(async {
+        spawn_blocking(|| thread::sleep(Duration::from_millis(20)))
+            .await
+            .unwrap();
+    });
+    let (woken, timed_out) = waits_since(before);
+    assert_eq!(woken, 1, "the job's end is one wake");
+    // Until then the executor re-polled on its backoff.
+    assert!(timed_out > 0);
+}
+
 #[test]
 fn sources_without_a_waker_are_still_re_polled() {
     let before = park_counts();
@@ -221,8 +316,8 @@ fn sources_without_a_waker_are_still_re_polled() {
         assert_eq!(&line, b"hello");
         echo.await.unwrap();
     });
-    // None of these has a waker yet (ROADMAP item 3(a), the part left):
-    // every wait above ended on the backoff.
+    // Neither has a waker yet (ROADMAP item 3, the part left): every wait
+    // above ended on the backoff.
     assert_eq!(waits_since(before).0, 0);
 }
 
@@ -294,16 +389,16 @@ fn a_waker_fired_after_its_block_on_returned_is_harmless() {
     stale.wake();
 }
 
-/// Which thread the crew picks depends on which are parked: the tests
-/// that assert on it run one at a time. Nothing else in this file uses
-/// the crew.
+/// Which thread the crew picks depends on which are parked: every test in
+/// this file that uses the crew takes its turn, so those that assert on
+/// it run alone.
 fn crew_turn() -> MutexGuard<'static, ()> {
     static TURN: Mutex<()> = Mutex::new(());
     TURN.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[test]
-fn sequential_blocking_jobs_run_on_at_most_two_threads() {
+fn sequential_blocking_jobs_run_on_one_thread() {
     let _turn = crew_turn();
     let threads: HashSet<ThreadId> = Runtime::new().unwrap().block_on(async {
         let mut threads = HashSet::new();
@@ -313,16 +408,16 @@ fn sequential_blocking_jobs_run_on_at_most_two_threads() {
         }
         threads
     });
-    // One thread, and a second when a job found the first still on its
-    // way back to its seat.
-    assert!(threads.len() <= 2, "{} threads", threads.len());
+    // A job's thread is back on its seat before its handle resolves, so
+    // the next job always finds it there.
+    assert_eq!(threads.len(), 1, "{threads:?}");
 }
 
 #[test]
 fn a_blocking_job_never_waits_behind_a_running_one() {
     let _turn = crew_turn();
     Runtime::new().unwrap().block_on(async {
-        // Leave two threads parked, or about to be.
+        // Leave two threads parked.
         let pair = Arc::new(Barrier::new(2));
         let warm: Vec<_> = (0..2)
             .map(|_| {
@@ -363,29 +458,24 @@ fn a_panicked_blocking_job_is_a_join_error_and_its_thread_serves_on() {
     }
     let _turn = crew_turn();
     Runtime::new().unwrap().block_on(async {
-        // The thread the panic was on is back on its seat, or about to
-        // be, when the next job is spawned; an attempt where the job was
-        // sooner and started another thread is not evidence either way.
-        for _ in 0..3 {
-            let died_on = Arc::new(Mutex::new(None));
-            let grave = Arc::clone(&died_on);
-            let doomed = spawn_blocking(move || {
-                SCRATCH.with(|scratch| {
-                    let _held = scratch.borrow_mut();
-                    *grave.lock().unwrap() = Some(thread::current().id());
-                    panic!("job bug, with a borrow held");
-                })
-            });
-            assert!(doomed.await.is_err(), "a panicked job reported a value");
-            let next = spawn_blocking(|| {
-                SCRATCH.with(|scratch| scratch.borrow_mut().push(1));
-                thread::current().id()
-            });
-            let ran_on = next.await.expect("the borrow outlived the panic");
-            if Some(ran_on) == *died_on.lock().unwrap() {
-                return;
-            }
-        }
-        panic!("three attempts and no job ran on the thread a job had panicked on");
+        let died_on = Arc::new(Mutex::new(None));
+        let grave = Arc::clone(&died_on);
+        let doomed = spawn_blocking(move || {
+            SCRATCH.with(|scratch| {
+                let _held = scratch.borrow_mut();
+                *grave.lock().unwrap() = Some(thread::current().id());
+                panic!("job bug, with a borrow held");
+            })
+        });
+        let failed = doomed.await.expect_err("a panicked job reported a value");
+        assert!(failed.is_panic());
+        // The thread the panic was on took its seat before the error was
+        // reported, so the next job finds it there.
+        let next = spawn_blocking(|| {
+            SCRATCH.with(|scratch| scratch.borrow_mut().push(1));
+            thread::current().id()
+        });
+        let ran_on = next.await.expect("the borrow outlived the panic");
+        assert_eq!(Some(ran_on), *died_on.lock().unwrap());
     });
 }
