@@ -358,7 +358,10 @@ fi
 # subjects were deleted; then + 2 for one tally: the recorded accessors
 # and a snapshot that registers nothing; then + 4 for the join waker, the
 # woken and joining re-polls and the one-round h3 completion, − 1 whose
-# subject was deleted (the h3 reply's drop guard); CHANGES.md names them.)
+# subject was deleted (the h3 reply's drop guard); then + 4 for E13's
+# golden and its model's ported unit tests, − 10 whose subjects were
+# deleted (the CDN simulator, the renewable knob, negotiate::models_for);
+# CHANGES.md names them.)
 TEST_FLOOR=973
 echo "==> workspace test-count floor (>= ${TEST_FLOOR})"
 TEST_COUNT=$(cargo test --workspace -- --list 2>/dev/null | grep -c ": test$")

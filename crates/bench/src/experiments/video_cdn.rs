@@ -1,10 +1,14 @@
 //! E11 — video negotiation savings (§3.2) and E13 — CDN storage and
-//! transmission across deployment modes (§2.2).
+//! transmission across deployment modes (§2.2). E13 is a closed-form
+//! model over a fixed request trace, computed here and nowhere else.
 
 use crate::table::{bytes, Table};
-use sww_core::cdn::{CatalogItem, CdnSimulation, EdgeMode};
+use std::collections::HashSet;
 use sww_core::video::{negotiate, Resolution, StreamRequest};
 use sww_core::GenAbility;
+use sww_energy::device::{profile, DeviceKind};
+use sww_energy::{cost, Energy};
+use sww_genai::diffusion::ImageModelKind;
 
 /// One video scenario row.
 #[derive(Debug, Clone)]
@@ -64,6 +68,32 @@ pub fn video_table(rows: &[VideoRow]) -> Table {
     t
 }
 
+/// The §2.2 deployment model E13 reports: one origin, `edges` edges
+/// that do not cooperate, and a catalog of `objects` large images.
+/// Request `r` arrives at edge `r % edges` and asks for object
+/// `object(r)`. An edge that generates renders its own copy of an object
+/// once and serves its cached copy after; no edge shares a render with
+/// another (the running `sww_core::EdgeRouter` renders each recipe once
+/// for the whole cluster, which is a different claim).
+#[derive(Debug, Clone, Copy)]
+pub struct CdnConfig {
+    /// Edge sites, at least one.
+    pub edges: u64,
+    /// Catalog size.
+    pub objects: u64,
+    /// Requests in the trace.
+    pub requests: u64,
+    /// The object request `r` asks for, below `objects`.
+    pub object: fn(u64) -> u64,
+}
+
+/// Media bytes of one catalog image in traditional form.
+const MEDIA_BYTES: u64 = 131_072;
+/// Prompt-dictionary bytes of the same image in SWW form.
+const METADATA_BYTES: u64 = 428;
+/// Image side in pixels, which sets the edge's generation cost.
+const SIDE: u32 = 1024;
+
 /// One CDN deployment row.
 #[derive(Debug, Clone)]
 pub struct CdnRow {
@@ -75,47 +105,63 @@ pub struct CdnRow {
     pub egress_bytes: u64,
     /// Edge generation energy (Wh) for the trace.
     pub edge_generation_wh: f64,
+    /// Requests an edge served from a copy it had already rendered.
+    pub cache_hits: u64,
+}
+
+/// The three §2.2 modes over `cfg`'s trace: a classic CDN replicating
+/// media, SWW edges storing prompts and generating on request, and full
+/// SWW passing prompts through to generating clients.
+pub fn cdn_rows(cfg: &CdnConfig) -> Vec<CdnRow> {
+    let ws = profile(DeviceKind::Workstation);
+    let render_s = cost::image_generation_time(ImageModelKind::Sd3Medium, &ws, SIDE, SIDE, 15)
+        .expect("edge model is local");
+    let render = Energy::from_power(ws.image_power_w, render_s);
+    // Each edge renders an object the first time it is asked for it.
+    let mut rendered = HashSet::new();
+    let mut generation = Energy::ZERO;
+    for r in 0..cfg.requests {
+        if rendered.insert((r % cfg.edges, (cfg.object)(r))) {
+            generation = generation + render;
+        }
+    }
+    let renders = rendered.len() as u64;
+    let row = |label: &str, stored: u64, sent: u64, edge_generation_wh, cache_hits| CdnRow {
+        label: label.to_string(),
+        storage_bytes: cfg.objects * stored * cfg.edges,
+        egress_bytes: cfg.requests * sent,
+        edge_generation_wh,
+        cache_hits,
+    };
+    vec![
+        row("classic (store media)", MEDIA_BYTES, MEDIA_BYTES, 0.0, 0),
+        row(
+            "SWW edge (store prompts, generate at edge)",
+            METADATA_BYTES,
+            MEDIA_BYTES,
+            generation.wh(),
+            cfg.requests - renders,
+        ),
+        row(
+            "full SWW (prompts to clients)",
+            METADATA_BYTES,
+            METADATA_BYTES,
+            0.0,
+            0,
+        ),
+    ]
 }
 
 /// Run E13: a 100-edge CDN over a 1000-item catalog of large images,
 /// serving a fixed request trace in each mode.
 pub fn cdn() -> Vec<CdnRow> {
-    let catalog: Vec<CatalogItem> = (0..1000)
-        .map(|i| CatalogItem {
-            id: format!("obj{i}"),
-            media_bytes: 131_072,
-            metadata_bytes: 428,
-            side: 1024,
-        })
-        .collect();
-    let modes = [
-        ("classic (store media)", EdgeMode::StoreMedia),
-        (
-            "SWW edge (store prompts, generate at edge)",
-            EdgeMode::StorePrompts {
-                cache_generated: true,
-            },
-        ),
-        ("full SWW (prompts to clients)", EdgeMode::PassPrompts),
-    ];
-    modes
-        .into_iter()
-        .map(|(label, mode)| {
-            let mut sim = CdnSimulation::new(catalog.clone(), 100, mode);
-            // Zipf-flavoured trace: popular objects dominate.
-            for r in 0..5000u64 {
-                let obj = (r * r % 97 % 1000) as usize;
-                let edge = (r % 100) as u32;
-                sim.request(edge, &format!("obj{obj}"));
-            }
-            CdnRow {
-                label: label.to_string(),
-                storage_bytes: sim.edge_storage_bytes(),
-                egress_bytes: sim.edge_to_user_bytes,
-                edge_generation_wh: sim.edge_generation_energy.wh(),
-            }
-        })
-        .collect()
+    cdn_rows(&CdnConfig {
+        edges: 100,
+        objects: 1000,
+        requests: 5000,
+        // Zipf-flavoured trace: popular objects dominate.
+        object: |r| r * r % 97 % 1000,
+    })
 }
 
 /// Render E13.
@@ -167,5 +213,46 @@ mod tests {
         assert_eq!(classic.edge_generation_wh, 0.0);
         assert!(edge_gen.edge_generation_wh > 1.0);
         assert_eq!(full.edge_generation_wh, 0.0);
+    }
+
+    fn one_object(edges: u64, requests: u64) -> CdnRow {
+        let cfg = CdnConfig {
+            edges,
+            objects: 10,
+            requests,
+            object: |_| 0,
+        };
+        cdn_rows(&cfg).swap_remove(1)
+    }
+
+    #[test]
+    fn a_repeat_at_the_same_edge_is_a_cache_hit() {
+        let once = one_object(1, 1);
+        let twice = one_object(1, 2);
+        assert_eq!((once.cache_hits, twice.cache_hits), (0, 1));
+        assert!(once.edge_generation_wh > 0.0);
+        assert_eq!(twice.edge_generation_wh, once.edge_generation_wh);
+    }
+
+    #[test]
+    fn another_edge_renders_its_own_copy() {
+        let once = one_object(1, 1);
+        let two_edges = one_object(2, 2);
+        assert_eq!(two_edges.cache_hits, 0);
+        assert_eq!(two_edges.edge_generation_wh, 2.0 * once.edge_generation_wh);
+    }
+
+    #[test]
+    fn prompt_storage_shrinks_by_the_media_ratio() {
+        let rows = cdn_rows(&CdnConfig {
+            edges: 100,
+            objects: 10,
+            requests: 0,
+            object: |_| 0,
+        });
+        let ratio = rows[0].storage_bytes as f64 / rows[1].storage_bytes as f64;
+        // 131072 / 428 ≈ 306× per object (the Table 2 large-image ratio).
+        assert!((300.0..315.0).contains(&ratio), "ratio={ratio:.1}");
+        assert_eq!(rows[1].storage_bytes, rows[2].storage_bytes);
     }
 }

@@ -3,8 +3,9 @@
 //!
 //! The paper argues generative servers will be deployed like a CDN — a
 //! tier of edges close to users, each able to *expand* prompt-form
-//! content on demand. This module promotes the E13 deployment model
-//! (`crate::cdn`) to a running system:
+//! content on demand. This module is that tier as a running system
+//! (E13's closed-form model of non-cooperating edges lives in
+//! `sww-bench`):
 //!
 //! * a [`HashRing`] consistent-hashes **recipe keys**
 //!   (model × prompt × params, hashed through `sww-hash`) onto node
@@ -884,7 +885,9 @@ impl EdgeRouter {
         // Naive client: finished media. Conditional revalidations skip
         // the fill cache (it stores full 200s, not 304 bookkeeping).
         let revalidate = req.headers.get("if-none-match").is_some();
-        let fill_key = format!("{}|{}", req.path, mode_tag(mode));
+        // Distinct modes carry distinct `x-sww-mode` headers, so they
+        // must not share cached bodies.
+        let fill_key = format!("{}|{}", req.path, mode.label());
         if !revalidate {
             if let Some(resp) = get_response(&entry_node.fill, &fill_key) {
                 entry_node.count("sww_edge_fill_hits_total");
@@ -933,7 +936,10 @@ impl EdgeRouter {
                 node.count("sww_edge_failover_total");
                 continue;
             }
-            if node_unhealthy(resp.status) {
+            // Breaker open or shed (503), deadline missed (504), failed
+            // outright (500/502): the predicate the client retry policy
+            // and the workload replayer share.
+            if retryable_status(resp.status) {
                 node.count("sww_edge_failover_total");
                 last = Some(resp);
                 continue;
@@ -1061,27 +1067,6 @@ impl EdgeRouter {
 /// Set the `node`-labelled gauge `name` of `metrics` to `value`.
 fn node_gauge(metrics: &Registry, name: &'static str, node: &str, value: f64) {
     metrics.gauge(name, &[("node", node)]).set(value);
-}
-
-/// Statuses after which the router stops trusting a node for this
-/// request: its breaker is open (503), it shed under overload (503),
-/// missed a deadline (504), or failed outright (500/502). One shared
-/// predicate ([`retryable_status`]) decides this for the router, the
-/// client retry policy, and the workload replayer alike.
-fn node_unhealthy(status: u16) -> bool {
-    retryable_status(status)
-}
-
-/// Fill-cache key component for the negotiated mode (distinct modes
-/// carry distinct `x-sww-mode` headers, so they must not share cached
-/// bodies).
-fn mode_tag(mode: ServeMode) -> &'static str {
-    match mode {
-        ServeMode::Generative => "gen",
-        ServeMode::UpscaleAssisted => "upscale",
-        ServeMode::ServerGenerated => "server-gen",
-        ServeMode::Traditional => "traditional",
-    }
 }
 
 fn cluster_down_response() -> Response {
@@ -1554,7 +1539,7 @@ mod tests {
         assert_eq!(seat.stats().replica_handoffs, FIT as u64);
         let replica = seat.replica.lock();
         for (i, path) in paths.iter().enumerate() {
-            let key = format!("{path}|{}", mode_tag(ServeMode::ServerGenerated));
+            let key = format!("{path}|{}", ServeMode::ServerGenerated.label());
             assert_eq!(replica.contains(&key), i >= PAGES - FIT, "{path}");
         }
     }
@@ -1628,7 +1613,10 @@ mod tests {
         let (owner_idx, owner, a, b) = co_owned(&router);
         let seat = seat_of(&router, &a);
         let first = naive_get(&router, owner_idx, &a);
-        assert!(seat.replica.lock().contains(&format!("{a}|server-gen")));
+        assert!(seat
+            .replica
+            .lock()
+            .contains(&format!("{a}|server-generated")));
         naive_get(&router, owner_idx, &b);
         let rendered = generations(&router);
         assert_eq!(
@@ -1712,7 +1700,7 @@ mod tests {
         let router = evicting_router(2, page_len + page_len / 2);
         let (owner_idx, owner, a, b) = co_owned(&router);
         let seat = seat_of(&router, &a);
-        let key = |path: &str| format!("{path}|server-gen");
+        let key = |path: &str| format!("{path}|server-generated");
         naive_get(&router, owner_idx, &a);
         naive_get(&router, owner_idx, &b);
         assert_eq!(seat.stats().replica_evictions, 1, "b displaced a");

@@ -56,12 +56,6 @@ pub enum SwwError {
         /// The model that cannot serve it.
         model: String,
     },
-    /// Capability negotiation did not produce a generative session, so
-    /// there are no shared models to resolve.
-    Negotiation {
-        /// Why the negotiation outcome cannot satisfy the caller.
-        reason: String,
-    },
     /// A handler failed in a way that is the server's own fault (maps to
     /// `500`), e.g. a panic on a pool worker.
     Internal {
@@ -120,8 +114,7 @@ impl SwwError {
             SwwError::UpstreamStatus { status, .. } => retryable_status(*status),
             SwwError::NotFound { .. }
             | SwwError::MethodNotAllowed { .. }
-            | SwwError::UnsupportedModel { .. }
-            | SwwError::Negotiation { .. } => false,
+            | SwwError::UnsupportedModel { .. } => false,
         }
     }
 
@@ -162,7 +155,6 @@ impl fmt::Display for SwwError {
             SwwError::UnsupportedModel { what, model } => {
                 write!(f, "{what} is not supported by model {model}")
             }
-            SwwError::Negotiation { reason } => write!(f, "negotiation failed: {reason}"),
             SwwError::Internal { reason } => write!(f, "internal error: {reason}"),
             SwwError::Generation { reason } => write!(f, "generation failed: {reason}"),
             SwwError::IntegrityFailure { path } => {

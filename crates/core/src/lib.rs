@@ -3,14 +3,12 @@
 //! The SWW protocol layer — the paper's primary contribution, assembled
 //! from the substrates: capability negotiation over HTTP/2 SETTINGS (§3),
 //! the generative server (§5.1) and client (§5.2), the media generator
-//! (§4.1), webpage conversion and CMS tagging (§4.2), CDN deployment
-//! (§2.2), video negotiation (§3.2), and the byte/energy accounting the
-//! evaluation (§6) is built on.
+//! (§4.1), webpage conversion and CMS tagging (§4.2), video negotiation
+//! (§3.2), and the byte/energy accounting the evaluation (§6) is built on.
 
 pub mod batch;
 pub mod breaker;
 pub mod cache;
-pub mod cdn;
 pub mod client;
 pub mod cms;
 pub mod convert;

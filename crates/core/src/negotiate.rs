@@ -3,12 +3,12 @@
 //! "In any case other than both server and client having
 //! SETTINGS_GEN_ABILITY set to 1, default (unsupported) behavior will be
 //! assumed." A server may also *choose* traditional service despite a
-//! capable client ("for example to provide higher performance or based on
-//! the availability of renewable energy"), and when the client cannot
-//! generate, the server can expand prompts itself before sending ("this
-//! saves storage space, and avoids saving two copies of content").
+//! capable client (the paper's reasons are performance and renewable
+//! availability; here the choice is [`ServerPolicy`]'s two fixed knobs),
+//! and when the client cannot generate, the server can expand prompts
+//! itself before sending ("this saves storage space, and avoids saving
+//! two copies of content").
 
-use crate::error::SwwError;
 use crate::policy::ServerPolicy;
 use sww_genai::diffusion::ImageModelKind;
 use sww_genai::text::TextModelKind;
@@ -27,6 +27,20 @@ pub enum ServeMode {
     /// Fully traditional HTTP/2 service (server lacks prompts or policy
     /// forbids generation).
     Traditional,
+}
+
+impl ServeMode {
+    /// The mode's one spelling: the `x-sww-mode` header, the `mode`
+    /// label of `sww_negotiate_outcomes_total`, the keys of
+    /// `GenerativeServer::served_modes` and the edge's fill-cache key.
+    pub fn label(self) -> &'static str {
+        match self {
+            ServeMode::Generative => "generative",
+            ServeMode::UpscaleAssisted => "upscale",
+            ServeMode::ServerGenerated => "server-generated",
+            ServeMode::Traditional => "traditional",
+        }
+    }
 }
 
 /// Decide the serve mode from both advertised abilities and the server's
@@ -142,20 +156,6 @@ pub fn select_models(shared: GenAbility) -> (ImageModelKind, TextModelKind) {
     )
 }
 
-/// Strict variant of [`select_models`]: resolve the model pair only when
-/// the negotiated ability actually permits client-side generation,
-/// failing with [`SwwError::Negotiation`] otherwise. Callers that need a
-/// lenient default (e.g. a client whose generator may simply go unused)
-/// should keep using [`select_models`].
-pub fn models_for(shared: GenAbility) -> Result<(ImageModelKind, TextModelKind), SwwError> {
-    if !shared.can_generate() {
-        return Err(SwwError::Negotiation {
-            reason: "negotiated ability does not permit generation".into(),
-        });
-    }
-    Ok(select_models(shared))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,15 +185,6 @@ mod tests {
         let (img, txt) = select_models(GenAbility::full());
         assert_eq!(img, ImageModelKind::Sd3Medium);
         assert_eq!(txt, TextModelKind::DeepSeekR1_8B);
-    }
-
-    #[test]
-    fn strict_model_resolution_requires_generation() {
-        assert!(models_for(GenAbility::full()).is_ok());
-        let err = models_for(GenAbility::none()).unwrap_err();
-        assert!(matches!(err, SwwError::Negotiation { .. }), "{err}");
-        // Upscale-only sessions have no shared generation models either.
-        assert!(models_for(GenAbility::upscale_only()).is_err());
     }
 
     #[test]
@@ -289,7 +280,6 @@ mod tests {
         let p = ServerPolicy {
             allow_client_generation: false,
             expand_prompts_server_side: false,
-            ..ServerPolicy::default()
         };
         assert_eq!(
             decide(GenAbility::full(), GenAbility::full(), &p),
@@ -302,7 +292,6 @@ mod tests {
         let p = ServerPolicy {
             allow_client_generation: false,
             expand_prompts_server_side: true,
-            ..ServerPolicy::default()
         };
         assert_eq!(
             decide(GenAbility::full(), GenAbility::full(), &p),

@@ -1,6 +1,7 @@
-//! Server-side serving policy (paper §5.1): a server can prefer
-//! traditional content for performance, or make the choice on the
-//! availability of renewable energy.
+//! Server-side serving policy (paper §5.1): a server can serve
+//! traditional content even to a capable client. The paper names
+//! performance and renewable availability as reasons to; this policy
+//! takes the choice as two fixed knobs and models neither reason.
 
 /// Knobs controlling how a generative server serves capable clients.
 #[derive(Debug, Clone)]
@@ -10,9 +11,6 @@ pub struct ServerPolicy {
     /// When the client cannot generate (or generation is disallowed),
     /// expand prompts server-side instead of keeping parallel media copies.
     pub expand_prompts_server_side: bool,
-    /// Fraction of the time renewable energy is available on-site, 0..=1.
-    /// Used by [`ServerPolicy::renewable_decision`].
-    pub renewable_availability: f64,
 }
 
 impl Default for ServerPolicy {
@@ -20,33 +18,7 @@ impl Default for ServerPolicy {
         ServerPolicy {
             allow_client_generation: true,
             expand_prompts_server_side: true,
-            renewable_availability: 0.0,
         }
-    }
-}
-
-impl ServerPolicy {
-    /// A policy that serves traditional content whenever the grid is
-    /// carbon-cheap for the server (renewables available → the server
-    /// absorbs generation cost; otherwise push generation to clients).
-    pub fn renewable_aware(availability: f64) -> ServerPolicy {
-        ServerPolicy {
-            allow_client_generation: true,
-            expand_prompts_server_side: true,
-            renewable_availability: availability.clamp(0.0, 1.0),
-        }
-    }
-
-    /// Decide, for one request at a deterministic `slot` (e.g. hour of
-    /// day), whether the server should generate despite a capable client:
-    /// true when renewables cover this slot.
-    pub fn renewable_decision(&self, slot: u64) -> bool {
-        if self.renewable_availability <= 0.0 {
-            return false;
-        }
-        // Deterministic spread of renewable slots across the day.
-        let phase = (slot.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40) as f64 / (1u64 << 24) as f64;
-        phase < self.renewable_availability
     }
 }
 
@@ -59,37 +31,5 @@ mod tests {
         let p = ServerPolicy::default();
         assert!(p.allow_client_generation);
         assert!(p.expand_prompts_server_side);
-    }
-
-    #[test]
-    fn renewable_zero_never_triggers() {
-        let p = ServerPolicy::default();
-        assert!((0..100).all(|s| !p.renewable_decision(s)));
-    }
-
-    #[test]
-    fn renewable_full_always_triggers() {
-        let p = ServerPolicy::renewable_aware(1.0);
-        assert!((0..100).all(|s| p.renewable_decision(s)));
-    }
-
-    #[test]
-    fn renewable_fraction_is_proportional() {
-        let p = ServerPolicy::renewable_aware(0.4);
-        let hits = (0..10_000).filter(|&s| p.renewable_decision(s)).count();
-        let share = hits as f64 / 10_000.0;
-        assert!((share - 0.4).abs() < 0.05, "share={share}");
-    }
-
-    #[test]
-    fn availability_clamped() {
-        assert_eq!(
-            ServerPolicy::renewable_aware(7.0).renewable_availability,
-            1.0
-        );
-        assert_eq!(
-            ServerPolicy::renewable_aware(-1.0).renewable_availability,
-            0.0
-        );
     }
 }

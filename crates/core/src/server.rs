@@ -689,7 +689,7 @@ impl GenerativeServer {
     pub fn served_modes(&self) -> HashMap<&'static str, u64> {
         use ServeMode::*;
         [Generative, UpscaleAssisted, ServerGenerated, Traditional]
-            .map(mode_label)
+            .map(ServeMode::label)
             .into_iter()
             .map(|mode| {
                 let served = self
@@ -838,15 +838,6 @@ impl Session {
     }
 }
 
-fn mode_label(mode: ServeMode) -> &'static str {
-    match mode {
-        ServeMode::Generative => "generative",
-        ServeMode::UpscaleAssisted => "upscale",
-        ServeMode::ServerGenerated => "server-generated",
-        ServeMode::Traditional => "traditional",
-    }
-}
-
 fn count_route(metrics: &Registry, route: &'static str, transport: TransportKind) {
     metrics
         .counter(
@@ -960,7 +951,7 @@ fn error_response(metrics: &Registry, err: &SwwError) -> Response {
         SwwError::UpstreamStatus { .. }
         | SwwError::Transport(_)
         | SwwError::IntegrityFailure { .. } => 502,
-        SwwError::Saturated { .. } | SwwError::Negotiation { .. } => 503,
+        SwwError::Saturated { .. } => 503,
         SwwError::DeadlineExceeded { .. } => 504,
     };
     let status_label = status.to_string();
@@ -1047,10 +1038,7 @@ fn handle_request(
     count_route(metrics, "page", transport);
     let mode = abilities.mode(&shared.policy);
     metrics
-        .counter(
-            "sww_negotiate_outcomes_total",
-            &[("mode", mode_label(mode))],
-        )
+        .counter("sww_negotiate_outcomes_total", &[("mode", mode.label())])
         .inc();
     let form = match mode {
         ServeMode::Generative | ServeMode::UpscaleAssisted => {
@@ -1076,13 +1064,13 @@ fn handle_request(
     if req.headers.get("if-none-match") == Some(etag.as_str()) {
         let mut resp = Response::status(304);
         resp.headers.insert("etag", etag);
-        resp.headers.insert("x-sww-mode", mode_label(mode));
+        resp.headers.insert("x-sww-mode", mode.label());
         return Ok(resp);
     }
     let mut resp = Response::ok(form.body);
     resp.headers.insert("content-type", "text/html");
     resp.headers.insert("etag", etag);
-    resp.headers.insert("x-sww-mode", mode_label(mode));
+    resp.headers.insert("x-sww-mode", mode.label());
     Ok(resp)
 }
 
@@ -1931,12 +1919,6 @@ mod tests {
             (SwwError::IntegrityFailure { path: "/p".into() }, 502),
             (SwwError::Transport(H2Error::protocol("boom")), 502),
             (SwwError::Saturated { retry_after_s: 3 }, 503),
-            (
-                SwwError::Negotiation {
-                    reason: "no shared models".into(),
-                },
-                503,
-            ),
             (SwwError::DeadlineExceeded { budget_ms: 250 }, 504),
         ];
         for (err, status) in cases {

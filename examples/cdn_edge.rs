@@ -1,44 +1,30 @@
 //! The §2.2 CDN deployment study: the same catalog and request trace
 //! served by a classic CDN, an edge-generating SWW CDN, and full SWW —
 //! comparing storage, egress, generation energy and embodied carbon.
+//! The model is E13's (`sww_bench::experiments::video_cdn`) over a
+//! larger trace.
 //!
 //! Run with: `cargo run --example cdn_edge --release`
 
-use sww::core::cdn::{CatalogItem, CdnSimulation, EdgeMode};
-use sww::energy::carbon;
+use sww::energy::{carbon, network};
+use sww_bench::experiments::video_cdn::{cdn_rows, CdnConfig};
 
 fn main() {
-    let catalog: Vec<CatalogItem> = (0..2000)
-        .map(|i| CatalogItem {
-            id: format!("obj{i}"),
-            media_bytes: 131_072,
-            metadata_bytes: 428,
-            side: 1024,
-        })
-        .collect();
-
-    let modes = [
-        ("classic CDN (replicate media)", EdgeMode::StoreMedia),
-        (
-            "SWW edge (store prompts, generate on request)",
-            EdgeMode::StorePrompts {
-                cache_generated: true,
-            },
-        ),
-        (
-            "full SWW (prompts through to clients)",
-            EdgeMode::PassPrompts,
-        ),
+    let cfg = CdnConfig {
+        edges: 200,
+        objects: 2000,
+        requests: 20_000,
+        // Popularity-skewed trace.
+        object: |r| r * 31 % 193 % 2000,
+    };
+    let labels = [
+        "classic CDN (replicate media)",
+        "SWW edge (store prompts, generate on request)",
+        "full SWW (prompts through to clients)",
     ];
     println!("catalog: 2000 large images, 200 edge sites, 20000 requests\n");
-    for (label, mode) in modes {
-        let mut sim = CdnSimulation::new(catalog.clone(), 200, mode);
-        for r in 0..20_000u64 {
-            // Popularity-skewed trace.
-            let obj = (r * 31 % 193 % 2000) as usize;
-            sim.request((r % 200) as u32, &format!("obj{obj}"));
-        }
-        let storage = sim.edge_storage_bytes();
+    for (label, row) in labels.into_iter().zip(cdn_rows(&cfg)) {
+        let storage = row.storage_bytes;
         println!("== {label} ==");
         println!("  edge storage (all sites): {:.1} MB", storage as f64 / 1e6);
         println!(
@@ -47,16 +33,16 @@ fn main() {
         );
         println!(
             "  edge→user egress: {:.1} MB",
-            sim.edge_to_user_bytes as f64 / 1e6
+            row.egress_bytes as f64 / 1e6
         );
         println!(
             "  egress energy: {:.2} Wh, edge generation energy: {:.2} Wh",
-            sim.transmission_energy().wh(),
-            sim.edge_generation_energy.wh()
+            network::transmission_energy(row.egress_bytes).wh(),
+            row.edge_generation_wh
         );
         println!(
             "  cache hits: {} / {} requests\n",
-            sim.cache_hits, sim.requests
+            row.cache_hits, cfg.requests
         );
     }
     println!(

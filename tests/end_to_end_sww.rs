@@ -136,11 +136,10 @@ async fn device_changes_cost_not_content() {
 }
 
 #[tokio::test(flavor = "multi_thread")]
-async fn server_policy_renewable_forces_server_generation() {
+async fn server_policy_without_client_generation_forces_server_generation() {
     let policy = ServerPolicy {
         allow_client_generation: false,
         expand_prompts_server_side: true,
-        renewable_availability: 1.0,
     };
     let server = GenerativeServer::from_config(ServerConfig {
         site: two_item_site(),

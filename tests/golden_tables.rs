@@ -16,7 +16,7 @@
 //! then review and commit the updated snapshots like any other diff.
 
 use std::path::Path;
-use sww_bench::experiments::{compression, edge, models, workload};
+use sww_bench::experiments::{compression, edge, models, video_cdn, workload};
 
 /// Compare `rendered` against `tests/golden/<name>`, or rewrite the
 /// snapshot when `SWW_BLESS=1` is set.
@@ -58,6 +58,16 @@ fn e8_compression_table_matches_golden() {
     let rows = compression::run();
     let rendered = compression::table(&rows).render();
     assert_matches_golden("e8_table2.txt", &rendered);
+}
+
+/// E13 / paper §2.2: the CDN deployment table — storage, egress and
+/// edge generation energy of three modes over a fixed request trace.
+/// Pure arithmetic over the trace, so the table is bit-stable across
+/// hosts and build profiles.
+#[test]
+fn e13_cdn_table_matches_golden() {
+    let rendered = video_cdn::cdn_table(&video_cdn::cdn()).render();
+    assert_matches_golden("e13_cdn.txt", &rendered);
 }
 
 /// E19: the modelled edge-cluster scaling table — ring ownership and the
