@@ -15,6 +15,11 @@ cargo build --workspace --release
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+# sww-bench's unit tests assert what its experiments do under load (E19's
+# kill, E20's replay): timing that optimisation changes, so release too.
+echo "==> cargo test --release -p sww-bench --lib (experiment unit tests, optimised)"
+cargo test --release -p sww-bench --lib -q
+
 echo "==> cargo test --release --test concurrent_engine (engine stress)"
 cargo test --release --test concurrent_engine -q
 
@@ -216,10 +221,13 @@ cargo test -p sww-http2 --test stream_table -q
 # handler_crew, and the keep-alive beside the crew, where cfg(test)
 # shortens it. A finished job wakes its JoinHandle from its seat, and a
 # round that a wake started or a join ended is polled again at once: an
-# h3 response reaches its client with no timed wait.
-echo "==> cargo test --test executor_wake, -p sww-http3, -p tokio (wake contract; a woken or joining round is polled again; h3 completions wake their connection and reach its client in one round; <= 64 handlers in flight; blocking crew: sequential jobs on one thread, no job behind a running one, clean after a panic, gone after the keep-alive)"
+# h3 response reaches its client with no timed wait. Only a stream that
+# may block takes the crew: h3_crew_split counts which do, and the h3
+# package holds that an immediate reply is not held behind a blocking one
+# and that its panic answers 500.
+echo "==> cargo test --test executor_wake --test h3_crew_split, -p sww-http3, -p tokio (wake contract; a woken or joining round is polled again; h3 completions wake their connection and reach its client in one round; only streams that may block take the crew; <= 64 replies in flight; blocking crew: sequential jobs on one thread, no job behind a running one, clean after a panic, gone after the keep-alive)"
 for profile in "" "--release"; do
-    cargo test ${profile} --test executor_wake -q
+    cargo test ${profile} --test executor_wake --test h3_crew_split -q
     cargo test ${profile} -p sww-http3 -q
     cargo test ${profile} -p tokio -q
 done
@@ -361,8 +369,10 @@ fi
 # subject was deleted (the h3 reply's drop guard); then + 4 for E13's
 # golden and its model's ported unit tests, − 10 whose subjects were
 # deleted (the CDN simulator, the renewable knob, negotiate::models_for);
+# then + 6 for the h3 placement split: an immediate reply not held behind
+# a blocking one, its panic answering 500, and four crew counts;
 # CHANGES.md names them.)
-TEST_FLOOR=973
+TEST_FLOOR=985
 echo "==> workspace test-count floor (>= ${TEST_FLOOR})"
 TEST_COUNT=$(cargo test --workspace -- --list 2>/dev/null | grep -c ": test$")
 echo "    ${TEST_COUNT} tests"

@@ -357,19 +357,19 @@ pub fn chaos_kill(cfg: &EdgeClusterConfig, chaos: &ChaosSpec) -> EdgeChaosOutcom
 
     let router = edge_router(cfg, nodes, Some(chaos));
     let victim = most_loaded_owner(&router, cfg.prompts);
-    {
-        let router = router.clone();
-        let victim = victim.clone();
-        std::thread::spawn(move || {
-            // Land the kill mid-run: after the first flights have
-            // started (the latency chaos the nodes carry widens the
-            // window), not before the run begins.
-            std::thread::sleep(std::time::Duration::from_millis(15));
-            router.kill(&victim);
-        });
-    }
+    // Land the kill mid-run, at a point that does not depend on how fast
+    // the build is: the first client that enters through the victim kills
+    // it once its own first request is answered (before it, when that is
+    // its only one). Every later request of that client then meets a dead
+    // entry and fails over.
+    let killer = router
+        .nodes()
+        .iter()
+        .position(|n| n.id() == victim)
+        .expect("the victim is a member");
     let threads = nodes * cfg.threads_per_node;
     let per_thread = cfg.requests_per_thread;
+    let kill_before = usize::from(per_thread > 1);
     let completed = Arc::new(AtomicU64::new(0));
     let lost = Arc::new(AtomicU64::new(0));
     let retries = Arc::new(AtomicU64::new(0));
@@ -382,8 +382,12 @@ pub fn chaos_kill(cfg: &EdgeClusterConfig, chaos: &ChaosSpec) -> EdgeChaosOutcom
         let retries = Arc::clone(&retries);
         let mismatched = Arc::clone(&mismatched);
         let baseline_bodies = baseline_bodies.clone();
+        let victim = victim.clone();
         handles.push(std::thread::spawn(move || {
             for r in 0..per_thread {
+                if t == killer && r == kill_before {
+                    router.kill(&victim);
+                }
                 let p = (t + r) % baseline_bodies.len();
                 let req = Request::get(format!("/page/{p}"));
                 let mut done = false;

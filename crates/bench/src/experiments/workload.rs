@@ -404,7 +404,7 @@ mod tests {
 
     #[test]
     fn live_sweep_and_determinism_pass_the_gates() {
-        let _guard = ALLOC_SERIAL.lock().unwrap();
+        let _guard = ALLOC_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         let cfg = tiny_live();
         let live = live_sweep(&cfg, &live_targets(&cfg), None);
         assert_eq!(live.len(), 3);

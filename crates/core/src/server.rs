@@ -71,7 +71,7 @@ use sww_html::gencontent::ContentType;
 use sww_html::{gencontent, parse, serialize};
 use sww_http2::server::{serve_connection_until, ServeStats};
 use sww_http2::{GenAbility, H2Error, Request, Response};
-use sww_http3::server::{serve_h3_connection_until, H3ServeContext, H3ServeStats};
+use sww_http3::server::{serve_h3_connection_split, H3ServeContext, H3ServeStats};
 use sww_http3::H3Error;
 use sww_obs::{Registry, Span};
 use tokio::io::{AsyncRead, AsyncWrite};
@@ -323,6 +323,28 @@ impl ServerShared {
         self.faults
             .as_ref()
             .map(|stream| Arc::clone(&stream.read()))
+    }
+
+    /// Whether answering `req` for a client advertising `client_ability`
+    /// may block. Only a `GET` of a site page served in prompt form cannot:
+    /// it reads the frozen site and renders nothing. Anything a pool
+    /// admits may wait for its turn, and anything on an armed server may
+    /// draw a latency fault, so on those servers every request may block;
+    /// so may an asset (a `/generated/` one renders), `/video/` and
+    /// `/metrics`.
+    fn may_block(&self, req: &Request, client_ability: GenAbility) -> bool {
+        if self.pool.is_some() || self.faults.is_some() {
+            return true;
+        }
+        let path = req.path.as_str();
+        let page = req.method == "GET"
+            && path != "/metrics"
+            && !path.starts_with("/generated/")
+            && !path.starts_with("/video/")
+            && !self.site.assets.contains_key(path)
+            && self.site.page(path).is_some();
+        let mode = session(self.ability, client_ability).mode(&self.policy);
+        !(page && matches!(mode, ServeMode::Generative | ServeMode::UpscaleAssisted))
     }
 }
 
@@ -591,9 +613,14 @@ impl GenerativeServer {
     /// path as [`serve_stream`](GenerativeServer::serve_stream) — the h3
     /// framing adapter delivers the client's latest advertised ability
     /// per request and the transport-agnostic core does the rest.
-    /// Requests on distinct streams execute concurrently, so one slow
-    /// generation never head-of-line-blocks the other recipes on a page.
-    /// A [draining](GenerativeServer::drain) server sends GOAWAY and
+    ///
+    /// A request that may block runs on a thread of the blocking crew; one
+    /// that cannot — a page answered in prompt form by a server with no
+    /// admission pool and no chaos spec — is answered on the connection,
+    /// sparing it the trip to a crew thread and back. Requests on distinct
+    /// streams still complete independently, so one slow generation never
+    /// head-of-line-blocks the other recipes on a page. A
+    /// [draining](GenerativeServer::drain) server sends GOAWAY and
     /// finishes the streams in flight.
     pub async fn serve_h3_stream<T>(&self, io: T) -> Result<H3ServeStats, H3Error>
     where
@@ -601,14 +628,16 @@ impl GenerativeServer {
     {
         count_session(&self.shared.metrics, TransportKind::H3);
         let shared = Arc::clone(&self.shared);
+        let placer = Arc::clone(&self.shared);
         let drain_watch = Arc::clone(&self.shared);
         let ability = self.shared.ability;
-        serve_h3_connection_until(
+        serve_h3_connection_split(
             io,
             ability,
             move |req: Request, ctx: H3ServeContext| {
                 dispatch(&shared, ctx.client_ability, &req, TransportKind::H3, None)
             },
+            move |req: &Request, ctx: &H3ServeContext| placer.may_block(req, ctx.client_ability),
             move || drain_watch.draining.load(Ordering::SeqCst),
         )
         .await

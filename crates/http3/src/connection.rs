@@ -141,7 +141,7 @@ pub(crate) fn encode_response(resp: &Response) -> Vec<u8> {
     out
 }
 
-fn decode_response(data: &[u8]) -> Result<Response, H3Error> {
+pub(crate) fn decode_response(data: &[u8]) -> Result<Response, H3Error> {
     let (fields, body) = decode_message(data)?;
     let mut resp = Response::from_fields(fields).map_err(|e| H3Error::Protocol(e.to_string()))?;
     resp.body = body;

@@ -29,8 +29,9 @@
 //!   exchange, GEN_ABILITY negotiation, pipelined request streams and
 //!   0-RTT resumption tickets,
 //! * [`server`] — the serving driver: one event loop per connection that
-//!   dispatches each request stream to its own worker, so a slow
-//!   generation never head-of-line-blocks the other streams.
+//!   runs each request stream on a crew thread when it may block and on
+//!   the connection when it cannot, so a slow generation never
+//!   head-of-line-blocks the other streams.
 
 pub mod connection;
 pub mod frame;
@@ -41,7 +42,10 @@ pub mod transport;
 pub mod varint;
 
 pub use connection::{H3ClientConnection, H3Error, SessionTicket};
-pub use server::{serve_h3_connection, serve_h3_connection_until, H3ServeContext, H3ServeStats};
+pub use server::{
+    serve_h3_connection, serve_h3_connection_split, serve_h3_connection_until, H3ServeContext,
+    H3ServeStats,
+};
 pub use settings::{H3Settings, SETTINGS_SWW_GEN_ABILITY};
 
 /// Re-export: the capability type is shared with HTTP/2.

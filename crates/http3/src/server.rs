@@ -1,29 +1,36 @@
 //! The HTTP/3 serving driver: a single-task event loop that multiplexes
-//! control streams, request streams and handler completions over one
+//! control streams, request streams and their replies over one
 //! `QuicLite` connection.
 //!
 //! The h2 driver (`sww_http2::serve_connection_until`) answers requests
 //! inline, one at a time — HTTP/2's stream multiplexing shares a
 //! connection, but a slow handler still serializes everything behind it.
-//! Here each decoded request is handed to `tokio::task::spawn_blocking`
-//! — a parked thread of the process's blocking crew, or a new one when
-//! none is parked, never a place behind a running handler — and the loop
-//! keeps reading; responses are shipped the moment they finish, in
-//! *completion* order, not arrival order. That is the QUIC property the
-//! paper's §3.1 cares about: one slow generation does not stall the other
-//! recipes on the page.
+//! Here each decoded request runs where it belongs: one that may block
+//! goes to `tokio::task::spawn_blocking` — a parked thread of the
+//! process's blocking crew, or a new one when none is parked, never a
+//! place behind a running handler — and one that cannot block is answered
+//! by a task on the connection's own executor, as tokio splits async work
+//! from its blocking pool. The caller says which is which
+//! ([`serve_h3_connection_split`]). Either way the loop keeps reading, and
+//! replies ship the moment they finish, in *completion* order, not
+//! arrival order. That is the QUIC property the paper's §3.1 cares about:
+//! one slow generation does not stall the other recipes on the page.
 //!
 //! The loop itself never blocks on a handler. It parks in a single
 //! `poll_fn` that watches two event sources at once: the transport
 //! ([`QuicLite::poll_recv_chunk`] is restartable, so a partially read
-//! frame survives between polls) and the join handles of its handlers.
-//! A handler's thread also encodes the response, so a handle yields
-//! octets and the loop only moves them. A handle keeps the loop's `Waker`
-//! and the crew fires it once the thread is back on its seat, so a
-//! completion is shipped when it happens, not when the executor next
-//! looks, and the next stream's handler finds that thread parked. At most
-//! `MAX_IN_FLIGHT` handlers run per connection; at the bound the loop
-//! stops reading the transport and the pipe pushes back.
+//! frame survives between polls) and the join handles of its replies.
+//! Whatever runs a handler also encodes its response, so a handle yields
+//! octets and the loop only moves them. A handle keeps the loop's `Waker`:
+//! a task on the connection fires it when it ends, and the crew once the
+//! thread is back on its seat, so a completion is shipped when it happens,
+//! not when the executor next looks, and the next stream's handler finds
+//! that thread parked. A reply computed on the connection still comes
+//! back through its handle rather than being shipped where it was
+//! computed: a resolved handle is progress to the executor, and a write
+//! into the pipe is not. At most `MAX_IN_FLIGHT` replies are pending per
+//! connection; at the bound the loop stops reading the transport and the
+//! pipe pushes back.
 
 use crate::connection::{
     apply_control_stream, control_frame_payload, control_stream_payload, decode_request,
@@ -33,6 +40,7 @@ use crate::frame::H3Frame;
 use crate::settings::H3Settings;
 use crate::transport::{stream_id, QuicLite, TransportError};
 use std::future::Future;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
 use std::sync::Arc;
 use std::task::Poll;
@@ -67,6 +75,9 @@ pub struct H3ServeStats {
     pub requests: u64,
     /// Responses fully written back.
     pub responses: u64,
+    /// Requests handed to the blocking crew; the rest were answered on
+    /// the connection.
+    pub crew_jobs: u64,
     /// Client control-stream messages applied (initial SETTINGS plus any
     /// mid-connection ability updates).
     pub settings_updates: u64,
@@ -74,12 +85,12 @@ pub struct H3ServeStats {
     pub sent_goaway: bool,
 }
 
-/// Handlers one connection may have in flight on the crew's threads. A
-/// peer opens streams for free; a handler that blocks holds a thread.
+/// Replies one connection may have in flight. A peer opens streams for
+/// free; a handler that blocks holds a crew thread.
 const MAX_IN_FLIGHT: usize = 64;
 
 enum Event {
-    /// A handler finished: its stream and encoded response.
+    /// A reply finished: its stream and encoded response.
     Completed(u64, Vec<u8>),
     /// A whole incoming stream arrived.
     Stream(u64, Vec<u8>),
@@ -90,28 +101,34 @@ enum Event {
 }
 
 /// Serve one HTTP/3 connection until the peer closes or `should_close`
-/// reports drain.
+/// reports drain, running on the blocking crew only the requests
+/// `may_block` picks.
 ///
 /// The server announces `ability` in its control-stream SETTINGS; each
-/// request stream is decoded and dispatched to `handler` on a thread of
-/// the blocking crew, so concurrent requests make progress independently;
-/// a handler that panics answers its own stream with `500` and disturbs no
-/// other, and a stream the OS refuses a thread for is answered `503`.
-/// When `should_close` turns true the server sends GOAWAY on a fresh
+/// request stream is decoded and dispatched to `handler`. A request for
+/// which `may_block` answers `true` runs on a thread of the blocking crew,
+/// so a slow one never stalls another stream, and a stream the OS refuses
+/// a thread for is answered `503`. Any other request is answered by a task
+/// on the connection's executor: `may_block` promises its handler returns
+/// without waiting on anything. A handler that panics answers its own
+/// stream with `500` and disturbs no other, wherever it ran. When
+/// `should_close` turns true the server sends GOAWAY on a fresh
 /// control-typed stream, stops accepting new request streams, finishes
 /// the ones in flight and returns.
 ///
 /// The handler must be `Fn + Send + Sync` (not `FnMut`): it runs on
 /// worker threads, concurrently with itself.
-pub async fn serve_h3_connection_until<T, H, P>(
+pub async fn serve_h3_connection_split<T, H, B, P>(
     io: T,
     ability: GenAbility,
     handler: H,
+    may_block: B,
     should_close: P,
 ) -> Result<H3ServeStats, H3Error>
 where
     T: AsyncRead + AsyncWrite + Unpin,
     H: Fn(Request, H3ServeContext) -> Response + Send + Sync + 'static,
+    B: Fn(&Request, &H3ServeContext) -> bool,
     P: Fn() -> bool,
 {
     let mut quic = QuicLite::server(io);
@@ -139,23 +156,23 @@ where
             stats.sent_goaway = true;
         }
 
-        // Once the peer has closed or GOAWAY is out, only handler
-        // completions can make progress.
+        // Once the peer has closed or GOAWAY is out, only replies in
+        // flight can make progress.
         let finishing = peer_closed || stats.sent_goaway;
         if finishing && in_flight.is_empty() {
             return Ok(stats);
         }
 
-        // Park until a handler completes, the transport yields a whole
-        // stream, or drain is requested. A finished handler comes first:
+        // Park until a reply completes, the transport yields a whole
+        // stream, or drain is requested. A finished reply comes first:
         // responses ship in completion order, not arrival order. The drain
         // flag has no waker: the executor's backoff re-polls it.
         let event = std::future::poll_fn(|cx| {
             for i in 0..in_flight.len() {
                 if let Poll::Ready(joined) = Pin::new(&mut in_flight[i].1).poll(cx) {
                     let (stream, _) = in_flight.swap_remove(i);
-                    // A handler that panicked answers its own stream; one
-                    // the OS refused a thread never ran.
+                    // A crew handler that panicked answers its own stream;
+                    // one the OS refused a thread never ran.
                     let octets = joined.unwrap_or_else(|e| {
                         encode_response(&Response::status(if e.is_panic() { 500 } else { 503 }))
                     });
@@ -165,7 +182,7 @@ where
             if !finishing && should_close() {
                 return Poll::Ready(Ok(Event::Drain));
             }
-            // At the thread bound unread streams wait in the pipe.
+            // At the bound unread streams wait in the pipe.
             if finishing || in_flight.len() >= MAX_IN_FLIGHT {
                 return Poll::Pending;
             }
@@ -202,14 +219,40 @@ where
                     server_ability: local.gen_ability,
                 };
                 let work = Arc::clone(&handler);
-                let job = tokio::task::spawn_blocking(move || encode_response(&work(req, ctx)));
-                in_flight.push((stream, job));
+                let reply = if may_block(&req, &ctx) {
+                    stats.crew_jobs += 1;
+                    tokio::task::spawn_blocking(move || encode_response(&work(req, ctx)))
+                } else {
+                    tokio::task::spawn(async move {
+                        catch_unwind(AssertUnwindSafe(|| encode_response(&work(req, ctx))))
+                            .unwrap_or_else(|_| encode_response(&Response::status(500)))
+                    })
+                };
+                in_flight.push((stream, reply));
             }
         }
     }
 }
 
-/// Serve one HTTP/3 connection until the peer closes.
+/// Serve one HTTP/3 connection until the peer closes or `should_close`
+/// reports drain, running every handler on the blocking crew: a handler
+/// here may block. See [`serve_h3_connection_split`].
+pub async fn serve_h3_connection_until<T, H, P>(
+    io: T,
+    ability: GenAbility,
+    handler: H,
+    should_close: P,
+) -> Result<H3ServeStats, H3Error>
+where
+    T: AsyncRead + AsyncWrite + Unpin,
+    H: Fn(Request, H3ServeContext) -> Response + Send + Sync + 'static,
+    P: Fn() -> bool,
+{
+    serve_h3_connection_split(io, ability, handler, |_, _| true, should_close).await
+}
+
+/// Serve one HTTP/3 connection until the peer closes, running every
+/// handler on the blocking crew.
 pub async fn serve_h3_connection<T, H>(
     io: T,
     ability: GenAbility,
@@ -281,15 +324,23 @@ mod tests {
         .await
     }
 
-    #[tokio::test]
-    async fn panicking_handler_answers_500_and_the_connection_still_finishes() {
+    /// A handler that panics on `/boom`, run on the crew or on the
+    /// connection as `blocks` says: its stream answers `500`, the others
+    /// answer, and the connection serves on and finishes.
+    async fn a_panic_answers_500(blocks: bool) {
         const LIMIT: Duration = Duration::from_secs(10);
         let (a, b) = tokio::io::duplex(1 << 20);
         let server = tokio::spawn(async move {
-            serve_h3_connection(b, GenAbility::full(), |req: Request, _ctx| {
-                assert_ne!(req.path, "/boom", "handler bug");
-                Response::ok(Bytes::from(format!("ok:{}", req.path)))
-            })
+            serve_h3_connection_split(
+                b,
+                GenAbility::full(),
+                |req: Request, _ctx| {
+                    assert_ne!(req.path, "/boom", "handler bug");
+                    Response::ok(Bytes::from(format!("ok:{}", req.path)))
+                },
+                move |_req: &Request, _ctx: &H3ServeContext| blocks,
+                || false,
+            )
             .await
         });
         let mut client = H3ClientConnection::handshake(a, GenAbility::full())
@@ -307,6 +358,11 @@ mod tests {
         assert_eq!(&resps[0].body[..], b"ok:/one");
         assert_eq!(resps[1].status, 500);
         assert_eq!(&resps[2].body[..], b"ok:/two");
+        let after = within(LIMIT, client.send_request(&Request::get("/three")))
+            .await
+            .expect("the connection stopped serving after the panic")
+            .unwrap();
+        assert_eq!(&after.body[..], b"ok:/three");
 
         // The peer hangs up: with every stream accounted for the serve
         // future returns instead of waiting on a handler.
@@ -316,7 +372,98 @@ mod tests {
             .expect("serve future never returned after the peer closed")
             .unwrap()
             .unwrap();
-        assert_eq!((stats.requests, stats.responses), (3, 3));
+        let crew_jobs = if blocks { 4 } else { 0 };
+        assert_eq!(
+            (stats.requests, stats.responses, stats.crew_jobs),
+            (4, 4, crew_jobs)
+        );
+    }
+
+    #[tokio::test]
+    async fn panicking_handler_answers_500_and_the_connection_still_finishes() {
+        a_panic_answers_500(true).await;
+    }
+
+    #[tokio::test]
+    async fn a_panicking_immediate_reply_answers_500_and_the_connection_still_finishes() {
+        a_panic_answers_500(false).await;
+    }
+
+    /// The response on `stream`, read past the server's control streams;
+    /// any other request stream answered first fails.
+    async fn response_on<T: AsyncRead + AsyncWrite + Unpin>(
+        peer: &mut QuicLite<T>,
+        stream: u64,
+    ) -> Response {
+        loop {
+            let (id, data) = peer.recv_any_stream().await.unwrap();
+            if id == stream {
+                return crate::connection::decode_response(&data).unwrap();
+            }
+            assert!(stream_id::is_uni(id), "stream {id} answered first");
+        }
+    }
+
+    /// Requests an immediate `/fast` and a blocking `/slow` whose handler
+    /// waits for `gate`, `/slow` first, on one connection.
+    #[tokio::test]
+    async fn an_immediate_reply_is_not_held_behind_a_blocking_one() {
+        const LIMIT: Duration = Duration::from_secs(10);
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let held = Arc::clone(&gate);
+        let (a, b) = tokio::io::duplex(1 << 20);
+        let server = tokio::spawn(async move {
+            serve_h3_connection_split(
+                b,
+                GenAbility::full(),
+                move |req: Request, _ctx| {
+                    if req.path == "/slow" {
+                        let (open, opened) = &*held;
+                        drop(
+                            opened
+                                .wait_while(open.lock().unwrap(), |open| !*open)
+                                .unwrap(),
+                        );
+                    }
+                    Response::ok(Bytes::from(format!("done:{}", req.path)))
+                },
+                |req: &Request, _ctx: &H3ServeContext| req.path == "/slow",
+                || false,
+            )
+            .await
+        });
+        let mut peer = QuicLite::client(a);
+        let control = peer.open_uni();
+        let settings = control_stream_payload(&H3Settings::sww(GenAbility::full()));
+        peer.send(control, &settings, true).await.unwrap();
+        let slow = peer.open_bidi();
+        let fast = peer.open_bidi();
+        for (stream, path) in [(slow, "/slow"), (fast, "/fast")] {
+            let request = crate::connection::encode_request(&Request::get(path));
+            peer.send(stream, &request, true).await.unwrap();
+        }
+        let first = within(LIMIT, response_on(&mut peer, fast)).await;
+        // Open the gate before judging, so a failure leaves no thread held.
+        let (open, opened) = &*gate;
+        *open.lock().unwrap() = true;
+        opened.notify_all();
+        let first = first.expect("/fast was held behind /slow");
+        assert_eq!(&first.body[..], b"done:/fast");
+        let second = within(LIMIT, response_on(&mut peer, slow))
+            .await
+            .expect("/slow never answered after its gate opened");
+        assert_eq!(&second.body[..], b"done:/slow");
+
+        drop(peer);
+        let stats = within(LIMIT, server)
+            .await
+            .expect("serve future never returned after the peer closed")
+            .unwrap()
+            .unwrap();
+        assert_eq!(
+            (stats.requests, stats.responses, stats.crew_jobs),
+            (2, 2, 1)
+        );
     }
 
     /// A peer that never finishes its streams is cut off once the octets
