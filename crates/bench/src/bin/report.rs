@@ -40,7 +40,7 @@ fn main() {
     let mut measured_image_ratio = 157.0;
     if wants(&filter, "e2") {
         eprintln!("[building the 49-image Wikimedia workload ...]");
-        let page = sww_workload::wikimedia::landscape_search_page();
+        let page = sww_workload::landscape_search_page();
         let r = rt.block_on(wikimedia::run(&page));
         measured_image_ratio = r.compression_ratio;
         println!("{}", wikimedia::table(&r).render());

@@ -4,9 +4,7 @@
 
 use crate::table::Table;
 use std::time::Instant;
-use sww_genai::image::codec;
-use sww_genai::upscale::upscale;
-use sww_genai::{DiffusionModel, GenerationPipeline, ImageModelKind};
+use sww_genai::{codec, upscale, DiffusionModel, GenerationPipeline, ImageModelKind};
 use sww_http2::hpack::{Decoder, Encoder, HeaderField};
 
 /// Preload ablation result: wall-clock cost of reusing one pipeline vs

@@ -3,11 +3,8 @@
 //! laptop, >10 s on the workstation).
 
 use crate::table::{bytes, secs, Table};
-use sww_energy::cost;
-use sww_energy::device::{profile, DeviceKind};
-use sww_genai::metrics::sbert;
-use sww_genai::text::{TextModel, TextModelKind};
-use sww_workload::article;
+use sww_energy::{profile, DeviceKind};
+use sww_genai::{TextModel, TextModelKind};
 
 /// Results of the article reproduction.
 #[derive(Debug, Clone)]
@@ -30,9 +27,9 @@ pub struct ArticleResult {
 
 /// Run the text experiment with the paper's model of choice.
 pub fn run() -> ArticleResult {
-    let (original, converted) = article::sizes();
-    let bullets = article::article_bullets();
-    let target = article::target_words();
+    let (original, converted) = sww_workload::article_sizes();
+    let bullets = sww_workload::article_bullets();
+    let target = sww_workload::target_words();
     let model = TextModel::new(TextModelKind::DeepSeekR1_8B);
     let text = model.expand(&bullets, target);
     let laptop = profile(DeviceKind::Laptop);
@@ -41,10 +38,10 @@ pub fn run() -> ArticleResult {
         original_bytes: original as u64,
         converted_bytes: converted as u64,
         compression_ratio: original as f64 / converted as f64,
-        laptop_s: cost::text_generation_time(TextModelKind::DeepSeekR1_8B, &laptop, target),
-        workstation_s: cost::text_generation_time(TextModelKind::DeepSeekR1_8B, &ws, target),
-        sbert: sbert::sbert_score(&bullets, &text),
-        overshoot: sww_genai::text::word_length_overshoot(&text, target),
+        laptop_s: sww_energy::text_generation_time(TextModelKind::DeepSeekR1_8B, &laptop, target),
+        workstation_s: sww_energy::text_generation_time(TextModelKind::DeepSeekR1_8B, &ws, target),
+        sbert: sww_genai::sbert_score(&bullets, &text),
+        overshoot: sww_genai::word_length_overshoot(&text, target),
     }
 }
 

@@ -10,7 +10,7 @@
 //! `batch_equivalence` suite), so the win is not wall-clock in this
 //! process — it is the **modelled device time** of the batched pass:
 //! `t(batch) = t(1)·(0.7/batch + 0.3)` per image
-//! ([`sww_energy::cost::batched_image_generation_time`]). The sweep
+//! ([`sww_energy::batched_image_generation_time`]). The sweep
 //! reports images per modelled second and the speedup over the
 //! unbatched baseline, alongside the achieved batch size and the p99
 //! wait members paid for their group to close (bounded by the

@@ -4,13 +4,9 @@
 //! the generated pixels.
 
 use crate::table::{bytes, secs, wh, Table};
-use sww_energy::cost;
-use sww_energy::device::{profile, DeviceKind};
-use sww_energy::Energy;
-use sww_genai::diffusion::{DiffusionModel, ImageModelKind};
-use sww_genai::image::codec;
-use sww_genai::text::bullets;
-use sww_workload::media_classes::{table2_classes, text_block_250, worst_case_image_metadata};
+use sww_energy::{profile, DeviceKind, Energy};
+use sww_genai::{codec, DiffusionModel, ImageModelKind};
+use sww_workload::{table2_classes, text_block_250, worst_case_image_metadata};
 
 /// One regenerated Table 2 row.
 #[derive(Debug, Clone)]
@@ -51,7 +47,7 @@ pub fn run() -> Vec<Table2Row> {
                 let measured = codec::encode(&img, 55).len() as u64;
                 let metadata =
                     sww_json::to_string(&worst_case_image_metadata(class.side)).len() as u64;
-                let lap_t = cost::image_generation_time(
+                let lap_t = sww_energy::image_generation_time(
                     ImageModelKind::Sd3Medium,
                     &laptop,
                     class.side,
@@ -59,7 +55,7 @@ pub fn run() -> Vec<Table2Row> {
                     15,
                 )
                 .expect("local");
-                let ws_t = cost::image_generation_time(
+                let ws_t = sww_energy::image_generation_time(
                     ImageModelKind::Sd3Medium,
                     &ws,
                     class.side,
@@ -81,15 +77,15 @@ pub fn run() -> Vec<Table2Row> {
                 }
             } else {
                 let (text, _div) = text_block_250();
-                let blist = bullets::to_bullets(&text, 5);
-                let metadata = bullets::bullets_wire_size(&blist) as u64 + 24;
-                let lap_t = cost::text_generation_time(
-                    sww_genai::text::TextModelKind::DeepSeekR1_8B,
+                let blist = sww_genai::to_bullets(&text, 5);
+                let metadata = sww_genai::bullets_wire_size(&blist) as u64 + 24;
+                let lap_t = sww_energy::text_generation_time(
+                    sww_genai::TextModelKind::DeepSeekR1_8B,
                     &laptop,
                     250,
                 );
-                let ws_t = cost::text_generation_time(
-                    sww_genai::text::TextModelKind::DeepSeekR1_8B,
+                let ws_t = sww_energy::text_generation_time(
+                    sww_genai::TextModelKind::DeepSeekR1_8B,
                     &ws,
                     250,
                 );

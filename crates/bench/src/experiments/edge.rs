@@ -28,8 +28,7 @@ use sww_core::{
     ChaosSpec, EdgeConfig, EdgeRouter, GenAbility, GenerativeServer, HashRing, MediaGenerator,
     ServerConfig,
 };
-use sww_energy::cost;
-use sww_energy::device::{profile, DeviceKind};
+use sww_energy::{profile, DeviceKind};
 use sww_http2::Request;
 
 use super::concurrency::{bench_site, percentile_ms};
@@ -166,7 +165,7 @@ fn prompt_keys(prompts: usize) -> Vec<String> {
 /// serving device.
 fn generation_seconds() -> f64 {
     let generator = MediaGenerator::new(profile(DeviceKind::Workstation));
-    cost::image_generation_time(
+    sww_energy::image_generation_time(
         generator.image_model(),
         &profile(DeviceKind::Workstation),
         64,

@@ -2,11 +2,8 @@
 //! estimate, and the §7 web-scale traffic projection.
 
 use crate::table::{bytes, secs, wh, Table};
-use sww_energy::carbon;
-use sww_energy::cost;
-use sww_energy::device::{profile, DeviceKind};
-use sww_energy::network::{self, LinkModel};
-use sww_genai::diffusion::ImageModelKind;
+use sww_energy::{profile, DeviceKind, LinkModel};
+use sww_genai::ImageModelKind;
 
 /// E9 results: transmit vs generate for the large image.
 #[derive(Debug, Clone)]
@@ -34,8 +31,9 @@ pub fn energy_compare() -> EnergyCompare {
     let ws = profile(DeviceKind::Workstation);
     let transmit_s = link.transmit_time(image_bytes);
     let generate_s =
-        cost::image_generation_time(ImageModelKind::Sd3Medium, &ws, 1024, 1024, 15).expect("local");
-    let transmit_wh = network::transmission_energy(image_bytes).wh();
+        sww_energy::image_generation_time(ImageModelKind::Sd3Medium, &ws, 1024, 1024, 15)
+            .expect("local");
+    let transmit_wh = sww_energy::transmission_energy(image_bytes).wh();
     let generate_wh = sww_energy::Energy::from_power(ws.image_power_w, generate_s).wh();
     EnergyCompare {
         image_bytes,
@@ -91,7 +89,7 @@ pub fn carbon(measured_image_ratio: f64) -> Vec<CarbonRow> {
             rows.push(CarbonRow {
                 label: label.to_string(),
                 ratio,
-                saved_kg: carbon::storage_savings_kg_co2e(volume, ratio),
+                saved_kg: sww_energy::storage_savings_kg_co2e(volume, ratio),
             });
         }
     }
@@ -132,7 +130,7 @@ pub fn projection(measured_ratio: f64) -> Vec<ProjectionRow> {
         .map(|volume| ProjectionRow {
             eb_per_month: volume / 1e18,
             ratio: measured_ratio,
-            pb_per_month: sww_core::stats::project_traffic(volume, measured_ratio) / 1e15,
+            pb_per_month: sww_core::project_traffic(volume, measured_ratio) / 1e15,
         })
         .collect()
 }

@@ -5,7 +5,7 @@
 //! real parser, generator and rewriter, and returns both forms.
 
 use sww_core::mediagen::{GeneratedMedia, MediaGenerator};
-use sww_energy::device::{profile, DeviceKind};
+use sww_energy::{profile, DeviceKind};
 use sww_html::{gencontent, parse, serialize};
 
 /// The two forms of the Figure 1 division plus the measured artifacts.

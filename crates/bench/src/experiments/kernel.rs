@@ -15,7 +15,7 @@
 //!   Honest but host-shaped: it tracks the modelled curve only up to
 //!   `min(lanes, cores)`, and on a single-core CI box it is flat.
 //! * **modelled** — images per modelled device-second from
-//!   [`sww_energy::cost::tiled_batch_pass_time`], the same cost model
+//!   [`sww_energy::tiled_batch_pass_time`], the same cost model
 //!   that prices the E16 batching win. This is the machine-independent
 //!   number the regression gate compares (see PERFORMANCE.md).
 //!
@@ -35,10 +35,8 @@ use crate::table::Table;
 use std::sync::{Barrier, Mutex};
 use std::time::Instant;
 use sww_core::{CrewRunner, GenAbility, GenerativeServer, ServerConfig};
-use sww_energy::cost::tiled_batch_pass_time;
-use sww_energy::device::{profile, DeviceKind};
-use sww_genai::diffusion::{DiffusionModel, ImageModelKind, StepCancel, Tiling};
-use sww_genai::prompt::PromptFeatures;
+use sww_energy::{profile, tiled_batch_pass_time, DeviceKind};
+use sww_genai::{DiffusionModel, ImageModelKind, PromptFeatures, StepCancel, Tiling};
 use sww_http2::Request;
 
 /// One lane-count sample of the raw kernel sweep.
@@ -53,7 +51,7 @@ pub struct KernelSample {
     /// 99th-percentile per-pass wall time in milliseconds.
     pub p99_ms: f64,
     /// Images per modelled device-second
-    /// ([`sww_energy::cost::tiled_batch_pass_time`]).
+    /// ([`sww_energy::tiled_batch_pass_time`]).
     pub modelled_rate: f64,
     /// `modelled_rate` relative to the 1-lane row.
     pub speedup: f64,
@@ -123,7 +121,7 @@ pub fn kernel_sample(cfg: KernelConfig, tiles: usize) -> KernelSample {
     // the worst case so the measured phase's zero-allocation property is
     // exact (the latent working set is deterministic: all 3·batch
     // buffers live through every pass, so warmup already covers it).
-    sww_genai::pool::decode_pool().prewarm(tiles, (cfg.side * cfg.side) as usize);
+    sww_genai::decode_pool().prewarm(tiles, (cfg.side * cfg.side) as usize);
     let alloc_before = pool_alloc_bytes();
     let mut pass_ms: Vec<f64> = Vec::with_capacity(cfg.reps);
     let start = Instant::now();
@@ -275,7 +273,7 @@ pub fn serving_sample(cfg: ServingConfig, kernel_tiles: usize) -> ServingSample 
     // See kernel_sample: up to `kernel_tiles` decode planes (64×64, the
     // bench_site image size) are live at once, and organic warmup only
     // shelves the peak this host's scheduler happened to reach.
-    sww_genai::pool::decode_pool().prewarm(kernel_tiles.max(1), 64 * 64);
+    sww_genai::decode_pool().prewarm(kernel_tiles.max(1), 64 * 64);
     let alloc_before = pool_alloc_bytes();
     let modelled_before = server.server_generation_time_s();
     let start = Instant::now();

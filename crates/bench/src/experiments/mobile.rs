@@ -11,10 +11,8 @@
 //! accelerators and lighter models.
 
 use crate::table::{secs, Table};
-use sww_energy::cost;
-use sww_energy::device::{profile, DeviceKind};
-use sww_energy::Energy;
-use sww_genai::diffusion::ImageModelKind;
+use sww_energy::{profile, DeviceKind, Energy};
+use sww_genai::ImageModelKind;
 
 /// Typical flagship battery, watt-hours.
 pub const PHONE_BATTERY_WH: f64 = 15.0;
@@ -49,13 +47,13 @@ pub fn run() -> Vec<MobileRow> {
     .into_iter()
     .map(|(side, label)| {
         let mobile_s =
-            cost::image_generation_time(ImageModelKind::Sd3Medium, &mobile, side, side, 15)
+            sww_energy::image_generation_time(ImageModelKind::Sd3Medium, &mobile, side, side, 15)
                 .expect("local");
         let laptop_s =
-            cost::image_generation_time(ImageModelKind::Sd3Medium, &laptop, side, side, 15)
+            sww_energy::image_generation_time(ImageModelKind::Sd3Medium, &laptop, side, side, 15)
                 .expect("local");
         let mobile_fast_s =
-            cost::image_generation_time(ImageModelKind::FluxFast, &mobile, side, side, 15)
+            sww_energy::image_generation_time(ImageModelKind::FluxFast, &mobile, side, side, 15)
                 .expect("local");
         MobileRow {
             label: label.to_string(),
@@ -71,7 +69,8 @@ pub fn run() -> Vec<MobileRow> {
 /// Battery share of a day's browsing (IMAGES_PER_DAY small images).
 pub fn battery_share(model: ImageModelKind) -> f64 {
     let mobile = profile(DeviceKind::Mobile);
-    let per_image = cost::image_generation_time(model, &mobile, 256, 256, 15).expect("local model");
+    let per_image =
+        sww_energy::image_generation_time(model, &mobile, 256, 256, 15).expect("local model");
     let day = Energy::from_power(mobile.image_power_w, per_image).scale(f64::from(IMAGES_PER_DAY));
     day.wh() / PHONE_BATTERY_WH
 }

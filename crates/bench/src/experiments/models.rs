@@ -3,11 +3,8 @@
 //! text-to-text comparison.
 
 use crate::table::{secs, Table};
-use sww_energy::cost;
-use sww_energy::device::{profile, DeviceKind};
-use sww_genai::diffusion::{DiffusionModel, ImageModelKind};
-use sww_genai::metrics::{clip, sbert};
-use sww_genai::text::{TextModel, TextModelKind};
+use sww_energy::{profile, DeviceKind};
+use sww_genai::{DiffusionModel, ImageModelKind, TextModel, TextModelKind};
 
 /// Prompt set used for CLIP measurements (averages out per-prompt noise).
 pub fn clip_prompts() -> [&'static str; 6] {
@@ -46,15 +43,15 @@ pub fn table1() -> Vec<Table1Row> {
             let model = DiffusionModel::new(kind);
             let clip_mean = clip_prompts()
                 .iter()
-                .map(|p| clip::clip_score(&model.generate(p, 224, 224, 15), p))
+                .map(|p| sww_genai::clip_score(&model.generate(p, 224, 224, 15), p))
                 .sum::<f64>()
                 / clip_prompts().len() as f64;
             Table1Row {
                 model: model.profile().name.to_string(),
                 elo: model.profile().elo,
                 clip: clip_mean,
-                laptop_s_per_step: cost::time_per_step(kind, &laptop),
-                workstation_s_per_step: cost::time_per_step(kind, &ws),
+                laptop_s_per_step: sww_energy::time_per_step(kind, &laptop),
+                workstation_s_per_step: sww_energy::time_per_step(kind, &ws),
             }
         })
         .collect()
@@ -109,13 +106,13 @@ pub fn step_sweep() -> Vec<StepSweepRow> {
         .map(|steps| {
             let clip_mean = clip_prompts()
                 .iter()
-                .map(|p| clip::clip_score(&model.generate(p, 224, 224, steps), p))
+                .map(|p| sww_genai::clip_score(&model.generate(p, 224, 224, steps), p))
                 .sum::<f64>()
                 / clip_prompts().len() as f64;
             StepSweepRow {
                 steps,
                 clip: clip_mean,
-                workstation_s: cost::image_generation_time(
+                workstation_s: sww_energy::image_generation_time(
                     ImageModelKind::Sd3Medium,
                     &ws,
                     224,
@@ -163,7 +160,7 @@ pub fn size_sweep() -> Vec<SizeSweepRow> {
         .into_iter()
         .map(|side| SizeSweepRow {
             side,
-            laptop_s: cost::image_generation_time(
+            laptop_s: sww_energy::image_generation_time(
                 ImageModelKind::Sd3Medium,
                 &laptop,
                 side,
@@ -171,7 +168,7 @@ pub fn size_sweep() -> Vec<SizeSweepRow> {
                 15,
             )
             .expect("local model"),
-            workstation_s: cost::image_generation_time(
+            workstation_s: sww_energy::image_generation_time(
                 ImageModelKind::Sd3Medium,
                 &ws,
                 side,
@@ -240,9 +237,8 @@ pub fn text_models(samples: usize) -> Vec<TextModelRow> {
                 bullets.push(format!("sample variation {i}"));
                 let target = 50 + (i % 5) * 50;
                 let text = model.expand(&bullets, target);
-                sberts.push(sbert::sbert_score(&bullets, &text));
-                overshoots
-                    .push(sww_genai::text::word_length_overshoot(&text, target).abs() * 100.0);
+                sberts.push(sww_genai::sbert_score(&bullets, &text));
+                overshoots.push(sww_genai::word_length_overshoot(&text, target).abs() * 100.0);
             }
             overshoots.sort_by(|a, b| a.partial_cmp(b).unwrap());
             let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
@@ -250,7 +246,7 @@ pub fn text_models(samples: usize) -> Vec<TextModelRow> {
             let times = |dev| {
                 let ts: Vec<f64> = [50, 100, 150, 200, 250]
                     .iter()
-                    .map(|&w| cost::text_generation_time(kind, dev, w))
+                    .map(|&w| sww_energy::text_generation_time(kind, dev, w))
                     .collect();
                 (
                     ts.iter().cloned().fold(f64::MAX, f64::min),

@@ -2,7 +2,7 @@
 //! recipe on a page needs a slow server-side generation.
 //!
 //! Both transports drive the *same* request core
-//! (`sww_core::server::dispatch` behind [`GenerativeServer`]), so the
+//! (the server's `dispatch` behind [`GenerativeServer`]), so the
 //! per-recipe payloads are byte-identical; the only difference is the
 //! framing. HTTP/2 in this stack answers a connection's requests in
 //! order, so a page of `K` recipes that each cost `W` of generation

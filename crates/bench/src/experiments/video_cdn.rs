@@ -4,11 +4,9 @@
 
 use crate::table::{bytes, Table};
 use std::collections::HashSet;
-use sww_core::video::{negotiate, Resolution, StreamRequest};
-use sww_core::GenAbility;
-use sww_energy::device::{profile, DeviceKind};
-use sww_energy::{cost, Energy};
-use sww_genai::diffusion::ImageModelKind;
+use sww_core::{negotiate_stream, GenAbility, Resolution, StreamRequest};
+use sww_energy::{profile, DeviceKind, Energy};
+use sww_genai::ImageModelKind;
 
 /// One video scenario row.
 #[derive(Debug, Clone)]
@@ -40,7 +38,7 @@ pub fn video() -> Vec<VideoRow> {
     scenarios
         .into_iter()
         .map(|(label, client, server)| {
-            let s = negotiate(req, client, server);
+            let s = negotiate_stream(req, client, server);
             VideoRow {
                 label: label.to_string(),
                 wire_bytes: s.wire_bytes,
@@ -114,8 +112,9 @@ pub struct CdnRow {
 /// SWW passing prompts through to generating clients.
 pub fn cdn_rows(cfg: &CdnConfig) -> Vec<CdnRow> {
     let ws = profile(DeviceKind::Workstation);
-    let render_s = cost::image_generation_time(ImageModelKind::Sd3Medium, &ws, SIDE, SIDE, 15)
-        .expect("edge model is local");
+    let render_s =
+        sww_energy::image_generation_time(ImageModelKind::Sd3Medium, &ws, SIDE, SIDE, 15)
+            .expect("edge model is local");
     let render = Energy::from_power(ws.image_power_w, render_s);
     // Each edge renders an object the first time it is asked for it.
     let mut rendered = HashSet::new();

@@ -6,9 +6,8 @@
 
 use crate::table::{bytes, secs, Table};
 use sww_core::{GenAbility, GenerativeClient, GenerativeServer, ServerConfig, SiteContent};
-use sww_energy::device::{profile, DeviceKind};
-use sww_genai::metrics::clip;
-use sww_workload::wikimedia::{self, LandscapePage};
+use sww_energy::{profile, DeviceKind};
+use sww_workload::LandscapePage;
 
 /// Results of the Figure 2 reproduction.
 #[derive(Debug, Clone)]
@@ -53,7 +52,7 @@ pub async fn run(page: &LandscapePage) -> Fig2Result {
         .await
         .expect("handshake");
     let (rendered, stats) = client.fetch_page("/wiki/landscape").await.expect("fetch");
-    assert_eq!(rendered.generated_count(), wikimedia::IMAGE_COUNT);
+    assert_eq!(rendered.generated_count(), sww_workload::IMAGE_COUNT);
 
     // Workstation pass for the second timing column.
     let (c, d) = tokio::io::duplex(1 << 22);
@@ -73,7 +72,7 @@ pub async fn run(page: &LandscapePage) -> Fig2Result {
     // CLIP preservation, measured from the regenerated pixels.
     let mut clip_sum = 0.0;
     for (res, img) in rendered.resources.iter().zip(&page.images) {
-        clip_sum += clip::clip_score(&res.image, &img.prompt);
+        clip_sum += sww_genai::clip_score(&res.image, &img.prompt);
     }
     let mean_clip = clip_sum / page.images.len() as f64;
 
@@ -83,11 +82,11 @@ pub async fn run(page: &LandscapePage) -> Fig2Result {
         original_media_bytes: original,
         metadata_bytes: metadata,
         compression_ratio: original as f64 / metadata as f64,
-        worst_case_ratio: original as f64 / (428.0 * wikimedia::IMAGE_COUNT as f64),
+        worst_case_ratio: original as f64 / (428.0 * sww_workload::IMAGE_COUNT as f64),
         laptop_total_s: stats.generation_time_s,
         workstation_total_s: ws_stats.generation_time_s,
         mean_clip,
-        random_clip: clip::RANDOM_BASELINE,
+        random_clip: sww_genai::RANDOM_BASELINE,
         wire_bytes: stats.wire_bytes,
     }
 }
@@ -116,7 +115,7 @@ pub fn table(r: &Fig2Result) -> Table {
         &format!(
             "{} ({}/img)",
             secs(r.laptop_total_s),
-            secs(r.laptop_total_s / wikimedia::IMAGE_COUNT as f64)
+            secs(r.laptop_total_s / sww_workload::IMAGE_COUNT as f64)
         ),
     ]);
     t.row([
@@ -125,7 +124,7 @@ pub fn table(r: &Fig2Result) -> Table {
         &format!(
             "{} ({}/img)",
             secs(r.workstation_total_s),
-            secs(r.workstation_total_s / wikimedia::IMAGE_COUNT as f64)
+            secs(r.workstation_total_s / sww_workload::IMAGE_COUNT as f64)
         ),
     ]);
     t.row([
@@ -143,7 +142,7 @@ mod tests {
 
     #[tokio::test(flavor = "multi_thread")]
     async fn fig2_shape_holds() {
-        let page = wikimedia::landscape_search_page();
+        let page = sww_workload::landscape_search_page();
         let r = run(&page).await;
         // Who wins and by roughly what factor.
         assert!(
@@ -157,7 +156,7 @@ mod tests {
         let speedup = r.laptop_total_s / r.workstation_total_s;
         assert!((4.0..12.0).contains(&speedup), "speedup {speedup:.1}");
         // Workstation ≈ 1 s/image (the paper's "roughly 1 second").
-        let per_img = r.workstation_total_s / wikimedia::IMAGE_COUNT as f64;
+        let per_img = r.workstation_total_s / sww_workload::IMAGE_COUNT as f64;
         assert!((0.8..1.3).contains(&per_img), "{per_img:.2} s/img");
         // Semantics conserved: well above the random floor.
         assert!(r.mean_clip > r.random_clip + 0.08);

@@ -23,10 +23,10 @@
 use crate::table::Table;
 use sww_core::ChaosSpec;
 use sww_workload::arrival::DiurnalModel;
-use sww_workload::replay::{
+use sww_workload::session::WalkConfig;
+use sww_workload::{
     modelled_slo, ModelledSlo, ReplayConfig, ReplayEngine, ReplayOutcome, ReplayTarget,
 };
-use sww_workload::session::WalkConfig;
 use sww_workload::{SmallWorldConfig, WorkloadConfig};
 
 /// E20 sweep configuration: one workload per `β`, modelled and live

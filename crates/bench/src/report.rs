@@ -678,8 +678,7 @@ pub fn compare(
 mod tests {
     use super::*;
     use sww_core::TransportKind;
-    use sww_workload::replay::{ModelledSlo, ReplayOutcome};
-    use sww_workload::scorecard::Scorecard;
+    use sww_workload::{ModelledSlo, ReplayOutcome, Scorecard};
 
     fn fake_row(beta: f64, clustering: f64, hit: f64, p99: f64) -> WorkloadRow {
         WorkloadRow {

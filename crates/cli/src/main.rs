@@ -122,13 +122,11 @@
 mod args;
 
 use args::Args;
-use sww_core::cms::Cms;
-use sww_core::convert::Converter;
-use sww_core::{GenAbility, GenerativeClient, GenerativeServer, ServerConfig, SiteContent};
-use sww_energy::device::{profile, DeviceKind};
-use sww_genai::diffusion::{DiffusionModel, ImageModelKind};
-use sww_genai::image::codec;
-use sww_genai::text::{TextModel, TextModelKind};
+use sww_core::{
+    Cms, Converter, GenAbility, GenerativeClient, GenerativeServer, ServerConfig, SiteContent,
+};
+use sww_energy::{profile, DeviceKind};
+use sww_genai::{codec, DiffusionModel, ImageModelKind, TextModel, TextModelKind};
 
 fn device_from(name: &str) -> DeviceKind {
     match name {
@@ -247,12 +245,12 @@ fn server_config_from(args: &Args) -> Result<ServerConfig, String> {
     let site: SiteContent = match args.opt("site", "blog") {
         "wikimedia" => {
             eprintln!("building the 49-image Wikimedia workload …");
-            let page = sww_workload::wikimedia::landscape_search_page();
+            let page = sww_workload::landscape_search_page();
             let mut s = SiteContent::new();
             s.add_page("/wiki/landscape", page.sww_html);
             s
         }
-        _ => sww_workload::blog::travel_blog(),
+        _ => sww_workload::travel_blog(),
     };
     let (batch_max, batch_wait_ms) = batch_options(args)?;
     Ok(ServerConfig {
@@ -487,7 +485,7 @@ async fn cmd_stats(args: &Args) -> Outcome {
         // produced: the server's, the client's and the process registry.
         None => {
             let server = GenerativeServer::from_config(ServerConfig {
-                site: sww_workload::blog::travel_blog(),
+                site: sww_workload::travel_blog(),
                 ability: GenAbility::full(),
                 ..ServerConfig::default()
             });
@@ -567,8 +565,8 @@ fn cmd_convert(args: &Args) -> Outcome {
 
 fn cmd_stock(args: &Args) -> Outcome {
     let items: Vec<_> = match args.positionals.first() {
-        Some(cat) => sww_workload::stock::by_category(cat),
-        None => sww_workload::stock::CATALOG.iter().collect(),
+        Some(cat) => sww_workload::by_category(cat),
+        None => sww_workload::CATALOG.iter().collect(),
     };
     for p in items {
         println!(
@@ -850,7 +848,7 @@ fn e20_config_from(args: &Args) -> Result<sww_bench::experiments::workload::E20C
 fn cmd_bench_workload(args: &Args) -> Outcome {
     use sww_bench::experiments::workload;
     use sww_bench::report;
-    use sww_workload::replay::ReplayTarget;
+    use sww_workload::ReplayTarget;
     let cfg = e20_config_from(args)?;
     // --transport narrows the live run to one framing path; --cluster
     // always adds the edge ring unless a single transport was asked for.

@@ -57,9 +57,10 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-use sww_genai::diffusion::{DiffusionModel, ImageModelKind, StepCancel, TileRunner, Tiling};
-use sww_genai::prompt::PromptFeatures;
-use sww_genai::{ImageBuffer, STAGE_WALL_SECONDS};
+use sww_genai::{
+    DiffusionModel, ImageBuffer, ImageModelKind, PromptFeatures, StepCancel, TileRunner, Tiling,
+    STAGE_WALL_SECONDS,
+};
 use sww_obs::{Registry, Span, DURATION_BUCKETS};
 
 /// Buckets for the achieved-batch-size histogram.
@@ -306,7 +307,7 @@ impl BatchScheduler {
     /// every shared denoise step. Per-image output is bit-identical for
     /// every tile count and runner (the per-latent-RNG invariant; see
     /// PERFORMANCE.md), so tiling is purely a wall-clock decision; one
-    /// tile on an [`InlineRunner`](sww_genai::diffusion::InlineRunner) is
+    /// tile on an [`InlineRunner`](sww_genai::InlineRunner) is
     /// the scalar step-major kernel on the leader's thread. It records
     /// into a registry of its own.
     pub fn new(
@@ -397,7 +398,7 @@ impl BatchScheduler {
 
     /// Submit one job and block until its image is ready.
     ///
-    /// The call joins an open group for the recipe's [`BatchKey`] or
+    /// The call joins an open group for the recipe's `BatchKey` or
     /// opens one and leads it; the group closes per the module-level
     /// policy, the leader runs the executor once, and every member gets
     /// its own image.
@@ -619,7 +620,7 @@ mod tests {
     use crate::workpool::CrewRunner;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Barrier;
-    use sww_genai::diffusion::InlineRunner;
+    use sww_genai::InlineRunner;
 
     fn recipe(prompt: &str) -> Recipe {
         Recipe {

@@ -15,8 +15,7 @@
 //! budget and the eviction order do not depend on the value type.
 
 use crate::lru::Lru;
-use sww_genai::diffusion::ImageModelKind;
-use sww_genai::ImageBuffer;
+use sww_genai::{ImageBuffer, ImageModelKind};
 use sww_obs::Registry;
 
 /// Cache key: the full generation recipe.

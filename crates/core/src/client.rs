@@ -40,10 +40,10 @@ use crate::render::{RenderedPage, RenderedResource};
 use crate::retry::RetryPolicy;
 use crate::stats::PageStats;
 use std::sync::Arc;
-use sww_energy::device::DeviceProfile;
-use sww_genai::image::codec;
+use sww_energy::DeviceProfile;
+use sww_genai::codec;
 use sww_hash::{sha256, to_hex};
-use sww_html::{gencontent, parse, query, serialize};
+use sww_html::{by_tag, gencontent, parse, serialize};
 use sww_http2::{ClientConnection, GenAbility, H2Error, Request, Response};
 use sww_obs::{Registry, Span};
 use tokio::io::{AsyncRead, AsyncWrite};
@@ -95,8 +95,8 @@ impl<T: AsyncRead + AsyncWrite + Unpin> GenerativeClient<T> {
     }
 
     /// Replace the retry policy (default: [`RetryPolicy::default`]).
-    /// [`RetryPolicy::no_retries`] restores the pre-resilience
-    /// fail-on-first-error behaviour.
+    /// `max_attempts: 1` restores the pre-resilience fail-on-first-error
+    /// behaviour.
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
         self.retry = policy;
     }
@@ -413,7 +413,7 @@ impl<T: AsyncRead + AsyncWrite + Unpin> GenerativeClient<T> {
 
         // 2. Fetch remaining referenced images (unique content and, for
         //    naive negotiation, server-materialized media).
-        for img in query::by_tag(&doc, doc.root(), "img") {
+        for img in by_tag(&doc, doc.root(), "img") {
             let Some(src) = doc.attr(img, "src") else {
                 continue;
             };

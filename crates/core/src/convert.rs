@@ -11,13 +11,8 @@
 //! results.
 
 use crate::cms::{Cms, ContentTag};
-use sww_genai::image::codec;
-use sww_genai::metrics::clip;
-use sww_genai::text::bullets;
-use sww_genai::{invert, DiffusionModel, ImageBuffer};
-use sww_html::dom::{Document, NodeKind};
-use sww_html::tokenizer::Attribute;
-use sww_html::{gencontent, parse, query, serialize};
+use sww_genai::{codec, invert, DiffusionModel, ImageBuffer};
+use sww_html::{by_tag, gencontent, parse, serialize, Attribute, Document, NodeKind};
 use sww_json::Value;
 
 /// Minimum characters before a text block is worth converting to bullets.
@@ -97,7 +92,7 @@ impl<'a> Converter<'a> {
         let mut skipped = 0usize;
 
         // Images: invert tagged-generatable ones.
-        for img_node in query::by_tag(&doc, doc.root(), "img") {
+        for img_node in by_tag(&doc, doc.root(), "img") {
             let Some(src) = doc.attr(img_node, "src").map(str::to_owned) else {
                 skipped += 1;
                 continue;
@@ -119,19 +114,19 @@ impl<'a> Converter<'a> {
         }
 
         // Text blocks: long paragraphs become bullet divisions.
-        for p in query::by_tag(&doc, doc.root(), "p") {
+        for p in by_tag(&doc, doc.root(), "p") {
             let text = doc.text_content(p);
             if text.len() < MIN_TEXT_CHARS {
                 continue;
             }
-            let blist = bullets::to_bullets(&text, 8);
+            let blist = sww_genai::to_bullets(&text, 8);
             if blist.is_empty() {
                 skipped += 1;
                 continue;
             }
             let words = text.split_whitespace().count();
-            let metadata_bytes = bullets::bullets_wire_size(&blist) + 24;
-            let fidelity = sww_genai::metrics::sbert::sbert_score(&blist, &text);
+            let metadata_bytes = sww_genai::bullets_wire_size(&blist) + 24;
+            let fidelity = sww_genai::sbert_score(&blist, &text);
             turn_into_text_division(&mut doc, p, &blist, words);
             items.push(ConvertedItem {
                 source: "text-block".into(),
@@ -156,13 +151,13 @@ impl<'a> Converter<'a> {
         image: &ImageBuffer,
         original_bytes: usize,
     ) -> ConvertedItem {
-        let prompt = invert::invert(image);
+        let prompt = invert(image);
         let name = src.rsplit('/').next().unwrap_or("image.jpg");
         // Audit: regenerate and score against the inverted prompt.
         let regen =
             self.audit_model
                 .generate(&prompt, image.width().min(224), image.height().min(224), 15);
-        let fidelity = clip::clip_score(&regen, &prompt);
+        let fidelity = sww_genai::clip_score(&regen, &prompt);
         let metadata = Value::object([
             ("prompt", Value::from(prompt.as_str())),
             ("name", Value::from(name)),
@@ -227,20 +222,6 @@ impl SiteConversionReport {
             return 1.0;
         }
         self.original_bytes() as f64 / converted as f64
-    }
-
-    /// Items whose audit fidelity fell below `threshold` — the queue the
-    /// §4.2 webpage editor reviews by hand.
-    pub fn needs_review(&self, threshold: f64) -> Vec<(&str, &ConvertedItem)> {
-        self.pages
-            .iter()
-            .flat_map(|(path, r)| {
-                r.items
-                    .iter()
-                    .filter(move |i| i.fidelity < threshold)
-                    .map(move |i| (path.as_str(), i))
-            })
-            .collect()
     }
 }
 
@@ -417,18 +398,6 @@ mod tests {
     }
 
     #[test]
-    fn site_review_queue_filters_by_fidelity() {
-        let cms = Cms::new();
-        let img = encoded_test_image("rolling hills", 96);
-        let pages = vec![("/a".to_string(), r#"<img src="x.jpg">"#.to_string())];
-        let report = Converter::new(&cms).convert_site(&pages, |_| Some(img.clone()));
-        // A threshold above any possible score flags everything…
-        assert_eq!(report.needs_review(1.0).len(), 1);
-        // …and a floor below the random baseline flags nothing.
-        assert!(report.needs_review(0.05).is_empty());
-    }
-
-    #[test]
     fn fidelity_is_auditable() {
         // Conversion reports a fidelity clearly above the random baseline,
         // so an editor can gate on it.
@@ -436,6 +405,6 @@ mod tests {
         let bytes = encoded_test_image("rolling green hills landscape", 224);
         let report =
             Converter::new(&cms).convert_page(r#"<img src="a.jpg">"#, |_| Some(bytes.clone()));
-        assert!(report.items[0].fidelity > clip::RANDOM_BASELINE + 0.03);
+        assert!(report.items[0].fidelity > sww_genai::RANDOM_BASELINE + 0.03);
     }
 }

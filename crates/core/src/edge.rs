@@ -33,7 +33,7 @@
 //! [`GenerativeServer::drain`], so no in-flight response is lost.
 //!
 //! Since PR 10 the router also runs a SWIM-style **gossip layer**
-//! ([`crate::gossip`]) as its second health signal: the static `alive`
+//! (`crate::gossip`) as its second health signal: the static `alive`
 //! flag still models the physical process (connection failures), while
 //! gossip supplies the *distributed* view — suspect→dead timelines,
 //! incarnation-numbered rejoin, partition healing — that the successor
@@ -70,8 +70,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use sww_hash::sha256;
-use sww_http2::server::{serve_connection_until, ServeStats};
-use sww_http2::{GenAbility, H2Error, Request, Response};
+use sww_http2::{serve_connection_until, GenAbility, H2Error, Request, Response, ServeStats};
 use sww_obs::Registry;
 use tokio::io::{AsyncRead, AsyncWrite};
 
@@ -793,11 +792,6 @@ impl EdgeRouter {
         self.inner.gossip.lock().consensus_health(id)
     }
 
-    /// Parked hinted-handoff writes not yet delivered.
-    pub fn pending_hints(&self) -> usize {
-        self.inner.hints.lock().len()
-    }
-
     /// The routing key `path` hashes under (a recipe key for pages with
     /// generated images and their assets, the path itself otherwise).
     pub fn routing_key(&self, path: &str) -> String {
@@ -1109,9 +1103,16 @@ fn routing_keys(site: &SiteContent) -> HashMap<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl EdgeRouter {
+        /// Parked hinted-handoff writes not yet delivered.
+        fn pending_hints(&self) -> usize {
+            self.inner.hints.lock().len()
+        }
+    }
     use crate::cache::Recipe;
     use crate::server::ServerConfig;
-    use sww_genai::diffusion::ImageModelKind;
+    use sww_genai::ImageModelKind;
     use sww_html::gencontent;
 
     fn ring(nodes: &[&str]) -> HashRing {

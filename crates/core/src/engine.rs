@@ -130,11 +130,6 @@ impl<V: Clone> ShardedGenerationCache<V> {
     pub fn is_empty(&self) -> bool {
         self.shards.iter().all(|s| s.lock().is_empty())
     }
-
-    /// Entry count per shard (for tests and load-balance inspection).
-    pub fn shard_lens(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.lock().len()).collect()
-    }
 }
 
 /// What happened to one [`GenerationEngine::try_fetch_image_ctx`] request.
@@ -313,7 +308,7 @@ impl<V: Clone + Send + 'static> GenerationEngine<V> {
     /// the result. Images larger than a shard's budget are not retained,
     /// in which case a later request will legitimately regenerate.
     ///
-    /// The failpoints ([`crate::faults`]) draw from `ctx`'s stream:
+    /// The failpoints (`crate::faults`) draw from `ctx`'s stream:
     /// `cache.get` at each of the two lookups, `engine.generate` on the
     /// leader path. A failing leader — injected, or a `generate`
     /// that returns `Err` or panics — **poisons** its flight: waiters
@@ -473,8 +468,15 @@ impl<V: Clone + Send + 'static> GenerationEngine<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ShardedGenerationCache {
+        /// Entry count per shard (for tests and load-balance inspection).
+        fn shard_lens(&self) -> Vec<usize> {
+            self.shards.iter().map(|s| s.lock().len()).collect()
+        }
+    }
     use std::sync::atomic::AtomicUsize;
-    use sww_genai::diffusion::ImageModelKind;
+    use sww_genai::ImageModelKind;
 
     fn recipe(prompt: &str) -> Recipe {
         Recipe {

@@ -225,11 +225,6 @@ impl Gossip {
         self.round
     }
 
-    /// The virtual clock: `round × interval_ms`.
-    pub fn virtual_ms(&self) -> u64 {
-        self.round * self.cfg.interval_ms
-    }
-
     /// Member ids in join order.
     pub fn members(&self) -> &[String] {
         &self.members
@@ -643,6 +638,13 @@ fn fold(mut acc: u64, bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Gossip {
+        /// The virtual clock: `round × interval_ms`.
+        fn virtual_ms(&self) -> u64 {
+            self.round * self.cfg.interval_ms
+        }
+    }
 
     fn cluster(n: usize) -> Gossip {
         Gossip::new(GossipConfig::default(), (0..n).map(|i| format!("n{i}")))

@@ -72,7 +72,7 @@ pub fn build_playlist(asset: &VideoAsset, client: GenAbility, server: GenAbility
         duration_s: asset.duration_s,
         segment_s: asset.segment_s,
     };
-    let stream = video::negotiate(req, client, server);
+    let stream = video::negotiate_stream(req, client, server);
     let segments = (0..stream.segments)
         .map(|i| format!("/video/{}/seg{:04}.ts", asset.name, i))
         .collect();

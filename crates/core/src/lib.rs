@@ -6,50 +6,56 @@
 //! (§4.1), webpage conversion and CMS tagging (§4.2), video negotiation
 //! (§3.2), and the byte/energy accounting the evaluation (§6) is built on.
 
-pub mod batch;
-pub mod breaker;
+mod batch;
+mod breaker;
 pub mod cache;
-pub mod client;
-pub mod cms;
-pub mod convert;
+mod client;
+mod cms;
+mod convert;
 pub mod edge;
-pub mod engine;
-pub mod error;
-pub mod faults;
-pub mod gossip;
-pub mod hls;
-pub mod lifecycle;
-pub mod lru;
+mod engine;
+mod error;
+mod faults;
+mod gossip;
+mod hls;
+mod lifecycle;
+mod lru;
 pub mod mediagen;
-pub mod negotiate;
-pub mod personalize;
-pub mod policy;
-pub mod render;
-pub mod retry;
-pub mod server;
-pub mod stats;
-pub mod transport;
-pub mod trust;
-pub mod video;
-pub mod workpool;
+mod negotiate;
+mod personalize;
+mod policy;
+mod render;
+mod retry;
+mod server;
+mod stats;
+mod transport;
+mod trust;
+mod video;
+mod workpool;
 
-pub use batch::{BatchConfig, BatchKey, BatchOutcome, BatchScheduler, BatchStats};
-pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
+pub use batch::{BatchConfig, BatchScheduler};
+pub use breaker::BreakerConfig;
 pub use client::GenerativeClient;
-pub use edge::{EdgeConfig, EdgeNode, EdgeRouter, HashRing};
+pub use cms::{Cms, ContentTag, Template};
+pub use convert::Converter;
+pub use edge::{EdgeConfig, EdgeRouter, HashRing};
 pub use engine::{FetchOutcome, GenerationEngine, ShardedGenerationCache};
 pub use error::{retryable_status, SwwError};
-pub use faults::{ChaosSpec, FaultKind, FaultSite, FaultStream};
+pub use faults::{ChaosSpec, FaultStream, ALL_SITES};
 pub use gossip::{Gossip, GossipConfig, Health};
+pub use hls::VideoAsset;
 pub use lifecycle::RequestCtx;
+pub use lru::Lru;
 pub use mediagen::MediaGenerator;
-pub use negotiate::{ServeMode, SessionAbilities};
+pub use negotiate::select_models;
+pub use personalize::{personalize, UserProfile};
 pub use policy::ServerPolicy;
-pub use render::RenderedPage;
-pub use retry::{BackoffSchedule, RetryPolicy};
-pub use server::{GenerativeServer, ServerConfig, Session, SiteContent, SwwPage};
-pub use stats::PageStats;
+pub use retry::RetryPolicy;
+pub use server::{GenerativeServer, ServerConfig, Session, SiteContent};
+pub use stats::{project_traffic, PageStats};
 pub use transport::TransportKind;
+pub use trust::{attest_image, audit_attestation, sign_metadata, verify_metadata, SiteKey};
+pub use video::{negotiate_stream, Resolution, StreamRequest};
 pub use workpool::{CrewRunner, WorkerPool};
 
 /// Re-export of the wire-level capability type.

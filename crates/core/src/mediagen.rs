@@ -5,11 +5,8 @@
 
 use crate::cache::Recipe;
 use crate::error::SwwError;
-use sww_energy::{cost, device::DeviceProfile, Energy};
-use sww_genai::diffusion::ImageModelKind;
-use sww_genai::image::codec;
-use sww_genai::text::TextModelKind;
-use sww_genai::{GenerationPipeline, ImageBuffer};
+use sww_energy::{DeviceProfile, Energy};
+use sww_genai::{codec, GenerationPipeline, ImageBuffer, ImageModelKind, TextModelKind};
 use sww_html::gencontent::{ContentType, GeneratedContent};
 
 /// Codec quality used when materializing generated images to bytes.
@@ -93,11 +90,6 @@ impl MediaGenerator {
         }
     }
 
-    /// Change the inference step count (the §6.3.1 sweep).
-    pub fn set_inference_steps(&mut self, steps: u32) {
-        self.inference_steps = steps.max(1);
-    }
-
     /// Switch the image model, re-preloading the pipeline. Selecting a
     /// model without a cost profile on this device makes every image
     /// [`try_generate`] fail with [`SwwError::UnsupportedModel`] — which
@@ -158,7 +150,7 @@ impl MediaGenerator {
         match item.content_type {
             ContentType::Img => {
                 let (width, height) = (item.width(), item.height());
-                let time_s = cost::image_generation_time(
+                let time_s = sww_energy::image_generation_time(
                     self.image_model,
                     &self.device,
                     width,
@@ -193,7 +185,7 @@ impl MediaGenerator {
                 let bullets = item.bullets();
                 let words = item.words();
                 let text = self.pipeline.generate_text(&bullets, words);
-                let time_s = cost::text_generation_time(self.text_model, &self.device, words);
+                let time_s = sww_energy::text_generation_time(self.text_model, &self.device, words);
                 let cost = GenerationCost {
                     time_s,
                     energy: Energy::from_power(self.device.text_power_w, time_s),
@@ -206,7 +198,7 @@ impl MediaGenerator {
     /// Upscale an image (the §2.2 intermediate deployment).
     pub fn upscale(&mut self, image: &ImageBuffer, factor: u32) -> (ImageBuffer, GenerationCost) {
         let out = self.pipeline.upscale(image, factor);
-        let time_s = cost::upscale_time(&self.device, out.width(), out.height());
+        let time_s = sww_energy::upscale_time(&self.device, out.width(), out.height());
         let cost = GenerationCost {
             time_s,
             energy: Energy::from_power(self.device.image_power_w, time_s),
@@ -218,7 +210,14 @@ impl MediaGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sww_energy::device::{profile, DeviceKind};
+
+    impl MediaGenerator {
+        /// Change the inference step count (the §6.3.1 sweep).
+        fn set_inference_steps(&mut self, steps: u32) {
+            self.inference_steps = steps.max(1);
+        }
+    }
+    use sww_energy::{profile, DeviceKind};
     use sww_html::{gencontent, parse};
 
     fn image_item(prompt: &str, side: u32) -> GeneratedContent {

@@ -10,8 +10,7 @@
 //! two copies of content").
 
 use crate::policy::ServerPolicy;
-use sww_genai::diffusion::ImageModelKind;
-use sww_genai::text::TextModelKind;
+use sww_genai::{ImageModelKind, TextModelKind};
 use sww_http2::GenAbility;
 
 /// How the server will serve a page after negotiation.
@@ -125,18 +124,6 @@ pub fn image_model_for_level(level: u8) -> ImageModelKind {
     }
 }
 
-/// The advertised level for a given image model (inverse of
-/// [`image_model_for_level`] for concrete models).
-pub fn level_for_image_model(kind: ImageModelKind) -> u8 {
-    match kind {
-        ImageModelKind::Sd21Base => 1,
-        ImageModelKind::Sd3Medium => 2,
-        ImageModelKind::Sd35Medium => 3,
-        ImageModelKind::Dalle3 => 3, // server-class quality, same wire level
-        ImageModelKind::FluxFast => 4,
-    }
-}
-
 /// Ordinal text-model generations.
 pub fn text_model_for_level(level: u8) -> TextModelKind {
     match level {
@@ -189,24 +176,12 @@ mod tests {
 
     #[test]
     fn level_mapping_is_monotone_in_quality() {
-        use sww_genai::diffusion::models::profile;
+        use sww_genai::image_profile as profile;
         let q1 = profile(image_model_for_level(1)).quality;
         let q2 = profile(image_model_for_level(2)).quality;
         let q3 = profile(image_model_for_level(3)).quality;
         let q4 = profile(image_model_for_level(4)).quality;
         assert!(q1 < q2 && q2 < q3 && q3 < q4);
-    }
-
-    #[test]
-    fn level_roundtrip_for_local_models() {
-        for kind in [
-            ImageModelKind::Sd21Base,
-            ImageModelKind::Sd3Medium,
-            ImageModelKind::Sd35Medium,
-            ImageModelKind::FluxFast,
-        ] {
-            assert_eq!(image_model_for_level(level_for_image_model(kind)), kind);
-        }
     }
 
     #[test]

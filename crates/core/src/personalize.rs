@@ -86,7 +86,7 @@ pub fn personalize(prompt: &str, profile: &UserProfile, max_terms: usize) -> Per
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sww_genai::diffusion::{DiffusionModel, ImageModelKind};
+    use sww_genai::{DiffusionModel, ImageModelKind};
 
     #[test]
     fn disabled_profile_is_identity() {

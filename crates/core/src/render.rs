@@ -92,7 +92,7 @@ fn render_node(
     page: &RenderedPage,
     out: &mut String,
 ) {
-    use sww_html::dom::NodeKind;
+    use sww_html::NodeKind;
     match &doc.node(id).kind {
         NodeKind::Text(t) => {
             let trimmed = t.trim();

@@ -46,14 +46,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries (the pre-resilience client behaviour).
-    pub fn no_retries() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        }
-    }
-
     /// Start a fresh schedule (one per request).
     pub fn schedule(&self) -> BackoffSchedule {
         BackoffSchedule {
@@ -197,7 +189,11 @@ mod tests {
 
     #[test]
     fn no_retries_policy_never_delays() {
-        assert!(drain(&RetryPolicy::no_retries()).is_empty());
+        let once = RetryPolicy {
+            max_attempts: 1,
+            ..policy()
+        };
+        assert!(drain(&once).is_empty());
         let zero = RetryPolicy {
             max_attempts: 0,
             ..policy()

@@ -62,17 +62,13 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
-use sww_energy::cost as gen_cost;
-use sww_energy::device::{profile as device_profile, DeviceKind};
-use sww_genai::diffusion::{InlineRunner, StepCancel, Tiling};
-use sww_genai::image::codec;
+use sww_energy::{profile as device_profile, DeviceKind};
+use sww_genai::{codec, InlineRunner, StepCancel, Tiling};
 use sww_hash::{sha256, to_hex};
 use sww_html::gencontent::ContentType;
 use sww_html::{gencontent, parse, serialize};
-use sww_http2::server::{serve_connection_until, ServeStats};
-use sww_http2::{GenAbility, H2Error, Request, Response};
-use sww_http3::server::{serve_h3_connection_split, H3ServeContext, H3ServeStats};
-use sww_http3::H3Error;
+use sww_http2::{serve_connection_until, GenAbility, H2Error, Request, Response, ServeStats};
+use sww_http3::{serve_h3_connection_split, H3Error, H3ServeContext, H3ServeStats};
 use sww_obs::{Registry, Span};
 use tokio::io::{AsyncRead, AsyncWrite};
 
@@ -449,7 +445,7 @@ pub struct ServerConfig {
     pub breaker: Option<BreakerConfig>,
     /// The deterministic fault schedule this server's requests draw from
     /// (default: `None` — nothing is injected). The server compiles its
-    /// own stream from it ([`crate::faults`]); no other server, client or
+    /// own stream from it (`crate::faults`); no other server, client or
     /// gossip layer draws from that stream.
     pub chaos: Option<ChaosSpec>,
 }
@@ -838,7 +834,7 @@ impl Session {
     }
 
     /// This session's negotiation record, from the single
-    /// [`crate::negotiate::session`] entry point.
+    /// `crate::negotiate::session` entry point.
     pub fn abilities(&self) -> SessionAbilities {
         session(self.shared.ability, self.client_ability)
     }
@@ -846,11 +842,6 @@ impl Session {
     /// The negotiated (shared) ability for this session.
     pub fn negotiated_ability(&self) -> GenAbility {
         self.abilities().negotiated
-    }
-
-    /// How page requests on this session will be served.
-    pub fn serve_mode(&self) -> ServeMode {
-        self.abilities().mode(&self.shared.policy)
     }
 
     /// Answer one request on this session, on this thread. With a worker
@@ -1204,7 +1195,7 @@ fn render_asset(
 ) -> Result<Bytes, SwwError> {
     let device = device_profile(DeviceKind::Workstation);
     let pass_time = |batch_size| {
-        gen_cost::tiled_batch_pass_time(
+        sww_energy::tiled_batch_pass_time(
             recipe.model,
             &device,
             recipe.width,
@@ -1445,14 +1436,12 @@ mod tests {
         let server = demo_server();
         let session = server.accept(GenAbility::full());
         assert!(session.negotiated_ability().can_generate());
-        assert_eq!(session.serve_mode(), ServeMode::Generative);
         let resp = session.handle(&Request::get("/hike"));
         assert_eq!(resp.status, 200);
         assert_eq!(resp.headers.get("x-sww-mode"), Some("generative"));
 
         let naive = server.accept(GenAbility::none());
         assert!(!naive.negotiated_ability().can_generate());
-        assert_eq!(naive.serve_mode(), ServeMode::ServerGenerated);
         let resp = naive.handle(&Request::get("/hike"));
         assert_eq!(resp.headers.get("x-sww-mode"), Some("server-generated"));
     }

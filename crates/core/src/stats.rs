@@ -50,22 +50,7 @@ impl PageStats {
 
     /// Network energy avoided by not transmitting the saved bytes.
     pub fn transmission_energy_saved(&self) -> Energy {
-        sww_energy::network::transmission_energy(self.bytes_saved())
-    }
-
-    /// Merge another page's stats into this one (multi-page accounting).
-    pub fn merge(&mut self, other: &PageStats) {
-        self.wire_bytes += other.wire_bytes;
-        self.traditional_bytes += other.traditional_bytes;
-        self.metadata_bytes += other.metadata_bytes;
-        self.generated_media_bytes += other.generated_media_bytes;
-        self.items_generated += other.items_generated;
-        self.items_cached += other.items_cached;
-        self.items_fetched += other.items_fetched;
-        self.generation_time_s += other.generation_time_s;
-        self.generation_energy = self.generation_energy + other.generation_energy;
-        self.retries += other.retries;
-        self.fell_back |= other.fell_back;
+        sww_energy::transmission_energy(self.bytes_saved())
     }
 }
 
@@ -95,36 +80,6 @@ mod tests {
     #[test]
     fn empty_wire_is_ratio_one() {
         assert_eq!(PageStats::default().compression_ratio(), 1.0);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = PageStats {
-            wire_bytes: 100,
-            traditional_bytes: 1000,
-            items_generated: 2,
-            generation_time_s: 1.5,
-            generation_energy: Energy::from_wh(0.1),
-            ..Default::default()
-        };
-        let b = PageStats {
-            wire_bytes: 50,
-            traditional_bytes: 500,
-            items_generated: 1,
-            generation_time_s: 0.5,
-            generation_energy: Energy::from_wh(0.05),
-            retries: 2,
-            fell_back: true,
-            ..Default::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.wire_bytes, 150);
-        assert_eq!(a.traditional_bytes, 1500);
-        assert_eq!(a.items_generated, 3);
-        assert!((a.generation_time_s - 2.0).abs() < 1e-12);
-        assert!((a.generation_energy.wh() - 0.15).abs() < 1e-12);
-        assert_eq!(a.retries, 2);
-        assert!(a.fell_back, "fallback flag must survive a merge");
     }
 
     #[test]

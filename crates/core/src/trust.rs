@@ -18,8 +18,7 @@
 //!    can regenerate and compare — the on-device verification the paper
 //!    calls for.
 
-use sww_genai::diffusion::{DiffusionModel, ImageModelKind};
-use sww_genai::ImageBuffer;
+use sww_genai::{DiffusionModel, ImageBuffer, ImageModelKind};
 use sww_hash::{hmac_sha256, sha256, to_hex, verify_hmac};
 use sww_json::Value;
 

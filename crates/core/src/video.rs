@@ -89,7 +89,11 @@ fn bytes_per_hour(res: Resolution, fps: u32) -> f64 {
 /// Negotiate a stream: when the client advertises video upscaling, the
 /// server sends lower resolution and frame rate and the client restores
 /// them locally.
-pub fn negotiate(req: StreamRequest, client: GenAbility, server: GenAbility) -> NegotiatedStream {
+pub fn negotiate_stream(
+    req: StreamRequest,
+    client: GenAbility,
+    server: GenAbility,
+) -> NegotiatedStream {
     let shared = client.intersect(server);
     let traditional = bytes_per_hour(req.resolution, req.fps) * req.duration_s as f64 / 3600.0;
     let can_video = shared.can_upscale_video();
@@ -155,7 +159,7 @@ mod tests {
 
     #[test]
     fn full_negotiation_combines_both_savings() {
-        let s = negotiate(hour_4k60(), video_ability(), video_ability());
+        let s = negotiate_stream(hour_4k60(), video_ability(), video_ability());
         assert_eq!(s.sent_resolution, Resolution::Hd);
         assert_eq!(s.sent_fps, 30);
         assert!(s.client_upscales && s.client_boosts_fps);
@@ -171,7 +175,7 @@ mod tests {
 
     #[test]
     fn naive_client_gets_full_rate() {
-        let s = negotiate(hour_4k60(), GenAbility::none(), video_ability());
+        let s = negotiate_stream(hour_4k60(), GenAbility::none(), video_ability());
         assert_eq!(s.sent_resolution, Resolution::Uhd4K);
         assert_eq!(s.sent_fps, 60);
         assert!((s.savings_ratio() - 1.0).abs() < 1e-6);
@@ -179,7 +183,7 @@ mod tests {
 
     #[test]
     fn naive_server_sends_full_rate() {
-        let s = negotiate(hour_4k60(), video_ability(), GenAbility::none());
+        let s = negotiate_stream(hour_4k60(), video_ability(), GenAbility::none());
         assert!(!s.client_upscales);
         assert_eq!(s.wire_bytes, s.traditional_bytes);
     }
@@ -187,7 +191,7 @@ mod tests {
     #[test]
     fn generate_ability_alone_does_not_downscale_video() {
         // GEN_ABILITY bit 0 (image/text generation) is not the video bit.
-        let s = negotiate(hour_4k60(), GenAbility::full(), GenAbility::full());
+        let s = negotiate_stream(hour_4k60(), GenAbility::full(), GenAbility::full());
         assert!(!s.client_upscales);
     }
 
@@ -197,7 +201,7 @@ mod tests {
             fps: 30,
             ..hour_4k60()
         };
-        let s = negotiate(req, video_ability(), video_ability());
+        let s = negotiate_stream(req, video_ability(), video_ability());
         assert_eq!(s.sent_fps, 30);
         assert!(!s.client_boosts_fps);
         assert!(s.client_upscales);
@@ -209,7 +213,7 @@ mod tests {
             resolution: Resolution::Hd,
             ..hour_4k60()
         };
-        let s = negotiate(req, video_ability(), video_ability());
+        let s = negotiate_stream(req, video_ability(), video_ability());
         assert_eq!(s.sent_resolution, Resolution::Hd);
         assert!(!s.client_upscales);
         assert!(s.client_boosts_fps, "fps boosting still applies");

@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::Thread;
 use std::time::{Duration, Instant};
-use sww_genai::diffusion::{TileRunner, TileTask};
+use sww_genai::{TileRunner, TileTask};
 use sww_obs::Registry;
 
 /// EWMA smoothing factor for the per-job service-time estimate: each

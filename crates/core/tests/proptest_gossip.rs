@@ -1,5 +1,5 @@
 //! Property tests for the SWIM failure detector
-//! (`sww_core::gossip::Gossip`) — the invariants the edge tier's
+//! (`sww_core::Gossip`) — the invariants the edge tier's
 //! health routing and the E21 resilience gates rest on, checked for
 //! *arbitrary* cluster sizes, seeds, and kill/revive/partition
 //! histories rather than the unit tests' hand-picked ones.
@@ -16,7 +16,7 @@
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use sww_core::gossip::{Gossip, GossipConfig, Health};
+use sww_core::{Gossip, GossipConfig, Health};
 
 fn cluster(n: usize, seed: u64) -> Gossip {
     Gossip::new(

@@ -1,5 +1,5 @@
 //! Property tests for the one cache policy every tier shares
-//! (`sww_core::lru::Lru`): random `get`/`insert` sequences with random
+//! (`sww_core::Lru`): random `get`/`insert` sequences with random
 //! costs must answer exactly like a deliberately naive reference model
 //! kept here — a `Vec` in touch order, most recent first, scanned
 //! linearly.
@@ -15,9 +15,8 @@
 
 use proptest::prelude::*;
 use sww_core::cache::{GenerationCache, Recipe};
-use sww_core::lru::Lru;
-use sww_genai::diffusion::ImageModelKind;
-use sww_genai::ImageBuffer;
+use sww_core::Lru;
+use sww_genai::{ImageBuffer, ImageModelKind};
 
 /// The reference: strict LRU by touch order, cost-weighted.
 struct Model {

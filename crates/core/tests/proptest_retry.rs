@@ -1,4 +1,4 @@
-//! Property tests for [`RetryPolicy`] / [`BackoffSchedule`]: the
+//! Property tests for `RetryPolicy` / `BackoffSchedule`: the
 //! invariants the module documentation promises must hold for
 //! *arbitrary* configurations, not just the hand-picked unit-test ones.
 //!

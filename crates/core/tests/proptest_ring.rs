@@ -20,7 +20,7 @@
 use proptest::prelude::*;
 use sww_core::edge::{recipe_key, HashRing, DEFAULT_VNODES};
 use sww_core::{EdgeConfig, EdgeRouter, GenerativeServer, ServerConfig, SiteContent};
-use sww_genai::diffusion::ImageModelKind;
+use sww_genai::ImageModelKind;
 use sww_html::gencontent;
 use sww_http2::{GenAbility, Request};
 

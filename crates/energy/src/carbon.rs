@@ -25,13 +25,6 @@ pub fn storage_savings_kg_co2e(original_bytes: f64, compression_ratio: f64) -> f
     embodied_kg_co2e(original_bytes - compressed)
 }
 
-/// CDN-fleet helper: total embodied carbon for media replicated across
-/// `replicas` edge sites (the replication that makes CDNs the paper's
-/// highest-impact deployment, §2.2).
-pub fn replicated_embodied_kg_co2e(bytes_per_site: f64, replicas: u32) -> f64 {
-    embodied_kg_co2e(bytes_per_site * f64::from(replicas))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -61,13 +54,6 @@ mod tests {
     #[test]
     fn ratio_one_saves_nothing() {
         assert_eq!(storage_savings_kg_co2e(1e15, 1.0), 0.0);
-    }
-
-    #[test]
-    fn replication_multiplies() {
-        let one = replicated_embodied_kg_co2e(1e12, 1);
-        let hundred = replicated_embodied_kg_co2e(1e12, 100);
-        assert!((hundred - one * 100.0).abs() < 1e-9);
     }
 
     #[test]

@@ -10,8 +10,7 @@
 //! observation that 50-word outputs can take longer than 100-word ones.
 
 use crate::device::DeviceProfile;
-use sww_genai::diffusion::models::{profile as image_profile, ImageModelKind};
-use sww_genai::text::models::{profile as text_profile, TextModelKind};
+use sww_genai::{image_profile, text_profile, ImageModelKind, TextModelKind};
 
 /// Steps at which the anchor times were measured.
 pub const ANCHOR_STEPS: f64 = 15.0;
@@ -83,7 +82,7 @@ pub const BATCH_OVERHEAD_FRACTION: f64 = 0.7;
 /// denoising pass on `device`.
 ///
 /// The model splits the single-image time into a fixed per-step overhead
-/// ([`BATCH_OVERHEAD_FRACTION`]) paid once per batch and a marginal
+/// (`BATCH_OVERHEAD_FRACTION`) paid once per batch and a marginal
 /// per-latent share paid per image:
 ///
 /// ```text

@@ -31,11 +31,6 @@ impl Energy {
         self.wh
     }
 
-    /// Kilowatt-hours.
-    pub fn kwh(self) -> f64 {
-        self.wh / 1000.0
-    }
-
     /// Scale (e.g. per-request energy × request count).
     pub fn scale(self, factor: f64) -> Energy {
         Energy {
@@ -79,7 +74,6 @@ mod tests {
         assert!((a.scale(4.0).wh() - 2.0).abs() < 1e-12);
         let total: Energy = [a, b, b].into_iter().sum();
         assert!((total.wh() - 1.0).abs() < 1e-12);
-        assert!((Energy::from_wh(2500.0).kwh() - 2.5).abs() < 1e-12);
     }
 
     #[test]

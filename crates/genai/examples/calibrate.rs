@@ -3,10 +3,7 @@
 //! Used to pin the quality parameters and affine calibrations so measured
 //! metrics land on the paper's Table 1 / §6.3.2 values.
 
-use sww_genai::diffusion::{DiffusionModel, ImageModelKind};
-use sww_genai::metrics::{clip, sbert};
-use sww_genai::prompt::{cosine, PromptFeatures};
-use sww_genai::text::{TextModel, TextModelKind};
+use sww_genai::{cosine, DiffusionModel, ImageModelKind, PromptFeatures, TextModel, TextModelKind};
 
 fn main() {
     let prompts = [
@@ -32,7 +29,7 @@ fn main() {
             let img = m.generate(p, 224, 224, 15);
             let f = PromptFeatures::analyze(p);
             cos_sum += cosine(&DiffusionModel::image_embedding(&img), &f.embedding);
-            clip_sum += clip::clip_score(&img, p);
+            clip_sum += sww_genai::clip_score(&img, p);
         }
         let n = prompts.len() as f64;
         println!(
@@ -72,8 +69,8 @@ fn main() {
             let mut b = bullets.clone();
             b.push(format!("detail variation {i}"));
             let text = m.expand(&b, 150);
-            raw += sbert::similarity(&b.join(" "), &text);
-            cal += sbert::sbert_score(&b, &text);
+            raw += sww_genai::sbert_similarity(&b.join(" "), &text);
+            cal += sww_genai::sbert_score(&b, &text);
         }
         println!(
             "{:<18} fidelity={:.2}  raw={:.3}  sbert={:.3}",

@@ -326,12 +326,12 @@ impl DiffusionModel {
     /// Build one image's denoising state: its private prompt-seeded RNG,
     /// the quality-degraded semantic target, and the noise-initialized
     /// latent (one [`Rng::fill_gaussian`] over the plane) — all in buffers
-    /// checked out of [`crate::pool::latent_pool`].
+    /// checked out of `crate::pool::latent_pool`.
     /// The RNG draw order (latent init, then denoise, then decode) is the
     /// contract the batch kernel's bit-identity rests on.
     ///
     /// Public so kernel-level callers (the property tests) can drive
-    /// [`try_denoise_batch`] directly.
+    /// `try_denoise_batch` directly.
     pub fn prepare_job(&self, features: &PromptFeatures) -> LatentJob {
         let mut rng = Rng::new(features.seed ^ self.profile.seed_salt);
 
@@ -571,8 +571,7 @@ impl Aesthetic {
 /// # Example
 ///
 /// ```
-/// use sww_genai::diffusion::{DiffusionModel, ImageModelKind};
-/// use sww_genai::PromptFeatures;
+/// use sww_genai::{DiffusionModel, ImageModelKind, PromptFeatures};
 ///
 /// let model = DiffusionModel::new(ImageModelKind::Sd3Medium);
 /// let job = model.prepare_job(&PromptFeatures::analyze("a mountain lake"));
@@ -629,24 +628,6 @@ wide! {
 /// and a cancelled flight wastes at most one step of work. Returns `true`
 /// if the schedule ran to completion, `false` if the batch was abandoned
 /// mid-loop (the jobs' latents are then partial and must not be decoded).
-///
-/// # Example
-///
-/// ```
-/// use sww_genai::diffusion::scheduler::Schedule;
-/// use sww_genai::diffusion::{try_denoise_batch, DiffusionModel, ImageModelKind, StepCancel};
-/// use sww_genai::PromptFeatures;
-///
-/// let model = DiffusionModel::new(ImageModelKind::Sd3Medium);
-/// let f = PromptFeatures::analyze("a mountain lake");
-/// let mut jobs = vec![model.prepare_job(&f), model.prepare_job(&f)];
-/// assert!(try_denoise_batch(&Schedule::new(4), &mut jobs, &StepCancel::never()));
-/// // Same prompt, same schedule: the jobs advanced identically.
-/// assert_eq!(jobs[0].latent(), jobs[1].latent());
-/// // A pre-fired probe aborts before the first step runs.
-/// let mut jobs = vec![model.prepare_job(&f)];
-/// assert!(!try_denoise_batch(&Schedule::new(4), &mut jobs, &StepCancel::from_fn(|| true)));
-/// ```
 pub fn try_denoise_batch(schedule: &Schedule, jobs: &mut [LatentJob], cancel: &StepCancel) -> bool {
     for k in 0..schedule.steps() {
         if cancel.is_cancelled() {
@@ -703,6 +684,27 @@ mod tests {
         let a = m.generate("a mountain lake at sunset", 64, 64, 15);
         let b = m.generate("a mountain lake at sunset", 64, 64, 15);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn denoise_batch_advances_equal_jobs_equally_and_stops_on_a_fired_probe() {
+        let model = DiffusionModel::new(ImageModelKind::Sd3Medium);
+        let f = PromptFeatures::analyze("a mountain lake");
+        let mut jobs = vec![model.prepare_job(&f), model.prepare_job(&f)];
+        assert!(try_denoise_batch(
+            &Schedule::new(4),
+            &mut jobs,
+            &StepCancel::never()
+        ));
+        // Same prompt, same schedule: the jobs advanced identically.
+        assert_eq!(jobs[0].latent(), jobs[1].latent());
+        // A pre-fired probe aborts before the first step runs.
+        let mut jobs = vec![model.prepare_job(&f)];
+        assert!(!try_denoise_batch(
+            &Schedule::new(4),
+            &mut jobs,
+            &StepCancel::from_fn(|| true)
+        ));
     }
 
     #[test]

@@ -176,7 +176,7 @@ struct OctaveTable {
 /// # Example
 ///
 /// ```
-/// use sww_genai::diffusion::noise::{fbm, FbmField};
+/// use sww_genai::{fbm, FbmField};
 ///
 /// let field = FbmField::new(7, 3, 4.0, 4.0);
 /// assert_eq!(field.at(1.25, 3.5).to_bits(), fbm(7, 1.25, 3.5, 3).to_bits());
@@ -331,7 +331,7 @@ impl FbmRow<'_> {
 /// # Example
 ///
 /// ```
-/// use sww_genai::diffusion::noise::{fbm, FbmField};
+/// use sww_genai::{fbm, FbmField};
 ///
 /// let field = FbmField::new(7, 3, 4.0, 4.0);
 /// let xs = [0.0, 1.25, 3.5, -9.5];

@@ -39,16 +39,17 @@ impl Schedule {
     pub fn sigma(&self, k: u32) -> f64 {
         (-(f64::from(k) + 1.0) / self.tau).exp()
     }
-
-    /// Cumulative fidelity after all steps, in `[0, 1)`.
-    pub fn final_progress(&self) -> f64 {
-        1.0 - (-f64::from(self.steps) / self.tau).exp()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Cumulative fidelity after all steps, in `[0, 1)`: the closed form
+    /// the denoise loop's alphas converge to.
+    fn final_progress(s: &Schedule) -> f64 {
+        1.0 - (-f64::from(s.steps) / s.tau).exp()
+    }
 
     #[test]
     fn alphas_in_unit_interval() {
@@ -62,8 +63,8 @@ mod tests {
     #[test]
     fn progress_saturates() {
         // 10 vs 60 steps: both near 1.0 → flat CLIP, per the paper.
-        let p10 = Schedule::new(10).final_progress();
-        let p60 = Schedule::new(60).final_progress();
+        let p10 = final_progress(&Schedule::new(10));
+        let p60 = final_progress(&Schedule::new(60));
         assert!(p10 > 0.95);
         assert!(p60 > p10);
         assert!(p60 - p10 < 0.05);
@@ -86,6 +87,6 @@ mod tests {
         for k in 0..15 {
             x += s.alpha(k) * (1.0 - x);
         }
-        assert!((x - s.final_progress()).abs() < 1e-9);
+        assert!((x - final_progress(&s)).abs() < 1e-9);
     }
 }

@@ -186,7 +186,7 @@ mod tests {
                 // Pixel-like, fractional, and a few exact zeros of each sign.
                 *v = match case % 4 {
                     0 => (rng.below(256) as f64) - 128.0,
-                    1 => rng.range(-128.0, 127.0),
+                    1 => -128.0 + rng.uniform() * 255.0,
                     2 => rng.gaussian() * 1e-3,
                     _ => [0.0, -0.0, 1.0, -1.0][rng.below(4)],
                 };

@@ -7,40 +7,55 @@
 //! this crate implements the closest synthetic equivalents that exercise
 //! the same code paths (see DESIGN.md "Paper-to-repo substitutions"):
 //!
-//! * [`diffusion`] — a procedural latent-denoising image synthesizer with
-//!   named model profiles calibrated to the paper's Table 1,
-//! * [`text`] — a Markov-chain language model with bullet-conditioned
+//! * [`DiffusionModel`] — a procedural latent-denoising image synthesizer
+//!   with named model profiles calibrated to the paper's Table 1,
+//! * [`TextModel`] — a Markov-chain language model with bullet-conditioned
 //!   expansion and reasoning-phase cost for the DeepSeek-R1 profiles,
-//! * [`image`] — the pixel buffer and a lossy block-DCT codec, so media
-//!   sizes are *measured* from real encoded bytes, never assumed,
-//! * [`upscale`] — content upscaling (§2.2), one-step and fast,
-//! * [`invert`] — prompt inversion (image → prompt, §4.2),
-//! * [`metrics`] — CLIP-like, SBERT-like and ELO quality metrics,
-//! * [`pool`] — reusable scratch-buffer pools keeping the denoise/decode
-//!   hot path allocation-free at steady state (PERFORMANCE.md),
-//! * [`pipeline`] — the preloaded generation pipeline object whose reuse
-//!   the paper's §4.1 design calls out as a performance optimisation.
+//! * [`ImageBuffer`] and [`codec`] — the pixel buffer and a lossy
+//!   block-DCT codec, so media sizes are *measured* from real encoded
+//!   bytes, never assumed,
+//! * [`upscale()`] — content upscaling (§2.2), one-step and fast,
+//! * [`invert()`] — prompt inversion (image → prompt, §4.2),
+//! * [`clip_score`] and [`sbert_score`] — CLIP-like and SBERT-like quality
+//!   metrics,
+//! * [`BufferPool`] — reusable scratch-buffer pools keeping the
+//!   denoise/decode hot path allocation-free at steady state
+//!   (PERFORMANCE.md),
+//! * [`GenerationPipeline`] — the preloaded generation pipeline object
+//!   whose reuse the paper's §4.1 design calls out as a performance
+//!   optimisation.
 //!
 //! Everything is deterministic: generation is seeded from the prompt
 //! (FNV-1a) so tests and benches reproduce exactly.
 
-pub mod diffusion;
-pub mod image;
-pub mod invert;
+mod diffusion;
+mod image;
+mod invert;
 mod lanes;
-pub mod metrics;
-pub mod pipeline;
-pub mod pool;
-pub mod prompt;
+mod metrics;
+mod pipeline;
+mod pool;
+mod prompt;
 pub mod rng;
-pub mod text;
-pub mod upscale;
+mod text;
+mod upscale;
 
-pub use diffusion::{DiffusionModel, ImageModelKind, StepCancel, TileRunner, Tiling};
+pub use diffusion::models::profile as image_profile;
+pub use diffusion::noise::{fbm, FbmField, FbmSweep, MAX_OCTAVES};
+pub use diffusion::{
+    DiffusionModel, ImageModelKind, InlineRunner, StepCancel, TileRunner, TileTask, Tiling,
+};
 pub use image::{codec, ImageBuffer};
+pub use invert::invert;
+pub use metrics::clip::{clip_score, RANDOM_BASELINE};
+pub use metrics::sbert::{sbert_score, similarity as sbert_similarity};
 pub use pipeline::GenerationPipeline;
-pub use prompt::PromptFeatures;
-pub use text::{TextModel, TextModelKind};
+pub use pool::{decode_pool, BufferPool};
+pub use prompt::{cosine, PromptFeatures, TextureClass};
+pub use text::bullets::{bullets_wire_size, to_bullets};
+pub use text::models::profile as text_profile;
+pub use text::{word_length_overshoot, TextModel, TextModelKind};
+pub use upscale::upscale;
 
 /// The histogram every generation stage span records its wall time into,
 /// labelled `stage` (`embed`, `denoise`, `decode`, `codec_encode`).

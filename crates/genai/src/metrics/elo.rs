@@ -2,61 +2,61 @@
 //! round-robin Elo analysis of its ref \[18\]).
 //!
 //! The paper reads model ratings off the Artificial Analysis arena; those
-//! published numbers ship as calibration data in the model profiles. This
-//! module implements the rating algorithm itself — expected score, update
-//! rule, and a round-robin tournament — so the harness can *check* that
-//! the published ratings are consistent with the models' measured quality
-//! ordering (a tournament seeded from measured CLIP-sim win rates must
-//! reproduce the published ranking).
-
-/// Standard Elo logistic scale.
-pub const SCALE: f64 = 400.0;
-
-/// Default K-factor.
-pub const K: f64 = 24.0;
-
-/// Expected score of a player rated `ra` against `rb`.
-pub fn expected(ra: f64, rb: f64) -> f64 {
-    1.0 / (1.0 + 10f64.powf((rb - ra) / SCALE))
-}
-
-/// Update a rating after a game: `score` is 1 for a win, 0.5 draw, 0 loss.
-pub fn update(rating: f64, opponent: f64, score: f64, k: f64) -> f64 {
-    rating + k * (score - expected(rating, opponent))
-}
-
-/// Run a round-robin tournament: `win_prob[i][j]` is the probability that
-/// player `i` beats player `j`. Plays `rounds` full round-robins using the
-/// expected scores directly (the large-sample limit), starting everyone at
-/// `start`. Returns final ratings.
-pub fn round_robin(win_prob: &[Vec<f64>], rounds: u32, start: f64) -> Vec<f64> {
-    let n = win_prob.len();
-    let mut ratings = vec![start; n];
-    for _ in 0..rounds {
-        // Snapshot so a round is order-independent.
-        let snapshot = ratings.clone();
-        for i in 0..n {
-            for j in 0..n {
-                if i == j {
-                    continue;
-                }
-                ratings[i] = update(ratings[i], snapshot[j], win_prob[i][j], K);
-            }
-        }
-    }
-    ratings
-}
-
-/// Convert a quality gap into a win probability via the Bradley–Terry
-/// model used by arena leaderboards.
-pub fn win_probability(quality_a: f64, quality_b: f64, sensitivity: f64) -> f64 {
-    1.0 / (1.0 + (-(quality_a - quality_b) * sensitivity).exp())
-}
+//! published numbers ship as calibration data in the model profiles. The
+//! rating algorithm itself — expected score, update rule, and a
+//! round-robin tournament — lives in this file's tests, which use it to
+//! *check* that the published ratings are consistent with the models'
+//! measured quality ordering (a tournament seeded from measured CLIP-sim
+//! win rates must reproduce the published ranking). Nothing outside the
+//! tests computes a rating.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::diffusion::models::{profile, ImageModelKind};
+
+    /// Standard Elo logistic scale.
+    const SCALE: f64 = 400.0;
+
+    /// Default K-factor.
+    const K: f64 = 24.0;
+
+    /// Expected score of a player rated `ra` against `rb`.
+    fn expected(ra: f64, rb: f64) -> f64 {
+        1.0 / (1.0 + 10f64.powf((rb - ra) / SCALE))
+    }
+
+    /// Update a rating after a game: `score` is 1 for a win, 0.5 draw, 0 loss.
+    fn update(rating: f64, opponent: f64, score: f64, k: f64) -> f64 {
+        rating + k * (score - expected(rating, opponent))
+    }
+
+    /// Run a round-robin tournament: `win_prob[i][j]` is the probability that
+    /// player `i` beats player `j`. Plays `rounds` full round-robins using the
+    /// expected scores directly (the large-sample limit), starting everyone at
+    /// `start`. Returns final ratings.
+    fn round_robin(win_prob: &[Vec<f64>], rounds: u32, start: f64) -> Vec<f64> {
+        let n = win_prob.len();
+        let mut ratings = vec![start; n];
+        for _ in 0..rounds {
+            // Snapshot so a round is order-independent.
+            let snapshot = ratings.clone();
+            for i in 0..n {
+                for j in 0..n {
+                    if i == j {
+                        continue;
+                    }
+                    ratings[i] = update(ratings[i], snapshot[j], win_prob[i][j], K);
+                }
+            }
+        }
+        ratings
+    }
+
+    /// Convert a quality gap into a win probability via the Bradley–Terry
+    /// model used by arena leaderboards.
+    fn win_probability(quality_a: f64, quality_b: f64, sensitivity: f64) -> f64 {
+        1.0 / (1.0 + (-(quality_a - quality_b) * sensitivity).exp())
+    }
 
     #[test]
     fn expected_is_symmetric() {

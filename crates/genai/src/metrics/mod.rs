@@ -1,6 +1,7 @@
-//! Quality metrics: CLIP-sim (prompt↔image), SBERT-sim (bullets↔text)
-//! and ELO rating math.
+//! Quality metrics: CLIP-sim (prompt↔image) and SBERT-sim (bullets↔text);
+//! `elo` holds the ELO rating math its tests check the published ratings
+//! with.
 
 pub mod clip;
-pub mod elo;
+mod elo;
 pub mod sbert;

@@ -25,11 +25,11 @@
 //! # Example
 //!
 //! ```
-//! let mut buf = sww_genai::pool::latent_pool().acquire(16);
+//! let mut buf = sww_genai::decode_pool().acquire(16);
 //! buf.iter_mut().for_each(|v| *v = 1.0);
 //! assert_eq!(buf.len(), 16);
 //! drop(buf); // recycled onto the shelf, not freed
-//! let again = sww_genai::pool::latent_pool().acquire(16);
+//! let again = sww_genai::decode_pool().acquire(16);
 //! assert_eq!(again.len(), 16);
 //! ```
 
@@ -59,16 +59,6 @@ impl BufferPool {
             name,
             shelf: Mutex::new(Vec::new()),
         }
-    }
-
-    /// The pool's metric label.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Number of buffers currently shelved (tests, introspection).
-    pub fn shelved(&self) -> usize {
-        self.shelf.lock().unwrap_or_else(|e| e.into_inner()).len()
     }
 
     /// Check out a zero-filled buffer of exactly `len` elements.
@@ -147,13 +137,6 @@ pub struct PooledF64 {
     pool: &'static BufferPool,
 }
 
-impl PooledF64 {
-    /// The pool this buffer returns to.
-    pub fn pool(&self) -> &'static BufferPool {
-        self.pool
-    }
-}
-
 impl Deref for PooledF64 {
     type Target = [f64];
     fn deref(&self) -> &[f64] {
@@ -209,6 +192,13 @@ pub fn decode_pool() -> &'static BufferPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl BufferPool {
+        /// Number of buffers currently shelved.
+        fn shelved(&self) -> usize {
+            self.shelf.lock().unwrap_or_else(|e| e.into_inner()).len()
+        }
+    }
 
     // One private pool per test: the global latent/decode pools are shared
     // with every other test in the binary, so assertions on shelf contents

@@ -105,11 +105,6 @@ impl Rng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Uniform in `[lo, hi)`.
-    pub fn range(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + self.uniform() * (hi - lo)
-    }
-
     /// Uniform integer in `[0, n)`.
     pub fn below(&mut self, n: usize) -> usize {
         debug_assert!(n > 0);

@@ -44,11 +44,6 @@ impl MarkovChain {
         }
     }
 
-    /// Number of distinct bigram states.
-    pub fn states(&self) -> usize {
-        self.transitions.len()
-    }
-
     /// Generate approximately `target_words` words of text. Sentences are
     /// capped so the chain cannot wander unboundedly between periods.
     pub fn generate(&self, target_words: usize, rng: &mut Rng) -> Vec<String> {
@@ -97,7 +92,8 @@ mod tests {
     #[test]
     fn training_builds_states() {
         let c = chain();
-        assert!(c.states() > 400, "states={}", c.states());
+        let states = c.transitions.len();
+        assert!(states > 400, "states={states}");
         assert!(!c.starters.is_empty());
     }
 

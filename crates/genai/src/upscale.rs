@@ -45,10 +45,6 @@ pub fn upscale(img: &ImageBuffer, factor: u32) -> ImageBuffer {
     out
 }
 
-/// The number of "inference steps" upscaling costs: one (single-pass),
-/// which is what makes it sub-second in the cost model.
-pub const UPSCALE_STEPS: u32 = 1;
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,6 +1,6 @@
 //! Shared by the integration tests that run tiles across threads.
 
-use sww_genai::diffusion::{TileRunner, TileTask};
+use sww_genai::{TileRunner, TileTask};
 
 /// Runs every tile on its own scoped thread and joins them all: the
 /// simplest truly parallel [`TileRunner`], so these tests exercise

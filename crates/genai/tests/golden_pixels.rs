@@ -32,10 +32,9 @@
 //! There is deliberately no bless switch. If output is *meant* to change,
 //! the failure message prints the full new table to paste over `GOLDEN`.
 
-use sww_genai::diffusion::{DiffusionModel, ImageModelKind};
-use sww_genai::prompt::{PromptFeatures, TextureClass};
-use sww_genai::upscale::upscale;
-use sww_genai::{codec, ImageBuffer};
+use sww_genai::{
+    codec, upscale, DiffusionModel, ImageBuffer, ImageModelKind, PromptFeatures, TextureClass,
+};
 use sww_hash::{sha256, to_hex, Sha256};
 
 const MODELS: [ImageModelKind; 5] = [

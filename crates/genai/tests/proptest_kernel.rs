@@ -9,11 +9,10 @@ use common::ScopedRunner;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-use sww_genai::diffusion::{
-    DiffusionModel, ImageModelKind, InlineRunner, StepCancel, TileRunner, Tiling,
+use sww_genai::{
+    DiffusionModel, ImageBuffer, ImageModelKind, InlineRunner, PromptFeatures, StepCancel,
+    TileRunner, Tiling,
 };
-use sww_genai::prompt::PromptFeatures;
-use sww_genai::ImageBuffer;
 
 fn prompts(n: usize, salt: u64) -> Vec<String> {
     (0..n)

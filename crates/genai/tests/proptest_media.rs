@@ -3,10 +3,8 @@
 //! be total and deterministic over arbitrary prompts.
 
 use proptest::prelude::*;
-use sww_genai::diffusion::{DiffusionModel, ImageModelKind};
-use sww_genai::image::{codec, ImageBuffer};
 use sww_genai::rng::Rng;
-use sww_genai::text::{TextModel, TextModelKind};
+use sww_genai::{codec, DiffusionModel, ImageBuffer, ImageModelKind, TextModel, TextModelKind};
 
 fn arb_image() -> impl Strategy<Value = ImageBuffer> {
     (2u32..48, 2u32..48, any::<u64>()).prop_map(|(w, h, seed)| {

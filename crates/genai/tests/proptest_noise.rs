@@ -22,7 +22,7 @@
 //! own hash, its own fused loop), which both must still equal.
 
 use proptest::prelude::*;
-use sww_genai::diffusion::noise::{fbm, FbmField, FbmSweep, MAX_OCTAVES};
+use sww_genai::{fbm, FbmField, FbmSweep, MAX_OCTAVES};
 
 /// `noise.rs` as it stood before the lattice was tabulated.
 mod reference {

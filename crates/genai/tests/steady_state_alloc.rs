@@ -9,16 +9,15 @@
 //! integration binary: the pools and their counters are process-wide,
 //! and a sibling test generating concurrently would pollute the deltas.
 //!
-//! [`BufferPool`]: sww_genai::pool::BufferPool
+//! [`BufferPool`]: sww_genai::BufferPool
 
 mod common;
 
 use common::ScopedRunner;
-use sww_genai::diffusion::{
-    DiffusionModel, ImageModelKind, InlineRunner, StepCancel, TileRunner, Tiling,
+use sww_genai::{
+    DiffusionModel, ImageModelKind, InlineRunner, PromptFeatures, StepCancel, TextureClass,
+    TileRunner, Tiling,
 };
-use sww_genai::pool;
-use sww_genai::prompt::{PromptFeatures, TextureClass};
 
 fn counter(name: &'static str, labels: &[(&'static str, &'static str)]) -> u64 {
     sww_obs::counter(name, labels).get()
@@ -89,7 +88,7 @@ fn hot_path_allocates_nothing_after_warmup() {
     // shelves the *concurrently live* peak, which depends on scheduling.
     run(&InlineRunner, 1);
     run(&ScopedRunner, MAX_TILES);
-    pool::decode_pool().prewarm(MAX_TILES, (SIDE * SIDE) as usize);
+    sww_genai::decode_pool().prewarm(MAX_TILES, (SIDE * SIDE) as usize);
 
     let (latent_before, decode_before) = alloc_bytes();
     let reuse_before = reuse_count();

@@ -165,20 +165,6 @@ impl Document {
         }
     }
 
-    /// Set (or add) an attribute on an element.
-    pub fn set_attr(&mut self, id: NodeId, name: &str, value: &str) {
-        if let NodeKind::Element { attrs, .. } = &mut self.nodes[id.0].kind {
-            if let Some(a) = attrs.iter_mut().find(|a| a.name == name) {
-                a.value = value.to_owned();
-            } else {
-                attrs.push(Attribute {
-                    name: name.to_owned(),
-                    value: value.to_owned(),
-                });
-            }
-        }
-    }
-
     /// Whether an element's `class` attribute contains `class_name`.
     pub fn has_class(&self, id: NodeId, class_name: &str) -> bool {
         self.attr(id, "class")
@@ -250,8 +236,16 @@ mod tests {
     #[test]
     fn class_matching() {
         let mut doc = Document::new();
-        let div = doc.append(doc.root(), elem("div"));
-        doc.set_attr(div, "class", "hero generated-content large");
+        let div = doc.append(
+            doc.root(),
+            NodeKind::Element {
+                name: "div".into(),
+                attrs: vec![Attribute {
+                    name: "class".into(),
+                    value: "hero generated-content large".into(),
+                }],
+            },
+        );
         assert!(doc.has_class(div, "generated-content"));
         assert!(!doc.has_class(div, "generated"));
     }
@@ -267,15 +261,6 @@ mod tests {
         assert_eq!(doc.children(body), &[img, keep]);
         assert_eq!(doc.parent(img), Some(body));
         assert_eq!(doc.parent(old), None);
-    }
-
-    #[test]
-    fn set_attr_updates_existing() {
-        let mut doc = Document::new();
-        let img = doc.append(doc.root(), elem("img"));
-        doc.set_attr(img, "src", "a.jpg");
-        doc.set_attr(img, "src", "b.jpg");
-        assert_eq!(doc.attr(img, "src"), Some("b.jpg"));
     }
 
     #[test]

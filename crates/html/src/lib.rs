@@ -16,15 +16,18 @@
 //!   replacement with concrete media once generated — the client-side
 //!   rewrite shown in the paper's Figure 1.
 
-pub mod dom;
-pub mod entities;
+mod dom;
+mod entities;
 pub mod gencontent;
-pub mod parser;
-pub mod query;
-pub mod serialize;
-pub mod tokenizer;
+mod parser;
+mod query;
+mod serialize;
+mod tokenizer;
 
-pub use dom::{Document, Node, NodeId};
-pub use gencontent::{ContentType, GeneratedContent};
+pub use dom::{Document, NodeId, NodeKind};
+pub use entities::{decode_text, escape_attr};
+pub use gencontent::ContentType;
 pub use parser::parse;
+pub use query::by_tag;
 pub use serialize::serialize;
+pub use tokenizer::Attribute;

@@ -1,7 +1,7 @@
 //! DOM queries used by the SWW client and conversion pipeline: lookups by
-//! tag, class and attribute, in document order.
+//! tag and class, in document order.
 
-use crate::dom::{Document, NodeId, NodeKind};
+use crate::dom::{Document, NodeId};
 
 /// All elements with the given tag name under `start`.
 pub fn by_tag(doc: &Document, start: NodeId, tag: &str) -> Vec<NodeId> {
@@ -17,33 +17,6 @@ pub fn by_class(doc: &Document, start: NodeId, class_name: &str) -> Vec<NodeId> 
         .into_iter()
         .filter(|&id| doc.has_class(id, class_name))
         .collect()
-}
-
-/// All elements that have attribute `name` under `start`.
-pub fn by_attr(doc: &Document, start: NodeId, name: &str) -> Vec<NodeId> {
-    doc.descendants(start)
-        .into_iter()
-        .filter(|&id| doc.attr(id, name).is_some())
-        .collect()
-}
-
-/// First element with the given tag.
-pub fn first_by_tag(doc: &Document, start: NodeId, tag: &str) -> Option<NodeId> {
-    doc.descendants(start)
-        .into_iter()
-        .find(|&id| doc.tag_name(id) == Some(tag))
-}
-
-/// Count text characters in all text nodes under `start` (used by the
-/// conversion pipeline to size text blocks).
-pub fn text_len(doc: &Document, start: NodeId) -> usize {
-    doc.descendants(start)
-        .into_iter()
-        .filter_map(|id| match &doc.node(id).kind {
-            NodeKind::Text(t) => Some(t.chars().count()),
-            _ => None,
-        })
-        .sum()
 }
 
 #[cfg(test)]
@@ -70,25 +43,12 @@ mod tests {
     }
 
     #[test]
-    fn by_tag_and_first() {
+    fn by_tag_finds_every_match() {
         let doc = parse(PAGE);
         assert_eq!(by_tag(&doc, doc.root(), "p").len(), 2);
-        assert_eq!(by_tag(&doc, doc.root(), "img").len(), 1);
-        let img = first_by_tag(&doc, doc.root(), "img").unwrap();
-        assert_eq!(doc.attr(img, "src"), Some("unique.jpg"));
-        assert!(first_by_tag(&doc, doc.root(), "video").is_none());
-    }
-
-    #[test]
-    fn by_attr_matches_data_attributes() {
-        let doc = parse(PAGE);
-        assert_eq!(by_attr(&doc, doc.root(), "data-content-type").len(), 2);
-        assert_eq!(by_attr(&doc, doc.root(), "src").len(), 1);
-    }
-
-    #[test]
-    fn text_len_counts_chars() {
-        let doc = parse("<p>héllo</p>");
-        assert_eq!(text_len(&doc, doc.root()), 5);
+        let imgs = by_tag(&doc, doc.root(), "img");
+        assert_eq!(imgs.len(), 1);
+        assert_eq!(doc.attr(imgs[0], "src"), Some("unique.jpg"));
+        assert!(by_tag(&doc, doc.root(), "video").is_empty());
     }
 }

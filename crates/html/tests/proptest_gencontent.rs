@@ -7,7 +7,7 @@
 //! [`image_div`]: sww_html::gencontent::image_div
 
 use proptest::prelude::*;
-use sww_html::entities::escape_attr;
+use sww_html::escape_attr;
 use sww_html::gencontent::{self, ContentType};
 use sww_html::parse;
 

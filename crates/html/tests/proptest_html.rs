@@ -44,6 +44,6 @@ proptest! {
 
     #[test]
     fn entity_decoder_total(input in "[&#a-z0-9;x]{0,80}") {
-        let _ = sww_html::entities::decode_text(&input);
+        let _ = sww_html::decode_text(&input);
     }
 }

@@ -27,16 +27,17 @@ mod ping;
 mod priority;
 mod push_promise;
 mod rst_stream;
-pub mod settings_frame;
+mod settings_frame;
 mod window_update;
 
 pub use data::DataFrame;
 pub use goaway::GoAwayFrame;
-pub use headers::{ContinuationFrame, HeadersFrame, PriorityBlock};
+pub use headers::{ContinuationFrame, HeadersFrame};
 pub use ping::PingFrame;
-pub use priority::PriorityFrame;
-pub use push_promise::PushPromiseFrame;
+use priority::PriorityFrame;
+use push_promise::PushPromiseFrame;
 pub use rst_stream::RstStreamFrame;
+pub(crate) use settings_frame::SettingPair;
 pub use settings_frame::SettingsFrame;
 pub use window_update::WindowUpdateFrame;
 
@@ -47,15 +48,15 @@ use bytes::{BufMut, Bytes, BytesMut};
 pub const FRAME_HEADER_LEN: usize = 9;
 
 /// Default maximum frame payload size (RFC 9113 §4.2).
-pub const DEFAULT_MAX_FRAME_SIZE: u32 = 16_384;
+pub(crate) const DEFAULT_MAX_FRAME_SIZE: u32 = 16_384;
 
 /// Largest permitted SETTINGS_MAX_FRAME_SIZE value.
-pub const MAX_ALLOWED_FRAME_SIZE: u32 = (1 << 24) - 1;
+pub(crate) const MAX_ALLOWED_FRAME_SIZE: u32 = (1 << 24) - 1;
 
 /// Frame type registry (RFC 9113 §6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
-pub enum FrameType {
+pub(crate) enum FrameType {
     /// Conveys arbitrary variable-length request/response content.
     Data = 0x0,
     /// Opens a stream and carries a header block fragment.
@@ -80,7 +81,7 @@ pub enum FrameType {
 
 impl FrameType {
     /// Decode a frame type octet; `None` for extension types.
-    pub fn from_u8(v: u8) -> Option<FrameType> {
+    pub(crate) fn from_u8(v: u8) -> Option<FrameType> {
         use FrameType::*;
         Some(match v {
             0x0 => Data,
@@ -99,7 +100,7 @@ impl FrameType {
 }
 
 /// Frame flag bits used by this implementation (RFC 9113 §6).
-pub mod flags {
+pub(crate) mod flags {
     /// DATA / HEADERS: no further frames on this stream.
     pub const END_STREAM: u8 = 0x1;
     /// SETTINGS / PING: acknowledgement.

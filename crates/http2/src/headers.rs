@@ -32,15 +32,6 @@ impl HeaderMap {
             .map(|f| f.value.as_str())
     }
 
-    /// All values for `name`.
-    pub fn get_all<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a str> + 'a {
-        let name = name.to_ascii_lowercase();
-        self.fields
-            .iter()
-            .filter(move |f| f.name == name)
-            .map(|f| f.value.as_str())
-    }
-
     /// Number of fields.
     pub fn len(&self) -> usize {
         self.fields.len()
@@ -239,8 +230,7 @@ mod tests {
         let mut h = HeaderMap::new();
         h.insert("set-cookie", "a=1");
         h.insert("set-cookie", "b=2");
-        let all: Vec<_> = h.get_all("set-cookie").collect();
-        assert_eq!(all, ["a=1", "b=2"]);
+        assert_eq!(h.len(), 2, "a repeated name keeps both fields");
         assert_eq!(h.get("set-cookie"), Some("a=1"));
     }
 

@@ -2,17 +2,21 @@
 //!
 //! Implements the full representation set: indexed fields, literals with
 //! incremental indexing, literals without indexing, never-indexed literals,
-//! and dynamic table size updates. String literals may be Huffman coded;
-//! see [`huffman`] for how the code table is derived.
+//! and dynamic table size updates. String literals may be Huffman coded
+//! ([`huffman_encode`]).
 
-pub mod decoder;
-pub mod encoder;
-pub mod huffman;
-pub mod integer;
-pub mod table;
+mod decoder;
+mod encoder;
+mod huffman;
+mod integer;
+mod table;
 
 pub use decoder::Decoder;
 pub use encoder::Encoder;
+pub use huffman::{
+    decode as huffman_decode, encode as huffman_encode, encoded_len as huffman_encoded_len,
+};
+pub use table::{DynamicTable, STATIC_TABLE};
 
 /// A decoded header field.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]

@@ -11,30 +11,32 @@
 //! * connection and stream state machines with flow control,
 //! * async client/server connections on tokio,
 //! * the paper's §3 modification: a new SETTINGS parameter,
-//!   [`settings::SETTINGS_GEN_ABILITY`] (identifier `0x07`), advertising a
+//!   `SETTINGS_GEN_ABILITY` (identifier `0x07`), advertising a
 //!   peer's client-side content-generation capability. Per RFC 9113 §6.5.2 a
 //!   recipient ignores unknown settings, so non-participating peers interop
 //!   untouched — the property the paper's §6.2 functionality matrix tests.
 //!
-//! The API is deliberately small: [`server::serve_connection`] drives a
-//! handler over an accepted socket, [`client::ClientConnection`] performs
+//! The API is deliberately small: [`serve_connection`] drives a
+//! handler over an accepted socket, [`ClientConnection`] performs
 //! the handshake and issues requests. Both expose the negotiated generative
 //! ability after the SETTINGS exchange.
 
-pub mod client;
-pub mod connection;
-pub mod error;
+mod client;
+mod connection;
+mod error;
 pub mod frame;
-pub mod headers;
+mod headers;
 pub mod hpack;
-pub mod server;
-pub mod settings;
-pub mod stream;
+mod server;
+mod settings;
+mod stream;
 
 pub use client::ClientConnection;
+pub use connection::{Connection, Direction, FrameIo};
 pub use error::{ErrorCode, H2Error};
-pub use headers::{HeaderMap, Request, Response};
-pub use settings::{GenAbility, Settings, SETTINGS_GEN_ABILITY};
+pub use headers::{Request, Response};
+pub use server::{serve_connection, serve_connection_until, ServeContext, ServeStats};
+pub use settings::{GenAbility, Settings};
 
 /// The fixed client connection preface (RFC 9113 §3.4).
 pub const PREFACE: &[u8] = b"PRI * HTTP/2.0\r\n\r\nSM\r\n\r\n";

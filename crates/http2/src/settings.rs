@@ -7,7 +7,7 @@
 //! options such as upscale-only, which [`GenAbility`] models as a bitmask.
 
 use crate::error::H2Error;
-use crate::frame::settings_frame::SettingPair;
+use crate::frame::SettingPair;
 use crate::frame::{DEFAULT_MAX_FRAME_SIZE, MAX_ALLOWED_FRAME_SIZE};
 
 /// SETTINGS_HEADER_TABLE_SIZE (RFC 9113).
@@ -42,8 +42,6 @@ impl GenAbility {
     pub const GENERATE: u32 = 1 << 0;
     /// Bit 1: image upscaling only (§2.2).
     pub const UPSCALE: u32 = 1 << 1;
-    /// Bit 2: text expansion only.
-    pub const TEXT: u32 = 1 << 2;
     /// Bit 3: video frame-rate boosting / resolution upscale (§3.2).
     pub const VIDEO: u32 = 1 << 3;
 
@@ -89,11 +87,6 @@ impl GenAbility {
     /// Whether image upscaling is advertised (implied by full generation).
     pub fn can_upscale(self) -> bool {
         self.bits & (Self::UPSCALE | Self::GENERATE) != 0
-    }
-
-    /// Whether text expansion is advertised (implied by full generation).
-    pub fn can_expand_text(self) -> bool {
-        self.bits & (Self::TEXT | Self::GENERATE) != 0
     }
 
     /// Whether video upscaling is advertised.
@@ -335,7 +328,7 @@ mod tests {
     #[test]
     fn capability_implications() {
         let full = GenAbility::full();
-        assert!(full.can_generate() && full.can_upscale() && full.can_expand_text());
+        assert!(full.can_generate() && full.can_upscale());
         assert!(!full.can_upscale_video());
         let v = GenAbility::from_bits(GenAbility::VIDEO);
         assert!(v.can_upscale_video() && !v.can_generate());

@@ -99,11 +99,6 @@ impl StreamState {
         })
     }
 
-    /// RST_STREAM (either direction) closes the stream immediately.
-    pub fn on_reset(self) -> StreamState {
-        StreamState::Closed
-    }
-
     /// Whether the stream is finished in both directions.
     pub fn is_closed(self) -> bool {
         matches!(self, StreamState::Closed)
@@ -213,19 +208,6 @@ mod tests {
             StreamState::Closed.on_recv_data(5, false),
             Err(H2Error::Stream(5, ErrorCode::StreamClosed, _))
         ));
-    }
-
-    #[test]
-    fn reset_from_any_state() {
-        for s in [
-            StreamState::Idle,
-            StreamState::Open,
-            StreamState::HalfClosedLocal,
-            StreamState::HalfClosedRemote,
-            StreamState::Closed,
-        ] {
-            assert!(s.on_reset().is_closed());
-        }
     }
 
     #[test]

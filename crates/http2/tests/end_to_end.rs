@@ -3,8 +3,7 @@
 //! multiplexing, flow control and large header blocks.
 
 use bytes::Bytes;
-use sww_http2::server::{serve_connection, ServeContext};
-use sww_http2::{ClientConnection, GenAbility, Request, Response};
+use sww_http2::{serve_connection, ClientConnection, GenAbility, Request, Response, ServeContext};
 use tokio::io::duplex;
 
 /// Spawn a server over one end of a duplex pipe and hand back the client.
@@ -183,8 +182,7 @@ async fn sequential_requests_reuse_connection() {
 async fn pipelining_respects_max_concurrent_streams() {
     // A server announcing SETTINGS_MAX_CONCURRENT_STREAMS=2 must still see
     // every request answered, with the client windowing its streams.
-    use sww_http2::connection::Connection;
-    use sww_http2::Settings;
+    use sww_http2::{Connection, Settings};
     let (a, b) = tokio::io::duplex(1 << 20);
     tokio::spawn(async move {
         let mut settings = Settings::sww(GenAbility::full());

@@ -4,9 +4,8 @@
 //! violates the preface.
 
 use bytes::{Bytes, BytesMut};
-use sww_http2::connection::{Connection, FrameIo};
 use sww_http2::frame::{DataFrame, Frame, FrameHeader, HeadersFrame, SettingsFrame};
-use sww_http2::{GenAbility, H2Error, Settings};
+use sww_http2::{Connection, FrameIo, GenAbility, H2Error, Settings};
 use tokio::io::{duplex, AsyncWriteExt};
 
 /// Raw-socket peer: write arbitrary bytes at a server handshake.

@@ -2,8 +2,7 @@
 //! exact frames a request/response exchange puts on the wire.
 
 use bytes::Bytes;
-use sww_http2::connection::{Connection, Direction};
-use sww_http2::{GenAbility, Request, Response, Settings};
+use sww_http2::{Connection, Direction, GenAbility, Request, Response, Settings};
 use tokio::io::duplex;
 
 #[tokio::test]

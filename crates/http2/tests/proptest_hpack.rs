@@ -10,7 +10,7 @@
 //! operation.
 
 use proptest::prelude::*;
-use sww_http2::hpack::table::DynamicTable;
+use sww_http2::hpack::DynamicTable;
 use sww_http2::hpack::{Decoder, Encoder, HeaderField};
 
 fn arb_header() -> impl Strategy<Value = HeaderField> {

@@ -5,10 +5,9 @@
 //! entry that was never dropped.
 
 use bytes::{Bytes, BytesMut};
-use sww_http2::connection::Connection;
-use sww_http2::frame::{Frame, HeadersFrame, SettingsFrame};
+use sww_http2::frame::{Frame, HeadersFrame, RstStreamFrame, SettingsFrame};
 use sww_http2::hpack::Encoder;
-use sww_http2::{ErrorCode, GenAbility, H2Error, Request, Response, Settings};
+use sww_http2::{Connection, ErrorCode, GenAbility, H2Error, Request, Response, Settings};
 use tokio::io::{duplex, AsyncWriteExt, DuplexStream};
 
 type Conn = Connection<DuplexStream>;
@@ -133,5 +132,42 @@ async fn stream_ids_must_increase() {
     // Gaps alone are fine.
     let (answered, err) = serve_raw(&[1, 5, 9]).await;
     assert_eq!(answered, 3);
+    assert!(matches!(err, H2Error::Closed), "{err}");
+}
+
+#[tokio::test]
+async fn a_peer_reset_frees_its_stream_and_a_reset_of_an_unopened_id_is_ignored() {
+    let mut enc = Encoder::new();
+    let mut buf = BytesMut::new();
+    Frame::Settings(SettingsFrame::new(vec![])).encode(&mut buf);
+    // Stream 1 opens without END_STREAM, so only the peer's reset ends it.
+    let block = enc.encode(&Request::get("/open").to_fields());
+    Frame::Headers(HeadersFrame::new(1, Bytes::from(block), false)).encode(&mut buf);
+    Frame::RstStream(RstStreamFrame::new(1, ErrorCode::Cancel)).encode(&mut buf);
+    // Stream 7 was never opened.
+    Frame::RstStream(RstStreamFrame::new(7, ErrorCode::Cancel)).encode(&mut buf);
+    let block = enc.encode(&Request::get("/later").to_fields());
+    Frame::Headers(HeadersFrame::new(3, Bytes::from(block), true)).encode(&mut buf);
+    let mut bytes = sww_http2::PREFACE.to_vec();
+    bytes.extend_from_slice(&buf);
+
+    let (mut a, b) = duplex(1 << 16);
+    a.write_all(&bytes).await.unwrap();
+    let mut server = Connection::server_handshake(b, Settings::sww(GenAbility::none()))
+        .await
+        .expect("handshake");
+    let msg = server.next_message().await.unwrap();
+    assert_eq!(msg.stream_id, 3, "the request after the resets is answered");
+    assert_eq!(server.active_streams(), 1, "the reset stream 1 was freed");
+    let resp = Response::ok(Bytes::from_static(b"ok"));
+    server
+        .send_message(msg.stream_id, &resp.to_fields(), resp.body.clone())
+        .await
+        .unwrap();
+    assert_eq!(server.active_streams(), 0);
+    // The reset of stream 7 ended nothing: the connection ends when the
+    // peer hangs up, not on a protocol error.
+    drop(a);
+    let err = server.next_message().await.unwrap_err();
     assert!(matches!(err, H2Error::Closed), "{err}");
 }

@@ -4,26 +4,17 @@ use crate::varint::{self, VarintError};
 use bytes::Bytes;
 
 /// Frame type codes (RFC 9114 §11.2.1).
-pub const TYPE_DATA: u64 = 0x00;
+pub(crate) const TYPE_DATA: u64 = 0x00;
 /// HEADERS frame type.
-pub const TYPE_HEADERS: u64 = 0x01;
+pub(crate) const TYPE_HEADERS: u64 = 0x01;
 /// CANCEL_PUSH frame type.
-pub const TYPE_CANCEL_PUSH: u64 = 0x03;
+pub(crate) const TYPE_CANCEL_PUSH: u64 = 0x03;
 /// SETTINGS frame type.
-pub const TYPE_SETTINGS: u64 = 0x04;
-/// PUSH_PROMISE frame type.
-pub const TYPE_PUSH_PROMISE: u64 = 0x05;
+pub(crate) const TYPE_SETTINGS: u64 = 0x04;
 /// GOAWAY frame type.
-pub const TYPE_GOAWAY: u64 = 0x07;
+pub(crate) const TYPE_GOAWAY: u64 = 0x07;
 /// MAX_PUSH_ID frame type.
-pub const TYPE_MAX_PUSH_ID: u64 = 0x0d;
-
-/// Frame types of the form `0x1f * N + 0x21` are reserved to be ignored
-/// (RFC 9114 §7.2.8) — the same grease mechanism that lets the SWW
-/// SETTINGS extension deploy incrementally.
-pub fn is_reserved_type(t: u64) -> bool {
-    t >= 0x21 && (t - 0x21).is_multiple_of(0x1f)
-}
+pub(crate) const TYPE_MAX_PUSH_ID: u64 = 0x0d;
 
 /// A parsed HTTP/3 frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,7 +31,8 @@ pub enum H3Frame {
     CancelPush(u64),
     /// MAX_PUSH_ID.
     MaxPushId(u64),
-    /// Reserved or unknown type: ignored per §9.
+    /// Reserved (`0x1f * N + 0x21`, RFC 9114 §7.2.8) or unknown type:
+    /// ignored per §9.
     Unknown {
         /// Raw frame type.
         kind: u64,
@@ -202,15 +194,6 @@ mod tests {
                 "cut={cut}"
             );
         }
-    }
-
-    #[test]
-    fn reserved_types_detected() {
-        assert!(is_reserved_type(0x21));
-        assert!(is_reserved_type(0x21 + 0x1f));
-        assert!(is_reserved_type(0x21 + 31 * 0x1f));
-        assert!(!is_reserved_type(0x04));
-        assert!(!is_reserved_type(0x22));
     }
 
     #[test]

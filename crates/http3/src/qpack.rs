@@ -9,9 +9,8 @@
 //! the *mechanism* (prefixed integers, name references, Huffman literals)
 //! is exercised identically.
 
-use sww_http2::hpack::huffman;
-use sww_http2::hpack::table::STATIC_TABLE;
 use sww_http2::hpack::HeaderField;
+use sww_http2::hpack::{huffman_decode, huffman_encode, huffman_encoded_len, STATIC_TABLE};
 
 /// QPACK errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,10 +65,10 @@ fn get_int(buf: &[u8], pos: &mut usize, prefix_bits: u8) -> Result<u64, QpackErr
 }
 
 fn put_string(s: &[u8], prefix_bits: u8, tag: u8, huffman_bit: u8, out: &mut Vec<u8>) {
-    let hlen = huffman::encoded_len(s);
+    let hlen = huffman_encoded_len(s);
     if hlen < s.len() {
         put_int(hlen as u64, prefix_bits, tag | huffman_bit, out);
-        out.extend_from_slice(&huffman::encode(s));
+        out.extend_from_slice(&huffman_encode(s));
     } else {
         put_int(s.len() as u64, prefix_bits, tag, out);
         out.extend_from_slice(s);
@@ -92,7 +91,7 @@ fn get_string(
     let raw = &buf[*pos..end];
     *pos = end;
     let bytes = if huff {
-        huffman::decode(raw).map_err(|_| QpackError::BadString)?
+        huffman_decode(raw).map_err(|_| QpackError::BadString)?
     } else {
         raw.to_vec()
     };

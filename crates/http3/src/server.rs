@@ -466,6 +466,83 @@ mod tests {
         );
     }
 
+    /// A request stream may carry reserved-type frames (`0x1f * N + 0x21`,
+    /// RFC 9114 §7.2.8) before HEADERS and between HEADERS and DATA: the
+    /// server skips them and answers byte for byte as it answers the same
+    /// request without them.
+    #[tokio::test]
+    async fn grease_frames_on_a_request_stream_are_skipped() {
+        const LIMIT: Duration = Duration::from_secs(10);
+        let (a, b) = tokio::io::duplex(1 << 20);
+        let server = tokio::spawn(async move {
+            serve_h3_connection(b, GenAbility::full(), |req: Request, _ctx| {
+                let body = String::from_utf8_lossy(&req.body).into_owned();
+                Response::ok(Bytes::from(format!("{} {} {body}", req.method, req.path)))
+            })
+            .await
+        });
+        let mut peer = QuicLite::client(a);
+        let control = peer.open_uni();
+        let settings = control_stream_payload(&H3Settings::sww(GenAbility::full()));
+        peer.send(control, &settings, true).await.unwrap();
+
+        let mut req = Request::get("/page");
+        req.body = Bytes::from_static(b"payload");
+        let plain = crate::connection::encode_request(&req);
+        let mut headers_end = 0;
+        assert!(matches!(
+            H3Frame::decode(&plain, &mut headers_end),
+            Ok(H3Frame::Headers(_))
+        ));
+        assert!(
+            headers_end < plain.len(),
+            "the request carries a DATA frame"
+        );
+        let mut greased = Vec::new();
+        H3Frame::Unknown {
+            kind: 0x21 + 0x1f,
+            payload: Bytes::from_static(b"before headers"),
+        }
+        .encode(&mut greased);
+        greased.extend_from_slice(&plain[..headers_end]);
+        H3Frame::Unknown {
+            kind: 0x21 + 0x1f * 7,
+            payload: Bytes::from_static(b"between headers and data"),
+        }
+        .encode(&mut greased);
+        greased.extend_from_slice(&plain[headers_end..]);
+
+        let (clean, dirty) = (peer.open_bidi(), peer.open_bidi());
+        peer.send(clean, &plain, true).await.unwrap();
+        peer.send(dirty, &greased, true).await.unwrap();
+        let answers = within(LIMIT, async {
+            let mut answers = std::collections::HashMap::new();
+            while answers.len() < 2 {
+                let (id, data) = peer.recv_any_stream().await.unwrap();
+                if !stream_id::is_uni(id) {
+                    answers.insert(id, data);
+                }
+            }
+            answers
+        })
+        .await
+        .expect("a request stream was never answered");
+        assert_eq!(answers[&dirty], answers[&clean]);
+        let resp = crate::connection::decode_response(&answers[&clean]).unwrap();
+        assert_eq!(
+            (resp.status, &resp.body[..]),
+            (200, &b"GET /page payload"[..])
+        );
+
+        drop(peer);
+        let stats = within(LIMIT, server)
+            .await
+            .expect("serve future never returned after the peer closed")
+            .unwrap()
+            .unwrap();
+        assert_eq!((stats.requests, stats.responses), (2, 2));
+    }
+
     /// A peer that never finishes its streams is cut off once the octets
     /// held for them pass the reassembly cap, instead of growing the
     /// server without bound while it waits for FINs.

@@ -12,8 +12,6 @@ use sww_http2::GenAbility;
 pub const SETTINGS_QPACK_MAX_TABLE_CAPACITY: u64 = 0x01;
 /// SETTINGS_MAX_FIELD_SECTION_SIZE (RFC 9114).
 pub const SETTINGS_MAX_FIELD_SECTION_SIZE: u64 = 0x06;
-/// SETTINGS_QPACK_BLOCKED_STREAMS (RFC 9204).
-pub const SETTINGS_QPACK_BLOCKED_STREAMS: u64 = 0x07;
 /// The SWW generative-ability advertisement for HTTP/3.
 pub const SETTINGS_SWW_GEN_ABILITY: u64 = 0x5757;
 

@@ -29,11 +29,6 @@ pub mod stream_id {
     pub fn is_uni(id: u64) -> bool {
         id & 0x2 != 0
     }
-
-    /// Whether the client initiated the stream.
-    pub fn is_client_initiated(id: u64) -> bool {
-        id & 0x1 == 0
-    }
 }
 
 /// One received chunk.
@@ -242,11 +237,6 @@ impl<T: AsyncRead + AsyncWrite + Unpin> QuicLite<T> {
         }
     }
 
-    /// Receive the next chunk from the peer.
-    pub async fn recv_chunk(&mut self) -> Result<StreamChunk, TransportError> {
-        std::future::poll_fn(|cx| self.poll_recv_chunk(cx)).await
-    }
-
     /// Route one received chunk into the per-stream reassembly maps,
     /// failing the connection once the unfinished streams hold more than
     /// [`MAX_CHUNK`] octets.
@@ -295,19 +285,6 @@ impl<T: AsyncRead + AsyncWrite + Unpin> QuicLite<T> {
         }
     }
 
-    /// Read chunks until `stream` finishes, buffering other streams;
-    /// returns that stream's complete payload.
-    pub async fn recv_stream(&mut self, stream: u64) -> Result<Vec<u8>, TransportError> {
-        loop {
-            let at = self.finished.iter().position(|(id, _)| *id == stream);
-            if let Some((_, done)) = at.and_then(|at| self.finished.remove(at)) {
-                return Ok(done);
-            }
-            let chunk = self.recv_chunk().await?;
-            self.ingest(chunk)?;
-        }
-    }
-
     /// Read chunks until *any* stream finishes; returns `(id, payload)`.
     pub async fn recv_any_stream(&mut self) -> Result<(u64, Vec<u8>), TransportError> {
         std::future::poll_fn(|cx| self.poll_recv_any_stream(cx)).await
@@ -325,10 +302,8 @@ mod tests {
         assert_eq!(client.open_bidi(), 0);
         assert_eq!(client.open_bidi(), 4);
         assert_eq!(client.open_uni(), 2);
-        assert!(stream_id::is_client_initiated(0));
         assert!(stream_id::is_uni(2));
         assert!(!stream_id::is_uni(4));
-        assert!(!stream_id::is_client_initiated(3));
     }
 
     #[tokio::test]
@@ -339,11 +314,11 @@ mod tests {
         tx.send(0, b"hello ", false).await.unwrap();
         tx.send(4, b"other", true).await.unwrap();
         tx.send(0, b"world", true).await.unwrap();
-        // Stream 0 completes after stream 4's chunks arrive interleaved.
-        let zero = rx.recv_stream(0).await.unwrap();
-        assert_eq!(zero, b"hello world");
-        let four = rx.recv_stream(4).await.unwrap();
-        assert_eq!(four, b"other");
+        // Stream 4 finishes between stream 0's two chunks.
+        let (id, four) = rx.recv_any_stream().await.unwrap();
+        assert_eq!((id, four.as_slice()), (4, &b"other"[..]));
+        let (id, zero) = rx.recv_any_stream().await.unwrap();
+        assert_eq!((id, zero.as_slice()), (0, &b"hello world"[..]));
     }
 
     #[tokio::test]
@@ -367,13 +342,16 @@ mod tests {
         tx.send(0, b"done", true).await.unwrap();
         tx.send(4, b"four", true).await.unwrap();
         tx.send(12, b"twelve", true).await.unwrap();
-        // Waiting for the last one buffers the three before it.
-        assert_eq!(rx.recv_stream(12).await.unwrap(), b"twelve");
         let mut order = Vec::new();
-        for _ in 0..3 {
+        for _ in 0..4 {
             order.push(rx.recv_any_stream().await.unwrap());
         }
-        let want: [(u64, &[u8]); 3] = [(8, b"eight"), (0, b"zero done"), (4, b"four")];
+        let want: [(u64, &[u8]); 4] = [
+            (8, b"eight"),
+            (0, b"zero done"),
+            (4, b"four"),
+            (12, b"twelve"),
+        ];
         for ((id, data), (want_id, want_data)) in order.iter().zip(want) {
             assert_eq!((*id, data.as_slice()), (want_id, want_data));
         }
@@ -384,7 +362,10 @@ mod tests {
         let (a, b) = tokio::io::duplex(1024);
         drop(b);
         let mut rx = QuicLite::<tokio::io::DuplexStream>::server(a);
-        assert!(matches!(rx.recv_chunk().await, Err(TransportError::Closed)));
+        assert!(matches!(
+            rx.recv_any_stream().await,
+            Err(TransportError::Closed)
+        ));
     }
 
     #[tokio::test]
@@ -397,8 +378,8 @@ mod tests {
         let send = tokio::spawn(async move {
             tx.send(0, &big2, true).await.unwrap();
         });
-        let got = rx.recv_stream(0).await.unwrap();
+        let (id, got) = rx.recv_any_stream().await.unwrap();
         send.await.unwrap();
-        assert_eq!(got, big);
+        assert_eq!((id, got), (0, big));
     }
 }

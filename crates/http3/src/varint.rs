@@ -27,7 +27,7 @@ pub fn len(value: u64) -> usize {
 }
 
 /// Append the varint encoding of `value` to `out`. Panics (debug) above
-/// [`MAX`].
+/// `2^62 - 1`.
 pub fn encode(value: u64, out: &mut Vec<u8>) {
     debug_assert!(value <= MAX, "varint out of range");
     match len(value) {

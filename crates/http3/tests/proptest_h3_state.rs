@@ -13,9 +13,7 @@ use proptest::prelude::*;
 use sww_http2::hpack::HeaderField;
 use sww_http2::GenAbility;
 use sww_http3::frame::{FrameError, H3Frame};
-use sww_http3::qpack;
-use sww_http3::varint;
-use sww_http3::{H3Settings, SETTINGS_SWW_GEN_ABILITY};
+use sww_http3::{qpack, varint_decode, varint_encode, H3Settings, SETTINGS_SWW_GEN_ABILITY};
 
 fn arb_header() -> impl Strategy<Value = HeaderField> {
     ("[a-z][a-z0-9-]{0,24}", "[ -~]{0,64}").prop_map(|(n, v)| HeaderField::new(n, v))
@@ -211,11 +209,11 @@ proptest! {
     fn varint_streams_roundtrip(values in prop::collection::vec(0u64..(1 << 62), 1..32)) {
         let mut buf = Vec::new();
         for &v in &values {
-            varint::encode(v, &mut buf);
+            varint_encode(v, &mut buf);
         }
         let mut pos = 0;
         for &want in &values {
-            prop_assert_eq!(varint::decode(&buf, &mut pos).unwrap(), want);
+            prop_assert_eq!(varint_decode(&buf, &mut pos).unwrap(), want);
         }
         prop_assert_eq!(pos, buf.len());
     }

@@ -2,7 +2,6 @@
 //! bullet-point form is ≈778 bytes (3.1× compression).
 
 use crate::graph::RecipeSpec;
-use sww_genai::text::bullets;
 
 /// Request path of the article page when served (also the path of its
 /// anchor node in the small-world site graph).
@@ -49,7 +48,7 @@ pub fn target_words() -> usize {
 
 /// The bullet-point (SWW) form of the article.
 pub fn article_bullets() -> Vec<String> {
-    bullets::to_bullets(ARTICLE, 6)
+    sww_genai::to_bullets(ARTICLE, 6)
 }
 
 /// The article's recipe — the single source of truth the on-the-wire
@@ -76,10 +75,10 @@ pub fn page_html() -> String {
 }
 
 /// Original and converted byte sizes `(original, converted)`.
-pub fn sizes() -> (usize, usize) {
+pub fn article_sizes() -> (usize, usize) {
     (
         ARTICLE.len(),
-        bullets::bullets_wire_size(&article_bullets()),
+        sww_genai::bullets_wire_size(&article_bullets()),
     )
 }
 
@@ -97,7 +96,7 @@ mod tests {
 
     #[test]
     fn compression_near_3x() {
-        let (original, converted) = sizes();
+        let (original, converted) = article_sizes();
         let ratio = original as f64 / converted as f64;
         assert!(
             (2.4..4.2).contains(&ratio),

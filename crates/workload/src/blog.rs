@@ -3,9 +3,8 @@
 //! hiking route or pictures taken during the hike".
 
 use crate::graph::RecipeSpec;
-use sww_core::{SiteContent, SwwPage};
-use sww_genai::diffusion::{DiffusionModel, ImageModelKind};
-use sww_genai::image::codec;
+use sww_core::SiteContent;
+use sww_genai::{codec, DiffusionModel, ImageModelKind};
 
 /// Paths of the unique hike photographs kept as real files.
 pub const UNIQUE_PHOTOS: [&str; 2] = ["/photos/summit-2025.jpg", "/photos/ridge-camp.jpg"];
@@ -86,11 +85,6 @@ pub fn travel_blog() -> SiteContent {
 /// The page path of the blog post.
 pub const BLOG_PATH: &str = "/blog/gherdeina-ridge";
 
-/// Accessor used by benches: the page object.
-pub fn blog_page(site: &SiteContent) -> &SwwPage {
-    site.page(BLOG_PATH).expect("blog page present")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,11 +109,11 @@ mod tests {
     #[test]
     fn blog_mixes_generated_and_unique() {
         let site = travel_blog();
-        let page = blog_page(&site);
+        let page = site.page(BLOG_PATH).expect("blog page present");
         let doc = sww_html::parse(&page.html);
         let generated = gencontent::extract(&doc);
         assert_eq!(generated.len(), 3, "two stock images + one text block");
-        let imgs = sww_html::query::by_tag(&doc, doc.root(), "img");
+        let imgs = sww_html::by_tag(&doc, doc.root(), "img");
         assert_eq!(imgs.len(), 2, "two unique photos fetched traditionally");
         assert!(page.html.contains("Crespëina"), "route text kept verbatim");
     }
@@ -136,7 +130,7 @@ mod tests {
     #[test]
     fn stock_prompts_have_paper_style_lengths() {
         let site = travel_blog();
-        let doc = sww_html::parse(&blog_page(&site).html);
+        let doc = sww_html::parse(&site.page(BLOG_PATH).expect("blog page present").html);
         for item in gencontent::extract(&doc) {
             if item.content_type == gencontent::ContentType::Img {
                 let len = item.prompt().len();

@@ -134,11 +134,11 @@ static MOODS: [&str; 6] = [
 ];
 
 /// Index of the Wikimedia Landscape anchor node.
-pub const ANCHOR_WIKIMEDIA: usize = 0;
+pub(crate) const ANCHOR_WIKIMEDIA: usize = 0;
 /// Index of the news-article anchor node.
-pub const ANCHOR_ARTICLE: usize = 1;
+pub(crate) const ANCHOR_ARTICLE: usize = 1;
 /// Index of the travel-blog anchor node.
-pub const ANCHOR_BLOG: usize = 2;
+pub(crate) const ANCHOR_BLOG: usize = 2;
 /// Number of anchor (paper fixture) nodes at the front of the graph.
 pub const ANCHOR_COUNT: usize = 3;
 

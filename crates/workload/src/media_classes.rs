@@ -1,8 +1,6 @@
 //! The Table 2 media classes: small / medium / large images and the
 //! 250-word text block, with their nominal sizes and worst-case metadata
 //! budgets from the paper.
-
-use sww_genai::text::bullets;
 use sww_html::gencontent;
 use sww_json::Value;
 
@@ -103,7 +101,7 @@ pub fn text_block_250() -> (String, String) {
     // Trim to exactly 250 words.
     let w: Vec<&str> = text.split_whitespace().take(250).collect();
     text = w.join(" ");
-    let blist = bullets::to_bullets(&text, 10);
+    let blist = sww_genai::to_bullets(&text, 10);
     let div = gencontent::text_div(&blist, 250);
     (text, div)
 }

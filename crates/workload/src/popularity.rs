@@ -19,7 +19,6 @@ use sww_genai::rng::Rng;
 pub struct Zipf {
     /// Cumulative distribution over ranks; `cdf[r]` = P(rank ≤ r).
     cdf: Vec<f64>,
-    exponent: f64,
 }
 
 impl Zipf {
@@ -39,31 +38,7 @@ impl Zipf {
         for c in &mut cdf {
             *c /= total;
         }
-        Zipf { cdf, exponent: s }
-    }
-
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// Whether the sampler is over zero ranks (never true — `new` panics).
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
-    }
-
-    /// The configured exponent `s`.
-    pub fn exponent(&self) -> f64 {
-        self.exponent
-    }
-
-    /// Probability mass of rank `r`.
-    pub fn mass(&self, r: usize) -> f64 {
-        if r == 0 {
-            self.cdf[0]
-        } else {
-            self.cdf[r] - self.cdf[r - 1]
-        }
+        Zipf { cdf }
     }
 
     /// Draw a rank from the distribution using the caller's seeded
@@ -81,36 +56,52 @@ impl Zipf {
     }
 }
 
-/// Estimate the rank-frequency exponent of observed counts by an
-/// ordinary least-squares fit of `log(frequency)` against `log(rank)`
-/// (slope negated, so a perfect Zipf-`s` sample estimates ≈ `s`). Ranks
-/// with zero counts are skipped; counts must be in rank order (most
-/// popular first).
-pub fn rank_frequency_exponent(counts: &[u64]) -> f64 {
-    let points: Vec<(f64, f64)> = counts
-        .iter()
-        .enumerate()
-        .filter(|(_, &c)| c > 0)
-        .map(|(r, &c)| (((r + 1) as f64).ln(), (c as f64).ln()))
-        .collect();
-    if points.len() < 2 {
-        return 0.0;
-    }
-    let n = points.len() as f64;
-    let sx: f64 = points.iter().map(|p| p.0).sum();
-    let sy: f64 = points.iter().map(|p| p.1).sum();
-    let sxx: f64 = points.iter().map(|p| p.0 * p.0).sum();
-    let sxy: f64 = points.iter().map(|p| p.0 * p.1).sum();
-    let denom = n * sxx - sx * sx;
-    if denom.abs() < f64::EPSILON {
-        return 0.0;
-    }
-    -((n * sxy - sx * sy) / denom)
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    impl Zipf {
+        /// Number of ranks.
+        fn len(&self) -> usize {
+            self.cdf.len()
+        }
+
+        /// Probability mass of rank `r`.
+        fn mass(&self, r: usize) -> f64 {
+            if r == 0 {
+                self.cdf[0]
+            } else {
+                self.cdf[r] - self.cdf[r - 1]
+            }
+        }
+    }
+
+    /// Estimate the rank-frequency exponent of observed counts by an
+    /// ordinary least-squares fit of `log(frequency)` against `log(rank)`
+    /// (slope negated, so a perfect Zipf-`s` sample estimates ≈ `s`). Ranks
+    /// with zero counts are skipped; counts must be in rank order (most
+    /// popular first).
+    pub(crate) fn rank_frequency_exponent(counts: &[u64]) -> f64 {
+        let points: Vec<(f64, f64)> = counts
+            .iter()
+            .enumerate()
+            .filter(|(_, &c)| c > 0)
+            .map(|(r, &c)| (((r + 1) as f64).ln(), (c as f64).ln()))
+            .collect();
+        if points.len() < 2 {
+            return 0.0;
+        }
+        let n = points.len() as f64;
+        let sx: f64 = points.iter().map(|p| p.0).sum();
+        let sy: f64 = points.iter().map(|p| p.1).sum();
+        let sxx: f64 = points.iter().map(|p| p.0 * p.0).sum();
+        let sxy: f64 = points.iter().map(|p| p.0 * p.1).sum();
+        let denom = n * sxx - sx * sx;
+        if denom.abs() < f64::EPSILON {
+            return 0.0;
+        }
+        -((n * sxy - sx * sy) / denom)
+    }
 
     #[test]
     fn masses_sum_to_one_and_decrease() {

@@ -31,10 +31,10 @@ use crate::session::ability_for;
 use crate::trace::{page_access, Trace, TraceEvent, WorkloadConfig};
 use std::sync::Arc;
 use std::time::Instant;
-use sww_core::lru::Lru;
-use sww_core::{ChaosSpec, EdgeConfig, EdgeRouter, GenerativeServer, MediaGenerator, ServerConfig};
-use sww_energy::cost;
-use sww_energy::device::{profile, DeviceKind};
+use sww_core::{
+    ChaosSpec, EdgeConfig, EdgeRouter, GenerativeServer, Lru, MediaGenerator, ServerConfig,
+};
+use sww_energy::{profile, DeviceKind};
 use sww_http2::{GenAbility, Request};
 use sww_http3::H3ClientConnection;
 use sww_obs::Registry;
@@ -512,7 +512,7 @@ pub fn modelled_slo(cfg: &WorkloadConfig, nodes: usize, cache_capacity: usize) -
     // One 64×64 generation on the serving device — the recipes the
     // generated graph pages carry. Anchor pages carry more/larger
     // recipes; the simulation charges per recipe via the page's spec.
-    let gen_s = cost::image_generation_time(
+    let gen_s = sww_energy::image_generation_time(
         generator.image_model(),
         &profile(DeviceKind::Workstation),
         64,

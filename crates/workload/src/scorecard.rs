@@ -163,15 +163,6 @@ impl Scorecard {
             0.0
         }
     }
-
-    /// Fraction of requests that ended 200.
-    pub fn ok_rate(&self) -> f64 {
-        if self.requests == 0 {
-            0.0
-        } else {
-            self.ok as f64 / self.requests as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -191,7 +182,6 @@ mod tests {
             (s.requests, s.ok, s.shed, s.deadline, s.errors),
             (10, 6, 2, 1, 1)
         );
-        assert!((s.ok_rate() - 0.6).abs() < 1e-9);
         assert!((s.qps() - 5.0).abs() < 1e-9);
     }
 

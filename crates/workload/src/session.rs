@@ -61,7 +61,7 @@ impl ProfileMix {
 }
 
 /// The generation ability a device class announces when it connects.
-pub fn ability_for(device: DeviceKind) -> GenAbility {
+pub(crate) fn ability_for(device: DeviceKind) -> GenAbility {
     match device {
         DeviceKind::Mobile => GenAbility::none(),
         DeviceKind::Laptop | DeviceKind::Workstation => GenAbility::full(),
@@ -91,7 +91,7 @@ impl Default for WalkConfig {
 /// The first page and every restart target are drawn from `zipf` and
 /// mapped through `rank_to_node`; other steps follow a uniform outgoing
 /// link. Pure function of the `rng` stream position.
-pub fn random_walk(
+pub(crate) fn random_walk(
     graph: &SiteGraph,
     zipf: &Zipf,
     rank_to_node: &[usize],

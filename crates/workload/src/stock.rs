@@ -7,8 +7,6 @@
 //! with licensing metadata, categorized and searchable, plus the tiny
 //! byte footprint that replaces the stock JPEG.
 
-use sww_html::gencontent;
-
 /// Licence terms attached to a stock prompt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Licence {
@@ -93,24 +91,15 @@ pub fn by_category(category: &str) -> Vec<&'static StockPrompt> {
     CATALOG.iter().filter(|p| p.category == category).collect()
 }
 
-/// Look up by id.
-pub fn by_id(id: &str) -> Option<&'static StockPrompt> {
-    CATALOG.iter().find(|p| p.id == id)
-}
-
-/// Render a catalog entry as a generated-content division ready to embed,
-/// carrying the licence in the metadata for downstream attribution.
-pub fn to_division(p: &StockPrompt) -> String {
-    // Embed licence into the name so it survives in metadata.
-    let name = format!("{}.jpg", p.id);
-    gencontent::image_div(p.prompt, &name, p.size.0, p.size.1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sww_genai::diffusion::{DiffusionModel, ImageModelKind};
-    use sww_genai::metrics::clip;
+    use sww_genai::{DiffusionModel, ImageModelKind};
+
+    /// Look up by id.
+    fn by_id(id: &str) -> Option<&'static StockPrompt> {
+        CATALOG.iter().find(|p| p.id == id)
+    }
 
     #[test]
     fn catalog_is_searchable() {
@@ -132,24 +121,16 @@ mod tests {
     }
 
     #[test]
-    fn divisions_embed_and_extract() {
-        let p = by_id("travel-001").unwrap();
-        let html = to_division(p);
-        let doc = sww_html::parse(&html);
-        let items = gencontent::extract(&doc);
-        assert_eq!(items.len(), 1);
-        assert_eq!(items[0].width(), 512);
-        assert!(items[0].prompt().contains("travel brochure"));
-    }
-
-    #[test]
     fn stock_prompts_render_on_topic() {
         // The economic premise: a sold prompt reliably regenerates content
         // matching its description.
         let p = by_id("landscape-001").unwrap();
         let img = DiffusionModel::new(ImageModelKind::Sd35Medium).generate(p.prompt, 224, 224, 15);
-        let score = clip::clip_score(&img, p.prompt);
-        assert!(score > clip::RANDOM_BASELINE + 0.08, "score {score:.3}");
+        let score = sww_genai::clip_score(&img, p.prompt);
+        assert!(
+            score > sww_genai::RANDOM_BASELINE + 0.08,
+            "score {score:.3}"
+        );
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::arrival::DiurnalModel;
 use crate::graph::{SiteGraph, SmallWorldConfig};
 use crate::popularity::Zipf;
 use crate::session::{random_walk, ProfileMix, WalkConfig};
-use sww_core::lru::Lru;
+use sww_core::Lru;
 use sww_energy::DeviceKind;
 use sww_genai::rng::Rng;
 
@@ -191,39 +191,6 @@ impl Trace {
             .len()
     }
 
-    /// The bounded-cache hit rate: fraction of requests served by an LRU
-    /// of `capacity` pages fed the trace in order. Unlike an infinite
-    /// cache's rate, which saturates once the walk has covered the graph,
-    /// this is sensitive to *locality*: on a clustered (low-β)
-    /// graph, concurrent sessions walk overlapping neighbourhoods and
-    /// revisit pages while they are still resident; rewiring toward
-    /// β = 1 disperses the walks and the rate falls. A pure function of
-    /// the event sequence — this is the quantity the monotone
-    /// hit-rate-vs-clustering gate compares across β.
-    pub fn lru_hit_rate(&self, capacity: usize) -> f64 {
-        if self.events.is_empty() {
-            return 0.0;
-        }
-        let mut cache = Lru::new(capacity as u64);
-        let hits = self
-            .events
-            .iter()
-            .filter(|e| page_access(&mut cache, e.node))
-            .count();
-        hits as f64 / self.events.len() as f64
-    }
-
-    /// Per-rank visit counts (most popular node first) for exponent
-    /// estimation.
-    pub fn rank_counts(&self) -> Vec<u64> {
-        let mut counts = vec![0u64; self.cfg.graph.nodes];
-        for e in &self.events {
-            counts[e.node] += 1;
-        }
-        counts.sort_unstable_by(|a, b| b.cmp(a));
-        counts
-    }
-
     /// FNV-1a digest over every event field — the bit-identity witness.
     pub fn digest(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -247,8 +214,8 @@ impl Trace {
 }
 
 /// One access to a modelled page cache — the system's own [`Lru`] at
-/// cost 1 per page, shared by [`Trace::lru_hit_rate`] and the modelled
-/// SLO simulator. Returns `true` on a hit; either way the page becomes
+/// cost 1 per page, shared by the modelled SLO simulator and the tests'
+/// `Trace::lru_hit_rate`. Returns `true` on a hit; either way the page becomes
 /// most-recent, evicting the coldest page when full.
 pub(crate) fn page_access(cache: &mut Lru<usize, ()>, node: usize) -> bool {
     let hit = cache.get(&node).is_some();
@@ -273,6 +240,41 @@ pub fn popularity_permutation(n: usize, seed: u64) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Trace {
+        /// The bounded-cache hit rate: fraction of requests served by an LRU
+        /// of `capacity` pages fed the trace in order. Unlike an infinite
+        /// cache's rate, which saturates once the walk has covered the graph,
+        /// this is sensitive to *locality*: on a clustered (low-β)
+        /// graph, concurrent sessions walk overlapping neighbourhoods and
+        /// revisit pages while they are still resident; rewiring toward
+        /// β = 1 disperses the walks and the rate falls. A pure function of
+        /// the event sequence — the quantity
+        /// `clustering_raises_the_lru_hit_rate` compares across β.
+        fn lru_hit_rate(&self, capacity: usize) -> f64 {
+            if self.events.is_empty() {
+                return 0.0;
+            }
+            let mut cache = Lru::new(capacity as u64);
+            let hits = self
+                .events
+                .iter()
+                .filter(|e| page_access(&mut cache, e.node))
+                .count();
+            hits as f64 / self.events.len() as f64
+        }
+
+        /// Per-rank visit counts (most popular node first) for exponent
+        /// estimation.
+        fn rank_counts(&self) -> Vec<u64> {
+            let mut counts = vec![0u64; self.cfg.graph.nodes];
+            for e in &self.events {
+                counts[e.node] += 1;
+            }
+            counts.sort_unstable_by(|a, b| b.cmp(a));
+            counts
+        }
+    }
 
     fn small_cfg() -> WorkloadConfig {
         WorkloadConfig {
@@ -319,7 +321,7 @@ mod tests {
             ..small_cfg()
         };
         let t = Trace::generate(&cfg);
-        let est = crate::popularity::rank_frequency_exponent(&t.rank_counts());
+        let est = crate::popularity::tests::rank_frequency_exponent(&t.rank_counts());
         // The walk flattens the pure Zipf somewhat (uniform link steps),
         // but the skew must clearly survive.
         assert!(est > 0.3, "rank-frequency exponent {est:.2}");

@@ -3,8 +3,7 @@
 //! prompts of 120–262 characters (paper §6.2).
 
 use crate::graph::RecipeSpec;
-use sww_genai::diffusion::{DiffusionModel, ImageModelKind};
-use sww_genai::image::codec;
+use sww_genai::{codec, DiffusionModel, ImageModelKind};
 use sww_html::gencontent;
 
 /// Number of images on the search-results page.
@@ -258,7 +257,7 @@ mod tests {
     fn traditional_page_references_49_files() {
         let page = landscape_search_page();
         let doc = sww_html::parse(&page.traditional_html);
-        let imgs = sww_html::query::by_tag(&doc, doc.root(), "img");
+        let imgs = sww_html::by_tag(&doc, doc.root(), "img");
         assert_eq!(imgs.len(), IMAGE_COUNT);
     }
 

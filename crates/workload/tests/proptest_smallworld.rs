@@ -21,7 +21,7 @@
 use proptest::prelude::*;
 use std::process::Command;
 use sww_workload::graph::{SiteGraph, SmallWorldConfig};
-use sww_workload::trace::{Trace, WorkloadConfig};
+use sww_workload::{Trace, WorkloadConfig};
 
 fn graph(nodes: usize, k: usize, beta: f64, seed: u64) -> SiteGraph {
     SiteGraph::generate(SmallWorldConfig {

@@ -6,7 +6,6 @@
 //!
 //! Run with: `cargo run --example cdn_edge --release`
 
-use sww::energy::{carbon, network};
 use sww_bench::experiments::video_cdn::{cdn_rows, CdnConfig};
 
 fn main() {
@@ -29,7 +28,7 @@ fn main() {
         println!("  edge storage (all sites): {:.1} MB", storage as f64 / 1e6);
         println!(
             "  embodied carbon of that storage: {:.4} kgCO2e",
-            carbon::embodied_kg_co2e(storage as f64)
+            sww::energy::embodied_kg_co2e(storage as f64)
         );
         println!(
             "  edge→user egress: {:.1} MB",
@@ -37,7 +36,7 @@ fn main() {
         );
         println!(
             "  egress energy: {:.2} Wh, edge generation energy: {:.2} Wh",
-            network::transmission_energy(row.egress_bytes).wh(),
+            sww::energy::transmission_energy(row.egress_bytes).wh(),
             row.edge_generation_wh
         );
         println!(

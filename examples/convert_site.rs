@@ -5,10 +5,8 @@
 //! Run with: `cargo run --example convert_site --release`
 
 use std::collections::HashMap;
-use sww::core::cms::{Cms, ContentTag, Template};
-use sww::core::convert::Converter;
-use sww::genai::diffusion::{DiffusionModel, ImageModelKind};
-use sww::genai::image::codec;
+use sww::core::{Cms, ContentTag, Converter, Template};
+use sww::genai::{codec, DiffusionModel, ImageModelKind};
 
 fn main() {
     // A "legacy" page: three images + a long paragraph + a short one.

@@ -6,7 +6,7 @@
 
 use sww::core::mediagen::{GeneratedMedia, MediaGenerator};
 use sww::core::{GenAbility, GenerativeServer, ServerConfig, SiteContent};
-use sww::energy::device::{profile, DeviceKind};
+use sww::energy::{profile, DeviceKind};
 use sww::html::gencontent;
 use sww::http2::Request;
 use sww::http3::H3ClientConnection;

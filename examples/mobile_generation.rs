@@ -6,7 +6,7 @@
 //! Run with: `cargo run --example mobile_generation --release`
 
 use sww::core::{GenAbility, GenerativeClient, GenerativeServer, ServerConfig, SiteContent};
-use sww::energy::device::{profile, DeviceKind};
+use sww::energy::{profile, DeviceKind};
 use sww::html::gencontent;
 
 #[tokio::main]
@@ -49,7 +49,7 @@ async fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!(
         "\nwith a future fast model (§7), the mobile page drops to ≈{:.1} s",
-        sww::energy::cost::image_generation_time(
+        sww::energy::image_generation_time(
             sww::genai::ImageModelKind::FluxFast,
             &profile(DeviceKind::Mobile),
             256,

@@ -6,7 +6,7 @@
 //! Run with: `cargo run --example quickstart --release`
 
 use sww::core::{GenAbility, GenerativeClient, GenerativeServer, ServerConfig, SiteContent};
-use sww::energy::device::{profile, DeviceKind};
+use sww::energy::{profile, DeviceKind};
 use sww::html::gencontent;
 
 #[tokio::main]

@@ -5,8 +5,8 @@
 //!
 //! Run with: `cargo run --example signed_content --release`
 
-use sww::core::trust::{attest_image, audit_attestation, sign_metadata, verify_metadata, SiteKey};
-use sww::genai::diffusion::{DiffusionModel, ImageModelKind};
+use sww::core::{attest_image, audit_attestation, sign_metadata, verify_metadata, SiteKey};
+use sww::genai::{DiffusionModel, ImageModelKind};
 use sww::json::Value;
 
 fn main() {

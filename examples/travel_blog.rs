@@ -6,14 +6,14 @@
 //!
 //! Run with: `cargo run --example travel_blog --release`
 
-use sww::core::personalize::{personalize, UserProfile};
-use sww::core::{GenAbility, GenerativeClient, GenerativeServer, ServerConfig};
-use sww::energy::device::{profile, DeviceKind};
-use sww::workload::blog;
+use sww::core::{
+    personalize, GenAbility, GenerativeClient, GenerativeServer, ServerConfig, UserProfile,
+};
+use sww::energy::{profile, DeviceKind};
 
 #[tokio::main]
 async fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let site = blog::travel_blog();
+    let site = sww::workload::travel_blog();
     let server = GenerativeServer::from_config(ServerConfig {
         site,
         ability: GenAbility::full(),
@@ -25,7 +25,7 @@ async fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sock = tokio::net::TcpStream::connect(addr).await?;
     let mut generative =
         GenerativeClient::connect(sock, GenAbility::full(), profile(DeviceKind::Laptop)).await?;
-    let (page, stats) = generative.fetch_page(blog::BLOG_PATH).await?;
+    let (page, stats) = generative.fetch_page(sww::workload::BLOG_PATH).await?;
     println!("== generative visitor ==");
     println!("  generated stock media: {}", page.generated_count());
     println!(
@@ -46,7 +46,7 @@ async fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sock = tokio::net::TcpStream::connect(addr).await?;
     let mut naive =
         GenerativeClient::connect(sock, GenAbility::none(), profile(DeviceKind::Laptop)).await?;
-    let (page, stats) = naive.fetch_page(blog::BLOG_PATH).await?;
+    let (page, stats) = naive.fetch_page(sww::workload::BLOG_PATH).await?;
     println!("\n== naive visitor (server-generated) ==");
     println!("  media fetched: {}", page.image_count());
     println!("  wire bytes:  {}", stats.wire_bytes);

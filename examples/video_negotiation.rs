@@ -3,9 +3,7 @@
 //!
 //! Run with: `cargo run --example video_negotiation --release`
 
-use sww::core::video::{negotiate, Resolution, StreamRequest};
-use sww::core::GenAbility;
-use sww::energy::network;
+use sww::core::{negotiate_stream, GenAbility, Resolution, StreamRequest};
 
 fn main() {
     let video = GenAbility::from_bits(GenAbility::VIDEO);
@@ -22,7 +20,7 @@ fn main() {
             duration_s: dur,
             segment_s: 6,
         };
-        let s = negotiate(req, video, video);
+        let s = negotiate_stream(req, video, video);
         println!("== {label} ==");
         println!(
             "  sent: {:?} @ {} fps ({} segments), client upscales: {}, boosts fps: {}",
@@ -37,7 +35,7 @@ fn main() {
         let saved = s.traditional_bytes.saturating_sub(s.wire_bytes);
         println!(
             "  network energy avoided: {:.1} Wh\n",
-            network::transmission_energy(saved).wh()
+            sww::energy::transmission_energy(saved).wh()
         );
     }
     println!("paper anchors: 60→30 fps halves data; 4K→HD saves 2.3x (7 GB/h → 3 GB/h)");

@@ -6,14 +6,12 @@
 //! Run with: `cargo run --example wikimedia_landscape --release`
 
 use sww::core::{GenAbility, GenerativeClient, GenerativeServer, ServerConfig, SiteContent};
-use sww::energy::device::{profile, DeviceKind};
-use sww::genai::metrics::clip;
-use sww::workload::wikimedia;
+use sww::energy::{profile, DeviceKind};
 
 #[tokio::main]
 async fn main() -> Result<(), Box<dyn std::error::Error>> {
     eprintln!("building the 49-image workload …");
-    let workload = wikimedia::landscape_search_page();
+    let workload = sww::workload::landscape_search_page();
 
     let mut site = SiteContent::new();
     site.add_page("/wiki/landscape", workload.sww_html.clone());
@@ -40,18 +38,18 @@ async fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "laptop generation (modelled):   {:.0} s total, {:.2} s/image (paper: 310 s, 6.32 s/img)",
         stats.generation_time_s,
-        stats.generation_time_s / wikimedia::IMAGE_COUNT as f64
+        stats.generation_time_s / sww::workload::IMAGE_COUNT as f64
     );
 
     // Semantic preservation, measured from the regenerated pixels.
     let mut total = 0.0;
     for (res, img) in page.resources.iter().zip(&workload.images) {
-        total += clip::clip_score(&res.image, &img.prompt);
+        total += sww::genai::clip_score(&res.image, &img.prompt);
     }
     println!(
         "mean CLIP of regenerated images: {:.3} (random baseline {:.2})",
         total / workload.images.len() as f64,
-        clip::RANDOM_BASELINE
+        sww::genai::RANDOM_BASELINE
     );
 
     // Dump for eyeballing, like the paper's side-by-side figure.

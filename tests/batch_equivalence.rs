@@ -20,7 +20,7 @@
 //!    never exceeds it.
 //!
 //! [`BatchScheduler::submit_ctx`]: sww::core::BatchScheduler
-//! [`DiffusionModel::generate`]: sww::genai::diffusion::DiffusionModel
+//! [`DiffusionModel::generate`]: sww::genai::DiffusionModel
 
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -29,7 +29,7 @@ use sww::core::{
     BatchConfig, BatchScheduler, ChaosSpec, GenAbility, GenerativeServer, RequestCtx, ServerConfig,
     SiteContent, StepCancel,
 };
-use sww::genai::diffusion::{DiffusionModel, ImageModelKind, InlineRunner};
+use sww::genai::{DiffusionModel, ImageModelKind, InlineRunner};
 use sww::html::gencontent;
 use sww::http2::Request;
 

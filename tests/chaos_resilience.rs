@@ -30,12 +30,12 @@
 //! [`PageStats::retries`]: sww::core::PageStats
 
 use std::time::Duration;
-use sww::core::faults::{ChaosSpec, ALL_SITES};
+use sww::core::{ChaosSpec, ALL_SITES};
 use sww::core::{
     EdgeConfig, EdgeRouter, GenAbility, GenerativeClient, GenerativeServer, RetryPolicy,
     ServerConfig, SiteContent,
 };
-use sww::energy::device::{profile, DeviceKind};
+use sww::energy::{profile, DeviceKind};
 use sww::genai::ImageModelKind;
 use sww::html::gencontent;
 use sww::http2::{ClientConnection, Request};

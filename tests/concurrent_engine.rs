@@ -18,8 +18,7 @@ use sww::core::{
     ChaosSpec, FetchOutcome, GenAbility, GenerationEngine, GenerativeServer, RequestCtx,
     ServerConfig, SiteContent, SwwError,
 };
-use sww::genai::diffusion::ImageModelKind;
-use sww::genai::ImageBuffer;
+use sww::genai::{ImageBuffer, ImageModelKind};
 use sww::http2::Request;
 
 const THREADS: usize = 8;

@@ -4,13 +4,12 @@
 //! with fidelity measured at the end of the chain.
 
 use std::collections::HashMap;
-use sww::core::cms::{Cms, Template};
-use sww::core::convert::Converter;
-use sww::core::{GenAbility, GenerativeClient, GenerativeServer, ServerConfig, SiteContent};
-use sww::energy::device::{profile, DeviceKind};
-use sww::genai::diffusion::{DiffusionModel, ImageModelKind};
-use sww::genai::image::codec;
-use sww::genai::metrics::clip;
+use sww::core::{
+    Cms, Converter, GenAbility, GenerativeClient, GenerativeServer, ServerConfig, SiteContent,
+    Template,
+};
+use sww::energy::{profile, DeviceKind};
+use sww::genai::{codec, DiffusionModel, ImageModelKind};
 
 #[tokio::test(flavor = "multi_thread")]
 async fn convert_store_serve_regenerate() {
@@ -84,11 +83,11 @@ async fn convert_store_serve_regenerate() {
                 .to_owned()
         })
         .unwrap();
-    let score = clip::clip_score(regenerated, &prompt);
+    let score = sww::genai::clip_score(regenerated, &prompt);
     assert!(
-        score > clip::RANDOM_BASELINE + 0.05,
+        score > sww::genai::RANDOM_BASELINE + 0.05,
         "regenerated CLIP {score:.3} vs random {:.2}",
-        clip::RANDOM_BASELINE
+        sww::genai::RANDOM_BASELINE
     );
 }
 

@@ -18,7 +18,7 @@ use sww::core::{
     ChaosSpec, EdgeConfig, EdgeRouter, GenAbility, GenerativeClient, GenerativeServer,
     ServerConfig, SiteContent,
 };
-use sww::energy::device::{profile, DeviceKind};
+use sww::energy::{profile, DeviceKind};
 use sww::html::gencontent;
 use sww::http2::{Request, Response};
 use sww::workload::graph::ANCHOR_COUNT;

@@ -7,7 +7,7 @@ mod common;
 use sww::core::{
     GenAbility, GenerativeClient, GenerativeServer, ServerConfig, ServerPolicy, SiteContent,
 };
-use sww::energy::device::{profile, DeviceKind};
+use sww::energy::{profile, DeviceKind};
 use sww::html::gencontent;
 
 fn two_item_site() -> SiteContent {
@@ -164,7 +164,7 @@ async fn server_policy_without_client_generation_forces_server_generation() {
 
 #[tokio::test(flavor = "multi_thread")]
 async fn personalization_changes_pixels_only_when_opted_in() {
-    use sww::core::personalize::UserProfile;
+    use sww::core::UserProfile;
     let server = GenerativeServer::from_config(ServerConfig {
         site: two_item_site(),
         ability: GenAbility::full(),
@@ -272,7 +272,7 @@ async fn model_levels_negotiate_down_to_common_generation() {
     let negotiated = client.negotiated_ability();
     assert!(negotiated.can_generate());
     assert_eq!(negotiated.image_model_level(), 2, "minimum of both peers");
-    let (img, _) = sww::core::negotiate::select_models(negotiated);
+    let (img, _) = sww::core::select_models(negotiated);
     assert_eq!(img, sww::genai::ImageModelKind::Sd3Medium);
 }
 

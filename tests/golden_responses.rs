@@ -22,17 +22,16 @@ use sww::core::{GenAbility, GenerativeServer, ServerConfig, Session, SiteContent
 use sww::hash::{sha256, to_hex};
 use sww::html::gencontent;
 use sww::http2::Request;
-use sww::workload::blog;
 
 /// Pages in the order they are fetched and recorded.
-const PAGES: [&str; 4] = ["/one", blog::BLOG_PATH, "/mixed", "/plain"];
+const PAGES: [&str; 4] = ["/one", sww::workload::BLOG_PATH, "/mixed", "/plain"];
 const UNIQUE_ASSET: &str = "/photos/me.jpg";
 
 /// A one-image page, the multi-image blog anchor (two images around a
 /// text block, plus its own unique photographs), an image + text page, a
 /// page with nothing to generate, and a unique asset.
 fn fixture_site() -> SiteContent {
-    let mut site = blog::travel_blog();
+    let mut site = sww::workload::travel_blog();
     site.add_page(
         "/one",
         format!(

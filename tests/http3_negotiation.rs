@@ -8,7 +8,7 @@
 
 use bytes::Bytes;
 use sww::core::mediagen::{GeneratedMedia, MediaGenerator};
-use sww::energy::device::{profile, DeviceKind};
+use sww::energy::{profile, DeviceKind};
 use sww::html::gencontent;
 use sww::http2::{GenAbility, Request, Response};
 use sww::http3::{serve_h3_connection, H3ClientConnection, H3ServeContext};

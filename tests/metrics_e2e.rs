@@ -9,7 +9,7 @@ use sww::core::{
     EdgeConfig, EdgeRouter, GenAbility, GenerativeClient, GenerativeServer, ServerConfig,
     SiteContent,
 };
-use sww::energy::device::{profile, DeviceKind};
+use sww::energy::{profile, DeviceKind};
 use sww::html::gencontent;
 use sww::http2::{ClientConnection, Request};
 

@@ -2,10 +2,7 @@
 //! stack, and property-based checks of system invariants.
 
 use proptest::prelude::*;
-use sww::genai::diffusion::{DiffusionModel, ImageModelKind};
-use sww::genai::image::codec;
-use sww::genai::metrics::clip;
-use sww::genai::text::{bullets, TextModel, TextModelKind};
+use sww::genai::{codec, to_bullets, DiffusionModel, ImageModelKind, TextModel, TextModelKind};
 use sww::html::gencontent;
 
 #[test]
@@ -16,8 +13,8 @@ fn codec_round_trip_preserves_clip_score() {
     let model = DiffusionModel::new(ImageModelKind::Sd35Medium);
     let img = model.generate(prompt, 224, 224, 15);
     let decoded = codec::decode(&codec::encode(&img, 55)).unwrap();
-    let before = clip::clip_score(&img, prompt);
-    let after = clip::clip_score(&decoded, prompt);
+    let before = sww::genai::clip_score(&img, prompt);
+    let after = sww::genai::clip_score(&decoded, prompt);
     assert!(
         (before - after).abs() < 0.03,
         "CLIP drift through codec: {before:.3} → {after:.3}"
@@ -29,9 +26,9 @@ fn upscaled_delivery_preserves_clip_score() {
     let prompt = "a sandy beach with turquoise water, aerial photograph";
     let model = DiffusionModel::new(ImageModelKind::Sd3Medium);
     let small = model.generate(prompt, 128, 128, 15);
-    let up = sww::genai::upscale::upscale(&small, 2);
-    let s_small = clip::clip_score(&small, prompt);
-    let s_up = clip::clip_score(&up, prompt);
+    let up = sww::genai::upscale(&small, 2);
+    let s_small = sww::genai::clip_score(&small, prompt);
+    let s_up = sww::genai::clip_score(&up, prompt);
     assert!((s_small - s_up).abs() < 0.05, "{s_small:.3} vs {s_up:.3}");
 }
 
@@ -63,14 +60,14 @@ proptest! {
         let model = TextModel::new(TextModelKind::DeepSeekR1_8B);
         let blist = vec!["alpha beta gamma".to_string(), extra];
         let text = model.expand(&blist, target);
-        let overshoot = sww::genai::text::word_length_overshoot(&text, target);
+        let overshoot = sww::genai::word_length_overshoot(&text, target);
         // The ±20% clamp plus sentence-boundary slack.
         prop_assert!(overshoot.abs() < 0.65, "target {} overshoot {:.2}", target, overshoot);
     }
 
     #[test]
     fn bullets_never_grow_content_words(text in "[a-z ]{10,400}") {
-        let blist = bullets::to_bullets(&text, 8);
+        let blist = to_bullets(&text, 8);
         let bullet_words: usize = blist.iter().map(|b| b.split(' ').count()).sum();
         let text_words = text.split_whitespace().count();
         prop_assert!(bullet_words <= text_words);

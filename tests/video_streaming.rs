@@ -2,9 +2,7 @@
 //! playlist negotiation via SETTINGS, segment download, and the measured
 //! wire savings of the negotiated rendition.
 
-use sww::core::hls::VideoAsset;
-use sww::core::video::Resolution;
-use sww::core::{GenAbility, GenerativeServer, ServerConfig, SiteContent};
+use sww::core::{GenAbility, GenerativeServer, Resolution, ServerConfig, SiteContent, VideoAsset};
 use sww::http2::{ClientConnection, Request};
 
 fn video_site() -> SiteContent {

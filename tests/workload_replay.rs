@@ -20,8 +20,9 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 use sww::core::ChaosSpec;
 use sww::workload::graph::SmallWorldConfig;
-use sww::workload::replay::{ReplayConfig, ReplayEngine, ReplayOutcome, ReplayTarget};
-use sww::workload::trace::{Trace, WorkloadConfig};
+use sww::workload::{
+    ReplayConfig, ReplayEngine, ReplayOutcome, ReplayTarget, Trace, WorkloadConfig,
+};
 
 /// The `sww_workload_*` series are recorded below `sww-core`, in the
 /// process registry, and every trace generated here moves them: each
