@@ -161,30 +161,17 @@ done
 echo "==> cargo test --release -p sww-genai --test steady_state_alloc (zero-allocation hot path)"
 cargo test --release -p sww-genai --test steady_state_alloc -q
 
-echo "==> cargo test --test golden_tables (paper-table regression snapshots)"
+# The modelled numbers of E4, E8, E13 and E17-E20, exact, recorded at
+# the commit before each table's test was added (tests/golden/). Both
+# profiles: E17's serving rows are exact only while every batch closes
+# full, which is timing; the full-scale E20 rows take ~12 s in debug.
+echo "==> cargo test --test golden_tables (modelled tables pinned to recorded snapshots, debug + release)"
 cargo test --test golden_tables -q
-
-# Perf gate: run the E17-E21 sweeps, emit the machine-readable report,
-# and compare it against the checked-in baseline. Every rule the bench-*
-# commands below enforce is a rule over report records, stated once in
-# crates/bench/src/report.rs and listed in PERFORMANCE.md ("The rules and
-# who evaluates them"): it reads deterministic columns only, so it fails
-# on a real regression, never on host noise. bench-pr6 writes the report
-# and then judges it by the same rules; its tables and any FAIL lines go
-# to target/bench-pr6.log. Re-bless after an intentional change:
-#   SWW_BLESS=1 ./ci.sh        (or: ./target/release/sww-cli bench-pr6 --out BENCH_PR6.json)
-echo "==> bench-pr6 perf gate (target/BENCH_PR6.json vs checked-in baseline)"
-./target/release/sww-cli bench-pr6 --out target/BENCH_PR6.json 2>target/bench-pr6.log ||
-    { tail -n 20 target/bench-pr6.log >&2; exit 1; }
-if [ "${SWW_BLESS:-0}" = "1" ]; then
-    cp target/BENCH_PR6.json BENCH_PR6.json
-    echo "    blessed: BENCH_PR6.json updated from this run"
-fi
-./target/release/sww-cli bench-compare BENCH_PR6.json target/BENCH_PR6.json --tolerance 0.10
+cargo test --release --test golden_tables -q
 
 # A misspelt option or a malformed value must stop the command (exit 2),
-# not run it with the default: `--tolerence 0.5` used to gate at 0.10 and
-# `--threads abc` used to run with 2.
+# not run it with the default: `--replicaton 2` used to run without
+# replicas and `--threads abc` used to run with 2.
 must_exit_2() {
     local status=0
     "$@" >/dev/null 2>&1 || status=$?
@@ -194,7 +181,7 @@ must_exit_2() {
     fi
 }
 echo "==> sww-cli rejects unknown options and malformed values (exit 2)"
-must_exit_2 ./target/release/sww-cli bench-compare BENCH_PR6.json target/BENCH_PR6.json --tolerence 0.5
+must_exit_2 ./target/release/sww-cli bench-cluster --replicaton 2
 must_exit_2 ./target/release/sww-cli bench-cluster --threads abc
 
 # benchmark/ is a package outside the workspace, so nothing above compiles
@@ -260,10 +247,11 @@ cargo test --release --test edge_cluster -q
 
 # E19+E21 gate: the edge-cluster sweep, node-kill chaos run, and the
 # replication failover + gossip partition scenarios from the command
-# line exactly as a user would run them; exits non-zero when their
-# records break a report.rs rule. The second run lists the node counts
-# descending: the rules sort by node count, so the order must not
-# matter (it failed before PR 14).
+# line exactly as a user would run them; exits non-zero when an outcome
+# breaks its rule (crates/bench/src/experiments/{edge,resilience}.rs).
+# The second run lists the node counts descending: the hit-rate rule
+# sorts by node count, so the order must not matter (an older build
+# failed it).
 echo "==> bench-cluster --chaos --replication 2 (E19+E21 edge gate)"
 ./target/release/sww-cli bench-cluster --nodes 1,2 --threads 2 --requests 5 \
     --replication 2 \
@@ -283,9 +271,10 @@ cargo test --release --test workload_replay -q
 
 # E20 gate: the small-world workload sweep and live replay from the
 # command line exactly as a user would run it, under chaos; exits
-# non-zero when its records break a report.rs rule. The determinism
-# rule holds even under chaos: each server draws faults from a seeded
-# stream of its own, so the fault schedule replays per instance.
+# non-zero when its rows or its witness break a rule
+# (crates/bench/src/experiments/workload.rs). The determinism rule holds
+# even under chaos: each server draws faults from a seeded stream of its
+# own, so the fault schedule replays per instance.
 echo "==> bench-workload --chaos (E20 workload gate)"
 ./target/release/sww-cli bench-workload --requests 20000 --live-requests 150 \
     --chaos "seed=9,engine.generate=latency:0.5:5" >/dev/null
@@ -399,9 +388,12 @@ fi
 # then + 6 for the h3 placement split: an immediate reply not held behind
 # a blocking one, its panic answering 500, and four crew counts; then
 # − 10 whose subjects were deleted when the crates' modules went private,
-# + 2 for a greased h3 request stream and a peer's RST_STREAM;
+# + 2 for a greased h3 request stream and a peer's RST_STREAM; then
+# − 13 whose subject was deleted (BENCH_PR6.json's records, compare and
+# gate), + 4 for three modelled goldens and report's unknown --exp id;
+# nine rule tests moved from report.rs to the experiments, 9 − 9;
 # CHANGES.md names them.)
-TEST_FLOOR=977
+TEST_FLOOR=968
 echo "==> workspace test-count floor (>= ${TEST_FLOOR})"
 TEST_COUNT=$(cargo test --workspace -- --list 2>/dev/null | grep -c ": test$")
 echo "    ${TEST_COUNT} tests"

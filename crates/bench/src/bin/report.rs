@@ -1,13 +1,22 @@
 //! `report` — regenerates every table and figure of the paper and prints
 //! paper-vs-measured values. Run all experiments with no arguments, or a
-//! subset with `--exp e2,e4`.
+//! subset with `--exp e2,e4`; an id not in `IDS` exits 2 naming it,
+//! before anything runs.
 
 use sww_bench::experiments::{
-    ablations, article, batching, compression, concurrency, energy, fig1, mobile, models,
+    ablations, article, batching, compression, concurrency, energy, fig1, kernel, mobile, models,
     negotiation, video_cdn, wikimedia,
 };
 
+/// Every id `--exp` accepts, in run order.
+const IDS: &str = "fig1 e1 e2 e3 e4 e5 e6 e7 e8 e9 e10 e11 e12 e13 e14 e15 e16 e17 ablations";
+
+fn known(id: &str) -> bool {
+    IDS.split(' ').any(|known| known == id)
+}
+
 fn wants(filter: &Option<Vec<String>>, id: &str) -> bool {
+    debug_assert!(known(id), "{id} is missing from IDS");
     match filter {
         None => true,
         Some(list) => list.iter().any(|x| x == id),
@@ -21,6 +30,10 @@ fn main() {
         .position(|a| a == "--exp")
         .and_then(|i| args.get(i + 1))
         .map(|s| s.split(',').map(|x| x.trim().to_lowercase()).collect());
+    if let Some(unknown) = filter.iter().flatten().find(|id| !known(id)) {
+        eprintln!("unknown experiment {unknown:?} (known: {IDS})");
+        std::process::exit(2);
+    }
 
     let rt = tokio::runtime::Builder::new_multi_thread()
         .worker_threads(2)
@@ -108,6 +121,14 @@ fn main() {
         let cfg = batching::BatchingConfig::default();
         let samples = batching::run(cfg, &[1, 2, 4, 8]);
         println!("{}", batching::table(cfg, &samples).render());
+    }
+    if wants(&filter, "e17") {
+        let kcfg = kernel::KernelConfig::default();
+        let raw = kernel::kernel_sweep(kcfg, &[1, 2, 4, 8]);
+        println!("{}", kernel::kernel_table(kcfg, &raw).render());
+        let scfg = kernel::ServingConfig::default();
+        let served = kernel::serving_sweep(scfg, &[1, 8]);
+        println!("{}", kernel::serving_table(scfg, &served).render());
     }
     if wants(&filter, "ablations") {
         let pre = ablations::preload(4);

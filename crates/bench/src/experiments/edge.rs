@@ -7,10 +7,10 @@
 //! the cluster generates each recipe **exactly once** no matter how many
 //! nodes or clients — so the request volume scales with `N` while the
 //! generation count stays flat, and the global hit rate
-//! `1 − generations/requests` strictly increases with node count. The
-//! regression gate compares the **modelled** numbers (ring ownership +
-//! the deterministic cost model); wall-clock columns ride along ungated,
-//! exactly as in E17/E18.
+//! `1 − generations/requests` strictly increases with node count
+//! ([`hit_rate_violations`]). `tests/golden_tables.rs` pins the
+//! **modelled** numbers (ring ownership + the deterministic cost model);
+//! wall-clock columns are printed, never compared, exactly as in E17/E18.
 //!
 //! The chaos scenario kills the busiest owner mid-run: the router walks
 //! the ring to the next alive successor (every entry converges on the
@@ -88,9 +88,9 @@ pub struct EdgeSample {
     pub hit_rate: f64,
     /// Most prompts owned by any single node (ring ownership).
     pub max_owned: usize,
-    /// Modelled aggregate throughput (deterministic; gated).
+    /// Modelled aggregate throughput (deterministic; pinned by the golden).
     pub modelled_qps: f64,
-    /// Measured requests per wall-clock second (never gated).
+    /// Measured requests per wall-clock second (never compared).
     pub wall_qps: f64,
     /// Median request latency in ms (wall clock).
     pub p50_ms: f64,
@@ -107,7 +107,7 @@ pub struct EdgeChaosOutcome {
     pub requests: u64,
     /// Requests that ended in a 200.
     pub completed: u64,
-    /// Requests that never produced a 200 — the zero-lost-responses gate.
+    /// Requests that never produced a 200 — the rule holds it at zero.
     pub lost: u64,
     /// Failover skips the router performed around the killed node.
     pub failovers: u64,
@@ -124,7 +124,7 @@ pub struct EdgeChaosOutcome {
 
 /// The deterministic half of one E19 row, computed from ring ownership
 /// and the cost model alone — no traffic, no clocks. This is what the
-/// golden snapshot pins and what `modelled_qps` gates.
+/// golden snapshot pins and what every sample's `modelled_qps` reads.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModelledRow {
     /// Cluster size.
@@ -433,10 +433,42 @@ pub fn chaos_kill(cfg: &EdgeClusterConfig, chaos: &ChaosSpec) -> EdgeChaosOutcom
 
 /// [`chaos_kill`] under a deterministic 10 ms generation latency that
 /// widens the kill window: the self-contained entry point `sww
-/// bench-cluster` and `bench-pr6` use when the caller gave no `--chaos`.
+/// bench-cluster` uses when the caller gave no `--chaos`.
 pub fn chaos_kill_with_latency(cfg: &EdgeClusterConfig) -> EdgeChaosOutcome {
     let spec = ChaosSpec::parse("seed=7,engine.generate=latency:1.0:10").expect("E19 chaos spec");
     chaos_kill(cfg, &spec)
+}
+
+/// The E19 rule: the global hit rate strictly increases with node
+/// count, read in node-count order whatever order the samples come in.
+/// Requests scale with the cluster while generations stay at one per
+/// prompt, so a flat step means some node generated a recipe it does not
+/// own: cluster-wide single-flight broke. One line per flat step.
+pub fn hit_rate_violations(samples: &[EdgeSample]) -> Vec<String> {
+    let points = samples
+        .iter()
+        .map(|s| (s.nodes as f64, s.hit_rate))
+        .collect();
+    super::flat_steps(points, |n| format!("{n} nodes"))
+        .into_iter()
+        .map(|step| format!("edge_cluster: hit rate must strictly increase with nodes ({step})"))
+        .collect()
+}
+
+impl EdgeChaosOutcome {
+    /// The E19 chaos rule: a node kill may cost retries, never a
+    /// response or a byte. One line per broken half.
+    pub fn violations(&self) -> Vec<String> {
+        let at = format!("edge_chaos @ {} nodes", self.nodes);
+        let mut out = Vec::new();
+        if self.lost != 0 {
+            out.push(format!("{at}: {} lost responses", self.lost));
+        }
+        if !self.byte_identical {
+            out.push(format!("{at}: payloads diverged from the 1-node baseline"));
+        }
+        out
+    }
 }
 
 /// Render the sweep as the E19 table.
@@ -588,10 +620,34 @@ mod tests {
         }
     }
 
+    /// A sweep row with only the fields the E19 rule reads.
+    fn sample(nodes: usize, hit_rate: f64) -> EdgeSample {
+        EdgeSample {
+            nodes,
+            requests: (nodes * 20) as u64,
+            generations: 10,
+            coalesced: 0,
+            peer_fills: 0,
+            fill_hits: 0,
+            local: 0,
+            routed: 0,
+            failovers: 0,
+            hit_rate,
+            max_owned: 0,
+            modelled_qps: 0.0,
+            wall_qps: 0.0,
+            p50_ms: 0.0,
+            p99_ms: 0.0,
+        }
+    }
+
+    /// The default sweep, the one `bench-cluster` runs without options.
     #[test]
     fn sweep_generates_each_prompt_exactly_once_per_cluster() {
-        let cfg = small();
+        let cfg = EdgeClusterConfig::default();
         let samples = run(&cfg, None);
+        // Measured hit rate matches the model's strict increase.
+        assert_eq!(hit_rate_violations(&samples), Vec::<String>::new());
         for s in &samples {
             assert_eq!(
                 s.generations, cfg.prompts as u64,
@@ -609,24 +665,70 @@ mod tests {
                 s.nodes
             );
         }
-        // Measured hit rate matches the model's strict increase.
-        for pair in samples.windows(2) {
-            assert!(pair[1].hit_rate > pair[0].hit_rate, "{pair:?}");
+    }
+
+    /// 4 nodes no better than 2: some node generated a recipe it does
+    /// not own.
+    #[test]
+    fn a_flat_hit_rate_step_breaks_the_e19_rule() {
+        let flat = [sample(1, 0.5), sample(2, 0.75), sample(4, 0.75)];
+        assert_eq!(
+            hit_rate_violations(&flat),
+            ["edge_cluster: hit rate must strictly increase with nodes \
+              (2 nodes: 0.750 -> 4 nodes: 0.750)"]
+        );
+    }
+
+    /// The `bench-cluster --nodes 2,1` bug: the rule sorts by node count,
+    /// so the order the samples arrive in cannot matter.
+    #[test]
+    fn the_e19_rule_reads_node_order_not_sample_order() {
+        let mut rising = vec![sample(1, 0.5), sample(2, 0.75), sample(4, 0.875)];
+        let mut flat = vec![sample(1, 0.5), sample(2, 0.75), sample(4, 0.75)];
+        let flat_lines = hit_rate_violations(&flat);
+        assert_eq!(flat_lines.len(), 1);
+        for _ in 0..2 {
+            rising.reverse();
+            flat.reverse();
+            assert_eq!(hit_rate_violations(&rising), Vec::<String>::new());
+            assert_eq!(hit_rate_violations(&flat), flat_lines);
         }
     }
 
+    /// At the default config `bench-cluster` runs it at.
     #[test]
     fn chaos_kill_loses_nothing_and_keeps_bytes_identical() {
         let _serial = super::super::ALLOC_SERIAL
             .lock()
             .unwrap_or_else(|e| e.into_inner());
-        let outcome = chaos_kill_with_latency(&small());
-        assert_eq!(outcome.lost, 0, "zero lost responses: {outcome:?}");
+        let outcome = chaos_kill_with_latency(&EdgeClusterConfig::default());
+        assert_eq!(outcome.violations(), Vec::<String>::new(), "{outcome:?}");
         assert_eq!(outcome.completed, outcome.requests);
-        assert!(outcome.byte_identical, "failover must not change bytes");
         assert!(
             outcome.failovers > 0,
             "the killed owner must have been skipped: {outcome:?}"
+        );
+    }
+
+    #[test]
+    fn chaos_losses_and_divergent_bytes_break_the_e19_chaos_rule() {
+        let outcome = EdgeChaosOutcome {
+            nodes: 3,
+            requests: 30,
+            completed: 27,
+            lost: 3,
+            failovers: 12,
+            retries: 14,
+            generations: 13,
+            byte_identical: false,
+            killed: "n0".into(),
+        };
+        assert_eq!(
+            outcome.violations(),
+            [
+                "edge_chaos @ 3 nodes: 3 lost responses",
+                "edge_chaos @ 3 nodes: payloads diverged from the 1-node baseline",
+            ]
         );
     }
 

@@ -19,6 +19,21 @@ pub mod video_cdn;
 pub mod wikimedia;
 pub mod workload;
 
+/// The steps along which a hit rate fails to rise strictly: `points`
+/// are `(axis, hit rate)` pairs in any order, read in axis order, and
+/// each flat or falling step is reported as `"{at0}: h0 -> {at1}: h1"`.
+pub(crate) fn flat_steps(mut points: Vec<(f64, f64)>, at: impl Fn(f64) -> String) -> Vec<String> {
+    points.sort_by(|a, b| a.0.total_cmp(&b.0));
+    points
+        .windows(2)
+        .filter(|pair| pair[1].1 <= pair[0].1)
+        .map(|pair| {
+            let ((x0, h0), (x1, h1)) = (pair[0], pair[1]);
+            format!("{}: {h0:.3} -> {}: {h1:.3}", at(x0), at(x1))
+        })
+        .collect()
+}
+
 /// Serializes this binary's heavy generators. The genai buffer pools and
 /// their `sww_alloc_bytes_total` counter are process-wide: the E17
 /// kernel tests assert a zero-allocation window over them, which a

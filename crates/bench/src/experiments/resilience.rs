@@ -1,6 +1,7 @@
 //! E21 — edge resilience: hot-key replication under owner death, and
-//! gossip partition healing — the PR 10 acceptance scenarios, run as
-//! deterministic bench gates.
+//! gossip partition healing — the replication acceptance scenarios,
+//! judged by deterministic rules ([`FailoverOutcome::violations`],
+//! [`PartitionOutcome::violations`]).
 //!
 //! **Scenario A (failover)** warms every prompt past the hot threshold
 //! at its *owner* entry (a local serve never peer-fills, so the entry
@@ -74,14 +75,14 @@ pub struct FailoverOutcome {
     pub requests: u64,
     /// Post-kill requests that produced a 200.
     pub completed: u64,
-    /// Requests that never produced a 200 — gated to zero.
+    /// Requests that never produced a 200 — held at zero.
     pub lost: u64,
     /// Whether every post-kill payload matched the owner's bytes.
     pub byte_identical: bool,
     /// Generations during the warm phase (one per prompt).
     pub warm_generations: u64,
-    /// Generations the kill cost on top of the warm phase — gated to
-    /// zero at `replication ≥ 2`, gated to **nonzero** at 1.
+    /// Generations the kill cost on top of the warm phase — held at
+    /// zero at `replication ≥ 2`, and **nonzero** at 1.
     pub regenerations: u64,
     /// Hot keys the owners pushed to their ring successors.
     pub replica_pushes: u64,
@@ -112,6 +113,71 @@ pub struct PartitionOutcome {
     pub digest: u64,
 }
 
+impl FailoverOutcome {
+    /// The E21 failover rule: an owner kill never loses a response or
+    /// changes a byte. With replicas (`replication ≥ 2`) it also costs
+    /// zero regenerations and serves from a replica at least once; the
+    /// unreplicated control must re-render at least once, or the
+    /// contrast would pass on a cluster that never replicated at all.
+    /// One line per broken clause.
+    pub fn violations(&self) -> Vec<String> {
+        let at = format!("edge_resilience @ replication {}", self.replication);
+        let mut out = Vec::new();
+        if self.lost != 0 {
+            out.push(format!("{at}: {} lost responses", self.lost));
+        }
+        if !self.byte_identical {
+            out.push(format!("{at}: payloads diverged from the owner's bytes"));
+        }
+        let regen = self.regenerations;
+        if self.replication >= 2 {
+            if regen != 0 {
+                out.push(format!(
+                    "{at}: owner kill cost {regen} regenerations (replicas must absorb it)"
+                ));
+            }
+            if self.replica_hits == 0 {
+                out.push(format!(
+                    "{at}: no replica hits — the failover never touched a replica"
+                ));
+            }
+        } else if regen == 0 {
+            out.push(format!(
+                "{at}: the unreplicated control did not re-render — the contrast is vacuous"
+            ));
+        }
+        out
+    }
+}
+
+impl PartitionOutcome {
+    /// The E21 partition rule: the partition is noticed, the heal
+    /// converges within `bound` rounds, and a second run from the same
+    /// seed replays it. One line per broken clause.
+    pub fn violations(&self) -> Vec<String> {
+        let at = format!("gossip_partition @ {} nodes", self.nodes);
+        let mut out: Vec<String> = [
+            (self.diverged, "the partition was never noticed"),
+            (self.converged, "the heal never converged"),
+            (
+                self.deterministic,
+                "the heal did not replay deterministically",
+            ),
+        ]
+        .into_iter()
+        .filter(|(held, _)| !held)
+        .map(|(_, what)| format!("{at}: {what}"))
+        .collect();
+        let (rounds, bound) = (self.rounds_to_heal, self.bound);
+        if rounds > bound {
+            out.push(format!(
+                "{at}: healed in {rounds} rounds, over the {bound}-round bound"
+            ));
+        }
+        out
+    }
+}
+
 fn resilient_router(cfg: &ResilienceConfig, replication: usize) -> EdgeRouter {
     let config = EdgeConfig {
         nodes: cfg.nodes,
@@ -126,7 +192,8 @@ fn resilient_router(cfg: &ResilienceConfig, replication: usize) -> EdgeRouter {
 /// Run the failover scenario at one replication level. Fully
 /// deterministic: the kill lands between the warm phase and the replay
 /// phase (the mid-flight variant is the E19 chaos scenario and the
-/// `edge_cluster` integration suite), so the gated counters are exact.
+/// `edge_cluster` integration suite), so the counters the rule reads
+/// are exact.
 pub fn failover(cfg: &ResilienceConfig, replication: usize) -> FailoverOutcome {
     let router = resilient_router(cfg, replication);
     let ids = router.node_ids();
@@ -323,52 +390,140 @@ pub fn partition_table(outcome: &PartitionOutcome) -> Table {
 mod tests {
     use super::*;
 
-    fn small() -> ResilienceConfig {
-        ResilienceConfig {
-            prompts: 6,
-            ..ResilienceConfig::default()
+    /// An owner-kill outcome that holds the rule at `replication`.
+    fn held(replication: usize) -> FailoverOutcome {
+        FailoverOutcome {
+            replication,
+            nodes: 3,
+            requests: 30,
+            completed: 30,
+            lost: 0,
+            byte_identical: true,
+            warm_generations: 10,
+            regenerations: if replication >= 2 { 0 } else { 4 },
+            replica_pushes: if replication >= 2 { 10 } else { 0 },
+            replica_hits: if replication >= 2 { 12 } else { 0 },
+            killed: "n0".into(),
         }
     }
 
+    /// At the default config, the one `bench-cluster --replication 2`
+    /// runs (as do the two tests below).
     #[test]
     fn replicated_failover_costs_zero_regenerations() {
-        let o = failover(&small(), 2);
-        assert_eq!(o.lost, 0, "{o:?}");
+        let o = failover(&ResilienceConfig::default(), 2);
+        assert_eq!(o.violations(), Vec::<String>::new(), "{o:?}");
         assert_eq!(o.completed, o.requests);
-        assert!(o.byte_identical, "{o:?}");
-        assert_eq!(o.regenerations, 0, "replicas must absorb the kill: {o:?}");
-        assert_eq!(o.warm_generations, 6, "one generation per prompt");
-        assert!(o.replica_hits > 0, "{o:?}");
+        assert_eq!(o.warm_generations, 10, "one generation per prompt");
         assert_eq!(
-            o.replica_pushes, 6,
+            o.replica_pushes, 10,
             "every hot prompt pushed to one seat: {o:?}"
         );
     }
 
     #[test]
     fn unreplicated_failover_must_rerender() {
-        let o = failover(&small(), 1);
-        assert_eq!(o.lost, 0, "{o:?}");
-        assert!(o.byte_identical, "{o:?}");
-        assert!(
-            o.regenerations > 0,
-            "without replicas the kill must cost a re-render: {o:?}"
-        );
+        let o = failover(&ResilienceConfig::default(), 1);
+        assert_eq!(o.violations(), Vec::<String>::new(), "{o:?}");
         assert_eq!(o.replica_pushes, 0, "{o:?}");
     }
 
     #[test]
     fn partition_diverges_heals_in_bound_and_replays() {
-        let o = partition_heal(&small());
-        assert!(o.diverged, "{o:?}");
-        assert!(o.converged, "{o:?}");
-        assert!(o.rounds_to_heal <= o.bound, "{o:?}");
-        assert!(o.deterministic, "{o:?}");
+        let o = partition_heal(&ResilienceConfig::default());
+        assert_eq!(o.violations(), Vec::<String>::new(), "{o:?}");
+    }
+
+    #[test]
+    fn replicated_regeneration_breaks_the_e21_rule() {
+        assert_eq!(held(2).violations(), Vec::<String>::new());
+        // A replicated failover that still re-rendered: replicas failed.
+        let regenerated = FailoverOutcome {
+            regenerations: 3,
+            ..held(2)
+        };
+        assert_eq!(
+            regenerated.violations(),
+            [
+                "edge_resilience @ replication 2: owner kill cost 3 regenerations \
+              (replicas must absorb it)"
+            ]
+        );
+        // ... one that never touched a replica at all, and one that lost
+        // a response and changed a byte.
+        let untouched = FailoverOutcome {
+            replica_hits: 0,
+            lost: 1,
+            byte_identical: false,
+            ..held(2)
+        };
+        assert_eq!(
+            untouched.violations(),
+            [
+                "edge_resilience @ replication 2: 1 lost responses",
+                "edge_resilience @ replication 2: payloads diverged from the owner's bytes",
+                "edge_resilience @ replication 2: no replica hits — the failover never \
+                 touched a replica",
+            ]
+        );
+    }
+
+    /// The replication-1 control not re-rendering means the scenario
+    /// never exercised the owner's keys.
+    #[test]
+    fn a_vacuous_control_breaks_the_e21_rule() {
+        assert_eq!(held(1).violations(), Vec::<String>::new());
+        let vacuous = FailoverOutcome {
+            regenerations: 0,
+            ..held(1)
+        };
+        assert_eq!(
+            vacuous.violations(),
+            [
+                "edge_resilience @ replication 1: the unreplicated control did not \
+              re-render — the contrast is vacuous"
+            ]
+        );
+    }
+
+    #[test]
+    fn an_unhealed_or_slow_partition_breaks_the_e21_rule() {
+        let o = PartitionOutcome {
+            nodes: 3,
+            diverged: true,
+            rounds_to_heal: 25,
+            bound: 24,
+            converged: false,
+            deterministic: false,
+            digest: 0xfeed,
+        };
+        assert_eq!(
+            o.violations(),
+            [
+                "gossip_partition @ 3 nodes: the heal never converged",
+                "gossip_partition @ 3 nodes: the heal did not replay deterministically",
+                "gossip_partition @ 3 nodes: healed in 25 rounds, over the 24-round bound",
+            ]
+        );
+        let unnoticed = PartitionOutcome {
+            diverged: false,
+            converged: true,
+            deterministic: true,
+            rounds_to_heal: 3,
+            ..o
+        };
+        assert_eq!(
+            unnoticed.violations(),
+            ["gossip_partition @ 3 nodes: the partition was never noticed"]
+        );
     }
 
     #[test]
     fn tables_render_every_outcome() {
-        let cfg = small();
+        let cfg = ResilienceConfig {
+            prompts: 6,
+            ..ResilienceConfig::default()
+        };
         let outcomes = failover_sweep(&cfg);
         let rendered = failover_table(&cfg, &outcomes).render();
         assert!(rendered.contains("Replication"));

@@ -16,7 +16,7 @@
 //! (`engine.generate=latency:1.0:W`, see [`latency_spec`]) so the
 //! experiment is deterministic and the sweep composes with
 //! `sww bench-transport --chaos`. Measured wall-clock percentiles are
-//! host-shaped and never gated; the regression gate compares the
+//! host-shaped and never compared; `tests/golden_tables.rs` pins the
 //! modelled page rates (`1000/(K·W)` vs `1000/W`), which are exact.
 
 use crate::table::Table;
@@ -60,14 +60,14 @@ impl Default for TransportConfig {
 pub struct TransportSample {
     /// Which framing carried the page loads.
     pub transport: TransportKind,
-    /// Median page-load time in milliseconds (wall clock, not gated).
+    /// Median page-load time in milliseconds (wall clock, not compared).
     pub p50_ms: f64,
     /// 99th-percentile page-load time in milliseconds.
     pub p99_ms: f64,
     /// Measured pages per wall-clock second.
     pub wall_qps: f64,
     /// Modelled pages per second from the injected latency alone —
-    /// deterministic, the number the regression gate compares.
+    /// deterministic, the number `tests/golden_tables.rs` pins.
     pub modelled_qps: f64,
     /// `sww_server_requests_total{route="page",transport=...}` in the
     /// sample's server registry — reconciles the measurement against the
@@ -98,7 +98,7 @@ impl TransportRun {
         self.h3.modelled_qps / self.h2.modelled_qps.max(1e-12)
     }
 
-    /// Measured p99 speedup — noisy, reported but never gated.
+    /// Measured p99 speedup — noisy, reported but never compared.
     pub fn measured_p99_speedup(&self) -> f64 {
         self.h2.p99_ms / self.h3.p99_ms.max(1e-9)
     }
@@ -274,8 +274,8 @@ pub fn run(cfg: TransportConfig, chaos: &ChaosSpec) -> TransportRun {
 }
 
 /// [`run`] under [`latency_spec`]: the self-contained entry point `sww
-/// bench-transport` and `bench-pr6` use when no `--chaos` spec was
-/// supplied by the caller.
+/// bench-transport` uses when no `--chaos` spec was supplied by the
+/// caller.
 pub fn run_with_latency(cfg: TransportConfig) -> TransportRun {
     run(
         cfg,

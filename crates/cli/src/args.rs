@@ -19,7 +19,7 @@ pub struct Args {
 }
 
 /// Option keys that take a value.
-const VALUE_KEYS: [&str; 37] = [
+const VALUE_KEYS: [&str; 35] = [
     "betas",
     "cache",
     "k",
@@ -55,8 +55,6 @@ const VALUE_KEYS: [&str; 37] = [
     "breaker-cooldown-ms",
     "drain-after",
     "kernel-tiles",
-    "tiles",
-    "tolerance",
 ];
 
 /// The bare switches. Any other `--key` is a typo, not a switch.
@@ -174,16 +172,20 @@ mod tests {
     fn unknown_key_is_an_error() {
         // A misspelt value key used to become a switch and its value a
         // stray positional, so the command ran with the default.
-        let err = try_parse("bench-compare a.json b.json --tolerence 0.5").unwrap_err();
-        assert_eq!(err, "unknown option --tolerence");
+        let err = try_parse("bench-cluster --replicaton 2").unwrap_err();
+        assert_eq!(err, "unknown option --replicaton");
         assert!(try_parse("serve --ability 3").is_err(), "dead key is gone");
+        assert!(
+            try_parse("bench-cluster --tiles 8").is_err(),
+            "dead key is gone"
+        );
     }
 
     #[test]
     fn typed_values_parse_or_name_the_flag() {
-        let a = parse("bench-cluster --threads 4 --tolerance 0.25 --nodes 4,1,2");
+        let a = parse("bench-workload --threads 4 --deadline-ms 2500.5 --nodes 4,1,2");
         assert_eq!(a.value::<usize>("threads"), Ok(Some(4)));
-        assert_eq!(a.value::<f64>("tolerance"), Ok(Some(0.25)));
+        assert_eq!(a.value::<f64>("deadline-ms"), Ok(Some(2500.5)));
         assert_eq!(
             a.value::<usize>("requests"),
             Ok(None),
@@ -195,14 +197,14 @@ mod tests {
 
     #[test]
     fn malformed_scalar_is_an_error() {
-        let a = parse("bench-cluster --threads abc --tolerance 0,05");
+        let a = parse("bench-workload --threads abc --deadline-ms 0,05");
         assert_eq!(
             a.value::<usize>("threads").unwrap_err(),
             "bad --threads \"abc\": expected usize"
         );
         assert_eq!(
-            a.value::<f64>("tolerance").unwrap_err(),
-            "bad --tolerance \"0,05\": expected f64"
+            a.value::<f64>("deadline-ms").unwrap_err(),
+            "bad --deadline-ms \"0,05\": expected f64"
         );
     }
 

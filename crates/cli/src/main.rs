@@ -21,7 +21,6 @@
 //!                      [--chaos SPEC]
 //!                      [--deadline-ms MS] [--breaker-threshold N]
 //!                      [--breaker-cooldown-ms MS]
-//! sww bench-pr6 [--tiles 1,2,4,8] [--out FILE]
 //! sww bench-transport [--pages 5] [--recipes 4] [--gen-latency-ms 25]
 //!                     [--chaos SPEC]
 //! sww bench-cluster [--nodes 1,2,4] [--threads 2] [--requests 10]
@@ -29,10 +28,9 @@
 //!                   [--replication N]
 //! sww bench-workload [--betas 0.02,0.2,1.0] [--pages 192] [--k 8]
 //!                    [--requests 1000000] [--live-requests 600]
-//!                    [--transport h2|h3] [--cluster 4] [--cache 32]
+//!                    [--transport single|h2|h3] [--cluster 4] [--cache 32]
 //!                    [--deadline-ms 2500] [--threads 4] [--seed 42]
 //!                    [--chaos SPEC]
-//! sww bench-compare <baseline.json> <current.json> [--tolerance 0.10]
 //! ```
 //!
 //! `--batch-max N` (N > 1) turns on continuous batching: compatible
@@ -43,19 +41,11 @@
 //! N data-parallel kernel lanes on the blocking crew — still
 //! bit-identical per image (see DESIGN.md "Kernel & memory model").
 //!
-//! `bench-pr6` runs the E17 tiled-kernel sweeps, the E18 transport
-//! shoot-out, the E19 edge-cluster sweep, the E20 small-world workload
-//! sweep, and the E21 edge-resilience scenarios, and emits the
-//! machine-readable `BENCH_PR6.json` report (schema `sww-bench-pr6/5`,
-//! documented in PERFORMANCE.md); tables go to stderr so `--out -`-less
-//! stdout stays parseable. `bench-compare` gates a fresh report against
-//! a checked-in baseline. Every gate a `bench-*` command enforces is a
-//! rule over report records, stated once in `sww_bench::report` (the
-//! numbered list in its module docs): `bench-compare` evaluates all of
-//! them plus the baseline checks, and `bench-pr6`, `bench-cluster` and
-//! `bench-workload` evaluate the same rules over the records of the
-//! experiments they ran — one `ok:` line per rule that held, one
-//! `FAIL:` line and exit status 1 per rule that did not.
+//! `bench-cluster` and `bench-workload` judge the outcomes of the
+//! experiments they ran by the rules stated beside those outcomes in
+//! `sww_bench::experiments` (`edge`, `workload`, `resilience`; the
+//! table in PERFORMANCE.md names the test that holds each): one `FAIL:`
+//! line per violation and exit status 1 when there is any.
 //!
 //! A malformed option value (`--threads abc`, `--nodes 1,x`), an unknown
 //! `--option`, or a value option with nothing after it is an error: one
@@ -162,7 +152,7 @@ type Outcome = Result<(), String>;
 type Command = fn(&Args) -> Outcome;
 
 /// Every command: the one table both dispatch and `usage()` read.
-const COMMANDS: [(&str, Command); 13] = [
+const COMMANDS: [(&str, Command); 11] = [
     ("serve", |args| block_on(cmd_serve(args))),
     ("fetch", |args| block_on(cmd_fetch(args))),
     ("generate", cmd_generate),
@@ -171,11 +161,9 @@ const COMMANDS: [(&str, Command); 13] = [
     ("stock", cmd_stock),
     ("stats", |args| block_on(cmd_stats(args))),
     ("bench-concurrent", cmd_bench_concurrent),
-    ("bench-pr6", cmd_bench_pr6),
     ("bench-cluster", cmd_bench_cluster),
     ("bench-transport", cmd_bench_transport),
     ("bench-workload", cmd_bench_workload),
-    ("bench-compare", cmd_bench_compare),
 ];
 
 fn usage_text() -> String {
@@ -227,15 +215,15 @@ fn main() {
     }
 }
 
-/// Exit 1 with one `FAIL:` line per broken rule; otherwise hand back
-/// the `ok` lines of a `sww_bench::report` verdict.
-fn passed(verdict: Result<Vec<String>, Vec<String>>) -> Vec<String> {
-    verdict.unwrap_or_else(|failures| {
-        for line in failures {
-            eprintln!("FAIL: {line}");
-        }
+/// Exit 1 with one `FAIL:` line per violation an experiment's rules
+/// found; return when they found none.
+fn exit_on(violations: Vec<String>) {
+    for line in &violations {
+        eprintln!("FAIL: {line}");
+    }
+    if !violations.is_empty() {
         std::process::exit(1)
-    })
+    }
 }
 
 /// Translate `sww serve` / `bench-concurrent` flags into the library's
@@ -637,117 +625,15 @@ fn cmd_bench_concurrent(args: &Args) -> Outcome {
     Ok(())
 }
 
-/// Run the E17–E21 sweeps and emit the `BENCH_PR6.json` report.
-///
-/// Human-readable tables go to **stderr**; the JSON report goes to
-/// stdout, or to `--out FILE` so `ci.sh` can archive and gate it. The
-/// report is written first; a run that breaks one of its own rules then
-/// exits 1.
-fn cmd_bench_pr6(args: &Args) -> Outcome {
-    use sww_bench::experiments::{edge, kernel, resilience, transport, workload};
-    use sww_bench::report;
-    let tiles: Vec<usize> = args.list("tiles", "1,2,4,8")?;
-    let widest = tiles.iter().copied().max().unwrap_or(1);
-    let mut records = Vec::new();
-    let kcfg = kernel::KernelConfig::default();
-    let kernel_samples = kernel::kernel_sweep(kcfg, &tiles);
-    eprintln!("{}", kernel::kernel_table(kcfg, &kernel_samples).render());
-    records.extend(
-        kernel_samples
-            .iter()
-            .map(|s| report::kernel_record(kcfg, s)),
-    );
-    // The serving sweep is the expensive end-to-end pass, so it compares
-    // just the scalar kernel against the widest requested lane count.
-    let scfg = kernel::ServingConfig::default();
-    let serving_tiles: Vec<usize> = if widest > 1 { vec![1, widest] } else { vec![1] };
-    let serving_samples = kernel::serving_sweep(scfg, &serving_tiles);
-    eprintln!("{}", kernel::serving_table(scfg, &serving_samples).render());
-    records.extend(
-        serving_samples
-            .iter()
-            .map(|s| report::serving_record(scfg, s)),
-    );
-    // E18 under its own latency chaos spec.
-    let tcfg = transport::TransportConfig::default();
-    let trun = transport::run_with_latency(tcfg);
-    eprintln!("{}", transport::table(tcfg, &trun).render());
-    records.extend([&trun.h2, &trun.h3].map(|s| report::transport_record(tcfg, s)));
-    // E19: the edge-cluster sweep (no chaos — the gated numbers are the
-    // deterministic modelled ones), then the chaos node-kill under a
-    // deterministic generation latency that widens the kill window.
-    let ecfg = edge::EdgeClusterConfig::default();
-    let edge_samples = edge::run(&ecfg, None);
-    eprintln!("{}", edge::table(&ecfg, &edge_samples).render());
-    records.extend(edge_samples.iter().map(|s| report::edge_record(&ecfg, s)));
-    let chaos = edge::chaos_kill_with_latency(&ecfg);
-    eprintln!("{}", edge::chaos_table(&chaos).render());
-    records.push(report::chaos_record(&chaos));
-    // E20: the small-world workload sweep — modelled rows at full scale,
-    // live replays through single node / h3 / the edge ring, and the
-    // replay-determinism witness.
-    let wcfg = workload::E20Config::default();
-    let rows = workload::modelled_sweep(&wcfg);
-    eprintln!("{}", workload::modelled_table(&wcfg, &rows).render());
-    records.extend(rows.iter().map(|r| report::workload_record(&wcfg, r)));
-    let live = workload::live_sweep(&wcfg, &workload::live_targets(&wcfg), None);
-    eprintln!("{}", workload::live_table(&wcfg, &live).render());
-    let live_clustering = wcfg
-        .workload(wcfg.live_beta, wcfg.live_requests)
-        .site_graph()
-        .clustering_coefficient();
-    records.extend(
-        live.iter()
-            .map(|s| report::replay_record(live_clustering, s)),
-    );
-    let determinism = workload::determinism_check(&wcfg, &live, None);
-    records.push(report::determinism_record(&determinism));
-    // E21: the owner-kill failover at every replication level, then the
-    // gossip partition-heal witness — fully deterministic, no chaos spec
-    // needed (the kill and the partition are the faults).
-    let rcfg = resilience::ResilienceConfig::default();
-    records.extend(resilience_records(&rcfg, |table| eprintln!("{table}")));
-    let verdict = report::gate(&records);
-    let text = report::render(&report::pr6_report(records));
-    match args.options.get("out") {
-        Some(path) => {
-            std::fs::write(path, &text).expect("write report");
-            eprintln!("wrote {path}");
-        }
-        None => print!("{text}"),
-    }
-    eprintln!("{} report rules hold", passed(verdict).len());
-    Ok(())
-}
-
-/// Run both E21 scenarios, hand each rendered table to `show`, and
-/// return their records (`bench-pr6` keeps stdout for the report, so
-/// the caller picks the stream).
-fn resilience_records(
-    rcfg: &sww_bench::experiments::resilience::ResilienceConfig,
-    show: fn(String),
-) -> Vec<sww_json::Value> {
-    use sww_bench::experiments::resilience;
-    use sww_bench::report;
-    let failover = resilience::failover_sweep(rcfg);
-    show(resilience::failover_table(rcfg, &failover).render());
-    let partition = resilience::partition_heal(rcfg);
-    show(resilience::partition_table(&partition).render());
-    let mut records: Vec<_> = failover.iter().map(report::resilience_record).collect();
-    records.push(report::partition_record(&partition));
-    records
-}
-
 /// Run the E19 edge-cluster sweep on its own: aggregate throughput and
 /// global hit rate vs node count, then the chaos node-kill scenario.
 /// With `--chaos` the caller's spec arms every node of both; otherwise
 /// only the kill scenario is armed, with its own deterministic
 /// generation latency. With `--replication N` (N ≥ 2) the E21 failover
-/// and partition scenarios run too. Exits non-zero when the records
-/// break a `sww_bench::report::gate` rule.
+/// and partition scenarios run too. Exits 1 when an outcome breaks its
+/// rule.
 fn cmd_bench_cluster(args: &Args) -> Outcome {
     use sww_bench::experiments::{edge, resilience};
-    use sww_bench::report;
     let cfg = edge::EdgeClusterConfig {
         node_counts: args.list("nodes", "1,2,4")?,
         threads_per_node: args.value::<usize>("threads")?.unwrap_or(2).max(1),
@@ -765,11 +651,8 @@ fn cmd_bench_cluster(args: &Args) -> Outcome {
         None => edge::chaos_kill_with_latency(&cfg),
     };
     println!("{}", edge::chaos_table(&chaos).render());
-    let mut records: Vec<_> = samples
-        .iter()
-        .map(|s| report::edge_record(&cfg, s))
-        .collect();
-    records.push(report::chaos_record(&chaos));
+    let mut violations = edge::hit_rate_violations(&samples);
+    violations.extend(chaos.violations());
     // E21, opt-in via --replication N (N ≥ 2): hot-key replication
     // failover at 1 and N copies, plus the gossip partition heal.
     if replication > 1 {
@@ -779,12 +662,15 @@ fn cmd_bench_cluster(args: &Args) -> Outcome {
             replication_levels: vec![1, replication],
             ..resilience::ResilienceConfig::default()
         };
-        records.extend(resilience_records(&rcfg, |table| println!("{table}")));
+        let failover = resilience::failover_sweep(&rcfg);
+        println!("{}", resilience::failover_table(&rcfg, &failover).render());
+        let partition = resilience::partition_heal(&rcfg);
+        println!("{}", resilience::partition_table(&partition).render());
+        violations.extend(failover.iter().flat_map(|o| o.violations()));
+        violations.extend(partition.violations());
     }
-    for line in passed(report::gate(&records)) {
-        println!("ok: {line}");
-    }
-    println!("edge gates passed (node-kill took out {})", chaos.killed);
+    exit_on(violations);
+    println!("edge rules hold (node-kill took out {})", chaos.killed);
     Ok(())
 }
 
@@ -843,11 +729,10 @@ fn e20_config_from(args: &Args) -> Result<sww_bench::experiments::workload::E20C
 
 /// Run the E20 small-world workload harness: the modelled sweep over
 /// every `--betas` entry, the live trace replays, and the
-/// replay-determinism check. Exits non-zero when the records break a
-/// `sww_bench::report::gate` rule.
+/// replay-determinism check. Exits 1 when the rows or the witness break
+/// their rules.
 fn cmd_bench_workload(args: &Args) -> Outcome {
     use sww_bench::experiments::workload;
-    use sww_bench::report;
     use sww_workload::ReplayTarget;
     let cfg = e20_config_from(args)?;
     // --transport narrows the live run to one framing path; --cluster
@@ -869,39 +754,14 @@ fn cmd_bench_workload(args: &Args) -> Outcome {
     let live = workload::live_sweep(&cfg, &targets, chaos.as_ref());
     println!("{}", workload::live_table(&cfg, &live).render());
     let det = workload::determinism_check(&cfg, &live, chaos.as_ref());
-    let mut records: Vec<_> = rows
-        .iter()
-        .map(|r| report::workload_record(&cfg, r))
-        .collect();
-    records.push(report::determinism_record(&det));
-    for line in passed(report::gate(&records)) {
-        println!("ok: {line}");
-    }
+    let mut violations = workload::slo_violations(&cfg, &rows);
+    violations.extend(det.violations());
+    exit_on(violations);
     println!(
-        "workload SLO gates passed ({} modelled rows, {} live replays)",
+        "workload rules hold ({} modelled rows, {} live replays)",
         rows.len(),
         live.len()
     );
-    Ok(())
-}
-
-/// Gate a fresh `BENCH_PR6.json` against the checked-in baseline; exits
-/// non-zero when `sww_bench::report::compare` reports failures.
-fn cmd_bench_compare(args: &Args) -> Outcome {
-    let (Some(base_path), Some(cur_path)) = (args.positionals.first(), args.positionals.get(1))
-    else {
-        usage();
-    };
-    let tolerance: f64 = args.value("tolerance")?.unwrap_or(0.10);
-    let load = |path: &str| -> sww_json::Value {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|err| panic!("read {path}: {err}"));
-        sww_json::parse(&text).unwrap_or_else(|err| panic!("parse {path}: {err:?}"))
-    };
-    let verdict = sww_bench::report::compare(&load(base_path), &load(cur_path), tolerance);
-    for line in passed(verdict) {
-        println!("ok: {line}");
-    }
-    println!("bench gate passed ({cur_path} vs {base_path})");
     Ok(())
 }
 
@@ -920,11 +780,9 @@ mod tests {
             "stock",
             "stats",
             "bench-concurrent",
-            "bench-pr6",
             "bench-cluster",
             "bench-transport",
             "bench-workload",
-            "bench-compare",
         ];
         let dispatched: Vec<&str> = COMMANDS.iter().map(|(name, _)| *name).collect();
         assert_eq!(dispatched, expected, "the table is the command set");

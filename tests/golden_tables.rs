@@ -16,7 +16,22 @@
 //! then review and commit the updated snapshots like any other diff.
 
 use std::path::Path;
-use sww_bench::experiments::{compression, edge, models, video_cdn, workload};
+use std::sync::{Mutex, MutexGuard};
+use sww_bench::experiments::{compression, edge, kernel, models, transport, video_cdn, workload};
+use sww_bench::Table;
+
+/// The acceptance floor on the three modelled headline speedups:
+/// the tiled kernel and the batched server at 8 lanes, and h3 over h2.
+const SPEEDUP_FLOOR: f64 = 1.5;
+
+/// The sweeps that drive real servers run one at a time: E17's serving
+/// rows are exact only while every batch closes full, and a neighbour
+/// holding both cores could hold a request past the batch wait.
+static HEAVY: Mutex<()> = Mutex::new(());
+
+fn heavy() -> MutexGuard<'static, ()> {
+    HEAVY.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Compare `rendered` against `tests/golden/<name>`, or rewrite the
 /// snapshot when `SWW_BLESS=1` is set.
@@ -85,7 +100,7 @@ fn e19_edge_cluster_modelled_table_matches_golden() {
 /// E20: the modelled small-world workload scorecard — graph metrics,
 /// bounded-LRU hit rates, and queueing percentiles are all pure
 /// functions of the seed, so the table is bit-stable across hosts. Pins
-/// the clustering→hit-rate story the compare gate enforces: a change to
+/// the clustering→hit-rate story `workload::slo_violations` states: a change to
 /// the graph generator, the Zipf sampler, the walk, or the SLO model
 /// shows up here as a diff.
 #[test]
@@ -94,6 +109,95 @@ fn e20_workload_scorecard_matches_golden() {
     let rows = workload::modelled_sweep(&cfg);
     let rendered = workload::modelled_table(&cfg, &rows).render();
     assert_matches_golden("e20_workload.txt", &rendered);
+}
+
+/// E17: the modelled columns of the tiled-kernel sweep (lanes 1/2/4/8)
+/// and of the batched-serving sweep (kernel tiles 1/8) at their default
+/// configs. Images per modelled device-second come from the cost model,
+/// so every cell is exact; the wall columns are `report --exp e17`'s.
+#[test]
+fn e17_kernel_modelled_rows_match_golden() {
+    let _heavy = heavy();
+    let kcfg = kernel::KernelConfig::default();
+    let raw = kernel::kernel_sweep(kcfg, &[1, 2, 4, 8]);
+    let scfg = kernel::ServingConfig::default();
+    let served = kernel::serving_sweep(scfg, &[1, 8]);
+    let mut t = Table::new(
+        format!(
+            "E17 (modelled) — tiled kernel (batch {}, {}x{}, {} steps) and batched \
+             serving ({} threads x {} rounds)",
+            kcfg.batch, kcfg.side, kcfg.side, kcfg.steps, scfg.threads, scfg.rounds
+        ),
+        &["Sweep", "Lanes", "ModelImg/s", "Speedup", "MeanBatch"],
+    );
+    for s in &raw {
+        t.row([
+            "kernel".to_string(),
+            s.tiles.to_string(),
+            format!("{:.3}", s.modelled_rate),
+            format!("{:.3}x", s.speedup),
+            "-".to_string(),
+        ]);
+    }
+    for s in &served {
+        t.row([
+            "serving".to_string(),
+            s.kernel_tiles.to_string(),
+            format!("{:.3}", s.modelled_rate),
+            format!("{:.3}x", s.speedup),
+            format!("{:.1}", s.mean_batch),
+        ]);
+    }
+    for (sweep, widest) in [("kernel", raw[3].speedup), ("serving", served[1].speedup)] {
+        assert!(
+            widest >= SPEEDUP_FLOOR,
+            "{sweep}: 8-lane modelled speedup {widest:.3}x under the {SPEEDUP_FLOOR}x floor"
+        );
+    }
+    assert_matches_golden("e17_kernel.txt", &t.render());
+}
+
+/// E18: the modelled page rates over h2 and h3 at the default config —
+/// `1000/(K·W)` against `1000/W`, exact — and the server's request
+/// count behind each.
+#[test]
+fn e18_transport_modelled_rows_match_golden() {
+    let _heavy = heavy();
+    let cfg = transport::TransportConfig::default();
+    let run = transport::run_with_latency(cfg);
+    let mut t = Table::new(
+        format!(
+            "E18 (modelled) — page load by transport ({} pages x {} recipes, {} ms per generation)",
+            cfg.pages, cfg.recipes, cfg.gen_latency_ms
+        ),
+        &["Transport", "Modelled pages/s", "Requests"],
+    );
+    for s in [&run.h2, &run.h3] {
+        t.row([
+            s.transport.label().to_string(),
+            format!("{:.3}", s.modelled_qps),
+            s.requests.to_string(),
+        ]);
+    }
+    let speedup = run.modelled_speedup();
+    assert!(
+        speedup >= SPEEDUP_FLOOR,
+        "h3 over h2 modelled {speedup:.3}x under the {SPEEDUP_FLOOR}x floor"
+    );
+    assert_matches_golden("e18_transport.txt", &t.render());
+}
+
+/// E20 at full scale (`E20Config::default()`, a million requests per
+/// β): the same scorecard as the quick snapshot above, at the volume
+/// `bench-workload` runs by default, held to the SLO rules there too.
+#[test]
+fn e20_workload_full_scale_matches_golden() {
+    let _heavy = heavy();
+    let cfg = workload::E20Config::default();
+    let rows = workload::modelled_sweep(&cfg);
+    assert_eq!(workload::slo_violations(&cfg, &rows), Vec::<String>::new());
+    let rendered = workload::modelled_table(&cfg, &rows).render();
+    assert_matches_golden("e20_workload_full.txt", &rendered);
 }
 
 /// The comparer itself must be deterministic: rendering twice in one
