@@ -194,6 +194,28 @@ benchmark/run.sh --smoke >/dev/null
 echo "==> cargo test -p sww-http2 --test proptest_hpack (HPACK property suite)"
 cargo test -p sww-http2 --test proptest_hpack -q
 
+# One header path (PR 38): the table-driven Huffman decoder is held to the
+# bit-by-bit trie walk it replaced and the static-table index to the scans
+# it replaced; seeded edits of valid HPACK and QPACK blocks and of h3
+# request and response streams decode or fail without a panic; a QPACK
+# section past 1 MiB is an error that ends only its own connection; and
+# the HPACK, QPACK and h3 octets of the 2 048-page site still hash to the
+# digests recorded before the rewrite. Both profiles: the decoders' bit
+# and index arithmetic is what optimisation changes.
+echo "==> header path: Huffman table == trie oracle, static index == scans, mutated blocks and streams, the QPACK bound, golden header blocks (debug + release)"
+for profile in "" "--release"; do
+    cargo test ${profile} -p sww-http2 --lib -q -- hpack::huffman::tests:: hpack::table::tests::
+    cargo test ${profile} -p sww-http2 --test proptest_hpack -q -- mutated_blocks_decode_or_fail_without_panicking
+    cargo test ${profile} -p sww-http3 --lib -q -- qpack::tests:: \
+        frame::tests::a_payload_written_in_place_frames_like_a_copied_one \
+        connection::tests::mutated_message_streams_decode_or_fail_without_panicking \
+        connection::tests::a_body_split_over_data_frames_is_joined \
+        connection::tests::a_control_frame_on_a_request_stream_is_refused \
+        server::tests::a_field_section_bomb_ends_its_connection_and_the_next_is_answered
+    cargo test ${profile} -p sww-http3 --test proptest_h3 -q -- mutated_qpack_blocks_decode_or_fail_without_panicking
+    cargo test ${profile} --test golden_header_blocks -q
+done
+
 echo "==> cargo test -p sww-http2 --test stream_table (stream table stays O(in-flight); ids never reused)"
 cargo test -p sww-http2 --test stream_table -q
 
@@ -392,8 +414,11 @@ fi
 # − 13 whose subject was deleted (BENCH_PR6.json's records, compare and
 # gate), + 4 for three modelled goldens and report's unknown --exp id;
 # nine rule tests moved from report.rs to the experiments, 9 − 9;
-# CHANGES.md names them.)
-TEST_FLOOR=968
+# CHANGES.md names them; then + 16 for the header path: the Huffman
+# table against its trie oracle, the static index against the scans,
+# mutated HPACK/QPACK blocks and h3 streams, the QPACK bound, in-place
+# framing and the golden header blocks.)
+TEST_FLOOR=984
 echo "==> workspace test-count floor (>= ${TEST_FLOOR})"
 TEST_COUNT=$(cargo test --workspace -- --list 2>/dev/null | grep -c ": test$")
 echo "    ${TEST_COUNT} tests"

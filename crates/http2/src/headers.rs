@@ -1,5 +1,6 @@
 //! Request/response types and pseudo-header handling (RFC 9113 §8.3).
 
+use crate::error::H2Error;
 use crate::hpack::HeaderField;
 use bytes::Bytes;
 
@@ -15,20 +16,20 @@ impl HeaderMap {
         HeaderMap::default()
     }
 
-    /// Append a field. Names are lowercased per HTTP/2 §8.2.1.
-    pub fn insert(&mut self, name: impl AsRef<str>, value: impl Into<String>) {
-        self.fields.push(HeaderField::new(
-            name.as_ref().to_ascii_lowercase(),
-            value.into(),
-        ));
+    /// Append a field. Names are lowercased per HTTP/2 §8.2.1, an owned
+    /// name in place.
+    pub fn insert(&mut self, name: impl Into<String>, value: impl Into<String>) {
+        let mut name = name.into();
+        name.make_ascii_lowercase();
+        self.fields.push(HeaderField::new(name, value));
     }
 
-    /// First value for `name`, if present.
+    /// First value for `name`, if present. Stored names are lowercase, so
+    /// any case of `name` finds them.
     pub fn get(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
         self.fields
             .iter()
-            .find(|f| f.name == name)
+            .find(|f| f.name.eq_ignore_ascii_case(name))
             .map(|f| f.value.as_str())
     }
 
@@ -57,7 +58,7 @@ impl FromIterator<HeaderField> for HeaderMap {
 }
 
 /// An HTTP/2 request: pseudo-headers plus regular fields and a body.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Request {
     /// `:method` pseudo-header.
     pub method: String,
@@ -86,60 +87,76 @@ impl Request {
         }
     }
 
-    /// Flatten into the HPACK field list: pseudo-headers first (§8.3).
+    /// The field lines, borrowed: pseudo-headers first (§8.3), then the
+    /// regular fields in order.
+    pub fn field_lines(&self) -> impl Iterator<Item = (&str, &str)> {
+        [
+            (":method", self.method.as_str()),
+            (":scheme", self.scheme.as_str()),
+            (":authority", self.authority.as_str()),
+            (":path", self.path.as_str()),
+        ]
+        .into_iter()
+        .chain(
+            self.headers
+                .iter()
+                .map(|f| (f.name.as_str(), f.value.as_str())),
+        )
+    }
+
+    /// Flatten into the HPACK field list, in [`Request::field_lines`] order.
     pub fn to_fields(&self) -> Vec<HeaderField> {
-        let mut fields = vec![
-            HeaderField::new(":method", self.method.clone()),
-            HeaderField::new(":scheme", self.scheme.clone()),
-            HeaderField::new(":authority", self.authority.clone()),
-            HeaderField::new(":path", self.path.clone()),
-        ];
-        fields.extend(self.headers.iter().cloned());
-        fields
+        self.field_lines()
+            .map(|(name, value)| HeaderField::new(name, value))
+            .collect()
     }
 
     /// Rebuild from a decoded field list, validating pseudo-header rules:
     /// mandatory `:method`/`:scheme`/`:path`, no pseudo-header after a
     /// regular field, no unknown or response pseudo-headers.
-    pub fn from_fields(fields: Vec<HeaderField>) -> Result<Request, crate::error::H2Error> {
-        let mut req = Request {
-            method: String::new(),
-            path: String::new(),
-            scheme: String::new(),
-            authority: String::new(),
-            headers: HeaderMap::new(),
-            body: Bytes::new(),
-        };
-        let mut seen_regular = false;
+    pub fn from_fields(fields: Vec<HeaderField>) -> Result<Request, H2Error> {
+        let mut req = Request::default();
         for f in fields {
-            if let Some(pseudo) = f.name.strip_prefix(':') {
-                if seen_regular {
-                    return Err(crate::error::H2Error::protocol(
-                        "pseudo-header after regular field",
-                    ));
-                }
-                match pseudo {
-                    "method" => req.method = f.value,
-                    "path" => req.path = f.value,
-                    "scheme" => req.scheme = f.value,
-                    "authority" => req.authority = f.value,
-                    _ => {
-                        return Err(crate::error::H2Error::protocol(format!(
-                            "unknown request pseudo-header :{pseudo}"
-                        )))
-                    }
-                }
-            } else {
-                seen_regular = true;
-                req.headers.insert(f.name, f.value);
+            req.push_field(f.name, f.value)?;
+        }
+        req.validated()
+    }
+
+    /// Take one decoded field, in wire order: a pseudo-header sets its
+    /// part of the request, a regular field joins the headers.
+    pub fn push_field(
+        &mut self,
+        name: impl AsRef<str> + Into<String>,
+        value: String,
+    ) -> Result<(), H2Error> {
+        let Some(pseudo) = name.as_ref().strip_prefix(':') else {
+            self.headers.insert(name, value);
+            return Ok(());
+        };
+        if !self.headers.is_empty() {
+            return Err(H2Error::protocol("pseudo-header after regular field"));
+        }
+        match pseudo {
+            "method" => self.method = value,
+            "path" => self.path = value,
+            "scheme" => self.scheme = value,
+            "authority" => self.authority = value,
+            _ => {
+                return Err(H2Error::protocol(format!(
+                    "unknown request pseudo-header :{pseudo}"
+                )))
             }
         }
-        if req.method.is_empty() || req.path.is_empty() || req.scheme.is_empty() {
-            return Err(crate::error::H2Error::protocol(
-                "missing mandatory request pseudo-header",
-            ));
+        Ok(())
+    }
+
+    /// The request once every field is in, if its mandatory
+    /// pseudo-headers came.
+    pub fn validated(self) -> Result<Request, H2Error> {
+        if self.method.is_empty() || self.path.is_empty() || self.scheme.is_empty() {
+            return Err(H2Error::protocol("missing mandatory request pseudo-header"));
         }
-        Ok(req)
+        Ok(self)
     }
 }
 
@@ -181,35 +198,44 @@ impl Response {
     }
 
     /// Rebuild from a decoded field list.
-    pub fn from_fields(fields: Vec<HeaderField>) -> Result<Response, crate::error::H2Error> {
+    pub fn from_fields(fields: Vec<HeaderField>) -> Result<Response, H2Error> {
         let mut resp = Response::status(0);
-        let mut seen_regular = false;
         for f in fields {
-            if let Some(pseudo) = f.name.strip_prefix(':') {
-                if seen_regular {
-                    return Err(crate::error::H2Error::protocol(
-                        "pseudo-header after regular field",
-                    ));
-                }
-                if pseudo == "status" {
-                    resp.status = f
-                        .value
-                        .parse()
-                        .map_err(|_| crate::error::H2Error::protocol("bad :status"))?;
-                } else {
-                    return Err(crate::error::H2Error::protocol(format!(
-                        "unknown response pseudo-header :{pseudo}"
-                    )));
-                }
-            } else {
-                seen_regular = true;
-                resp.headers.insert(f.name, f.value);
-            }
+            resp.push_field(f.name, f.value)?;
         }
-        if resp.status == 0 {
-            return Err(crate::error::H2Error::protocol("missing :status"));
+        resp.validated()
+    }
+
+    /// Take one decoded field, in wire order (see [`Request::push_field`]).
+    pub fn push_field(
+        &mut self,
+        name: impl AsRef<str> + Into<String>,
+        value: String,
+    ) -> Result<(), H2Error> {
+        let Some(pseudo) = name.as_ref().strip_prefix(':') else {
+            self.headers.insert(name, value);
+            return Ok(());
+        };
+        if !self.headers.is_empty() {
+            return Err(H2Error::protocol("pseudo-header after regular field"));
         }
-        Ok(resp)
+        if pseudo != "status" {
+            return Err(H2Error::protocol(format!(
+                "unknown response pseudo-header :{pseudo}"
+            )));
+        }
+        self.status = value
+            .parse()
+            .map_err(|_| H2Error::protocol("bad :status"))?;
+        Ok(())
+    }
+
+    /// The response once every field is in, if its `:status` came.
+    pub fn validated(self) -> Result<Response, H2Error> {
+        if self.status == 0 {
+            return Err(H2Error::protocol("missing :status"));
+        }
+        Ok(self)
     }
 }
 

@@ -2,7 +2,7 @@
 
 use super::huffman;
 use super::integer;
-use super::table::{static_find, static_find_name, DynamicTable};
+use super::table::{static_match, DynamicTable};
 use super::HeaderField;
 
 /// Representation tag bits (RFC 7541 §6).
@@ -68,10 +68,15 @@ impl Encoder {
     }
 
     fn encode_field(&mut self, h: &HeaderField, sensitive: bool, out: &mut Vec<u8>) {
+        let in_static = static_match(&h.name, &h.value);
+        let name_idx = |table: &DynamicTable| {
+            in_static
+                .map(|m| m.name + 1)
+                .or_else(|| table.find_name(&h.name))
+                .unwrap_or(0)
+        };
         if sensitive {
-            let name_idx = static_find_name(&h.name)
-                .or_else(|| self.table.find_name(&h.name))
-                .unwrap_or(0);
+            let name_idx = name_idx(&self.table);
             integer::encode(name_idx as u64, 4, LITERAL_NEVER_INDEXED, out);
             if name_idx == 0 {
                 self.encode_string(h.name.as_bytes(), out);
@@ -80,8 +85,10 @@ impl Encoder {
             return;
         }
         // 1. Exact match → indexed representation.
-        if let Some(idx) =
-            static_find(&h.name, &h.value).or_else(|| self.table.find(&h.name, &h.value))
+        if let Some(idx) = in_static
+            .and_then(|m| m.exact)
+            .map(|i| i + 1)
+            .or_else(|| self.table.find(&h.name, &h.value))
         {
             integer::encode(idx as u64, 7, INDEXED, out);
             return;
@@ -95,9 +102,7 @@ impl Encoder {
         } else {
             (LITERAL_INCREMENTAL, 6)
         };
-        let name_idx = static_find_name(&h.name)
-            .or_else(|| self.table.find_name(&h.name))
-            .unwrap_or(0);
+        let name_idx = name_idx(&self.table);
         integer::encode(name_idx as u64, prefix, tag, out);
         if name_idx == 0 {
             self.encode_string(h.name.as_bytes(), out);
@@ -113,7 +118,7 @@ impl Encoder {
             let hlen = huffman::encoded_len(s);
             if hlen < s.len() {
                 integer::encode(hlen as u64, 7, 0x80, out);
-                out.extend_from_slice(&huffman::encode(s));
+                huffman::encode(s, out);
                 return;
             }
         }

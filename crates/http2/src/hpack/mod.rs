@@ -16,7 +16,7 @@ pub use encoder::Encoder;
 pub use huffman::{
     decode as huffman_decode, encode as huffman_encode, encoded_len as huffman_encoded_len,
 };
-pub use table::{DynamicTable, STATIC_TABLE};
+pub use table::{static_match, DynamicTable, StaticMatch, STATIC_TABLE};
 
 /// A decoded header field.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]

@@ -3,6 +3,8 @@
 
 use super::HeaderField;
 use std::collections::VecDeque;
+use std::ops::Range;
+use std::sync::OnceLock;
 
 /// RFC 7541 Appendix A static table, indices 1..=61.
 pub static STATIC_TABLE: [(&str, &str); 61] = [
@@ -200,20 +202,73 @@ pub fn lookup(table: &DynamicTable, index: usize) -> Option<HeaderField> {
     table.get(index).cloned()
 }
 
-/// Search the static table for an exact match; returns the 1-based index.
-pub fn static_find(name: &str, value: &str) -> Option<usize> {
-    STATIC_TABLE
-        .iter()
-        .position(|&(n, v)| n == name && v == value)
-        .map(|i| i + 1)
+/// Where a field sits in [`STATIC_TABLE`], 0-based: the first entry with
+/// its name, and the entry with its name and value if there is one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StaticMatch {
+    /// First entry with the name.
+    pub name: usize,
+    /// The entry with the name and the value.
+    pub exact: Option<usize>,
 }
 
-/// Search the static table for a name match; returns the 1-based index.
-pub fn static_find_name(name: &str) -> Option<usize> {
-    STATIC_TABLE
-        .iter()
-        .position(|&(n, _)| n == name)
-        .map(|i| i + 1)
+/// Slots of the name index: a power of two over twice the 52 names, so
+/// a probe sequence is short.
+const NAME_SLOTS: usize = 128;
+
+/// Where a name's probe sequence starts: its length and three of its
+/// octets, which tell the table's names apart in all but a few cases.
+fn name_slot(name: &[u8]) -> usize {
+    let [first, .., last] = name else {
+        return name.len();
+    };
+    let mid = name[name.len() / 2];
+    (name.len() * 7 + usize::from(*first) * 3 + usize::from(mid) * 5 + usize::from(*last))
+        % NAME_SLOTS
+}
+
+/// [`STATIC_TABLE`]'s names, open-addressed by [`name_slot`], each with
+/// the range of its entries (a name's entries are adjacent in the table).
+type NameIndex = [Option<(&'static str, Range<usize>)>; NAME_SLOTS];
+
+fn name_index() -> &'static NameIndex {
+    static INDEX: OnceLock<NameIndex> = OnceLock::new();
+    INDEX.get_or_init(|| {
+        let mut index = [const { None }; NAME_SLOTS];
+        let mut i = 0;
+        while i < STATIC_TABLE.len() {
+            let name = STATIC_TABLE[i].0;
+            let end = i + STATIC_TABLE[i..]
+                .iter()
+                .take_while(|&&(n, _)| n == name)
+                .count();
+            let mut slot = name_slot(name.as_bytes());
+            while index[slot].is_some() {
+                slot = (slot + 1) % NAME_SLOTS;
+            }
+            index[slot] = Some((name, i..end));
+            i = end;
+        }
+        index
+    })
+}
+
+/// Look a field up in [`STATIC_TABLE`] by name, then by value among that
+/// name's entries.
+pub fn static_match(name: &str, value: &str) -> Option<StaticMatch> {
+    let index = name_index();
+    let mut slot = name_slot(name.as_bytes());
+    let range = loop {
+        match &index[slot] {
+            Some((n, range)) if *n == name => break range.clone(),
+            Some(_) => slot = (slot + 1) % NAME_SLOTS,
+            None => return None,
+        }
+    };
+    Some(StaticMatch {
+        name: range.start,
+        exact: range.clone().find(|&i| STATIC_TABLE[i].1 == value),
+    })
 }
 
 #[cfg(test)]
@@ -225,9 +280,32 @@ mod tests {
         assert_eq!(STATIC_TABLE[1], (":method", "GET"));
         assert_eq!(STATIC_TABLE[7], (":status", "200"));
         assert_eq!(STATIC_TABLE[60], ("www-authenticate", ""));
-        assert_eq!(static_find(":method", "POST"), Some(3));
-        assert_eq!(static_find_name("content-type"), Some(31));
-        assert_eq!(static_find(":path", "/nope"), None);
+        let post = static_match(":method", "POST").unwrap();
+        assert_eq!((post.name, post.exact), (1, Some(2)));
+        let content_type = static_match("content-type", "text/html").unwrap();
+        assert_eq!((content_type.name, content_type.exact), (30, None));
+        assert_eq!(static_match(":path", "/nope").unwrap().exact, None);
+        assert_eq!(static_match("x-sww-mode", ""), None);
+    }
+
+    #[test]
+    fn the_name_index_finds_what_a_scan_finds() {
+        // Every entry, and every name with a value no entry has, against
+        // the linear scans the index replaced.
+        for &(name, value) in &STATIC_TABLE {
+            for value in [value, "no-such-value"] {
+                let want = StaticMatch {
+                    name: STATIC_TABLE.iter().position(|&(n, _)| n == name).unwrap(),
+                    exact: STATIC_TABLE
+                        .iter()
+                        .position(|&(n, v)| n == name && v == value),
+                };
+                assert_eq!(static_match(name, value), Some(want), "{name}: {value}");
+            }
+        }
+        for name in ["", ":", ":statu", "etags", "zzz", "Content-Type"] {
+            assert_eq!(static_match(name, ""), None, "{name}");
+        }
     }
 
     #[test]

@@ -231,4 +231,31 @@ proptest! {
             prop_assert_eq!(enc.table_size(), dec.table_size());
         }
     }
+
+    /// Seeded edits of valid blocks (Huffman and raw literals, indexed
+    /// fields, dynamic-table references from the block before): each
+    /// decodes to fields or to an error, never a panic. The table-driven
+    /// Huffman decoder is held to the bit-by-bit trie walk it replaced in
+    /// `hpack::huffman`'s own tests, where that oracle lives.
+    #[test]
+    fn mutated_blocks_decode_or_fail_without_panicking(
+        warm in arb_block(),
+        headers in arb_block(),
+        edits in prop::collection::vec((any::<u8>(), any::<usize>(), any::<u8>()), 1..4),
+    ) {
+        let mut enc = Encoder::new();
+        let mut dec = Decoder::new();
+        prop_assert_eq!(&dec.decode(&enc.encode(&warm)).unwrap(), &warm);
+        let mut block = enc.encode(&headers);
+        for (how, at, octet) in edits {
+            let i = at % (block.len() + 1);
+            match how % 4 {
+                0 if i < block.len() => block[i] ^= 1 << (octet % 8),
+                1 if i < block.len() => block[i] = octet,
+                2 => block.truncate(i),
+                _ => block.insert(i, octet),
+            }
+        }
+        let _ = dec.decode(&block);
+    }
 }

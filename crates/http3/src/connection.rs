@@ -3,12 +3,15 @@
 //! streams — demonstrating the paper's §3.1 claim that the HTTP/2
 //! negotiation carries over to HTTP/3 unchanged in spirit.
 
-use crate::frame::{FrameError, H3Frame};
+use crate::frame::{self, FrameError, H3Frame};
 use crate::qpack;
 use crate::settings::H3Settings;
 use crate::transport::{QuicLite, TransportError};
 use crate::varint;
 use bytes::Bytes;
+use std::borrow::Cow;
+use std::io::Write;
+use std::ops::Range;
 use sww_http2::{GenAbility, Request, Response};
 use tokio::io::{AsyncRead, AsyncWrite};
 
@@ -115,64 +118,119 @@ pub(crate) fn apply_control_stream(
 
 /// Encode a request as an HTTP/3 request-stream payload.
 pub(crate) fn encode_request(req: &Request) -> Vec<u8> {
-    let mut out = Vec::new();
-    H3Frame::Headers(Bytes::from(qpack::encode(&req.to_fields()))).encode(&mut out);
-    if !req.body.is_empty() {
-        H3Frame::Data(req.body.clone()).encode(&mut out);
-    }
-    out
+    encode_message(req.field_lines(), &req.body)
 }
 
 /// Decode a request-stream payload into a request.
 pub(crate) fn decode_request(data: &[u8]) -> Result<Request, H3Error> {
-    let (fields, body) = decode_message(data)?;
-    let mut req = Request::from_fields(fields).map_err(|e| H3Error::Protocol(e.to_string()))?;
+    let mut req = Request::default();
+    let body = decode_message(data, |name, value| {
+        req.push_field(name, value).map_err(protocol)
+    })?;
     req.body = body;
-    Ok(req)
+    req.validated().map_err(protocol)
 }
 
 /// Encode a response as a response-stream payload.
 pub(crate) fn encode_response(resp: &Response) -> Vec<u8> {
-    let mut out = Vec::new();
-    H3Frame::Headers(Bytes::from(qpack::encode(&resp.to_fields()))).encode(&mut out);
-    if !resp.body.is_empty() {
-        H3Frame::Data(resp.body.clone()).encode(&mut out);
+    let mut digits = [0u8; 5];
+    let written = {
+        let mut unwritten = &mut digits[..];
+        write!(unwritten, "{}", resp.status).expect("a u16 has at most five digits");
+        5 - unwritten.len()
+    };
+    let status = std::str::from_utf8(&digits[..written]).expect("decimal digits");
+    let lines = std::iter::once((":status", status)).chain(
+        resp.headers
+            .iter()
+            .map(|f| (f.name.as_str(), f.value.as_str())),
+    );
+    encode_message(lines, &resp.body)
+}
+
+pub(crate) fn decode_response(data: &[u8]) -> Result<Response, H3Error> {
+    let mut resp = Response::status(0);
+    let body = decode_message(data, |name, value| {
+        resp.push_field(name, value).map_err(protocol)
+    })?;
+    resp.body = body;
+    resp.validated().map_err(protocol)
+}
+
+fn protocol(e: sww_http2::H2Error) -> H3Error {
+    H3Error::Protocol(e.to_string())
+}
+
+/// Octets kept for a message's HEADERS frame before its body's; a larger
+/// section grows the buffer once.
+const HEADERS_ROOM: usize = 128;
+
+/// Shared message encoding: the field lines QPACK-coded straight into a
+/// HEADERS frame, then the body as one DATA frame.
+fn encode_message<'a>(
+    lines: impl IntoIterator<Item = (&'a str, &'a str)>,
+    body: &Bytes,
+) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADERS_ROOM + body.len());
+    frame::encode_in_place(frame::TYPE_HEADERS, &mut out, |out| {
+        qpack::encode_into(lines, out)
+    });
+    if !body.is_empty() {
+        H3Frame::Data(body.clone()).encode(&mut out);
     }
     out
 }
 
-pub(crate) fn decode_response(data: &[u8]) -> Result<Response, H3Error> {
-    let (fields, body) = decode_message(data)?;
-    let mut resp = Response::from_fields(fields).map_err(|e| H3Error::Protocol(e.to_string()))?;
-    resp.body = body;
-    Ok(resp)
-}
-
-/// Shared message decoding: HEADERS then zero or more DATA frames,
-/// ignoring reserved/unknown frames per RFC 9114 §9.
-fn decode_message(data: &[u8]) -> Result<(Vec<sww_http2::hpack::HeaderField>, Bytes), H3Error> {
+/// Shared message decoding, in place over the stream's octets: HEADERS
+/// then zero or more DATA frames, ignoring reserved/unknown frames per
+/// RFC 9114 §9. The first HEADERS frame's fields go to `field` in wire
+/// order; the body is copied once, out of its DATA frames.
+fn decode_message(
+    data: &[u8],
+    mut field: impl FnMut(Cow<'static, str>, String) -> Result<(), H3Error>,
+) -> Result<Bytes, H3Error> {
     let mut pos = 0usize;
-    let mut fields = None;
-    let mut body = Vec::new();
+    let mut headers = false;
+    // The first DATA payload, and all of them joined once there are more.
+    let mut first: Option<Range<usize>> = None;
+    let mut joined = Vec::new();
     while pos < data.len() {
-        match H3Frame::decode(data, &mut pos)? {
-            H3Frame::Headers(block) => {
-                if fields.is_none() {
-                    fields = Some(qpack::decode(&block)?);
-                }
-                // A second HEADERS frame would be trailers; ignored.
+        let (kind, payload) = frame::decode_in_place(data, &mut pos)?;
+        match kind {
+            frame::TYPE_HEADERS if !headers => {
+                qpack::decode_with(&data[payload], &mut field)?;
+                headers = true;
             }
-            H3Frame::Data(d) => body.extend_from_slice(&d),
-            H3Frame::Unknown { .. } => {} // greased frames are skipped
-            other => {
+            // A second HEADERS frame would be trailers; ignored.
+            frame::TYPE_HEADERS => {}
+            frame::TYPE_DATA => match &first {
+                None => first = Some(payload),
+                Some(first) => {
+                    if joined.is_empty() {
+                        joined.extend_from_slice(&data[first.clone()]);
+                    }
+                    joined.extend_from_slice(&data[payload]);
+                }
+            },
+            frame::TYPE_SETTINGS
+            | frame::TYPE_GOAWAY
+            | frame::TYPE_CANCEL_PUSH
+            | frame::TYPE_MAX_PUSH_ID => {
                 return Err(H3Error::Protocol(format!(
-                    "unexpected frame on request stream: {other:?}"
+                    "unexpected frame type {kind:#x} on request stream"
                 )))
             }
+            _ => {} // greased frames are skipped
         }
     }
-    let fields = fields.ok_or_else(|| H3Error::Protocol("message without HEADERS".into()))?;
-    Ok((fields, Bytes::from(body)))
+    if !headers {
+        return Err(H3Error::Protocol("message without HEADERS".into()));
+    }
+    Ok(match first {
+        Some(first) if joined.is_empty() => Bytes::copy_from_slice(&data[first]),
+        Some(_) => Bytes::from(joined),
+        None => Bytes::new(),
+    })
 }
 
 /// A resumption ticket: the server settings a client remembers from a
@@ -377,6 +435,82 @@ impl<T: AsyncRead + AsyncWrite + Unpin> H3ClientConnection<T> {
 mod tests {
     use super::*;
     use crate::server::serve_h3_connection;
+    use proptest::prelude::*;
+
+    /// One seeded edit of a valid stream: flip a bit, overwrite an octet,
+    /// cut the end or insert an octet, as `how` picks.
+    fn mutate(mut bytes: Vec<u8>, how: u8, at: usize, octet: u8) -> Vec<u8> {
+        let i = at % (bytes.len() + 1);
+        match how % 4 {
+            0 if i < bytes.len() => bytes[i] ^= 1 << (octet % 8),
+            1 if i < bytes.len() => bytes[i] = octet,
+            2 => bytes.truncate(i),
+            _ => bytes.insert(i, octet),
+        }
+        bytes
+    }
+
+    fn arb_request() -> impl Strategy<Value = Request> {
+        (
+            "/[a-z0-9/]{0,24}",
+            prop::collection::vec(("[a-z][a-z-]{0,12}", "[ -~]{0,24}"), 0..4),
+            prop::collection::vec(any::<u8>(), 0..48),
+        )
+            .prop_map(|(path, headers, body)| {
+                let mut req = Request::get(path);
+                for (name, value) in headers {
+                    req.headers.insert(name, value);
+                }
+                req.body = Bytes::from(body);
+                req
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// A request stream and the response stream answering it, each
+        /// round-tripped, then edited by seeded mutations: every edit
+        /// decodes to a message or to an error, never a panic.
+        #[test]
+        fn mutated_message_streams_decode_or_fail_without_panicking(
+            req in arb_request(),
+            status in prop_oneof![Just(200u16), Just(304), Just(404), 100u16..1000],
+            edits in prop::collection::vec((any::<u8>(), any::<usize>(), any::<u8>()), 1..4),
+        ) {
+            let mut resp = Response::status(status);
+            resp.headers = req.headers.clone();
+            resp.body = req.body.clone();
+            let (mut req_stream, mut resp_stream) = (encode_request(&req), encode_response(&resp));
+            prop_assert_eq!(decode_request(&req_stream).unwrap(), req.clone());
+            prop_assert_eq!(decode_response(&resp_stream).unwrap(), resp.clone());
+            for (how, at, octet) in edits {
+                req_stream = mutate(req_stream, how, at, octet);
+                resp_stream = mutate(resp_stream, how, at, octet);
+            }
+            let _ = decode_request(&req_stream);
+            let _ = decode_response(&resp_stream);
+        }
+    }
+
+    #[test]
+    fn a_body_split_over_data_frames_is_joined() {
+        let mut stream = encode_request(&Request::get("/split"));
+        for part in [&b""[..], b"ab", b"", b"cde"] {
+            H3Frame::Data(Bytes::copy_from_slice(part)).encode(&mut stream);
+        }
+        assert_eq!(&decode_request(&stream).unwrap().body[..], b"abcde");
+    }
+
+    #[test]
+    fn a_control_frame_on_a_request_stream_is_refused() {
+        let mut stream = encode_request(&Request::get("/x"));
+        H3Frame::GoAway(4).encode(&mut stream);
+        assert!(matches!(decode_request(&stream), Err(H3Error::Protocol(_))));
+        let mut stream = Vec::new();
+        H3Frame::Data(Bytes::from_static(b"no headers")).encode(&mut stream);
+        assert!(matches!(decode_request(&stream), Err(H3Error::Protocol(_))));
+    }
 
     async fn pair(
         server_ability: GenAbility,

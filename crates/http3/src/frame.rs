@@ -2,6 +2,7 @@
 
 use crate::varint::{self, VarintError};
 use bytes::Bytes;
+use std::ops::Range;
 
 /// Frame type codes (RFC 9114 §11.2.1).
 pub(crate) const TYPE_DATA: u64 = 0x00;
@@ -96,12 +97,8 @@ impl H3Frame {
     /// `Err(Incomplete)` when more bytes are needed.
     pub fn decode(buf: &[u8], pos: &mut usize) -> Result<H3Frame, FrameError> {
         let mut p = *pos;
-        let kind = varint::decode(buf, &mut p)?;
-        let length = varint::decode(buf, &mut p)? as usize;
-        if buf.len() < p + length {
-            return Err(FrameError::Incomplete);
-        }
-        let payload = &buf[p..p + length];
+        let (kind, range) = decode_in_place(buf, &mut p)?;
+        let payload = &buf[range];
         let frame = match kind {
             TYPE_DATA => H3Frame::Data(Bytes::copy_from_slice(payload)),
             TYPE_HEADERS => H3Frame::Headers(Bytes::copy_from_slice(payload)),
@@ -140,9 +137,37 @@ impl H3Frame {
                 payload: Bytes::copy_from_slice(payload),
             },
         };
-        *pos = p + length;
+        *pos = p;
         Ok(frame)
     }
+}
+
+/// Read one frame's type and where its payload lies in `buf`, advancing
+/// `pos` past it; the payload is not copied.
+pub(crate) fn decode_in_place(
+    buf: &[u8],
+    pos: &mut usize,
+) -> Result<(u64, Range<usize>), FrameError> {
+    let mut p = *pos;
+    let kind = varint::decode(buf, &mut p)?;
+    let length = varint::decode(buf, &mut p)? as usize;
+    if buf.len() - p < length {
+        return Err(FrameError::Incomplete);
+    }
+    *pos = p + length;
+    Ok((kind, p..p + length))
+}
+
+/// Append a frame of type `kind` whose payload `write` appends to `out`
+/// in place: the length goes in front of it afterwards, so the payload is
+/// never built apart and copied.
+pub(crate) fn encode_in_place(kind: u64, out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
+    varint::encode(kind, out);
+    let at = out.len();
+    write(out);
+    let length = (out.len() - at) as u64;
+    varint::encode(length, out);
+    out[at..].rotate_right(varint::len(length));
 }
 
 fn frame_header_payload(kind: u64, payload: &[u8], out: &mut Vec<u8>) {
@@ -216,6 +241,27 @@ mod tests {
             H3Frame::Data(_)
         ));
         assert_eq!(pos, buf.len());
+    }
+
+    #[test]
+    fn a_payload_written_in_place_frames_like_a_copied_one() {
+        // One- and two-octet lengths: the second moves the payload right.
+        for n in [0usize, 1, 63, 64, 300] {
+            let payload = vec![0xabu8; n];
+            let mut copied = b"x".to_vec();
+            H3Frame::Headers(Bytes::from(payload.clone())).encode(&mut copied);
+            let mut in_place = b"x".to_vec();
+            encode_in_place(TYPE_HEADERS, &mut in_place, |out| {
+                out.extend_from_slice(&payload)
+            });
+            assert_eq!(in_place, copied, "n={n}");
+            let mut pos = 1;
+            assert_eq!(
+                decode_in_place(&in_place, &mut pos),
+                Ok((TYPE_HEADERS, in_place.len() - n..in_place.len()))
+            );
+            assert_eq!(pos, in_place.len());
+        }
     }
 
     #[test]

@@ -4,13 +4,28 @@
 //! encoder stream.
 //!
 //! The static table reuses the HPACK static table (1-based there, 0-based
-//! here). RFC 9204 defines its own 99-entry table; since both ends of this
-//! implementation share the code, the table choice is self-consistent and
-//! the *mechanism* (prefixed integers, name references, Huffman literals)
-//! is exercised identically.
+//! here) and its name index, [`static_match`]. RFC 9204 defines its own
+//! 99-entry table; since both ends of this implementation share the code,
+//! the table choice is self-consistent and the *mechanism* (prefixed
+//! integers, name references, Huffman literals) is exercised identically.
+//!
+//! The connection encodes a message straight from its fields into the
+//! HEADERS frame (`encode_into`) and decodes a received section field by
+//! field into the message it rebuilds (`decode_with`); [`encode`] and
+//! [`decode`] are the same over a field list. A decoded section is
+//! bounded by the rule `sww_http2`'s HPACK decoder applies to a header
+//! list: past 1 MiB of name + value + 32 octets a field it is an error.
 
-use sww_http2::hpack::HeaderField;
-use sww_http2::hpack::{huffman_decode, huffman_encode, huffman_encoded_len, STATIC_TABLE};
+use std::borrow::Cow;
+use sww_http2::hpack::{
+    huffman_decode, huffman_encode, huffman_encoded_len, static_match, HeaderField, StaticMatch,
+    STATIC_TABLE,
+};
+
+/// Largest decoded field section, counted as HPACK counts a header list
+/// (name + value + 32 octets a field): a section of one-octet indexed
+/// lines would otherwise decode to one field per octet.
+const MAX_FIELD_SECTION_SIZE: usize = 1 << 20;
 
 /// QPACK errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,6 +38,8 @@ pub enum QpackError {
     DynamicReference,
     /// Invalid string payload.
     BadString,
+    /// The decoded section outgrew its bound.
+    TooLarge,
 }
 
 /// Encode a prefixed integer (RFC 9204 §4.1.1 — same scheme as HPACK).
@@ -68,7 +85,7 @@ fn put_string(s: &[u8], prefix_bits: u8, tag: u8, huffman_bit: u8, out: &mut Vec
     let hlen = huffman_encoded_len(s);
     if hlen < s.len() {
         put_int(hlen as u64, prefix_bits, tag | huffman_bit, out);
-        out.extend_from_slice(&huffman_encode(s));
+        huffman_encode(s, out);
     } else {
         put_int(s.len() as u64, prefix_bits, tag, out);
         out.extend_from_slice(s);
@@ -98,89 +115,108 @@ fn get_string(
     String::from_utf8(bytes).map_err(|_| QpackError::BadString)
 }
 
-/// Find a static-table index (0-based) with an exact match.
-fn static_find(name: &str, value: &str) -> Option<u64> {
-    STATIC_TABLE
-        .iter()
-        .position(|&(n, v)| n == name && v == value)
-        .map(|i| i as u64)
-}
-
-fn static_find_name(name: &str) -> Option<u64> {
-    STATIC_TABLE
-        .iter()
-        .position(|&(n, _)| n == name)
-        .map(|i| i as u64)
+/// Append a field section of `lines` (name, value) to `out`.
+pub(crate) fn encode_into<'a>(
+    lines: impl IntoIterator<Item = (&'a str, &'a str)>,
+    out: &mut Vec<u8>,
+) {
+    // Encoded field section prefix (§4.5.1): required insert count 0,
+    // sign 0, delta base 0 — static-only sections never reference the
+    // dynamic table.
+    out.extend_from_slice(&[0x00, 0x00]);
+    for (name, value) in lines {
+        match static_match(name, value) {
+            Some(StaticMatch {
+                exact: Some(idx), ..
+            }) => {
+                // Indexed field line, static (1 T=1 6-bit index): 11xxxxxx.
+                put_int(idx as u64, 6, 0xc0, out);
+            }
+            Some(StaticMatch { name: idx, .. }) => {
+                // Literal with name reference, static (0101xxxx): N=0.
+                put_int(idx as u64, 4, 0x50, out);
+                put_string(value.as_bytes(), 7, 0x00, 0x80, out);
+            }
+            None => {
+                // Literal with literal name (001Nhxxx): N=0, 3-bit name len.
+                put_string(name.as_bytes(), 3, 0x20, 0x08, out);
+                put_string(value.as_bytes(), 7, 0x00, 0x80, out);
+            }
+        }
+    }
 }
 
 /// Encode a field section.
 pub fn encode(fields: &[HeaderField]) -> Vec<u8> {
     let mut out = Vec::with_capacity(fields.len() * 12);
-    // Encoded field section prefix (§4.5.1): required insert count 0,
-    // sign 0, delta base 0 — static-only sections never reference the
-    // dynamic table.
-    out.push(0x00);
-    out.push(0x00);
-    for f in fields {
-        if let Some(idx) = static_find(&f.name, &f.value) {
-            // Indexed field line, static (1 T=1 6-bit index): 11xxxxxx.
-            put_int(idx, 6, 0xc0, &mut out);
-        } else if let Some(idx) = static_find_name(&f.name) {
-            // Literal with name reference, static (0101xxxx): N=0.
-            put_int(idx, 4, 0x50, &mut out);
-            put_string(f.value.as_bytes(), 7, 0x00, 0x80, &mut out);
-        } else {
-            // Literal with literal name (001Nhxxx): N=0, 3-bit name len.
-            put_string(f.name.as_bytes(), 3, 0x20, 0x08, &mut out);
-            put_string(f.value.as_bytes(), 7, 0x00, 0x80, &mut out);
-        }
-    }
+    encode_into(
+        fields.iter().map(|f| (f.name.as_str(), f.value.as_str())),
+        &mut out,
+    );
     out
 }
 
-/// Decode a field section.
-pub fn decode(buf: &[u8]) -> Result<Vec<HeaderField>, QpackError> {
+/// Decode a field section, handing each field to `field` in wire order.
+/// A static-table name is borrowed; past `MAX_FIELD_SECTION_SIZE` the
+/// section is an error.
+pub(crate) fn decode_with<E: From<QpackError>>(
+    buf: &[u8],
+    mut field: impl FnMut(Cow<'static, str>, String) -> Result<(), E>,
+) -> Result<(), E> {
     let mut pos = 0usize;
     // Prefix: required insert count + base.
     let ric = get_int(buf, &mut pos, 8)?;
     if ric != 0 {
         // A non-zero count references the dynamic table we never use.
-        return Err(QpackError::DynamicReference);
+        return Err(QpackError::DynamicReference.into());
     }
     let _base = get_int(buf, &mut pos, 7)?;
-    let mut out = Vec::new();
+    let mut size = 0usize;
     while pos < buf.len() {
         let tag = buf[pos];
-        if tag & 0x80 != 0 {
+        let (name, value) = if tag & 0x80 != 0 {
             // Indexed field line: 1Txxxxxx.
             if tag & 0x40 == 0 {
-                return Err(QpackError::DynamicReference);
+                return Err(QpackError::DynamicReference.into());
             }
             let idx = get_int(buf, &mut pos, 6)?;
             let (n, v) = STATIC_TABLE
                 .get(idx as usize)
                 .ok_or(QpackError::BadIndex(idx))?;
-            out.push(HeaderField::new(*n, *v));
+            (Cow::Borrowed(*n), (*v).to_owned())
         } else if tag & 0xc0 == 0x40 {
             // Literal with name reference: 01NTxxxx.
             if tag & 0x10 == 0 {
-                return Err(QpackError::DynamicReference);
+                return Err(QpackError::DynamicReference.into());
             }
             let idx = get_int(buf, &mut pos, 4)?;
             let (n, _) = STATIC_TABLE
                 .get(idx as usize)
                 .ok_or(QpackError::BadIndex(idx))?;
-            let value = get_string(buf, &mut pos, 7, 0x80)?;
-            out.push(HeaderField::new(*n, value));
+            (Cow::Borrowed(*n), get_string(buf, &mut pos, 7, 0x80)?)
         } else if tag & 0xe0 == 0x20 {
             // Literal with literal name: 001Nhxxx.
             let name = get_string(buf, &mut pos, 3, 0x08)?;
-            let value = get_string(buf, &mut pos, 7, 0x80)?;
-            out.push(HeaderField::new(name, value));
+            (Cow::Owned(name), get_string(buf, &mut pos, 7, 0x80)?)
         } else {
-            return Err(QpackError::DynamicReference);
+            return Err(QpackError::DynamicReference.into());
+        };
+        size += name.len() + value.len() + 32;
+        if size > MAX_FIELD_SECTION_SIZE {
+            return Err(QpackError::TooLarge.into());
         }
+        field(name, value)?;
     }
+    Ok(())
+}
+
+/// Decode a field section.
+pub fn decode(buf: &[u8]) -> Result<Vec<HeaderField>, QpackError> {
+    let mut out = Vec::new();
+    decode_with(buf, |name, value| {
+        out.push(HeaderField::new(name, value));
+        Ok::<_, QpackError>(())
+    })?;
     Ok(out)
 }
 
@@ -248,6 +284,50 @@ mod tests {
         let mut block = vec![0x00, 0x00];
         put_int(98, 6, 0xc0, &mut block); // beyond the 61-entry table
         assert!(matches!(decode(&block), Err(QpackError::BadIndex(_))));
+    }
+
+    /// A section of `lines` one-octet indexed lines (`:method: GET`, 42
+    /// octets by the HPACK rule).
+    fn indexed_gets(lines: usize) -> Vec<u8> {
+        let mut block = vec![0x00, 0x00];
+        block.resize(2 + lines, 0xc1);
+        block
+    }
+
+    #[test]
+    fn a_section_of_indexed_lines_is_bounded() {
+        // 4 MiB of 0xc1 fits one FIN chunk: unbounded, it decoded to
+        // 4 194 304 fields. The bound falls at 1 MiB of field size.
+        let most = MAX_FIELD_SECTION_SIZE / 42;
+        assert_eq!(decode(&indexed_gets(most)).unwrap().len(), most);
+        assert_eq!(decode(&indexed_gets(most + 1)), Err(QpackError::TooLarge));
+        assert_eq!(
+            decode(&indexed_gets(crate::transport::MAX_CHUNK as usize - 16)),
+            Err(QpackError::TooLarge)
+        );
+    }
+
+    #[test]
+    fn the_bound_counts_literal_names_and_values() {
+        let big = "v".repeat(MAX_FIELD_SECTION_SIZE / 2);
+        let two = [
+            HeaderField::new("x-a", big.clone()),
+            HeaderField::new("x-b", big),
+        ];
+        assert_eq!(decode(&encode(&two[..1])).unwrap(), two[..1]);
+        assert_eq!(decode(&encode(&two)), Err(QpackError::TooLarge));
+    }
+
+    #[test]
+    fn encode_into_appends_what_encode_returns() {
+        let f = fields();
+        let mut out = b"kept".to_vec();
+        encode_into(
+            f.iter().map(|f| (f.name.as_str(), f.value.as_str())),
+            &mut out,
+        );
+        assert_eq!(&out[..4], b"kept");
+        assert_eq!(out[4..], encode(&f));
     }
 
     #[test]

@@ -466,6 +466,75 @@ mod tests {
         );
     }
 
+    /// A field section of one-octet indexed lines (4 MiB of `0xc1`, one
+    /// legal FIN chunk) once decoded to a field an octet, 465 MB of them:
+    /// now its connection ends with a QPACK error at the 1 MiB bound, the
+    /// handler never runs, and a second connection to the same handler is
+    /// answered.
+    #[tokio::test]
+    async fn a_field_section_bomb_ends_its_connection_and_the_next_is_answered() {
+        const LIMIT: Duration = Duration::from_secs(30);
+        let answered = Arc::new(AtomicUsize::new(0));
+        let handler = {
+            let answered = Arc::clone(&answered);
+            move |req: Request, _ctx| {
+                answered.fetch_add(1, Ordering::SeqCst);
+                Response::ok(Bytes::from(req.path))
+            }
+        };
+        let connect = |handler| {
+            let (a, b) = tokio::io::duplex(1 << 20);
+            let server =
+                tokio::spawn(
+                    async move { serve_h3_connection(b, GenAbility::full(), handler).await },
+                );
+            (QuicLite::client(a), server)
+        };
+        let settings = control_stream_payload(&H3Settings::sww(GenAbility::full()));
+
+        let (mut peer, server) = connect(handler.clone());
+        let control = peer.open_uni();
+        peer.send(control, &settings, true).await.unwrap();
+        let mut block = vec![0x00, 0x00];
+        block.resize(crate::transport::MAX_CHUNK as usize - 16, 0xc1);
+        let mut bomb = Vec::new();
+        H3Frame::Headers(Bytes::from(block)).encode(&mut bomb);
+        assert!(bomb.len() as u64 <= crate::transport::MAX_CHUNK);
+        let stream = peer.open_bidi();
+        // The server may end the connection before it has read it all.
+        let _ = peer.send(stream, &bomb, true).await;
+        let refused = within(LIMIT, server)
+            .await
+            .expect("the bomb's connection never ended")
+            .unwrap();
+        assert!(
+            matches!(
+                refused,
+                Err(H3Error::Qpack(crate::qpack::QpackError::TooLarge))
+            ),
+            "{refused:?}"
+        );
+        assert_eq!(answered.load(Ordering::SeqCst), 0);
+
+        let (mut peer, server) = connect(handler);
+        let control = peer.open_uni();
+        peer.send(control, &settings, true).await.unwrap();
+        let stream = peer.open_bidi();
+        let request = crate::connection::encode_request(&Request::get("/after"));
+        peer.send(stream, &request, true).await.unwrap();
+        let resp = within(LIMIT, response_on(&mut peer, stream))
+            .await
+            .expect("the next connection was never answered");
+        assert_eq!((resp.status, &resp.body[..]), (200, &b"/after"[..]));
+        assert_eq!(answered.load(Ordering::SeqCst), 1);
+        drop(peer);
+        within(LIMIT, server)
+            .await
+            .expect("serve future never returned after the peer closed")
+            .unwrap()
+            .unwrap();
+    }
+
     /// A request stream may carry reserved-type frames (`0x1f * N + 0x21`,
     /// RFC 9114 §7.2.8) before HEADERS and between HEADERS and DATA: the
     /// server skips them and answers byte for byte as it answers the same
