@@ -4,8 +4,9 @@
 
 use crate::table::{bytes, Table};
 use std::collections::HashSet;
-use sww_core::{negotiate_stream, GenAbility, Resolution, StreamRequest};
+use sww_core::GenAbility;
 use sww_energy::{profile, DeviceKind, Energy};
+use sww_extras::{negotiate_stream, Resolution, StreamRequest};
 use sww_genai::ImageModelKind;
 
 /// One video scenario row.
@@ -43,7 +44,7 @@ pub fn video() -> Vec<VideoRow> {
                 label: label.to_string(),
                 wire_bytes: s.wire_bytes,
                 traditional_bytes: s.traditional_bytes,
-                savings: s.savings_ratio(),
+                savings: s.traditional_bytes as f64 / s.wire_bytes.max(1) as f64,
             }
         })
         .collect()

@@ -113,7 +113,7 @@ mod args;
 
 use args::Args;
 use sww_core::{
-    Cms, Converter, GenAbility, GenerativeClient, GenerativeServer, ServerConfig, SiteContent,
+    Converter, GenAbility, GenerativeClient, GenerativeServer, ServerConfig, SiteContent,
 };
 use sww_energy::{profile, DeviceKind};
 use sww_genai::{codec, DiffusionModel, ImageModelKind, TextModel, TextModelKind};
@@ -537,8 +537,7 @@ fn cmd_convert(args: &Args) -> Outcome {
         usage();
     };
     let html = std::fs::read_to_string(file).expect("read input html");
-    let cms = Cms::new();
-    let report = Converter::new(&cms).convert_page(&html, |_| None);
+    let report = Converter::new().convert_page(&html, |_| None);
     println!(
         "converted {} items (skipped {}), {:.1}x over converted items",
         report.items.len(),

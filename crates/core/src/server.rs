@@ -48,7 +48,6 @@ use crate::cache::{recipe_key, Recipe};
 use crate::engine::GenerationEngine;
 use crate::error::SwwError;
 use crate::faults::{ChaosSpec, FaultAction, FaultSite, FaultStream};
-use crate::hls::{self, VideoAsset};
 use crate::lifecycle::{record_shed, RequestCtx};
 use crate::mediagen::{GeneratedMedia, MediaGenerator, DEFAULT_CODEC_QUALITY};
 use crate::negotiate::{session, ServeMode, SessionAbilities};
@@ -123,10 +122,9 @@ fn count_page_form(metrics: &Registry, form: &'static str, derived: bool) {
         .inc();
 }
 
-/// A site: pages plus unique (non-generatable) assets and published
-/// video streams (§3.2).
+/// A site: pages plus unique (non-generatable) assets.
 ///
-/// A clone is shallow: it shares the three maps (and so each page's
+/// A clone is shallow: it shares the two maps (and so each page's
 /// derived ETag) with its source until one of them is changed, and the
 /// mutators copy the map they touch first. An edge cluster's nodes and
 /// its router therefore hold one prompt store between them.
@@ -134,7 +132,6 @@ fn count_page_form(metrics: &Registry, form: &'static str, derived: bool) {
 pub struct SiteContent {
     pages: Arc<HashMap<String, SwwPage>>,
     assets: Arc<HashMap<String, Bytes>>,
-    videos: Arc<HashMap<String, VideoAsset>>,
     /// Cached total of prompt-form octets (pages + unique assets),
     /// maintained incrementally by the mutators so [`stored_bytes`]
     /// never re-iterates the maps.
@@ -194,20 +191,9 @@ impl SiteContent {
 
     /// Octets the site occupies in prompt form: HTML + unique assets.
     /// This is what the server actually stores. O(1): the total is kept
-    /// current by `add_page` / `add_asset` / `add_video`.
+    /// current by `add_page` / `add_asset`.
     pub fn stored_bytes(&self) -> u64 {
         self.stored
-    }
-
-    /// Publish a video stream; its playlist appears at
-    /// `/video/<name>/playlist.m3u8` with a rendition negotiated from the
-    /// client's VIDEO ability (§3.2). Video renditions are modelled, not
-    /// stored, so they do not contribute to [`stored_bytes`]
-    /// (replacing a stream therefore leaves the total unchanged).
-    ///
-    /// [`stored_bytes`]: SiteContent::stored_bytes
-    pub fn add_video(&mut self, asset: VideoAsset) {
-        Arc::make_mut(&mut self.videos).insert(asset.name.clone(), asset);
     }
 
     /// Page lookup.
@@ -326,8 +312,7 @@ impl ServerShared {
     /// it reads the frozen site and renders nothing. Anything a pool
     /// admits may wait for its turn, and anything on an armed server may
     /// draw a latency fault, so on those servers every request may block;
-    /// so may an asset (a `/generated/` one renders), `/video/` and
-    /// `/metrics`.
+    /// so may an asset (a `/generated/` one renders) and `/metrics`.
     fn may_block(&self, req: &Request, client_ability: GenAbility) -> bool {
         if self.pool.is_some() || self.faults.is_some() {
             return true;
@@ -336,7 +321,6 @@ impl ServerShared {
         let page = req.method == "GET"
             && path != "/metrics"
             && !path.starts_with("/generated/")
-            && !path.starts_with("/video/")
             && !self.site.assets.contains_key(path)
             && self.site.page(path).is_some();
         let mode = session(self.ability, client_ability).mode(&self.policy);
@@ -1044,11 +1028,6 @@ fn handle_request(
         resp.headers.insert("content-type", "image/swim");
         return Ok(resp);
     }
-    // Video routes (§3.2): /video/<name>/playlist.m3u8 and segments.
-    if let Some(rest) = req.path.strip_prefix("/video/") {
-        count_route(metrics, "video", transport);
-        return handle_video(shared, abilities, rest);
-    }
     let Some(page) = shared.site.page(&req.path) else {
         count_route(metrics, "not_found", transport);
         return Err(SwwError::NotFound {
@@ -1091,48 +1070,6 @@ fn handle_request(
     resp.headers.insert("content-type", "text/html");
     resp.headers.insert("etag", etag);
     resp.headers.insert("x-sww-mode", mode.label());
-    Ok(resp)
-}
-
-/// Serve a video playlist or segment. The rendition is negotiated per
-/// request from the latest advertised abilities, so a client that
-/// withdraws VIDEO mid-connection falls back to full rate.
-fn handle_video(
-    shared: &ServerShared,
-    abilities: SessionAbilities,
-    rest: &str,
-) -> Result<Response, SwwError> {
-    let not_found = || SwwError::NotFound {
-        path: format!("/video/{rest}"),
-    };
-    let Some((name, file)) = rest.split_once('/') else {
-        return Err(not_found());
-    };
-    let Some(asset) = shared.site.videos.get(name) else {
-        return Err(not_found());
-    };
-    let playlist = hls::build_playlist(asset, abilities.client, abilities.server);
-    if file == "playlist.m3u8" {
-        let mut resp = Response::ok(Bytes::from(playlist.to_m3u8(asset)));
-        resp.headers
-            .insert("content-type", "application/vnd.apple.mpegurl");
-        resp.headers
-            .insert("x-sww-sent-fps", playlist.stream.sent_fps.to_string());
-        return Ok(resp);
-    }
-    // Segment: segNNNN.ts
-    let Some(index) = file
-        .strip_prefix("seg")
-        .and_then(|f| f.strip_suffix(".ts"))
-        .and_then(|n| n.parse::<u64>().ok())
-    else {
-        return Err(not_found());
-    };
-    if index >= playlist.stream.segments {
-        return Err(not_found());
-    }
-    let mut resp = Response::ok(Bytes::from(hls::segment_payload(&playlist, index)));
-    resp.headers.insert("content-type", "video/mp2t");
     Ok(resp)
 }
 

@@ -14,15 +14,6 @@ pub enum ContentTag {
     Unique,
 }
 
-/// A content item registered with the CMS.
-#[derive(Debug, Clone)]
-pub struct CmsItem {
-    /// Path or identifier of the linked file / text block.
-    pub path: String,
-    /// The conversion flag.
-    pub tag: ContentTag,
-}
-
 /// Site templates with different conversion defaults (§4.2: company sites
 /// and blogs are mostly generatable; news sites are mostly unique).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,7 +55,8 @@ impl Template {
 /// template's defaults, overridable by an editor.
 #[derive(Debug, Default)]
 pub struct Cms {
-    items: HashMap<String, CmsItem>,
+    /// Path or identifier of each linked file / text block → its flag.
+    tags: HashMap<String, ContentTag>,
 }
 
 impl Cms {
@@ -77,16 +69,16 @@ impl Cms {
     pub fn register(&mut self, template: Template, path: impl Into<String>) -> ContentTag {
         let path = path.into();
         let tag = template.default_tag(&path);
-        self.items.insert(path.clone(), CmsItem { path, tag });
+        self.tags.insert(path, tag);
         tag
     }
 
     /// Editor override (§4.2: "human intervention may be required to audit
     /// conversion results — a webpage editor").
     pub fn set_tag(&mut self, path: &str, tag: ContentTag) -> bool {
-        match self.items.get_mut(path) {
-            Some(item) => {
-                item.tag = tag;
+        match self.tags.get_mut(path) {
+            Some(held) => {
+                *held = tag;
                 true
             }
             None => false,
@@ -95,28 +87,7 @@ impl Cms {
 
     /// Look up an item's tag.
     pub fn tag(&self, path: &str) -> Option<ContentTag> {
-        self.items.get(path).map(|i| i.tag)
-    }
-
-    /// All generatable items.
-    pub fn generatable(&self) -> Vec<&CmsItem> {
-        let mut v: Vec<&CmsItem> = self
-            .items
-            .values()
-            .filter(|i| i.tag == ContentTag::Generatable)
-            .collect();
-        v.sort_by(|a, b| a.path.cmp(&b.path));
-        v
-    }
-
-    /// Number of registered items.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether the CMS is empty.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.tags.get(path).copied()
     }
 }
 
@@ -156,16 +127,5 @@ mod tests {
         assert!(cms.set_tag("img/banner.jpg", ContentTag::Unique));
         assert_eq!(cms.tag("img/banner.jpg"), Some(ContentTag::Unique));
         assert!(!cms.set_tag("nope", ContentTag::Unique));
-    }
-
-    #[test]
-    fn generatable_listing_is_sorted() {
-        let mut cms = Cms::new();
-        cms.register(Template::Gallery, "b.jpg");
-        cms.register(Template::Gallery, "a.jpg");
-        cms.register(Template::News, "news/event.jpg");
-        let generatable: Vec<&str> = cms.generatable().iter().map(|i| i.path.as_str()).collect();
-        assert_eq!(generatable, ["a.jpg", "b.jpg"]);
-        assert_eq!(cms.len(), 3);
     }
 }

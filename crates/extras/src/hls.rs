@@ -13,7 +13,7 @@
 //! savings are measured on the wire.
 
 use crate::video::{self, NegotiatedStream, Resolution, StreamRequest};
-use sww_http2::GenAbility;
+use sww_http2::{GenAbility, Response};
 
 /// A published video: identity plus full-rate parameters.
 #[derive(Debug, Clone)]
@@ -30,20 +30,23 @@ pub struct VideoAsset {
     pub segment_s: u32,
 }
 
-/// A generated playlist: the negotiated rendition and its segment list.
+/// A negotiated rendition: the stream and the size of its segments.
 #[derive(Debug, Clone)]
-pub struct Playlist {
+struct Playlist {
     /// The negotiation outcome the playlist was built for.
-    pub stream: NegotiatedStream,
-    /// Segment URL paths in play order.
-    pub segments: Vec<String>,
+    stream: NegotiatedStream,
     /// Bytes of each segment (uniform except the last).
-    pub segment_bytes: u64,
+    segment_bytes: u64,
+}
+
+/// The file name segment `index` is listed and answered under.
+fn segment_file(index: u64) -> String {
+    format!("seg{index:04}.ts")
 }
 
 impl Playlist {
     /// Render as an M3U8-like text manifest.
-    pub fn to_m3u8(&self, asset: &VideoAsset) -> String {
+    fn to_m3u8(&self, asset: &VideoAsset) -> String {
         let mut out = String::from("#EXTM3U\n#EXT-X-VERSION:3\n");
         out.push_str(&format!("#EXT-X-TARGETDURATION:{}\n", asset.segment_s));
         out.push_str(&format!(
@@ -53,10 +56,12 @@ impl Playlist {
             self.stream.client_upscales,
             self.stream.client_boosts_fps
         ));
-        for seg in &self.segments {
+        for index in 0..self.stream.segments {
             out.push_str(&format!(
-                "#EXTINF:{:.1},\n{}\n",
-                asset.segment_s as f64, seg
+                "#EXTINF:{:.1},\n/video/{}/{}\n",
+                asset.segment_s as f64,
+                asset.name,
+                segment_file(index)
             ));
         }
         out.push_str("#EXT-X-ENDLIST\n");
@@ -65,7 +70,7 @@ impl Playlist {
 }
 
 /// Build the playlist for a client after SETTINGS negotiation.
-pub fn build_playlist(asset: &VideoAsset, client: GenAbility, server: GenAbility) -> Playlist {
+fn build_playlist(asset: &VideoAsset, client: GenAbility, server: GenAbility) -> Playlist {
     let req = StreamRequest {
         resolution: asset.resolution,
         fps: asset.fps,
@@ -73,13 +78,9 @@ pub fn build_playlist(asset: &VideoAsset, client: GenAbility, server: GenAbility
         segment_s: asset.segment_s,
     };
     let stream = video::negotiate_stream(req, client, server);
-    let segments = (0..stream.segments)
-        .map(|i| format!("/video/{}/seg{:04}.ts", asset.name, i))
-        .collect();
     let segment_bytes = stream.wire_bytes / stream.segments.max(1);
     Playlist {
         stream,
-        segments,
         segment_bytes,
     }
 }
@@ -87,7 +88,7 @@ pub fn build_playlist(asset: &VideoAsset, client: GenAbility, server: GenAbility
 /// Synthesize one segment's payload: deterministic filler of the correct
 /// negotiated size (media codecs are out of scope; the wire accounting is
 /// what the experiment measures).
-pub fn segment_payload(playlist: &Playlist, index: u64) -> Vec<u8> {
+fn segment_payload(playlist: &Playlist, index: u64) -> Vec<u8> {
     let size = playlist.segment_bytes as usize;
     let mut data = vec![0u8; size];
     // Tag the payload so tests can verify ordering survives transfer.
@@ -95,6 +96,48 @@ pub fn segment_payload(playlist: &Playlist, index: u64) -> Vec<u8> {
     let n = tag.len().min(size);
     data[..n].copy_from_slice(&tag[..n]);
     data
+}
+
+/// Answer a `GET` of `path` from the published `videos`: the playlist at
+/// `/video/<name>/playlist.m3u8` and each segment at exactly the URL the
+/// playlist lists; anything else is `404`. The rendition is negotiated
+/// from the abilities of this request, so a client that withdraws VIDEO
+/// mid-connection falls back to full rate. An HTTP/2 handler calls it
+/// with its `ServeContext::client_ability` and its own ability.
+pub fn respond_video(
+    videos: &[VideoAsset],
+    client: GenAbility,
+    server: GenAbility,
+    path: &str,
+) -> Response {
+    let found = path
+        .strip_prefix("/video/")
+        .and_then(|rest| rest.split_once('/'))
+        .and_then(|(name, file)| Some((videos.iter().find(|v| v.name == name)?, file)));
+    let Some((asset, file)) = found else {
+        return Response::status(404);
+    };
+    let playlist = build_playlist(asset, client, server);
+    if file == "playlist.m3u8" {
+        let mut resp = Response::ok(playlist.to_m3u8(asset));
+        resp.headers
+            .insert("content-type", "application/vnd.apple.mpegurl");
+        resp.headers
+            .insert("x-sww-sent-fps", playlist.stream.sent_fps.to_string());
+        return resp;
+    }
+    let index = file
+        .strip_prefix("seg")
+        .and_then(|f| f.strip_suffix(".ts"))
+        .and_then(|n| n.parse::<u64>().ok());
+    match index {
+        Some(index) if index < playlist.stream.segments && file == segment_file(index) => {
+            let mut resp = Response::ok(segment_payload(&playlist, index));
+            resp.headers.insert("content-type", "video/mp2t");
+            resp
+        }
+        _ => Response::status(404),
+    }
 }
 
 #[cfg(test)]
@@ -118,7 +161,7 @@ mod tests {
     #[test]
     fn capable_client_gets_reduced_rendition() {
         let p = build_playlist(&asset(), video_ability(), video_ability());
-        assert_eq!(p.segments.len(), 20);
+        assert_eq!(p.stream.segments, 20);
         assert!(p.stream.client_upscales && p.stream.client_boosts_fps);
         // 4.67x fewer bytes per segment than the naive rendition.
         let naive = build_playlist(&asset(), GenAbility::none(), video_ability());
@@ -156,5 +199,46 @@ mod tests {
         let p = build_playlist(&asset(), GenAbility::none(), GenAbility::none());
         assert!(!p.stream.client_upscales);
         assert_eq!(p.stream.wire_bytes, p.stream.traditional_bytes);
+    }
+
+    /// `GET path` of the one published `video` by a VIDEO-capable pair.
+    fn get(video: &VideoAsset, path: &str) -> Response {
+        let ability = video_ability();
+        respond_video(std::slice::from_ref(video), ability, ability, path)
+    }
+
+    fn listed_segments(video: &VideoAsset) -> Vec<String> {
+        let playlist = get(video, "/video/trailer/playlist.m3u8");
+        let manifest = String::from_utf8(playlist.body.to_vec()).unwrap();
+        let listed = manifest.lines().filter(|l| l.starts_with("/video/"));
+        listed.map(str::to_owned).collect()
+    }
+
+    #[test]
+    fn a_segment_answers_only_at_its_listed_url() {
+        let trailer = asset();
+        assert!(listed_segments(&trailer).contains(&"/video/trailer/seg0001.ts".to_owned()));
+        assert_eq!(get(&trailer, "/video/trailer/seg0001.ts").status, 200);
+        for alias in ["seg1.ts", "seg+1.ts", "seg00001.ts"] {
+            let path = format!("/video/trailer/{alias}");
+            assert_eq!(get(&trailer, &path).status, 404, "{alias}");
+        }
+    }
+
+    #[test]
+    fn a_zero_segment_length_lists_one_second_segments() {
+        let minute = VideoAsset {
+            duration_s: 60,
+            segment_s: 0,
+            ..asset()
+        };
+        let listed = listed_segments(&minute);
+        assert_eq!(listed.len(), 60);
+        assert_eq!(get(&minute, &listed[59]).status, 200);
+        let empty = VideoAsset {
+            duration_s: 0,
+            ..minute
+        };
+        assert!(listed_segments(&empty).is_empty());
     }
 }

@@ -75,13 +75,16 @@ pub fn verify_metadata(key: &SiteKey, metadata: &Value) -> bool {
     verify_hmac(&key.key, canonical.as_bytes(), &tag)
 }
 
+/// Decode hex over octets, so a multi-byte character is a non-digit
+/// rather than a slice through its middle.
 fn from_hex(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
-        return None;
-    }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&s[i..i + 2], 16).ok())
+    let digit = |c: u8| char::from(c).to_digit(16);
+    let pairs = s.as_bytes().chunks(2);
+    pairs
+        .map(|pair| match *pair {
+            [hi, lo] => Some((digit(hi)? * 16 + digit(lo)?) as u8),
+            _ => None,
+        })
         .collect()
 }
 
@@ -183,6 +186,17 @@ mod tests {
             .insert(SIG_FIELD.into(), Value::from("not-hex!"));
         assert!(!verify_metadata(&key, &md));
         assert!(!sign_metadata(&key, &mut Value::from("a string")));
+    }
+
+    #[test]
+    fn a_signature_with_a_multibyte_character_is_rejected() {
+        // Four octets, so an even length, with octet 2 inside the 'é'.
+        let key = SiteKey::from_secret("k");
+        let mut md = sample_metadata();
+        md.as_object_mut()
+            .unwrap()
+            .insert(SIG_FIELD.into(), Value::from("aé0"));
+        assert!(!verify_metadata(&key, &md));
     }
 
     #[test]

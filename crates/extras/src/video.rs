@@ -73,13 +73,6 @@ pub struct NegotiatedStream {
     pub segments: u64,
 }
 
-impl NegotiatedStream {
-    /// Data saving factor.
-    pub fn savings_ratio(&self) -> f64 {
-        self.traditional_bytes as f64 / self.wire_bytes.max(1) as f64
-    }
-}
-
 /// Bytes per hour at a resolution and frame rate (linear in fps relative
 /// to the 60 fps base, per the paper: 60→30 fps halves the data).
 fn bytes_per_hour(res: Resolution, fps: u32) -> f64 {
@@ -111,8 +104,7 @@ pub fn negotiate_stream(
         (req.fps, false)
     };
     let wire = bytes_per_hour(sent_resolution, sent_fps) * req.duration_s as f64 / 3600.0;
-    let segments =
-        (req.duration_s + u64::from(req.segment_s) - 1) / u64::from(req.segment_s.max(1));
+    let segments = req.duration_s.div_ceil(u64::from(req.segment_s.max(1)));
     NegotiatedStream {
         sent_resolution,
         sent_fps,
@@ -164,11 +156,8 @@ mod tests {
         assert_eq!(s.sent_fps, 30);
         assert!(s.client_upscales && s.client_boosts_fps);
         // 2.33× from resolution × 2× from fps ≈ 4.67×.
-        assert!(
-            (s.savings_ratio() - 4.67).abs() < 0.05,
-            "{}",
-            s.savings_ratio()
-        );
+        let savings = s.traditional_bytes as f64 / s.wire_bytes as f64;
+        assert!((savings - 4.67).abs() < 0.05, "{savings}");
         assert_eq!(s.traditional_bytes, 7_000_000_000);
         assert_eq!(s.segments, 600);
     }
@@ -178,7 +167,8 @@ mod tests {
         let s = negotiate_stream(hour_4k60(), GenAbility::none(), video_ability());
         assert_eq!(s.sent_resolution, Resolution::Uhd4K);
         assert_eq!(s.sent_fps, 60);
-        assert!((s.savings_ratio() - 1.0).abs() < 1e-6);
+        let savings = s.traditional_bytes as f64 / s.wire_bytes as f64;
+        assert!((savings - 1.0).abs() < 1e-6);
     }
 
     #[test]

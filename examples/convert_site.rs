@@ -5,7 +5,8 @@
 //! Run with: `cargo run --example convert_site --release`
 
 use std::collections::HashMap;
-use sww::core::{Cms, ContentTag, Converter, Template};
+use sww::core::Converter;
+use sww::extras::{Cms, ContentTag, Template};
 use sww::genai::{codec, DiffusionModel, ImageModelKind};
 
 fn main() {
@@ -60,8 +61,11 @@ fn main() {
         ),
     );
 
-    let converter = Converter::new(&cms);
-    let report = converter.convert_page(html, |src| store.get(src).cloned());
+    // Unique items are the ones the converter is not handed.
+    let report = Converter::new().convert_page(html, |src| {
+        let unique = cms.tag(src) == Some(ContentTag::Unique);
+        store.get(src).filter(|_| !unique).cloned()
+    });
 
     println!(
         "\nconverted {} items, skipped {}",

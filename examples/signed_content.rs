@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --example signed_content --release`
 
-use sww::core::{attest_image, audit_attestation, sign_metadata, verify_metadata, SiteKey};
+use sww::extras::{attest_image, audit_attestation, sign_metadata, verify_metadata, SiteKey};
 use sww::genai::{DiffusionModel, ImageModelKind};
 use sww::json::Value;
 

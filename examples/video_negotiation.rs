@@ -3,7 +3,8 @@
 //!
 //! Run with: `cargo run --example video_negotiation --release`
 
-use sww::core::{negotiate_stream, GenAbility, Resolution, StreamRequest};
+use sww::core::GenAbility;
+use sww::extras::{negotiate_stream, Resolution, StreamRequest};
 
 fn main() {
     let video = GenAbility::from_bits(GenAbility::VIDEO);
@@ -30,7 +31,7 @@ fn main() {
             "  wire {:.2} GB vs traditional {:.2} GB → {:.2}x saving",
             s.wire_bytes as f64 / 1e9,
             s.traditional_bytes as f64 / 1e9,
-            s.savings_ratio()
+            s.traditional_bytes as f64 / s.wire_bytes.max(1) as f64
         );
         let saved = s.traditional_bytes.saturating_sub(s.wire_bytes);
         println!(

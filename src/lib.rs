@@ -1,6 +1,7 @@
 //! Facade crate re-exporting the full SWW system.
 pub use sww_core as core;
 pub use sww_energy as energy;
+pub use sww_extras as extras;
 pub use sww_genai as genai;
 pub use sww_hash as hash;
 pub use sww_html as html;

@@ -219,7 +219,11 @@ fn drain_under_concurrent_load_loses_no_responses() {
             .collect();
         // Flip the flag while the first wave (50 ms of injected latency
         // each) is still in flight; drain must block until they finish.
-        std::thread::sleep(std::time::Duration::from_millis(10));
+        // A request is counted before it generates, so wait for the first
+        // count, not for a time: a loaded host may not have run a client.
+        while server.served_modes().is_empty() {
+            std::thread::yield_now();
+        }
         let report = server.drain();
         for c in clients {
             let (s, r) = c.join().expect("client thread");

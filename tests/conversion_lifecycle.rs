@@ -5,10 +5,10 @@
 
 use std::collections::HashMap;
 use sww::core::{
-    Cms, Converter, GenAbility, GenerativeClient, GenerativeServer, ServerConfig, SiteContent,
-    Template,
+    Converter, GenAbility, GenerativeClient, GenerativeServer, ServerConfig, SiteContent,
 };
 use sww::energy::{profile, DeviceKind};
+use sww::extras::{Cms, ContentTag, Template};
 use sww::genai::{codec, DiffusionModel, ImageModelKind};
 
 #[tokio::test(flavor = "multi_thread")]
@@ -34,7 +34,10 @@ async fn convert_store_serve_regenerate() {
     let mut cms = Cms::new();
     cms.register(Template::Blog, "img/stock.jpg");
     let store: HashMap<&str, Vec<u8>> = HashMap::from([("img/stock.jpg", stock_encoded.clone())]);
-    let report = Converter::new(&cms).convert_page(legacy_html, |src| store.get(src).cloned());
+    let report = Converter::new().convert_page(legacy_html, |src| {
+        let unique = cms.tag(src) == Some(ContentTag::Unique);
+        store.get(src).filter(|_| !unique).cloned()
+    });
     assert_eq!(report.items.len(), 2, "image + long text converted");
     assert!(report.compression_ratio() > 5.0);
 
@@ -95,10 +98,28 @@ async fn convert_store_serve_regenerate() {
 fn conversion_is_idempotent() {
     // Converting an already-converted page changes nothing: no <img> or
     // long <p> remains to convert.
-    let cms = Cms::new();
     let html = sww::html::gencontent::image_div("a hill", "h.jpg", 64, 64);
-    let report = Converter::new(&cms).convert_page(&html, |_| None);
+    let report = Converter::new().convert_page(&html, |_| None);
     assert!(report.items.is_empty());
     let doc = sww::html::parse(&report.html);
     assert_eq!(sww::html::gencontent::extract(&doc).len(), 1);
+}
+
+#[test]
+fn unique_content_is_skipped() {
+    // A unique-tagged item is one the caller declines to fetch: it stays
+    // an <img> and counts as skipped.
+    let mut cms = Cms::new();
+    cms.register(Template::Blog, "uploads/photo-of-me.jpg");
+    let photo = codec::encode(
+        &DiffusionModel::new(ImageModelKind::Sd3Medium).generate("x", 64, 64, 15),
+        55,
+    );
+    let html = r#"<img src="uploads/photo-of-me.jpg">"#;
+    let report = Converter::new().convert_page(html, |src| {
+        (cms.tag(src) != Some(ContentTag::Unique)).then(|| photo.clone())
+    });
+    assert!(report.items.is_empty());
+    assert_eq!(report.skipped, 1);
+    assert!(report.html.contains("<img"));
 }

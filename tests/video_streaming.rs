@@ -1,46 +1,43 @@
 //! Cross-crate integration: §3.2 video streaming end to end over HTTP/2 —
 //! playlist negotiation via SETTINGS, segment download, and the measured
-//! wire savings of the negotiated rendition.
+//! wire savings of the negotiated rendition. `respond_video` answers
+//! inside the handler an HTTP/2 connection is served with.
 
-use sww::core::{GenAbility, GenerativeServer, Resolution, ServerConfig, SiteContent, VideoAsset};
-use sww::http2::{ClientConnection, Request};
+use sww::core::GenAbility;
+use sww::extras::{respond_video, Resolution, VideoAsset};
+use sww::http2::{serve_connection, ClientConnection, Request};
 
-fn video_site() -> SiteContent {
-    let mut site = SiteContent::new();
-    site.add_video(VideoAsset {
+fn videos() -> Vec<VideoAsset> {
+    vec![VideoAsset {
         name: "trailer".into(),
         resolution: Resolution::Uhd4K,
         fps: 60,
         duration_s: 60,
         segment_s: 6,
-    });
-    site
+    }]
 }
 
 fn ability_with_video() -> GenAbility {
     GenAbility::from_bits(GenAbility::GENERATE | GenAbility::VIDEO)
 }
 
-async fn connect(
-    server: &GenerativeServer,
-    ability: GenAbility,
-) -> ClientConnection<tokio::io::DuplexStream> {
+/// A connection to a server advertising [`ability_with_video`] and
+/// publishing [`videos`].
+async fn connect(ability: GenAbility) -> ClientConnection<tokio::io::DuplexStream> {
     let (a, b) = tokio::io::duplex(1 << 22);
-    let srv = server.clone();
+    let (videos, server) = (videos(), ability_with_video());
     tokio::spawn(async move {
-        let _ = srv.serve_stream(b).await;
+        let _ = serve_connection(b, server, |req, ctx| {
+            respond_video(&videos, ctx.client_ability, server, &req.path)
+        })
+        .await;
     });
     ClientConnection::handshake(a, ability).await.unwrap()
 }
 
 #[tokio::test(flavor = "multi_thread")]
 async fn capable_client_streams_reduced_rendition() {
-    let server = GenerativeServer::from_config(ServerConfig {
-        site: video_site(),
-        ability: ability_with_video(),
-        ..ServerConfig::default()
-    });
-    let mut client = connect(&server, ability_with_video()).await;
+    let mut client = connect(ability_with_video()).await;
     let playlist = client
         .send_request(&Request::get("/video/trailer/playlist.m3u8"))
         .await
@@ -69,12 +66,7 @@ async fn capable_client_streams_reduced_rendition() {
 
 #[tokio::test(flavor = "multi_thread")]
 async fn naive_client_streams_full_rate() {
-    let server = GenerativeServer::from_config(ServerConfig {
-        site: video_site(),
-        ability: ability_with_video(),
-        ..ServerConfig::default()
-    });
-    let mut client = connect(&server, GenAbility::none()).await;
+    let mut client = connect(GenAbility::none()).await;
     let playlist = client
         .send_request(&Request::get("/video/trailer/playlist.m3u8"))
         .await
@@ -86,12 +78,7 @@ async fn naive_client_streams_full_rate() {
 
 #[tokio::test(flavor = "multi_thread")]
 async fn withdrawing_video_ability_mid_connection_changes_rendition() {
-    let server = GenerativeServer::from_config(ServerConfig {
-        site: video_site(),
-        ability: ability_with_video(),
-        ..ServerConfig::default()
-    });
-    let mut client = connect(&server, ability_with_video()).await;
+    let mut client = connect(ability_with_video()).await;
     let first = client
         .send_request(&Request::get("/video/trailer/playlist.m3u8"))
         .await
@@ -108,12 +95,7 @@ async fn withdrawing_video_ability_mid_connection_changes_rendition() {
 
 #[tokio::test(flavor = "multi_thread")]
 async fn unknown_video_paths_are_404() {
-    let server = GenerativeServer::from_config(ServerConfig {
-        site: video_site(),
-        ability: ability_with_video(),
-        ..ServerConfig::default()
-    });
-    let mut client = connect(&server, ability_with_video()).await;
+    let mut client = connect(ability_with_video()).await;
     for path in [
         "/video/nope/playlist.m3u8",
         "/video/trailer/seg9999.ts",
