@@ -134,13 +134,18 @@ cargo test --release --test golden_responses -q
 
 # A page form is derived once (PR 17): the store's unit tests (derived
 # once, reused byte for byte, nothing stored on failure, one form per
-# page, the engine still asked on every hit), then its counter and its
-# behaviour under the failpoints from outside the crate. The goldens
-# above are what pin the reused bytes to the parent's.
-echo "==> cargo test -p sww-core --lib server::tests (page-form store)"
-cargo test -p sww-core --lib server::tests -q
-echo "==> cargo test --test page_forms --test metrics_e2e (derived + reused == page requests; faults store nothing)"
-cargo test --test page_forms --test metrics_e2e -q
+# page, the engine still asked on every hit, one route for placement and
+# counting) and the site's (the index, routing keys, what clones share),
+# then its counter and its behaviour under the failpoints from outside
+# the crate, in both profiles. The goldens above are what pin the reused
+# bytes to the parent's.
+echo "==> server::tests, site::tests, --test page_forms (page-form store; debug + release)"
+for profile in "" "--release"; do
+    cargo test ${profile} -p sww-core --lib -q -- server::tests site::tests
+    cargo test ${profile} --test page_forms -q
+done
+echo "==> cargo test --test metrics_e2e (derived + reused == page requests)"
+cargo test --test metrics_e2e -q
 
 echo "==> cargo test -p sww-core --lib edge::tests::hints (hint queue bounded by the replica-store budget)"
 cargo test -p sww-core --lib edge::tests::hints -q
@@ -420,8 +425,11 @@ fi
 # framing and the golden header blocks; then − 2 whose subjects were
 # deleted (Converter::convert_site, Cms::generatable), + 3 for a hex
 # signature with a multi-byte character, segment URL aliases and a zero
-# segment length.)
-TEST_FLOOR=985
+# segment length; then + 4 for the site split: one route for placement
+# and counting, what a site's clones share, the first page keeping a
+# shared image name, and a wake that lands between a timed-out wait and
+# the next poll.)
+TEST_FLOOR=989
 echo "==> workspace test-count floor (>= ${TEST_FLOOR})"
 TEST_COUNT=$(cargo test --workspace -- --list 2>/dev/null | grep -c ": test$")
 echo "    ${TEST_COUNT} tests"

@@ -38,11 +38,11 @@ use crate::faults::{ChaosSpec, FaultAction, FaultSite, FaultStream};
 use crate::mediagen::{GeneratedMedia, MediaGenerator};
 use crate::render::{RenderedPage, RenderedResource};
 use crate::retry::RetryPolicy;
+use crate::site::{etag_bits, etag_header};
 use crate::stats::PageStats;
 use std::sync::Arc;
 use sww_energy::DeviceProfile;
 use sww_genai::codec;
-use sww_hash::{sha256, to_hex};
 use sww_html::{by_tag, gencontent, parse, serialize};
 use sww_http2::{ClientConnection, GenAbility, H2Error, Request, Response};
 use sww_obs::{Registry, Span};
@@ -301,8 +301,7 @@ impl<T: AsyncRead + AsyncWrite + Unpin> GenerativeClient<T> {
         // sha-256 prefix of the body), so a truncated or corrupted
         // payload is detectable — and retryable — right here.
         if let Some(etag) = resp.headers.get("etag") {
-            let expect = format!("\"{}\"", &to_hex(&sha256(&resp.body))[..16]);
-            if etag != expect {
+            if etag != etag_header(etag_bits(&resp.body)) {
                 return Err(SwwError::IntegrityFailure {
                     path: path.to_owned(),
                 });

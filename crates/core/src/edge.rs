@@ -51,7 +51,7 @@
 //!
 //! Each node's series live in its server's registry: routed and local
 //! dispatches under the
-//! [`TransportKind::Edge`](crate::TransportKind::Edge) label, and the
+//! [`TransportKind::Edge`] label, and the
 //! node's own edge counters, the `sww_edge_*` family (OBSERVABILITY.md),
 //! every one carrying a `node` label; replication adds
 //! `sww_edge_replica_*`. The router's registry
@@ -64,7 +64,9 @@ use crate::error::retryable_status;
 use crate::gossip::{Gossip, GossipConfig, Health};
 use crate::lru::Lru;
 use crate::negotiate::{decide, ServeMode};
-use crate::server::{DrainReport, GenerativeServer, SiteContent};
+use crate::server::{accept_loop, dispatch, DrainReport, GenerativeServer};
+use crate::site::SiteContent;
+use crate::transport::TransportKind;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -459,11 +461,6 @@ struct RouterInner {
     site: SiteContent,
     factory: Box<dyn Fn(SiteContent) -> GenerativeServer + Send + Sync>,
     fill_bytes: u64,
-    /// Path → routing key. Pages with generated images key on their
-    /// first image recipe, and each `/generated/<name>` asset keys on
-    /// its page's recipe, so a page and its media co-locate on one
-    /// owner. Unlisted paths fall back to hashing the path itself.
-    keys: HashMap<String, String>,
     /// Requests clone the `Arc`, never the ring; membership changes
     /// `Arc::make_mut` it.
     state: RwLock<Arc<ClusterState>>,
@@ -541,7 +538,9 @@ impl EdgeRouter {
     where
         F: Fn(SiteContent) -> GenerativeServer + Send + Sync + 'static,
     {
-        let keys = routing_keys(&site);
+        // The site's index holds every path's routing key: derive it now,
+        // not on the first request.
+        site.index();
         let metrics = Arc::new(Registry::new());
         let gossip = Gossip::recording(config.gossip, Vec::<String>::new(), Arc::clone(&metrics));
         let router = EdgeRouter {
@@ -549,7 +548,6 @@ impl EdgeRouter {
                 site,
                 factory: Box::new(factory),
                 fill_bytes: config.fill_bytes,
-                keys,
                 state: RwLock::new(Arc::new(ClusterState {
                     ring: HashRing::new(config.replicas.max(1)),
                     nodes: Vec::new(),
@@ -795,11 +793,7 @@ impl EdgeRouter {
     /// The routing key `path` hashes under (a recipe key for pages with
     /// generated images and their assets, the path itself otherwise).
     pub fn routing_key(&self, path: &str) -> String {
-        self.key_of(path).to_owned()
-    }
-
-    fn key_of<'a>(&'a self, path: &'a str) -> &'a str {
-        self.inner.keys.get(path).map_or(path, String::as_str)
+        self.inner.site.routing_key(path).to_owned()
     }
 
     /// Whether `from` may use `node`: itself always, a peer unless
@@ -810,7 +804,7 @@ impl EdgeRouter {
 
     /// Which node owns `path` right now.
     pub fn owner_of(&self, path: &str) -> Option<String> {
-        let key = self.key_of(path);
+        let key = self.inner.site.routing_key(path);
         let state = self.inner.state.read();
         state.ring.owner(key.as_bytes()).map(str::to_owned)
     }
@@ -854,7 +848,11 @@ impl EdgeRouter {
     /// A conditional revalidation (`if-none-match`) bypasses every
     /// store and is answered by the acting owner.
     pub fn handle(&self, entry: usize, client_ability: GenAbility, req: &Request) -> Response {
-        let (state, router) = (self.state(), &self.inner.metrics);
+        let (state, router) = (self.state(), Some(&*self.inner.metrics));
+        // A request entering here is served at the entry or at a peer, and
+        // either way under the edge label, with the router's registry.
+        let edge = TransportKind::Edge;
+        let serve_at = |node: &EdgeNode| dispatch(&node.server, client_ability, req, edge, router);
         if state.nodes.is_empty() {
             return cluster_down_response();
         }
@@ -865,7 +863,7 @@ impl EdgeRouter {
             return node_down_response(&entry_node.id);
         }
         if req.path == "/metrics" {
-            return entry_node.server.dispatch_edge(client_ability, req, router);
+            return serve_at(entry_node);
         }
         let mode = decide(
             entry_node.server.ability(),
@@ -874,7 +872,7 @@ impl EdgeRouter {
         );
         if matches!(mode, ServeMode::Generative | ServeMode::UpscaleAssisted) {
             entry_node.count("sww_edge_prompt_local_total");
-            return entry_node.server.dispatch_edge(client_ability, req, router);
+            return serve_at(entry_node);
         }
         // Naive client: finished media. Conditional revalidations skip
         // the fill cache (it stores full 200s, not 304 bookkeeping).
@@ -891,7 +889,8 @@ impl EdgeRouter {
                 return resp;
             }
         }
-        let chain = state.ring.successors(self.key_of(&req.path).as_bytes());
+        let key = self.inner.site.routing_key(&req.path);
+        let chain = state.ring.successors(key.as_bytes());
         let mut last = None;
         for id in &chain {
             let node = state.by_id(id).expect("successors are members");
@@ -921,7 +920,7 @@ impl EdgeRouter {
                     return resp;
                 }
             }
-            let resp = node.server.dispatch_edge(client_ability, req, router);
+            let resp = serve_at(node);
             if !node.is_alive() {
                 // Killed while the dispatch was in flight: the response
                 // is deemed lost on the wire. Retry on the successor —
@@ -1042,19 +1041,15 @@ impl EdgeRouter {
     /// assigned entry nodes round-robin (a stand-in for the DNS/anycast
     /// spraying a real CDN front end does). Returns the bound address.
     pub async fn spawn_tcp(&self, addr: &str) -> std::io::Result<std::net::SocketAddr> {
-        let listener = tokio::net::TcpListener::bind(addr).await?;
-        let local = listener.local_addr()?;
-        let router = self.clone();
-        tokio::spawn(async move {
-            while let Ok((sock, _)) = listener.accept().await {
-                let entry = router.inner.round_robin.fetch_add(1, Ordering::Relaxed);
-                let router = router.clone();
-                tokio::spawn(async move {
-                    let _ = router.serve_stream(entry, sock).await;
-                });
-            }
-        });
-        Ok(local)
+        let this = self.clone();
+        accept_loop(addr, move |sock| {
+            let entry = this.inner.round_robin.fetch_add(1, Ordering::Relaxed);
+            let router = this.clone();
+            Some(async move {
+                let _ = router.serve_stream(entry, sock).await;
+            })
+        })
+        .await
     }
 }
 
@@ -1077,25 +1072,6 @@ fn node_down_response(id: &str) -> Response {
     resp.headers.insert("x-sww-error", "edge-node-down");
     resp.headers.insert("x-sww-edge-node", id);
     resp
-}
-
-/// Derive the path → routing-key map for a site from its generated
-/// index: each page with generated images keys on its first image
-/// recipe (model × prompt × params), and every `/generated/...` URL a
-/// page's materialized form references keys on the *same* recipe, so the
-/// page and its media land on one owner. A URL two pages share keys with
-/// the first of them in path order.
-fn routing_keys(site: &SiteContent) -> HashMap<String, String> {
-    let index = site.generated_index();
-    let mut keys = HashMap::new();
-    for (page, urls) in &index.pages {
-        let page_key = recipe_key(&index.assets[&urls[0]]);
-        for url in urls {
-            keys.entry(url.clone()).or_insert_with(|| page_key.clone());
-        }
-        keys.insert(page.clone(), page_key);
-    }
-    keys
 }
 
 /// A tiny in-module smoke surface; the heavy proofs live in
@@ -1586,7 +1562,7 @@ mod tests {
     /// The one replica seat of `path` at `replication: 2`.
     fn seat_of(router: &EdgeRouter, path: &str) -> Arc<EdgeNode> {
         let ring = router.ring();
-        let chain = ring.successors(router.key_of(path).as_bytes());
+        let chain = ring.successors(router.routing_key(path).as_bytes());
         router.node(chain[1]).unwrap()
     }
 

@@ -26,6 +26,7 @@ mod policy;
 mod render;
 mod retry;
 mod server;
+mod site;
 mod stats;
 mod transport;
 mod workpool;
@@ -46,7 +47,8 @@ pub use negotiate::select_models;
 pub use personalize::{personalize, UserProfile};
 pub use policy::ServerPolicy;
 pub use retry::RetryPolicy;
-pub use server::{GenerativeServer, ServerConfig, Session, SiteContent};
+pub use server::{GenerativeServer, ServerConfig, Session};
+pub use site::SiteContent;
 pub use stats::{project_traffic, PageStats};
 pub use transport::TransportKind;
 pub use workpool::{CrewRunner, WorkerPool};

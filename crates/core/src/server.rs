@@ -7,6 +7,9 @@
 //! clients, server-side-expanded media to naive ones ("the server uses
 //! the prompt to generate the content before sending it to the client.
 //! This saves storage space, and avoids saving two copies of content").
+//! What the pages are, and what is derived from them, is the site's
+//! ([`SiteContent`], `crate::site`); this module decides where a request
+//! runs, admits it and answers it.
 //!
 //! # Concurrency model
 //!
@@ -24,7 +27,8 @@
 //!   the server answers `503` with `Retry-After` instead of queueing
 //!   without bound. With `workers: 0` (the default) nothing is gated.
 //! * Each OS thread that expands text keeps its own preloaded
-//!   [`MediaGenerator`] (the §4.1 preload optimisation, per thread);
+//!   [`MediaGenerator`](crate::MediaGenerator) (the §4.1 preload
+//!   optimisation, per thread);
 //!   rendering an image holds no shared state, so generations for
 //!   distinct recipes proceed in parallel.
 //! * Every image takes one road — engine, then one denoising pass, then
@@ -44,71 +48,34 @@
 
 use crate::batch::{self, BatchConfig, BatchKey, BatchScheduler, BatchStats};
 use crate::breaker::{BreakerConfig, CircuitBreaker};
-use crate::cache::{recipe_key, Recipe};
+use crate::cache::Recipe;
 use crate::engine::GenerationEngine;
 use crate::error::SwwError;
 use crate::faults::{ChaosSpec, FaultAction, FaultSite, FaultStream};
 use crate::lifecycle::{record_shed, RequestCtx};
-use crate::mediagen::{GeneratedMedia, MediaGenerator, DEFAULT_CODEC_QUALITY};
+use crate::mediagen::DEFAULT_CODEC_QUALITY;
 use crate::negotiate::{session, ServeMode, SessionAbilities};
 use crate::policy::ServerPolicy;
+use crate::site::{etag_header, PageForm, Route, SiteContent};
 use crate::transport::TransportKind;
 use crate::workpool::{CrewRunner, WorkerPool};
 use bytes::Bytes;
 use parking_lot::RwLock;
-use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use sww_energy::{profile as device_profile, DeviceKind};
 use sww_genai::{codec, InlineRunner, StepCancel, Tiling};
-use sww_hash::{sha256, to_hex};
-use sww_html::gencontent::ContentType;
-use sww_html::{gencontent, parse, serialize};
 use sww_http2::{serve_connection_until, GenAbility, H2Error, Request, Response, ServeStats};
 use sww_http3::{serve_h3_connection_split, H3Error, H3ServeContext, H3ServeStats};
 use sww_obs::{Registry, Span};
 use tokio::io::{AsyncRead, AsyncWrite};
 
-/// One page of site content, stored in SWW (prompt) form.
-#[derive(Debug, Clone)]
-pub struct SwwPage {
-    /// HTML that may contain generated-content divisions and references
-    /// to unique assets.
-    pub html: String,
-    /// The prompt form's [`etag_bits`], hashed by the first capable
-    /// client's request rather than at `add_page` time (site build is
-    /// set-up time, and a page only naive clients ask for never needs
-    /// it). `html` itself is the body: no second copy of it is kept.
-    etag: OnceLock<u64>,
-}
-
-/// The 64 bits of a page body's sha256 that its content-addressed ETag
-/// prints. A form keeps these rather than the header text: 8 octets
-/// beside every page of every copy of the site, and no allocation.
-fn etag_bits(body: &[u8]) -> u64 {
-    let [a, b, c, d, e, f, g, h, ..] = sha256(body);
-    u64::from_be_bytes([a, b, c, d, e, f, g, h])
-}
-
-/// The `etag` header for [`etag_bits`]: 16 hex digits, quoted.
-fn etag_header(bits: u64) -> String {
-    format!("\"{bits:016x}\"")
-}
-
-/// A page's naive form: the body a client without `GEN_ABILITY` is sent
-/// and that body's [`etag_bits`] — what [`materialize`] and a hash
-/// derive from a page of the frozen site, kept so they are derived once.
-#[derive(Debug, Clone)]
-struct PageForm {
-    body: Bytes,
-    etag: u64,
-}
-
 /// The histograms a server-side generation span records into.
-const GENERATE_WALL: &str = "sww_server_generate_wall_seconds";
-const GENERATE_VIRTUAL: &str = "sww_server_generate_virtual_seconds";
+pub(crate) const GENERATE_WALL: &str = "sww_server_generate_wall_seconds";
+pub(crate) const GENERATE_VIRTUAL: &str = "sww_server_generate_virtual_seconds";
 
 /// Count one page request answered from a page form: `form` is `naive`
 /// or `prompt`; `derived` says whether this request computed it.
@@ -120,137 +87,6 @@ fn count_page_form(metrics: &Registry, form: &'static str, derived: bool) {
             &[("form", form), ("result", result)],
         )
         .inc();
-}
-
-/// A site: pages plus unique (non-generatable) assets.
-///
-/// A clone is shallow: it shares the two maps (and so each page's
-/// derived ETag) with its source until one of them is changed, and the
-/// mutators copy the map they touch first. An edge cluster's nodes and
-/// its router therefore hold one prompt store between them.
-#[derive(Debug, Clone, Default)]
-pub struct SiteContent {
-    pages: Arc<HashMap<String, SwwPage>>,
-    assets: Arc<HashMap<String, Bytes>>,
-    /// Cached total of prompt-form octets (pages + unique assets),
-    /// maintained incrementally by the mutators so [`stored_bytes`]
-    /// never re-iterates the maps.
-    ///
-    /// [`stored_bytes`]: SiteContent::stored_bytes
-    stored: u64,
-    /// Derived on first use by [`generated_index`]; clones share it (a
-    /// cluster's nodes and its router derive it once between them) and
-    /// `add_page` starts a fresh one.
-    ///
-    /// [`generated_index`]: SiteContent::generated_index
-    index: Arc<OnceLock<GeneratedIndex>>,
-}
-
-/// Where a site's generated images are served from, and what renders
-/// them: the one map behind a naive page's rewritten `<img src>`, the
-/// `GET /generated/...` route and the edge tier's routing keys. It holds
-/// recipes — prompt-form data bounded by the site — never rendered media.
-#[derive(Debug, Default)]
-pub(crate) struct GeneratedIndex {
-    /// Per page with image items, the URL of each in document order.
-    /// Sorted by page path, the order collisions are resolved in.
-    pub(crate) pages: BTreeMap<String, Vec<String>>,
-    /// `/generated/...` URL → the recipe whose render it serves.
-    pub(crate) assets: HashMap<String, Recipe>,
-}
-
-impl SiteContent {
-    /// An empty site.
-    pub fn new() -> SiteContent {
-        SiteContent::default()
-    }
-
-    /// Add a page at `path`, replacing (and un-counting) any previous
-    /// page at the same path.
-    pub fn add_page(&mut self, path: impl Into<String>, html: impl Into<String>) {
-        let page = SwwPage {
-            html: html.into(),
-            etag: OnceLock::new(),
-        };
-        self.stored += page.html.len() as u64;
-        if let Some(old) = Arc::make_mut(&mut self.pages).insert(path.into(), page) {
-            self.stored -= old.html.len() as u64;
-        }
-        self.index = Arc::default();
-    }
-
-    /// Add a unique asset (e.g. the photographs from the specific hike),
-    /// replacing any previous asset at the same path.
-    pub fn add_asset(&mut self, path: impl Into<String>, bytes: impl Into<Bytes>) {
-        let bytes = bytes.into();
-        self.stored += bytes.len() as u64;
-        if let Some(old) = Arc::make_mut(&mut self.assets).insert(path.into(), bytes) {
-            self.stored -= old.len() as u64;
-        }
-    }
-
-    /// Octets the site occupies in prompt form: HTML + unique assets.
-    /// This is what the server actually stores. O(1): the total is kept
-    /// current by `add_page` / `add_asset`.
-    pub fn stored_bytes(&self) -> u64 {
-        self.stored
-    }
-
-    /// Page lookup.
-    pub fn page(&self, path: &str) -> Option<&SwwPage> {
-        self.pages.get(path)
-    }
-
-    /// The site's [`GeneratedIndex`], derived once on first use — a
-    /// server that only ever meets generative clients never pays for it.
-    ///
-    /// An image is served at `/generated/<name>`. When two items share a
-    /// name but not a recipe, the first page in path order keeps that
-    /// URL and the later item is served under a segment derived from
-    /// its own recipe, so no page's `<img src>` can resolve to another
-    /// page's picture; same name and same recipe share one entry.
-    pub(crate) fn generated_index(&self) -> &GeneratedIndex {
-        self.index.get_or_init(|| {
-            let mut index = GeneratedIndex::default();
-            let mut pages: Vec<(&String, &SwwPage)> = self.pages.iter().collect();
-            pages.sort_unstable_by_key(|(path, _)| *path);
-            for (page_path, page) in pages {
-                let mut urls = Vec::new();
-                for item in gencontent::extract(&parse(&page.html)) {
-                    if item.content_type != ContentType::Img {
-                        continue;
-                    }
-                    let recipe = with_generator(|g| g.recipe(&item));
-                    let mut url = format!("/generated/{}", item.name());
-                    if index.assets.get(&url).is_some_and(|held| *held != recipe) {
-                        let tag = to_hex(&sha256(recipe_key(&recipe).as_bytes()));
-                        url = format!("/generated/{}/{}", &tag[..16], item.name());
-                    }
-                    index.assets.entry(url.clone()).or_insert(recipe);
-                    urls.push(url);
-                }
-                if !urls.is_empty() {
-                    index.pages.insert(page_path.clone(), urls);
-                }
-            }
-            index
-        })
-    }
-
-    /// The recipe served at `path`, if it is a generated-image URL. Only
-    /// a `/generated/` path consults the index, so page and unique-asset
-    /// requests never derive it.
-    fn generated_recipe(&self, path: &str) -> Option<&Recipe> {
-        let index = path
-            .starts_with("/generated/")
-            .then(|| self.generated_index());
-        index.and_then(|index| index.assets.get(path))
-    }
-
-    /// Number of pages.
-    pub fn page_count(&self) -> usize {
-        self.pages.len()
-    }
 }
 
 /// Everything a server's connections share. Site and policy are frozen
@@ -266,14 +102,11 @@ struct ServerShared {
     /// (§5.1) — and is the only place rendered media is retained.
     engine: GenerationEngine<Bytes>,
     /// The naive form of each page a naive client has asked for, written
-    /// by the first successful [`materialize`] of its path. The site is
-    /// frozen, so an entry never changes and the map never outgrows
-    /// `site.pages` — bounded by construction, nothing to evict. It
-    /// holds page bodies only; every image stays in `engine`.
+    /// by the first successful [`SiteContent::naive_form`] of its path.
+    /// The site is frozen, so an entry never changes and the map never
+    /// outgrows the site's pages — bounded by construction, nothing to
+    /// evict. It holds page bodies only; every image stays in `engine`.
     page_forms: RwLock<HashMap<String, PageForm>>,
-    /// Memoized traditional-size estimate; the site is immutable once
-    /// the server is built, so this is computed at most once.
-    traditional_memo: OnceLock<u64>,
     /// Present when the server was built with `workers(n > 0)`.
     pool: Option<WorkerPool>,
     /// Present when the server was built with `batch_max(n > 1)`:
@@ -308,23 +141,19 @@ impl ServerShared {
     }
 
     /// Whether answering `req` for a client advertising `client_ability`
-    /// may block. Only a `GET` of a site page served in prompt form cannot:
-    /// it reads the frozen site and renders nothing. Anything a pool
-    /// admits may wait for its turn, and anything on an armed server may
-    /// draw a latency fault, so on those servers every request may block;
-    /// so may an asset (a `/generated/` one renders) and `/metrics`.
+    /// may block. Only a page [routed](SiteContent::route) to be served in
+    /// prompt form cannot: it reads the frozen site and renders nothing.
+    /// Anything a pool admits may wait for its turn, and anything on an
+    /// armed server may draw a latency fault, so on those servers every
+    /// request may block; so may an asset (a `/generated/` one renders)
+    /// and `/metrics`.
     fn may_block(&self, req: &Request, client_ability: GenAbility) -> bool {
         if self.pool.is_some() || self.faults.is_some() {
             return true;
         }
-        let path = req.path.as_str();
-        let page = req.method == "GET"
-            && path != "/metrics"
-            && !path.starts_with("/generated/")
-            && !self.site.assets.contains_key(path)
-            && self.site.page(path).is_some();
         let mode = session(self.ability, client_ability).mode(&self.policy);
-        !(page && matches!(mode, ServeMode::Generative | ServeMode::UpscaleAssisted))
+        let prompt = matches!(mode, ServeMode::Generative | ServeMode::UpscaleAssisted);
+        !(prompt && matches!(self.site.route(req), Route::Page(_)))
     }
 }
 
@@ -346,22 +175,6 @@ impl Drop for InflightGuard<'_> {
     fn drop(&mut self) {
         self.shared.inflight.fetch_sub(1, Ordering::SeqCst);
     }
-}
-
-thread_local! {
-    /// Per-thread preloaded generator (paper §4.1: the pipeline is "a
-    /// large object" reused across invocations). One per OS thread means
-    /// concurrent requests generate in parallel without sharing a lock.
-    static SERVER_GENERATOR: RefCell<Option<MediaGenerator>> = const { RefCell::new(None) };
-}
-
-fn with_generator<R>(f: impl FnOnce(&mut MediaGenerator) -> R) -> R {
-    SERVER_GENERATOR.with(|cell| {
-        let mut slot = cell.borrow_mut();
-        let generator = slot
-            .get_or_insert_with(|| MediaGenerator::new(device_profile(DeviceKind::Workstation)));
-        f(generator)
-    })
 }
 
 /// Complete server configuration — one plain struct, shared verbatim by
@@ -478,7 +291,6 @@ impl GenerativeServer {
                     share(),
                 ),
                 page_forms: RwLock::default(),
-                traditional_memo: OnceLock::new(),
                 pool: (config.workers > 0)
                     .then(|| WorkerPool::recording(config.workers, config.queue_capacity, share())),
                 batcher: (config.batch_max > 1).then(|| {
@@ -515,20 +327,6 @@ impl GenerativeServer {
         &self.shared.policy
     }
 
-    /// Drive one request through the transport-agnostic dispatch path
-    /// under the [`TransportKind::Edge`] label — the entry point the
-    /// cluster tier ([`crate::edge::EdgeRouter`]) uses for both
-    /// local serves and peer cache-fill fetches.
-    pub(crate) fn dispatch_edge(
-        &self,
-        ability: GenAbility,
-        req: &Request,
-        router: &Registry,
-    ) -> Response {
-        let router = Some(router);
-        dispatch(&self.shared, ability, req, TransportKind::Edge, router)
-    }
-
     /// Re-derive this server's fault stream for `label` from its own
     /// spec, draw counters at zero; what it injected before stays counted
     /// in its registry. The edge router calls this with the node id on
@@ -563,7 +361,7 @@ impl GenerativeServer {
     pub fn accept(&self, client_ability: GenAbility) -> Session {
         count_session(&self.shared.metrics, TransportKind::Inproc);
         Session {
-            shared: Arc::clone(&self.shared),
+            server: self.clone(),
             client_ability,
         }
     }
@@ -577,14 +375,12 @@ impl GenerativeServer {
         T: AsyncRead + AsyncWrite + Unpin,
     {
         count_session(&self.shared.metrics, TransportKind::H2);
-        let shared = Arc::clone(&self.shared);
-        let drain_watch = Arc::clone(&self.shared);
-        let ability = self.shared.ability;
+        let (server, drain_watch) = (self.clone(), self.clone());
         serve_connection_until(
             io,
-            ability,
-            move |req, ctx| dispatch(&shared, ctx.client_ability, &req, TransportKind::H2, None),
-            move || drain_watch.draining.load(Ordering::SeqCst),
+            self.shared.ability,
+            move |req, ctx| dispatch(&server, ctx.client_ability, &req, TransportKind::H2, None),
+            move || drain_watch.is_draining(),
         )
         .await
     }
@@ -607,18 +403,15 @@ impl GenerativeServer {
         T: AsyncRead + AsyncWrite + Unpin,
     {
         count_session(&self.shared.metrics, TransportKind::H3);
-        let shared = Arc::clone(&self.shared);
-        let placer = Arc::clone(&self.shared);
-        let drain_watch = Arc::clone(&self.shared);
-        let ability = self.shared.ability;
+        let (server, placer, drain_watch) = (self.clone(), self.clone(), self.clone());
         serve_h3_connection_split(
             io,
-            ability,
-            move |req: Request, ctx: H3ServeContext| {
-                dispatch(&shared, ctx.client_ability, &req, TransportKind::H3, None)
+            self.shared.ability,
+            move |req, ctx| dispatch(&server, ctx.client_ability, &req, TransportKind::H3, None),
+            move |req: &Request, ctx: &H3ServeContext| {
+                placer.shared.may_block(req, ctx.client_ability)
             },
-            move |req: &Request, ctx: &H3ServeContext| placer.may_block(req, ctx.client_ability),
-            move || drain_watch.draining.load(Ordering::SeqCst),
+            move || drain_watch.is_draining(),
         )
         .await
     }
@@ -627,44 +420,30 @@ impl GenerativeServer {
     /// dropped or the server drains (a draining listener stops accepting;
     /// connections already accepted close via GOAWAY after their next
     /// response). Returns the bound address.
-    pub async fn spawn_tcp(&self, addr: &str) -> std::io::Result<std::net::SocketAddr> {
-        let listener = tokio::net::TcpListener::bind(addr).await?;
-        let local = listener.local_addr()?;
+    pub async fn spawn_tcp(&self, addr: &str) -> std::io::Result<SocketAddr> {
         let this = self.clone();
-        tokio::spawn(async move {
-            while let Ok((sock, _)) = listener.accept().await {
-                if this.is_draining() {
-                    break;
-                }
-                let server = this.clone();
-                tokio::spawn(async move {
-                    let _ = server.serve_stream(sock).await;
-                });
-            }
-        });
-        Ok(local)
+        accept_loop(addr, move |sock| {
+            let server = this.clone();
+            (!this.is_draining()).then_some(async move {
+                let _ = server.serve_stream(sock).await;
+            })
+        })
+        .await
     }
 
     /// Bind a TCP listener and serve HTTP/3 (QUIC-lite over the socket)
     /// connections — the h3 twin of
     /// [`spawn_tcp`](GenerativeServer::spawn_tcp). Returns the bound
     /// address.
-    pub async fn spawn_tcp_h3(&self, addr: &str) -> std::io::Result<std::net::SocketAddr> {
-        let listener = tokio::net::TcpListener::bind(addr).await?;
-        let local = listener.local_addr()?;
+    pub async fn spawn_tcp_h3(&self, addr: &str) -> std::io::Result<SocketAddr> {
         let this = self.clone();
-        tokio::spawn(async move {
-            while let Ok((sock, _)) = listener.accept().await {
-                if this.is_draining() {
-                    break;
-                }
-                let server = this.clone();
-                tokio::spawn(async move {
-                    let _ = server.serve_h3_stream(sock).await;
-                });
-            }
-        });
-        Ok(local)
+        accept_loop(addr, move |sock| {
+            let server = this.clone();
+            (!this.is_draining()).then_some(async move {
+                let _ = server.serve_h3_stream(sock).await;
+            })
+        })
+        .await
     }
 
     /// Octets the site occupies in prompt form (O(1), cached by
@@ -675,22 +454,10 @@ impl GenerativeServer {
 
     /// Octets the site would occupy traditionally: every generated-content
     /// element materialized to media (measured via the codec) plus HTML
-    /// and unique assets. Memoized — the site is immutable once built, so
-    /// the full generation sweep runs at most once.
+    /// and unique assets. Memoized beside the site's index, so the full
+    /// generation sweep runs at most once for every server sharing it.
     pub fn traditional_bytes(&self) -> u64 {
-        *self.shared.traditional_memo.get_or_init(|| {
-            let mut total = self.shared.site.stored_bytes();
-            for page in self.shared.site.pages.values() {
-                let doc = parse(&page.html);
-                for item in gencontent::extract(&doc) {
-                    let (media, _) = with_generator(|g| g.generate(&item));
-                    total += media.media_bytes() as u64;
-                    // Prompt-form metadata would not be stored traditionally.
-                    total = total.saturating_sub(item.metadata_size() as u64);
-                }
-            }
-            total
-        })
+        self.shared.site.traditional_bytes()
     }
 
     /// How many page requests were served in each mode, modes never
@@ -807,7 +574,7 @@ pub struct DrainReport {
 /// create, `Send + Sync`, and safe to use from many threads.
 #[derive(Debug)]
 pub struct Session {
-    shared: Arc<ServerShared>,
+    server: GenerativeServer,
     client_ability: GenAbility,
 }
 
@@ -820,7 +587,7 @@ impl Session {
     /// This session's negotiation record, from the single
     /// `crate::negotiate::session` entry point.
     pub fn abilities(&self) -> SessionAbilities {
-        session(self.shared.ability, self.client_ability)
+        session(self.server.ability(), self.client_ability)
     }
 
     /// The negotiated (shared) ability for this session.
@@ -833,7 +600,7 @@ impl Session {
     /// + `Retry-After` under saturation).
     pub fn handle(&self, req: &Request) -> Response {
         dispatch(
-            &self.shared,
+            &self.server,
             self.client_ability,
             req,
             TransportKind::Inproc,
@@ -842,13 +609,25 @@ impl Session {
     }
 }
 
-fn count_route(metrics: &Registry, route: &'static str, transport: TransportKind) {
-    metrics
-        .counter(
-            "sww_server_requests_total",
-            &[("route", route), ("transport", transport.label())],
-        )
-        .inc();
+/// Bind a TCP listener at `addr` and run each accepted connection as a
+/// task of its own: the future `serve` makes of it. Accepting ends when
+/// `serve` declines a connection (a draining server stops accepting) or
+/// the accepting task is dropped. Every TCP front end — a server's h2 and
+/// h3 listeners and an edge cluster's — accepts here. Returns the bound
+/// address.
+pub(crate) async fn accept_loop<S, F>(addr: &str, mut serve: S) -> std::io::Result<SocketAddr>
+where
+    S: FnMut(tokio::net::TcpStream) -> Option<F> + 'static,
+    F: std::future::Future<Output = ()> + 'static,
+{
+    let listener = tokio::net::TcpListener::bind(addr).await?;
+    let local = listener.local_addr()?;
+    tokio::spawn(async move {
+        while let Some(connection) = listener.accept().await.ok().and_then(|(s, _)| serve(s)) {
+            tokio::spawn(connection);
+        }
+    });
+    Ok(local)
 }
 
 fn count_session(metrics: &Registry, transport: TransportKind) {
@@ -876,7 +655,9 @@ fn request_ctx(shared: &ServerShared, req: &Request) -> RequestCtx {
 }
 
 /// Handle a request on this thread — after the pool admits it, if one
-/// is configured — and materialize any error into its response.
+/// is configured — and materialize any error into its response. Every
+/// way in takes this path: a [`Session`], the h2 and h3 adapters, and the
+/// edge router, for both local serves and peer cache-fill fetches.
 ///
 /// Overload protection happens here, before any work is queued:
 /// a draining server sheds everything but `/metrics`, and a request
@@ -894,13 +675,14 @@ fn request_ctx(shared: &ServerShared, req: &Request) -> RequestCtx {
 ///
 /// `router` is the edge router's registry when the request entered a
 /// cluster at this node: `/metrics` then serves it after the server's.
-fn dispatch(
-    shared: &ServerShared,
+pub(crate) fn dispatch(
+    server: &GenerativeServer,
     client_ability: GenAbility,
     req: &Request,
     transport: TransportKind,
     router: Option<&Registry>,
 ) -> Response {
+    let shared = &*server.shared;
     let _inflight = InflightGuard::enter(shared);
     let metrics = &shared.metrics;
     if shared.draining.load(Ordering::SeqCst) && req.path != "/metrics" {
@@ -985,76 +767,56 @@ fn handle_request(
     router: Option<&Registry>,
 ) -> Result<Response, SwwError> {
     let metrics = &shared.metrics;
+    let route = shared.site.route(req);
+    let labels = [("route", route.label()), ("transport", transport.label())];
+    metrics.counter("sww_server_requests_total", &labels).inc();
+    let page = match route {
+        Route::BadMethod => {
+            return Err(SwwError::MethodNotAllowed {
+                method: req.method.clone(),
+            })
+        }
+        // Observability endpoint: this server's registry (then its edge
+        // router's, at a cluster entry) and the process registry, in
+        // Prometheus text format. Purely read-only with respect to site
+        // state.
+        Route::Metrics => {
+            let text = match router {
+                Some(router) => sww_obs::expose(&[metrics, router]),
+                None => sww_obs::expose(&[metrics]),
+            };
+            let mut resp = Response::ok(Bytes::from(text));
+            resp.headers
+                .insert("content-type", "text/plain; version=0.0.4");
+            return Ok(resp);
+        }
+        Route::Asset(bytes) => return Ok(image_response(bytes.clone())),
+        // A `/generated/...` URL the site index knows is an engine request
+        // like any page image, so it answers in every cache state
+        // (regenerating when evicted or never rendered on this node).
+        Route::Generated(recipe) => return Ok(image_response(fetch_asset(shared, recipe, ctx)?)),
+        Route::NotFound => {
+            return Err(SwwError::NotFound {
+                path: req.path.clone(),
+            })
+        }
+        Route::Page(page) => page,
+    };
     // The one negotiation entry point, re-evaluated per request with the
     // client's *latest* advertisement — h2 reads it off the connection's
     // live SETTINGS, h3 off the most recent control-stream update, so
     // mid-connection withdraw/restore lands here identically.
-    let abilities = session(shared.ability, client_ability);
-    if req.method != "GET" {
-        count_route(metrics, "bad_method", transport);
-        return Err(SwwError::MethodNotAllowed {
-            method: req.method.clone(),
-        });
-    }
-    // Observability endpoint: this server's registry (then its edge
-    // router's, at a cluster entry) and the process registry, in
-    // Prometheus text format. Purely read-only with respect to site state.
-    if req.path == "/metrics" {
-        count_route(metrics, "metrics", transport);
-        let text = match router {
-            Some(router) => sww_obs::expose(&[metrics, router]),
-            None => sww_obs::expose(&[metrics]),
-        };
-        let mut resp = Response::ok(Bytes::from(text));
-        resp.headers
-            .insert("content-type", "text/plain; version=0.0.4");
-        return Ok(resp);
-    }
-    // Unique assets first, then generated ones: a `/generated/...` URL
-    // the site index knows is an engine request like any page image, so
-    // it answers in every cache state (regenerating when evicted or
-    // never rendered on this node).
-    let asset = match shared.site.assets.get(&req.path) {
-        Some(bytes) => Some(bytes.clone()),
-        None => shared
-            .site
-            .generated_recipe(&req.path)
-            .map(|recipe| fetch_asset(shared, recipe, ctx))
-            .transpose()?,
-    };
-    if let Some(bytes) = asset {
-        count_route(metrics, "asset", transport);
-        let mut resp = Response::ok(bytes);
-        resp.headers.insert("content-type", "image/swim");
-        return Ok(resp);
-    }
-    let Some(page) = shared.site.page(&req.path) else {
-        count_route(metrics, "not_found", transport);
-        return Err(SwwError::NotFound {
-            path: req.path.clone(),
-        });
-    };
-    count_route(metrics, "page", transport);
-    let mode = abilities.mode(&shared.policy);
+    let mode = session(shared.ability, client_ability).mode(&shared.policy);
     metrics
         .counter("sww_negotiate_outcomes_total", &[("mode", mode.label())])
         .inc();
     let form = match mode {
         ServeMode::Generative | ServeMode::UpscaleAssisted => {
-            let mut derived = false;
-            let etag = *page.etag.get_or_init(|| {
-                derived = true;
-                etag_bits(page.html.as_bytes())
-            });
+            let (form, derived) = page.prompt_form();
             count_page_form(metrics, "prompt", derived);
-            PageForm {
-                body: Bytes::from(page.html.clone()),
-                etag,
-            }
+            form
         }
-        ServeMode::ServerGenerated | ServeMode::Traditional => {
-            naive_form(shared, &req.path, &page.html, ctx)?
-        }
+        ServeMode::ServerGenerated | ServeMode::Traditional => naive_form(shared, &req.path, ctx)?,
     };
     // Conditional requests: the page body is content-addressed, so a
     // client that revalidates with If-None-Match skips the transfer —
@@ -1071,6 +833,12 @@ fn handle_request(
     resp.headers.insert("etag", etag);
     resp.headers.insert("x-sww-mode", mode.label());
     Ok(resp)
+}
+
+fn image_response(bytes: Bytes) -> Response {
+    let mut resp = Response::ok(bytes);
+    resp.headers.insert("content-type", "image/swim");
+    resp
 }
 
 /// The encoded asset for `recipe`, through the generation engine — the
@@ -1170,149 +938,50 @@ fn render_asset(
 }
 
 /// The naive form of the page at `path`: reused when an earlier request
-/// derived it, otherwise derived by [`materialize`] and — only when that
-/// succeeded — stored. Two requests racing the first derivation both
-/// derive; the first to finish is stored and both answer with it.
+/// derived it, otherwise derived by [`SiteContent::naive_form`] and —
+/// only when that succeeded — stored. Two requests racing the first
+/// derivation both derive; the first to finish is stored and both answer
+/// with it. A derivation fetches each image of the page through
+/// [`fetch_asset`] even though only its URL goes into the page: rendering
+/// with the page keeps generation exactly-once per recipe and leaves the
+/// asset GET that follows a hit.
 ///
 /// A reused form still asks the engine for every image of the page, in
-/// document order, exactly as `materialize` does: breaker admission, the
+/// document order, exactly as a derivation does: breaker admission, the
 /// request's deadline, the failpoints and the cache's recency all see
 /// the page request, an evicted image is regenerated before the page
 /// that names it is sent, and the asset GET that follows stays a hit.
 /// What reuse skips is what cannot change on a frozen site: parse,
-/// extract, text expansion, serialize and the ETag's hash.
-fn naive_form(
-    shared: &ServerShared,
-    path: &str,
-    html: &str,
-    ctx: &RequestCtx,
-) -> Result<PageForm, SwwError> {
+/// extract, text expansion (and so its modelled time, charged once per
+/// page), serialize and the ETag's hash.
+fn naive_form(shared: &ServerShared, path: &str, ctx: &RequestCtx) -> Result<PageForm, SwwError> {
     let stored = shared.page_forms.read().get(path).cloned();
     if let Some(form) = stored {
         count_page_form(&shared.metrics, "naive", false);
-        let index = shared.site.generated_index();
-        for url in index.pages.get(path).into_iter().flatten() {
-            fetch_asset(shared, &index.assets[url], ctx)?;
+        for (_, recipe) in shared.site.page_images(path) {
+            fetch_asset(shared, recipe, ctx)?;
         }
         return Ok(form);
     }
-    let body = materialize(shared, path, html, ctx)?;
+    let fetch = |recipe: &Recipe| fetch_asset(shared, recipe, ctx).map(drop);
+    let form = shared.site.naive_form(path, fetch, &shared.metrics)?;
     count_page_form(&shared.metrics, "naive", true);
-    let form = PageForm {
-        etag: etag_bits(body.as_bytes()),
-        body: Bytes::from(body),
-    };
     let mut forms = shared.page_forms.write();
     Ok(forms.entry(path.to_owned()).or_insert(form).clone())
-}
-
-/// Expand every generated-content element of the page at `path`
-/// server-side and rewrite it to its naive form: each image item
-/// becomes an `<img>` pointing at the URL the site index serves its
-/// recipe from, each text item its expanded prose. Runs once per page
-/// (see [`naive_form`]), so a text item's modelled generation time is
-/// charged once, when its page's form is derived.
-///
-/// Image items are fetched through [`fetch_asset`] even though only the
-/// URL goes into the page: rendering with the page keeps generation
-/// exactly-once per recipe and leaves the asset GET that follows a hit.
-fn materialize(
-    shared: &ServerShared,
-    path: &str,
-    html: &str,
-    ctx: &RequestCtx,
-) -> Result<String, SwwError> {
-    let mut doc = parse(html);
-    let index = shared.site.generated_index();
-    let mut urls = index.pages.get(path).into_iter().flatten();
-    for item in gencontent::extract(&doc) {
-        match item.content_type {
-            ContentType::Img => {
-                let url = urls.next().expect("the index lists every image item");
-                let recipe = &index.assets[url];
-                fetch_asset(shared, recipe, ctx)?;
-                gencontent::replace_with_image(
-                    &mut doc,
-                    item.node,
-                    url,
-                    recipe.width,
-                    recipe.height,
-                );
-            }
-            ContentType::Txt => {
-                let span = Span::begin("materialize");
-                let (media, cost) = with_generator(|g| g.try_generate(&item))?;
-                let metrics = &shared.metrics;
-                span.finish_with_virtual(metrics, GENERATE_WALL, GENERATE_VIRTUAL, cost.time_s);
-                let GeneratedMedia::Text { text } = media else {
-                    unreachable!("a Txt item generates text")
-                };
-                gencontent::replace_with_text(&mut doc, item.node, &text);
-            }
-        }
-    }
-    Ok(serialize(&doc))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn demo_site() -> SiteContent {
-        let mut site = SiteContent::new();
-        let html = format!(
-            "<html><body><h1>Hike</h1>{}{}<img src=\"/photos/me.jpg\"></body></html>",
-            gencontent::image_div("a mountain trail at dawn", "trail.jpg", 128, 128),
-            gencontent::text_div(&["trail steep rocky".into()], 80),
-        );
-        site.add_page("/hike", html);
-        site.add_asset("/photos/me.jpg", Bytes::from_static(b"unique-photo-bytes"));
-        site
-    }
+    use crate::site::tests::demo_site;
+    use crate::site::{etag_bits, with_generator};
+    use sww_html::gencontent;
 
     fn demo_server() -> GenerativeServer {
         GenerativeServer::from_config(ServerConfig {
             site: demo_site(),
             ..ServerConfig::default()
         })
-    }
-
-    #[test]
-    fn stored_bytes_counts_prompt_form() {
-        let site = demo_site();
-        let stored = site.stored_bytes();
-        assert!(stored > 100);
-        assert_eq!(site.page_count(), 1);
-    }
-
-    #[test]
-    fn stored_bytes_cache_tracks_mutation_and_replacement() {
-        let mut site = SiteContent::new();
-        site.add_page("/a", "x".repeat(100));
-        site.add_asset("/b", Bytes::from(vec![0u8; 50]));
-        assert_eq!(site.stored_bytes(), 150);
-        // Replacing a page swaps its contribution, not adds to it.
-        site.add_page("/a", "y".repeat(30));
-        assert_eq!(site.stored_bytes(), 80);
-        site.add_asset("/b", Bytes::from(vec![1u8; 10]));
-        assert_eq!(site.stored_bytes(), 40);
-    }
-
-    #[test]
-    fn a_cloned_site_shares_its_pages_until_one_of_them_changes() {
-        let mut site = demo_site();
-        let copy = site.clone();
-        let html_at = |s: &SiteContent| s.page("/hike").expect("demo page").html.as_ptr();
-        let (shared, stored) = (html_at(&site), site.stored_bytes());
-        assert_eq!(html_at(&copy), shared, "a clone copies no page");
-        // Copy-on-write: the edit lands in the edited site alone.
-        site.add_page("/hike", "<html>rewritten</html>");
-        site.add_page("/new", "<html>new</html>");
-        assert_eq!(site.page("/hike").unwrap().html, "<html>rewritten</html>");
-        assert_eq!(site.page_count(), 2);
-        assert_eq!(copy.page_count(), 1);
-        assert_eq!(html_at(&copy), shared, "the copy kept its page");
-        assert_eq!(copy.stored_bytes(), stored);
     }
 
     #[test]
@@ -1366,6 +1035,41 @@ mod tests {
         assert!(default.faults().is_none());
         assert_eq!(default.kernel_tiles(), 1);
         assert!(default.ability().supported());
+    }
+
+    /// One route says both where a request runs and what it is counted
+    /// as: on an unpooled, unarmed server only a page sent in prompt form
+    /// skips the crew.
+    #[test]
+    fn one_route_decides_placement_and_the_counted_route() {
+        let server = demo_server();
+        let mut post = Request::get("/hike");
+        post.method = "POST".into();
+        let (capable, naive) = (GenAbility::full(), GenAbility::none());
+        let cases = [
+            (Request::get("/metrics"), capable, true, "metrics"),
+            (Request::get("/photos/me.jpg"), capable, true, "asset"),
+            (Request::get("/generated/trail.jpg"), capable, true, "asset"),
+            (
+                Request::get("/generated/nope.jpg"),
+                capable,
+                true,
+                "not_found",
+            ),
+            (Request::get("/hike"), capable, false, "page"),
+            (Request::get("/hike"), naive, true, "page"),
+            (Request::get("/missing"), capable, true, "not_found"),
+            (post, capable, true, "bad_method"),
+        ];
+        for (req, ability, may_block, route) in cases {
+            let what = format!("{} {}", req.method, req.path);
+            let labels = [("route", route), ("transport", "inproc")];
+            let counted = || server.metrics().count("sww_server_requests_total", &labels);
+            assert_eq!(server.shared.may_block(&req, ability), may_block, "{what}");
+            let before = counted();
+            server.accept(ability).handle(&req);
+            assert_eq!(counted() - before, 1, "{what}");
+        }
     }
 
     #[test]
@@ -1455,7 +1159,9 @@ mod tests {
             let shared = &*server.shared;
             let recipe = shared
                 .site
-                .generated_recipe("/generated/trail.jpg")
+                .page_images("/hike")
+                .next()
+                .map(|(_, recipe)| recipe)
                 .expect("the demo page's image is indexed");
             let ctx = RequestCtx::with_deadline(Duration::from_secs(60));
             let polls = Arc::new(AtomicU32::new(0));
@@ -1772,16 +1478,6 @@ mod tests {
                 assert_eq!(&asset.body[..], reference_asset(prompts[i].1, 32), "{src}");
             }
         }
-        // The first page in path order keeps the plain URL, the same
-        // name with the same recipe shares it, and nothing collision-free
-        // is renamed.
-        let mut shared = site();
-        shared.add_page("/c", gencontent::image_div(prompts[0].1, "pic.jpg", 32, 32));
-        let index = shared.generated_index();
-        assert_eq!(index.pages["/a"], ["/generated/pic.jpg"]);
-        assert_eq!(index.pages["/c"], ["/generated/pic.jpg"]);
-        assert_ne!(index.pages["/b"], index.pages["/a"]);
-        assert_eq!(index.assets.len(), 2);
     }
 
     #[test]
@@ -1964,7 +1660,7 @@ mod tests {
         });
         let breaker = server.breaker().expect("enabled at build time");
         // demo_site generates with the default generator model; read it
-        // off the same thread-local path materialize uses.
+        // off the same thread-local generator the naive derivation uses.
         let model = with_generator(|g| g.image_model());
         breaker.record_failure(model);
         breaker.record_failure(model);

@@ -132,6 +132,28 @@ fn a_future_readied_by_another_thread_resolves_after_one_woken_wait() {
     producer.join().unwrap();
 }
 
+#[test]
+fn a_push_between_a_timed_out_wait_and_the_next_poll_counts_as_its_wake() {
+    // The first poll registers the waker and nothing wakes it, so the
+    // executor waits out one backoff. The second poll has another thread
+    // push, and wake, before it reads the mailbox: the interleaving in
+    // which the push lands after the wait ended and before the poll.
+    let mail = Mailbox::new();
+    let mut recv = std::pin::pin!(mail.recv());
+    let mut polls = 0;
+    let before = park_counts();
+    let got = Runtime::new().unwrap().block_on(poll_fn(|cx| {
+        polls += 1;
+        if polls == 2 {
+            let mail = Arc::clone(&mail);
+            thread::spawn(move || mail.push(7u32)).join().unwrap();
+        }
+        recv.as_mut().poll(cx)
+    }));
+    assert_eq!((got, polls), (7, 2));
+    assert_eq!(waits_since(before), (1, 0), "one wait, ended by one push");
+}
+
 /// One run of four paced producers against one consumer: how many of the
 /// items the consumer waited for through at least one timed-out wait.
 /// Every item arriving, in its producer's order, is asserted here.
