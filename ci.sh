@@ -371,6 +371,28 @@ if [ -n "${REGISTRY_CALLS}" ]; then
     exit 1
 fi
 
+# sww-core keeps no per-thread state: what a server, router or site holds
+# is a value its threads share (the site's text model is one OnceLock).
+# Checked first on a probe with a mid-file test-only item and a comment.
+core_thread_locals() {
+    product_lines "$@" | grep -E '\bthread_local!' |
+        grep -vE '^[^:]*:[0-9]+:[[:space:]]*//' | sed 's/^/    /' || true
+}
+echo "==> thread-local gate: no thread_local! in sww-core product code"
+printf '%s\n' '#[cfg(test)]' 'fn probe() {}' '// thread_local! in a comment' \
+    'thread_local! { static HIDDEN: u8 = 0; }' \
+    '#[cfg(test)]' 'mod tests { thread_local! { static T: u8 = 0; } }' >target/thread-local-gate-probe.rs
+if [ "$(core_thread_locals target/thread-local-gate-probe.rs | wc -l)" -ne 1 ]; then
+    echo "FAIL: the thread-local gate missed a thread_local! or read a comment or a test module" >&2
+    exit 1
+fi
+THREAD_LOCALS=$(core_thread_locals "${CORE_FILES[@]}")
+if [ -n "${THREAD_LOCALS}" ]; then
+    echo "FAIL: sww-core product code keeps per-thread state:" >&2
+    echo "${THREAD_LOCALS}" >&2
+    exit 1
+fi
+
 # A crate's public surface is what its callers use: in the eight crates
 # below every module is private and the root re-exports what callers
 # outside the crate name, so rustc's dead_code lint (clippy -D warnings,
@@ -428,8 +450,12 @@ fi
 # segment length; then + 4 for the site split: one route for placement
 # and counting, what a site's clones share, the first page keeping a
 # shared image name, and a wake that lands between a timed-out wait and
-# the next poll.)
-TEST_FLOOR=989
+# the next poll; then − 5 whose subjects were deleted with the serving
+# policy and the session record: policy::tests::default_enables_generation
+# and negotiate::tests::{session_entry_point_computes_min_and_mode,
+# policy_can_force_traditional, policy_can_force_server_generation,
+# naive_client_without_server_expansion_gets_traditional}.)
+TEST_FLOOR=984
 echo "==> workspace test-count floor (>= ${TEST_FLOOR})"
 TEST_COUNT=$(cargo test --workspace -- --list 2>/dev/null | grep -c ": test$")
 echo "    ${TEST_COUNT} tests"

@@ -203,9 +203,7 @@ mod tests {
         // overhead): keep the thread-pool-heavy experiments in this
         // binary from running concurrently, and retry a bounded number of
         // times so one noisy scheduling slice cannot flip the verdict.
-        let _serial = super::super::ALLOC_SERIAL
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
+        let _serial = super::super::alloc_serial();
         let mut r = preload(4);
         for _ in 0..2 {
             if r.per_request_s > r.preloaded_s {
@@ -229,6 +227,7 @@ mod tests {
 
     #[test]
     fn upscaling_saves_transmission() {
+        let _serial = super::super::alloc_serial();
         let r = upscale_vs_ship();
         assert!(r.savings > 2.0, "savings {:.2}", r.savings);
         // The upscaled image is a usable approximation, not garbage.

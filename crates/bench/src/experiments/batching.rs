@@ -185,9 +185,7 @@ mod tests {
     /// configured deadline.
     #[test]
     fn batch_eight_at_least_doubles_modelled_throughput() {
-        let _serial = super::super::ALLOC_SERIAL
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
+        let _serial = super::super::alloc_serial();
         let cfg = BatchingConfig {
             threads: 8,
             rounds: 2,
@@ -217,9 +215,7 @@ mod tests {
 
     #[test]
     fn table_marks_the_unbatched_baseline() {
-        let _serial = super::super::ALLOC_SERIAL
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
+        let _serial = super::super::alloc_serial();
         let cfg = BatchingConfig {
             threads: 2,
             rounds: 1,

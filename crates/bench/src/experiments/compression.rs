@@ -142,6 +142,7 @@ mod tests {
 
     #[test]
     fn table2_shape_holds() {
+        let _serial = super::super::alloc_serial();
         let rows = run();
         assert_eq!(rows.len(), 4);
         // Bigger image → higher compression ratio (the paper's trend).
@@ -175,6 +176,7 @@ mod tests {
 
     #[test]
     fn measured_sizes_same_order_of_magnitude_as_nominal() {
+        let _serial = super::super::alloc_serial();
         for r in run() {
             let ratio = r.measured_bytes as f64 / r.nominal_bytes as f64;
             assert!(

@@ -295,9 +295,7 @@ mod tests {
 
     #[test]
     fn single_flight_holds_at_every_pool_size() {
-        let _serial = super::super::ALLOC_SERIAL
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
+        let _serial = super::super::alloc_serial();
         let cfg = ConcurrencyConfig {
             threads: 4,
             requests: 10,
@@ -319,9 +317,7 @@ mod tests {
 
     #[test]
     fn table_renders_all_samples() {
-        let _serial = super::super::ALLOC_SERIAL
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
+        let _serial = super::super::alloc_serial();
         let cfg = ConcurrencyConfig {
             threads: 2,
             requests: 5,
@@ -339,9 +335,7 @@ mod tests {
     /// carries an earlier row's jobs.
     #[test]
     fn pool_jobs_are_per_sample_not_cumulative() {
-        let _serial = super::super::ALLOC_SERIAL
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
+        let _serial = super::super::alloc_serial();
         let cfg = ConcurrencyConfig {
             threads: 2,
             requests: 5,

@@ -24,9 +24,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use sww_core::edge::{recipe_key, DEFAULT_VNODES};
+use sww_core::mediagen::{SERVING_IMAGE_MODEL, SERVING_STEPS};
 use sww_core::{
-    ChaosSpec, EdgeConfig, EdgeRouter, GenAbility, GenerativeServer, HashRing, MediaGenerator,
-    ServerConfig,
+    ChaosSpec, EdgeConfig, EdgeRouter, GenAbility, GenerativeServer, HashRing, ServerConfig,
 };
 use sww_energy::{profile, DeviceKind};
 use sww_http2::Request;
@@ -147,15 +147,14 @@ pub struct ModelledRow {
 /// The recipe keys a shared pool of `prompts` prompts hashes under —
 /// identical to what the router derives from [`bench_site`]'s pages.
 fn prompt_keys(prompts: usize) -> Vec<String> {
-    let generator = MediaGenerator::new(profile(DeviceKind::Workstation));
     (0..prompts)
         .map(|p| {
             recipe_key(&sww_core::cache::Recipe {
                 prompt: format!("bench prompt {p} distant headland"),
-                model: generator.image_model(),
+                model: SERVING_IMAGE_MODEL,
                 width: 64,
                 height: 64,
-                steps: generator.inference_steps(),
+                steps: SERVING_STEPS,
             })
         })
         .collect()
@@ -164,13 +163,12 @@ fn prompt_keys(prompts: usize) -> Vec<String> {
 /// Seconds the cost model charges for one 64×64 bench generation on the
 /// serving device.
 fn generation_seconds() -> f64 {
-    let generator = MediaGenerator::new(profile(DeviceKind::Workstation));
     sww_energy::image_generation_time(
-        generator.image_model(),
+        SERVING_IMAGE_MODEL,
         &profile(DeviceKind::Workstation),
         64,
         64,
-        generator.inference_steps(),
+        SERVING_STEPS,
     )
     .expect("the bench model runs on a workstation")
 }
@@ -644,6 +642,7 @@ mod tests {
     /// The default sweep, the one `bench-cluster` runs without options.
     #[test]
     fn sweep_generates_each_prompt_exactly_once_per_cluster() {
+        let _serial = super::super::alloc_serial();
         let cfg = EdgeClusterConfig::default();
         let samples = run(&cfg, None);
         // Measured hit rate matches the model's strict increase.
@@ -698,9 +697,7 @@ mod tests {
     /// At the default config `bench-cluster` runs it at.
     #[test]
     fn chaos_kill_loses_nothing_and_keeps_bytes_identical() {
-        let _serial = super::super::ALLOC_SERIAL
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
+        let _serial = super::super::alloc_serial();
         let outcome = chaos_kill_with_latency(&EdgeClusterConfig::default());
         assert_eq!(outcome.violations(), Vec::<String>::new(), "{outcome:?}");
         assert_eq!(outcome.completed, outcome.requests);

@@ -73,6 +73,7 @@ mod tests {
 
     #[test]
     fn figure1_transformation_matches_paper() {
+        let _serial = super::super::alloc_serial();
         let f = run();
         // Before: the prompt travels in the division.
         assert!(f.before.contains("generated-content"));

@@ -397,9 +397,7 @@ mod tests {
     /// passes allocate zero fresh pool bytes after warmup.
     #[test]
     fn eight_lanes_model_1_5x_and_stay_allocation_free() {
-        let _serial = super::super::ALLOC_SERIAL
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
+        let _serial = super::super::alloc_serial();
         let samples = kernel_sweep(KernelConfig::default(), &[1, 2, 4, 8]);
         assert_eq!(samples.len(), 4);
         let tiled = &samples[3];
@@ -423,9 +421,7 @@ mod tests {
     /// lanes, zero steady-state allocations.
     #[test]
     fn tiled_serving_models_speedup_with_full_batches() {
-        let _serial = super::super::ALLOC_SERIAL
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
+        let _serial = super::super::alloc_serial();
         let cfg = ServingConfig::default();
         let samples = serving_sweep(cfg, &[1, 8]);
         let tiled = &samples[1];
@@ -447,9 +443,7 @@ mod tests {
 
     #[test]
     fn tables_render_both_sweeps() {
-        let _serial = super::super::ALLOC_SERIAL
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
+        let _serial = super::super::alloc_serial();
         let kcfg = KernelConfig {
             batch: 2,
             side: 16,

@@ -34,12 +34,15 @@ pub(crate) fn flat_steps(mut points: Vec<(f64, f64)>, at: impl Fn(f64) -> String
         .collect()
 }
 
-/// Serializes this binary's heavy generators. The genai buffer pools and
+/// Serializes this binary's image renders. The genai buffer pools and
 /// their `sww_alloc_bytes_total` counter are process-wide: the E17
-/// kernel tests assert a zero-allocation window over them, which a
-/// concurrent sweep drawing on the same shelves would break, and the
-/// preload ablation compares wall clocks. Every server a sweep builds
-/// counts into a registry of its own, so no test holds this for a
-/// serving-stack series.
+/// kernel tests assert a zero-allocation window over them, which any
+/// concurrent render drawing on the same shelves would break, and the
+/// preload ablation compares wall clocks. So every test that renders an
+/// image holds this guard. Every server a sweep builds counts into a
+/// registry of its own, so no test holds it for a serving-stack series.
 #[cfg(test)]
-pub(crate) static ALLOC_SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+pub(crate) fn alloc_serial() -> std::sync::MutexGuard<'static, ()> {
+    static ALLOC_SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    ALLOC_SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}

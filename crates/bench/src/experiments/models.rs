@@ -293,6 +293,7 @@ mod tests {
 
     #[test]
     fn table1_ordering_and_anchors() {
+        let _serial = super::super::alloc_serial();
         let rows = table1();
         assert_eq!(rows.len(), 4);
         // ELO: SD 2.1 far below the rest (paper: 688 vs 895/927/923).
@@ -309,6 +310,7 @@ mod tests {
 
     #[test]
     fn step_sweep_flat_clip_linear_time() {
+        let _serial = super::super::alloc_serial();
         let rows = step_sweep();
         let clip_spread = rows.iter().map(|r| r.clip).fold(f64::MIN, f64::max)
             - rows.iter().map(|r| r.clip).fold(f64::MAX, f64::min);

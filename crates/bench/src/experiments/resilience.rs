@@ -411,6 +411,7 @@ mod tests {
     /// runs (as do the two tests below).
     #[test]
     fn replicated_failover_costs_zero_regenerations() {
+        let _serial = super::super::alloc_serial();
         let o = failover(&ResilienceConfig::default(), 2);
         assert_eq!(o.violations(), Vec::<String>::new(), "{o:?}");
         assert_eq!(o.completed, o.requests);
@@ -423,6 +424,7 @@ mod tests {
 
     #[test]
     fn unreplicated_failover_must_rerender() {
+        let _serial = super::super::alloc_serial();
         let o = failover(&ResilienceConfig::default(), 1);
         assert_eq!(o.violations(), Vec::<String>::new(), "{o:?}");
         assert_eq!(o.replica_pushes, 0, "{o:?}");
@@ -520,6 +522,7 @@ mod tests {
 
     #[test]
     fn tables_render_every_outcome() {
+        let _serial = super::super::alloc_serial();
         let cfg = ResilienceConfig {
             prompts: 6,
             ..ResilienceConfig::default()

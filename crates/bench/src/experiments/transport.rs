@@ -325,9 +325,7 @@ mod tests {
 
     #[test]
     fn h3_dodges_the_head_of_line_and_payloads_match() {
-        let _serial = super::super::ALLOC_SERIAL
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
+        let _serial = super::super::alloc_serial();
         let cfg = small();
         let expect = (cfg.pages * cfg.recipes) as u64;
         // The wall-clock half gets up to three runs; everything exact is
@@ -364,9 +362,7 @@ mod tests {
 
     #[test]
     fn table_lists_both_transports() {
-        let _serial = super::super::ALLOC_SERIAL
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
+        let _serial = super::super::alloc_serial();
         let cfg = TransportConfig {
             pages: 1,
             recipes: 2,

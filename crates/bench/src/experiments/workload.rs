@@ -387,7 +387,7 @@ pub fn live_table(cfg: &E20Config, samples: &[LiveSample]) -> Table {
 
 #[cfg(test)]
 mod tests {
-    use super::super::ALLOC_SERIAL;
+    use super::super::alloc_serial;
     use super::*;
 
     /// Full-size graph (the hit-rate separation needs pages ≫ cache),
@@ -448,7 +448,7 @@ mod tests {
     /// config, the one `bench-workload` runs without options.
     #[test]
     fn live_sweep_and_determinism_pass_the_gates() {
-        let _guard = ALLOC_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = alloc_serial();
         let cfg = E20Config::default();
         let live = live_sweep(&cfg, &live_targets(&cfg), None);
         assert_eq!(live.len(), 3);
@@ -468,7 +468,7 @@ mod tests {
     /// own, at offset zero per instance.
     #[test]
     fn determinism_holds_under_chaos_with_scoped_fault_streams() {
-        let _guard = ALLOC_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = alloc_serial();
         let cfg = tiny_live();
         let spec = ChaosSpec::parse("seed=29,engine.generate=error:0.3").expect("error spec");
         let det = determinism_check(&cfg, &[], Some(&spec));

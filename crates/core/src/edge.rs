@@ -63,7 +63,7 @@
 use crate::error::retryable_status;
 use crate::gossip::{Gossip, GossipConfig, Health};
 use crate::lru::Lru;
-use crate::negotiate::{decide, ServeMode};
+use crate::negotiate::decide;
 use crate::server::{accept_loop, dispatch, DrainReport, GenerativeServer};
 use crate::site::SiteContent;
 use crate::transport::TransportKind;
@@ -865,12 +865,8 @@ impl EdgeRouter {
         if req.path == "/metrics" {
             return serve_at(entry_node);
         }
-        let mode = decide(
-            entry_node.server.ability(),
-            client_ability,
-            entry_node.server.policy(),
-        );
-        if matches!(mode, ServeMode::Generative | ServeMode::UpscaleAssisted) {
+        let mode = decide(entry_node.server.ability(), client_ability);
+        if mode.sends_prompts() {
             entry_node.count("sww_edge_prompt_local_total");
             return serve_at(entry_node);
         }
@@ -1079,6 +1075,7 @@ fn node_down_response(id: &str) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::negotiate::ServeMode;
 
     impl EdgeRouter {
         /// Parked hinted-handoff writes not yet delivered.

@@ -22,7 +22,6 @@ mod lru;
 pub mod mediagen;
 mod negotiate;
 mod personalize;
-mod policy;
 mod render;
 mod retry;
 mod server;
@@ -45,7 +44,6 @@ pub use lru::Lru;
 pub use mediagen::MediaGenerator;
 pub use negotiate::select_models;
 pub use personalize::{personalize, UserProfile};
-pub use policy::ServerPolicy;
 pub use retry::RetryPolicy;
 pub use server::{GenerativeServer, ServerConfig, Session};
 pub use site::SiteContent;

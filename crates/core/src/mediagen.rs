@@ -13,6 +13,32 @@ use sww_html::gencontent::{ContentType, GeneratedContent};
 /// Calibrated so the paper's media classes land near their nominal sizes.
 pub const DEFAULT_CODEC_QUALITY: u8 = 55;
 
+/// The image model a server renders with, and so the model its recipes
+/// name: the paper's default, SD 3 Medium.
+pub const SERVING_IMAGE_MODEL: ImageModelKind = ImageModelKind::Sd3Medium;
+
+/// The text model a server expands prose with: the paper's default,
+/// DeepSeek-R1 8B.
+pub const SERVING_TEXT_MODEL: TextModelKind = TextModelKind::DeepSeekR1_8B;
+
+/// Denoising steps every new generator runs, and so every server recipe
+/// names: the paper's 15.
+pub const SERVING_STEPS: u32 = 15;
+
+/// The cache key an image `item` renders under with `model` at `steps` —
+/// the one place a page item becomes a [`Recipe`], so the client cache,
+/// the server's site index and the edge routing map can never disagree
+/// on it.
+pub(crate) fn recipe(item: &GeneratedContent, model: ImageModelKind, steps: u32) -> Recipe {
+    Recipe {
+        prompt: item.prompt().to_owned(),
+        model,
+        width: item.width(),
+        height: item.height(),
+        steps,
+    }
+}
+
 /// Output of one generation call.
 #[derive(Debug, Clone)]
 pub enum GeneratedMedia {
@@ -64,14 +90,10 @@ pub struct MediaGenerator {
 }
 
 impl MediaGenerator {
-    /// The paper's default configuration on a given device: SD 3 Medium at
-    /// 15 steps + DeepSeek-R1 8B.
+    /// The paper's default configuration on a given device: the serving
+    /// models ([`SERVING_IMAGE_MODEL`], [`SERVING_TEXT_MODEL`]).
     pub fn new(device: DeviceProfile) -> MediaGenerator {
-        MediaGenerator::with_models(
-            device,
-            ImageModelKind::Sd3Medium,
-            TextModelKind::DeepSeekR1_8B,
-        )
+        MediaGenerator::with_models(device, SERVING_IMAGE_MODEL, SERVING_TEXT_MODEL)
     }
 
     /// A generator with explicit model choices.
@@ -85,7 +107,7 @@ impl MediaGenerator {
             device,
             image_model,
             text_model,
-            inference_steps: 15,
+            inference_steps: SERVING_STEPS,
             codec_quality: DEFAULT_CODEC_QUALITY,
         }
     }
@@ -102,21 +124,6 @@ impl MediaGenerator {
         self.pipeline = GenerationPipeline::preload(model, self.text_model);
     }
 
-    /// Current inference step count.
-    pub fn inference_steps(&self) -> u32 {
-        self.inference_steps
-    }
-
-    /// The device this generator models.
-    pub fn device(&self) -> &DeviceProfile {
-        &self.device
-    }
-
-    /// The image model in use.
-    pub fn image_model(&self) -> ImageModelKind {
-        self.image_model
-    }
-
     /// Generate the media for one generated-content element.
     ///
     /// Panics if the configured image model cannot run on the local
@@ -126,17 +133,10 @@ impl MediaGenerator {
     }
 
     /// The cache key under which this generator's output for an image
-    /// `item` is stored — the one place a page item becomes a [`Recipe`],
-    /// so the client cache, the server's site index and the edge routing
-    /// map can never disagree on it.
+    /// `item` is stored: the recipe the site index builds for the same
+    /// item, when this generator runs the serving models.
     pub fn recipe(&self, item: &GeneratedContent) -> Recipe {
-        Recipe {
-            prompt: item.prompt().to_owned(),
-            model: self.image_model,
-            width: item.width(),
-            height: item.height(),
-            steps: self.inference_steps,
-        }
+        recipe(item, self.image_model, self.inference_steps)
     }
 
     /// Generate the media for one generated-content element, failing with

@@ -2,14 +2,18 @@
 //!
 //! "In any case other than both server and client having
 //! SETTINGS_GEN_ABILITY set to 1, default (unsupported) behavior will be
-//! assumed." A server may also *choose* traditional service despite a
-//! capable client (the paper's reasons are performance and renewable
-//! availability; here the choice is [`ServerPolicy`]'s two fixed knobs),
-//! and when the client cannot generate, the server can expand prompts
-//! itself before sending ("this saves storage space, and avoids saving
-//! two copies of content").
+//! assumed." A server that chooses traditional service despite a capable
+//! client (§5.1) therefore only advertises `GenAbility::none()`; it still
+//! stores prompts and expands them itself before sending ("this saves
+//! storage space, and avoids saving two copies of content").
+//!
+//! [`decide`] is the one entry point. Both transports call it on every
+//! request with whatever the peer most recently advertised — h2 re-reads
+//! the connection's live SETTINGS, h3 the latest control-stream update —
+//! so a client that withdraws its ability mid-connection is served
+//! naively on its next request, and one that restores it is served
+//! prompts again, with no state kept in between.
 
-use crate::policy::ServerPolicy;
 use sww_genai::{ImageModelKind, TextModelKind};
 use sww_http2::GenAbility;
 
@@ -23,8 +27,8 @@ pub enum ServeMode {
     /// The server generates from its stored prompts, then sends media
     /// (client lacks ability; storage savings only).
     ServerGenerated,
-    /// Fully traditional HTTP/2 service (server lacks prompts or policy
-    /// forbids generation).
+    /// Fully traditional HTTP/2 service: the server advertises no ability
+    /// and sends media whatever the client can do.
     Traditional,
 }
 
@@ -40,74 +44,26 @@ impl ServeMode {
             ServeMode::Traditional => "traditional",
         }
     }
+
+    /// Whether a page travels in prompt form: the client generates or
+    /// upscales, so the server renders nothing for it.
+    pub(crate) fn sends_prompts(self) -> bool {
+        matches!(self, ServeMode::Generative | ServeMode::UpscaleAssisted)
+    }
 }
 
-/// Decide the serve mode from both advertised abilities and the server's
-/// policy. The paper's §6.2 functionality matrix falls out of this table.
-pub fn decide(server: GenAbility, client: GenAbility, policy: &ServerPolicy) -> ServeMode {
+/// Decide the serve mode from both advertised abilities. The paper's §6.2
+/// functionality matrix falls out of this table.
+pub fn decide(server: GenAbility, client: GenAbility) -> ServeMode {
     let shared = server.intersect(client);
     if !server.supported() {
-        // A non-participating server has no prompts to serve.
-        return ServeMode::Traditional;
-    }
-    if !policy.allow_client_generation {
-        return if policy.expand_prompts_server_side {
-            ServeMode::ServerGenerated
-        } else {
-            ServeMode::Traditional
-        };
-    }
-    if shared.can_generate() {
+        ServeMode::Traditional
+    } else if shared.can_generate() {
         ServeMode::Generative
     } else if shared.can_upscale() {
         ServeMode::UpscaleAssisted
-    } else if policy.expand_prompts_server_side {
-        ServeMode::ServerGenerated
     } else {
-        ServeMode::Traditional
-    }
-}
-
-/// One session's negotiation state: both advertisements plus their
-/// intersection, computed in exactly one place.
-///
-/// Both transports funnel through [`session`] on **every request**, with
-/// whatever the peer most recently advertised — h2 re-reads the
-/// connection's live SETTINGS, h3 re-reads the latest control-stream
-/// update. Withdraw/restore therefore needs no extra machinery: a client
-/// that re-announces `GenAbility::none()` mid-connection simply produces
-/// a different `client` input on its next request, and the min
-/// (intersection) semantics degrade the session to the PR 3 fallback
-/// path; re-announcing the old ability restores it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SessionAbilities {
-    /// What the server advertised.
-    pub server: GenAbility,
-    /// What the client most recently advertised.
-    pub client: GenAbility,
-    /// The shared capability: bitwise min of the flags and the lower of
-    /// each model level.
-    pub negotiated: GenAbility,
-}
-
-impl SessionAbilities {
-    /// The serve mode this session's abilities produce under `policy` —
-    /// the §6.2 functionality matrix, looked up through the one shared
-    /// negotiation record.
-    pub fn mode(&self, policy: &ServerPolicy) -> ServeMode {
-        decide(self.server, self.client, policy)
-    }
-}
-
-/// The single h2/h3 negotiation entry point: fold both advertisements
-/// into a [`SessionAbilities`]. `SETTINGS_GEN_ABILITY` semantics (min,
-/// withdraw, restore) live here and nowhere else — transport adapters
-/// only deliver the peer's latest advertisement.
-pub fn session(server: GenAbility, client: GenAbility) -> SessionAbilities {
-    SessionAbilities {
-        server,
-        client,
-        negotiated: server.intersect(client),
+        ServeMode::ServerGenerated
     }
 }
 
@@ -147,10 +103,6 @@ pub fn select_models(shared: GenAbility) -> (ImageModelKind, TextModelKind) {
 mod tests {
     use super::*;
 
-    fn default_policy() -> ServerPolicy {
-        ServerPolicy::default()
-    }
-
     #[test]
     fn model_negotiation_picks_common_generation() {
         // A new client meeting an older server settles on the older
@@ -185,104 +137,48 @@ mod tests {
     }
 
     #[test]
-    fn session_entry_point_computes_min_and_mode() {
-        let s = session(
-            GenAbility::full().with_image_model_level(2),
-            GenAbility::full().with_image_model_level(4),
-        );
-        assert!(s.negotiated.can_generate());
-        assert_eq!(s.negotiated.image_model_level(), 2, "min of model levels");
-        assert_eq!(s.mode(&default_policy()), ServeMode::Generative);
-    }
-
-    #[test]
-    fn session_withdraw_and_restore_through_reinvocation() {
+    fn withdraw_and_restore_through_reinvocation() {
         // The withdraw/restore contract: the entry point is pure, so the
         // transport re-invokes it with the latest advertisement and the
         // outcome tracks the wire state.
         let server = GenAbility::full();
-        assert!(session(server, GenAbility::full())
-            .negotiated
-            .can_generate());
-        let withdrawn = session(server, GenAbility::none());
-        assert!(!withdrawn.negotiated.supported());
+        assert_eq!(decide(server, GenAbility::full()), ServeMode::Generative);
         assert_eq!(
-            withdrawn.mode(&default_policy()),
+            decide(server, GenAbility::none()),
             ServeMode::ServerGenerated,
-            "withdraw degrades to the PR 3 fallback path"
+            "withdraw degrades to server-side expansion"
         );
-        assert!(session(server, GenAbility::full())
-            .negotiated
-            .can_generate());
+        assert_eq!(decide(server, GenAbility::full()), ServeMode::Generative);
     }
 
     #[test]
     fn functionality_matrix() {
         // The four §6.2 scenarios.
-        let p = default_policy();
         assert_eq!(
-            decide(GenAbility::full(), GenAbility::full(), &p),
+            decide(GenAbility::full(), GenAbility::full()),
             ServeMode::Generative
         );
         assert_eq!(
-            decide(GenAbility::full(), GenAbility::none(), &p),
+            decide(GenAbility::full(), GenAbility::none()),
             ServeMode::ServerGenerated
         );
+        // §5.1: a server declining client generation advertises nothing.
         assert_eq!(
-            decide(GenAbility::none(), GenAbility::full(), &p),
+            decide(GenAbility::none(), GenAbility::full()),
             ServeMode::Traditional
         );
         assert_eq!(
-            decide(GenAbility::none(), GenAbility::none(), &p),
+            decide(GenAbility::none(), GenAbility::none()),
             ServeMode::Traditional
         );
     }
 
     #[test]
     fn upscale_only_client() {
-        let p = default_policy();
         let server = GenAbility::from_bits(GenAbility::GENERATE | GenAbility::UPSCALE);
         assert_eq!(
-            decide(server, GenAbility::upscale_only(), &p),
+            decide(server, GenAbility::upscale_only()),
             ServeMode::UpscaleAssisted
-        );
-    }
-
-    #[test]
-    fn policy_can_force_traditional() {
-        // §5.1: "A server can choose to serve traditional content even if
-        // the client supports generative ability."
-        let p = ServerPolicy {
-            allow_client_generation: false,
-            expand_prompts_server_side: false,
-        };
-        assert_eq!(
-            decide(GenAbility::full(), GenAbility::full(), &p),
-            ServeMode::Traditional
-        );
-    }
-
-    #[test]
-    fn policy_can_force_server_generation() {
-        let p = ServerPolicy {
-            allow_client_generation: false,
-            expand_prompts_server_side: true,
-        };
-        assert_eq!(
-            decide(GenAbility::full(), GenAbility::full(), &p),
-            ServeMode::ServerGenerated
-        );
-    }
-
-    #[test]
-    fn naive_client_without_server_expansion_gets_traditional() {
-        let p = ServerPolicy {
-            expand_prompts_server_side: false,
-            ..ServerPolicy::default()
-        };
-        assert_eq!(
-            decide(GenAbility::full(), GenAbility::none(), &p),
-            ServeMode::Traditional
         );
     }
 }

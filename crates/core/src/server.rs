@@ -3,10 +3,12 @@
 //!
 //! Stores pages in prompt form (that is the storage saving), negotiates
 //! generative ability during the HTTP/2 SETTINGS exchange, and serves each
-//! request according to the negotiated mode: prompt-form HTML to capable
-//! clients, server-side-expanded media to naive ones ("the server uses
-//! the prompt to generate the content before sending it to the client.
-//! This saves storage space, and avoids saving two copies of content").
+//! request in the mode `decide(server, client)` gives: prompt-form HTML
+//! to capable clients, server-side-expanded media to naive ones ("the
+//! server uses the prompt to generate the content before sending it to
+//! the client. This saves storage space, and avoids saving two copies of
+//! content"). A server that declines client generation advertises no
+//! ability and expands for everyone.
 //! What the pages are, and what is derived from them, is the site's
 //! ([`SiteContent`], `crate::site`); this module decides where a request
 //! runs, admits it and answers it.
@@ -16,8 +18,7 @@
 //! A server built with [`GenerativeServer::from_config`] is safe to
 //! drive from many threads and connections at once:
 //!
-//! * Site content and policy are frozen at build time and read without
-//!   locking.
+//! * Site content is frozen at build time and read without locking.
 //! * Server-side generation flows through a [`GenerationEngine`]: a
 //!   lock-striped cache plus single-flight coalescing, so concurrent
 //!   requests for the same prompt recipe generate **exactly once**.
@@ -26,11 +27,11 @@
 //!   run at once and a bounded queue waits, and when the queue is full
 //!   the server answers `503` with `Retry-After` instead of queueing
 //!   without bound. With `workers: 0` (the default) nothing is gated.
-//! * Each OS thread that expands text keeps its own preloaded
-//!   [`MediaGenerator`](crate::MediaGenerator) (the §4.1 preload
-//!   optimisation, per thread);
-//!   rendering an image holds no shared state, so generations for
-//!   distinct recipes proceed in parallel.
+//! * Text is expanded by one preloaded text model per site (the §4.1
+//!   preload), trained by the first naive page that needs it and shared,
+//!   read-only, by every thread and every clone of the site; rendering
+//!   an image holds no shared state, so generations for distinct recipes
+//!   proceed in parallel. The serving core keeps no per-thread state.
 //! * Every image takes one road — engine, then one denoising pass, then
 //!   one encode (`render_asset`). With `batch_max: n` (n > 1) the flight
 //!   leader first meets compatible concurrent recipes in a
@@ -54,8 +55,7 @@ use crate::error::SwwError;
 use crate::faults::{ChaosSpec, FaultAction, FaultSite, FaultStream};
 use crate::lifecycle::{record_shed, RequestCtx};
 use crate::mediagen::DEFAULT_CODEC_QUALITY;
-use crate::negotiate::{session, ServeMode, SessionAbilities};
-use crate::policy::ServerPolicy;
+use crate::negotiate::{decide, ServeMode};
 use crate::site::{etag_header, PageForm, Route, SiteContent};
 use crate::transport::TransportKind;
 use crate::workpool::{CrewRunner, WorkerPool};
@@ -89,14 +89,13 @@ fn count_page_form(metrics: &Registry, form: &'static str, derived: bool) {
         .inc();
 }
 
-/// Everything a server's connections share. Site and policy are frozen
-/// at build time; everything mutable sits behind its own fine-grained
+/// Everything a server's connections share. The site is frozen at build
+/// time; everything mutable sits behind its own fine-grained
 /// lock so request handling never serialises on a global mutex.
 #[derive(Debug)]
 struct ServerShared {
     ability: GenAbility,
     site: SiteContent,
-    policy: ServerPolicy,
     /// Sharded, single-flight generation: the concurrency tentpole. It
     /// caches the encoded asset — the only form the server reads twice
     /// (§5.1) — and is the only place rendered media is retained.
@@ -151,8 +150,7 @@ impl ServerShared {
         if self.pool.is_some() || self.faults.is_some() {
             return true;
         }
-        let mode = session(self.ability, client_ability).mode(&self.policy);
-        let prompt = matches!(mode, ServeMode::Generative | ServeMode::UpscaleAssisted);
+        let prompt = decide(self.ability, client_ability).sends_prompts();
         !(prompt && matches!(self.site.route(req), Route::Page(_)))
     }
 }
@@ -198,10 +196,10 @@ impl Drop for InflightGuard<'_> {
 pub struct ServerConfig {
     /// The site to serve (default: empty).
     pub site: SiteContent,
-    /// The generative ability to advertise (default: full).
+    /// The generative ability to advertise (default: full). A server
+    /// that declines client generation advertises `GenAbility::none()`:
+    /// it still expands its prompts for every client (paper §5.1).
     pub ability: GenAbility,
-    /// The serving policy (default: [`ServerPolicy::default`]).
-    pub policy: ServerPolicy,
     /// Requests the [`WorkerPool`] lets run at once, each on the thread
     /// that delivered it. `0` (the default) admits everything with no
     /// pool at all.
@@ -252,7 +250,6 @@ impl Default for ServerConfig {
         ServerConfig {
             site: SiteContent::new(),
             ability: GenAbility::full(),
-            policy: ServerPolicy::default(),
             workers: 0,
             queue_capacity: 64,
             cache_shards: 8,
@@ -284,7 +281,6 @@ impl GenerativeServer {
             shared: Arc::new(ServerShared {
                 ability: config.ability,
                 site: config.site,
-                policy: config.policy,
                 engine: GenerationEngine::recording(
                     config.cache_shards,
                     config.cache_pixels,
@@ -320,13 +316,6 @@ impl GenerativeServer {
         self.shared.ability
     }
 
-    /// The serving policy this node was built with. The edge tier reads
-    /// it to negotiate a mode at the entry node before deciding whether
-    /// a request needs a routing hop at all.
-    pub fn policy(&self) -> &ServerPolicy {
-        &self.shared.policy
-    }
-
     /// Re-derive this server's fault stream for `label` from its own
     /// spec, draw counters at zero; what it injected before stays counted
     /// in its registry. The edge router calls this with the node id on
@@ -356,8 +345,8 @@ impl GenerativeServer {
     }
 
     /// Accept a (transport-independent) session for a client advertising
-    /// `client_ability`. The [`Session`] carries the negotiated ability,
-    /// so per-request calls no longer re-state the client's capability.
+    /// `client_ability`. The [`Session`] carries that ability, so
+    /// per-request calls no longer re-state the client's capability.
     pub fn accept(&self, client_ability: GenAbility) -> Session {
         count_session(&self.shared.metrics, TransportKind::Inproc);
         Session {
@@ -579,22 +568,6 @@ pub struct Session {
 }
 
 impl Session {
-    /// The ability the client advertised at accept time.
-    pub fn client_ability(&self) -> GenAbility {
-        self.client_ability
-    }
-
-    /// This session's negotiation record, from the single
-    /// `crate::negotiate::session` entry point.
-    pub fn abilities(&self) -> SessionAbilities {
-        session(self.server.ability(), self.client_ability)
-    }
-
-    /// The negotiated (shared) ability for this session.
-    pub fn negotiated_ability(&self) -> GenAbility {
-        self.abilities().negotiated
-    }
-
     /// Answer one request on this session, on this thread. With a worker
     /// pool configured it waits for its turn first (bounded queue, `503`
     /// + `Retry-After` under saturation).
@@ -806,17 +779,16 @@ fn handle_request(
     // client's *latest* advertisement — h2 reads it off the connection's
     // live SETTINGS, h3 off the most recent control-stream update, so
     // mid-connection withdraw/restore lands here identically.
-    let mode = session(shared.ability, client_ability).mode(&shared.policy);
+    let mode = decide(shared.ability, client_ability);
     metrics
         .counter("sww_negotiate_outcomes_total", &[("mode", mode.label())])
         .inc();
-    let form = match mode {
-        ServeMode::Generative | ServeMode::UpscaleAssisted => {
-            let (form, derived) = page.prompt_form();
-            count_page_form(metrics, "prompt", derived);
-            form
-        }
-        ServeMode::ServerGenerated | ServeMode::Traditional => naive_form(shared, &req.path, ctx)?,
+    let form = if mode.sends_prompts() {
+        let (form, derived) = page.prompt_form();
+        count_page_form(metrics, "prompt", derived);
+        form
+    } else {
+        naive_form(shared, &req.path, ctx)?
     };
     // Conditional requests: the page body is content-addressed, so a
     // client that revalidates with If-None-Match skips the transfer —
@@ -973,8 +945,9 @@ fn naive_form(shared: &ServerShared, path: &str, ctx: &RequestCtx) -> Result<Pag
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mediagen::SERVING_IMAGE_MODEL;
+    use crate::site::etag_bits;
     use crate::site::tests::demo_site;
-    use crate::site::{etag_bits, with_generator};
     use sww_html::gencontent;
 
     fn demo_server() -> GenerativeServer {
@@ -999,12 +972,11 @@ mod tests {
 
     #[test]
     fn config_defaults_and_overrides() {
-        // Every one of the 13 fields, none defaulted: adding or removing
+        // Every one of the 12 fields, none defaulted: adding or removing
         // a field fails to compile here.
         let server = GenerativeServer::from_config(ServerConfig {
             site: demo_site(),
             ability: GenAbility::full(),
-            policy: ServerPolicy::default(),
             workers: 2,
             queue_capacity: 8,
             cache_shards: 4,
@@ -1073,16 +1045,14 @@ mod tests {
     }
 
     #[test]
-    fn session_carries_negotiated_ability() {
+    fn session_carries_the_clients_ability() {
         let server = demo_server();
         let session = server.accept(GenAbility::full());
-        assert!(session.negotiated_ability().can_generate());
         let resp = session.handle(&Request::get("/hike"));
         assert_eq!(resp.status, 200);
         assert_eq!(resp.headers.get("x-sww-mode"), Some("generative"));
 
         let naive = server.accept(GenAbility::none());
-        assert!(!naive.negotiated_ability().can_generate());
         let resp = naive.handle(&Request::get("/hike"));
         assert_eq!(resp.headers.get("x-sww-mode"), Some("server-generated"));
     }
@@ -1302,7 +1272,7 @@ mod tests {
             ..ServerConfig::default()
         });
         let session = server.accept(GenAbility::none());
-        let model = with_generator(|g| g.image_model());
+        let model = SERVING_IMAGE_MODEL;
         let breaker = server.breaker().expect("enabled at build time");
         // Expired deadline, then an open breaker: neither leaves a form.
         let mut expired = Request::get("/hike");
@@ -1659,9 +1629,8 @@ mod tests {
             ..ServerConfig::default()
         });
         let breaker = server.breaker().expect("enabled at build time");
-        // demo_site generates with the default generator model; read it
-        // off the same thread-local generator the naive derivation uses.
-        let model = with_generator(|g| g.image_model());
+        // demo_site's recipes name the serving model.
+        let model = SERVING_IMAGE_MODEL;
         breaker.record_failure(model);
         breaker.record_failure(model);
         assert_eq!(breaker.state(model), BreakerState::Open);

@@ -10,13 +10,14 @@
 
 use crate::cache::{recipe_key, Recipe};
 use crate::error::SwwError;
-use crate::mediagen::{GeneratedMedia, MediaGenerator};
+use crate::mediagen::{recipe, MediaGenerator};
+use crate::mediagen::{SERVING_IMAGE_MODEL, SERVING_STEPS, SERVING_TEXT_MODEL};
 use crate::server::{GENERATE_VIRTUAL, GENERATE_WALL};
 use bytes::Bytes;
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
-use sww_energy::{profile as device_profile, DeviceKind};
+use sww_energy::{profile as device_profile, text_generation_time, DeviceKind};
+use sww_genai::TextModel;
 use sww_hash::{sha256, to_hex};
 use sww_html::gencontent::{self, ContentType};
 use sww_html::{parse, serialize};
@@ -71,19 +72,6 @@ pub(crate) struct PageForm {
     pub(crate) etag: u64,
 }
 
-thread_local! {
-    /// Per-thread preloaded generator (paper §4.1: the pipeline is "a
-    /// large object" reused across invocations). One per OS thread means
-    /// concurrent requests generate in parallel without sharing a lock.
-    /// It is built on the thread's first use.
-    static SERVER_GENERATOR: RefCell<MediaGenerator> =
-        RefCell::new(MediaGenerator::new(device_profile(DeviceKind::Workstation)));
-}
-
-pub(crate) fn with_generator<R>(f: impl FnOnce(&mut MediaGenerator) -> R) -> R {
-    SERVER_GENERATOR.with(|generator| f(&mut generator.borrow_mut()))
-}
-
 /// A site: pages plus unique (non-generatable) assets.
 ///
 /// A clone is shallow: it shares the two maps (and so each page's
@@ -112,6 +100,10 @@ pub struct SiteContent {
 struct Derived {
     index: OnceLock<GeneratedIndex>,
     traditional: OnceLock<u64>,
+    /// The preloaded text model naive forms expand prose with (paper
+    /// §4.1: the model is loaded once and reused), trained by the first
+    /// naive form that has a text item.
+    text: OnceLock<TextModel>,
 }
 
 /// Where a site's generated images are served from, what renders them
@@ -250,7 +242,7 @@ impl SiteContent {
                     if item.content_type != ContentType::Img {
                         continue;
                     }
-                    let recipe = with_generator(|g| g.recipe(&item));
+                    let recipe = recipe(&item, SERVING_IMAGE_MODEL, SERVING_STEPS);
                     let mut url = format!("/generated/{}", item.name());
                     let held = index.assets.get(&url).map(|(held, _)| held);
                     if held.is_some_and(|held| *held != recipe) {
@@ -314,11 +306,15 @@ impl SiteContent {
                 }
                 ContentType::Txt => {
                     let span = Span::begin("materialize");
-                    let (media, cost) = with_generator(|g| g.try_generate(&item))?;
-                    span.finish_with_virtual(metrics, GENERATE_WALL, GENERATE_VIRTUAL, cost.time_s);
-                    let GeneratedMedia::Text { text } = media else {
-                        unreachable!("a Txt item generates text")
-                    };
+                    let model = self
+                        .derived
+                        .text
+                        .get_or_init(|| TextModel::new(SERVING_TEXT_MODEL));
+                    let words = item.words();
+                    let text = model.expand(&item.bullets(), words);
+                    let device = device_profile(DeviceKind::Workstation);
+                    let time_s = text_generation_time(SERVING_TEXT_MODEL, &device, words);
+                    span.finish_with_virtual(metrics, GENERATE_WALL, GENERATE_VIRTUAL, time_s);
                     gencontent::replace_with_text(&mut doc, item.node, &text);
                 }
             }
@@ -333,10 +329,11 @@ impl SiteContent {
     /// and unique assets. Derived once, beside the index.
     pub(crate) fn traditional_bytes(&self) -> u64 {
         *self.derived.traditional.get_or_init(|| {
+            let mut generator = MediaGenerator::new(device_profile(DeviceKind::Workstation));
             let mut total = self.stored;
             for page in self.pages.values() {
                 for item in gencontent::extract(&parse(&page.html)) {
-                    let (media, _) = with_generator(|g| g.generate(&item));
+                    let (media, _) = generator.generate(&item);
                     total += media.media_bytes() as u64;
                     // Prompt-form metadata would not be stored traditionally.
                     total = total.saturating_sub(item.metadata_size() as u64);
@@ -437,8 +434,16 @@ pub(crate) mod tests {
         assert!(traditional > site.stored_bytes());
         assert!(std::ptr::eq(site.index(), copy.index()), "one index");
         assert_eq!(copy.derived.traditional.get(), Some(&traditional));
+        // The index and the size estimate train no text model; a naive
+        // form does, once, for the site and every clone of it.
+        assert!(copy.derived.text.get().is_none());
+        copy.naive_form("/hike", |_| Ok(()), &Registry::new())
+            .expect("the demo page derives");
+        let text = site.derived.text.get().expect("trained by the naive form");
+        assert!(std::ptr::eq(text, copy.derived.text.get().unwrap()));
         site.add_asset("/photos/more.jpg", Bytes::from_static(b"more"));
         assert!(site.derived.traditional.get().is_none());
+        assert!(site.derived.text.get().is_none());
         assert_eq!(site.traditional_bytes(), traditional + 4);
         assert!(!std::ptr::eq(site.index(), copy.index()));
     }

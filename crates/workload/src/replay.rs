@@ -31,9 +31,8 @@ use crate::session::ability_for;
 use crate::trace::{page_access, Trace, TraceEvent, WorkloadConfig};
 use std::sync::Arc;
 use std::time::Instant;
-use sww_core::{
-    ChaosSpec, EdgeConfig, EdgeRouter, GenerativeServer, Lru, MediaGenerator, ServerConfig,
-};
+use sww_core::mediagen::{SERVING_IMAGE_MODEL, SERVING_STEPS};
+use sww_core::{ChaosSpec, EdgeConfig, EdgeRouter, GenerativeServer, Lru, ServerConfig};
 use sww_energy::{profile, DeviceKind};
 use sww_http2::{GenAbility, Request};
 use sww_http3::H3ClientConnection;
@@ -508,16 +507,15 @@ pub const MODELLED_SERVE_S: f64 = 0.000_5;
 /// whose per-node page caches hold `cache_capacity` pages each.
 pub fn modelled_slo(cfg: &WorkloadConfig, nodes: usize, cache_capacity: usize) -> ModelledSlo {
     let trace = Trace::generate(cfg);
-    let generator = MediaGenerator::new(profile(DeviceKind::Workstation));
     // One 64×64 generation on the serving device — the recipes the
     // generated graph pages carry. Anchor pages carry more/larger
     // recipes; the simulation charges per recipe via the page's spec.
     let gen_s = sww_energy::image_generation_time(
-        generator.image_model(),
+        SERVING_IMAGE_MODEL,
         &profile(DeviceKind::Workstation),
         64,
         64,
-        generator.inference_steps(),
+        SERVING_STEPS,
     )
     .expect("workstation runs the serving model");
     let graph = cfg.site_graph();

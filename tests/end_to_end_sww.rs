@@ -4,9 +4,7 @@
 
 mod common;
 
-use sww::core::{
-    GenAbility, GenerativeClient, GenerativeServer, ServerConfig, ServerPolicy, SiteContent,
-};
+use sww::core::{GenAbility, GenerativeClient, GenerativeServer, ServerConfig, SiteContent};
 use sww::energy::{profile, DeviceKind};
 use sww::html::gencontent;
 
@@ -135,16 +133,14 @@ async fn device_changes_cost_not_content() {
     );
 }
 
+/// §5.1: a server may serve traditional content to a capable client. It
+/// advertises no ability (§3: anything but both at 1 is the default
+/// behaviour) and still expands its stored prompts itself.
 #[tokio::test(flavor = "multi_thread")]
-async fn server_policy_without_client_generation_forces_server_generation() {
-    let policy = ServerPolicy {
-        allow_client_generation: false,
-        expand_prompts_server_side: true,
-    };
+async fn a_server_declining_client_generation_serves_traditionally() {
     let server = GenerativeServer::from_config(ServerConfig {
         site: two_item_site(),
-        ability: GenAbility::full(),
-        policy,
+        ability: GenAbility::none(),
         ..ServerConfig::default()
     });
     let (a, b) = tokio::io::duplex(1 << 20);
@@ -156,10 +152,11 @@ async fn server_policy_without_client_generation_forces_server_generation() {
     let mut client = GenerativeClient::connect(a, GenAbility::full(), profile(DeviceKind::Laptop))
         .await
         .unwrap();
+    assert!(!client.negotiated_ability().supported());
     let (page, stats) = client.fetch_page("/page").await.unwrap();
     assert_eq!(page.generated_count(), 0);
     assert!(stats.items_fetched >= 2);
-    assert_eq!(server.served_modes()["server-generated"], 1);
+    assert_eq!(server.served_modes()["traditional"], 1);
 }
 
 #[tokio::test(flavor = "multi_thread")]
