@@ -60,6 +60,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+use sww_genai::rng::splitmix64;
 use sww_obs::Registry;
 
 /// The failpoint sites threaded through the stack.
@@ -289,7 +290,9 @@ impl FaultStream {
     /// `server`, or its node id in an edge cluster). Two streams with one
     /// label replay each other; two labels draw independently.
     pub(crate) fn labelled(spec: &ChaosSpec, label: &str, metrics: Arc<Registry>) -> FaultStream {
-        FaultStream::with_seed(spec, spec.seed ^ label_seed(label), metrics)
+        // `"scope"`: the fold's starting value since labelled streams began.
+        let label_seed = fold_bytes(0x73_63_6f_70_65, label.as_bytes());
+        FaultStream::with_seed(spec, spec.seed ^ label_seed, metrics)
     }
 
     fn with_seed(spec: &ChaosSpec, seed: u64, metrics: Arc<Registry>) -> FaultStream {
@@ -316,7 +319,7 @@ impl FaultStream {
         let mut rules = self.spec.rules.iter().filter(|r| r.site == site).peekable();
         rules.peek()?;
         let n = self.seq[idx].fetch_add(1, Ordering::Relaxed);
-        let r = unit_from(self.seed, idx as u64, n);
+        let r = unit(seeded_draw(self.seed, idx as u64, n));
         let mut threshold = 0.0;
         for rule in rules {
             threshold += rule.probability;
@@ -361,25 +364,22 @@ impl FaultStream {
     }
 }
 
-/// SplitMix64: the decision PRNG. Statistically adequate for coin flips
-/// and, crucially, a pure function of its input — no hidden state.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
+/// The two-round seeded draw behind every fault decision and gossip's
+/// probe schedule: `seed` mixed with `stream` (a site, a round), then
+/// with `n`. A pure function of its inputs — no hidden state.
+pub(crate) fn seeded_draw(seed: u64, stream: u64, n: u64) -> u64 {
+    splitmix64(splitmix64(seed ^ stream.wrapping_mul(0xa076_1d64_78bd_642f)) ^ n)
 }
 
-/// Uniform draw in `[0, 1)` from `(seed, site, n)`.
-fn unit_from(seed: u64, site: u64, n: u64) -> f64 {
-    let mixed = splitmix64(splitmix64(seed ^ site.wrapping_mul(0xa076_1d64_78bd_642f)) ^ n);
-    (mixed >> 11) as f64 / (1u64 << 53) as f64
+/// Uniform in `[0, 1)` from the top 53 bits of `x`.
+pub(crate) fn unit(x: u64) -> f64 {
+    (x >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// Stable label hash for a labelled stream's seed.
-fn label_seed(label: &str) -> u64 {
-    let mut acc = 0x73_63_6f_70_65_u64; // "scope"
-    for &b in label.as_bytes() {
+/// `bytes` folded into the digest accumulator `acc`, one mixer round a
+/// byte: a labelled stream's seed and gossip's membership digest.
+pub(crate) fn fold_bytes(mut acc: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
         acc = splitmix64(acc ^ u64::from(b));
     }
     acc

@@ -60,9 +60,10 @@
 //! [`set_partition`]: Gossip::set_partition
 //! [`set_chaos`]: Gossip::set_chaos
 
-use crate::faults::{ChaosSpec, FaultAction, FaultSite, FaultStream};
+use crate::faults::{fold_bytes, seeded_draw, ChaosSpec, FaultAction, FaultSite, FaultStream};
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use sww_genai::rng::splitmix64;
 use sww_obs::Registry;
 
 /// One member's health, as recorded in some observer's view.
@@ -398,15 +399,15 @@ impl Gossip {
     pub fn digest(&self) -> u64 {
         let mut acc = splitmix64(self.round ^ 0x006f_7373_6970_u64);
         for (observer, view) in &self.views {
-            acc = fold(acc, observer.as_bytes());
+            acc = fold_bytes(acc, observer.as_bytes());
             for (member, mv) in view {
-                acc = fold(acc, member.as_bytes());
+                acc = fold_bytes(acc, member.as_bytes());
                 acc = splitmix64(acc ^ mv.incarnation);
                 acc = splitmix64(acc ^ u64::from(mv.health.rank()));
             }
         }
         for (id, alive) in &self.process_alive {
-            acc = fold(acc, id.as_bytes());
+            acc = fold_bytes(acc, id.as_bytes());
             acc = splitmix64(acc ^ u64::from(*alive));
         }
         acc
@@ -430,7 +431,7 @@ impl Gossip {
                 continue;
             }
             let pick = |salt: u64| -> String {
-                let mixed = probe_mix(self.cfg.seed, self.round, i as u64, salt);
+                let mixed = seeded_draw(self.cfg.seed, self.round, ((i as u64) << 16) ^ salt);
                 others[(mixed % others.len() as u64) as usize].clone()
             };
             let target = pick(0);
@@ -612,27 +613,6 @@ impl Gossip {
         };
         self.admit(observer, target, accused);
     }
-}
-
-/// SplitMix64 — same mixer the fault registry uses: pure, stateless.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// Deterministic probe-schedule draw from `(seed, round, member, salt)`.
-fn probe_mix(seed: u64, round: u64, member: u64, salt: u64) -> u64 {
-    splitmix64(splitmix64(seed ^ round.wrapping_mul(0xa076_1d64_78bd_642f)) ^ (member << 16) ^ salt)
-}
-
-/// Fold bytes into a digest accumulator.
-fn fold(mut acc: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        acc = splitmix64(acc ^ u64::from(b));
-    }
-    acc
 }
 
 #[cfg(test)]

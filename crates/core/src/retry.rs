@@ -14,7 +14,9 @@
 //! invariants `crates/core/tests/proptest_retry.rs` checks for arbitrary
 //! configurations.
 
+use crate::faults::unit;
 use std::time::Duration;
+use sww_genai::rng::splitmix64;
 
 /// How a client retries transient failures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,17 +113,6 @@ impl BackoffSchedule {
     pub fn retries(&self) -> u32 {
         self.retries_planned
     }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-fn unit(x: u64) -> f64 {
-    (x >> 11) as f64 / (1u64 << 53) as f64
 }
 
 #[cfg(test)]

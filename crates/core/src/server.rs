@@ -228,7 +228,7 @@ pub struct ServerConfig {
     /// 1`, each closed batch splits into up to `n` tiles: `n - 1` go to
     /// the blocking crew ([`CrewRunner`]) and the batch leader is the
     /// n-th lane. Output stays bit-identical to the scalar kernel for
-    /// every lane count — see PERFORMANCE.md "Kernel & memory model".
+    /// every lane count — see DESIGN.md "Kernel & memory model".
     pub kernel_tiles: usize,
     /// Deadline applied to every request that does not carry its own
     /// `x-sww-deadline-ms` header (default: none — requests may block

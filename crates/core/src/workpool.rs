@@ -399,7 +399,7 @@ fn fan_out(tasks: Vec<TileTask>, spawn: impl Fn(Box<dyn FnOnce() + Send>)) {
 }
 
 /// Kernel tiles on the blocking crew — the data-parallel denoise
-/// substrate (PERFORMANCE.md "Kernel & memory model").
+/// substrate (DESIGN.md "Kernel & memory model").
 ///
 /// The design is *caller-drains*: the tiles go into a shared claim
 /// queue, `tiles − 1` helpers go to `tokio::task::spawn_blocking`, and

@@ -71,19 +71,23 @@ pub struct Rng {
     s: [u64; 4],
 }
 
+/// SplitMix64 of `x`: one step of its counter (`x` plus the golden
+/// gamma) and the finaliser. A pure function of its input — the seeded
+/// mixer behind [`Rng::new`] and the fault, gossip and retry draws.
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 impl Rng {
-    /// Seed via splitmix64 so nearby seeds diverge.
+    /// Seed via splitmix64 so nearby seeds diverge: the state is the
+    /// mixer's first four outputs from counter `seed`.
     pub fn new(seed: u64) -> Rng {
-        let mut sm = seed;
-        let mut next = || {
-            sm = sm.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = sm;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
+        let word = |i: u64| splitmix64(seed.wrapping_add(i.wrapping_mul(0x9e37_79b9_7f4a_7c15)));
         Rng {
-            s: [next(), next(), next(), next()],
+            s: [word(0), word(1), word(2), word(3)],
         }
     }
 

@@ -18,6 +18,7 @@
 //! embedded as ordinary graph nodes, so the fixture pages and the
 //! generated traffic share one recipe path.
 
+use crate::trace::fnv_words;
 use sww_core::SiteContent;
 use sww_genai::rng::Rng;
 use sww_html::gencontent;
@@ -316,22 +317,16 @@ impl SiteGraph {
     /// FNV-1a digest of the full adjacency structure (plus the config) —
     /// the bit-identity witness the determinism suites compare.
     pub fn digest(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut mix = |x: u64| {
-            h ^= x;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        };
-        mix(self.cfg.nodes as u64);
-        mix(self.cfg.k as u64);
-        mix(self.cfg.beta.to_bits());
-        mix(self.cfg.seed);
-        for (i, nbrs) in self.adj.iter().enumerate() {
-            mix(i as u64 ^ 0xffff_0000_0000_0000);
-            for &v in nbrs {
-                mix(v as u64);
-            }
-        }
-        h
+        let cfg = [
+            self.cfg.nodes as u64,
+            self.cfg.k as u64,
+            self.cfg.beta.to_bits(),
+            self.cfg.seed,
+        ];
+        let adjacency = self.adj.iter().enumerate().flat_map(|(i, nbrs)| {
+            std::iter::once(i as u64 ^ 0xffff_0000_0000_0000).chain(nbrs.iter().map(|&v| v as u64))
+        });
+        fnv_words(cfg.into_iter().chain(adjacency))
     }
 
     /// The request path of a node's page.

@@ -28,12 +28,13 @@
 
 use crate::scorecard::{LifecycleSnapshot, Scorecard};
 use crate::session::ability_for;
-use crate::trace::{page_access, Trace, TraceEvent, WorkloadConfig};
+use crate::trace::{fnv_words, page_access, Trace, TraceEvent, WorkloadConfig};
 use std::sync::Arc;
 use std::time::Instant;
 use sww_core::mediagen::{SERVING_IMAGE_MODEL, SERVING_STEPS};
 use sww_core::{ChaosSpec, EdgeConfig, EdgeRouter, GenerativeServer, Lru, ServerConfig};
 use sww_energy::{profile, DeviceKind};
+use sww_genai::fnv1a;
 use sww_http2::{GenAbility, Request};
 use sww_http3::H3ClientConnection;
 use sww_obs::Registry;
@@ -123,15 +124,6 @@ struct EventResult {
     retries: u64,
 }
 
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
 /// Statuses worth a retry hop. Delegates to the protocol layer's single
 /// retryability predicate so the replayer, the client retry policy, and
 /// the edge successor walk cannot drift apart (this retired a local
@@ -190,15 +182,12 @@ impl ReplayEngine {
         let registries: Vec<&Registry> = servers.iter().map(GenerativeServer::metrics).collect();
         results.sort_by_key(|r| r.seq);
         let mut card = Scorecard::new(rcfg.target.label());
-        let mut digest = 0xcbf2_9ce4_8422_2325u64;
-        let mix = |x: u64, h: &mut u64| {
-            *h ^= x;
-            *h = h.wrapping_mul(0x1000_0000_01b3);
-        };
+        let digest = fnv_words(
+            results
+                .iter()
+                .flat_map(|r| [r.seq, u64::from(r.status), r.body_digest]),
+        );
         for r in &results {
-            mix(r.seq, &mut digest);
-            mix(u64::from(r.status), &mut digest);
-            mix(r.body_digest, &mut digest);
             card.record(r.status, r.wall_us);
             card.add_retries(r.retries);
         }
@@ -307,7 +296,7 @@ impl ReplayEngine {
                         out.push(EventResult {
                             seq: e.seq,
                             status: resp.status,
-                            body_digest: fnv(&resp.body),
+                            body_digest: fnv1a(&resp.body),
                             wall_us: t0.elapsed().as_micros() as u64,
                             retries,
                         });
@@ -390,7 +379,7 @@ impl ReplayEngine {
                     results.push(EventResult {
                         seq: e.seq,
                         status: resp.status,
-                        body_digest: fnv(&resp.body),
+                        body_digest: fnv1a(&resp.body),
                         wall_us: t0.elapsed().as_micros() as u64,
                         retries,
                     });
@@ -415,7 +404,7 @@ impl ReplayEngine {
                     results.push(EventResult {
                         seq: e.seq,
                         status: resp.status,
-                        body_digest: fnv(&resp.body),
+                        body_digest: fnv1a(&resp.body),
                         wall_us: t0.elapsed().as_micros() as u64,
                         retries,
                     });

@@ -193,24 +193,25 @@ impl Trace {
 
     /// FNV-1a digest over every event field — the bit-identity witness.
     pub fn digest(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut mix = |x: u64| {
-            h ^= x;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        };
-        for e in &self.events {
-            mix(e.seq);
-            mix(e.vtime_ms);
-            mix(e.user);
-            mix(e.node as u64);
-            mix(match e.device {
+        fnv_words(self.events.iter().flat_map(|e| {
+            let device = match e.device {
                 DeviceKind::Laptop => 0,
                 DeviceKind::Workstation => 1,
                 DeviceKind::Mobile => 2,
-            });
-        }
-        h
+            };
+            [e.seq, e.vtime_ms, e.user, e.node as u64, device]
+        }))
     }
+}
+
+/// FNV-1a's shape over 64-bit words, one xor-and-multiply a word: the
+/// digest of a trace, a site graph and a replay's results. The
+/// multiplier is this crate's own, not the FNV prime; the digests are
+/// compared run to run, never recorded.
+pub(crate) fn fnv_words(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, x| {
+        (h ^ x).wrapping_mul(0x1000_0000_01b3)
+    })
 }
 
 /// One access to a modelled page cache — the system's own [`Lru`] at
