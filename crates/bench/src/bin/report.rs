@@ -2,14 +2,20 @@
 //! paper-vs-measured values. Run all experiments with no arguments, or a
 //! subset with `--exp e2,e4`; an id not in `IDS` exits 2 naming it,
 //! before anything runs.
+//!
+//! E18–E21 judge their outcomes by the rules stated beside them in
+//! `sww_bench::experiments` (`transport`, `edge`, `workload`,
+//! `resilience`): after every table is printed, one `FAIL:` line per
+//! violation on stderr and exit status 1 when there is any.
 
 use sww_bench::experiments::{
-    ablations, article, batching, compression, concurrency, energy, fig1, kernel, mobile, models,
-    negotiation, video_cdn, wikimedia,
+    ablations, article, batching, compression, concurrency, edge, energy, fig1, kernel, mobile,
+    models, negotiation, resilience, transport, video_cdn, wikimedia, workload,
 };
 
 /// Every id `--exp` accepts, in run order.
-const IDS: &str = "fig1 e1 e2 e3 e4 e5 e6 e7 e8 e9 e10 e11 e12 e13 e14 e15 e16 e17 ablations";
+const IDS: &str =
+    "fig1 e1 e2 e3 e4 e5 e6 e7 e8 e9 e10 e11 e12 e13 e14 e15 e16 e17 e18 e19 e20 e21 ablations";
 
 fn known(id: &str) -> bool {
     IDS.split(' ').any(|known| known == id)
@@ -35,26 +41,20 @@ fn main() {
         std::process::exit(2);
     }
 
-    let rt = tokio::runtime::Builder::new_multi_thread()
-        .worker_threads(2)
-        .enable_all()
-        .build()
-        .expect("tokio runtime");
-
     println!("SWW paper reproduction report — every §6 table/figure plus §2.2/§3.2/§7 claims\n");
 
     if wants(&filter, "fig1") {
         println!("{}", fig1::render(&fig1::run()));
     }
     if wants(&filter, "e1") {
-        let scenarios = rt.block_on(negotiation::run());
+        let scenarios = tokio::runtime::block_on(negotiation::run());
         println!("{}", negotiation::table(&scenarios).render());
     }
     let mut measured_image_ratio = 157.0;
     if wants(&filter, "e2") {
         eprintln!("[building the 49-image Wikimedia workload ...]");
         let page = sww_workload::landscape_search_page();
-        let r = rt.block_on(wikimedia::run(&page));
+        let r = tokio::runtime::block_on(wikimedia::run(&page));
         measured_image_ratio = r.compression_ratio;
         println!("{}", wikimedia::table(&r).render());
     }
@@ -114,7 +114,7 @@ fn main() {
     }
     if wants(&filter, "e15") {
         let cfg = concurrency::ConcurrencyConfig::default();
-        let samples = concurrency::run(cfg, &[0, 1, 2, 4, 8], None);
+        let samples = concurrency::run(cfg, &[0, 1, 2, 4, 8]);
         println!("{}", concurrency::table(cfg, &samples).render());
     }
     if wants(&filter, "e16") {
@@ -129,6 +129,46 @@ fn main() {
         let scfg = kernel::ServingConfig::default();
         let served = kernel::serving_sweep(scfg, &[1, 8]);
         println!("{}", kernel::serving_table(scfg, &served).render());
+    }
+    let mut violations = Vec::new();
+    if wants(&filter, "e18") {
+        let cfg = transport::TransportConfig::default();
+        let run = transport::run_with_latency(cfg);
+        println!("{}", transport::table(cfg, &run).render());
+        println!(
+            "modelled h3 speedup: {:.2}x, measured p99 speedup: {:.2}x\n",
+            run.modelled_speedup(),
+            run.measured_p99_speedup()
+        );
+        violations.extend(run.violations());
+    }
+    if wants(&filter, "e19") {
+        let cfg = edge::EdgeClusterConfig::default();
+        let samples = edge::run(&cfg, None);
+        println!("{}", edge::table(&cfg, &samples).render());
+        println!("{}", edge::modelled_table(&cfg).render());
+        let chaos = edge::chaos_kill_with_latency(&cfg);
+        println!("{}", edge::chaos_table(&chaos).render());
+        violations.extend(edge::hit_rate_violations(&samples));
+        violations.extend(chaos.violations());
+    }
+    if wants(&filter, "e20") {
+        let cfg = workload::E20Config::default();
+        let rows = workload::modelled_sweep(&cfg);
+        println!("{}", workload::modelled_table(&cfg, &rows).render());
+        let live = workload::live_sweep(&cfg, &workload::live_targets(&cfg), None);
+        println!("{}", workload::live_table(&cfg, &live).render());
+        violations.extend(workload::slo_violations(&cfg, &rows));
+        violations.extend(workload::determinism_check(&cfg, &live, None).violations());
+    }
+    if wants(&filter, "e21") {
+        let cfg = resilience::ResilienceConfig::default();
+        let failover = resilience::failover_sweep(&cfg);
+        println!("{}", resilience::failover_table(&cfg, &failover).render());
+        let partition = resilience::partition_heal(&cfg);
+        println!("{}", resilience::partition_table(&partition).render());
+        violations.extend(failover.iter().flat_map(|o| o.violations()));
+        violations.extend(partition.violations());
     }
     if wants(&filter, "ablations") {
         let pre = ablations::preload(4);
@@ -146,5 +186,11 @@ fn main() {
     let metrics = sww_obs::render();
     if !metrics.is_empty() {
         eprintln!("\n=== metrics appendix: process registry (see OBSERVABILITY.md) ===\n{metrics}");
+    }
+    for line in &violations {
+        eprintln!("FAIL: {line}");
+    }
+    if !violations.is_empty() {
+        std::process::exit(1);
     }
 }

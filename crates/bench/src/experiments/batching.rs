@@ -45,11 +45,6 @@ pub struct BatchSample {
     pub mean_batch: f64,
     /// p99 wait for a group to close, in milliseconds.
     pub p99_wait_ms: f64,
-    /// Requests shed at admission during this sample (global delta; 0
-    /// unless lifecycle knobs are in play).
-    pub shed: u64,
-    /// Cancellations that took effect during this sample (global delta).
-    pub cancelled: u64,
 }
 
 /// Sweep configuration.
@@ -107,7 +102,6 @@ pub fn sample(cfg: BatchingConfig, batch_max: usize) -> BatchSample {
     let images = server.engine().generations();
     let modelled_time_s = server.server_generation_time_s();
     let stats = server.batch_stats();
-    let (shed, cancelled, _) = super::concurrency::lifecycle_counters(server.metrics());
     BatchSample {
         batch_max,
         images,
@@ -116,8 +110,6 @@ pub fn sample(cfg: BatchingConfig, batch_max: usize) -> BatchSample {
         speedup: 1.0, // filled in by `run` against the baseline row
         mean_batch: stats.as_ref().map_or(0.0, |s| s.mean_batch),
         p99_wait_ms: stats.as_ref().map_or(0.0, |s| s.p99_wait_s * 1e3),
-        shed,
-        cancelled,
     }
 }
 
@@ -154,7 +146,6 @@ pub fn table(cfg: BatchingConfig, samples: &[BatchSample]) -> Table {
             "Speedup",
             "MeanBatch",
             "p99Wait",
-            "Shed/Cxl",
         ],
     );
     for s in samples {
@@ -170,7 +161,6 @@ pub fn table(cfg: BatchingConfig, samples: &[BatchSample]) -> Table {
             format!("{:.2}x", s.speedup),
             format!("{:.1}", s.mean_batch),
             format!("{:.1} ms", s.p99_wait_ms),
-            format!("{}/{}", s.shed, s.cancelled),
         ]);
     }
     t

@@ -295,8 +295,8 @@ fn drive(router: &EdgeRouter, nodes: usize, cfg: &EdgeClusterConfig) -> (Vec<f64
     (all, retries.load(Ordering::Relaxed))
 }
 
-/// Run the sweep, every node armed with `chaos` (`sww bench-cluster
-/// --chaos`); without one the sweep injects nothing.
+/// Run the sweep, every node armed with `chaos`; without one the sweep
+/// injects nothing.
 pub fn run(cfg: &EdgeClusterConfig, chaos: Option<&ChaosSpec>) -> Vec<EdgeSample> {
     let modelled = modelled_rows(cfg);
     cfg.node_counts
@@ -430,8 +430,7 @@ pub fn chaos_kill(cfg: &EdgeClusterConfig, chaos: &ChaosSpec) -> EdgeChaosOutcom
 }
 
 /// [`chaos_kill`] under a deterministic 10 ms generation latency that
-/// widens the kill window: the self-contained entry point `sww
-/// bench-cluster` uses when the caller gave no `--chaos`.
+/// widens the kill window: the entry point `report --exp e19` uses.
 pub fn chaos_kill_with_latency(cfg: &EdgeClusterConfig) -> EdgeChaosOutcome {
     let spec = ChaosSpec::parse("seed=7,engine.generate=latency:1.0:10").expect("E19 chaos spec");
     chaos_kill(cfg, &spec)
@@ -639,7 +638,7 @@ mod tests {
         }
     }
 
-    /// The default sweep, the one `bench-cluster` runs without options.
+    /// The default sweep, the one `report --exp e19` runs.
     #[test]
     fn sweep_generates_each_prompt_exactly_once_per_cluster() {
         let _serial = super::super::alloc_serial();
@@ -678,8 +677,9 @@ mod tests {
         );
     }
 
-    /// The `bench-cluster --nodes 2,1` bug: the rule sorts by node count,
-    /// so the order the samples arrive in cannot matter.
+    /// A sweep given its node counts descending (`2,1`) once broke the
+    /// rule: it sorts by node count, so the order the samples arrive in
+    /// cannot matter.
     #[test]
     fn the_e19_rule_reads_node_order_not_sample_order() {
         let mut rising = vec![sample(1, 0.5), sample(2, 0.75), sample(4, 0.875)];
@@ -694,7 +694,7 @@ mod tests {
         }
     }
 
-    /// At the default config `bench-cluster` runs it at.
+    /// At the default config `report --exp e19` runs it at.
     #[test]
     fn chaos_kill_loses_nothing_and_keeps_bytes_identical() {
         let _serial = super::super::alloc_serial();
@@ -737,5 +737,23 @@ mod tests {
             assert!(rendered.contains(&n.to_string()));
         }
         assert!(rendered.contains("Modelled qps"));
+    }
+
+    /// The E19 gates under a spec given as text, the way a command line
+    /// gives one: two node counts, every node of the sweep and of the
+    /// node kill armed with the spec.
+    #[test]
+    fn the_e19_gates_hold_under_a_parsed_chaos_spec() {
+        let _serial = super::super::alloc_serial();
+        let cfg = EdgeClusterConfig {
+            node_counts: vec![1, 2],
+            threads_per_node: 2,
+            requests_per_thread: 5,
+            ..EdgeClusterConfig::default()
+        };
+        let spec = ChaosSpec::parse("seed=7,engine.generate=latency:1.0:10").expect("spec");
+        let mut violations = hit_rate_violations(&run(&cfg, Some(&spec)));
+        violations.extend(chaos_kill(&cfg, &spec).violations());
+        assert_eq!(violations, Vec::<String>::new());
     }
 }

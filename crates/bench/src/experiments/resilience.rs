@@ -407,8 +407,8 @@ mod tests {
         }
     }
 
-    /// At the default config, the one `bench-cluster --replication 2`
-    /// runs (as do the two tests below).
+    /// At the default config, the one `report --exp e21` runs (as do
+    /// the two tests below).
     #[test]
     fn replicated_failover_costs_zero_regenerations() {
         let _serial = super::super::alloc_serial();

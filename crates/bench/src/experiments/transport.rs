@@ -14,8 +14,8 @@
 //!
 //! The slow generation is injected with the PR 3 chaos layer
 //! (`engine.generate=latency:1.0:W`, see [`latency_spec`]) so the
-//! experiment is deterministic and the sweep composes with
-//! `sww bench-transport --chaos`. Measured wall-clock percentiles are
+//! experiment is deterministic and the sweep composes with any other
+//! chaos spec (see [`run`]). Measured wall-clock percentiles are
 //! host-shaped and never compared; `tests/golden_tables.rs` pins the
 //! modelled page rates (`1000/(K·W)` vs `1000/W`), which are exact.
 
@@ -102,11 +102,21 @@ impl TransportRun {
     pub fn measured_p99_speedup(&self) -> f64 {
         self.h2.p99_ms / self.h3.p99_ms.max(1e-9)
     }
+
+    /// The E18 rule: every recipe's payload is the same bytes over both
+    /// transports. One line per violation; empty when it holds.
+    pub fn violations(&self) -> Vec<String> {
+        if self.byte_identical {
+            Vec::new()
+        } else {
+            vec!["per-recipe payloads differ between h2 and h3".to_string()]
+        }
+    }
 }
 
 /// The chaos spec that makes every generation cost `gen_latency_ms`:
 /// `seed=S,engine.generate=latency:1.0:W` — what [`run_with_latency`]
-/// arms the servers with when the caller brings no `--chaos` spec.
+/// arms the servers with.
 pub fn latency_spec(cfg: TransportConfig) -> String {
     format!(
         "seed={},engine.generate=latency:1.0:{}",
@@ -178,11 +188,10 @@ fn sample_from(
 /// `K` recipe requests issued back to back on it. Naive clients
 /// (`GenAbility::none()`) force server-side generation.
 fn h2_sample(cfg: TransportConfig, server: &GenerativeServer) -> TransportSample {
-    let rt = runtime();
     let mut bodies = std::collections::BTreeMap::new();
     let mut page_ms = Vec::with_capacity(cfg.pages);
     let start = Instant::now();
-    rt.block_on(async {
+    tokio::runtime::block_on(async {
         for p in 0..cfg.pages {
             let (a, b) = tokio::io::duplex(1 << 20);
             let srv = server.clone();
@@ -214,11 +223,10 @@ fn h2_sample(cfg: TransportConfig, server: &GenerativeServer) -> TransportSample
 /// streams opened up front and collected together — the server runs the
 /// generations concurrently, so the page completes with the slowest one.
 fn h3_sample(cfg: TransportConfig, server: &GenerativeServer) -> TransportSample {
-    let rt = runtime();
     let mut bodies = std::collections::BTreeMap::new();
     let mut page_ms = Vec::with_capacity(cfg.pages);
     let start = Instant::now();
-    rt.block_on(async {
+    tokio::runtime::block_on(async {
         for p in 0..cfg.pages {
             let (a, b) = tokio::io::duplex(1 << 20);
             let srv = server.clone();
@@ -243,14 +251,6 @@ fn h3_sample(cfg: TransportConfig, server: &GenerativeServer) -> TransportSample
     sample_from(cfg, server, TransportKind::H3, page_ms, elapsed, bodies)
 }
 
-fn runtime() -> tokio::runtime::Runtime {
-    tokio::runtime::Builder::new_multi_thread()
-        .worker_threads(2)
-        .enable_all()
-        .build()
-        .expect("tokio runtime")
-}
-
 /// Run the full comparison. Each transport gets a fresh server (fresh
 /// generation cache, so every recipe request really generates) armed
 /// with `chaos`, the spec that slows its generations — see
@@ -273,9 +273,8 @@ pub fn run(cfg: TransportConfig, chaos: &ChaosSpec) -> TransportRun {
     }
 }
 
-/// [`run`] under [`latency_spec`]: the self-contained entry point `sww
-/// bench-transport` uses when no `--chaos` spec was supplied by the
-/// caller.
+/// [`run`] under [`latency_spec`]: the entry point `report --exp e18`
+/// uses.
 pub fn run_with_latency(cfg: TransportConfig) -> TransportRun {
     run(
         cfg,
@@ -314,19 +313,21 @@ pub fn table(cfg: TransportConfig, run: &TransportRun) -> Table {
 mod tests {
     use super::*;
 
-    fn small() -> TransportConfig {
-        TransportConfig {
-            pages: 3,
-            recipes: 3,
-            gen_latency_ms: 20,
-            seed: 7,
-        }
-    }
-
+    /// The E18 gate at 3 and at 4 recipes a page (the default's).
     #[test]
     fn h3_dodges_the_head_of_line_and_payloads_match() {
         let _serial = super::super::alloc_serial();
-        let cfg = small();
+        for recipes in [3, 4] {
+            h3_dodges_the_head_of_line(TransportConfig {
+                pages: 3,
+                recipes,
+                gen_latency_ms: 20,
+                seed: 7,
+            });
+        }
+    }
+
+    fn h3_dodges_the_head_of_line(cfg: TransportConfig) {
         let expect = (cfg.pages * cfg.recipes) as u64;
         // The wall-clock half gets up to three runs; everything exact is
         // asserted on each of them.
@@ -339,6 +340,7 @@ mod tests {
             assert_eq!(run.h3.requests, expect, "h3 request accounting");
             // Byte-identical recipes: same core, different framing.
             assert!(run.byte_identical, "payloads must not depend on transport");
+            assert_eq!(run.violations(), Vec::<String>::new());
             // The no-HoL win: h2 serializes the K generations, h3
             // overlaps them. Modelled exactly K×.
             assert_eq!(run.modelled_speedup(), cfg.recipes as f64);

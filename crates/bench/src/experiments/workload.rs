@@ -445,7 +445,7 @@ mod tests {
     }
 
     /// The live replays and the determinism witness at the default
-    /// config, the one `bench-workload` runs without options.
+    /// config, the one `report --exp e20` runs.
     #[test]
     fn live_sweep_and_determinism_pass_the_gates() {
         let _guard = alloc_serial();
@@ -540,5 +540,24 @@ mod tests {
         let cfg = tiny_modelled();
         let rows = modelled_sweep(&cfg);
         assert_eq!(modelled_table(&cfg, &rows).len(), rows.len());
+    }
+
+    /// The E20 gate under a spec given as text, the way a command line
+    /// gives one: the modelled rows hold the SLO rules and the live
+    /// replays on every target, all armed, replay identically.
+    #[test]
+    fn the_e20_gate_holds_under_a_parsed_chaos_spec() {
+        let _guard = alloc_serial();
+        let cfg = E20Config {
+            modelled_requests: 20_000,
+            live_requests: 150,
+            ..E20Config::default()
+        };
+        let spec = ChaosSpec::parse("seed=9,engine.generate=latency:0.5:5").expect("spec");
+        let rows = modelled_sweep(&cfg);
+        let live = live_sweep(&cfg, &live_targets(&cfg), Some(&spec));
+        let mut violations = slo_violations(&cfg, &rows);
+        violations.extend(determinism_check(&cfg, &live, Some(&spec)).violations());
+        assert_eq!(violations, Vec::<String>::new());
     }
 }

@@ -23,7 +23,8 @@ fn an_unknown_experiment_id_exits_2_naming_it() {
         assert_eq!(stderr.lines().count(), 1, "--exp {exp}: {stderr}");
         assert!(stderr.contains(unknown), "--exp {exp}: {stderr}");
     }
-    let known = report("e4");
+    let known = report("e4,e18");
     assert_eq!(known.status.code(), Some(0));
-    assert!(String::from_utf8_lossy(&known.stdout).contains("E4"));
+    let stdout = String::from_utf8_lossy(&known.stdout);
+    assert!(stdout.contains("## E4") && stdout.contains("## E18"));
 }

@@ -19,23 +19,14 @@ pub struct Args {
 }
 
 /// Option keys that take a value.
-const VALUE_KEYS: [&str; 35] = [
-    "betas",
-    "cache",
-    "k",
-    "live-requests",
-    "seed",
+const VALUE_KEYS: [&str; 23] = [
     "cluster",
-    "nodes",
     "replicas",
     "replication",
     "gossip-interval-ms",
     "addr",
     "h3-addr",
     "transport",
-    "pages",
-    "recipes",
-    "gen-latency-ms",
     "device",
     "model",
     "steps",
@@ -44,9 +35,6 @@ const VALUE_KEYS: [&str; 35] = [
     "workers",
     "shards",
     "queue",
-    "threads",
-    "requests",
-    "prompts",
     "chaos",
     "batch-max",
     "batch-wait",
@@ -60,22 +48,19 @@ const VALUE_KEYS: [&str; 35] = [
 /// The bare switches. Any other `--key` is a typo, not a switch.
 const SWITCHES: [&str; 2] = ["naive", "render"];
 
-/// `text` as a `T`, or the message `main` prints before exiting 2.
-fn typed<T: FromStr>(key: &str, text: &str) -> Result<T, String> {
-    text.trim().parse().map_err(|_| {
-        format!(
-            "bad --{key} {text:?}: expected {}",
-            std::any::type_name::<T>()
-        )
-    })
-}
-
 impl Args {
     /// Parse from an iterator of arguments (without the program name).
-    /// An unknown `--key`, or a value key with no value after it, is an
-    /// error naming the key.
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Args, String> {
+    /// `options_of(command)` names the keys the command reads, `None`
+    /// for a command that does not exist: its options are not judged,
+    /// so the caller can answer it with the usage text. An unknown
+    /// `--key`, a key the command does not read, or a value key with no
+    /// value after it is an error naming the key.
+    pub fn parse<I: IntoIterator<Item = String>>(
+        args: I,
+        options_of: impl Fn(&str) -> Option<&'static [&'static str]>,
+    ) -> Result<Args, String> {
         let mut out = Args::default();
+        let mut given = Vec::new();
         let mut iter = args.into_iter();
         while let Some(arg) = iter.next() {
             if let Some(key) = arg.strip_prefix("--") {
@@ -89,13 +74,20 @@ impl Args {
                 } else {
                     return Err(format!("unknown option --{key}"));
                 }
+                given.push(key.to_string());
             } else if out.command.is_empty() {
                 out.command = arg;
             } else {
                 out.positionals.push(arg);
             }
         }
-        Ok(out)
+        let Some(reads) = options_of(&out.command) else {
+            return Ok(out);
+        };
+        match given.iter().find(|key| !reads.contains(&key.as_str())) {
+            Some(key) => Err(format!("--{key} is not an option of {:?}", out.command)),
+            None => Ok(out),
+        }
     }
 
     /// Option lookup with a default.
@@ -108,17 +100,15 @@ impl Args {
     pub fn value<T: FromStr>(&self, key: &str) -> Result<Option<T>, String> {
         self.options
             .get(key)
-            .map(|text| typed(key, text))
+            .map(|text| {
+                text.trim().parse().map_err(|_| {
+                    format!(
+                        "bad --{key} {text:?}: expected {}",
+                        std::any::type_name::<T>()
+                    )
+                })
+            })
             .transpose()
-    }
-
-    /// `--key` as a comma-separated list of `T` (`default` when the
-    /// option was not given); one bad element fails the whole list.
-    pub fn list<T: FromStr>(&self, key: &str, default: &str) -> Result<Vec<T>, String> {
-        self.opt(key, default)
-            .split(',')
-            .map(|item| typed(key, item))
-            .collect()
     }
 
     /// Whether a switch was given.
@@ -132,7 +122,7 @@ mod tests {
     use super::*;
 
     fn try_parse(s: &str) -> Result<Args, String> {
-        Args::parse(s.split_whitespace().map(str::to_string))
+        Args::parse(s.split_whitespace().map(str::to_string), crate::options_of)
     }
 
     fn parse(s: &str) -> Args {
@@ -148,11 +138,12 @@ mod tests {
 
     #[test]
     fn options_and_flags() {
-        let a = parse("serve --addr 127.0.0.1:8443 --naive --device laptop");
-        assert_eq!(a.opt("addr", ""), "127.0.0.1:8443");
+        let a = parse("fetch 127.0.0.1:8443 /p --naive --device laptop");
         assert_eq!(a.opt("device", "x"), "laptop");
         assert!(a.has_flag("naive"));
         assert!(!a.has_flag("render"));
+        let b = parse("serve --addr 127.0.0.1:8443");
+        assert_eq!(b.opt("addr", ""), "127.0.0.1:8443");
     }
 
     #[test]
@@ -172,48 +163,63 @@ mod tests {
     fn unknown_key_is_an_error() {
         // A misspelt value key used to become a switch and its value a
         // stray positional, so the command ran with the default.
-        let err = try_parse("bench-cluster --replicaton 2").unwrap_err();
+        let err = try_parse("serve --replicaton 2").unwrap_err();
         assert_eq!(err, "unknown option --replicaton");
         assert!(try_parse("serve --ability 3").is_err(), "dead key is gone");
-        assert!(
-            try_parse("bench-cluster --tiles 8").is_err(),
-            "dead key is gone"
-        );
+        assert!(try_parse("serve --tiles 8").is_err(), "dead key is gone");
+    }
+
+    /// An option of another command used to be accepted and ignored:
+    /// `stock landscape --workers 9` printed the catalogue.
+    #[test]
+    fn a_key_the_command_does_not_read_is_an_error() {
+        let err = try_parse("stock landscape --workers 9").unwrap_err();
+        assert_eq!(err, "--workers is not an option of \"stock\"");
+        let err = try_parse("stats --naive").unwrap_err();
+        assert_eq!(err, "--naive is not an option of \"stats\"");
+        // A command that does not exist is left to dispatch, which
+        // prints the usage: its options are not what is wrong.
+        assert_eq!(parse("serv --addr x").command, "serv");
+        assert_eq!(parse("nonesuch").command, "nonesuch");
+    }
+
+    /// Every key a command reads has an arity here, and every key here
+    /// is read by some command.
+    #[test]
+    fn the_key_lists_and_the_command_table_agree() {
+        let read: Vec<&str> = crate::COMMANDS
+            .iter()
+            .flat_map(|(_, options, _)| options.iter().copied())
+            .collect();
+        for key in &read {
+            assert!(
+                VALUE_KEYS.contains(key) || SWITCHES.contains(key),
+                "--{key}"
+            );
+        }
+        for key in VALUE_KEYS.iter().chain(&SWITCHES) {
+            assert!(read.contains(key), "no command reads --{key}");
+        }
     }
 
     #[test]
     fn typed_values_parse_or_name_the_flag() {
-        let a = parse("bench-workload --threads 4 --deadline-ms 2500.5 --nodes 4,1,2");
-        assert_eq!(a.value::<usize>("threads"), Ok(Some(4)));
+        let a = parse("serve --workers 4 --deadline-ms 2500.5");
+        assert_eq!(a.value::<usize>("workers"), Ok(Some(4)));
         assert_eq!(a.value::<f64>("deadline-ms"), Ok(Some(2500.5)));
-        assert_eq!(
-            a.value::<usize>("requests"),
-            Ok(None),
-            "absent, not defaulted"
-        );
-        assert_eq!(a.list::<usize>("nodes", "1,2,4"), Ok(vec![4, 1, 2]));
-        assert_eq!(a.list::<usize>("workers", "1, 2"), Ok(vec![1, 2]));
+        assert_eq!(a.value::<usize>("queue"), Ok(None), "absent, not defaulted");
     }
 
     #[test]
     fn malformed_scalar_is_an_error() {
-        let a = parse("bench-workload --threads abc --deadline-ms 0,05");
+        let a = parse("serve --workers abc --deadline-ms 0,05");
         assert_eq!(
-            a.value::<usize>("threads").unwrap_err(),
-            "bad --threads \"abc\": expected usize"
+            a.value::<usize>("workers").unwrap_err(),
+            "bad --workers \"abc\": expected usize"
         );
         assert_eq!(
             a.value::<f64>("deadline-ms").unwrap_err(),
             "bad --deadline-ms \"0,05\": expected f64"
-        );
-    }
-
-    #[test]
-    fn malformed_list_element_is_an_error() {
-        let a = parse("bench-cluster --nodes 1,x,4");
-        assert_eq!(
-            a.list::<usize>("nodes", "1,2,4").unwrap_err(),
-            "bad --nodes \"x\": expected usize"
         );
     }
 
@@ -224,28 +230,16 @@ mod tests {
     }
 
     #[test]
-    fn workload_options_take_values() {
-        let a = parse(
-            "bench-workload --betas 0.02,0.2,1.0 --k 8 --cache 32 --live-requests 150 --seed 42",
-        );
-        assert_eq!(a.opt("betas", ""), "0.02,0.2,1.0");
-        assert_eq!(a.opt("k", ""), "8");
-        assert_eq!(a.opt("cache", ""), "32");
-        assert_eq!(a.opt("live-requests", ""), "150");
-        assert_eq!(a.opt("seed", ""), "42");
-        assert!(a.positionals.is_empty());
-    }
-
-    #[test]
     fn cluster_options_take_values() {
-        let a = parse("serve --cluster 4 --replicas 128 --replication 2 --gossip-interval-ms 100");
+        let a = parse(
+            "serve --cluster 4 --replicas 128 --replication 2 --gossip-interval-ms 100 \
+             --chaos seed=7",
+        );
         assert_eq!(a.opt("cluster", ""), "4");
         assert_eq!(a.opt("replicas", ""), "128");
         assert_eq!(a.opt("replication", ""), "2");
         assert_eq!(a.opt("gossip-interval-ms", ""), "100");
-        let b = parse("bench-cluster --nodes 1,2,4 --chaos seed=7 --replication 2");
-        assert_eq!(b.opt("nodes", ""), "1,2,4");
-        assert_eq!(b.opt("chaos", ""), "seed=7");
-        assert_eq!(b.opt("replication", ""), "2");
+        assert_eq!(a.opt("chaos", ""), "seed=7");
+        assert!(a.positionals.is_empty());
     }
 }

@@ -16,22 +16,10 @@
 //! sww convert <html-file> [--out FILE]
 //! sww stock [category]
 //! sww stats [addr] [--device laptop|workstation|mobile]
-//! sww bench-concurrent [--threads 8] [--requests 100] [--prompts 10] [--workers 1,2,4,8]
-//!                      [--batch-max N] [--batch-wait MS] [--kernel-tiles N]
-//!                      [--chaos SPEC]
-//!                      [--deadline-ms MS] [--breaker-threshold N]
-//!                      [--breaker-cooldown-ms MS]
-//! sww bench-transport [--pages 5] [--recipes 4] [--gen-latency-ms 25]
-//!                     [--chaos SPEC]
-//! sww bench-cluster [--nodes 1,2,4] [--threads 2] [--requests 10]
-//!                   [--prompts 10] [--replicas 64] [--chaos SPEC]
-//!                   [--replication N]
-//! sww bench-workload [--betas 0.02,0.2,1.0] [--pages 192] [--k 8]
-//!                    [--requests 1000000] [--live-requests 600]
-//!                    [--transport single|h2|h3] [--cluster 4] [--cache 32]
-//!                    [--deadline-ms 2500] [--threads 4] [--seed 42]
-//!                    [--chaos SPEC]
 //! ```
+//!
+//! The paper's tables (E1–E21) are the `report` binary's job
+//! (`sww-bench`), not this one's.
 //!
 //! `--batch-max N` (N > 1) turns on continuous batching: compatible
 //! concurrent generations share one denoising pass, bit-identical per
@@ -41,15 +29,10 @@
 //! N data-parallel kernel lanes on the blocking crew — still
 //! bit-identical per image (see DESIGN.md "Kernel & memory model").
 //!
-//! `bench-cluster` and `bench-workload` judge the outcomes of the
-//! experiments they ran by the rules stated beside those outcomes in
-//! `sww_bench::experiments` (`edge`, `workload`, `resilience`; the
-//! table in PERFORMANCE.md names the test that holds each): one `FAIL:`
-//! line per violation and exit status 1 when there is any.
-//!
-//! A malformed option value (`--threads abc`, `--nodes 1,x`), an unknown
-//! `--option`, or a value option with nothing after it is an error: one
-//! line naming the flag, exit status 2, before any work starts.
+//! A malformed option value (`--workers abc`), an unknown `--option`, an
+//! option the command does not read (`stock --workers 9`), or a value
+//! option with nothing after it is an error: one line naming the flag,
+//! exit status 2, before any work starts.
 //!
 //! `--deadline-ms MS` gives every request that carries no
 //! `x-sww-deadline-ms` header a deadline budget: expiry answers `504`,
@@ -77,22 +60,9 @@
 //! successors, so an owner death serves hot keys from replicas with
 //! zero regeneration. `--gossip-interval-ms MS` sets the cadence of the
 //! SWIM failure-detector rounds the cluster ticks in the background
-//! (default 200; membership health feeds the successor walk).
-//! `bench-cluster` is the E19 harness: aggregate throughput and global
-//! hit rate vs node count (in any `--nodes` order), plus a chaos
-//! node-kill scenario; with `--replication N` it also runs the E21
-//! failover scenario at 1 and N copies and the gossip partition heal.
-//!
-//! `bench-workload` is the E20 harness: it generates one seeded
-//! Watts–Strogatz workload per `--betas` entry (Zipf popularity,
-//! random-walk sessions with restart, diurnal arrivals, the E14 device
-//! mix), runs the modelled discrete-event simulator over each at
-//! `--requests` scale, and replays a `--live-requests` trace through the
-//! real stack — in-process single node, HTTP/3, and a `--cluster N` edge
-//! ring (or just the one target named by `--transport`). Its
-//! determinism rule holds with `--chaos` or without: every server draws
-//! faults from a seeded stream of its own, so the schedule replays per
-//! instance.
+//! (default 200; membership health feeds the successor walk). The
+//! cluster listens on h2 and runs until interrupted, so `--transport`,
+//! `--h3-addr` and `--drain-after` with `--cluster` exit 2.
 //!
 //! `--transport h3` serves over the HTTP/3 framing (QUIC-lite stream
 //! mux) instead of HTTP/2; `--transport both` binds two listeners (the
@@ -102,9 +72,9 @@
 //! DESIGN.md "Transports" and experiment E18).
 //!
 //! `--chaos SPEC` arms the deterministic fault-injection layer
-//! (`sww_core::faults`) on every server the command builds
-//! (`ServerConfig::chaos`), and on the gossip layer of every edge cluster
-//! it builds; nothing else draws from it. The spec grammar is
+//! (`sww_core::faults`) on every server `sww serve` builds
+//! (`ServerConfig::chaos`), and with `--cluster` on the gossip layer of
+//! its edge cluster; nothing else draws from it. The spec grammar is
 //! `seed=<u64>,<site>=<kind>:<prob>[:<param>],…` — e.g.
 //! `seed=42,engine.generate=error:0.1,pool.enqueue=error:0.05` — and is
 //! documented in DESIGN.md ("Failure model").
@@ -151,23 +121,58 @@ type Outcome = Result<(), String>;
 
 type Command = fn(&Args) -> Outcome;
 
-/// Every command: the one table both dispatch and `usage()` read.
-const COMMANDS: [(&str, Command); 11] = [
-    ("serve", |args| block_on(cmd_serve(args))),
-    ("fetch", |args| block_on(cmd_fetch(args))),
-    ("generate", cmd_generate),
-    ("expand", cmd_expand),
-    ("convert", cmd_convert),
-    ("stock", cmd_stock),
-    ("stats", |args| block_on(cmd_stats(args))),
-    ("bench-concurrent", cmd_bench_concurrent),
-    ("bench-cluster", cmd_bench_cluster),
-    ("bench-transport", cmd_bench_transport),
-    ("bench-workload", cmd_bench_workload),
+/// Every command with the options it reads: the one table dispatch,
+/// `usage()` and [`Args::parse`] read.
+const COMMANDS: [(&str, &[&str], Command); 7] = [
+    (
+        "serve",
+        &[
+            "addr",
+            "site",
+            "naive",
+            "transport",
+            "h3-addr",
+            "cluster",
+            "replicas",
+            "replication",
+            "gossip-interval-ms",
+            "workers",
+            "shards",
+            "queue",
+            "chaos",
+            "batch-max",
+            "batch-wait",
+            "kernel-tiles",
+            "deadline-ms",
+            "breaker-threshold",
+            "breaker-cooldown-ms",
+            "drain-after",
+        ],
+        |args| tokio::runtime::block_on(cmd_serve(args)),
+    ),
+    ("fetch", &["device", "naive", "render", "out"], |args| {
+        tokio::runtime::block_on(cmd_fetch(args))
+    }),
+    ("generate", &["model", "steps", "out"], cmd_generate),
+    ("expand", &["model"], cmd_expand),
+    ("convert", &["out"], cmd_convert),
+    ("stock", &[], cmd_stock),
+    ("stats", &["device"], |args| {
+        tokio::runtime::block_on(cmd_stats(args))
+    }),
 ];
 
+/// The options `command` reads; `None` for a command that is not in
+/// [`COMMANDS`].
+fn options_of(command: &str) -> Option<&'static [&'static str]> {
+    COMMANDS
+        .iter()
+        .find(|(name, ..)| *name == command)
+        .map(|(_, options, _)| *options)
+}
+
 fn usage_text() -> String {
-    let names: Vec<&str> = COMMANDS.iter().map(|(name, _)| *name).collect();
+    let names: Vec<&str> = COMMANDS.iter().map(|(name, ..)| *name).collect();
     format!(
         "usage: sww <{}> [options]\nsee crate docs for the full option list",
         names.join("|")
@@ -180,7 +185,7 @@ fn usage() -> ! {
 }
 
 /// The chaos spec from `--chaos`, if given; a malformed spec is an
-/// error (before any server or bench work starts).
+/// error (before any server starts).
 fn chaos_option(args: &Args) -> Result<Option<sww_core::ChaosSpec>, String> {
     let Some(spec) = args.options.get("chaos") else {
         return Ok(None);
@@ -195,40 +200,20 @@ fn chaos_option(args: &Args) -> Result<Option<sww_core::ChaosSpec>, String> {
     Ok(Some(spec))
 }
 
-fn block_on<F: std::future::Future>(future: F) -> F::Output {
-    tokio::runtime::Builder::new_multi_thread()
-        .worker_threads(2)
-        .enable_all()
-        .build()
-        .expect("tokio runtime")
-        .block_on(future)
-}
-
 fn main() {
-    let run = |args: Args| match COMMANDS.iter().find(|(name, _)| *name == args.command) {
-        Some((_, command)) => command(&args),
+    let run = |args: Args| match COMMANDS.iter().find(|(name, ..)| *name == args.command) {
+        Some((.., command)) => command(&args),
         None => usage(),
     };
-    if let Err(message) = Args::parse(std::env::args().skip(1)).and_then(run) {
+    if let Err(message) = Args::parse(std::env::args().skip(1), options_of).and_then(run) {
         eprintln!("{message}");
         std::process::exit(2);
     }
 }
 
-/// Exit 1 with one `FAIL:` line per violation an experiment's rules
-/// found; return when they found none.
-fn exit_on(violations: Vec<String>) {
-    for line in &violations {
-        eprintln!("FAIL: {line}");
-    }
-    if !violations.is_empty() {
-        std::process::exit(1)
-    }
-}
-
-/// Translate `sww serve` / `bench-concurrent` flags into the library's
-/// [`ServerConfig`] — the CLI builds the exact struct the library
-/// consumes, so the two can never drift apart.
+/// Translate `sww serve` flags into the library's [`ServerConfig`] — the
+/// CLI builds the exact struct the library consumes, so the two can
+/// never drift apart.
 fn server_config_from(args: &Args) -> Result<ServerConfig, String> {
     let site: SiteContent = match args.opt("site", "blog") {
         "wikimedia" => {
@@ -240,7 +225,6 @@ fn server_config_from(args: &Args) -> Result<ServerConfig, String> {
         }
         _ => sww_workload::travel_blog(),
     };
-    let (batch_max, batch_wait_ms) = batch_options(args)?;
     Ok(ServerConfig {
         site,
         ability: if args.has_flag("naive") {
@@ -251,9 +235,9 @@ fn server_config_from(args: &Args) -> Result<ServerConfig, String> {
         workers: args.value("workers")?.unwrap_or(0),
         cache_shards: args.value("shards")?.unwrap_or(8),
         queue_capacity: args.value("queue")?.unwrap_or(64),
-        batch_max,
-        batch_wait: std::time::Duration::from_millis(batch_wait_ms),
-        kernel_tiles: kernel_tiles_option(args)?,
+        batch_max: args.value("batch-max")?.unwrap_or(1),
+        batch_wait: std::time::Duration::from_millis(args.value("batch-wait")?.unwrap_or(2)),
+        kernel_tiles: args.value::<usize>("kernel-tiles")?.unwrap_or(1).max(1),
         default_deadline: args
             .value("deadline-ms")?
             .map(std::time::Duration::from_millis),
@@ -348,6 +332,13 @@ async fn cmd_serve(args: &Args) -> Outcome {
 /// cluster. Every per-node knob (`--workers`, `--batch-max`, …) applies
 /// to each node; connections round-robin across entry nodes.
 async fn cmd_serve_cluster(args: &Args, nodes: usize) -> Outcome {
+    // The cluster listens on h2 only and never drains.
+    if let Some(key) = ["transport", "h3-addr", "drain-after"]
+        .into_iter()
+        .find(|key| args.options.contains_key(*key))
+    {
+        return Err(format!("--{key} is not an option of \"serve --cluster\""));
+    }
     let nodes = nodes.max(1);
     let replicas: usize = args
         .value("replicas")?
@@ -564,24 +555,9 @@ fn cmd_stock(args: &Args) -> Outcome {
     Ok(())
 }
 
-/// `--batch-max` / `--batch-wait` (shared by `serve` and
-/// `bench-concurrent`).
-fn batch_options(args: &Args) -> Result<(usize, u64), String> {
-    Ok((
-        args.value("batch-max")?.unwrap_or(1),
-        args.value("batch-wait")?.unwrap_or(2),
-    ))
-}
-
-/// `--kernel-tiles` (shared by `serve` and `bench-concurrent`): data-
-/// parallel lanes per batched denoise pass, 1 = scalar kernel.
-fn kernel_tiles_option(args: &Args) -> Result<usize, String> {
-    Ok(args.value::<usize>("kernel-tiles")?.unwrap_or(1).max(1))
-}
-
-/// `--breaker-threshold` / `--breaker-cooldown-ms` (shared by `serve`
-/// and `bench-concurrent`). The breaker stays off unless a threshold is
-/// given; the cooldown defaults to the library's 30 s.
+/// `--breaker-threshold` / `--breaker-cooldown-ms`. The breaker stays
+/// off unless a threshold is given; the cooldown defaults to the
+/// library's 30 s.
 fn breaker_option(args: &Args) -> Result<Option<sww_core::BreakerConfig>, String> {
     let Some(threshold) = args.value::<u32>("breaker-threshold")? else {
         return Ok(None);
@@ -596,174 +572,6 @@ fn breaker_option(args: &Args) -> Result<Option<sww_core::BreakerConfig>, String
     Ok(Some(cfg))
 }
 
-/// Stress the concurrent serving engine in-process: naive sessions drive
-/// server-side generation from many threads, sweeping the worker count.
-///
-/// This is the E15 harness (`sww_bench::experiments::concurrency`)
-/// behind a CLI: the sweep loop lives in one place, so the command and
-/// `bench-report` cannot drift apart — in particular both inherit the
-/// per-sample (delta, never cumulative) counter accounting.
-fn cmd_bench_concurrent(args: &Args) -> Outcome {
-    use sww_bench::experiments::concurrency;
-    let chaos = chaos_option(args)?;
-    let (batch_max, batch_wait_ms) = batch_options(args)?;
-    let cfg = concurrency::ConcurrencyConfig {
-        threads: args.value("threads")?.unwrap_or(8),
-        requests: args.value("requests")?.unwrap_or(100),
-        prompts: args.value::<usize>("prompts")?.unwrap_or(10).max(1),
-        batch_max,
-        batch_wait_ms,
-        deadline_ms: args.value("deadline-ms")?,
-        breaker: breaker_option(args)?
-            .map(|c| (c.failure_threshold, c.cooldown.as_millis() as u64)),
-        kernel_tiles: kernel_tiles_option(args)?,
-    };
-    let worker_counts: Vec<usize> = args.list("workers", "1,2,4,8")?;
-    let samples = concurrency::run(cfg, &worker_counts, chaos.as_ref());
-    println!("{}", concurrency::table(cfg, &samples).render());
-    Ok(())
-}
-
-/// Run the E19 edge-cluster sweep on its own: aggregate throughput and
-/// global hit rate vs node count, then the chaos node-kill scenario.
-/// With `--chaos` the caller's spec arms every node of both; otherwise
-/// only the kill scenario is armed, with its own deterministic
-/// generation latency. With `--replication N` (N ≥ 2) the E21 failover
-/// and partition scenarios run too. Exits 1 when an outcome breaks its
-/// rule.
-fn cmd_bench_cluster(args: &Args) -> Outcome {
-    use sww_bench::experiments::{edge, resilience};
-    let cfg = edge::EdgeClusterConfig {
-        node_counts: args.list("nodes", "1,2,4")?,
-        threads_per_node: args.value::<usize>("threads")?.unwrap_or(2).max(1),
-        requests_per_thread: args.value::<usize>("requests")?.unwrap_or(10).max(1),
-        prompts: args.value::<usize>("prompts")?.unwrap_or(10).max(1),
-        replicas: args.value::<usize>("replicas")?.unwrap_or(64).max(1),
-    };
-    let replication: usize = args.value("replication")?.unwrap_or(1).max(1);
-    let spec = chaos_option(args)?;
-    let samples = edge::run(&cfg, spec.as_ref());
-    println!("{}", edge::table(&cfg, &samples).render());
-    println!("{}", edge::modelled_table(&cfg).render());
-    let chaos = match &spec {
-        Some(spec) => edge::chaos_kill(&cfg, spec),
-        None => edge::chaos_kill_with_latency(&cfg),
-    };
-    println!("{}", edge::chaos_table(&chaos).render());
-    let mut violations = edge::hit_rate_violations(&samples);
-    violations.extend(chaos.violations());
-    // E21, opt-in via --replication N (N ≥ 2): hot-key replication
-    // failover at 1 and N copies, plus the gossip partition heal.
-    if replication > 1 {
-        let rcfg = resilience::ResilienceConfig {
-            prompts: cfg.prompts,
-            replicas: cfg.replicas,
-            replication_levels: vec![1, replication],
-            ..resilience::ResilienceConfig::default()
-        };
-        let failover = resilience::failover_sweep(&rcfg);
-        println!("{}", resilience::failover_table(&rcfg, &failover).render());
-        let partition = resilience::partition_heal(&rcfg);
-        println!("{}", resilience::partition_table(&partition).render());
-        violations.extend(failover.iter().flat_map(|o| o.violations()));
-        violations.extend(partition.violations());
-    }
-    exit_on(violations);
-    println!("edge rules hold (node-kill took out {})", chaos.killed);
-    Ok(())
-}
-
-/// Run the E18 transport shoot-out on its own: h2 vs h3 page loads with
-/// a slow generation behind every recipe. With `--chaos` the caller's
-/// spec drives the slowness; otherwise the experiment arms its servers
-/// with its own deterministic `engine.generate` latency. Exits non-zero
-/// if the h3 payloads are not byte-identical to the h2 ones.
-fn cmd_bench_transport(args: &Args) -> Outcome {
-    use sww_bench::experiments::transport;
-    let cfg = transport::TransportConfig {
-        pages: args.value::<usize>("pages")?.unwrap_or(5).max(1),
-        recipes: args.value::<usize>("recipes")?.unwrap_or(4).max(1),
-        gen_latency_ms: args.value("gen-latency-ms")?.unwrap_or(25),
-        ..transport::TransportConfig::default()
-    };
-    let run = match chaos_option(args)? {
-        Some(spec) => transport::run(cfg, &spec),
-        None => {
-            println!("chaos: {} (default E18 spec)", transport::latency_spec(cfg));
-            transport::run_with_latency(cfg)
-        }
-    };
-    println!("{}", transport::table(cfg, &run).render());
-    println!(
-        "modelled h3 speedup: {:.2}x, measured p99 speedup: {:.2}x",
-        run.modelled_speedup(),
-        run.measured_p99_speedup()
-    );
-    if !run.byte_identical {
-        eprintln!("FAIL: per-recipe payloads differ between h2 and h3");
-        std::process::exit(1);
-    }
-    println!("payloads byte-identical across transports");
-    Ok(())
-}
-
-/// Translate `bench-workload` flags into an E20 sweep config.
-fn e20_config_from(args: &Args) -> Result<sww_bench::experiments::workload::E20Config, String> {
-    use sww_bench::experiments::workload::E20Config;
-    let d = E20Config::default();
-    Ok(E20Config {
-        betas: args.list("betas", "0.02,0.2,1.0")?,
-        graph_nodes: args.value("pages")?.unwrap_or(d.graph_nodes),
-        k: args.value("k")?.unwrap_or(d.k),
-        cache_capacity: args.value("cache")?.unwrap_or(d.cache_capacity),
-        cluster_nodes: args.value("cluster")?.unwrap_or(d.cluster_nodes).max(1),
-        deadline_ms: args.value("deadline-ms")?.unwrap_or(d.deadline_ms),
-        modelled_requests: args.value("requests")?.unwrap_or(d.modelled_requests),
-        live_requests: args.value("live-requests")?.unwrap_or(d.live_requests),
-        threads: args.value("threads")?.unwrap_or(d.threads).max(1),
-        seed: args.value("seed")?.unwrap_or(d.seed),
-        ..d
-    })
-}
-
-/// Run the E20 small-world workload harness: the modelled sweep over
-/// every `--betas` entry, the live trace replays, and the
-/// replay-determinism check. Exits 1 when the rows or the witness break
-/// their rules.
-fn cmd_bench_workload(args: &Args) -> Outcome {
-    use sww_bench::experiments::workload;
-    use sww_workload::ReplayTarget;
-    let cfg = e20_config_from(args)?;
-    // --transport narrows the live run to one framing path; --cluster
-    // always adds the edge ring unless a single transport was asked for.
-    let targets = match args.options.get("transport").map(String::as_str) {
-        Some("h2") => vec![ReplayTarget::H2],
-        Some("h3") => vec![ReplayTarget::H3],
-        Some("single") => vec![ReplayTarget::Single],
-        Some(other) => {
-            return Err(format!(
-                "bad --transport {other:?}: expected single, h2 or h3"
-            ))
-        }
-        None => workload::live_targets(&cfg),
-    };
-    let chaos = chaos_option(args)?;
-    let rows = workload::modelled_sweep(&cfg);
-    println!("{}", workload::modelled_table(&cfg, &rows).render());
-    let live = workload::live_sweep(&cfg, &targets, chaos.as_ref());
-    println!("{}", workload::live_table(&cfg, &live).render());
-    let det = workload::determinism_check(&cfg, &live, chaos.as_ref());
-    let mut violations = workload::slo_violations(&cfg, &rows);
-    violations.extend(det.violations());
-    exit_on(violations);
-    println!(
-        "workload rules hold ({} modelled rows, {} live replays)",
-        rows.len(),
-        live.len()
-    );
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -771,19 +579,9 @@ mod tests {
     #[test]
     fn usage_lists_every_dispatched_command() {
         let expected = [
-            "serve",
-            "fetch",
-            "generate",
-            "expand",
-            "convert",
-            "stock",
-            "stats",
-            "bench-concurrent",
-            "bench-cluster",
-            "bench-transport",
-            "bench-workload",
+            "serve", "fetch", "generate", "expand", "convert", "stock", "stats",
         ];
-        let dispatched: Vec<&str> = COMMANDS.iter().map(|(name, _)| *name).collect();
+        let dispatched: Vec<&str> = COMMANDS.iter().map(|(name, ..)| *name).collect();
         assert_eq!(dispatched, expected, "the table is the command set");
         let listed = usage_text();
         let listed: Vec<&str> = listed

@@ -20,15 +20,6 @@ impl<T: AsyncRead + AsyncWrite + Unpin> ClientConnection<T> {
         Ok(ClientConnection { conn })
     }
 
-    /// Connect with fully custom settings.
-    pub async fn handshake_with_settings(
-        io: T,
-        settings: Settings,
-    ) -> Result<ClientConnection<T>, H2Error> {
-        let conn = Connection::client_handshake(io, settings).await?;
-        Ok(ClientConnection { conn })
-    }
-
     /// The generative ability the server advertised.
     pub fn server_ability(&self) -> GenAbility {
         self.conn.peer_ability()

@@ -55,15 +55,6 @@ impl<T: AsyncRead + AsyncWrite + Unpin> FrameIo<T> {
         Frame::parse(header, Bytes::from(payload))
     }
 
-    /// Write one frame and flush.
-    pub async fn write_frame(&mut self, frame: &Frame) -> Result<(), H2Error> {
-        let mut buf = BytesMut::with_capacity(FRAME_HEADER_LEN + 512);
-        frame.encode(&mut buf);
-        self.io.write_all(&buf).await?;
-        self.io.flush().await?;
-        Ok(())
-    }
-
     /// Write raw octets (the client preface) and flush.
     pub async fn write_raw(&mut self, bytes: &[u8]) -> Result<(), H2Error> {
         self.io.write_all(bytes).await?;

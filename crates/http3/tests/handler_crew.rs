@@ -20,7 +20,7 @@ use std::time::Duration;
 use sww_http2::{GenAbility, Request, Response};
 use sww_http3::{serve_h3_connection, H3ClientConnection};
 use tokio::io::DuplexStream;
-use tokio::runtime::Runtime;
+use tokio::runtime::block_on;
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -59,7 +59,7 @@ fn sequential_requests_run_on_one_thread() {
     let _turn = serial();
     let seen = Arc::new(Mutex::new(HashSet::<ThreadId>::new()));
     let ids = Arc::clone(&seen);
-    Runtime::new().unwrap().block_on(async move {
+    block_on(async move {
         let mut client = connect(move |req| {
             ids.lock().unwrap().insert(thread::current().id());
             Response::ok(Bytes::from(req.path))
@@ -83,7 +83,7 @@ fn handlers_that_wait_for_each_other_all_run() {
     let _turn = serial();
     let pair = Arc::new(Barrier::new(2));
     let eight = Arc::new(Barrier::new(8));
-    Runtime::new().unwrap().block_on(async move {
+    block_on(async move {
         let mut client = connect(move |req| {
             match req.path.as_str() {
                 "/pair" => pair.wait(),
@@ -136,7 +136,7 @@ fn a_thread_whose_handler_panicked_serves_the_next_stream_clean() {
     let _turn = serial();
     let died_on = Arc::new(Mutex::new(None));
     let grave = Arc::clone(&died_on);
-    Runtime::new().unwrap().block_on(async move {
+    block_on(async move {
         let mut client = connect(move |req| {
             let stale = SCOPES.with(|scopes| scopes.borrow().len());
             let _scope = Scope::enter("request");

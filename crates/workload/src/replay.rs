@@ -352,13 +352,8 @@ impl ReplayEngine {
             chaos: rcfg.chaos.clone(),
             ..ServerConfig::default()
         });
-        let rt = tokio::runtime::Builder::new_multi_thread()
-            .worker_threads(2)
-            .enable_all()
-            .build()
-            .expect("tokio runtime");
         let mut results = Vec::with_capacity(self.trace.events().len());
-        rt.block_on(async {
+        tokio::runtime::block_on(async {
             if h3 {
                 let mut full = h3_connect(&server, GenAbility::full()).await;
                 let mut naive = h3_connect(&server, GenAbility::none()).await;
@@ -627,7 +622,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_cache_stores_nothing() {
-        // `sww bench-workload --cache 0`: no page is ever resident, so
+        // A cache of capacity 0: no page is ever resident, so
         // every request pays generation.
         let slo = modelled_slo(&tiny(), 1, 0);
         assert_eq!(slo.hit_rate, 0.0);

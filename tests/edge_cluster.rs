@@ -785,12 +785,7 @@ fn edge_cluster_serves_over_real_tcp() {
     // A plain test with its own runtime: the suite-serialization guard
     // (std `Mutex`) must not be held across await points, so the async
     // body runs under `block_on` instead of `#[tokio::test]`.
-    let rt = tokio::runtime::Builder::new_multi_thread()
-        .worker_threads(2)
-        .enable_all()
-        .build()
-        .unwrap();
-    rt.block_on(edge_cluster_over_tcp());
+    tokio::runtime::block_on(edge_cluster_over_tcp());
 }
 
 async fn edge_cluster_over_tcp() {

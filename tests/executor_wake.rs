@@ -22,7 +22,7 @@ use std::task::{Poll, Waker};
 use std::thread::{self, ThreadId};
 use std::time::{Duration, Instant};
 use tokio::io::{AsyncReadExt, AsyncWriteExt};
-use tokio::runtime::{park_counts, Runtime};
+use tokio::runtime::{block_on, park_counts};
 use tokio::task::spawn_blocking;
 
 /// A cross-thread queue that keeps its consumer's waker — the shape of a
@@ -122,7 +122,7 @@ fn a_future_readied_by_another_thread_resolves_after_one_woken_wait() {
     });
     let before = park_counts();
     let start = Instant::now();
-    let got = Runtime::new().unwrap().block_on(mail.recv());
+    let got = block_on(mail.recv());
     assert_eq!(got, 7);
     assert!(start.elapsed() >= DELAY);
     let (woken, timed_out) = waits_since(before);
@@ -142,7 +142,7 @@ fn a_push_between_a_timed_out_wait_and_the_next_poll_counts_as_its_wake() {
     let mut recv = std::pin::pin!(mail.recv());
     let mut polls = 0;
     let before = park_counts();
-    let got = Runtime::new().unwrap().block_on(poll_fn(|cx| {
+    let got = block_on(poll_fn(|cx| {
         polls += 1;
         if polls == 2 {
             let mail = Arc::clone(&mail);
@@ -174,7 +174,7 @@ fn items_slept_through() -> u32 {
             })
         })
         .collect();
-    let late = Runtime::new().unwrap().block_on(async {
+    let late = block_on(async {
         let mut next = [0u32; PRODUCERS as usize];
         let mut late = 0;
         for _ in 0..PRODUCERS * ITEMS {
@@ -239,7 +239,7 @@ fn a_woken_round_is_polled_again() {
             }
         }
     });
-    let late = Runtime::new().unwrap().block_on(async {
+    let late = block_on(async {
         let (mut near, mut far) = tokio::io::duplex(64);
         tokio::spawn(async move {
             loop {
@@ -264,7 +264,7 @@ fn a_round_that_joins_a_blocking_job_is_polled_again() {
     // The job ends before its handle is first polled, so nothing wakes
     // the executor: the join itself is the progress.
     let _turn = crew_turn();
-    let late = Runtime::new().unwrap().block_on(async {
+    let late = block_on(async {
         let (mut near, mut far) = tokio::io::duplex(64);
         tokio::spawn(async move {
             loop {
@@ -291,7 +291,7 @@ fn a_round_that_joins_a_blocking_job_is_polled_again() {
 fn a_finished_blocking_job_wakes_its_handle() {
     let _turn = crew_turn();
     let before = park_counts();
-    Runtime::new().unwrap().block_on(async {
+    block_on(async {
         spawn_blocking(|| thread::sleep(Duration::from_millis(20)))
             .await
             .unwrap();
@@ -305,7 +305,7 @@ fn a_finished_blocking_job_wakes_its_handle() {
 #[test]
 fn sources_without_a_waker_are_still_re_polled() {
     let before = park_counts();
-    Runtime::new().unwrap().block_on(async {
+    block_on(async {
         // An in-memory pipe, both ends on this thread.
         let (mut near, mut far) = tokio::io::duplex(64);
         tokio::spawn(async move {
@@ -389,7 +389,7 @@ fn a_wake_restarts_the_backoff() {
     // The echo needs one more round of polling after the wake: 5 µs and
     // the timer's slack with the restart, the full 1 ms cap without.
     best_of_three(
-        || Runtime::new().unwrap().block_on(wake_to_echo_median()),
+        || block_on(wake_to_echo_median()),
         |median| *median < Duration::from_micros(500),
         "median time from a wake to a pipe echo",
     );
@@ -397,14 +397,13 @@ fn a_wake_restarts_the_backoff() {
 
 #[test]
 fn a_waker_fired_after_its_block_on_returned_is_harmless() {
-    let rt = Runtime::new().unwrap();
-    let stale = rt.block_on(poll_fn(|cx| Poll::Ready(cx.waker().clone())));
+    let stale = block_on(poll_fn(|cx| Poll::Ready(cx.waker().clone())));
     stale.wake_by_ref();
     let remote = stale.clone();
     thread::spawn(move || remote.wake()).join().unwrap();
     // Each `block_on` has its own parker: the next one sees no wake.
     let before = park_counts();
-    rt.block_on(tokio::time::sleep(Duration::from_millis(5)));
+    block_on(tokio::time::sleep(Duration::from_millis(5)));
     let (woken, timed_out) = waits_since(before);
     assert_eq!(woken, 0, "a stale wake reached the next block_on");
     assert!(timed_out > 0);
@@ -422,7 +421,7 @@ fn crew_turn() -> MutexGuard<'static, ()> {
 #[test]
 fn sequential_blocking_jobs_run_on_one_thread() {
     let _turn = crew_turn();
-    let threads: HashSet<ThreadId> = Runtime::new().unwrap().block_on(async {
+    let threads: HashSet<ThreadId> = block_on(async {
         let mut threads = HashSet::new();
         for _ in 0..200 {
             let job = spawn_blocking(|| thread::current().id());
@@ -438,7 +437,7 @@ fn sequential_blocking_jobs_run_on_one_thread() {
 #[test]
 fn a_blocking_job_never_waits_behind_a_running_one() {
     let _turn = crew_turn();
-    Runtime::new().unwrap().block_on(async {
+    block_on(async {
         // Leave two threads parked.
         let pair = Arc::new(Barrier::new(2));
         let warm: Vec<_> = (0..2)
@@ -479,7 +478,7 @@ fn a_panicked_blocking_job_is_a_join_error_and_its_thread_serves_on() {
         static SCRATCH: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
     }
     let _turn = crew_turn();
-    Runtime::new().unwrap().block_on(async {
+    block_on(async {
         let died_on = Arc::new(Mutex::new(None));
         let grave = Arc::clone(&died_on);
         let doomed = spawn_blocking(move || {

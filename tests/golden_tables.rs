@@ -189,7 +189,7 @@ fn e18_transport_modelled_rows_match_golden() {
 
 /// E20 at full scale (`E20Config::default()`, a million requests per
 /// β): the same scorecard as the quick snapshot above, at the volume
-/// `bench-workload` runs by default, held to the SLO rules there too.
+/// `report --exp e20` runs, held to the SLO rules there too.
 #[test]
 fn e20_workload_full_scale_matches_golden() {
     let _heavy = heavy();

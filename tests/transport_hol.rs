@@ -59,13 +59,8 @@ fn h3_beats_h2_when_generations_are_slow() {
 
     // …and against each server's Prometheus exposition, like any
     // scraper would.
-    let rt = tokio::runtime::Builder::new_multi_thread()
-        .worker_threads(2)
-        .enable_all()
-        .build()
-        .unwrap();
     let scrape = |server: &sww::core::GenerativeServer| {
-        rt.block_on(async {
+        tokio::runtime::block_on(async {
             let server = server.clone();
             let (a, b) = tokio::io::duplex(1 << 20);
             tokio::spawn(async move {
