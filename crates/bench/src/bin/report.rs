@@ -113,22 +113,17 @@ fn main() {
         println!("{}", mobile::table(&mobile::run()).render());
     }
     if wants(&filter, "e15") {
-        let cfg = concurrency::ConcurrencyConfig::default();
-        let samples = concurrency::run(cfg, &[0, 1, 2, 4, 8]);
-        println!("{}", concurrency::table(cfg, &samples).render());
+        println!("{}", concurrency::table(&concurrency::run()).render());
     }
     if wants(&filter, "e16") {
-        let cfg = batching::BatchingConfig::default();
-        let samples = batching::run(cfg, &[1, 2, 4, 8]);
-        println!("{}", batching::table(cfg, &samples).render());
+        println!("{}", batching::table(&batching::run()).render());
     }
     if wants(&filter, "e17") {
-        let kcfg = kernel::KernelConfig::default();
-        let raw = kernel::kernel_sweep(kcfg, &[1, 2, 4, 8]);
-        println!("{}", kernel::kernel_table(kcfg, &raw).render());
-        let scfg = kernel::ServingConfig::default();
-        let served = kernel::serving_sweep(scfg, &[1, 8]);
-        println!("{}", kernel::serving_table(scfg, &served).render());
+        println!("{}", kernel::kernel_table(&kernel::kernel_sweep()).render());
+        println!(
+            "{}",
+            kernel::serving_table(&kernel::serving_sweep()).render()
+        );
     }
     let mut violations = Vec::new();
     if wants(&filter, "e18") {
@@ -143,11 +138,10 @@ fn main() {
         violations.extend(run.violations());
     }
     if wants(&filter, "e19") {
-        let cfg = edge::EdgeClusterConfig::default();
-        let samples = edge::run(&cfg, None);
-        println!("{}", edge::table(&cfg, &samples).render());
-        println!("{}", edge::modelled_table(&cfg).render());
-        let chaos = edge::chaos_kill_with_latency(&cfg);
+        let samples = edge::run(None);
+        println!("{}", edge::table(&samples).render());
+        println!("{}", edge::modelled_table().render());
+        let chaos = edge::chaos_kill_with_latency();
         println!("{}", edge::chaos_table(&chaos).render());
         violations.extend(edge::hit_rate_violations(&samples));
         violations.extend(chaos.violations());
@@ -162,10 +156,9 @@ fn main() {
         violations.extend(workload::determinism_check(&cfg, &live, None).violations());
     }
     if wants(&filter, "e21") {
-        let cfg = resilience::ResilienceConfig::default();
-        let failover = resilience::failover_sweep(&cfg);
-        println!("{}", resilience::failover_table(&cfg, &failover).render());
-        let partition = resilience::partition_heal(&cfg);
+        let failover = resilience::failover_sweep();
+        println!("{}", resilience::failover_table(&failover).render());
+        let partition = resilience::partition_heal();
         println!("{}", resilience::partition_table(&partition).render());
         violations.extend(failover.iter().flat_map(|o| o.violations()));
         violations.extend(partition.violations());

@@ -14,7 +14,7 @@
 //! reports images per modelled second and the speedup over the
 //! unbatched baseline, alongside the achieved batch size and the p99
 //! wait members paid for their group to close (bounded by the
-//! configured deadline).
+//! batch-wait deadline).
 //!
 //! Rounds are barrier-aligned and one [`announce`] hint is held for the
 //! whole sample, so groups close on *full*, never on a rendezvous-drain
@@ -24,9 +24,7 @@
 //! [`announce`]: sww_core::BatchScheduler::announce
 
 use crate::table::Table;
-use std::sync::Barrier;
-use sww_core::{GenAbility, GenerativeServer, ServerConfig};
-use sww_http2::Request;
+use sww_core::{GenerativeServer, ServerConfig};
 
 /// One batch-size sample of the sweep.
 #[derive(Debug, Clone)]
@@ -47,57 +45,28 @@ pub struct BatchSample {
     pub p99_wait_ms: f64,
 }
 
-/// Sweep configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchingConfig {
-    /// Client threads per round; also the pool size, so every round's
-    /// generations are concurrent.
-    pub threads: usize,
-    /// Barrier-aligned rounds of `threads` distinct prompts each.
-    pub rounds: usize,
-    /// Batch-wait deadline in milliseconds. Generous by default so the
-    /// sweep exercises close-on-full, not close-on-deadline.
-    pub batch_wait_ms: u64,
-}
-
-impl Default for BatchingConfig {
-    fn default() -> BatchingConfig {
-        BatchingConfig {
-            threads: 8,
-            rounds: 4,
-            batch_wait_ms: 250,
-        }
-    }
-}
+/// Client threads per round; also the pool size, so every round's
+/// generations are concurrent.
+const THREADS: usize = 8;
+/// Barrier-aligned rounds of `THREADS` distinct prompts each.
+const ROUNDS: usize = 4;
+/// Batch-wait deadline in milliseconds: generous, so the sweep exercises
+/// close-on-full, not close-on-deadline.
+const BATCH_WAIT_MS: u64 = 250;
 
 /// Run one batch-size sample.
-pub fn sample(cfg: BatchingConfig, batch_max: usize) -> BatchSample {
-    let prompts = cfg.threads * cfg.rounds;
+fn sample(batch_max: usize) -> BatchSample {
     let server = GenerativeServer::from_config(ServerConfig {
-        site: super::concurrency::bench_site(prompts),
-        workers: cfg.threads,
+        site: super::concurrency::bench_site(THREADS * ROUNDS),
+        workers: THREADS,
         batch_max,
-        batch_wait: std::time::Duration::from_millis(cfg.batch_wait_ms),
+        batch_wait: std::time::Duration::from_millis(BATCH_WAIT_MS),
         ..ServerConfig::default()
     });
     // Held across the sample: groups never close for rendezvous drain,
     // only on full (or the deadline), making composition deterministic.
     let hint = server.batcher().map(|b| b.announce());
-    let barrier = Barrier::new(cfg.threads);
-    std::thread::scope(|scope| {
-        for t in 0..cfg.threads {
-            let session = server.accept(GenAbility::none());
-            let barrier = &barrier;
-            scope.spawn(move || {
-                for round in 0..cfg.rounds {
-                    barrier.wait();
-                    let path = format!("/page/{}", round * cfg.threads + t);
-                    let resp = session.handle(&Request::get(&path));
-                    assert_eq!(resp.status, 200, "GET {path}");
-                }
-            });
-        }
-    });
+    super::concurrency::drive_rounds(&server, THREADS, ROUNDS, 0);
     drop(hint);
     let images = server.engine().generations();
     let modelled_time_s = server.server_generation_time_s();
@@ -113,17 +82,11 @@ pub fn sample(cfg: BatchingConfig, batch_max: usize) -> BatchSample {
     }
 }
 
-/// Sweep over batch caps. The first entry should be 1 (the unbatched
-/// baseline); every row's speedup is relative to the batch-1 row (or the
-/// first row when 1 is not swept).
-pub fn run(cfg: BatchingConfig, batch_sizes: &[usize]) -> Vec<BatchSample> {
-    let mut samples: Vec<BatchSample> = batch_sizes.iter().map(|&b| sample(cfg, b)).collect();
-    let baseline = samples
-        .iter()
-        .find(|s| s.batch_max == 1)
-        .or(samples.first())
-        .map(|s| s.modelled_rate)
-        .unwrap_or(1.0);
+/// Sweep over batch caps 1 (the unbatched baseline), 2, 4 and 8; every
+/// row's speedup is relative to the batch-1 row.
+pub fn run() -> Vec<BatchSample> {
+    let mut samples: Vec<BatchSample> = [1, 2, 4, 8].into_iter().map(sample).collect();
+    let baseline = samples[0].modelled_rate;
     for s in &mut samples {
         s.speedup = s.modelled_rate / baseline.max(1e-12);
     }
@@ -131,12 +94,11 @@ pub fn run(cfg: BatchingConfig, batch_sizes: &[usize]) -> Vec<BatchSample> {
 }
 
 /// Render as a table.
-pub fn table(cfg: BatchingConfig, samples: &[BatchSample]) -> Table {
+pub fn table(samples: &[BatchSample]) -> Table {
     let mut t = Table::new(
         format!(
             "E16 — Continuous batching: modelled throughput vs. batch size \
-             ({} threads x {} rounds, distinct prompts, {} ms deadline)",
-            cfg.threads, cfg.rounds, cfg.batch_wait_ms
+             ({THREADS} threads x {ROUNDS} rounds, distinct prompts, {BATCH_WAIT_MS} ms deadline)"
         ),
         &[
             "Batch",
@@ -172,21 +134,17 @@ mod tests {
 
     /// The acceptance criterion: ≥ 2× modelled throughput at batch 8 vs
     /// batch 1 on the pooled engine, with p99 added wait bounded by the
-    /// configured deadline.
+    /// deadline.
     #[test]
     fn batch_eight_at_least_doubles_modelled_throughput() {
         let _serial = super::super::alloc_serial();
-        let cfg = BatchingConfig {
-            threads: 8,
-            rounds: 2,
-            batch_wait_ms: 250,
-        };
-        let samples = run(cfg, &[1, 8]);
-        let expected = (cfg.threads * cfg.rounds) as u64;
+        let samples = run();
+        let expected = (THREADS * ROUNDS) as u64;
         for s in &samples {
             assert_eq!(s.images, expected, "batch={}: no coalescing", s.batch_max);
         }
-        let batched = &samples[1];
+        let batched = &samples[3];
+        assert_eq!(batched.batch_max, 8);
         assert!(
             batched.speedup >= 2.0,
             "batch 8 must at least double modelled throughput, got {:.2}x",
@@ -196,23 +154,17 @@ mod tests {
         // close on full: achieved batch equals the cap exactly.
         assert_eq!(batched.mean_batch, 8.0);
         assert!(
-            batched.p99_wait_ms <= cfg.batch_wait_ms as f64,
-            "p99 wait {:.1} ms exceeded the {} ms deadline",
-            batched.p99_wait_ms,
-            cfg.batch_wait_ms
+            batched.p99_wait_ms <= BATCH_WAIT_MS as f64,
+            "p99 wait {:.1} ms exceeded the {BATCH_WAIT_MS} ms deadline",
+            batched.p99_wait_ms
         );
     }
 
     #[test]
     fn table_marks_the_unbatched_baseline() {
         let _serial = super::super::alloc_serial();
-        let cfg = BatchingConfig {
-            threads: 2,
-            rounds: 1,
-            batch_wait_ms: 100,
-        };
-        let samples = run(cfg, &[1, 2]);
-        let rendered = table(cfg, &samples).render();
+        let samples = run();
+        let rendered = table(&samples).render();
         assert!(rendered.contains("off"));
         assert!(rendered.contains("E16"));
         assert!((samples[0].speedup - 1.0).abs() < 1e-9);

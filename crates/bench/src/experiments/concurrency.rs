@@ -10,7 +10,7 @@
 
 use crate::table::Table;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Barrier, Mutex};
 use std::time::{Duration, Instant};
 use sww_core::{GenAbility, GenerativeServer, ServerConfig, SiteContent};
 use sww_html::gencontent;
@@ -41,29 +41,15 @@ pub struct ConcurrencySample {
     pub p99_ms: f64,
 }
 
-/// Sweep configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct ConcurrencyConfig {
-    /// Client threads issuing requests.
-    pub threads: usize,
-    /// Requests per thread.
-    pub requests: usize,
-    /// Unique prompts (= unique pages) in the site.
-    pub prompts: usize,
-}
-
-impl Default for ConcurrencyConfig {
-    fn default() -> ConcurrencyConfig {
-        ConcurrencyConfig {
-            threads: 8,
-            requests: 50,
-            prompts: 10,
-        }
-    }
-}
+/// Client threads issuing requests.
+const THREADS: usize = 8;
+/// Requests per thread.
+const REQUESTS: usize = 50;
+/// Unique prompts (= unique pages) in the site.
+const PROMPTS: usize = 10;
 
 /// Percentile over a latency set, by nearest-rank on the sorted samples.
-/// Shared with the E17 kernel sweep. Returns 0 for an empty set.
+/// Shared with the E17 and E19 sweeps. Returns 0 for an empty set.
 pub(crate) fn percentile_ms(sorted: &[f64], pct: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
@@ -73,7 +59,8 @@ pub(crate) fn percentile_ms(sorted: &[f64], pct: f64) -> f64 {
 }
 
 /// The sweep workload: one page per unique prompt, each carrying one
-/// 64×64 generated-content image. Shared with the E16 batching sweep.
+/// 64×64 generated-content image. Shared with the E16, E17 and E19
+/// sweeps.
 pub(crate) fn bench_site(prompts: usize) -> SiteContent {
     let mut site = SiteContent::new();
     for p in 0..prompts {
@@ -93,27 +80,66 @@ pub(crate) fn bench_site(prompts: usize) -> SiteContent {
     site
 }
 
+/// Drive `rounds` barrier-aligned rounds of distinct prompts starting at
+/// page `first_page`, one session per thread, and return the sorted
+/// per-request latencies. Shared by the E16 and E17 sweeps; E15's loop
+/// retries on `503` and needs no barrier, so it stays its own.
+pub(crate) fn drive_rounds(
+    server: &GenerativeServer,
+    threads: usize,
+    rounds: usize,
+    first_page: usize,
+) -> Vec<f64> {
+    let latencies_ms = Mutex::new(Vec::with_capacity(threads * rounds));
+    let barrier = Barrier::new(threads);
+    std::thread::scope(|scope| {
+        for t in 0..threads {
+            let session = server.accept(GenAbility::none());
+            let barrier = &barrier;
+            let latencies_ms = &latencies_ms;
+            scope.spawn(move || {
+                let mut mine = Vec::with_capacity(rounds);
+                for round in 0..rounds {
+                    barrier.wait();
+                    let path = format!("/page/{}", first_page + round * threads + t);
+                    let attempt = Instant::now();
+                    let resp = session.handle(&Request::get(&path));
+                    assert_eq!(resp.status, 200, "GET {path}");
+                    mine.push(attempt.elapsed().as_secs_f64() * 1e3);
+                }
+                latencies_ms
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .extend(mine);
+            });
+        }
+    });
+    let mut out = latencies_ms.into_inner().unwrap_or_else(|e| e.into_inner());
+    out.sort_by(|a, b| a.total_cmp(b));
+    out
+}
+
 /// Run one worker-count sample on a fresh server of its own, with no
 /// batching, deadline or breaker. Every reported number is
 /// **per-sample**: the engine and pool counters come from that server.
-pub fn sample(cfg: ConcurrencyConfig, workers: usize) -> ConcurrencySample {
+pub fn sample(workers: usize) -> ConcurrencySample {
     let server = GenerativeServer::from_config(ServerConfig {
-        site: bench_site(cfg.prompts),
+        site: bench_site(PROMPTS),
         workers,
         ..ServerConfig::default()
     });
     let rejected = AtomicU64::new(0);
-    let latencies_ms = Mutex::new(Vec::with_capacity(cfg.threads * cfg.requests));
+    let latencies_ms = Mutex::new(Vec::with_capacity(THREADS * REQUESTS));
     let start = Instant::now();
     std::thread::scope(|scope| {
-        for t in 0..cfg.threads {
+        for t in 0..THREADS {
             let session = server.accept(GenAbility::none());
             let rejected = &rejected;
             let latencies_ms = &latencies_ms;
             scope.spawn(move || {
-                let mut mine = Vec::with_capacity(cfg.requests);
-                for i in 0..cfg.requests {
-                    let path = format!("/page/{}", (i + t) % cfg.prompts);
+                let mut mine = Vec::with_capacity(REQUESTS);
+                for i in 0..REQUESTS {
+                    let path = format!("/page/{}", (i + t) % PROMPTS);
                     loop {
                         let attempt = Instant::now();
                         let resp = session.handle(&Request::get(&path));
@@ -138,7 +164,7 @@ pub fn sample(cfg: ConcurrencyConfig, workers: usize) -> ConcurrencySample {
     latencies_ms.sort_by(|a, b| a.total_cmp(b));
     ConcurrencySample {
         workers,
-        throughput_rps: (cfg.threads * cfg.requests) as f64 / elapsed.max(1e-9),
+        throughput_rps: (THREADS * REQUESTS) as f64 / elapsed.max(1e-9),
         generations: server.engine().generations(),
         coalesced: server.engine().coalesced(),
         rejected: rejected.load(Ordering::Relaxed),
@@ -151,17 +177,16 @@ pub fn sample(cfg: ConcurrencyConfig, workers: usize) -> ConcurrencySample {
 }
 
 /// Sweep throughput over worker counts (0 = inline baseline).
-pub fn run(cfg: ConcurrencyConfig, worker_counts: &[usize]) -> Vec<ConcurrencySample> {
-    worker_counts.iter().map(|&w| sample(cfg, w)).collect()
+pub fn run() -> Vec<ConcurrencySample> {
+    [0, 1, 2, 4, 8].into_iter().map(sample).collect()
 }
 
 /// Render as a table.
-pub fn table(cfg: ConcurrencyConfig, samples: &[ConcurrencySample]) -> Table {
+pub fn table(samples: &[ConcurrencySample]) -> Table {
     let mut t = Table::new(
         format!(
             "E15 — Concurrent serving: throughput vs. workers \
-             ({} threads x {} requests, {} unique prompts)",
-            cfg.threads, cfg.requests, cfg.prompts
+             ({THREADS} threads x {REQUESTS} requests, {PROMPTS} unique prompts)"
         ),
         &[
             "Workers",
@@ -198,18 +223,13 @@ mod tests {
     #[test]
     fn single_flight_holds_at_every_pool_size() {
         let _serial = super::super::alloc_serial();
-        let cfg = ConcurrencyConfig {
-            threads: 4,
-            requests: 10,
-            prompts: 5,
-        };
-        for s in run(cfg, &[0, 2]) {
+        for s in run() {
             // Exactly one generation per unique prompt, regardless of
             // concurrency; everyone else shares.
-            assert_eq!(s.generations, cfg.prompts as u64, "workers={}", s.workers);
+            assert_eq!(s.generations, PROMPTS as u64, "workers={}", s.workers);
             assert_eq!(
                 s.coalesced,
-                (cfg.threads * cfg.requests - cfg.prompts) as u64,
+                (THREADS * REQUESTS - PROMPTS) as u64,
                 "workers={}",
                 s.workers
             );
@@ -219,14 +239,8 @@ mod tests {
     #[test]
     fn table_renders_all_samples() {
         let _serial = super::super::alloc_serial();
-        let cfg = ConcurrencyConfig {
-            threads: 2,
-            requests: 5,
-            prompts: 2,
-        };
-        let samples = run(cfg, &[0, 1]);
-        let t = table(cfg, &samples);
-        assert_eq!(t.len(), 2);
+        let t = table(&run());
+        assert_eq!(t.len(), 5);
         assert!(t.render().contains("inline"));
     }
 
@@ -236,22 +250,17 @@ mod tests {
     #[test]
     fn pool_jobs_are_per_sample_not_cumulative() {
         let _serial = super::super::alloc_serial();
-        let cfg = ConcurrencyConfig {
-            threads: 2,
-            requests: 5,
-            prompts: 2,
-        };
-        let expected = (cfg.threads * cfg.requests) as u64;
+        let expected = (THREADS * REQUESTS) as u64;
         // Two pooled samples in sequence: each must report exactly its
         // own jobs.
-        let first = sample(cfg, 2);
-        let second = sample(cfg, 2);
+        let first = sample(2);
+        let second = sample(2);
         assert_eq!(first.pool_jobs, expected);
         assert_eq!(
             second.pool_jobs, expected,
             "second row must not be cumulative"
         );
         // Inline handling uses no pool at all.
-        assert_eq!(sample(cfg, 0).pool_jobs, 0);
+        assert_eq!(sample(0).pool_jobs, 0);
     }
 }

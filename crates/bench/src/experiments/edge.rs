@@ -1,8 +1,8 @@
 //! E19 — distributed generative edge: aggregate throughput and *global*
 //! cache hit-rate vs node count, plus a chaos node-kill scenario.
 //!
-//! The sweep drives `N × threads_per_node` naive clients against an
-//! [`EdgeRouter`] cluster over a shared pool of `prompts` recipes. Because
+//! The sweep drives `N × THREADS_PER_NODE` naive clients against an
+//! [`EdgeRouter`] cluster over a shared pool of `PROMPTS` recipes. Because
 //! the ring funnels every recipe to one owner whose engine single-flights,
 //! the cluster generates each recipe **exactly once** no matter how many
 //! nodes or clients — so the request volume scales with `N` while the
@@ -33,34 +33,16 @@ use sww_http2::Request;
 
 use super::concurrency::{bench_site, percentile_ms};
 
-/// Sweep configuration. Requests per sample = `nodes × threads_per_node
-/// × requests_per_thread`, so the offered load scales with the cluster
-/// while the `prompts` recipe pool stays fixed.
-#[derive(Debug, Clone)]
-pub struct EdgeClusterConfig {
-    /// Node counts to sweep (ascending).
-    pub node_counts: Vec<usize>,
-    /// Client threads per node.
-    pub threads_per_node: usize,
-    /// Requests each client thread issues.
-    pub requests_per_thread: usize,
-    /// Shared prompt-pool size (10 in the headline configuration).
-    pub prompts: usize,
-    /// Vnodes per node on the ring.
-    pub replicas: usize,
-}
-
-impl Default for EdgeClusterConfig {
-    fn default() -> EdgeClusterConfig {
-        EdgeClusterConfig {
-            node_counts: vec![1, 2, 4],
-            threads_per_node: 2,
-            requests_per_thread: 10,
-            prompts: 10,
-            replicas: DEFAULT_VNODES,
-        }
-    }
-}
+/// Node counts the sweep runs, ascending. Requests per sample =
+/// `nodes × THREADS_PER_NODE × REQUESTS_PER_THREAD`, so the offered load
+/// scales with the cluster while the `PROMPTS` recipe pool stays fixed.
+const NODE_COUNTS: [usize; 3] = [1, 2, 4];
+/// Client threads per node.
+const THREADS_PER_NODE: usize = 2;
+/// Requests each client thread issues.
+const REQUESTS_PER_THREAD: usize = 10;
+/// Shared prompt-pool size.
+const PROMPTS: usize = 10;
 
 /// One node-count's measurement.
 #[derive(Debug, Clone)]
@@ -175,28 +157,28 @@ fn generation_seconds() -> f64 {
 
 /// The ring an `n`-node cluster builds (node ids follow the router's
 /// `n0..n{N-1}` join naming).
-fn cluster_ring(cfg: &EdgeClusterConfig, n: usize) -> HashRing {
-    HashRing::with_nodes(cfg.replicas, (0..n).map(|i| format!("n{i}")))
+fn cluster_ring(n: usize) -> HashRing {
+    HashRing::with_nodes(DEFAULT_VNODES, (0..n).map(|i| format!("n{i}")))
 }
 
 /// Compute the deterministic rows for every node count in the sweep.
-pub fn modelled_rows(cfg: &EdgeClusterConfig) -> Vec<ModelledRow> {
-    let keys = prompt_keys(cfg.prompts);
+pub fn modelled_rows() -> Vec<ModelledRow> {
+    let keys = prompt_keys(PROMPTS);
     let gen_s = generation_seconds();
-    cfg.node_counts
-        .iter()
-        .map(|&n| {
-            let ring = cluster_ring(cfg, n);
+    NODE_COUNTS
+        .into_iter()
+        .map(|n| {
+            let ring = cluster_ring(n);
             let ownership = ring.ownership(&keys);
             let max_owned = ownership.values().copied().max().unwrap_or(0);
             let min_owned = ownership.values().copied().min().unwrap_or(0);
-            let requests = (n * cfg.threads_per_node * cfg.requests_per_thread) as u64;
+            let requests = (n * THREADS_PER_NODE * REQUESTS_PER_THREAD) as u64;
             let makespan = max_owned as f64 * gen_s;
             ModelledRow {
                 nodes: n,
                 requests,
-                generations: cfg.prompts as u64,
-                hit_rate: 1.0 - cfg.prompts as f64 / requests as f64,
+                generations: PROMPTS as u64,
+                hit_rate: 1.0 - PROMPTS as f64 / requests as f64,
                 max_owned,
                 min_owned,
                 modelled_qps: requests as f64 / makespan.max(1e-9),
@@ -234,13 +216,12 @@ pub(crate) fn bench_router(
     })
 }
 
-fn edge_router(cfg: &EdgeClusterConfig, nodes: usize, chaos: Option<&ChaosSpec>) -> EdgeRouter {
+fn edge_router(nodes: usize, chaos: Option<&ChaosSpec>) -> EdgeRouter {
     let config = EdgeConfig {
         nodes,
-        replicas: cfg.replicas,
         ..EdgeConfig::default()
     };
-    bench_router(config, cfg.prompts, chaos)
+    bench_router(config, PROMPTS, chaos)
 }
 
 /// Generations across every node's engine.
@@ -254,18 +235,17 @@ pub(crate) fn cluster_generations(router: &EdgeRouter) -> u64 {
 
 /// Drive the cluster with naive clients; returns per-request latencies
 /// in ms and the count of client-level retries.
-fn drive(router: &EdgeRouter, nodes: usize, cfg: &EdgeClusterConfig) -> (Vec<f64>, u64) {
-    let threads = nodes * cfg.threads_per_node;
-    let (requests_per_thread, prompts) = (cfg.requests_per_thread, cfg.prompts);
+fn drive(router: &EdgeRouter, nodes: usize) -> (Vec<f64>, u64) {
+    let threads = nodes * THREADS_PER_NODE;
     let retries = Arc::new(AtomicU64::new(0));
     let mut handles = Vec::with_capacity(threads);
     for t in 0..threads {
         let router = router.clone();
         let retries = Arc::clone(&retries);
         handles.push(std::thread::spawn(move || {
-            let mut latencies = Vec::with_capacity(requests_per_thread);
-            for r in 0..requests_per_thread {
-                let p = (t + r) % prompts;
+            let mut latencies = Vec::with_capacity(REQUESTS_PER_THREAD);
+            for r in 0..REQUESTS_PER_THREAD {
+                let p = (t + r) % PROMPTS;
                 let req = Request::get(format!("/page/{p}"));
                 let t0 = Instant::now();
                 // Bounded retry: chaos 5xx (including a response lost to
@@ -297,15 +277,14 @@ fn drive(router: &EdgeRouter, nodes: usize, cfg: &EdgeClusterConfig) -> (Vec<f64
 
 /// Run the sweep, every node armed with `chaos`; without one the sweep
 /// injects nothing.
-pub fn run(cfg: &EdgeClusterConfig, chaos: Option<&ChaosSpec>) -> Vec<EdgeSample> {
-    let modelled = modelled_rows(cfg);
-    cfg.node_counts
-        .iter()
-        .zip(modelled)
-        .map(|(&n, row)| {
-            let router = edge_router(cfg, n, chaos);
+pub fn run(chaos: Option<&ChaosSpec>) -> Vec<EdgeSample> {
+    modelled_rows()
+        .into_iter()
+        .map(|row| {
+            let n = row.nodes;
+            let router = edge_router(n, chaos);
             let start = Instant::now();
-            let (mut latencies, _retries) = drive(&router, n, cfg);
+            let (mut latencies, _retries) = drive(&router, n);
             let elapsed = start.elapsed().as_secs_f64();
             latencies.sort_by(|a, b| a.total_cmp(b));
             let nodes = router.nodes();
@@ -339,12 +318,12 @@ pub fn run(cfg: &EdgeClusterConfig, chaos: Option<&ChaosSpec>) -> Vec<EdgeSample
 /// The chaos node-kill scenario: run a 3-node cluster armed with
 /// `chaos` under client load, kill the busiest owner mid-run, and audit
 /// the outcome against a 1-node baseline armed the same way.
-pub fn chaos_kill(cfg: &EdgeClusterConfig, chaos: &ChaosSpec) -> EdgeChaosOutcome {
+pub fn chaos_kill(chaos: &ChaosSpec) -> EdgeChaosOutcome {
     let nodes = 3usize;
     // 1-node baseline bodies: generation is deterministic in the recipe,
     // so these are the ground truth for byte-identity.
-    let baseline = edge_router(cfg, 1, Some(chaos));
-    let baseline_bodies: Vec<Vec<u8>> = (0..cfg.prompts)
+    let baseline = edge_router(1, Some(chaos));
+    let baseline_bodies: Vec<Vec<u8>> = (0..PROMPTS)
         .map(|p| {
             let resp = baseline.handle(0, GenAbility::none(), &Request::get(format!("/page/{p}")));
             assert_eq!(resp.status, 200, "baseline GET /page/{p}");
@@ -352,21 +331,18 @@ pub fn chaos_kill(cfg: &EdgeClusterConfig, chaos: &ChaosSpec) -> EdgeChaosOutcom
         })
         .collect();
 
-    let router = edge_router(cfg, nodes, Some(chaos));
-    let victim = most_loaded_owner(&router, cfg.prompts);
+    let router = edge_router(nodes, Some(chaos));
+    let victim = most_loaded_owner(&router, PROMPTS);
     // Land the kill mid-run, at a point that does not depend on how fast
     // the build is: the first client that enters through the victim kills
-    // it once its own first request is answered (before it, when that is
-    // its only one). Every later request of that client then meets a dead
-    // entry and fails over.
+    // it once its own first request is answered. Every later request of
+    // that client then meets a dead entry and fails over.
     let killer = router
         .nodes()
         .iter()
         .position(|n| n.id() == victim)
         .expect("the victim is a member");
-    let threads = nodes * cfg.threads_per_node;
-    let per_thread = cfg.requests_per_thread;
-    let kill_before = usize::from(per_thread > 1);
+    let threads = nodes * THREADS_PER_NODE;
     let completed = Arc::new(AtomicU64::new(0));
     let lost = Arc::new(AtomicU64::new(0));
     let retries = Arc::new(AtomicU64::new(0));
@@ -381,8 +357,8 @@ pub fn chaos_kill(cfg: &EdgeClusterConfig, chaos: &ChaosSpec) -> EdgeChaosOutcom
         let baseline_bodies = baseline_bodies.clone();
         let victim = victim.clone();
         handles.push(std::thread::spawn(move || {
-            for r in 0..per_thread {
-                if t == killer && r == kill_before {
+            for r in 0..REQUESTS_PER_THREAD {
+                if t == killer && r == 1 {
                     router.kill(&victim);
                 }
                 let p = (t + r) % baseline_bodies.len();
@@ -415,7 +391,7 @@ pub fn chaos_kill(cfg: &EdgeClusterConfig, chaos: &ChaosSpec) -> EdgeChaosOutcom
         handle.join().expect("chaos client thread");
     }
     let failovers: u64 = router.nodes().iter().map(|n| n.stats().failovers).sum();
-    let requests = (threads * cfg.requests_per_thread) as u64;
+    let requests = (threads * REQUESTS_PER_THREAD) as u64;
     EdgeChaosOutcome {
         nodes,
         requests,
@@ -431,9 +407,9 @@ pub fn chaos_kill(cfg: &EdgeClusterConfig, chaos: &ChaosSpec) -> EdgeChaosOutcom
 
 /// [`chaos_kill`] under a deterministic 10 ms generation latency that
 /// widens the kill window: the entry point `report --exp e19` uses.
-pub fn chaos_kill_with_latency(cfg: &EdgeClusterConfig) -> EdgeChaosOutcome {
+pub fn chaos_kill_with_latency() -> EdgeChaosOutcome {
     let spec = ChaosSpec::parse("seed=7,engine.generate=latency:1.0:10").expect("E19 chaos spec");
-    chaos_kill(cfg, &spec)
+    chaos_kill(&spec)
 }
 
 /// The E19 rule: the global hit rate strictly increases with node
@@ -469,11 +445,11 @@ impl EdgeChaosOutcome {
 }
 
 /// Render the sweep as the E19 table.
-pub fn table(cfg: &EdgeClusterConfig, samples: &[EdgeSample]) -> Table {
+pub fn table(samples: &[EdgeSample]) -> Table {
     let mut t = Table::new(
         format!(
-            "E19 — Edge cluster scaling ({} prompts, {} threads/node x {} reqs)",
-            cfg.prompts, cfg.threads_per_node, cfg.requests_per_thread
+            "E19 — Edge cluster scaling \
+             ({PROMPTS} prompts, {THREADS_PER_NODE} threads/node x {REQUESTS_PER_THREAD} reqs)"
         ),
         &[
             "Nodes",
@@ -509,11 +485,11 @@ pub fn table(cfg: &EdgeClusterConfig, samples: &[EdgeSample]) -> Table {
 
 /// Render the deterministic rows — the golden-snapshot surface (no
 /// wall-clock columns, nothing host-shaped).
-pub fn modelled_table(cfg: &EdgeClusterConfig) -> Table {
+pub fn modelled_table() -> Table {
     let mut t = Table::new(
         format!(
-            "E19 (modelled) — Edge cluster scaling ({} prompts, {} threads/node x {} reqs)",
-            cfg.prompts, cfg.threads_per_node, cfg.requests_per_thread
+            "E19 (modelled) — Edge cluster scaling \
+             ({PROMPTS} prompts, {THREADS_PER_NODE} threads/node x {REQUESTS_PER_THREAD} reqs)"
         ),
         &[
             "Nodes",
@@ -524,7 +500,7 @@ pub fn modelled_table(cfg: &EdgeClusterConfig) -> Table {
             "Modelled qps",
         ],
     );
-    for row in modelled_rows(cfg) {
+    for row in modelled_rows() {
         t.row([
             row.nodes.to_string(),
             row.requests.to_string(),
@@ -570,19 +546,9 @@ pub fn chaos_table(outcome: &EdgeChaosOutcome) -> Table {
 mod tests {
     use super::*;
 
-    fn small() -> EdgeClusterConfig {
-        EdgeClusterConfig {
-            node_counts: vec![1, 2, 4],
-            threads_per_node: 2,
-            requests_per_thread: 5,
-            prompts: 6,
-            replicas: DEFAULT_VNODES,
-        }
-    }
-
     #[test]
     fn modelled_hit_rate_and_qps_strictly_increase_with_nodes() {
-        let rows = modelled_rows(&EdgeClusterConfig::default());
+        let rows = modelled_rows();
         assert_eq!(rows.len(), 3);
         for pair in rows.windows(2) {
             assert!(
@@ -604,10 +570,9 @@ mod tests {
         // The modelled rows and the live router must agree on who owns
         // what — otherwise the golden numbers describe a different
         // cluster than the one serving.
-        let cfg = small();
-        let router = edge_router(&cfg, 4, None);
-        let keys = prompt_keys(cfg.prompts);
-        let ring = cluster_ring(&cfg, 4);
+        let router = edge_router(4, None);
+        let keys = prompt_keys(PROMPTS);
+        let ring = cluster_ring(4);
         for (p, key) in keys.iter().enumerate() {
             assert_eq!(
                 router.owner_of(&format!("/page/{p}")).as_deref(),
@@ -638,17 +603,16 @@ mod tests {
         }
     }
 
-    /// The default sweep, the one `report --exp e19` runs.
+    /// The sweep `report --exp e19` runs.
     #[test]
     fn sweep_generates_each_prompt_exactly_once_per_cluster() {
         let _serial = super::super::alloc_serial();
-        let cfg = EdgeClusterConfig::default();
-        let samples = run(&cfg, None);
+        let samples = run(None);
         // Measured hit rate matches the model's strict increase.
         assert_eq!(hit_rate_violations(&samples), Vec::<String>::new());
         for s in &samples {
             assert_eq!(
-                s.generations, cfg.prompts as u64,
+                s.generations, PROMPTS as u64,
                 "{} nodes: global single-flight",
                 s.nodes
             );
@@ -694,11 +658,11 @@ mod tests {
         }
     }
 
-    /// At the default config `report --exp e19` runs it at.
+    /// The node kill `report --exp e19` runs.
     #[test]
     fn chaos_kill_loses_nothing_and_keeps_bytes_identical() {
         let _serial = super::super::alloc_serial();
-        let outcome = chaos_kill_with_latency(&EdgeClusterConfig::default());
+        let outcome = chaos_kill_with_latency();
         assert_eq!(outcome.violations(), Vec::<String>::new(), "{outcome:?}");
         assert_eq!(outcome.completed, outcome.requests);
         assert!(
@@ -731,29 +695,22 @@ mod tests {
 
     #[test]
     fn tables_render_every_row() {
-        let cfg = small();
-        let rendered = modelled_table(&cfg).render();
-        for n in &cfg.node_counts {
+        let rendered = modelled_table().render();
+        for n in NODE_COUNTS {
             assert!(rendered.contains(&n.to_string()));
         }
         assert!(rendered.contains("Modelled qps"));
     }
 
     /// The E19 gates under a spec given as text, the way a command line
-    /// gives one: two node counts, every node of the sweep and of the
-    /// node kill armed with the spec.
+    /// gives one: every node of the 1/2/4-node sweep and of the node kill
+    /// armed with the spec.
     #[test]
     fn the_e19_gates_hold_under_a_parsed_chaos_spec() {
         let _serial = super::super::alloc_serial();
-        let cfg = EdgeClusterConfig {
-            node_counts: vec![1, 2],
-            threads_per_node: 2,
-            requests_per_thread: 5,
-            ..EdgeClusterConfig::default()
-        };
         let spec = ChaosSpec::parse("seed=7,engine.generate=latency:1.0:10").expect("spec");
-        let mut violations = hit_rate_violations(&run(&cfg, Some(&spec)));
-        violations.extend(chaos_kill(&cfg, &spec).violations());
+        let mut violations = hit_rate_violations(&run(Some(&spec)));
+        violations.extend(chaos_kill(&spec).violations());
         assert_eq!(violations, Vec::<String>::new());
     }
 }

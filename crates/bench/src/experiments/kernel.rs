@@ -31,13 +31,12 @@
 //! and decode pools — the zero-copy hot-path property, asserted here
 //! rather than assumed.
 
+use super::concurrency::{bench_site, drive_rounds, percentile_ms};
 use crate::table::Table;
-use std::sync::{Barrier, Mutex};
 use std::time::Instant;
-use sww_core::{CrewRunner, GenAbility, GenerativeServer, ServerConfig};
+use sww_core::{CrewRunner, GenerativeServer, ServerConfig};
 use sww_energy::{profile, tiled_batch_pass_time, DeviceKind};
 use sww_genai::{DiffusionModel, ImageModelKind, PromptFeatures, StepCancel, Tiling};
-use sww_http2::Request;
 
 /// One lane-count sample of the raw kernel sweep.
 #[derive(Debug, Clone)]
@@ -60,32 +59,27 @@ pub struct KernelSample {
     pub alloc_bytes: u64,
 }
 
-/// Raw kernel sweep configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct KernelConfig {
-    /// Jobs per batched pass (distinct prompts).
-    pub batch: usize,
-    /// Square output side in pixels.
-    pub side: u32,
-    /// Denoising steps.
-    pub steps: u32,
-    /// Measured passes per lane count.
-    pub reps: usize,
-    /// Untimed warmup passes (fills the buffer-pool shelves).
-    pub warmup: usize,
-}
+/// Jobs per batched pass (distinct prompts) in the raw kernel sweep.
+const BATCH: usize = 8;
+/// Square output side in pixels.
+const SIDE: u32 = 64;
+/// Denoising steps.
+const STEPS: u32 = 15;
+/// Measured passes per lane count.
+const REPS: usize = 6;
+/// Untimed warmup passes (fills the buffer-pool shelves).
+const WARMUP: usize = 2;
 
-impl Default for KernelConfig {
-    fn default() -> KernelConfig {
-        KernelConfig {
-            batch: 8,
-            side: 64,
-            steps: 15,
-            reps: 6,
-            warmup: 2,
-        }
-    }
-}
+/// Client threads per round of the serving sweep; also the pool's
+/// permits and the batch cap, so every round is one full batched pass.
+const THREADS: usize = 8;
+/// Measured barrier-aligned rounds of `THREADS` distinct prompts.
+const ROUNDS: usize = 4;
+/// Untimed warmup rounds (fills pool shelves, starts crew threads).
+const WARMUP_ROUNDS: usize = 1;
+/// Batch-wait deadline in milliseconds (generous: groups close on full,
+/// not on the clock).
+const BATCH_WAIT_MS: u64 = 250;
 
 /// Fresh pool bytes allocated so far, summed over the hot-path pools.
 fn pool_alloc_bytes() -> u64 {
@@ -96,24 +90,24 @@ fn pool_alloc_bytes() -> u64 {
 }
 
 /// Run one lane-count sample of the raw kernel sweep.
-pub fn kernel_sample(cfg: KernelConfig, tiles: usize) -> KernelSample {
+fn kernel_sample(tiles: usize) -> KernelSample {
     let model = DiffusionModel::new(ImageModelKind::Sd3Medium);
-    let features: Vec<PromptFeatures> = (0..cfg.batch.max(1))
+    let features: Vec<PromptFeatures> = (0..BATCH)
         .map(|i| PromptFeatures::analyze(&format!("e17 kernel bench prompt {i} harbor light")))
         .collect();
     let run_pass = || {
         model
             .try_generate_batch_on(
                 &features,
-                cfg.side,
-                cfg.side,
-                cfg.steps,
+                SIDE,
+                SIDE,
+                STEPS,
                 &StepCancel::never(),
                 Tiling::new(&CrewRunner, tiles),
             )
             .expect("StepCancel::never cannot abort a pass")
     };
-    for _ in 0..cfg.warmup {
+    for _ in 0..WARMUP {
         run_pass();
     }
     // Organic warmup shelves only as many decode planes as were ever
@@ -121,11 +115,11 @@ pub fn kernel_sample(cfg: KernelConfig, tiles: usize) -> KernelSample {
     // the worst case so the measured phase's zero-allocation property is
     // exact (the latent working set is deterministic: all 3·batch
     // buffers live through every pass, so warmup already covers it).
-    sww_genai::decode_pool().prewarm(tiles, (cfg.side * cfg.side) as usize);
+    sww_genai::decode_pool().prewarm(tiles, (SIDE * SIDE) as usize);
     let alloc_before = pool_alloc_bytes();
-    let mut pass_ms: Vec<f64> = Vec::with_capacity(cfg.reps);
+    let mut pass_ms: Vec<f64> = Vec::with_capacity(REPS);
     let start = Instant::now();
-    for _ in 0..cfg.reps.max(1) {
+    for _ in 0..REPS {
         let t = Instant::now();
         run_pass();
         pass_ms.push(t.elapsed().as_secs_f64() * 1e3);
@@ -136,35 +130,29 @@ pub fn kernel_sample(cfg: KernelConfig, tiles: usize) -> KernelSample {
     let pass_s = tiled_batch_pass_time(
         ImageModelKind::Sd3Medium,
         &device,
-        cfg.side,
-        cfg.side,
-        cfg.steps,
-        cfg.batch,
+        SIDE,
+        SIDE,
+        STEPS,
+        BATCH,
         tiles,
     )
     .expect("sd3 runs on the workstation profile");
     KernelSample {
         tiles,
-        wall_qps: (cfg.batch * cfg.reps.max(1)) as f64 / elapsed.max(1e-9),
-        p50_ms: super::concurrency::percentile_ms(&pass_ms, 50.0),
-        p99_ms: super::concurrency::percentile_ms(&pass_ms, 99.0),
-        modelled_rate: cfg.batch as f64 / pass_s.max(1e-12),
+        wall_qps: (BATCH * REPS) as f64 / elapsed.max(1e-9),
+        p50_ms: percentile_ms(&pass_ms, 50.0),
+        p99_ms: percentile_ms(&pass_ms, 99.0),
+        modelled_rate: BATCH as f64 / pass_s.max(1e-12),
         speedup: 1.0, // filled in by `kernel_sweep` against the 1-lane row
         alloc_bytes: pool_alloc_bytes() - alloc_before,
     }
 }
 
-/// Sweep the raw kernel over lane counts (lanes − 1 helpers on the crew;
-/// the caller is the last lane).
-pub fn kernel_sweep(cfg: KernelConfig, tile_counts: &[usize]) -> Vec<KernelSample> {
-    let mut samples: Vec<KernelSample> =
-        tile_counts.iter().map(|&t| kernel_sample(cfg, t)).collect();
-    let baseline = samples
-        .iter()
-        .find(|s| s.tiles <= 1)
-        .or(samples.first())
-        .map(|s| s.modelled_rate)
-        .unwrap_or(1.0);
+/// Sweep the raw kernel over lanes 1, 2, 4 and 8 (lanes − 1 helpers on
+/// the crew; the caller is the last lane).
+pub fn kernel_sweep() -> Vec<KernelSample> {
+    let mut samples: Vec<KernelSample> = [1, 2, 4, 8].into_iter().map(kernel_sample).collect();
+    let baseline = samples[0].modelled_rate;
     for s in &mut samples {
         s.speedup = s.modelled_rate / baseline.max(1e-12);
     }
@@ -192,106 +180,37 @@ pub struct ServingSample {
     pub alloc_bytes: u64,
 }
 
-/// Serving sweep configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct ServingConfig {
-    /// Client threads per round; also the pool's permits and the batch
-    /// cap, so every round is one full batched pass.
-    pub threads: usize,
-    /// Measured barrier-aligned rounds of `threads` distinct prompts.
-    pub rounds: usize,
-    /// Untimed warmup rounds (fills pool shelves, starts crew threads).
-    pub warmup_rounds: usize,
-    /// Batch-wait deadline in milliseconds (generous: groups close on
-    /// full, not on the clock).
-    pub batch_wait_ms: u64,
-}
-
-impl Default for ServingConfig {
-    fn default() -> ServingConfig {
-        ServingConfig {
-            threads: 8,
-            rounds: 4,
-            warmup_rounds: 1,
-            batch_wait_ms: 250,
-        }
-    }
-}
-
-/// Drive `rounds` barrier-aligned rounds of distinct prompts starting at
-/// page `first_page`, collecting per-request latencies.
-fn drive_rounds(
-    server: &GenerativeServer,
-    threads: usize,
-    rounds: usize,
-    first_page: usize,
-) -> Vec<f64> {
-    let latencies_ms = Mutex::new(Vec::with_capacity(threads * rounds));
-    let barrier = Barrier::new(threads);
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let session = server.accept(GenAbility::none());
-            let barrier = &barrier;
-            let latencies_ms = &latencies_ms;
-            scope.spawn(move || {
-                let mut mine = Vec::with_capacity(rounds);
-                for round in 0..rounds {
-                    barrier.wait();
-                    let path = format!("/page/{}", first_page + round * threads + t);
-                    let attempt = Instant::now();
-                    let resp = session.handle(&Request::get(&path));
-                    assert_eq!(resp.status, 200, "GET {path}");
-                    mine.push(attempt.elapsed().as_secs_f64() * 1e3);
-                }
-                latencies_ms
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .extend(mine);
-            });
-        }
-    });
-    let mut out = latencies_ms.into_inner().unwrap_or_else(|e| e.into_inner());
-    out.sort_by(|a, b| a.total_cmp(b));
-    out
-}
-
 /// Run one `kernel_tiles` sample of the serving sweep.
-pub fn serving_sample(cfg: ServingConfig, kernel_tiles: usize) -> ServingSample {
-    let total_rounds = cfg.warmup_rounds + cfg.rounds;
+fn serving_sample(kernel_tiles: usize) -> ServingSample {
     let server = GenerativeServer::from_config(ServerConfig {
-        site: super::concurrency::bench_site(cfg.threads * total_rounds),
-        workers: cfg.threads,
-        batch_max: cfg.threads,
-        batch_wait: std::time::Duration::from_millis(cfg.batch_wait_ms),
+        site: bench_site(THREADS * (WARMUP_ROUNDS + ROUNDS)),
+        workers: THREADS,
+        batch_max: THREADS,
+        batch_wait: std::time::Duration::from_millis(BATCH_WAIT_MS),
         kernel_tiles,
         ..ServerConfig::default()
     });
     // Held across the sample: groups close on full, never on a
     // rendezvous-drain race (same discipline as E16).
     let hint = server.batcher().map(|b| b.announce());
-    drive_rounds(&server, cfg.threads, cfg.warmup_rounds, 0);
+    drive_rounds(&server, THREADS, WARMUP_ROUNDS, 0);
     // See kernel_sample: up to `kernel_tiles` decode planes (64×64, the
     // bench_site image size) are live at once, and organic warmup only
     // shelves the peak this host's scheduler happened to reach.
-    sww_genai::decode_pool().prewarm(kernel_tiles.max(1), 64 * 64);
+    sww_genai::decode_pool().prewarm(kernel_tiles, 64 * 64);
     let alloc_before = pool_alloc_bytes();
     let modelled_before = server.server_generation_time_s();
     let start = Instant::now();
-    let latencies_ms = drive_rounds(
-        &server,
-        cfg.threads,
-        cfg.rounds,
-        cfg.warmup_rounds * cfg.threads,
-    );
+    let latencies_ms = drive_rounds(&server, THREADS, ROUNDS, WARMUP_ROUNDS * THREADS);
     let elapsed = start.elapsed().as_secs_f64();
     drop(hint);
-    let images = (cfg.threads * cfg.rounds) as f64;
+    let images = (THREADS * ROUNDS) as f64;
     let modelled_s = server.server_generation_time_s() - modelled_before;
     ServingSample {
         kernel_tiles,
         wall_qps: images / elapsed.max(1e-9),
-        p50_ms: super::concurrency::percentile_ms(&latencies_ms, 50.0),
-        p99_ms: super::concurrency::percentile_ms(&latencies_ms, 99.0),
+        p50_ms: percentile_ms(&latencies_ms, 50.0),
+        p99_ms: percentile_ms(&latencies_ms, 99.0),
         modelled_rate: images / modelled_s.max(1e-12),
         speedup: 1.0, // filled in by `serving_sweep` against the tiles-1 row
         mean_batch: server.batch_stats().map_or(0.0, |s| s.mean_batch),
@@ -299,18 +218,10 @@ pub fn serving_sample(cfg: ServingConfig, kernel_tiles: usize) -> ServingSample 
     }
 }
 
-/// Sweep serving throughput over `kernel_tiles` values.
-pub fn serving_sweep(cfg: ServingConfig, tile_counts: &[usize]) -> Vec<ServingSample> {
-    let mut samples: Vec<ServingSample> = tile_counts
-        .iter()
-        .map(|&t| serving_sample(cfg, t))
-        .collect();
-    let baseline = samples
-        .iter()
-        .find(|s| s.kernel_tiles <= 1)
-        .or(samples.first())
-        .map(|s| s.modelled_rate)
-        .unwrap_or(1.0);
+/// Sweep serving throughput over `kernel_tiles` 1 and 8.
+pub fn serving_sweep() -> Vec<ServingSample> {
+    let mut samples: Vec<ServingSample> = [1, 8].into_iter().map(serving_sample).collect();
+    let baseline = samples[0].modelled_rate;
     for s in &mut samples {
         s.speedup = s.modelled_rate / baseline.max(1e-12);
     }
@@ -318,12 +229,11 @@ pub fn serving_sweep(cfg: ServingConfig, tile_counts: &[usize]) -> Vec<ServingSa
 }
 
 /// Render the raw kernel sweep as a table.
-pub fn kernel_table(cfg: KernelConfig, samples: &[KernelSample]) -> Table {
+pub fn kernel_table(samples: &[KernelSample]) -> Table {
     let mut t = Table::new(
         format!(
             "E17 — Tiled denoise kernel: throughput vs. lanes \
-             (batch {}, {}x{}, {} steps, {} reps)",
-            cfg.batch, cfg.side, cfg.side, cfg.steps, cfg.reps
+             (batch {BATCH}, {SIDE}x{SIDE}, {STEPS} steps, {REPS} reps)"
         ),
         &[
             "Lanes",
@@ -352,12 +262,11 @@ pub fn kernel_table(cfg: KernelConfig, samples: &[KernelSample]) -> Table {
 }
 
 /// Render the serving sweep as a table.
-pub fn serving_table(cfg: ServingConfig, samples: &[ServingSample]) -> Table {
+pub fn serving_table(samples: &[ServingSample]) -> Table {
     let mut t = Table::new(
         format!(
             "E17 — Batched serving with tiled kernel \
-             ({} threads x {} rounds, distinct prompts, batch {})",
-            cfg.threads, cfg.rounds, cfg.threads
+             ({THREADS} threads x {ROUNDS} rounds, distinct prompts, batch {THREADS})"
         ),
         &[
             "Tiles",
@@ -391,14 +300,14 @@ pub fn serving_table(cfg: ServingConfig, samples: &[ServingSample]) -> Table {
 mod tests {
     use super::*;
 
-    /// The tiled kernel's acceptance pair, at the raw sweep's default config
-    /// over lanes 1/2/4/8: at batch 8 the 8-lane pass models ≥ 1.5× the
-    /// scalar pass (the cost model puts it at 3.1×), and the measured
-    /// passes allocate zero fresh pool bytes after warmup.
+    /// The tiled kernel's acceptance pair, over lanes 1/2/4/8: at batch
+    /// 8 the 8-lane pass models ≥ 1.5× the scalar pass (the cost model
+    /// puts it at 3.1×), and the measured passes allocate zero fresh pool
+    /// bytes after warmup.
     #[test]
     fn eight_lanes_model_1_5x_and_stay_allocation_free() {
         let _serial = super::super::alloc_serial();
-        let samples = kernel_sweep(KernelConfig::default(), &[1, 2, 4, 8]);
+        let samples = kernel_sweep();
         assert_eq!(samples.len(), 4);
         let tiled = &samples[3];
         assert!(
@@ -416,14 +325,13 @@ mod tests {
         }
     }
 
-    /// Serving with a tiled kernel, at the default config over kernel
-    /// tiles 1/8: same close-on-full batches, modelled speedup from the
-    /// lanes, zero steady-state allocations.
+    /// Serving with a tiled kernel over kernel tiles 1/8: same
+    /// close-on-full batches, modelled speedup from the lanes, zero
+    /// steady-state allocations.
     #[test]
     fn tiled_serving_models_speedup_with_full_batches() {
         let _serial = super::super::alloc_serial();
-        let cfg = ServingConfig::default();
-        let samples = serving_sweep(cfg, &[1, 8]);
+        let samples = serving_sweep();
         let tiled = &samples[1];
         // 3.1x modelled (tests/golden/e17_kernel.txt).
         assert!(
@@ -432,7 +340,7 @@ mod tests {
             tiled.speedup
         );
         for s in &samples {
-            assert_eq!(s.mean_batch, cfg.threads as f64, "tiles={}", s.kernel_tiles);
+            assert_eq!(s.mean_batch, THREADS as f64, "tiles={}", s.kernel_tiles);
             assert_eq!(
                 s.alloc_bytes, 0,
                 "tiles={}: steady state allocated",
@@ -444,24 +352,9 @@ mod tests {
     #[test]
     fn tables_render_both_sweeps() {
         let _serial = super::super::alloc_serial();
-        let kcfg = KernelConfig {
-            batch: 2,
-            side: 16,
-            steps: 4,
-            reps: 1,
-            warmup: 1,
-        };
-        let ks = kernel_sweep(kcfg, &[1, 2]);
-        let rendered = kernel_table(kcfg, &ks).render();
+        let rendered = kernel_table(&kernel_sweep()).render();
         assert!(rendered.contains("scalar"));
         assert!(rendered.contains("E17"));
-        let scfg = ServingConfig {
-            threads: 2,
-            rounds: 1,
-            warmup_rounds: 1,
-            batch_wait_ms: 100,
-        };
-        let ss = serving_sweep(scfg, &[2]);
-        assert!(serving_table(scfg, &ss).render().contains("E17"));
+        assert!(serving_table(&serving_sweep()).render().contains("E17"));
     }
 }

@@ -30,39 +30,14 @@ use sww_http2::Request;
 
 use super::edge::{bench_router, cluster_generations, most_loaded_owner};
 
-/// E21 configuration. The failover scenario runs once per entry in
-/// `replication_levels`; the partition scenario uses the same cluster
-/// shape with the gossip seed from [`EdgeConfig::default`].
-#[derive(Debug, Clone)]
-pub struct ResilienceConfig {
-    /// Cluster size for both scenarios.
-    pub nodes: usize,
-    /// Shared prompt-pool size.
-    pub prompts: usize,
-    /// Vnodes per node on the ring.
-    pub replicas: usize,
-    /// Total copies per hot key (owner included) to test, ascending —
-    /// `[1, 2]` in the headline configuration so the report carries the
-    /// re-render contrast.
-    pub replication_levels: Vec<usize>,
-    /// Acting-owner hit count at which a key is pushed to its seats.
-    pub hot_threshold: u64,
-    /// Post-kill fetch rounds over the hot-key pool.
-    pub rounds: usize,
-}
-
-impl Default for ResilienceConfig {
-    fn default() -> ResilienceConfig {
-        ResilienceConfig {
-            nodes: 3,
-            prompts: 10,
-            replicas: sww_core::edge::DEFAULT_VNODES,
-            replication_levels: vec![1, 2],
-            hot_threshold: 2,
-            rounds: 3,
-        }
-    }
-}
+/// Cluster size for both scenarios.
+const NODES: usize = 3;
+/// Shared prompt-pool size.
+const PROMPTS: usize = 10;
+/// Acting-owner hit count at which a key is pushed to its seats.
+const HOT_THRESHOLD: u64 = 2;
+/// Post-kill fetch rounds over the hot-key pool.
+const ROUNDS: usize = 3;
 
 /// The failover scenario's outcome at one replication level.
 #[derive(Debug, Clone)]
@@ -178,15 +153,14 @@ impl PartitionOutcome {
     }
 }
 
-fn resilient_router(cfg: &ResilienceConfig, replication: usize) -> EdgeRouter {
+fn resilient_router(replication: usize) -> EdgeRouter {
     let config = EdgeConfig {
-        nodes: cfg.nodes,
-        replicas: cfg.replicas,
+        nodes: NODES,
         replication,
-        hot_threshold: cfg.hot_threshold,
+        hot_threshold: HOT_THRESHOLD,
         ..EdgeConfig::default()
     };
-    bench_router(config, cfg.prompts, None)
+    bench_router(config, PROMPTS, None)
 }
 
 /// Run the failover scenario at one replication level. Fully
@@ -194,20 +168,20 @@ fn resilient_router(cfg: &ResilienceConfig, replication: usize) -> EdgeRouter {
 /// phase (the mid-flight variant is the E19 chaos scenario and the
 /// `edge_cluster` integration suite), so the counters the rule reads
 /// are exact.
-pub fn failover(cfg: &ResilienceConfig, replication: usize) -> FailoverOutcome {
-    let router = resilient_router(cfg, replication);
+pub fn failover(replication: usize) -> FailoverOutcome {
+    let router = resilient_router(replication);
     let ids = router.node_ids();
 
     // Warm every prompt past the hot threshold at its *owner* entry:
     // local serves never peer-fill, so the fill caches stay empty and
     // only the replica pushes survive the owner.
-    let mut bodies = Vec::with_capacity(cfg.prompts);
-    for p in 0..cfg.prompts {
+    let mut bodies = Vec::with_capacity(PROMPTS);
+    for p in 0..PROMPTS {
         let path = format!("/page/{p}");
         let owner = router.owner_of(&path).expect("routable page");
         let entry = ids.iter().position(|id| *id == owner).expect("owner entry");
         let mut body = Vec::new();
-        for _ in 0..=cfg.hot_threshold {
+        for _ in 0..=HOT_THRESHOLD {
             let resp = router.handle(entry, GenAbility::none(), &Request::get(&path));
             assert_eq!(resp.status, 200, "warm GET {path}");
             body = resp.body.to_vec();
@@ -217,14 +191,14 @@ pub fn failover(cfg: &ResilienceConfig, replication: usize) -> FailoverOutcome {
     let warm_generations = cluster_generations(&router);
 
     // The E19 convention: the most-loaded owner is the worst case.
-    let victim = most_loaded_owner(&router, cfg.prompts);
+    let victim = most_loaded_owner(&router, PROMPTS);
     router.kill(&victim);
 
     let mut completed = 0u64;
     let mut lost = 0u64;
     let mut mismatched = 0u64;
     let mut requests = 0u64;
-    for round in 0..cfg.rounds {
+    for round in 0..ROUNDS {
         for (p, warm_body) in bodies.iter().enumerate() {
             requests += 1;
             let path = format!("/page/{p}");
@@ -232,9 +206,9 @@ pub fn failover(cfg: &ResilienceConfig, replication: usize) -> FailoverOutcome {
             // healthy PoP would; a dead entry answers 503 and the next
             // attempt moves on.
             let mut done = false;
-            for attempt in 0..cfg.nodes {
+            for attempt in 0..NODES {
                 let resp = router.handle(
-                    (round + p + attempt) % cfg.nodes,
+                    (round + p + attempt) % NODES,
                     GenAbility::none(),
                     &Request::get(&path),
                 );
@@ -255,7 +229,7 @@ pub fn failover(cfg: &ResilienceConfig, replication: usize) -> FailoverOutcome {
     let stats: Vec<_> = router.nodes().iter().map(|n| n.stats()).collect();
     FailoverOutcome {
         replication,
-        nodes: cfg.nodes,
+        nodes: NODES,
         requests,
         completed,
         lost,
@@ -268,22 +242,18 @@ pub fn failover(cfg: &ResilienceConfig, replication: usize) -> FailoverOutcome {
     }
 }
 
-/// Run the failover scenario at every configured replication level.
-pub fn failover_sweep(cfg: &ResilienceConfig) -> Vec<FailoverOutcome> {
-    cfg.replication_levels
-        .iter()
-        .map(|&r| failover(cfg, r))
-        .collect()
+/// Run the failover scenario at replication 1 and 2, so the report
+/// carries the re-render contrast.
+pub fn failover_sweep() -> Vec<FailoverOutcome> {
+    [1, 2].into_iter().map(failover).collect()
 }
 
-/// One partition-heal run; returns (diverged, rounds_to_heal, digest,
-/// converged) so [`partition_heal`] can compare two runs for the
+/// One partition-heal run on the replicated cluster, with the gossip
+/// seed from [`EdgeConfig::default`]; returns (diverged, rounds_to_heal,
+/// digest, converged) so [`partition_heal`] can compare two runs for the
 /// determinism witness.
-fn partition_run(cfg: &ResilienceConfig, bound: u64) -> (bool, u64, u64, bool) {
-    let router = resilient_router(
-        cfg,
-        cfg.replication_levels.iter().copied().max().unwrap_or(1),
-    );
+fn partition_run(bound: u64) -> (bool, u64, u64, bool) {
+    let router = resilient_router(2);
     let ids = router.node_ids();
     let (island, mainland) = ids.split_at(1);
     router.set_partition(&[island.to_vec(), mainland.to_vec()]);
@@ -312,14 +282,14 @@ fn partition_run(cfg: &ResilienceConfig, bound: u64) -> (bool, u64, u64, bool) {
 }
 
 /// Run the partition scenario twice from the same seed and compare.
-pub fn partition_heal(cfg: &ResilienceConfig) -> PartitionOutcome {
+pub fn partition_heal() -> PartitionOutcome {
     // Same generous deterministic bound the gossip property tests use:
     // a probe round per observer, the suspect timer, and dissemination.
     let bound = 6 * sww_core::GossipConfig::default().suspect_rounds + 6;
-    let (diverged, rounds, digest, converged) = partition_run(cfg, bound);
-    let (d2, r2, g2, c2) = partition_run(cfg, bound);
+    let (diverged, rounds, digest, converged) = partition_run(bound);
+    let (d2, r2, g2, c2) = partition_run(bound);
     PartitionOutcome {
-        nodes: cfg.nodes,
+        nodes: NODES,
         diverged,
         rounds_to_heal: rounds,
         bound,
@@ -330,11 +300,10 @@ pub fn partition_heal(cfg: &ResilienceConfig) -> PartitionOutcome {
 }
 
 /// Render the failover sweep as the E21 table.
-pub fn failover_table(cfg: &ResilienceConfig, outcomes: &[FailoverOutcome]) -> Table {
+pub fn failover_table(outcomes: &[FailoverOutcome]) -> Table {
     let mut t = Table::new(
         format!(
-            "E21 — Edge resilience ({} nodes, {} prompts, hot threshold {})",
-            cfg.nodes, cfg.prompts, cfg.hot_threshold
+            "E21 — Edge resilience ({NODES} nodes, {PROMPTS} prompts, hot threshold {HOT_THRESHOLD})"
         ),
         &[
             "Replication",
@@ -407,12 +376,11 @@ mod tests {
         }
     }
 
-    /// At the default config, the one `report --exp e21` runs (as do
-    /// the two tests below).
+    /// The scenario `report --exp e21` runs (as do the two tests below).
     #[test]
     fn replicated_failover_costs_zero_regenerations() {
         let _serial = super::super::alloc_serial();
-        let o = failover(&ResilienceConfig::default(), 2);
+        let o = failover(2);
         assert_eq!(o.violations(), Vec::<String>::new(), "{o:?}");
         assert_eq!(o.completed, o.requests);
         assert_eq!(o.warm_generations, 10, "one generation per prompt");
@@ -425,14 +393,14 @@ mod tests {
     #[test]
     fn unreplicated_failover_must_rerender() {
         let _serial = super::super::alloc_serial();
-        let o = failover(&ResilienceConfig::default(), 1);
+        let o = failover(1);
         assert_eq!(o.violations(), Vec::<String>::new(), "{o:?}");
         assert_eq!(o.replica_pushes, 0, "{o:?}");
     }
 
     #[test]
     fn partition_diverges_heals_in_bound_and_replays() {
-        let o = partition_heal(&ResilienceConfig::default());
+        let o = partition_heal();
         assert_eq!(o.violations(), Vec::<String>::new(), "{o:?}");
     }
 
@@ -523,17 +491,13 @@ mod tests {
     #[test]
     fn tables_render_every_outcome() {
         let _serial = super::super::alloc_serial();
-        let cfg = ResilienceConfig {
-            prompts: 6,
-            ..ResilienceConfig::default()
-        };
-        let outcomes = failover_sweep(&cfg);
-        let rendered = failover_table(&cfg, &outcomes).render();
+        let outcomes = failover_sweep();
+        let rendered = failover_table(&outcomes).render();
         assert!(rendered.contains("Replication"));
         for o in &outcomes {
             assert!(rendered.contains(&o.killed));
         }
-        let partition = partition_heal(&cfg);
+        let partition = partition_heal();
         assert!(partition_table(&partition)
             .render()
             .contains("Rounds to heal"));

@@ -18,59 +18,33 @@ pub struct Args {
     pub flags: Vec<String>,
 }
 
-/// Option keys that take a value.
-const VALUE_KEYS: [&str; 23] = [
-    "cluster",
-    "replicas",
-    "replication",
-    "gossip-interval-ms",
-    "addr",
-    "h3-addr",
-    "transport",
-    "device",
-    "model",
-    "steps",
-    "out",
-    "site",
-    "workers",
-    "shards",
-    "queue",
-    "chaos",
-    "batch-max",
-    "batch-wait",
-    "deadline-ms",
-    "breaker-threshold",
-    "breaker-cooldown-ms",
-    "drain-after",
-    "kernel-tiles",
-];
-
-/// The bare switches. Any other `--key` is a typo, not a switch.
+/// The bare switches. Any other `--key` some command reads takes a
+/// value; a key no command reads is a typo.
 const SWITCHES: [&str; 2] = ["naive", "render"];
 
 impl Args {
-    /// Parse from an iterator of arguments (without the program name).
-    /// `options_of(command)` names the keys the command reads, `None`
-    /// for a command that does not exist: its options are not judged,
-    /// so the caller can answer it with the usage text. An unknown
-    /// `--key`, a key the command does not read, or a value key with no
-    /// value after it is an error naming the key.
-    pub fn parse<I: IntoIterator<Item = String>>(
-        args: I,
-        options_of: impl Fn(&str) -> Option<&'static [&'static str]>,
-    ) -> Result<Args, String> {
+    /// Parse from an iterator of arguments (without the program name),
+    /// judging each `--key` by [`crate::COMMANDS`]. The options of a
+    /// command that does not exist are not judged, so the caller can
+    /// answer it with the usage text. An unknown `--key`, a key the
+    /// command does not read, or a value key with no value after it is
+    /// an error naming the key.
+    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Args, String> {
         let mut out = Args::default();
         let mut given = Vec::new();
         let mut iter = args.into_iter();
         while let Some(arg) = iter.next() {
             if let Some(key) = arg.strip_prefix("--") {
-                if VALUE_KEYS.contains(&key) {
+                if SWITCHES.contains(&key) {
+                    out.flags.push(key.to_string());
+                } else if crate::COMMANDS
+                    .iter()
+                    .any(|(_, reads, _)| reads.contains(&key))
+                {
                     let value = iter
                         .next()
                         .ok_or_else(|| format!("--{key} needs a value"))?;
                     out.options.insert(key.to_string(), value);
-                } else if SWITCHES.contains(&key) {
-                    out.flags.push(key.to_string());
                 } else {
                     return Err(format!("unknown option --{key}"));
                 }
@@ -81,7 +55,10 @@ impl Args {
                 out.positionals.push(arg);
             }
         }
-        let Some(reads) = options_of(&out.command) else {
+        let Some((_, reads, _)) = crate::COMMANDS
+            .iter()
+            .find(|(name, ..)| *name == out.command)
+        else {
             return Ok(out);
         };
         match given.iter().find(|key| !reads.contains(&key.as_str())) {
@@ -122,7 +99,7 @@ mod tests {
     use super::*;
 
     fn try_parse(s: &str) -> Result<Args, String> {
-        Args::parse(s.split_whitespace().map(str::to_string), crate::options_of)
+        Args::parse(s.split_whitespace().map(str::to_string))
     }
 
     fn parse(s: &str) -> Args {
@@ -181,25 +158,6 @@ mod tests {
         // prints the usage: its options are not what is wrong.
         assert_eq!(parse("serv --addr x").command, "serv");
         assert_eq!(parse("nonesuch").command, "nonesuch");
-    }
-
-    /// Every key a command reads has an arity here, and every key here
-    /// is read by some command.
-    #[test]
-    fn the_key_lists_and_the_command_table_agree() {
-        let read: Vec<&str> = crate::COMMANDS
-            .iter()
-            .flat_map(|(_, options, _)| options.iter().copied())
-            .collect();
-        for key in &read {
-            assert!(
-                VALUE_KEYS.contains(key) || SWITCHES.contains(key),
-                "--{key}"
-            );
-        }
-        for key in VALUE_KEYS.iter().chain(&SWITCHES) {
-            assert!(read.contains(key), "no command reads --{key}");
-        }
     }
 
     #[test]

@@ -162,15 +162,6 @@ const COMMANDS: [(&str, &[&str], Command); 7] = [
     }),
 ];
 
-/// The options `command` reads; `None` for a command that is not in
-/// [`COMMANDS`].
-fn options_of(command: &str) -> Option<&'static [&'static str]> {
-    COMMANDS
-        .iter()
-        .find(|(name, ..)| *name == command)
-        .map(|(_, options, _)| *options)
-}
-
 fn usage_text() -> String {
     let names: Vec<&str> = COMMANDS.iter().map(|(name, ..)| *name).collect();
     format!(
@@ -205,7 +196,7 @@ fn main() {
         Some((.., command)) => command(&args),
         None => usage(),
     };
-    if let Err(message) = Args::parse(std::env::args().skip(1), options_of).and_then(run) {
+    if let Err(message) = Args::parse(std::env::args().skip(1)).and_then(run) {
         eprintln!("{message}");
         std::process::exit(2);
     }

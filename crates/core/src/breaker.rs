@@ -109,12 +109,6 @@ impl CircuitBreaker {
         }
     }
 
-    /// The configured tuning.
-    #[must_use]
-    pub fn config(&self) -> BreakerConfig {
-        self.config
-    }
-
     /// The current state for `model` (as admission would observe it: an
     /// open breaker whose cooldown has elapsed reads as half-open).
     #[must_use]

@@ -134,18 +134,6 @@ impl<T: AsyncRead + AsyncWrite + Unpin> GenerativeClient<T> {
         self.profile = profile;
     }
 
-    /// The client's generation cache. Its lookups are counted in
-    /// [`metrics`](GenerativeClient::metrics) as
-    /// `sww_cache_events_total{result}`.
-    pub fn cache(&self) -> &GenerationCache {
-        &self.cache
-    }
-
-    /// The ability the server advertised.
-    pub fn server_ability(&self) -> GenAbility {
-        self.conn.server_ability()
-    }
-
     /// The negotiated (shared) ability.
     pub fn negotiated_ability(&self) -> GenAbility {
         self.conn.negotiated_ability()
@@ -441,11 +429,6 @@ impl<T: AsyncRead + AsyncWrite + Unpin> GenerativeClient<T> {
         page.html = serialize(&doc);
         self.count("sww_client_pages_total", &[]);
         Ok((page, stats))
-    }
-
-    /// Liveness check.
-    pub async fn ping(&mut self) -> Result<(), H2Error> {
-        self.conn.ping().await
     }
 
     /// Graceful shutdown.

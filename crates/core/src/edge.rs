@@ -184,11 +184,6 @@ impl HashRing {
         self.nodes.is_empty()
     }
 
-    /// Vnodes per member.
-    pub fn replicas(&self) -> usize {
-        self.replicas
-    }
-
     /// Index into `points` of the first vnode at or after `key`'s point
     /// (wrapping past the top of the ring).
     fn start_index(&self, key: &[u8]) -> Option<usize> {

@@ -79,15 +79,6 @@ pub enum Health {
 }
 
 impl Health {
-    /// Stable label for metrics and tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            Health::Alive => "alive",
-            Health::Suspect => "suspect",
-            Health::Dead => "dead",
-        }
-    }
-
     /// Merge precedence at equal incarnation: `Dead > Suspect > Alive`.
     fn rank(self) -> u8 {
         match self {

@@ -112,13 +112,6 @@ pub fn profile(kind: DeviceKind) -> DeviceProfile {
     }
 }
 
-impl DeviceProfile {
-    /// Convenience constructor.
-    pub fn new(kind: DeviceKind) -> DeviceProfile {
-        profile(kind)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

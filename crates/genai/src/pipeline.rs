@@ -38,16 +38,6 @@ impl GenerationPipeline {
         }
     }
 
-    /// The loaded image model.
-    pub fn image_model(&self) -> &DiffusionModel {
-        &self.image_model
-    }
-
-    /// The loaded text model.
-    pub fn text_model(&self) -> &TextModel {
-        &self.text_model
-    }
-
     /// Generate an image from a prompt.
     pub fn generate_image(
         &mut self,

@@ -70,16 +70,6 @@ impl Document {
         &mut self.nodes[id.0]
     }
 
-    /// Total node count (including detached nodes).
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True when the document has no content besides the root.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.len() == 1
-    }
-
     /// Append a new node under `parent`.
     pub fn append(&mut self, parent: NodeId, kind: NodeKind) -> NodeId {
         let id = NodeId(self.nodes.len());

@@ -42,14 +42,6 @@ impl ContentType {
             _ => None,
         }
     }
-
-    /// The attribute value.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ContentType::Img => "img",
-            ContentType::Txt => "txt",
-        }
-    }
 }
 
 /// One extracted generated-content element.

@@ -106,9 +106,4 @@ impl<T: AsyncRead + AsyncWrite + Unpin> ClientConnection<T> {
     pub fn bytes_sent(&self) -> u64 {
         self.conn.bytes_sent
     }
-
-    /// Total DATA payload octets received.
-    pub fn bytes_received(&self) -> u64 {
-        self.conn.bytes_received
-    }
 }

@@ -99,15 +99,6 @@ impl H2Error {
     pub fn compression(msg: impl Into<String>) -> H2Error {
         H2Error::Connection(ErrorCode::Compression, msg.into())
     }
-
-    /// The error code this error maps onto the wire.
-    pub fn code(&self) -> ErrorCode {
-        match self {
-            H2Error::Connection(c, _) | H2Error::Stream(_, c, _) | H2Error::GoAway(c, _) => *c,
-            H2Error::Io(_) => ErrorCode::Internal,
-            H2Error::Closed => ErrorCode::NoError,
-        }
-    }
 }
 
 impl fmt::Display for H2Error {

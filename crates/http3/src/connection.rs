@@ -255,8 +255,6 @@ pub struct H3ClientConnection<T> {
     /// Whether the server's authoritative control stream has been seen
     /// (false while running on a 0-RTT ticket).
     server_control_seen: bool,
-    /// The server announced graceful shutdown.
-    goaway: bool,
     /// This connection resumed from a [`SessionTicket`].
     resumed: bool,
 }
@@ -281,7 +279,6 @@ impl<T: AsyncRead + AsyncWrite + Unpin> H3ClientConnection<T> {
             remote: H3Settings::default(),
             ready: std::collections::HashMap::new(),
             server_control_seen: false,
-            goaway: false,
             resumed: false,
         };
         // Await the server's control stream before the first request —
@@ -312,7 +309,6 @@ impl<T: AsyncRead + AsyncWrite + Unpin> H3ClientConnection<T> {
             remote: ticket.server_settings,
             ready: std::collections::HashMap::new(),
             server_control_seen: false,
-            goaway: false,
             resumed: true,
         })
     }
@@ -336,11 +332,6 @@ impl<T: AsyncRead + AsyncWrite + Unpin> H3ClientConnection<T> {
     /// on a 0-RTT connection once any response has been collected).
     pub fn server_control_seen(&self) -> bool {
         self.server_control_seen
-    }
-
-    /// Whether the server announced graceful shutdown (GOAWAY).
-    pub fn goaway_received(&self) -> bool {
-        self.goaway
     }
 
     /// The server's advertised ability.
@@ -384,7 +375,9 @@ impl<T: AsyncRead + AsyncWrite + Unpin> H3ClientConnection<T> {
                     self.remote = incoming;
                     self.server_control_seen = true;
                 }
-                ControlSignal::Goaway => self.goaway = true,
+                // The server still answers the streams in flight; the
+                // client has nothing to change.
+                ControlSignal::Goaway => {}
             }
         } else {
             self.ready.insert(stream, data);

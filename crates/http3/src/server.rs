@@ -234,25 +234,9 @@ where
     }
 }
 
-/// Serve one HTTP/3 connection until the peer closes or `should_close`
-/// reports drain, running every handler on the blocking crew: a handler
-/// here may block. See [`serve_h3_connection_split`].
-pub async fn serve_h3_connection_until<T, H, P>(
-    io: T,
-    ability: GenAbility,
-    handler: H,
-    should_close: P,
-) -> Result<H3ServeStats, H3Error>
-where
-    T: AsyncRead + AsyncWrite + Unpin,
-    H: Fn(Request, H3ServeContext) -> Response + Send + Sync + 'static,
-    P: Fn() -> bool,
-{
-    serve_h3_connection_split(io, ability, handler, |_, _| true, should_close).await
-}
-
 /// Serve one HTTP/3 connection until the peer closes, running every
-/// handler on the blocking crew.
+/// handler on the blocking crew: a handler here may block. See
+/// [`serve_h3_connection_split`].
 pub async fn serve_h3_connection<T, H>(
     io: T,
     ability: GenAbility,
@@ -262,7 +246,7 @@ where
     T: AsyncRead + AsyncWrite + Unpin,
     H: Fn(Request, H3ServeContext) -> Response + Send + Sync + 'static,
 {
-    serve_h3_connection_until(io, ability, handler, || false).await
+    serve_h3_connection_split(io, ability, handler, |_, _| true, || false).await
 }
 
 #[cfg(test)]
@@ -792,10 +776,11 @@ mod tests {
         let close_flag = Arc::clone(&closing);
         let (a, b) = tokio::io::duplex(1 << 20);
         let server = tokio::spawn(async move {
-            serve_h3_connection_until(
+            serve_h3_connection_split(
                 b,
                 GenAbility::full(),
                 |req: Request, _ctx| Response::ok(Bytes::from(format!("ok:{}", req.path))),
+                |_, _| true,
                 move || close_flag.load(Ordering::SeqCst),
             )
             .await

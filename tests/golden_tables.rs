@@ -92,8 +92,7 @@ fn e13_cdn_table_matches_golden() {
 /// scaling story.
 #[test]
 fn e19_edge_cluster_modelled_table_matches_golden() {
-    let cfg = edge::EdgeClusterConfig::default();
-    let rendered = edge::modelled_table(&cfg).render();
+    let rendered = edge::modelled_table().render();
     assert_matches_golden("e19_edge_cluster.txt", &rendered);
 }
 
@@ -112,22 +111,17 @@ fn e20_workload_scorecard_matches_golden() {
 }
 
 /// E17: the modelled columns of the tiled-kernel sweep (lanes 1/2/4/8)
-/// and of the batched-serving sweep (kernel tiles 1/8) at their default
-/// configs. Images per modelled device-second come from the cost model,
+/// and of the batched-serving sweep (kernel tiles 1/8), as `report`
+/// runs them. Images per modelled device-second come from the cost model,
 /// so every cell is exact; the wall columns are `report --exp e17`'s.
 #[test]
 fn e17_kernel_modelled_rows_match_golden() {
     let _heavy = heavy();
-    let kcfg = kernel::KernelConfig::default();
-    let raw = kernel::kernel_sweep(kcfg, &[1, 2, 4, 8]);
-    let scfg = kernel::ServingConfig::default();
-    let served = kernel::serving_sweep(scfg, &[1, 8]);
+    let raw = kernel::kernel_sweep();
+    let served = kernel::serving_sweep();
     let mut t = Table::new(
-        format!(
-            "E17 (modelled) — tiled kernel (batch {}, {}x{}, {} steps) and batched \
-             serving ({} threads x {} rounds)",
-            kcfg.batch, kcfg.side, kcfg.side, kcfg.steps, scfg.threads, scfg.rounds
-        ),
+        "E17 (modelled) — tiled kernel (batch 8, 64x64, 15 steps) and batched \
+         serving (8 threads x 4 rounds)",
         &["Sweep", "Lanes", "ModelImg/s", "Speedup", "MeanBatch"],
     );
     for s in &raw {
@@ -213,10 +207,9 @@ fn golden_targets_render_deterministically() {
         compression::table(&compression::run()).render(),
         compression::table(&compression::run()).render()
     );
-    let ecfg = edge::EdgeClusterConfig::default();
     assert_eq!(
-        edge::modelled_table(&ecfg).render(),
-        edge::modelled_table(&ecfg).render()
+        edge::modelled_table().render(),
+        edge::modelled_table().render()
     );
     let wcfg = workload::E20Config::quick();
     assert_eq!(
