@@ -143,7 +143,7 @@ fn main() {
         println!("{}", edge::modelled_table().render());
         let chaos = edge::chaos_kill_with_latency();
         println!("{}", edge::chaos_table(&chaos).render());
-        violations.extend(edge::hit_rate_violations(&samples));
+        violations.extend(edge::sweep_violations(&samples));
         violations.extend(chaos.violations());
     }
     if wants(&filter, "e20") {

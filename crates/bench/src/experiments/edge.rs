@@ -8,7 +8,8 @@
 //! nodes or clients — so the request volume scales with `N` while the
 //! generation count stays flat, and the global hit rate
 //! `1 − generations/requests` strictly increases with node count
-//! ([`hit_rate_violations`]). `tests/golden_tables.rs` pins the
+//! ([`sweep_violations`], which also names every request the clients
+//! gave up on). `tests/golden_tables.rs` pins the
 //! **modelled** numbers (ring ownership + the deterministic cost model);
 //! wall-clock columns are printed, never compared, exactly as in E17/E18.
 //!
@@ -51,6 +52,8 @@ pub struct EdgeSample {
     pub nodes: usize,
     /// Requests issued (= nodes × threads_per_node × requests_per_thread).
     pub requests: u64,
+    /// Requests that failed every attempt; the rule holds it at zero.
+    pub lost: u64,
     /// Generations across every node's engine — exactly `prompts` when
     /// global single-flight holds.
     pub generations: u64,
@@ -66,13 +69,14 @@ pub struct EdgeSample {
     pub routed: u64,
     /// Failover skips observed (0 without chaos).
     pub failovers: u64,
-    /// Global cache hit rate: `1 − generations/requests`.
+    /// Global cache hit rate over the answered requests:
+    /// `1 − generations/(requests − lost)`.
     pub hit_rate: f64,
     /// Most prompts owned by any single node (ring ownership).
     pub max_owned: usize,
     /// Modelled aggregate throughput (deterministic; pinned by the golden).
     pub modelled_qps: f64,
-    /// Measured requests per wall-clock second (never compared).
+    /// Answered requests per wall-clock second (never compared).
     pub wall_qps: f64,
     /// Median request latency in ms (wall clock).
     pub p50_ms: f64,
@@ -233,15 +237,14 @@ pub(crate) fn cluster_generations(router: &EdgeRouter) -> u64 {
         .sum()
 }
 
-/// Drive the cluster with naive clients; returns per-request latencies
-/// in ms and the count of client-level retries.
-fn drive(router: &EdgeRouter, nodes: usize) -> (Vec<f64>, u64) {
+/// Drive the cluster with naive clients; returns the answered requests'
+/// latencies in ms. A request that fails ten attempts is lost, and its
+/// client goes on to its next request.
+fn drive(router: &EdgeRouter, nodes: usize) -> Vec<f64> {
     let threads = nodes * THREADS_PER_NODE;
-    let retries = Arc::new(AtomicU64::new(0));
     let mut handles = Vec::with_capacity(threads);
     for t in 0..threads {
         let router = router.clone();
-        let retries = Arc::clone(&retries);
         handles.push(std::thread::spawn(move || {
             let mut latencies = Vec::with_capacity(REQUESTS_PER_THREAD);
             for r in 0..REQUESTS_PER_THREAD {
@@ -249,30 +252,27 @@ fn drive(router: &EdgeRouter, nodes: usize) -> (Vec<f64>, u64) {
                 let req = Request::get(format!("/page/{p}"));
                 let t0 = Instant::now();
                 // Bounded retry: chaos 5xx (including a response lost to
-                // a mid-flight kill) is retried; persistent failure
-                // surfaces as a lost response in the caller's audit.
-                for attempt in 0..10 {
-                    let resp = router.handle(t % nodes.max(1), GenAbility::none(), &req);
-                    if resp.status == 200 {
-                        break;
+                // a mid-flight kill) is retried.
+                let answered = (0..10).any(|attempt| {
+                    if attempt > 0 {
+                        std::thread::sleep(std::time::Duration::from_millis(2));
                     }
-                    retries.fetch_add(1, Ordering::Relaxed);
-                    if attempt == 9 {
-                        return (latencies, false);
-                    }
-                    std::thread::sleep(std::time::Duration::from_millis(2));
+                    router
+                        .handle(t % nodes.max(1), GenAbility::none(), &req)
+                        .status
+                        == 200
+                });
+                if answered {
+                    latencies.push(t0.elapsed().as_secs_f64() * 1e3);
                 }
-                latencies.push(t0.elapsed().as_secs_f64() * 1e3);
             }
-            (latencies, true)
+            latencies
         }));
     }
-    let mut all = Vec::new();
-    for handle in handles {
-        let (latencies, _complete) = handle.join().expect("client thread");
-        all.extend(latencies);
-    }
-    (all, retries.load(Ordering::Relaxed))
+    handles
+        .into_iter()
+        .flat_map(|handle| handle.join().expect("client thread"))
+        .collect()
 }
 
 /// Run the sweep, every node armed with `chaos`; without one the sweep
@@ -284,7 +284,7 @@ pub fn run(chaos: Option<&ChaosSpec>) -> Vec<EdgeSample> {
             let n = row.nodes;
             let router = edge_router(n, chaos);
             let start = Instant::now();
-            let (mut latencies, _retries) = drive(&router, n);
+            let mut latencies = drive(&router, n);
             let elapsed = start.elapsed().as_secs_f64();
             latencies.sort_by(|a, b| a.total_cmp(b));
             let nodes = router.nodes();
@@ -294,9 +294,11 @@ pub fn run(chaos: Option<&ChaosSpec>) -> Vec<EdgeSample> {
             let coalesced: u64 = nodes.iter().map(|n| n.server().engine().coalesced()).sum();
             let stats: Vec<_> = nodes.iter().map(|n| n.stats()).collect();
             let requests = row.requests;
+            let answered = latencies.len() as u64;
             EdgeSample {
                 nodes: n,
                 requests,
+                lost: requests - answered,
                 generations,
                 coalesced,
                 peer_fills: stats.iter().map(|s| s.fills).sum(),
@@ -304,10 +306,14 @@ pub fn run(chaos: Option<&ChaosSpec>) -> Vec<EdgeSample> {
                 local: stats.iter().map(|s| s.local_media).sum(),
                 routed: stats.iter().map(|s| s.peer_serves).sum(),
                 failovers: stats.iter().map(|s| s.failovers).sum(),
-                hit_rate: 1.0 - generations as f64 / requests as f64,
+                hit_rate: if answered == 0 {
+                    0.0
+                } else {
+                    1.0 - generations as f64 / answered as f64
+                },
                 max_owned: row.max_owned,
                 modelled_qps: row.modelled_qps,
-                wall_qps: requests as f64 / elapsed.max(1e-9),
+                wall_qps: answered as f64 / elapsed.max(1e-9),
                 p50_ms: percentile_ms(&latencies, 50.0),
                 p99_ms: percentile_ms(&latencies, 99.0),
             }
@@ -412,20 +418,27 @@ pub fn chaos_kill_with_latency() -> EdgeChaosOutcome {
     chaos_kill(&spec)
 }
 
-/// The E19 rule: the global hit rate strictly increases with node
-/// count, read in node-count order whatever order the samples come in.
-/// Requests scale with the cluster while generations stay at one per
-/// prompt, so a flat step means some node generated a recipe it does not
-/// own: cluster-wide single-flight broke. One line per flat step.
-pub fn hit_rate_violations(samples: &[EdgeSample]) -> Vec<String> {
+/// The E19 rule: no request is lost, and the global hit rate strictly
+/// increases with node count, read in node-count order whatever order
+/// the samples come in. Requests scale with the cluster while
+/// generations stay at one per prompt, so a flat step means some node
+/// generated a recipe it does not own: cluster-wide single-flight broke.
+/// One line per lossy sample and per flat step.
+pub fn sweep_violations(samples: &[EdgeSample]) -> Vec<String> {
+    let losses = samples.iter().filter(|s| s.lost != 0).map(|s| {
+        format!(
+            "edge_cluster @ {} nodes: {} of {} requests lost",
+            s.nodes, s.lost, s.requests
+        )
+    });
     let points = samples
         .iter()
         .map(|s| (s.nodes as f64, s.hit_rate))
         .collect();
-    super::flat_steps(points, |n| format!("{n} nodes"))
+    let steps = super::flat_steps(points, |n| format!("{n} nodes"))
         .into_iter()
-        .map(|step| format!("edge_cluster: hit rate must strictly increase with nodes ({step})"))
-        .collect()
+        .map(|step| format!("edge_cluster: hit rate must strictly increase with nodes ({step})"));
+    losses.chain(steps).collect()
 }
 
 impl EdgeChaosOutcome {
@@ -454,6 +467,7 @@ pub fn table(samples: &[EdgeSample]) -> Table {
         &[
             "Nodes",
             "Requests",
+            "Lost",
             "Gen",
             "Hit rate",
             "Fills",
@@ -469,6 +483,7 @@ pub fn table(samples: &[EdgeSample]) -> Table {
         t.row([
             s.nodes.to_string(),
             s.requests.to_string(),
+            s.lost.to_string(),
             s.generations.to_string(),
             format!("{:.3}", s.hit_rate),
             s.peer_fills.to_string(),
@@ -587,6 +602,7 @@ mod tests {
         EdgeSample {
             nodes,
             requests: (nodes * 20) as u64,
+            lost: 0,
             generations: 10,
             coalesced: 0,
             peer_fills: 0,
@@ -609,7 +625,7 @@ mod tests {
         let _serial = super::super::alloc_serial();
         let samples = run(None);
         // Measured hit rate matches the model's strict increase.
-        assert_eq!(hit_rate_violations(&samples), Vec::<String>::new());
+        assert_eq!(sweep_violations(&samples), Vec::<String>::new());
         for s in &samples {
             assert_eq!(
                 s.generations, PROMPTS as u64,
@@ -635,7 +651,7 @@ mod tests {
     fn a_flat_hit_rate_step_breaks_the_e19_rule() {
         let flat = [sample(1, 0.5), sample(2, 0.75), sample(4, 0.75)];
         assert_eq!(
-            hit_rate_violations(&flat),
+            sweep_violations(&flat),
             ["edge_cluster: hit rate must strictly increase with nodes \
               (2 nodes: 0.750 -> 4 nodes: 0.750)"]
         );
@@ -648,14 +664,36 @@ mod tests {
     fn the_e19_rule_reads_node_order_not_sample_order() {
         let mut rising = vec![sample(1, 0.5), sample(2, 0.75), sample(4, 0.875)];
         let mut flat = vec![sample(1, 0.5), sample(2, 0.75), sample(4, 0.75)];
-        let flat_lines = hit_rate_violations(&flat);
+        let flat_lines = sweep_violations(&flat);
         assert_eq!(flat_lines.len(), 1);
         for _ in 0..2 {
             rising.reverse();
             flat.reverse();
-            assert_eq!(hit_rate_violations(&rising), Vec::<String>::new());
-            assert_eq!(hit_rate_violations(&flat), flat_lines);
+            assert_eq!(sweep_violations(&rising), Vec::<String>::new());
+            assert_eq!(sweep_violations(&flat), flat_lines);
         }
+    }
+
+    /// Every node answers every request with a 5xx: each client gives up
+    /// on each request in turn, and the rule names every loss. The rule
+    /// once read hit rates over requests that were never sent, because a
+    /// client stopped at its first lost request.
+    #[test]
+    fn lost_requests_break_the_e19_rule() {
+        let _serial = super::super::alloc_serial();
+        let spec = ChaosSpec::parse("seed=1,server.respond=error:1.0").expect("spec");
+        let samples = run(Some(&spec));
+        for s in &samples {
+            assert_eq!(s.lost, s.requests, "{s:?}");
+        }
+        assert_eq!(
+            &sweep_violations(&samples)[..3],
+            [
+                "edge_cluster @ 1 nodes: 20 of 20 requests lost",
+                "edge_cluster @ 2 nodes: 40 of 40 requests lost",
+                "edge_cluster @ 4 nodes: 80 of 80 requests lost",
+            ]
+        );
     }
 
     /// The node kill `report --exp e19` runs.
@@ -709,7 +747,7 @@ mod tests {
     fn the_e19_gates_hold_under_a_parsed_chaos_spec() {
         let _serial = super::super::alloc_serial();
         let spec = ChaosSpec::parse("seed=7,engine.generate=latency:1.0:10").expect("spec");
-        let mut violations = hit_rate_violations(&run(Some(&spec)));
+        let mut violations = sweep_violations(&run(Some(&spec)));
         violations.extend(chaos_kill(&spec).violations());
         assert_eq!(violations, Vec::<String>::new());
     }

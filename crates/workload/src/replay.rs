@@ -117,7 +117,7 @@ pub struct ReplayOutcome {
 
 /// One event's replay result, keyed for order-invariant folding.
 struct EventResult {
-    seq: u64,
+    seq: u32,
     status: u16,
     body_digest: u64,
     wall_us: u64,
@@ -185,7 +185,7 @@ impl ReplayEngine {
         let digest = fnv_words(
             results
                 .iter()
-                .flat_map(|r| [r.seq, u64::from(r.status), r.body_digest]),
+                .flat_map(|r| [u64::from(r.seq), u64::from(r.status), r.body_digest]),
         );
         for r in &results {
             card.record(r.status, r.wall_us);

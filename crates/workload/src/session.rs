@@ -87,20 +87,22 @@ impl Default for WalkConfig {
     }
 }
 
-/// Walk the graph for one session and return the visited node sequence.
-/// The first page and every restart target are drawn from `zipf` and
-/// mapped through `rank_to_node`; other steps follow a uniform outgoing
-/// link. Pure function of the `rng` stream position.
+/// Walk the graph for one session, replacing `pages` with the visited
+/// node sequence (never empty). The first page and every restart target
+/// are drawn from `zipf` and mapped through `rank_to_node`; other steps
+/// follow a uniform outgoing link. Pure function of the `rng` stream
+/// position.
 pub(crate) fn random_walk(
     graph: &SiteGraph,
     zipf: &Zipf,
     rank_to_node: &[usize],
     cfg: WalkConfig,
     rng: &mut Rng,
-) -> Vec<usize> {
+    pages: &mut Vec<usize>,
+) {
     debug_assert_eq!(rank_to_node.len(), graph.len());
-    let start = rank_to_node[zipf.sample(rng)];
-    let mut pages = vec![start];
+    pages.clear();
+    pages.push(rank_to_node[zipf.sample(rng)]);
     let continue_p = 1.0 - 1.0 / cfg.mean_len.max(1.0);
     while rng.uniform() < continue_p {
         let here = *pages.last().expect("walk is non-empty");
@@ -116,13 +118,25 @@ pub(crate) fn random_walk(
         };
         pages.push(next);
     }
-    pages
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::graph::SmallWorldConfig;
+
+    /// One session's walk in a fresh buffer.
+    fn walk(
+        g: &SiteGraph,
+        zipf: &Zipf,
+        ranks: &[usize],
+        cfg: WalkConfig,
+        rng: &mut Rng,
+    ) -> Vec<usize> {
+        let mut pages = Vec::new();
+        random_walk(g, zipf, ranks, cfg, rng, &mut pages);
+        pages
+    }
 
     fn graph() -> SiteGraph {
         SiteGraph::generate(SmallWorldConfig {
@@ -164,7 +178,7 @@ mod tests {
         let ranks: Vec<usize> = (0..g.len()).collect();
         let mut rng = Rng::new(1);
         for _ in 0..200 {
-            let pages = random_walk(&g, &zipf, &ranks, WalkConfig::default(), &mut rng);
+            let pages = walk(&g, &zipf, &ranks, WalkConfig::default(), &mut rng);
             assert!(!pages.is_empty());
             for w in pages.windows(2) {
                 let linked = g.neighbors(w[0]).contains(&w[1]);
@@ -181,7 +195,7 @@ mod tests {
         let run = |seed| {
             let mut rng = Rng::new(seed);
             (0..50)
-                .flat_map(|_| random_walk(&g, &zipf, &ranks, WalkConfig::default(), &mut rng))
+                .flat_map(|_| walk(&g, &zipf, &ranks, WalkConfig::default(), &mut rng))
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(2), run(2));
@@ -199,7 +213,7 @@ mod tests {
             ..WalkConfig::default()
         };
         let total: usize = (0..2000)
-            .map(|_| random_walk(&g, &zipf, &ranks, cfg, &mut rng).len())
+            .map(|_| walk(&g, &zipf, &ranks, cfg, &mut rng).len())
             .sum();
         let mean = total as f64 / 2000.0;
         assert!((6.0..10.0).contains(&mean), "mean session length {mean}");

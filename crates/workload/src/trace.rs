@@ -62,15 +62,16 @@ impl WorkloadConfig {
     }
 }
 
-/// One page request of the trace.
+/// One page request of the trace: 32 bytes, so a million-event trace
+/// holds 32 MB.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceEvent {
     /// Position in replay order (assigned after time-sorting).
-    pub seq: u64,
+    pub seq: u32,
     /// Virtual arrival time in milliseconds.
     pub vtime_ms: u64,
     /// The user (session) issuing the request.
-    pub user: u64,
+    pub user: u32,
     /// The graph node (page) requested.
     pub node: usize,
     /// The user's device class.
@@ -82,7 +83,8 @@ pub struct TraceEvent {
 pub struct Trace {
     cfg: WorkloadConfig,
     events: Vec<TraceEvent>,
-    sessions: u64,
+    /// Sessions drawn per device class, indexed by `DeviceKind as usize`.
+    device_sessions: [u64; 3],
 }
 
 impl Trace {
@@ -97,65 +99,65 @@ impl Trace {
     /// configs produce bit-identical traces.
     pub fn generate_on(cfg: &WorkloadConfig, graph: &SiteGraph) -> Trace {
         assert_eq!(graph.config(), cfg.graph, "graph/config mismatch");
+        assert!(
+            cfg.requests <= u32::MAX as usize,
+            "events and users are numbered in u32"
+        );
         let zipf = Zipf::new(graph.len(), cfg.zipf_exponent);
         let ranks = popularity_permutation(graph.len(), cfg.seed);
         let mut rng = Rng::new(cfg.seed ^ 0x7ace_5eed_0000_0002);
+        // Allocated once: the last session stops at the reservation, and
+        // the draws it skips come after every event the trace keeps.
         let mut events = Vec::with_capacity(cfg.requests);
+        let mut pages = Vec::new();
+        let mut device_sessions = [0u64; 3];
         let mut arrival_t = 0.0f64;
-        let mut sessions = 0u64;
+        let mut user = 0u32;
         while events.len() < cfg.requests {
             arrival_t = cfg.diurnal.next_arrival(arrival_t, &mut rng);
-            let user = sessions;
-            sessions += 1;
             let device = cfg.mix.draw(&mut rng);
-            let pages = random_walk(graph, &zipf, &ranks, cfg.walk, &mut rng);
+            // A session is drawn only while there is room, so its first
+            // event is always kept: tallying here counts the sessions
+            // the trace holds.
+            device_sessions[device as usize] += 1;
+            random_walk(graph, &zipf, &ranks, cfg.walk, &mut rng, &mut pages);
             let mut t = arrival_t;
-            for (i, &node) in pages.iter().enumerate() {
+            for (i, &node) in pages.iter().take(cfg.requests - events.len()).enumerate() {
                 if i > 0 {
                     let u = rng.uniform().max(f64::MIN_POSITIVE);
                     t += -u.ln() * cfg.think_mean;
                 }
                 events.push(TraceEvent {
-                    seq: 0,
+                    // The push index until the sort renumbers it.
+                    seq: events.len() as u32,
                     vtime_ms: (t * 1000.0) as u64,
                     user,
                     node,
                     device,
                 });
             }
+            user += 1;
         }
-        events.truncate(cfg.requests);
-        // Interleave the sessions into global arrival order; the
-        // (vtime, user) key makes the order total and deterministic.
-        events.sort_by_key(|e| (e.vtime_ms, e.user));
-        for (i, e) in events.iter_mut().enumerate() {
-            e.seq = i as u64;
+        // Interleave the sessions into global arrival order, in place:
+        // the push index breaks (vtime, user) ties as a stable sort would.
+        events.sort_unstable_by_key(|e| {
+            u128::from(e.vtime_ms) << 64 | u128::from(e.user) << 32 | u128::from(e.seq)
+        });
+        for (seq, e) in (0..).zip(&mut events) {
+            e.seq = seq;
         }
-        let trace = Trace {
+        sww_obs::counter("sww_workload_traces_total", &[]).inc();
+        sww_obs::counter("sww_workload_trace_events_total", &[]).add(events.len() as u64);
+        for (label, n) in ["laptop", "workstation", "mobile"]
+            .into_iter()
+            .zip(device_sessions)
+        {
+            sww_obs::counter("sww_workload_sessions_total", &[("device", label)]).add(n);
+        }
+        Trace {
             cfg: *cfg,
             events,
-            sessions,
-        };
-        trace.emit_metrics();
-        trace
-    }
-
-    fn emit_metrics(&self) {
-        sww_obs::counter("sww_workload_traces_total", &[]).inc();
-        sww_obs::counter("sww_workload_trace_events_total", &[]).add(self.events.len() as u64);
-        for (device, label) in [
-            (DeviceKind::Laptop, "laptop"),
-            (DeviceKind::Workstation, "workstation"),
-            (DeviceKind::Mobile, "mobile"),
-        ] {
-            let n = self
-                .events
-                .iter()
-                .filter(|e| e.device == device)
-                .map(|e| e.user)
-                .collect::<std::collections::HashSet<_>>()
-                .len();
-            sww_obs::counter("sww_workload_sessions_total", &[("device", label)]).add(n as u64);
+            device_sessions,
         }
     }
 
@@ -171,7 +173,12 @@ impl Trace {
 
     /// Number of sessions the trace spans.
     pub fn sessions(&self) -> u64 {
-        self.sessions
+        self.device_sessions.iter().sum()
+    }
+
+    /// Number of sessions on `device` the trace spans.
+    pub fn sessions_on(&self, device: DeviceKind) -> u64 {
+        self.device_sessions[device as usize]
     }
 
     /// Virtual duration of the trace in seconds (first to last event).
@@ -184,22 +191,23 @@ impl Trace {
 
     /// Number of distinct pages the trace touches.
     pub fn unique_nodes(&self) -> usize {
+        let mut seen = vec![false; self.cfg.graph.nodes];
         self.events
             .iter()
-            .map(|e| e.node)
-            .collect::<std::collections::HashSet<_>>()
-            .len()
+            .filter(|e| !std::mem::replace(&mut seen[e.node], true))
+            .count()
     }
 
     /// FNV-1a digest over every event field — the bit-identity witness.
     pub fn digest(&self) -> u64 {
         fnv_words(self.events.iter().flat_map(|e| {
-            let device = match e.device {
-                DeviceKind::Laptop => 0,
-                DeviceKind::Workstation => 1,
-                DeviceKind::Mobile => 2,
-            };
-            [e.seq, e.vtime_ms, e.user, e.node as u64, device]
+            [
+                u64::from(e.seq),
+                e.vtime_ms,
+                u64::from(e.user),
+                e.node as u64,
+                e.device as u64,
+            ]
         }))
     }
 }
@@ -311,7 +319,26 @@ mod tests {
             assert!(w[0].vtime_ms <= w[1].vtime_ms, "disorder at {i}");
         }
         for (i, e) in t.events().iter().enumerate() {
-            assert_eq!(e.seq, i as u64);
+            assert_eq!(e.seq, i as u32);
+        }
+    }
+
+    #[test]
+    fn an_event_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<TraceEvent>(), 32);
+    }
+
+    /// The buffer is reserved once and never grows: the last session
+    /// stops at the reservation rather than overflowing it.
+    #[test]
+    fn the_event_buffer_is_allocated_once() {
+        for requests in [0, 1, 600, 4_321] {
+            let t = Trace::generate(&WorkloadConfig {
+                requests,
+                ..small_cfg()
+            });
+            assert_eq!(t.events.len(), requests);
+            assert_eq!(t.events.capacity(), requests);
         }
     }
 

@@ -17,9 +17,14 @@
 //! * **Determinism**: equal seeds produce bit-identical graphs and
 //!   traces, both within a process and across two independently
 //!   spawned processes.
+//! * **Tallies**: the sessions a trace counts per device class as it
+//!   draws them are the distinct users its events hold, and its page
+//!   count is the distinct pages they request.
 
 use proptest::prelude::*;
+use std::collections::HashSet;
 use std::process::Command;
+use sww_energy::DeviceKind;
 use sww_workload::graph::{SiteGraph, SmallWorldConfig};
 use sww_workload::{Trace, WorkloadConfig};
 
@@ -131,6 +136,49 @@ proptest! {
         let tb = Trace::generate(&cfg);
         prop_assert_eq!(ta.digest(), tb.digest());
         prop_assert_eq!(ta.events(), tb.events());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn tallies_match_the_distinct_users_and_pages_of_the_events(
+        nodes in 24usize..=96,
+        requests in 0usize..=600,
+        mobile_share in 0u32..=10,
+        seed in 0u64..=u64::MAX,
+    ) {
+        let cfg = WorkloadConfig {
+            graph: SmallWorldConfig {
+                nodes,
+                k: 6,
+                beta: 0.1,
+                seed,
+            },
+            mix: sww_workload::session::ProfileMix {
+                mobile: f64::from(mobile_share) / 10.0,
+                ..Default::default()
+            },
+            requests,
+            seed,
+            ..WorkloadConfig::default()
+        };
+        let trace = Trace::generate(&cfg);
+        let mut total = 0;
+        for device in [DeviceKind::Laptop, DeviceKind::Workstation, DeviceKind::Mobile] {
+            let users: HashSet<_> = trace
+                .events()
+                .iter()
+                .filter(|e| e.device == device)
+                .map(|e| e.user)
+                .collect();
+            prop_assert_eq!(trace.sessions_on(device), users.len() as u64, "{:?}", device);
+            total += trace.sessions_on(device);
+        }
+        prop_assert_eq!(total, trace.sessions());
+        let pages: HashSet<_> = trace.events().iter().map(|e| e.node).collect();
+        prop_assert_eq!(trace.unique_nodes(), pages.len());
     }
 }
 
