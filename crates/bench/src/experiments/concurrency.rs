@@ -15,6 +15,7 @@ use std::time::{Duration, Instant};
 use sww_core::{GenAbility, GenerativeServer, ServerConfig, SiteContent};
 use sww_html::gencontent;
 use sww_http2::Request;
+use sww_obs::percentile;
 
 /// One worker-count sample of the sweep.
 #[derive(Debug, Clone)]
@@ -47,16 +48,6 @@ const THREADS: usize = 8;
 const REQUESTS: usize = 50;
 /// Unique prompts (= unique pages) in the site.
 const PROMPTS: usize = 10;
-
-/// Percentile over a latency set, by nearest-rank on the sorted samples.
-/// Shared with the E17 and E19 sweeps. Returns 0 for an empty set.
-pub(crate) fn percentile_ms(sorted: &[f64], pct: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((pct / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
 
 /// The sweep workload: one page per unique prompt, each carrying one
 /// 64×64 generated-content image. Shared with the E16, E17 and E19
@@ -171,8 +162,8 @@ pub fn sample(workers: usize) -> ConcurrencySample {
         pool_jobs: server
             .metrics()
             .count("sww_pool_jobs_total", &[("result", "executed")]),
-        p50_ms: percentile_ms(&latencies_ms, 50.0),
-        p99_ms: percentile_ms(&latencies_ms, 99.0),
+        p50_ms: percentile(&latencies_ms, 50.0),
+        p99_ms: percentile(&latencies_ms, 99.0),
     }
 }
 

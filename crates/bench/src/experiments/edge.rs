@@ -31,8 +31,9 @@ use sww_core::{
 };
 use sww_energy::{profile, DeviceKind};
 use sww_http2::Request;
+use sww_obs::percentile;
 
-use super::concurrency::{bench_site, percentile_ms};
+use super::concurrency::bench_site;
 
 /// Node counts the sweep runs, ascending. Requests per sample =
 /// `nodes × THREADS_PER_NODE × REQUESTS_PER_THREAD`, so the offered load
@@ -57,8 +58,6 @@ pub struct EdgeSample {
     /// Generations across every node's engine — exactly `prompts` when
     /// global single-flight holds.
     pub generations: u64,
-    /// Same-node coalesces + cache hits (engine level, summed).
-    pub coalesced: u64,
     /// Peer cache-fills performed by entry nodes.
     pub peer_fills: u64,
     /// Requests answered straight from an entry's fill cache.
@@ -72,8 +71,6 @@ pub struct EdgeSample {
     /// Global cache hit rate over the answered requests:
     /// `1 − generations/(requests − lost)`.
     pub hit_rate: f64,
-    /// Most prompts owned by any single node (ring ownership).
-    pub max_owned: usize,
     /// Modelled aggregate throughput (deterministic; pinned by the golden).
     pub modelled_qps: f64,
     /// Answered requests per wall-clock second (never compared).
@@ -289,9 +286,6 @@ pub fn run(chaos: Option<&ChaosSpec>) -> Vec<EdgeSample> {
             latencies.sort_by(|a, b| a.total_cmp(b));
             let nodes = router.nodes();
             let generations = cluster_generations(&router);
-            // `coalesced()` already folds shard-cache hits in with
-            // in-flight joins: every amortized request, however it won.
-            let coalesced: u64 = nodes.iter().map(|n| n.server().engine().coalesced()).sum();
             let stats: Vec<_> = nodes.iter().map(|n| n.stats()).collect();
             let requests = row.requests;
             let answered = latencies.len() as u64;
@@ -300,7 +294,6 @@ pub fn run(chaos: Option<&ChaosSpec>) -> Vec<EdgeSample> {
                 requests,
                 lost: requests - answered,
                 generations,
-                coalesced,
                 peer_fills: stats.iter().map(|s| s.fills).sum(),
                 fill_hits: stats.iter().map(|s| s.fill_hits).sum(),
                 local: stats.iter().map(|s| s.local_media).sum(),
@@ -311,11 +304,10 @@ pub fn run(chaos: Option<&ChaosSpec>) -> Vec<EdgeSample> {
                 } else {
                     1.0 - generations as f64 / answered as f64
                 },
-                max_owned: row.max_owned,
                 modelled_qps: row.modelled_qps,
                 wall_qps: answered as f64 / elapsed.max(1e-9),
-                p50_ms: percentile_ms(&latencies, 50.0),
-                p99_ms: percentile_ms(&latencies, 99.0),
+                p50_ms: percentile(&latencies, 50.0),
+                p99_ms: percentile(&latencies, 99.0),
             }
         })
         .collect()
@@ -604,14 +596,12 @@ mod tests {
             requests: (nodes * 20) as u64,
             lost: 0,
             generations: 10,
-            coalesced: 0,
             peer_fills: 0,
             fill_hits: 0,
             local: 0,
             routed: 0,
             failovers: 0,
             hit_rate,
-            max_owned: 0,
             modelled_qps: 0.0,
             wall_qps: 0.0,
             p50_ms: 0.0,

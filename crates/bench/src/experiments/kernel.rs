@@ -31,12 +31,13 @@
 //! and decode pools — the zero-copy hot-path property, asserted here
 //! rather than assumed.
 
-use super::concurrency::{bench_site, drive_rounds, percentile_ms};
+use super::concurrency::{bench_site, drive_rounds};
 use crate::table::Table;
 use std::time::Instant;
 use sww_core::{CrewRunner, GenerativeServer, ServerConfig};
 use sww_energy::{profile, tiled_batch_pass_time, DeviceKind};
 use sww_genai::{DiffusionModel, ImageModelKind, PromptFeatures, StepCancel, Tiling};
+use sww_obs::percentile;
 
 /// One lane-count sample of the raw kernel sweep.
 #[derive(Debug, Clone)]
@@ -140,8 +141,8 @@ fn kernel_sample(tiles: usize) -> KernelSample {
     KernelSample {
         tiles,
         wall_qps: (BATCH * REPS) as f64 / elapsed.max(1e-9),
-        p50_ms: percentile_ms(&pass_ms, 50.0),
-        p99_ms: percentile_ms(&pass_ms, 99.0),
+        p50_ms: percentile(&pass_ms, 50.0),
+        p99_ms: percentile(&pass_ms, 99.0),
         modelled_rate: BATCH as f64 / pass_s.max(1e-12),
         speedup: 1.0, // filled in by `kernel_sweep` against the 1-lane row
         alloc_bytes: pool_alloc_bytes() - alloc_before,
@@ -209,8 +210,8 @@ fn serving_sample(kernel_tiles: usize) -> ServingSample {
     ServingSample {
         kernel_tiles,
         wall_qps: images / elapsed.max(1e-9),
-        p50_ms: percentile_ms(&latencies_ms, 50.0),
-        p99_ms: percentile_ms(&latencies_ms, 99.0),
+        p50_ms: percentile(&latencies_ms, 50.0),
+        p99_ms: percentile(&latencies_ms, 99.0),
         modelled_rate: images / modelled_s.max(1e-12),
         speedup: 1.0, // filled in by `serving_sweep` against the tiles-1 row
         mean_batch: server.batch_stats().map_or(0.0, |s| s.mean_batch),

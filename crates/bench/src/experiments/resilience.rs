@@ -44,8 +44,6 @@ const ROUNDS: usize = 3;
 pub struct FailoverOutcome {
     /// Total copies per hot key (owner included).
     pub replication: usize,
-    /// Cluster size.
-    pub nodes: usize,
     /// Post-kill requests issued.
     pub requests: u64,
     /// Post-kill requests that produced a 200.
@@ -229,7 +227,6 @@ pub fn failover(replication: usize) -> FailoverOutcome {
     let stats: Vec<_> = router.nodes().iter().map(|n| n.stats()).collect();
     FailoverOutcome {
         replication,
-        nodes: NODES,
         requests,
         completed,
         lost,
@@ -285,7 +282,7 @@ fn partition_run(bound: u64) -> (bool, u64, u64, bool) {
 pub fn partition_heal() -> PartitionOutcome {
     // Same generous deterministic bound the gossip property tests use:
     // a probe round per observer, the suspect timer, and dissemination.
-    let bound = 6 * sww_core::GossipConfig::default().suspect_rounds + 6;
+    let bound = 6 * sww_core::SUSPECT_ROUNDS + 6;
     let (diverged, rounds, digest, converged) = partition_run(bound);
     let (d2, r2, g2, c2) = partition_run(bound);
     PartitionOutcome {
@@ -363,7 +360,6 @@ mod tests {
     fn held(replication: usize) -> FailoverOutcome {
         FailoverOutcome {
             replication,
-            nodes: 3,
             requests: 30,
             completed: 30,
             lost: 0,

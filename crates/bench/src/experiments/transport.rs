@@ -25,8 +25,7 @@ use sww_core::{ChaosSpec, GenAbility, GenerativeServer, ServerConfig, SiteConten
 use sww_html::gencontent;
 use sww_http2::Request;
 use sww_http3::H3ClientConnection;
-
-use super::concurrency::percentile_ms;
+use sww_obs::percentile;
 
 /// Sweep configuration: `pages` pages of `recipes` unique recipes each,
 /// with every server-side generation slowed by `gen_latency_ms`.
@@ -174,8 +173,8 @@ fn sample_from(
     let requests = server.metrics().count("sww_server_requests_total", &labels);
     TransportSample {
         transport,
-        p50_ms: percentile_ms(&page_ms, 50.0),
-        p99_ms: percentile_ms(&page_ms, 99.0),
+        p50_ms: percentile(&page_ms, 50.0),
+        p99_ms: percentile(&page_ms, 99.0),
         wall_qps: cfg.pages as f64 / elapsed_s.max(1e-9),
         modelled_qps: 1000.0 / modelled_page_ms(cfg, transport),
         requests,

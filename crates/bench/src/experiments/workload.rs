@@ -229,7 +229,6 @@ pub fn live_sweep(
                 target,
                 threads: cfg.threads,
                 chaos: chaos.cloned(),
-                ..ReplayConfig::default()
             };
             LiveSample {
                 target: target.label(),
@@ -287,7 +286,6 @@ pub fn determinism_check(
         target: ReplayTarget::Single,
         threads: cfg.threads,
         chaos: chaos.cloned(),
-        ..ReplayConfig::default()
     };
     let a = ReplayEngine::from_config(&wl).run(&rcfg);
     let b = ReplayEngine::from_config(&wl).run(&rcfg);

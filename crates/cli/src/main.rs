@@ -345,10 +345,6 @@ async fn cmd_serve_cluster(args: &Args, nodes: usize) -> Outcome {
             nodes,
             replicas,
             replication,
-            gossip: sww_core::GossipConfig {
-                interval_ms: gossip_interval_ms,
-                ..sww_core::GossipConfig::default()
-            },
             ..sww_core::EdgeConfig::default()
         },
         site,

@@ -434,7 +434,8 @@ pub struct EdgeConfig {
     /// Acting-owner hit count at which a key becomes hot and is pushed
     /// to its replicas.
     pub hot_threshold: u64,
-    /// Gossip failure-detector tuning ([`GossipConfig`]).
+    /// The gossip failure detector's probe-schedule seed
+    /// ([`GossipConfig`]).
     pub gossip: GossipConfig,
 }
 

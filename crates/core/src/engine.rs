@@ -42,13 +42,8 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
-use std::time::Duration;
 use sww_genai::{ImageBuffer, StepCancel};
 use sww_obs::Registry;
-
-/// How often a waiter re-polls its [`RequestCtx`] while blocked on a
-/// flight. Bounds cancellation latency for waiters without a deadline.
-const WAITER_TICK: Duration = Duration::from_millis(25);
 
 /// A generation cache split into independently locked shards.
 ///
@@ -160,8 +155,8 @@ struct Flight<V> {
     ready: Condvar,
     /// Waiter refcount: requests (other than the leader) currently
     /// blocked on this flight. A flight may only be abandoned when this
-    /// is zero *and* the leader's own request is finished — so a
-    /// cancelled leader with surviving waiters completes the generation
+    /// is zero *and* the leader's own request is finished — so an
+    /// expired leader with surviving waiters completes the generation
     /// for them instead of poisoning it.
     waiters: AtomicUsize,
 }
@@ -438,13 +433,18 @@ impl<V: Clone + Send + 'static> GenerationEngine<V> {
                                     record_cancelled(self.metrics(), "engine.wait");
                                     return Err(ctx.deadline_error());
                                 }
-                                let tick =
-                                    ctx.remaining().map_or(WAITER_TICK, |r| r.min(WAITER_TICK));
-                                state = flight
-                                    .ready
-                                    .wait_timeout(state, tick)
-                                    .unwrap_or_else(|e| e.into_inner())
-                                    .0;
+                                // Only the leader's publish or poison
+                                // wakes a waiter; its deadline bounds it.
+                                let ready = &flight.ready;
+                                state = match ctx.remaining() {
+                                    Some(left) => {
+                                        ready
+                                            .wait_timeout(state, left)
+                                            .unwrap_or_else(|e| e.into_inner())
+                                            .0
+                                    }
+                                    None => ready.wait(state).unwrap_or_else(|e| e.into_inner()),
+                                };
                             }
                             FlightState::Done(value) => {
                                 let value = value.clone();
@@ -468,6 +468,7 @@ impl<V: Clone + Send + 'static> GenerationEngine<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     impl ShardedGenerationCache {
         /// Entry count per shard (for tests and load-balance inspection).
@@ -639,7 +640,7 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_leader_with_waiter_hands_off() {
+    fn expired_leader_with_waiter_hands_off() {
         let engine = Arc::new(GenerationEngine::new(2, 1_000_000));
         let leader_ctx = RequestCtx::with_deadline(Duration::from_millis(30));
         let calls = Arc::new(AtomicUsize::new(0));
@@ -675,6 +676,53 @@ mod tests {
         assert_eq!(outcome, FetchOutcome::Coalesced);
         assert_eq!(calls.load(Ordering::SeqCst), 1, "exactly one generation");
         assert_eq!(engine.generations(), 1);
+    }
+
+    /// A waiter without a deadline re-checks its flight only when woken,
+    /// so the leader's publish must wake it: a lost wakeup hangs it.
+    #[test]
+    fn a_publish_wakes_an_unbounded_waiter() {
+        let engine = Arc::new(GenerationEngine::new(2, 1_000_000));
+        let waiters = |engine: &GenerationEngine| {
+            let map = engine.inflight.lock().unwrap();
+            map.get(&recipe("woken"))
+                .map(|f| f.waiters.load(Ordering::SeqCst))
+        };
+        let (publish_tx, publish_rx) = std::sync::mpsc::channel::<()>();
+        let leader = {
+            let engine = Arc::clone(&engine);
+            std::thread::spawn(move || {
+                fetch(&engine, &recipe("woken"), || {
+                    publish_rx.recv().unwrap();
+                    ImageBuffer::new(16, 16)
+                })
+            })
+        };
+        while waiters(&engine).is_none() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let waiter = {
+            let engine = Arc::clone(&engine);
+            std::thread::spawn(move || {
+                let (_, outcome) = fetch(&engine, &recipe("woken"), || unreachable!("led"));
+                done_tx.send(outcome).unwrap();
+            })
+        };
+        while waiters(&engine) != Some(1) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Let the waiter park on the flight's condvar, then publish.
+        std::thread::sleep(Duration::from_millis(50));
+        publish_tx.send(()).unwrap();
+        assert_eq!(leader.join().unwrap().1, FetchOutcome::Generated);
+        let outcome = done_rx.recv_timeout(Duration::from_secs(2));
+        assert_eq!(
+            outcome,
+            Ok(FetchOutcome::Coalesced),
+            "the publish woke no waiter"
+        );
+        waiter.join().unwrap();
     }
 
     /// A `cache.get` fault on the request's stream is a miss its shard

@@ -19,7 +19,8 @@
 //! bit-identical membership views — that is what lets the E21 chaos
 //! scenarios replay and what `proptest_gossip` proves. Wall-clock
 //! deployments (``sww serve --cluster N``) simply call `tick` from a
-//! timer at `interval_ms`; the protocol itself never reads a clock.
+//! timer every `--gossip-interval-ms`; the protocol itself never reads
+//! a clock.
 //!
 //! # State machine
 //!
@@ -27,7 +28,7 @@
 //!            probe fails (direct + k indirect)
 //!   Alive ────────────────────────────────────▶ Suspect
 //!     ▲                                           │
-//!     │ ack (same or newer incarnation),          │ suspect_rounds
+//!     │ ack (same or newer incarnation),          │ SUSPECT_ROUNDS
 //!     │ or refutation at incarnation+1            ▼ ticks elapse
 //!     └─────────────────────────────────────── Dead
 //!              rejoin: Alive@(incarnation+1) overrides Dead@i
@@ -71,7 +72,7 @@ use sww_obs::Registry;
 pub enum Health {
     /// Probes succeed (or no failure has been disseminated yet).
     Alive,
-    /// A probe round failed; the member has `suspect_rounds` ticks to
+    /// A probe round failed; the member has [`SUSPECT_ROUNDS`] ticks to
     /// refute before it is declared dead.
     Suspect,
     /// The suspicion timed out (or a peer disseminated the death).
@@ -89,31 +90,23 @@ impl Health {
     }
 }
 
-/// Protocol knobs. Everything is in virtual units: `interval_ms` only
-/// maps rounds onto wall time for deployments and display.
+/// Rounds a member stays suspect before the observer declares it dead.
+pub const SUSPECT_ROUNDS: u64 = 3;
+
+/// Indirect probes (ping-req proxies) tried after a failed direct ping.
+const PING_REQ_FANOUT: usize = 2;
+
+/// Protocol knobs: the probe schedule's seed. The protocol counts
+/// rounds, never time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GossipConfig {
-    /// Virtual milliseconds per protocol round (and the wall-clock tick
-    /// period in `serve --cluster` deployments).
-    pub interval_ms: u64,
-    /// Rounds a member stays suspect before the observer declares it
-    /// dead.
-    pub suspect_rounds: u64,
-    /// Indirect probes (ping-req proxies) tried after a failed direct
-    /// ping.
-    pub ping_req_fanout: usize,
     /// Seed for the probe-target schedule.
     pub seed: u64,
 }
 
 impl Default for GossipConfig {
     fn default() -> GossipConfig {
-        GossipConfig {
-            interval_ms: 200,
-            suspect_rounds: 3,
-            ping_req_fanout: 2,
-            seed: 0x5757_6700,
-        }
+        GossipConfig { seed: 0x5757_6700 }
     }
 }
 
@@ -142,7 +135,8 @@ impl MemberView {
 /// the virtual-clock protocol driver.
 #[derive(Debug)]
 pub struct Gossip {
-    cfg: GossipConfig,
+    /// The probe schedule's seed ([`GossipConfig::seed`]).
+    seed: u64,
     round: u64,
     /// Members in join order (the probe schedule indexes this).
     members: Vec<String>,
@@ -178,7 +172,7 @@ impl Gossip {
         S: Into<String>,
     {
         let mut gossip = Gossip {
-            cfg,
+            seed: cfg.seed,
             round: 0,
             members: Vec::new(),
             process_alive: BTreeMap::new(),
@@ -205,11 +199,6 @@ impl Gossip {
     /// ground truth for the messages it dropped.
     pub fn faults(&self) -> Option<&FaultStream> {
         self.faults.as_ref()
-    }
-
-    /// The protocol configuration.
-    pub fn config(&self) -> GossipConfig {
-        self.cfg
     }
 
     /// Completed protocol rounds.
@@ -406,7 +395,7 @@ impl Gossip {
 
     /// One protocol round under the virtual clock: every process-alive
     /// member direct-pings one deterministic target, falls back to
-    /// `ping_req_fanout` indirect probes, merges views with the target
+    /// `PING_REQ_FANOUT` indirect probes, merges views with the target
     /// on ack (push-pull anti-entropy) or marks it suspect on timeout;
     /// then suspicion timers advance and refutations fire.
     pub fn tick(&mut self) {
@@ -422,7 +411,7 @@ impl Gossip {
                 continue;
             }
             let pick = |salt: u64| -> String {
-                let mixed = seeded_draw(self.cfg.seed, self.round, ((i as u64) << 16) ^ salt);
+                let mixed = seeded_draw(self.seed, self.round, ((i as u64) << 16) ^ salt);
                 others[(mixed % others.len() as u64) as usize].clone()
             };
             let target = pick(0);
@@ -434,9 +423,7 @@ impl Gossip {
                 let mut probes = 0usize;
                 // Bounded deterministic proxy search: skip draws that
                 // land on the target itself.
-                while probes < self.cfg.ping_req_fanout
-                    && (salt as usize) <= self.cfg.ping_req_fanout * 4
-                {
+                while probes < PING_REQ_FANOUT && (salt as usize) <= PING_REQ_FANOUT * 4 {
                     let proxy = pick(salt);
                     salt += 1;
                     if proxy == target || proxy == *observer {
@@ -462,7 +449,7 @@ impl Gossip {
                 self.suspect(observer, &target);
             }
         }
-        // Suspicion timers: suspect entries older than `suspect_rounds`
+        // Suspicion timers: suspect entries older than `SUSPECT_ROUNDS`
         // become dead in that observer's view.
         for observer in &order {
             if !self.process_alive(observer) {
@@ -471,7 +458,7 @@ impl Gossip {
             let view = self.views.get_mut(observer).expect("observer has a view");
             for (member, mv) in view.iter_mut() {
                 if mv.health == Health::Suspect
-                    && self.round.saturating_sub(mv.since) >= self.cfg.suspect_rounds
+                    && self.round.saturating_sub(mv.since) >= SUSPECT_ROUNDS
                 {
                     mv.health = Health::Dead;
                     mv.since = self.round;
@@ -610,13 +597,6 @@ impl Gossip {
 mod tests {
     use super::*;
 
-    impl Gossip {
-        /// The virtual clock: `round × interval_ms`.
-        fn virtual_ms(&self) -> u64 {
-            self.round * self.cfg.interval_ms
-        }
-    }
-
     fn cluster(n: usize) -> Gossip {
         Gossip::new(GossipConfig::default(), (0..n).map(|i| format!("n{i}")))
     }
@@ -646,7 +626,6 @@ mod tests {
         tick_n(&mut g, 20);
         assert!(g.converged());
         assert_eq!(g.round(), 20);
-        assert_eq!(g.virtual_ms(), 20 * g.config().interval_ms);
     }
 
     #[test]
@@ -738,13 +717,7 @@ mod tests {
         // which observers learn of n3's death first is seed-dependent,
         // even though every seed converges to the same final view.
         let trajectory = |seed: u64| {
-            let mut g = Gossip::new(
-                GossipConfig {
-                    seed,
-                    ..GossipConfig::default()
-                },
-                (0..5).map(|i| format!("n{i}")),
-            );
+            let mut g = Gossip::new(GossipConfig { seed }, (0..5).map(|i| format!("n{i}")));
             g.set_process_alive("n3", false);
             (0..6)
                 .map(|_| {

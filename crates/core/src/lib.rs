@@ -38,7 +38,7 @@ pub use edge::{EdgeConfig, EdgeRouter, HashRing};
 pub use engine::{FetchOutcome, GenerationEngine, ShardedGenerationCache};
 pub use error::{retryable_status, SwwError};
 pub use faults::{ChaosSpec, FaultStream, ALL_SITES};
-pub use gossip::{Gossip, GossipConfig, Health};
+pub use gossip::{Gossip, GossipConfig, Health, SUSPECT_ROUNDS};
 pub use lifecycle::RequestCtx;
 pub use lru::Lru;
 pub use mediagen::MediaGenerator;

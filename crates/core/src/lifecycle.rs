@@ -1,41 +1,36 @@
-//! Request lifecycle: deadlines and cooperative cancellation.
+//! Request lifecycle: one deadline the whole stack agrees on.
 //!
 //! A [`RequestCtx`] travels with a request from the HTTP/2 session down
 //! through admission control, the worker pool, the single-flight engine,
 //! the batch scheduler, and (as a [`StepCancel`](sww_genai::StepCancel)
 //! probe, since `sww-genai` sits below this crate) into the diffusion
-//! step loop. It carries two
-//! facts the whole stack agrees on:
-//!
-//! * **deadline** — an absolute instant after which nobody wants the
-//!   response anymore. Expiry maps to [`SwwError::DeadlineExceeded`]
-//!   (HTTP 504) in the single `server::error_response` path.
-//! * **cancel flag** — an explicit "stop now" the owner can flip (client
-//!   disconnect, shutdown), checked at the same sites as the deadline.
+//! step loop. Its **deadline** is an absolute instant after which nobody
+//! wants the response anymore. Expiry maps to
+//! [`SwwError::DeadlineExceeded`] (HTTP 504) in the single
+//! `server::error_response` path.
 //!
 //! It also carries the [`FaultStream`] of the server that admitted the
 //! request, if that server was built with a chaos spec: every
 //! server-side failpoint below dispatch draws from the request's context,
 //! so a context without a stream cannot fault.
 //!
-//! Cancellation is *cooperative*: nothing is killed. Each layer polls
+//! Nothing is killed when a deadline passes. Each layer checks
 //! [`RequestCtx::finished`] at its natural yield points — queue pop,
 //! condvar wake, denoise step — and unwinds with `DeadlineExceeded`. The
 //! waiter refcount that decides when a coalesced flight may actually die
 //! lives on the engine's flight entry (see `engine.rs`): a flight is only
 //! abandoned when every request attached to it has finished, so one
-//! cancelled leader can never poison a result that still has waiters.
+//! expired leader can never poison a result that still has waiters.
 #![warn(clippy::must_use_candidate)]
 
 use crate::error::SwwError;
 use crate::faults::{FaultAction, FaultSite, FaultStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use sww_obs::Registry;
 
-/// The per-request lifecycle handle: deadline, cooperative cancel flag
-/// and the admitting server's fault stream.
+/// The per-request lifecycle handle: deadline and the admitting
+/// server's fault stream.
 ///
 /// Cloning is cheap (one `Arc` bump) and every clone observes the same
 /// state, so the same ctx can be polled concurrently by the session
@@ -49,13 +44,12 @@ pub struct RequestCtx {
 struct CtxInner {
     deadline: Option<Instant>,
     budget: Option<Duration>,
-    cancelled: AtomicBool,
     faults: Option<Arc<FaultStream>>,
 }
 
 impl RequestCtx {
-    /// A context with no deadline and no cancellation: the pre-lifecycle
-    /// behaviour. All legacy entry points delegate through this.
+    /// A context with no deadline: the pre-lifecycle behaviour. All
+    /// legacy entry points delegate through this.
     #[must_use]
     pub fn unbounded() -> RequestCtx {
         RequestCtx::new(None, None)
@@ -76,7 +70,6 @@ impl RequestCtx {
             inner: Arc::new(CtxInner {
                 deadline,
                 budget: deadline.and(budget),
-                cancelled: AtomicBool::new(false),
                 faults,
             }),
         }
@@ -88,30 +81,6 @@ impl RequestCtx {
         self.inner.faults.as_ref()?.draw(site)
     }
 
-    /// Flip the cooperative cancel flag. Idempotent; takes effect at the
-    /// next lifecycle checkpoint each layer polls.
-    pub fn cancel(&self) {
-        self.inner.cancelled.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether [`cancel`](RequestCtx::cancel) has been called.
-    #[must_use]
-    pub fn is_cancelled(&self) -> bool {
-        self.inner.cancelled.load(Ordering::SeqCst)
-    }
-
-    /// The absolute deadline, if one was set.
-    #[must_use]
-    pub fn deadline(&self) -> Option<Instant> {
-        self.inner.deadline
-    }
-
-    /// The original deadline budget, if one was set.
-    #[must_use]
-    pub fn budget(&self) -> Option<Duration> {
-        self.inner.budget
-    }
-
     /// Time left before the deadline. `None` when no deadline was set
     /// (infinite budget); `Some(ZERO)` once expired.
     #[must_use]
@@ -121,23 +90,17 @@ impl RequestCtx {
             .map(|d| d.saturating_duration_since(Instant::now()))
     }
 
-    /// Whether the deadline has passed. Always `false` without one.
+    /// Whether this request no longer wants a response: its deadline
+    /// has passed. Always `false` without one. This is the predicate
+    /// every lifecycle checkpoint polls.
     #[must_use]
-    pub fn expired(&self) -> bool {
+    pub fn finished(&self) -> bool {
         matches!(self.inner.deadline, Some(d) if Instant::now() >= d)
     }
 
-    /// Whether this request no longer wants a response: cancelled *or*
-    /// past its deadline. This is the predicate every lifecycle
-    /// checkpoint polls.
-    #[must_use]
-    pub fn finished(&self) -> bool {
-        self.is_cancelled() || self.expired()
-    }
-
     /// Checkpoint: `Err(DeadlineExceeded)` once the request is finished,
-    /// `Ok` otherwise. The error carries the original budget (0 for an
-    /// explicit cancel) so the 504 response can say what was exceeded.
+    /// `Ok` otherwise. The error carries the original budget so the 504
+    /// response can say what was exceeded.
     pub fn check(&self) -> Result<(), SwwError> {
         if self.finished() {
             Err(self.deadline_error())
@@ -146,7 +109,8 @@ impl RequestCtx {
         }
     }
 
-    /// The error this context unwinds with when it misses its deadline.
+    /// The error this context unwinds with when it misses its deadline
+    /// (budget 0 without one: a pass abandoned by its probes alone).
     #[must_use]
     pub fn deadline_error(&self) -> SwwError {
         SwwError::DeadlineExceeded {
@@ -191,34 +155,19 @@ mod tests {
     fn unbounded_ctx_never_finishes() {
         let ctx = RequestCtx::unbounded();
         assert!(!ctx.finished());
-        assert!(!ctx.expired());
         assert_eq!(ctx.remaining(), None);
-        assert_eq!(ctx.budget(), None);
         assert!(ctx.check().is_ok());
-    }
-
-    #[test]
-    fn cancel_is_shared_across_clones() {
-        let ctx = RequestCtx::unbounded();
-        let peer = ctx.clone();
-        assert!(!peer.finished());
-        ctx.cancel();
-        assert!(peer.is_cancelled());
-        assert!(peer.finished());
-        // Cancel without a deadline reports budget 0.
         assert!(matches!(
-            peer.check(),
-            Err(SwwError::DeadlineExceeded { budget_ms: 0 })
+            ctx.deadline_error(),
+            SwwError::DeadlineExceeded { budget_ms: 0 }
         ));
     }
 
     #[test]
     fn deadline_expires_and_reports_budget() {
         let ctx = RequestCtx::with_deadline(Duration::from_millis(20));
-        assert!(!ctx.expired());
         assert!(ctx.remaining().unwrap() <= Duration::from_millis(20));
         std::thread::sleep(Duration::from_millis(30));
-        assert!(ctx.expired());
         assert!(ctx.finished());
         assert_eq!(ctx.remaining(), Some(Duration::ZERO));
         assert!(matches!(
@@ -254,6 +203,11 @@ mod tests {
         let ctx = RequestCtx::with_deadline(Duration::from_secs(3600));
         assert!(!ctx.finished());
         assert!(ctx.remaining().unwrap() > Duration::from_secs(3000));
-        assert!(ctx.deadline().is_some());
+        assert!(matches!(
+            ctx.deadline_error(),
+            SwwError::DeadlineExceeded {
+                budget_ms: 3_600_000
+            }
+        ));
     }
 }

@@ -16,16 +16,10 @@
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use sww_core::{Gossip, GossipConfig, Health};
+use sww_core::{Gossip, GossipConfig, Health, SUSPECT_ROUNDS};
 
 fn cluster(n: usize, seed: u64) -> Gossip {
-    Gossip::new(
-        GossipConfig {
-            seed,
-            ..GossipConfig::default()
-        },
-        (0..n).map(|i| format!("n{i}")),
-    )
+    Gossip::new(GossipConfig { seed }, (0..n).map(|i| format!("n{i}")))
 }
 
 /// Every member's incarnation as seen by every observer's view.
@@ -62,9 +56,9 @@ proptest! {
         let victim = format!("n{}", victim % nodes);
         g.set_process_alive(&victim, false);
         // Suspicion needs a probe round per observer plus the suspect
-        // timer plus dissemination; 6 × suspect_rounds is a generous
+        // timer plus dissemination; 6 × SUSPECT_ROUNDS is a generous
         // deterministic bound for ≤ 7 members.
-        let bound = 6 * g.config().suspect_rounds + 6;
+        let bound = 6 * SUSPECT_ROUNDS + 6;
         let mut rounds = 0;
         while !(g.converged() && g.consensus_health(&victim) == Some(Health::Dead)) {
             g.tick();

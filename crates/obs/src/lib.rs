@@ -62,6 +62,17 @@ pub fn counter(name: &'static str, labels: &[(&'static str, &str)]) -> Counter {
     Registry::global().counter(name, labels)
 }
 
+/// The nearest-rank `pct`th percentile of `sorted` (ascending): the
+/// sample at rank `⌈pct/100 · n⌉`, clamped to `1..=n`; the default (0)
+/// for an empty set.
+pub fn percentile<T: Copy + Default>(sorted: &[T], pct: f64) -> T {
+    if sorted.is_empty() {
+        return T::default();
+    }
+    let rank = ((pct / 100.0) * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
 /// Serialise the process registry in the Prometheus text format.
 pub fn render() -> String {
     Registry::global().render()
@@ -74,4 +85,22 @@ pub fn expose(owners: &[&Registry]) -> String {
     let mut all = owners.to_vec();
     all.push(Registry::global());
     render::render_all(&all)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::percentile;
+
+    #[test]
+    fn percentiles_use_nearest_rank() {
+        let us = [1000u64, 2000, 3000, 4000, 100_000];
+        assert_eq!(percentile(&us, 50.0), 3000);
+        assert_eq!(percentile(&us, 99.0), 100_000);
+        assert_eq!(
+            percentile(&us, 0.0),
+            1000,
+            "rank clamps to the first sample"
+        );
+        assert_eq!(percentile::<f64>(&[], 99.0), 0.0);
+    }
 }

@@ -6,9 +6,9 @@
 //!
 //! * `Single` — in-process sessions against one [`GenerativeServer`]
 //!   (client threads partition users, preserving per-user order),
-//! * `H2` / `H3` — the full framing path over in-memory duplex streams
-//!   (`serve_stream` / `serve_h3_stream`), one persistent connection per
-//!   announced ability,
+//! * `H3` — the full framing path over in-memory duplex streams
+//!   (`serve_h3_stream`), one persistent connection per announced
+//!   ability,
 //! * `Cluster(n)` — the PR 8 consistent-hash edge tier via
 //!   [`EdgeRouter`], entry node chosen per user.
 //!
@@ -44,8 +44,6 @@ use sww_obs::Registry;
 pub enum ReplayTarget {
     /// One in-process server, sync sessions.
     Single,
-    /// One server behind HTTP/2 framing (duplex stream).
-    H2,
     /// One server behind HTTP/3 framing (duplex stream).
     H3,
     /// An `n`-node consistent-hash edge cluster.
@@ -57,7 +55,6 @@ impl ReplayTarget {
     pub fn label(&self) -> String {
         match self {
             ReplayTarget::Single => "single".into(),
-            ReplayTarget::H2 => "h2".into(),
             ReplayTarget::H3 => "h3".into(),
             ReplayTarget::Cluster(n) => format!("edge{n}"),
         }
@@ -71,10 +68,6 @@ pub struct ReplayConfig {
     pub target: ReplayTarget,
     /// Client threads for the sync targets (`Single` / `Cluster`).
     pub threads: usize,
-    /// Optional per-request deadline sent as `x-sww-deadline-ms`.
-    pub deadline_ms: Option<u64>,
-    /// Bounded retries on retryable statuses (500/502/503).
-    pub max_retries: usize,
     /// The fault schedule every server the run builds is armed with
     /// (`ServerConfig::chaos`); `None` injects nothing.
     pub chaos: Option<ChaosSpec>,
@@ -85,8 +78,6 @@ impl Default for ReplayConfig {
         ReplayConfig {
             target: ReplayTarget::Single,
             threads: 4,
-            deadline_ms: None,
-            max_retries: 6,
             chaos: None,
         }
     }
@@ -107,13 +98,16 @@ pub struct ReplayOutcome {
     pub generations: u64,
     /// Engine-level coalesces + cache hits (summed across nodes).
     pub coalesced: u64,
-    /// Requests issued by ability-less (mobile) sessions — the ones that
-    /// can trigger server-side generation.
-    pub naive_requests: u64,
-    /// Generation cache efficiency over naive traffic:
-    /// `1 − generations/naive_requests`.
+    /// Generation cache efficiency over the requests of ability-less
+    /// (mobile) sessions, the ones that can trigger server-side
+    /// generation: `1 − generations/naive requests`.
     pub hit_rate: f64,
 }
+
+/// Retries an event gets after a retryable status
+/// ([`sww_core::retryable_status`], the predicate the client retry
+/// policy and the edge successor walk share).
+const MAX_RETRIES: u64 = 6;
 
 /// One event's replay result, keyed for order-invariant folding.
 struct EventResult {
@@ -124,13 +118,18 @@ struct EventResult {
     retries: u64,
 }
 
-/// Statuses worth a retry hop. Delegates to the protocol layer's single
-/// retryability predicate so the replayer, the client retry policy, and
-/// the edge successor walk cannot drift apart (this retired a local
-/// list that omitted `504` — a missed deadline is retryable here too,
-/// matching the client).
-fn retryable(status: u16) -> bool {
-    sww_core::retryable_status(status)
+impl EventResult {
+    /// Event `seq`'s final response `resp`, sent at `t0` and retried
+    /// `retries` times.
+    fn new(seq: u32, resp: &sww_http2::Response, t0: Instant, retries: u64) -> EventResult {
+        EventResult {
+            seq,
+            status: resp.status,
+            body_digest: fnv1a(&resp.body),
+            wall_us: t0.elapsed().as_micros() as u64,
+            retries,
+        }
+    }
 }
 
 /// The replay harness: one trace, many targets.
@@ -162,8 +161,7 @@ impl ReplayEngine {
         let (results, servers) = match rcfg.target {
             ReplayTarget::Single => self.run_sync(rcfg, 1, false),
             ReplayTarget::Cluster(n) => self.run_sync(rcfg, n.max(1), true),
-            ReplayTarget::H2 => self.run_transport(rcfg, false),
-            ReplayTarget::H3 => self.run_transport(rcfg, true),
+            ReplayTarget::H3 => self.run_h3(rcfg),
         };
         let elapsed = start.elapsed().as_secs_f64();
         self.outcome(rcfg, results, &servers, elapsed)
@@ -181,7 +179,7 @@ impl ReplayEngine {
         let coalesced = servers.iter().map(|s| s.engine().coalesced()).sum();
         let registries: Vec<&Registry> = servers.iter().map(GenerativeServer::metrics).collect();
         results.sort_by_key(|r| r.seq);
-        let mut card = Scorecard::new(rcfg.target.label());
+        let mut card = Scorecard::default();
         let digest = fnv_words(
             results
                 .iter()
@@ -211,21 +209,12 @@ impl ReplayEngine {
             response_digest: digest,
             generations,
             coalesced,
-            naive_requests,
             hit_rate: if naive_requests == 0 {
                 0.0
             } else {
                 1.0 - generations as f64 / naive_requests as f64
             },
         }
-    }
-
-    fn build_request(&self, rcfg: &ReplayConfig, path: String) -> Request {
-        let mut req = Request::get(path);
-        if let Some(ms) = rcfg.deadline_ms {
-            req.headers.insert("x-sww-deadline-ms", ms.to_string());
-        }
-        req
     }
 
     /// Sync replay: `Single` is a 1-node cluster without the ring hop;
@@ -285,21 +274,15 @@ impl ReplayEngine {
                         .iter()
                         .filter(|e| e.user as usize % threads == t)
                     {
-                        let req = self.build_request(rcfg, graph.node_path(e.node));
+                        let req = Request::get(graph.node_path(e.node));
                         let t0 = Instant::now();
-                        let mut retries = 0u64;
+                        let mut retries = 0;
                         let mut resp = self.dispatch(&stack, &sessions, e, nodes, &req);
-                        while retryable(resp.status) && retries < rcfg.max_retries as u64 {
+                        while sww_core::retryable_status(resp.status) && retries < MAX_RETRIES {
                             retries += 1;
                             resp = self.dispatch(&stack, &sessions, e, nodes, &req);
                         }
-                        out.push(EventResult {
-                            seq: e.seq,
-                            status: resp.status,
-                            body_digest: fnv1a(&resp.body),
-                            wall_us: t0.elapsed().as_micros() as u64,
-                            retries,
-                        });
+                        out.push(EventResult::new(e.seq, &resp, t0, retries));
                     }
                     out
                 }));
@@ -339,13 +322,9 @@ impl ReplayEngine {
         }
     }
 
-    /// Transport replay: the whole trace over persistent in-memory h2 or
-    /// h3 connections, one per announced ability, events in trace order.
-    fn run_transport(
-        &self,
-        rcfg: &ReplayConfig,
-        h3: bool,
-    ) -> (Vec<EventResult>, Vec<GenerativeServer>) {
+    /// Transport replay: the whole trace over persistent in-memory h3
+    /// connections, one per announced ability, events in trace order.
+    fn run_h3(&self, rcfg: &ReplayConfig) -> (Vec<EventResult>, Vec<GenerativeServer>) {
         let graph = self.trace.config().site_graph();
         let server = GenerativeServer::from_config(ServerConfig {
             site: graph.site_content(),
@@ -354,58 +333,23 @@ impl ReplayEngine {
         });
         let mut results = Vec::with_capacity(self.trace.events().len());
         tokio::runtime::block_on(async {
-            if h3 {
-                let mut full = h3_connect(&server, GenAbility::full()).await;
-                let mut naive = h3_connect(&server, GenAbility::none()).await;
-                for e in self.trace.events() {
-                    let req = self.build_request(rcfg, graph.node_path(e.node));
-                    let conn = if e.device == DeviceKind::Mobile {
-                        &mut naive
-                    } else {
-                        &mut full
-                    };
-                    let t0 = Instant::now();
-                    let mut retries = 0u64;
-                    let mut resp = h3_send(conn, &req).await;
-                    while retryable(resp.status) && retries < rcfg.max_retries as u64 {
-                        retries += 1;
-                        resp = h3_send(conn, &req).await;
-                    }
-                    results.push(EventResult {
-                        seq: e.seq,
-                        status: resp.status,
-                        body_digest: fnv1a(&resp.body),
-                        wall_us: t0.elapsed().as_micros() as u64,
-                        retries,
-                    });
+            let mut full = h3_connect(&server, GenAbility::full()).await;
+            let mut naive = h3_connect(&server, GenAbility::none()).await;
+            for e in self.trace.events() {
+                let req = Request::get(graph.node_path(e.node));
+                let conn = if e.device == DeviceKind::Mobile {
+                    &mut naive
+                } else {
+                    &mut full
+                };
+                let t0 = Instant::now();
+                let mut retries = 0;
+                let mut resp = h3_send(conn, &req).await;
+                while sww_core::retryable_status(resp.status) && retries < MAX_RETRIES {
+                    retries += 1;
+                    resp = h3_send(conn, &req).await;
                 }
-            } else {
-                let mut full = h2_connect(&server, GenAbility::full()).await;
-                let mut naive = h2_connect(&server, GenAbility::none()).await;
-                for e in self.trace.events() {
-                    let req = self.build_request(rcfg, graph.node_path(e.node));
-                    let conn = if e.device == DeviceKind::Mobile {
-                        &mut naive
-                    } else {
-                        &mut full
-                    };
-                    let t0 = Instant::now();
-                    let mut retries = 0u64;
-                    let mut resp = conn.send_request(&req).await.expect("h2 request");
-                    while retryable(resp.status) && retries < rcfg.max_retries as u64 {
-                        retries += 1;
-                        resp = conn.send_request(&req).await.expect("h2 request");
-                    }
-                    results.push(EventResult {
-                        seq: e.seq,
-                        status: resp.status,
-                        body_digest: fnv1a(&resp.body),
-                        wall_us: t0.elapsed().as_micros() as u64,
-                        retries,
-                    });
-                }
-                let _ = full.close().await;
-                let _ = naive.close().await;
+                results.push(EventResult::new(e.seq, &resp, t0, retries));
             }
         });
         (results, vec![server])
@@ -418,20 +362,6 @@ enum SyncStack {
     Server(GenerativeServer),
     /// The consistent-hash edge tier.
     Ring(EdgeRouter),
-}
-
-async fn h2_connect(
-    server: &GenerativeServer,
-    ability: GenAbility,
-) -> sww_http2::ClientConnection<tokio::io::DuplexStream> {
-    let (a, b) = tokio::io::duplex(1 << 20);
-    let srv = server.clone();
-    tokio::spawn(async move {
-        let _ = srv.serve_stream(b).await;
-    });
-    sww_http2::ClientConnection::handshake(a, ability)
-        .await
-        .expect("h2 handshake")
 }
 
 async fn h3_connect(
@@ -534,7 +464,7 @@ pub fn modelled_slo(cfg: &WorkloadConfig, nodes: usize, cache_capacity: usize) -
         hits as f64 / trace.events().len() as f64
     };
     sojourn_ms.sort_by(|a, b| a.total_cmp(b));
-    let p99 = percentile(&sojourn_ms, 99.0);
+    let p99 = sww_obs::percentile(&sojourn_ms, 99.0);
     let mean = if sojourn_ms.is_empty() {
         0.0
     } else {
@@ -548,14 +478,6 @@ pub fn modelled_slo(cfg: &WorkloadConfig, nodes: usize, cache_capacity: usize) -
         p99_ms: p99,
         mean_ms: mean,
     }
-}
-
-fn percentile(sorted: &[f64], pct: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((pct / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 #[cfg(test)]
@@ -582,8 +504,14 @@ mod tests {
         let out = engine.run(&ReplayConfig::default());
         assert_eq!(out.scorecard.requests, 120);
         assert_eq!(out.scorecard.ok, 120, "all replayed requests serve");
-        assert!(out.naive_requests > 0, "the mix includes mobile users");
-        assert!(out.generations <= out.naive_requests);
+        let naive = engine
+            .trace()
+            .events()
+            .iter()
+            .filter(|e| e.device == DeviceKind::Mobile)
+            .count() as u64;
+        assert!(naive > 0, "the mix includes mobile users");
+        assert!(out.generations <= naive);
         assert!(out.hit_rate > 0.0, "revisits must hit the cache");
     }
 

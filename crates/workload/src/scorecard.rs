@@ -64,8 +64,6 @@ impl LifecycleSnapshot {
 /// Accumulated outcomes of one replay run.
 #[derive(Debug, Clone, Default)]
 pub struct Scorecard {
-    /// Human label (target + config).
-    pub label: String,
     /// Requests attempted (first tries, not counting retries).
     pub requests: u64,
     /// 200 responses.
@@ -94,14 +92,6 @@ pub struct Scorecard {
 }
 
 impl Scorecard {
-    /// Start an empty scorecard.
-    pub fn new(label: impl Into<String>) -> Scorecard {
-        Scorecard {
-            label: label.into(),
-            ..Scorecard::default()
-        }
-    }
-
     /// Record one request's final status and wall latency.
     pub fn record(&mut self, status: u16, wall_us: u64) {
         self.requests += 1;
@@ -137,22 +127,14 @@ impl Scorecard {
         self.sorted_us.sort_unstable();
     }
 
-    fn percentile_us(&self, pct: f64) -> u64 {
-        if self.sorted_us.is_empty() {
-            return 0;
-        }
-        let rank = ((pct / 100.0) * self.sorted_us.len() as f64).ceil() as usize;
-        self.sorted_us[rank.clamp(1, self.sorted_us.len()) - 1]
-    }
-
     /// Median wall latency in milliseconds.
     pub fn p50_ms(&self) -> f64 {
-        self.percentile_us(50.0) as f64 / 1000.0
+        sww_obs::percentile(&self.sorted_us, 50.0) as f64 / 1000.0
     }
 
     /// 99th-percentile wall latency in milliseconds.
     pub fn p99_ms(&self) -> f64 {
-        self.percentile_us(99.0) as f64 / 1000.0
+        sww_obs::percentile(&self.sorted_us, 99.0) as f64 / 1000.0
     }
 
     /// Sustained wall-clock request rate.
@@ -171,7 +153,7 @@ mod tests {
 
     #[test]
     fn statuses_land_in_their_buckets() {
-        let mut s = Scorecard::new("t");
+        let mut s = Scorecard::default();
         for (status, n) in [(200u16, 6u64), (503, 2), (504, 1), (500, 1)] {
             for _ in 0..n {
                 s.record(status, 1000);
@@ -186,21 +168,10 @@ mod tests {
     }
 
     #[test]
-    fn percentiles_use_nearest_rank() {
-        let mut s = Scorecard::new("t");
-        for us in [1000u64, 2000, 3000, 4000, 100_000] {
-            s.record(200, us);
-        }
-        s.finish(1.0);
-        assert!((s.p50_ms() - 3.0).abs() < 1e-9);
-        assert!((s.p99_ms() - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn absorb_merges_shards() {
-        let mut a = Scorecard::new("a");
+        let mut a = Scorecard::default();
         a.record(200, 10);
-        let mut b = Scorecard::new("b");
+        let mut b = Scorecard::default();
         b.record(503, 20);
         b.add_retries(3);
         a.absorb(b);

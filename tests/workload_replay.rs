@@ -93,7 +93,6 @@ fn run_once(
         target: ReplayTarget::Single,
         threads: 2,
         chaos: chaos.cloned(),
-        ..ReplayConfig::default()
     });
     let moved: Vec<String> = workload_samples()
         .into_iter()
