@@ -127,9 +127,8 @@ fn main() {
     }
     let mut violations = Vec::new();
     if wants(&filter, "e18") {
-        let cfg = transport::TransportConfig::default();
-        let run = transport::run_with_latency(cfg);
-        println!("{}", transport::table(cfg, &run).render());
+        let run = transport::run(4);
+        println!("{}", transport::table(&run).render());
         println!(
             "modelled h3 speedup: {:.2}x, measured p99 speedup: {:.2}x\n",
             run.modelled_speedup(),
@@ -150,9 +149,9 @@ fn main() {
         let cfg = workload::E20Config::default();
         let rows = workload::modelled_sweep(&cfg);
         println!("{}", workload::modelled_table(&cfg, &rows).render());
-        let live = workload::live_sweep(&cfg, &workload::live_targets(&cfg), None);
+        let live = workload::live_sweep(&cfg, None);
         println!("{}", workload::live_table(&cfg, &live).render());
-        violations.extend(workload::slo_violations(&cfg, &rows));
+        violations.extend(workload::slo_violations(&rows));
         violations.extend(workload::determinism_check(&cfg, &live, None).violations());
     }
     if wants(&filter, "e21") {

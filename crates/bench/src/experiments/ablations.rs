@@ -135,7 +135,7 @@ pub fn upscale_vs_ship() -> UpscaleAblation {
 
 /// Metadata-size sensitivity: compression ratio of the large image as the
 /// prompt length grows.
-pub fn metadata_sensitivity() -> Vec<(usize, f64)> {
+pub(crate) fn metadata_sensitivity() -> Vec<(usize, f64)> {
     let media_bytes = 131_072f64;
     [50usize, 120, 262, 400, 800, 1600]
         .into_iter()

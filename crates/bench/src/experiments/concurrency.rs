@@ -113,7 +113,7 @@ pub(crate) fn drive_rounds(
 /// Run one worker-count sample on a fresh server of its own, with no
 /// batching, deadline or breaker. Every reported number is
 /// **per-sample**: the engine and pool counters come from that server.
-pub fn sample(workers: usize) -> ConcurrencySample {
+pub(crate) fn sample(workers: usize) -> ConcurrencySample {
     let server = GenerativeServer::from_config(ServerConfig {
         site: bench_site(PROMPTS),
         workers,

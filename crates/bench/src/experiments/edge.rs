@@ -109,7 +109,7 @@ pub struct EdgeChaosOutcome {
 /// and the cost model alone — no traffic, no clocks. This is what the
 /// golden snapshot pins and what every sample's `modelled_qps` reads.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ModelledRow {
+pub(crate) struct ModelledRow {
     /// Cluster size.
     pub nodes: usize,
     /// Requests the sweep would issue at this size.
@@ -163,7 +163,7 @@ fn cluster_ring(n: usize) -> HashRing {
 }
 
 /// Compute the deterministic rows for every node count in the sweep.
-pub fn modelled_rows() -> Vec<ModelledRow> {
+pub(crate) fn modelled_rows() -> Vec<ModelledRow> {
     let keys = prompt_keys(PROMPTS);
     let gen_s = generation_seconds();
     NODE_COUNTS
@@ -316,7 +316,7 @@ pub fn run(chaos: Option<&ChaosSpec>) -> Vec<EdgeSample> {
 /// The chaos node-kill scenario: run a 3-node cluster armed with
 /// `chaos` under client load, kill the busiest owner mid-run, and audit
 /// the outcome against a 1-node baseline armed the same way.
-pub fn chaos_kill(chaos: &ChaosSpec) -> EdgeChaosOutcome {
+pub(crate) fn chaos_kill(chaos: &ChaosSpec) -> EdgeChaosOutcome {
     let nodes = 3usize;
     // 1-node baseline bodies: generation is deterministic in the recipe,
     // so these are the ground truth for byte-identity.
@@ -403,7 +403,7 @@ pub fn chaos_kill(chaos: &ChaosSpec) -> EdgeChaosOutcome {
     }
 }
 
-/// [`chaos_kill`] under a deterministic 10 ms generation latency that
+/// `chaos_kill` under a deterministic 10 ms generation latency that
 /// widens the kill window: the entry point `report --exp e19` uses.
 pub fn chaos_kill_with_latency() -> EdgeChaosOutcome {
     let spec = ChaosSpec::parse("seed=7,engine.generate=latency:1.0:10").expect("E19 chaos spec");

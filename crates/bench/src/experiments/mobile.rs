@@ -15,10 +15,10 @@ use sww_energy::{profile, DeviceKind, Energy};
 use sww_genai::ImageModelKind;
 
 /// Typical flagship battery, watt-hours.
-pub const PHONE_BATTERY_WH: f64 = 15.0;
+pub(crate) const PHONE_BATTERY_WH: f64 = 15.0;
 
 /// Images a user's browsing generates per day in the projection.
-pub const IMAGES_PER_DAY: u32 = 200;
+pub(crate) const IMAGES_PER_DAY: u32 = 200;
 
 /// One mobile-experiment row.
 #[derive(Debug, Clone)]
@@ -67,7 +67,7 @@ pub fn run() -> Vec<MobileRow> {
 }
 
 /// Battery share of a day's browsing (IMAGES_PER_DAY small images).
-pub fn battery_share(model: ImageModelKind) -> f64 {
+pub(crate) fn battery_share(model: ImageModelKind) -> f64 {
     let mobile = profile(DeviceKind::Mobile);
     let per_image =
         sww_energy::image_generation_time(model, &mobile, 256, 256, 15).expect("local model");

@@ -7,7 +7,7 @@ use sww_energy::{profile, DeviceKind};
 use sww_genai::{DiffusionModel, ImageModelKind, TextModel, TextModelKind};
 
 /// Prompt set used for CLIP measurements (averages out per-prompt noise).
-pub fn clip_prompts() -> [&'static str; 6] {
+pub(crate) fn clip_prompts() -> [&'static str; 6] {
     [
         "a mountain landscape at sunset with a lake",
         "a dense forest trail in autumn",

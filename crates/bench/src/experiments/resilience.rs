@@ -46,8 +46,6 @@ pub struct FailoverOutcome {
     pub replication: usize,
     /// Post-kill requests issued.
     pub requests: u64,
-    /// Post-kill requests that produced a 200.
-    pub completed: u64,
     /// Requests that never produced a 200 — held at zero.
     pub lost: u64,
     /// Whether every post-kill payload matched the owner's bytes.
@@ -166,7 +164,7 @@ fn resilient_router(replication: usize) -> EdgeRouter {
 /// phase (the mid-flight variant is the E19 chaos scenario and the
 /// `edge_cluster` integration suite), so the counters the rule reads
 /// are exact.
-pub fn failover(replication: usize) -> FailoverOutcome {
+pub(crate) fn failover(replication: usize) -> FailoverOutcome {
     let router = resilient_router(replication);
     let ids = router.node_ids();
 
@@ -192,7 +190,6 @@ pub fn failover(replication: usize) -> FailoverOutcome {
     let victim = most_loaded_owner(&router, PROMPTS);
     router.kill(&victim);
 
-    let mut completed = 0u64;
     let mut lost = 0u64;
     let mut mismatched = 0u64;
     let mut requests = 0u64;
@@ -214,7 +211,6 @@ pub fn failover(replication: usize) -> FailoverOutcome {
                     if resp.body.as_ref() != warm_body.as_slice() {
                         mismatched += 1;
                     }
-                    completed += 1;
                     done = true;
                     break;
                 }
@@ -228,7 +224,6 @@ pub fn failover(replication: usize) -> FailoverOutcome {
     FailoverOutcome {
         replication,
         requests,
-        completed,
         lost,
         byte_identical: mismatched == 0,
         warm_generations,
@@ -361,7 +356,6 @@ mod tests {
         FailoverOutcome {
             replication,
             requests: 30,
-            completed: 30,
             lost: 0,
             byte_identical: true,
             warm_generations: 10,
@@ -378,7 +372,6 @@ mod tests {
         let _serial = super::super::alloc_serial();
         let o = failover(2);
         assert_eq!(o.violations(), Vec::<String>::new(), "{o:?}");
-        assert_eq!(o.completed, o.requests);
         assert_eq!(o.warm_generations, 10, "one generation per prompt");
         assert_eq!(
             o.replica_pushes, 10,

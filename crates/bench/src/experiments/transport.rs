@@ -13,11 +13,13 @@
 //! ≈ `W`.
 //!
 //! The slow generation is injected with the PR 3 chaos layer
-//! (`engine.generate=latency:1.0:W`, see [`latency_spec`]) so the
-//! experiment is deterministic and the sweep composes with any other
-//! chaos spec (see [`run`]). Measured wall-clock percentiles are
-//! host-shaped and never compared; `tests/golden_tables.rs` pins the
-//! modelled page rates (`1000/(K·W)` vs `1000/W`), which are exact.
+//! (`engine.generate=latency:1.0:W`) so the experiment is deterministic.
+//! E18 runs at one configuration: 5 pages, 25 ms of generation per
+//! recipe, chaos seed 7. Only the recipes per page are [`run`]'s to
+//! choose: `report` passes 4, the gate test 3 and 4. Measured
+//! wall-clock percentiles are host-shaped and never compared;
+//! `tests/golden_tables.rs` pins the modelled page rates (`1000/(K·W)`
+//! vs `1000/W`), which are exact.
 
 use crate::table::Table;
 use std::time::Instant;
@@ -27,32 +29,13 @@ use sww_http2::Request;
 use sww_http3::H3ClientConnection;
 use sww_obs::percentile;
 
-/// Sweep configuration: `pages` pages of `recipes` unique recipes each,
-/// with every server-side generation slowed by `gen_latency_ms`.
-#[derive(Debug, Clone, Copy)]
-pub struct TransportConfig {
-    /// Pages fetched per transport (each on a fresh connection).
-    pub pages: usize,
-    /// Recipes per page, every one a distinct prompt (no cache reuse —
-    /// each recipe request pays the full generation latency).
-    pub recipes: usize,
-    /// Injected `engine.generate` latency in milliseconds (the `W` in the
-    /// modelled `K·W` vs `W` page times).
-    pub gen_latency_ms: u64,
-    /// Chaos seed for [`latency_spec`].
-    pub seed: u64,
-}
-
-impl Default for TransportConfig {
-    fn default() -> TransportConfig {
-        TransportConfig {
-            pages: 5,
-            recipes: 4,
-            gen_latency_ms: 25,
-            seed: 7,
-        }
-    }
-}
+/// Pages fetched per transport, each on a fresh connection.
+const PAGES: usize = 5;
+/// Injected `engine.generate` latency in milliseconds: the `W` in the
+/// modelled `K·W` vs `W` page times.
+const GEN_LATENCY_MS: u64 = 25;
+/// Seed of the chaos spec that injects the latency.
+const CHAOS_SEED: u64 = 7;
 
 /// One transport's measurement.
 #[derive(Debug, Clone)]
@@ -82,6 +65,9 @@ pub struct TransportSample {
 /// The full h2-vs-h3 run.
 #[derive(Debug, Clone)]
 pub struct TransportRun {
+    /// Recipes per page, every one a distinct prompt (no cache reuse:
+    /// each recipe request pays the full generation latency).
+    pub recipes: usize,
     /// The HTTP/2 sample (serial per connection: page ≈ `K·W`).
     pub h2: TransportSample,
     /// The HTTP/3 sample (concurrent streams: page ≈ `W`).
@@ -113,32 +99,22 @@ impl TransportRun {
     }
 }
 
-/// The chaos spec that makes every generation cost `gen_latency_ms`:
-/// `seed=S,engine.generate=latency:1.0:W` — what [`run_with_latency`]
-/// arms the servers with.
-pub fn latency_spec(cfg: TransportConfig) -> String {
-    format!(
-        "seed={},engine.generate=latency:1.0:{}",
-        cfg.seed, cfg.gen_latency_ms
-    )
-}
-
 /// Modelled page time in milliseconds: h2 serializes the `K` generations,
 /// h3 overlaps them.
-pub fn modelled_page_ms(cfg: TransportConfig, transport: TransportKind) -> f64 {
-    let w = cfg.gen_latency_ms as f64;
+fn modelled_page_ms(recipes: usize, transport: TransportKind) -> f64 {
+    let w = GEN_LATENCY_MS as f64;
     match transport {
-        TransportKind::H2 => cfg.recipes as f64 * w,
+        TransportKind::H2 => recipes as f64 * w,
         _ => w,
     }
 }
 
 /// The workload: one single-recipe page per `(page, recipe)` pair, every
 /// prompt unique so no request coalesces onto another's generation.
-fn transport_site(cfg: TransportConfig) -> SiteContent {
+fn transport_site(recipes: usize) -> SiteContent {
     let mut site = SiteContent::new();
-    for p in 0..cfg.pages {
-        for r in 0..cfg.recipes {
+    for p in 0..PAGES {
+        for r in 0..recipes {
             site.add_page(
                 page_path(p, r),
                 format!(
@@ -161,7 +137,7 @@ fn page_path(page: usize, recipe: usize) -> String {
 }
 
 fn sample_from(
-    cfg: TransportConfig,
+    recipes: usize,
     server: &GenerativeServer,
     transport: TransportKind,
     mut page_ms: Vec<f64>,
@@ -175,8 +151,8 @@ fn sample_from(
         transport,
         p50_ms: percentile(&page_ms, 50.0),
         p99_ms: percentile(&page_ms, 99.0),
-        wall_qps: cfg.pages as f64 / elapsed_s.max(1e-9),
-        modelled_qps: 1000.0 / modelled_page_ms(cfg, transport),
+        wall_qps: PAGES as f64 / elapsed_s.max(1e-9),
+        modelled_qps: 1000.0 / modelled_page_ms(recipes, transport),
         requests,
         bodies,
         server: server.clone(),
@@ -186,12 +162,12 @@ fn sample_from(
 /// Fetch every page serially over HTTP/2: one connection per page, the
 /// `K` recipe requests issued back to back on it. Naive clients
 /// (`GenAbility::none()`) force server-side generation.
-fn h2_sample(cfg: TransportConfig, server: &GenerativeServer) -> TransportSample {
+fn h2_sample(recipes: usize, server: &GenerativeServer) -> TransportSample {
     let mut bodies = std::collections::BTreeMap::new();
-    let mut page_ms = Vec::with_capacity(cfg.pages);
+    let mut page_ms = Vec::with_capacity(PAGES);
     let start = Instant::now();
     tokio::runtime::block_on(async {
-        for p in 0..cfg.pages {
+        for p in 0..PAGES {
             let (a, b) = tokio::io::duplex(1 << 20);
             let srv = server.clone();
             tokio::spawn(async move {
@@ -201,7 +177,7 @@ fn h2_sample(cfg: TransportConfig, server: &GenerativeServer) -> TransportSample
                 .await
                 .expect("h2 handshake");
             let t0 = Instant::now();
-            for r in 0..cfg.recipes {
+            for r in 0..recipes {
                 let path = page_path(p, r);
                 let resp = conn
                     .send_request(&Request::get(&path))
@@ -215,18 +191,18 @@ fn h2_sample(cfg: TransportConfig, server: &GenerativeServer) -> TransportSample
         }
     });
     let elapsed = start.elapsed().as_secs_f64();
-    sample_from(cfg, server, TransportKind::H2, page_ms, elapsed, bodies)
+    sample_from(recipes, server, TransportKind::H2, page_ms, elapsed, bodies)
 }
 
 /// Fetch every page over HTTP/3: one connection per page, all `K` recipe
 /// streams opened up front and collected together — the server runs the
 /// generations concurrently, so the page completes with the slowest one.
-fn h3_sample(cfg: TransportConfig, server: &GenerativeServer) -> TransportSample {
+fn h3_sample(recipes: usize, server: &GenerativeServer) -> TransportSample {
     let mut bodies = std::collections::BTreeMap::new();
-    let mut page_ms = Vec::with_capacity(cfg.pages);
+    let mut page_ms = Vec::with_capacity(PAGES);
     let start = Instant::now();
     tokio::runtime::block_on(async {
-        for p in 0..cfg.pages {
+        for p in 0..PAGES {
             let (a, b) = tokio::io::duplex(1 << 20);
             let srv = server.clone();
             tokio::spawn(async move {
@@ -235,7 +211,7 @@ fn h3_sample(cfg: TransportConfig, server: &GenerativeServer) -> TransportSample
             let mut conn = H3ClientConnection::handshake(a, GenAbility::none())
                 .await
                 .expect("h3 handshake");
-            let paths: Vec<String> = (0..cfg.recipes).map(|r| page_path(p, r)).collect();
+            let paths: Vec<String> = (0..recipes).map(|r| page_path(p, r)).collect();
             let reqs: Vec<Request> = paths.iter().map(Request::get).collect();
             let t0 = Instant::now();
             let resps = conn.send_requests(&reqs).await.expect("h3 requests");
@@ -247,46 +223,39 @@ fn h3_sample(cfg: TransportConfig, server: &GenerativeServer) -> TransportSample
         }
     });
     let elapsed = start.elapsed().as_secs_f64();
-    sample_from(cfg, server, TransportKind::H3, page_ms, elapsed, bodies)
+    sample_from(recipes, server, TransportKind::H3, page_ms, elapsed, bodies)
 }
 
-/// Run the full comparison. Each transport gets a fresh server (fresh
-/// generation cache, so every recipe request really generates) armed
-/// with `chaos`, the spec that slows its generations — see
-/// [`latency_spec`].
-pub fn run(cfg: TransportConfig, chaos: &ChaosSpec) -> TransportRun {
+/// Run the full comparison at `recipes` recipes a page. Each transport
+/// gets a fresh server (fresh generation cache, so every recipe request
+/// really generates) whose every generation costs `GEN_LATENCY_MS`.
+pub fn run(recipes: usize) -> TransportRun {
+    let spec = format!("seed={CHAOS_SEED},engine.generate=latency:1.0:{GEN_LATENCY_MS}");
+    let chaos = ChaosSpec::parse(&spec).expect("latency spec");
     let fresh = || {
         GenerativeServer::from_config(ServerConfig {
-            site: transport_site(cfg),
+            site: transport_site(recipes),
             chaos: Some(chaos.clone()),
             ..ServerConfig::default()
         })
     };
-    let h2 = h2_sample(cfg, &fresh());
-    let h3 = h3_sample(cfg, &fresh());
+    let h2 = h2_sample(recipes, &fresh());
+    let h3 = h3_sample(recipes, &fresh());
     let byte_identical = h2.bodies == h3.bodies && !h2.bodies.is_empty();
     TransportRun {
+        recipes,
         h2,
         h3,
         byte_identical,
     }
 }
 
-/// [`run`] under [`latency_spec`]: the entry point `report --exp e18`
-/// uses.
-pub fn run_with_latency(cfg: TransportConfig) -> TransportRun {
-    run(
-        cfg,
-        &ChaosSpec::parse(&latency_spec(cfg)).expect("latency spec"),
-    )
-}
-
 /// Render as a table.
-pub fn table(cfg: TransportConfig, run: &TransportRun) -> Table {
+pub fn table(run: &TransportRun) -> Table {
     let mut t = Table::new(
         format!(
-            "E18 — Page load by transport ({} pages x {} recipes, {} ms per generation)",
-            cfg.pages, cfg.recipes, cfg.gen_latency_ms
+            "E18 — Page load by transport ({PAGES} pages x {} recipes, {GEN_LATENCY_MS} ms per generation)",
+            run.recipes
         ),
         &[
             "Transport",
@@ -312,27 +281,22 @@ pub fn table(cfg: TransportConfig, run: &TransportRun) -> Table {
 mod tests {
     use super::*;
 
-    /// The E18 gate at 3 and at 4 recipes a page (the default's).
+    /// The E18 gate at 3 and at 4 recipes a page (`report`'s).
     #[test]
     fn h3_dodges_the_head_of_line_and_payloads_match() {
         let _serial = super::super::alloc_serial();
         for recipes in [3, 4] {
-            h3_dodges_the_head_of_line(TransportConfig {
-                pages: 3,
-                recipes,
-                gen_latency_ms: 20,
-                seed: 7,
-            });
+            h3_dodges_the_head_of_line(recipes);
         }
     }
 
-    fn h3_dodges_the_head_of_line(cfg: TransportConfig) {
-        let expect = (cfg.pages * cfg.recipes) as u64;
+    fn h3_dodges_the_head_of_line(recipes: usize) {
+        let expect = (PAGES * recipes) as u64;
         // The wall-clock half gets up to three runs; everything exact is
         // asserted on each of them.
         let mut medians = Vec::new();
         for _ in 0..3 {
-            let run = run_with_latency(cfg);
+            let run = run(recipes);
             // Every request reconciled against the transport-labelled
             // server counter.
             assert_eq!(run.h2.requests, expect, "h2 request accounting");
@@ -342,16 +306,16 @@ mod tests {
             assert_eq!(run.violations(), Vec::<String>::new());
             // The no-HoL win: h2 serializes the K generations, h3
             // overlaps them. Modelled exactly K×.
-            assert_eq!(run.modelled_speedup(), cfg.recipes as f64);
+            assert_eq!(run.modelled_speedup(), recipes as f64);
             medians.push((run.h3.p50_ms, run.h2.p50_ms));
             if run.h3.p50_ms < run.h2.p50_ms {
                 break;
             }
         }
-        // The wall clock only has to show a strict win, over three page
+        // The wall clock only has to show a strict win, over five page
         // loads per transport on a host shared with the whole workspace
-        // suite. Medians, because a p99 over three loads is the slowest
-        // load and a single host stall longer than the K × 20 ms h2
+        // suite. Medians, because a p99 over five loads is the slowest
+        // load and a single host stall longer than the K × 25 ms h2
         // spends would decide it; up to three attempts, because a stall
         // can outlast a run. A transport change that really serialises
         // h3 loses every attempt.
@@ -364,13 +328,7 @@ mod tests {
     #[test]
     fn table_lists_both_transports() {
         let _serial = super::super::alloc_serial();
-        let cfg = TransportConfig {
-            pages: 1,
-            recipes: 2,
-            gen_latency_ms: 1,
-            seed: 7,
-        };
-        let rendered = table(cfg, &run_with_latency(cfg)).render();
+        let rendered = table(&run(2)).render();
         assert!(rendered.contains("h2") && rendered.contains("h3"));
     }
 }

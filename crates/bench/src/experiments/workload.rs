@@ -19,6 +19,12 @@
 //! a fresh server to witness replay determinism: same seed, same trace
 //! digest, same response digest, and payloads byte-identical across
 //! topologies.
+//!
+//! E20 runs at one configuration: the graph, walk and arrival shape, the
+//! cache, the cluster, the deadline and the seed are the consts below.
+//! Only the request volumes ([`E20Config`]) vary, between `report`'s
+//! ([`E20Config::default`]) and the quick preset the goldens and the
+//! debug-mode tests run.
 
 use crate::table::Table;
 use sww_core::ChaosSpec;
@@ -26,67 +32,54 @@ use sww_workload::arrival::DiurnalModel;
 use sww_workload::session::WalkConfig;
 use sww_workload::{
     modelled_slo, ModelledSlo, ReplayConfig, ReplayEngine, ReplayOutcome, ReplayTarget,
+    REPLAY_THREADS,
 };
 use sww_workload::{SmallWorldConfig, WorkloadConfig};
 
-/// E20 sweep configuration: one workload per `β`, modelled and live
-/// request volumes, and the SLO bound the modelled p99 is held under.
+/// Watts–Strogatz rewiring probabilities to sweep (clustering falls as
+/// `β` rises, so the hit-rate rule reads these back in
+/// clustering-ascending order).
+const BETAS: [f64; 3] = [0.02, 0.2, 1.0];
+/// Pages in the site graph.
+const GRAPH_NODES: usize = 192;
+/// Ring-lattice degree before rewiring.
+const K: usize = 8;
+/// Zipf popularity exponent.
+const ZIPF_EXPONENT: f64 = 1.1;
+/// Random-walk restart probability (PageRank-style teleport).
+const RESTART: f64 = 0.10;
+/// Mean pages per session.
+const MEAN_SESSION: f64 = 16.0;
+/// Mean session arrivals per virtual second. Sized so the modelled
+/// per-node utilisation stays below one: the p99-vs-deadline rule reads
+/// a stationary queue, not a saturated one.
+const ARRIVAL_RATE: f64 = 3.0;
+/// Per-node LRU page-cache capacity in the modelled simulator.
+const CACHE_CAPACITY: usize = 32;
+/// Cluster width for the modelled simulator and the live edge replay.
+const CLUSTER_NODES: usize = 4;
+/// SLO deadline the modelled p99 sojourn must stay under, ms.
+const DEADLINE_MS: f64 = 2_500.0;
+/// The `β` the live replays run at (the clustered regime).
+const LIVE_BETA: f64 = 0.02;
+/// Master seed for graph, popularity, arrivals, and walks.
+const SEED: u64 = 42;
+
+/// E20's request volumes; everything else is the consts above.
 #[derive(Debug, Clone)]
 pub struct E20Config {
-    /// Watts–Strogatz rewiring probabilities to sweep (clustering falls
-    /// as `β` rises, so the hit-rate rule reads these back in
-    /// clustering-ascending order).
-    pub betas: Vec<f64>,
-    /// Pages in the site graph.
-    pub graph_nodes: usize,
-    /// Ring-lattice degree before rewiring.
-    pub k: usize,
-    /// Zipf popularity exponent.
-    pub zipf_exponent: f64,
-    /// Random-walk restart probability (PageRank-style teleport).
-    pub restart: f64,
-    /// Mean pages per session.
-    pub mean_session: f64,
-    /// Mean session arrivals per virtual second. Sized so the modelled
-    /// per-node utilisation stays below one — the p99-vs-deadline rule
-    /// reads a stationary queue, not a saturated one.
-    pub arrival_rate: f64,
-    /// Per-node LRU page-cache capacity in the modelled simulator.
-    pub cache_capacity: usize,
-    /// Cluster width for the modelled simulator and the live edge replay.
-    pub cluster_nodes: usize,
-    /// SLO deadline the modelled p99 sojourn must stay under, ms.
-    pub deadline_ms: f64,
     /// Requests per `β` in the modelled sweep.
     pub modelled_requests: usize,
     /// Requests in each live replay.
     pub live_requests: usize,
-    /// The `β` the live replays run at (the clustered regime).
-    pub live_beta: f64,
-    /// Client threads for the sync live targets.
-    pub threads: usize,
-    /// Master seed for graph, popularity, arrivals, and walks.
-    pub seed: u64,
 }
 
 impl Default for E20Config {
+    /// The volume `report --exp e20` runs.
     fn default() -> E20Config {
         E20Config {
-            betas: vec![0.02, 0.2, 1.0],
-            graph_nodes: 192,
-            k: 8,
-            zipf_exponent: 1.1,
-            restart: 0.10,
-            mean_session: 16.0,
-            arrival_rate: 3.0,
-            cache_capacity: 32,
-            cluster_nodes: 4,
-            deadline_ms: 2_500.0,
             modelled_requests: 1_000_000,
             live_requests: 600,
-            live_beta: 0.02,
-            threads: 4,
-            seed: 42,
         }
     }
 }
@@ -98,35 +91,42 @@ impl E20Config {
         E20Config {
             modelled_requests: 20_000,
             live_requests: 150,
-            ..E20Config::default()
         }
     }
 
-    /// The workload config for one `β` at a given request volume. Only
-    /// the rewiring probability varies across the sweep — every other
-    /// knob (seed included) is shared, so differences between rows are
-    /// attributable to topology alone.
-    pub fn workload(&self, beta: f64, requests: usize) -> WorkloadConfig {
-        WorkloadConfig {
-            graph: SmallWorldConfig {
-                nodes: self.graph_nodes,
-                k: self.k,
-                beta,
-                seed: self.seed,
-            },
-            zipf_exponent: self.zipf_exponent,
-            walk: WalkConfig {
-                restart: self.restart,
-                mean_len: self.mean_session,
-            },
-            diurnal: DiurnalModel {
-                base_rate: self.arrival_rate,
-                ..DiurnalModel::default()
-            },
-            requests,
-            seed: self.seed,
-            ..WorkloadConfig::default()
-        }
+    /// The modelled sweep's workloads, one per `β` in sweep order.
+    pub fn modelled_workloads(&self) -> Vec<WorkloadConfig> {
+        BETAS
+            .iter()
+            .map(|&beta| workload(beta, self.modelled_requests))
+            .collect()
+    }
+}
+
+/// The workload config for one `β` at a given request volume. Only the
+/// rewiring probability varies across the sweep: every other value (seed
+/// included) is shared, so differences between rows are attributable to
+/// topology alone.
+fn workload(beta: f64, requests: usize) -> WorkloadConfig {
+    WorkloadConfig {
+        graph: SmallWorldConfig {
+            nodes: GRAPH_NODES,
+            k: K,
+            beta,
+            seed: SEED,
+        },
+        zipf_exponent: ZIPF_EXPONENT,
+        walk: WalkConfig {
+            restart: RESTART,
+            mean_len: MEAN_SESSION,
+        },
+        diurnal: DiurnalModel {
+            base_rate: ARRIVAL_RATE,
+            ..DiurnalModel::default()
+        },
+        requests,
+        seed: SEED,
+        ..WorkloadConfig::default()
     }
 }
 
@@ -146,16 +146,15 @@ pub struct WorkloadRow {
 /// Run the modelled sweep: one row per `β`, each a pure function of the
 /// config (these are the golden numbers).
 pub fn modelled_sweep(cfg: &E20Config) -> Vec<WorkloadRow> {
-    cfg.betas
+    cfg.modelled_workloads()
         .iter()
-        .map(|&beta| {
-            let wl = cfg.workload(beta, cfg.modelled_requests);
+        .map(|wl| {
             let graph = wl.site_graph();
             WorkloadRow {
-                beta,
+                beta: wl.graph.beta,
                 clustering: graph.clustering_coefficient(),
                 mean_path: graph.mean_path_length(),
-                slo: modelled_slo(&wl, cfg.cluster_nodes, cfg.cache_capacity),
+                slo: modelled_slo(wl, CLUSTER_NODES, CACHE_CAPACITY),
             }
         })
         .collect()
@@ -166,8 +165,8 @@ pub fn modelled_sweep(cfg: &E20Config) -> Vec<WorkloadRow> {
 /// order the rows come in: clustered neighbourhoods keep random-walk
 /// revisits inside the bounded LRU, and a flat step means the cache
 /// stopped converting locality into hits. Every modelled p99 stays
-/// under `cfg.deadline_ms`. One line per flat step or late row.
-pub fn slo_violations(cfg: &E20Config, rows: &[WorkloadRow]) -> Vec<String> {
+/// under `DEADLINE_MS`. One line per flat step or late row.
+pub fn slo_violations(rows: &[WorkloadRow]) -> Vec<String> {
     let points = rows
         .iter()
         .map(|r| (r.clustering, r.slo.hit_rate))
@@ -178,10 +177,10 @@ pub fn slo_violations(cfg: &E20Config, rows: &[WorkloadRow]) -> Vec<String> {
             format!("smallworld_modelled: hit rate must strictly increase with clustering ({step})")
         })
         .collect();
-    for r in rows.iter().filter(|r| r.slo.p99_ms > cfg.deadline_ms) {
+    for r in rows.iter().filter(|r| r.slo.p99_ms > DEADLINE_MS) {
         out.push(format!(
             "smallworld_modelled @ C {:.3}: modelled p99 {:.3} ms over the {:.0} ms deadline",
-            r.clustering, r.slo.p99_ms, cfg.deadline_ms
+            r.clustering, r.slo.p99_ms, DEADLINE_MS
         ));
     }
     out
@@ -199,13 +198,11 @@ pub struct LiveSample {
 }
 
 /// The live targets E20 replays through, in run order.
-pub fn live_targets(cfg: &E20Config) -> Vec<ReplayTarget> {
-    vec![
-        ReplayTarget::Single,
-        ReplayTarget::H3,
-        ReplayTarget::Cluster(cfg.cluster_nodes),
-    ]
-}
+const LIVE_TARGETS: [ReplayTarget; 3] = [
+    ReplayTarget::Single,
+    ReplayTarget::H3,
+    ReplayTarget::Cluster(CLUSTER_NODES),
+];
 
 fn target_nodes(target: ReplayTarget) -> usize {
     match target {
@@ -214,20 +211,15 @@ fn target_nodes(target: ReplayTarget) -> usize {
     }
 }
 
-/// Replay the live trace through each target on a fresh stack whose
-/// servers are armed with `chaos`.
-pub fn live_sweep(
-    cfg: &E20Config,
-    targets: &[ReplayTarget],
-    chaos: Option<&ChaosSpec>,
-) -> Vec<LiveSample> {
-    let engine = ReplayEngine::from_config(&cfg.workload(cfg.live_beta, cfg.live_requests));
-    targets
+/// Replay the live trace through each of E20's targets on a fresh stack
+/// whose servers are armed with `chaos`.
+pub fn live_sweep(cfg: &E20Config, chaos: Option<&ChaosSpec>) -> Vec<LiveSample> {
+    let engine = ReplayEngine::from_config(&workload(LIVE_BETA, cfg.live_requests));
+    LIVE_TARGETS
         .iter()
         .map(|&target| {
             let rcfg = ReplayConfig {
                 target,
-                threads: cfg.threads,
                 chaos: chaos.cloned(),
             };
             LiveSample {
@@ -281,10 +273,9 @@ pub fn determinism_check(
     live: &[LiveSample],
     chaos: Option<&ChaosSpec>,
 ) -> DeterminismOutcome {
-    let wl = cfg.workload(cfg.live_beta, cfg.live_requests);
+    let wl = workload(LIVE_BETA, cfg.live_requests);
     let rcfg = ReplayConfig {
         target: ReplayTarget::Single,
-        threads: cfg.threads,
         chaos: chaos.cloned(),
     };
     let a = ReplayEngine::from_config(&wl).run(&rcfg);
@@ -306,9 +297,9 @@ pub fn determinism_check(
 pub fn modelled_table(cfg: &E20Config, rows: &[WorkloadRow]) -> Table {
     let mut t = Table::new(
         format!(
-            "E20 (modelled) — small-world workload ({} pages, k={}, {} reqs/beta, \
-             LRU {}/node x {} nodes)",
-            cfg.graph_nodes, cfg.k, cfg.modelled_requests, cfg.cache_capacity, cfg.cluster_nodes
+            "E20 (modelled) — small-world workload ({GRAPH_NODES} pages, k={K}, {} reqs/beta, \
+             LRU {CACHE_CAPACITY}/node x {CLUSTER_NODES} nodes)",
+            cfg.modelled_requests
         ),
         &[
             "Beta",
@@ -341,8 +332,8 @@ pub fn modelled_table(cfg: &E20Config, rows: &[WorkloadRow]) -> Table {
 pub fn live_table(cfg: &E20Config, samples: &[LiveSample]) -> Table {
     let mut t = Table::new(
         format!(
-            "E20 (live) — trace replay (beta {}, {} reqs, {} threads)",
-            cfg.live_beta, cfg.live_requests, cfg.threads
+            "E20 (live) — trace replay (beta {LIVE_BETA}, {} reqs, {REPLAY_THREADS} threads)",
+            cfg.live_requests
         ),
         &[
             "Target",
@@ -397,17 +388,6 @@ mod tests {
         }
     }
 
-    /// Small graph for the live replays (debug-mode server fetches are
-    /// the expensive part; the live rules don't read clustering).
-    fn tiny_live() -> E20Config {
-        E20Config {
-            graph_nodes: 48,
-            k: 6,
-            live_requests: 90,
-            ..E20Config::default()
-        }
-    }
-
     /// A modelled row with only the fields the E20 rules read.
     fn row(clustering: f64, hit_rate: f64, p99_ms: f64) -> WorkloadRow {
         WorkloadRow {
@@ -430,25 +410,25 @@ mod tests {
         let cfg = tiny_modelled();
         let a = modelled_sweep(&cfg);
         let b = modelled_sweep(&cfg);
-        assert_eq!(a.len(), cfg.betas.len());
+        assert_eq!(a.len(), BETAS.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.slo, y.slo, "modelled rows must be pure in the seed");
         }
         // Clustering falls along the sweep (betas ascend), so the hit
         // rate must fall too: the rule reads the rows in clustering order.
-        assert_eq!(slo_violations(&cfg, &a), Vec::<String>::new());
+        assert_eq!(slo_violations(&a), Vec::<String>::new());
         for pair in a.windows(2) {
             assert!(pair[0].clustering > pair[1].clustering);
         }
     }
 
-    /// The live replays and the determinism witness at the default
-    /// config, the one `report --exp e20` runs.
+    /// The live replays and the determinism witness at the volume
+    /// `report --exp e20` runs.
     #[test]
     fn live_sweep_and_determinism_pass_the_gates() {
         let _guard = alloc_serial();
         let cfg = E20Config::default();
-        let live = live_sweep(&cfg, &live_targets(&cfg), None);
+        let live = live_sweep(&cfg, None);
         assert_eq!(live.len(), 3);
         for s in &live {
             assert_eq!(
@@ -467,7 +447,7 @@ mod tests {
     #[test]
     fn determinism_holds_under_chaos_with_scoped_fault_streams() {
         let _guard = alloc_serial();
-        let cfg = tiny_live();
+        let cfg = E20Config::quick();
         let spec = ChaosSpec::parse("seed=29,engine.generate=error:0.3").expect("error spec");
         let det = determinism_check(&cfg, &[], Some(&spec));
         assert!(det.trace_match, "{det:?}");
@@ -483,7 +463,6 @@ mod tests {
     /// reverse give the same verdict.
     #[test]
     fn a_flat_hit_rate_step_breaks_the_e20_rule_in_either_order() {
-        let cfg = E20Config::default();
         let mut rows = vec![
             row(0.614, 0.744, 1300.0),
             row(0.367, 0.744, 1800.0),
@@ -491,7 +470,7 @@ mod tests {
         ];
         for _ in 0..2 {
             assert_eq!(
-                slo_violations(&cfg, &rows),
+                slo_violations(&rows),
                 [
                     "smallworld_modelled: hit rate must strictly increase with clustering \
                   (C 0.367: 0.744 -> C 0.614: 0.744)"
@@ -500,19 +479,18 @@ mod tests {
             rows.reverse();
         }
         rows[0].slo.hit_rate = 0.780;
-        assert_eq!(slo_violations(&cfg, &rows), Vec::<String>::new());
+        assert_eq!(slo_violations(&rows), Vec::<String>::new());
     }
 
     #[test]
     fn a_p99_over_the_deadline_breaks_the_e20_rule() {
-        let cfg = E20Config::default();
         let rows = [
             row(0.614, 0.780, 1300.0),
             row(0.367, 0.744, 1800.0),
-            row(0.034, 0.730, cfg.deadline_ms + 0.5),
+            row(0.034, 0.730, DEADLINE_MS + 0.5),
         ];
         assert_eq!(
-            slo_violations(&cfg, &rows),
+            slo_violations(&rows),
             ["smallworld_modelled @ C 0.034: modelled p99 2500.500 ms over the 2500 ms deadline"]
         );
     }
@@ -546,15 +524,11 @@ mod tests {
     #[test]
     fn the_e20_gate_holds_under_a_parsed_chaos_spec() {
         let _guard = alloc_serial();
-        let cfg = E20Config {
-            modelled_requests: 20_000,
-            live_requests: 150,
-            ..E20Config::default()
-        };
+        let cfg = E20Config::quick();
         let spec = ChaosSpec::parse("seed=9,engine.generate=latency:0.5:5").expect("spec");
         let rows = modelled_sweep(&cfg);
-        let live = live_sweep(&cfg, &live_targets(&cfg), Some(&spec));
-        let mut violations = slo_violations(&cfg, &rows);
+        let live = live_sweep(&cfg, Some(&spec));
+        let mut violations = slo_violations(&rows);
         violations.extend(determinism_check(&cfg, &live, Some(&spec)).violations());
         assert_eq!(violations, Vec::<String>::new());
     }

@@ -68,7 +68,7 @@ impl Table {
 }
 
 /// Format seconds compactly.
-pub fn secs(t: f64) -> String {
+pub(crate) fn secs(t: f64) -> String {
     if t < 0.1 {
         format!("{:.3}s", t)
     } else if t < 10.0 {
@@ -79,12 +79,12 @@ pub fn secs(t: f64) -> String {
 }
 
 /// Format watt-hours compactly.
-pub fn wh(e: f64) -> String {
+pub(crate) fn wh(e: f64) -> String {
     format!("{e:.3}Wh")
 }
 
 /// Format bytes with a unit.
-pub fn bytes(n: u64) -> String {
+pub(crate) fn bytes(n: u64) -> String {
     if n >= 1_000_000 {
         format!("{:.2}MB", n as f64 / 1e6)
     } else if n >= 1_000 {

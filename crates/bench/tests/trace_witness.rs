@@ -102,9 +102,9 @@ fn the_benchmark_traces_are_bit_identical_to_their_recorded_digests() {
 fn the_e20_quick_traces_are_bit_identical_to_their_recorded_digests() {
     let cfg = E20Config::quick();
     let got: Vec<String> = cfg
-        .betas
+        .modelled_workloads()
         .iter()
-        .map(|&beta| witness(&Trace::generate(&cfg.workload(beta, cfg.modelled_requests))))
+        .map(|wl| witness(&Trace::generate(wl)))
         .collect();
     assert_eq!(
         got,

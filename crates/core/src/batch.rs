@@ -87,7 +87,7 @@ pub struct BatchKey {
 
 impl BatchKey {
     /// The key a recipe batches under.
-    pub fn of(recipe: &Recipe) -> BatchKey {
+    pub(crate) fn of(recipe: &Recipe) -> BatchKey {
         BatchKey {
             model: recipe.model,
             width: recipe.width,
@@ -335,7 +335,7 @@ impl BatchScheduler {
 
     /// A scheduler with an injected executor (tests, instrumentation),
     /// recording into a registry of its own.
-    pub fn with_executor(config: BatchConfig, executor: Box<Executor>) -> BatchScheduler {
+    pub(crate) fn with_executor(config: BatchConfig, executor: Box<Executor>) -> BatchScheduler {
         BatchScheduler {
             config: BatchConfig {
                 max_batch: config.max_batch.max(1),
@@ -347,11 +347,6 @@ impl BatchScheduler {
             tallies: Mutex::new(Tallies::default()),
             metrics: Arc::default(),
         }
-    }
-
-    /// The active policy.
-    pub fn config(&self) -> BatchConfig {
-        self.config
     }
 
     /// Announce that a submission is imminent. Queueing layers that
@@ -605,6 +600,13 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
     use std::sync::Barrier;
     use sww_genai::InlineRunner;
+
+    impl BatchScheduler {
+        /// The active policy (the server's plumbing test reads it).
+        pub(crate) fn config(&self) -> BatchConfig {
+            self.config
+        }
+    }
 
     fn recipe(prompt: &str) -> Recipe {
         Recipe {

@@ -67,7 +67,7 @@ pub enum BreakerState {
 impl BreakerState {
     /// The gauge encoding used by `sww_breaker_state{model}`.
     #[must_use]
-    pub fn gauge_value(self) -> f64 {
+    pub(crate) fn gauge_value(self) -> f64 {
         match self {
             BreakerState::Closed => 0.0,
             BreakerState::Open => 1.0,
@@ -92,15 +92,8 @@ pub struct CircuitBreaker {
 }
 
 impl CircuitBreaker {
-    /// A breaker set with the given tuning, exporting its state into a
-    /// registry of its own. Every model starts `Closed`.
-    #[must_use]
-    pub fn new(config: BreakerConfig) -> CircuitBreaker {
-        CircuitBreaker::recording(config, Arc::default())
-    }
-
-    /// [`new`](CircuitBreaker::new), exporting into `metrics` — its
-    /// server's registry.
+    /// A breaker set with the given tuning, exporting its state into
+    /// `metrics`, its server's registry. Every model starts `Closed`.
     pub(crate) fn recording(config: BreakerConfig, metrics: Arc<Registry>) -> CircuitBreaker {
         CircuitBreaker {
             config,
@@ -140,7 +133,7 @@ impl CircuitBreaker {
     ///
     /// [`record_success`]: CircuitBreaker::record_success
     /// [`record_failure`]: CircuitBreaker::record_failure
-    pub fn try_admit(&self, model: ImageModelKind) -> Result<(), SwwError> {
+    pub(crate) fn try_admit(&self, model: ImageModelKind) -> Result<(), SwwError> {
         let mut models = self.models.lock().unwrap_or_else(|e| e.into_inner());
         let state = models.entry(model).or_insert(ModelState::Closed {
             consecutive_failures: 0,
@@ -176,7 +169,7 @@ impl CircuitBreaker {
 
     /// Report a successful generation: re-closes a probing breaker and
     /// resets the consecutive-failure count.
-    pub fn record_success(&self, model: ImageModelKind) {
+    pub(crate) fn record_success(&self, model: ImageModelKind) {
         let mut models = self.models.lock().unwrap_or_else(|e| e.into_inner());
         let state = models.entry(model).or_insert(ModelState::Closed {
             consecutive_failures: 0,
@@ -189,7 +182,7 @@ impl CircuitBreaker {
 
     /// Report a failed generation: trips `Closed → Open` at the
     /// threshold, and a failed half-open probe re-opens immediately.
-    pub fn record_failure(&self, model: ImageModelKind) {
+    pub(crate) fn record_failure(&self, model: ImageModelKind) {
         let mut models = self.models.lock().unwrap_or_else(|e| e.into_inner());
         let state = models.entry(model).or_insert(ModelState::Closed {
             consecutive_failures: 0,
@@ -237,10 +230,13 @@ mod tests {
     use super::*;
 
     fn fast() -> CircuitBreaker {
-        CircuitBreaker::new(BreakerConfig {
-            failure_threshold: 3,
-            cooldown: Duration::from_millis(40),
-        })
+        CircuitBreaker::recording(
+            BreakerConfig {
+                failure_threshold: 3,
+                cooldown: Duration::from_millis(40),
+            },
+            Arc::default(),
+        )
     }
 
     const MODEL: ImageModelKind = ImageModelKind::Sd3Medium;

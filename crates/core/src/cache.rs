@@ -36,7 +36,7 @@ pub struct Recipe {
 impl Recipe {
     /// Pixels in the image this recipe renders — what a cache entry for
     /// it is charged, whatever form the entry holds.
-    pub fn pixels(&self) -> u64 {
+    pub(crate) fn pixels(&self) -> u64 {
         u64::from(self.width) * u64::from(self.height)
     }
 }

@@ -109,7 +109,7 @@ pub struct HashRing {
 impl HashRing {
     /// An empty ring with `replicas` vnodes per member (0 is clamped
     /// to 1).
-    pub fn new(replicas: usize) -> HashRing {
+    pub(crate) fn new(replicas: usize) -> HashRing {
         HashRing {
             points: Vec::new(),
             nodes: Vec::new(),
@@ -165,7 +165,7 @@ impl HashRing {
     }
 
     /// Membership test.
-    pub fn contains(&self, node: &str) -> bool {
+    pub(crate) fn contains(&self, node: &str) -> bool {
         self.nodes.iter().any(|n| n == node)
     }
 
@@ -334,7 +334,7 @@ impl EdgeNode {
 
     /// Liveness as the router sees it (flipped by
     /// [`EdgeRouter::kill`] / [`EdgeRouter::revive`]).
-    pub fn is_alive(&self) -> bool {
+    pub(crate) fn is_alive(&self) -> bool {
         self.alive.load(Ordering::SeqCst)
     }
 
@@ -434,9 +434,6 @@ pub struct EdgeConfig {
     /// Acting-owner hit count at which a key becomes hot and is pushed
     /// to its replicas.
     pub hot_threshold: u64,
-    /// The gossip failure detector's probe-schedule seed
-    /// ([`GossipConfig`]).
-    pub gossip: GossipConfig,
 }
 
 impl Default for EdgeConfig {
@@ -447,7 +444,6 @@ impl Default for EdgeConfig {
             fill_bytes: 8 << 20,
             replication: 1,
             hot_threshold: 3,
-            gossip: GossipConfig::default(),
         }
     }
 }
@@ -538,7 +534,11 @@ impl EdgeRouter {
         // not on the first request.
         site.index();
         let metrics = Arc::new(Registry::new());
-        let gossip = Gossip::recording(config.gossip, Vec::<String>::new(), Arc::clone(&metrics));
+        let gossip = Gossip::recording(
+            GossipConfig::default(),
+            Vec::<String>::new(),
+            Arc::clone(&metrics),
+        );
         let router = EdgeRouter {
             inner: Arc::new(RouterInner {
                 site,

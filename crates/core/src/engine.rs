@@ -73,11 +73,6 @@ impl<V: Clone> ShardedGenerationCache<V> {
         }
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     fn shard_index(&self, recipe: &Recipe) -> usize {
         let mut hasher = DefaultHasher::new();
         recipe.hash(&mut hasher);
@@ -470,7 +465,12 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
-    impl ShardedGenerationCache {
+    impl<V: Clone> ShardedGenerationCache<V> {
+        /// Number of shards (the server's plumbing test reads it).
+        pub(crate) fn shard_count(&self) -> usize {
+            self.shards.len()
+        }
+
         /// Entry count per shard (for tests and load-balance inspection).
         fn shard_lens(&self) -> Vec<usize> {
             self.shards.iter().map(|s| s.lock().len()).collect()
@@ -585,7 +585,7 @@ mod tests {
     #[test]
     fn ctx_expired_at_entry_is_rejected() {
         let engine: GenerationEngine = GenerationEngine::new(2, 1_000_000);
-        let ctx = RequestCtx::with_deadline(Duration::from_millis(0));
+        let ctx = RequestCtx::new(Some(Duration::from_millis(0)), None);
         std::thread::sleep(Duration::from_millis(5));
         let out = engine.try_fetch_image_ctx(&recipe("late"), &ctx, |_| {
             unreachable!("expired ctx must not reach the generator")
@@ -609,7 +609,7 @@ mod tests {
         // Let the leader register its flight, then join with a deadline
         // far shorter than the leader's sleep.
         std::thread::sleep(Duration::from_millis(30));
-        let ctx = RequestCtx::with_deadline(Duration::from_millis(20));
+        let ctx = RequestCtx::new(Some(Duration::from_millis(20)), None);
         let waited = engine.try_fetch_image_ctx(&recipe("slow"), &ctx, |_| {
             unreachable!("a waiter never generates")
         });
@@ -622,7 +622,7 @@ mod tests {
     #[test]
     fn abandoned_flight_fires_the_cancel_probe() {
         let engine = GenerationEngine::new(2, 1_000_000);
-        let ctx = RequestCtx::with_deadline(Duration::from_millis(20));
+        let ctx = RequestCtx::new(Some(Duration::from_millis(20)), None);
         let out = engine.try_fetch_image_ctx(&recipe("orphan"), &ctx, |cancel| {
             // Emulate the denoise loop: poll the probe until it fires.
             for _ in 0..100 {
@@ -642,7 +642,7 @@ mod tests {
     #[test]
     fn expired_leader_with_waiter_hands_off() {
         let engine = Arc::new(GenerationEngine::new(2, 1_000_000));
-        let leader_ctx = RequestCtx::with_deadline(Duration::from_millis(30));
+        let leader_ctx = RequestCtx::new(Some(Duration::from_millis(30)), None);
         let calls = Arc::new(AtomicUsize::new(0));
         let leader = {
             let engine = Arc::clone(&engine);

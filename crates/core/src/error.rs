@@ -103,7 +103,7 @@ impl SwwError {
     /// `500`/`502`/`503`/`504` answers are transient; routing errors
     /// (`404`/`405`), capability mismatches, and upstream `4xx`/`501` are
     /// not.
-    pub fn is_retryable(&self) -> bool {
+    pub(crate) fn is_retryable(&self) -> bool {
         match self {
             SwwError::Saturated { .. }
             | SwwError::Transport(_)
@@ -119,7 +119,7 @@ impl SwwError {
     }
 
     /// The server's `Retry-After` advice attached to this error, if any.
-    pub fn retry_after(&self) -> Option<Duration> {
+    pub(crate) fn retry_after(&self) -> Option<Duration> {
         match self {
             SwwError::Saturated { retry_after_s } => {
                 Some(Duration::from_secs(u64::from(*retry_after_s)))

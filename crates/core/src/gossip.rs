@@ -191,18 +191,18 @@ impl Gossip {
     /// Arm the `gossip.send` failpoint with `spec` (default: unarmed):
     /// messages are dropped from a stream drawn from `spec.seed` itself,
     /// draw counters at zero. Its drops count on in the registry.
-    pub fn set_chaos(&mut self, spec: &ChaosSpec) {
+    pub(crate) fn set_chaos(&mut self, spec: &ChaosSpec) {
         self.faults = Some(FaultStream::new(spec, Arc::clone(&self.metrics)));
     }
 
     /// The fault stream this gossip layer draws from, if armed: the
     /// ground truth for the messages it dropped.
-    pub fn faults(&self) -> Option<&FaultStream> {
+    pub(crate) fn faults(&self) -> Option<&FaultStream> {
         self.faults.as_ref()
     }
 
     /// Completed protocol rounds.
-    pub fn round(&self) -> u64 {
+    pub(crate) fn round(&self) -> u64 {
         self.round
     }
 
@@ -213,7 +213,7 @@ impl Gossip {
 
     /// Join: the newcomer is announced to every view at incarnation 0
     /// (SWIM's join broadcast, collapsed to its deterministic effect).
-    pub fn add_member(&mut self, id: &str) -> bool {
+    pub(crate) fn add_member(&mut self, id: &str) -> bool {
         if self.members.iter().any(|m| m == id) {
             return false;
         }
@@ -242,7 +242,7 @@ impl Gossip {
 
     /// Graceful leave: the member is removed from every view (the edge
     /// tier pairs this with unpublishing from the hash ring).
-    pub fn remove_member(&mut self, id: &str) -> bool {
+    pub(crate) fn remove_member(&mut self, id: &str) -> bool {
         let Some(pos) = self.members.iter().position(|m| m == id) else {
             return false;
         };
@@ -287,7 +287,7 @@ impl Gossip {
     }
 
     /// Whether the process behind `id` currently answers probes.
-    pub fn process_alive(&self, id: &str) -> bool {
+    pub(crate) fn process_alive(&self, id: &str) -> bool {
         self.process_alive.get(id).copied().unwrap_or(false)
     }
 
@@ -322,7 +322,7 @@ impl Gossip {
 
     /// Routing predicate: should `observer` send traffic to `member`?
     /// Only `Alive` members are usable; an unknown pair is not.
-    pub fn usable(&self, observer: &str, member: &str) -> bool {
+    pub(crate) fn usable(&self, observer: &str, member: &str) -> bool {
         observer == member || self.health(observer, member) == Some(Health::Alive)
     }
 

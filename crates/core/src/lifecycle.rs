@@ -55,13 +55,6 @@ impl RequestCtx {
         RequestCtx::new(None, None)
     }
 
-    /// A context whose deadline is `budget` from now; a budget past the
-    /// clock's range is no deadline at all.
-    #[must_use]
-    pub fn with_deadline(budget: Duration) -> RequestCtx {
-        RequestCtx::new(Some(budget), None)
-    }
-
     /// A context with an optional deadline `budget` from now, whose
     /// failpoints draw from `faults` — what a server's dispatch builds.
     pub(crate) fn new(budget: Option<Duration>, faults: Option<Arc<FaultStream>>) -> RequestCtx {
@@ -84,7 +77,7 @@ impl RequestCtx {
     /// Time left before the deadline. `None` when no deadline was set
     /// (infinite budget); `Some(ZERO)` once expired.
     #[must_use]
-    pub fn remaining(&self) -> Option<Duration> {
+    pub(crate) fn remaining(&self) -> Option<Duration> {
         self.inner
             .deadline
             .map(|d| d.saturating_duration_since(Instant::now()))
@@ -94,14 +87,14 @@ impl RequestCtx {
     /// has passed. Always `false` without one. This is the predicate
     /// every lifecycle checkpoint polls.
     #[must_use]
-    pub fn finished(&self) -> bool {
+    pub(crate) fn finished(&self) -> bool {
         matches!(self.inner.deadline, Some(d) if Instant::now() >= d)
     }
 
     /// Checkpoint: `Err(DeadlineExceeded)` once the request is finished,
     /// `Ok` otherwise. The error carries the original budget so the 504
     /// response can say what was exceeded.
-    pub fn check(&self) -> Result<(), SwwError> {
+    pub(crate) fn check(&self) -> Result<(), SwwError> {
         if self.finished() {
             Err(self.deadline_error())
         } else {
@@ -112,7 +105,7 @@ impl RequestCtx {
     /// The error this context unwinds with when it misses its deadline
     /// (budget 0 without one: a pass abandoned by its probes alone).
     #[must_use]
-    pub fn deadline_error(&self) -> SwwError {
+    pub(crate) fn deadline_error(&self) -> SwwError {
         SwwError::DeadlineExceeded {
             budget_ms: self
                 .inner
@@ -165,7 +158,7 @@ mod tests {
 
     #[test]
     fn deadline_expires_and_reports_budget() {
-        let ctx = RequestCtx::with_deadline(Duration::from_millis(20));
+        let ctx = RequestCtx::new(Some(Duration::from_millis(20)), None);
         assert!(ctx.remaining().unwrap() <= Duration::from_millis(20));
         std::thread::sleep(Duration::from_millis(30));
         assert!(ctx.finished());
@@ -185,7 +178,7 @@ mod tests {
         );
         for ctx in [
             RequestCtx::unbounded(),
-            RequestCtx::with_deadline(Duration::ZERO),
+            RequestCtx::new(Some(Duration::ZERO), None),
         ] {
             assert_eq!(ctx.fault(FaultSite::EngineGenerate), None);
         }
@@ -200,7 +193,7 @@ mod tests {
 
     #[test]
     fn generous_deadline_is_not_finished() {
-        let ctx = RequestCtx::with_deadline(Duration::from_secs(3600));
+        let ctx = RequestCtx::new(Some(Duration::from_secs(3600)), None);
         assert!(!ctx.finished());
         assert!(ctx.remaining().unwrap() > Duration::from_secs(3000));
         assert!(matches!(

@@ -19,7 +19,7 @@ pub const SERVING_IMAGE_MODEL: ImageModelKind = ImageModelKind::Sd3Medium;
 
 /// The text model a server expands prose with: the paper's default,
 /// DeepSeek-R1 8B.
-pub const SERVING_TEXT_MODEL: TextModelKind = TextModelKind::DeepSeekR1_8B;
+pub(crate) const SERVING_TEXT_MODEL: TextModelKind = TextModelKind::DeepSeekR1_8B;
 
 /// Denoising steps every new generator runs, and so every server recipe
 /// names: the paper's 15.
@@ -61,7 +61,7 @@ pub enum GeneratedMedia {
 
 impl GeneratedMedia {
     /// The media's materialized byte size.
-    pub fn media_bytes(&self) -> usize {
+    pub(crate) fn media_bytes(&self) -> usize {
         match self {
             GeneratedMedia::Image { encoded, .. } => encoded.len(),
             GeneratedMedia::Text { text } => text.len(),
@@ -91,13 +91,13 @@ pub struct MediaGenerator {
 
 impl MediaGenerator {
     /// The paper's default configuration on a given device: the serving
-    /// models ([`SERVING_IMAGE_MODEL`], [`SERVING_TEXT_MODEL`]).
+    /// models ([`SERVING_IMAGE_MODEL`], `SERVING_TEXT_MODEL`).
     pub fn new(device: DeviceProfile) -> MediaGenerator {
         MediaGenerator::with_models(device, SERVING_IMAGE_MODEL, SERVING_TEXT_MODEL)
     }
 
     /// A generator with explicit model choices.
-    pub fn with_models(
+    pub(crate) fn with_models(
         device: DeviceProfile,
         image_model: ImageModelKind,
         text_model: TextModelKind,
@@ -114,11 +114,9 @@ impl MediaGenerator {
 
     /// Switch the image model, re-preloading the pipeline. Selecting a
     /// model without a cost profile on this device makes every image
-    /// [`try_generate`] fail with [`SwwError::UnsupportedModel`] — which
+    /// `try_generate` fail with [`SwwError::UnsupportedModel`] — which
     /// is exactly how tests force the client's generation-fallback path
     /// deterministically.
-    ///
-    /// [`try_generate`]: MediaGenerator::try_generate
     pub fn set_image_model(&mut self, model: ImageModelKind) {
         self.image_model = model;
         self.pipeline = GenerationPipeline::preload(model, self.text_model);
@@ -127,7 +125,7 @@ impl MediaGenerator {
     /// Generate the media for one generated-content element.
     ///
     /// Panics if the configured image model cannot run on the local
-    /// device; use [`MediaGenerator::try_generate`] to handle that case.
+    /// device; the crate's own callers use `try_generate` to handle that case.
     pub fn generate(&mut self, item: &GeneratedContent) -> (GeneratedMedia, GenerationCost) {
         self.try_generate(item).expect("local generation model")
     }
@@ -135,7 +133,7 @@ impl MediaGenerator {
     /// The cache key under which this generator's output for an image
     /// `item` is stored: the recipe the site index builds for the same
     /// item, when this generator runs the serving models.
-    pub fn recipe(&self, item: &GeneratedContent) -> Recipe {
+    pub(crate) fn recipe(&self, item: &GeneratedContent) -> Recipe {
         recipe(item, self.image_model, self.inference_steps)
     }
 
@@ -143,7 +141,7 @@ impl MediaGenerator {
     /// [`SwwError::UnsupportedModel`] when the configured image model has
     /// no cost profile on the local device (e.g. a server-only model in a
     /// client-side generator).
-    pub fn try_generate(
+    pub(crate) fn try_generate(
         &mut self,
         item: &GeneratedContent,
     ) -> Result<(GeneratedMedia, GenerationCost), SwwError> {
@@ -193,17 +191,6 @@ impl MediaGenerator {
                 Ok((GeneratedMedia::Text { text }, cost))
             }
         }
-    }
-
-    /// Upscale an image (the §2.2 intermediate deployment).
-    pub fn upscale(&mut self, image: &ImageBuffer, factor: u32) -> (ImageBuffer, GenerationCost) {
-        let out = self.pipeline.upscale(image, factor);
-        let time_s = sww_energy::upscale_time(&self.device, out.width(), out.height());
-        let cost = GenerationCost {
-            time_s,
-            energy: Energy::from_power(self.device.image_power_w, time_s),
-        };
-        (out, cost)
     }
 }
 
@@ -290,17 +277,5 @@ mod tests {
         generator.set_inference_steps(30);
         let (_, c30) = generator.generate(&item);
         assert!((c30.time_s / c15.time_s - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn upscale_is_cheap() {
-        let mut generator = MediaGenerator::new(profile(DeviceKind::Workstation));
-        let (media, _) = generator.generate(&image_item("beach", 256));
-        let GeneratedMedia::Image { image, .. } = media else {
-            panic!()
-        };
-        let (up, cost) = generator.upscale(&image, 2);
-        assert_eq!(up.width(), 512);
-        assert!(cost.time_s < 1.0, "upscale {}", cost.time_s);
     }
 }

@@ -36,7 +36,7 @@ impl ServeMode {
     /// The mode's one spelling: the `x-sww-mode` header, the `mode`
     /// label of `sww_negotiate_outcomes_total`, the keys of
     /// `GenerativeServer::served_modes` and the edge's fill-cache key.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             ServeMode::Generative => "generative",
             ServeMode::UpscaleAssisted => "upscale",

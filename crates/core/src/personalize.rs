@@ -8,8 +8,6 @@
 //! returned alongside the media so a user agent can display why content
 //! looks the way it does.
 
-use sww_genai::fnv1a;
-
 /// A user profile the client holds locally (never sent to the server —
 //  personalization happens after delivery, on-device).
 #[derive(Debug, Clone, Default)]
@@ -30,12 +28,6 @@ impl UserProfile {
             style: Vec::new(),
             enabled: true,
         }
-    }
-
-    /// Deterministic seed component so two users see stably different
-    /// variants of the same page.
-    pub fn seed(&self) -> u64 {
-        fnv1a(format!("{}|{}", self.interests.join(","), self.style.join(",")).as_bytes())
     }
 }
 
@@ -134,13 +126,11 @@ mod tests {
         let img_a = m.generate(&personalize(base, &alice, 2).prompt, 64, 64, 10);
         let img_b = m.generate(&personalize(base, &bob, 2).prompt, 64, 64, 10);
         assert_ne!(img_a, img_b);
-        assert_ne!(alice.seed(), bob.seed());
     }
 
     #[test]
     fn same_user_is_stable() {
         let p = UserProfile::with_interests(["gardening"]);
         assert_eq!(personalize("x", &p, 2), personalize("x", &p, 2));
-        assert_eq!(p.seed(), p.seed());
     }
 }

@@ -38,11 +38,6 @@ impl RenderedPage {
         self.resources.len()
     }
 
-    /// Total encoded media bytes on the page.
-    pub fn media_bytes(&self) -> usize {
-        self.resources.iter().map(|r| r.encoded_bytes).sum()
-    }
-
     /// Count of resources generated on-device.
     pub fn generated_count(&self) -> usize {
         self.resources.iter().filter(|r| r.generated).count()
@@ -170,7 +165,6 @@ mod tests {
     fn counters() {
         let p = page_with(4);
         assert_eq!(p.image_count(), 4);
-        assert_eq!(p.media_bytes(), 100 + 101 + 102 + 103);
         assert_eq!(p.generated_count(), 2);
     }
 

@@ -1133,7 +1133,7 @@ mod tests {
                 .next()
                 .map(|(_, recipe)| recipe)
                 .expect("the demo page's image is indexed");
-            let ctx = RequestCtx::with_deadline(Duration::from_secs(60));
+            let ctx = RequestCtx::new(Some(Duration::from_secs(60)), None);
             let polls = Arc::new(AtomicU32::new(0));
             let probe = {
                 let polls = Arc::clone(&polls);

@@ -44,7 +44,7 @@ impl PageStats {
     }
 
     /// Octets saved on the wire.
-    pub fn bytes_saved(&self) -> u64 {
+    pub(crate) fn bytes_saved(&self) -> u64 {
         self.traditional_bytes.saturating_sub(self.wire_bytes)
     }
 

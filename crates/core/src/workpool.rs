@@ -168,12 +168,12 @@ impl WorkerPool {
     }
 
     /// Jobs allowed to run at once.
-    pub fn worker_count(&self) -> usize {
+    pub(crate) fn worker_count(&self) -> usize {
         self.workers
     }
 
     /// Admitted requests currently waiting for a permit.
-    pub fn queue_depth(&self) -> usize {
+    pub(crate) fn queue_depth(&self) -> usize {
         self.lock().waiting.len()
     }
 
@@ -201,7 +201,7 @@ impl WorkerPool {
     /// one being rejected, plus the running ones) divided across the
     /// permits, scaled by the EWMA of observed per-job service time.
     /// Clamped to `1..=30`.
-    pub fn retry_after_estimate(&self, waiting: usize) -> u32 {
+    pub(crate) fn retry_after_estimate(&self, waiting: usize) -> u32 {
         let running = self.lock().running;
         retry_after_s(self.drain_s(waiting + 1 + running))
     }
@@ -215,7 +215,7 @@ impl WorkerPool {
     /// sub-second deadline.
     ///
     /// [`retry_after_estimate`]: WorkerPool::retry_after_estimate
-    pub fn predicted_wait(&self) -> Duration {
+    pub(crate) fn predicted_wait(&self) -> Duration {
         let backlog = {
             let gate = self.lock();
             gate.waiting.len() + gate.running
@@ -223,7 +223,7 @@ impl WorkerPool {
         Duration::from_secs_f64(self.drain_s(backlog).max(0.0))
     }
 
-    /// [`run_ctx`](WorkerPool::run_ctx) for a caller with no deadline.
+    /// `run_ctx` for a caller with no deadline.
     pub fn run<R>(&self, f: impl FnOnce() -> R) -> Result<R, SwwError> {
         self.run_ctx(&RequestCtx::unbounded(), f)
     }
@@ -235,7 +235,11 @@ impl WorkerPool {
     /// [`DeadlineExceeded`](SwwError::DeadlineExceeded) of `ctx` (counted
     /// as `sww_cancelled_total{site="pool.queue"}`) when `ctx` finishes
     /// before a permit is free; and [`SwwError::Internal`] if `f` panics.
-    pub fn run_ctx<R>(&self, ctx: &RequestCtx, f: impl FnOnce() -> R) -> Result<R, SwwError> {
+    pub(crate) fn run_ctx<R>(
+        &self,
+        ctx: &RequestCtx,
+        f: impl FnOnce() -> R,
+    ) -> Result<R, SwwError> {
         let permit = self.admit(ctx)?;
         let started = Instant::now();
         let out = catch_unwind(AssertUnwindSafe(f));
@@ -630,7 +634,7 @@ mod tests {
         let bounded = {
             let (pool, ran) = (Arc::clone(&pool), Arc::clone(&ran));
             std::thread::spawn(move || {
-                let ctx = RequestCtx::with_deadline(Duration::from_millis(30));
+                let ctx = RequestCtx::new(Some(Duration::from_millis(30)), None);
                 pool.run_ctx(&ctx, || ran.fetch_add(1, Ordering::SeqCst))
             })
         };
@@ -657,7 +661,7 @@ mod tests {
         assert_eq!(patient.join().unwrap().unwrap(), "patient");
         // A request that is finished on arrival never runs, even on an
         // idle gate.
-        let expired = RequestCtx::with_deadline(Duration::ZERO);
+        let expired = RequestCtx::new(Some(Duration::ZERO), None);
         assert!(pool
             .run_ctx(&expired, || ran.fetch_add(1, Ordering::SeqCst))
             .is_err());

@@ -138,17 +138,6 @@ pub fn tiled_batch_pass_time(
     Some(tile as f64 * per_image)
 }
 
-/// Seconds to upscale to `width`×`height`: a single lightweight pass with
-/// linear pixel scaling and no attention penalty — sub-second on capable
-/// hardware (paper §2.2).
-pub fn upscale_time(device: &DeviceProfile, width: u32, height: u32) -> f64 {
-    // One step of SD 3 at the smallest anchor, scaled linearly in pixels.
-    let (p0, t0) = device.sd3_time_anchors[0];
-    let per_step = t0 / ANCHOR_STEPS;
-    let pixels = u64::from(width) * u64::from(height);
-    0.5 * per_step * pixels as f64 / p0 as f64
-}
-
 /// Seconds to expand text to `words` words with `model` on `device`.
 ///
 /// Dominated by the model's reasoning phase; the per-word term is small
@@ -363,15 +352,6 @@ mod tests {
         assert!(
             batched_image_generation_time(ImageModelKind::Dalle3, &ws(), 256, 256, 15, 4).is_none()
         );
-    }
-
-    #[test]
-    fn upscale_is_subsecond_on_workstation() {
-        // Paper §2.2: upscaling has sub-second inference.
-        for side in [256, 512, 1024] {
-            let t = upscale_time(&ws(), side, side);
-            assert!(t < 1.0, "upscale {side}²: {t:.3}s");
-        }
     }
 
     #[test]

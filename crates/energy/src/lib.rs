@@ -30,7 +30,7 @@ mod power;
 pub use carbon::{embodied_kg_co2e, storage_savings_kg_co2e};
 pub use cost::{
     batched_image_generation_time, image_generation_time, text_generation_time,
-    tiled_batch_pass_time, time_per_step, upscale_time,
+    tiled_batch_pass_time, time_per_step,
 };
 pub use device::{profile, DeviceKind, DeviceProfile};
 pub use network::{transmission_energy, LinkModel};

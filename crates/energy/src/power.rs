@@ -15,7 +15,7 @@ impl Energy {
     pub const ZERO: Energy = Energy { wh: 0.0 };
 
     /// From watt-hours.
-    pub fn from_wh(wh: f64) -> Energy {
+    pub(crate) fn from_wh(wh: f64) -> Energy {
         Energy { wh }
     }
 

@@ -28,7 +28,7 @@ pub enum Template {
 
 impl Template {
     /// The default tag this template assigns to a new item.
-    pub fn default_tag(self, path: &str) -> ContentTag {
+    pub(crate) fn default_tag(self, path: &str) -> ContentTag {
         let looks_unique =
             path.contains("upload") || path.contains("photo") || path.contains("user");
         match self {

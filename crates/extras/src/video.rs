@@ -22,7 +22,7 @@ pub enum Resolution {
 
 impl Resolution {
     /// GB per hour at 60 fps.
-    pub fn gb_per_hour(self) -> f64 {
+    pub(crate) fn gb_per_hour(self) -> f64 {
         match self {
             Resolution::Hd => 3.0,
             Resolution::FullHd => 4.5,
@@ -32,7 +32,7 @@ impl Resolution {
 
     /// The next resolution down (what the server sends when the client
     /// can upscale), or `None` at the bottom.
-    pub fn downgrade(self) -> Option<Resolution> {
+    pub(crate) fn downgrade(self) -> Option<Resolution> {
         match self {
             Resolution::Uhd4K => Some(Resolution::Hd), // the paper's 4K→HD example
             Resolution::FullHd => Some(Resolution::Hd),

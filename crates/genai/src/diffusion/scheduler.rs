@@ -13,7 +13,7 @@ pub struct Schedule {
 
 impl Schedule {
     /// Schedule for `steps` inference steps.
-    pub fn new(steps: u32) -> Schedule {
+    pub(crate) fn new(steps: u32) -> Schedule {
         Schedule {
             steps: steps.max(1),
             tau: 3.0,
@@ -21,14 +21,14 @@ impl Schedule {
     }
 
     /// Number of steps.
-    pub fn steps(&self) -> u32 {
+    pub(crate) fn steps(&self) -> u32 {
         self.steps
     }
 
     /// Blend factor toward the target at step `k`: chosen so cumulative
     /// progress after step `k` equals `1 - exp(-(k+1)/τ)` regardless of
     /// the total step count.
-    pub fn alpha(&self, k: u32) -> f64 {
+    pub(crate) fn alpha(&self, k: u32) -> f64 {
         // progress(k) = 1 - e^{-(k+1)/τ}; alpha = Δprogress / (1 - progress_prev)
         let p_prev = 1.0 - (-(f64::from(k)) / self.tau).exp();
         let p_now = 1.0 - (-(f64::from(k) + 1.0) / self.tau).exp();
@@ -36,7 +36,7 @@ impl Schedule {
     }
 
     /// Residual noise level injected at step `k` (decays with progress).
-    pub fn sigma(&self, k: u32) -> f64 {
+    pub(crate) fn sigma(&self, k: u32) -> f64 {
         (-(f64::from(k) + 1.0) / self.tau).exp()
     }
 }

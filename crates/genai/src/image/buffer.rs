@@ -62,7 +62,7 @@ impl ImageBuffer {
     }
 
     /// Bilinear sample at fractional coordinates in `[0,1]²`.
-    pub fn sample(&self, u: f64, v: f64) -> [f64; 3] {
+    pub(crate) fn sample(&self, u: f64, v: f64) -> [f64; 3] {
         let x = (u.clamp(0.0, 1.0) * f64::from(self.width - 1)).max(0.0);
         let y = (v.clamp(0.0, 1.0) * f64::from(self.height - 1)).max(0.0);
         let x0 = x.floor() as u32;
@@ -87,7 +87,7 @@ impl ImageBuffer {
 
     /// Downsample by box-averaging into a `tw × th` grid of RGB floats.
     /// Used by the CLIP-sim feature extractor.
-    pub fn downsample(&self, tw: u32, th: u32) -> Vec<[f64; 3]> {
+    pub(crate) fn downsample(&self, tw: u32, th: u32) -> Vec<[f64; 3]> {
         let mut out = Vec::with_capacity((tw * th) as usize);
         for ty in 0..th {
             for tx in 0..tw {
@@ -118,7 +118,7 @@ impl ImageBuffer {
     }
 
     /// Mean channel values, for quick content assertions.
-    pub fn mean_rgb(&self) -> [f64; 3] {
+    pub(crate) fn mean_rgb(&self) -> [f64; 3] {
         let mut acc = [0.0f64; 3];
         for px in self.data.chunks_exact(3) {
             for c in 0..3 {

@@ -12,14 +12,11 @@ use crate::diffusion::{DiffusionModel, ImageModelKind};
 use crate::image::ImageBuffer;
 use crate::text::{TextModel, TextModelKind};
 
-/// A fully loaded pipeline: one image model and one text model, plus
-/// invocation counters for observability.
+/// A fully loaded pipeline: one image model and one text model.
 #[derive(Debug)]
 pub struct GenerationPipeline {
     image_model: DiffusionModel,
     text_model: TextModel,
-    images_generated: u64,
-    texts_generated: u64,
 }
 
 impl GenerationPipeline {
@@ -33,8 +30,6 @@ impl GenerationPipeline {
         GenerationPipeline {
             image_model: DiffusionModel::new(image),
             text_model: TextModel::new(text),
-            images_generated: 0,
-            texts_generated: 0,
         }
     }
 
@@ -46,30 +41,12 @@ impl GenerationPipeline {
         height: u32,
         steps: u32,
     ) -> ImageBuffer {
-        self.images_generated += 1;
         self.image_model.generate(prompt, width, height, steps)
     }
 
     /// Expand bullets into prose.
     pub fn generate_text(&mut self, bullets: &[String], target_words: usize) -> String {
-        self.texts_generated += 1;
         self.text_model.expand(bullets, target_words)
-    }
-
-    /// Upscale an image by an integer factor.
-    pub fn upscale(&mut self, image: &ImageBuffer, factor: u32) -> ImageBuffer {
-        self.images_generated += 1;
-        crate::upscale::upscale(image, factor)
-    }
-
-    /// How many images this pipeline produced.
-    pub fn images_generated(&self) -> u64 {
-        self.images_generated
-    }
-
-    /// How many text expansions this pipeline produced.
-    pub fn texts_generated(&self) -> u64 {
-        self.texts_generated
     }
 }
 
@@ -84,8 +61,6 @@ mod tests {
         assert_eq!(img.width(), 32);
         let text = p.generate_text(&["lake quiet morning".to_string()], 50);
         assert!(text.split_whitespace().count() >= 30);
-        assert_eq!(p.images_generated(), 1);
-        assert_eq!(p.texts_generated(), 1);
     }
 
     #[test]
@@ -100,14 +75,5 @@ mod tests {
             GenerationPipeline::preload_default().generate_image("hills at dawn", 48, 48, 10);
         assert_eq!(first, again);
         assert_eq!(first, fresh);
-    }
-
-    #[test]
-    fn upscale_counts_as_generation() {
-        let mut p = GenerationPipeline::preload_default();
-        let img = p.generate_image("x", 16, 16, 3);
-        let up = p.upscale(&img, 2);
-        assert_eq!(up.width(), 32);
-        assert_eq!(p.images_generated(), 2);
     }
 }

@@ -54,7 +54,7 @@ pub struct BufferPool {
 
 impl BufferPool {
     /// An empty pool named `name` (the `pool` metric label).
-    pub const fn new(name: &'static str) -> BufferPool {
+    pub(crate) const fn new(name: &'static str) -> BufferPool {
         BufferPool {
             name,
             shelf: Mutex::new(Vec::new()),

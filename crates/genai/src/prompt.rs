@@ -43,8 +43,6 @@ pub enum TextureClass {
 /// Everything the generator and metrics extract from a prompt.
 #[derive(Debug, Clone)]
 pub struct PromptFeatures {
-    /// Lowercased word tokens.
-    pub tokens: Vec<String>,
     /// Unit-norm hashed bag-of-words embedding.
     pub embedding: [f32; EMBED_DIM],
     /// Up to three palette colors implied by the prompt.
@@ -137,7 +135,6 @@ impl PromptFeatures {
         };
         PromptFeatures {
             seed: fnv1a(prompt.as_bytes()),
-            tokens,
             embedding,
             palette,
             texture,

@@ -15,7 +15,7 @@ pub struct MarkovChain {
 
 impl MarkovChain {
     /// Train on a set of passages.
-    pub fn train(passages: &[&str]) -> MarkovChain {
+    pub(crate) fn train(passages: &[&str]) -> MarkovChain {
         let mut transitions: HashMap<(String, String), Vec<String>> = HashMap::new();
         let mut starters = Vec::new();
         for passage in passages {
@@ -46,7 +46,7 @@ impl MarkovChain {
 
     /// Generate approximately `target_words` words of text. Sentences are
     /// capped so the chain cannot wander unboundedly between periods.
-    pub fn generate(&self, target_words: usize, rng: &mut Rng) -> Vec<String> {
+    pub(crate) fn generate(&self, target_words: usize, rng: &mut Rng) -> Vec<String> {
         let mut out: Vec<String> = Vec::with_capacity(target_words + 16);
         while out.len() < target_words {
             let (w1, w2) = self.starters[rng.below(self.starters.len())].clone();

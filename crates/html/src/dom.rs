@@ -45,7 +45,7 @@ pub struct Document {
 
 impl Document {
     /// An empty document containing only the root.
-    pub fn new() -> Document {
+    pub(crate) fn new() -> Document {
         Document {
             nodes: vec![Node {
                 kind: NodeKind::Document,
@@ -71,7 +71,7 @@ impl Document {
     }
 
     /// Append a new node under `parent`.
-    pub fn append(&mut self, parent: NodeId, kind: NodeKind) -> NodeId {
+    pub(crate) fn append(&mut self, parent: NodeId, kind: NodeKind) -> NodeId {
         let id = NodeId(self.nodes.len());
         self.nodes.push(Node {
             kind,
@@ -83,7 +83,7 @@ impl Document {
     }
 
     /// A node's parent.
-    pub fn parent(&self, id: NodeId) -> Option<NodeId> {
+    pub(crate) fn parent(&self, id: NodeId) -> Option<NodeId> {
         self.nodes[id.0].parent
     }
 
@@ -127,7 +127,7 @@ impl Document {
     }
 
     /// Attach a detached node under `parent`.
-    pub fn attach(&mut self, parent: NodeId, child: NodeId) {
+    pub(crate) fn attach(&mut self, parent: NodeId, child: NodeId) {
         debug_assert!(
             self.nodes[child.0].parent.is_none(),
             "child already attached"
@@ -137,7 +137,7 @@ impl Document {
     }
 
     /// Element tag name, if `id` is an element.
-    pub fn tag_name(&self, id: NodeId) -> Option<&str> {
+    pub(crate) fn tag_name(&self, id: NodeId) -> Option<&str> {
         match &self.nodes[id.0].kind {
             NodeKind::Element { name, .. } => Some(name),
             _ => None,
@@ -156,14 +156,14 @@ impl Document {
     }
 
     /// Whether an element's `class` attribute contains `class_name`.
-    pub fn has_class(&self, id: NodeId, class_name: &str) -> bool {
+    pub(crate) fn has_class(&self, id: NodeId, class_name: &str) -> bool {
         self.attr(id, "class")
             .map(|c| c.split_ascii_whitespace().any(|c| c == class_name))
             .unwrap_or(false)
     }
 
     /// Depth-first pre-order traversal from `start`.
-    pub fn descendants(&self, start: NodeId) -> Vec<NodeId> {
+    pub(crate) fn descendants(&self, start: NodeId) -> Vec<NodeId> {
         let mut out = Vec::new();
         let mut stack = vec![start];
         while let Some(id) = stack.pop() {

@@ -35,7 +35,7 @@ pub enum ContentType {
 
 impl ContentType {
     /// Parse the attribute value.
-    pub fn parse(s: &str) -> Option<ContentType> {
+    pub(crate) fn parse(s: &str) -> Option<ContentType> {
         match s {
             "img" => Some(ContentType::Img),
             "txt" => Some(ContentType::Txt),

@@ -69,29 +69,8 @@ impl<T: AsyncRead + AsyncWrite + Unpin> FrameIo<T> {
     }
 }
 
-/// Direction of a traced frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// Frame written by this endpoint.
-    Sent,
-    /// Frame read from the peer.
-    Received,
-}
-
-/// One entry of the frame trace — a tcpdump-style summary of a frame that
-/// crossed the connection, for debugging and protocol tests.
-#[derive(Debug, Clone)]
-pub struct FrameTraceEntry {
-    /// Sent or received.
-    pub direction: Direction,
-    /// Frame type name ("SETTINGS", "HEADERS", …).
-    pub kind: &'static str,
-    /// Stream the frame applied to (0 = connection).
-    pub stream_id: u32,
-    /// Payload length in octets.
-    pub length: usize,
-}
-
+/// A frame's type name ("SETTINGS", "HEADERS", …): the `kind` label of
+/// `sww_http2_frames_{sent,received}_total`.
 fn frame_kind_name(frame: &Frame) -> &'static str {
     match frame {
         Frame::Data(_) => "DATA",
@@ -110,19 +89,12 @@ fn frame_kind_name(frame: &Frame) -> &'static str {
     }
 }
 
-fn frame_payload_len(frame: &Frame) -> usize {
-    match frame {
-        Frame::Data(f) => f.data.len(),
-        Frame::Headers(f) => f.fragment.len(),
-        Frame::Continuation(f) => f.fragment.len(),
-        Frame::Settings(s) => s.params.len() * 6,
-        Frame::GoAway(g) => 8 + g.debug_data.len(),
-        Frame::Ping(_) => 8,
-        Frame::RstStream(_) | Frame::WindowUpdate(_) => 4,
-        Frame::Priority(_) => 5,
-        Frame::PushPromise(f) => 4 + f.fragment.len(),
-        Frame::Unknown { payload, .. } => payload.len(),
-    }
+fn count_received(frame: &Frame) {
+    sww_obs::counter(
+        "sww_http2_frames_received_total",
+        &[("kind", frame_kind_name(frame))],
+    )
+    .inc();
 }
 
 /// A complete message (header block + full body) received on one stream.
@@ -198,13 +170,10 @@ pub struct Connection<T> {
     pending: VecDeque<CompleteMessage>,
     remote_settings_seen: bool,
     goaway_received: bool,
-    /// Bytes of padding/overhead counters for the stats layer.
+    /// Octets written to the peer, frame headers included.
     pub bytes_sent: u64,
     /// Total payload bytes received in DATA frames.
     pub bytes_received: u64,
-    /// When enabled, a tcpdump-style log of every frame crossing the
-    /// connection (see [`Connection::enable_trace`]).
-    trace: Option<Vec<FrameTraceEntry>>,
 }
 
 impl<T: AsyncRead + AsyncWrite + Unpin> Connection<T> {
@@ -226,7 +195,6 @@ impl<T: AsyncRead + AsyncWrite + Unpin> Connection<T> {
             goaway_received: false,
             bytes_sent: 0,
             bytes_received: 0,
-            trace: None,
         }
     }
 
@@ -281,42 +249,7 @@ impl<T: AsyncRead + AsyncWrite + Unpin> Connection<T> {
             &[("kind", frame_kind_name(frame))],
         )
         .inc();
-        if let Some(trace) = &mut self.trace {
-            trace.push(FrameTraceEntry {
-                direction: Direction::Sent,
-                kind: frame_kind_name(frame),
-                stream_id: frame.stream_id(),
-                length: frame_payload_len(frame),
-            });
-        }
         self.io.write_raw(&buf).await
-    }
-
-    /// Turn on frame tracing: every frame sent or received from now on is
-    /// summarized into an in-memory log, like a tcpdump of the connection.
-    pub fn enable_trace(&mut self) {
-        self.trace.get_or_insert_with(Vec::new);
-    }
-
-    /// Drain the trace collected so far (empty when tracing is off).
-    pub fn take_trace(&mut self) -> Vec<FrameTraceEntry> {
-        self.trace.as_mut().map(std::mem::take).unwrap_or_default()
-    }
-
-    fn trace_received(&mut self, frame: &Frame) {
-        sww_obs::counter(
-            "sww_http2_frames_received_total",
-            &[("kind", frame_kind_name(frame))],
-        )
-        .inc();
-        if let Some(trace) = &mut self.trace {
-            trace.push(FrameTraceEntry {
-                direction: Direction::Received,
-                kind: frame_kind_name(frame),
-                stream_id: frame.stream_id(),
-                length: frame_payload_len(frame),
-            });
-        }
     }
 
     /// The generative capability shared by both peers; content generation
@@ -332,7 +265,7 @@ impl<T: AsyncRead + AsyncWrite + Unpin> Connection<T> {
     ///
     /// The setting is sent explicitly even when zero — omitted settings
     /// keep their previous value, so withdrawal must be on the wire.
-    pub async fn announce_ability(&mut self, ability: GenAbility) -> Result<(), H2Error> {
+    pub(crate) async fn announce_ability(&mut self, ability: GenAbility) -> Result<(), H2Error> {
         self.local.gen_ability = ability;
         let frame = Frame::Settings(SettingsFrame::new(vec![(
             crate::settings::SETTINGS_GEN_ABILITY,
@@ -342,7 +275,7 @@ impl<T: AsyncRead + AsyncWrite + Unpin> Connection<T> {
     }
 
     /// The capability the *peer* advertised.
-    pub fn peer_ability(&self) -> GenAbility {
+    pub(crate) fn peer_ability(&self) -> GenAbility {
         self.remote.gen_ability
     }
 
@@ -504,7 +437,11 @@ impl<T: AsyncRead + AsyncWrite + Unpin> Connection<T> {
     }
 
     /// Send RST_STREAM for one stream.
-    pub async fn reset_stream(&mut self, stream_id: u32, code: ErrorCode) -> Result<(), H2Error> {
+    pub(crate) async fn reset_stream(
+        &mut self,
+        stream_id: u32,
+        code: ErrorCode,
+    ) -> Result<(), H2Error> {
         self.streams.remove(&stream_id);
         self.write(&Frame::RstStream(RstStreamFrame::new(stream_id, code)))
             .await
@@ -518,7 +455,7 @@ impl<T: AsyncRead + AsyncWrite + Unpin> Connection<T> {
             let frame = self.io.read_frame().await?;
             if let Frame::Ping(p) = &frame {
                 if p.ack && p.payload == payload {
-                    self.trace_received(&frame);
+                    count_received(&frame);
                     return Ok(());
                 }
             }
@@ -545,7 +482,7 @@ impl<T: AsyncRead + AsyncWrite + Unpin> Connection<T> {
     }
 
     async fn handle_frame(&mut self, frame: Frame) -> Result<(), H2Error> {
-        self.trace_received(&frame);
+        count_received(&frame);
         // A header block in progress must be contiguous (RFC 9113 §6.10).
         if self.assembly.is_some() && !matches!(frame, Frame::Continuation(_)) {
             return Err(H2Error::protocol("frame interleaved in header block"));

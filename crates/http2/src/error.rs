@@ -40,7 +40,7 @@ impl ErrorCode {
     /// Decode a wire value. Unknown codes map to `Internal` per RFC 9113 §7
     /// ("implementations MUST NOT trigger special behaviour" — we treat them
     /// as any connection error of our own making).
-    pub fn from_u32(v: u32) -> ErrorCode {
+    pub(crate) fn from_u32(v: u32) -> ErrorCode {
         use ErrorCode::*;
         match v {
             0x0 => NoError,
@@ -91,12 +91,12 @@ impl H2Error {
     }
 
     /// Convenience constructor for connection-level FRAME_SIZE_ERROR.
-    pub fn frame_size(msg: impl Into<String>) -> H2Error {
+    pub(crate) fn frame_size(msg: impl Into<String>) -> H2Error {
         H2Error::Connection(ErrorCode::FrameSize, msg.into())
     }
 
     /// Convenience constructor for connection-level COMPRESSION_ERROR.
-    pub fn compression(msg: impl Into<String>) -> H2Error {
+    pub(crate) fn compression(msg: impl Into<String>) -> H2Error {
         H2Error::Connection(ErrorCode::Compression, msg.into())
     }
 }

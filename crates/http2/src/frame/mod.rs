@@ -255,21 +255,6 @@ impl Frame {
             }
         }
     }
-
-    /// The stream this frame applies to (0 for connection-scoped frames).
-    pub fn stream_id(&self) -> u32 {
-        match self {
-            Frame::Data(f) => f.stream_id,
-            Frame::Headers(f) => f.stream_id,
-            Frame::Priority(f) => f.stream_id,
-            Frame::RstStream(f) => f.stream_id,
-            Frame::Settings(_) | Frame::Ping(_) | Frame::GoAway(_) => 0,
-            Frame::PushPromise(f) => f.stream_id,
-            Frame::WindowUpdate(f) => f.stream_id,
-            Frame::Continuation(f) => f.stream_id,
-            Frame::Unknown { stream_id, .. } => *stream_id,
-        }
-    }
 }
 
 /// Strip RFC 9113 §6.1 padding: the first payload octet is the pad length,

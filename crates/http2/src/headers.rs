@@ -12,7 +12,7 @@ pub struct HeaderMap {
 
 impl HeaderMap {
     /// An empty map.
-    pub fn new() -> HeaderMap {
+    pub(crate) fn new() -> HeaderMap {
         HeaderMap::default()
     }
 
@@ -39,7 +39,7 @@ impl HeaderMap {
     }
 
     /// True when no fields are present.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.fields.is_empty()
     }
 
@@ -198,7 +198,7 @@ impl Response {
     }
 
     /// Rebuild from a decoded field list.
-    pub fn from_fields(fields: Vec<HeaderField>) -> Result<Response, H2Error> {
+    pub(crate) fn from_fields(fields: Vec<HeaderField>) -> Result<Response, H2Error> {
         let mut resp = Response::status(0);
         for f in fields {
             resp.push_field(f.name, f.value)?;

@@ -26,7 +26,7 @@ impl Decoder {
 
     /// Set the SETTINGS_HEADER_TABLE_SIZE ceiling this decoder enforces on
     /// size updates from the peer encoder.
-    pub fn set_capacity_limit(&mut self, limit: usize) {
+    pub(crate) fn set_capacity_limit(&mut self, limit: usize) {
         self.table.set_capacity_limit(limit);
     }
 

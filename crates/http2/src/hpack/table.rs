@@ -72,7 +72,7 @@ pub static STATIC_TABLE: [(&str, &str); 61] = [
 ];
 
 /// Default dynamic table capacity (SETTINGS_HEADER_TABLE_SIZE default).
-pub const DEFAULT_TABLE_SIZE: usize = 4096;
+pub(crate) const DEFAULT_TABLE_SIZE: usize = 4096;
 
 /// The dynamic table: newest entry has index 62, older entries higher.
 #[derive(Debug)]
@@ -86,7 +86,7 @@ pub struct DynamicTable {
 
 impl DynamicTable {
     /// A table with the default 4096-octet capacity.
-    pub fn new() -> DynamicTable {
+    pub(crate) fn new() -> DynamicTable {
         DynamicTable::with_capacity(DEFAULT_TABLE_SIZE)
     }
 
@@ -116,7 +116,7 @@ impl DynamicTable {
     }
 
     /// Raise/lower the SETTINGS ceiling (SETTINGS_HEADER_TABLE_SIZE).
-    pub fn set_capacity_limit(&mut self, limit: usize) {
+    pub(crate) fn set_capacity_limit(&mut self, limit: usize) {
         self.capacity_limit = limit;
         if self.max_size > limit {
             self.resize(limit);
@@ -168,7 +168,7 @@ impl DynamicTable {
     }
 
     /// Find the absolute index of an exact `(name, value)` match.
-    pub fn find(&self, name: &str, value: &str) -> Option<usize> {
+    pub(crate) fn find(&self, name: &str, value: &str) -> Option<usize> {
         self.entries
             .iter()
             .position(|f| f.name == name && f.value == value)
@@ -176,7 +176,7 @@ impl DynamicTable {
     }
 
     /// Find the absolute index of any entry with this name.
-    pub fn find_name(&self, name: &str) -> Option<usize> {
+    pub(crate) fn find_name(&self, name: &str) -> Option<usize> {
         self.entries
             .iter()
             .position(|f| f.name == name)
@@ -191,7 +191,7 @@ impl Default for DynamicTable {
 }
 
 /// Resolve an absolute HPACK index against static then dynamic tables.
-pub fn lookup(table: &DynamicTable, index: usize) -> Option<HeaderField> {
+pub(crate) fn lookup(table: &DynamicTable, index: usize) -> Option<HeaderField> {
     if index == 0 {
         return None;
     }

@@ -32,7 +32,7 @@ mod settings;
 mod stream;
 
 pub use client::ClientConnection;
-pub use connection::{Connection, Direction, FrameIo};
+pub use connection::{Connection, FrameIo};
 pub use error::{ErrorCode, H2Error};
 pub use headers::{Request, Response};
 pub use server::{serve_connection, serve_connection_until, ServeContext, ServeStats};

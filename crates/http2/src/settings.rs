@@ -223,7 +223,7 @@ impl Settings {
     /// Apply received parameters (RFC 9113 §6.5.2 validation). Unknown
     /// identifiers are ignored — the rule that keeps non-participating
     /// peers working and makes the paper's extension deployable.
-    pub fn apply(&mut self, params: &[SettingPair]) -> Result<(), H2Error> {
+    pub(crate) fn apply(&mut self, params: &[SettingPair]) -> Result<(), H2Error> {
         for &(id, value) in params {
             match id {
                 SETTINGS_HEADER_TABLE_SIZE => self.header_table_size = value,

@@ -33,7 +33,7 @@ pub enum StreamState {
 
 impl StreamState {
     /// Apply "we sent HEADERS" (optionally ending the stream).
-    pub fn on_send_headers(self, end_stream: bool) -> Result<StreamState, H2Error> {
+    pub(crate) fn on_send_headers(self, end_stream: bool) -> Result<StreamState, H2Error> {
         use StreamState::*;
         Ok(match (self, end_stream) {
             (Idle, false) => Open,
@@ -50,7 +50,7 @@ impl StreamState {
     }
 
     /// Apply "we received HEADERS".
-    pub fn on_recv_headers(self, end_stream: bool) -> Result<StreamState, H2Error> {
+    pub(crate) fn on_recv_headers(self, end_stream: bool) -> Result<StreamState, H2Error> {
         use StreamState::*;
         Ok(match (self, end_stream) {
             (Idle, false) => Open,
@@ -66,7 +66,7 @@ impl StreamState {
     }
 
     /// Apply "we sent DATA".
-    pub fn on_send_data(self, end_stream: bool) -> Result<StreamState, H2Error> {
+    pub(crate) fn on_send_data(self, end_stream: bool) -> Result<StreamState, H2Error> {
         use StreamState::*;
         Ok(match (self, end_stream) {
             (Open, false) => Open,
@@ -81,7 +81,11 @@ impl StreamState {
 
     /// Apply "we received DATA". A frame on a closed/idle stream is a
     /// STREAM_CLOSED / PROTOCOL_ERROR condition (§5.1).
-    pub fn on_recv_data(self, stream_id: u32, end_stream: bool) -> Result<StreamState, H2Error> {
+    pub(crate) fn on_recv_data(
+        self,
+        stream_id: u32,
+        end_stream: bool,
+    ) -> Result<StreamState, H2Error> {
         use StreamState::*;
         Ok(match (self, end_stream) {
             (Open, false) => Open,
@@ -100,7 +104,7 @@ impl StreamState {
     }
 
     /// Whether the stream is finished in both directions.
-    pub fn is_closed(self) -> bool {
+    pub(crate) fn is_closed(self) -> bool {
         matches!(self, StreamState::Closed)
     }
 }
@@ -118,19 +122,19 @@ pub const MAX_WINDOW: i64 = 0x7fff_ffff;
 
 impl FlowWindow {
     /// A window with `initial` octets of credit.
-    pub fn new(initial: u32) -> FlowWindow {
+    pub(crate) fn new(initial: u32) -> FlowWindow {
         FlowWindow {
             available: i64::from(initial),
         }
     }
 
     /// Octets currently sendable (0 when the window is negative).
-    pub fn available(&self) -> usize {
+    pub(crate) fn available(&self) -> usize {
         self.available.max(0) as usize
     }
 
     /// Consume credit for octets we are sending/receiving.
-    pub fn consume(&mut self, n: usize) -> Result<(), H2Error> {
+    pub(crate) fn consume(&mut self, n: usize) -> Result<(), H2Error> {
         let n = n as i64;
         if n > self.available {
             return Err(H2Error::Connection(
@@ -144,7 +148,7 @@ impl FlowWindow {
 
     /// Add credit from a WINDOW_UPDATE. Overflow past 2^31-1 is a
     /// FLOW_CONTROL_ERROR (§6.9.1).
-    pub fn grant(&mut self, n: u32) -> Result<(), H2Error> {
+    pub(crate) fn grant(&mut self, n: u32) -> Result<(), H2Error> {
         self.available += i64::from(n);
         if self.available > MAX_WINDOW {
             return Err(H2Error::Connection(
@@ -156,7 +160,7 @@ impl FlowWindow {
     }
 
     /// Apply a SETTINGS_INITIAL_WINDOW_SIZE delta (§6.9.2); may go negative.
-    pub fn adjust(&mut self, delta: i64) -> Result<(), H2Error> {
+    pub(crate) fn adjust(&mut self, delta: i64) -> Result<(), H2Error> {
         self.available += delta;
         if self.available > MAX_WINDOW {
             return Err(H2Error::Connection(

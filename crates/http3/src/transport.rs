@@ -26,7 +26,7 @@ pub mod stream_id {
     pub const SERVER_UNI_BASE: u64 = 3;
 
     /// Whether a stream is unidirectional.
-    pub fn is_uni(id: u64) -> bool {
+    pub(crate) fn is_uni(id: u64) -> bool {
         id & 0x2 != 0
     }
 }
@@ -110,7 +110,7 @@ pub(crate) const MAX_CHUNK: u64 = 1 << 22;
 
 impl<T: AsyncRead + AsyncWrite + Unpin> QuicLite<T> {
     /// Client-side endpoint.
-    pub fn client(io: T) -> QuicLite<T> {
+    pub(crate) fn client(io: T) -> QuicLite<T> {
         QuicLite {
             io,
             next_bidi: stream_id::CLIENT_BIDI_BASE,
@@ -125,7 +125,7 @@ impl<T: AsyncRead + AsyncWrite + Unpin> QuicLite<T> {
     }
 
     /// Server-side endpoint.
-    pub fn server(io: T) -> QuicLite<T> {
+    pub(crate) fn server(io: T) -> QuicLite<T> {
         QuicLite {
             io,
             next_bidi: 1, // server-initiated bidi (unused by HTTP/3)
@@ -140,21 +140,21 @@ impl<T: AsyncRead + AsyncWrite + Unpin> QuicLite<T> {
     }
 
     /// Allocate a locally initiated bidirectional stream id.
-    pub fn open_bidi(&mut self) -> u64 {
+    pub(crate) fn open_bidi(&mut self) -> u64 {
         let id = self.next_bidi;
         self.next_bidi += 4;
         id
     }
 
     /// Allocate a locally initiated unidirectional stream id.
-    pub fn open_uni(&mut self) -> u64 {
+    pub(crate) fn open_uni(&mut self) -> u64 {
         let id = self.next_uni;
         self.next_uni += 4;
         id
     }
 
     /// Send bytes on a stream.
-    pub async fn send(
+    pub(crate) async fn send(
         &mut self,
         stream: u64,
         data: &[u8],
@@ -211,7 +211,7 @@ impl<T: AsyncRead + AsyncWrite + Unpin> QuicLite<T> {
     /// surrounding future between polls without losing wire state. This
     /// is what lets a server interleave "wait for more requests" with
     /// "send finished responses" on one task.
-    pub fn poll_recv_chunk(
+    pub(crate) fn poll_recv_chunk(
         &mut self,
         cx: &mut Context<'_>,
     ) -> Poll<Result<StreamChunk, TransportError>> {
@@ -266,7 +266,7 @@ impl<T: AsyncRead + AsyncWrite + Unpin> QuicLite<T> {
     /// completed stream over, earliest FIN first. The poll-shaped twin of
     /// [`QuicLite::recv_any_stream`], for callers that multiplex reading
     /// with other event sources.
-    pub fn poll_recv_any_stream(
+    pub(crate) fn poll_recv_any_stream(
         &mut self,
         cx: &mut Context<'_>,
     ) -> Poll<Result<(u64, Vec<u8>), TransportError>> {
@@ -286,7 +286,7 @@ impl<T: AsyncRead + AsyncWrite + Unpin> QuicLite<T> {
     }
 
     /// Read chunks until *any* stream finishes; returns `(id, payload)`.
-    pub async fn recv_any_stream(&mut self) -> Result<(u64, Vec<u8>), TransportError> {
+    pub(crate) async fn recv_any_stream(&mut self) -> Result<(u64, Vec<u8>), TransportError> {
         std::future::poll_fn(|cx| self.poll_recv_any_stream(cx)).await
     }
 }

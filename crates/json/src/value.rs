@@ -20,7 +20,7 @@ pub enum Number {
 
 impl Number {
     /// The value as `f64`, lossless for floats and integers up to 2^53.
-    pub fn as_f64(self) -> f64 {
+    pub(crate) fn as_f64(self) -> f64 {
         match self {
             Number::Int(i) => i as f64,
             Number::Float(f) => f,
@@ -138,7 +138,7 @@ impl Value {
     }
 
     /// Look up a key in an object; `None` for missing keys or non-objects.
-    pub fn get(&self, key: &str) -> Option<&Value> {
+    pub(crate) fn get(&self, key: &str) -> Option<&Value> {
         self.as_object().and_then(|m| m.get(key))
     }
 

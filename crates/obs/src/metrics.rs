@@ -77,7 +77,7 @@ impl Gauge {
     }
 
     /// Current value.
-    pub fn get(&self) -> f64 {
+    pub(crate) fn get(&self) -> f64 {
         f64::from_bits(self.bits.load(Ordering::Relaxed))
     }
 }
@@ -148,7 +148,7 @@ impl Histogram {
     }
 
     /// Sum of all observations.
-    pub fn sum(&self) -> f64 {
+    pub(crate) fn sum(&self) -> f64 {
         f64::from_bits(self.data.sum_bits.load(Ordering::Relaxed))
     }
 }

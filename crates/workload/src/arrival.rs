@@ -33,19 +33,19 @@ impl Default for DiurnalModel {
 
 impl DiurnalModel {
     /// Instantaneous arrival rate at virtual time `t` seconds.
-    pub fn rate_at(&self, t: f64) -> f64 {
+    pub(crate) fn rate_at(&self, t: f64) -> f64 {
         self.base_rate * (1.0 + self.amplitude * (std::f64::consts::TAU * t / self.period).sin())
     }
 
     /// Peak rate (the thinning envelope).
-    pub fn peak_rate(&self) -> f64 {
+    pub(crate) fn peak_rate(&self) -> f64 {
         self.base_rate * (1.0 + self.amplitude)
     }
 
     /// Draw the next arrival strictly after `t` by thinning: propose
     /// exponential gaps at the peak rate, accept each proposal with
     /// probability `rate(t)/peak`. Deterministic given the stream.
-    pub fn next_arrival(&self, mut t: f64, rng: &mut Rng) -> f64 {
+    pub(crate) fn next_arrival(&self, mut t: f64, rng: &mut Rng) -> f64 {
         let peak = self.peak_rate();
         loop {
             // Inverse-CDF exponential gap; guard the log(0) corner.

@@ -76,7 +76,7 @@ pub enum RecipeSpec {
 
 impl RecipeSpec {
     /// Render as the on-the-wire generated-content division.
-    pub fn div(&self) -> String {
+    pub(crate) fn div(&self) -> String {
         match self {
             RecipeSpec::Image {
                 prompt,

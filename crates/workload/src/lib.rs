@@ -29,6 +29,7 @@ pub use graph::{SiteGraph, SmallWorldConfig};
 pub use media_classes::{table2_classes, text_block_250, worst_case_image_metadata};
 pub use replay::{
     modelled_slo, ModelledSlo, ReplayConfig, ReplayEngine, ReplayOutcome, ReplayTarget,
+    REPLAY_THREADS,
 };
 pub use scorecard::Scorecard;
 pub use stock::{by_category, CATALOG};

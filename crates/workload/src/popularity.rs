@@ -26,7 +26,7 @@ impl Zipf {
     ///
     /// # Panics
     /// If `n == 0` or `s` is not finite and positive.
-    pub fn new(n: usize, s: f64) -> Zipf {
+    pub(crate) fn new(n: usize, s: f64) -> Zipf {
         assert!(n > 0, "zipf over zero ranks");
         assert!(s.is_finite() && s > 0.0, "zipf exponent must be positive");
         let mut cdf = Vec::with_capacity(n);
@@ -43,7 +43,7 @@ impl Zipf {
 
     /// Draw a rank from the distribution using the caller's seeded
     /// stream. Deterministic given the stream position.
-    pub fn sample(&self, rng: &mut Rng) -> usize {
+    pub(crate) fn sample(&self, rng: &mut Rng) -> usize {
         let u = rng.uniform();
         // First rank whose CDF value exceeds the draw.
         match self

@@ -5,7 +5,8 @@
 //! [`ReplayTarget`]:
 //!
 //! * `Single` — in-process sessions against one [`GenerativeServer`]
-//!   (client threads partition users, preserving per-user order),
+//!   (`REPLAY_THREADS` client threads partition users, preserving
+//!   per-user order),
 //! * `H3` — the full framing path over in-memory duplex streams
 //!   (`serve_h3_stream`), one persistent connection per announced
 //!   ability,
@@ -66,8 +67,6 @@ impl ReplayTarget {
 pub struct ReplayConfig {
     /// The target stack.
     pub target: ReplayTarget,
-    /// Client threads for the sync targets (`Single` / `Cluster`).
-    pub threads: usize,
     /// The fault schedule every server the run builds is armed with
     /// (`ServerConfig::chaos`); `None` injects nothing.
     pub chaos: Option<ChaosSpec>,
@@ -77,11 +76,14 @@ impl Default for ReplayConfig {
     fn default() -> ReplayConfig {
         ReplayConfig {
             target: ReplayTarget::Single,
-            threads: 4,
             chaos: None,
         }
     }
 }
+
+/// Client threads of the sync targets (`Single` / `Cluster`); each
+/// replays the users whose id is its index modulo this.
+pub const REPLAY_THREADS: usize = 4;
 
 /// What one replay run produced.
 #[derive(Debug, Clone)]
@@ -140,7 +142,7 @@ pub struct ReplayEngine {
 
 impl ReplayEngine {
     /// Wrap an already-generated trace.
-    pub fn new(trace: Trace) -> ReplayEngine {
+    pub(crate) fn new(trace: Trace) -> ReplayEngine {
         ReplayEngine { trace }
     }
 
@@ -250,10 +252,9 @@ impl ReplayEngine {
         } else {
             SyncStack::Server(GenerativeServer::from_config(config))
         });
-        let threads = rcfg.threads.max(1);
         let results: Vec<EventResult> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for t in 0..threads {
+            let mut handles = Vec::with_capacity(REPLAY_THREADS);
+            for t in 0..REPLAY_THREADS {
                 let stack = Arc::clone(&stack);
                 let graph = &graph;
                 handles.push(scope.spawn(move || {
@@ -272,7 +273,7 @@ impl ReplayEngine {
                         .trace
                         .events()
                         .iter()
-                        .filter(|e| e.user as usize % threads == t)
+                        .filter(|e| e.user as usize % REPLAY_THREADS == t)
                     {
                         let req = Request::get(graph.node_path(e.node));
                         let t0 = Instant::now();

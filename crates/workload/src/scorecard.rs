@@ -35,7 +35,7 @@ pub struct LifecycleSnapshot {
 impl LifecycleSnapshot {
     /// Read the counters of `owners` — the registries of the servers
     /// (and clients) a run drove — summed, registering none of them.
-    pub fn take(owners: &[&Registry]) -> LifecycleSnapshot {
+    pub(crate) fn take(owners: &[&Registry]) -> LifecycleSnapshot {
         let total = |name: &'static str, labels: &[(&'static str, &str)]| -> u64 {
             owners.iter().map(|r| r.count(name, labels)).sum()
         };
@@ -93,7 +93,7 @@ pub struct Scorecard {
 
 impl Scorecard {
     /// Record one request's final status and wall latency.
-    pub fn record(&mut self, status: u16, wall_us: u64) {
+    pub(crate) fn record(&mut self, status: u16, wall_us: u64) {
         self.requests += 1;
         match status {
             200 => self.ok += 1,
@@ -105,23 +105,12 @@ impl Scorecard {
     }
 
     /// Record `n` retries.
-    pub fn add_retries(&mut self, n: u64) {
+    pub(crate) fn add_retries(&mut self, n: u64) {
         self.retries += n;
     }
 
-    /// Merge a concurrently collected shard into this scorecard.
-    pub fn absorb(&mut self, other: Scorecard) {
-        self.requests += other.requests;
-        self.ok += other.ok;
-        self.shed += other.shed;
-        self.deadline += other.deadline;
-        self.errors += other.errors;
-        self.retries += other.retries;
-        self.latencies_us.extend(other.latencies_us);
-    }
-
     /// Finalize: sort latencies and stamp the run duration.
-    pub fn finish(&mut self, wall_seconds: f64) {
+    pub(crate) fn finish(&mut self, wall_seconds: f64) {
         self.wall_seconds = wall_seconds;
         self.sorted_us = std::mem::take(&mut self.latencies_us);
         self.sorted_us.sort_unstable();
@@ -165,20 +154,6 @@ mod tests {
             (10, 6, 2, 1, 1)
         );
         assert!((s.qps() - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn absorb_merges_shards() {
-        let mut a = Scorecard::default();
-        a.record(200, 10);
-        let mut b = Scorecard::default();
-        b.record(503, 20);
-        b.add_retries(3);
-        a.absorb(b);
-        a.finish(1.0);
-        assert_eq!(a.requests, 2);
-        assert_eq!(a.shed, 1);
-        assert_eq!(a.retries, 3);
     }
 
     #[test]

@@ -47,7 +47,7 @@ impl Default for ProfileMix {
 
 impl ProfileMix {
     /// Draw a device class from the mix.
-    pub fn draw(&self, rng: &mut Rng) -> DeviceKind {
+    pub(crate) fn draw(&self, rng: &mut Rng) -> DeviceKind {
         let total = self.laptop + self.workstation + self.mobile;
         let u = rng.uniform() * total;
         if u < self.laptop {

@@ -162,7 +162,7 @@ impl Trace {
     }
 
     /// The config the trace was generated from.
-    pub fn config(&self) -> &WorkloadConfig {
+    pub(crate) fn config(&self) -> &WorkloadConfig {
         &self.cfg
     }
 
@@ -182,7 +182,7 @@ impl Trace {
     }
 
     /// Virtual duration of the trace in seconds (first to last event).
-    pub fn virtual_seconds(&self) -> f64 {
+    pub(crate) fn virtual_seconds(&self) -> f64 {
         match (self.events.first(), self.events.last()) {
             (Some(a), Some(b)) => (b.vtime_ms.saturating_sub(a.vtime_ms)) as f64 / 1000.0,
             _ => 0.0,

@@ -151,19 +151,15 @@ fn e17_kernel_modelled_rows_match_golden() {
     assert_matches_golden("e17_kernel.txt", &t.render());
 }
 
-/// E18: the modelled page rates over h2 and h3 at the default config —
+/// E18: the modelled page rates over h2 and h3 at `report`'s config —
 /// `1000/(K·W)` against `1000/W`, exact — and the server's request
 /// count behind each.
 #[test]
 fn e18_transport_modelled_rows_match_golden() {
     let _heavy = heavy();
-    let cfg = transport::TransportConfig::default();
-    let run = transport::run_with_latency(cfg);
+    let run = transport::run(4);
     let mut t = Table::new(
-        format!(
-            "E18 (modelled) — page load by transport ({} pages x {} recipes, {} ms per generation)",
-            cfg.pages, cfg.recipes, cfg.gen_latency_ms
-        ),
+        "E18 (modelled) — page load by transport (5 pages x 4 recipes, 25 ms per generation)",
         &["Transport", "Modelled pages/s", "Requests"],
     );
     for s in [&run.h2, &run.h3] {
@@ -189,7 +185,7 @@ fn e20_workload_full_scale_matches_golden() {
     let _heavy = heavy();
     let cfg = workload::E20Config::default();
     let rows = workload::modelled_sweep(&cfg);
-    assert_eq!(workload::slo_violations(&cfg, &rows), Vec::<String>::new());
+    assert_eq!(workload::slo_violations(&rows), Vec::<String>::new());
     let rendered = workload::modelled_table(&cfg, &rows).render();
     assert_matches_golden("e20_workload_full.txt", &rendered);
 }

@@ -7,7 +7,7 @@
 //! every request is reconciled against each server's `/metrics`
 //! exposition via the `transport` label.
 
-use sww_bench::experiments::transport::{run_with_latency, TransportConfig};
+use sww_bench::experiments::transport::run;
 
 /// Value of an exact series line (`name{labels} value`) in the exposition.
 fn series_value(text: &str, series: &str) -> Option<f64> {
@@ -17,22 +17,20 @@ fn series_value(text: &str, series: &str) -> Option<f64> {
     })
 }
 
+/// E18's one configuration: 5 pages of 4 recipes, 25 ms per generation.
+const PAGES: usize = 5;
+const RECIPES: usize = 4;
+
 #[test]
 fn h3_beats_h2_when_generations_are_slow() {
-    let cfg = TransportConfig {
-        pages: 4,
-        recipes: 4,
-        gen_latency_ms: 30,
-        seed: 7,
-    };
-    // run_with_latency drives its own runtimes internally, so this test
-    // stays synchronous and spins one up only for the /metrics scrapes.
-    let run = run_with_latency(cfg);
+    // run drives its own runtimes internally, so this test stays
+    // synchronous and spins one up only for the /metrics scrapes.
+    let run = run(RECIPES);
 
     // The no-HoL win: modelled exactly K×, measured must clear the
     // 1.5× acceptance floor (the modelled ratio is 4×; the generous
     // margin absorbs scheduler noise on a loaded host).
-    assert_eq!(run.modelled_speedup(), cfg.recipes as f64);
+    assert_eq!(run.modelled_speedup(), RECIPES as f64);
     assert!(
         run.h3.p99_ms < run.h2.p99_ms,
         "h3 page p99 {:.1} ms must beat h2 {:.1} ms",
@@ -42,7 +40,7 @@ fn h3_beats_h2_when_generations_are_slow() {
     assert!(
         run.measured_p99_speedup() > 1.5,
         "expected ≈{}x, got {:.2}x (h2 {:.1} ms vs h3 {:.1} ms)",
-        cfg.recipes,
+        RECIPES,
         run.measured_p99_speedup(),
         run.h2.p99_ms,
         run.h3.p99_ms
@@ -50,10 +48,10 @@ fn h3_beats_h2_when_generations_are_slow() {
 
     // Bit-identical per-recipe payloads across transports.
     assert!(run.byte_identical, "payloads diverged between h2 and h3");
-    assert_eq!(run.h2.bodies.len(), cfg.pages * cfg.recipes);
+    assert_eq!(run.h2.bodies.len(), PAGES * RECIPES);
 
     // Reconcile against the server's own accounting…
-    let expect = (cfg.pages * cfg.recipes) as f64;
+    let expect = (PAGES * RECIPES) as f64;
     assert_eq!(run.h2.requests as f64, expect);
     assert_eq!(run.h3.requests as f64, expect);
 
@@ -99,11 +97,11 @@ fn h3_beats_h2_when_generations_are_slow() {
     // session per page, and the h3 server's scrape went over h2.
     assert_eq!(
         series_value(&h2, "sww_server_sessions_total{transport=\"h2\"}"),
-        Some(cfg.pages as f64 + 1.0)
+        Some(PAGES as f64 + 1.0)
     );
     assert_eq!(
         series_value(&h3, "sww_server_sessions_total{transport=\"h3\"}"),
-        Some(cfg.pages as f64)
+        Some(PAGES as f64)
     );
     assert_eq!(
         series_value(&h3, "sww_server_sessions_total{transport=\"h2\"}"),

@@ -91,7 +91,6 @@ fn run_once(
     let sessions = engine.trace().sessions();
     let outcome = engine.run(&ReplayConfig {
         target: ReplayTarget::Single,
-        threads: 2,
         chaos: chaos.cloned(),
     });
     let moved: Vec<String> = workload_samples()
@@ -178,7 +177,7 @@ fn chaos_replays_keep_trace_and_metrics_deterministic() {
     let (trace_b, sessions_b, b, metrics_b) = run_once(&cfg, Some(&spec));
     assert_eq!(trace_a, trace_b, "chaos must not touch trace generation");
     assert_eq!(a.trace_digest, b.trace_digest);
-    // Which of two replay threads draws which delay is scheduling, but
+    // Which replay thread draws which delay is scheduling, but
     // a delay changes no status and no body.
     assert_eq!(
         a.response_digest, b.response_digest,
